@@ -43,6 +43,7 @@
 use crate::config::IndexConfig;
 use crate::descriptor::{NodeId, SpaceNode, SpaceUnitDesc, UnitId};
 use crate::metadata;
+use crate::probe_dir::ProbeDirectory;
 use tfm_bptree::BPlusTree;
 use tfm_geom::{hilbert, Aabb, HasMbb, SpatialElement};
 use tfm_partition::{IndexBuildPipeline, UniformGrid};
@@ -64,6 +65,8 @@ const UNIT_DESC_BYTES: usize = 8 + 48 + 48 + 4 + 2;
 pub struct TransformersIndex {
     nodes: Vec<SpaceNode>,
     units: Vec<SpaceUnitDesc>,
+    /// In-memory probe prefilter over `nodes` (derived, never persisted).
+    directory: ProbeDirectory,
     extent: Aabb,
     reach_eps: f64,
     btree: BPlusTree,
@@ -149,6 +152,7 @@ impl TransformersIndex {
             return Ok(Self {
                 nodes: Vec::new(),
                 units: Vec::new(),
+                directory: ProbeDirectory::build(std::iter::empty(), std::iter::empty()),
                 extent,
                 reach_eps: 0.0,
                 btree,
@@ -253,11 +257,18 @@ impl TransformersIndex {
         // Metadata region.
         let meta = metadata::encode(&nodes, &units);
         let (meta_first_page, meta_page_count) = write_meta(disk, &meta);
+        let directory = ProbeDirectory::build(
+            nodes
+                .iter()
+                .map(|n| (n.page_mbb, n.first_unit..n.first_unit + n.unit_count)),
+            units.iter().map(|u| u.page_mbb),
+        );
         drop(stage);
 
         Ok(Self {
             nodes,
             units,
+            directory,
             extent,
             reach_eps,
             btree,
@@ -278,6 +289,17 @@ impl TransformersIndex {
     /// Space unit descriptors (level 1).
     pub fn units(&self) -> &[SpaceUnitDesc] {
         &self.units
+    }
+
+    /// Calls `visit` with the unit-table index of every unit a probe box
+    /// can match — node page MBB **and** unit page MBB intersect `probe`
+    /// (closed intervals) — in ascending unit order, which is ascending
+    /// page order. This is the one probe prefilter: the in-memory probe
+    /// directory finds the nodes in O(log nodes + hits) instead of a scan
+    /// of the node table.
+    #[inline]
+    pub fn for_each_candidate_unit(&self, probe: &Aabb, visit: impl FnMut(usize)) {
+        self.directory.for_each_candidate_unit(probe, visit);
     }
 
     /// Number of indexed elements.

@@ -56,6 +56,7 @@ mod index;
 mod join;
 mod metadata;
 mod mutate;
+mod probe_dir;
 mod stats;
 mod todo;
 mod walk;

@@ -54,6 +54,7 @@
 use crate::descriptor::NodeId;
 use crate::metadata::bytes_ext::{BufExt, BufMutExt};
 use crate::metadata::{get_aabb, put_aabb};
+use crate::probe_dir::ProbeDirectory;
 use crate::TransformersIndex;
 use std::sync::{Arc, Mutex};
 use tfm_bptree::{BPlusTree, MutableBPlusTree};
@@ -208,8 +209,12 @@ pub struct MutNode {
 pub struct MutSnapshot {
     units: Vec<MutUnit>,
     nodes: Vec<MutNode>,
+    /// Probe prefilter over this snapshot's (grown) node page MBBs.
+    directory: ProbeDirectory,
     len: u64,
     page_size: usize,
+    codec: ElementPageCodec,
+    overflow_codec: OverflowCodec,
 }
 
 impl MutSnapshot {
@@ -242,45 +247,48 @@ impl MutSnapshot {
     /// chain — into `out` (cleared first).
     pub fn read_unit<C: PageReads>(&self, cache: &mut C, unit: u32, out: &mut Vec<SpatialElement>) {
         let u = &self.units[unit as usize];
-        let codec = ElementPageCodec::new(self.page_size);
         out.clear();
         {
             let p = cache.page(u.page);
-            codec.decode_into(&p, out);
+            self.codec.decode_into(&p, out);
         }
-        let ov = OverflowCodec::new(self.page_size);
         let mut next = u.overflow;
         while next != NO_PAGE {
             let p = cache.page(PageId(next));
-            next = ov.decode_append(&p, out);
+            next = self.overflow_codec.decode_append(&p, out);
         }
     }
 
-    /// Answers a spatial query: node page-MBB prefilter → unit page-MBB
-    /// prefilter → exact per-element test, exactly mirroring the
-    /// immutable serve path. Returns matching element ids, sorted
-    /// ascending.
+    /// Calls `visit` with the index of every live unit a probe box can
+    /// match — node page MBB **and** unit page MBB intersect `probe`, and
+    /// the unit still holds elements — in ascending unit (= base page)
+    /// order. Same prefilter as
+    /// [`TransformersIndex::for_each_candidate_unit`], over this
+    /// snapshot's grown MBBs.
+    #[inline]
+    pub fn for_each_candidate_unit(&self, probe: &Aabb, mut visit: impl FnMut(usize)) {
+        self.directory.for_each_candidate_unit(probe, |u| {
+            if self.units[u].count > 0 {
+                visit(u);
+            }
+        });
+    }
+
+    /// Answers a spatial query: page-MBB prefilter
+    /// ([`for_each_candidate_unit`](Self::for_each_candidate_unit)) →
+    /// exact per-element test, exactly mirroring the immutable serve
+    /// path. Returns matching element ids, sorted ascending.
     pub fn query<C: PageReads>(&self, cache: &mut C, q: &SpatialQuery) -> Vec<u64> {
-        let probe = q.probe();
         let mut out = Vec::new();
         let mut elems = Vec::new();
-        for n in &self.nodes {
-            if !n.page_mbb.intersects(&probe) {
-                continue;
-            }
-            for ui in n.first_unit..(n.first_unit + n.unit_count) {
-                let u = &self.units[ui as usize];
-                if u.count == 0 || !u.page_mbb.intersects(&probe) {
-                    continue;
-                }
-                self.read_unit(cache, ui, &mut elems);
-                for e in &elems {
-                    if q.matches(&e.mbb) {
-                        out.push(e.id);
-                    }
+        self.for_each_candidate_unit(&q.probe(), |u| {
+            self.read_unit(cache, u as u32, &mut elems);
+            for e in &elems {
+                if q.matches(&e.mbb) {
+                    out.push(e.id);
                 }
             }
-        }
+        });
         out.sort_unstable();
         out
     }
@@ -739,8 +747,18 @@ fn snapshot_of(st: &MutState, page_size: usize) -> MutSnapshot {
     MutSnapshot {
         units: st.units.clone(),
         nodes: st.nodes.clone(),
+        // Rebuilt per publish: inserts grow node page MBBs, and the tables
+        // are copied whole here anyway.
+        directory: ProbeDirectory::build(
+            st.nodes
+                .iter()
+                .map(|n| (n.page_mbb, n.first_unit..n.first_unit + n.unit_count)),
+            st.units.iter().map(|u| u.page_mbb),
+        ),
         len: st.len,
         page_size,
+        codec: ElementPageCodec::new(page_size),
+        overflow_codec: OverflowCodec::new(page_size),
     }
 }
 
@@ -915,6 +933,37 @@ mod tests {
             .unit_of(&mut CacheHandle::shared(&cache), 1000)
             .expect("directory knows the new element");
         assert!(snap.units()[unit as usize].page_mbb.contains(&far.mbb));
+    }
+
+    #[test]
+    fn published_snapshot_probes_find_inserts_outside_the_old_node_mbb() {
+        // 16 elements per node => 19 nodes: the probe directory has a
+        // level above the node level, so a stale directory (built over
+        // the pre-insert MBBs) would prune the new element away.
+        let (disk, idx) = build(scatter(300, 0));
+        assert!(idx.nodes().len() > 8);
+        let mt = MutableTransformers::adopt(&idx, &disk);
+        let cache = SharedPageCache::with_shards(&disk, 512, 4);
+        let log = NoopLog::new();
+
+        let far = elem(5000, 250.0, 250.0, 250.0);
+        let at_far = SpatialQuery::Window(far.mbb);
+        assert!(idx.nodes().iter().all(|n| !n.page_mbb.intersects(&far.mbb)));
+        let before = mt.snapshot();
+        let mut ch = CacheHandle::shared(&cache);
+        assert_eq!(before.query(&mut ch, &at_far), Vec::<u64>::new());
+
+        mt.apply_batch(&log, &cache, &[MutationOp::Insert(far)]);
+        let after = mt.snapshot();
+        assert_eq!(after.query(&mut ch, &at_far), vec![5000]);
+        let unit = mt.unit_of(&mut ch, 5000).expect("directory entry") as usize;
+        let mut visited = Vec::new();
+        after.for_each_candidate_unit(&far.mbb, |u| visited.push(u));
+        assert_eq!(visited, vec![unit]);
+        // The snapshot grabbed before the batch keeps its own directory.
+        let mut visited = Vec::new();
+        before.for_each_candidate_unit(&far.mbb, |u| visited.push(u));
+        assert!(visited.is_empty());
     }
 
     #[test]

@@ -139,12 +139,14 @@ const FOLLOWER_PAGE_TAG: u64 = 1 << 63;
 /// demand-paged).
 ///
 /// The schedule mirrors what the engine will read: every unit page of the
-/// chunk's guide pivots, plus — the same node→unit MBB prefilter the
-/// serve engines use for their readahead — the follower unit pages whose
-/// node and unit page MBBs intersect a pivot's page MBB. The follower
-/// crawl can reach a little past a pivot's MBB (reach-epsilon expansion),
-/// so the prefilter under-approximates slightly; missed pages demand-page
-/// while over-fetching would show up as `io.prefetch.join.unused`.
+/// chunk's guide pivots, plus — the same page-MBB prefilter the serve
+/// engines use for their readahead
+/// ([`TransformersIndex::for_each_candidate_unit`]) — the follower unit
+/// pages whose node and unit page MBBs intersect a pivot's page MBB. The
+/// follower crawl can reach a little past a pivot's MBB (reach-epsilon
+/// expansion), so the prefilter under-approximates slightly; missed pages
+/// demand-page while over-fetching would show up as
+/// `io.prefetch.join.unused`.
 ///
 /// Stealing needs no special case: chunks are claimed whole from the
 /// scheduler, so whichever worker ends up with a stolen chunk pushes the
@@ -154,24 +156,17 @@ fn push_chunk_schedule(
     chunk: &Chunk,
     guide_nodes: &[SpaceNode],
     guide_units: &[SpaceUnitDesc],
-    follower_nodes: &[SpaceNode],
-    follower_units: &[SpaceUnitDesc],
+    follower: &TransformersIndex,
 ) {
+    let follower_units = follower.units();
     let mut pages: Vec<u64> = Vec::new();
     for pivot in &guide_nodes[chunk.start..chunk.end] {
         for u in pivot.unit_range() {
             pages.push(guide_units[u].page.0);
         }
-        for fnode in follower_nodes {
-            if !fnode.page_mbb.intersects(&pivot.page_mbb) {
-                continue;
-            }
-            for u in fnode.unit_range() {
-                if follower_units[u].page_mbb.intersects(&pivot.page_mbb) {
-                    pages.push(follower_units[u].page.0 | FOLLOWER_PAGE_TAG);
-                }
-            }
-        }
+        follower.for_each_candidate_unit(&pivot.page_mbb, |u| {
+            pages.push(follower_units[u].page.0 | FOLLOWER_PAGE_TAG);
+        });
     }
     // Ascending-id sweep per side (the tag bit sorts the follower run
     // after the guide run), duplicates collapsed within the chunk;
@@ -398,14 +393,7 @@ pub fn parallel_join_with_report(
             // schedule before processing so the I/O threads warm the cache
             // while the engine works through the pivots.
             if let Some(pq) = &prefetch_queue {
-                push_chunk_schedule(
-                    pq,
-                    &chunk,
-                    guide_side.2,
-                    guide_side.3,
-                    follower_side.2,
-                    follower_side.3,
-                );
+                push_chunk_schedule(pq, &chunk, guide_side.2, guide_side.3, follower_side.0);
             }
             let _span = chunk_hist.as_ref().map(|h| h.span());
             for ng in chunk.start..chunk.end {

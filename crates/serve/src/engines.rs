@@ -81,27 +81,17 @@ pub trait QueryEngine: Sync {
 }
 
 /// The unit pages `queries` will touch in a TRANSFORMERS-style hierarchy:
-/// node-level then unit-level page-MBB prefilter, identical to the
-/// per-probe filtering in the sessions, evaluated purely against the
-/// in-memory descriptor tables (no page is read). Units are numbered in
-/// page order, so sort+dedup yields an ascending sweep — with a
-/// Hilbert-ordered batch this is exactly the order the workers will ask
+/// the same page-MBB prefilter the sessions run per probe
+/// ([`TransformersIndex::for_each_candidate_unit`]), evaluated purely
+/// against the in-memory descriptor tables (no page is read). Units are
+/// numbered in page order, so sort+dedup yields an ascending sweep — with
+/// a Hilbert-ordered batch this is exactly the order the workers will ask
 /// for the pages in.
 fn unit_pages_for(idx: &TransformersIndex, queries: &[SpatialQuery]) -> Vec<PageId> {
     let units = idx.units();
     let mut pages = Vec::new();
     for query in queries {
-        let probe = query.probe();
-        for node in idx.nodes() {
-            if !node.page_mbb.intersects(&probe) {
-                continue;
-            }
-            for u in node.unit_range() {
-                if units[u].page_mbb.intersects(&probe) {
-                    pages.push(units[u].page);
-                }
-            }
-        }
+        idx.for_each_candidate_unit(&query.probe(), |u| pages.push(units[u].page));
     }
     pages.sort_unstable();
     pages.dedup();
@@ -213,32 +203,21 @@ struct TransformersSession<'a> {
 
 impl QuerySession for TransformersSession<'_> {
     fn execute(&mut self, query: &SpatialQuery) -> Vec<ElementId> {
-        let probe = query.probe();
         let mut out = Vec::new();
         let units = self.idx.units();
-        // Node-level then unit-level prefilter on the tight page MBBs; a
-        // unit whose page MBB misses the probe box cannot hold a match.
-        // Units are numbered in page order, so the candidate pages are
-        // visited in ascending page order — a spatial sweep, not a seek
-        // storm.
-        for node in self.idx.nodes() {
-            if !node.page_mbb.intersects(&probe) {
-                continue;
-            }
-            for u in node.unit_range() {
-                if !units[u].page_mbb.intersects(&probe) {
-                    continue;
-                }
-                // Zero-copy: the shared cache's decoded tier is borrowed
-                // directly; private pools decode into the reader scratch.
-                let elems = self.reader.elements(units[u].id);
-                for e in elems.iter() {
-                    if query.matches(&e.mbb) {
-                        out.push(e.id);
-                    }
+        // A unit whose page MBB misses the probe box cannot hold a match.
+        // Candidates arrive in ascending unit order, which is ascending
+        // page order — a spatial sweep, not a seek storm.
+        self.idx.for_each_candidate_unit(&query.probe(), |u| {
+            // Zero-copy: the shared cache's decoded tier is borrowed
+            // directly; private pools decode into the reader scratch.
+            let elems = self.reader.elements(units[u].id);
+            for e in elems.iter() {
+                if query.matches(&e.mbb) {
+                    out.push(e.id);
                 }
             }
-        }
+        });
         out.sort_unstable();
         out
     }
@@ -312,18 +291,7 @@ impl QueryEngine for MutableTransformersEngine<'_> {
         let units = snap.units();
         let mut pages = Vec::new();
         for query in queries {
-            let probe = query.probe();
-            for node in snap.nodes() {
-                if !node.page_mbb.intersects(&probe) {
-                    continue;
-                }
-                for ui in node.first_unit..(node.first_unit + node.unit_count) {
-                    let u = &units[ui as usize];
-                    if u.count > 0 && u.page_mbb.intersects(&probe) {
-                        pages.push(u.page);
-                    }
-                }
-            }
+            snap.for_each_candidate_unit(&query.probe(), |u| pages.push(units[u].page));
         }
         pages.sort_unstable();
         pages.dedup();

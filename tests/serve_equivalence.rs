@@ -5,6 +5,8 @@
 //!   sequential full-scan reference;
 //! * Hilbert-ordered batching strictly raises the sequential-read
 //!   fraction over arrival-order replay on the same trace;
+//! * sampled probes and their readahead schedules equal a full scan on an
+//!   index whose node count puts two probe-directory levels above it;
 //! * property test: random datasets and traces keep the 1-worker and
 //!   4-worker transformers engines equal to the oracle.
 
@@ -123,6 +125,49 @@ fn hilbert_batching_strictly_raises_sequential_reads() {
     );
     // Locality also shows up as fewer pool misses (more overlap hits).
     assert!(hilberted.stats.pool_misses <= arrival.stats.pool_misses);
+}
+
+#[test]
+fn sampled_probes_match_a_full_scan_across_a_directory_level_boundary() {
+    // Small units and nodes so a few thousand elements give well over
+    // 8² nodes: the probe directory (fanout 8) then has two levels above
+    // the node table, and the last run of each level is a partial one.
+    let elems = generate(&DatasetSpec {
+        max_side: 6.0,
+        ..DatasetSpec::uniform(6_000, 408)
+    });
+    let disk = Disk::in_memory(PAGE);
+    let cfg = IndexConfig {
+        unit_capacity: Some(8),
+        node_capacity: Some(4),
+        ..IndexConfig::default()
+    };
+    let idx = TransformersIndex::build(&disk, elems.clone(), &cfg);
+    assert!(idx.nodes().len() > 64 && !idx.nodes().len().is_multiple_of(8));
+
+    let engine = TransformersEngine::new(&idx, &disk);
+    for (mix, seed) in [
+        (ProbeMix::Uniform, 409u64),
+        (ProbeMix::Clustered { clusters: 5 }, 410),
+    ] {
+        let trace = generate_trace(&QueryTraceSpec::with_mix(300, mix, seed));
+        let out = serve_trace(&engine, &trace, &ServeConfig::default());
+        assert_eq!(out.results, reference(&elems, &trace), "mix={mix:?}");
+        // The readahead schedule runs the same prefilter: it must name
+        // exactly the pages of the units a scan of the whole unit table
+        // admits, in ascending page order.
+        for q in &trace {
+            let probe = q.probe();
+            let mut scanned: Vec<_> = idx
+                .units()
+                .iter()
+                .filter(|u| u.page_mbb.intersects(&probe))
+                .map(|u| u.page)
+                .collect();
+            scanned.sort_unstable();
+            assert_eq!(engine.prefetch_schedule(std::slice::from_ref(q)), scanned);
+        }
+    }
 }
 
 #[test]
