@@ -967,6 +967,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mutate(args: &[String]) -> Result<(), String> {
+    println!("{}", mutate_summary(args)?);
+    Ok(())
+}
+
+/// Runs `tfm mutate` and returns the summary it prints, one line per
+/// quantity.
+fn mutate_summary(args: &[String]) -> Result<String, String> {
     use tfm_datagen::{generate_mixed_trace, MixedOp, MixedTraceSpec};
     use tfm_serve::{serve_trace, MutableTransformersEngine, ServeConfig};
     use tfm_storage::{NoopLog, RedoLog, SharedPageCache};
@@ -1044,6 +1051,10 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
     let mut inserted = 0u64;
     let mut deleted = 0u64;
     let mut batches = 0u64;
+    let mut write_ops = 0u64;
+    let mut flushed_pages = 0u64;
+    let mut overlay_pages = 0u64;
+    let mut overlay_pages_max = 0usize;
     let mut queries = 0u64;
     let mut result_ids = 0u64;
     for chunk in trace.chunks(batch) {
@@ -1066,6 +1077,10 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
             inserted += out.inserted;
             deleted += out.deleted;
             batches += 1;
+            write_ops += writes.len() as u64;
+            flushed_pages += out.flushed_pages as u64;
+            overlay_pages += out.overlay_pages_written as u64;
+            overlay_pages_max = overlay_pages_max.max(out.overlay_pages_written);
         }
         let probes = tfm_datagen::queries_of(chunk);
         if !probes.is_empty() {
@@ -1076,32 +1091,36 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
     }
     let wall = t.elapsed();
 
-    println!("dataset:         {path} ({} elements)", elems.len());
-    println!(
+    let mut lines = Vec::new();
+    lines.push(format!(
+        "dataset:         {path} ({} elements)",
+        elems.len()
+    ));
+    lines.push(format!(
         "trace:           {ops} ops (seed {seed}, {write_permille}permille writes, \
          {insert_permille}permille of writes insert)"
-    );
-    println!(
+    ));
+    lines.push(format!(
         "mutations:       {inserted} inserts + {deleted} deletes in {batches} batches \
          (chunk {batch})"
-    );
-    println!(
+    ));
+    lines.push(format!(
         "index:           {} -> {} elements",
         elems.len(),
         overlay.len()
-    );
-    println!(
+    ));
+    lines.push(format!(
         "reads:           {queries} probes on {threads} worker{}, {result_ids} result ids",
         if threads == 1 { "" } else { "s" }
-    );
-    println!(
+    ));
+    lines.push(format!(
         "replay time:     {:.3}s  ({:.0} ops/s)",
         wall.as_secs_f64(),
         ops as f64 / wall.as_secs_f64().max(1e-9)
-    );
+    ));
     if let Some(w) = &wal {
         let s = w.stats();
-        println!(
+        lines.push(format!(
             "wal:             {} records, {} bytes, {} commits, {} fsyncs, {} segment{} in {}",
             s.records,
             s.bytes,
@@ -1110,10 +1129,29 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
             s.segments,
             if s.segments == 1 { "" } else { "s" },
             w.dir().display()
-        );
+        ));
     } else {
-        println!("wal:             off (no --wal-dir; mutations unlogged)");
+        lines.push("wal:             off (no --wal-dir; mutations unlogged)".into());
     }
+    lines.push(format!(
+        "flushed:         {flushed_pages} pages of {page_size} bytes"
+    ));
+    lines.push(format!(
+        "overlay:         {overlay_pages} pages written, at most {overlay_pages_max} of the \
+         chain's {} in one batch",
+        overlay.overlay_chain_pages()
+    ));
+    // As `benchmark/README.md` defines `write_amp`: every byte the write
+    // path put on stable storage over the bytes the writes carried (one
+    // element record per write op).
+    let record = tfm_storage::ELEMENT_RECORD_BYTES as u64;
+    let wal_bytes = wal.as_ref().map_or(0, |w| w.stats().bytes);
+    let written = wal_bytes + flushed_pages * page_size as u64;
+    lines.push(format!(
+        "write amp:       {:.1}x  (({wal_bytes} WAL bytes + {flushed_pages} flushed pages x \
+         {page_size} B) / ({write_ops} write ops x {record} B))",
+        written as f64 / (write_ops.max(1) * record) as f64
+    ));
 
     if flag(args, "--verify") {
         // Replay the trace over a plain map to get the mutated dataset,
@@ -1146,12 +1184,12 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        println!(
+        lines.push(format!(
             "verify:          OK (all {} probes match the mutated full scan)",
             probes.len()
-        );
+        ));
     }
-    Ok(())
+    Ok(lines.join("\n"))
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
@@ -1492,7 +1530,8 @@ mod tests {
         // all verified against the mutated full-scan oracle.
         for extra in [
             &[][..],
-            &["--threads", "2", "--wal-dir"][..], // dir appended below
+            // 512-byte pages: a 600-element overlay spans a chain of pages.
+            &["--threads", "2", "--page-size", "512", "--wal-dir"][..], // dir appended below
         ] {
             let mut mutate_args = sv(&[
                 "--in",
@@ -1509,7 +1548,37 @@ mod tests {
             if extra.contains(&"--wal-dir") {
                 mutate_args.push(wal_dir.to_str().unwrap().to_string());
             }
-            cmd_mutate(&mutate_args).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
+            let summary = mutate_summary(&mutate_args).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
+            let numbers_of = |label: &str| -> Vec<f64> {
+                let line = summary
+                    .lines()
+                    .find(|l| l.starts_with(label))
+                    .unwrap_or_else(|| panic!("no `{label}` line in:\n{summary}"));
+                line.split(|c: char| !c.is_ascii_digit() && c != '.')
+                    .filter_map(|t| t.parse().ok())
+                    .collect()
+            };
+            // write amp = (WAL bytes + flushed pages x page size) /
+            // (write ops x 56 B), from the numbers the line itself shows.
+            let [amp, wal_bytes, flushed, page_size, write_ops, record] =
+                numbers_of("write amp:")[..]
+            else {
+                panic!("malformed write amp line in:\n{summary}")
+            };
+            let expected = (wal_bytes + flushed * page_size) / (write_ops * record);
+            assert!((amp - expected).abs() <= 0.05, "{amp} vs {expected}");
+            assert_eq!(record, 56.0);
+            assert_eq!(numbers_of("flushed:"), [flushed, page_size]);
+            let [written, max_per_batch, chain] = numbers_of("overlay:")[..] else {
+                panic!("malformed overlay line in:\n{summary}")
+            };
+            assert!(written > 0.0 && max_per_batch <= chain, "{summary}");
+            let logged = extra.contains(&"--wal-dir");
+            assert_eq!(wal_bytes > 0.0, logged);
+            if logged {
+                // Change-only overlay: no batch rewrote the whole chain.
+                assert!(chain > 10.0 && max_per_batch < chain, "{summary}");
+            }
         }
         // The logged run left real segment files behind.
         let segments = std::fs::read_dir(&wal_dir)

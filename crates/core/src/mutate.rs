@@ -32,12 +32,17 @@
 //!   is one transaction; after the commit fsync the dirty frames are
 //!   flushed through the cache's durable-LSN gate. A crash anywhere
 //!   leaves either the whole batch or none of it (redo-only, no-steal).
-//! * **Persisted overlay.** The mutable state (per-unit counts, overflow
-//!   heads, grown MBBs, directory root, allocation watermark) is
-//!   serialized into a chain of **overlay pages** written under the same
-//!   transaction as the data it describes. After crash recovery replays
-//!   the log, [`MutableTransformers::reopen`] rebuilds the full handle
-//!   from the overlay head page alone.
+//! * **Persisted overlay, written change-only.** The mutable state
+//!   (per-unit counts, overflow heads, grown MBBs, directory root,
+//!   allocation watermark) is serialized into a chain of **overlay
+//!   pages** under the same transaction as the data it describes. The
+//!   writer keeps each chain page's bytes as last written and, per batch,
+//!   writes only the pages whose finished bytes differ — a handful for a
+//!   few inserts, none for a batch of rejected ops — because a page that
+//!   compares equal already holds those bytes on the image or in an
+//!   earlier committed transaction's log record. After crash recovery
+//!   replays the log, [`MutableTransformers::reopen`] rebuilds the full
+//!   handle from the overlay head page alone, chain images included.
 //! * **Snapshot publication.** Readers never lock against writers: each
 //!   committed batch publishes an immutable [`MutSnapshot`]
 //!   (`Mutex<Arc<_>>` swap), and serve sessions query through the
@@ -46,10 +51,13 @@
 //!   themselves are never torn, the cache swaps whole frames); batch
 //!   boundaries are the published consistency points.
 //!
-//! The descriptor tables are copied whole per publish — O(units) per
-//! batch. That is the honest cost of a design whose readers are wait-free
-//! and whose tests hammer small indexes; incremental (copy-on-write
-//! chunked) publication is an optimization left open in `ROADMAP.md`.
+//! What a batch costs: its log records, dirty frames and flushed pages
+//! are proportional to the pages it changed, overlay included. Two
+//! O(units) steps remain and are CPU only: the overlay is serialized
+//! whole before it is compared page by page, and the descriptor tables
+//! are copied whole per publish. That is the honest cost of a design
+//! whose readers are wait-free; incremental (copy-on-write chunked)
+//! publication is an optimization left open in `ROADMAP.md`.
 
 use crate::descriptor::NodeId;
 use crate::metadata::bytes_ext::{BufExt, BufMutExt};
@@ -72,7 +80,7 @@ pub const OVERFLOW_HEADER: usize = 10;
 
 /// Bytes per element record, identical to the base-page layout of
 /// [`ElementPageCodec`]: id (u64 LE) + six f64 LE MBB coordinates.
-const ELEM_RECORD: usize = 56;
+const ELEM_RECORD: usize = tfm_storage::ELEMENT_RECORD_BYTES;
 
 /// Magic stamped on the first overlay page ("TFMMUT01").
 const MUT_MAGIC: u64 = u64::from_le_bytes(*b"TFMMUT01");
@@ -323,6 +331,9 @@ pub struct BatchOutcome {
     pub flushed_pages: usize,
     /// Dirty pages the flush gate kept in memory.
     pub retained_pages: usize,
+    /// Overlay chain pages the batch wrote (logged and dirtied): those
+    /// whose bytes the batch changed, not the chain length.
+    pub overlay_pages_written: usize,
 }
 
 /// Writer-side state, guarded by the batch mutex.
@@ -331,8 +342,19 @@ struct MutState {
     units: Vec<MutUnit>,
     nodes: Vec<MutNode>,
     len: u64,
-    /// Overlay page chain; `meta_pages[0]` is the fixed head.
-    meta_pages: Vec<PageId>,
+    /// Overlay page chain; `chain[0]` is the fixed head.
+    chain: Vec<OverlayPage>,
+}
+
+/// One page of the persisted overlay chain.
+#[derive(Debug)]
+struct OverlayPage {
+    id: PageId,
+    /// The page's bytes as last written by [`write_overlay`] or read by
+    /// [`MutableTransformers::reopen`] — what the page holds once every
+    /// committed batch is applied. Empty for a page allocated but not yet
+    /// written, which therefore never compares equal to a finished page.
+    image: Vec<u8>,
 }
 
 /// The mutable overlay over one TRANSFORMERS dataset: batched online
@@ -398,7 +420,7 @@ impl MutableTransformers {
             units,
             nodes,
             len: idx.len() as u64,
-            meta_pages: Vec::new(),
+            chain: Vec::new(),
         };
         let mut direct: &Disk = disk;
         write_overlay(&directory, &mut st, &mut direct, disk);
@@ -421,19 +443,19 @@ impl MutableTransformers {
     /// Panics if `meta_head` does not point at an overlay chain.
     pub fn reopen(disk: &Disk, meta_head: PageId) -> Self {
         let page_size = disk.page_size();
-        let mut meta_pages = vec![meta_head];
+        let mut chain = Vec::new();
         let mut body = Vec::new();
         let mut cur = meta_head;
         loop {
-            let page = disk.read_page_vec(cur);
-            let mut b: &[u8] = &page;
+            let image = disk.read_page_vec(cur);
+            let mut b: &[u8] = &image;
             let next = b.get_u64_le_ext();
             body.extend_from_slice(b);
+            chain.push(OverlayPage { id: cur, image });
             if next == NO_PAGE {
                 break;
             }
             cur = PageId(next);
-            meta_pages.push(cur);
         }
 
         let mut b: &[u8] = &body;
@@ -490,7 +512,7 @@ impl MutableTransformers {
             units,
             nodes,
             len,
-            meta_pages,
+            chain,
         };
         let snapshot = Arc::new(snapshot_of(&st, page_size));
         Self {
@@ -505,7 +527,13 @@ impl MutableTransformers {
     /// id a manifest must remember to [`reopen`](Self::reopen) after a
     /// crash.
     pub fn meta_head(&self) -> PageId {
-        self.state.lock().unwrap().meta_pages[0]
+        self.state.lock().unwrap().chain[0].id
+    }
+
+    /// Pages in the persisted overlay chain — the ceiling of
+    /// [`BatchOutcome::overlay_pages_written`].
+    pub fn overlay_chain_pages(&self) -> usize {
+        self.state.lock().unwrap().chain.len()
     }
 
     /// Live element count.
@@ -569,7 +597,7 @@ impl MutableTransformers {
                 }
             }
         }
-        write_overlay(&self.directory, &mut st, &mut h, cache.disk());
+        out.overlay_pages_written = write_overlay(&self.directory, &mut st, &mut h, cache.disk());
         out.durable_lsn = log.commit(txn);
         drop(h);
         *self.published.lock().unwrap() = Arc::new(snapshot_of(&st, self.page_size));
@@ -762,8 +790,13 @@ fn snapshot_of(st: &MutState, page_size: usize) -> MutSnapshot {
     }
 }
 
-/// Serializes the overlay and writes it over the page chain, extending
-/// the chain first if the body outgrew it. Layout:
+/// Serializes the overlay over the page chain, extending the chain first
+/// if the body outgrew it, and writes the chain pages whose finished bytes
+/// differ from [`OverlayPage::image`]; returns how many it wrote. An
+/// unchanged page is skipped whole — not logged, not dirtied, not flushed:
+/// it already holds exactly these bytes, from `adopt` or from an earlier
+/// committed batch, on disk or in a log record replay applies first.
+/// Layout:
 ///
 /// ```text
 /// chain page := next u64 | payload chunk (page_size - 8 bytes)
@@ -780,13 +813,16 @@ fn write_overlay<P: PageReads + PageWrites>(
     st: &mut MutState,
     h: &mut P,
     disk: &Disk,
-) {
+) -> usize {
     let ps = h.page_size();
     let payload_per_page = ps - 8;
     let body_len = OVERLAY_FIXED + st.units.len() * OVERLAY_UNIT + st.nodes.len() * OVERLAY_NODE;
     let pages_needed = body_len.div_ceil(payload_per_page).max(1);
-    while st.meta_pages.len() < pages_needed {
-        st.meta_pages.push(h.allocate());
+    while st.chain.len() < pages_needed {
+        st.chain.push(OverlayPage {
+            id: h.allocate(),
+            image: Vec::new(),
+        });
     }
 
     let (dir_root, dir_height, dir_len) = directory.parts();
@@ -817,18 +853,28 @@ fn write_overlay<P: PageReads + PageWrites>(
     }
     debug_assert_eq!(body.len(), body_len);
 
+    let mut written = 0;
     let mut buf = Vec::with_capacity(ps);
     for (i, chunk) in body.chunks(payload_per_page).enumerate() {
-        buf.clear();
         let next = if i + 1 < pages_needed {
-            st.meta_pages[i + 1].0
+            st.chain[i + 1].id.0
         } else {
             NO_PAGE
         };
+        buf.clear();
         buf.extend_from_slice(&next.to_le_bytes());
         buf.extend_from_slice(chunk);
-        h.write(st.meta_pages[i], &buf);
+        // Whole pages, zero-padded as the store pads them, so the
+        // comparison also holds against images `reopen` read back.
+        buf.resize(ps, 0);
+        let page = &mut st.chain[i];
+        if page.image != buf {
+            h.write(page.id, &buf);
+            page.image.clone_from(&buf);
+            written += 1;
+        }
     }
+    written
 }
 
 #[cfg(test)]

@@ -581,6 +581,18 @@ pub fn serve_sharded(
     trace: &[SpatialQuery],
     cfg: &ShardServeConfig,
 ) -> ShardedServeOutcome {
+    serve_sharded_publishing(cluster, trace, cfg, tfm_obs::global())
+}
+
+/// [`serve_sharded`] with the registry its run-end metrics go to as a
+/// parameter, so a test can read them from a registry nothing else
+/// publishes into.
+fn serve_sharded_publishing(
+    cluster: &ShardedCluster,
+    trace: &[SpatialQuery],
+    cfg: &ShardServeConfig,
+    obs: &tfm_obs::MetricsRegistry,
+) -> ShardedServeOutcome {
     let n = cluster.shard_count();
     let workers = cfg.workers_per_shard.max(1);
     let batch = cfg.batch.max(1);
@@ -814,10 +826,10 @@ pub fn serve_sharded(
         max_full_queues as f64 / n as f64
     };
 
-    // Run-end publication into the process-wide registry: the shard.*
-    // family (cluster-wide plus per-shard dynamic names) and each
-    // shard's cache/io extras, one shot per run.
-    let obs = tfm_obs::global();
+    // Run-end publication (into the process-wide registry, for every
+    // caller but the metrics test): the shard.* family (cluster-wide plus
+    // per-shard dynamic names) and each shard's cache/io extras, one shot
+    // per run.
     if obs.is_enabled() {
         use tfm_obs::names;
         obs.counter(names::SHARD_QUERIES).add(trace.len() as u64);
@@ -1128,15 +1140,16 @@ mod tests {
 
     #[test]
     fn shard_metrics_publish_at_run_end() {
-        let reg = tfm_obs::global();
-        tfm_obs::set_enabled(true);
-        reg.reset();
+        // A registry of the test's own: while the process-wide one was
+        // enabled here, every `serve_sharded` run of a test on another
+        // thread added its queries to the same `shard.queries` counter.
+        let reg = tfm_obs::MetricsRegistry::default();
+        reg.set_enabled(true);
         let elems = dataset(900, 47);
         let trace = generate_trace(&QueryTraceSpec::uniform(80, 48));
         let cluster = ShardedCluster::build(elems, &ShardSpec::default().with_shards(3));
-        let out = serve_sharded(&cluster, &trace, &ShardServeConfig::default());
+        let out = serve_sharded_publishing(&cluster, &trace, &ShardServeConfig::default(), &reg);
         let snap = reg.snapshot();
-        tfm_obs::set_enabled(false);
         use tfm_obs::MetricValue;
         let value = |name: &str| {
             snap.entries

@@ -48,7 +48,7 @@ mod twoq;
 pub use buffer::{BufferPool, DEFAULT_POOL_PAGES};
 pub use cache::{CacheHandle, ElemSlice, PageReads, PageSlice, PoolCounters};
 pub use disk::{Disk, DiskBackendKind};
-pub use elempage::ElementPageCodec;
+pub use elempage::{ElementPageCodec, RECORD_SIZE as ELEMENT_RECORD_BYTES};
 pub use model::DiskModel;
 pub use prefetch::PrefetchQueue;
 pub use redo::{LoggedPages, NoopLog, PageWrites, RedoLog};
@@ -56,7 +56,7 @@ pub use shared::{
     CacheStats, DecodedOutcome, PageRef, ReadOutcome, SharedPageCache, DEFAULT_CACHE_SHARDS,
 };
 pub use stats::{IoStats, IoStatsSnapshot};
-pub use store::{fnv1a64, is_checksum_mismatch, FileStore, MemStore, PageStore, StoreBackend};
+pub use store::{checksum64, is_checksum_mismatch, FileStore, MemStore, PageStore, StoreBackend};
 pub use twoq::CachePolicy;
 
 /// Default page size used throughout the reproduction (paper §VII-A: 8 KB).

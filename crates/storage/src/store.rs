@@ -24,7 +24,7 @@
 //!
 //! The checksummed variants ([`FileStore::create_checksummed`] /
 //! [`FileStore::open_checksummed`]) add torn-*write* protection: every
-//! page write also records a 64-bit FNV-1a checksum in a `.sums` sidecar
+//! page write also records the page's [`checksum64`] in a `.sums` sidecar
 //! file, and every read verifies it. A mismatch (a write that reached the
 //! image but not the sidecar, or vice versa, or bit rot) surfaces as
 //! [`std::io::ErrorKind::InvalidData`] with a "checksum mismatch" message
@@ -75,13 +75,66 @@ pub trait PageStore: Send + Sync {
     }
 }
 
-/// 64-bit FNV-1a over `bytes` — the page/record checksum used by the
-/// checksummed [`FileStore`] sidecar and the WAL record framing.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Multiplier of every checksum step (odd, so `x * K` permutes `u64`).
+const SUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Start values of the four lanes.
+const SUM_LANES: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x8422_2325_cbf2_9ce4,
+    0x2545_F491_4F6C_DD1D,
+    0xD6E8_FEB8_6659_FD93,
+];
+
+/// One checksum step: xor, multiply by an odd constant, rotate. For a
+/// fixed `word` it permutes `h`, and for a fixed `h` it permutes `word`.
+#[inline(always)]
+fn sum_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(SUM_MUL).rotate_left(29)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
+/// The 64-bit page/record checksum of the checksummed [`FileStore`]
+/// sidecar and of the WAL record framing.
+///
+/// `bytes` is read as little-endian `u64` words. Each 32-byte block feeds
+/// four independent xor-multiply-rotate lanes (four multiply chains in
+/// flight instead of FNV-1a's one multiply per byte); the lanes, then the
+/// up to three whole words left over, then the up to seven tail bytes
+/// packed into one word, are folded with the same step into a value
+/// seeded by the length.
+///
+/// Every step permutes its state for fixed input and its input for fixed
+/// state, so two inputs of equal length that differ only inside one
+/// 8-byte word at a multiple-of-8 offset (any single-bit or single-byte
+/// error included) always get different sums. Wider damage — a torn page,
+/// a zero-extended or truncated one — is caught with probability
+/// 1 − 2⁻⁶⁴, as by any 64-bit sum. It is not FNV-1a and not a
+/// cryptographic hash.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = SUM_LANES;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = sum_step(*lane, le_word(word));
+        }
+    }
+    let mut h = (bytes.len() as u64).wrapping_mul(SUM_MUL);
+    for lane in lanes {
+        h = sum_step(h, lane);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = sum_step(h, le_word(word));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = sum_step(h, u64::from_le_bytes(last));
     }
     h
 }
@@ -153,7 +206,8 @@ pub struct FileStore {
     file: File,
     path: PathBuf,
     page_size: usize,
-    /// Per-page FNV-1a sidecar (8 bytes per page, same index as the image).
+    /// Per-page [`checksum64`] sidecar (8 bytes per page, same index as the
+    /// image).
     /// `None` for plain (unchecksummed) stores.
     sums: Option<File>,
 }
@@ -239,7 +293,7 @@ impl FileStore {
             let mut buf = vec![0u8; page_size];
             for p in covered..pages {
                 file.read_exact_at(&mut buf, p * page_size as u64)?;
-                sums.write_all_at(&fnv1a64(&buf).to_le_bytes(), p * 8)?;
+                sums.write_all_at(&checksum64(&buf).to_le_bytes(), p * 8)?;
             }
             Some(sums)
         } else {
@@ -295,7 +349,7 @@ impl FileStore {
         if stored == 0 && buf.iter().all(|&b| b == 0) {
             return Ok(());
         }
-        let computed = fnv1a64(buf);
+        let computed = checksum64(buf);
         if stored != computed {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -357,7 +411,7 @@ impl PageStore for FileStore {
         self.file.write_all_at(page, offset)?;
         if let Some(sums) = &self.sums {
             let index = offset / self.page_size as u64;
-            sums.write_all_at(&fnv1a64(page).to_le_bytes(), index * 8)?;
+            sums.write_all_at(&checksum64(page).to_le_bytes(), index * 8)?;
         }
         Ok(())
     }
@@ -412,9 +466,87 @@ impl StoreBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tfm_store_{}_{}.pages", tag, std::process::id()))
+    }
+
+    /// Deterministic page-like bytes: no two neighbouring words equal.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    }
+
+    fn assert_every_bit_flip_changes_the_sum(bytes: &[u8]) {
+        let sum = checksum64(bytes);
+        let mut flipped = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                checksum64(&flipped),
+                sum,
+                "bit {bit} of {} bytes",
+                bytes.len()
+            );
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn checksum_changes_on_each_of_the_16384_bit_flips_of_a_page() {
+        assert_every_bit_flip_changes_the_sum(&patterned(2048));
+        assert_every_bit_flip_changes_the_sum(&[0u8; 2048]);
+    }
+
+    #[test]
+    fn checksum_handles_every_length_class() {
+        // Empty, tail only, words + tail (a commit payload), one byte
+        // short of a block, exactly one block, a block + tail, a page.
+        let lengths = [0usize, 1, 17, 31, 32, 33, 2048];
+        for len in lengths {
+            assert_every_bit_flip_changes_the_sum(&patterned(len));
+        }
+        // Zero runs of different lengths differ by nothing but the length.
+        let mut zero_sums: Vec<u64> = lengths.iter().map(|&n| checksum64(&vec![0; n])).collect();
+        zero_sums.sort_unstable();
+        zero_sums.dedup();
+        assert_eq!(zero_sums.len(), lengths.len());
+    }
+
+    proptest! {
+        // A torn write: the first `cut` bytes of the new image reached the
+        // medium, the rest still holds the old one.
+        #[test]
+        fn checksum_detects_a_page_torn_at_any_byte(
+            old in prop::collection::vec(any::<u8>(), 2048),
+            edits in prop::collection::vec((0usize..2048, 1u8..=255), 1..12),
+            cut in 0usize..=2048,
+        ) {
+            let mut new = old.clone();
+            for (at, delta) in edits {
+                new[at] ^= delta;
+            }
+            let mut torn = new[..cut].to_vec();
+            torn.extend_from_slice(&old[cut..]);
+            if torn != new {
+                prop_assert_ne!(checksum64(&torn), checksum64(&new));
+            }
+            if torn != old {
+                prop_assert_ne!(checksum64(&torn), checksum64(&old));
+            }
+        }
+
+        #[test]
+        fn checksum_detects_zero_extension_and_truncation(
+            data in prop::collection::vec(any::<u8>(), 0..200),
+            zeros in 1usize..80,
+        ) {
+            let mut extended = data.clone();
+            extended.resize(data.len() + zeros, 0);
+            prop_assert_ne!(checksum64(&extended), checksum64(&data));
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The append side: segmented log files, group commit, crash injection.
 
 use crate::reader::{scan_dir, segment_path};
-use crate::record::{
-    encode_record, encode_segment_header, WalPayload, WalRecord, SEGMENT_HEADER_BYTES,
-};
+use crate::record::{encode_record, encode_segment_header, RecordBody, SEGMENT_HEADER_BYTES};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -215,13 +213,12 @@ impl Wal {
 
     /// Appends one record, handling rotation and crash injection; returns
     /// its LSN.
-    fn append(&self, txn: u64, payload: WalPayload) -> u64 {
+    fn append(&self, txn: u64, body: RecordBody<'_>) -> u64 {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let record = WalRecord { lsn, txn, payload };
         let mut frame = std::mem::take(&mut inner.scratch);
-        encode_record(&record, &mut frame);
+        encode_record(lsn, txn, body, &mut frame);
 
         if inner.seg_bytes + frame.len() as u64 > self.opts.segment_bytes
             && inner.seg_bytes > SEGMENT_HEADER_BYTES as u64
@@ -372,15 +369,15 @@ impl RedoLog for Wal {
     fn log_page(&self, txn: u64, page: PageId, image: &[u8]) -> u64 {
         self.append(
             txn,
-            WalPayload::Page {
+            RecordBody::Page {
                 page: page.0,
-                image: image.to_vec(),
+                image,
             },
         )
     }
 
     fn commit(&self, txn: u64) -> u64 {
-        let lsn = self.append(txn, WalPayload::Commit);
+        let lsn = self.append(txn, RecordBody::Commit);
         self.commits.fetch_add(1, Ordering::Relaxed);
         self.open_txns.fetch_sub(1, Ordering::SeqCst);
         self.sync_to(lsn, self.opts.sync_mode == SyncMode::EachCommit)
