@@ -38,6 +38,11 @@ struct JoinRow {
     shared: bool,
     pages_read: u64,
     pool_hits: u64,
+    /// Decoded-tier split of the shared caches (0/0 under private pools).
+    /// The join is the path that fills the tier — probes test boxes in
+    /// the pinned page — so only join rows carry it.
+    decoded_hits: u64,
+    decoded_misses: u64,
     join_time_s: f64,
 }
 
@@ -56,9 +61,8 @@ fn json_serve_row(out: &mut String, m: &ServeMetrics) {
         out,
         "    {{\"engine\": \"{}\", \"threads\": {}, \"shared_cache\": {}, \
          \"pages_read\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
-         \"hit_fraction\": {:.4}, \"decoded_hits\": {}, \"decoded_misses\": {}, \
-         \"lock_acquisitions\": {}, \"lock_contended\": {}, \"qps\": {:.1}, \
-         \"sim_io_s\": {:.6}}}",
+         \"hit_fraction\": {:.4}, \"lock_acquisitions\": {}, \"lock_contended\": {}, \
+         \"qps\": {:.1}, \"sim_io_s\": {:.6}}}",
         m.engine,
         m.threads,
         m.shared_cache,
@@ -66,8 +70,6 @@ fn json_serve_row(out: &mut String, m: &ServeMetrics) {
         m.pool_hits,
         m.pool_misses,
         m.pool_hit_fraction(),
-        m.decoded_hits,
-        m.decoded_misses,
         m.lock_acquisitions,
         m.lock_contended,
         m.qps,
@@ -196,6 +198,8 @@ fn main() {
             shared,
             pages_read: m.pages_read,
             pool_hits: m.pool_hits,
+            decoded_hits: m.decoded_hits,
+            decoded_misses: m.decoded_misses,
             join_time_s: m.join_time().as_secs_f64(),
         }
     };
@@ -293,12 +297,15 @@ fn main() {
         let _ = write!(
             json,
             "      {{\"threads\": {}, \"shared_cache\": {}, \"pages_read\": {}, \
-             \"pool_hits\": {}, \"hit_fraction\": {:.4}, \"join_time_s\": {:.6}}}",
+             \"pool_hits\": {}, \"hit_fraction\": {:.4}, \"decoded_hits\": {}, \
+             \"decoded_misses\": {}, \"join_time_s\": {:.6}}}",
             r.threads,
             r.shared,
             r.pages_read,
             r.pool_hits,
             r.hit_fraction(),
+            r.decoded_hits,
+            r.decoded_misses,
             r.join_time_s
         );
         json.push_str(if i + 1 < join_rows.len() { ",\n" } else { "\n" });

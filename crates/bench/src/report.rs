@@ -117,6 +117,8 @@ mod tests {
             prefetch_issued: 0,
             prefetch_hits: 0,
             prefetch_unused: 0,
+            decoded_hits: 0,
+            decoded_misses: 0,
         }
     }
 

@@ -215,6 +215,11 @@ pub struct Metrics {
     /// Prefetched frames never touched by a demand read — a mis-sized
     /// readahead window shows up here.
     pub prefetch_unused: u64,
+    /// Element-page reads the shared caches' decoded tier answered
+    /// (parallel TRANSFORMERS over a shared cache; 0 otherwise).
+    pub decoded_hits: u64,
+    /// Element-page reads that decoded and filled the tier.
+    pub decoded_misses: u64,
 }
 
 impl Metrics {
@@ -256,7 +261,17 @@ impl Metrics {
             prefetch_issued: 0,
             prefetch_hits: 0,
             prefetch_unused: 0,
+            decoded_hits: 0,
+            decoded_misses: 0,
         }
+    }
+
+    fn take_cache_counters(&mut self, report: &tfm_exec::ExecReport) {
+        self.prefetch_issued = report.prefetch_issued;
+        self.prefetch_hits = report.prefetch_hits;
+        self.prefetch_unused = report.prefetch_unused;
+        self.decoded_hits = report.decoded_hits;
+        self.decoded_misses = report.decoded_misses;
     }
 }
 
@@ -337,9 +352,7 @@ pub fn run_approach_with_skew(
     let mut m = m;
     if let Some(report) = report {
         store.record(workload, report.steal_fraction());
-        m.prefetch_issued = report.prefetch_issued;
-        m.prefetch_hits = report.prefetch_hits;
-        m.prefetch_unused = report.prefetch_unused;
+        m.take_cache_counters(&report);
     }
     (m, pairs)
 }
@@ -477,9 +490,7 @@ fn run_transformers_parallel(
         },
     );
     if let Some(rep) = report {
-        m.prefetch_issued = rep.prefetch_issued;
-        m.prefetch_hits = rep.prefetch_hits;
-        m.prefetch_unused = rep.prefetch_unused;
+        m.take_cache_counters(&rep);
     }
     (m, pairs)
 }

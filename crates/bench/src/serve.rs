@@ -90,10 +90,6 @@ pub struct ServeMetrics {
     /// Whether the run served through the shared page cache (`false` =
     /// private-pool ablation).
     pub shared_cache: bool,
-    /// Decoded-tier hits of the shared cache (0 for private pools).
-    pub decoded_hits: u64,
-    /// Decoded-tier misses of the shared cache (0 for private pools).
-    pub decoded_misses: u64,
     /// Shard-lock acquisitions of the shared cache.
     pub lock_acquisitions: u64,
     /// Contended shard-lock acquisitions of the shared cache.
@@ -174,8 +170,6 @@ impl ServeMetrics {
             pool_hits: stats.pool_hits,
             pool_misses: stats.pool_misses,
             shared_cache: stats.cache.is_some(),
-            decoded_hits: stats.cache.map_or(0, |c| c.decoded_hits),
-            decoded_misses: stats.cache.map_or(0, |c| c.decoded_misses),
             lock_acquisitions: stats.cache.map_or(0, |c| c.lock_acquisitions),
             lock_contended: stats.cache.map_or(0, |c| c.lock_contended),
             prefetch_issued: stats.cache.map_or(0, |c| c.prefetch_issued),
@@ -381,12 +375,12 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,shared_cache,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,decoded_hits,decoded_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,cache_policy,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,shared_cache,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,cache_policy,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         m.workload,
         m.engine,
         m.n_elements,
@@ -408,8 +402,6 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.rand_reads,
         m.pool_hits,
         m.pool_misses,
-        m.decoded_hits,
-        m.decoded_misses,
         m.lock_acquisitions,
         m.lock_contended,
         m.prefetch_issued,

@@ -27,7 +27,8 @@
 
 #![warn(missing_docs)]
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+use std::ops::ControlFlow;
 use tfm_partition::IndexBuildPipeline;
 use tfm_storage::{Disk, PageId, PageReads};
 
@@ -172,11 +173,8 @@ impl BPlusTree {
     /// Returns the first value stored under `key`, reading node pages
     /// through `cache`.
     pub fn get_with<C: PageReads>(&self, cache: &mut C, key: u64) -> Option<u64> {
-        let (_, node) = self.descend_to_leaf(cache, key);
-        node.entries
-            .iter()
-            .find(|&&(k, _)| k == key)
-            .map(|&(_, v)| v)
+        self.walk_leaves(cache, key, |leaf| ControlFlow::Break(leaf.get(key)))
+            .flatten()
     }
 
     /// Returns all `(key, value)` pairs with `lo <= key <= hi` in key order
@@ -192,21 +190,8 @@ impl BPlusTree {
         if lo > hi || self.is_empty() {
             return out;
         }
-        let (_, mut node) = self.descend_to_leaf(cache, lo);
-        loop {
-            for &(k, v) in &node.entries {
-                if k > hi {
-                    return out;
-                }
-                if k >= lo {
-                    out.push((k, v));
-                }
-            }
-            match node.next_leaf {
-                Some(next) => node = Node::read(cache, next),
-                None => return out,
-            }
-        }
+        self.walk_leaves(cache, lo, |leaf| leaf.collect_range(lo, hi, &mut out));
+        out
     }
 
     /// Returns the stored pair whose key is numerically closest to `key`
@@ -224,58 +209,90 @@ impl BPlusTree {
         if self.is_empty() {
             return None;
         }
-        let (_, node) = self.descend_to_leaf(cache, key);
-
-        // Candidates: the last entry ≤ key in this leaf (or the leaf's first
-        // entry if none) and the first entry > key (possibly in the next
-        // leaf).
-        let mut below: Option<(u64, u64)> = None;
-        let mut above: Option<(u64, u64)> = None;
-        for &(k, v) in &node.entries {
-            if k <= key {
-                below = Some((k, v));
-            } else if above.is_none() {
-                above = Some((k, v));
-            }
-        }
-        if above.is_none() {
-            if let Some(next) = node.next_leaf {
-                let next_node = Node::read(cache, next);
-                above = next_node.entries.first().copied();
-            }
-        }
-        // `below` can be None when key is smaller than every key in the
-        // tree: the descend lands in the first leaf and `above` is set.
-        match (below, above) {
-            (Some(b), Some(a)) => {
-                if key - b.0 <= a.0 - key {
-                    Some(b)
-                } else {
-                    Some(a)
-                }
-            }
-            (Some(b), None) => Some(b),
-            (None, a) => a,
-        }
+        // Candidates: the last entry ≤ key in the covering leaf and the
+        // first entry > key (possibly the first entry of the next leaf).
+        // `below` stays `None` when key is smaller than every key in the
+        // tree: the descent lands in the first leaf and `above` is set.
+        let mut nearest = Nearest::default();
+        self.walk_leaves(cache, key, |leaf| nearest.visit(leaf, key));
+        nearest.pick(key)
     }
 
-    /// Walks inner nodes from the root to the leaf that covers `key`,
-    /// returning the leaf's page id and decoded contents.
-    fn descend_to_leaf<C: PageReads>(&self, cache: &mut C, key: u64) -> (PageId, Node) {
-        let mut page = self.root;
-        loop {
-            let node = Node::read(cache, page);
-            if node.is_leaf {
-                return (page, node);
-            }
-            // Last child whose separator ≤ key; keys below the first
-            // separator also belong to the first child.
-            let idx = match node.entries.binary_search_by(|&(k, _)| k.cmp(&key)) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            };
-            page = PageId(node.entries[idx].1);
+    /// Descends from the root to the leaf that covers `key` — at each
+    /// inner node the last child whose separator is ≤ `key`; keys below
+    /// the first separator also belong to the first child — then hands
+    /// that leaf and, while `visit` asks to continue, its right siblings
+    /// to `visit`.
+    fn walk_leaves<C: PageReads, R>(
+        &self,
+        cache: &mut C,
+        key: u64,
+        visit: impl FnMut(&NodeView<'_>) -> ControlFlow<R>,
+    ) -> Option<R> {
+        walk_leaves(
+            cache,
+            self.root,
+            |inner| inner.upper_bound(key).saturating_sub(1),
+            visit,
+        )
+    }
+}
+
+/// The one read-only traversal both trees share: follows `child_of` down
+/// from `root` to a leaf, then walks the leaf chain rightwards for as long
+/// as `visit` returns [`ControlFlow::Continue`]. Every node is searched in
+/// the page bytes it was read into ([`NodeView`]); nothing is decoded.
+/// Returns `visit`'s break value, or `None` if the chain ended first.
+pub(crate) fn walk_leaves<C: PageReads, R>(
+    cache: &mut C,
+    root: PageId,
+    child_of: impl Fn(&NodeView<'_>) -> usize,
+    mut visit: impl FnMut(&NodeView<'_>) -> ControlFlow<R>,
+) -> Option<R> {
+    let mut page = root;
+    loop {
+        let raw = cache.page(page);
+        let node = NodeView::new(&raw);
+        if !node.is_leaf() {
+            page = PageId(node.value(child_of(&node)));
+            continue;
+        }
+        if let ControlFlow::Break(found) = visit(&node) {
+            return Some(found);
+        }
+        page = node.next_leaf()?;
+    }
+}
+
+/// Running state of a nearest-key search across a leaf and its right
+/// siblings.
+#[derive(Default)]
+pub(crate) struct Nearest {
+    below: Option<(u64, u64)>,
+    above: Option<(u64, u64)>,
+}
+
+impl Nearest {
+    /// Takes the leaf's last entry ≤ `key` and first entry > `key`; asks
+    /// for the next leaf until a successor is found.
+    pub(crate) fn visit(&mut self, leaf: &NodeView<'_>, key: u64) -> ControlFlow<()> {
+        let after = leaf.upper_bound(key);
+        if after > 0 {
+            self.below = Some(leaf.entry(after - 1));
+        }
+        if after < leaf.len() {
+            self.above = Some(leaf.entry(after));
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The closer candidate, ties towards the smaller key.
+    pub(crate) fn pick(self, key: u64) -> Option<(u64, u64)> {
+        match (self.below, self.above) {
+            (Some(b), Some(a)) => Some(if key - b.0 <= a.0 - key { b } else { a }),
+            (Some(b), None) => Some(b),
+            (None, a) => a,
         }
     }
 }
@@ -297,7 +314,137 @@ pub(crate) fn encode_node_into(tag: u8, next: u64, entries: &[(u64, u64)], buf: 
     }
 }
 
-/// A decoded node page.
+/// A borrowed view of one node page: the header is parsed and the entry
+/// count checked against the page length once; keys and values are then
+/// read, and searched, in the page bytes. This is the read path of both
+/// trees. Writers, which edit entry lists, materialise a [`Node`] from it.
+pub(crate) struct NodeView<'a> {
+    is_leaf: bool,
+    next: u64,
+    entries: &'a [[u8; ENTRY]],
+}
+
+impl<'a> NodeView<'a> {
+    /// # Panics
+    /// Panics if the page is shorter than the node header or than the
+    /// entries its count declares.
+    pub(crate) fn new(page: &'a [u8]) -> Self {
+        let Some((header, body)) = page.split_first_chunk::<{ HEADER + 8 }>() else {
+            panic!(
+                "corrupt B+-tree node: {} bytes is shorter than the header",
+                page.len()
+            );
+        };
+        let count = u16::from_le_bytes([header[1], header[2]]) as usize;
+        let Some(entries) = body.get(..count * ENTRY) else {
+            panic!(
+                "corrupt B+-tree node: count {count} does not fit {} bytes",
+                page.len()
+            );
+        };
+        Self {
+            is_leaf: header[0] == LEAF_TAG,
+            next: u64::from_le_bytes(std::array::from_fn(|i| header[HEADER + i])),
+            entries: entries.as_chunks().0,
+        }
+    }
+
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.is_leaf
+    }
+
+    /// The right sibling of a leaf, `None` at the chain end and for inner
+    /// nodes (whose pointer slot is unused).
+    pub(crate) fn next_leaf(&self) -> Option<PageId> {
+        (self.is_leaf && self.next != NO_LEAF).then_some(PageId(self.next))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn key(&self, i: usize) -> u64 {
+        entry_of(&self.entries[i]).0
+    }
+
+    /// The value of leaf entry `i`, or the child page of inner entry `i`.
+    pub(crate) fn value(&self, i: usize) -> u64 {
+        entry_of(&self.entries[i]).1
+    }
+
+    pub(crate) fn entry(&self, i: usize) -> (u64, u64) {
+        entry_of(&self.entries[i])
+    }
+
+    /// The entries in page order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + 'a {
+        self.entries.iter().map(entry_of)
+    }
+
+    /// Binary search over the keys in place: the first index whose key
+    /// fails `before`, which must hold for a prefix of the keys.
+    ///
+    /// Leaves are sorted throughout. An inner node is sorted from entry 1
+    /// on: its first key is a lower bound nobody maintains (keys below it
+    /// still descend into the first child). The search probes entry 0 only
+    /// once every other entry is ruled out, so that key can only move the
+    /// result between 0 and 1 — which both descent rules map to child 0.
+    fn partition_point(&self, before: impl Fn(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Index of the first entry whose key is ≥ `key`.
+    pub(crate) fn lower_bound(&self, key: u64) -> usize {
+        self.partition_point(|k| k < key)
+    }
+
+    /// Index of the first entry whose key is > `key`.
+    pub(crate) fn upper_bound(&self, key: u64) -> usize {
+        self.partition_point(|k| k <= key)
+    }
+
+    /// The value of the first entry stored under `key`.
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
+        let i = self.lower_bound(key);
+        (i < self.len() && self.key(i) == key).then(|| self.value(i))
+    }
+
+    /// Appends this leaf's entries with `lo <= key <= hi`; breaks once a key
+    /// beyond `hi` shows the range is exhausted.
+    pub(crate) fn collect_range(
+        &self,
+        lo: u64,
+        hi: u64,
+        out: &mut Vec<(u64, u64)>,
+    ) -> ControlFlow<()> {
+        for i in self.lower_bound(lo)..self.len() {
+            let (k, v) = self.entry(i);
+            if k > hi {
+                return ControlFlow::Break(());
+            }
+            out.push((k, v));
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// One 16-byte entry: little-endian key, then value or child page.
+fn entry_of(entry: &[u8; ENTRY]) -> (u64, u64) {
+    let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|i| entry[at + i]));
+    (word(0), word(8))
+}
+
+/// An owned, editable node: what the writers of the mutable tree read,
+/// change and write back.
 pub(crate) struct Node {
     pub(crate) is_leaf: bool,
     pub(crate) next_leaf: Option<PageId>,
@@ -307,24 +454,11 @@ pub(crate) struct Node {
 impl Node {
     pub(crate) fn read<C: PageReads>(cache: &mut C, page: PageId) -> Self {
         let raw = cache.page(page);
-        let mut buf: &[u8] = &raw;
-        let tag = buf.get_u8();
-        let count = buf.get_u16_le() as usize;
-        let next = buf.get_u64_le();
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let k = buf.get_u64_le();
-            let v = buf.get_u64_le();
-            entries.push((k, v));
-        }
+        let view = NodeView::new(&raw);
         Self {
-            is_leaf: tag == LEAF_TAG,
-            next_leaf: if tag == LEAF_TAG && next != NO_LEAF {
-                Some(PageId(next))
-            } else {
-                None
-            },
-            entries,
+            is_leaf: view.is_leaf(),
+            next_leaf: view.next_leaf(),
+            entries: view.iter().collect(),
         }
     }
 }
@@ -332,6 +466,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tree_with(pairs: &[(u64, u64)]) -> (Disk, BPlusTree) {
         let disk = Disk::default_in_memory();
@@ -456,5 +591,136 @@ mod tests {
         let _ = t.get(&disk, 250);
         let reads = disk.stats().reads();
         assert_eq!(reads as u32, t.height() + 1, "one read per level");
+    }
+
+    /// The node layout read field by field with the cursor API, sharing
+    /// nothing with [`NodeView`]: the oracle.
+    fn oracle_node(page: &[u8]) -> (bool, Option<PageId>, Vec<(u64, u64)>) {
+        use bytes::Buf;
+        let mut buf = page;
+        let tag = buf.get_u8();
+        let count = buf.get_u16_le() as usize;
+        let next = buf.get_u64_le();
+        let entries = (0..count)
+            .map(|_| (buf.get_u64_le(), buf.get_u64_le()))
+            .collect();
+        let next_leaf = (tag == LEAF_TAG && next != NO_LEAF).then_some(PageId(next));
+        (tag == LEAF_TAG, next_leaf, entries)
+    }
+
+    /// Every page of `disk` is a node page; each must read the same through
+    /// the view as through the oracle, and search like a sorted `Vec`.
+    fn assert_views_match_oracle(disk: &Disk, probes: &[u64]) {
+        for p in 0..disk.allocated_pages() {
+            let page = disk.read_page_vec(PageId(p));
+            let view = NodeView::new(&page);
+            let (is_leaf, next_leaf, entries) = oracle_node(&page);
+            assert_eq!(view.is_leaf(), is_leaf, "page {p}");
+            assert_eq!(view.next_leaf(), next_leaf, "page {p}");
+            assert_eq!(view.len(), entries.len(), "page {p}");
+            assert_eq!(view.iter().collect::<Vec<_>>(), entries, "page {p}");
+            for (i, &(k, v)) in entries.iter().enumerate() {
+                assert_eq!((view.key(i), view.value(i)), (k, v), "page {p} entry {i}");
+            }
+            let node = Node::read(&mut &*disk, PageId(p));
+            assert_eq!(
+                (node.is_leaf, node.next_leaf, &node.entries),
+                (is_leaf, next_leaf, &entries)
+            );
+            for &key in probes.iter().chain(entries.iter().map(|(k, _)| k)) {
+                let lower = entries.partition_point(|&(k, _)| k < key);
+                let upper = entries.partition_point(|&(k, _)| k <= key);
+                // The two descent rules. An inner node's first key is only
+                // a lower bound nobody maintains (smaller keys still go to
+                // the first child), so the rules — not the raw bounds —
+                // are what must agree there.
+                assert_eq!(
+                    view.lower_bound(key).saturating_sub(1),
+                    lower.saturating_sub(1),
+                    "page {p} key {key}"
+                );
+                assert_eq!(
+                    view.upper_bound(key).saturating_sub(1),
+                    upper.saturating_sub(1),
+                    "page {p} key {key}"
+                );
+                if is_leaf {
+                    assert_eq!(view.lower_bound(key), lower, "page {p} key {key}");
+                    assert_eq!(view.upper_bound(key), upper, "page {p} key {key}");
+                    assert_eq!(
+                        view.get(key),
+                        entries.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v),
+                        "page {p} key {key}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn node_view_matches_the_cursor_parser_on_bulk_loaded_pages(
+            keys in prop::collection::vec(0u64..2000, 0..300),
+            probes in prop::collection::vec(0u64..2100, 16),
+        ) {
+            // Sorted with duplicates kept: equal keys may straddle leaves.
+            let mut pairs: Vec<(u64, u64)> =
+                keys.iter().enumerate().map(|(i, &k)| (k, i as u64)).collect();
+            pairs.sort_unstable();
+            let disk = Disk::in_memory(128); // fanout 7: several levels
+            BPlusTree::bulk_load(&disk, &pairs);
+            assert_views_match_oracle(&disk, &probes);
+        }
+
+        #[test]
+        fn node_view_matches_the_cursor_parser_on_split_and_merged_pages(
+            ops in prop::collection::vec((any::<bool>(), 0u64..400), 1..400),
+            probes in prop::collection::vec(0u64..420, 16),
+        ) {
+            // Fanout 3: inserts split at once, deletes empty and unlink
+            // leaves, so pages of every shape the writers produce exist.
+            let disk = Disk::in_memory(64);
+            let mut pages: &Disk = &disk;
+            let tree = MutableBPlusTree::create(&mut pages);
+            for (insert, key) in ops {
+                if insert {
+                    tree.insert(&mut pages, key, key ^ 0xA5);
+                } else {
+                    tree.delete(&mut pages, key);
+                }
+            }
+            assert_views_match_oracle(&disk, &probes);
+        }
+    }
+
+    #[test]
+    fn node_view_rejects_bad_counts_and_short_pages() {
+        let mut page = Vec::new();
+        encode_node_into(LEAF_TAG, NO_LEAF, &[(1, 2)], &mut page);
+        page.resize(64, 0);
+        page[1..3].copy_from_slice(&4u16.to_le_bytes()); // 11 + 4 * 16 > 64
+        let err = std::panic::catch_unwind(|| {
+            NodeView::new(&page);
+        })
+        .expect_err("an oversized count must not be indexed");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("corrupt B+-tree node: count 4 does not fit 64 bytes")
+        );
+        for len in 0..HEADER + 8 {
+            let short = vec![LEAF_TAG; len];
+            let err = std::panic::catch_unwind(|| {
+                NodeView::new(&short);
+            })
+            .expect_err("a page shorter than the header must be rejected");
+            assert_eq!(
+                err.downcast_ref::<String>().cloned(),
+                Some(format!(
+                    "corrupt B+-tree node: {len} bytes is shorter than the header"
+                ))
+            );
+        }
     }
 }

@@ -44,7 +44,11 @@
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex};
 
-use crate::{encode_node_into, Node, ENTRY, HEADER, INNER_TAG, LEAF_TAG, NO_LEAF};
+use crate::{
+    encode_node_into, walk_leaves, Nearest, Node, NodeView, ENTRY, HEADER, INNER_TAG, LEAF_TAG,
+    NO_LEAF,
+};
+use std::ops::ControlFlow;
 use tfm_storage::{PageId, PageReads, PageWrites};
 
 use crate::BPlusTree;
@@ -134,20 +138,14 @@ impl MutableBPlusTree {
 
     /// Returns the first value stored under `key`, if any.
     pub fn get_with<C: PageReads>(&self, cache: &mut C, key: u64) -> Option<u64> {
-        let mut node = self.descend(cache, key);
-        loop {
-            if let Some(&(_, v)) = node.entries.iter().find(|&&(k, _)| k == key) {
-                return Some(v);
-            }
+        self.walk_leaves(cache, key, |leaf| match leaf.get(key) {
+            Some(v) => ControlFlow::Break(Some(v)),
             // B-link recovery: a concurrent split may have moved the key
             // into a right sibling this parent did not yet point to.
-            match node.next_leaf {
-                Some(next) if node.entries.last().is_none_or(|&(k, _)| key > k) => {
-                    node = Node::read(cache, next);
-                }
-                _ => return None,
-            }
-        }
+            None if leaf.len() == 0 || key > leaf.key(leaf.len() - 1) => ControlFlow::Continue(()),
+            None => ControlFlow::Break(None),
+        })
+        .flatten()
     }
 
     /// Returns all `(key, value)` pairs with `lo <= key <= hi` in key
@@ -157,21 +155,8 @@ impl MutableBPlusTree {
         if lo > hi {
             return out;
         }
-        let mut node = self.descend(cache, lo);
-        loop {
-            for &(k, v) in &node.entries {
-                if k > hi {
-                    return out;
-                }
-                if k >= lo {
-                    out.push((k, v));
-                }
-            }
-            match node.next_leaf {
-                Some(next) => node = Node::read(cache, next),
-                None => return out,
-            }
-        }
+        self.walk_leaves(cache, lo, |leaf| leaf.collect_range(lo, hi, &mut out));
+        out
     }
 
     /// Returns a stored pair whose key is closest to `key` (ties toward
@@ -180,42 +165,34 @@ impl MutableBPlusTree {
     /// lands on, in which case the successor is returned instead — for
     /// the walk-start use this is still a valid (near) entry point.
     pub fn nearest_with<C: PageReads>(&self, cache: &mut C, key: u64) -> Option<(u64, u64)> {
-        let mut node = self.descend(cache, key);
-        let mut below: Option<(u64, u64)> = None;
-        let mut above: Option<(u64, u64)> = None;
-        loop {
-            for &(k, v) in &node.entries {
-                if k <= key {
-                    below = Some((k, v));
-                } else if above.is_none() {
-                    above = Some((k, v));
-                }
-            }
-            if above.is_some() {
-                break;
-            }
-            match node.next_leaf {
-                Some(next) => node = Node::read(cache, next),
-                None => break,
-            }
-        }
-        match (below, above) {
-            (Some(b), Some(a)) => Some(if key - b.0 <= a.0 - key { b } else { a }),
-            (Some(b), None) => Some(b),
-            (None, a) => a,
-        }
+        let mut nearest = Nearest::default();
+        self.walk_leaves(cache, key, |leaf| nearest.visit(leaf, key));
+        nearest.pick(key)
     }
 
-    /// Root-to-leaf walk for readers: lands at or left of the leaf
-    /// covering `key`; rightward chain recovery happens at the caller.
-    fn descend<C: PageReads>(&self, cache: &mut C, key: u64) -> Node {
+    /// Root-to-leaf walk for readers, then rightwards along the leaf chain
+    /// while `visit` asks to continue: the descent lands at or left of the
+    /// leaf covering `key`, so the rightward walk is also the B-link
+    /// recovery.
+    ///
+    /// Reader descent rule: the child *before the first separator ≥
+    /// `key`*. A split between equal keys copies the separator from the
+    /// right half's first key, so entries equal to a separator can sit in
+    /// the child to its left — biasing left and recovering rightward along
+    /// the leaf chain covers every occurrence.
+    fn walk_leaves<C: PageReads, R>(
+        &self,
+        cache: &mut C,
+        key: u64,
+        visit: impl FnMut(&NodeView<'_>) -> ControlFlow<R>,
+    ) -> Option<R> {
         let root = self.meta.lock().unwrap().root;
-        let mut node = Node::read(cache, root);
-        while !node.is_leaf {
-            let idx = child_index(&node, key);
-            node = Node::read(cache, PageId(node.entries[idx].1));
-        }
-        node
+        walk_leaves(
+            cache,
+            root,
+            |inner| inner.lower_bound(key).saturating_sub(1),
+            visit,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -464,17 +441,6 @@ impl MutableBPlusTree {
         }
         Some(value)
     }
-}
-
-/// Reader descent rule: the child *before the first separator ≥ `key`*.
-/// A split between equal keys copies the separator from the right half's
-/// first key, so entries equal to a separator can sit in the child to its
-/// left — biasing left and recovering rightward along the leaf chain
-/// covers every occurrence.
-fn child_index(node: &Node, key: u64) -> usize {
-    node.entries
-        .partition_point(|&(k, _)| k < key)
-        .saturating_sub(1)
 }
 
 /// Writer descent rule: the last child whose separator is ≤ `key` — the

@@ -933,12 +933,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     if m.shared_cache {
         println!(
-            "cache:           {} policy, decoded tier {}/{} hits, lock contention {}/{}",
-            m.cache_policy,
-            m.decoded_hits,
-            m.decoded_hits + m.decoded_misses,
-            m.lock_contended,
-            m.lock_acquisitions
+            "cache:           {} policy, lock contention {}/{}",
+            m.cache_policy, m.lock_contended, m.lock_acquisitions
         );
     }
     println!("result ids:      {}", m.result_ids);

@@ -49,8 +49,8 @@ use tfm_geom::{hilbert, Aabb, HasMbb, SpatialElement};
 use tfm_partition::{IndexBuildPipeline, UniformGrid};
 use tfm_pool::StagePool;
 use tfm_storage::{
-    BufferPool, CacheHandle, Disk, ElemSlice, ElementPageCodec, PageId, PageReads, PoolCounters,
-    SharedPageCache,
+    BufferPool, CacheHandle, Disk, ElemSlice, ElementPageCodec, ElementRecords, PageId, PageReads,
+    PoolCounters, SharedPageCache,
 };
 
 /// Serialized size of one unit descriptor (see `metadata.rs`).
@@ -387,8 +387,8 @@ impl TransformersIndex {
 
     /// Creates a per-worker read handle that is a thin view over the
     /// process-wide [`SharedPageCache`]: reads pin cached frames zero-copy
-    /// and decoded element pages are shared across every reader of the
-    /// cache, while hit/miss counters stay per-handle.
+    /// and element pages a join materialises are shared, decoded, across
+    /// every reader of the cache, while hit/miss counters stay per-handle.
     pub fn unit_reader_shared<'c, 'd>(
         &self,
         cache: &'c SharedPageCache<'d>,
@@ -430,6 +430,17 @@ impl TransformersIndex {
 /// scratch, the private pool if any) is per-handle — so `N` workers hold
 /// `N` independent readers whose only shared state is the lock-striped
 /// cache itself.
+///
+/// Which method pins and which copies:
+///
+/// * [`with_records`](Self::with_records) **pins**: the unit's page stays
+///   in its cache frame and the caller reads ids and boxes in place. The
+///   probe paths use it — they test each box once and keep only ids.
+/// * [`elements`](Self::elements), [`read`](Self::read) and
+///   [`read_into`](Self::read_into) **materialise** `SpatialElement`s for
+///   callers that keep them (the joins): `elements` borrows the shared
+///   cache's decoded tier or the handle's scratch, the other two copy into
+///   a caller-owned `Vec`.
 pub struct UnitReader<'i, 'c, 'd> {
     units: &'i [SpaceUnitDesc],
     codec: ElementPageCodec,
@@ -445,9 +456,19 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
         &mut self.cache
     }
 
+    /// Pins one unit's page and hands `f` a borrowed view of its records:
+    /// nothing is decoded, copied or allocated, and the pin is released
+    /// when `f` returns. Counts one page-tier hit, prefetch hit or miss on
+    /// this handle, exactly like [`PageReads::page`]; the decoded tier is
+    /// neither consulted nor filled.
+    #[inline]
+    pub fn with_records<R>(&mut self, unit: UnitId, f: impl FnOnce(ElementRecords<'_>) -> R) -> R {
+        let page = self.cache.page(self.units[unit.0 as usize].page);
+        f(self.codec.view(&page))
+    }
+
     /// Reads and decodes one space unit's elements into a fresh vector.
-    /// Prefer [`elements`](Self::elements) on hot paths — it borrows the
-    /// decoded records instead of copying them.
+    /// Prefer [`elements`](Self::elements) when a borrow is enough.
     pub fn read(&mut self, unit: UnitId) -> Vec<SpatialElement> {
         self.elements(unit).to_vec()
     }
@@ -466,10 +487,10 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
         }
     }
 
-    /// Reads one unit's elements without copying: the shared cache's
-    /// decoded tier is borrowed directly (`Arc` clone, no decode on a
-    /// hit); private pools decode into the handle's scratch buffer. The
-    /// returned guard derefs to `[SpatialElement]`.
+    /// Materialises one unit's elements without a copy into caller memory:
+    /// the shared cache's decoded tier is borrowed directly (`Arc` clone,
+    /// no decode on a hit); private pools decode into the handle's scratch
+    /// buffer. The returned guard derefs to `[SpatialElement]`.
     pub fn elements(&mut self, unit: UnitId) -> ElemSlice<'_> {
         let Self {
             units,

@@ -59,9 +59,6 @@ struct Side<'a> {
     /// (default) or a private pool (`JoinConfig::shared_cache = false`).
     cache: CacheHandle<'a, 'a>,
     codec: ElementPageCodec,
-    /// Decode scratch for the private path (the shared path borrows the
-    /// cache's decoded tier instead).
-    elem_scratch: Vec<SpatialElement>,
     // Shared read-only descriptor tables (parallel workers hold clones of
     // the same `Arc`s; only `checked`/`scratch`/`pool` are per-owner).
     nodes: Arc<Vec<SpaceNode>>,
@@ -111,7 +108,6 @@ impl<'a> Side<'a> {
             disk,
             cache,
             codec: ElementPageCodec::new(disk.page_size()),
-            elem_scratch: Vec::new(),
             nodes,
             units,
             checked: vec![false; n],
@@ -141,10 +137,15 @@ impl<'a> Side<'a> {
 
     fn read_unit_elements(&mut self, unit: UnitId, out: &mut Vec<SpatialElement>) {
         let page = self.units[unit.0 as usize].page;
-        let elems = self
-            .cache
-            .elements(&self.codec, page, &mut self.elem_scratch);
-        out.extend_from_slice(&elems);
+        if self.cache.is_shared() {
+            // The decoded tier: a page several workers pivot over is
+            // decoded once. Shared handles leave the scratch untouched.
+            out.extend_from_slice(&self.cache.elements(&self.codec, page, &mut Vec::new()));
+        } else {
+            // A private pool has no decoded tier to fill: one copy,
+            // straight from the pool's frame into `out`.
+            out.extend(self.codec.view(&self.cache.page(page)).iter());
+        }
     }
 }
 

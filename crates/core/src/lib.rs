@@ -69,7 +69,7 @@ pub use index::{TransformersIndex, UnitReader};
 pub use join::{transformers_join, EngineSide, JoinOutcome, PivotEngine};
 pub use mutate::{
     BatchOutcome, MutNode, MutSnapshot, MutUnit, MutableTransformers, MutationOp, OverflowCodec,
-    NO_PAGE, OVERFLOW_HEADER,
+    OverflowPage, NO_PAGE, OVERFLOW_HEADER,
 };
 pub use stats::TransformersStats;
 // `IndexBuildPipeline` lives in `tfm-partition` (below the baselines,

@@ -68,7 +68,8 @@ use std::sync::{Arc, Mutex};
 use tfm_bptree::{BPlusTree, MutableBPlusTree};
 use tfm_geom::{Aabb, Point3, SpatialElement, SpatialQuery};
 use tfm_storage::{
-    Disk, ElementPageCodec, LoggedPages, PageId, PageReads, PageWrites, RedoLog, SharedPageCache,
+    Disk, ElementPageCodec, ElementRecords, LoggedPages, PageId, PageReads, PageWrites, RedoLog,
+    SharedPageCache,
 };
 
 /// Sentinel for "no page" in overflow chains and the overlay page chain.
@@ -97,10 +98,14 @@ fn put_elem(buf: &mut Vec<u8>, e: &SpatialElement) {
     put_aabb(buf, &e.mbb);
 }
 
-fn get_elem(buf: &mut &[u8]) -> SpatialElement {
-    let id = buf.get_u64_le_ext();
-    let mbb = get_aabb(buf);
-    SpatialElement::new(id, mbb)
+/// A borrowed view of one overflow page: the chain pointer plus the
+/// page's element records, read in place (see [`ElementRecords`]).
+#[derive(Debug, Clone, Copy)]
+pub struct OverflowPage<'a> {
+    /// The next page of the chain, [`NO_PAGE`] at the tail.
+    pub next: u64,
+    /// The page's element records.
+    pub records: ElementRecords<'a>,
 }
 
 /// Encoder/decoder for overflow pages:
@@ -151,25 +156,42 @@ impl OverflowCodec {
         buf.resize(self.page_size, 0);
     }
 
+    /// Borrows an overflow page in place: header parsed and the count
+    /// checked against the page length once, records read as they are
+    /// asked for. Chain walkers that only need [`OverflowPage::next`] stop
+    /// here and decode nothing.
+    ///
+    /// # Panics
+    /// Panics if the page is shorter than its header or its declared
+    /// payload.
+    #[inline]
+    pub fn view<'p>(&self, page: &'p [u8]) -> OverflowPage<'p> {
+        let Some(header) = page.first_chunk::<OVERFLOW_HEADER>() else {
+            panic!(
+                "corrupt overflow page: {} bytes is shorter than the header",
+                page.len()
+            );
+        };
+        let next = u64::from_le_bytes(std::array::from_fn(|i| header[i]));
+        let count = u16::from_le_bytes([header[8], header[9]]) as usize;
+        let records = ElementRecords::at(page, OVERFLOW_HEADER, count).unwrap_or_else(|| {
+            panic!(
+                "corrupt overflow page: count {count} does not fit {} bytes",
+                page.len()
+            )
+        });
+        OverflowPage { next, records }
+    }
+
     /// Appends the page's elements to `out` and returns the `next`
     /// pointer ([`NO_PAGE`] at the chain tail).
     ///
     /// # Panics
     /// Panics if the page is shorter than its declared payload.
     pub fn decode_append(&self, page: &[u8], out: &mut Vec<SpatialElement>) -> u64 {
-        let mut b = page;
-        let next = b.get_u64_le_ext();
-        let count = b.get_u16_le_ext() as usize;
-        assert!(
-            page.len() >= OVERFLOW_HEADER + count * ELEM_RECORD,
-            "corrupt overflow page: count {count} does not fit {} bytes",
-            page.len()
-        );
-        out.reserve(count);
-        for _ in 0..count {
-            out.push(get_elem(&mut b));
-        }
-        next
+        let page = self.view(page);
+        out.extend(page.records.iter());
+        page.next
     }
 }
 
@@ -285,16 +307,27 @@ impl MutSnapshot {
     /// Answers a spatial query: page-MBB prefilter
     /// ([`for_each_candidate_unit`](Self::for_each_candidate_unit)) →
     /// exact per-element test, exactly mirroring the immutable serve
-    /// path. Returns matching element ids, sorted ascending.
+    /// path: each candidate's base page and overflow chain pages are
+    /// tested in their pinned frames, nothing is decoded. Returns matching
+    /// element ids, sorted ascending.
     pub fn query<C: PageReads>(&self, cache: &mut C, q: &SpatialQuery) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut elems = Vec::new();
+        let mut push_matches = |records: ElementRecords<'_>| {
+            q.for_each_match(
+                records.len(),
+                |i| records.mbb(i),
+                |i| out.push(records.id(i)),
+            );
+        };
         self.for_each_candidate_unit(&q.probe(), |u| {
-            self.read_unit(cache, u as u32, &mut elems);
-            for e in &elems {
-                if q.matches(&e.mbb) {
-                    out.push(e.id);
-                }
+            let unit = &self.units[u];
+            push_matches(self.codec.view(&cache.page(unit.page)));
+            let mut next = unit.overflow;
+            while next != NO_PAGE {
+                let raw = cache.page(PageId(next));
+                let page = self.overflow_codec.view(&raw);
+                push_matches(page.records);
+                next = page.next;
             }
         });
         out.sort_unstable();
@@ -639,32 +672,32 @@ impl MutableTransformers {
                 h.write(p, &buf);
                 st.units[unit].overflow = p.0;
             } else {
+                // Walk to the tail reading only each page's `next`
+                // pointer; the tail is the one page that is decoded.
                 let mut cur = PageId(st.units[unit].overflow);
+                let mut chunk: Vec<SpatialElement> = Vec::new();
                 loop {
-                    let mut chunk: Vec<SpatialElement> = Vec::new();
-                    let next = {
-                        let p = h.page(cur);
-                        ov.decode_append(&p, &mut chunk)
-                    };
-                    if next != NO_PAGE {
-                        cur = PageId(next);
-                        continue;
+                    let raw = h.page(cur);
+                    let page = ov.view(&raw);
+                    if page.next == NO_PAGE {
+                        chunk.extend(page.records.iter());
+                        break;
                     }
-                    if chunk.len() < ov.capacity() {
-                        chunk.push(e);
-                        ov.encode_into(NO_PAGE, &chunk, &mut buf);
-                        h.write(cur, &buf);
-                    } else {
-                        // Fresh tail first, link second: a concurrent
-                        // chain walker never follows a pointer into
-                        // unwritten bytes.
-                        let np = h.allocate();
-                        ov.encode_into(NO_PAGE, std::slice::from_ref(&e), &mut buf);
-                        h.write(np, &buf);
-                        ov.encode_into(np.0, &chunk, &mut buf);
-                        h.write(cur, &buf);
-                    }
-                    break;
+                    cur = PageId(page.next);
+                }
+                if chunk.len() < ov.capacity() {
+                    chunk.push(e);
+                    ov.encode_into(NO_PAGE, &chunk, &mut buf);
+                    h.write(cur, &buf);
+                } else {
+                    // Fresh tail first, link second: a concurrent
+                    // chain walker never follows a pointer into
+                    // unwritten bytes.
+                    let np = h.allocate();
+                    ov.encode_into(NO_PAGE, std::slice::from_ref(&e), &mut buf);
+                    h.write(np, &buf);
+                    ov.encode_into(np.0, &chunk, &mut buf);
+                    h.write(cur, &buf);
                 }
             }
         }
@@ -881,6 +914,7 @@ fn write_overlay<P: PageReads + PageWrites>(
 mod tests {
     use super::*;
     use crate::IndexConfig;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use tfm_storage::{CacheHandle, DiskModel, NoopLog};
@@ -954,6 +988,141 @@ mod tests {
             );
         }
         assert_eq!(snap.len(), live.len() as u64, "{tag}: live count");
+    }
+
+    /// The overflow layout parsed field by field with the cursor helpers,
+    /// sharing nothing with [`OverflowCodec::view`]: the oracle.
+    fn oracle_overflow(page: &[u8]) -> (u64, Vec<SpatialElement>) {
+        let mut b = page;
+        let next = b.get_u64_le_ext();
+        let count = b.get_u16_le_ext() as usize;
+        assert!(
+            page.len() >= OVERFLOW_HEADER + count * ELEM_RECORD,
+            "corrupt overflow page: count {count} does not fit {} bytes",
+            page.len()
+        );
+        let elems = (0..count)
+            .map(|_| SpatialElement::new(b.get_u64_le_ext(), get_aabb(&mut b)))
+            .collect();
+        (next, elems)
+    }
+
+    /// `==` on `f64` cannot tell `0.0` from `-0.0`; the format must.
+    fn bits(e: &SpatialElement) -> [u64; 7] {
+        let (lo, hi) = (e.mbb.min, e.mbb.max);
+        [
+            e.id,
+            lo.x.to_bits(),
+            lo.y.to_bits(),
+            lo.z.to_bits(),
+            hi.x.to_bits(),
+            hi.y.to_bits(),
+            hi.z.to_bits(),
+        ]
+    }
+
+    /// Boxes whose corners mix signed zeros, subnormals, fractions and
+    /// large magnitudes; `min <= 0.0 <= max` on every axis.
+    fn odd_elements(raw: Vec<(u64, [u8; 6], [u64; 6])>) -> Vec<SpatialElement> {
+        let magnitude = |class: u8, raw: u64| {
+            let unit = (raw >> 11) as f64 / (1u64 << 53) as f64;
+            match class % 4 {
+                0 => 0.0,
+                1 => f64::from_bits(raw % ((1 << 52) - 1) + 1),
+                2 => unit,
+                _ => unit * 1e12,
+            }
+        };
+        raw.into_iter()
+            .map(|(id, class, r)| {
+                let m: [f64; 6] = std::array::from_fn(|i| magnitude(class[i], r[i]));
+                SpatialElement::new(
+                    id,
+                    Aabb::new(
+                        Point3::new(-m[0], -m[1], -m[2]),
+                        Point3::new(m[3], m[4], m[5]),
+                    ),
+                )
+            })
+            .collect()
+    }
+
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("must panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .expect("panic carries a formatted message")
+    }
+
+    proptest! {
+        #[test]
+        fn overflow_view_reads_back_next_and_records_bit_for_bit(
+            next in any::<u64>(),
+            raw in prop::collection::vec((any::<u64>(), any::<[u8; 6]>(), any::<[u64; 6]>()), 0..5),
+        ) {
+            let ov = OverflowCodec::new(PS); // capacity 4
+            let elems = odd_elements(raw);
+            let mut page = Vec::new();
+            ov.encode_into(next, &elems, &mut page);
+            let want: Vec<[u64; 7]> = elems.iter().map(bits).collect();
+
+            let view = ov.view(&page);
+            prop_assert_eq!(view.next, next);
+            prop_assert_eq!(view.records.len(), elems.len());
+            let seen: Vec<[u64; 7]> = view.records.iter().map(|e| bits(&e)).collect();
+            prop_assert_eq!(&seen, &want);
+            for (i, e) in elems.iter().enumerate() {
+                prop_assert_eq!(view.records.id(i), e.id);
+                prop_assert_eq!(bits(&SpatialElement::new(e.id, view.records.mbb(i))), bits(e));
+            }
+            let (oracle_next, oracle_elems) = oracle_overflow(&page);
+            prop_assert_eq!(oracle_next, next);
+            let oracle: Vec<[u64; 7]> = oracle_elems.iter().map(bits).collect();
+            prop_assert_eq!(&oracle, &want);
+            // `decode_append` is the same parser, appending.
+            let mut out = vec![elem(7, 1.0, 2.0, 3.0)];
+            prop_assert_eq!(ov.decode_append(&page, &mut out), next);
+            let appended: Vec<[u64; 7]> = out[1..].iter().map(bits).collect();
+            prop_assert_eq!(&appended, &want);
+        }
+    }
+
+    #[test]
+    fn overflow_view_rejects_bad_counts_and_short_pages_like_decode_append() {
+        let ov = OverflowCodec::new(PS);
+        let mut page = Vec::new();
+        ov.encode_into(NO_PAGE, &[elem(1, 0.0, 0.0, 0.0)], &mut page);
+        page[8..10].copy_from_slice(&5u16.to_le_bytes()); // capacity is 4
+        let from_view = panic_message(|| {
+            ov.view(&page);
+        });
+        assert_eq!(
+            from_view,
+            "corrupt overflow page: count 5 does not fit 256 bytes"
+        );
+        assert_eq!(
+            from_view,
+            panic_message(|| {
+                ov.decode_append(&page, &mut Vec::new());
+            })
+        );
+        assert_eq!(
+            from_view,
+            panic_message(|| {
+                oracle_overflow(&page);
+            })
+        );
+        for len in 0..OVERFLOW_HEADER {
+            let msg = panic_message(|| {
+                ov.view(&vec![0xFF; len]);
+            });
+            assert_eq!(
+                msg,
+                format!("corrupt overflow page: {len} bytes is shorter than the header")
+            );
+        }
+        let empty = ov.view(&[0u8; OVERFLOW_HEADER]);
+        assert_eq!((empty.next, empty.records.len()), (0, 0));
     }
 
     #[test]

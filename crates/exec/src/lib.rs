@@ -207,6 +207,13 @@ pub struct ExecReport {
     /// early or still untouched at the end of the run. The readahead
     /// window is mis-sized when this grows against `prefetch_issued`.
     pub prefetch_unused: u64,
+    /// Element-page reads answered by the shared caches' decoded tier (both
+    /// sides; 0 under private pools, which have none). The join is the one
+    /// path that fills the tier, so this split is what says whether the
+    /// tier earns its keep.
+    pub decoded_hits: u64,
+    /// Element-page reads that had to decode (and filled the tier).
+    pub decoded_misses: u64,
 }
 
 impl ExecReport {
@@ -443,6 +450,7 @@ pub fn parallel_join_with_report(
     // frames into the unused counter first (the eviction path alone
     // undercounts at end of run), then sum both sides.
     let (mut pf_issued, mut pf_hits, mut pf_unused) = (0, 0, 0);
+    let (mut decoded_hits, mut decoded_misses) = (0, 0);
     for c in [&cache_a, &cache_b].into_iter().flatten() {
         if prefetch_on {
             c.reclaim_unused_prefetch();
@@ -451,6 +459,8 @@ pub fn parallel_join_with_report(
         pf_issued += s.prefetch_issued;
         pf_hits += s.prefetch_hits;
         pf_unused += s.prefetch_unused;
+        decoded_hits += s.decoded_hits;
+        decoded_misses += s.decoded_misses;
     }
 
     let report = ExecReport {
@@ -464,6 +474,8 @@ pub fn parallel_join_with_report(
         prefetch_issued: pf_issued,
         prefetch_hits: pf_hits,
         prefetch_unused: pf_unused,
+        decoded_hits,
+        decoded_misses,
     };
 
     // Run-end telemetry: publish the merged record once (workers never
@@ -723,6 +735,8 @@ mod tests {
             prefetch_issued: 0,
             prefetch_hits: 0,
             prefetch_unused: 0,
+            decoded_hits: 0,
+            decoded_misses: 0,
         };
         assert_eq!(empty.steal_fraction(), 0.0);
         assert_eq!(empty.unused_prefetch_fraction(), 0.0);

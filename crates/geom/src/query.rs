@@ -63,6 +63,35 @@ impl SpatialQuery {
         }
     }
 
+    /// [`matches`](Self::matches) over `count` boxes: calls `hit(i)`, in
+    /// order, for every `i` in `0..count` whose box `mbb_at(i)` matches.
+    ///
+    /// The query kind is resolved once, outside the loop, so each arm's
+    /// loop tests one fixed predicate. That matters when `mbb_at` reads the
+    /// box out of raw page bytes: with the kind re-dispatched per box the
+    /// compiler loads all six coordinates up front for whichever arm runs,
+    /// and a probe over a cached page costs ~10 % more than iterating
+    /// decoded elements; resolved once, it costs the same.
+    #[inline]
+    pub fn for_each_match(
+        &self,
+        count: usize,
+        mbb_at: impl Fn(usize) -> Aabb,
+        hit: impl FnMut(usize),
+    ) {
+        // One monomorphised loop per arm; the predicates are `matches`'s.
+        match self {
+            SpatialQuery::Window(w) => scan_boxes(count, mbb_at, hit, |mbb| w.intersects(mbb)),
+            SpatialQuery::Point(p) => scan_boxes(count, mbb_at, hit, |mbb| mbb.contains_point(p)),
+            SpatialQuery::Distance { center, eps } => {
+                let (center, eps_sq) = (Aabb::from_point(*center), eps * eps);
+                scan_boxes(count, mbb_at, hit, |mbb| {
+                    mbb.min_distance_sq(&center) <= eps_sq
+                })
+            }
+        }
+    }
+
     /// Center of the probe region — the locality key Hilbert-ordered
     /// batching sorts on.
     #[inline]
@@ -71,6 +100,21 @@ impl SpatialQuery {
             SpatialQuery::Window(w) => w.center(),
             SpatialQuery::Point(p) => *p,
             SpatialQuery::Distance { center, .. } => *center,
+        }
+    }
+}
+
+/// The loop of [`SpatialQuery::for_each_match`] for one fixed predicate.
+#[inline(always)]
+fn scan_boxes(
+    count: usize,
+    mbb_at: impl Fn(usize) -> Aabb,
+    mut hit: impl FnMut(usize),
+    matches: impl Fn(&Aabb) -> bool,
+) {
+    for i in 0..count {
+        if matches(&mbb_at(i)) {
+            hit(i);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tfm_geom::hilbert;
-use tfm_geom::{Aabb, Point3};
+use tfm_geom::{Aabb, Point3, SpatialQuery};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
     (-1000.0..1000.0f64, -1000.0..1000.0f64, -1000.0..1000.0f64)
@@ -97,5 +97,30 @@ proptest! {
         let ia = hilbert::index_from_coords(a);
         let ib = hilbert::index_from_coords(b);
         prop_assert_eq!(a == b, ia == ib);
+    }
+
+    #[test]
+    fn for_each_match_is_matches_in_a_loop(
+        boxes in prop::collection::vec(arb_aabb(), 0..40),
+        window in arb_aabb(),
+        point in arb_point(),
+        eps in 0.0..400.0f64,
+    ) {
+        // Boxes drawn from the same cube as the probes: every kind both
+        // hits and misses, and touching boxes occur via shared corners.
+        let mut boxes = boxes;
+        boxes.push(window);
+        boxes.push(Aabb::from_point(point));
+        for q in [
+            SpatialQuery::Window(window),
+            SpatialQuery::Point(point),
+            SpatialQuery::Distance { center: point, eps },
+        ] {
+            let mut hits = Vec::new();
+            q.for_each_match(boxes.len(), |i| boxes[i], |i| hits.push(i));
+            let expected: Vec<usize> =
+                (0..boxes.len()).filter(|&i| q.matches(&boxes[i])).collect();
+            prop_assert_eq!(hits, expected, "{:?}", q);
+        }
     }
 }

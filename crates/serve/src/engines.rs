@@ -27,7 +27,7 @@ use tfm_rtree::{RTree, RtreeStats};
 use tfm_storage::{
     CacheHandle, CachePolicy, CacheStats, Disk, IoStatsSnapshot, PageId, PageReads, SharedPageCache,
 };
-use transformers::{explore, MutableTransformers, TransformersIndex, UnitReader};
+use transformers::{explore, MutableTransformers, TransformersIndex, UnitId, UnitReader};
 
 /// A built index structure that can serve spatial queries.
 ///
@@ -96,6 +96,25 @@ fn unit_pages_for(idx: &TransformersIndex, queries: &[SpatialQuery]) -> Vec<Page
     pages.sort_unstable();
     pages.dedup();
     pages
+}
+
+/// Refinement of one candidate unit: tests every box on the unit's pinned
+/// page in place and appends the ids that match. Nothing is decoded — on
+/// a cold probe the page is tested once and its frame recycled, so an
+/// owned copy of its elements would be built only to be dropped.
+fn push_matches(
+    reader: &mut UnitReader<'_, '_, '_>,
+    unit: UnitId,
+    query: &SpatialQuery,
+    out: &mut Vec<ElementId>,
+) {
+    reader.with_records(unit, |records| {
+        query.for_each_match(
+            records.len(),
+            |i| records.mbb(i),
+            |i| out.push(records.id(i)),
+        );
+    });
 }
 
 /// Per-worker query executor: owns the worker's buffer pool and scratch.
@@ -209,14 +228,7 @@ impl QuerySession for TransformersSession<'_> {
         // Candidates arrive in ascending unit order, which is ascending
         // page order — a spatial sweep, not a seek storm.
         self.idx.for_each_candidate_unit(&query.probe(), |u| {
-            // Zero-copy: the shared cache's decoded tier is borrowed
-            // directly; private pools decode into the reader scratch.
-            let elems = self.reader.elements(units[u].id);
-            for e in elems.iter() {
-                if query.matches(&e.mbb) {
-                    out.push(e.id);
-                }
-            }
+            push_matches(&mut self.reader, units[u].id, query, &mut out);
         });
         out.sort_unstable();
         out
@@ -468,12 +480,7 @@ impl QuerySession for GipsySession<'_> {
             .candidates
             .sort_unstable_by_key(|u| units[u.0 as usize].page);
         for cu in crawl.candidates {
-            let elems = self.reader.elements(cu);
-            for e in elems.iter() {
-                if query.matches(&e.mbb) {
-                    out.push(e.id);
-                }
-            }
+            push_matches(&mut self.reader, cu, query, &mut out);
         }
         out.sort_unstable();
         out
@@ -580,5 +587,82 @@ impl QuerySession for RtreeSession<'_> {
     fn pool_counters(&self) -> (u64, u64) {
         let c = self.pool.counters();
         (c.hits, c.misses)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tfm_datagen::{generate, DatasetSpec};
+    use tfm_storage::{ElementPageCodec, PoolCounters};
+    use transformers::IndexConfig;
+
+    /// A probe's refinement step must answer the same and count exactly
+    /// like [`PageReads::page`], whatever state the cache holds the unit's
+    /// page in — and must leave the decoded tier alone.
+    #[test]
+    fn probe_of_a_unit_is_the_same_over_every_cache_state() {
+        let disk = Disk::in_memory(2048);
+        let elems = generate(&DatasetSpec {
+            max_side: 6.0,
+            ..DatasetSpec::uniform(1500, 91)
+        });
+        let idx = TransformersIndex::build(&disk, elems.clone(), &IndexConfig::default());
+        let unit = &idx.units()[idx.units().len() / 2];
+        // A window over half the unit's box: some of its elements match,
+        // some do not.
+        let mut window = unit.page_mbb;
+        window.max.x = unit.page_mbb.center().x;
+        let query = SpatialQuery::Window(window);
+        let codec = ElementPageCodec::new(disk.page_size());
+        let mut expected: Vec<ElementId> = codec
+            .decode(&disk.read_page_vec(unit.page))
+            .iter()
+            .filter(|e| query.matches(&e.mbb))
+            .map(|e| e.id)
+            .collect();
+        assert!(!expected.is_empty() && expected.len() < unit.count as usize);
+        expected.sort_unstable();
+
+        let cache = SharedPageCache::with_shards(&disk, 64, 2);
+        let mut reader = idx.unit_reader_shared(&cache);
+        let probe = |reader: &mut UnitReader<'_, '_, '_>| {
+            let mut out = Vec::new();
+            push_matches(reader, unit.id, &query, &mut out);
+            out.sort_unstable();
+            out
+        };
+        let counted = |hits, misses, prefetch_hits| PoolCounters {
+            hits,
+            misses,
+            prefetch_hits,
+            ..PoolCounters::default()
+        };
+
+        // Cold: a miss.
+        assert_eq!(probe(&mut reader), expected);
+        assert_eq!(reader.counters(), counted(0, 1, 0));
+        // Resident: a raw hit.
+        assert_eq!(probe(&mut reader), expected);
+        assert_eq!(reader.counters(), counted(1, 1, 0));
+        // Landed by the prefetcher: a prefetch hit, neither hit nor miss.
+        cache.clear();
+        cache.prefetch_page(unit.page, &mut Vec::new());
+        assert_eq!(probe(&mut reader), expected);
+        assert_eq!(reader.counters(), counted(1, 1, 1));
+        // A decoded entry a join left behind: the probe reads the bytes
+        // beside it — a raw hit — and does not consult it.
+        cache.clear();
+        cache.read_decoded(&codec, unit.page);
+        let before = cache.stats();
+        assert_eq!((before.decoded_hits, before.decoded_misses), (0, 1));
+        assert_eq!(probe(&mut reader), expected);
+        assert_eq!(reader.counters(), counted(2, 1, 1));
+        let after = cache.stats();
+        assert_eq!((after.decoded_hits, after.decoded_misses), (0, 1));
+
+        // The handle's view of its own traffic matches the cache's totals
+        // (the one extra miss is `read_decoded` above, not the handle's).
+        assert_eq!((after.hits, after.misses, after.prefetch_hits), (2, 2, 1));
     }
 }

@@ -813,10 +813,9 @@ mod tests {
             assert_eq!(out.results, expected, "threads = {threads}");
             let cache = out.stats.cache.expect("shared engine reports cache stats");
             assert!(cache.hits + cache.misses > 0);
-            assert_eq!(
-                cache.decoded_hits + cache.decoded_misses,
-                cache.hits + cache.misses
-            );
+            // Probes test boxes in the pinned page: a serve run neither
+            // consults nor fills the decoded tier.
+            assert_eq!((cache.decoded_hits, cache.decoded_misses), (0, 0));
             assert!(out.stats.pool_hit_fraction() > 0.0);
             // Handle-local counters sum to the cache's global totals.
             assert_eq!(out.stats.pool_hits, cache.hits);
@@ -827,7 +826,6 @@ mod tests {
         let out = serve_trace(&private, &trace, &ServeConfig::default());
         assert_eq!(out.results, expected);
         assert!(out.stats.cache.is_none());
-        assert_eq!(out.stats.decoded_hit_fraction(), 0.0);
     }
 
     #[test]

@@ -128,8 +128,10 @@ pub struct ServeStats {
     /// Queries served by each worker — the skew shows how evenly the
     /// batch queue spread the load.
     pub per_worker_queries: Vec<u64>,
-    /// Shared-cache counters of the run (decoded-tier hit rates, shard
-    /// contention); `None` when the engine ran the private-pool ablation.
+    /// Shared-cache counters of the run (evictions, prefetch efficacy,
+    /// shard contention); `None` when the engine ran the private-pool
+    /// ablation. Its decoded-tier pair is always 0: probes test boxes in
+    /// the pinned page and never touch that tier.
     pub cache: Option<CacheStats>,
     /// Self-tuning batch-loop counters; `None` unless the run used
     /// [`crate::ServeConfig::auto_batch`] on the queued (multi-worker)
@@ -160,12 +162,6 @@ impl ServeStats {
             return 0.0;
         }
         self.pool_hits as f64 / total as f64
-    }
-
-    /// Decoded-tier hit fraction of the shared cache (0 when the run used
-    /// private pools, which have no decoded tier).
-    pub fn decoded_hit_fraction(&self) -> f64 {
-        self.cache.map_or(0.0, |c| c.decoded_hit_fraction())
     }
 
     /// Shard-lock contention fraction of the shared cache (0 for private

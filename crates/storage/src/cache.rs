@@ -15,7 +15,10 @@
 //! pinned zero-copy from the shared cache, or owned from the raw disk) and
 //! decoded element pages as an [`ElemSlice`] (scratch-decoded privately,
 //! or the shared cache's cached `Arc<[SpatialElement]>`). Both deref to
-//! slices, so call sites are caching-agnostic.
+//! slices, so call sites are caching-agnostic. A reader that only tests
+//! an element page's boxes takes the [`PageSlice`] and views it with
+//! [`ElementPageCodec::view`]; [`PageReads::elements`] is for readers that
+//! keep the elements.
 
 use crate::shared::{DecodedOutcome, ReadOutcome};
 use crate::{BufferPool, Disk, ElementPageCodec, PageId, PageRef, SharedPageCache};

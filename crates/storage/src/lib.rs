@@ -48,7 +48,7 @@ mod twoq;
 pub use buffer::{BufferPool, DEFAULT_POOL_PAGES};
 pub use cache::{CacheHandle, ElemSlice, PageReads, PageSlice, PoolCounters};
 pub use disk::{Disk, DiskBackendKind};
-pub use elempage::{ElementPageCodec, RECORD_SIZE as ELEMENT_RECORD_BYTES};
+pub use elempage::{ElementPageCodec, ElementRecords, RECORD_SIZE as ELEMENT_RECORD_BYTES};
 pub use model::DiskModel;
 pub use prefetch::PrefetchQueue;
 pub use redo::{LoggedPages, NoopLog, PageWrites, RedoLog};

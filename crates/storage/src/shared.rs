@@ -24,12 +24,13 @@
 //! * **Recycled miss buffers** — a miss evicts an unpinned victim and
 //!   reads the new page *into the victim's buffer*; at steady state a
 //!   miss allocates nothing.
-//! * **Decoded second tier** — element pages are usually consumed through
-//!   [`crate::ElementPageCodec::decode`]; the cache keeps the decoded
-//!   `Arc<[SpatialElement]>` alongside the frame
-//!   ([`SharedPageCache::read_decoded`]), so repeated probes of a hot page
-//!   skip the decode entirely. Decoded entries live and die with their
-//!   frame.
+//! * **Decoded second tier** — for readers that need owned elements (the
+//!   joins), the cache keeps a decoded `Arc<[SpatialElement]>` alongside
+//!   the frame ([`SharedPageCache::read_decoded`]), so a page several
+//!   workers pivot over is decoded once per residency. Decoded entries
+//!   live and die with their frame. Probes do not use it: they pin the
+//!   page with [`SharedPageCache::read_tracked`] and test boxes in place
+//!   through [`crate::ElementPageCodec::view`].
 //!
 //! Reads take `&self`; the cache is `Sync` and is meant to be shared by
 //! reference across worker threads (see `transformers::UnitReader` and
@@ -38,12 +39,14 @@
 //! outputs stay byte-identical to the private-pool ablation at any worker
 //! count; only the I/O counters improve.
 //!
-//! Miss fills and decodes run **under the shard lock**. That serializes
-//! co-shard misses, but it also guarantees each page is read and decoded
-//! at most once per residency (no thundering-herd duplicate I/O) and
-//! keeps the pin check race-free; against the in-memory store a fill is a
-//! `memcpy`, so the hold time is small and the `lock_contended` counter
-//! makes the cost observable. For the real-file backend the prefetch path
+//! Miss fills and decoded-tier fills run **under the shard lock**. That
+//! serializes co-shard misses, but it also guarantees each page is read
+//! and decoded at most once per residency (no thundering-herd duplicate
+//! I/O) and keeps the pin check race-free; against the in-memory store a
+//! fill is a `memcpy`, so the hold time is small and the `lock_contended`
+//! counter makes the cost observable. A decode is not small — which is
+//! why the probe paths, whose reads are mostly misses, stay off the
+//! decoded tier and parse outside the lock, from their pin. For the real-file backend the prefetch path
 //! below is the escape hatch: [`SharedPageCache::prefetch_page`] performs
 //! the disk read **outside** the shard lock into a caller-owned scratch
 //! buffer, then lands the bytes into a recycled victim frame under the
@@ -429,20 +432,17 @@ impl<'d> SharedPageCache<'d> {
     pub fn read_tracked(&self, id: PageId) -> (PageRef, ReadOutcome) {
         let shard = self.shard(id);
         let mut guard = shard.lock();
-        if guard.ring.contains(id.0) {
-            let f = guard.ring.get(id.0).expect("resident page");
-            let buf = Arc::clone(&f.buf);
-            let outcome = if f.prefetched {
-                f.prefetched = false;
-                ReadOutcome::PrefetchHit
-            } else {
-                ReadOutcome::Hit
+        let ShardInner { ring, counters } = &mut *guard;
+        if let Some(f) = ring.get(id.0) {
+            let page = PageRef {
+                buf: Arc::clone(&f.buf),
             };
-            match outcome {
-                ReadOutcome::PrefetchHit => guard.counters.prefetch_hits += 1,
-                _ => guard.counters.hits += 1,
+            if std::mem::take(&mut f.prefetched) {
+                counters.prefetch_hits += 1;
+                return (page, ReadOutcome::PrefetchHit);
             }
-            return (PageRef { buf }, outcome);
+            counters.hits += 1;
+            return (page, ReadOutcome::Hit);
         }
         guard.counters.misses += 1;
         let f = Self::load_frame(self.disk, &mut guard, id);
@@ -487,7 +487,7 @@ impl<'d> SharedPageCache<'d> {
             }
             guard.counters.decoded_misses += 1;
             let f = guard.ring.payload_mut(i);
-            let decoded: Arc<[SpatialElement]> = codec.decode(&f.buf).into();
+            let decoded: Arc<[SpatialElement]> = codec.view(&f.buf).iter().collect();
             f.decoded = Some(Arc::clone(&decoded));
             let outcome = if was_prefetched {
                 DecodedOutcome::PrefetchedPage
@@ -499,7 +499,7 @@ impl<'d> SharedPageCache<'d> {
         guard.counters.misses += 1;
         guard.counters.decoded_misses += 1;
         let f = Self::load_frame(self.disk, &mut guard, id);
-        let decoded: Arc<[SpatialElement]> = codec.decode(&f.buf).into();
+        let decoded: Arc<[SpatialElement]> = codec.view(&f.buf).iter().collect();
         f.decoded = Some(Arc::clone(&decoded));
         (decoded, DecodedOutcome::Miss)
     }
