@@ -92,9 +92,6 @@ impl Approach {
                 if !cfg.cross_worker_pruning {
                     label.push_str("-noPrune");
                 }
-                if !cfg.shared_cache {
-                    label.push_str("-privPool");
-                }
                 label
             }
             Approach::Pbsm => "PBSM".into(),
@@ -122,11 +119,6 @@ pub struct RunConfig {
     /// approaches (TRANSFORMERS, GIPSY's two sides, the R-Tree). Builds
     /// are byte-identical at any setting; only `index_wall` changes.
     pub build_threads: usize,
-    /// Read join-phase pages through the process-wide shared page cache
-    /// (the default read path). `false` is the `--private-pool` ablation:
-    /// every reader owns a private pool again. Results are identical
-    /// either way.
-    pub shared_cache: bool,
     /// Storage backend every disk of the run is created with. The
     /// default [`StoreBackend::Mem`] preserves the historical in-memory
     /// behaviour; [`StoreBackend::File`] writes one page image per disk
@@ -149,7 +141,6 @@ impl Default for RunConfig {
             pbsm_partitions: 10,
             pool_pages: 1024,
             build_threads: 1,
-            shared_cache: true,
             backend: StoreBackend::Mem,
             read_latency: 0.0,
         }
@@ -526,15 +517,8 @@ fn run_transformers_with(
     disk_b.reset_stats();
     let join_cfg = JoinConfig {
         pool_pages: cfg.pool_pages,
-        // Either switch can select the private-pool ablation.
-        shared_cache: join_cfg.shared_cache && cfg.shared_cache,
         ..*join_cfg
     };
-    // Label the row with the *effective* cache mode (the Approach label
-    // cannot see RunConfig, and the sequential label has no mode suffix).
-    if !join_cfg.shared_cache && !m.approach.contains("-privPool") {
-        m.approach.push_str("-privPool");
-    }
     let t = Instant::now();
     let out = join(&idx_a, &disk_a, &idx_b, &disk_b, &join_cfg);
     m.join_wall = t.elapsed();
@@ -618,19 +602,12 @@ fn run_rtree(
     let mut stats = RtreeStats::default();
     let t = Instant::now();
     // The synchronized traversal reads node pages through the shared
-    // cache by default (pin guards, recycled frames); `--private-pool`
-    // restores the classic per-tree pools.
-    let pairs = if cfg.shared_cache {
-        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
-        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
-        let mut handle_a = CacheHandle::shared(&cache_a);
-        let mut handle_b = CacheHandle::shared(&cache_b);
-        sync_join(&mut handle_a, &tree_a, &mut handle_b, &tree_b, &mut stats)
-    } else {
-        let mut pool_a = BufferPool::new(&disk_a, cfg.pool_pages);
-        let mut pool_b = BufferPool::new(&disk_b, cfg.pool_pages);
-        sync_join(&mut pool_a, &tree_a, &mut pool_b, &tree_b, &mut stats)
-    };
+    // cache (pin guards, recycled frames).
+    let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
+    let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
+    let mut handle_a = CacheHandle::shared(&cache_a);
+    let mut handle_b = CacheHandle::shared(&cache_b);
+    let pairs = sync_join(&mut handle_a, &tree_a, &mut handle_b, &tree_b, &mut stats);
     m.join_wall = t.elapsed();
     let io = merged(&disk_a, &disk_b);
     m.join_sim_io = io.sim_io_time();
@@ -669,7 +646,6 @@ fn run_gipsy(
     dense_disk.reset_stats();
     let gipsy_cfg = GipsyConfig {
         pool_pages: cfg.pool_pages,
-        shared_cache: cfg.shared_cache,
         ..GipsyConfig::default()
     };
     let mut stats = GipsyStats::default();

@@ -87,15 +87,12 @@ pub struct ServeMetrics {
     pub pool_hits: u64,
     /// Page-cache misses over all worker sessions.
     pub pool_misses: u64,
-    /// Whether the run served through the shared page cache (`false` =
-    /// private-pool ablation).
-    pub shared_cache: bool,
-    /// Shard-lock acquisitions of the shared cache.
+    /// Shard-lock acquisitions of the engine's cache.
     pub lock_acquisitions: u64,
-    /// Contended shard-lock acquisitions of the shared cache.
+    /// Contended shard-lock acquisitions of the engine's cache.
     pub lock_contended: u64,
     /// Pages the prefetch pipeline landed into cache frames (0 with
-    /// readahead off or private pools).
+    /// readahead off).
     pub prefetch_issued: u64,
     /// Demand reads served by a prefetched frame — kept disjoint from
     /// `pool_hits`/`pool_misses`, so readahead cannot inflate the
@@ -107,8 +104,6 @@ pub struct ServeMetrics {
     pub io_depth: usize,
     /// Readahead window in pages (0 = prefetch pipeline off).
     pub readahead: usize,
-    /// Shared-cache eviction policy label (`clock` or `2q`).
-    pub cache_policy: String,
     /// Retune decisions of the self-tuning batch loop (0 with
     /// `--auto-batch` off or on the inline path).
     pub autobatch_retunes: u64,
@@ -169,15 +164,13 @@ impl ServeMetrics {
             rand_reads: stats.io.rand_reads,
             pool_hits: stats.pool_hits,
             pool_misses: stats.pool_misses,
-            shared_cache: stats.cache.is_some(),
-            lock_acquisitions: stats.cache.map_or(0, |c| c.lock_acquisitions),
-            lock_contended: stats.cache.map_or(0, |c| c.lock_contended),
-            prefetch_issued: stats.cache.map_or(0, |c| c.prefetch_issued),
-            prefetch_hits: stats.cache.map_or(0, |c| c.prefetch_hits),
-            prefetch_unused: stats.cache.map_or(0, |c| c.prefetch_unused),
+            lock_acquisitions: stats.cache.lock_acquisitions,
+            lock_contended: stats.cache.lock_contended,
+            prefetch_issued: stats.cache.prefetch_issued,
+            prefetch_hits: stats.cache.prefetch_hits,
+            prefetch_unused: stats.cache.prefetch_unused,
             io_depth: cfg.io_depth.max(1),
             readahead: cfg.readahead,
-            cache_policy: cfg.cache_policy.to_string(),
             autobatch_retunes: stats.autobatch.map_or(0, |a| a.retunes),
             autobatch_grows: stats.autobatch.map_or(0, |a| a.grows),
             autobatch_shrinks: stats.autobatch.map_or(0, |a| a.shrinks),
@@ -190,9 +183,8 @@ impl ServeMetrics {
 /// Builds the `kind` structure over `elements` on a fresh in-memory disk
 /// and hands the serving engine (plus the disk, for stats resets) to `f`.
 ///
-/// `serve_cfg` decides the engine's cache mode: shared engines get one
-/// process-wide cache of `serve_cfg.pool_pages` pages, sharded for
-/// `serve_cfg.threads`; otherwise sessions own private pools.
+/// `serve_cfg` sizes the engine's cache: `serve_cfg.pool_pages` pages,
+/// sharded for `serve_cfg.threads`.
 fn with_engine<R>(
     kind: ServeEngineKind,
     elements: &[SpatialElement],
@@ -207,30 +199,19 @@ fn with_engine<R>(
     match kind {
         ServeEngineKind::Transformers => {
             let idx = TransformersIndex::build(&disk, elements.to_vec(), &idx_cfg);
-            let mut engine = TransformersEngine::new(&idx, &disk);
-            if serve_cfg.shared_cache {
-                engine =
-                    engine.with_shared_cache_policy(cache_pages, shards, serve_cfg.cache_policy);
-            }
+            let engine =
+                TransformersEngine::new(&idx, &disk).with_shared_cache(cache_pages, shards);
             f(&engine, &disk)
         }
         ServeEngineKind::Gipsy => {
             let idx = TransformersIndex::build(&disk, elements.to_vec(), &idx_cfg);
-            let mut engine = GipsyEngine::new(&idx, &disk);
-            if serve_cfg.shared_cache {
-                engine =
-                    engine.with_shared_cache_policy(cache_pages, shards, serve_cfg.cache_policy);
-            }
+            let engine = GipsyEngine::new(&idx, &disk).with_shared_cache(cache_pages, shards);
             f(&engine, &disk)
         }
         ServeEngineKind::Rtree => {
             let pipeline = IndexBuildPipeline::new(run_cfg.build_threads);
             let tree = tfm_rtree::RTree::bulk_load_pipelined(&disk, elements.to_vec(), &pipeline);
-            let mut engine = RtreeEngine::new(&tree, &disk);
-            if serve_cfg.shared_cache {
-                engine =
-                    engine.with_shared_cache_policy(cache_pages, shards, serve_cfg.cache_policy);
-            }
+            let engine = RtreeEngine::new(&tree, &disk).with_shared_cache(cache_pages, shards);
             f(&engine, &disk)
         }
     }
@@ -287,20 +268,19 @@ pub struct ServeJob<'a> {
 
 /// [`run_serve`] over several jobs sharing one index build: the `kind`
 /// structure is built **once** and every job replays against it (disk
-/// stats and the shared cache reset between jobs, so each row starts
+/// stats and the engine's cache reset between jobs, so each row starts
 /// cold). Use this for config sweeps — rebuilding a large index per
 /// (threads, batching) combination would dominate the run.
 ///
-/// The engine's cache mode (and the cache size / shard count) is taken
-/// from the **first** job's config; jobs in one sweep share one engine,
-/// so they must agree on the mode.
+/// The cache size is taken from the **first** job's config; jobs in one
+/// sweep share one engine, so they must agree on it.
 pub fn run_serve_sweep(
     kind: ServeEngineKind,
     elements: &[SpatialElement],
     run_cfg: &RunConfig,
     jobs: &[ServeJob<'_>],
 ) -> Vec<ServeMetrics> {
-    // The engine (and its shared cache) is built once for the whole
+    // The engine (and its cache) is built once for the whole
     // sweep: take the first job's config but size the cache's sharding
     // for the *largest* worker count any job will run with, so
     // multi-thread rows are not measured against a cache striped for one
@@ -309,9 +289,8 @@ pub fn run_serve_sweep(
     engine_cfg.threads = jobs.iter().map(|j| j.config.threads).max().unwrap_or(1);
     debug_assert!(
         jobs.iter()
-            .all(|j| j.config.shared_cache == engine_cfg.shared_cache
-                && j.config.pool_pages == engine_cfg.pool_pages),
-        "jobs of one sweep share an engine and must agree on cache mode and budget"
+            .all(|j| j.config.pool_pages == engine_cfg.pool_pages),
+        "jobs of one sweep share an engine and must agree on the cache budget"
     );
     with_engine(kind, elements, run_cfg, &engine_cfg, |engine, disk| {
         jobs.iter()
@@ -335,7 +314,7 @@ pub fn run_serve_sweep(
 pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
     println!("\n== {title} ==");
     println!(
-        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>6} {:>3} {:>5} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10}",
+        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>6} {:>3} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10}",
         "workload",
         "engine",
         "|D|",
@@ -343,7 +322,6 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
         "w",
         "batch",
         "hb",
-        "cache",
         "qps",
         "p50_us",
         "p99_us",
@@ -354,7 +332,7 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
     );
     for m in rows {
         println!(
-            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>6} {:>3} {:>5} {:>10.0} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>10}",
+            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>6} {:>3} {:>10.0} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>10}",
             m.workload,
             m.engine,
             m.n_elements,
@@ -362,7 +340,6 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
             m.threads,
             m.batch,
             if m.hilbert_batching { "on" } else { "off" },
-            if m.shared_cache { "shrd" } else { "priv" },
             m.qps,
             m.p50.as_secs_f64() * 1e6,
             m.p99.as_secs_f64() * 1e6,
@@ -375,12 +352,12 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,shared_cache,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,cache_policy,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         m.workload,
         m.engine,
         m.n_elements,
@@ -388,7 +365,6 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.threads,
         m.batch,
         m.hilbert_batching,
-        m.shared_cache,
         m.wall.as_secs_f64(),
         m.sim_io.as_secs_f64(),
         m.qps,
@@ -409,7 +385,6 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.prefetch_unused,
         m.io_depth,
         m.readahead,
-        m.cache_policy,
         m.autobatch_retunes,
         m.autobatch_grows,
         m.autobatch_shrinks,

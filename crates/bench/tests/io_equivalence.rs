@@ -171,13 +171,13 @@ fn join_results_match_mem_across_approaches_and_workers() {
 }
 
 #[test]
-fn join_prefetch_matches_mem_across_workers_and_policies() {
+fn join_prefetch_matches_mem_across_workers() {
     // The join prefetch pipeline (chunk-schedule readahead through
-    // dedicated I/O threads) and the 2Q admission policy only warm the
-    // cache and reorder evictions: file-backed prefetching joins must be
-    // byte-identical to the sequential mem reference at every worker
-    // count, and the pipeline must actually run (issued pages > 0) at
-    // multi-worker counts where chunks exist to schedule.
+    // dedicated I/O threads) only warms the cache: file-backed
+    // prefetching joins must be byte-identical to the sequential mem
+    // reference at every worker count, and the pipeline must actually run
+    // (issued pages > 0) at multi-worker counts where chunks exist to
+    // schedule.
     let a = generate(&DatasetSpec {
         max_side: 5.0,
         ..DatasetSpec::uniform(3_000, 107)
@@ -196,38 +196,31 @@ fn join_prefetch_matches_mem_across_workers_and_policies() {
         &RunConfig::default(),
     );
     let reference = canonicalize(reference);
-    for policy in [
-        tfm_storage::CachePolicy::Clock,
-        tfm_storage::CachePolicy::TwoQ,
-    ] {
-        let mut total_issued = 0;
-        for &threads in &WORKER_SWEEP {
-            let join_cfg = transformers::JoinConfig::default()
-                .with_cache_policy(policy)
-                .with_io_depth(2)
-                .with_readahead(128);
-            let approach = Approach::TransformersParallel(join_cfg, threads);
-            let (m, pairs) = run_approach(&approach, "io-eq", &a, &b, &file_cfg(&dir));
-            assert_eq!(
-                canonicalize(pairs),
-                reference,
-                "prefetch x{threads} ({policy}): file backend changed the join result"
-            );
-            assert_eq!(
-                m.prefetch_issued,
-                m.prefetch_hits + m.prefetch_unused,
-                "prefetch x{threads} ({policy}): accounting must partition issued pages"
-            );
-            total_issued += m.prefetch_issued;
-        }
-        // Per-run issue counts are timing-dependent (demand reads can win
-        // the race to every page on a loaded host), but a whole sweep
-        // where the pipeline never lands a single page means it is wired
-        // up wrong.
-        assert!(
-            total_issued > 0,
-            "({policy}): pipeline never issued a page across the worker sweep"
+    let mut total_issued = 0;
+    for &threads in &WORKER_SWEEP {
+        let join_cfg = transformers::JoinConfig::default()
+            .with_io_depth(2)
+            .with_readahead(128);
+        let approach = Approach::TransformersParallel(join_cfg, threads);
+        let (m, pairs) = run_approach(&approach, "io-eq", &a, &b, &file_cfg(&dir));
+        assert_eq!(
+            canonicalize(pairs),
+            reference,
+            "prefetch x{threads}: file backend changed the join result"
         );
+        assert_eq!(
+            m.prefetch_issued,
+            m.prefetch_hits + m.prefetch_unused,
+            "prefetch x{threads}: accounting must partition issued pages"
+        );
+        total_issued += m.prefetch_issued;
     }
+    // Per-run issue counts are timing-dependent (demand reads can win the
+    // race to every page on a loaded host), but a whole sweep where the
+    // pipeline never lands a single page means it is wired up wrong.
+    assert!(
+        total_issued > 0,
+        "pipeline never issued a page across the worker sweep"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

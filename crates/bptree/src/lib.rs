@@ -20,9 +20,9 @@
 //! Traversals are generic over [`tfm_storage::PageReads`]: the `_with`
 //! variants ([`BPlusTree::get_with`], [`BPlusTree::nearest_with`],
 //! [`BPlusTree::range_with`]) read node pages through a caller-supplied
-//! cache (a private `BufferPool`, a `CacheHandle`, or a view onto the
-//! process-wide `SharedPageCache`), so B+-tree pages share whatever cache
-//! the surrounding join or serve session uses. The plain `&Disk` variants
+//! cache — in the join and serve paths the session's `CacheHandle` onto
+//! the process-wide `SharedPageCache`, so B+-tree pages share frames with
+//! the element pages read beside them. The plain `&Disk` variants
 //! remain as uncached conveniences for one-shot lookups.
 
 #![warn(missing_docs)]

@@ -40,9 +40,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!(
-        "tfm — TRANSFORMERS robust spatial joins (ICDE 2016 reproduction)
+/// What `tfm help` prints. Each subcommand's block (from its `  tfm NAME`
+/// line to the next) names exactly the flags in that subcommand's
+/// [`COMMAND_FLAGS`] entry; a test holds the two equal.
+const USAGE: &str = "tfm — TRANSFORMERS robust spatial joins (ICDE 2016 reproduction)
 
 USAGE:
   tfm generate --count N --out FILE [--distribution D] [--seed S] [--max-side F]
@@ -55,9 +56,9 @@ USAGE:
       byte-identical at any --build-threads setting. With --backend file
       the pages are written to a real on-disk image DIR/build.pages
   tfm join --a FILE --b FILE [--approach A] [--page-size N] [--threads N]
-           [--build-threads N] [--no-transform] [--no-prune] [--private-pool]
+           [--build-threads N] [--no-transform] [--no-prune]
            [--backend mem|file] [--store DIR] [--io-depth N] [--readahead N]
-           [--cache-policy clock|2q] [--verify] [--skew-file PATH]
+           [--verify] [--skew-file PATH]
            [--metrics PATH] [--metrics-format jsonl|prometheus]
            [--metrics-interval-ms N]
       A: transformers | no-tr | pbsm | rtree | gipsy | sssj | s3 (default: transformers)
@@ -67,8 +68,6 @@ USAGE:
       --no-transform: parallel path only — workers skip role transformations
       --no-prune: parallel path only — disable the shared cross-worker
                   to-do-list pruning board (workers prune only locally)
-      --private-pool: ablation — read join pages through per-worker private
-                  buffer pools instead of the process-wide shared page cache
       --skew-file PATH: persist each workload's observed steal fraction in a
                   JSON sidecar and feed it back as the scheduler's recorded
                   skew signal on the next run (parallel path only)
@@ -76,15 +75,12 @@ USAGE:
                   transformers path prefetches each chunk's unit-page
                   schedule through N dedicated I/O threads, keeping up to
                   --readahead pages in flight (results stay byte-identical)
-      --cache-policy clock|2q: shared-cache eviction policy — 2q adds
-                  scan-resistant admission (prefetched pages are
-                  probationary); clock is the ablation default
   tfm serve --in FILE [--engine E] [--queries N] [--threads N] [--batch N]
-            [--no-hilbert] [--private-pool] [--mix M] [--page-size N]
+            [--no-hilbert] [--mix M] [--page-size N]
             [--build-threads N] [--trace-seed S] [--window F] [--eps F]
             [--shards N] [--shard-partitioner hilbert|str] [--shed]
             [--backend mem|file] [--store DIR] [--io-depth N] [--readahead N]
-            [--cache-policy clock|2q] [--auto-batch]
+            [--auto-batch]
             [--verify] [--metrics PATH] [--metrics-format jsonl|prometheus]
             [--metrics-interval-ms N]
       builds the chosen index once, generates a deterministic query trace
@@ -93,9 +89,7 @@ USAGE:
       E: transformers | gipsy | rtree  (default: transformers)
       M: uniform | clustered | neuro   (default: uniform)
       --batch N: queries per batch (default 64); --no-hilbert replays each
-                  batch in arrival order instead of Hilbert order;
-                  --private-pool serves from per-worker pools instead of the
-                  shared page cache (ablation)
+                  batch in arrival order instead of Hilbert order
       --shards N: serve through a sharded scatter-gather cluster of N
                   self-contained index shards (each with its own page cache
                   and worker pool of --threads workers); probes are routed
@@ -107,7 +101,6 @@ USAGE:
       --auto-batch: let the serve loop retune its batch size from the
                   observed cache hit fraction and sequential-read fraction
                   (multi-worker path; results stay byte-identical)
-      --cache-policy clock|2q: shared-cache eviction policy (see tfm join)
   tfm mutate --in FILE [--ops N] [--write-permille N] [--insert-permille N]
              [--wal-dir DIR] [--threads N] [--batch N] [--seed S]
              [--page-size N] [--build-threads N] [--verify]
@@ -139,8 +132,8 @@ STORAGE BACKEND (build + join + serve):
       --io-depth N puts N dedicated I/O threads behind the workers and
       --readahead N keeps up to N pages in flight — serve follows each
       batch's Hilbert-ordered page schedule, join follows each chunk's
-      unit-page schedule from the claimed pivot run (shared-cache runs;
-      results stay byte-identical).
+      unit-page schedule from the claimed pivot run (results stay
+      byte-identical).
       --store/--io-depth/--readahead require --backend file.
 
 METRICS (join + serve):
@@ -148,9 +141,58 @@ METRICS (join + serve):
       cache/IO/latency/stage-timing metrics to PATH — JSON lines by default,
       Prometheus text with --metrics-format prometheus; serve additionally
       appends one trace line per query (queue-wait/service split and
-      buffer-pool attribution). --metrics-interval-ms N makes a background
-      thread append a registry snapshot every N ms (JSON lines only)."
-    );
+      page-cache attribution). --metrics-interval-ms N makes a background
+      thread append a registry snapshot every N ms (JSON lines only).";
+
+fn print_usage() {
+    println!("{USAGE}");
+}
+
+/// The `--flags` each subcommand reads, whitespace-separated.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("generate", "--count --out --distribution --seed --max-side"),
+    (
+        "build",
+        "--in --page-size --build-threads --unit-capacity --node-capacity --backend --store",
+    ),
+    (
+        "join",
+        "--a --b --approach --page-size --threads --build-threads --no-transform --no-prune \
+         --backend --store --io-depth --readahead --verify --skew-file \
+         --metrics --metrics-format --metrics-interval-ms",
+    ),
+    (
+        "serve",
+        "--in --engine --queries --threads --batch --no-hilbert --mix --page-size --build-threads \
+         --trace-seed --window --eps --shards --shard-partitioner --shed \
+         --backend --store --io-depth --readahead --auto-batch --verify \
+         --metrics --metrics-format --metrics-interval-ms",
+    ),
+    (
+        "mutate",
+        "--in --ops --write-permille --insert-permille --wal-dir --threads --batch --seed \
+         --page-size --build-threads --verify",
+    ),
+    ("info", "--in"),
+];
+
+/// Fails on the first `--token` of `args` that `command` does not read —
+/// a misspelt or retired flag must not silently become a no-op. Every
+/// subcommand calls this first, before it touches a file.
+fn reject_unknown_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let known = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map_or("", |(_, flags)| flags);
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.split_whitespace().any(|f| f == *a))
+    {
+        Some(unknown) => Err(format!(
+            "unknown option `{unknown}` for `tfm {command}`; try `tfm help`"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Looks up the value following `--name`.
@@ -248,17 +290,6 @@ fn parse_store_opts(args: &[String]) -> Result<StoreOpts, String> {
         other => Err(format!(
             "unknown backend `{other}` (mem | file | file-checksummed)"
         )),
-    }
-}
-
-/// Parses `--cache-policy clock|2q` (default clock) for the commands that
-/// read pages through the shared page cache (`tfm join`, `tfm serve`).
-fn parse_cache_policy(args: &[String]) -> Result<tfm_storage::CachePolicy, String> {
-    match opt(args, "--cache-policy") {
-        Some(s) => s
-            .parse::<tfm_storage::CachePolicy>()
-            .map_err(|e| format!("invalid --cache-policy: {e}")),
-        None => Ok(tfm_storage::CachePolicy::Clock),
     }
 }
 
@@ -379,6 +410,7 @@ fn finish_metrics(
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("generate", args)?;
     let count: usize = parse(required(args, "--count")?, "--count")?;
     let out = required(args, "--out")?;
     let seed: u64 = parse(opt(args, "--seed").unwrap_or("0"), "--seed")?;
@@ -414,24 +446,13 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 fn cmd_build(args: &[String]) -> Result<(), String> {
     use transformers::{IndexConfig, TransformersIndex};
 
+    // `--io-depth`/`--readahead` drive the join/serve prefetch pipelines;
+    // `tfm build` only writes the page image, so it does not read them.
+    reject_unknown_flags("build", args)?;
     let path = required(args, "--in")?;
     let page_size: usize = parse(opt(args, "--page-size").unwrap_or("2048"), "--page-size")?;
     let build_threads = parse_worker_count(args, "--build-threads")?;
     let store = parse_store_opts(args)?;
-    if opt(args, "--io-depth").is_some() || opt(args, "--readahead").is_some() {
-        return Err(
-            "--io-depth/--readahead drive the join/serve prefetch pipelines; \
-             `tfm build` only writes the page image"
-                .into(),
-        );
-    }
-    if opt(args, "--cache-policy").is_some() {
-        return Err(
-            "--cache-policy selects the join/serve read-cache eviction policy; \
-             `tfm build` only writes the page image"
-                .into(),
-        );
-    }
     let mut cfg = IndexConfig::default().with_build_threads(build_threads);
     if let Some(v) = opt(args, "--unit-capacity") {
         cfg.unit_capacity = Some(parse(v, "--unit-capacity")?);
@@ -493,6 +514,7 @@ fn parse_approach(name: &str) -> Result<Approach, String> {
 }
 
 fn cmd_join(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("join", args)?;
     let path_a = required(args, "--a")?;
     let path_b = required(args, "--b")?;
     let approach = parse_approach(opt(args, "--approach").unwrap_or("transformers"))?;
@@ -501,9 +523,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let build_threads = parse_worker_count(args, "--build-threads")?;
     let no_transform = flag(args, "--no-transform");
     let no_prune = flag(args, "--no-prune");
-    let private_pool = flag(args, "--private-pool");
     let store = parse_store_opts(args)?;
-    let cache_policy = parse_cache_policy(args)?;
     let parallel_transformers = threads > 1 && matches!(approach, Approach::Transformers(_));
     if (no_transform || no_prune) && !parallel_transformers {
         eprintln!(
@@ -512,12 +532,12 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         );
     }
     // Join prefetch runs where the unit-page schedule exists: the parallel
-    // transformers path reading through the shared cache. Anywhere else a
-    // requested readahead would silently demand-page, so say so.
-    if store.readahead > 0 && (!parallel_transformers || private_pool) {
+    // transformers path. Anywhere else a requested readahead would silently
+    // demand-page, so say so.
+    if store.readahead > 0 && !parallel_transformers {
         eprintln!(
             "note: join prefetch (--readahead/--io-depth) engages on the parallel \
-             transformers path with the shared page cache; this run demand-pages"
+             transformers path; this run demand-pages"
         );
     }
 
@@ -525,10 +545,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     // execution subsystem (`tfm-exec`); other approaches are sequential.
     let approach = match (approach, threads) {
         (Approach::Transformers(mut join_cfg), t) => {
-            join_cfg = join_cfg.with_cache_policy(cache_policy);
-            if private_pool {
-                join_cfg = join_cfg.with_private_pools();
-            }
             if t > 1 {
                 if no_transform {
                     join_cfg = join_cfg.without_worker_transforms();
@@ -552,11 +568,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
                     "note: --threads only affects the transformers approach; running sequentially"
                 );
             }
-            if opt(args, "--cache-policy").is_some() {
-                eprintln!(
-                    "note: --cache-policy only affects the transformers approach; ignored here"
-                );
-            }
             other
         }
     };
@@ -573,7 +584,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let cfg = RunConfig {
         page_size,
         build_threads,
-        shared_cache: !private_pool,
         backend: store.backend.clone(),
         ..RunConfig::default()
     };
@@ -610,9 +620,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
             store.io_depth,
             store.readahead
         );
-    }
-    if cache_policy != tfm_storage::CachePolicy::Clock {
-        println!("cache policy:    {cache_policy}");
     }
     println!("datasets:        |A| = {}, |B| = {}", m.n_a, m.n_b);
     println!("result pairs:    {}", m.results);
@@ -671,6 +678,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use tfm_datagen::{generate_trace, ProbeMix, QueryTraceSpec};
     use tfm_serve::ServeConfig;
 
+    reject_unknown_flags("serve", args)?;
     let path = required(args, "--in")?;
     let engine = match opt(args, "--engine").unwrap_or("transformers") {
         "transformers" => ServeEngineKind::Transformers,
@@ -696,22 +704,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let window: f64 = parse(opt(args, "--window").unwrap_or("20"), "--window")?;
     let eps: f64 = parse(opt(args, "--eps").unwrap_or("5"), "--eps")?;
     let store = parse_store_opts(args)?;
-    let cache_policy = parse_cache_policy(args)?;
     let auto_batch = flag(args, "--auto-batch");
-    if opt(args, "--shards").is_some() {
-        // The sharded cluster keeps per-shard CLOCK caches and a fixed
-        // batch loop; fail fast before any file I/O.
-        if auto_batch {
-            return Err(
-                "--auto-batch tunes the unsharded serve batch loop; not supported with --shards"
-                    .into(),
-            );
-        }
-        if opt(args, "--cache-policy").is_some() {
-            return Err(
-                "--cache-policy applies to the unsharded serve path; shard caches are CLOCK".into(),
-            );
-        }
+    if auto_batch && opt(args, "--shards").is_some() {
+        // The sharded cluster runs a fixed batch loop; fail fast before
+        // any file I/O.
+        return Err(
+            "--auto-batch tunes the unsharded serve batch loop; not supported with --shards".into(),
+        );
     }
     if auto_batch && threads == 1 {
         eprintln!(
@@ -736,11 +735,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         threads,
         batch,
         hilbert_batching: !flag(args, "--no-hilbert"),
-        shared_cache: !flag(args, "--private-pool"),
         io_depth: store.io_depth,
         readahead: store.readahead,
         auto_batch,
-        cache_policy,
         ..ServeConfig::default()
     };
     let metrics = parse_metrics(args)?;
@@ -922,21 +919,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     println!(
         "serve I/O:       {} pages ({} sequential, {} random — {:.1}% sequential), \
-         {} pool hits ({:.1}% hit rate, {} cache)",
+         {} pool hits ({:.1}% hit rate)",
         m.pages_read,
         m.seq_reads,
         m.rand_reads,
         m.seq_read_fraction() * 100.0,
         m.pool_hits,
-        m.pool_hit_fraction() * 100.0,
-        if m.shared_cache { "shared" } else { "private" }
+        m.pool_hit_fraction() * 100.0
     );
-    if m.shared_cache {
-        println!(
-            "cache:           {} policy, lock contention {}/{}",
-            m.cache_policy, m.lock_contended, m.lock_acquisitions
-        );
-    }
+    println!(
+        "cache:           lock contention {}/{}",
+        m.lock_contended, m.lock_acquisitions
+    );
     println!("result ids:      {}", m.result_ids);
     if let Some(mo) = &metrics {
         finish_metrics(mo, snap, &traces)?;
@@ -975,6 +969,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
     use tfm_storage::{NoopLog, RedoLog, SharedPageCache};
     use transformers::{IndexConfig, MutableTransformers, MutationOp, TransformersIndex};
 
+    reject_unknown_flags("mutate", args)?;
     let path = required(args, "--in")?;
     let ops: usize = parse(opt(args, "--ops").unwrap_or("1000"), "--ops")?;
     let write_permille: u32 = parse(
@@ -1189,6 +1184,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("info", args)?;
     let path = required(args, "--in")?;
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     println!("file:      {path}");
@@ -1747,8 +1743,8 @@ mod tests {
         let err = cmd_serve(&sv(&["--in", "x.elems", "--backend", "nvme"])).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
 
-        // `tfm build` writes the image but has no prefetch pipeline and
-        // no read cache.
+        // `tfm build` writes the image but has no prefetch pipeline, so
+        // the prefetch knobs are not among its flags.
         let err = cmd_build(&sv(&[
             "--in",
             "x.elems",
@@ -1758,38 +1754,89 @@ mod tests {
             "2",
         ]))
         .expect_err("build must reject prefetch knobs");
-        assert!(err.contains("prefetch"), "{err}");
-        let err = cmd_build(&sv(&["--in", "x.elems", "--cache-policy", "2q"]))
-            .expect_err("build must reject --cache-policy");
-        assert!(err.contains("cache-policy"), "{err}");
+        assert!(err.contains("`--io-depth` for `tfm build`"), "{err}");
     }
 
     #[test]
-    fn cache_policy_and_auto_batch_flags_are_validated() {
-        // Unknown policy names fail with the candidate list, on both
-        // commands that read through the shared cache.
-        let err = cmd_join(&sv(&["--a", "x.a", "--b", "x.b", "--cache-policy", "lru"]))
-            .expect_err("unknown policy must be rejected");
-        assert!(err.contains("unknown cache policy"), "{err}");
-        let err = cmd_serve(&sv(&["--in", "x.elems", "--cache-policy", "arc"]))
-            .expect_err("unknown policy must be rejected");
-        assert!(err.contains("unknown cache policy"), "{err}");
-
-        // The sharded cluster keeps per-shard CLOCK caches and a fixed
-        // batch loop: both knobs are orphans with --shards.
+    fn auto_batch_flag_is_validated() {
+        // The sharded cluster runs a fixed batch loop: the knob is an
+        // orphan with --shards.
         let err = cmd_serve(&sv(&["--in", "x.elems", "--shards", "2", "--auto-batch"]))
             .expect_err("--auto-batch must be rejected with --shards");
         assert!(err.contains("--shards"), "{err}");
-        let err = cmd_serve(&sv(&[
-            "--in",
-            "x.elems",
-            "--shards",
-            "2",
-            "--cache-policy",
-            "2q",
+    }
+
+    /// The `--flags` named between `command`'s `  tfm NAME` line of
+    /// [`USAGE`] and the next subcommand's (or the first section heading).
+    fn flags_in_usage_block(command: &str) -> std::collections::BTreeSet<&'static str> {
+        let start = USAGE
+            .find(&format!("\n  tfm {command} "))
+            .unwrap_or_else(|| panic!("no `tfm {command}` block in USAGE"));
+        let block = &USAGE[start + 1..];
+        let end = block[1..]
+            .find("\n  tfm ")
+            .or_else(|| block.find("\n\n"))
+            .expect("block ends at the next subcommand or section");
+        block[..end + 1]
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect()
+    }
+
+    #[test]
+    fn each_subcommand_reads_exactly_the_flags_its_usage_block_names() {
+        for (command, flags) in COMMAND_FLAGS {
+            let listed: std::collections::BTreeSet<&str> = flags.split_whitespace().collect();
+            assert_eq!(
+                listed.len(),
+                flags.split_whitespace().count(),
+                "`tfm {command}` lists a flag twice"
+            );
+            assert_eq!(
+                listed,
+                flags_in_usage_block(command),
+                "`tfm {command}`: COMMAND_FLAGS and its USAGE block disagree"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_any_file_is_read() {
+        // None of the named files exists: an error that names the flag
+        // (not the file) proves the check ran first.
+        type Command = fn(&[String]) -> Result<(), String>;
+        let commands: [(&str, Command, &[&str]); 6] = [
+            (
+                "generate",
+                cmd_generate,
+                &["--count", "5", "--out", "/nonexistent/x"],
+            ),
+            ("build", cmd_build, &["--in", "missing.elems"]),
+            ("join", cmd_join, &["--a", "missing.a", "--b", "missing.b"]),
+            ("serve", cmd_serve, &["--in", "missing.elems"]),
+            ("mutate", cmd_mutate, &["--in", "missing.elems"]),
+            ("info", cmd_info, &["--in", "missing.elems"]),
+        ];
+        for (command, cmd, base) in commands {
+            let mut args = sv(base);
+            args.push("--bogus".into());
+            let err = cmd(&args).expect_err("unknown flag must be rejected");
+            assert_eq!(
+                err,
+                format!("unknown option `--bogus` for `tfm {command}`; try `tfm help`")
+            );
+        }
+        // A near-miss of a real flag is not that flag.
+        let err = cmd_join(&sv(&[
+            "--a",
+            "missing.a",
+            "--b",
+            "missing.b",
+            "--thread",
+            "4",
         ]))
-        .expect_err("--cache-policy must be rejected with --shards");
-        assert!(err.contains("unsharded"), "{err}");
+        .expect_err("--thread is not --threads");
+        assert!(err.contains("`--thread` for `tfm join`"), "{err}");
     }
 
     #[test]
@@ -1845,8 +1892,6 @@ mod tests {
             "--batch",
             "16",
             "--auto-batch",
-            "--cache-policy",
-            "2q",
             "--verify",
         ]))
         .unwrap();
@@ -1883,8 +1928,8 @@ mod tests {
         }
 
         // Parallel join over file-backed indexes with the prefetch
-        // pipeline and 2Q admission on verifies against the nested-loop
-        // oracle — prefetch and policy must not change results.
+        // pipeline on verifies against the nested-loop oracle — prefetch
+        // must not change results.
         cmd_join(&sv(&[
             "--a",
             elems.to_str().unwrap(),
@@ -1900,8 +1945,6 @@ mod tests {
             "2",
             "--readahead",
             "64",
-            "--cache-policy",
-            "2q",
             "--verify",
         ]))
         .unwrap();

@@ -120,18 +120,13 @@ pub struct JoinConfig {
     /// Adaptive-walk patience: expansions without distance improvement
     /// before the walk gives up (the paper's `isMovingAway` test).
     pub walk_patience: usize,
-    /// Page-cache capacity (pages) per dataset during the join — the
-    /// capacity of the shared cache in shared mode, or of each worker's
-    /// private pool (split across workers in the parallel path) in
-    /// private mode.
-    pub pool_pages: usize,
-    /// Read element, metadata-adjacent and B+-tree pages through **one
-    /// process-wide [`tfm_storage::SharedPageCache`] per dataset**, shared
+    /// Page-cache capacity (pages) per dataset during the join: the join
+    /// reads element and B+-tree pages through one
+    /// [`tfm_storage::SharedPageCache`] of this size per dataset, shared
     /// by all workers (zero-copy pin guards + decoded element-page tier).
-    /// `false` restores the per-worker private [`tfm_storage::BufferPool`]s
-    /// — the `--private-pool` ablation. Results are byte-identical either
-    /// way; only I/O counters change.
-    pub shared_cache: bool,
+    /// Results are byte-identical at any capacity; only I/O counters
+    /// change.
+    pub pool_pages: usize,
     /// In-memory grid hash join configuration (paper §VII-A).
     pub mem_grid: GridConfig,
     /// Node-level prefilter: join guide and follower page MBBs before
@@ -162,17 +157,10 @@ pub struct JoinConfig {
     /// pivot/worker-derived default. The sequential join ignores this
     /// field.
     pub recorded_steal_skew: Option<f64>,
-    /// Replacement policy of the per-dataset caches:
-    /// [`tfm_storage::CachePolicy::Clock`] (the default, and the
-    /// `--cache-policy clock` ablation) or the scan-resistant
-    /// [`tfm_storage::CachePolicy::TwoQ`]. Results are byte-identical
-    /// either way — replacement only changes which reads hit.
-    pub cache_policy: tfm_storage::CachePolicy,
     /// Parallel path only: prefetch window in pages (capacity of the
     /// bounded [`tfm_storage::PrefetchQueue`] feeding the I/O threads).
     /// `0` (the default) disables join prefetch — every unit page is
-    /// demand-paged. Requires `shared_cache`; the sequential join ignores
-    /// this field.
+    /// demand-paged. The sequential join ignores this field.
     pub readahead: usize,
     /// Parallel path only: dedicated prefetch I/O threads when `readahead`
     /// is non-zero (clamped to at least 1). Ignored when prefetch is off.
@@ -186,14 +174,12 @@ impl Default for JoinConfig {
             first_guide: GuidePick::A,
             walk_patience: 64,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
-            shared_cache: true,
             mem_grid: GridConfig::default(),
             node_prefilter: true,
             hilbert_walk_start: true,
             worker_role_transforms: true,
             cross_worker_pruning: true,
             recorded_steal_skew: None,
-            cache_policy: tfm_storage::CachePolicy::Clock,
             readahead: 0,
             io_depth: 1,
         }
@@ -231,24 +217,11 @@ impl JoinConfig {
         self
     }
 
-    /// Builder: disables the shared page cache (the `--private-pool`
-    /// ablation): every worker reads through a private buffer pool again.
-    pub fn with_private_pools(mut self) -> Self {
-        self.shared_cache = false;
-        self
-    }
-
     /// Builder: records a pivot-cost skew signal (clamped to `0.0..=1.0`)
     /// for the parallel scheduler's adaptive chunk sizing — pass a previous
     /// run's `ExecReport::steal_fraction()`.
     pub fn with_recorded_skew(mut self, skew: f64) -> Self {
         self.recorded_steal_skew = Some(skew.clamp(0.0, 1.0));
-        self
-    }
-
-    /// Builder: selects the cache replacement policy.
-    pub fn with_cache_policy(mut self, policy: tfm_storage::CachePolicy) -> Self {
-        self.cache_policy = policy;
         self
     }
 
@@ -321,12 +294,6 @@ mod tests {
             IndexConfig::default().with_build_threads(4).build_threads,
             4
         );
-    }
-
-    #[test]
-    fn shared_cache_defaults_on_with_private_ablation() {
-        assert!(JoinConfig::default().shared_cache);
-        assert!(!JoinConfig::default().with_private_pools().shared_cache);
     }
 
     #[test]

@@ -44,13 +44,14 @@ use crate::config::IndexConfig;
 use crate::descriptor::{NodeId, SpaceNode, SpaceUnitDesc, UnitId};
 use crate::metadata;
 use crate::probe_dir::ProbeDirectory;
+use std::sync::Arc;
 use tfm_bptree::BPlusTree;
 use tfm_geom::{hilbert, Aabb, HasMbb, SpatialElement};
 use tfm_partition::{IndexBuildPipeline, UniformGrid};
 use tfm_pool::StagePool;
 use tfm_storage::{
-    BufferPool, CacheHandle, Disk, ElemSlice, ElementPageCodec, ElementRecords, PageId, PageReads,
-    PoolCounters, SharedPageCache,
+    CacheHandle, Disk, ElementPageCodec, ElementRecords, PageId, PageReads, PoolCounters,
+    SharedPageCache,
 };
 
 /// Serialized size of one unit descriptor (see `metadata.rs`).
@@ -362,47 +363,30 @@ impl TransformersIndex {
             .map(|(_, node)| NodeId(node as u32))
     }
 
-    /// Reads and decodes one space unit's elements through `pool`.
-    ///
-    /// For concurrent readers prefer [`TransformersIndex::unit_reader`]:
-    /// one shared pool behind a `&mut` would serialize every reader, while
-    /// a [`UnitReader`] per worker reads the (thread-safe) disk through a
-    /// private cache with no contention.
-    pub fn read_unit(&self, pool: &mut BufferPool<'_>, unit: UnitId) -> Vec<SpatialElement> {
-        let desc = &self.units[unit.0 as usize];
-        let codec = ElementPageCodec::new(pool.disk().page_size());
-        codec.decode(pool.read(desc.page))
+    /// Reads and decodes one space unit's elements through `pages` — a
+    /// one-off read for a single owner (an example, a test). Concurrent
+    /// readers take a [`UnitReader`] each
+    /// ([`unit_reader_shared`](Self::unit_reader_shared)).
+    pub fn read_unit(&self, pages: &mut impl PageReads, unit: UnitId) -> Vec<SpatialElement> {
+        let page = pages.page(self.units[unit.0 as usize].page);
+        ElementPageCodec::new(page.len()).decode(&page)
     }
 
     /// Creates a cheap per-worker read handle over this index's element
-    /// pages: a **private** [`BufferPool`] of `pool_pages` pages plus the
-    /// decoding codec. `Disk` reads take `&self`, so any number of
-    /// [`UnitReader`]s can serve queries against one shared index
-    /// concurrently without contending on a single pool. This is the
-    /// private-pool ablation mode; the default read path is
-    /// [`unit_reader_shared`](Self::unit_reader_shared).
-    pub fn unit_reader<'d>(&self, disk: &'d Disk, pool_pages: usize) -> UnitReader<'_, 'd, 'd> {
-        self.unit_reader_with(CacheHandle::private(disk, pool_pages))
-    }
-
-    /// Creates a per-worker read handle that is a thin view over the
-    /// process-wide [`SharedPageCache`]: reads pin cached frames zero-copy
-    /// and element pages a join materialises are shared, decoded, across
-    /// every reader of the cache, while hit/miss counters stay per-handle.
+    /// pages: a thin view over the process-wide [`SharedPageCache`] plus
+    /// the decoding codec. Reads pin cached frames zero-copy and element
+    /// pages a join materialises are shared, decoded, across every reader
+    /// of the cache, while hit/miss counters stay per-handle — so any
+    /// number of [`UnitReader`]s can serve queries against one shared
+    /// index concurrently.
     pub fn unit_reader_shared<'c, 'd>(
         &self,
         cache: &'c SharedPageCache<'d>,
     ) -> UnitReader<'_, 'c, 'd> {
-        self.unit_reader_with(CacheHandle::shared(cache))
-    }
-
-    /// Creates a read handle over a caller-supplied [`CacheHandle`].
-    pub fn unit_reader_with<'c, 'd>(&self, cache: CacheHandle<'c, 'd>) -> UnitReader<'_, 'c, 'd> {
         UnitReader {
             units: &self.units,
             codec: ElementPageCodec::new(cache.disk().page_size()),
-            cache,
-            scratch: Vec::new(),
+            cache: CacheHandle::shared(cache),
         }
     }
 
@@ -421,31 +405,26 @@ impl TransformersIndex {
 }
 
 /// A per-worker read handle over one index's element pages: a
-/// [`CacheHandle`] (private pool *or* a view onto the process-wide shared
-/// cache) plus the page codec and a decode scratch buffer.
+/// [`CacheHandle`] onto the process-wide shared cache plus the page codec.
 ///
 /// This is the "split handle" that lets many readers share one immutable
 /// [`TransformersIndex`]: the descriptor tables are borrowed read-only,
-/// the disk is read through `&self`, and all handle state (counters,
-/// scratch, the private pool if any) is per-handle — so `N` workers hold
-/// `N` independent readers whose only shared state is the lock-striped
-/// cache itself.
+/// the disk is read through `&self`, and the handle's counters are its
+/// own — so `N` workers hold `N` independent readers whose only shared
+/// state is the lock-striped cache itself.
 ///
 /// Which method pins and which copies:
 ///
 /// * [`with_records`](Self::with_records) **pins**: the unit's page stays
 ///   in its cache frame and the caller reads ids and boxes in place. The
 ///   probe paths use it — they test each box once and keep only ids.
-/// * [`elements`](Self::elements), [`read`](Self::read) and
-///   [`read_into`](Self::read_into) **materialise** `SpatialElement`s for
-///   callers that keep them (the joins): `elements` borrows the shared
-///   cache's decoded tier or the handle's scratch, the other two copy into
-///   a caller-owned `Vec`.
+/// * [`elements`](Self::elements) **materialises** `SpatialElement`s for
+///   callers that keep them (the GIPSY join): it hands out the shared
+///   cache's decoded-tier entry, decoding only when no reader has yet.
 pub struct UnitReader<'i, 'c, 'd> {
     units: &'i [SpaceUnitDesc],
     codec: ElementPageCodec,
     cache: CacheHandle<'c, 'd>,
-    scratch: Vec<SpatialElement>,
 }
 
 impl<'c, 'd> UnitReader<'_, 'c, 'd> {
@@ -467,38 +446,12 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
         f(self.codec.view(&page))
     }
 
-    /// Reads and decodes one space unit's elements into a fresh vector.
-    /// Prefer [`elements`](Self::elements) when a borrow is enough.
-    pub fn read(&mut self, unit: UnitId) -> Vec<SpatialElement> {
-        self.elements(unit).to_vec()
-    }
-
-    /// Decodes one unit's elements into `out`, reusing its capacity.
-    pub fn read_into(&mut self, unit: UnitId, out: &mut Vec<SpatialElement>) {
-        let page = self.units[unit.0 as usize].page;
-        match &mut self.cache {
-            // Private mode decodes straight into `out` — no extra copy.
-            CacheHandle::Private(pool) => self.codec.decode_into(pool.read(page), out),
-            shared => {
-                let elems = shared.elements(&self.codec, page, &mut self.scratch);
-                out.clear();
-                out.extend_from_slice(&elems);
-            }
-        }
-    }
-
     /// Materialises one unit's elements without a copy into caller memory:
-    /// the shared cache's decoded tier is borrowed directly (`Arc` clone,
-    /// no decode on a hit); private pools decode into the handle's scratch
-    /// buffer. The returned guard derefs to `[SpatialElement]`.
-    pub fn elements(&mut self, unit: UnitId) -> ElemSlice<'_> {
-        let Self {
-            units,
-            codec,
-            cache,
-            scratch,
-        } = self;
-        cache.elements(codec, units[unit.0 as usize].page, scratch)
+    /// the shared cache's decoded tier entry itself (`Arc` clone, no
+    /// decode on a hit).
+    pub fn elements(&mut self, unit: UnitId) -> Arc<[SpatialElement]> {
+        self.cache
+            .elements(&self.codec, self.units[unit.0 as usize].page)
     }
 
     /// The disk page a unit's elements live on (the elevator-order key).
@@ -716,10 +669,9 @@ mod tests {
     #[test]
     fn pages_roundtrip_all_elements() {
         let (disk, idx, elems) = build(3000, 54);
-        let mut pool = BufferPool::with_default_capacity(&disk);
         let mut ids: Vec<u64> = Vec::new();
         for u in idx.units() {
-            let read = idx.read_unit(&mut pool, u.id);
+            let read = idx.read_unit(&mut &disk, u.id);
             assert_eq!(read.len(), u.count as usize);
             for e in &read {
                 assert!(u.page_mbb.contains(&e.mbb));
@@ -737,22 +689,24 @@ mod tests {
         let (disk, idx, elems) = build(3000, 62);
         let mut expected: Vec<u64> = elems.iter().map(|e| e.id).collect();
         expected.sort_unstable();
-        // Four threads, each with a private reader over the same index and
-        // disk — no `&mut` sharing, no locks, identical decoded contents.
+        // Four threads, each with its own reader over the same index and
+        // cache — no `&mut` sharing, identical decoded contents.
+        let cache = SharedPageCache::new(&disk, 64);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let mut reader = idx.unit_reader(&disk, 64);
+                    let mut reader = idx.unit_reader_shared(&cache);
                     let mut ids: Vec<u64> = Vec::new();
-                    let mut buf = Vec::new();
                     for u in idx.units() {
-                        reader.read_into(u.id, &mut buf);
                         assert_eq!(reader.page_of(u.id), u.page);
-                        ids.extend(buf.iter().map(|e| e.id));
+                        ids.extend(reader.elements(u.id).iter().map(|e| e.id));
                     }
                     ids.sort_unstable();
                     assert_eq!(ids, expected);
-                    assert!(reader.misses() > 0);
+                    // Whoever faulted a page in, every read is this
+                    // handle's own hit or miss.
+                    let reads = reader.hits() + reader.misses();
+                    assert_eq!(reads, idx.units().len() as u64);
                 });
             }
         });

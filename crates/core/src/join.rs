@@ -55,12 +55,12 @@ fn vol(b: &Aabb) -> f64 {
 struct Side<'a> {
     idx: &'a TransformersIndex,
     disk: &'a Disk,
-    /// The read path: a view onto the dataset's shared page cache
-    /// (default) or a private pool (`JoinConfig::shared_cache = false`).
+    /// The read path: this owner's view onto the dataset's shared page
+    /// cache.
     cache: CacheHandle<'a, 'a>,
     codec: ElementPageCodec,
     // Shared read-only descriptor tables (parallel workers hold clones of
-    // the same `Arc`s; only `checked`/`scratch`/`pool` are per-owner).
+    // the same `Arc`s; only `checked`/`scratch`/`cache` are per-owner).
     nodes: Arc<Vec<SpaceNode>>,
     units: Arc<Vec<SpaceUnitDesc>>,
     checked: Vec<bool>,
@@ -74,16 +74,14 @@ struct Side<'a> {
 impl<'a> Side<'a> {
     fn new(
         idx: &'a TransformersIndex,
-        disk: &'a Disk,
-        cfg: &JoinConfig,
         stats: &mut TransformersStats,
-        shared: Option<&'a SharedPageCache<'a>>,
+        cache: &'a SharedPageCache<'a>,
     ) -> Self {
         // Join startup: (re)load the descriptor tables from the metadata
         // region — sequential reads charged to the disk.
-        let (nodes, units, meta_pages) = idx.load_metadata(disk);
+        let (nodes, units, meta_pages) = idx.load_metadata(cache.disk());
         stats.metadata_pages_read += meta_pages;
-        Self::with_tables(idx, disk, cfg, Arc::new(nodes), Arc::new(units), shared)
+        Self::with_tables(idx, Arc::new(nodes), Arc::new(units), cache)
     }
 
     /// Builds a side from pre-loaded descriptor tables. The parallel
@@ -92,21 +90,16 @@ impl<'a> Side<'a> {
     /// per join and the tables exist once in memory.
     fn with_tables(
         idx: &'a TransformersIndex,
-        disk: &'a Disk,
-        cfg: &JoinConfig,
         nodes: Arc<Vec<SpaceNode>>,
         units: Arc<Vec<SpaceUnitDesc>>,
-        shared: Option<&'a SharedPageCache<'a>>,
+        cache: &'a SharedPageCache<'a>,
     ) -> Self {
         let n = nodes.len();
-        let cache = match shared {
-            Some(cache) => CacheHandle::shared(cache),
-            None => CacheHandle::private(disk, cfg.pool_pages),
-        };
+        let disk = cache.disk();
         Self {
             idx,
             disk,
-            cache,
+            cache: CacheHandle::shared(cache),
             codec: ElementPageCodec::new(disk.page_size()),
             nodes,
             units,
@@ -136,16 +129,10 @@ impl<'a> Side<'a> {
     }
 
     fn read_unit_elements(&mut self, unit: UnitId, out: &mut Vec<SpatialElement>) {
+        // The decoded tier: a page several workers pivot over is decoded
+        // once per residency.
         let page = self.units[unit.0 as usize].page;
-        if self.cache.is_shared() {
-            // The decoded tier: a page several workers pivot over is
-            // decoded once. Shared handles leave the scratch untouched.
-            out.extend_from_slice(&self.cache.elements(&self.codec, page, &mut Vec::new()));
-        } else {
-            // A private pool has no decoded tier to fill: one copy,
-            // straight from the pool's frame into `out`.
-            out.extend(self.codec.view(&self.cache.page(page)).iter());
-        }
+        out.extend_from_slice(&self.cache.elements(&self.codec, page));
     }
 }
 
@@ -264,17 +251,13 @@ pub fn transformers_join(
     let io_before = disk_a.stats().merged(&disk_b.stats());
     let mut stats = TransformersStats::default();
 
-    // The per-dataset page caches: one shared (sequential join = one
-    // reader, but identical machinery and accounting to the parallel
-    // path) or private pools under the `--private-pool` ablation.
-    let cache_a = cfg
-        .shared_cache
-        .then(|| SharedPageCache::with_policy(disk_a, cfg.pool_pages, 1, cfg.cache_policy));
-    let cache_b = cfg
-        .shared_cache
-        .then(|| SharedPageCache::with_policy(disk_b, cfg.pool_pages, 1, cfg.cache_policy));
-    let mut side_a = Side::new(idx_a, disk_a, cfg, &mut stats, cache_a.as_ref());
-    let mut side_b = Side::new(idx_b, disk_b, cfg, &mut stats, cache_b.as_ref());
+    // The per-dataset page caches. The sequential join is one reader, so
+    // one shard each — but the machinery and accounting are the parallel
+    // path's.
+    let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
+    let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
+    let mut side_a = Side::new(idx_a, &mut stats, &cache_a);
+    let mut side_b = Side::new(idx_b, &mut stats, &cache_b);
 
     let mut ctx = Ctx::new(cfg, idx_a, idx_b, disk_b, stats);
 
@@ -315,12 +298,8 @@ pub fn transformers_join(
     if obs.is_enabled() {
         ctx.stats.publish(obs);
         delta.publish(obs);
-        if let Some(c) = &cache_a {
-            c.stats().publish_shared_extras(obs);
-        }
-        if let Some(c) = &cache_b {
-            c.stats().publish_shared_extras(obs);
-        }
+        cache_a.stats().publish_shared_extras(obs);
+        cache_b.stats().publish_shared_extras(obs);
     }
 
     JoinOutcome {
@@ -768,8 +747,8 @@ fn push_oriented(raw: &mut Vec<ResultPair>, pairs: Vec<ResultPair>, guide_is_a: 
     }
 }
 
-/// One dataset handed to a [`PivotEngine`]: its index, its disk, and the
-/// shared pre-loaded descriptor tables.
+/// One dataset handed to a [`PivotEngine`]: its index, the page cache over
+/// its disk, and the shared pre-loaded descriptor tables.
 ///
 /// The tables are loaded (and their metadata I/O charged) **once** per
 /// join by the caller — see [`TransformersIndex::load_metadata`] — and
@@ -778,22 +757,19 @@ fn push_oriented(raw: &mut Vec<ResultPair>, pairs: Vec<ResultPair>, guide_is_a: 
 pub struct EngineSide<'a> {
     /// The dataset's index.
     pub idx: &'a TransformersIndex,
-    /// The disk holding the dataset's pages.
-    pub disk: &'a Disk,
     /// Space-node descriptor table (shared, read-only).
     pub nodes: Arc<Vec<SpaceNode>>,
     /// Space-unit descriptor table (shared, read-only).
     pub units: Arc<Vec<SpaceUnitDesc>>,
-    /// The dataset's process-wide page cache, shared by every worker's
-    /// engine (`None` = the private-pool ablation: each engine owns a
-    /// `BufferPool` of `JoinConfig::pool_pages` pages).
-    pub cache: Option<&'a SharedPageCache<'a>>,
+    /// The process-wide page cache over the dataset's disk, shared by
+    /// every worker's engine.
+    pub cache: &'a SharedPageCache<'a>,
 }
 
 /// A single-pivot join executor: the building block of the parallel
 /// execution subsystem (`tfm-exec`).
 ///
-/// Each worker owns one engine — its own buffer pools, exploration
+/// Each worker owns one engine — its own cache handles, exploration
 /// scratch, cost model and statistics accumulator — and processes a
 /// disjoint subset of the guide's node pivots via
 /// [`PivotEngine::process_pivot`]. A bare engine (as built by
@@ -857,24 +833,15 @@ impl<'a> PivotEngine<'a> {
             );
         }
         let (idx_a, idx_b, model_disk) = if guide_is_a {
-            (guide.idx, follower.idx, follower.disk)
+            (guide.idx, follower.idx, follower.cache.disk())
         } else {
-            (follower.idx, guide.idx, guide.disk)
+            (follower.idx, guide.idx, guide.cache.disk())
         };
         let ctx = Ctx::new(cfg, idx_a, idx_b, model_disk, TransformersStats::default());
         Self {
-            guide: Side::with_tables(
-                guide.idx,
-                guide.disk,
-                cfg,
-                guide.nodes,
-                guide.units,
-                guide.cache,
-            ),
+            guide: Side::with_tables(guide.idx, guide.nodes, guide.units, guide.cache),
             follower: Side::with_tables(
                 follower.idx,
-                follower.disk,
-                cfg,
                 follower.nodes,
                 follower.units,
                 follower.cache,
@@ -970,7 +937,7 @@ impl<'a> PivotEngine<'a> {
     /// Tears the engine down, returning the raw (unsorted, possibly
     /// duplicated) result pairs oriented `(id in A, id in B)` plus this
     /// worker's statistics. `pages_read` is filled from the engine's own
-    /// buffer-pool misses; `unique_results` and `sim_io` are left for the
+    /// cache-handle misses; `unique_results` and `sim_io` are left for the
     /// caller, which owns deduplication and global I/O accounting.
     pub fn finish(self) -> (Vec<ResultPair>, TransformersStats) {
         let mut stats = self.ctx.stats;
@@ -1239,34 +1206,19 @@ mod tests {
         }
     }
 
-    /// Builds the two [`EngineSide`]s of a join, loading each side's
-    /// descriptor tables once (as `tfm-exec` does).
-    fn engine_sides<'a>(
-        idx_a: &'a TransformersIndex,
-        disk_a: &'a Disk,
-        idx_b: &'a TransformersIndex,
-        disk_b: &'a Disk,
-    ) -> (EngineSide<'a>, EngineSide<'a>) {
-        let (na, ua, _) = idx_a.load_metadata(disk_a);
-        let (nb, ub, _) = idx_b.load_metadata(disk_b);
-        let (na, ua) = (Arc::new(na), Arc::new(ua));
-        let (nb, ub) = (Arc::new(nb), Arc::new(ub));
-        (
-            EngineSide {
-                idx: idx_a,
-                disk: disk_a,
-                nodes: na,
-                units: ua,
-                cache: None,
-            },
-            EngineSide {
-                idx: idx_b,
-                disk: disk_b,
-                nodes: nb,
-                units: ub,
-                cache: None,
-            },
-        )
+    /// Builds one [`EngineSide`] of a join, loading the side's descriptor
+    /// tables (as `tfm-exec` does, once for all workers).
+    fn engine_side<'a>(
+        idx: &'a TransformersIndex,
+        cache: &'a SharedPageCache<'a>,
+    ) -> EngineSide<'a> {
+        let (nodes, units, _) = idx.load_metadata(cache.disk());
+        EngineSide {
+            idx,
+            nodes: Arc::new(nodes),
+            units: Arc::new(units),
+            cache,
+        }
     }
 
     #[test]
@@ -1301,9 +1253,11 @@ mod tests {
             idx_a.nodes().len(),
             idx_b.nodes().len(),
         ));
+        let cache_a = SharedPageCache::new(&disk_a, cfg.pool_pages);
+        let cache_b = SharedPageCache::new(&disk_b, cfg.pool_pages);
         let mut engines: Vec<PivotEngine> = (0..2)
             .map(|_| {
-                let (ga, gb) = engine_sides(&idx_a, &disk_a, &idx_b, &disk_b);
+                let (ga, gb) = (engine_side(&idx_a, &cache_a), engine_side(&idx_b, &cache_b));
                 PivotEngine::new(ga, gb, true, &cfg)
                     .with_role_transforms(true)
                     .with_shared_todo(Arc::clone(&todo))

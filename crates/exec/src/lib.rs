@@ -19,8 +19,9 @@
 //!   workloads get finer chunks for stealing, balanced ones longer
 //!   locality runs;
 //! * a scoped **worker pool** ([`pool::StagePool`]) where each worker owns
-//!   a private [`transformers::PivotEngine`] (its own buffer pools,
-//!   exploration scratch, cost model and statistics accumulator);
+//!   a private [`transformers::PivotEngine`] (its own cache handles,
+//!   exploration scratch, cost model and statistics accumulator) over the
+//!   two per-dataset [`SharedPageCache`]s every worker reads through;
 //! * a **deterministic merge**: raw per-worker pair buffers are
 //!   concatenated in worker order, sorted and deduplicated — exactly the
 //!   normalization the sequential join applies — so [`parallel_join`]
@@ -208,9 +209,8 @@ pub struct ExecReport {
     /// window is mis-sized when this grows against `prefetch_issued`.
     pub prefetch_unused: u64,
     /// Element-page reads answered by the shared caches' decoded tier (both
-    /// sides; 0 under private pools, which have none). The join is the one
-    /// path that fills the tier, so this split is what says whether the
-    /// tier earns its keep.
+    /// sides). The join is the one path that fills the tier, so this split
+    /// is what says whether the tier earns its keep.
     pub decoded_hits: u64,
     /// Element-page reads that had to decode (and filled the tier).
     pub decoded_misses: u64,
@@ -278,35 +278,24 @@ pub fn parallel_join_with_report(
     // transformations (when enabled) let individual workers locally
     // re-pivot on the other side without changing that list.
     let guide_is_a = matches!(cfg.first_guide, GuidePick::A);
-    // One routing decision so index, disk and tables can never pair up
-    // inconsistently: (idx, disk, nodes, units) per role.
+    // The per-dataset page caches shared by every worker: one
+    // lock-striped cache per disk, sized to the configured pool budget and
+    // sharded for the worker count.
+    let shards = SharedPageCache::shards_for_threads(threads);
+    let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, shards);
+    let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, shards);
+    // One routing decision so index, cache and tables can never pair up
+    // inconsistently: (idx, cache, nodes, units) per role.
     let (guide_side, follower_side) = if guide_is_a {
         (
-            (idx_a, disk_a, &nodes_a, &units_a),
-            (idx_b, disk_b, &nodes_b, &units_b),
+            (idx_a, &cache_a, &nodes_a, &units_a),
+            (idx_b, &cache_b, &nodes_b, &units_b),
         )
     } else {
         (
-            (idx_b, disk_b, &nodes_b, &units_b),
-            (idx_a, disk_a, &nodes_a, &units_a),
+            (idx_b, &cache_b, &nodes_b, &units_b),
+            (idx_a, &cache_a, &nodes_a, &units_a),
         )
-    };
-
-    // The per-dataset page caches shared by every worker (the default):
-    // one lock-striped cache per disk, sized to the configured pool budget
-    // and sharded for the worker count. `--private-pool` falls back to
-    // per-worker pools with the budget split across workers.
-    let shards = SharedPageCache::shards_for_threads(threads);
-    let cache_a = cfg
-        .shared_cache
-        .then(|| SharedPageCache::with_policy(disk_a, cfg.pool_pages, shards, cfg.cache_policy));
-    let cache_b = cfg
-        .shared_cache
-        .then(|| SharedPageCache::with_policy(disk_b, cfg.pool_pages, shards, cfg.cache_policy));
-    let (guide_cache, follower_cache) = if guide_is_a {
-        (cache_a.as_ref(), cache_b.as_ref())
-    } else {
-        (cache_b.as_ref(), cache_a.as_ref())
     };
 
     // The join-path prefetch pipeline (the serve tier's readahead, pointed
@@ -315,7 +304,7 @@ pub fn parallel_join_with_report(
     // `io_depth` dedicated I/O threads pop ids and land the pages into
     // recycled cache frames ahead of the workers. Purely a warm-up —
     // results are byte-identical with prefetch on or off.
-    let prefetch_on = cfg.shared_cache && cfg.readahead > 0;
+    let prefetch_on = cfg.readahead > 0;
     let io_threads = if prefetch_on { cfg.io_depth.max(1) } else { 0 };
     let prefetch_queue = prefetch_on.then(|| PrefetchQueue::new(cfg.readahead));
     // The last join worker to finish closes the window so the I/O threads
@@ -336,22 +325,6 @@ pub fn parallel_join_with_report(
         .cross_worker_pruning
         .then(|| Arc::new(SharedTodo::new(nodes_a.len(), nodes_b.len())));
 
-    // Private-pool ablation: split the configured buffer-pool budget
-    // across the workers so the aggregate page-cache size stays close to
-    // the sequential join's instead of silently multiplying by the worker
-    // count. (Each pool needs at least one page, so with `threads >
-    // pool_pages` the aggregate necessarily exceeds the budget.) In
-    // shared mode the budget is the shared cache's capacity and needs no
-    // split.
-    let worker_cfg = JoinConfig {
-        pool_pages: if cfg.shared_cache {
-            cfg.pool_pages
-        } else {
-            (cfg.pool_pages / threads).max(1)
-        },
-        ..*cfg
-    };
-
     // The scoped worker pool (extracted to `tfm-pool` in PR 3): one worker
     // per thread plus the dedicated prefetch I/O threads, results collected
     // in worker order — the deterministic merge below depends on that
@@ -366,32 +339,25 @@ pub fn parallel_join_with_report(
                 .expect("I/O threads only spawn with prefetch on");
             let mut scratch = Vec::new();
             while let Some(id) = pq.pop() {
-                if id.0 & FOLLOWER_PAGE_TAG != 0 {
-                    if let Some(c) = follower_cache {
-                        c.prefetch_page(PageId(id.0 & !FOLLOWER_PAGE_TAG), &mut scratch);
-                    }
-                } else if let Some(c) = guide_cache {
-                    c.prefetch_page(id, &mut scratch);
-                }
+                let side = if id.0 & FOLLOWER_PAGE_TAG != 0 {
+                    follower_side
+                } else {
+                    guide_side
+                };
+                side.1
+                    .prefetch_page(PageId(id.0 & !FOLLOWER_PAGE_TAG), &mut scratch);
             }
             return (Vec::new(), TransformersStats::default(), 0);
         }
-        let guide = EngineSide {
-            idx: guide_side.0,
-            disk: guide_side.1,
-            nodes: Arc::clone(guide_side.2),
-            units: Arc::clone(guide_side.3),
-            cache: guide_cache,
-        };
-        let follower = EngineSide {
-            idx: follower_side.0,
-            disk: follower_side.1,
-            nodes: Arc::clone(follower_side.2),
-            units: Arc::clone(follower_side.3),
-            cache: follower_cache,
-        };
-        let mut engine = PivotEngine::new(guide, follower, guide_is_a, &worker_cfg)
-            .with_role_transforms(worker_cfg.worker_role_transforms);
+        let [guide, follower] =
+            [guide_side, follower_side].map(|(idx, cache, nodes, units)| EngineSide {
+                idx,
+                cache,
+                nodes: Arc::clone(nodes),
+                units: Arc::clone(units),
+            });
+        let mut engine = PivotEngine::new(guide, follower, guide_is_a, cfg)
+            .with_role_transforms(cfg.worker_role_transforms);
         if let Some(todo) = &todo {
             engine = engine.with_shared_todo(Arc::clone(todo));
         }
@@ -451,7 +417,7 @@ pub fn parallel_join_with_report(
     // undercounts at end of run), then sum both sides.
     let (mut pf_issued, mut pf_hits, mut pf_unused) = (0, 0, 0);
     let (mut decoded_hits, mut decoded_misses) = (0, 0);
-    for c in [&cache_a, &cache_b].into_iter().flatten() {
+    for c in [&cache_a, &cache_b] {
         if prefetch_on {
             c.reclaim_unused_prefetch();
         }
@@ -504,12 +470,8 @@ pub fn parallel_join_with_report(
             obs.counter(names::IO_PREFETCH_JOIN_UNUSED)
                 .add(report.prefetch_unused);
         }
-        if let Some(c) = &cache_a {
-            c.stats().publish_shared_extras(obs);
-        }
-        if let Some(c) = &cache_b {
-            c.stats().publish_shared_extras(obs);
-        }
+        cache_a.stats().publish_shared_extras(obs);
+        cache_b.stats().publish_shared_extras(obs);
     }
     (JoinOutcome { pairs: raw, stats }, report)
 }
@@ -783,20 +745,6 @@ mod tests {
                 assert_eq!(report.worker_pivots.len(), threads.max(1));
             }
         }
-    }
-
-    #[test]
-    fn prefetch_under_2q_policy_matches_sequential() {
-        let (disk_a, idx_a) = build(&uniform(3_000, 16));
-        let (disk_b, idx_b) = build(&uniform(3_000, 17));
-        let base = JoinConfig::default();
-        let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &base);
-        let cfg = base
-            .with_cache_policy(tfm_storage::CachePolicy::TwoQ)
-            .with_readahead(128)
-            .with_io_depth(2);
-        let par = parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, 4);
-        assert_eq!(par.pairs, seq.pairs);
     }
 
     #[test]

@@ -27,21 +27,17 @@
 
 use tfm_geom::SpatialElement;
 use tfm_memjoin::{JoinStats, ResultPair};
-use tfm_storage::{CacheHandle, Disk, ElementPageCodec, PageId, PageReads, SharedPageCache};
+use tfm_storage::{Disk, ElementPageCodec, PageId, SharedPageCache};
 use transformers::{IndexBuildPipeline, TransformersIndex};
 
 /// Configuration of a GIPSY join.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GipsyConfig {
-    /// Page-cache pages for the dense dataset's element pages.
+    /// Capacity in pages of the [`SharedPageCache`] the dense dataset's
+    /// element and B+-tree pages are read through.
     pub pool_pages: usize,
     /// Walk patience (same semantics as TRANSFORMERS').
     pub walk_patience: usize,
-    /// Read the dense side through a [`SharedPageCache`] (zero-copy pin
-    /// guards + decoded tier) instead of a private pool. Results are
-    /// identical either way; this is the same `--private-pool` ablation
-    /// switch the TRANSFORMERS join has.
-    pub shared_cache: bool,
 }
 
 impl Default for GipsyConfig {
@@ -49,7 +45,6 @@ impl Default for GipsyConfig {
         Self {
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
             walk_patience: 64,
-            shared_cache: true,
         }
     }
 }
@@ -142,21 +137,11 @@ pub fn gipsy_join(
 
     let sparse_codec = ElementPageCodec::new(sparse_disk.page_size());
     // Per-join read handle over the dense side's element pages — the same
-    // split handle concurrent query serving hands to each worker, viewing
-    // either the shared page cache (default) or a private pool.
-    let dense_cache = cfg
-        .shared_cache
-        .then(|| SharedPageCache::with_shards(dense_disk, cfg.pool_pages, 1));
-    let mut dense_reader = match &dense_cache {
-        Some(cache) => dense.unit_reader_shared(cache),
-        None => dense.unit_reader(dense_disk, cfg.pool_pages),
-    };
+    // split handle concurrent query serving hands to each worker. One
+    // reader, so one shard.
+    let dense_cache = SharedPageCache::with_shards(dense_disk, cfg.pool_pages, 1);
+    let mut dense_reader = dense.unit_reader_shared(&dense_cache);
     let mut scratch = ExploreScratch::default();
-    // The sparse file is a single sequential scan; a tiny private cache
-    // handle routes it through the same decode-into read path instead of
-    // allocating a fresh `Vec` per page (`Disk::read_page_vec`).
-    let mut sparse_cache = CacheHandle::private(sparse_disk, 4);
-    let mut sparse_scratch = Vec::new();
 
     let nodes = dense.nodes();
     let units = dense.units();
@@ -166,10 +151,9 @@ pub fn gipsy_join(
     let mut walk_pos: Option<transformers::NodeId> = None;
 
     for &page in &sparse.pages {
-        // Sequential scan of the sparse dataset.
-        let sparse_elems: Vec<SpatialElement> = sparse_cache
-            .elements(&sparse_codec, page, &mut sparse_scratch)
-            .to_vec();
+        // Sequential scan of the sparse dataset: every page is read once,
+        // so it goes straight to the disk.
+        let sparse_elems = sparse_codec.decode(&sparse_disk.read_page_vec(page));
         for e in &sparse_elems {
             stats.metadata_tests += 1;
             if !dense_extent.intersects(&e.mbb) {
@@ -209,9 +193,7 @@ pub fn gipsy_join(
                 .sort_unstable_by_key(|u| units[u.0 as usize].page);
 
             for cu in crawl.candidates {
-                // Zero-copy read: the shared cache's decoded tier is
-                // borrowed directly; the private ablation decodes into
-                // the handle's scratch buffer.
+                // Zero-copy read: the shared cache's decoded tier entry.
                 let dense_page = dense_reader.elements(cu);
                 for d in dense_page.iter() {
                     stats.mem.element_tests += 1;

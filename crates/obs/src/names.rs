@@ -63,6 +63,9 @@ pub const IO_PREFETCH_ISSUED: &str = "io.prefetch.issued";
 pub const IO_PREFETCH_HITS: &str = "io.prefetch.hits";
 /// Prefetched frames evicted before any demand read used them.
 pub const IO_PREFETCH_UNUSED: &str = "io.prefetch.unused";
+/// Prefetch reads dropped because a cache write reached the page's shard
+/// while the read was in flight (the bytes could predate the write).
+pub const IO_PREFETCH_STALE: &str = "io.prefetch.stale";
 
 // --- io.prefetch.join.* : the join-path slice of the readahead pipeline ---
 //
@@ -78,22 +81,6 @@ pub const IO_PREFETCH_JOIN_HITS: &str = "io.prefetch.join.hits";
 /// Join-prefetched frames never used by a demand read (evicted early, or
 /// still untouched when the join finished).
 pub const IO_PREFETCH_JOIN_UNUSED: &str = "io.prefetch.join.unused";
-
-// --- cache.2q.* : scan-resistant 2Q admission (CachePolicy::TwoQ) ---
-//
-// Only published when the 2Q policy is active; see
-// `tfm_storage::CachePolicy` for the tier semantics.
-
-/// Demand misses the ghost queue admitted straight to the protected tier.
-pub const CACHE_2Q_GHOST_PROMOTIONS: &str = "cache.2q.ghost_promotions";
-/// Probationary frames promoted on a second demand access.
-pub const CACHE_2Q_REUSE_PROMOTIONS: &str = "cache.2q.reuse_promotions";
-/// Fills admitted as scan traffic (prefetch landings, always probationary).
-pub const CACHE_2Q_SCAN_ADMISSIONS: &str = "cache.2q.scan_admissions";
-/// Evictions taken from the probationary tier.
-pub const CACHE_2Q_PROBATION_EVICTIONS: &str = "cache.2q.probation_evictions";
-/// Evictions taken from the protected tier.
-pub const CACHE_2Q_PROTECTED_EVICTIONS: &str = "cache.2q.protected_evictions";
 
 // --- wal.* : the write-ahead log (tfm-wal) ---
 //

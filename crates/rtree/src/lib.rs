@@ -223,7 +223,8 @@ impl RTree {
 
     /// Returns the ids of all elements whose MBB intersects `query`.
     /// Node pages are read through `pool` (any [`PageReads`] implementor:
-    /// a private `BufferPool`, a `CacheHandle`, the shared cache).
+    /// a serve session's `CacheHandle` onto the shared cache, or the
+    /// `BufferPool` of a sequential baseline run).
     pub fn range_query<C: PageReads>(
         &self,
         pool: &mut C,

@@ -1,11 +1,11 @@
 //! The [`QueryEngine`] trait and its three implementations.
 //!
-//! An engine wraps one *built, immutable* index structure and hands out
-//! per-worker [`QuerySession`]s. All mutable state a query needs — the
-//! buffer pool, exploration scratch, walk position — lives in the session,
-//! so any number of workers can serve queries against one shared engine
-//! with no synchronization beyond the (already thread-safe) simulated
-//! disk.
+//! An engine wraps one *built, immutable* index structure plus the
+//! [`SharedPageCache`] over its disk, and hands out per-worker
+//! [`QuerySession`]s. All mutable state a query needs — the cache handle
+//! with its counters, exploration scratch, walk position — lives in the
+//! session, so any number of workers can serve queries against one shared
+//! engine with no synchronization beyond the lock-striped cache.
 //!
 //! * [`TransformersEngine`] — serves from the TRANSFORMERS hierarchy: the
 //!   in-memory descriptor tables prefilter nodes then units by page MBB,
@@ -25,7 +25,8 @@
 use tfm_geom::{ElementId, SpatialQuery};
 use tfm_rtree::{RTree, RtreeStats};
 use tfm_storage::{
-    CacheHandle, CachePolicy, CacheStats, Disk, IoStatsSnapshot, PageId, PageReads, SharedPageCache,
+    CacheHandle, CacheStats, Disk, IoStatsSnapshot, PageId, PageReads, SharedPageCache,
+    DEFAULT_POOL_PAGES,
 };
 use transformers::{explore, MutableTransformers, TransformersIndex, UnitId, UnitReader};
 
@@ -37,28 +38,38 @@ pub trait QueryEngine: Sync {
     /// Approach-style label for reports ("TRANSFORMERS", "GIPSY", …).
     fn label(&self) -> &'static str;
 
-    /// Point-in-time I/O counters of the engine's disk(s); the serve
-    /// driver charges the delta to the run.
-    fn io_snapshot(&self) -> IoStatsSnapshot;
-
-    /// Creates a per-worker session. In private-pool mode the session
-    /// owns a buffer pool of `pool_pages` pages; engines constructed with
-    /// a shared cache ignore `pool_pages` and hand out thin views over
-    /// the one process-wide cache instead.
+    /// Creates a per-worker session: a thin view over the engine's cache
+    /// plus the worker's scratch state. `pool_pages` is **not read** — a
+    /// session owns no pages, the cache was sized when the engine was
+    /// built — and keeps its place only for the callers that still pass
+    /// it.
     fn session(&self, pool_pages: usize) -> Box<dyn QuerySession + '_>;
 
-    /// Counters of the engine's shared page cache (`None` when the engine
-    /// runs the private-pool ablation).
-    fn cache_stats(&self) -> Option<CacheStats> {
-        None
+    /// The page cache every session of this engine reads through.
+    fn cache(&self) -> &SharedPageCache<'_>;
+
+    /// Point-in-time I/O counters of the engine's disk; the serve driver
+    /// charges the delta to the run.
+    fn io_snapshot(&self) -> IoStatsSnapshot {
+        self.cache().disk().stats()
     }
 
-    /// Drops the shared cache's resident pages and zeroes its counters so
-    /// comparable measurement runs start cold (no-op in private mode).
-    fn reset_cache(&self) {}
+    /// Counters of the engine's page cache.
+    fn cache_stats(&self) -> CacheStats {
+        self.cache().stats()
+    }
 
-    /// True when the engine can accept readahead: it has a shared cache
-    /// to land pages into and a cheap way to compute a schedule.
+    /// Drops the cache's resident pages and zeroes its counters so
+    /// comparable measurement runs start cold. Dirty frames survive
+    /// `clear` by design (they are the only copy of committed-but-unflushed
+    /// state), so resetting a mutable engine never loses writes.
+    fn reset_cache(&self) {
+        self.cache().clear();
+        self.cache().reset_stats();
+    }
+
+    /// True when the engine has a cheap way to compute a readahead
+    /// schedule ([`prefetch_schedule`](Self::prefetch_schedule)).
     fn supports_prefetch(&self) -> bool {
         false
     }
@@ -73,11 +84,13 @@ pub trait QueryEngine: Sync {
         Vec::new()
     }
 
-    /// Lands one scheduled page into the engine's shared cache (no-op in
-    /// private-pool mode). Called from dedicated I/O threads with a
-    /// reusable scratch buffer; the disk wait happens outside any cache
-    /// lock (see [`SharedPageCache::prefetch_page`]).
-    fn prefetch_page(&self, _id: PageId, _scratch: &mut Vec<u8>) {}
+    /// Lands one scheduled page into the engine's cache. Called from
+    /// dedicated I/O threads with a reusable scratch buffer; the disk wait
+    /// happens outside any cache lock (see
+    /// [`SharedPageCache::prefetch_page`]).
+    fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
+        self.cache().prefetch_page(id, scratch);
+    }
 }
 
 /// The unit pages `queries` will touch in a TRANSFORMERS-style hierarchy:
@@ -117,55 +130,39 @@ fn push_matches(
     });
 }
 
-/// Per-worker query executor: owns the worker's buffer pool and scratch.
+/// Per-worker query executor: owns the worker's cache handle and scratch.
 pub trait QuerySession {
     /// Executes one query, returning the matching element ids in
     /// ascending order (deterministic regardless of worker count,
     /// batching, or execution order).
     fn execute(&mut self, query: &SpatialQuery) -> Vec<ElementId>;
 
-    /// `(hits, misses)` of this session's private buffer pool.
+    /// `(hits, misses)` of this session's own reads through the engine's
+    /// cache (handle-local, so per-worker sums never double-count).
     fn pool_counters(&self) -> (u64, u64);
 }
 
 /// Serves queries from a [`TransformersIndex`]'s hierarchy.
 pub struct TransformersEngine<'a> {
     idx: &'a TransformersIndex,
-    disk: &'a Disk,
-    cache: Option<SharedPageCache<'a>>,
+    cache: SharedPageCache<'a>,
 }
 
 impl<'a> TransformersEngine<'a> {
-    /// Wraps a built index and its disk (private-pool sessions; chain
-    /// [`with_shared_cache`](Self::with_shared_cache) for the shared
-    /// read path).
+    /// Wraps a built index and its disk, with a default-sized cache
+    /// ([`DEFAULT_POOL_PAGES`] pages); chain
+    /// [`with_shared_cache`](Self::with_shared_cache) to size it.
     pub fn new(idx: &'a TransformersIndex, disk: &'a Disk) -> Self {
         Self {
             idx,
-            disk,
-            cache: None,
+            cache: SharedPageCache::new(disk, DEFAULT_POOL_PAGES),
         }
     }
 
-    /// Attaches a process-wide [`SharedPageCache`] of `pages` pages over
-    /// `shards` locks: every session becomes a thin view over it
-    /// (zero-copy pins + shared decoded element pages).
-    pub fn with_shared_cache(self, pages: usize, shards: usize) -> Self {
-        self.with_shared_cache_policy(pages, shards, CachePolicy::Clock)
-    }
-
-    /// [`with_shared_cache`](Self::with_shared_cache) with an explicit
-    /// eviction policy (`--cache-policy`): CLOCK, or the scan-resistant 2Q
-    /// admission that keeps readahead traffic probationary.
-    pub fn with_shared_cache_policy(
-        mut self,
-        pages: usize,
-        shards: usize,
-        policy: CachePolicy,
-    ) -> Self {
-        self.cache = Some(SharedPageCache::with_policy(
-            self.disk, pages, shards, policy,
-        ));
+    /// Replaces the engine's cache with one of `pages` pages over `shards`
+    /// locks (see [`SharedPageCache::shards_for_threads`]).
+    pub fn with_shared_cache(mut self, pages: usize, shards: usize) -> Self {
+        self.cache = SharedPageCache::with_shards(self.cache.disk(), pages, shards);
         self
     }
 }
@@ -175,43 +172,23 @@ impl QueryEngine for TransformersEngine<'_> {
         "TRANSFORMERS"
     }
 
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.disk.stats()
-    }
-
-    fn session(&self, pool_pages: usize) -> Box<dyn QuerySession + '_> {
+    fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(TransformersSession {
             idx: self.idx,
-            reader: match &self.cache {
-                Some(cache) => self.idx.unit_reader_shared(cache),
-                None => self.idx.unit_reader(self.disk, pool_pages),
-            },
+            reader: self.idx.unit_reader_shared(&self.cache),
         })
     }
 
-    fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(SharedPageCache::stats)
-    }
-
-    fn reset_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-            cache.reset_stats();
-        }
+    fn cache(&self) -> &SharedPageCache<'_> {
+        &self.cache
     }
 
     fn supports_prefetch(&self) -> bool {
-        self.cache.is_some()
+        true
     }
 
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         unit_pages_for(self.idx, queries)
-    }
-
-    fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
-        if let Some(cache) = &self.cache {
-            cache.prefetch_page(id, scratch);
-        }
     }
 }
 
@@ -242,10 +219,10 @@ impl QuerySession for TransformersSession<'_> {
 /// Serves queries from a [`MutableTransformers`] overlay — the read side
 /// of the online write path.
 ///
-/// Unlike the immutable engines this one *shares* its cache with the
+/// Unlike the immutable engines this one *borrows* its cache, from the
 /// writer: mutation batches land pages in the cache's dirty tier before
 /// any flush, so readers must go through the same [`SharedPageCache`] the
-/// writer logs into (a private pool reading the raw disk would miss
+/// writer logs into (a second cache over the raw disk would miss
 /// unflushed state). Every [`QuerySession::execute`] call grabs the
 /// overlay's latest published snapshot, so long-lived sessions observe
 /// each committed batch without being recreated, and never block on the
@@ -268,10 +245,6 @@ impl QueryEngine for MutableTransformersEngine<'_> {
         "TRANSFORMERS-MUT"
     }
 
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.cache.disk().stats()
-    }
-
     fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(MutableTransformersSession {
             overlay: self.overlay,
@@ -279,16 +252,8 @@ impl QueryEngine for MutableTransformersEngine<'_> {
         })
     }
 
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.cache.stats())
-    }
-
-    fn reset_cache(&self) {
-        // Dirty frames survive `clear` by design (they are the only copy
-        // of committed-but-unflushed state), so resetting between
-        // measurement runs never loses writes.
-        self.cache.clear();
-        self.cache.reset_stats();
+    fn cache(&self) -> &SharedPageCache<'_> {
+        self.cache
     }
 
     fn supports_prefetch(&self) -> bool {
@@ -296,8 +261,11 @@ impl QueryEngine for MutableTransformersEngine<'_> {
     }
 
     // Base unit pages only: overflow chains would need page reads to
-    // enumerate, and `prefetch_page` leaves resident (dirty) frames
-    // untouched, so the hint stays sound under concurrent writes.
+    // enumerate. The hint stays sound under concurrent writes because
+    // `prefetch_page` leaves resident (dirty) frames untouched *and* drops
+    // a read that a write to the page's shard overtook — "not resident"
+    // alone does not prove the bytes current once the write has been
+    // flushed and evicted (`apply_batch` flushes after every commit).
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         let snap = self.overlay.snapshot();
         let units = snap.units();
@@ -308,10 +276,6 @@ impl QueryEngine for MutableTransformersEngine<'_> {
         pages.sort_unstable();
         pages.dedup();
         pages
-    }
-
-    fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
-        self.cache.prefetch_page(id, scratch);
     }
 }
 
@@ -335,40 +299,25 @@ impl QuerySession for MutableTransformersSession<'_> {
 /// granularity over a connectivity-indexed dataset.
 pub struct GipsyEngine<'a> {
     idx: &'a TransformersIndex,
-    disk: &'a Disk,
     walk_patience: usize,
-    cache: Option<SharedPageCache<'a>>,
+    cache: SharedPageCache<'a>,
 }
 
 impl<'a> GipsyEngine<'a> {
-    /// Wraps the (dense-side) connectivity index and its disk.
+    /// Wraps the (dense-side) connectivity index and its disk, with a
+    /// default-sized cache.
     pub fn new(idx: &'a TransformersIndex, disk: &'a Disk) -> Self {
         Self {
             idx,
-            disk,
             walk_patience: 64,
-            cache: None,
+            cache: SharedPageCache::new(disk, DEFAULT_POOL_PAGES),
         }
     }
 
-    /// Attaches a process-wide [`SharedPageCache`]; see
+    /// Replaces the engine's cache; see
     /// [`TransformersEngine::with_shared_cache`].
-    pub fn with_shared_cache(self, pages: usize, shards: usize) -> Self {
-        self.with_shared_cache_policy(pages, shards, CachePolicy::Clock)
-    }
-
-    /// [`with_shared_cache`](Self::with_shared_cache) with an explicit
-    /// eviction policy; see
-    /// [`TransformersEngine::with_shared_cache_policy`].
-    pub fn with_shared_cache_policy(
-        mut self,
-        pages: usize,
-        shards: usize,
-        policy: CachePolicy,
-    ) -> Self {
-        self.cache = Some(SharedPageCache::with_policy(
-            self.disk, pages, shards, policy,
-        ));
+    pub fn with_shared_cache(mut self, pages: usize, shards: usize) -> Self {
+        self.cache = SharedPageCache::with_shards(self.cache.disk(), pages, shards);
         self
     }
 }
@@ -378,36 +327,22 @@ impl QueryEngine for GipsyEngine<'_> {
         "GIPSY"
     }
 
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.disk.stats()
-    }
-
-    fn session(&self, pool_pages: usize) -> Box<dyn QuerySession + '_> {
+    fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(GipsySession {
             idx: self.idx,
-            reader: match &self.cache {
-                Some(cache) => self.idx.unit_reader_shared(cache),
-                None => self.idx.unit_reader(self.disk, pool_pages),
-            },
+            reader: self.idx.unit_reader_shared(&self.cache),
             scratch: explore::ExploreScratch::default(),
             walk_pos: None,
             walk_patience: self.walk_patience,
         })
     }
 
-    fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(SharedPageCache::stats)
-    }
-
-    fn reset_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-            cache.reset_stats();
-        }
+    fn cache(&self) -> &SharedPageCache<'_> {
+        &self.cache
     }
 
     fn supports_prefetch(&self) -> bool {
-        self.cache.is_some()
+        true
     }
 
     // GIPSY's crawl visits a subset of the unit pages the MBB prefilter
@@ -415,12 +350,6 @@ impl QueryEngine for GipsyEngine<'_> {
     // readahead hint for it too.
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         unit_pages_for(self.idx, queries)
-    }
-
-    fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
-        if let Some(cache) = &self.cache {
-            cache.prefetch_page(id, scratch);
-        }
     }
 }
 
@@ -494,40 +423,24 @@ impl QuerySession for GipsySession<'_> {
 /// Serves queries from an STR-bulk-loaded [`RTree`].
 pub struct RtreeEngine<'a> {
     tree: &'a RTree,
-    disk: &'a Disk,
-    cache: Option<SharedPageCache<'a>>,
+    cache: SharedPageCache<'a>,
 }
 
 impl<'a> RtreeEngine<'a> {
-    /// Wraps a bulk-loaded tree and its disk.
+    /// Wraps a bulk-loaded tree and its disk, with a default-sized cache.
     pub fn new(tree: &'a RTree, disk: &'a Disk) -> Self {
         Self {
             tree,
-            disk,
-            cache: None,
+            cache: SharedPageCache::new(disk, DEFAULT_POOL_PAGES),
         }
     }
 
-    /// Attaches a process-wide [`SharedPageCache`]; see
+    /// Replaces the engine's cache; see
     /// [`TransformersEngine::with_shared_cache`]. (R-tree pages use their
     /// own node layout, so only the byte tier applies — the decoded tier
     /// is specific to element pages.)
-    pub fn with_shared_cache(self, pages: usize, shards: usize) -> Self {
-        self.with_shared_cache_policy(pages, shards, CachePolicy::Clock)
-    }
-
-    /// [`with_shared_cache`](Self::with_shared_cache) with an explicit
-    /// eviction policy; see
-    /// [`TransformersEngine::with_shared_cache_policy`].
-    pub fn with_shared_cache_policy(
-        mut self,
-        pages: usize,
-        shards: usize,
-        policy: CachePolicy,
-    ) -> Self {
-        self.cache = Some(SharedPageCache::with_policy(
-            self.disk, pages, shards, policy,
-        ));
+    pub fn with_shared_cache(mut self, pages: usize, shards: usize) -> Self {
+        self.cache = SharedPageCache::with_shards(self.cache.disk(), pages, shards);
         self
     }
 }
@@ -537,30 +450,16 @@ impl QueryEngine for RtreeEngine<'_> {
         "R-TREE"
     }
 
-    fn io_snapshot(&self) -> IoStatsSnapshot {
-        self.disk.stats()
-    }
-
-    fn session(&self, pool_pages: usize) -> Box<dyn QuerySession + '_> {
+    fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(RtreeSession {
             tree: self.tree,
-            pool: match &self.cache {
-                Some(cache) => CacheHandle::shared(cache),
-                None => CacheHandle::private(self.disk, pool_pages),
-            },
+            pool: CacheHandle::shared(&self.cache),
             stats: RtreeStats::default(),
         })
     }
 
-    fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(SharedPageCache::stats)
-    }
-
-    fn reset_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-            cache.reset_stats();
-        }
+    fn cache(&self) -> &SharedPageCache<'_> {
+        &self.cache
     }
 }
 

@@ -9,10 +9,11 @@
 //!
 //! * [`QueryEngine`] / [`QuerySession`] — one trait implemented by all
 //!   three disk-resident structures (TRANSFORMERS, GIPSY-style
-//!   element-granularity crawling, the R-tree baseline). Engines are
-//!   shared immutably across workers; sessions hold all per-worker
-//!   mutable state (a private [`tfm_storage::BufferPool`] via the core's
-//!   `UnitReader` split handle), so concurrent readers never contend.
+//!   element-granularity crawling, the R-tree baseline). An engine owns
+//!   the one [`tfm_storage::SharedPageCache`] over its disk and is shared
+//!   immutably across workers; sessions hold all per-worker mutable state
+//!   (a counted handle onto that cache via the core's `UnitReader`, walk
+//!   position, scratch), so readers share pages, not locks on state.
 //! * [`RequestQueue`] — the bounded admission edge: blocking `push` is
 //!   backpressure, non-blocking `try_push` is load shedding.
 //! * **Locality-aware batching** — [`serve_trace`] splits the trace into
@@ -96,21 +97,14 @@ pub struct ServeConfig {
     /// Sort each batch by the Hilbert order of probe centers before
     /// execution (on by default; turn off for the arrival-order ablation).
     pub hilbert_batching: bool,
-    /// Total buffer-pool budget in pages, split evenly across workers
-    /// (mirrors the parallel join's budget split, so the aggregate cache
-    /// matches a sequential run's instead of multiplying by the worker
-    /// count).
+    /// Page-cache budget in pages. [`serve_trace`] does not read it — an
+    /// engine's cache is sized when the engine is built
+    /// (`with_shared_cache`) — so this is the number the harnesses that
+    /// *build* engines (`tfm-bench`, the CLI) size that cache with.
     pub pool_pages: usize,
     /// Bounded request-queue capacity in batches — the backpressure
     /// window between the feeding thread and the workers.
     pub queue_batches: usize,
-    /// Serve through one process-wide shared page cache (the default the
-    /// bench/CLI harnesses construct engines with). `false` is the
-    /// `--private-pool` ablation: each worker session owns a private pool
-    /// of `pool_pages / threads` pages. This field is read by the
-    /// harnesses that *build* engines (`tfm-bench`, the CLI) — a
-    /// hand-constructed engine's mode is fixed by its constructor.
-    pub shared_cache: bool,
     /// Collect one [`tfm_obs::QueryTrace`] per query in
     /// [`ServeOutcome::traces`] (queue-wait/service split and per-query
     /// pool-counter attribution). Off by default: trace records cost a
@@ -124,9 +118,9 @@ pub struct ServeConfig {
     /// Readahead window in pages: the capacity of the bounded
     /// [`tfm_storage::PrefetchQueue`] the feeder fills with each batch's
     /// Hilbert-ordered candidate pages. `0` (the default) disables the
-    /// prefetch pipeline entirely; it also stays off on engines without a
-    /// shared cache ([`QueryEngine::supports_prefetch`]) and on the
-    /// single-threaded inline path.
+    /// prefetch pipeline entirely; it also stays off on engines that
+    /// cannot compute a schedule ([`QueryEngine::supports_prefetch`]) and
+    /// on the single-threaded inline path.
     pub readahead: usize,
     /// Self-tuning batch sizing: every few batches the feeder re-scores
     /// the run from the observed cache hit fraction and sequential-read
@@ -138,12 +132,6 @@ pub struct ServeConfig {
     /// size. Only the queued (multi-worker) path tunes; the inline path
     /// ignores this flag.
     pub auto_batch: bool,
-    /// Eviction policy of the shared page cache the harnesses construct
-    /// engines with (`--cache-policy`): CLOCK (the default/ablation) or
-    /// scan-resistant 2Q admission. Like [`ServeConfig::shared_cache`],
-    /// this is read by the engine *builders* (`tfm-bench`, the CLI); a
-    /// hand-constructed engine's policy is fixed by its constructor.
-    pub cache_policy: tfm_storage::CachePolicy,
 }
 
 impl Default for ServeConfig {
@@ -154,12 +142,10 @@ impl Default for ServeConfig {
             hilbert_batching: true,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
             queue_batches: 4,
-            shared_cache: true,
             collect_traces: false,
             io_depth: 1,
             readahead: 0,
             auto_batch: false,
-            cache_policy: tfm_storage::CachePolicy::Clock,
         }
     }
 }
@@ -180,13 +166,6 @@ impl ServeConfig {
     /// Builder: disables Hilbert-ordered batching (arrival order).
     pub fn without_hilbert_batching(mut self) -> Self {
         self.hilbert_batching = false;
-        self
-    }
-
-    /// Builder: the private-pool ablation (see
-    /// [`ServeConfig::shared_cache`]).
-    pub fn without_shared_cache(mut self) -> Self {
-        self.shared_cache = false;
         self
     }
 
@@ -213,13 +192,6 @@ impl ServeConfig {
     /// [`ServeConfig::auto_batch`]).
     pub fn with_auto_batch(mut self) -> Self {
         self.auto_batch = true;
-        self
-    }
-
-    /// Builder: sets the shared-cache eviction policy harnesses build
-    /// engines with (see [`ServeConfig::cache_policy`]).
-    pub fn with_cache_policy(mut self, policy: tfm_storage::CachePolicy) -> Self {
-        self.cache_policy = policy;
         self
     }
 }
@@ -312,7 +284,6 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
     // Filled by the auto-batch feeder: (loop counters, batches fed,
     // widest batch).
     let auto_out: Mutex<Option<(AutoBatchSummary, usize, usize)>> = Mutex::new(None);
-    let pool_pages = (cfg.pool_pages / threads).max(1);
 
     let io_before = engine.io_snapshot();
     let cache_before = engine.cache_stats();
@@ -322,7 +293,7 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
         // Inline fast path: no queue, no spawn — the exact sequential
         // reference the equivalence tests compare against. No queue means
         // no queue wait: those samples are honestly zero.
-        let mut session = engine.session(pool_pages);
+        let mut session = engine.session(cfg.pool_pages);
         let mut done: Vec<Executed> = Vec::with_capacity(trace.len());
         for b in &batches {
             for &qid in b {
@@ -346,7 +317,8 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
         // pages (in the batch's Hilbert order — an ascending page sweep)
         // into a bounded lossy queue, and `io_depth` dedicated I/O
         // threads keep that many reads in flight, landing completed
-        // pages directly into shared-cache frames ahead of the workers.
+        // pages directly into the engine's cache frames ahead of the
+        // workers.
         let prefetch_on = cfg.readahead > 0 && engine.supports_prefetch();
         let io_threads = if prefetch_on { cfg.io_depth.max(1) } else { 0 };
         let prefetch_queue = prefetch_on.then(|| PrefetchQueue::new(cfg.readahead));
@@ -370,7 +342,7 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
                     misses: 0,
                 };
             }
-            let mut session = engine.session(pool_pages);
+            let mut session = engine.session(cfg.pool_pages);
             let mut done: Vec<Executed> = Vec::new();
             if w == 0 {
                 // Worker 0 feeds the queue (blocking on the bounded
@@ -439,10 +411,7 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
 
     let wall = start.elapsed();
     let io = engine.io_snapshot().delta_since(&io_before);
-    let cache = match (engine.cache_stats(), cache_before) {
-        (Some(after), Some(before)) => Some(after.delta_since(&before)),
-        _ => None,
-    };
+    let cache = engine.cache_stats().delta_since(&cache_before);
 
     // Deterministic reassembly by query position. Latencies accumulate
     // into the shared log-bucketed histogram type (always-on, local to
@@ -507,9 +476,7 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
         obs.counter(names::CACHE_HITS).add(pool_hits);
         obs.counter(names::CACHE_MISSES).add(pool_misses);
         io.publish(obs);
-        if let Some(c) = &cache {
-            c.publish_shared_extras(obs);
-        }
+        cache.publish_shared_extras(obs);
         if let Some(ab) = &autobatch {
             obs.counter(names::SERVE_AUTOBATCH_RETUNES).add(ab.retunes);
             obs.counter(names::SERVE_AUTOBATCH_GROWS).add(ab.grows);
@@ -589,22 +556,20 @@ fn feed_auto_batches<E: QueryEngine + ?Sized>(
         since_retune += 1;
         if since_retune >= AUTO_BATCH_WINDOW && start < trace.len() {
             since_retune = 0;
-            // Score the window from whichever signals the engine exposes:
-            // shared-cache hit fraction and/or the sequential-read split.
-            // An engine with neither (private pools, zero reads) never
-            // retunes — the loop degenerates to the fixed base size.
+            // Score the window from whichever signals it produced: the
+            // cache's hit fraction and/or the sequential-read split. A
+            // window with neither (no page touched) does not retune.
             let io_now = engine.io_snapshot();
             let io_delta = io_now.delta_since(&win_io);
             win_io = io_now;
             let mut score = 0.0f64;
             let mut signals = 0u32;
-            if let (Some(after), Some(before)) = (engine.cache_stats(), win_cache) {
-                let d = after.delta_since(&before);
-                if d.hits + d.misses > 0 {
-                    score += d.hits as f64 / (d.hits + d.misses) as f64;
-                    signals += 1;
-                }
-                win_cache = Some(after);
+            let cache_now = engine.cache_stats();
+            let d = cache_now.delta_since(&win_cache);
+            win_cache = cache_now;
+            if d.hits + d.misses > 0 {
+                score += d.hit_fraction();
+                signals += 1;
             }
             if io_delta.reads() > 0 {
                 score += io_delta.seq_read_fraction();
@@ -780,13 +745,10 @@ mod tests {
             max_window_side: 12.0,
             ..QueryTraceSpec::uniform(1500, 17)
         });
-        let engine = TransformersEngine::new(&idx, &disk);
-        let base = ServeConfig {
-            batch: 1500,
-            pool_pages: 64,
-            ..ServeConfig::default()
-        };
+        let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(64, 1);
+        let base = ServeConfig::default().with_batch(1500);
         let unbatched = serve_trace(&engine, &trace, &base.without_hilbert_batching());
+        engine.reset_cache();
         let batched = serve_trace(&engine, &trace, &base);
         assert_eq!(unbatched.results, batched.results);
         assert!(
@@ -798,20 +760,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_engines_match_private_and_report_cache_stats() {
+    fn engines_report_cache_stats_that_sum_from_the_handles() {
         let (disk, idx, elems) = fixture(2500, 22);
         let trace = generate_trace(&QueryTraceSpec::uniform(200, 23));
         let expected = reference(&elems, &trace);
-        let shared = TransformersEngine::new(&idx, &disk).with_shared_cache(256, 4);
+        let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(256, 4);
         for threads in [1, 4] {
-            shared.reset_cache();
+            engine.reset_cache();
             let out = serve_trace(
-                &shared,
+                &engine,
                 &trace,
                 &ServeConfig::default().with_threads(threads),
             );
             assert_eq!(out.results, expected, "threads = {threads}");
-            let cache = out.stats.cache.expect("shared engine reports cache stats");
+            let cache = out.stats.cache;
             assert!(cache.hits + cache.misses > 0);
             // Probes test boxes in the pinned page: a serve run neither
             // consults nor fills the decoded tier.
@@ -821,32 +783,28 @@ mod tests {
             assert_eq!(out.stats.pool_hits, cache.hits);
             assert_eq!(out.stats.pool_misses, cache.misses);
         }
-        // Private-pool engines report no cache stats.
-        let private = TransformersEngine::new(&idx, &disk);
-        let out = serve_trace(&private, &trace, &ServeConfig::default());
-        assert_eq!(out.results, expected);
-        assert!(out.stats.cache.is_none());
     }
 
     #[test]
-    fn shared_cache_reads_fewer_pages_across_workers() {
-        // Four workers over one shared cache: a page faulted by one worker
-        // is a hit for the rest, so total misses must undercut four
-        // private pools replaying the same trace.
+    fn every_candidate_page_misses_once_at_any_worker_count() {
+        // A cache at least as large as the touched page set: whichever
+        // worker faults a page in, it is a hit for everyone after, so a
+        // replay misses exactly once per distinct candidate page.
         let (disk, idx, _) = fixture(6000, 24);
         let trace = generate_trace(&QueryTraceSpec::uniform(400, 25));
-        let cfg = ServeConfig::default().with_threads(4).with_batch(16);
-        let shared_engine = TransformersEngine::new(&idx, &disk).with_shared_cache(1024, 8);
-        let shared = serve_trace(&shared_engine, &trace, &cfg);
-        let private = serve_trace(&TransformersEngine::new(&idx, &disk), &trace, &cfg);
-        assert_eq!(shared.results, private.results);
-        assert!(
-            shared.stats.pool_misses < private.stats.pool_misses,
-            "shared {} must read fewer pages than private {}",
-            shared.stats.pool_misses,
-            private.stats.pool_misses
-        );
-        assert!(shared.stats.pool_hit_fraction() > private.stats.pool_hit_fraction());
+        let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(4096, 8);
+        let distinct_pages = engine.prefetch_schedule(&trace).len() as u64;
+        assert!(distinct_pages > 0);
+        for threads in [1, 2, 4, 8] {
+            engine.reset_cache();
+            let cfg = ServeConfig::default().with_threads(threads).with_batch(16);
+            let out = serve_trace(&engine, &trace, &cfg);
+            assert_eq!(out.stats.pool_misses, distinct_pages, "threads = {threads}");
+            assert_eq!(out.stats.io.reads(), distinct_pages, "threads = {threads}");
+            // Handle-local counters still sum to the cache's totals.
+            assert_eq!(out.stats.pool_misses, out.stats.cache.misses);
+            assert_eq!(out.stats.pool_hits, out.stats.cache.hits);
+        }
     }
 
     #[test]
@@ -872,7 +830,7 @@ mod tests {
             );
             // The I/O threads never surface in per-worker stats.
             assert_eq!(out.stats.per_worker_queries.len(), threads);
-            let cache = out.stats.cache.expect("shared engine reports cache stats");
+            let cache = out.stats.cache;
             assert!(
                 cache.prefetch_issued > 0,
                 "prefetch pipeline must have landed pages"
@@ -883,16 +841,18 @@ mod tests {
             assert_eq!(out.stats.pool_misses, cache.misses);
             assert!(cache.prefetch_hits <= cache.prefetch_issued);
         }
-        // A private-pool engine silently ignores the readahead request.
-        let private = TransformersEngine::new(&idx, &disk);
-        assert!(!private.supports_prefetch());
+        // An engine that cannot compute a schedule ignores the request.
+        let rtree_disk = Disk::in_memory(2048);
+        let tree = tfm_rtree::RTree::bulk_load(&rtree_disk, elems);
+        let rtree = RtreeEngine::new(&tree, &rtree_disk);
+        assert!(!rtree.supports_prefetch());
         let out = serve_trace(
-            &private,
+            &rtree,
             &trace,
             &ServeConfig::default().with_threads(2).with_readahead(64),
         );
         assert_eq!(out.results, expected);
-        assert!(out.stats.cache.is_none());
+        assert_eq!(out.stats.cache.prefetch_issued, 0);
     }
 
     #[test]
@@ -904,30 +864,24 @@ mod tests {
         // to react to and windows to react in.
         let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(64, 4);
         for threads in [2, 4] {
-            for policy in [
-                tfm_storage::CachePolicy::Clock,
-                tfm_storage::CachePolicy::TwoQ,
-            ] {
-                let engine =
-                    TransformersEngine::new(&idx, &disk).with_shared_cache_policy(64, 4, policy);
-                let cfg = ServeConfig::default()
-                    .with_threads(threads)
-                    .with_batch(16)
-                    .with_auto_batch();
-                let out = serve_trace(&engine, &trace, &cfg);
-                assert_eq!(out.results, expected, "threads={threads} policy={policy}");
-                let ab = out
-                    .stats
-                    .autobatch
-                    .expect("queued auto run reports a summary");
-                assert!(ab.retunes > 0, "600 queries at base 16 must cross a window");
-                assert!(ab.final_batch >= 16 && ab.final_batch <= 64);
-                assert!(ab.grows + ab.shrinks <= ab.retunes);
-                assert_eq!(
-                    out.stats.per_worker_queries.iter().sum::<u64>(),
-                    trace.len() as u64
-                );
-            }
+            engine.reset_cache();
+            let cfg = ServeConfig::default()
+                .with_threads(threads)
+                .with_batch(16)
+                .with_auto_batch();
+            let out = serve_trace(&engine, &trace, &cfg);
+            assert_eq!(out.results, expected, "threads={threads}");
+            let ab = out
+                .stats
+                .autobatch
+                .expect("queued auto run reports a summary");
+            assert!(ab.retunes > 0, "600 queries at base 16 must cross a window");
+            assert!(ab.final_batch >= 16 && ab.final_batch <= 64);
+            assert!(ab.grows + ab.shrinks <= ab.retunes);
+            assert_eq!(
+                out.stats.per_worker_queries.iter().sum::<u64>(),
+                trace.len() as u64
+            );
         }
         // The inline path ignores the flag and reports no summary.
         let out = serve_trace(&engine, &trace, &ServeConfig::default().with_auto_batch());
@@ -949,8 +903,7 @@ mod tests {
             .with_auto_batch();
         let out = serve_trace(&engine, &trace, &cfg);
         assert_eq!(out.results, expected);
-        let cache = out.stats.cache.expect("shared engine reports cache stats");
-        assert!(cache.prefetch_issued > 0);
+        assert!(out.stats.cache.prefetch_issued > 0);
         assert!(out.stats.autobatch.is_some());
     }
 
@@ -1017,8 +970,7 @@ mod tests {
             let cfg = ServeConfig::default().with_threads(threads).with_batch(32);
             let got = serve_trace(&engine, &trace, &cfg);
             assert_eq!(got.results, expected, "threads = {threads}");
-            let cache_stats = got.stats.cache.expect("mutable engine shares a cache");
-            assert!(cache_stats.hits + cache_stats.misses > 0);
+            assert!(got.stats.cache.hits + got.stats.cache.misses > 0);
         }
 
         let rebuilt_disk = Disk::in_memory(2048);

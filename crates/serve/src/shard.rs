@@ -469,7 +469,7 @@ pub struct ShardStats {
     /// This shard's cache-handle misses (disk page reads).
     pub pool_misses: u64,
     /// This shard's own `SharedPageCache` counters for the run.
-    pub cache: Option<CacheStats>,
+    pub cache: CacheStats,
     /// I/O delta on this shard's private disk.
     pub io: IoStatsSnapshot,
     /// Partials served by each of this shard's workers.
@@ -568,7 +568,7 @@ struct ShardOut {
     pool_hits: u64,
     pool_misses: u64,
     per_worker_queries: Vec<u64>,
-    cache: Option<CacheStats>,
+    cache: CacheStats,
     io: IoStatsSnapshot,
 }
 
@@ -612,7 +612,7 @@ fn serve_sharded_publishing(
         .map(|s| s.engine(cluster.spec.engine, cache_pages, cache_shards))
         .collect();
     let io_before: Vec<IoStatsSnapshot> = engines.iter().map(|e| e.io_snapshot()).collect();
-    let cache_before: Vec<Option<CacheStats>> = engines.iter().map(|e| e.cache_stats()).collect();
+    let cache_before: Vec<CacheStats> = engines.iter().map(|e| e.cache_stats()).collect();
 
     let queues: Vec<RequestQueue<(Vec<usize>, Instant)>> = (0..n)
         .map(|_| RequestQueue::new(cfg.queue_batches.max(1)))
@@ -645,7 +645,6 @@ fn serve_sharded_publishing(
             .zip(&pqs)
             .map(|((engine, queue), pq)| {
                 scope.spawn(move || {
-                    let pool_pages = (cache_pages / workers).max(1);
                     let io_threads = if pq.is_some() { cfg.io_depth.max(1) } else { 0 };
                     let outs = StagePool::new(workers + io_threads).scoped_run(|w| {
                         if w >= workers {
@@ -657,7 +656,7 @@ fn serve_sharded_publishing(
                             }
                             return (Vec::new(), 0, 0);
                         }
-                        let mut session = engine.session(pool_pages);
+                        let mut session = engine.session(cache_pages);
                         let mut done: Vec<PartialExec> = Vec::new();
                         while let Some((qids, admitted)) = queue.pop() {
                             let wait = admitted.elapsed().as_nanos() as u64;
@@ -751,10 +750,7 @@ fn serve_sharded_publishing(
                     pool_hits,
                     pool_misses,
                     per_worker_queries,
-                    cache: match (engines[s].cache_stats(), &cache_before[s]) {
-                        (Some(after), Some(before)) => Some(after.delta_since(before)),
-                        _ => None,
-                    },
+                    cache: engines[s].cache_stats().delta_since(&cache_before[s]),
                     io: engines[s].io_snapshot().delta_since(&io_before[s]),
                 }
             })
@@ -859,9 +855,7 @@ fn serve_sharded_publishing(
             obs.histogram(&format!("shard.{s}.queue_wait_nanos"))
                 .merge_snapshot(&shard_wait_snaps[s]);
             stats.io.publish(obs);
-            if let Some(c) = &stats.cache {
-                c.publish_shared_extras(obs);
-            }
+            stats.cache.publish_shared_extras(obs);
         }
     }
 
@@ -1058,7 +1052,7 @@ mod tests {
             out.stats
                 .per_shard
                 .iter()
-                .any(|s| s.cache.as_ref().is_some_and(|c| c.prefetch_issued > 0)),
+                .any(|s| s.cache.prefetch_issued > 0),
             "at least one shard's prefetch pipeline must have landed pages"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -118,9 +118,9 @@ pub struct ServeStats {
     /// Per-query queue-wait percentiles: batch admission to worker pop.
     /// All zeros on the single-threaded inline path, which has no queue.
     pub queue_wait: LatencySummary,
-    /// Buffer-pool hits summed over all worker sessions.
+    /// Page-cache hits summed over all worker sessions' handles.
     pub pool_hits: u64,
-    /// Buffer-pool misses (disk page reads) summed over all sessions.
+    /// Page-cache misses (disk page reads) summed over all sessions.
     pub pool_misses: u64,
     /// Engine-disk I/O delta during the run (the sequential/random read
     /// split Hilbert batching is visible in).
@@ -128,11 +128,10 @@ pub struct ServeStats {
     /// Queries served by each worker — the skew shows how evenly the
     /// batch queue spread the load.
     pub per_worker_queries: Vec<u64>,
-    /// Shared-cache counters of the run (evictions, prefetch efficacy,
-    /// shard contention); `None` when the engine ran the private-pool
-    /// ablation. Its decoded-tier pair is always 0: probes test boxes in
-    /// the pinned page and never touch that tier.
-    pub cache: Option<CacheStats>,
+    /// The engine cache's counters over the run (evictions, prefetch
+    /// efficacy, shard contention). Its decoded-tier pair is always 0:
+    /// probes test boxes in the pinned page and never touch that tier.
+    pub cache: CacheStats,
     /// Self-tuning batch-loop counters; `None` unless the run used
     /// [`crate::ServeConfig::auto_batch`] on the queued (multi-worker)
     /// path.
@@ -162,12 +161,6 @@ impl ServeStats {
             return 0.0;
         }
         self.pool_hits as f64 / total as f64
-    }
-
-    /// Shard-lock contention fraction of the shared cache (0 for private
-    /// pools).
-    pub fn contention_fraction(&self) -> f64 {
-        self.cache.map_or(0.0, |c| c.contention_fraction())
     }
 }
 

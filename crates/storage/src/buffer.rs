@@ -5,8 +5,10 @@
 //! R-Tree revisits nodes, TRANSFORMERS' crawl can touch a follower page
 //! from several pivots, and PBSM streams partitions. To keep the comparison
 //! fair, every approach in this reproduction reads data pages through a
-//! [`BufferPool`] of the same default capacity; only pool *misses* reach
-//! the [`Disk`] and are charged I/O.
+//! CLOCK cache of the same default capacity — this [`BufferPool`] for the
+//! sequential baselines, a [`crate::SharedPageCache`] of as many pages for
+//! TRANSFORMERS, GIPSY and the R-tree's runs — and only *misses* reach the
+//! [`Disk`] and are charged I/O.
 //!
 //! The pool runs on the same [`crate::clock`] CLOCK ring as the shards of
 //! the process-wide [`crate::SharedPageCache`]: a hit costs one hash
@@ -23,8 +25,9 @@ pub const DEFAULT_POOL_PAGES: usize = 1024;
 /// A private CLOCK page cache in front of a [`Disk`].
 ///
 /// For a cache *shared* by concurrent readers use
-/// [`crate::SharedPageCache`]; this type is `&mut self` and belongs to one
-/// owner (a join side, a serve session, a baseline's read loop).
+/// [`crate::SharedPageCache`] — every TRANSFORMERS, GIPSY, serve and
+/// mutate read does; this type is `&mut self` and belongs to one owner
+/// scanning on its own (a sequential baseline's read loop).
 pub struct BufferPool<'d> {
     disk: &'d Disk,
     ring: ClockRing<Vec<u8>>,

@@ -1,24 +1,25 @@
-//! The unified read path: one trait over private pools, the shared cache
-//! and the raw disk.
+//! The unified read path: one trait over the shared cache, a private
+//! pool and the raw disk.
 //!
 //! Index structures (the B+-tree, the R-tree, the TRANSFORMERS unit
 //! reader) are generic over [`PageReads`] so one traversal implementation
-//! serves every caching mode:
+//! serves every reader:
 //!
-//! * [`BufferPool`] — the classic private per-owner pool;
-//! * [`CacheHandle`] — a per-worker *view* that is either a private pool
-//!   or a thin handle onto the process-wide [`SharedPageCache`] (with its
-//!   own hit/miss counters, so per-worker accounting survives sharing);
+//! * [`CacheHandle`] — a per-worker view onto a [`SharedPageCache`] with
+//!   its own hit/miss counters, so per-worker accounting survives
+//!   sharing. Every TRANSFORMERS, GIPSY, serve and mutate read goes
+//!   through one;
+//! * [`BufferPool`] — the private pool of a single-owner sequential scan
+//!   (the PBSM, sweep and R-tree baselines);
 //! * `&Disk` — uncached direct reads, for one-shot metadata passes.
 //!
-//! Page bytes come back as a [`PageSlice`] (borrowed from a private pool,
-//! pinned zero-copy from the shared cache, or owned from the raw disk) and
-//! decoded element pages as an [`ElemSlice`] (scratch-decoded privately,
-//! or the shared cache's cached `Arc<[SpatialElement]>`). Both deref to
-//! slices, so call sites are caching-agnostic. A reader that only tests
-//! an element page's boxes takes the [`PageSlice`] and views it with
-//! [`ElementPageCodec::view`]; [`PageReads::elements`] is for readers that
-//! keep the elements.
+//! Page bytes come back as a [`PageSlice`] (pinned zero-copy from the
+//! shared cache, borrowed from a private pool, or owned from the raw
+//! disk), which derefs to a byte slice, so call sites are
+//! caching-agnostic. A reader that only tests an element page's boxes
+//! views the slice with [`ElementPageCodec::view`];
+//! [`CacheHandle::elements`] is for readers that keep the elements (the
+//! joins) and goes through the shared cache's decoded tier.
 
 use crate::shared::{DecodedOutcome, ReadOutcome};
 use crate::{BufferPool, Disk, ElementPageCodec, PageId, PageRef, SharedPageCache};
@@ -77,27 +78,6 @@ impl Deref for PageSlice<'_> {
     }
 }
 
-/// One element page's decoded records, however the cache mode produced
-/// them.
-pub enum ElemSlice<'a> {
-    /// Decoded into the caller's scratch buffer (private/uncached modes).
-    Borrowed(&'a [SpatialElement]),
-    /// The shared cache's decoded-tier entry (no decode ran on a hit).
-    Cached(Arc<[SpatialElement]>),
-}
-
-impl Deref for ElemSlice<'_> {
-    type Target = [SpatialElement];
-
-    #[inline]
-    fn deref(&self) -> &[SpatialElement] {
-        match self {
-            ElemSlice::Borrowed(s) => s,
-            ElemSlice::Cached(a) => a,
-        }
-    }
-}
-
 /// A source of cached page reads — the one abstraction every index
 /// traversal reads pages through (see the module docs for the three
 /// implementors and what each returns).
@@ -105,29 +85,14 @@ impl Deref for ElemSlice<'_> {
 /// The contract: [`page`](PageReads::page) must return exactly the bytes
 /// the underlying [`Disk`] holds for that id (caching may only change
 /// *when* the disk is touched, never *what* comes back), and
-/// [`counters`](PageReads::counters) must account every `page`/
-/// [`elements`](PageReads::elements) call as either a hit or a miss so
+/// [`counters`](PageReads::counters) must account every `page` call as
+/// either a hit or a miss (or, over the shared cache, a prefetch hit) so
 /// per-worker accounting stays exact under sharing. Handles are `&mut
 /// self` per owner: concurrency lives *inside* an implementation (the
 /// shared cache's lock striping), never in the trait.
 pub trait PageReads {
     /// Reads one page's bytes.
     fn page(&mut self, id: PageId) -> PageSlice<'_>;
-
-    /// Reads and decodes one element page. Implementations without a
-    /// decoded tier decode into `scratch`; the shared cache returns its
-    /// cached records and leaves `scratch` untouched.
-    fn elements<'s>(
-        &'s mut self,
-        codec: &ElementPageCodec,
-        id: PageId,
-        scratch: &'s mut Vec<SpatialElement>,
-    ) -> ElemSlice<'s> {
-        let page = self.page(id);
-        codec.decode_into(&page, scratch);
-        drop(page);
-        ElemSlice::Borrowed(scratch)
-    }
 
     /// This handle's cache counters (zeros for uncached modes).
     fn counters(&self) -> PoolCounters;
@@ -160,111 +125,72 @@ impl PageReads for &Disk {
     }
 }
 
-/// A per-worker view over some cache: either a private [`BufferPool`] or
-/// a counted handle onto a [`SharedPageCache`].
+/// A per-worker view onto a [`SharedPageCache`].
 ///
 /// This is what rides inside `transformers::UnitReader`, the join's
 /// per-side state and the serve sessions: workers construct their handle
-/// once and the rest of the read path is mode-agnostic. The `Shared`
-/// variant keeps **local** counters, so summing per-worker counters never
-/// double-counts the global cache's totals.
-pub enum CacheHandle<'c, 'd> {
-    /// A private CLOCK pool owned by this handle.
-    Private(BufferPool<'d>),
-    /// A view onto the process-wide shared cache.
-    Shared {
-        /// The shared cache all handles read through.
-        cache: &'c SharedPageCache<'d>,
-        /// This handle's own hit/miss counters.
-        counters: PoolCounters,
-    },
+/// once and read through it. The handle keeps **local** counters, so
+/// summing per-worker counters never double-counts the cache's totals.
+pub struct CacheHandle<'c, 'd> {
+    cache: &'c SharedPageCache<'d>,
+    counters: PoolCounters,
 }
 
 impl<'c, 'd> CacheHandle<'c, 'd> {
-    /// A handle owning a private pool of `pages` pages (clamped to ≥ 1).
-    pub fn private(disk: &'d Disk, pages: usize) -> Self {
-        CacheHandle::Private(BufferPool::new(disk, pages.max(1)))
-    }
-
-    /// A handle viewing the shared cache.
+    /// A handle viewing `cache`.
     pub fn shared(cache: &'c SharedPageCache<'d>) -> Self {
-        CacheHandle::Shared {
+        Self {
             cache,
             counters: PoolCounters::default(),
         }
     }
 
-    /// The disk behind this handle.
-    pub fn disk(&self) -> &'d Disk {
-        match self {
-            CacheHandle::Private(pool) => pool.disk(),
-            CacheHandle::Shared { cache, .. } => cache.disk(),
-        }
+    /// The cache this handle reads through.
+    pub fn cache(&self) -> &'c SharedPageCache<'d> {
+        self.cache
     }
 
-    /// True when this handle views the process-wide shared cache.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, CacheHandle::Shared { .. })
+    /// Reads one element page through the cache's decoded tier and returns
+    /// the shared records: no decode runs when another reader already
+    /// materialised the page during its current residency.
+    pub fn elements(&mut self, codec: &ElementPageCodec, id: PageId) -> Arc<[SpatialElement]> {
+        let (elems, outcome) = self.cache.read_decoded_tracked(codec, id);
+        let counters = &mut self.counters;
+        match outcome {
+            DecodedOutcome::Decoded => {
+                counters.hits += 1;
+                counters.decoded_hits += 1;
+            }
+            DecodedOutcome::Page => {
+                counters.hits += 1;
+                counters.decoded_misses += 1;
+            }
+            DecodedOutcome::PrefetchedPage => {
+                counters.prefetch_hits += 1;
+                counters.decoded_misses += 1;
+            }
+            DecodedOutcome::Miss => {
+                counters.misses += 1;
+                counters.decoded_misses += 1;
+            }
+        }
+        elems
     }
 }
 
 impl PageReads for CacheHandle<'_, '_> {
     fn page(&mut self, id: PageId) -> PageSlice<'_> {
-        match self {
-            CacheHandle::Private(pool) => PageSlice::Borrowed(pool.read(id)),
-            CacheHandle::Shared { cache, counters } => {
-                let (page, outcome) = cache.read_tracked(id);
-                match outcome {
-                    ReadOutcome::Hit => counters.hits += 1,
-                    ReadOutcome::PrefetchHit => counters.prefetch_hits += 1,
-                    ReadOutcome::Miss => counters.misses += 1,
-                }
-                PageSlice::Pinned(page)
-            }
+        let (page, outcome) = self.cache.read_tracked(id);
+        match outcome {
+            ReadOutcome::Hit => self.counters.hits += 1,
+            ReadOutcome::PrefetchHit => self.counters.prefetch_hits += 1,
+            ReadOutcome::Miss => self.counters.misses += 1,
         }
-    }
-
-    fn elements<'s>(
-        &'s mut self,
-        codec: &ElementPageCodec,
-        id: PageId,
-        scratch: &'s mut Vec<SpatialElement>,
-    ) -> ElemSlice<'s> {
-        match self {
-            CacheHandle::Private(pool) => {
-                codec.decode_into(pool.read(id), scratch);
-                ElemSlice::Borrowed(scratch)
-            }
-            CacheHandle::Shared { cache, counters } => {
-                let (elems, outcome) = cache.read_decoded_tracked(codec, id);
-                match outcome {
-                    DecodedOutcome::Decoded => {
-                        counters.hits += 1;
-                        counters.decoded_hits += 1;
-                    }
-                    DecodedOutcome::Page => {
-                        counters.hits += 1;
-                        counters.decoded_misses += 1;
-                    }
-                    DecodedOutcome::PrefetchedPage => {
-                        counters.prefetch_hits += 1;
-                        counters.decoded_misses += 1;
-                    }
-                    DecodedOutcome::Miss => {
-                        counters.misses += 1;
-                        counters.decoded_misses += 1;
-                    }
-                }
-                ElemSlice::Cached(elems)
-            }
-        }
+        PageSlice::Pinned(page)
     }
 
     fn counters(&self) -> PoolCounters {
-        match self {
-            CacheHandle::Private(pool) => PageReads::counters(pool),
-            CacheHandle::Shared { counters, .. } => *counters,
-        }
+        self.counters
     }
 }
 
@@ -293,31 +219,28 @@ mod tests {
         (d, codec)
     }
 
-    /// Every mode must produce identical bytes and identical decoded
-    /// elements for the same page.
+    /// Every implementor must produce identical bytes for the same page,
+    /// and the handle's decoded tier the elements those bytes decode to.
     #[test]
     fn all_modes_agree() {
+        fn check(r: &mut impl PageReads, codec: &ElementPageCodec, p: u64, reference: &[u8]) {
+            assert_eq!(&*r.page(PageId(p)), reference);
+            assert_eq!(codec.decode(&r.page(PageId(p)))[0], elem(p));
+        }
         let (d, codec) = element_disk(6);
         let shared = SharedPageCache::with_shards(&d, 4, 2);
-        let mut handles: Vec<CacheHandle> =
-            vec![CacheHandle::private(&d, 4), CacheHandle::shared(&shared)];
+        let mut handle = CacheHandle::shared(&shared);
+        let mut pool = BufferPool::new(&d, 4);
         let mut direct: &Disk = &d;
-        let mut scratch = Vec::new();
         for p in 0..6u64 {
-            let reference = direct.page(PageId(p)).to_vec();
-            for h in handles.iter_mut() {
-                assert_eq!(&*h.page(PageId(p)), reference.as_slice());
-                let mut s = Vec::new();
-                let e = h.elements(&codec, PageId(p), &mut s);
-                assert_eq!(e[0], elem(p));
-            }
-            let e = direct.elements(&codec, PageId(p), &mut scratch);
-            assert_eq!(e[0], elem(p));
+            let reference = d.read_page_vec(PageId(p));
+            check(&mut pool, &codec, p, &reference);
+            check(&mut direct, &codec, p, &reference);
+            assert_eq!(&*handle.page(PageId(p)), reference.as_slice());
+            assert_eq!(handle.elements(&codec, PageId(p))[0], elem(p));
         }
-        // Handle-local counters: private counts its own pool, shared
-        // counts only this handle's traffic.
-        for h in &handles {
-            let c = h.counters();
+        // The handle counts its own traffic, the pool its own frames.
+        for c in [handle.counters(), PageReads::counters(&pool)] {
             assert_eq!(c.hits + c.misses, 12, "{c:?}");
         }
         assert_eq!(direct.counters(), PoolCounters::default());
@@ -329,13 +252,12 @@ mod tests {
         let shared = SharedPageCache::with_shards(&d, 8, 2);
         let mut h1 = CacheHandle::shared(&shared);
         let mut h2 = CacheHandle::shared(&shared);
-        let mut scratch = Vec::new();
         // h1 faults everything in; h2 rides its hits.
         for p in 0..3u64 {
-            h1.elements(&codec, PageId(p), &mut scratch);
+            h1.elements(&codec, PageId(p));
         }
         for p in 0..3u64 {
-            h2.elements(&codec, PageId(p), &mut scratch);
+            h2.elements(&codec, PageId(p));
         }
         assert_eq!(h1.counters().misses, 3);
         assert_eq!(h2.counters().misses, 0);
@@ -344,8 +266,6 @@ mod tests {
         let g = shared.stats();
         assert_eq!(g.misses, h1.counters().misses + h2.counters().misses);
         assert_eq!(g.hits, h1.counters().hits + h2.counters().hits);
-        assert!(h2.is_shared() && h1.is_shared());
-        assert!(!CacheHandle::private(&d, 1).is_shared());
     }
 
     #[test]
@@ -357,9 +277,8 @@ mod tests {
             shared.prefetch_page(PageId(p), &mut scratch_page);
         }
         let mut h = CacheHandle::shared(&shared);
-        let mut scratch = Vec::new();
         for p in 0..4u64 {
-            h.elements(&codec, PageId(p), &mut scratch);
+            h.elements(&codec, PageId(p));
         }
         let c = h.counters();
         assert_eq!(c.prefetch_hits, 4);

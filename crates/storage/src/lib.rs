@@ -25,10 +25,12 @@
 //! figure) is identical; only wall-clock behaviour differs.
 //!
 //! On top of the disk sit the caching layers every reader goes through:
-//! the private per-owner [`BufferPool`], the process-wide lock-striped
-//! [`SharedPageCache`] (pinned zero-copy frames + a decoded element-page
-//! tier), and the [`PageReads`]/[`CacheHandle`] abstraction that lets
-//! index traversals stay agnostic of which one is in use.
+//! the process-wide lock-striped [`SharedPageCache`] (pinned zero-copy
+//! frames + a decoded element-page tier) under every TRANSFORMERS, GIPSY,
+//! serve and mutate read, the private [`BufferPool`] of the sequential
+//! baselines, and the [`PageReads`] abstraction ([`CacheHandle`] is the
+//! shared cache's per-worker implementor) that lets index traversals stay
+//! agnostic of which one is in use.
 
 #![warn(missing_docs)]
 
@@ -43,10 +45,9 @@ mod redo;
 mod shared;
 mod stats;
 mod store;
-mod twoq;
 
 pub use buffer::{BufferPool, DEFAULT_POOL_PAGES};
-pub use cache::{CacheHandle, ElemSlice, PageReads, PageSlice, PoolCounters};
+pub use cache::{CacheHandle, PageReads, PageSlice, PoolCounters};
 pub use disk::{Disk, DiskBackendKind};
 pub use elempage::{ElementPageCodec, ElementRecords, RECORD_SIZE as ELEMENT_RECORD_BYTES};
 pub use model::DiskModel;
@@ -57,7 +58,6 @@ pub use shared::{
 };
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use store::{checksum64, is_checksum_mismatch, FileStore, MemStore, PageStore, StoreBackend};
-pub use twoq::CachePolicy;
 
 /// Default page size used throughout the reproduction (paper §VII-A: 8 KB).
 pub const DEFAULT_PAGE_SIZE: usize = 8192;

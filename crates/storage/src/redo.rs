@@ -24,10 +24,8 @@
 //! on storage, and the index crates depend only on storage.
 
 use crate::cache::{PageReads, PageSlice, PoolCounters};
-use crate::shared::{DecodedOutcome, ReadOutcome};
-use crate::{Disk, ElemSlice, ElementPageCodec, PageId, SharedPageCache};
+use crate::{CacheHandle, Disk, PageId, SharedPageCache};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tfm_geom::SpatialElement;
 
 /// A redo-only write-ahead log: append page after-images, commit, ask
 /// what is durable.
@@ -142,9 +140,8 @@ impl PageWrites for &Disk {
 /// the log. The handle never flushes — that is the batch boundary's job.
 pub struct LoggedPages<'l, 'c, 'd> {
     log: &'l dyn RedoLog,
-    cache: &'c SharedPageCache<'d>,
+    reads: CacheHandle<'c, 'd>,
     txn: u64,
-    counters: PoolCounters,
     scratch: Vec<u8>,
 }
 
@@ -153,9 +150,8 @@ impl<'l, 'c, 'd> LoggedPages<'l, 'c, 'd> {
     pub fn new(log: &'l dyn RedoLog, cache: &'c SharedPageCache<'d>, txn: u64) -> Self {
         Self {
             log,
-            cache,
+            reads: CacheHandle::shared(cache),
             txn,
-            counters: PoolCounters::default(),
             scratch: Vec::new(),
         }
     }
@@ -167,57 +163,24 @@ impl<'l, 'c, 'd> LoggedPages<'l, 'c, 'd> {
 
     /// The cache this handle reads and writes through.
     pub fn cache(&self) -> &'c SharedPageCache<'d> {
-        self.cache
+        self.reads.cache()
     }
 }
 
 impl PageReads for LoggedPages<'_, '_, '_> {
     fn page(&mut self, id: PageId) -> PageSlice<'_> {
-        let (page, outcome) = self.cache.read_tracked(id);
-        match outcome {
-            ReadOutcome::Hit => self.counters.hits += 1,
-            ReadOutcome::PrefetchHit => self.counters.prefetch_hits += 1,
-            ReadOutcome::Miss => self.counters.misses += 1,
-        }
-        PageSlice::Pinned(page)
-    }
-
-    fn elements<'s>(
-        &'s mut self,
-        codec: &ElementPageCodec,
-        id: PageId,
-        _scratch: &'s mut Vec<SpatialElement>,
-    ) -> ElemSlice<'s> {
-        let (elems, outcome) = self.cache.read_decoded_tracked(codec, id);
-        match outcome {
-            DecodedOutcome::Decoded => {
-                self.counters.hits += 1;
-                self.counters.decoded_hits += 1;
-            }
-            DecodedOutcome::Page => {
-                self.counters.hits += 1;
-                self.counters.decoded_misses += 1;
-            }
-            DecodedOutcome::PrefetchedPage => {
-                self.counters.prefetch_hits += 1;
-                self.counters.decoded_misses += 1;
-            }
-            DecodedOutcome::Miss => {
-                self.counters.misses += 1;
-                self.counters.decoded_misses += 1;
-            }
-        }
-        ElemSlice::Cached(elems)
+        self.reads.page(id)
     }
 
     fn counters(&self) -> PoolCounters {
-        self.counters
+        self.reads.counters()
     }
 }
 
 impl PageWrites for LoggedPages<'_, '_, '_> {
     fn write(&mut self, id: PageId, bytes: &[u8]) {
-        let page_size = self.cache.disk().page_size();
+        let cache = self.reads.cache();
+        let page_size = cache.disk().page_size();
         assert!(
             bytes.len() <= page_size,
             "write of {} bytes exceeds page size {}",
@@ -230,15 +193,15 @@ impl PageWrites for LoggedPages<'_, '_, '_> {
         self.scratch.extend_from_slice(bytes);
         self.scratch.resize(page_size, 0);
         let lsn = self.log.log_page(self.txn, id, &self.scratch);
-        self.cache.write_page(id, &self.scratch, lsn);
+        cache.write_page(id, &self.scratch, lsn);
     }
 
     fn allocate(&mut self) -> PageId {
-        self.cache.disk().allocate()
+        self.reads.cache().disk().allocate()
     }
 
     fn page_size(&self) -> usize {
-        self.cache.disk().page_size()
+        self.reads.cache().disk().page_size()
     }
 }
 

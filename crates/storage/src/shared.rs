@@ -2,19 +2,21 @@
 //!
 //! Every access path in the reproduction — the TRANSFORMERS join, the
 //! GIPSY walk+crawl, the R-tree/B+-tree baselines and the serving layer —
-//! bottoms out in page reads against an immutable [`Disk`]. Before this
-//! module each worker owned a *private* [`crate::BufferPool`], so a hot
-//! page was duplicated in N worker caches, re-read from the disk by every
-//! worker that touched it, and re-decoded on every visit. The
-//! [`SharedPageCache`] replaces those N private pools with **one**
-//! process-wide cache:
+//! bottoms out in page reads against an immutable [`Disk`]. Every reader
+//! that shares a disk with other workers goes through **one**
+//! process-wide cache over it, so a hot page is resident once, read from
+//! the disk once per residency and (for the joins) decoded once, however
+//! many workers touch it:
 //!
 //! * **Sharded / lock-striped** — the page-id space is striped over
 //!   independently locked shards (consecutive pages land on different
 //!   shards), so concurrent readers rarely contend; contention that does
 //!   happen is counted ([`CacheStats::lock_contended`]).
-//! * **CLOCK eviction per shard** — the same second-chance ring as the
-//!   private pool ([`crate::clock`]), with pinned frames skipped.
+//! * **CLOCK eviction per shard** — the second-chance ring of
+//!   [`crate::clock`] (the one [`crate::BufferPool`] runs on), with
+//!   pinned and dirty frames skipped. It is the only policy: a 2Q
+//!   admission variant was measured and retired (`DESIGN.md`, § "Shared
+//!   page cache").
 //! * **Zero-copy pin guards** — [`SharedPageCache::read`] hands out a
 //!   [`PageRef`] that borrows the cached bytes (`Deref<Target = [u8]>`)
 //!   by bumping the frame's `Arc`; no bytes are copied and no `Vec` is
@@ -36,8 +38,8 @@
 //! reference across worker threads (see `transformers::UnitReader` and
 //! the serve engines). Results are unaffected by caching — decode is pure
 //! and the disk is immutable during joins/serves — so join and serve
-//! outputs stay byte-identical to the private-pool ablation at any worker
-//! count; only the I/O counters improve.
+//! outputs are byte-identical at any worker count and any capacity; only
+//! the I/O counters move.
 //!
 //! Miss fills and decoded-tier fills run **under the shard lock**. That
 //! serializes co-shard misses, but it also guarantees each page is read
@@ -46,8 +48,9 @@
 //! fill is a `memcpy`, so the hold time is small and the `lock_contended`
 //! counter makes the cost observable. A decode is not small — which is
 //! why the probe paths, whose reads are mostly misses, stay off the
-//! decoded tier and parse outside the lock, from their pin. For the real-file backend the prefetch path
-//! below is the escape hatch: [`SharedPageCache::prefetch_page`] performs
+//! decoded tier and parse outside the lock, from their pin. For the
+//! real-file backend the prefetch path below is the escape hatch:
+//! [`SharedPageCache::prefetch_page`] performs
 //! the disk read **outside** the shard lock into a caller-owned scratch
 //! buffer, then lands the bytes into a recycled victim frame under the
 //! lock — dedicated I/O threads overlap their device latencies while the
@@ -60,8 +63,8 @@
 //! prefetcher landed counts as neither a hit nor a miss, so readahead can
 //! never inflate a hit-fraction gate.
 
-use crate::twoq::{AdmitClass, PolicyRing};
-use crate::{CachePolicy, Disk, ElementPageCodec, PageId};
+use crate::clock::ClockRing;
+use crate::{Disk, ElementPageCodec, PageId};
 use parking_lot::Mutex;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,13 +107,59 @@ struct ShardCounters {
     prefetch_issued: u64,
     prefetch_hits: u64,
     prefetch_unused: u64,
+    prefetch_stale: u64,
     dirty_installs: u64,
     flushed_pages: u64,
 }
 
 struct ShardInner {
-    ring: PolicyRing<SharedFrame>,
+    ring: ClockRing<SharedFrame>,
     counters: ShardCounters,
+    /// Bumped by every [`SharedPageCache::write_page`] into this shard.
+    /// [`SharedPageCache::prefetch_page`] samples it before its off-lock
+    /// disk read and discards the bytes if it moved: a write (and its
+    /// flush and eviction) in between would make them a stale image.
+    write_seq: u64,
+}
+
+impl ShardInner {
+    /// Registers the non-resident `id` in the ring and returns its frame,
+    /// clean and unmarked, for the caller to fill: evicts and recycles an
+    /// unpinned clean victim when the ring is full, allocates otherwise.
+    /// The one place evictions, recycles and fresh frames are counted.
+    fn claim_frame(&mut self, id: PageId, page_size: usize) -> &mut SharedFrame {
+        let slot = self.ring.insert(
+            id.0,
+            // A frame is evictable only while no PageRef pins its buffer
+            // (clones only happen under this shard's lock, so the count is
+            // stable for the duration of the sweep) and its bytes are on
+            // disk — evicting a dirty frame would lose the write.
+            |f| Arc::strong_count(&f.buf) == 1 && !f.dirty,
+            || SharedFrame {
+                buf: Arc::new(vec![0u8; page_size]),
+                decoded: None,
+                prefetched: false,
+                dirty: false,
+                page_lsn: 0,
+            },
+        );
+        if slot.evicted.is_some() {
+            self.counters.evictions += 1;
+            self.counters.recycled_frames += 1;
+            if slot.payload.prefetched {
+                self.counters.prefetch_unused += 1;
+            }
+        }
+        if slot.fresh {
+            self.counters.fresh_allocs += 1;
+        }
+        let f = slot.payload;
+        f.decoded = None;
+        f.prefetched = false;
+        f.dirty = false;
+        f.page_lsn = 0;
+        f
+    }
 }
 
 struct Shard {
@@ -207,6 +256,10 @@ pub struct CacheStats {
     /// Prefetched frames evicted before any demand read used them —
     /// wasted readahead.
     pub prefetch_unused: u64,
+    /// Prefetch reads discarded because a [`SharedPageCache::write_page`]
+    /// reached the page's shard while the read was in flight — the bytes
+    /// may predate the write, so they are dropped instead of landed.
+    pub prefetch_stale: u64,
     /// Writes installed into the dirty tier (cache writes not yet on disk
     /// at the time of the write).
     pub dirty_installs: u64,
@@ -217,21 +270,6 @@ pub struct CacheStats {
     /// Acquisitions that found the shard lock already held — the
     /// lock-striping contention signal.
     pub lock_contended: u64,
-    /// Demand misses the 2Q ghost queue admitted straight to the
-    /// protected tier (zero under [`CachePolicy::Clock`]).
-    pub twoq_ghost_promotions: u64,
-    /// Probationary frames the 2Q policy promoted on a second demand
-    /// access while resident.
-    pub twoq_reuse_promotions: u64,
-    /// Fills the 2Q policy classified as scan traffic (prefetch landings;
-    /// always probationary).
-    pub twoq_scan_admissions: u64,
-    /// 2Q evictions taken from the probationary tier.
-    pub twoq_probation_evictions: u64,
-    /// 2Q evictions taken from the protected tier.
-    pub twoq_protected_evictions: u64,
-    /// Replacement policy of the cache (configuration, not a counter).
-    pub policy: CachePolicy,
     /// Shard count of the cache (configuration, not a counter).
     pub shards: usize,
     /// Total frame capacity in pages (configuration, not a counter).
@@ -292,24 +330,12 @@ impl CacheStats {
         reg.counter(names::IO_PREFETCH_HITS).add(self.prefetch_hits);
         reg.counter(names::IO_PREFETCH_UNUSED)
             .add(self.prefetch_unused);
+        reg.counter(names::IO_PREFETCH_STALE)
+            .add(self.prefetch_stale);
         reg.counter(names::CACHE_DIRTY_INSTALLS)
             .add(self.dirty_installs);
         reg.counter(names::CACHE_FLUSHED_PAGES)
             .add(self.flushed_pages);
-        // The 2Q admission counters only exist when the policy is active,
-        // so a CLOCK run's metrics dump carries no dead `cache.2q.*` rows.
-        if self.policy == CachePolicy::TwoQ {
-            reg.counter(names::CACHE_2Q_GHOST_PROMOTIONS)
-                .add(self.twoq_ghost_promotions);
-            reg.counter(names::CACHE_2Q_REUSE_PROMOTIONS)
-                .add(self.twoq_reuse_promotions);
-            reg.counter(names::CACHE_2Q_SCAN_ADMISSIONS)
-                .add(self.twoq_scan_admissions);
-            reg.counter(names::CACHE_2Q_PROBATION_EVICTIONS)
-                .add(self.twoq_probation_evictions);
-            reg.counter(names::CACHE_2Q_PROTECTED_EVICTIONS)
-                .add(self.twoq_protected_evictions);
-        }
     }
 
     /// Counter-wise difference `self - earlier` (configuration fields are
@@ -326,18 +352,11 @@ impl CacheStats {
             prefetch_issued: self.prefetch_issued - earlier.prefetch_issued,
             prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
             prefetch_unused: self.prefetch_unused - earlier.prefetch_unused,
+            prefetch_stale: self.prefetch_stale - earlier.prefetch_stale,
             dirty_installs: self.dirty_installs - earlier.dirty_installs,
             flushed_pages: self.flushed_pages - earlier.flushed_pages,
             lock_acquisitions: self.lock_acquisitions - earlier.lock_acquisitions,
             lock_contended: self.lock_contended - earlier.lock_contended,
-            twoq_ghost_promotions: self.twoq_ghost_promotions - earlier.twoq_ghost_promotions,
-            twoq_reuse_promotions: self.twoq_reuse_promotions - earlier.twoq_reuse_promotions,
-            twoq_scan_admissions: self.twoq_scan_admissions - earlier.twoq_scan_admissions,
-            twoq_probation_evictions: self.twoq_probation_evictions
-                - earlier.twoq_probation_evictions,
-            twoq_protected_evictions: self.twoq_protected_evictions
-                - earlier.twoq_protected_evictions,
-            policy: self.policy,
             shards: self.shards,
             capacity: self.capacity,
         }
@@ -349,27 +368,22 @@ pub struct SharedPageCache<'d> {
     disk: &'d Disk,
     shards: Box<[Shard]>,
     capacity: usize,
-    policy: CachePolicy,
 }
 
 impl<'d> SharedPageCache<'d> {
     /// Creates a cache of `capacity` pages total, striped over `shards`
-    /// locks (both clamped to at least 1), replacing frames under
-    /// `policy`. Each shard gets an equal slice of the capacity.
-    pub fn with_policy(
-        disk: &'d Disk,
-        capacity: usize,
-        shards: usize,
-        policy: CachePolicy,
-    ) -> Self {
+    /// locks (both clamped to at least 1). Each shard gets an equal slice
+    /// of the capacity and evicts by CLOCK.
+    pub fn with_shards(disk: &'d Disk, capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
         let per_shard = (capacity / shards).max(1);
         let shards: Box<[Shard]> = (0..shards)
             .map(|_| Shard {
                 inner: Mutex::new(ShardInner {
-                    ring: PolicyRing::new(policy, per_shard),
+                    ring: ClockRing::new(per_shard),
                     counters: ShardCounters::default(),
+                    write_seq: 0,
                 }),
                 acquisitions: AtomicU64::new(0),
                 contended: AtomicU64::new(0),
@@ -380,13 +394,7 @@ impl<'d> SharedPageCache<'d> {
             disk,
             shards,
             capacity,
-            policy,
         }
-    }
-
-    /// [`with_policy`](Self::with_policy) under the default CLOCK policy.
-    pub fn with_shards(disk: &'d Disk, capacity: usize, shards: usize) -> Self {
-        Self::with_policy(disk, capacity, shards, CachePolicy::Clock)
     }
 
     /// Creates a cache of `capacity` pages with [`DEFAULT_CACHE_SHARDS`].
@@ -410,11 +418,6 @@ impl<'d> SharedPageCache<'d> {
         self.capacity
     }
 
-    /// Replacement policy the cache was built with.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
     #[inline]
     fn shard(&self, id: PageId) -> &Shard {
         // Stripe by page id: consecutive pages (the common sequential
@@ -432,7 +435,7 @@ impl<'d> SharedPageCache<'d> {
     pub fn read_tracked(&self, id: PageId) -> (PageRef, ReadOutcome) {
         let shard = self.shard(id);
         let mut guard = shard.lock();
-        let ShardInner { ring, counters } = &mut *guard;
+        let ShardInner { ring, counters, .. } = &mut *guard;
         if let Some(f) = ring.get(id.0) {
             let page = PageRef {
                 buf: Arc::clone(&f.buf),
@@ -504,42 +507,10 @@ impl<'d> SharedPageCache<'d> {
         (decoded, DecodedOutcome::Miss)
     }
 
-    /// Miss path: registers `id` in the ring (evicting/recycling under the
-    /// shard lock) and fills the frame's buffer from disk.
+    /// Miss path: claims a frame for `id` under the shard lock and fills
+    /// its buffer from disk.
     fn load_frame<'r>(disk: &Disk, inner: &'r mut ShardInner, id: PageId) -> &'r mut SharedFrame {
-        let page_size = disk.page_size();
-        let ShardInner { ring, counters } = inner;
-        let slot = ring.insert(
-            id.0,
-            AdmitClass::Demand,
-            // A frame is evictable only while no PageRef pins its buffer
-            // (clones only happen under this shard's lock, so the count is
-            // stable for the duration of the sweep) and its bytes are on
-            // disk — evicting a dirty frame would lose the write.
-            |f| Arc::strong_count(&f.buf) == 1 && !f.dirty,
-            || SharedFrame {
-                buf: Arc::new(vec![0u8; page_size]),
-                decoded: None,
-                prefetched: false,
-                dirty: false,
-                page_lsn: 0,
-            },
-        );
-        if slot.evicted.is_some() {
-            counters.evictions += 1;
-            counters.recycled_frames += 1;
-            if slot.payload.prefetched {
-                counters.prefetch_unused += 1;
-            }
-        }
-        if slot.fresh {
-            counters.fresh_allocs += 1;
-        }
-        let f = slot.payload;
-        f.decoded = None;
-        f.prefetched = false;
-        f.dirty = false;
-        f.page_lsn = 0;
+        let f = inner.claim_frame(id, disk.page_size());
         let buf =
             Arc::get_mut(&mut f.buf).expect("unpinned frame buffer is uniquely owned under lock");
         disk.read_page(id, buf);
@@ -550,7 +521,11 @@ impl<'d> SharedPageCache<'d> {
     /// which is resized to one page and reused across calls) and lands the
     /// bytes into a recycled victim frame, marked as prefetched. A page
     /// already resident — or landed by a racing demand read while the disk
-    /// read was in flight — is left untouched.
+    /// read was in flight — is left untouched, and the bytes are dropped
+    /// (counted in [`CacheStats::prefetch_stale`]) if any
+    /// [`write_page`](Self::write_page) reached the page's shard in the
+    /// meantime: the write may have been flushed and evicted again by
+    /// then, so "not resident" alone does not prove the bytes current.
     ///
     /// This is the I/O-thread entry point of the prefetch pipeline: the
     /// device wait (real or injected) happens off-lock, so `io_depth`
@@ -560,53 +535,31 @@ impl<'d> SharedPageCache<'d> {
     pub fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
         let page_size = self.disk.page_size();
         let shard = self.shard(id);
-        if shard.lock().ring.contains(id.0) {
-            return;
-        }
+        let seq_before = {
+            let guard = shard.lock();
+            if guard.ring.contains(id.0) {
+                return;
+            }
+            guard.write_seq
+        };
         scratch.resize(page_size, 0);
         self.disk.read_page(id, scratch);
         let mut guard = shard.lock();
         if guard.ring.contains(id.0) {
-            // A demand read landed the page while ours was in flight; its
-            // fill wins and our bytes are discarded (identical content —
-            // the disk is immutable during serves).
+            // A demand read or a write landed the page while ours was in
+            // flight; its frame wins and our bytes are discarded.
             return;
         }
-        let ShardInner { ring, counters } = &mut *guard;
-        let slot = ring.insert(
-            id.0,
-            // A prefetch landing is a scan hint: under 2Q the page goes
-            // probationary and never consults or feeds the ghost queue,
-            // so readahead streams cannot flush the protected hot set.
-            AdmitClass::Scan,
-            |f| Arc::strong_count(&f.buf) == 1 && !f.dirty,
-            || SharedFrame {
-                buf: Arc::new(vec![0u8; page_size]),
-                decoded: None,
-                prefetched: false,
-                dirty: false,
-                page_lsn: 0,
-            },
-        );
-        if slot.evicted.is_some() {
-            counters.evictions += 1;
-            counters.recycled_frames += 1;
-            if slot.payload.prefetched {
-                counters.prefetch_unused += 1;
-            }
+        if guard.write_seq != seq_before {
+            guard.counters.prefetch_stale += 1;
+            return;
         }
-        if slot.fresh {
-            counters.fresh_allocs += 1;
-        }
-        let f = slot.payload;
-        f.decoded = None;
+        let f = guard.claim_frame(id, page_size);
         f.prefetched = true;
-        f.dirty = false;
-        f.page_lsn = 0;
         Arc::get_mut(&mut f.buf)
             .expect("unpinned frame buffer is uniquely owned under lock")
             .copy_from_slice(scratch);
-        counters.prefetch_issued += 1;
+        guard.counters.prefetch_issued += 1;
     }
 
     /// Installs new bytes for page `id` into the cache's dirty tier
@@ -632,36 +585,14 @@ impl<'d> SharedPageCache<'d> {
         );
         let shard = self.shard(id);
         let mut guard = shard.lock();
-        let ShardInner { ring, counters } = &mut *guard;
-        let f = match ring.get(id.0) {
-            Some(f) => f,
-            None => {
-                // Not resident: install a fresh dirty frame. No disk read —
-                // the caller provides the full new page image.
-                let slot = ring.insert(
-                    id.0,
-                    AdmitClass::Demand,
-                    |f| Arc::strong_count(&f.buf) == 1 && !f.dirty,
-                    || SharedFrame {
-                        buf: Arc::new(vec![0u8; page_size]),
-                        decoded: None,
-                        prefetched: false,
-                        dirty: false,
-                        page_lsn: 0,
-                    },
-                );
-                if slot.evicted.is_some() {
-                    counters.evictions += 1;
-                    counters.recycled_frames += 1;
-                    if slot.payload.prefetched {
-                        counters.prefetch_unused += 1;
-                    }
-                }
-                if slot.fresh {
-                    counters.fresh_allocs += 1;
-                }
-                slot.payload
-            }
+        let inner = &mut *guard;
+        inner.write_seq += 1;
+        inner.counters.dirty_installs += 1;
+        let f = match inner.ring.find(id.0) {
+            Some(i) => inner.ring.payload_mut(i),
+            // Not resident: claim a frame. No disk read — the caller
+            // provides the full new page image.
+            None => inner.claim_frame(id, page_size),
         };
         match Arc::get_mut(&mut f.buf) {
             Some(buf) => {
@@ -680,7 +611,6 @@ impl<'d> SharedPageCache<'d> {
         f.prefetched = false;
         f.dirty = true;
         f.page_lsn = lsn;
-        counters.dirty_installs += 1;
     }
 
     /// Writes back every dirty frame whose `page_lsn` is at most
@@ -697,7 +627,7 @@ impl<'d> SharedPageCache<'d> {
         let mut retained = 0usize;
         for shard in self.shards.iter() {
             let mut guard = shard.inner.lock();
-            let ShardInner { ring, counters } = &mut *guard;
+            let ShardInner { ring, counters, .. } = &mut *guard;
             for (page, f) in ring.iter_mut() {
                 if !f.dirty {
                     continue;
@@ -736,7 +666,6 @@ impl<'d> SharedPageCache<'d> {
         let mut s = CacheStats {
             shards: self.shards.len(),
             capacity: self.capacity,
-            policy: self.policy,
             ..CacheStats::default()
         };
         for shard in self.shards.iter() {
@@ -754,14 +683,9 @@ impl<'d> SharedPageCache<'d> {
             s.prefetch_issued += c.prefetch_issued;
             s.prefetch_hits += c.prefetch_hits;
             s.prefetch_unused += c.prefetch_unused;
+            s.prefetch_stale += c.prefetch_stale;
             s.dirty_installs += c.dirty_installs;
             s.flushed_pages += c.flushed_pages;
-            let q = inner.ring.twoq_counters();
-            s.twoq_ghost_promotions += q.ghost_promotions;
-            s.twoq_reuse_promotions += q.reuse_promotions;
-            s.twoq_scan_admissions += q.scan_admissions;
-            s.twoq_probation_evictions += q.probation_evictions;
-            s.twoq_protected_evictions += q.protected_evictions;
         }
         s
     }
@@ -779,7 +703,7 @@ impl<'d> SharedPageCache<'d> {
         let mut reclaimed = 0u64;
         for shard in self.shards.iter() {
             let mut guard = shard.inner.lock();
-            let ShardInner { ring, counters } = &mut *guard;
+            let ShardInner { ring, counters, .. } = &mut *guard;
             for (_, f) in ring.iter_mut() {
                 if f.prefetched {
                     f.prefetched = false;
@@ -818,7 +742,6 @@ impl std::fmt::Debug for SharedPageCache<'_> {
         f.debug_struct("SharedPageCache")
             .field("capacity", &self.capacity)
             .field("shards", &self.shards.len())
-            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -1198,89 +1121,6 @@ mod tests {
         let decoded = cache.read_decoded(&codec, p);
         assert_eq!(decoded.len(), 2, "stale decode was dropped");
         assert_eq!(decoded[0].id, 8);
-    }
-
-    fn twoq_cache<'d>(d: &'d Disk, capacity: usize, shards: usize) -> SharedPageCache<'d> {
-        SharedPageCache::with_policy(d, capacity, shards, CachePolicy::TwoQ)
-    }
-
-    #[test]
-    fn twoq_scan_does_not_evict_protected_pages() {
-        let d = disk_with_pages(128, 32);
-        // One shard, eight frames, scan-resistant policy.
-        let cache = twoq_cache(&d, 8, 1);
-        // Two demand reads each: pages 0 and 1 earn the protected tier.
-        for p in [0u64, 1, 0, 1] {
-            cache.read(PageId(p));
-        }
-        // A prefetch scan four times the cache size churns through.
-        let mut scratch = Vec::new();
-        for p in 32..64u64 {
-            cache.prefetch_page(PageId(p), &mut scratch);
-        }
-        let before = d.stats().reads();
-        assert_eq!(cache.read(PageId(0))[0], 0);
-        assert_eq!(cache.read(PageId(1))[0], 1);
-        assert_eq!(d.stats().reads(), before, "hot set must survive the scan");
-        let s = cache.stats();
-        assert_eq!(s.policy, CachePolicy::TwoQ);
-        assert_eq!(s.twoq_reuse_promotions, 2);
-        assert_eq!(s.twoq_protected_evictions, 0);
-        assert_eq!(s.twoq_scan_admissions, 32);
-        assert!(s.twoq_probation_evictions > 0, "the scan churned A1in");
-    }
-
-    #[test]
-    fn twoq_ghost_queue_promotes_refaulted_pages() {
-        let d = disk_with_pages(64, 32);
-        let cache = twoq_cache(&d, 4, 1);
-        // One demand read, then push the page out through the FIFO.
-        cache.read(PageId(7));
-        for p in 10..14u64 {
-            cache.read(PageId(p));
-        }
-        // The re-fault is remembered by the ghost queue: straight to the
-        // protected tier, where a follow-up scan cannot displace it.
-        cache.read(PageId(7));
-        assert_eq!(cache.stats().twoq_ghost_promotions, 1);
-        let mut scratch = Vec::new();
-        for p in 32..48u64 {
-            cache.prefetch_page(PageId(p), &mut scratch);
-        }
-        let before = d.stats().reads();
-        assert_eq!(cache.read(PageId(7))[0], 7);
-        assert_eq!(d.stats().reads(), before);
-    }
-
-    #[test]
-    fn twoq_pinned_pages_survive_eviction_pressure() {
-        let d = disk_with_pages(16, 32);
-        // One shard, two frames: heavy pressure (mirrors the CLOCK test).
-        let cache = twoq_cache(&d, 2, 1);
-        let pinned = cache.read(PageId(3));
-        let mut scratch = Vec::new();
-        for i in 0..16u64 {
-            let r = cache.read(PageId(i));
-            assert_eq!(r[0], i as u8);
-            cache.prefetch_page(PageId((i + 5) % 16), &mut scratch);
-        }
-        // The pin held throughout both demand and scan fills.
-        assert_eq!(pinned[0], 3);
-        let s = cache.stats();
-        assert!(s.evictions > 0, "pressure must evict: {s:?}");
-    }
-
-    #[test]
-    fn twoq_results_match_clock_byte_for_byte() {
-        let d = disk_with_pages(32, 32);
-        let clock = SharedPageCache::with_shards(&d, 4, 2);
-        let twoq = twoq_cache(&d, 4, 2);
-        // Any interleaving of reads returns identical bytes under either
-        // policy — replacement only changes which reads hit.
-        for i in 0..96u64 {
-            let p = PageId((i * 13 + i / 7) % 32);
-            assert_eq!(clock.read(p)[0], twoq.read(p)[0]);
-        }
     }
 
     #[test]

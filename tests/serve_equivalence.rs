@@ -95,9 +95,9 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
 
 #[test]
 fn hilbert_batching_strictly_raises_sequential_reads() {
-    // Sizeable index + small per-worker pool: arrival-order probes hop
-    // across the disk, Hilbert order sweeps it. Results must not change;
-    // the IoStats split must.
+    // Sizeable index + small cache, cold for each replay: arrival-order
+    // probes hop across the disk, Hilbert order sweeps it. Results must
+    // not change; the IoStats split must.
     let elems = generate(&DatasetSpec {
         max_side: 5.0,
         ..DatasetSpec::uniform(40_000, 404)
@@ -108,13 +108,10 @@ fn hilbert_batching_strictly_raises_sequential_reads() {
         max_window_side: 12.0,
         ..QueryTraceSpec::uniform(2_000, 405)
     });
-    let engine = TransformersEngine::new(&idx, &disk);
-    let base = ServeConfig {
-        batch: 2_000,
-        pool_pages: 64,
-        ..ServeConfig::default()
-    };
+    let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(64, 1);
+    let base = ServeConfig::default().with_batch(2_000);
     let arrival = serve_trace(&engine, &trace, &base.without_hilbert_batching());
+    engine.reset_cache();
     let hilberted = serve_trace(&engine, &trace, &base);
     assert_eq!(arrival.results, hilberted.results);
     assert!(

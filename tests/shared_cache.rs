@@ -2,11 +2,10 @@
 //!
 //! Stress shape: a **tiny** cache (heavy eviction + recycling + pinning)
 //! under **8 workers**, for both the serving layer and the parallel join,
-//! in both cache modes, always compared against caching-free references
-//! (a full scan per query; the sequential private-pool join). A second
-//! test asserts the perf direction the tentpole claims: at equal total
-//! page budget the shared cache reads fewer pages than the private-pool
-//! split and posts a higher hit fraction.
+//! always compared against caching-free references (a full scan per
+//! query; the nested-loop join). A third test pins down what sharing
+//! buys: over an unstarved cache no page is fetched twice, however many
+//! workers interleave.
 
 use transformers_repro::prelude::*;
 use transformers_repro::serve::{
@@ -66,7 +65,7 @@ fn eight_workers_on_a_tiny_shared_cache_match_the_full_scan() {
     for engine in &engines {
         let out = serve_trace(engine.as_ref(), &trace, &cfg);
         assert_eq!(out.results, expected, "{} diverges", engine.label());
-        let cache = out.stats.cache.expect("shared cache stats present");
+        let cache = out.stats.cache;
         assert!(
             cache.evictions > 0,
             "{}: an 8-frame cache must thrash: {cache:?}",
@@ -76,10 +75,11 @@ fn eight_workers_on_a_tiny_shared_cache_match_the_full_scan() {
     }
 }
 
-/// The parallel join at 1/2/4/8 workers produces byte-identical pairs in
-/// both cache modes, including under a starved cache.
+/// The sequential join and the parallel join at 1/2/4/8 workers produce
+/// exactly the nested-loop join's pairs, under a starved cache as under a
+/// roomy one.
 #[test]
-fn join_outputs_identical_in_both_cache_modes_at_any_worker_count() {
+fn join_outputs_match_the_nested_loop_at_any_worker_count() {
     let a = generate(&DatasetSpec {
         max_side: 5.0,
         ..DatasetSpec::with_distribution(
@@ -95,56 +95,46 @@ fn join_outputs_identical_in_both_cache_modes_at_any_worker_count() {
         max_side: 5.0,
         ..DatasetSpec::uniform(6_000, 304)
     });
+    let reference = canonicalize(transformers_repro::memjoin::nested_loop_join(
+        &a,
+        &b,
+        &mut JoinStats::default(),
+    ));
+    assert!(!reference.is_empty());
     let disk_a = Disk::default_in_memory();
     let disk_b = Disk::default_in_memory();
     let idx_a = TransformersIndex::build(&disk_a, a, &IndexConfig::default());
     let idx_b = TransformersIndex::build(&disk_b, b, &IndexConfig::default());
 
-    let reference = transformers_join(
-        &idx_a,
-        &disk_a,
-        &idx_b,
-        &disk_b,
-        &JoinConfig::default().with_private_pools(),
-    );
-    assert!(!reference.pairs.is_empty());
-
     for pool_pages in [16, 1024] {
-        for shared_cache in [true, false] {
-            let cfg = JoinConfig {
-                pool_pages,
-                shared_cache,
-                ..JoinConfig::default()
-            };
-            let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg);
+        let cfg = JoinConfig {
+            pool_pages,
+            ..JoinConfig::default()
+        };
+        let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg);
+        assert_eq!(seq.pairs, reference, "sequential pool_pages={pool_pages}");
+        for threads in [1, 2, 4, 8] {
+            let par = parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads);
             assert_eq!(
-                seq.pairs, reference.pairs,
-                "sequential pool_pages={pool_pages} shared={shared_cache}"
+                par.pairs, reference,
+                "threads={threads} pool_pages={pool_pages}"
             );
-            for threads in [1, 2, 4, 8] {
-                let par = parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads);
-                assert_eq!(
-                    par.pairs, reference.pairs,
-                    "threads={threads} pool_pages={pool_pages} shared={shared_cache}"
-                );
-                assert!(par.stats.pages_read > 0);
-            }
+            assert!(par.stats.pages_read > 0);
         }
     }
 }
 
-/// The perf direction of the tentpole: at equal total budget, the shared
-/// cache strictly undercuts the private-pool split on page reads and
-/// beats it on hit fraction (4-worker join; the serve-side counterpart
-/// lives in `tfm-serve`'s unit tests and `bench_cache`).
+/// What one cache under every worker buys: over an unstarved cache the
+/// join reads each page it needs once, so `pages_read` is the same at
+/// 1/2/4/8 workers and bounded by the two disks' allocated pages. And
+/// under a starved budget the pairs still equal the sequential join's.
 ///
 /// Measured in the independent-worker scheduler mode: the fully adaptive
 /// join's *work* (which pages get visited) varies with thread
-/// interleaving, so a strict read-count comparison there is a coin flip;
-/// with transforms/pruning off the page workload is fixed and the
-/// comparison isolates the cache.
+/// interleaving; with transforms/pruning off the page workload is fixed
+/// and the count isolates the cache.
 #[test]
-fn shared_cache_beats_private_pools_on_the_four_worker_join() {
+fn no_page_is_fetched_twice_however_the_join_workers_interleave() {
     let a = generate(&DatasetSpec {
         max_side: 5.0,
         ..DatasetSpec::with_distribution(
@@ -161,35 +151,32 @@ fn shared_cache_beats_private_pools_on_the_four_worker_join() {
         ..DatasetSpec::uniform(10_000, 306)
     });
     // 2 KiB pages (the bench harness default) keep the page count high
-    // enough that the 64-page budget is genuinely scarce.
+    // enough that the 32-page budget below is genuinely scarce.
     let disk_a = Disk::in_memory(2048);
     let disk_b = Disk::in_memory(2048);
     let idx_a = TransformersIndex::build(&disk_a, a, &IndexConfig::default());
     let idx_b = TransformersIndex::build(&disk_b, b, &IndexConfig::default());
+    let allocated = disk_a.allocated_pages() + disk_b.allocated_pages();
 
-    let run = |shared: bool| {
-        let cfg = JoinConfig {
-            pool_pages: 32,
-            shared_cache: shared,
-            worker_role_transforms: false,
-            cross_worker_pruning: false,
-            ..JoinConfig::default()
-        };
-        parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, 4)
+    let cfg = |pool_pages| JoinConfig {
+        pool_pages,
+        worker_role_transforms: false,
+        cross_worker_pruning: false,
+        ..JoinConfig::default()
     };
-    let shared = run(true);
-    let private = run(false);
-    assert_eq!(shared.pairs, private.pairs);
-    assert!(
-        shared.stats.pages_read < private.stats.pages_read,
-        "shared {} pages vs private {}",
-        shared.stats.pages_read,
-        private.stats.pages_read
-    );
-    assert!(
-        shared.stats.pool_hit_fraction() > private.stats.pool_hit_fraction(),
-        "shared {:.3} hit fraction vs private {:.3}",
-        shared.stats.pool_hit_fraction(),
-        private.stats.pool_hit_fraction()
-    );
+    let run = |pool_pages, threads| {
+        parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg(pool_pages), threads)
+    };
+    let one = run(4096, 1);
+    assert!(one.stats.pages_read > 0 && one.stats.pages_read <= allocated);
+    for threads in [2, 4, 8] {
+        let par = run(4096, threads);
+        assert_eq!(par.pairs, one.pairs, "threads={threads}");
+        assert_eq!(
+            par.stats.pages_read, one.stats.pages_read,
+            "threads={threads}: a page was fetched twice (or skipped)"
+        );
+    }
+    let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg(32));
+    assert_eq!(run(32, 4).pairs, seq.pairs, "starved 32-page budget");
 }
