@@ -59,7 +59,6 @@ pub struct PbsmFixture {
     pub disk_b: Disk,
     pub part_a: tfm_pbsm::PbsmDataset,
     pub part_b: tfm_pbsm::PbsmDataset,
-    pub config: tfm_pbsm::PbsmConfig,
 }
 
 impl PbsmFixture {
@@ -76,7 +75,6 @@ impl PbsmFixture {
             disk_b,
             part_a,
             part_b,
-            config,
         }
     }
 
@@ -89,7 +87,6 @@ impl PbsmFixture {
             &self.part_a,
             &mut pool_b,
             &self.part_b,
-            &self.config,
             &mut stats,
         )
         .len()

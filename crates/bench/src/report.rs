@@ -113,6 +113,7 @@ mod tests {
             results: 11,
             transformations: 2,
             overhead_wall: Duration::from_micros(100),
+            mem_join_wall: Duration::from_micros(300),
             build_threads: 1,
             prefetch_issued: 0,
             prefetch_hits: 0,

@@ -195,6 +195,11 @@ pub struct Metrics {
     pub transformations: u64,
     /// Exploration overhead wall time (TRANSFORMERS only; Fig. 14).
     pub overhead_wall: Duration,
+    /// Time inside the in-memory join kernel (TRANSFORMERS only). With
+    /// `overhead_wall` it splits `join_wall`; the remainder is page reads,
+    /// element copies and the final merge. Both are summed over workers, so
+    /// on the parallel path they can exceed `join_wall`.
+    pub mem_join_wall: Duration,
     /// Build workers used for the indexing phase (1 = sequential build;
     /// approaches without an STR build phase ignore the setting).
     pub build_threads: usize,
@@ -248,6 +253,7 @@ impl Metrics {
             results: 0,
             transformations: 0,
             overhead_wall: Duration::ZERO,
+            mem_join_wall: Duration::ZERO,
             build_threads: 1,
             prefetch_issued: 0,
             prefetch_hits: 0,
@@ -531,6 +537,7 @@ fn run_transformers_with(
     m.results = out.stats.unique_results;
     m.transformations = out.stats.transformations();
     m.overhead_wall = out.stats.exploration_overhead;
+    m.mem_join_wall = out.stats.join_cpu;
     m.pool_hits = out.stats.pool_hits;
     (m.clone(), out.pairs)
 }
@@ -565,7 +572,7 @@ fn run_pbsm(
         let mut pool_a = BufferPool::new(&disk_a, cfg.pool_pages);
         let mut pool_b = BufferPool::new(&disk_b, cfg.pool_pages);
         let t = Instant::now();
-        let pairs = pbsm_join(&mut pool_a, pa, &mut pool_b, pb, &pbsm_cfg, &mut stats);
+        let pairs = pbsm_join(&mut pool_a, pa, &mut pool_b, pb, &mut stats);
         m.join_wall = t.elapsed();
         pairs
     } else {

@@ -631,8 +631,28 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         m.build_threads,
         if m.build_threads == 1 { "" } else { "s" }
     );
+    // TRANSFORMERS says where its CPU went; the two timed parts are summed
+    // over workers, so past one thread they are not shares of the wall.
+    let cpu_split = if m.mem_join_wall.is_zero() && m.overhead_wall.is_zero() {
+        String::new()
+    } else if parallel_transformers {
+        format!(
+            "; worker-summed: {:.3}s in-memory join, {:.3}s exploration",
+            m.mem_join_wall.as_secs_f64(),
+            m.overhead_wall.as_secs_f64()
+        )
+    } else {
+        format!(
+            " = {:.3}s in-memory join + {:.3}s exploration + {:.3}s page reads + merge",
+            m.mem_join_wall.as_secs_f64(),
+            m.overhead_wall.as_secs_f64(),
+            m.join_wall
+                .saturating_sub(m.mem_join_wall + m.overhead_wall)
+                .as_secs_f64()
+        )
+    };
     println!(
-        "join time:       {:.3}s  ({:.3}s sim I/O + {:.3}s CPU)",
+        "join time:       {:.3}s  ({:.3}s sim I/O + {:.3}s CPU{cpu_split})",
         m.join_time().as_secs_f64(),
         m.join_sim_io.as_secs_f64(),
         m.join_wall.as_secs_f64()

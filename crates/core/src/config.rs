@@ -1,7 +1,5 @@
 //! Index and join configuration.
 
-use tfm_memjoin::GridConfig;
-
 /// Configuration of the indexing phase (paper §IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexConfig {
@@ -127,8 +125,6 @@ pub struct JoinConfig {
     /// Results are byte-identical at any capacity; only I/O counters
     /// change.
     pub pool_pages: usize,
-    /// In-memory grid hash join configuration (paper §VII-A).
-    pub mem_grid: GridConfig,
     /// Node-level prefilter: join guide and follower page MBBs before
     /// reading pages (paper §V "In-memory Join"). Exposed for ablation.
     pub node_prefilter: bool,
@@ -174,7 +170,6 @@ impl Default for JoinConfig {
             first_guide: GuidePick::A,
             walk_patience: 64,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
-            mem_grid: GridConfig::default(),
             node_prefilter: true,
             hilbert_walk_start: true,
             worker_role_transforms: true,

@@ -31,7 +31,7 @@ use crate::walk::{adaptive_crawl, adaptive_walk, scan_for_intersection, ExploreS
 use std::sync::Arc;
 use std::time::Instant;
 use tfm_geom::{Aabb, SpatialElement};
-use tfm_memjoin::{grid_hash_join, ResultPair};
+use tfm_memjoin::{GridJoin, ResultPair};
 use tfm_storage::{CacheHandle, Disk, ElementPageCodec, PageReads, SharedPageCache};
 
 /// Result of a TRANSFORMERS join.
@@ -147,6 +147,16 @@ struct Ctx {
     /// sequential join and in independent-worker mode, where only the
     /// per-owner `Side::checked` state is consulted.
     todo: Option<Arc<SharedTodo>>,
+    /// The in-memory join (grid hash join, §VII-A) and its scratch, reused
+    /// by every pivot of this owner.
+    kernel: GridJoin,
+    // Per-pivot buffers, cleared and refilled by each pivot so that a join
+    // allocates for its largest pivot once: the elements read for the two
+    // sides, the pivot's unit ids, and the prefilter's marks.
+    guide_elems: Vec<SpatialElement>,
+    follower_elems: Vec<SpatialElement>,
+    guide_units: Vec<UnitId>,
+    follower_hit: Vec<bool>,
 }
 
 impl Ctx {
@@ -178,7 +188,36 @@ impl Ctx {
             stats,
             raw: Vec::new(),
             todo: None,
+            kernel: GridJoin::default(),
+            guide_elems: Vec::new(),
+            follower_elems: Vec::new(),
+            guide_units: Vec::new(),
+            follower_hit: Vec::new(),
         }
+    }
+
+    /// Joins `guide_elems` with `follower_elems` in memory, pushing the
+    /// pairs into `raw` oriented (id in A, id in B).
+    fn join_buffered_elements(&mut self, guide_is_a: bool) {
+        let tj = Instant::now();
+        let before = self.stats.mem.element_tests;
+        let raw = &mut self.raw;
+        self.kernel.join(
+            &self.guide_elems,
+            &self.follower_elems,
+            &mut self.stats.mem,
+            |g, f| {
+                raw.push(if guide_is_a {
+                    (g.id, f.id)
+                } else {
+                    (f.id, g.id)
+                })
+            },
+        );
+        let dt = tj.elapsed();
+        self.stats.join_cpu += dt;
+        self.cost
+            .record_comparisons(self.stats.mem.element_tests - before, dt);
     }
 
     /// Publishes completion of `node`'s pivot processing. Must run only
@@ -449,15 +488,12 @@ fn process_node_pivot(
     // Node-level prefilter (§V "In-memory Join"): join the page MBBs of the
     // guide's units with the follower candidates; only surviving pages are
     // read.
-    let guide_unit_ids: Vec<UnitId> = guide.nodes[ng]
-        .unit_range()
-        .map(|u| guide.units[u].id)
-        .collect();
-    let (guide_keep, follower_keep) = if ctx.cfg.node_prefilter {
-        prefilter(ctx, guide, follower, &guide_unit_ids, &crawl.candidates)
-    } else {
-        (guide_unit_ids.clone(), crawl.candidates.clone())
-    };
+    ctx.guide_units.clear();
+    ctx.guide_units
+        .extend(guide.nodes[ng].unit_range().map(|u| guide.units[u].id));
+    if ctx.cfg.node_prefilter {
+        prefilter(ctx, guide, follower, &mut crawl.candidates);
+    }
     let dt_explore = t0.elapsed();
     ctx.stats.exploration_overhead += dt_explore;
     ctx.cost.record_exploration(
@@ -469,72 +505,49 @@ fn process_node_pivot(
     // a node's units occupy contiguous pages, so candidate batches read
     // mostly sequentially — the locality benefit of the data-oriented
     // layout the paper relies on.
-    let pages = (guide_keep.len() + follower_keep.len()) as u64;
-    let mut guide_elems = Vec::new();
-    for &u in &guide_keep {
-        guide.read_unit_elements(u, &mut guide_elems);
+    let pages = (ctx.guide_units.len() + crawl.candidates.len()) as u64;
+    ctx.guide_elems.clear();
+    for &u in &ctx.guide_units {
+        guide.read_unit_elements(u, &mut ctx.guide_elems);
     }
-    let mut follower_keep = follower_keep;
-    follower_keep.sort_unstable_by_key(|u| follower.units[u.0 as usize].page);
-    let mut follower_elems = Vec::new();
-    for &u in &follower_keep {
-        follower.read_unit_elements(u, &mut follower_elems);
+    crawl
+        .candidates
+        .sort_unstable_by_key(|u| follower.units[u.0 as usize].page);
+    ctx.follower_elems.clear();
+    for &u in &crawl.candidates {
+        follower.read_unit_elements(u, &mut ctx.follower_elems);
     }
     ctx.cost
         .record_io(pages, guide.disk.model().access_cost(false) * pages as u32);
 
-    // In-memory join (grid hash join, §VII-A).
-    let tj = Instant::now();
-    let before = ctx.stats.mem.element_tests;
-    let pairs = grid_hash_join(
-        &guide_elems,
-        &follower_elems,
-        &ctx.cfg.mem_grid,
-        &mut ctx.stats.mem,
-    );
-    let dt = tj.elapsed();
-    ctx.stats.join_cpu += dt;
-    ctx.cost
-        .record_comparisons(ctx.stats.mem.element_tests - before, dt);
-    push_oriented(&mut ctx.raw, pairs, guide_is_a);
+    ctx.join_buffered_elements(guide_is_a);
 
     finish_pivot(ctx, guide, guide_is_a, ng);
 }
 
-/// Bipartite page-MBB prefilter: keeps guide units intersecting at least
-/// one follower candidate and vice versa.
-fn prefilter(
-    ctx: &mut Ctx,
-    guide: &Side<'_>,
-    follower: &Side<'_>,
-    guide_units: &[UnitId],
-    candidates: &[UnitId],
-) -> (Vec<UnitId>, Vec<UnitId>) {
-    let mut keep_follower = vec![false; candidates.len()];
-    let mut keep_guide = Vec::with_capacity(guide_units.len());
-    for &gu in guide_units {
+/// Bipartite page-MBB prefilter: keeps, in place and in order, the units of
+/// `ctx.guide_units` intersecting at least one follower candidate and the
+/// `candidates` intersecting at least one of those guide units.
+fn prefilter(ctx: &mut Ctx, guide: &Side<'_>, follower: &Side<'_>, candidates: &mut Vec<UnitId>) {
+    let considered = (ctx.guide_units.len() + candidates.len()) as u64;
+    ctx.follower_hit.clear();
+    ctx.follower_hit.resize(candidates.len(), false);
+    ctx.guide_units.retain(|gu| {
         let gbox = guide.units[gu.0 as usize].page_mbb;
         let mut any = false;
-        for (i, &fu) in candidates.iter().enumerate() {
+        for (fu, hit) in candidates.iter().zip(&mut ctx.follower_hit) {
             ctx.stats.metadata_tests += 1;
             if gbox.intersects(&follower.units[fu.0 as usize].page_mbb) {
                 any = true;
-                keep_follower[i] = true;
+                *hit = true;
             }
         }
-        if any {
-            keep_guide.push(gu);
-        }
-    }
-    let kept: Vec<UnitId> = candidates
-        .iter()
-        .zip(&keep_follower)
-        .filter_map(|(&u, &k)| k.then_some(u))
-        .collect();
-    let considered = (guide_units.len() + candidates.len()) as u64;
-    let filtered = considered - (keep_guide.len() + kept.len()) as u64;
+        any
+    });
+    let mut hits = ctx.follower_hit.iter();
+    candidates.retain(|_| *hits.next().expect("one mark per candidate"));
+    let filtered = considered - (ctx.guide_units.len() + candidates.len()) as u64;
     ctx.cost.record_filter(filtered, considered);
-    (keep_guide, kept)
 }
 
 /// Transform 2/3: processes a guide node at space-unit granularity, with a
@@ -638,8 +651,8 @@ fn process_node_units(
             .record_exploration(r.steps + crawl.steps, dt_explore);
 
         // Read the guide unit's page.
-        let mut guide_elems = Vec::new();
-        guide.read_unit_elements(unit_id, &mut guide_elems);
+        ctx.guide_elems.clear();
+        guide.read_unit_elements(unit_id, &mut ctx.guide_elems);
         ctx.cost.record_io(1, guide.disk.model().access_cost(false));
 
         if split_elements {
@@ -647,40 +660,29 @@ fn process_node_units(
             // is read only if an actual guide element touches it.
             ctx.stats.element_layout_transformations += 1;
             ctx.cost.on_transformation();
-            join_element_level(ctx, guide_is_a, &guide_elems, follower, &crawl.candidates);
+            join_element_level(ctx, guide_is_a, follower, &crawl.candidates);
         } else {
-            let mut follower_elems = Vec::new();
+            ctx.follower_elems.clear();
             for &fu in &crawl.candidates {
-                follower.read_unit_elements(fu, &mut follower_elems);
+                follower.read_unit_elements(fu, &mut ctx.follower_elems);
             }
             ctx.cost.record_io(
                 crawl.candidates.len() as u64,
                 follower.disk.model().access_cost(false) * crawl.candidates.len() as u32,
             );
-            let tj = Instant::now();
-            let before = ctx.stats.mem.element_tests;
-            let pairs = grid_hash_join(
-                &guide_elems,
-                &follower_elems,
-                &ctx.cfg.mem_grid,
-                &mut ctx.stats.mem,
-            );
-            let dt = tj.elapsed();
-            ctx.stats.join_cpu += dt;
-            ctx.cost
-                .record_comparisons(ctx.stats.mem.element_tests - before, dt);
-            push_oriented(&mut ctx.raw, pairs, guide_is_a);
+            ctx.join_buffered_elements(guide_is_a);
         }
     }
 }
 
-/// Element-level join of one guide unit against the candidate follower
-/// units: candidate pages whose page MBB no guide element touches are
-/// filtered out without being read.
+/// Element-level join of the guide unit in `ctx.guide_elems` against the
+/// candidate follower units: candidate pages whose page MBB no guide
+/// element touches are filtered out without being read. The kernel's
+/// window filter then drops the guide elements that miss a page that was
+/// read.
 fn join_element_level(
     ctx: &mut Ctx,
     guide_is_a: bool,
-    guide_elems: &[SpatialElement],
     follower: &mut Side<'_>,
     candidates: &[UnitId],
 ) {
@@ -691,7 +693,7 @@ fn join_element_level(
         // Element-granularity filter: does any actual guide element reach
         // this follower page?
         let mut touched = false;
-        for e in guide_elems {
+        for e in &ctx.guide_elems {
             ctx.stats.metadata_tests += 1;
             if e.mbb.intersects(&fbox) {
                 touched = true;
@@ -703,30 +705,9 @@ fn join_element_level(
             continue;
         }
         read_pages += 1;
-        let mut follower_elems = Vec::new();
-        follower.read_unit_elements(fu, &mut follower_elems);
-
-        let tj = Instant::now();
-        let before = ctx.stats.mem.element_tests;
-        let mut pairs = Vec::new();
-        for e in guide_elems {
-            ctx.stats.metadata_tests += 1;
-            if !e.mbb.intersects(&fbox) {
-                continue;
-            }
-            for f in &follower_elems {
-                ctx.stats.mem.element_tests += 1;
-                if e.mbb.intersects(&f.mbb) {
-                    pairs.push((e.id, f.id));
-                }
-            }
-        }
-        ctx.stats.mem.results += pairs.len() as u64;
-        let dt = tj.elapsed();
-        ctx.stats.join_cpu += dt;
-        ctx.cost
-            .record_comparisons(ctx.stats.mem.element_tests - before, dt);
-        push_oriented(&mut ctx.raw, pairs, guide_is_a);
+        ctx.follower_elems.clear();
+        follower.read_unit_elements(fu, &mut ctx.follower_elems);
+        ctx.join_buffered_elements(guide_is_a);
     }
     ctx.cost.record_filter(
         candidates.len() as u64 - read_pages,
@@ -736,15 +717,6 @@ fn join_element_level(
         read_pages,
         follower.disk.model().access_cost(false) * read_pages as u32,
     );
-}
-
-/// Appends pairs oriented as (id in A, id in B).
-fn push_oriented(raw: &mut Vec<ResultPair>, pairs: Vec<ResultPair>, guide_is_a: bool) {
-    if guide_is_a {
-        raw.extend(pairs);
-    } else {
-        raw.extend(pairs.into_iter().map(|(g, f)| (f, g)));
-    }
 }
 
 /// One dataset handed to a [`PivotEngine`]: its index, the page cache over

@@ -109,6 +109,10 @@ impl TransformersStats {
         reg.counter(names::JOIN_PRUNED_UNITS).add(self.pruned_units);
         reg.counter(names::JOIN_WALK_STEPS).add(self.walk_steps);
         reg.counter(names::JOIN_CRAWL_STEPS).add(self.crawl_steps);
+        reg.counter(names::JOIN_MEM_JOIN_NANOS)
+            .add(self.join_cpu.as_nanos() as u64);
+        reg.counter(names::JOIN_EXPLORATION_NANOS)
+            .add(self.exploration_overhead.as_nanos() as u64);
     }
 
     /// Accumulates another stats record into this one.

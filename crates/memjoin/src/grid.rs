@@ -1,15 +1,15 @@
 //! Uniform-grid hash join (Tauheed et al., BICOD '15).
 
 use crate::{JoinStats, ResultPair};
-use tfm_geom::{Aabb, Point3, SpatialElement};
+use tfm_geom::{Aabb, SpatialElement};
 
 /// Configuration of the uniform grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridConfig {
     /// Fixed number of cells per dimension; `None` derives it from the
-    /// build-side cardinality via `target_per_cell`.
+    /// indexed side's cardinality via `target_per_cell`.
     pub cells_per_dim: Option<usize>,
-    /// Desired average number of build-side elements per cell when sizing
+    /// Desired average number of indexed elements per cell when sizing
     /// the grid automatically.
     pub target_per_cell: f64,
 }
@@ -41,155 +41,324 @@ impl GridConfig {
     }
 }
 
-/// A uniform grid over `extent` with elements hashed into overlapped cells.
-struct Grid {
-    extent: Aabb,
+/// The one cell function of a grid of `n`³ cells over the join window.
+///
+/// [`cell`](Self::cell) is non-decreasing in the coordinate: the
+/// subtraction, the multiplication by a non-negative constant, the
+/// truncating cast and the clamp each are. Hashing, probing and pair
+/// ownership all go through it, and that is the whole correctness argument
+/// of [`GridJoin::join`] — no cell boundary is ever re-derived in floating
+/// point.
+struct CellFn {
+    min: [f64; 3],
+    /// `n / extent` per dimension; 0 where the window is flat (or so thin
+    /// that the quotient overflows), which maps the dimension to cell 0.
+    scale: [f64; 3],
     n: usize,
-    cell_size: Point3,
-    /// Per cell: indices into the build-side slice.
-    cells: Vec<Vec<u32>>,
 }
 
-impl Grid {
-    fn build(extent: Aabb, n: usize, elements: &[SpatialElement]) -> Self {
-        let cell_size = Point3::new(
-            extent.extent(0) / n as f64,
-            extent.extent(1) / n as f64,
-            extent.extent(2) / n as f64,
-        );
-        let mut grid = Self {
-            extent,
+impl CellFn {
+    fn new(window: &Aabb, n: usize) -> Self {
+        let mut scale = [0.0; 3];
+        for (d, s) in scale.iter_mut().enumerate() {
+            let q = n as f64 / window.extent(d);
+            if q.is_finite() {
+                *s = q;
+            }
+        }
+        Self {
+            min: [window.min.x, window.min.y, window.min.z],
+            scale,
             n,
-            cell_size,
-            cells: vec![Vec::new(); n * n * n],
-        };
-        for (i, e) in elements.iter().enumerate() {
-            let (lo, hi) = grid.cell_range(&e.mbb);
+        }
+    }
+
+    /// `clamp(⌊(v − min_d) · n / extent_d⌋, 0, n − 1)`. The cast truncates
+    /// and saturates, which after the clamp is the same thing: anything
+    /// below the window lands in cell 0, anything above in `n − 1`. (`i32`
+    /// because x86-64 converts to it in one instruction, and to no unsigned
+    /// type.)
+    #[inline]
+    fn cell(&self, d: usize, v: f64) -> usize {
+        ((((v - self.min[d]) * self.scale[d]) as i32).max(0) as usize).min(self.n - 1)
+    }
+
+    /// Inclusive cell range a box overlaps (its corners clipped to the
+    /// window by the clamp in [`cell`](Self::cell)).
+    #[inline]
+    fn range(&self, mbb: &Aabb) -> ([usize; 3], [usize; 3]) {
+        (
+            [
+                self.cell(0, mbb.min.x),
+                self.cell(1, mbb.min.y),
+                self.cell(2, mbb.min.z),
+            ],
+            [
+                self.cell(0, mbb.max.x),
+                self.cell(1, mbb.max.y),
+                self.cell(2, mbb.max.z),
+            ],
+        )
+    }
+
+    /// True if cell `c` owns the reference point `max(a.min, b.min)` of an
+    /// intersecting pair.
+    #[inline]
+    fn owns(&self, c: [usize; 3], a: &Aabb, b: &Aabb) -> bool {
+        self.cell(0, a.min.x.max(b.min.x)) == c[0]
+            && self.cell(1, a.min.y.max(b.min.y)) == c[1]
+            && self.cell(2, a.min.z.max(b.min.z)) == c[2]
+    }
+}
+
+/// Closed-box intersection as six compares and no branch: on candidates
+/// that share a cell the outcome of each single compare is close to a coin
+/// flip. The outcomes are summed as integers because the optimiser turns
+/// `&` on `bool`s back into a chain of short-circuit jumps.
+#[inline]
+fn overlaps(a: &Aabb, b: &Aabb) -> bool {
+    (a.min.x <= b.max.x) as u8
+        + (b.min.x <= a.max.x) as u8
+        + (a.min.y <= b.max.y) as u8
+        + (b.min.y <= a.max.y) as u8
+        + (a.min.z <= b.max.z) as u8
+        + (b.min.z <= a.max.z) as u8
+        == 6
+}
+
+/// The grid itself, in CSR form: cell `c` holds
+/// `cells[starts[c]..starts[c + 1]]`.
+#[derive(Debug, Default)]
+struct CellIndex {
+    /// One slot longer than the layout needs: the counting sort shifts its
+    /// counters by one so the fill pass can use them as cursors.
+    starts: Vec<u32>,
+    /// Cell-ordered copies of the indexed elements. Never shrunk; only the
+    /// prefix `starts` describes is meaningful.
+    cells: Vec<SpatialElement>,
+}
+
+impl CellIndex {
+    /// Hashes `side[i]` for every `i` in `keep` into the cells its box
+    /// overlaps, by a two-pass counting sort.
+    fn build(&mut self, f: &CellFn, side: &[SpatialElement], keep: &[u32]) {
+        let n = f.n;
+        // Pass 1: cell `c`'s count goes to slot `c + 2`, so that after the
+        // running sum slot `c + 1` holds the cell's start …
+        self.starts.clear();
+        self.starts.resize(n * n * n + 2, 0);
+        for &i in keep {
+            let (lo, hi) = f.range(&side[i as usize].mbb);
             for cz in lo[2]..=hi[2] {
                 for cy in lo[1]..=hi[1] {
-                    for cx in lo[0]..=hi[0] {
-                        let idx = grid.cell_index(cx, cy, cz);
-                        grid.cells[idx].push(i as u32);
+                    let row = (cz * n + cy) * n;
+                    for count in &mut self.starts[row + lo[0] + 2..=row + hi[0] + 2] {
+                        *count += 1;
                     }
                 }
             }
         }
-        grid
-    }
-
-    #[inline]
-    fn cell_index(&self, x: usize, y: usize, z: usize) -> usize {
-        (z * self.n + y) * self.n + x
-    }
-
-    /// Inclusive cell coordinate range overlapped by a box.
-    fn cell_range(&self, mbb: &Aabb) -> ([usize; 3], [usize; 3]) {
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for d in 0..3 {
-            let cs = self.cell_size.coord(d);
-            let (l, h) = if cs > 0.0 {
-                let l = ((mbb.min.coord(d) - self.extent.min.coord(d)) / cs).floor() as i64;
-                let h = ((mbb.max.coord(d) - self.extent.min.coord(d)) / cs).floor() as i64;
-                (l, h)
-            } else {
-                (0, 0)
-            };
-            lo[d] = l.clamp(0, self.n as i64 - 1) as usize;
-            hi[d] = h.clamp(0, self.n as i64 - 1) as usize;
+        let mut total = 0u32;
+        for slot in &mut self.starts {
+            total = total
+                .checked_add(*slot)
+                .expect("grid join replicates past u32 offsets");
+            *slot = total;
         }
-        (lo, hi)
+        if self.cells.len() < total as usize {
+            self.cells.resize(total as usize, side[0]);
+        }
+        // … and pass 2 bumps slot `c + 1` once per element it places, which
+        // leaves it at the cell's end, i.e. the start of cell `c + 1`:
+        // slots `c` and `c + 1` now bracket cell `c`.
+        for &i in keep {
+            let e = side[i as usize];
+            let (lo, hi) = f.range(&e.mbb);
+            for cz in lo[2]..=hi[2] {
+                for cy in lo[1]..=hi[1] {
+                    let row = (cz * n + cy) * n;
+                    for cursor in &mut self.starts[row + lo[0] + 1..=row + hi[0] + 1] {
+                        self.cells[*cursor as usize] = e;
+                        *cursor += 1;
+                    }
+                }
+            }
+        }
     }
 
-    /// Lower corner of a cell, for reference-point deduplication.
-    fn cell_min(&self, x: usize, y: usize, z: usize) -> Point3 {
-        Point3::new(
-            self.extent.min.x + x as f64 * self.cell_size.x,
-            self.extent.min.y + y as f64 * self.cell_size.y,
-            self.extent.min.z + z as f64 * self.cell_size.z,
-        )
-    }
-
-    fn cell_box(&self, x: usize, y: usize, z: usize) -> Aabb {
-        let min = self.cell_min(x, y, z);
-        let max = Point3::new(
-            if x + 1 == self.n {
-                self.extent.max.x
-            } else {
-                min.x + self.cell_size.x
-            },
-            if y + 1 == self.n {
-                self.extent.max.y
-            } else {
-                min.y + self.cell_size.y
-            },
-            if z + 1 == self.n {
-                self.extent.max.z
-            } else {
-                min.z + self.cell_size.z
-            },
-        );
-        Aabb::new(min, max)
-    }
-}
-
-/// Joins `left` and `right` with a uniform-grid hash join.
-///
-/// The grid covers the union of both extents; `left` is hashed into every
-/// cell it overlaps, then each `right` element probes its overlapped cells.
-/// Duplicate candidate pairs (elements sharing several cells) are suppressed
-/// with the *reference-point* method: a pair is reported only in the cell
-/// containing the minimum corner of the two MBBs' intersection, so no
-/// result-set deduplication pass is needed — the same technique PBSM uses
-/// (paper §VIII-B, Dittrich & Seeger ICDE '00).
-pub fn grid_hash_join(
-    left: &[SpatialElement],
-    right: &[SpatialElement],
-    config: &GridConfig,
-    stats: &mut JoinStats,
-) -> Vec<ResultPair> {
-    if left.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    let extent = Aabb::union_all(left.iter().chain(right.iter()).map(|e| e.mbb));
-    let n = config.resolve(left.len());
-    let grid = Grid::build(extent, n, left);
-
-    let mut out = Vec::new();
-    for b in right {
-        let (lo, hi) = grid.cell_range(&b.mbb);
-        for cz in lo[2]..=hi[2] {
-            for cy in lo[1]..=hi[1] {
-                for cx in lo[0]..=hi[0] {
-                    let cell_box = grid.cell_box(cx, cy, cz);
-                    for &ai in &grid.cells[grid.cell_index(cx, cy, cz)] {
-                        let a = &left[ai as usize];
-                        stats.element_tests += 1;
-                        if let Some(overlap) = a.mbb.intersection(&b.mbb) {
-                            // Reference point: report in the unique cell
-                            // holding the intersection's min corner.
-                            if cell_box.contains_point(&overlap.min)
-                                && is_reference_cell(&grid, &overlap.min, cx, cy, cz)
-                            {
-                                out.push((a.id, b.id));
+    /// Tests `side[i]` for every `i` in `keep` against the elements of the
+    /// cells its box overlaps, handing `hit` each intersecting (indexed
+    /// element, probe) pair in the cell that owns it. Returns (box tests
+    /// made, pairs handed over).
+    fn probe(
+        &self,
+        f: &CellFn,
+        side: &[SpatialElement],
+        keep: &[u32],
+        mut hit: impl FnMut(&SpatialElement, &SpatialElement),
+    ) -> (u64, u64) {
+        let n = f.n;
+        let (mut tests, mut results) = (0u64, 0u64);
+        for &i in keep {
+            let p = &side[i as usize];
+            let (lo, hi) = f.range(&p.mbb);
+            for cz in lo[2]..=hi[2] {
+                for cy in lo[1]..=hi[1] {
+                    let row = (cz * n + cy) * n;
+                    for cx in lo[0]..=hi[0] {
+                        let cell = &self.cells
+                            [self.starts[row + cx] as usize..self.starts[row + cx + 1] as usize];
+                        tests += cell.len() as u64;
+                        for e in cell {
+                            if overlaps(&e.mbb, &p.mbb) && f.owns([cx, cy, cz], &e.mbb, &p.mbb) {
+                                results += 1;
+                                hit(e, p);
                             }
                         }
                     }
                 }
             }
         }
+        (tests, results)
     }
-    stats.results += out.len() as u64;
-    out
 }
 
-/// The reference point may lie exactly on a shared cell boundary, in which
-/// case `cell_box.contains_point` is true for several cells; tie-break by
-/// requiring this cell to be the floor-indexed owner of the point.
-#[inline]
-fn is_reference_cell(grid: &Grid, p: &Point3, cx: usize, cy: usize, cz: usize) -> bool {
-    let (lo, _) = grid.cell_range(&Aabb::from_point(*p));
-    lo == [cx, cy, cz]
+/// The uniform-grid hash join, with its scratch memory.
+///
+/// A value is meant to be kept and reused: every buffer grows to the
+/// largest call it has seen and is then only overwritten, so a caller that
+/// joins thousands of pivot-sized inputs (the TRANSFORMERS join, PBSM's
+/// cell loop) allocates during the first few calls and never again.
+///
+/// One call of [`join`](Self::join):
+///
+/// 1. **Window.** `W = extent(left) ∩ extent(right)`. The overlap of any
+///    intersecting pair lies inside both extents, hence inside `W`, so an
+///    element that misses `W` cannot match anything and is dropped by one
+///    box test. Disjoint extents end the call here.
+/// 2. **Index the smaller side.** Whichever side has fewer survivors is
+///    hashed into a grid over `W` of `n`³ cells (`n` from
+///    [`GridConfig`] and that side's surviving count). The grid is a CSR
+///    layout built by a two-pass counting sort: per-cell start offsets plus
+///    cell-ordered *copies* of the elements, so a probe streams contiguous
+///    memory instead of chasing indexes.
+/// 3. **Probe.** Every survivor of the other side visits the cells its box
+///    overlaps and is tested against their elements.
+///
+/// An element spanning several cells meets the same partner several times;
+/// the pair is reported only in the cell that owns its *reference point*
+/// `max(a.min, b.min)`, the minimum corner of the overlap (Dittrich &
+/// Seeger, ICDE '00 — the technique PBSM uses across its partitions). The
+/// cells an element is hashed into, the cells a probe visits and the owner
+/// of a reference point all come from the one monotone cell function
+/// `cell`: `a.min ≤ max(a.min, b.min) ≤ a.max` holds per dimension for an
+/// intersecting pair, and likewise for `b`, so by monotonicity the owner
+/// lies in both elements' cell ranges — the pair is tested there, and
+/// reported there only. Deciding ownership with a second formula (say,
+/// `min + x · cell_size ≤ p`) is what loses pairs: on coordinates that are
+/// multiples of a step like 0.7 the two round differently, and a pair whose
+/// reference point sits on a cell boundary is then reported in no cell.
+#[derive(Debug, Default)]
+pub struct GridJoin {
+    config: GridConfig,
+    /// Indexes of the elements of each side that meet the window.
+    keep_left: Vec<u32>,
+    keep_right: Vec<u32>,
+    grid: CellIndex,
+}
+
+impl GridJoin {
+    /// A kernel with empty scratch.
+    pub fn new(config: GridConfig) -> Self {
+        Self {
+            config,
+            ..Self::default()
+        }
+    }
+
+    /// Joins `left` and `right`, handing every intersecting pair to `emit`
+    /// exactly once as `(element of left, element of right)` — whichever
+    /// side the kernel chose to index.
+    ///
+    /// `stats.element_tests` grows by every box comparison made, the
+    /// window filter's included; the count is a function of the two inputs
+    /// and the configuration only, not of what the scratch held before.
+    pub fn join(
+        &mut self,
+        left: &[SpatialElement],
+        right: &[SpatialElement],
+        stats: &mut JoinStats,
+        mut emit: impl FnMut(&SpatialElement, &SpatialElement),
+    ) {
+        if left.is_empty() || right.is_empty() {
+            return;
+        }
+        assert!(
+            left.len().max(right.len()) <= u32::MAX as usize,
+            "grid join input exceeds u32 indexes"
+        );
+        let (el, er) = (extent(left), extent(right));
+        let window = Aabb {
+            min: el.min.max(&er.min),
+            max: el.max.min(&er.max),
+        };
+        if window.is_empty() {
+            return;
+        }
+        stats.element_tests += (left.len() + right.len()) as u64;
+        keep_overlapping(left, &window, &mut self.keep_left);
+        keep_overlapping(right, &window, &mut self.keep_right);
+
+        // A tie indexes `left`, so the choice is a function of the inputs.
+        let index_left = self.keep_left.len() <= self.keep_right.len();
+        let (indexed, keep_indexed, probes, keep_probes) = if index_left {
+            (left, &self.keep_left, right, &self.keep_right)
+        } else {
+            (right, &self.keep_right, left, &self.keep_left)
+        };
+        let f = CellFn::new(&window, self.config.resolve(keep_indexed.len()));
+        self.grid.build(&f, indexed, keep_indexed);
+        let (tests, results) = if index_left {
+            self.grid.probe(&f, probes, keep_probes, |a, b| emit(a, b))
+        } else {
+            self.grid.probe(&f, probes, keep_probes, |b, a| emit(a, b))
+        };
+        stats.element_tests += tests;
+        stats.results += results;
+    }
+}
+
+fn extent(side: &[SpatialElement]) -> Aabb {
+    Aabb::union_all(side.iter().map(|e| e.mbb))
+}
+
+/// Refills `keep` with the indexes of the elements of `side` that meet
+/// `window`. Every index is written and the cursor advances only past the
+/// survivors: whether an element survives is as unpredictable as a branch
+/// gets.
+fn keep_overlapping(side: &[SpatialElement], window: &Aabb, keep: &mut Vec<u32>) {
+    keep.clear();
+    keep.resize(side.len(), 0);
+    let mut kept = 0;
+    for (i, e) in side.iter().enumerate() {
+        keep[kept] = i as u32;
+        kept += overlaps(&e.mbb, window) as usize;
+    }
+    keep.truncate(kept);
+}
+
+/// Joins `left` and `right` with a throw-away [`GridJoin`], collecting the
+/// id pairs. For tests and one-off calls; anything that joins repeatedly
+/// keeps a [`GridJoin`] and reuses its scratch.
+pub fn grid_hash_join(
+    left: &[SpatialElement],
+    right: &[SpatialElement],
+    config: &GridConfig,
+    stats: &mut JoinStats,
+) -> Vec<ResultPair> {
+    let mut out = Vec::new();
+    GridJoin::new(*config).join(left, right, stats, |a, b| out.push((a.id, b.id)));
+    out
 }
 
 #[cfg(test)]
@@ -284,5 +453,51 @@ mod tests {
         let got = canonicalize(grid_hash_join(&a, &b, &GridConfig::fixed(10), &mut sg));
         assert_eq!(got, expected);
         assert!(sg.element_tests < sn.element_tests / 5);
+    }
+
+    /// `count` unit-ish boxes strung along the diagonal from `from`.
+    fn diagonal(count: u64, from: f64) -> Vec<SpatialElement> {
+        (0..count)
+            .map(|i| {
+                let f = from + i as f64 * 0.37;
+                elem(i, (f, f, f), (f + 1.0, f + 1.5, f + 0.5))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reused_scratch_gives_the_same_pairs_and_counts_and_stops_allocating() {
+        // Alternating sizes, so every call meets scratch sized by another.
+        let inputs: Vec<_> = [(600, 0.0, 40, 30.0), (3, 5.0, 900, 0.0), (70, 2.0, 70, 3.0)]
+            .iter()
+            .map(|&(na, fa, nb, fb)| (diagonal(na, fa), diagonal(nb, fb)))
+            .collect();
+        let capacities = |k: &GridJoin| {
+            [
+                k.keep_left.capacity(),
+                k.keep_right.capacity(),
+                k.grid.starts.capacity(),
+                k.grid.cells.capacity(),
+            ]
+        };
+        let mut kernel = GridJoin::default();
+        let mut grown = None;
+        for call in 0..1000 {
+            let (a, b) = &inputs[call % inputs.len()];
+            let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+            let (mut sr, mut sf) = (JoinStats::default(), JoinStats::default());
+            kernel.join(a, b, &mut sr, |x, y| reused.push((x.id, y.id)));
+            GridJoin::default().join(a, b, &mut sf, |x, y| fresh.push((x.id, y.id)));
+            assert_eq!(reused, fresh, "call {call}");
+            assert_eq!(sr, sf, "call {call}");
+            assert!(!fresh.is_empty());
+            // Every allocation the kernel makes is the growth of one of
+            // its four buffers; once each input has been seen, none grows.
+            if call + 1 == inputs.len() {
+                grown = Some(capacities(&kernel));
+            } else if call >= inputs.len() {
+                assert_eq!(Some(capacities(&kernel)), grown, "call {call} allocated");
+            }
+        }
     }
 }

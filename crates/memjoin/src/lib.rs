@@ -4,8 +4,11 @@
 //! them ultimately intersect two in-memory sets of elements. This crate
 //! provides those kernels:
 //!
-//! * [`grid_hash_join`] — the uniform-grid hash join of Tauheed et al.
-//!   (BICOD '15), used by PBSM and TRANSFORMERS (paper §VII-A);
+//! * [`GridJoin`] — the uniform-grid hash join of Tauheed et al.
+//!   (BICOD '15), used by PBSM and TRANSFORMERS (paper §VII-A): a flat
+//!   grid over the window the two inputs share, held with its scratch by
+//!   the caller and reused across calls, reporting pairs through a closure
+//!   ([`grid_hash_join`] wraps one call of it for tests);
 //! * [`plane_sweep_join`] — the classic forward plane sweep, used by the
 //!   synchronized R-Tree baseline (paper §VII-A);
 //! * [`nested_loop_join`] — the quadratic oracle every other algorithm is
@@ -13,14 +16,16 @@
 //!
 //! All kernels report the number of element-vs-element intersection tests
 //! through [`JoinStats`]; the paper's Fig. 11/12 (right panels) compare
-//! exactly this number across approaches.
+//! exactly this number across approaches. For the grid join that is every
+//! box comparison it makes — the window filter's one per input element
+//! included — and depends on the two inputs only.
 
 #![warn(missing_docs)]
 
 mod grid;
 mod sweep;
 
-pub use grid::{grid_hash_join, GridConfig};
+pub use grid::{grid_hash_join, GridConfig, GridJoin};
 pub use sweep::plane_sweep_join;
 
 use tfm_geom::{ElementId, SpatialElement};

@@ -180,6 +180,11 @@ pub const JOIN_PRUNED_UNITS: &str = "join.pruned_units";
 pub const JOIN_WALK_STEPS: &str = "join.walk_steps";
 /// Follower-crawl steps.
 pub const JOIN_CRAWL_STEPS: &str = "join.crawl_steps";
+/// Time inside the in-memory join kernel, summed over pivots and workers.
+pub const JOIN_MEM_JOIN_NANOS: &str = "join.mem_join_nanos";
+/// Time in walk, crawl, prefilter and transformation decisions (the
+/// paper's exploration overhead), summed over pivots and workers.
+pub const JOIN_EXPLORATION_NANOS: &str = "join.exploration_nanos";
 
 // --- build.* : index-build stage timings ---
 //

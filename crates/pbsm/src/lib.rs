@@ -23,7 +23,7 @@
 #![warn(missing_docs)]
 
 use tfm_geom::{Aabb, SpatialElement};
-use tfm_memjoin::{grid_hash_join, GridConfig, JoinStats, ResultPair};
+use tfm_memjoin::{GridJoin, JoinStats, ResultPair};
 use tfm_partition::UniformGrid;
 use tfm_storage::{BufferPool, Disk, ElementPageCodec, PageId};
 
@@ -33,15 +33,12 @@ pub struct PbsmConfig {
     /// Grid cells per dimension (paper: 10 for synthetic data, 20 for the
     /// neuroscience workload).
     pub partitions_per_dim: usize,
-    /// Configuration of the in-memory grid hash join within each cell.
-    pub mem_grid: GridConfig,
 }
 
 impl Default for PbsmConfig {
     fn default() -> Self {
         Self {
             partitions_per_dim: 10,
-            mem_grid: GridConfig::default(),
         }
     }
 }
@@ -51,7 +48,6 @@ impl PbsmConfig {
     pub fn with_partitions(n: usize) -> Self {
         Self {
             partitions_per_dim: n,
-            ..Self::default()
         }
     }
 }
@@ -180,7 +176,6 @@ pub fn pbsm_join(
     part_a: &PbsmDataset,
     pool_b: &mut BufferPool<'_>,
     part_b: &PbsmDataset,
-    config: &PbsmConfig,
     stats: &mut PbsmStats,
 ) -> Vec<ResultPair> {
     assert_eq!(
@@ -195,6 +190,8 @@ pub fn pbsm_join(
     let grid = &part_a.grid;
 
     let mut out = Vec::new();
+    let mut kernel = GridJoin::default();
+    let mut mem = JoinStats::default();
     for cell in 0..grid.cell_count() {
         if part_a.cell_counts[cell] == 0 || part_b.cell_counts[cell] == 0 {
             continue;
@@ -202,29 +199,19 @@ pub fn pbsm_join(
         let elems_a = part_a.read_cell(pool_a, &codec_a, cell);
         let elems_b = part_b.read_cell(pool_b, &codec_b, cell);
 
-        // In-memory grid hash join within the cell...
-        let mut cell_stats = JoinStats::default();
-        let pairs = grid_hash_join(&elems_a, &elems_b, &config.mem_grid, &mut cell_stats);
-        stats.mem.element_tests += cell_stats.element_tests;
-
-        // ...then cross-cell deduplication by the reference-point method:
-        // a pair is reported only in the cell that owns the minimum corner
-        // of the MBB intersection.
-        let lookup_a: std::collections::HashMap<u64, Aabb> =
-            elems_a.iter().map(|e| (e.id, e.mbb)).collect();
-        let lookup_b: std::collections::HashMap<u64, Aabb> =
-            elems_b.iter().map(|e| (e.id, e.mbb)).collect();
-        for (ida, idb) in pairs {
-            let overlap = lookup_a[&ida]
-                .intersection(&lookup_b[&idb])
-                .expect("reported pair must intersect");
-            if grid.cell_of_point(&overlap.min) == cell {
-                out.push((ida, idb));
+        // In-memory grid hash join within the cell, with cross-cell
+        // deduplication by the reference-point method: a pair is reported
+        // only in the cell that owns the minimum corner of the MBB
+        // intersection.
+        kernel.join(&elems_a, &elems_b, &mut mem, |a, b| {
+            if grid.cell_of_point(&a.mbb.min.max(&b.mbb.min)) == cell {
+                out.push((a.id, b.id));
             } else {
                 stats.duplicates_suppressed += 1;
             }
-        }
+        });
     }
+    stats.mem.element_tests += mem.element_tests;
     stats.mem.results += out.len() as u64;
     out
 }
@@ -247,14 +234,7 @@ pub fn pbsm_join_datasets(
     let part_b = pbsm_partition(disk_b, elements_b, extent, config, &mut stats);
     let mut pool_a = BufferPool::with_default_capacity(disk_a);
     let mut pool_b = BufferPool::with_default_capacity(disk_b);
-    let pairs = pbsm_join(
-        &mut pool_a,
-        &part_a,
-        &mut pool_b,
-        &part_b,
-        config,
-        &mut stats,
-    );
+    let pairs = pbsm_join(&mut pool_a, &part_a, &mut pool_b, &part_b, &mut stats);
     (pairs, stats)
 }
 
@@ -372,14 +352,7 @@ mod tests {
         disk_b.reset_stats();
         let mut pool_a = BufferPool::with_default_capacity(&disk_a);
         let mut pool_b = BufferPool::with_default_capacity(&disk_b);
-        let _ = pbsm_join(
-            &mut pool_a,
-            &part_a,
-            &mut pool_b,
-            &part_b,
-            &config,
-            &mut stats,
-        );
+        let _ = pbsm_join(&mut pool_a, &part_a, &mut pool_b, &part_b, &mut stats);
         let s = disk_a.stats().merged(&disk_b.stats());
         assert!(s.reads() > 0);
         assert!(

@@ -21,6 +21,15 @@ fn run_transformers(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPai
     transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &JoinConfig::default()).pairs
 }
 
+fn run_parallel(a: &[SpatialElement], b: &[SpatialElement], threads: usize) -> Vec<ResultPair> {
+    let disk_a = Disk::default_in_memory();
+    let disk_b = Disk::default_in_memory();
+    let idx_a = TransformersIndex::build(&disk_a, a.to_vec(), &IndexConfig::default());
+    let idx_b = TransformersIndex::build(&disk_b, b.to_vec(), &IndexConfig::default());
+    let cfg = JoinConfig::default();
+    parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads).pairs
+}
+
 fn run_pbsm(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
     let disk_a = Disk::default_in_memory();
     let disk_b = Disk::default_in_memory();
@@ -198,4 +207,43 @@ fn disjoint_regions_yield_nothing() {
     let expected = oracle(&a, &b);
     assert!(expected.is_empty());
     check_all(&a, &b, "disjoint");
+}
+
+#[test]
+fn lattice_coordinates() {
+    // Quantised data (voxel grids, fixed-precision input): every coordinate
+    // is a multiple of 0.7, so pairs' reference points fall on the in-memory
+    // grid's cell boundaries all the time — where a kernel that derives a
+    // boundary twice in floating point loses pairs (`tfm-memjoin`'s
+    // `lattice_*` tests).
+    // The uniform generator's boxes, packed ten times denser and snapped
+    // down onto the lattice: both corners are an integer times 0.7.
+    let lattice = |seed: u64| -> Vec<SpatialElement> {
+        ds(3_000, Distribution::Uniform, seed)
+            .into_iter()
+            .map(|e| {
+                let corner = |min: f64, max: f64| {
+                    let k = (min * 0.1 / 0.7).floor();
+                    (k * 0.7, (k + ((max - min) / 0.7).floor()) * 0.7)
+                };
+                let (x, y, z) = (
+                    corner(e.mbb.min.x, e.mbb.max.x),
+                    corner(e.mbb.min.y, e.mbb.max.y),
+                    corner(e.mbb.min.z, e.mbb.max.z),
+                );
+                SpatialElement::new(
+                    e.id,
+                    Aabb::new(Point3::new(x.0, y.0, z.0), Point3::new(x.1, y.1, z.1)),
+                )
+            })
+            .collect()
+    };
+    let (a, b) = (lattice(110), lattice(111));
+    assert!(oracle(&a, &b).len() > 1_000);
+    check_all(&a, &b, "lattice 0.7");
+    assert_eq!(
+        run_parallel(&a, &b, 2),
+        oracle(&a, &b),
+        "lattice 0.7: 2 workers"
+    );
 }
