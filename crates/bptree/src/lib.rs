@@ -42,6 +42,17 @@ pub(crate) const HEADER: usize = 1 + 2; // tag + count
 pub(crate) const ENTRY: usize = 16; // key + (value | child)
 pub(crate) const NO_LEAF: u64 = u64::MAX;
 
+/// Entries per node page: what fits behind the header and the next-leaf
+/// pointer, and never more than the `u16` count can say.
+///
+/// # Panics
+/// Panics if the page cannot hold two entries.
+pub(crate) fn fanout_for(page_size: usize) -> usize {
+    let fanout = (page_size.saturating_sub(HEADER + 8) / ENTRY).min(u16::MAX as usize);
+    assert!(fanout >= 2, "page size too small for a B+-tree node");
+    fanout
+}
+
 /// A read-only, bulk-loaded B+-tree stored on a disk.
 #[derive(Debug)]
 pub struct BPlusTree {
@@ -75,8 +86,7 @@ impl BPlusTree {
         pairs: &[(u64, u64)],
         pipeline: &IndexBuildPipeline,
     ) -> Self {
-        let fanout = (disk.page_size() - HEADER - 8) / ENTRY;
-        assert!(fanout >= 2, "page size too small for a B+-tree node");
+        let fanout = fanout_for(disk.page_size());
         assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_load requires key-sorted input"
@@ -306,7 +316,7 @@ pub(crate) fn encode_node_into(tag: u8, next: u64, entries: &[(u64, u64)], buf: 
     buf.clear();
     buf.reserve(HEADER + 8 + entries.len() * ENTRY);
     buf.put_u8(tag);
-    buf.put_u16_le(entries.len() as u16);
+    buf.put_u16_le(u16::try_from(entries.len()).expect("fanout fits the count field"));
     buf.put_u64_le(next);
     for &(k, v) in entries {
         buf.put_u64_le(k);
@@ -472,6 +482,14 @@ mod tests {
         let disk = Disk::default_in_memory();
         let tree = BPlusTree::bulk_load(&disk, pairs);
         (disk, tree)
+    }
+
+    #[test]
+    fn fanout_never_exceeds_the_count_field() {
+        assert_eq!(fanout_for(64), 3);
+        // 2 MiB has room for 131 071 entries; the header counts to 65 535.
+        assert_eq!(fanout_for(1 << 21), u16::MAX as usize);
+        assert_eq!(fanout_for(HEADER + 8 + 65_535 * ENTRY - 1), 65_534);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::collections::HashSet;
 use std::sync::{Condvar, Mutex};
 
 use crate::{
-    encode_node_into, walk_leaves, Nearest, Node, NodeView, ENTRY, HEADER, INNER_TAG, LEAF_TAG,
+    encode_node_into, fanout_for, walk_leaves, Nearest, Node, NodeView, INNER_TAG, LEAF_TAG,
     NO_LEAF,
 };
 use std::ops::ControlFlow;
@@ -77,8 +77,7 @@ pub struct MutableBPlusTree {
 impl MutableBPlusTree {
     /// Creates an empty tree: one empty leaf as the root.
     pub fn create<P: PageWrites>(pages: &mut P) -> Self {
-        let fanout = (pages.page_size() - HEADER - 8) / ENTRY;
-        assert!(fanout >= 2, "page size too small for a B+-tree node");
+        let fanout = fanout_for(pages.page_size());
         let root = pages.allocate();
         let mut buf = Vec::new();
         encode_node_into(LEAF_TAG, NO_LEAF, &[], &mut buf);

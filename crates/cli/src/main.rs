@@ -52,8 +52,9 @@ USAGE:
             [--unit-capacity N] [--node-capacity N]
             [--backend mem|file] [--store DIR]
       builds the TRANSFORMERS index once through the staged pipeline and
-      reports hierarchy size, pages and build time; the index is
-      byte-identical at any --build-threads setting. With --backend file
+      reports hierarchy size, pages, build time and its split over the
+      five build stages; the index is byte-identical at any
+      --build-threads setting. With --backend file
       the pages are written to a real on-disk image DIR/build.pages
   tfm join --a FILE --b FILE [--approach A] [--page-size N] [--threads N]
            [--build-threads N] [--no-transform] [--no-prune]
@@ -464,9 +465,16 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let disk = tfm_storage::Disk::for_backend(&store.backend, page_size, "build")
         .map_err(|e| format!("creating page store: {e}"))?;
+    // The build's stage timers record only while the registry is on.
+    let metrics_were_on = tfm_obs::enabled();
+    tfm_obs::set_enabled(true);
+    tfm_obs::global().reset();
     let t = std::time::Instant::now();
-    let idx = TransformersIndex::try_build(&disk, elems, &cfg)?;
+    let built = TransformersIndex::try_build(&disk, elems, &cfg);
     let wall = t.elapsed();
+    let stages = build_stage_split(&tfm_obs::global().snapshot());
+    tfm_obs::set_enabled(metrics_were_on);
+    let idx = built?;
     let io = disk.stats();
 
     println!("dataset:         {path}");
@@ -490,6 +498,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         io.sim_io_time().as_secs_f64(),
         wall.as_secs_f64()
     );
+    println!("build stages:    {stages}");
     if let Some(dir) = store.dir() {
         println!(
             "page image:      {} ({} bytes)",
@@ -498,6 +507,28 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Where a build's CPU went, from the `build.*_nanos` stage timers the
+/// index build records (wall time per stage, in stage order).
+fn build_stage_split(snapshot: &tfm_obs::MetricsSnapshot) -> String {
+    use tfm_obs::names::{
+        BUILD_CONNECTIVITY, BUILD_FINALIZE, BUILD_NODE_STR, BUILD_PAGE_PACK, BUILD_UNIT_STR,
+    };
+    [
+        ("unit STR", BUILD_UNIT_STR),
+        ("node STR", BUILD_NODE_STR),
+        ("page pack", BUILD_PAGE_PACK),
+        ("connectivity", BUILD_CONNECTIVITY),
+        ("finalize", BUILD_FINALIZE),
+    ]
+    .map(|(label, prefix)| {
+        let nanos = snapshot
+            .histogram(&format!("{prefix}_nanos"))
+            .map_or(0, |h| h.sum);
+        format!("{label} {:.3}s", nanos as f64 / 1e9)
+    })
+    .join(" + ")
 }
 
 fn parse_approach(name: &str) -> Result<Approach, String> {

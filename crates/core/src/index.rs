@@ -25,17 +25,22 @@
 //! [`TransformersIndex::build`] runs as an explicit five-stage pipeline on
 //! an [`IndexBuildPipeline`] sized by [`IndexConfig::build_threads`]:
 //!
-//! 1. **Unit STR** — elements → space-unit partitions (parallel sorts +
-//!    per-slab fan-out);
-//! 2. **Element-page packing** — page images encoded in parallel, written
-//!    sequentially in page order;
-//! 3. **Node STR** — unit descriptors → space nodes;
+//! 1. **Unit STR** — the element vector is permuted in place into
+//!    space-unit order (integer-key sorts; parallel x-sort + per-slab
+//!    fan-out) and comes back with a table of unit ranges and boxes;
+//! 2. **Node STR** — one seed per unit (its two boxes, its count, its row
+//!    in that table) → space nodes, the same kernel again;
+//! 3. **Element-page packing** — the node pass's seed order *is* the page
+//!    order, and page `i` encodes the unit-pass slice its seed names;
+//!    images are encoded in parallel, written sequentially in page order;
 //! 4. **Connectivity** — the uniform-grid self-join, fanned out per node;
 //! 5. **Finalize** — reach, Hilbert B+-tree bulk load, metadata region.
 //!
 //! Every stage is order-preserving, so the disk image (pages, metadata,
 //! B+-tree) is **byte-identical at any thread count** — the
 //! `build_determinism` integration test checksums whole disks to verify.
+//! Each stage records a `build.*_nanos` timer; `tfm build` prints the
+//! split. DESIGN.md § "Bulk load" has the kernel and its numbers.
 //!
 //! Indexes are built per dataset and can be **reused** for joins against
 //! any other indexed dataset (§VII-C2) — see `examples/index_reuse.rs`.
@@ -81,7 +86,7 @@ pub struct TransformersIndex {
 
 /// Seed item for the node-level STR pass: one unit with its tiling box.
 struct UnitSeed {
-    /// Position in the unit-partition vector of pass 1.
+    /// Row of the unit pass's partition table.
     part_idx: usize,
     partition_mbb: Aabb,
     page_mbb: Aabb,
@@ -168,8 +173,8 @@ impl TransformersIndex {
 
         let obs = tfm_obs::global();
 
-        // Stage 1 — unit STR: elements -> space-unit partitions (parallel
-        // coordinate sorts + per-slab fan-out).
+        // Stage 1 — unit STR: the element vector, permuted in place into
+        // space-unit order, plus one table row per unit.
         let stage = obs.stage_span(tfm_obs::names::BUILD_UNIT_STR);
         let unit_parts = pipeline.partition(elements, unit_capacity);
         drop(stage);
@@ -183,7 +188,7 @@ impl TransformersIndex {
                 part_idx: i,
                 partition_mbb: p.partition_mbb,
                 page_mbb: p.page_mbb,
-                count: p.items.len() as u16,
+                count: u16::try_from(p.items.len()).expect("unit capacity fits the count field"),
             })
             .collect();
         let node_parts = pipeline.partition(seeds, node_capacity);
@@ -197,20 +202,18 @@ impl TransformersIndex {
         // sequential build exactly.
         let stage = obs.stage_span(tfm_obs::names::BUILD_PAGE_PACK);
         let total_units = unit_parts.len();
-        let mut page_order: Vec<usize> = Vec::with_capacity(total_units);
         let mut units: Vec<SpaceUnitDesc> = Vec::with_capacity(total_units);
         let mut nodes: Vec<SpaceNode> = Vec::with_capacity(node_parts.len());
-        for np in &node_parts {
-            for seed in &np.items {
-                page_order.push(seed.part_idx);
-            }
-        }
+        // Node STR permuted the seeds into node order: that is the page
+        // order, and each page's elements are one slice of the unit pass's
+        // vector.
+        let page_order = node_parts.items();
         let first_elem_page = pipeline.encode_and_write(disk, total_units, |i, buf| {
-            codec.encode_into(&unit_parts[page_order[i]].items, buf)
+            codec.encode_into(unit_parts.items_of(page_order[i].part_idx), buf)
         });
         for (node_idx, np) in node_parts.iter().enumerate() {
             let first_unit = units.len() as u32;
-            for seed in &np.items {
+            for seed in np.items {
                 let unit_id = UnitId(units.len() as u32);
                 let page = PageId(first_elem_page.0 + units.len() as u64);
                 units.push(SpaceUnitDesc {

@@ -128,10 +128,11 @@ impl OverflowCodec {
         Self { page_size }
     }
 
-    /// Maximum number of elements per overflow page.
+    /// Maximum number of elements per overflow page: what fits, and never
+    /// more than the `u16` count in the header can say.
     #[inline]
     pub fn capacity(&self) -> usize {
-        (self.page_size - OVERFLOW_HEADER) / ELEM_RECORD
+        ((self.page_size - OVERFLOW_HEADER) / ELEM_RECORD).min(u16::MAX as usize)
     }
 
     /// Serializes an overflow page into `buf` (cleared first), zero-padded
@@ -149,7 +150,7 @@ impl OverflowCodec {
         buf.clear();
         buf.reserve(self.page_size);
         buf.put_u64_le_ext(next);
-        buf.put_u16_le_ext(elements.len() as u16);
+        buf.put_u16_le_ext(u16::try_from(elements.len()).expect("capacity fits the count field"));
         for e in elements {
             put_elem(buf, e);
         }
@@ -1085,6 +1086,14 @@ mod tests {
             let appended: Vec<[u64; 7]> = out[1..].iter().map(bits).collect();
             prop_assert_eq!(&appended, &want);
         }
+    }
+
+    #[test]
+    fn overflow_capacity_never_exceeds_the_count_field() {
+        // 4 MiB has room for 74 898 records; the header counts to 65 535.
+        assert_eq!(OverflowCodec::new(1 << 22).capacity(), u16::MAX as usize);
+        let below = OverflowCodec::new(OVERFLOW_HEADER + 65_535 * ELEM_RECORD - 1);
+        assert_eq!(below.capacity(), 65_534);
     }
 
     #[test]

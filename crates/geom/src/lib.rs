@@ -22,7 +22,7 @@ mod point;
 mod query;
 
 pub use aabb::Aabb;
-pub use point::Point3;
+pub use point::{total_order_key, Point3};
 pub use query::SpatialQuery;
 
 use serde::{Deserialize, Serialize};

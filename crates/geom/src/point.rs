@@ -92,6 +92,23 @@ impl Point3 {
     }
 }
 
+/// Maps an `f64` to a `u64` whose unsigned order is exactly
+/// [`f64::total_cmp`]'s: `total_order_key(a).cmp(&total_order_key(b)) ==
+/// a.total_cmp(&b)` for every pair of bit patterns (`-NaN < -∞ < … < -0.0 <
+/// +0.0 < … < +∞ < +NaN`), and equal keys mean equal bits.
+///
+/// A negative value has all its bits flipped (larger magnitude, smaller
+/// key), a non-negative one only its sign bit (above every negative). A
+/// sort can then compute one integer key per element once instead of
+/// comparing floats through a comparator on every step.
+#[inline]
+pub fn total_order_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    // All ones for a set sign bit, only the sign bit otherwise.
+    let flip = ((bits as i64 >> 63) as u64) | (1 << 63);
+    bits ^ flip
+}
+
 impl Add for Point3 {
     type Output = Point3;
     #[inline]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tfm_geom::hilbert;
-use tfm_geom::{Aabb, Point3, SpatialQuery};
+use tfm_geom::{total_order_key, Aabb, Point3, SpatialQuery};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
     (-1000.0..1000.0f64, -1000.0..1000.0f64, -1000.0..1000.0f64)
@@ -97,6 +97,40 @@ proptest! {
         let ia = hilbert::index_from_coords(a);
         let ib = hilbert::index_from_coords(b);
         prop_assert_eq!(a == b, ia == ib);
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp(raw in prop::collection::vec(any::<u64>(), 0..24)) {
+        // The values a comparison-free STR pass must order exactly as the
+        // comparator did: both zeros, both infinities, the smallest and
+        // largest subnormals and normals, quiet and signalling NaNs of both
+        // signs — and random bit patterns on top.
+        let mut values: Vec<f64> = [
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+        ]
+        .into_iter()
+        .flat_map(|v| [v, -v])
+        .collect();
+        values.extend(raw.into_iter().map(f64::from_bits));
+        for &a in &values {
+            for &b in &values {
+                prop_assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{:#018x} vs {:#018x}", a.to_bits(), b.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

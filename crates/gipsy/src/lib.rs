@@ -91,7 +91,7 @@ impl SparseFile {
         let codec = ElementPageCodec::new(disk.page_size());
         let len = elements.len();
         let parts = pipeline.partition(elements, codec.capacity());
-        let first = pipeline.pack_pages(disk, &parts, |p, buf| codec.encode_into(&p.items, buf));
+        let first = pipeline.pack_pages(disk, &parts, |p, buf| codec.encode_into(p.items, buf));
         let pages = (0..parts.len())
             .map(|i| PageId(first.0 + i as u64))
             .collect();

@@ -3,11 +3,15 @@
 //! * [`str_partition`] — the Sort-Tile-Recursive bulk-loading partitioner
 //!   (Leutenegger et al., ICDE '97). TRANSFORMERS partitions both datasets
 //!   with it (paper §IV "Partitioning"), GIPSY partitions the dense side,
-//!   and the R-Tree baseline is STR-bulkloaded (§VII-A).
-//!   [`str_partition_pooled`] is the same partitioner with the coordinate
-//!   sorts and the per-slab passes fanned out over a
+//!   and the R-Tree baseline is STR-bulkloaded (§VII-A). It is one
+//!   in-place kernel: each pass sorts one integer key per element
+//!   (`tfm_geom::total_order_key` of the centre coordinate) and permutes
+//!   the caller's vector, and the result is that vector plus a table of
+//!   ranges and boxes ([`StrPartitions`]) — no per-partition `Vec`, no
+//!   second element buffer. [`str_partition_pooled`] is the same kernel
+//!   with the x-sort and the per-slab passes fanned out over a
 //!   [`tfm_pool::StagePool`]; it returns the **identical** partition
-//!   vector at any thread count, which is what keeps parallel index
+//!   sequence at any thread count, which is what keeps parallel index
 //!   builds byte-identical to sequential ones.
 //! * [`UniformGrid`] — the uniform space tiling used by PBSM and by
 //!   TRANSFORMERS' connectivity self-join (§IV "Connectivity").
@@ -33,4 +37,4 @@ mod str;
 
 pub use grid::UniformGrid;
 pub use pipeline::IndexBuildPipeline;
-pub use str::{str_partition, str_partition_pooled, StrPartition};
+pub use str::{str_partition, str_partition_pooled, StrPartition, StrPartitions};

@@ -1,8 +1,11 @@
 //! The staged, data-parallel index-build pipeline (paper §IV, parallelized).
 //!
 //! Every disk-resident structure in the reproduction is bulk-loaded the
-//! same way: STR-partition a set of spatial items, encode each partition
-//! into one page image, and write the images to a contiguous page run.
+//! same way: STR-partition a set of spatial items (in place: the result
+//! is the input vector permuted, plus a table of ranges — see
+//! [`StrPartitions`]), encode each partition — one contiguous slice of
+//! that vector — into one page image, and write the images to a
+//! contiguous page run.
 //! [`IndexBuildPipeline`] packages those stages once, fanned out over a
 //! [`StagePool`], and is shared by
 //!
@@ -17,7 +20,7 @@
 //! crate — so the baselines stay decoupled from the TRANSFORMERS core.
 //!
 //! **Determinism.** All stages are order-preserving: partitioning uses
-//! [`str_partition_pooled`] (identical partition vector at any thread
+//! [`str_partition_pooled`] (identical partition sequence at any thread
 //! count), page images are encoded in parallel but **written sequentially
 //! in page order** — so both the bytes on disk and the simulated I/O
 //! accounting (sequential-write classification) are independent of the
@@ -26,7 +29,7 @@
 //! changes. The `build_determinism` test checksums whole disks to hold the
 //! pipeline to that.
 
-use crate::str::{str_partition_pooled, StrPartition};
+use crate::str::{str_partition_pooled, StrPartition, StrPartitions};
 use tfm_geom::HasMbb;
 use tfm_pool::StagePool;
 use tfm_storage::{Disk, PageId};
@@ -64,14 +67,10 @@ impl IndexBuildPipeline {
     }
 
     /// **Partition stage**: STR-partitions `items` into groups of at most
-    /// `capacity`, with the coordinate sorts and per-slab passes fanned out
-    /// over the pool. Identical output to the sequential partitioner at any
-    /// thread count.
-    pub fn partition<T: HasMbb + Send>(
-        &self,
-        items: Vec<T>,
-        capacity: usize,
-    ) -> Vec<StrPartition<T>> {
+    /// `capacity`, with the x-sort and per-slab passes fanned out over the
+    /// pool. `items` is permuted in place and returned inside the result.
+    /// Identical output to the sequential partitioner at any thread count.
+    pub fn partition<T: HasMbb + Send>(&self, items: Vec<T>, capacity: usize) -> StrPartitions<T> {
         let _stage = tfm_obs::global().stage_span(tfm_obs::names::BUILD_PARTITION);
         str_partition_pooled(items, capacity, &self.pool)
     }
@@ -126,7 +125,7 @@ impl IndexBuildPipeline {
         while start < count {
             let end = (start + batch).min(count);
             let images = self.pool.map_range(end - start, |i| {
-                let mut buf = Vec::new();
+                let mut buf = Vec::with_capacity(disk.page_size());
                 encode(first, start + i, &mut buf);
                 buf
             });
@@ -141,12 +140,12 @@ impl IndexBuildPipeline {
     /// Convenience wrapper over [`encode_and_write`](Self::encode_and_write)
     /// for the common "one partition = one page" layout. Returns the first
     /// page; partition `i` lives on page `first + i`.
-    pub fn pack_pages<T, F>(&self, disk: &Disk, parts: &[StrPartition<T>], encode: F) -> PageId
+    pub fn pack_pages<T, F>(&self, disk: &Disk, parts: &StrPartitions<T>, encode: F) -> PageId
     where
         T: Sync,
-        F: Fn(&StrPartition<T>, &mut Vec<u8>) + Sync,
+        F: Fn(StrPartition<'_, T>, &mut Vec<u8>) + Sync,
     {
-        self.encode_and_write(disk, parts.len(), |i, buf| encode(&parts[i], buf))
+        self.encode_and_write(disk, parts.len(), |i, buf| encode(parts.get(i), buf))
     }
 }
 
@@ -178,7 +177,7 @@ mod tests {
             let pipe = IndexBuildPipeline::sequential();
             let codec = ElementPageCodec::new(512);
             let parts = pipe.partition(elems(500), codec.capacity());
-            let first = pipe.pack_pages(&disk, &parts, |p, buf| codec.encode_into(&p.items, buf));
+            let first = pipe.pack_pages(&disk, &parts, |p, buf| codec.encode_into(p.items, buf));
             (0..parts.len())
                 .map(|i| disk.read_page_vec(PageId(first.0 + i as u64)))
                 .collect::<Vec<_>>()
@@ -188,7 +187,7 @@ mod tests {
             let pipe = IndexBuildPipeline::new(threads);
             let codec = ElementPageCodec::new(512);
             let parts = pipe.partition(elems(500), codec.capacity());
-            let first = pipe.pack_pages(&disk, &parts, |p, buf| codec.encode_into(&p.items, buf));
+            let first = pipe.pack_pages(&disk, &parts, |p, buf| codec.encode_into(p.items, buf));
             let got: Vec<_> = (0..parts.len())
                 .map(|i| disk.read_page_vec(PageId(first.0 + i as u64)))
                 .collect();

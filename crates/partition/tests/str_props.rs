@@ -46,7 +46,7 @@ proptest! {
 
     #[test]
     fn capacity_respected(elems in arb_elems(150), cap in 1usize..30) {
-        for p in str_partition(elems, cap) {
+        for p in str_partition(elems, cap).iter() {
             prop_assert!(!p.items.is_empty());
             prop_assert!(p.items.len() <= cap);
         }
@@ -55,8 +55,8 @@ proptest! {
     #[test]
     fn centers_inside_partition_mbb(elems in arb_elems(150), cap in 1usize..30) {
         use tfm_geom::HasMbb;
-        for p in str_partition(elems, cap) {
-            for item in &p.items {
+        for p in str_partition(elems, cap).iter() {
+            for item in p.items {
                 prop_assert!(p.partition_mbb.contains_point(&item.center()));
             }
         }
@@ -84,7 +84,7 @@ proptest! {
 
     #[test]
     fn page_mbb_is_union_of_items(elems in arb_elems(120), cap in 1usize..25) {
-        for p in str_partition(elems, cap) {
+        for p in str_partition(elems, cap).iter() {
             let tight = Aabb::union_all(p.items.iter().map(|e| e.mbb));
             prop_assert_eq!(p.page_mbb, tight);
         }
@@ -99,7 +99,7 @@ proptest! {
         let seq = str_partition(elems.clone(), cap);
         let pooled = str_partition_pooled(elems, cap, &StagePool::new(threads));
         prop_assert_eq!(pooled.len(), seq.len());
-        for (a, b) in pooled.iter().zip(&seq) {
+        for (a, b) in pooled.iter().zip(seq.iter()) {
             prop_assert_eq!(a.page_mbb, b.page_mbb);
             prop_assert_eq!(a.partition_mbb, b.partition_mbb);
             let ids_a: Vec<u64> = a.items.iter().map(|e| e.id).collect();

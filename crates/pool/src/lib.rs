@@ -25,8 +25,9 @@
 //!   parallel index build produce byte-identical pages;
 //! * [`StagePool::sort_by`] — a parallel **stable** merge sort whose result
 //!   is identical to `slice::sort_by` (stable sorts have a unique output),
-//!   so parallel STR coordinate sorts reproduce the sequential partitioner
-//!   exactly.
+//!   so the pooled STR x-pass — which sorts `(key, index)` pairs with it
+//!   and then permutes the elements — reproduces the sequential
+//!   partitioner exactly.
 //!
 //! Everything runs on `std::thread::scope` — workers borrow their inputs,
 //! no `'static` bounds, no channels, and the pool itself is just a thread

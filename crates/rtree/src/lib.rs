@@ -27,7 +27,7 @@ pub use node::{NodeEntry, RtreeNode};
 
 use tfm_geom::{Aabb, ElementId, SpatialElement};
 use tfm_memjoin::JoinStats;
-use tfm_partition::IndexBuildPipeline;
+use tfm_partition::{IndexBuildPipeline, StrPartitions};
 use tfm_storage::{Disk, PageId, PageReads};
 
 /// Counters for R-Tree operations.
@@ -140,18 +140,11 @@ impl RTree {
                 let universe = Aabb::union_all(elements.iter().map(|e| e.mbb));
                 elements
                     .sort_by_key(|e| tfm_geom::hilbert::index_of_point(&e.mbb.center(), &universe));
-                elements
-                    .chunks(capacity)
-                    .map(|chunk| tfm_partition::StrPartition {
-                        items: chunk.to_vec(),
-                        page_mbb: Aabb::union_all(chunk.iter().map(|e| e.mbb)),
-                        partition_mbb: Aabb::union_all(chunk.iter().map(|e| e.mbb)),
-                    })
-                    .collect()
+                StrPartitions::chunked(elements, capacity)
             }
         };
         let first = pipeline.pack_pages(disk, &parts, |p, buf| {
-            node::encode_leaf_into(disk.page_size(), &p.items, buf)
+            node::encode_leaf_into(disk.page_size(), p.items, buf)
         });
         let mut level: Vec<ChildRef> = parts
             .iter()

@@ -33,13 +33,14 @@ pub enum RtreeNode {
     Inner(Vec<NodeEntry>),
 }
 
-/// Maximum entries per node for a page size.
+/// Maximum entries per node for a page size: what fits, and never more
+/// than the `u16` count in the header can say.
 pub fn capacity(page_size: usize) -> usize {
     assert!(
         page_size >= HEADER + ENTRY,
         "page size {page_size} too small for an R-Tree node"
     );
-    (page_size - HEADER) / ENTRY
+    ((page_size - HEADER) / ENTRY).min(u16::MAX as usize)
 }
 
 /// Encodes a leaf page.
@@ -56,7 +57,7 @@ pub fn encode_leaf_into(page_size: usize, elements: &[SpatialElement], buf: &mut
     buf.clear();
     buf.reserve(page_size);
     buf.put_u8(LEAF_TAG);
-    buf.put_u16_le(elements.len() as u16);
+    buf.put_u16_le(u16::try_from(elements.len()).expect("capacity fits the count field"));
     for e in elements {
         buf.put_u64_le(e.id);
         put_aabb(buf, &e.mbb);
@@ -78,7 +79,7 @@ pub fn encode_inner_into(page_size: usize, entries: &[NodeEntry], buf: &mut Vec<
     buf.clear();
     buf.reserve(page_size);
     buf.put_u8(INNER_TAG);
-    buf.put_u16_le(entries.len() as u16);
+    buf.put_u16_le(u16::try_from(entries.len()).expect("capacity fits the count field"));
     for e in entries {
         buf.put_u64_le(e.child.0);
         put_aabb(buf, &e.mbb);
@@ -133,6 +134,13 @@ mod tests {
     #[test]
     fn capacity_for_default_page() {
         assert_eq!(capacity(8192), (8192 - 3) / 56); // 146
+    }
+
+    #[test]
+    fn capacity_never_exceeds_the_count_field() {
+        // 4 MiB has room for 74 898 entries; the header counts to 65 535.
+        assert_eq!(capacity(1 << 22), u16::MAX as usize);
+        assert_eq!(capacity(HEADER + 65_535 * ENTRY - 1), 65_534);
     }
 
     #[test]

@@ -188,17 +188,21 @@ pub fn plan_shards(
             let parts = str_partition(elements.to_vec(), capacity);
             // STR may emit more than N partitions; group consecutive
             // (spatially adjacent) partitions so shard g closes once the
-            // running element count reaches g+1 N-ths of the total.
-            let mut out: Vec<Vec<SpatialElement>> = vec![Vec::new(); n];
+            // running element count reaches g+1 N-ths of the total. A run
+            // of partitions is one slice of the partitioned vector.
+            let items = parts.items();
+            let mut out: Vec<Vec<SpatialElement>> = Vec::with_capacity(n);
             let mut assigned = 0usize;
-            let mut g = 0usize;
-            for part in parts {
-                while g + 1 < n && assigned * n >= total * (g + 1) {
-                    g += 1;
+            let mut start = 0usize;
+            for part in parts.iter() {
+                while out.len() + 1 < n && assigned * n >= total * (out.len() + 1) {
+                    out.push(items[start..assigned].to_vec());
+                    start = assigned;
                 }
                 assigned += part.items.len();
-                out[g].extend(part.items);
             }
+            out.push(items[start..].to_vec());
+            out.resize(n, Vec::new());
             out
         }
     }

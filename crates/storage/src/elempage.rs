@@ -22,7 +22,6 @@
 //! [`decode`]: ElementPageCodec::decode
 //! [`decode_into`]: ElementPageCodec::decode_into
 
-use bytes::BufMut;
 use tfm_geom::{Aabb, Point3, SpatialElement};
 
 /// Bytes per element record: 8 (id) + 6 × 8 (two corners).
@@ -105,6 +104,24 @@ fn word(record: &[u8; RECORD_SIZE], i: usize) -> [u8; 8] {
         .expect("an 8-byte range of a record")
 }
 
+/// Writes one element as a record: the inverse of [`id_of`] + [`mbb_of`].
+#[inline]
+fn write_record(record: &mut [u8; RECORD_SIZE], e: &SpatialElement) {
+    let (lo, hi) = (e.mbb.min, e.mbb.max);
+    let words = [
+        e.id,
+        lo.x.to_bits(),
+        lo.y.to_bits(),
+        lo.z.to_bits(),
+        hi.x.to_bits(),
+        hi.y.to_bits(),
+        hi.z.to_bits(),
+    ];
+    for (field, w) in record.chunks_exact_mut(8).zip(words) {
+        field.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
 #[inline]
 fn id_of(record: &[u8; RECORD_SIZE]) -> u64 {
     u64::from_le_bytes(word(record, 0))
@@ -138,10 +155,12 @@ impl ElementPageCodec {
         Self { page_size }
     }
 
-    /// Maximum number of elements that fit on one page.
+    /// Maximum number of elements one page holds: what fits, and never
+    /// more than the `u16` count in the header can say (a page over
+    /// 3.5 MiB has room for more records than it can count).
     #[inline]
     pub fn capacity(&self) -> usize {
-        (self.page_size - HEADER_SIZE) / RECORD_SIZE
+        ((self.page_size - HEADER_SIZE) / RECORD_SIZE).min(u16::MAX as usize)
     }
 
     /// Serializes up to [`capacity`](Self::capacity) elements into a page
@@ -155,10 +174,14 @@ impl ElementPageCodec {
         buf
     }
 
-    /// Serializes a page image directly into `buf` (cleared first, reusing
-    /// its capacity — no intermediate allocation, unlike `encode`). The
-    /// write counterpart of [`decode_into`](Self::decode_into): the build
-    /// pipeline's page-encode stages reuse one buffer across pages.
+    /// Serializes a page image directly into `buf` (overwritten whole,
+    /// reusing its capacity — no intermediate allocation, unlike `encode`).
+    /// The write counterpart of [`decode_into`](Self::decode_into): the
+    /// build pipeline's page-encode stages reuse one buffer across pages.
+    ///
+    /// The buffer is sized to the page once and the records are written at
+    /// their fixed stride, so no field write checks for room; on a reused
+    /// page buffer only the padding behind the last record is zeroed.
     ///
     /// # Panics
     /// Panics if more elements are given than fit.
@@ -169,19 +192,16 @@ impl ElementPageCodec {
             elements.len(),
             self.capacity()
         );
-        buf.clear();
-        buf.reserve(self.page_size);
-        buf.put_u16_le(elements.len() as u16);
-        for e in elements {
-            buf.put_u64_le(e.id);
-            buf.put_f64_le(e.mbb.min.x);
-            buf.put_f64_le(e.mbb.min.y);
-            buf.put_f64_le(e.mbb.min.z);
-            buf.put_f64_le(e.mbb.max.x);
-            buf.put_f64_le(e.mbb.max.y);
-            buf.put_f64_le(e.mbb.max.z);
-        }
+        let count = u16::try_from(elements.len()).expect("capacity fits the count field");
         buf.resize(self.page_size, 0);
+        let (header, body) = buf.split_at_mut(HEADER_SIZE);
+        header.copy_from_slice(&count.to_le_bytes());
+        let (records, padding) = body.split_at_mut(elements.len() * RECORD_SIZE);
+        let (records, _) = records.as_chunks_mut::<RECORD_SIZE>();
+        for (record, e) in records.iter_mut().zip(elements) {
+            write_record(record, e);
+        }
+        padding.fill(0);
     }
 
     /// Borrows the records of a page image in place: the count is read and
@@ -290,6 +310,65 @@ mod tests {
         c.encode_into(&[], &mut buf);
         assert_eq!(buf, c.encode(&[]));
         assert_eq!(buf.len(), 512);
+    }
+
+    /// The encoder this one replaced — one growth-checked `put_*` per
+    /// field, then zero padding — kept as the oracle.
+    fn oracle_encode(page_size: usize, elements: &[SpatialElement]) -> Vec<u8> {
+        use bytes::BufMut;
+        let mut buf = Vec::new();
+        buf.put_u16_le(elements.len() as u16);
+        for e in elements {
+            buf.put_u64_le(e.id);
+            buf.put_f64_le(e.mbb.min.x);
+            buf.put_f64_le(e.mbb.min.y);
+            buf.put_f64_le(e.mbb.min.z);
+            buf.put_f64_le(e.mbb.max.x);
+            buf.put_f64_le(e.mbb.max.y);
+            buf.put_f64_le(e.mbb.max.z);
+        }
+        buf.resize(page_size, 0);
+        buf
+    }
+
+    #[test]
+    fn encode_into_equals_the_field_by_field_oracle_into_a_dirty_buffer() {
+        // 520 bytes: capacity 9 with 14 bytes of padding even when full.
+        let c = ElementPageCodec::new(520);
+        let all: Vec<_> = (0..c.capacity() as u64)
+            .map(|i| elem(u64::MAX - i, -(i as f64) * 0.37))
+            .collect();
+        // Every reuse starts from a buffer of another length full of ones:
+        // longer than a page, a page, shorter, empty.
+        for dirty_len in [4096, 520, 100, 0] {
+            for n in [c.capacity(), 1, 0, 5] {
+                let mut buf = vec![0xff; dirty_len];
+                c.encode_into(&all[..n], &mut buf);
+                assert_eq!(buf, oracle_encode(520, &all[..n]), "{n} into {dirty_len}");
+            }
+        }
+        // One buffer across pages of shrinking fill, as the build reuses it.
+        let mut buf = Vec::new();
+        for n in [c.capacity(), 5, 1, 0] {
+            c.encode_into(&all[..n], &mut buf);
+            assert_eq!(buf, oracle_encode(520, &all[..n]), "{n} reused");
+        }
+    }
+
+    #[test]
+    fn capacity_never_exceeds_the_count_field() {
+        // 4 MiB has room for 74 898 records; the header counts to 65 535.
+        let c = ElementPageCodec::new(1 << 22);
+        assert_eq!(c.capacity(), u16::MAX as usize);
+        let elems: Vec<_> = (0..c.capacity() as u64)
+            .map(|i| elem(i, i as f64))
+            .collect();
+        let page = c.encode(&elems);
+        assert_eq!(c.view(&page).len(), elems.len());
+        assert_eq!(c.decode(&page), elems);
+        // Just under the cap nothing changes.
+        let c = ElementPageCodec::new(HEADER_SIZE + 65_535 * RECORD_SIZE - 1);
+        assert_eq!(c.capacity(), 65_534);
     }
 
     #[test]

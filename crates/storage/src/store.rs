@@ -4,9 +4,9 @@
 //! sequential/random classification, the [`crate::DiskModel`] cost oracle)
 //! and its *bytes*. Two implementations:
 //!
-//! * [`MemStore`] — a growable memory buffer behind one `RwLock`; the
-//!   deterministic default every test and harness ran on before real I/O
-//!   existed. Behaviour is unchanged from the old in-memory backend.
+//! * [`MemStore`] — memory behind one `RwLock`, grown by fixed-size
+//!   segments so that no stored byte is ever copied to make room; the
+//!   deterministic default every test and harness runs on.
 //! * [`FileStore`] — a real on-disk file of fixed-size pages accessed with
 //!   positional `pread`/`pwrite` (`FileExt::read_at`/`write_all_at`).
 //!   There is **no global file-offset lock**: positional I/O carries its
@@ -36,6 +36,7 @@
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -146,16 +147,93 @@ pub fn is_checksum_mismatch(err: &io::Error) -> bool {
     err.kind() == io::ErrorKind::InvalidData && err.to_string().contains("checksum mismatch")
 }
 
-/// The in-memory page store: a growable `Vec<u8>` behind a `RwLock`.
-#[derive(Default)]
+/// log2 of the bytes per [`MemStore`] segment: 64 MiB. Keep it above
+/// 32 MiB, the most glibc's `malloc` will ever serve from its own heap
+/// (see [`MemStore`]).
+const SEGMENT_SHIFT: u32 = 26;
+const _: () = assert!(1usize << SEGMENT_SHIFT > 32 << 20);
+
+/// The in-memory page store: fixed-size, zero-initialised segments behind
+/// a `RwLock`, appended as the written extent grows.
+///
+/// A stored byte never moves. One `Vec<u8>` grown page by page doubles its
+/// allocation as it fills — each doubling copies everything written so far
+/// and, for as long as the copy takes, holds the old and the new buffer at
+/// once — which showed as a resident-set spike in every bulk load
+/// (DESIGN.md § "Bulk load" has the trace). Appending a segment costs one
+/// zeroed allocation whatever the store already holds.
+///
+/// A segment is address space, not memory. A zeroed block of 64 MiB is
+/// above the size up to which glibc's `malloc` serves requests from its
+/// own heap (the mmap threshold adapts, but never past 32 MiB): it is
+/// mapped from the operating system, its pages become resident as they are
+/// first written, and dropping the store unmaps them. So the store costs
+/// what was written to it, whatever state the allocator's heap is in, and
+/// leaves nothing behind there. Segments of 1 MiB did neither: they were
+/// carved from the holes of the heap, and where every later large
+/// allocation of the process then landed depended on which holes they had
+/// taken — the same build on the same input peaked at 95 MB in one run and
+/// 113 MB in the next (DESIGN.md § "Bulk load"). The price is one page
+/// fault per 4 KiB first written, every time a store is filled.
+///
+/// A page whose size does not divide the segment may straddle two
+/// segments; reads and writes copy it piecewise. Pages past the written
+/// extent read as zeros.
 pub struct MemStore {
-    bytes: RwLock<Vec<u8>>,
+    /// log2 of the segment length ([`SEGMENT_SHIFT`] outside the tests).
+    shift: u32,
+    inner: RwLock<Segments>,
+}
+
+#[derive(Default)]
+struct Segments {
+    /// `1 << shift`-byte blocks; together they cover `0..len`.
+    segments: Vec<Box<[u8]>>,
+    /// The written extent: the end of the furthest page written.
+    len: usize,
+}
+
+/// Splits the byte range `offset..offset + len` at the boundaries of
+/// `1 << shift`-byte segments: one `(segment, range within it, range
+/// within the page)` per piece.
+fn pieces(
+    shift: u32,
+    offset: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+    let segment_bytes = 1usize << shift;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let at = (offset + done) & (segment_bytes - 1);
+        let n = (len - done).min(segment_bytes - at);
+        let piece = ((offset + done) >> shift, at..at + n, done..done + n);
+        done += n;
+        Some(piece)
+    })
 }
 
 impl MemStore {
     /// Creates an empty memory store.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_segment_shift(SEGMENT_SHIFT)
+    }
+
+    /// An empty store of `1 << shift`-byte segments (the tests straddle
+    /// boundaries without writing 64 MiB to reach one).
+    fn with_segment_shift(shift: u32) -> Self {
+        Self {
+            shift,
+            inner: RwLock::default(),
+        }
+    }
+}
+
+impl Default for MemStore {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -166,9 +244,11 @@ impl PageStore for MemStore {
 
     fn read_page(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         let offset = offset as usize;
-        let bytes = self.bytes.read();
-        if bytes.len() >= offset + buf.len() {
-            buf.copy_from_slice(&bytes[offset..offset + buf.len()]);
+        let inner = self.inner.read();
+        if inner.len >= offset + buf.len() {
+            for (segment, within, of_page) in pieces(self.shift, offset, buf.len()) {
+                buf[of_page].copy_from_slice(&inner.segments[segment][within]);
+            }
         } else {
             // Allocated but never written: reads as zeros.
             buf.fill(0);
@@ -178,16 +258,22 @@ impl PageStore for MemStore {
 
     fn write_page(&self, offset: u64, page: &[u8]) -> io::Result<()> {
         let offset = offset as usize;
-        let mut bytes = self.bytes.write();
-        if bytes.len() < offset + page.len() {
-            bytes.resize(offset + page.len(), 0);
+        let end = offset + page.len();
+        let mut inner = self.inner.write();
+        while inner.segments.len() << self.shift < end {
+            inner
+                .segments
+                .push(vec![0u8; 1 << self.shift].into_boxed_slice());
         }
-        bytes[offset..offset + page.len()].copy_from_slice(page);
+        inner.len = inner.len.max(end);
+        for (segment, within, of_page) in pieces(self.shift, offset, page.len()) {
+            inner.segments[segment][within].copy_from_slice(&page[of_page]);
+        }
         Ok(())
     }
 
     fn len(&self) -> u64 {
-        self.bytes.read().len() as u64
+        self.inner.read().len as u64
     }
 }
 
@@ -561,6 +647,105 @@ mod tests {
         s.read_page(128, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
         assert_eq!(s.len(), 128);
+    }
+
+    /// The store this one replaced — one `Vec<u8>`, resized on every write
+    /// past its end — kept as the model.
+    #[derive(Default)]
+    struct VecModel(Vec<u8>);
+
+    impl VecModel {
+        fn read_page(&self, offset: usize, buf: &mut [u8]) {
+            if self.0.len() >= offset + buf.len() {
+                buf.copy_from_slice(&self.0[offset..offset + buf.len()]);
+            } else {
+                buf.fill(0);
+            }
+        }
+
+        fn write_page(&mut self, offset: usize, page: &[u8]) {
+            if self.0.len() < offset + page.len() {
+                self.0.resize(offset + page.len(), 0);
+            }
+            self.0[offset..offset + page.len()].copy_from_slice(page);
+        }
+    }
+
+    #[test]
+    fn mem_store_matches_a_vec_model_under_random_page_traffic() {
+        // 1 MiB segments, so that a few thousand pages cross several
+        // boundaries. 64 and 2 048 divide a segment; 1 000 does not, so
+        // every 1 048th page straddles two segments; the last is larger
+        // than a segment, so every page straddles at least one boundary.
+        const SHIFT: u32 = 20;
+        const SEGMENT_BYTES: usize = 1 << SHIFT;
+        for (page_size, pages, writes) in [
+            (64usize, 40_000u64, 300),
+            (1_000, 2_600, 300),
+            (2_048, 1_300, 300),
+            (SEGMENT_BYTES + 24, 5, 12),
+        ] {
+            let store = MemStore::with_segment_shift(SHIFT);
+            let mut model = VecModel::default();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ page_size as u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut page = vec![0u8; page_size];
+            let mut got = vec![0u8; page_size];
+            let mut want = vec![0u8; page_size];
+            let mut check = |store: &MemStore, model: &VecModel, id: u64| {
+                let offset = id * page_size as u64;
+                got.fill(0xAA);
+                store.read_page(offset, &mut got).unwrap();
+                model.read_page(offset as usize, &mut want);
+                assert!(got == want, "page {id} of {page_size} bytes");
+                assert_eq!(store.len(), model.0.len() as u64);
+            };
+            // Empty store: everything reads as zeros, len is 0.
+            check(&store, &model, 0);
+            check(&store, &model, pages - 1);
+            assert!(store.is_empty());
+            // The first write lands far from offset 0 (a sparse store).
+            let first = pages * 3 / 4;
+            for i in 0..writes {
+                let id = match i {
+                    0 => first,
+                    // The page over the first segment boundary (or, where
+                    // the page size divides a segment, the one ending there).
+                    1 | 2 => (SEGMENT_BYTES as u64 - 1) / page_size as u64,
+                    _ => next() % pages,
+                };
+                for word in page.chunks_mut(8) {
+                    // Never all zeros: a written page differs from a hole.
+                    let bytes = (next() | 1).to_le_bytes();
+                    word.copy_from_slice(&bytes[..word.len()]);
+                }
+                store.write_page(id * page_size as u64, &page).unwrap();
+                model.write_page((id * page_size as u64) as usize, &page);
+                check(&store, &model, id);
+                // A random page, the written page's neighbours (the far
+                // side of a straddled boundary), the last page in the
+                // extent and the first one past it.
+                check(&store, &model, next() % pages);
+                check(&store, &model, id.saturating_sub(1));
+                check(&store, &model, id + 1);
+                let extent_pages = store.len() / page_size as u64;
+                check(&store, &model, extent_pages - 1);
+                check(&store, &model, extent_pages);
+                if i == 0 {
+                    assert_eq!(store.len(), (first + 1) * page_size as u64);
+                    check(&store, &model, 0);
+                }
+            }
+            // Every page of the final image, straddlers included.
+            for id in 0..pages + 2 {
+                check(&store, &model, id);
+            }
+        }
     }
 
     #[test]
