@@ -44,14 +44,24 @@ fn bench(c: &mut Criterion) {
     group.bench_function("walk_and_crawl_all_pivots", |bench| {
         bench.iter(|| {
             let mut scratch = ExploreScratch::default();
+            let mut candidates = Vec::new();
             let mut found = 0usize;
             let mut pos = NodeId(0);
             for pivot in &pivots {
                 let r = adaptive_walk(nodes, reach, pivot, pos, 64, &mut scratch);
                 pos = r.found.unwrap_or(r.closest);
                 if let Some(nf) = r.found {
-                    let crawl = adaptive_crawl(nodes, units, reach, pivot, nf, &mut scratch);
-                    found += crawl.candidates.len();
+                    candidates.clear();
+                    adaptive_crawl(
+                        nodes,
+                        units,
+                        reach,
+                        pivot,
+                        nf,
+                        &mut scratch,
+                        &mut candidates,
+                    );
+                    found += candidates.len();
                 }
             }
             black_box(found)

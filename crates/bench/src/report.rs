@@ -118,8 +118,10 @@ mod tests {
             prefetch_issued: 0,
             prefetch_hits: 0,
             prefetch_unused: 0,
-            decoded_hits: 0,
-            decoded_misses: 0,
+            windows: 3,
+            window_pivots: 12,
+            swept_pages: 80,
+            read_through_pages: 9,
         }
     }
 

@@ -211,11 +211,17 @@ pub struct Metrics {
     /// Prefetched frames never touched by a demand read — a mis-sized
     /// readahead window shows up here.
     pub prefetch_unused: u64,
-    /// Element-page reads the shared caches' decoded tier answered
-    /// (parallel TRANSFORMERS over a shared cache; 0 otherwise).
-    pub decoded_hits: u64,
-    /// Element-page reads that decoded and filled the tier.
-    pub decoded_misses: u64,
+    /// Pivot windows the join executed, the node-level pivots joined
+    /// through them, the distinct follower pages they swept and the gap
+    /// pages read through (TRANSFORMERS only; see
+    /// [`transformers::TransformersStats`]).
+    pub windows: u64,
+    /// See [`windows`](Self::windows).
+    pub window_pivots: u64,
+    /// See [`windows`](Self::windows).
+    pub swept_pages: u64,
+    /// See [`windows`](Self::windows).
+    pub read_through_pages: u64,
 }
 
 impl Metrics {
@@ -258,17 +264,17 @@ impl Metrics {
             prefetch_issued: 0,
             prefetch_hits: 0,
             prefetch_unused: 0,
-            decoded_hits: 0,
-            decoded_misses: 0,
+            windows: 0,
+            window_pivots: 0,
+            swept_pages: 0,
+            read_through_pages: 0,
         }
     }
 
-    fn take_cache_counters(&mut self, report: &tfm_exec::ExecReport) {
+    fn take_prefetch_counters(&mut self, report: &tfm_exec::ExecReport) {
         self.prefetch_issued = report.prefetch_issued;
         self.prefetch_hits = report.prefetch_hits;
         self.prefetch_unused = report.prefetch_unused;
-        self.decoded_hits = report.decoded_hits;
-        self.decoded_misses = report.decoded_misses;
     }
 }
 
@@ -349,7 +355,7 @@ pub fn run_approach_with_skew(
     let mut m = m;
     if let Some(report) = report {
         store.record(workload, report.steal_fraction());
-        m.take_cache_counters(&report);
+        m.take_prefetch_counters(&report);
     }
     (m, pairs)
 }
@@ -487,7 +493,7 @@ fn run_transformers_parallel(
         },
     );
     if let Some(rep) = report {
-        m.take_cache_counters(&rep);
+        m.take_prefetch_counters(&rep);
     }
     (m, pairs)
 }
@@ -539,6 +545,10 @@ fn run_transformers_with(
     m.overhead_wall = out.stats.exploration_overhead;
     m.mem_join_wall = out.stats.join_cpu;
     m.pool_hits = out.stats.pool_hits;
+    m.windows = out.stats.windows;
+    m.window_pivots = out.stats.window_pivots;
+    m.swept_pages = out.stats.swept_pages;
+    m.read_through_pages = out.stats.read_through_pages;
     (m.clone(), out.pairs)
 }
 

@@ -688,6 +688,15 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         m.join_sim_io.as_secs_f64(),
         m.join_wall.as_secs_f64()
     );
+    if m.windows > 0 {
+        println!(
+            "windows:         {}, mean {:.1} pivots / {:.1} follower pages, {} read through",
+            m.windows,
+            m.window_pivots as f64 / m.windows as f64,
+            m.swept_pages as f64 / m.windows as f64,
+            m.read_through_pages
+        );
+    }
     println!(
         "join I/O:        {} pages ({} random, {} sequential)",
         m.pages_read, m.rand_reads, m.seq_reads

@@ -12,12 +12,13 @@
 //! ```
 //!
 //! `T_ae`, `T_io` and `T_comp` "heavily depend on the hardware of the
-//! system and are therefore best determined at runtime" — they are measured
-//! while the join runs, and `c_flt` is updated from the actually observed
-//! filter rate. Until the first transformation completes, the default
-//! thresholds t_su = 8 and t_so = 27 are used (§VII-D2: "this volume ratio
-//! corresponds to the case where an edge of one MBB is two/three times
-//! bigger than the other one").
+//! system and are therefore best determined at runtime": `T_comp` is
+//! measured while the join runs and `c_flt` is updated from the actually
+//! observed filter rate; `T_ae` and `T_io` are device-bound and come from
+//! the disk model ([`DeviceParams`]). Until the first transformation
+//! completes, the default thresholds t_su = 8 and t_so = 27 are used
+//! (§VII-D2: "this volume ratio corresponds to the case where an edge of
+//! one MBB is two/three times bigger than the other one").
 
 use crate::config::ThresholdPolicy;
 use std::time::Duration;
@@ -77,10 +78,6 @@ pub struct CostModel {
     /// Filter-rate estimate c_flt ∈ (0, 1).
     c_flt: f64,
     // Online measurement accumulators.
-    walk_time: Duration,
-    walk_ops: u64,
-    io_time: Duration,
-    io_ops: u64,
     comp_time: Duration,
     comp_ops: u64,
     filtered: u64,
@@ -120,10 +117,6 @@ impl CostModel {
             n_so: unit_capacity.max(1) as f64,
             n_su: node_capacity.max(1) as f64,
             c_flt: 0.5,
-            walk_time: Duration::ZERO,
-            walk_ops: 0,
-            io_time: Duration::ZERO,
-            io_ops: 0,
             comp_time: Duration::ZERO,
             comp_ops: 0,
             filtered: 0,
@@ -174,18 +167,6 @@ impl CostModel {
         self.enabled() && ratio <= self.t_role()
     }
 
-    /// Records exploration work (walk/crawl steps) for T_ae.
-    pub fn record_exploration(&mut self, steps: u64, elapsed: Duration) {
-        self.walk_ops += steps;
-        self.walk_time += elapsed;
-    }
-
-    /// Records page I/O for T_io.
-    pub fn record_io(&mut self, pages: u64, elapsed: Duration) {
-        self.io_ops += pages;
-        self.io_time += elapsed;
-    }
-
     /// Records element comparisons for T_comp.
     pub fn record_comparisons(&mut self, tests: u64, elapsed: Duration) {
         self.comp_ops += tests;
@@ -227,16 +208,6 @@ impl CostModel {
         self.t_so = (self.n_so * t_ae / (self.n_su * denom)).clamp(T_SO_RANGE.0, T_SO_RANGE.1);
     }
 
-    /// Mean measured wall time of one exploration step, if any were timed.
-    pub fn measured_t_ae(&self) -> Option<f64> {
-        (self.walk_ops > 0).then(|| self.walk_time.as_secs_f64() / self.walk_ops as f64)
-    }
-
-    /// Mean recorded cost of one page read, if any were recorded.
-    pub fn measured_t_io(&self) -> Option<f64> {
-        (self.io_ops > 0).then(|| self.io_time.as_secs_f64() / self.io_ops as f64)
-    }
-
     /// Mean measured wall time of one element comparison, if any were timed.
     pub fn measured_t_comp(&self) -> Option<f64> {
         (self.comp_ops > 0).then(|| self.comp_time.as_secs_f64() / self.comp_ops as f64)
@@ -274,8 +245,6 @@ mod tests {
     #[test]
     fn fixed_policy_ignores_measurements() {
         let mut m = model(ThresholdPolicy::over_fit());
-        m.record_exploration(1000, Duration::from_millis(10));
-        m.record_io(100, Duration::from_millis(600));
         m.record_comparisons(10_000, Duration::from_millis(1));
         m.on_transformation();
         assert_eq!(m.t_su(), 1.5);

@@ -56,6 +56,22 @@ pub struct TransformersStats {
     /// Walks that exhausted their patience and fell back to the metadata
     /// scan (correctness guarantee; see `DESIGN.md`).
     pub walk_fallbacks: u64,
+    /// Pivot windows executed: runs of consecutive node-level pivots
+    /// planned together, whose follower pages were read in one ascending
+    /// sweep (a window of one pivot is the read-per-pivot order). Windows
+    /// whose pivots all had nothing to read are not counted.
+    pub windows: u64,
+    /// Node-level pivots joined through those windows (the pivots whose
+    /// exploration left nothing to read are not counted).
+    pub window_pivots: u64,
+    /// Distinct follower pages of the windows, summed over windows: a page
+    /// several pivots of one window need counts once.
+    pub swept_pages: u64,
+    /// Pages read only to keep a sweep sequential: the short gaps between
+    /// two missing pages that cost less to read through than to skip
+    /// ([`tfm_storage::DiskModel::read_through_gap`]). They go past the
+    /// cache, so they are disk reads on top of `pages_read`.
+    pub read_through_pages: u64,
     /// Wall-clock time spent in the in-memory joins.
     pub join_cpu: Duration,
     /// Wall-clock time spent in walk/crawl/filter/transformation logic.
@@ -109,6 +125,12 @@ impl TransformersStats {
         reg.counter(names::JOIN_PRUNED_UNITS).add(self.pruned_units);
         reg.counter(names::JOIN_WALK_STEPS).add(self.walk_steps);
         reg.counter(names::JOIN_CRAWL_STEPS).add(self.crawl_steps);
+        reg.counter(names::JOIN_WINDOWS).add(self.windows);
+        reg.counter(names::JOIN_WINDOW_PIVOTS)
+            .add(self.window_pivots);
+        reg.counter(names::JOIN_SWEPT_PAGES).add(self.swept_pages);
+        reg.counter(names::JOIN_READ_THROUGH_PAGES)
+            .add(self.read_through_pages);
         reg.counter(names::JOIN_MEM_JOIN_NANOS)
             .add(self.join_cpu.as_nanos() as u64);
         reg.counter(names::JOIN_EXPLORATION_NANOS)
@@ -140,6 +162,10 @@ impl TransformersStats {
         self.walk_steps += other.walk_steps;
         self.crawl_steps += other.crawl_steps;
         self.walk_fallbacks += other.walk_fallbacks;
+        self.windows += other.windows;
+        self.window_pivots += other.window_pivots;
+        self.swept_pages += other.swept_pages;
+        self.read_through_pages += other.read_through_pages;
         self.join_cpu += other.join_cpu;
         self.exploration_overhead += other.exploration_overhead;
         self.sim_io += other.sim_io;
@@ -194,6 +220,10 @@ mod tests {
             unique_results: 4,
             pages_read: 6,
             walk_steps: 1,
+            windows: 2,
+            window_pivots: 9,
+            swept_pages: 40,
+            read_through_pages: 3,
             pruned_units: 11,
             cross_worker_pruned_units: 4,
             pruned_pivots: 2,
@@ -210,6 +240,15 @@ mod tests {
         assert_eq!(a.pruned_units, 11);
         assert_eq!(a.cross_worker_pruned_units, 4);
         assert_eq!(a.pruned_pivots, 2);
+        assert_eq!(
+            (
+                a.windows,
+                a.window_pivots,
+                a.swept_pages,
+                a.read_through_pages
+            ),
+            (2, 9, 40, 3)
+        );
         assert_eq!(a.join_cpu, Duration::from_millis(3));
     }
 }

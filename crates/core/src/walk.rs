@@ -37,11 +37,13 @@ pub struct WalkResult {
 }
 
 /// Scratch space reused across walks/crawls to avoid re-allocating
-/// visited-markers for every pivot.
+/// visited-markers and the crawl's frontier for every pivot.
 #[derive(Debug, Default)]
 pub struct ExploreScratch {
     stamp: u64,
     visited: Vec<u64>,
+    /// The crawl's frontier; empty between crawls.
+    queue: Vec<NodeId>,
 }
 
 impl ExploreScratch {
@@ -164,11 +166,9 @@ pub fn scan_for_intersection(
     None
 }
 
-/// Outcome of a crawl: the candidate units plus counters.
-#[derive(Debug, Default)]
+/// Counters of one crawl (the candidates go into the caller's buffer).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CrawlResult {
-    /// Units whose page MBB intersects the pivot.
-    pub candidates: Vec<UnitId>,
     /// Nodes visited.
     pub steps: u64,
     /// Metadata comparisons performed.
@@ -176,7 +176,9 @@ pub struct CrawlResult {
 }
 
 /// Adaptive crawl: flood from `from` over all nodes whose inflated tiles
-/// intersect `pivot`, collecting units whose page MBBs intersect it.
+/// intersect `pivot`, appending the units whose page MBBs intersect it to
+/// `candidates` (what the buffer already holds is left alone, so a caller
+/// can collect several pivots' candidates in one vector).
 ///
 /// # Panics
 /// Debug-asserts that `from` itself reaches the pivot (guaranteed when
@@ -188,13 +190,15 @@ pub fn adaptive_crawl(
     pivot: &Aabb,
     from: NodeId,
     scratch: &mut ExploreScratch,
+    candidates: &mut Vec<UnitId>,
 ) -> CrawlResult {
     debug_assert!(reaches(&nodes[from.0 as usize].tile, pivot, reach_eps));
     let stamp = scratch.begin(nodes.len());
+    let ExploreScratch { visited, queue, .. } = scratch;
     let mut result = CrawlResult::default();
 
-    let mut queue = vec![from];
-    scratch.visited[from.0 as usize] = stamp;
+    queue.push(from);
+    visited[from.0 as usize] = stamp;
     while let Some(id) = queue.pop() {
         result.steps += 1;
         let node = &nodes[id.0 as usize];
@@ -205,12 +209,12 @@ pub fn adaptive_crawl(
             for u in node.unit_range() {
                 result.metadata_tests += 1;
                 if units[u].page_mbb.intersects(pivot) {
-                    result.candidates.push(units[u].id);
+                    candidates.push(units[u].id);
                 }
             }
         }
         for &nb in &node.neighbors {
-            let v = &mut scratch.visited[nb.0 as usize];
+            let v = &mut visited[nb.0 as usize];
             if *v != stamp {
                 *v = stamp;
                 result.metadata_tests += 1;
@@ -316,15 +320,19 @@ mod tests {
             &mut scratch,
         );
         let from = walk.found.expect("found");
-        let crawl = adaptive_crawl(
+        // The crawl appends: what the buffer held stays in front.
+        let mut candidates = vec![UnitId(u32::MAX)];
+        adaptive_crawl(
             idx.nodes(),
             idx.units(),
             idx.reach_eps(),
             &pivot,
             from,
             &mut scratch,
+            &mut candidates,
         );
-        let mut got: Vec<u32> = crawl.candidates.iter().map(|u| u.0).collect();
+        assert_eq!(candidates[0], UnitId(u32::MAX));
+        let mut got: Vec<u32> = candidates[1..].iter().map(|u| u.0).collect();
         got.sort_unstable();
         let mut expected: Vec<u32> = idx
             .units()
@@ -357,6 +365,7 @@ mod tests {
             &pivot,
             from,
             &mut scratch,
+            &mut Vec::new(),
         );
         assert!(
             (crawl.steps as usize) < idx.nodes().len() / 4,

@@ -208,12 +208,6 @@ pub struct ExecReport {
     /// early or still untouched at the end of the run. The readahead
     /// window is mis-sized when this grows against `prefetch_issued`.
     pub prefetch_unused: u64,
-    /// Element-page reads answered by the shared caches' decoded tier (both
-    /// sides). The join is the one path that fills the tier, so this split
-    /// is what says whether the tier earns its keep.
-    pub decoded_hits: u64,
-    /// Element-page reads that had to decode (and filled the tier).
-    pub decoded_misses: u64,
 }
 
 impl ExecReport {
@@ -369,9 +363,7 @@ pub fn parallel_join_with_report(
                 push_chunk_schedule(pq, &chunk, guide_side.2, guide_side.3, follower_side.0);
             }
             let _span = chunk_hist.as_ref().map(|h| h.span());
-            for ng in chunk.start..chunk.end {
-                engine.process_pivot(ng);
-            }
+            engine.process_pivots(chunk.start..chunk.end);
             // Chunk boundary: if the follower dataset is now fully
             // covered, announce it so queued chunks are discarded
             // instead of dispatched.
@@ -416,7 +408,6 @@ pub fn parallel_join_with_report(
     // frames into the unused counter first (the eviction path alone
     // undercounts at end of run), then sum both sides.
     let (mut pf_issued, mut pf_hits, mut pf_unused) = (0, 0, 0);
-    let (mut decoded_hits, mut decoded_misses) = (0, 0);
     for c in [&cache_a, &cache_b] {
         if prefetch_on {
             c.reclaim_unused_prefetch();
@@ -425,8 +416,6 @@ pub fn parallel_join_with_report(
         pf_issued += s.prefetch_issued;
         pf_hits += s.prefetch_hits;
         pf_unused += s.prefetch_unused;
-        decoded_hits += s.decoded_hits;
-        decoded_misses += s.decoded_misses;
     }
 
     let report = ExecReport {
@@ -440,8 +429,6 @@ pub fn parallel_join_with_report(
         prefetch_issued: pf_issued,
         prefetch_hits: pf_hits,
         prefetch_unused: pf_unused,
-        decoded_hits,
-        decoded_misses,
     };
 
     // Run-end telemetry: publish the merged record once (workers never
@@ -697,8 +684,6 @@ mod tests {
             prefetch_issued: 0,
             prefetch_hits: 0,
             prefetch_unused: 0,
-            decoded_hits: 0,
-            decoded_misses: 0,
         };
         assert_eq!(empty.steal_fraction(), 0.0);
         assert_eq!(empty.unused_prefetch_fraction(), 0.0);

@@ -142,6 +142,7 @@ pub fn gipsy_join(
     let dense_cache = SharedPageCache::with_shards(dense_disk, cfg.pool_pages, 1);
     let mut dense_reader = dense.unit_reader_shared(&dense_cache);
     let mut scratch = ExploreScratch::default();
+    let mut candidates = Vec::new();
 
     let nodes = dense.nodes();
     let units = dense.units();
@@ -183,16 +184,23 @@ pub fn gipsy_join(
             };
             let Some(nf) = found else { continue };
 
-            let mut crawl = adaptive_crawl(nodes, units, reach, &e.mbb, nf, &mut scratch);
+            candidates.clear();
+            let crawl = adaptive_crawl(
+                nodes,
+                units,
+                reach,
+                &e.mbb,
+                nf,
+                &mut scratch,
+                &mut candidates,
+            );
             stats.crawl_steps += crawl.steps;
             stats.metadata_tests += crawl.metadata_tests;
             // Elevator order: candidate pages of one element are contiguous
             // within their nodes.
-            crawl
-                .candidates
-                .sort_unstable_by_key(|u| units[u.0 as usize].page);
+            candidates.sort_unstable_by_key(|u| units[u.0 as usize].page);
 
-            for cu in crawl.candidates {
+            for &cu in &candidates {
                 // Zero-copy read: the shared cache's decoded tier entry.
                 let dense_page = dense_reader.elements(cu);
                 for d in dense_page.iter() {

@@ -332,6 +332,7 @@ impl QueryEngine for GipsyEngine<'_> {
             idx: self.idx,
             reader: self.idx.unit_reader_shared(&self.cache),
             scratch: explore::ExploreScratch::default(),
+            candidates: Vec::new(),
             walk_pos: None,
             walk_patience: self.walk_patience,
         })
@@ -357,6 +358,8 @@ struct GipsySession<'a> {
     idx: &'a TransformersIndex,
     reader: UnitReader<'a, 'a, 'a>,
     scratch: explore::ExploreScratch,
+    /// The crawl's candidate units, reused from probe to probe.
+    candidates: Vec<UnitId>,
     walk_pos: Option<transformers::NodeId>,
     walk_patience: usize,
 }
@@ -402,13 +405,21 @@ impl QuerySession for GipsySession<'_> {
             .or_else(|| explore::scan_for_intersection(nodes, reach, &probe, &mut md));
         let Some(nf) = found else { return out };
 
-        let mut crawl = explore::adaptive_crawl(nodes, units, reach, &probe, nf, &mut self.scratch);
+        self.candidates.clear();
+        explore::adaptive_crawl(
+            nodes,
+            units,
+            reach,
+            &probe,
+            nf,
+            &mut self.scratch,
+            &mut self.candidates,
+        );
         // Elevator order: one probe's candidate pages are read in
         // ascending page order.
-        crawl
-            .candidates
+        self.candidates
             .sort_unstable_by_key(|u| units[u.0 as usize].page);
-        for cu in crawl.candidates {
+        for &cu in &self.candidates {
             push_matches(&mut self.reader, cu, query, &mut out);
         }
         out.sort_unstable();

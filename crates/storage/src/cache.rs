@@ -150,6 +150,20 @@ impl<'c, 'd> CacheHandle<'c, 'd> {
         self.cache
     }
 
+    /// Reads one page and returns the pin itself, counted like
+    /// [`page`](PageReads::page): for a reader that holds many pages at
+    /// once (the join's follower sweep), which the `&mut self` borrow of a
+    /// [`PageSlice`] cannot.
+    pub fn pin(&mut self, id: PageId) -> PageRef {
+        let (page, outcome) = self.cache.read_tracked(id);
+        match outcome {
+            ReadOutcome::Hit => self.counters.hits += 1,
+            ReadOutcome::PrefetchHit => self.counters.prefetch_hits += 1,
+            ReadOutcome::Miss => self.counters.misses += 1,
+        }
+        page
+    }
+
     /// Reads one element page through the cache's decoded tier and returns
     /// the shared records: no decode runs when another reader already
     /// materialised the page during its current residency.
@@ -180,13 +194,7 @@ impl<'c, 'd> CacheHandle<'c, 'd> {
 
 impl PageReads for CacheHandle<'_, '_> {
     fn page(&mut self, id: PageId) -> PageSlice<'_> {
-        let (page, outcome) = self.cache.read_tracked(id);
-        match outcome {
-            ReadOutcome::Hit => self.counters.hits += 1,
-            ReadOutcome::PrefetchHit => self.counters.prefetch_hits += 1,
-            ReadOutcome::Miss => self.counters.misses += 1,
-        }
-        PageSlice::Pinned(page)
+        PageSlice::Pinned(self.pin(id))
     }
 
     fn counters(&self) -> PoolCounters {
@@ -244,6 +252,28 @@ mod tests {
             assert_eq!(c.hits + c.misses, 12, "{c:?}");
         }
         assert_eq!(direct.counters(), PoolCounters::default());
+    }
+
+    #[test]
+    fn pins_are_counted_like_page_reads_and_can_be_held_together() {
+        let (d, _) = element_disk(4);
+        let shared = SharedPageCache::with_shards(&d, 2, 1);
+        let mut h = CacheHandle::shared(&shared);
+        assert!(!shared.is_resident(PageId(0)));
+        // More pins than frames: the ring grows instead of evicting one.
+        let pins: Vec<PageRef> = (0..4).map(|p| h.pin(PageId(p))).collect();
+        assert_eq!((h.counters().hits, h.counters().misses), (0, 4));
+        assert_eq!(shared.pinned_pages(), 4);
+        for (p, pin) in pins.iter().enumerate() {
+            assert_eq!(&**pin, d.read_page_vec(PageId(p as u64)).as_slice());
+            assert!(shared.is_resident(PageId(p as u64)));
+        }
+        // Asking is not reading: no counter moved.
+        assert_eq!(shared.stats().hits + shared.stats().misses, 4);
+        drop(h.pin(PageId(1)));
+        assert_eq!(h.counters().hits, 1);
+        drop(pins);
+        assert_eq!(shared.pinned_pages(), 0);
     }
 
     #[test]

@@ -111,6 +111,22 @@ impl DiskModel {
         positioning.max(self.request_overhead) + self.transfer_per_page
     }
 
+    /// Longest forward gap, in pages, that is cheaper to read through than
+    /// to skip: a skip pays at least `request_overhead` on top of the
+    /// transfer, reading through pays one transfer per gap page, so the
+    /// break-even is `request_overhead / transfer_per_page − 1` (5 pages
+    /// for [`sas_10k_rpm`](Self::sas_10k_rpm)). 0 when transfers are free:
+    /// with nothing to save, no extra page is read.
+    #[inline]
+    pub fn read_through_gap(&self) -> u64 {
+        let transfer = self.transfer_per_page.as_nanos();
+        if transfer == 0 {
+            return 0;
+        }
+        let pages = (self.request_overhead.as_nanos() / transfer).saturating_sub(1);
+        u64::try_from(pages).unwrap_or(u64::MAX)
+    }
+
     /// Cost of a sequential access.
     #[inline]
     pub fn sequential_cost(&self) -> Duration {
@@ -178,6 +194,19 @@ mod tests {
         let m = DiskModel::free();
         assert_eq!(m.cost_for_gap(0), Duration::ZERO);
         assert_eq!(m.cost_for_gap(123_456), Duration::ZERO);
+    }
+
+    #[test]
+    fn read_through_gap_is_the_models_break_even() {
+        let m = DiskModel::default();
+        let g = m.read_through_gap();
+        assert_eq!(g, 5);
+        // Reading `g` gap pages and the target sequentially is cheaper than
+        // skipping them; one page further it no longer is.
+        let through = |gap: u64| m.sequential_cost() * (gap as u32 + 1);
+        assert!(through(g) < m.cost_for_jump(true, g));
+        assert!(through(g + 1) >= m.cost_for_jump(true, g + 1));
+        assert_eq!(DiskModel::free().read_through_gap(), 0);
     }
 
     #[test]

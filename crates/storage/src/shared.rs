@@ -418,11 +418,38 @@ impl<'d> SharedPageCache<'d> {
         self.capacity
     }
 
+    /// Number of lock-striped shards the capacity is split over.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
     #[inline]
     fn shard(&self, id: PageId) -> &Shard {
         // Stripe by page id: consecutive pages (the common sequential
         // access pattern) hit different shard locks.
         &self.shards[(id.0 % self.shards.len() as u64) as usize]
+    }
+
+    /// True if `id` is resident right now. Touches neither the reference
+    /// bit nor a counter, so asking does not change what gets evicted; with
+    /// concurrent readers the answer can be stale by the time it is used.
+    pub fn is_resident(&self, id: PageId) -> bool {
+        self.shard(id).lock().ring.contains(id.0)
+    }
+
+    /// Number of frames pinned by a live [`PageRef`] right now.
+    pub fn pinned_pages(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let mut guard = s.inner.lock();
+                guard
+                    .ring
+                    .iter_mut()
+                    .filter(|(_, f)| Arc::strong_count(&f.buf) > 1)
+                    .count()
+            })
+            .sum()
     }
 
     /// Reads a page through the cache, returning a zero-copy pin guard.
