@@ -11,7 +11,15 @@
 //!    bytes past `B` writes only a partial frame, syncs, and aborts the
 //!    process — a kill mid-commit at a byte-exact position;
 //! 3. replay a deterministic writes-only trace in batches, printing
-//!    `committed <k>` after each batch's commit + ordered data flush.
+//!    `committed <k>` after each batch's commit, and take one checkpoint
+//!    half-way, so that kill points fall on both sides of a log
+//!    truncation.
+//!
+//! `committed k` witnesses that batch `k`'s commit record is durable. Its
+//! data pages are in the log; whether they are also in place depends on
+//! the write-back (the dirty tier is flushed when it fills and at the
+//! checkpoint, not per batch), and the run ends without a final flush —
+//! recovery, not the writer, is what makes the image whole.
 //!
 //! The parent reads the `committed` lines to learn exactly which batches
 //! committed before the kill, recovers the image, and verifies the
@@ -61,6 +69,7 @@ fn main() {
     // WAL transaction. The parent regenerates the identical trace.
     let live_ids: Vec<u64> = elems.iter().map(|e| e.id).collect();
     let trace = generate_mixed_trace(&MixedTraceSpec::uniform(ops, 1000, seed), &live_ids);
+    let checkpoint_after = ops.div_ceil(batch) / 2;
     for (k, chunk) in trace.chunks(batch).enumerate() {
         let writes: Vec<MutationOp> = chunk
             .iter()
@@ -73,9 +82,12 @@ fn main() {
         let out = overlay.apply_batch(&wal, &cache, &writes);
         assert_eq!(out.rejected_inserts, 0, "trace must replay cleanly");
         assert_eq!(out.missing_deletes, 0, "trace must replay cleanly");
-        // Only printed once the batch is durable AND its data pages are
-        // flushed — the parent treats this line as the commit witness.
+        // Only printed once the batch's commit record is durable — the
+        // parent treats this line as the commit witness.
         println!("committed {k}");
+        if k + 1 == checkpoint_after {
+            overlay.checkpoint(&wal, &cache).expect("checkpoint");
+        }
     }
     println!("total_bytes {}", wal.appended_bytes());
 }

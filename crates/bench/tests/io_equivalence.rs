@@ -196,30 +196,35 @@ fn join_prefetch_matches_mem_across_workers() {
         &RunConfig::default(),
     );
     let reference = canonicalize(reference);
-    let mut total_issued = 0;
-    for &threads in &WORKER_SWEEP {
-        let join_cfg = transformers::JoinConfig::default()
-            .with_io_depth(2)
-            .with_readahead(128);
-        let approach = Approach::TransformersParallel(join_cfg, threads);
-        let (m, pairs) = run_approach(&approach, "io-eq", &a, &b, &file_cfg(&dir));
-        assert_eq!(
-            canonicalize(pairs),
-            reference,
-            "prefetch x{threads}: file backend changed the join result"
-        );
-        assert_eq!(
-            m.prefetch_issued,
-            m.prefetch_hits + m.prefetch_unused,
-            "prefetch x{threads}: accounting must partition issued pages"
-        );
-        total_issued += m.prefetch_issued;
-    }
+    let sweep = || {
+        let mut total_issued = 0;
+        for &threads in &WORKER_SWEEP {
+            let join_cfg = transformers::JoinConfig::default()
+                .with_io_depth(2)
+                .with_readahead(128);
+            let approach = Approach::TransformersParallel(join_cfg, threads);
+            let (m, pairs) = run_approach(&approach, "io-eq", &a, &b, &file_cfg(&dir));
+            assert_eq!(
+                canonicalize(pairs),
+                reference,
+                "prefetch x{threads}: file backend changed the join result"
+            );
+            assert_eq!(
+                m.prefetch_issued,
+                m.prefetch_hits + m.prefetch_unused,
+                "prefetch x{threads}: accounting must partition issued pages"
+            );
+            total_issued += m.prefetch_issued;
+        }
+        total_issued
+    };
     // Per-run issue counts are timing-dependent (demand reads can win the
     // race to every page on a loaded host), but a whole sweep where the
-    // pipeline never lands a single page means it is wired up wrong.
+    // pipeline never lands a single page means it is wired up wrong. On a
+    // 2-CPU host under load one sweep in ~20 loses every race (2 of 88 at
+    // PR 21's commit, 6 of 100 at PR 22's), so the sweep gets three tries.
     assert!(
-        total_issued > 0,
+        (0..3).any(|_| sweep() > 0),
         "pipeline never issued a page across the worker sweep"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -7,7 +7,7 @@
 //! pointers on the data image. The two recovery tests run the batches
 //! through a real [`Wal`] and replay it onto a copy of the image taken
 //! right after adoption, which is the state a crash before the first
-//! flush leaves behind.
+//! write-back leaves behind.
 
 use std::sync::Mutex;
 use tfm_datagen::{generate, generate_mixed_trace, DatasetSpec, MixedOp, MixedTraceSpec};
@@ -158,9 +158,10 @@ fn a_batch_of_rejected_ops_logs_no_page() {
     assert_eq!((out.overlay_pages_written, out.flushed_pages), (0, 0));
 }
 
-/// Runs `batches` write batches on a fresh base through a real WAL with
-/// every commit flushed, and replays that log onto a copy of the image as
-/// adoption left it. Returns (flushed image, recovered image, head).
+/// Runs `batches` write batches on a fresh base through a real WAL,
+/// flushes every committed page, and replays that log onto a copy of the
+/// image as adoption left it. Returns (flushed image, recovered image,
+/// head).
 fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
     let wal_dir = std::env::temp_dir().join(format!("tfm_overlay_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&wal_dir).ok();
@@ -183,7 +184,6 @@ fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
             })
             .collect();
         let out = overlay.apply_batch(&wal, &cache, &writes);
-        assert_eq!(out.retained_pages, 0, "every committed page is flushed");
         assert!(
             (1..chain.len()).contains(&out.overlay_pages_written),
             "a 40-op batch rewrote {} of {} overlay pages",
@@ -191,6 +191,9 @@ fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
             chain.len()
         );
     }
+    // Flush to the durable LSN (not a checkpoint: the log stays whole).
+    let (_, retained) = cache.flush_dirty(wal.sync());
+    assert_eq!(retained, 0, "every committed page is flushed");
     drop(wal);
 
     let report = tfm_wal::recover(&wal_dir, &crashed).expect("recover");

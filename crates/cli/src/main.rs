@@ -1027,7 +1027,9 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
     use tfm_datagen::{generate_mixed_trace, MixedOp, MixedTraceSpec};
     use tfm_serve::{serve_trace, MutableTransformersEngine, ServeConfig};
     use tfm_storage::{NoopLog, RedoLog, SharedPageCache};
-    use transformers::{IndexConfig, MutableTransformers, MutationOp, TransformersIndex};
+    use transformers::{
+        IndexConfig, MutableTransformers, MutationOp, TransformersIndex, CHECKPOINT_LOG_BYTES,
+    };
 
     reject_unknown_flags("mutate", args)?;
     let path = required(args, "--in")?;
@@ -1103,7 +1105,16 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
     let mut deleted = 0u64;
     let mut batches = 0u64;
     let mut write_ops = 0u64;
-    let mut flushed_pages = 0u64;
+    let mut write_backs = 0u64;
+    let mut write_back_pages = 0u64;
+    let mut checkpoints = 0u64;
+    let mut checkpoint_pages = 0u64;
+    let mut checkpointed_at = 0u64;
+    let checkpoint = || {
+        overlay
+            .checkpoint(log, &cache)
+            .map_err(|e| format!("checkpoint: {e}"))
+    };
     let mut overlay_pages = 0u64;
     let mut overlay_pages_max = 0usize;
     let mut queries = 0u64;
@@ -1129,9 +1140,18 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
             deleted += out.deleted;
             batches += 1;
             write_ops += writes.len() as u64;
-            flushed_pages += out.flushed_pages as u64;
+            write_backs += u64::from(out.flushed_pages > 0);
+            write_back_pages += out.flushed_pages as u64;
             overlay_pages += out.overlay_pages_written as u64;
             overlay_pages_max = overlay_pages_max.max(out.overlay_pages_written);
+            // A fixed interval in log bytes, not in time: a run's counts
+            // depend on its arguments alone.
+            let logged = wal.as_ref().map_or(0, |w| w.appended_bytes());
+            if logged - checkpointed_at >= CHECKPOINT_LOG_BYTES {
+                checkpoint_pages += checkpoint()? as u64;
+                checkpoints += 1;
+                checkpointed_at = logged;
+            }
         }
         let probes = tfm_datagen::queries_of(chunk);
         if !probes.is_empty() {
@@ -1140,6 +1160,10 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
             result_ids += out.stats.result_ids;
         }
     }
+    // The dirty pages the last batches left are part of what the run
+    // wrote: flush them, so that `write amp:` counts the tail.
+    checkpoint_pages += checkpoint()? as u64;
+    checkpoints += 1;
     let wall = t.elapsed();
 
     let mut lines = Vec::new();
@@ -1181,11 +1205,18 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
             if s.segments == 1 { "" } else { "s" },
             w.dir().display()
         ));
+        lines.push(format!(
+            "log:             {} full images + {} deltas (mean {:.0} bytes)",
+            s.full_records,
+            s.delta_records,
+            s.delta_bytes as f64 / s.delta_records.max(1) as f64
+        ));
     } else {
         lines.push("wal:             off (no --wal-dir; mutations unlogged)".into());
     }
     lines.push(format!(
-        "flushed:         {flushed_pages} pages of {page_size} bytes"
+        "flushed:         {write_back_pages} pages in {write_backs} write-backs + \
+         {checkpoint_pages} at {checkpoints} checkpoints, {page_size} bytes each"
     ));
     lines.push(format!(
         "overlay:         {overlay_pages} pages written, at most {overlay_pages_max} of the \
@@ -1197,6 +1228,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
     // element record per write op).
     let record = tfm_storage::ELEMENT_RECORD_BYTES as u64;
     let wal_bytes = wal.as_ref().map_or(0, |w| w.stats().bytes);
+    let flushed_pages = write_back_pages + checkpoint_pages;
     let written = wal_bytes + flushed_pages * page_size as u64;
     lines.push(format!(
         "write amp:       {:.1}x  (({wal_bytes} WAL bytes + {flushed_pages} flushed pages x \
@@ -1620,7 +1652,17 @@ mod tests {
             let expected = (wal_bytes + flushed * page_size) / (write_ops * record);
             assert!((amp - expected).abs() <= 0.05, "{amp} vs {expected}");
             assert_eq!(record, 56.0);
-            assert_eq!(numbers_of("flushed:"), [flushed, page_size]);
+            // The flushed pages are the write-backs' plus the checkpoints',
+            // the run's last checkpoint among them: the tail is counted.
+            let [write_back_pages, write_backs, checkpoint_pages, checkpoints, flushed_page_size] =
+                numbers_of("flushed:")[..]
+            else {
+                panic!("malformed flushed line in:\n{summary}")
+            };
+            assert_eq!(write_back_pages + checkpoint_pages, flushed, "{summary}");
+            assert_eq!(flushed_page_size, page_size);
+            assert!(checkpoints >= 1.0 && checkpoint_pages > 0.0, "{summary}");
+            assert_eq!(write_backs == 0.0, write_back_pages == 0.0, "{summary}");
             let [written, max_per_batch, chain] = numbers_of("overlay:")[..] else {
                 panic!("malformed overlay line in:\n{summary}")
             };
@@ -1630,6 +1672,20 @@ mod tests {
             if logged {
                 // Change-only overlay: no batch rewrote the whole chain.
                 assert!(chain > 10.0 && max_per_batch < chain, "{summary}");
+                // Every page record is a full image or a delta, and on
+                // this fixture most are deltas.
+                let [full, deltas, mean_delta] = numbers_of("log:")[..] else {
+                    panic!("malformed log line in:\n{summary}")
+                };
+                let [records, _, commits, ..] = numbers_of("wal:")[..] else {
+                    panic!("malformed wal line in:\n{summary}")
+                };
+                assert_eq!(full + deltas + commits, records, "{summary}");
+                assert!(deltas > full && mean_delta < page_size, "{summary}");
+                // Full-page records flushed after every commit put 50.9x
+                // on this fixture (277 622 log bytes + 376 page writes for
+                // 165 write ops); the tail included, it is under half that.
+                assert!(amp < 50.9 / 2.0, "{summary}");
             }
         }
         // The logged run left real segment files behind.

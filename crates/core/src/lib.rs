@@ -69,7 +69,8 @@ pub use index::{TransformersIndex, UnitReader};
 pub use join::{transformers_join, EngineSide, JoinOutcome, PivotEngine};
 pub use mutate::{
     BatchOutcome, MutNode, MutSnapshot, MutUnit, MutableTransformers, MutationOp, OverflowCodec,
-    OverflowPage, NO_PAGE, OVERFLOW_HEADER,
+    OverflowPage, CHECKPOINT_LOG_BYTES, DIRTY_HIGH_WATER, DIRTY_LOW_WATER, NO_PAGE,
+    OVERFLOW_HEADER,
 };
 pub use stats::TransformersStats;
 // `IndexBuildPipeline` lives in `tfm-partition` (below the baselines,

@@ -26,12 +26,22 @@
 //!   stays linked (lazy reclamation — the chain remains walkable for
 //!   in-flight readers, mirroring the B+-tree's no-recycle rule).
 //! * **Batch commit with WAL-before-data.** [`MutableTransformers::apply_batch`]
-//!   routes every page write through [`LoggedPages`]: full-page
-//!   after-image to the [`RedoLog`], same bytes to the shared cache's
-//!   dirty tier. The batch — including the persisted overlay, see below —
-//!   is one transaction; after the commit fsync the dirty frames are
-//!   flushed through the cache's durable-LSN gate. A crash anywhere
+//!   routes every page write through [`LoggedPages`]: a record of the
+//!   change to the [`RedoLog`] (the page's first since a checkpoint is
+//!   its full image, later ones may be the bytes that differ), the new
+//!   bytes to the shared cache's dirty tier. The batch — including the
+//!   persisted overlay, see below — is one transaction. A crash anywhere
 //!   leaves either the whole batch or none of it (redo-only, no-steal).
+//! * **Write-back, bounded.** A committed page stays in the dirty tier,
+//!   where the next batches rewrite it for free, until the tier holds
+//!   half the cache: the batch that reaches that mark writes the least
+//!   recently written frames back through the durable-LSN gate, in
+//!   ascending page order, down to a quarter of the cache
+//!   ([`DIRTY_HIGH_WATER`], [`DIRTY_LOW_WATER`]). Nothing else writes a
+//!   dirty frame in place except [`MutableTransformers::checkpoint`],
+//!   which flushes them all, syncs the data disk and lets the log drop
+//!   its records — `apply_batch` never truncates the log, so a log kept
+//!   whole replays onto the image it was started from.
 //! * **Persisted overlay, written change-only.** The mutable state
 //!   (per-unit counts, overflow heads, grown MBBs, directory root,
 //!   allocation watermark) is serialized into a chain of **overlay
@@ -51,8 +61,9 @@
 //!   themselves are never torn, the cache swaps whole frames); batch
 //!   boundaries are the published consistency points.
 //!
-//! What a batch costs: its log records, dirty frames and flushed pages
-//! are proportional to the pages it changed, overlay included. Two
+//! What a batch costs: its log records and dirty frames are proportional
+//! to the pages it changed, overlay included, and a page is written in
+//! place once per stay in the dirty tier, not once per batch. Two
 //! O(units) steps remain and are CPU only: the overlay is serialized
 //! whole before it is compared page by page, and the descriptor tables
 //! are copied whole per publish. That is the honest cost of a design
@@ -64,6 +75,7 @@ use crate::metadata::bytes_ext::{BufExt, BufMutExt};
 use crate::metadata::{get_aabb, put_aabb};
 use crate::probe_dir::ProbeDirectory;
 use crate::TransformersIndex;
+use std::io;
 use std::sync::{Arc, Mutex};
 use tfm_bptree::{BPlusTree, MutableBPlusTree};
 use tfm_geom::{Aabb, Point3, SpatialElement, SpatialQuery};
@@ -74,6 +86,25 @@ use tfm_storage::{
 
 /// Sentinel for "no page" in overflow chains and the overlay page chain.
 pub const NO_PAGE: u64 = u64::MAX;
+
+/// Write-back starts once `capacity / DIRTY_HIGH_WATER` frames of the
+/// cache are dirty: half. Above half, the dirty tier would take the
+/// frames the probes between batches read through; the sweep that chose
+/// both marks is in `DESIGN.md`, § "Write path & recovery".
+pub const DIRTY_HIGH_WATER: usize = 2;
+
+/// A write-back leaves `capacity / DIRTY_LOW_WATER` frames dirty, a
+/// quarter of the cache — the most recently written ones, which the next
+/// batches are the likeliest to rewrite.
+pub const DIRTY_LOW_WATER: usize = 4;
+
+/// How much log a writer should let accumulate between two
+/// [`MutableTransformers::checkpoint`] calls: the bound on what a
+/// recovery reads and on the log's size on disk. Every page's first
+/// record after a checkpoint is a full image again, so a shorter interval
+/// buys a shorter recovery with more log; `DESIGN.md`, § "Write path &
+/// recovery" has the sweep. `tfm mutate` checkpoints at this interval.
+pub const CHECKPOINT_LOG_BYTES: u64 = 16 << 20;
 
 /// Bytes of overflow-page header: `next` pointer (u64) + element count
 /// (u16).
@@ -361,9 +392,10 @@ pub struct BatchOutcome {
     pub txn: u64,
     /// Durable LSN returned by the commit.
     pub durable_lsn: u64,
-    /// Dirty pages flushed after the commit.
+    /// Pages this batch's write-back wrote in place: zero unless the
+    /// dirty tier had reached [`DIRTY_HIGH_WATER`].
     pub flushed_pages: usize,
-    /// Dirty pages the flush gate kept in memory.
+    /// Dirty pages left in the cache when the batch returned.
     pub retained_pages: usize,
     /// Overlay chain pages the batch wrote (logged and dirtied): those
     /// whose bytes the batch changed, not the chain length.
@@ -595,11 +627,13 @@ impl MutableTransformers {
     ///
     /// Every page write (element pages, overflow pages, directory nodes,
     /// the overlay chain) is logged and lands in `cache`'s dirty tier;
-    /// the commit fsyncs the log, the new [`MutSnapshot`] is published,
-    /// and only then are dirty frames flushed through the durable-LSN
-    /// gate — WAL-before-data end to end. A crash before the commit
-    /// record is durable undoes the whole batch at replay; after, the
-    /// whole batch survives.
+    /// the commit fsyncs the log and the new [`MutSnapshot`] is
+    /// published. Only then, and only if the dirty tier has reached
+    /// [`DIRTY_HIGH_WATER`], are its least recently written frames
+    /// written back through the durable-LSN gate — WAL-before-data end to
+    /// end. A crash before the commit record is durable undoes the whole
+    /// batch at replay; after, the whole batch survives, in the log if
+    /// not yet in place.
     pub fn apply_batch(
         &self,
         log: &dyn RedoLog,
@@ -635,10 +669,45 @@ impl MutableTransformers {
         out.durable_lsn = log.commit(txn);
         drop(h);
         *self.published.lock().unwrap() = Arc::new(snapshot_of(&st, self.page_size));
-        let (flushed, retained) = cache.flush_dirty(out.durable_lsn);
-        out.flushed_pages = flushed;
-        out.retained_pages = retained;
+        let dirty = cache.dirty_pages();
+        out.retained_pages = dirty;
+        if dirty >= (cache.capacity() / DIRTY_HIGH_WATER).max(1) {
+            let budget = dirty - cache.capacity() / DIRTY_LOW_WATER;
+            (out.flushed_pages, out.retained_pages) =
+                cache.flush_dirty_up_to(out.durable_lsn, budget);
+            tfm_obs::global()
+                .counter(tfm_obs::names::MUTATE_WRITE_BACKS)
+                .inc();
+        }
         out
+    }
+
+    /// Makes the data disk current and the log short: with no batch in
+    /// flight, every dirty frame is flushed (the log is synced first, so
+    /// the gate holds none back), the data disk is synced, and only then
+    /// is the log told it may drop its records ([`RedoLog::checkpoint`]).
+    /// Returns the pages written in place. A crash before the last step
+    /// leaves the whole log to replay; after it, the disk needs none.
+    ///
+    /// Call it every [`CHECKPOINT_LOG_BYTES`] of log: recovery time and
+    /// log size are bounded by the interval. `apply_batch` never calls
+    /// it — a caller that keeps the log whole (a backup to replay onto
+    /// the image it started from) does not checkpoint.
+    pub fn checkpoint(&self, log: &dyn RedoLog, cache: &SharedPageCache<'_>) -> io::Result<usize> {
+        let _no_batch = self.state.lock().unwrap();
+        let (flushed, retained) = cache.flush_dirty(log.sync());
+        if retained > 0 {
+            return Err(io::Error::other(format!(
+                "checkpoint left {retained} dirty pages whose records are not durable: \
+                 another writer shares the cache"
+            )));
+        }
+        cache.disk().sync()?;
+        log.checkpoint()?;
+        tfm_obs::global()
+            .counter(tfm_obs::names::MUTATE_CHECKPOINTS)
+            .inc();
+        Ok(flushed)
     }
 
     fn insert_one<P: PageReads + PageWrites>(
@@ -1369,9 +1438,10 @@ mod tests {
         }
         let head = mt.meta_head();
         let old = mt.snapshot();
+        // A checkpoint flushes every dirty frame — the raw disk image is
+        // complete. Reopen from it alone.
+        mt.checkpoint(&log, &cache).unwrap();
         drop(mt);
-        // NoopLog is always durable, so apply_batch flushed every dirty
-        // frame — the raw disk image is complete. Reopen from it alone.
         let mt2 = MutableTransformers::reopen(&disk, head);
         let snap = mt2.snapshot();
         assert_eq!(snap.units(), old.units());

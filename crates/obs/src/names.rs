@@ -37,6 +37,8 @@ pub const CACHE_LOCK_CONTENDED: &str = "cache.lock_contended";
 pub const CACHE_DIRTY_INSTALLS: &str = "cache.dirty_installs";
 /// Dirty frames written back to the store by ordered flushing.
 pub const CACHE_FLUSHED_PAGES: &str = "cache.flushed_pages";
+/// Gauge: most dirty frames the cache held at a batch boundary.
+pub const CACHE_DIRTY_HIGH_WATER: &str = "cache.dirty_high_water";
 
 // --- io.* : simulated-disk access pattern (IoStats) ---
 
@@ -88,8 +90,14 @@ pub const IO_PREFETCH_JOIN_UNUSED: &str = "io.prefetch.join.unused";
 // and `RecoveryReport::publish` (replay counters) — the log owns these
 // signals, nothing else writes them.
 
-/// Records appended to the log (page images + commit markers).
+/// Records appended to the log (page images, deltas and commit markers).
 pub const WAL_RECORDS: &str = "wal.records";
+/// Page records appended as a full after-image.
+pub const WAL_FULL_RECORDS: &str = "wal.full_records";
+/// Page records appended as byte-range deltas.
+pub const WAL_DELTA_RECORDS: &str = "wal.delta_records";
+/// Bytes of the delta records, framing included (a part of `wal.bytes`).
+pub const WAL_DELTA_BYTES: &str = "wal.delta_bytes";
 /// Bytes appended to the log, framing included.
 pub const WAL_BYTES: &str = "wal.bytes";
 /// fsyncs issued against log segments.
@@ -98,10 +106,21 @@ pub const WAL_FSYNCS: &str = "wal.fsyncs";
 pub const WAL_COMMITS: &str = "wal.commits";
 /// Histogram: records made durable per fsync (group-commit batch size).
 pub const WAL_GROUP_COMMIT_RECORDS: &str = "wal.group_commit_records";
-/// Page records replayed against the image during recovery.
+/// Distinct pages recovery brought forward and wrote to the image.
 pub const WAL_RECOVERY_REPLAYED: &str = "wal.recovery.replayed";
 /// Records of uncommitted transactions skipped during recovery.
 pub const WAL_RECOVERY_SKIPPED: &str = "wal.recovery.skipped";
+
+// --- mutate.* : the online write path (`MutableTransformers`) ---
+//
+// Counted into the process-global registry where they happen.
+
+/// Batches after which the dirty tier had reached its high-water mark
+/// and `apply_batch` wrote the least recently written frames back.
+pub const MUTATE_WRITE_BACKS: &str = "mutate.write_backs";
+/// Checkpoints taken: every dirty frame flushed, the data disk synced
+/// and the log truncated.
+pub const MUTATE_CHECKPOINTS: &str = "mutate.checkpoints";
 
 // --- serve.* : the concurrent query-serving subsystem ---
 

@@ -265,7 +265,8 @@ impl QueryEngine for MutableTransformersEngine<'_> {
     // `prefetch_page` leaves resident (dirty) frames untouched *and* drops
     // a read that a write to the page's shard overtook — "not resident"
     // alone does not prove the bytes current once the write has been
-    // flushed and evicted (`apply_batch` flushes after every commit).
+    // flushed and evicted (`apply_batch` writes the dirty tier back
+    // whenever it fills).
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         let snap = self.overlay.snapshot();
         let units = snap.units();

@@ -76,6 +76,18 @@ impl<T> ClockRing<T> {
         self.map.contains_key(&page)
     }
 
+    /// Payload of a resident page, reference bit untouched.
+    pub fn peek(&self, page: u64) -> Option<&T> {
+        self.map.get(&page).map(|&i| &self.frames[i].payload)
+    }
+
+    /// [`peek`](Self::peek), mutably: for maintenance that is not a use
+    /// of the page (a write-back must not make its page look recent).
+    pub fn peek_mut(&mut self, page: u64) -> Option<&mut T> {
+        let &i = self.map.get(&page)?;
+        Some(&mut self.frames[i].payload)
+    }
+
     /// Looks up a resident page, setting its reference bit, and returns
     /// its frame index (for follow-up [`payload_mut`](Self::payload_mut)
     /// access without a second hash probe).

@@ -67,7 +67,7 @@ use crate::clock::ClockRing;
 use crate::{Disk, ElementPageCodec, PageId};
 use parking_lot::Mutex;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tfm_geom::SpatialElement;
 
@@ -120,6 +120,11 @@ struct ShardInner {
     /// disk read and discards the bytes if it moved: a write (and its
     /// flush and eviction) in between would make them a stale image.
     write_seq: u64,
+    /// Frames of this shard with `dirty` set, kept where the flag flips
+    /// ([`SharedPageCache::write_page`] and the flush) so that
+    /// [`SharedPageCache::dirty_pages`] sums one number per shard instead
+    /// of scanning every frame.
+    dirty: usize,
 }
 
 impl ShardInner {
@@ -154,9 +159,11 @@ impl ShardInner {
             self.counters.fresh_allocs += 1;
         }
         let f = slot.payload;
+        // A victim is never dirty (the predicate above), so the shard's
+        // dirty count does not move here.
+        debug_assert!(!f.dirty, "claimed a dirty frame");
         f.decoded = None;
         f.prefetched = false;
-        f.dirty = false;
         f.page_lsn = 0;
         f
     }
@@ -265,6 +272,9 @@ pub struct CacheStats {
     pub dirty_installs: u64,
     /// Dirty frames written back to the store by `flush_dirty`.
     pub flushed_pages: u64,
+    /// Most dirty frames any [`SharedPageCache::dirty_pages`] call counted
+    /// (a level, not a counter: deltas carry the later snapshot's).
+    pub dirty_high_water: u64,
     /// Shard-lock acquisitions.
     pub lock_acquisitions: u64,
     /// Acquisitions that found the shard lock already held — the
@@ -336,6 +346,8 @@ impl CacheStats {
             .add(self.dirty_installs);
         reg.counter(names::CACHE_FLUSHED_PAGES)
             .add(self.flushed_pages);
+        reg.gauge(names::CACHE_DIRTY_HIGH_WATER)
+            .set(self.dirty_high_water as i64);
     }
 
     /// Counter-wise difference `self - earlier` (configuration fields are
@@ -355,6 +367,7 @@ impl CacheStats {
             prefetch_stale: self.prefetch_stale - earlier.prefetch_stale,
             dirty_installs: self.dirty_installs - earlier.dirty_installs,
             flushed_pages: self.flushed_pages - earlier.flushed_pages,
+            dirty_high_water: self.dirty_high_water,
             lock_acquisitions: self.lock_acquisitions - earlier.lock_acquisitions,
             lock_contended: self.lock_contended - earlier.lock_contended,
             shards: self.shards,
@@ -368,6 +381,8 @@ pub struct SharedPageCache<'d> {
     disk: &'d Disk,
     shards: Box<[Shard]>,
     capacity: usize,
+    /// Highest count [`dirty_pages`](Self::dirty_pages) has returned.
+    dirty_high_water: AtomicUsize,
 }
 
 impl<'d> SharedPageCache<'d> {
@@ -384,6 +399,7 @@ impl<'d> SharedPageCache<'d> {
                     ring: ClockRing::new(per_shard),
                     counters: ShardCounters::default(),
                     write_seq: 0,
+                    dirty: 0,
                 }),
                 acquisitions: AtomicU64::new(0),
                 contended: AtomicU64::new(0),
@@ -394,6 +410,7 @@ impl<'d> SharedPageCache<'d> {
             disk,
             shards,
             capacity,
+            dirty_high_water: AtomicUsize::new(0),
         }
     }
 
@@ -636,40 +653,63 @@ impl<'d> SharedPageCache<'d> {
         }
         f.decoded = None;
         f.prefetched = false;
-        f.dirty = true;
         f.page_lsn = lsn;
+        if !std::mem::replace(&mut f.dirty, true) {
+            inner.dirty += 1;
+        }
     }
 
-    /// Writes back every dirty frame whose `page_lsn` is at most
-    /// `durable_lsn` (the WAL-before-data gate) and marks it clean,
-    /// stopping early once `max_pages` frames were flushed. Returns
-    /// `(flushed, retained)`: retained frames are dirty pages the gate or
-    /// the page budget kept in memory.
+    /// Writes back dirty frames whose `page_lsn` is at most `durable_lsn`
+    /// (the WAL-before-data gate) and marks them clean: at most
+    /// `max_pages` of them, the **least recently written** first (lowest
+    /// `page_lsn` — a frame a burst keeps rewriting stays behind), each
+    /// call's pages in ascending page order. Returns `(flushed, retained)`:
+    /// retained frames are dirty pages the gate or the page budget kept
+    /// in memory.
     ///
     /// Callers must only flush state whose transactions have committed
     /// (the cache has no undo path — this is a redo-only, no-steal
-    /// design); the mutable index layers flush at batch boundaries.
+    /// design); the mutable index layers flush at batch boundaries, when
+    /// the dirty tier has grown past its bound, and at checkpoints.
     pub fn flush_dirty_up_to(&self, durable_lsn: u64, max_pages: usize) -> (usize, usize) {
-        let mut flushed = 0usize;
-        let mut retained = 0usize;
+        let mut eligible: Vec<(u64, u64)> = Vec::new();
+        let mut dirty = 0usize;
         for shard in self.shards.iter() {
             let mut guard = shard.inner.lock();
-            let ShardInner { ring, counters, .. } = &mut *guard;
-            for (page, f) in ring.iter_mut() {
-                if !f.dirty {
-                    continue;
-                }
-                if f.page_lsn > durable_lsn || flushed >= max_pages {
-                    retained += 1;
-                    continue;
-                }
-                self.disk.write_page(PageId(page), &f.buf);
-                f.dirty = false;
-                counters.flushed_pages += 1;
-                flushed += 1;
-            }
+            dirty += guard.dirty;
+            eligible.extend(
+                guard
+                    .ring
+                    .iter_mut()
+                    .filter(|(_, f)| f.dirty && f.page_lsn <= durable_lsn)
+                    .map(|(page, f)| (f.page_lsn, page)),
+            );
         }
-        (flushed, retained)
+        if eligible.len() > max_pages {
+            eligible.sort_unstable();
+            eligible.truncate(max_pages);
+        }
+        eligible.sort_unstable_by_key(|&(_, page)| page);
+        let mut flushed = 0usize;
+        for &(_, page) in &eligible {
+            let mut guard = self.shard(PageId(page)).inner.lock();
+            let inner = &mut *guard;
+            // Looked up again under the lock: a writer may have replaced
+            // the bytes since the scan, and the gate is about the bytes
+            // that are written, not the ones that were seen.
+            let Some(f) = inner.ring.peek_mut(page) else {
+                continue;
+            };
+            if !f.dirty || f.page_lsn > durable_lsn {
+                continue;
+            }
+            self.disk.write_page(PageId(page), &f.buf);
+            f.dirty = false;
+            inner.dirty -= 1;
+            inner.counters.flushed_pages += 1;
+            flushed += 1;
+        }
+        (flushed, dirty - flushed)
     }
 
     /// [`flush_dirty_up_to`](Self::flush_dirty_up_to) with no page budget.
@@ -677,15 +717,36 @@ impl<'d> SharedPageCache<'d> {
         self.flush_dirty_up_to(durable_lsn, usize::MAX)
     }
 
-    /// Number of dirty (unflushed) frames currently resident.
+    /// Number of dirty (unflushed) frames currently resident: the sum of
+    /// the shards' counters. The write path asks once per batch;
+    /// [`CacheStats::dirty_high_water`] is the highest answer given.
     pub fn dirty_pages(&self) -> usize {
-        self.shards
+        let dirty = self
+            .shards
             .iter()
             .map(|s| {
                 let mut guard = s.inner.lock();
-                guard.ring.iter_mut().filter(|(_, f)| f.dirty).count()
+                let dirty = guard.dirty;
+                debug_assert_eq!(
+                    dirty,
+                    guard.ring.iter_mut().filter(|(_, f)| f.dirty).count(),
+                    "shard dirty counter drifted from its frames"
+                );
+                dirty
             })
-            .sum()
+            .sum();
+        self.dirty_high_water.fetch_max(dirty, Ordering::Relaxed);
+        dirty
+    }
+
+    /// The resident frame of `id`, pinned, or `None` — without a disk
+    /// read, a counter or a reference bit, so asking changes nothing. The
+    /// logged write path diffs a page's new bytes against this.
+    pub fn resident(&self, id: PageId) -> Option<PageRef> {
+        let guard = self.shard(id).lock();
+        guard.ring.peek(id.0).map(|f| PageRef {
+            buf: Arc::clone(&f.buf),
+        })
     }
 
     /// Aggregates all shard counters into one snapshot.
@@ -693,6 +754,7 @@ impl<'d> SharedPageCache<'d> {
         let mut s = CacheStats {
             shards: self.shards.len(),
             capacity: self.capacity,
+            dirty_high_water: self.dirty_high_water.load(Ordering::Relaxed) as u64,
             ..CacheStats::default()
         };
         for shard in self.shards.iter() {
@@ -755,6 +817,7 @@ impl<'d> SharedPageCache<'d> {
 
     /// Zeroes all counters (e.g. between comparable measurement phases).
     pub fn reset_stats(&self) {
+        self.dirty_high_water.store(0, Ordering::Relaxed);
         for shard in self.shards.iter() {
             shard.acquisitions.store(0, Ordering::Relaxed);
             shard.contended.store(0, Ordering::Relaxed);
@@ -1188,5 +1251,53 @@ mod tests {
         for i in 0..6u64 {
             assert_eq!(d.read_page_vec(PageId(i))[0], 0x40 + i as u8);
         }
+    }
+
+    #[test]
+    fn a_budgeted_flush_takes_the_least_recently_written_frames() {
+        let d = disk_with_pages(8, 32);
+        let cache = SharedPageCache::with_shards(&d, 8, 2);
+        // Written in the order 5, 0, 3, 6, then 0 again: page 0's frame
+        // now carries the newest LSN.
+        for (lsn, page) in [(1, 5u64), (2, 0), (3, 3), (4, 6), (5, 0)] {
+            cache.write_page(PageId(page), &[0x80 + page as u8; 32], lsn);
+        }
+        assert_eq!(cache.dirty_pages(), 4, "a rewrite dirties nothing new");
+        // Budget 2 of the 3 frames the gate lets through at LSN 4: the
+        // oldest two, pages 5 and 3 — not page 0, rewritten since.
+        assert_eq!(cache.flush_dirty_up_to(4, 2), (2, 2));
+        let on_disk = |p: u64| d.read_page_vec(PageId(p))[0] == 0x80 + p as u8;
+        assert!(on_disk(5) && on_disk(3) && !on_disk(6) && !on_disk(0));
+        assert_eq!(cache.dirty_pages(), 2);
+        for (lsn, page) in [(6, 7u64), (7, 1), (8, 4)] {
+            cache.write_page(PageId(page), &[0x80 + page as u8; 32], lsn);
+        }
+        assert_eq!(cache.flush_dirty(u64::MAX), (5, 0));
+        assert!((0..8).filter(|&p| p != 2).all(on_disk));
+        let s = cache.stats();
+        assert_eq!((s.flushed_pages, s.dirty_high_water), (7, 4));
+        assert_eq!(cache.dirty_pages(), 0);
+        let reg = tfm_obs::MetricsRegistry::new();
+        reg.set_enabled(true);
+        s.publish_shared_extras(&reg);
+        assert_eq!(reg.gauge(tfm_obs::names::CACHE_DIRTY_HIGH_WATER).get(), 4);
+    }
+
+    #[test]
+    fn resident_pins_the_frame_without_reading_or_counting() {
+        let d = disk_with_pages(4, 32);
+        let cache = SharedPageCache::with_shards(&d, 4, 2);
+        assert!(cache.resident(PageId(1)).is_none(), "no read is made");
+        assert_eq!(d.stats().reads(), 0);
+        cache.read(PageId(1));
+        let before = cache.stats();
+        let pin = cache.resident(PageId(1)).expect("resident after a read");
+        assert_eq!(pin[0], 1);
+        let after = cache.stats();
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        // It is a pin like any other: a write while it is held leaves it
+        // the old bytes.
+        cache.write_page(PageId(1), &[9; 32], 1);
+        assert_eq!((pin[0], cache.read(PageId(1))[0]), (1, 9));
     }
 }

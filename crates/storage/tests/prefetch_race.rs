@@ -6,7 +6,7 @@
 //! resident" when the prefetcher comes back — the state in which it lands
 //! its bytes — but the bytes are the old image. The mutable serve engine
 //! runs exactly this combination (readahead under concurrent batches, and
-//! `apply_batch` flushes after every commit).
+//! `apply_batch` writes the dirty tier back whenever it fills).
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};

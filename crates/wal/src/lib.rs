@@ -6,24 +6,34 @@
 //! [`tfm_storage::SharedPageCache`] it implements classic
 //! WAL-before-data:
 //!
-//! 1. a mutation writes full-page after-images to the log
-//!    ([`Wal::log_page`](tfm_storage::RedoLog::log_page) via
-//!    `tfm_storage::LoggedPages`), each stamped with an LSN;
-//! 2. the same bytes land in the shared cache's dirty tier carrying that
+//! 1. a mutation logs every page write
+//!    ([`Wal::log_change`](tfm_storage::RedoLog::log_change) via
+//!    `tfm_storage::LoggedPages`), each record stamped with an LSN: a
+//!    page's first record since the log was opened or truncated is its
+//!    full after-image, later ones carry the bytes that differ from what
+//!    the cache held (see `record.rs` for the format and [`Wal`] for the
+//!    rule that decides);
+//! 2. the new bytes land in the shared cache's dirty tier carrying that
 //!    LSN — the data disk is untouched;
 //! 3. commit appends a commit marker and fsyncs (group commit: one fsync
 //!    covers every record appended by then, so concurrent committers
 //!    share the flush);
 //! 4. dirty frames reach the disk only through
 //!    `SharedPageCache::flush_dirty(durable_lsn)`, whose gate keeps any
-//!    page whose record is not yet durable in memory.
+//!    page whose record is not yet durable in memory. The write path
+//!    calls it when the dirty tier has grown to half the cache, and at a
+//!    checkpoint, which then truncates the log
+//!    ([`RedoLog::checkpoint`](tfm_storage::RedoLog::checkpoint)).
 //!
 //! After a crash, [`recover`] scans the segments (stopping at the torn
 //! tail the dying append left behind — every record is individually
-//! checksummed), collects the committed transaction set, and rewrites
-//! their page images in LSN order. Full-page redo makes replay idempotent
-//! by construction; uncommitted work is simply never written. Reopening
-//! the [`Wal`] truncates the torn tail and resumes numbering.
+//! checksummed), collects the committed transaction set, brings each
+//! page they wrote forward in memory in LSN order and writes it once.
+//! Records carry bytes, not operations, and every page's chain of deltas
+//! starts at a full image in the log, so replay is idempotent and never
+//! depends on what an interrupted in-place write left of a page;
+//! uncommitted work is simply never written. Reopening the [`Wal`]
+//! truncates the torn tail and resumes numbering.
 //!
 //! The no-steal contract: callers only flush state whose transactions
 //! committed (the mutable layers flush at batch boundaries), so the log
@@ -36,7 +46,7 @@ mod record;
 mod recover;
 mod writer;
 
-pub use reader::{scan_dir, segment_path, ScanReport, SegmentInfo};
+pub use reader::{scan_dir, segment_path, visit_records, ScanReport, SegmentInfo};
 pub use record::{WalPayload, WalRecord};
 pub use recover::{recover, RecoveryReport};
 pub use writer::{SyncMode, Wal, WalOptions, WalStats};
@@ -294,11 +304,18 @@ mod tests {
         let wal = Wal::open(&dir, small_opts()).unwrap();
         let t = wal.begin();
         wal.log_page(t, PageId(0), &page(1, 64));
+        let mut changed = page(1, 64);
+        changed[5] = 9;
+        wal.log_change(t, PageId(0), &page(1, 64), &changed);
         wal.commit(t);
         let reg = tfm_obs::MetricsRegistry::new();
         reg.set_enabled(true);
         wal.publish_metrics(&reg);
-        assert_eq!(reg.counter(tfm_obs::names::WAL_RECORDS).get(), 2);
+        assert_eq!(reg.counter(tfm_obs::names::WAL_RECORDS).get(), 3);
+        assert_eq!(reg.counter(tfm_obs::names::WAL_FULL_RECORDS).get(), 1);
+        assert_eq!(reg.counter(tfm_obs::names::WAL_DELTA_RECORDS).get(), 1);
+        // frame 12 + lsn/kind/txn 17 + page 8 + one run (8 + 1 byte).
+        assert_eq!(reg.counter(tfm_obs::names::WAL_DELTA_BYTES).get(), 46);
         assert!(reg.counter(tfm_obs::names::WAL_BYTES).get() > 64);
         assert_eq!(reg.counter(tfm_obs::names::WAL_COMMITS).get(), 1);
         assert!(reg.counter(tfm_obs::names::WAL_FSYNCS).get() >= 1);

@@ -3,7 +3,8 @@
 use crate::record::{
     decode_record, decode_segment_header, Decoded, WalRecord, SEGMENT_HEADER_BYTES,
 };
-use std::io;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Path of segment `seq` under `dir`.
@@ -28,8 +29,9 @@ pub struct SegmentInfo {
 /// Everything a directory scan learned.
 #[derive(Debug, Default)]
 pub struct ScanReport {
-    /// All complete records, in LSN order.
-    pub records: Vec<WalRecord>,
+    /// Complete records seen (each was handed to the visitor, in LSN
+    /// order).
+    pub records: u64,
     /// Segments in sequence order.
     pub segments: Vec<SegmentInfo>,
     /// Index into `segments` of the segment with a torn tail, if any.
@@ -49,6 +51,17 @@ pub struct ScanReport {
 /// sequence and non-monotonic LSNs are hard `InvalidData` errors —
 /// corruption a tear cannot explain.
 pub fn scan_dir(dir: &Path) -> io::Result<ScanReport> {
+    visit_records(dir, |_| Ok(()))
+}
+
+/// [`scan_dir`], handing every complete record to `visit` in LSN order.
+/// A record's body borrows from its segment's bytes, which are read into
+/// one buffer that the next segment reuses: the scan holds one segment at
+/// a time, never the log. An error from `visit` ends the scan.
+pub fn visit_records(
+    dir: &Path,
+    mut visit: impl FnMut(&WalRecord<'_>) -> io::Result<()>,
+) -> io::Result<ScanReport> {
     let mut report = ScanReport::default();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -69,6 +82,7 @@ pub fn scan_dir(dir: &Path) -> io::Result<ScanReport> {
         }
     }
     seqs.sort();
+    let mut bytes = Vec::new();
     for (i, (seq, path)) in seqs.iter().enumerate() {
         if i > 0 && *seq != seqs[i - 1].0 + 1 {
             return Err(invalid(format!(
@@ -77,7 +91,8 @@ pub fn scan_dir(dir: &Path) -> io::Result<ScanReport> {
                 seqs[i - 1].0
             )));
         }
-        let bytes = std::fs::read(path)?;
+        bytes.clear();
+        File::open(path)?.read_to_end(&mut bytes)?;
         report.bytes_scanned += bytes.len() as u64;
         let header_seq = decode_segment_header(&bytes);
         if header_seq != Some(*seq) {
@@ -102,7 +117,8 @@ pub fn scan_dir(dir: &Path) -> io::Result<ScanReport> {
                     }
                     report.max_lsn = record.lsn;
                     report.max_txn = report.max_txn.max(record.txn);
-                    report.records.push(record);
+                    report.records += 1;
+                    visit(&record)?;
                     offset += size;
                 }
                 Decoded::Torn => {
@@ -136,6 +152,6 @@ pub fn scan_dir(dir: &Path) -> io::Result<ScanReport> {
     Ok(report)
 }
 
-fn invalid(msg: String) -> io::Error {
+pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }

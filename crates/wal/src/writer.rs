@@ -1,12 +1,15 @@
 //! The append side: segmented log files, group commit, crash injection.
 
 use crate::reader::{scan_dir, segment_path};
-use crate::record::{encode_record, encode_segment_header, RecordBody, SEGMENT_HEADER_BYTES};
+use crate::record::{
+    diff_pages, encode_record, encode_segment_header, WalPayload, WalRecord, SEGMENT_HEADER_BYTES,
+};
 use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tfm_storage::{PageId, RedoLog};
 
@@ -51,8 +54,14 @@ impl Default for WalOptions {
 /// Point-in-time writer counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended (page images + commit markers).
+    /// Records appended (page images, deltas and commit markers).
     pub records: u64,
+    /// Page records appended as a full after-image.
+    pub full_records: u64,
+    /// Page records appended as byte-range deltas.
+    pub delta_records: u64,
+    /// Bytes of the delta records, framing included (a part of `bytes`).
+    pub delta_bytes: u64,
     /// Record bytes appended, framing included (segment headers excluded).
     pub bytes: u64,
     /// fsyncs issued against segment files by commit/sync calls.
@@ -76,6 +85,16 @@ struct Inner {
     /// bytes would exceed this, writing only the bytes up to it.
     crash_after_bytes: Option<u64>,
     scratch: Vec<u8>,
+    /// Scratch for the patch of a delta record.
+    patch: Vec<u8>,
+    /// Transactions begun and not yet committed.
+    open: HashSet<u64>,
+    /// Pages with a full image in the live segments — logged since the
+    /// log was opened or last truncated — each with the transaction of
+    /// its latest record. Only such a page may be logged as a delta, and
+    /// only on top of a record replay is certain to apply: one of the
+    /// same transaction, or of a committed one.
+    imaged: HashMap<u64, u64>,
 }
 
 struct SyncHandle {
@@ -103,8 +122,10 @@ pub struct Wal {
     /// Highest LSN known fsynced.
     durable: AtomicU64,
     next_txn: AtomicU64,
-    open_txns: AtomicI64,
     records: AtomicU64,
+    full_records: AtomicU64,
+    delta_records: AtomicU64,
+    delta_bytes: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
     commits: AtomicU64,
@@ -161,13 +182,18 @@ impl Wal {
                 total_bytes: 0,
                 crash_after_bytes: None,
                 scratch: Vec::new(),
+                patch: Vec::new(),
+                open: HashSet::new(),
+                imaged: HashMap::new(),
             }),
             sync_file: Mutex::new(SyncHandle { file: sync_handle }),
             appended: AtomicU64::new(scan.max_lsn),
             durable: AtomicU64::new(scan.max_lsn),
             next_txn: AtomicU64::new(scan.max_txn),
-            open_txns: AtomicI64::new(0),
             records: AtomicU64::new(0),
+            full_records: AtomicU64::new(0),
+            delta_records: AtomicU64::new(0),
+            delta_bytes: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             commits: AtomicU64::new(0),
@@ -211,20 +237,39 @@ impl Wal {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Appends one record, handling rotation and crash injection; returns
-    /// its LSN.
-    fn append(&self, txn: u64, body: RecordBody<'_>) -> u64 {
+    /// Appends a record of `page`'s new bytes: the bytes that differ from
+    /// `before` when replay is certain to hold `before` at that point and
+    /// the patch is smaller than the page, the whole of `after` otherwise.
+    fn append_page(&self, txn: u64, page: u64, before: Option<&[u8]>, after: &[u8]) -> u64 {
         let mut inner = self.inner.lock();
+        let based = inner
+            .imaged
+            .insert(page, txn)
+            .is_some_and(|latest| latest == txn || !inner.open.contains(&latest));
+        let mut patch = std::mem::take(&mut inner.patch);
+        let lsn = match before {
+            Some(before) if based && diff_pages(before, after, &mut patch) => {
+                let patch = &patch[..];
+                self.append(&mut inner, txn, WalPayload::Delta { page, patch })
+            }
+            _ => self.append(&mut inner, txn, WalPayload::Page { page, image: after }),
+        };
+        inner.patch = patch;
+        lsn
+    }
+
+    /// Appends one record under the append lock, handling rotation and
+    /// crash injection; returns its LSN.
+    fn append(&self, inner: &mut Inner, txn: u64, payload: WalPayload<'_>) -> u64 {
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
         let mut frame = std::mem::take(&mut inner.scratch);
-        encode_record(lsn, txn, body, &mut frame);
+        encode_record(&WalRecord { lsn, txn, payload }, &mut frame);
 
         if inner.seg_bytes + frame.len() as u64 > self.opts.segment_bytes
             && inner.seg_bytes > SEGMENT_HEADER_BYTES as u64
         {
-            self.rotate(&mut inner)
-                .expect("wal segment rotation failed");
+            self.rotate(inner).expect("wal segment rotation failed");
         }
 
         if let Some(limit) = inner.crash_after_bytes {
@@ -247,6 +292,17 @@ impl Wal {
         inner.total_bytes += frame.len() as u64;
         self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.records.fetch_add(1, Ordering::Relaxed);
+        match payload {
+            WalPayload::Page { .. } => {
+                self.full_records.fetch_add(1, Ordering::Relaxed);
+            }
+            WalPayload::Delta { .. } => {
+                self.delta_records.fetch_add(1, Ordering::Relaxed);
+                self.delta_bytes
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            }
+            WalPayload::Commit => {}
+        }
         self.pending.fetch_add(1, Ordering::Relaxed);
         inner.scratch = frame;
         // Publish the LSN only after write_all returned: sync_to reads it
@@ -308,17 +364,20 @@ impl Wal {
         self.durable.load(Ordering::Acquire)
     }
 
-    /// Deletes every segment except a freshly started one. Callable only
+    /// Deletes every segment except a freshly started one, oldest first,
+    /// so that a crash part-way leaves a suffix of the log. Callable only
     /// at a quiescent point: no open transactions, and the caller must
     /// already have flushed all dirty pages covered by the log and synced
     /// the data disk — after truncation the log can no longer redo them.
+    /// No page has an image in the log any more: each one's next record
+    /// is a full image again.
     pub fn checkpoint_truncate(&self) -> io::Result<u64> {
-        assert_eq!(
-            self.open_txns.load(Ordering::SeqCst),
-            0,
+        let mut inner = self.inner.lock();
+        assert!(
+            inner.open.is_empty(),
             "checkpoint with open transactions would lose their redo records"
         );
-        let mut inner = self.inner.lock();
+        inner.imaged.clear();
         self.rotate(&mut inner)?;
         let keep_from = inner.segments.len() - 1;
         let old: Vec<u64> = inner.segments.drain(..keep_from).collect();
@@ -333,6 +392,9 @@ impl Wal {
     pub fn stats(&self) -> WalStats {
         WalStats {
             records: self.records.load(Ordering::Relaxed),
+            full_records: self.full_records.load(Ordering::Relaxed),
+            delta_records: self.delta_records.load(Ordering::Relaxed),
+            delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
@@ -350,6 +412,9 @@ impl Wal {
         use tfm_obs::names;
         let s = self.stats();
         reg.counter(names::WAL_RECORDS).add(s.records);
+        reg.counter(names::WAL_FULL_RECORDS).add(s.full_records);
+        reg.counter(names::WAL_DELTA_RECORDS).add(s.delta_records);
+        reg.counter(names::WAL_DELTA_BYTES).add(s.delta_bytes);
         reg.counter(names::WAL_BYTES).add(s.bytes);
         reg.counter(names::WAL_FSYNCS).add(s.fsyncs);
         reg.counter(names::WAL_COMMITS).add(s.commits);
@@ -362,24 +427,28 @@ impl Wal {
 
 impl RedoLog for Wal {
     fn begin(&self) -> u64 {
-        self.open_txns.fetch_add(1, Ordering::SeqCst);
-        self.next_txn.fetch_add(1, Ordering::Relaxed) + 1
+        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
+        self.inner.lock().open.insert(txn);
+        txn
     }
 
     fn log_page(&self, txn: u64, page: PageId, image: &[u8]) -> u64 {
-        self.append(
-            txn,
-            RecordBody::Page {
-                page: page.0,
-                image,
-            },
-        )
+        self.append_page(txn, page.0, None, image)
+    }
+
+    fn log_change(&self, txn: u64, page: PageId, before: &[u8], after: &[u8]) -> u64 {
+        self.append_page(txn, page.0, Some(before), after)
     }
 
     fn commit(&self, txn: u64) -> u64 {
-        let lsn = self.append(txn, RecordBody::Commit);
+        let lsn = {
+            let mut inner = self.inner.lock();
+            // Committed with the record's append, under one lock: a page
+            // record that sees `txn` closed is behind its commit record.
+            inner.open.remove(&txn);
+            self.append(&mut inner, txn, WalPayload::Commit)
+        };
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.open_txns.fetch_sub(1, Ordering::SeqCst);
         self.sync_to(lsn, self.opts.sync_mode == SyncMode::EachCommit)
     }
 
@@ -393,6 +462,10 @@ impl RedoLog for Wal {
             return self.durable_lsn();
         }
         self.sync_to(lsn, false)
+    }
+
+    fn checkpoint(&self) -> io::Result<()> {
+        self.checkpoint_truncate().map(drop)
     }
 }
 
