@@ -57,7 +57,7 @@ fn serve_once(
             elements,
             trace,
             run_cfg,
-            serve_cfg,
+            &serve_cfg.with_traces(),
         );
         assert_eq!(traces.len(), trace.len(), "one trace per query");
         (m, results)

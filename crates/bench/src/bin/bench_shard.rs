@@ -28,9 +28,10 @@
 //! `TFM_SCALE`; override the output path with `--out`.
 
 use std::fmt::Write as _;
-use tfm_bench::{run_serve, run_serve_sharded, scaled, RunConfig, ServeEngineKind, ShardMetrics};
+use tfm_bench::{run_serve, run_serve_sharded, scaled, RunConfig, ServeEngineKind, ServeMetrics};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
-use tfm_serve::{ServeConfig, ShardServeConfig, ShardSpec};
+use tfm_serve::{ServeConfig, ShardSpec};
+use transformers::IndexConfig;
 
 fn arg(args: &[String], name: &str, default: &str) -> String {
     args.iter()
@@ -105,19 +106,19 @@ fn main() {
     // Interleave rounds across configurations so every configuration
     // sees the same warm-up and thermal conditions; keep each
     // configuration's best qps and lowest p95.
-    let mut best: Vec<Option<ShardMetrics>> = vec![None; shard_sweep.len() * worker_sweep.len()];
+    let mut best: Vec<Option<ServeMetrics>> = vec![None; shard_sweep.len() * worker_sweep.len()];
     let mut results_identical = true;
     for _round in 0..rounds {
         for (si, &shards) in shard_sweep.iter().enumerate() {
             for (wi, &workers) in worker_sweep.iter().enumerate() {
-                let cfg = ShardServeConfig::default().with_workers(workers);
-                let (m, results) = run_serve_sharded(
+                let (m, results, _) = run_serve_sharded(
                     ServeEngineKind::Transformers,
                     "shard-sweep",
                     &dataset,
                     &trace,
                     &ShardSpec::default().with_shards(shards),
-                    &cfg,
+                    &IndexConfig::default(),
+                    &ServeConfig::default().with_threads(workers),
                 );
                 results_identical &= results == reference;
                 let slot = &mut best[si * worker_sweep.len() + wi];
@@ -135,22 +136,22 @@ fn main() {
             }
         }
     }
-    let rows: Vec<ShardMetrics> = best.into_iter().map(Option::unwrap).collect();
+    let rows: Vec<ServeMetrics> = best.into_iter().map(Option::unwrap).collect();
 
     let baseline = |workers: usize| {
         rows.iter()
-            .find(|m| m.shards == 1 && m.workers_per_shard == workers)
+            .find(|m| m.shards == 1 && m.threads == workers)
             .expect("1-shard baseline row")
     };
     // The best multi-shard configuration: highest throughput relative to
     // the 1-shard row at the same workers-per-shard.
-    let gain = |m: &ShardMetrics| m.qps / baseline(m.workers_per_shard).qps;
+    let gain = |m: &ServeMetrics| m.qps / baseline(m.threads).qps;
     let best_multi = rows
         .iter()
         .filter(|m| m.shards > 1)
         .max_by(|a, b| gain(a).total_cmp(&gain(b)))
         .expect("the sweep has multi-shard rows");
-    let best_base = baseline(best_multi.workers_per_shard);
+    let best_base = baseline(best_multi.threads);
 
     // Gate 2 (multi-core scaling): some N>1 configuration beats its
     // 1-shard row on throughput or p95. Shards only win through extra
@@ -159,7 +160,7 @@ fn main() {
         Gate::Inconclusive
     } else {
         Gate::from(rows.iter().filter(|m| m.shards > 1).any(|m| {
-            let base = baseline(m.workers_per_shard);
+            let base = baseline(m.threads);
             m.qps > base.qps || m.p95 < base.p95
         }))
     };
@@ -201,7 +202,7 @@ fn main() {
              \"routed_partials\": {}, \"shed_partials\": {}, \
              \"max_cluster_pressure\": {:.3}, \"pages_read\": {}}}",
             m.shards,
-            m.workers_per_shard,
+            m.threads,
             m.qps,
             m.p50.as_secs_f64() * 1e6,
             m.p95.as_secs_f64() * 1e6,
@@ -224,13 +225,12 @@ fn main() {
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_shard.json");
 
-    println!("== sharded serve cluster ==");
-    tfm_bench::print_shard_table(&rows);
+    tfm_bench::print_serve_table("sharded serve cluster", &rows);
     println!(
         "best multi-shard: {} shards x {} workers at {:.0} qps (1 shard: {:.0} qps), \
          p95 {:.1}us vs {:.1}us",
         best_multi.shards,
-        best_multi.workers_per_shard,
+        best_multi.threads,
         best_multi.qps,
         best_base.qps,
         best_multi.p95.as_secs_f64() * 1e6,

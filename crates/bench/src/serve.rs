@@ -1,47 +1,14 @@
-//! Harness for the query-serving workload (`tfm-serve`): builds an index,
-//! replays a query trace, and reports comparable [`ServeMetrics`] —
-//! the serving-side counterpart of [`crate::run_approach`].
+//! Harness for the query-serving workload (`tfm-serve`): builds an index
+//! (or a sharded cluster of them), replays a query trace, and reports
+//! comparable [`ServeMetrics`] — the serving-side counterpart of
+//! [`crate::run_approach`].
 
 use crate::runner::RunConfig;
 use std::time::Duration;
 use tfm_geom::{ElementId, SpatialElement, SpatialQuery};
-use tfm_serve::{
-    serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, ServeStats, TransformersEngine,
-};
-use tfm_storage::{Disk, SharedPageCache};
-use transformers::{IndexBuildPipeline, IndexConfig, TransformersIndex};
-
-/// Which structure serves the trace (Approach-style labels for tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeEngineKind {
-    /// The TRANSFORMERS hierarchy (node/unit MBB prefilter + page reads).
-    Transformers,
-    /// The GIPSY strategy: per-probe directed walk + crawl at element
-    /// granularity.
-    Gipsy,
-    /// The STR-bulk-loaded R-tree baseline.
-    Rtree,
-}
-
-impl ServeEngineKind {
-    /// Short label for tables, matching the join harness's vocabulary.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeEngineKind::Transformers => "TRANSFORMERS",
-            ServeEngineKind::Gipsy => "GIPSY",
-            ServeEngineKind::Rtree => "R-TREE",
-        }
-    }
-
-    /// All three engines, for sweep-style comparisons.
-    pub fn all() -> [ServeEngineKind; 3] {
-        [
-            ServeEngineKind::Transformers,
-            ServeEngineKind::Gipsy,
-            ServeEngineKind::Rtree,
-        ]
-    }
-}
+use tfm_serve::{serve_trace, IndexShard, ServeConfig, ServeEngineKind, ServeStats};
+use tfm_storage::SharedPageCache;
+use transformers::IndexConfig;
 
 /// Comparable measurements of one (engine, trace) serve run.
 #[derive(Debug, Clone)]
@@ -54,7 +21,9 @@ pub struct ServeMetrics {
     pub n_elements: usize,
     /// Queries replayed.
     pub queries: u64,
-    /// Serve workers.
+    /// Index shards the trace was served from (1 for a single engine).
+    pub shards: usize,
+    /// Serve workers per shard.
     pub threads: usize,
     /// Batch size.
     pub batch: usize,
@@ -66,7 +35,7 @@ pub struct ServeMetrics {
     pub sim_io: Duration,
     /// Queries per wall-clock second.
     pub qps: f64,
-    /// Median per-query latency.
+    /// Median per-query latency (critical path over a query's shards).
     pub p50: Duration,
     /// 95th-percentile per-query latency.
     pub p95: Duration,
@@ -113,6 +82,16 @@ pub struct ServeMetrics {
     pub autobatch_shrinks: u64,
     /// Batch size in effect at end of trace (0 with auto-batch off).
     pub autobatch_final_batch: usize,
+    /// Mean shards routed per query.
+    pub fanout_mean: f64,
+    /// Largest per-query fanout.
+    pub fanout_max: usize,
+    /// Query partials routed (Σ fanout).
+    pub routed_partials: u64,
+    /// Query partials lost to load shedding.
+    pub shed_partials: u64,
+    /// Peak fraction of shard queues simultaneously full.
+    pub max_cluster_pressure: f64,
     /// Result ids returned, summed over the trace.
     pub result_ids: u64,
 }
@@ -136,7 +115,7 @@ impl ServeMetrics {
         self.pool_hits as f64 / total as f64
     }
 
-    fn from_stats(
+    pub(crate) fn from_stats(
         kind: ServeEngineKind,
         workload: &str,
         n_elements: usize,
@@ -148,7 +127,8 @@ impl ServeMetrics {
             engine: kind.label().to_string(),
             n_elements,
             queries: stats.queries,
-            threads: cfg.threads.max(1),
+            shards: stats.per_shard.len(),
+            threads: stats.threads,
             batch: cfg.batch.max(1),
             hilbert_batching: cfg.hilbert_batching,
             wall: stats.wall,
@@ -175,52 +155,31 @@ impl ServeMetrics {
             autobatch_grows: stats.autobatch.map_or(0, |a| a.grows),
             autobatch_shrinks: stats.autobatch.map_or(0, |a| a.shrinks),
             autobatch_final_batch: stats.autobatch.map_or(0, |a| a.final_batch),
+            fanout_mean: stats.fanout_mean,
+            fanout_max: stats.fanout_max,
+            routed_partials: stats.routed_partials,
+            shed_partials: stats.shed_partials,
+            max_cluster_pressure: stats.max_cluster_pressure,
             result_ids: stats.result_ids,
         }
     }
 }
 
-/// Builds the `kind` structure over `elements` on a fresh in-memory disk
-/// and hands the serving engine (plus the disk, for stats resets) to `f`.
-///
-/// `serve_cfg` sizes the engine's cache: `serve_cfg.pool_pages` pages,
-/// sharded for `serve_cfg.threads`.
-fn with_engine<R>(
+/// Builds the `kind` structure over `elements` on a fresh `run_cfg` disk,
+/// with `run_cfg`'s page size and build threads.
+fn build_index(
     kind: ServeEngineKind,
     elements: &[SpatialElement],
     run_cfg: &RunConfig,
-    serve_cfg: &ServeConfig,
-    f: impl FnOnce(&dyn QueryEngine, &Disk) -> R,
-) -> R {
-    let disk = run_cfg.disk("serve");
+) -> IndexShard {
     let idx_cfg = IndexConfig::default().with_build_threads(run_cfg.build_threads);
-    let shards = SharedPageCache::shards_for_threads(serve_cfg.threads);
-    let cache_pages = serve_cfg.pool_pages.max(1);
-    match kind {
-        ServeEngineKind::Transformers => {
-            let idx = TransformersIndex::build(&disk, elements.to_vec(), &idx_cfg);
-            let engine =
-                TransformersEngine::new(&idx, &disk).with_shared_cache(cache_pages, shards);
-            f(&engine, &disk)
-        }
-        ServeEngineKind::Gipsy => {
-            let idx = TransformersIndex::build(&disk, elements.to_vec(), &idx_cfg);
-            let engine = GipsyEngine::new(&idx, &disk).with_shared_cache(cache_pages, shards);
-            f(&engine, &disk)
-        }
-        ServeEngineKind::Rtree => {
-            let pipeline = IndexBuildPipeline::new(run_cfg.build_threads);
-            let tree = tfm_rtree::RTree::bulk_load_pipelined(&disk, elements.to_vec(), &pipeline);
-            let engine = RtreeEngine::new(&tree, &disk).with_shared_cache(cache_pages, shards);
-            f(&engine, &disk)
-        }
-    }
+    IndexShard::build(elements.to_vec(), kind, run_cfg.disk("serve"), &idx_cfg)
 }
 
-/// Builds the `kind` structure over `elements` (on a fresh in-memory disk
-/// with `run_cfg`'s page size and build threads), replays `trace` with
-/// `serve_cfg`, and returns the metrics plus every query's result ids
-/// (ascending; for correctness checks).
+/// Builds the `kind` structure over `elements` (on a fresh disk with
+/// `run_cfg`'s backend, page size and build threads), replays `trace`
+/// with `serve_cfg`, and returns the metrics plus every query's result
+/// ids (ascending; for correctness checks).
 pub fn run_serve(
     kind: ServeEngineKind,
     workload: &str,
@@ -234,9 +193,12 @@ pub fn run_serve(
     (metrics, results)
 }
 
-/// [`run_serve`] additionally returning one [`tfm_obs::QueryTrace`] per
-/// query (trace-ID order): per-query queue-wait/service split and pool
-/// attribution. Forces [`ServeConfig::collect_traces`] on for the run.
+/// [`run_serve`] additionally returning the per-query
+/// [`tfm_obs::QueryTrace`] records (trace-ID order: queue-wait/service
+/// split and pool attribution) — one per query when
+/// [`ServeConfig::collect_traces`] is set, none otherwise. The engine's
+/// cache is sized `serve_cfg.pool_pages` pages, striped for
+/// `serve_cfg.threads`.
 pub fn run_serve_traced(
     kind: ServeEngineKind,
     workload: &str,
@@ -245,14 +207,13 @@ pub fn run_serve_traced(
     run_cfg: &RunConfig,
     serve_cfg: &ServeConfig,
 ) -> (ServeMetrics, Vec<Vec<ElementId>>, Vec<tfm_obs::QueryTrace>) {
-    with_engine(kind, elements, run_cfg, serve_cfg, |engine, disk| {
-        disk.reset_stats();
-        let cfg = serve_cfg.with_traces();
-        let outcome = serve_trace(engine, trace, &cfg);
-        let metrics =
-            ServeMetrics::from_stats(kind, workload, elements.len(), &cfg, &outcome.stats);
-        (metrics, outcome.results, outcome.traces)
-    })
+    let index = build_index(kind, elements, run_cfg);
+    let stripes = SharedPageCache::shards_for_threads(serve_cfg.threads);
+    let engine = index.engine(serve_cfg.pool_pages.max(1), stripes);
+    index.disk().reset_stats();
+    let out = serve_trace(&*engine, trace, serve_cfg);
+    let metrics = ServeMetrics::from_stats(kind, workload, elements.len(), serve_cfg, &out.stats);
+    (metrics, out.results, out.traces)
 }
 
 /// One entry of a [`run_serve_sweep`]: a labelled trace plus the serve
@@ -292,72 +253,82 @@ pub fn run_serve_sweep(
             .all(|j| j.config.pool_pages == engine_cfg.pool_pages),
         "jobs of one sweep share an engine and must agree on the cache budget"
     );
-    with_engine(kind, elements, run_cfg, &engine_cfg, |engine, disk| {
-        jobs.iter()
-            .map(|job| {
-                disk.reset_stats();
-                engine.reset_cache();
-                let outcome = serve_trace(engine, job.trace, &job.config);
-                ServeMetrics::from_stats(
-                    kind,
-                    job.workload,
-                    elements.len(),
-                    &job.config,
-                    &outcome.stats,
-                )
-            })
-            .collect()
-    })
+    let index = build_index(kind, elements, run_cfg);
+    let stripes = SharedPageCache::shards_for_threads(engine_cfg.threads);
+    let engine = index.engine(engine_cfg.pool_pages.max(1), stripes);
+    jobs.iter()
+        .map(|job| {
+            index.disk().reset_stats();
+            engine.reset_cache();
+            let outcome = serve_trace(&*engine, job.trace, &job.config);
+            ServeMetrics::from_stats(
+                kind,
+                job.workload,
+                elements.len(),
+                &job.config,
+                &outcome.stats,
+            )
+        })
+        .collect()
 }
 
-/// Prints a fixed-width comparison table of serve metrics.
+/// Prints a fixed-width comparison table of serve metrics, sharded rows
+/// and single-engine rows alike.
 pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
     println!("\n== {title} ==");
     println!(
-        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>6} {:>3} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10}",
+        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>3} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>6} {:>10}",
         "workload",
         "engine",
         "|D|",
         "queries",
+        "sh",
         "w",
         "batch",
         "hb",
         "qps",
         "p50_us",
+        "p95_us",
         "p99_us",
         "pages",
         "seq%",
         "hit%",
+        "fanout",
+        "shed",
         "results"
     );
     for m in rows {
         println!(
-            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>6} {:>3} {:>10.0} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>10}",
+            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>3} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>6.2} {:>6} {:>10}",
             m.workload,
             m.engine,
             m.n_elements,
             m.queries,
+            m.shards,
             m.threads,
             m.batch,
             if m.hilbert_batching { "on" } else { "off" },
             m.qps,
             m.p50.as_secs_f64() * 1e6,
+            m.p95.as_secs_f64() * 1e6,
             m.p99.as_secs_f64() * 1e6,
             m.pages_read,
             m.seq_read_fraction() * 100.0,
             m.pool_hit_fraction() * 100.0,
+            m.fanout_mean,
+            m.shed_partials,
             m.result_ids
         );
     }
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,shards,fanout_mean,fanout_max,routed_partials,shed_partials,max_cluster_pressure,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{}",
         m.workload,
         m.engine,
         m.n_elements,
@@ -389,6 +360,12 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.autobatch_grows,
         m.autobatch_shrinks,
         m.autobatch_final_batch,
+        m.shards,
+        m.fanout_mean,
+        m.fanout_max,
+        m.routed_partials,
+        m.shed_partials,
+        m.max_cluster_pressure,
         m.result_ids,
     )
 }

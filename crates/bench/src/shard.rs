@@ -1,157 +1,34 @@
 //! Harness for the sharded scatter-gather serve cluster (`tfm-serve`'s
 //! shard module): partitions a dataset, builds one index per shard, and
 //! replays a trace through the router — the cluster-side counterpart of
-//! [`crate::run_serve`].
+//! [`crate::run_serve`], reporting the same [`ServeMetrics`] row.
 
-use std::time::Duration;
 use tfm_geom::{ElementId, SpatialElement, SpatialQuery};
-use tfm_serve::{
-    serve_sharded, ShardEngineKind, ShardServeConfig, ShardSpec, ShardedCluster, ShardedServeStats,
-};
+use tfm_serve::{serve_sharded, ServeConfig, ServeEngineKind, ShardSpec, ShardedCluster};
+use transformers::IndexConfig;
 
-use crate::serve::ServeEngineKind;
-
-impl ServeEngineKind {
-    /// The shard-cluster engine equivalent of this serve engine.
-    pub fn shard_engine(&self) -> ShardEngineKind {
-        match self {
-            ServeEngineKind::Transformers => ShardEngineKind::Transformers,
-            ServeEngineKind::Gipsy => ShardEngineKind::Gipsy,
-            ServeEngineKind::Rtree => ShardEngineKind::Rtree,
-        }
-    }
-}
-
-/// Comparable measurements of one sharded serve run.
-#[derive(Debug, Clone)]
-pub struct ShardMetrics {
-    /// Workload label.
-    pub workload: String,
-    /// Engine label.
-    pub engine: String,
-    /// Indexed elements (summed over shards).
-    pub n_elements: usize,
-    /// Queries replayed.
-    pub queries: u64,
-    /// Shards in the cluster.
-    pub shards: usize,
-    /// Worker threads per shard.
-    pub workers_per_shard: usize,
-    /// Wall-clock serve time.
-    pub wall: Duration,
-    /// Queries per wall-clock second.
-    pub qps: f64,
-    /// Median per-query critical-path latency.
-    pub p50: Duration,
-    /// 95th-percentile latency.
-    pub p95: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-    /// Median per-query critical-path queue wait.
-    pub queue_wait_p50: Duration,
-    /// 99th-percentile queue wait.
-    pub queue_wait_p99: Duration,
-    /// Mean shards routed per query.
-    pub fanout_mean: f64,
-    /// Largest per-query fanout.
-    pub fanout_max: usize,
-    /// Query partials routed (Σ fanout).
-    pub routed_partials: u64,
-    /// Query partials lost to load shedding.
-    pub shed_partials: u64,
-    /// Peak fraction of shard queues simultaneously full.
-    pub max_cluster_pressure: f64,
-    /// Pages read, summed over all shard disks.
-    pub pages_read: u64,
-    /// Cache hits, summed over all shard caches.
-    pub pool_hits: u64,
-    /// Cache misses, summed over all shard caches.
-    pub pool_misses: u64,
-    /// Result ids returned, summed over the trace.
-    pub result_ids: u64,
-}
-
-impl ShardMetrics {
-    fn from_stats(kind: ServeEngineKind, workload: &str, stats: &ShardedServeStats) -> Self {
-        Self {
-            workload: workload.to_string(),
-            engine: kind.label().to_string(),
-            n_elements: stats.per_shard.iter().map(|s| s.elements as usize).sum(),
-            queries: stats.queries,
-            shards: stats.shards,
-            workers_per_shard: stats.workers_per_shard,
-            wall: stats.wall,
-            qps: stats.throughput_qps(),
-            p50: stats.latency.p50(),
-            p95: stats.latency.p95(),
-            p99: stats.latency.p99(),
-            queue_wait_p50: stats.queue_wait.p50(),
-            queue_wait_p99: stats.queue_wait.p99(),
-            fanout_mean: stats.fanout_mean,
-            fanout_max: stats.fanout_max,
-            routed_partials: stats.routed_partials,
-            shed_partials: stats.shed_partials,
-            max_cluster_pressure: stats.max_cluster_pressure,
-            pages_read: stats.io_merged().reads(),
-            pool_hits: stats.per_shard.iter().map(|s| s.pool_hits).sum(),
-            pool_misses: stats.per_shard.iter().map(|s| s.pool_misses).sum(),
-            result_ids: stats.result_ids,
-        }
-    }
-}
+use crate::serve::ServeMetrics;
 
 /// Partitions `elements` per `spec` (the engine field is overridden from
-/// `kind`), builds one index per shard on its own in-memory disk, replays
-/// `trace` through the router, and returns metrics plus every query's
+/// `kind`), builds one index per shard with `index_cfg` on its own disk,
+/// replays `trace` through the router, and returns metrics, every query's
 /// result ids (ascending — byte-identical to [`crate::run_serve`]'s
-/// results when `serve_cfg.shed` is off).
+/// results when `serve_cfg.shed` is off) and the per-query traces
+/// `serve_cfg.collect_traces` asked for.
 pub fn run_serve_sharded(
     kind: ServeEngineKind,
     workload: &str,
     elements: &[SpatialElement],
     trace: &[SpatialQuery],
     spec: &ShardSpec,
-    serve_cfg: &ShardServeConfig,
-) -> (ShardMetrics, Vec<Vec<ElementId>>) {
-    let spec = spec.clone().with_engine(kind.shard_engine());
-    let cluster = ShardedCluster::build(elements.to_vec(), &spec);
+    index_cfg: &IndexConfig,
+    serve_cfg: &ServeConfig,
+) -> (ServeMetrics, Vec<Vec<ElementId>>, Vec<tfm_obs::QueryTrace>) {
+    let spec = spec.clone().with_engine(kind);
+    let cluster = ShardedCluster::build(elements.to_vec(), &spec, index_cfg);
     let out = serve_sharded(&cluster, trace, serve_cfg);
-    (
-        ShardMetrics::from_stats(kind, workload, &out.stats),
-        out.results,
-    )
-}
-
-/// Prints shard-sweep rows as an aligned table.
-pub fn print_shard_table(rows: &[ShardMetrics]) {
-    println!(
-        "{:<14} {:<12} {:>6} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9}",
-        "workload",
-        "engine",
-        "shards",
-        "workers",
-        "qps",
-        "p50_us",
-        "p95_us",
-        "fanout",
-        "shed",
-        "pages"
-    );
-    for m in rows {
-        println!(
-            "{:<14} {:<12} {:>6} {:>7} {:>9.0} {:>9.1} {:>9.1} {:>7.2} {:>7} {:>9}",
-            m.workload,
-            m.engine,
-            m.shards,
-            m.workers_per_shard,
-            m.qps,
-            m.p50.as_secs_f64() * 1e6,
-            m.p95.as_secs_f64() * 1e6,
-            m.fanout_mean,
-            m.shed_partials,
-            m.pages_read
-        );
-    }
+    let metrics = ServeMetrics::from_stats(kind, workload, elements.len(), serve_cfg, &out.stats);
+    (metrics, out.results, out.traces)
 }
 
 #[cfg(test)]
@@ -173,16 +50,17 @@ mod tests {
             &elements,
             &trace,
             &RunConfig::default(),
-            &tfm_serve::ServeConfig::default(),
+            &ServeConfig::default(),
         );
         for shards in [1usize, 3] {
-            let (m, results) = run_serve_sharded(
+            let (m, results, _) = run_serve_sharded(
                 ServeEngineKind::Transformers,
                 "shard-bench",
                 &elements,
                 &trace,
                 &ShardSpec::default().with_shards(shards),
-                &ShardServeConfig::default(),
+                &IndexConfig::default(),
+                &ServeConfig::default(),
             );
             assert_eq!(results, unsharded, "shards={shards}");
             assert_eq!(m.shards, shards);

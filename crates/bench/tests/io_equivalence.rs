@@ -12,8 +12,9 @@
 use tfm_bench::{run_approach, run_serve, run_serve_sharded, Approach, RunConfig, ServeEngineKind};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
 use tfm_memjoin::canonicalize;
-use tfm_serve::{ServeConfig, ShardServeConfig, ShardSpec};
+use tfm_serve::{ServeConfig, ShardSpec};
 use tfm_storage::StoreBackend;
+use transformers::IndexConfig;
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -87,13 +88,14 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
             shards: 3,
             ..ShardSpec::default()
         };
-        let (_, reference) = run_serve_sharded(
+        let (_, reference, _) = run_serve_sharded(
             kind,
             "io-eq",
             &dataset,
             &trace,
             &mem_spec,
-            &ShardServeConfig::default(),
+            &IndexConfig::default(),
+            &ServeConfig::default(),
         );
         let file_spec = ShardSpec {
             shards: 3,
@@ -101,8 +103,8 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
             ..ShardSpec::default()
         };
         for &workers in &WORKER_SWEEP {
-            let cfg = ShardServeConfig {
-                workers_per_shard: workers,
+            let cfg = ServeConfig {
+                threads: workers,
                 batch: 32,
                 io_depth: 2,
                 readahead: if matches!(kind, ServeEngineKind::Rtree) {
@@ -110,9 +112,17 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
                 } else {
                     32
                 },
-                ..ShardServeConfig::default()
+                ..ServeConfig::default()
             };
-            let (_, results) = run_serve_sharded(kind, "io-eq", &dataset, &trace, &file_spec, &cfg);
+            let (_, results, _) = run_serve_sharded(
+                kind,
+                "io-eq",
+                &dataset,
+                &trace,
+                &file_spec,
+                &IndexConfig::default(),
+                &cfg,
+            );
             assert_eq!(
                 results, reference,
                 "{kind:?}: sharded file backend diverged at {workers} workers/shard"

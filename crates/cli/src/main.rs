@@ -101,7 +101,8 @@ USAGE:
                   shedding on the per-shard bounded queues
       --auto-batch: let the serve loop retune its batch size from the
                   observed cache hit fraction and sequential-read fraction
-                  (multi-worker path; results stay byte-identical)
+                  (every queued run, with or without --shards; results stay
+                  byte-identical)
   tfm mutate --in FILE [--ops N] [--write-permille N] [--insert-permille N]
              [--wal-dir DIR] [--threads N] [--batch N] [--seed S]
              [--page-size N] [--build-threads N] [--verify]
@@ -362,12 +363,12 @@ fn start_metrics(m: &MetricsOpts) -> Result<Option<tfm_obs::SnapshotThread>, Str
 
 /// Stops the snapshot writer, appends the final export (plus one trace
 /// line per query in JSON-lines mode), parses the file back as a
-/// self-check, and prints a one-line summary.
+/// self-check, and returns a one-line summary.
 fn finish_metrics(
     m: &MetricsOpts,
     snap: Option<tfm_obs::SnapshotThread>,
     traces: &[tfm_obs::QueryTrace],
-) -> Result<(), String> {
+) -> Result<String, String> {
     use std::io::Write as _;
     if let Some(t) = snap {
         t.stop()
@@ -402,12 +403,11 @@ fn finish_metrics(
     } else {
         format!(" + {} query traces", traces.len())
     };
-    println!(
+    Ok(format!(
         "metrics:         {} series{traces_note} -> {}",
         snapshot.entries.len(),
         m.path
-    );
-    Ok(())
+    ))
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
@@ -715,7 +715,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         println!("transformations: {}", m.transformations);
     }
     if let Some(mo) = &metrics {
-        finish_metrics(mo, snap, &[])?;
+        println!("{}", finish_metrics(mo, snap, &[])?);
     }
 
     if flag(args, "--verify") {
@@ -734,9 +734,17 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use tfm_bench::{run_serve, run_serve_traced, ServeEngineKind};
+    println!("{}", serve_summary(args)?);
+    Ok(())
+}
+
+/// Runs `tfm serve` and returns the summary it prints, one line per
+/// quantity.
+fn serve_summary(args: &[String]) -> Result<String, String> {
+    use tfm_bench::{run_serve_sharded, run_serve_traced, ServeEngineKind};
     use tfm_datagen::{generate_trace, ProbeMix, QueryTraceSpec};
-    use tfm_serve::ServeConfig;
+    use tfm_serve::{ServeConfig, ShardPartitioner, ShardSpec};
+    use transformers::IndexConfig;
 
     reject_unknown_flags("serve", args)?;
     let path = required(args, "--in")?;
@@ -764,20 +772,45 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let window: f64 = parse(opt(args, "--window").unwrap_or("20"), "--window")?;
     let eps: f64 = parse(opt(args, "--eps").unwrap_or("5"), "--eps")?;
     let store = parse_store_opts(args)?;
+    // --shards N serves through the sharded scatter-gather cluster: the
+    // dataset is split into N self-contained index shards, each with its
+    // own cache and worker pool, behind the probe-box router.
+    let spec = match opt(args, "--shards") {
+        Some(shards_str) => {
+            let shards: usize = parse(shards_str, "--shards")?;
+            if shards == 0 {
+                return Err("--shards must be at least 1".into());
+            }
+            let partitioner = match opt(args, "--shard-partitioner").unwrap_or("hilbert") {
+                "hilbert" => ShardPartitioner::Hilbert,
+                "str" => ShardPartitioner::Str,
+                other => {
+                    return Err(format!(
+                        "unknown shard partitioner `{other}` (hilbert | str)"
+                    ))
+                }
+            };
+            Some(ShardSpec {
+                shards,
+                partitioner,
+                page_size,
+                backend: store.backend.clone(),
+                ..ShardSpec::default()
+            })
+        }
+        None if flag(args, "--shed") || opt(args, "--shard-partitioner").is_some() => {
+            return Err("--shed/--shard-partitioner require --shards N".into());
+        }
+        None => None,
+    };
     let auto_batch = flag(args, "--auto-batch");
-    if auto_batch && opt(args, "--shards").is_some() {
-        // The sharded cluster runs a fixed batch loop; fail fast before
-        // any file I/O.
-        return Err(
-            "--auto-batch tunes the unsharded serve batch loop; not supported with --shards".into(),
-        );
-    }
-    if auto_batch && threads == 1 {
+    if auto_batch && threads == 1 && spec.is_none() {
         eprintln!(
-            "note: --auto-batch tunes the queued (multi-worker) batch loop; \
+            "note: --auto-batch tunes the queued batch loop; \
              the single-threaded inline path ignores it"
         );
     }
+    let metrics = parse_metrics(args)?;
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let trace = generate_trace(&QueryTraceSpec {
@@ -798,186 +831,103 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         io_depth: store.io_depth,
         readahead: store.readahead,
         auto_batch,
+        shed: flag(args, "--shed"),
+        // With --metrics the run also collects one per-query trace (queue
+        // wait / service split, pool attribution) for the JSON-lines export.
+        collect_traces: metrics.is_some(),
         ..ServeConfig::default()
     };
-    let metrics = parse_metrics(args)?;
 
-    // --shards N switches to the sharded scatter-gather cluster: the
-    // dataset is split into N self-contained index shards, each with its
-    // own cache and worker pool, behind the probe-box router.
-    if let Some(shards_str) = opt(args, "--shards") {
-        let shards: usize = parse(shards_str, "--shards")?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
+    let snap = match &metrics {
+        Some(m) => start_metrics(m)?,
+        None => None,
+    };
+    let (m, results, traces) = match &spec {
+        Some(spec) => {
+            let idx_cfg = IndexConfig::default().with_build_threads(build_threads);
+            run_serve_sharded(engine, "cli", &elems, &trace, spec, &idx_cfg, &serve_cfg)
         }
-        let partitioner = match opt(args, "--shard-partitioner").unwrap_or("hilbert") {
-            "hilbert" => tfm_serve::ShardPartitioner::Hilbert,
-            "str" => tfm_serve::ShardPartitioner::Str,
-            other => {
-                return Err(format!(
-                    "unknown shard partitioner `{other}` (hilbert | str)"
-                ))
-            }
-        };
-        let spec = tfm_serve::ShardSpec {
-            shards,
-            partitioner,
-            page_size,
-            backend: store.backend.clone(),
-            ..tfm_serve::ShardSpec::default()
-        };
-        let shard_cfg = tfm_serve::ShardServeConfig {
-            workers_per_shard: threads,
-            batch,
-            hilbert_batching: !flag(args, "--no-hilbert"),
-            shed: flag(args, "--shed"),
-            io_depth: store.io_depth,
-            readahead: store.readahead,
-            ..tfm_serve::ShardServeConfig::default()
-        };
-        let snap = match &metrics {
-            Some(m) => start_metrics(m)?,
-            None => None,
-        };
-        let (m, results) =
-            tfm_bench::run_serve_sharded(engine, "cli", &elems, &trace, &spec, &shard_cfg);
-        println!("engine:          {} (sharded)", m.engine);
-        if let Some(dir) = store.dir() {
-            println!(
-                "backend:         file ({}; io depth {}, readahead {} pages)",
-                dir.display(),
-                store.io_depth,
-                store.readahead
-            );
+        None => run_serve_traced(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg),
+    };
+
+    let mut lines = vec![format!("engine:          {}", m.engine)];
+    if let Some(dir) = store.dir() {
+        lines.push(format!(
+            "backend:         file ({}; io depth {}, readahead {} pages)",
+            dir.display(),
+            store.io_depth,
+            store.readahead
+        ));
+    }
+    lines.push(format!(
+        "dataset:         {path} ({} elements)",
+        m.n_elements
+    ));
+    lines.push(format!(
+        "trace:           {} queries ({:?} probes, seed {trace_seed})",
+        m.queries, mix
+    ));
+    let shape = match &spec {
+        Some(spec) => format!(
+            "{} shards ({:?} split) x {}",
+            m.shards, spec.partitioner, m.threads
+        ),
+        None => m.threads.to_string(),
+    };
+    lines.push(format!(
+        "serving:         {shape} worker{}, batch {}, hilbert batching {}",
+        if m.threads == 1 { "" } else { "s" },
+        m.batch,
+        if m.hilbert_batching { "on" } else { "off" }
+    ));
+    let queued = spec.is_some() || m.threads > 1;
+    if auto_batch && queued {
+        lines.push(format!(
+            "auto-batch:      {} retunes ({} grew, {} shrank), final batch {}",
+            m.autobatch_retunes, m.autobatch_grows, m.autobatch_shrinks, m.autobatch_final_batch
+        ));
+    }
+    lines.push(format!(
+        "throughput:      {:.0} queries/s  ({:.3}s wall + {:.3}s sim I/O)",
+        m.qps,
+        m.wall.as_secs_f64(),
+        m.sim_io.as_secs_f64()
+    ));
+    lines.push(format!(
+        "latency:         p50 {:.1}us  p95 {:.1}us  p99 {:.1}us{}",
+        m.p50.as_secs_f64() * 1e6,
+        m.p95.as_secs_f64() * 1e6,
+        m.p99.as_secs_f64() * 1e6,
+        if spec.is_some() {
+            " (critical path)"
+        } else {
+            ""
         }
-        println!("dataset:         {path} ({} elements)", m.n_elements);
-        println!(
-            "trace:           {} queries ({:?} probes, seed {trace_seed})",
-            m.queries, mix
-        );
-        println!(
-            "cluster:         {} shards x {} workers ({:?} split), batch {}",
-            m.shards, m.workers_per_shard, partitioner, batch
-        );
-        println!(
-            "throughput:      {:.0} queries/s  ({:.3}s wall)",
-            m.qps,
-            m.wall.as_secs_f64()
-        );
-        println!(
-            "latency:         p50 {:.1}us  p95 {:.1}us  p99 {:.1}us (critical path)",
-            m.p50.as_secs_f64() * 1e6,
-            m.p95.as_secs_f64() * 1e6,
-            m.p99.as_secs_f64() * 1e6
-        );
-        println!(
+    ));
+    if queued {
+        lines.push(format!(
+            "queue wait:      p50 {:.1}us  p99 {:.1}us",
+            m.queue_wait_p50.as_secs_f64() * 1e6,
+            m.queue_wait_p99.as_secs_f64() * 1e6
+        ));
+    }
+    if spec.is_some() {
+        lines.push(format!(
             "routing:         fanout mean {:.2} max {} ({} partials), \
              peak cluster pressure {:.0}%",
             m.fanout_mean,
             m.fanout_max,
             m.routed_partials,
             m.max_cluster_pressure * 100.0
-        );
-        if m.shed_partials > 0 {
-            println!(
-                "shedding:        {} partials shed — results are incomplete",
-                m.shed_partials
-            );
-        }
-        println!(
-            "serve I/O:       {} pages over {} shard disks, {} pool hits",
-            m.pages_read, m.shards, m.pool_hits
-        );
-        println!("result ids:      {}", m.result_ids);
-        if let Some(mo) = &metrics {
-            finish_metrics(mo, snap, &[])?;
-        }
-        if flag(args, "--verify") {
-            if m.shed_partials > 0 {
-                return Err("cannot --verify a run that shed load".into());
-            }
-            for (i, q) in trace.iter().enumerate() {
-                let mut expected: Vec<u64> = elems
-                    .iter()
-                    .filter(|e| q.matches(&e.mbb))
-                    .map(|e| e.id)
-                    .collect();
-                expected.sort_unstable();
-                if results[i] != expected {
-                    return Err(format!("query {i} diverges from the full-scan oracle"));
-                }
-            }
-            println!(
-                "verify:          OK (all {} queries match the full scan)",
-                m.queries
-            );
-        }
-        return Ok(());
+        ));
     }
-    if flag(args, "--shed") || opt(args, "--shard-partitioner").is_some() {
-        return Err("--shed/--shard-partitioner require --shards N".into());
+    if m.shed_partials > 0 {
+        lines.push(format!(
+            "shedding:        {} partials shed — results are incomplete",
+            m.shed_partials
+        ));
     }
-
-    let snap = match &metrics {
-        Some(m) => start_metrics(m)?,
-        None => None,
-    };
-    // With --metrics the run also collects one per-query trace (queue
-    // wait / service split, pool attribution) for the JSON-lines export.
-    let (m, results, traces) = if metrics.is_some() {
-        run_serve_traced(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg)
-    } else {
-        let (m, results) = run_serve(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg);
-        (m, results, Vec::new())
-    };
-
-    println!("engine:          {}", m.engine);
-    if let Some(dir) = store.dir() {
-        println!(
-            "backend:         file ({}; io depth {}, readahead {} pages)",
-            dir.display(),
-            store.io_depth,
-            store.readahead
-        );
-    }
-    println!("dataset:         {path} ({} elements)", m.n_elements);
-    println!(
-        "trace:           {} queries ({:?} probes, seed {trace_seed})",
-        m.queries, mix
-    );
-    println!(
-        "serving:         {} worker{}, batch {}, hilbert batching {}",
-        m.threads,
-        if m.threads == 1 { "" } else { "s" },
-        m.batch,
-        if m.hilbert_batching { "on" } else { "off" }
-    );
-    if m.autobatch_retunes > 0 || (auto_batch && m.threads > 1) {
-        println!(
-            "auto-batch:      {} retunes ({} grew, {} shrank), final batch {}",
-            m.autobatch_retunes, m.autobatch_grows, m.autobatch_shrinks, m.autobatch_final_batch
-        );
-    }
-    println!(
-        "throughput:      {:.0} queries/s  ({:.3}s wall + {:.3}s sim I/O)",
-        m.qps,
-        m.wall.as_secs_f64(),
-        m.sim_io.as_secs_f64()
-    );
-    println!(
-        "latency:         p50 {:.1}us  p95 {:.1}us  p99 {:.1}us",
-        m.p50.as_secs_f64() * 1e6,
-        m.p95.as_secs_f64() * 1e6,
-        m.p99.as_secs_f64() * 1e6
-    );
-    if m.threads > 1 {
-        println!(
-            "queue wait:      p50 {:.1}us  p99 {:.1}us",
-            m.queue_wait_p50.as_secs_f64() * 1e6,
-            m.queue_wait_p99.as_secs_f64() * 1e6
-        );
-    }
-    println!(
+    lines.push(format!(
         "serve I/O:       {} pages ({} sequential, {} random — {:.1}% sequential), \
          {} pool hits ({:.1}% hit rate)",
         m.pages_read,
@@ -986,17 +936,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         m.seq_read_fraction() * 100.0,
         m.pool_hits,
         m.pool_hit_fraction() * 100.0
-    );
-    println!(
+    ));
+    lines.push(format!(
         "cache:           lock contention {}/{}",
         m.lock_contended, m.lock_acquisitions
-    );
-    println!("result ids:      {}", m.result_ids);
+    ));
+    lines.push(format!("result ids:      {}", m.result_ids));
     if let Some(mo) = &metrics {
-        finish_metrics(mo, snap, &traces)?;
+        lines.push(finish_metrics(mo, snap, &traces)?);
     }
 
     if flag(args, "--verify") {
+        if m.shed_partials > 0 {
+            return Err("cannot --verify a run that shed load".into());
+        }
         for (i, q) in trace.iter().enumerate() {
             let mut expected: Vec<u64> = elems
                 .iter()
@@ -1008,12 +961,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 return Err(format!("query {i} diverges from the full-scan oracle"));
             }
         }
-        println!(
+        lines.push(format!(
             "verify:          OK (all {} queries match the full scan)",
             m.queries
-        );
+        ));
     }
-    Ok(())
+    Ok(lines.join("\n"))
 }
 
 fn cmd_mutate(args: &[String]) -> Result<(), String> {
@@ -1774,6 +1727,63 @@ mod tests {
             "no trace lines in export"
         );
 
+        // One serve path: the cluster takes --auto-batch, --metrics and
+        // --build-threads like a single engine does, prints the lines a
+        // single engine prints plus the routing line, and exports one
+        // trace record per query. (Here, not with the other sharded runs:
+        // this is the one test that may arm the process-wide registry.)
+        let metrics = dir.join(format!("tfm_cli_shard_{pid}.jsonl"));
+        let base = [
+            "--in",
+            path.to_str().unwrap(),
+            "--queries",
+            "60",
+            "--batch",
+            "2",
+            "--shards",
+            "2",
+            "--build-threads",
+            "2",
+            "--verify",
+        ];
+        let fixed = serve_summary(&sv(&base)).unwrap();
+        let extra = ["--auto-batch", "--metrics", metrics.to_str().unwrap()];
+        let auto = serve_summary(&sv(&[&base[..], &extra[..]].concat())).unwrap();
+        let line = |summary: &str, label: &str| {
+            summary
+                .lines()
+                .find(|l| l.starts_with(label))
+                .unwrap_or_else(|| panic!("no `{label}` line in:\n{summary}"))
+                .to_string()
+        };
+        for label in [
+            "throughput:",
+            "queue wait:",
+            "routing:",
+            "serve I/O:",
+            "cache:",
+            "verify:          OK",
+        ] {
+            line(&fixed, label);
+            line(&auto, label);
+        }
+        assert!(line(&auto, "throughput:").contains("sim I/O"));
+        assert!(line(&auto, "serve I/O:").contains("sequential"));
+        assert!(line(&auto, "auto-batch:").contains("retunes"));
+        assert!(!fixed.contains("auto-batch:"));
+        // Both runs passed --verify against the full scan, so they agree
+        // with each other; the result-id totals say so too.
+        assert_eq!(line(&auto, "result ids:"), line(&fixed, "result ids:"));
+        assert!(line(&auto, "metrics:").contains("+ 60 query traces"));
+        let exported = std::fs::read_to_string(&metrics).unwrap();
+        let traces = exported
+            .lines()
+            .filter(|l| l.contains("\"trace_id\""))
+            .count();
+        assert_eq!(traces, 60, "one trace record per query");
+        assert!(exported.contains("serve.autobatch.retunes") && exported.contains("shard.routed"));
+        std::fs::remove_file(&metrics).ok();
+
         // Join with a Prometheus export.
         let join_args: Vec<String> = [
             "--a",
@@ -1871,15 +1881,6 @@ mod tests {
         ]))
         .expect_err("build must reject prefetch knobs");
         assert!(err.contains("`--io-depth` for `tfm build`"), "{err}");
-    }
-
-    #[test]
-    fn auto_batch_flag_is_validated() {
-        // The sharded cluster runs a fixed batch loop: the knob is an
-        // orphan with --shards.
-        let err = cmd_serve(&sv(&["--in", "x.elems", "--shards", "2", "--auto-batch"]))
-            .expect_err("--auto-batch must be rejected with --shards");
-        assert!(err.contains("--shards"), "{err}");
     }
 
     /// The `--flags` named between `command`'s `  tfm NAME` line of

@@ -30,6 +30,40 @@ use tfm_storage::{
 };
 use transformers::{explore, MutableTransformers, TransformersIndex, UnitId, UnitReader};
 
+/// Which structure serves a trace — what an [`crate::IndexShard`] builds
+/// and opens engines over (labels match the join harness's vocabulary).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeEngineKind {
+    /// The TRANSFORMERS hierarchy behind [`TransformersEngine`] (node/unit
+    /// MBB prefilter + page reads).
+    Transformers,
+    /// The TRANSFORMERS hierarchy crawled GIPSY-style ([`GipsyEngine`]):
+    /// per-probe directed walk + crawl at element granularity.
+    Gipsy,
+    /// The STR-bulk-loaded R-tree baseline behind [`RtreeEngine`].
+    Rtree,
+}
+
+impl ServeEngineKind {
+    /// Short label for tables.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ServeEngineKind::Transformers => "TRANSFORMERS",
+            ServeEngineKind::Gipsy => "GIPSY",
+            ServeEngineKind::Rtree => "R-TREE",
+        }
+    }
+
+    /// All three engines, for sweep-style comparisons.
+    pub fn all() -> [ServeEngineKind; 3] {
+        [
+            ServeEngineKind::Transformers,
+            ServeEngineKind::Gipsy,
+            ServeEngineKind::Rtree,
+        ]
+    }
+}
+
 /// A built index structure that can serve spatial queries.
 ///
 /// Engines are shared (`&self`) across workers; each worker obtains a

@@ -15,8 +15,9 @@
 //!   (a counted handle onto that cache via the core's `UnitReader`, walk
 //!   position, scratch), so readers share pages, not locks on state.
 //! * [`RequestQueue`] — the bounded admission edge: blocking `push` is
-//!   backpressure, non-blocking `try_push` is load shedding.
-//! * **Locality-aware batching** — [`serve_trace`] splits the trace into
+//!   backpressure, non-blocking `try_push` is load shedding
+//!   ([`ServeConfig::shed`]).
+//! * **Locality-aware batching** — the feeder splits the trace into
 //!   arrival-order batches and (by default) sorts each batch by the
 //!   Hilbert order of the queries' probe centers. Consecutive queries of
 //!   a sorted batch probe neighbouring regions, so their candidate pages
@@ -25,23 +26,41 @@
 //!   visible in the [`tfm_storage::IoStatsSnapshot`] sequential/random
 //!   split ([`ServeStats::seq_read_fraction`]). See `DESIGN.md` for why
 //!   this falls out of the disk model.
-//! * [`ServeStats`] — per-run aggregates: latency percentiles, pool
-//!   hits/misses, the I/O delta, per-worker query counts.
-//! * **Sharded scatter-gather** — [`ShardedCluster`] partitions the
-//!   dataset into self-contained index shards (each with its own disk,
-//!   cache and worker pool); [`serve_sharded`] routes every probe onto
-//!   only the shards its probe box intersects, scatter-gathers the
-//!   shard-local partials and merges them deterministically. See
-//!   [`serve_sharded`]'s docs and `ARCHITECTURE.md`.
+//! * **One serve path** — [`serve_trace`] (one engine) and
+//!   [`serve_sharded`] (a [`ShardedCluster`] of self-contained index
+//!   shards behind a [`ShardRouter`]) are the one-target and N-target
+//!   cases of the same executor, under one [`ServeConfig`] and returning
+//!   one [`ServeOutcome`]: one feeder plans batches, routes them,
+//!   announces each sub-batch's readahead schedule and admits it; one
+//!   target-local pool opens sessions, pops the queue and times every
+//!   probe; one gather merges the partials per query. Auto-batching,
+//!   per-query traces, readahead and shedding therefore work on either
+//!   entry point. See `ARCHITECTURE.md`.
+//!
+//! # Who executes
+//!
+//! `threads == 1` on a single engine runs inline on the caller — no
+//! queue, no spawn — and is the sequential reference the equivalence
+//! suites compare against. A queued single-engine run spawns `threads`
+//! workers of which **worker 0 feeds first** and joins the drain only
+//! once the whole trace is admitted, so with few workers it executes
+//! almost nothing ([`ServeStats::per_worker_queries`] shows the split;
+//! `DESIGN.md` records the measurement and the dedicated-feeder
+//! trade-off). A cluster keeps the caller thread as the feeder: a feeder
+//! that is also a shard's only worker drains nothing while it feeds, so
+//! its blocking push into that shard's full queue would wait on itself.
 //!
 //! # Determinism
 //!
 //! Batch composition depends only on the trace and the batch size (never
 //! on the worker count), each query's result is a pure function of the
-//! query and the index, and results are reassembled by query position —
-//! so the result vector is **byte-identical for any thread count and
-//! either batching mode**. The `serve_equivalence` integration test holds
-//! all engines to that against a sequential full-scan reference.
+//! query and the index, every element lives in exactly one shard, and
+//! results are reassembled by query position — so the result vector is
+//! **byte-identical for any thread count, shard count and batching
+//! mode**. The `serve_equivalence` and `shard_equivalence` integration
+//! tests hold all engines to that against a sequential full-scan
+//! reference. (Load shedding deliberately breaks the guarantee — shed
+//! partials are counted, not silently dropped.)
 //!
 //! # Example
 //!
@@ -70,26 +89,31 @@ mod stats;
 
 pub use engines::{
     GipsyEngine, MutableTransformersEngine, QueryEngine, QuerySession, RtreeEngine,
-    TransformersEngine,
+    ServeEngineKind, TransformersEngine,
 };
 pub use queue::RequestQueue;
 pub use shard::{
-    plan_shards, serve_sharded, IndexShard, ShardEngineKind, ShardPartitioner, ShardRouter,
-    ShardServeConfig, ShardSpec, ShardStats, ShardedCluster, ShardedServeOutcome,
-    ShardedServeStats,
+    plan_shards, serve_sharded, IndexShard, ShardPartitioner, ShardRouter, ShardSpec,
+    ShardedCluster,
 };
-pub use stats::{AutoBatchSummary, LatencySummary, ServeStats};
+pub use stats::{AutoBatchSummary, LatencySummary, ServeStats, ShardStats};
 
-use std::sync::Mutex;
-use std::time::Instant;
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 use tfm_geom::{hilbert, Aabb, ElementId, SpatialQuery};
 use tfm_pool::StagePool;
-use tfm_storage::PrefetchQueue;
+use tfm_storage::{CacheStats, IoStatsSnapshot, PrefetchQueue};
 
-/// Configuration of one serve run.
+/// Configuration of one serve run, single-engine or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads executing queries (`0` is clamped to 1).
+    /// Worker threads per target — per engine for [`serve_trace`], per
+    /// shard for [`serve_sharded`] (`0` is clamped to 1). On a queued
+    /// single-engine run worker 0 feeds the queue before it drains, so
+    /// `threads = 2` executes nearly every query on worker 1 alone (see
+    /// the crate docs, "Who executes").
     pub threads: usize,
     /// Queries per batch — the unit of queueing and of locality sorting
     /// (`0` is clamped to 1).
@@ -97,41 +121,49 @@ pub struct ServeConfig {
     /// Sort each batch by the Hilbert order of probe centers before
     /// execution (on by default; turn off for the arrival-order ablation).
     pub hilbert_batching: bool,
-    /// Page-cache budget in pages. [`serve_trace`] does not read it — an
-    /// engine's cache is sized when the engine is built
-    /// (`with_shared_cache`) — so this is the number the harnesses that
-    /// *build* engines (`tfm-bench`, the CLI) size that cache with.
+    /// Page-cache budget in pages. [`serve_sharded`] builds its shards'
+    /// caches from it, an even split (`pool_pages / shards`, floor 16).
+    /// [`serve_trace`] does not read it — a borrowed engine's cache was
+    /// sized when the engine was built (`with_shared_cache`) — so there it
+    /// is the number the harnesses that *build* engines (`tfm-bench`, the
+    /// CLI) size that cache with.
     pub pool_pages: usize,
-    /// Bounded request-queue capacity in batches — the backpressure
-    /// window between the feeding thread and the workers.
+    /// Bounded request-queue capacity in (sub-)batches, per target — the
+    /// backpressure window between the feeder and a target's workers.
     pub queue_batches: usize,
     /// Collect one [`tfm_obs::QueryTrace`] per query in
     /// [`ServeOutcome::traces`] (queue-wait/service split and per-query
-    /// pool-counter attribution). Off by default: trace records cost a
-    /// per-query allocation the hot path otherwise never pays.
+    /// pool-counter attribution). Off by default: the records are kept
+    /// only when asked for.
     pub collect_traces: bool,
-    /// Dedicated I/O threads keeping prefetch reads in flight — the
-    /// submission queue depth of the readahead pipeline. Only consulted
-    /// when [`ServeConfig::readahead`] enables prefetching; `0` is
-    /// clamped to 1.
+    /// Dedicated I/O threads per target keeping prefetch reads in flight —
+    /// the submission queue depth of the readahead pipeline. Only
+    /// consulted when [`ServeConfig::readahead`] enables prefetching; `0`
+    /// is clamped to 1.
     pub io_depth: usize,
     /// Readahead window in pages: the capacity of the bounded
-    /// [`tfm_storage::PrefetchQueue`] the feeder fills with each batch's
-    /// Hilbert-ordered candidate pages. `0` (the default) disables the
-    /// prefetch pipeline entirely; it also stays off on engines that
-    /// cannot compute a schedule ([`QueryEngine::supports_prefetch`]) and
-    /// on the single-threaded inline path.
+    /// [`tfm_storage::PrefetchQueue`] in front of each target, which the
+    /// feeder fills with each sub-batch's Hilbert-ordered candidate pages.
+    /// `0` (the default) disables the prefetch pipeline entirely; it also
+    /// stays off on engines that cannot compute a schedule
+    /// ([`QueryEngine::supports_prefetch`]) and on the inline path.
     pub readahead: usize,
     /// Self-tuning batch sizing: every few batches the feeder re-scores
     /// the run from the observed cache hit fraction and sequential-read
-    /// fraction, growing the batch (up to 4× [`ServeConfig::batch`]) while
-    /// locality is poor — a larger batch gives the Hilbert sort more scope
-    /// — and decaying back toward the base once the signals recover. Batch
-    /// *composition* stays arrival-order slices and results are keyed by
-    /// query position, so results are byte-identical to any fixed batch
-    /// size. Only the queued (multi-worker) path tunes; the inline path
-    /// ignores this flag.
+    /// fraction (summed over the targets), growing the batch (up to 4×
+    /// [`ServeConfig::batch`]) while locality is poor — a larger batch
+    /// gives the Hilbert sort more scope — and decaying back toward the
+    /// base once the signals recover. Batch *composition* stays
+    /// arrival-order slices and results are keyed by query position, so
+    /// results are byte-identical to any fixed batch size. Only queued
+    /// runs tune; the inline path ignores this flag.
     pub auto_batch: bool,
+    /// Load shedding: admit sub-batches with `try_push` and count
+    /// rejections instead of blocking. Shed partials make the affected
+    /// queries' results incomplete (tracked in
+    /// [`ServeStats::shed_queries`]); leave this off for the
+    /// byte-identical path. The inline path has no queue to refuse work.
+    pub shed: bool,
 }
 
 impl Default for ServeConfig {
@@ -146,12 +178,13 @@ impl Default for ServeConfig {
             io_depth: 1,
             readahead: 0,
             auto_batch: false,
+            shed: false,
         }
     }
 }
 
 impl ServeConfig {
-    /// Builder: sets the worker count.
+    /// Builder: sets the worker count (per target).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -194,21 +227,52 @@ impl ServeConfig {
         self.auto_batch = true;
         self
     }
+
+    /// Builder: switches admission from backpressure to load shedding.
+    pub fn with_shedding(mut self) -> Self {
+        self.shed = true;
+        self
+    }
 }
 
 /// What a serve run returns: per-query results plus aggregate statistics.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// `results[i]` is the ascending id list answering `trace[i]`.
-    /// Identical for any thread count and batching mode.
+    /// Identical for any thread count, shard count and batching mode
+    /// (backpressure admission).
     pub results: Vec<Vec<ElementId>>,
-    /// Aggregate counters of the run.
+    /// Aggregate and per-target counters of the run.
     pub stats: ServeStats,
     /// Per-query trace records, in trace-ID order; empty unless
     /// [`ServeConfig::collect_traces`] was set. The trace ID is the
-    /// query's position in the input trace, assigned at queue admission,
-    /// so IDs are stable across thread counts and batching modes.
+    /// query's position in the input trace, so IDs are stable across
+    /// thread counts and batching modes. A scattered query's record holds
+    /// its critical path (service and wait: the maximum over its
+    /// partials, `worker` the one that ran the slowest partial) and the
+    /// sums of its partials' pool counters and result ids.
     pub traces: Vec<tfm_obs::QueryTrace>,
+}
+
+/// The box the Hilbert order of a trace's probe centers is taken over.
+fn center_universe(trace: &[SpatialQuery]) -> Aabb {
+    Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())))
+}
+
+/// One batch: the arrival-order slice `range` of the trace, sorted by the
+/// Hilbert index of the probe centers when `hilbert_batching` is on.
+fn order_batch(
+    trace: &[SpatialQuery],
+    range: Range<usize>,
+    hilbert_batching: bool,
+    universe: &Aabb,
+) -> Vec<usize> {
+    let mut ids: Vec<usize> = range.collect();
+    if hilbert_batching {
+        // Tie-break on the query position so the plan is total.
+        ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), universe), i));
+    }
+    ids
 }
 
 /// Splits `trace` into arrival-order batches of `batch` queries and, when
@@ -217,297 +281,300 @@ pub struct ServeOutcome {
 ///
 /// Batch *composition* is always arrival-order — only the order *within*
 /// a batch changes — so results cannot depend on the batching mode.
-pub(crate) fn plan_batches(
-    trace: &[SpatialQuery],
-    batch: usize,
-    hilbert_batching: bool,
-) -> Vec<Vec<usize>> {
-    let universe = Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())));
+fn plan_batches(trace: &[SpatialQuery], batch: usize, hilbert_batching: bool) -> Vec<Vec<usize>> {
+    let universe = center_universe(trace);
     (0..trace.len())
         .step_by(batch)
         .map(|start| {
-            let mut ids: Vec<usize> = (start..(start + batch).min(trace.len())).collect();
-            if hilbert_batching {
-                // Tie-break on the query position so the plan is total.
-                ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
-            }
-            ids
+            let end = (start + batch).min(trace.len());
+            order_batch(trace, start..end, hilbert_batching, &universe)
         })
         .collect()
 }
 
-/// What one worker hands back per executed query.
+/// What one worker hands back per executed query partial.
 struct Executed {
     qid: usize,
     ids: Vec<ElementId>,
     service_nanos: u64,
-    /// Admission-to-pop wait of the query's batch (0 on the inline path).
+    /// Admission-to-pop wait of the partial's batch (0 on the inline path).
     queue_wait_nanos: u64,
-    /// Handle-local pool-counter deltas around this query's probe.
+    /// Handle-local pool-counter deltas around this probe.
     pool_hits: u64,
     pool_misses: u64,
 }
 
-/// One worker's complete contribution: executed queries plus its
+/// One worker's complete contribution: executed partials plus its
 /// session's pool counters.
 struct WorkerOut {
-    worker: usize,
     done: Vec<Executed>,
     hits: u64,
     misses: u64,
 }
 
+/// One target's complete contribution: its workers' outputs in worker
+/// order plus the run's deltas on its disk and cache.
+struct TargetOut {
+    pool: Vec<WorkerOut>,
+    io: IoStatsSnapshot,
+    cache: CacheStats,
+}
+
+/// One serve target: an engine with the admission edge and the readahead
+/// queue in front of its pool.
+struct Target<'a, E: ?Sized> {
+    engine: &'a E,
+    /// Each item carries its admission instant so the popping worker can
+    /// split queue wait from service time per sub-batch.
+    queue: RequestQueue<(Vec<usize>, Instant)>,
+    /// Bounded and lossy; present when readahead is on and the engine can
+    /// compute a schedule. Targets prefetch into their own caches from
+    /// their own disks, so the pipelines share nothing.
+    prefetch: Option<PrefetchQueue>,
+}
+
+/// What the feeder counted while scattering (per-target vectors are
+/// indexed by target).
+struct Fed {
+    batches: usize,
+    widest: usize,
+    autobatch: Option<AutoBatchSummary>,
+    routed: Vec<u64>,
+    shed_batches: Vec<u64>,
+    shed: Vec<u64>,
+    shed_queries: u64,
+    /// Most target queues simultaneously full as a batch was admitted.
+    max_full_queues: usize,
+}
+
+impl Fed {
+    fn new(targets: usize) -> Self {
+        Self {
+            batches: 0,
+            widest: 0,
+            autobatch: None,
+            routed: vec![0; targets],
+            shed_batches: vec![0; targets],
+            shed: vec![0; targets],
+            shed_queries: 0,
+            max_full_queues: 0,
+        }
+    }
+}
+
 /// Replays `trace` against `engine` on `cfg.threads` workers and returns
 /// every query's result plus aggregate [`ServeStats`].
 ///
-/// Queries are queued batch-wise through a bounded [`RequestQueue`]
-/// (worker 0 doubles as the feeder, then joins the drain), executed on
-/// per-worker [`QuerySession`]s, and reassembled by query position. The
-/// result vector is byte-identical for any `threads`/batching setting.
+/// This is the one-target case of the executor [`serve_sharded`] also
+/// runs: no router, every batch goes whole to the engine's queue. At
+/// `threads == 1` it runs inline on the caller; otherwise queries are
+/// queued batch-wise through a bounded [`RequestQueue`] (worker 0 feeds
+/// it, then joins the drain), executed on per-worker [`QuerySession`]s,
+/// and reassembled by query position. The result vector is byte-identical
+/// for any `threads`/batching setting.
 pub fn serve_trace<E: QueryEngine + ?Sized>(
     engine: &E,
     trace: &[SpatialQuery],
     cfg: &ServeConfig,
 ) -> ServeOutcome {
-    let threads = cfg.threads.max(1);
+    serve(&[engine], None, trace, cfg, tfm_obs::global())
+}
+
+/// The executor under both entry points: plans and routes before the
+/// clock starts, runs the feeder and the target pools, and gathers.
+/// `router` is `None` for a single borrowed engine; run-end metrics go to
+/// `obs` (a parameter so a test can read them from a registry nothing
+/// else publishes into).
+fn serve<E: QueryEngine + ?Sized>(
+    engines: &[&E],
+    router: Option<&ShardRouter>,
+    trace: &[SpatialQuery],
+    cfg: &ServeConfig,
+    obs: &tfm_obs::MetricsRegistry,
+) -> ServeOutcome {
+    let workers = cfg.threads.max(1);
     let batch = cfg.batch.max(1);
-    // The self-tuning loop only exists on the queued path: the inline
-    // single-worker path has no queue-vs-locality tradeoff to tune.
-    let auto_on = cfg.auto_batch && threads > 1;
-    let batches = if auto_on {
+    // The inline fast path: one engine, one worker — no queue, so no
+    // queue-vs-locality tradeoff to tune and nothing to shed from.
+    let inline = router.is_none() && workers == 1;
+    let auto = cfg.auto_batch && !inline;
+    let plan = if auto {
         Vec::new() // the feeder slices the trace incrementally instead
     } else {
         plan_batches(trace, batch, cfg.hilbert_batching)
     };
-    let mut n_batches = batches.len();
-    let mut max_batch = batches.iter().map(Vec::len).max().unwrap_or(0);
-    // Filled by the auto-batch feeder: (loop counters, batches fed,
-    // widest batch).
-    let auto_out: Mutex<Option<(AutoBatchSummary, usize, usize)>> = Mutex::new(None);
+    // Route once per query: the ascending shard list its probe box hits.
+    let routes: Option<Vec<Vec<usize>>> =
+        router.map(|r| trace.iter().map(|q| r.route(q)).collect());
+    let before: Vec<(IoStatsSnapshot, CacheStats)> = engines
+        .iter()
+        .map(|e| (e.io_snapshot(), e.cache_stats()))
+        .collect();
 
-    let io_before = engine.io_snapshot();
-    let cache_before = engine.cache_stats();
     let start = Instant::now();
-
-    let worker_results: Vec<WorkerOut> = if threads == 1 {
-        // Inline fast path: no queue, no spawn — the exact sequential
-        // reference the equivalence tests compare against. No queue means
-        // no queue wait: those samples are honestly zero.
-        let mut session = engine.session(cfg.pool_pages);
+    let (fed, pools): (Fed, Vec<Vec<WorkerOut>>) = if inline {
+        // The exact sequential reference the equivalence tests compare
+        // against. No queue means no queue wait: those samples are
+        // honestly zero.
+        let mut session = engines[0].session(cfg.pool_pages);
         let mut done: Vec<Executed> = Vec::with_capacity(trace.len());
-        for b in &batches {
-            for &qid in b {
-                done.push(execute_one(&mut *session, trace, qid, 0));
-            }
+        for &qid in plan.iter().flatten() {
+            done.push(execute_one(&mut *session, trace, qid, 0));
         }
         let (hits, misses) = session.pool_counters();
-        vec![WorkerOut {
-            worker: 0,
-            done,
-            hits,
-            misses,
-        }]
+        let fed = Fed {
+            batches: plan.len(),
+            widest: plan.iter().map(Vec::len).max().unwrap_or(0),
+            routed: vec![trace.len() as u64],
+            ..Fed::new(1)
+        };
+        (fed, vec![vec![WorkerOut { done, hits, misses }]])
     } else {
-        // Each queue item carries its admission instant so the popping
-        // worker can split queue wait from service time per batch.
-        let queue: RequestQueue<(Vec<usize>, Instant)> =
-            RequestQueue::new(cfg.queue_batches.max(1));
-        let feed: Mutex<Option<Vec<Vec<usize>>>> = Mutex::new(Some(batches));
-        // Readahead pipeline: the feeder pushes each batch's candidate
-        // pages (in the batch's Hilbert order — an ascending page sweep)
-        // into a bounded lossy queue, and `io_depth` dedicated I/O
-        // threads keep that many reads in flight, landing completed
-        // pages directly into the engine's cache frames ahead of the
-        // workers.
-        let prefetch_on = cfg.readahead > 0 && engine.supports_prefetch();
-        let io_threads = if prefetch_on { cfg.io_depth.max(1) } else { 0 };
-        let prefetch_queue = prefetch_on.then(|| PrefetchQueue::new(cfg.readahead));
-        let pq = prefetch_queue.as_ref();
-        StagePool::new(threads + io_threads).scoped_run(|w| {
-            if w >= threads {
-                // Dedicated prefetch I/O thread: pop page ids and land
-                // them in the cache until the feeder closes the queue.
-                // Device latency (real file seeks, or the injected
-                // `Disk` read latency) is paid here, off the workers'
-                // critical path.
-                let pq = pq.expect("io worker without prefetch queue");
-                let mut scratch = Vec::new();
-                while let Some(id) = pq.pop() {
-                    engine.prefetch_page(id, &mut scratch);
-                }
-                return WorkerOut {
-                    worker: w,
-                    done: Vec::new(),
-                    hits: 0,
-                    misses: 0,
-                };
-            }
-            let mut session = engine.session(cfg.pool_pages);
-            let mut done: Vec<Executed> = Vec::new();
-            if w == 0 {
-                // Worker 0 feeds the queue (blocking on the bounded
-                // capacity — backpressure), then drains like everyone
-                // else. Interleaving feeding with the other workers'
-                // draining keeps the backlog within `queue_batches`.
-                let feed_batch = |b: Vec<usize>| {
-                    if let Some(pq) = pq {
-                        // Announce the batch's page schedule before the
-                        // batch itself so the I/O threads start on it
-                        // ahead of the executing workers. `try_push` is
-                        // lossy by design: a full queue means the I/O
-                        // threads are already `readahead` pages ahead.
-                        let probes: Vec<SpatialQuery> = b.iter().map(|&qid| trace[qid]).collect();
-                        for page in engine.prefetch_schedule(&probes) {
-                            pq.try_push(page);
-                        }
-                    }
-                    queue.push((b, Instant::now()));
-                };
-                if auto_on {
-                    feed_auto_batches(engine, trace, cfg, batch, &auto_out, feed_batch);
-                } else {
-                    let batches = feed
-                        .lock()
-                        .expect("feed poisoned")
-                        .take()
-                        .expect("feeder ran twice");
-                    for b in batches {
-                        feed_batch(b);
-                    }
-                }
-                queue.close();
-                if let Some(pq) = pq {
-                    pq.close();
-                }
-            }
-            while let Some((b, admitted)) = queue.pop() {
-                let wait = admitted.elapsed().as_nanos() as u64;
-                for qid in b {
-                    done.push(execute_one(&mut *session, trace, qid, wait));
-                }
-            }
-            let (hits, misses) = session.pool_counters();
-            WorkerOut {
-                worker: w,
-                done,
-                hits,
-                misses,
-            }
-        })
+        let targets: Vec<Target<'_, E>> = engines
+            .iter()
+            .map(|&engine| Target {
+                engine,
+                queue: RequestQueue::new(cfg.queue_batches.max(1)),
+                prefetch: (cfg.readahead > 0 && engine.supports_prefetch())
+                    .then(|| PrefetchQueue::new(cfg.readahead)),
+            })
+            .collect();
+        let fed = OnceLock::new();
+        let feeder = || {
+            let out = feed(&targets, routes.as_deref(), trace, cfg, &plan);
+            fed.set(out).ok().expect("feeder ran twice");
+        };
+        let pools = if router.is_none() {
+            // One borrowed engine: worker 0 of its pool is the feeder
+            // (blocking on the bounded capacity — backpressure), then
+            // drains like everyone else.
+            vec![run_pool(&targets[0], trace, cfg, Some(&feeder))]
+        } else {
+            // One driver thread per shard runs that shard's pool; the
+            // caller thread stays the feeder, so scattering overlaps
+            // draining and a blocking push is backpressure, not deadlock.
+            std::thread::scope(|scope| {
+                let drivers: Vec<_> = targets
+                    .iter()
+                    .map(|t| scope.spawn(move || run_pool(t, trace, cfg, None)))
+                    .collect();
+                feeder();
+                drivers
+                    .into_iter()
+                    .map(|d| d.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        (fed.into_inner().expect("feeder did not run"), pools)
     };
-
-    let autobatch = if auto_on {
-        let (summary, fed, widest) = auto_out
-            .lock()
-            .expect("auto_out poisoned")
-            .take()
-            .expect("auto-batch feeder did not run");
-        n_batches = fed;
-        max_batch = widest;
-        Some(summary)
-    } else {
-        None
-    };
-
     let wall = start.elapsed();
-    let io = engine.io_snapshot().delta_since(&io_before);
-    let cache = engine.cache_stats().delta_since(&cache_before);
 
-    // Deterministic reassembly by query position. Latencies accumulate
-    // into the shared log-bucketed histogram type (always-on, local to
-    // this run) rather than a per-query sample vector; the summaries and
-    // any run-end publication both read its snapshot.
-    let service_hist = tfm_obs::Histogram::new();
-    let wait_hist = tfm_obs::Histogram::new();
-    let mut results: Vec<Vec<ElementId>> = vec![Vec::new(); trace.len()];
-    let mut traces: Vec<tfm_obs::QueryTrace> = Vec::new();
-    let mut result_ids = 0u64;
-    let mut pool_hits = 0u64;
-    let mut pool_misses = 0u64;
-    let mut per_worker_queries = Vec::with_capacity(worker_results.len());
-    for worker in worker_results {
-        if worker.worker >= threads {
-            // Dedicated prefetch I/O threads execute no queries and own
-            // no session; they don't appear in per-worker stats.
-            continue;
-        }
-        pool_hits += worker.hits;
-        pool_misses += worker.misses;
-        per_worker_queries.push(worker.done.len() as u64);
-        for ex in worker.done {
-            result_ids += ex.ids.len() as u64;
-            service_hist.record(ex.service_nanos);
-            wait_hist.record(ex.queue_wait_nanos);
-            if cfg.collect_traces {
-                traces.push(tfm_obs::QueryTrace {
-                    trace_id: ex.qid as u64,
-                    worker: worker.worker as u64,
-                    queue_wait_nanos: ex.queue_wait_nanos,
-                    service_nanos: ex.service_nanos,
-                    pool_hits: ex.pool_hits,
-                    pool_misses: ex.pool_misses,
-                    result_ids: ex.ids.len() as u64,
-                });
+    let outs = pools
+        .into_iter()
+        .zip(engines.iter().zip(before))
+        .map(|(pool, (e, (io, cache)))| TargetOut {
+            pool,
+            io: e.io_snapshot().delta_since(&io),
+            cache: e.cache_stats().delta_since(&cache),
+        });
+    gather(outs, fed, routes.as_deref(), trace, cfg, wall, obs)
+}
+
+/// The one feeder: takes the next batch (planned, or auto-sized), routes
+/// it into one sub-batch per target preserving the within-batch (Hilbert)
+/// order so each target still sweeps, announces each sub-batch's page
+/// schedule to the target's I/O threads and admits it — blocking, or
+/// shedding under [`ServeConfig::shed`]. Closes every queue when the
+/// trace is through.
+fn feed<E: QueryEngine + ?Sized>(
+    targets: &[Target<'_, E>],
+    routes: Option<&[Vec<usize>]>,
+    trace: &[SpatialQuery],
+    cfg: &ServeConfig,
+    plan: &[Vec<usize>],
+) -> Fed {
+    let mut fed = Fed::new(targets.len());
+    let mut shed_flags = vec![false; if cfg.shed { trace.len() } else { 0 }];
+    let mut planned = plan.iter();
+    let mut tuner = cfg
+        .auto_batch
+        .then(|| AutoBatch::new(targets, trace, cfg.batch.max(1)));
+    let mut next = 0usize; // auto: first query of the next slice
+    loop {
+        let batch: Cow<'_, [usize]> = match &mut tuner {
+            None => match planned.next() {
+                Some(b) => Cow::Borrowed(b),
+                None => break,
+            },
+            Some(_) if next >= trace.len() => break,
+            Some(t) => {
+                let end = (next + t.cur).min(trace.len());
+                let ids = order_batch(trace, next..end, cfg.hilbert_batching, &t.universe);
+                next = end;
+                Cow::Owned(ids)
             }
-            results[ex.qid] = ex.ids;
+        };
+        fed.batches += 1;
+        fed.widest = fed.widest.max(batch.len());
+        let subs: Vec<Vec<usize>> = match routes {
+            None => vec![batch.into_owned()],
+            Some(routes) => {
+                let mut subs = vec![Vec::new(); targets.len()];
+                for &qid in batch.iter() {
+                    for &s in &routes[qid] {
+                        subs[s].push(qid);
+                    }
+                }
+                subs
+            }
+        };
+        let full = targets
+            .iter()
+            .filter(|t| t.queue.len() >= t.queue.capacity())
+            .count();
+        fed.max_full_queues = fed.max_full_queues.max(full);
+        for (s, sub) in subs.into_iter().enumerate() {
+            if sub.is_empty() {
+                continue;
+            }
+            let target = &targets[s];
+            fed.routed[s] += sub.len() as u64;
+            if let Some(pq) = &target.prefetch {
+                // Announce the sub-batch's page schedule before the
+                // sub-batch itself so the I/O threads start on it ahead of
+                // the executing workers. `try_push` is lossy by design: a
+                // full queue means they are already `readahead` ahead.
+                let probes: Vec<SpatialQuery> = sub.iter().map(|&qid| trace[qid]).collect();
+                for page in target.engine.prefetch_schedule(&probes) {
+                    pq.try_push(page);
+                }
+            }
+            if !cfg.shed {
+                target.queue.push((sub, Instant::now()));
+            } else if let Err((lost, _)) = target.queue.try_push((sub, Instant::now())) {
+                fed.shed_batches[s] += 1;
+                fed.shed[s] += lost.len() as u64;
+                for qid in lost {
+                    shed_flags[qid] = true;
+                }
+            }
+        }
+        if let Some(t) = tuner.as_mut().filter(|_| next < trace.len()) {
+            t.batch_fed(targets);
         }
     }
-    traces.sort_unstable_by_key(|t| t.trace_id);
-    let service_snap = service_hist.snapshot();
-    let wait_snap = wait_hist.snapshot();
-
-    // Run-end publication into the process-wide registry (one shot, so
-    // per-query counters never double-count): the serve.* family plus the
-    // cache/io signals this run owns. `cache.hits`/`cache.misses` come
-    // from the handle-local pool counters; the shared cache contributes
-    // only its internal extras (evictions, contention, decoded tier).
-    let obs = tfm_obs::global();
-    if obs.is_enabled() {
-        use tfm_obs::names;
-        obs.counter(names::SERVE_QUERIES).add(trace.len() as u64);
-        obs.counter(names::SERVE_BATCHES).add(n_batches as u64);
-        obs.counter(names::SERVE_RESULT_IDS).add(result_ids);
-        obs.histogram(names::SERVE_WALL_NANOS)
-            .record(wall.as_nanos() as u64);
-        obs.histogram(names::SERVE_SERVICE_NANOS)
-            .merge_snapshot(&service_snap);
-        obs.histogram(names::SERVE_QUEUE_WAIT_NANOS)
-            .merge_snapshot(&wait_snap);
-        obs.counter(names::CACHE_HITS).add(pool_hits);
-        obs.counter(names::CACHE_MISSES).add(pool_misses);
-        io.publish(obs);
-        cache.publish_shared_extras(obs);
-        if let Some(ab) = &autobatch {
-            obs.counter(names::SERVE_AUTOBATCH_RETUNES).add(ab.retunes);
-            obs.counter(names::SERVE_AUTOBATCH_GROWS).add(ab.grows);
-            obs.counter(names::SERVE_AUTOBATCH_SHRINKS).add(ab.shrinks);
-            obs.gauge(names::SERVE_AUTOBATCH_FINAL_BATCH)
-                .set(ab.final_batch as i64);
+    for target in targets {
+        target.queue.close();
+        if let Some(pq) = &target.prefetch {
+            pq.close();
         }
     }
-
-    let stats = ServeStats {
-        queries: trace.len() as u64,
-        result_ids,
-        batches: n_batches as u64,
-        max_batch,
-        threads,
-        hilbert_batching: cfg.hilbert_batching,
-        wall,
-        latency: LatencySummary::from_histogram(&service_snap),
-        queue_wait: LatencySummary::from_histogram(&wait_snap),
-        pool_hits,
-        pool_misses,
-        io,
-        per_worker_queries,
-        cache,
-        autobatch,
-    };
-    ServeOutcome {
-        results,
-        stats,
-        traces,
-    }
+    fed.shed_queries = shed_flags.iter().filter(|&&f| f).count() as u64;
+    fed.autobatch = tuner.map(|t| AutoBatchSummary {
+        final_batch: t.cur,
+        ..t.summary
+    });
+    fed
 }
 
 /// How many batches the auto-batch feeder admits between retune
@@ -515,83 +582,151 @@ pub fn serve_trace<E: QueryEngine + ?Sized>(
 /// and I/O counters, short enough to adapt within a few hundred queries.
 const AUTO_BATCH_WINDOW: usize = 8;
 
-/// The self-tuning feeder (`--auto-batch`): slices the trace into
-/// arrival-order batches of a *dynamic* size and re-scores the run every
-/// [`AUTO_BATCH_WINDOW`] batches from two feedback signals — the shared
-/// cache's hit fraction and the disk's sequential-read fraction over the
-/// window. A low score means poor locality: the batch grows (up to 4× the
-/// configured base) so the Hilbert sort gets more queries to order into a
-/// spatial sweep. A recovered score decays the batch back toward the base,
-/// bounding queue latency. Batch composition stays arrival-order slices,
-/// so results are byte-identical to any fixed batch size.
-fn feed_auto_batches<E: QueryEngine + ?Sized>(
-    engine: &E,
-    trace: &[SpatialQuery],
-    cfg: &ServeConfig,
+/// The self-tuning batch size (`--auto-batch`): the feeder slices the
+/// trace into arrival-order batches of the *current* size and re-scores
+/// the run every [`AUTO_BATCH_WINDOW`] batches from two feedback signals —
+/// the targets' cache hit fraction and their disks' sequential-read
+/// fraction over the window. A low score means poor locality: the batch
+/// grows (up to 4× the configured base) so the Hilbert sort gets more
+/// queries to order into a spatial sweep. A recovered score decays the
+/// batch back toward the base, bounding queue latency.
+struct AutoBatch {
+    universe: Aabb,
     base: usize,
-    auto_out: &Mutex<Option<(AutoBatchSummary, usize, usize)>>,
-    feed_batch: impl Fn(Vec<usize>),
-) {
-    let universe = Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())));
-    let cap = base.saturating_mul(4).max(base);
-    let mut cur = base;
-    let mut fed = 0usize;
-    let mut widest = 0usize;
-    let mut since_retune = 0usize;
-    let mut summary = AutoBatchSummary::default();
-    let mut win_cache = engine.cache_stats();
-    let mut win_io = engine.io_snapshot();
-    let mut start = 0usize;
-    while start < trace.len() {
-        let end = (start + cur).min(trace.len());
-        let mut ids: Vec<usize> = (start..end).collect();
-        if cfg.hilbert_batching {
-            // Same within-batch ordering as `plan_batches`.
-            ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
+    cap: usize,
+    cur: usize,
+    since_retune: usize,
+    summary: AutoBatchSummary,
+    win_io: IoStatsSnapshot,
+    win_cache: CacheStats,
+}
+
+impl AutoBatch {
+    fn new<E: QueryEngine + ?Sized>(
+        targets: &[Target<'_, E>],
+        trace: &[SpatialQuery],
+        base: usize,
+    ) -> Self {
+        let (win_io, win_cache) = Self::signals(targets);
+        Self {
+            universe: center_universe(trace),
+            base,
+            cap: base.saturating_mul(4).max(base),
+            cur: base,
+            since_retune: 0,
+            summary: AutoBatchSummary::default(),
+            win_io,
+            win_cache,
         }
-        widest = widest.max(ids.len());
-        fed += 1;
-        feed_batch(ids);
-        start = end;
-        since_retune += 1;
-        if since_retune >= AUTO_BATCH_WINDOW && start < trace.len() {
-            since_retune = 0;
-            // Score the window from whichever signals it produced: the
-            // cache's hit fraction and/or the sequential-read split. A
-            // window with neither (no page touched) does not retune.
-            let io_now = engine.io_snapshot();
-            let io_delta = io_now.delta_since(&win_io);
-            win_io = io_now;
-            let mut score = 0.0f64;
-            let mut signals = 0u32;
-            let cache_now = engine.cache_stats();
-            let d = cache_now.delta_since(&win_cache);
-            win_cache = cache_now;
-            if d.hits + d.misses > 0 {
-                score += d.hit_fraction();
-                signals += 1;
-            }
-            if io_delta.reads() > 0 {
-                score += io_delta.seq_read_fraction();
-                signals += 1;
-            }
-            if signals > 0 {
-                let score = score / f64::from(signals);
-                summary.retunes += 1;
-                if score < 0.5 && cur < cap {
-                    cur = (cur * 2).min(cap);
-                    summary.grows += 1;
-                } else if score > 0.8 && cur > base {
-                    cur = (cur / 2).max(base);
-                    summary.shrinks += 1;
-                }
+    }
+
+    /// The feedback counters, summed over every target.
+    fn signals<E: QueryEngine + ?Sized>(
+        targets: &[Target<'_, E>],
+    ) -> (IoStatsSnapshot, CacheStats) {
+        targets.iter().fold(Default::default(), |(io, cache), t| {
+            (
+                io.merged(&t.engine.io_snapshot()),
+                cache.merged(&t.engine.cache_stats()),
+            )
+        })
+    }
+
+    /// Called after each admitted batch that is not the last: retunes once
+    /// a window is through.
+    fn batch_fed<E: QueryEngine + ?Sized>(&mut self, targets: &[Target<'_, E>]) {
+        self.since_retune += 1;
+        if self.since_retune < AUTO_BATCH_WINDOW {
+            return;
+        }
+        self.since_retune = 0;
+        // Score the window from whichever signals it produced: the
+        // caches' hit fraction and/or the sequential-read split. A window
+        // with neither (no page touched) does not retune.
+        let (io_now, cache_now) = Self::signals(targets);
+        let io = io_now.delta_since(&self.win_io);
+        let cache = cache_now.delta_since(&self.win_cache);
+        (self.win_io, self.win_cache) = (io_now, cache_now);
+        let mut score = 0.0f64;
+        let mut signals = 0u32;
+        if cache.hits + cache.misses > 0 {
+            score += cache.hit_fraction();
+            signals += 1;
+        }
+        if io.reads() > 0 {
+            score += io.seq_read_fraction();
+            signals += 1;
+        }
+        if signals > 0 {
+            let score = score / f64::from(signals);
+            self.summary.retunes += 1;
+            if score < 0.5 && self.cur < self.cap {
+                self.cur = (self.cur * 2).min(self.cap);
+                self.summary.grows += 1;
+            } else if score > 0.8 && self.cur > self.base {
+                self.cur = (self.cur / 2).max(self.base);
+                self.summary.shrinks += 1;
             }
         }
     }
-    summary.final_batch = cur;
-    *auto_out.lock().expect("auto_out poisoned") = Some((summary, fed, widest));
 }
 
+/// The one target-local pool: `cfg.threads` workers, each with its own
+/// [`QuerySession`], drain the target's queue; when the target has a
+/// prefetch queue, `cfg.io_depth` more threads land its pages in the
+/// cache. With a `feeder`, worker 0 runs it before it starts draining.
+/// Returns the workers' outputs in worker order.
+fn run_pool<E: QueryEngine + ?Sized>(
+    target: &Target<'_, E>,
+    trace: &[SpatialQuery],
+    cfg: &ServeConfig,
+    feeder: Option<&(dyn Fn() + Sync)>,
+) -> Vec<WorkerOut> {
+    let workers = cfg.threads.max(1);
+    let io_threads = match target.prefetch {
+        Some(_) => cfg.io_depth.max(1),
+        None => 0,
+    };
+    let mut outs = StagePool::new(workers + io_threads).scoped_run(|w| {
+        let mut done: Vec<Executed> = Vec::new();
+        if w >= workers {
+            // Dedicated prefetch I/O thread: pop page ids and land them in
+            // the cache until the feeder closes the queue. Device latency
+            // (real file seeks, or the injected `Disk` read latency) is
+            // paid here, off the workers' critical path.
+            let pq = target.prefetch.as_ref().expect("io thread without queue");
+            let mut scratch = Vec::new();
+            while let Some(id) = pq.pop() {
+                target.engine.prefetch_page(id, &mut scratch);
+            }
+            return WorkerOut {
+                done,
+                hits: 0,
+                misses: 0,
+            };
+        }
+        let mut session = target.engine.session(cfg.pool_pages);
+        if let (0, Some(feeder)) = (w, feeder) {
+            // Interleaving feeding with the other workers' draining keeps
+            // the backlog within `queue_batches`.
+            feeder();
+        }
+        while let Some((qids, admitted)) = target.queue.pop() {
+            let wait = admitted.elapsed().as_nanos() as u64;
+            for qid in qids {
+                done.push(execute_one(&mut *session, trace, qid, wait));
+            }
+        }
+        let (hits, misses) = session.pool_counters();
+        WorkerOut { done, hits, misses }
+    });
+    // The I/O threads execute no queries and own no session; they don't
+    // appear in per-worker stats.
+    outs.truncate(workers);
+    outs
+}
+
+/// The only place a probe is executed, timed and attributed.
 fn execute_one(
     session: &mut dyn QuerySession,
     trace: &[SpatialQuery],
@@ -610,6 +745,189 @@ fn execute_one(
         queue_wait_nanos,
         pool_hits: hits_after - hits_before,
         pool_misses: misses_after - misses_before,
+    }
+}
+
+/// The one gather: merges the targets' partials per query (targets hold
+/// disjoint element sets, so the sorted union of their ascending partials
+/// is the single-engine answer), takes each query's critical path (the
+/// maximum over its partials), summarises per target and per run, and
+/// publishes the run-end metrics.
+fn gather(
+    outs: impl ExactSizeIterator<Item = TargetOut>,
+    fed: Fed,
+    routes: Option<&[Vec<usize>]>,
+    trace: &[SpatialQuery],
+    cfg: &ServeConfig,
+    wall: Duration,
+    obs: &tfm_obs::MetricsRegistry,
+) -> ServeOutcome {
+    use tfm_obs::{names, Histogram, QueryTrace};
+    let workers = cfg.threads.max(1);
+    let publish = obs.is_enabled();
+    let mut results: Vec<Vec<ElementId>> = vec![Vec::new(); trace.len()];
+    // One record per query, keyed by position: the accumulator of the
+    // merge, and the trace vector when the caller asked for one.
+    let mut per_query: Vec<QueryTrace> = (0..trace.len() as u64)
+        .map(|trace_id| QueryTrace {
+            trace_id,
+            ..QueryTrace::default()
+        })
+        .collect();
+    let mut stats = ServeStats {
+        queries: trace.len() as u64,
+        batches: fed.batches as u64,
+        max_batch: fed.widest,
+        threads: workers,
+        hilbert_batching: cfg.hilbert_batching,
+        wall,
+        autobatch: fed.autobatch,
+        routed_partials: fed.routed.iter().sum(),
+        shed_partials: fed.shed.iter().sum(),
+        shed_queries: fed.shed_queries,
+        max_cluster_pressure: fed.max_full_queues as f64 / outs.len() as f64,
+        ..ServeStats::default()
+    };
+    for (s, out) in outs.enumerate() {
+        // Latencies accumulate into the shared log-bucketed histogram type
+        // (always-on, local to this run) rather than per-sample vectors.
+        let service = Histogram::new();
+        let wait = Histogram::new();
+        let mut shard = ShardStats {
+            shard: s,
+            routed: fed.routed[s],
+            shed_batches: fed.shed_batches[s],
+            shed: fed.shed[s],
+            cache: out.cache,
+            io: out.io,
+            ..ShardStats::default()
+        };
+        for (w, worker) in out.pool.into_iter().enumerate() {
+            shard.pool_hits += worker.hits;
+            shard.pool_misses += worker.misses;
+            shard.per_worker_queries.push(worker.done.len() as u64);
+            for ex in worker.done {
+                service.record(ex.service_nanos);
+                wait.record(ex.queue_wait_nanos);
+                let q = &mut per_query[ex.qid];
+                if ex.service_nanos >= q.service_nanos {
+                    q.worker = (s * workers + w) as u64;
+                    q.service_nanos = ex.service_nanos;
+                }
+                q.queue_wait_nanos = q.queue_wait_nanos.max(ex.queue_wait_nanos);
+                q.pool_hits += ex.pool_hits;
+                q.pool_misses += ex.pool_misses;
+                q.result_ids += ex.ids.len() as u64;
+                let merged = &mut results[ex.qid];
+                if merged.is_empty() {
+                    *merged = ex.ids;
+                } else {
+                    merged.extend(ex.ids);
+                    merged.sort_unstable();
+                }
+            }
+        }
+        shard.executed = shard.per_worker_queries.iter().sum();
+        let (service, wait) = (service.snapshot(), wait.snapshot());
+        shard.service = LatencySummary::from_histogram(&service);
+        shard.queue_wait = LatencySummary::from_histogram(&wait);
+        if publish {
+            shard.io.publish(obs);
+            shard.cache.publish_shared_extras(obs);
+        }
+        if publish && routes.is_some() {
+            // The per-partial and per-shard half of the shard.* family.
+            obs.histogram(names::SHARD_SERVICE_NANOS)
+                .merge_snapshot(&service);
+            obs.histogram(names::SHARD_QUEUE_WAIT_NANOS)
+                .merge_snapshot(&wait);
+            obs.counter(&format!("shard.{s}.queries"))
+                .add(shard.executed);
+            obs.counter(&format!("shard.{s}.pool_hits"))
+                .add(shard.pool_hits);
+            obs.counter(&format!("shard.{s}.pool_misses"))
+                .add(shard.pool_misses);
+            obs.histogram(&format!("shard.{s}.queue_wait_nanos"))
+                .merge_snapshot(&wait);
+        }
+        stats.pool_hits += shard.pool_hits;
+        stats.pool_misses += shard.pool_misses;
+        stats.io = stats.io.merged(&shard.io);
+        stats.cache = stats.cache.merged(&shard.cache);
+        stats
+            .per_worker_queries
+            .extend_from_slice(&shard.per_worker_queries);
+        stats.per_shard.push(shard);
+    }
+
+    let service = Histogram::new();
+    let wait = Histogram::new();
+    for q in &per_query {
+        service.record(q.service_nanos);
+        wait.record(q.queue_wait_nanos);
+        stats.result_ids += q.result_ids;
+    }
+    let (service, wait) = (service.snapshot(), wait.snapshot());
+    stats.latency = LatencySummary::from_histogram(&service);
+    stats.queue_wait = LatencySummary::from_histogram(&wait);
+    stats.fanout_max = match routes {
+        Some(routes) => routes.iter().map(Vec::len).max().unwrap_or(0),
+        None => usize::from(!trace.is_empty()),
+    };
+    if !trace.is_empty() {
+        stats.fanout_mean = stats.routed_partials as f64 / trace.len() as f64;
+    }
+
+    // Run-end publication (one shot, so per-query counters never
+    // double-count): the serve.* family plus the cache/io signals this run
+    // owns, and for a routed run the shard.* family. `cache.hits`/
+    // `cache.misses` come from the handle-local pool counters; the caches
+    // contributed only their internal extras above (evictions, contention).
+    if publish {
+        obs.counter(names::SERVE_QUERIES).add(stats.queries);
+        obs.counter(names::SERVE_BATCHES).add(stats.batches);
+        obs.counter(names::SERVE_RESULT_IDS).add(stats.result_ids);
+        obs.histogram(names::SERVE_WALL_NANOS)
+            .record(wall.as_nanos() as u64);
+        obs.histogram(names::SERVE_SERVICE_NANOS)
+            .merge_snapshot(&service);
+        obs.histogram(names::SERVE_QUEUE_WAIT_NANOS)
+            .merge_snapshot(&wait);
+        obs.counter(names::CACHE_HITS).add(stats.pool_hits);
+        obs.counter(names::CACHE_MISSES).add(stats.pool_misses);
+        if let Some(ab) = &stats.autobatch {
+            obs.counter(names::SERVE_AUTOBATCH_RETUNES).add(ab.retunes);
+            obs.counter(names::SERVE_AUTOBATCH_GROWS).add(ab.grows);
+            obs.counter(names::SERVE_AUTOBATCH_SHRINKS).add(ab.shrinks);
+            obs.gauge(names::SERVE_AUTOBATCH_FINAL_BATCH)
+                .set(ab.final_batch as i64);
+        }
+        if let Some(routes) = routes {
+            obs.counter(names::SHARD_QUERIES).add(stats.queries);
+            obs.counter(names::SHARD_ROUTED).add(stats.routed_partials);
+            obs.counter(names::SHARD_SHED_BATCHES)
+                .add(fed.shed_batches.iter().sum());
+            obs.counter(names::SHARD_SHED_QUERIES)
+                .add(stats.shed_partials);
+            obs.gauge(names::SHARD_COUNT)
+                .set(stats.per_shard.len() as i64);
+            obs.gauge(names::SHARD_CLUSTER_PRESSURE_MAX_PCT)
+                .set((stats.max_cluster_pressure * 100.0).round() as i64);
+            let fanout = obs.histogram(names::SHARD_FANOUT);
+            for r in routes {
+                fanout.record(r.len() as u64);
+            }
+        }
+    }
+
+    ServeOutcome {
+        results,
+        stats,
+        traces: if cfg.collect_traces {
+            per_query
+        } else {
+            Vec::new()
+        },
     }
 }
 
@@ -682,6 +1000,10 @@ mod tests {
         assert_eq!(out.results, reference(&elems, &trace));
         assert_eq!(out.stats.queries, 300);
         assert_eq!(out.stats.per_worker_queries, vec![300]);
+        // The routing block of a single engine is one trivial row.
+        assert_eq!(out.stats.per_shard.len(), 1);
+        assert_eq!(out.stats.per_shard[0].executed, 300);
+        assert_eq!((out.stats.fanout_max, out.stats.routed_partials), (1, 300));
         assert!(out.stats.pool_misses > 0);
         assert!(out.stats.io.reads() > 0);
         assert_eq!(engine.label(), "TRANSFORMERS");
@@ -905,6 +1227,32 @@ mod tests {
         assert_eq!(out.results, expected);
         assert!(out.stats.cache.prefetch_issued > 0);
         assert!(out.stats.autobatch.is_some());
+    }
+
+    #[test]
+    fn a_single_engine_sheds_and_accounts_like_a_shard() {
+        let (disk, idx, elems) = fixture(3000, 36);
+        let trace = generate_trace(&QueryTraceSpec::uniform(600, 37));
+        let expected = reference(&elems, &trace);
+        let engine = TransformersEngine::new(&idx, &disk);
+        // A one-slot queue and tiny batches make refusals plausible but not
+        // guaranteed; either way every partial is executed or counted.
+        let cfg = ServeConfig {
+            batch: 4,
+            queue_batches: 1,
+            ..ServeConfig::default().with_threads(2).with_shedding()
+        };
+        let out = serve_trace(&engine, &trace, &cfg);
+        let row = &out.stats.per_shard[0];
+        assert_eq!(row.executed + row.shed, 600);
+        assert_eq!((row.shed, row.routed), (out.stats.shed_partials, 600));
+        assert_eq!(out.stats.shed_queries, out.stats.shed_partials);
+        let answered = out
+            .results
+            .iter()
+            .zip(&expected)
+            .filter(|(got, want)| got == want);
+        assert!(answered.count() as u64 >= row.executed);
     }
 
     #[test]

@@ -95,47 +95,101 @@ pub struct AutoBatchSummary {
     pub final_batch: usize,
 }
 
-/// Aggregate counters of one [`crate::serve_trace`] run.
+/// One target's share of a serve run: a shard of a
+/// [`crate::ShardedCluster`], or the one engine [`crate::serve_trace`]
+/// was given.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardStats {
+    /// Target index (shard number; 0 for a single engine).
+    pub shard: usize,
+    /// Query partials routed to this target, counted as they scatter.
+    pub routed: u64,
+    /// Query partials actually executed (= routed unless shedding).
+    pub executed: u64,
+    /// Sub-batches refused by the full queue (shedding mode only).
+    pub shed_batches: u64,
+    /// Query partials lost to those refusals.
+    pub shed: u64,
+    /// Per-partial service-time percentiles on this target.
+    pub service: LatencySummary,
+    /// Per-partial queue-wait percentiles: admission to worker pop.
+    pub queue_wait: LatencySummary,
+    /// This target's cache-handle hits.
+    pub pool_hits: u64,
+    /// This target's cache-handle misses (disk page reads).
+    pub pool_misses: u64,
+    /// This target's own `SharedPageCache` counters for the run.
+    pub cache: CacheStats,
+    /// I/O delta on this target's disk.
+    pub io: IoStatsSnapshot,
+    /// Partials served by each of this target's workers.
+    pub per_worker_queries: Vec<u64>,
+}
+
+/// Aggregate counters of one serve run — [`crate::serve_trace`] over one
+/// engine or [`crate::serve_sharded`] over a cluster. The routing block
+/// (fanout, routed/shed partials, pressure, [`Self::per_shard`]) is one
+/// trivial row for a single engine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
-    /// Queries executed.
+    /// Queries in the trace.
     pub queries: u64,
     /// Result ids returned, summed over all queries.
     pub result_ids: u64,
     /// Batches the trace was split into.
     pub batches: u64,
     /// Largest batch (the configured batch size unless the trace is
-    /// shorter).
+    /// shorter or the auto-batch loop grew it).
     pub max_batch: usize,
-    /// Workers that served the trace.
+    /// Workers per target ([`crate::ServeConfig::threads`], clamped).
     pub threads: usize,
     /// Whether batches were Hilbert-ordered before execution.
     pub hilbert_batching: bool,
-    /// Wall-clock time of the serve run (queueing + execution).
+    /// Wall-clock time of the serve run (routing + queueing + execution).
     pub wall: Duration,
-    /// Per-query service-time percentiles (probe execution only).
+    /// Per-query service-time percentiles (probe execution only). A
+    /// scattered query's service time is its *critical path*: the maximum
+    /// over its shard partials.
     pub latency: LatencySummary,
-    /// Per-query queue-wait percentiles: batch admission to worker pop.
-    /// All zeros on the single-threaded inline path, which has no queue.
+    /// Per-query critical-path queue-wait percentiles: batch admission to
+    /// worker pop. All zeros on the single-threaded inline path, which
+    /// has no queue.
     pub queue_wait: LatencySummary,
     /// Page-cache hits summed over all worker sessions' handles.
     pub pool_hits: u64,
     /// Page-cache misses (disk page reads) summed over all sessions.
     pub pool_misses: u64,
-    /// Engine-disk I/O delta during the run (the sequential/random read
-    /// split Hilbert batching is visible in).
+    /// I/O delta during the run, merged over every target's disk (the
+    /// sequential/random read split Hilbert batching is visible in).
     pub io: IoStatsSnapshot,
-    /// Queries served by each worker — the skew shows how evenly the
-    /// batch queue spread the load.
+    /// Partials served by each worker, target-major (`threads` entries
+    /// per target) — the skew shows how evenly the queues spread the load
+    /// and, on a single engine, how long worker 0 spent feeding.
     pub per_worker_queries: Vec<u64>,
-    /// The engine cache's counters over the run (evictions, prefetch
-    /// efficacy, shard contention). Its decoded-tier pair is always 0:
-    /// probes test boxes in the pinned page and never touch that tier.
+    /// The targets' cache counters over the run, summed (evictions,
+    /// prefetch efficacy, lock contention). The decoded-tier pair is
+    /// always 0: probes test boxes in the pinned page and never touch
+    /// that tier.
     pub cache: CacheStats,
     /// Self-tuning batch-loop counters; `None` unless the run used
-    /// [`crate::ServeConfig::auto_batch`] on the queued (multi-worker)
-    /// path.
+    /// [`crate::ServeConfig::auto_batch`] on a queued path.
     pub autobatch: Option<AutoBatchSummary>,
+    /// Mean targets routed per query (1 for a single engine).
+    pub fanout_mean: f64,
+    /// Largest per-query fanout.
+    pub fanout_max: usize,
+    /// Query partials routed, summed over targets (= Σ per-query fanout).
+    pub routed_partials: u64,
+    /// Query partials lost to shedding (0 with backpressure admission).
+    pub shed_partials: u64,
+    /// Queries whose result is incomplete because ≥ 1 partial was shed.
+    pub shed_queries: u64,
+    /// Peak fraction of target queues simultaneously full when a batch
+    /// was admitted — the cluster-level backpressure signal (1.0 means
+    /// every shard was saturated at once).
+    pub max_cluster_pressure: f64,
+    /// Per-target breakdowns, one row per shard.
+    pub per_shard: Vec<ShardStats>,
 }
 
 impl ServeStats {

@@ -374,6 +374,32 @@ impl CacheStats {
             capacity: self.capacity,
         }
     }
+
+    /// Counter-wise sum of two caches' stats (e.g. every shard of a serve
+    /// cluster): counters, stripes and capacity add, the dirty level is
+    /// the higher of the two.
+    pub fn merged(&self, other: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            decoded_hits: self.decoded_hits + other.decoded_hits,
+            decoded_misses: self.decoded_misses + other.decoded_misses,
+            evictions: self.evictions + other.evictions,
+            recycled_frames: self.recycled_frames + other.recycled_frames,
+            fresh_allocs: self.fresh_allocs + other.fresh_allocs,
+            prefetch_issued: self.prefetch_issued + other.prefetch_issued,
+            prefetch_hits: self.prefetch_hits + other.prefetch_hits,
+            prefetch_unused: self.prefetch_unused + other.prefetch_unused,
+            prefetch_stale: self.prefetch_stale + other.prefetch_stale,
+            dirty_installs: self.dirty_installs + other.dirty_installs,
+            flushed_pages: self.flushed_pages + other.flushed_pages,
+            dirty_high_water: self.dirty_high_water.max(other.dirty_high_water),
+            lock_acquisitions: self.lock_acquisitions + other.lock_acquisitions,
+            lock_contended: self.lock_contended + other.lock_contended,
+            shards: self.shards + other.shards,
+            capacity: self.capacity + other.capacity,
+        }
+    }
 }
 
 /// The process-wide sharded page cache. See the module docs.

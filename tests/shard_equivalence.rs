@@ -4,7 +4,8 @@
 //! * every (shards, workers) combination from {1,2,4,8} × {1,2,4}
 //!   answers a trace **byte-identically** to the unsharded serve path
 //!   and to a sequential full-scan reference — on every engine and
-//!   both partitioners;
+//!   both partitioners, with the auto-batch loop and per-query traces
+//!   off and on;
 //! * property test: a probe's routed shard set always covers every
 //!   shard that holds a matching element (routing soundness), and the
 //!   sharded answer stays equal to the oracle.
@@ -13,8 +14,8 @@ use proptest::prelude::*;
 use tfm_datagen::{generate, generate_trace, DatasetSpec, ProbeMix, QueryTraceSpec};
 use tfm_geom::{Aabb, ElementId, HasMbb, SpatialElement, SpatialQuery};
 use tfm_serve::{
-    plan_shards, serve_sharded, serve_trace, ServeConfig, ShardEngineKind, ShardPartitioner,
-    ShardRouter, ShardServeConfig, ShardSpec, ShardedCluster, TransformersEngine,
+    plan_shards, serve_sharded, serve_trace, ServeConfig, ServeEngineKind, ShardPartitioner,
+    ShardRouter, ShardSpec, ShardedCluster, TransformersEngine,
 };
 use tfm_storage::Disk;
 use transformers::{IndexConfig, TransformersIndex};
@@ -58,29 +59,47 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
     let unsharded = serve_trace(&engine, &trace, &ServeConfig::default());
     assert_eq!(unsharded.results, expected);
 
-    for engine in [
-        ShardEngineKind::Transformers,
-        ShardEngineKind::Gipsy,
-        ShardEngineKind::Rtree,
-    ] {
+    for engine in ServeEngineKind::all() {
         for shards in [1usize, 2, 4, 8] {
             let spec = ShardSpec::default().with_shards(shards).with_engine(engine);
-            let cluster = ShardedCluster::build(elems.clone(), &spec);
+            let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
             for workers in [1usize, 2, 4] {
-                let out = serve_sharded(
-                    &cluster,
-                    &trace,
-                    &ShardServeConfig::default().with_workers(workers),
-                );
-                assert_eq!(
-                    out.results, expected,
-                    "engine={engine:?} shards={shards} workers={workers}"
-                );
-                assert_eq!(out.stats.queries, trace.len() as u64);
-                assert_eq!(out.stats.shed_partials, 0);
-                // Every routed partial executed (no silent drops).
-                let executed: u64 = out.stats.per_shard.iter().map(|s| s.executed).sum();
-                assert_eq!(executed, out.stats.routed_partials);
+                for (auto_batch, collect_traces) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    // A base batch small enough that the auto-batch loop
+                    // sees several feedback windows in 200 queries.
+                    let cfg = ServeConfig {
+                        threads: workers,
+                        batch: 4,
+                        auto_batch,
+                        collect_traces,
+                        ..ServeConfig::default()
+                    };
+                    let out = serve_sharded(&cluster, &trace, &cfg);
+                    let case = format!(
+                        "engine={engine:?} shards={shards} workers={workers} \
+                         auto_batch={auto_batch} traces={collect_traces}"
+                    );
+                    assert_eq!(out.results, expected, "{case}");
+                    assert_eq!(out.stats.queries, trace.len() as u64);
+                    assert_eq!(out.stats.shed_partials, 0);
+                    // Every routed partial executed (no silent drops).
+                    let executed: u64 = out.stats.per_shard.iter().map(|s| s.executed).sum();
+                    assert_eq!(executed, out.stats.routed_partials, "{case}");
+                    let retunes = out.stats.autobatch.map(|a| a.retunes);
+                    assert_eq!(retunes.is_some(), auto_batch, "{case}");
+                    assert!(
+                        retunes.is_none_or(|r| r > 0),
+                        "{case}: 50 batches, no retune"
+                    );
+                    let traced = if collect_traces { trace.len() } else { 0 };
+                    assert_eq!(out.traces.len(), traced, "{case}");
+                    for (i, t) in out.traces.iter().enumerate() {
+                        assert_eq!(t.trace_id, i as u64);
+                        assert_eq!(t.result_ids, expected[i].len() as u64, "{case}");
+                    }
+                }
             }
         }
     }
@@ -98,8 +117,8 @@ fn both_partitioners_agree_with_the_oracle() {
         let spec = ShardSpec::default()
             .with_shards(4)
             .with_partitioner(partitioner);
-        let cluster = ShardedCluster::build(elems.clone(), &spec);
-        let out = serve_sharded(&cluster, &trace, &ShardServeConfig::default());
+        let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
+        let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
         assert_eq!(out.results, expected, "partitioner={partitioner:?}");
     }
 }
@@ -148,8 +167,8 @@ proptest! {
                 }
             }
         }
-        let cluster = ShardedCluster::build(elems.clone(), &spec);
-        let out = serve_sharded(&cluster, &trace, &ShardServeConfig::default());
+        let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
+        let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
         prop_assert_eq!(out.results, reference(&elems, &trace));
     }
 }
