@@ -121,6 +121,7 @@ mod tests {
             windows: 3,
             window_pivots: 12,
             swept_pages: 80,
+            window_pages_max: 40,
             read_through_pages: 9,
         }
     }

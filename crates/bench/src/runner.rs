@@ -212,14 +212,16 @@ pub struct Metrics {
     /// readahead window shows up here.
     pub prefetch_unused: u64,
     /// Pivot windows the join executed, the node-level pivots joined
-    /// through them, the distinct follower pages they swept and the gap
-    /// pages read through (TRANSFORMERS only; see
-    /// [`transformers::TransformersStats`]).
+    /// through them, the distinct follower pages they swept, the most
+    /// pages one window held and the gap pages read through (TRANSFORMERS
+    /// only; see [`transformers::TransformersStats`]).
     pub windows: u64,
     /// See [`windows`](Self::windows).
     pub window_pivots: u64,
     /// See [`windows`](Self::windows).
     pub swept_pages: u64,
+    /// See [`windows`](Self::windows).
+    pub window_pages_max: u64,
     /// See [`windows`](Self::windows).
     pub read_through_pages: u64,
 }
@@ -267,6 +269,7 @@ impl Metrics {
             windows: 0,
             window_pivots: 0,
             swept_pages: 0,
+            window_pages_max: 0,
             read_through_pages: 0,
         }
     }
@@ -548,6 +551,7 @@ fn run_transformers_with(
     m.windows = out.stats.windows;
     m.window_pivots = out.stats.window_pivots;
     m.swept_pages = out.stats.swept_pages;
+    m.window_pages_max = out.stats.window_pages_max;
     m.read_through_pages = out.stats.read_through_pages;
     (m.clone(), out.pairs)
 }

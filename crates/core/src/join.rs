@@ -20,16 +20,16 @@
 //! crawl, to-do-list pruning, prefilter — works on descriptors alone, so
 //! the join **plans** a *window* of consecutive pivots first, then
 //! **sweeps** the window's distinct follower pages once in ascending page
-//! order (pinning them, and reading through gaps too short to be worth a
-//! skip), and only then **executes** the planned pivots in order from the
-//! pinned pages. One pivot's candidates start behind where the previous
-//! pivot's ended, in the same few slabs of the follower's STR order; read
-//! per pivot, three quarters of the modelled device time was repositioning
-//! between those runs. A pivot that decides a transformation closes the
-//! window before it, so thresholds, `checked` marks and the shared board
-//! see exactly the order a pivot-at-a-time join gives them; a window of
-//! one pivot *is* that join (`DESIGN.md`, § "Pivot windows and the
-//! follower sweep").
+//! order (copying each into a buffer the window owns, and reading through
+//! gaps too short to be worth a skip), and only then **executes** the
+//! planned pivots in order from those bytes. One pivot's candidates start
+//! behind where the previous pivot's ended, in the same few slabs of the
+//! follower's STR order; read per pivot, three quarters of the modelled
+//! device time was repositioning between those runs. A pivot that decides
+//! a transformation closes the window before it, so thresholds, `checked`
+//! marks and the shared board see exactly the order a pivot-at-a-time join
+//! gives them; a window of one pivot *is* that join (`DESIGN.md`, §
+//! "Pivot windows and the follower sweep").
 //!
 //! The join terminates once either dataset's nodes are all checked — every
 //! element of one dataset has then been tested against everything it could
@@ -64,16 +64,14 @@ pub struct JoinOutcome {
 /// Guard against degenerate (zero-volume) tiles in ratio computations.
 const VOLUME_FLOOR: f64 = 1e-12;
 
-/// A window closes once its distinct follower pages reach one shard's
-/// slice of the follower's page cache divided by this — a quarter of
-/// `JoinConfig.pool_pages` for the sequential join's one-shard cache (256
-/// pages at the default pool; DESIGN.md has what an eighth and a half
-/// measured). The sweep pins those pages, at most twice that many (see
-/// [`execute_window`]), so most of the pool stays evictable for what
-/// earlier windows left behind. A cache shared by workers is built with
-/// two shards per worker, so the workers' windows together pin an eighth
-/// of it, a quarter at the outside, whatever their number.
-const WINDOW_POOL_DIVISOR: usize = 4;
+/// A window closes once its distinct follower pages reach this many, and
+/// holds at most this many. The sweep copies each page into the window's
+/// own buffer (2 MiB at 2 KiB pages, one per join owner) and drops the pin
+/// at once, so the budget is not a share of the cache: a window over an
+/// 8-page cache holds as much as one over the default 1 024-page one, and
+/// every worker of a parallel join has a window of its own. DESIGN.md has
+/// what 256 to 4 096 pages measured.
+const WINDOW_PAGES: usize = 1024;
 
 #[inline]
 fn vol(b: &Aabb) -> f64 {
@@ -177,10 +175,10 @@ impl<'a> Side<'a> {
     }
 
     /// One read of an ascending sweep over this side's pages: pins `page`,
-    /// and returns with the pin how many pages were *read through* to get
-    /// there. `head` is the last page the sweep found missing, i.e. where
-    /// it left the disk head. When `page` is missing too and at most the
-    /// device's break-even ahead of it
+    /// and returns with the pin (for the caller to copy out of and drop)
+    /// how many pages were *read through* to get there. `head` is the last
+    /// page the sweep found missing, i.e. where it left the disk head. When
+    /// `page` is missing too and at most the device's break-even ahead of it
     /// ([`tfm_storage::DiskModel::read_through_gap`]), the gap pages are
     /// read first, so that the run stays sequential: that costs less than
     /// the skip. They go past the cache into a scratch buffer — nobody
@@ -365,16 +363,18 @@ pub fn transformers_join(
     // path's.
     let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
     let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
-    join_through(idx_a, &cache_a, idx_b, &cache_b, cfg)
+    join_through(idx_a, &cache_a, idx_b, &cache_b, cfg, WINDOW_PAGES)
 }
 
-/// The sequential join over the two datasets' page caches.
+/// The sequential join over the two datasets' page caches, its windows
+/// closing at `budget` follower pages.
 fn join_through<'a>(
     idx_a: &'a TransformersIndex,
     cache_a: &'a SharedPageCache<'a>,
     idx_b: &'a TransformersIndex,
     cache_b: &'a SharedPageCache<'a>,
     cfg: &JoinConfig,
+    budget: usize,
 ) -> JoinOutcome {
     let (disk_a, disk_b) = (cache_a.disk(), cache_b.disk());
     let io_before = disk_a.stats().merged(&disk_b.stats());
@@ -403,6 +403,7 @@ fn join_through<'a>(
         &mut Window::default(),
         pivots,
         true,
+        budget,
     );
 
     // Deduplicate: pairs can be discovered from both sides after role
@@ -513,9 +514,11 @@ struct Window {
     /// The distinct follower pages behind `candidates`; ascending once
     /// swept.
     pages: Vec<PageId>,
-    /// The sweep's pins, index for index with `pages`, held until the
-    /// window is executed.
-    pins: Vec<PageRef>,
+    /// The swept bytes of the first pages of `pages`, one page-sized slot
+    /// each, in `pages`' order. The window owns them, so no cache frame is
+    /// held while it executes. Reserved at the first window and kept for
+    /// every later one of the same owner.
+    bytes: Vec<u8>,
 }
 
 impl Window {
@@ -536,13 +539,13 @@ impl Window {
         });
     }
 
-    /// Empties the window, dropping its pins and the follower's marks.
+    /// Empties the window and drops the follower's marks; the byte buffer
+    /// is kept for the next window.
     fn clear(&mut self, follower: &mut Side<'_>) {
         self.pivots.clear();
         self.guide_units.clear();
         self.candidates.clear();
         self.pages.clear();
-        self.pins.clear();
         follower.window_stamp += 1;
     }
 }
@@ -682,17 +685,16 @@ fn prefilter(
 }
 
 /// Sweeps the window's distinct follower pages — one pass in ascending page
-/// order, pinning each ([`Side::sweep_read`]) — then joins the planned
-/// pivots in order from the pinned bytes and marks each done. Leaves the
-/// window empty, its pins dropped.
+/// order ([`Side::sweep_read`]), each page copied into the window's buffer
+/// and its pin dropped — then joins the planned pivots in order from those
+/// bytes and marks each done. Leaves the window empty and no frame pinned.
 ///
-/// A window closes at `budget` pages, so it holds fewer than `2 * budget`
-/// unless one pivot alone brings more than `budget` (a sparse node
-/// switched into the guide role can bring thousands). Pins stop at
-/// `2 * budget`: a page past that is read, by the same rule, when a pivot
-/// is filled — still in ascending order within the pivot — so a pivot
-/// larger than the pool streams through it as it always did instead of
-/// pinning it whole.
+/// A window closes at `budget` pages and holds at most `budget`, so it
+/// holds all of its pages unless its last pivot took it past the budget
+/// (a sparse node switched into the guide role can bring thousands). A
+/// page past the budget is read, by the same rule, when its pivot is
+/// filled — still in ascending order within the pivot — so a pivot larger
+/// than the window streams through the cache as it always did.
 fn execute_window(
     ctx: &mut Ctx,
     guide: &mut Side<'_>,
@@ -705,14 +707,27 @@ fn execute_window(
         return;
     }
     window.pages.sort_unstable();
+    let page_size = follower.disk.page_size();
+    if window.bytes.capacity() == 0 {
+        // Once per join owner: room for the whole budget, or for every page
+        // of the larger side when that is less (a window's pages are
+        // distinct, one per unit at most).
+        let most = budget.min(guide.units.len().max(follower.units.len()));
+        window.bytes.reserve_exact(most * page_size);
+    }
+    let held = &window.pages[..window.pages.len().min(budget)];
+    let need = held.len() * page_size;
+    if window.bytes.len() < need {
+        window.bytes.resize(need, 0);
+    }
     let mut head = None;
-    for &page in window.pages.iter().take(2 * budget) {
+    for (&page, slot) in held.iter().zip(window.bytes.chunks_exact_mut(page_size)) {
         let (pin, read_through) = follower.sweep_read(&mut head, page);
-        window.pins.push(pin);
+        slot.copy_from_slice(&pin);
         ctx.stats.read_through_pages += read_through;
     }
     ctx.stats.swept_pages += window.pages.len() as u64;
-    let pinned = &window.pages[..window.pins.len()];
+    ctx.stats.window_pages_max = ctx.stats.window_pages_max.max(held.len() as u64);
     for p in &window.pivots {
         if !p.candidates.is_empty() {
             ctx.guide_elems.clear();
@@ -722,17 +737,17 @@ fn execute_window(
             ctx.follower_elems.clear();
             for u in &window.candidates[p.candidates.clone()] {
                 let page = follower.units[u.0 as usize].page;
-                let streamed;
-                let bytes = match pinned.binary_search(&page) {
-                    Ok(pin) => &window.pins[pin],
+                match held.binary_search(&page) {
+                    Ok(i) => {
+                        let bytes = &window.bytes[i * page_size..][..page_size];
+                        ctx.follower_elems.extend(follower.codec.view(bytes).iter());
+                    }
                     Err(_) => {
                         let (pin, read_through) = follower.sweep_read(&mut head, page);
                         ctx.stats.read_through_pages += read_through;
-                        streamed = pin;
-                        &streamed
+                        ctx.follower_elems.extend(follower.codec.view(&pin).iter());
                     }
-                };
-                ctx.follower_elems.extend(follower.codec.view(bytes).iter());
+                }
             }
             ctx.join_buffered_elements(guide_is_a);
             ctx.stats.window_pivots += 1;
@@ -746,13 +761,14 @@ fn execute_window(
 /// The window loop: joins the guide's node pivots `pivots`, in order,
 /// against the follower.
 ///
-/// Pivots are planned into `window` until its follower pages reach the
-/// pool budget or a pivot decides a transformation; the window is then
-/// executed, and a transformation runs after it from the walk result its
-/// plan already holds. A taken role switch joins the *follower* node as a
-/// pivot of its own (roles swapped, no further switch) and leaves `ng`
-/// pending, so `ng` is planned again until it is joined. The window is
-/// empty on return.
+/// Pivots are planned into `window` until its follower pages reach
+/// `budget` ([`WINDOW_PAGES`] outside tests) or a pivot decides a
+/// transformation; the window is then executed, and a transformation runs
+/// after it from the walk result its plan already holds. A taken role
+/// switch joins the *follower* node as a pivot of its own (roles swapped,
+/// no further switch) and leaves `ng` pending, so `ng` is planned again
+/// until it is joined. The window is empty on return.
+#[allow(clippy::too_many_arguments)]
 fn join_pivots(
     ctx: &mut Ctx,
     guide: &mut Side<'_>,
@@ -761,9 +777,8 @@ fn join_pivots(
     window: &mut Window,
     pivots: Range<usize>,
     allow_switch: bool,
+    budget: usize,
 ) {
-    let cache = follower.cache.cache();
-    let budget = (cache.capacity() / cache.shards() / WINDOW_POOL_DIVISOR).max(1);
     'pivots: for ng in pivots {
         while !guide.checked[ng] {
             if ctx.stop_when_follower_checked && follower.unchecked == 0 {
@@ -800,8 +815,8 @@ fn join_pivots(
                     execute_window(ctx, guide, follower, guide_is_a, window, budget);
                     ctx.stats.role_transformations += 1;
                     ctx.cost.on_transformation();
-                    let nf = nf.0 as usize;
-                    join_pivots(ctx, follower, guide, !guide_is_a, window, nf..nf + 1, false);
+                    let nf = nf.0 as usize..nf.0 as usize + 1;
+                    join_pivots(ctx, follower, guide, !guide_is_a, window, nf, false, budget);
                 }
                 Plan::SplitNode(nf) => {
                     // Transform 2 (layout): the guide is locally sparser —
@@ -1003,7 +1018,8 @@ pub struct EngineSide<'a> {
 /// disjoint subset of the guide's node pivots via
 /// [`PivotEngine::process_pivots`], through the same window loop the
 /// sequential join runs (plan a window of pivots, sweep its follower
-/// pages once, join from the pins). A bare engine (as built by
+/// pages once into the engine's window buffer, join from those bytes;
+/// a window holds no cache frame). A bare engine (as built by
 /// [`PivotEngine::new`]) reproduces PR 1's fully independent workers:
 /// no role transformations, purely local to-do-list pruning. The two
 /// builders restore the paper's full adaptivity:
@@ -1150,6 +1166,7 @@ impl<'a> PivotEngine<'a> {
             &mut self.window,
             pivots,
             self.allow_switch,
+            WINDOW_PAGES,
         );
     }
 
@@ -1342,26 +1359,36 @@ mod tests {
             let disk_b = Disk::default_in_memory();
             let idx_a = TransformersIndex::build(&disk_a, a, &small_index_cfg());
             let idx_b = TransformersIndex::build(&disk_b, b, &small_index_cfg());
-            let mut reference: Option<(usize, [u64; 9])> = None;
-            // At 4 pages and below every window is one pivot, the
-            // read-per-pivot order; 1 and 2 are smaller than one pivot's
-            // pins; at 1 << 20 a window only closes at a transformation.
-            for pool_pages in [1, 2, 4, 64, 1024, 1 << 20] {
-                for cfg in [fixed, JoinConfig::default()] {
-                    let cfg = JoinConfig { pool_pages, ..cfg };
-                    let out = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg);
-                    assert_eq!(out.pairs, expected, "{name}, pool {pool_pages}");
-                    if cfg.thresholds != fixed.thresholds {
-                        continue;
+            let mut reference: Option<((usize, usize), [u64; 9])> = None;
+            // The window's budget and the cache's size, independently: at 1
+            // page every window is one pivot, the read-per-pivot order (at
+            // 2 and 4 a pivot that needs fewer pages shares its window); at
+            // 1 << 20 a window only closes at a transformation. A 1-page
+            // cache is smaller than any window, a 1024-page one larger than
+            // most.
+            for budget in [1, 2, 4, 64, WINDOW_PAGES, 1 << 20] {
+                for pool_pages in [1, 8, 1024] {
+                    for cfg in [fixed, JoinConfig::default()] {
+                        let cfg = JoinConfig { pool_pages, ..cfg };
+                        let cache_a = SharedPageCache::with_shards(&disk_a, pool_pages, 1);
+                        let cache_b = SharedPageCache::with_shards(&disk_b, pool_pages, 1);
+                        let out = join_through(&idx_a, &cache_a, &idx_b, &cache_b, &cfg, budget);
+                        let at = format!("{name}, budget {budget}, pool {pool_pages}");
+                        assert_eq!(out.pairs, expected, "{at}");
+                        if cfg.thresholds != fixed.thresholds {
+                            continue;
+                        }
+                        let s = &out.stats;
+                        transformations += s.transformations();
+                        assert!(s.window_pages_max <= budget as u64, "{at}");
+                        if budget == 1 {
+                            assert_eq!(s.windows, s.window_pivots, "{at}");
+                        }
+                        let counters = decision_counters(s);
+                        let key = (budget, pool_pages);
+                        let (first, want) = *reference.get_or_insert((key, counters));
+                        assert_eq!(counters, want, "{at} vs (budget, pool) {first:?}");
                     }
-                    let s = &out.stats;
-                    transformations += s.transformations();
-                    if pool_pages <= 4 {
-                        assert_eq!(s.windows, s.window_pivots, "{name}, pool {pool_pages}");
-                    }
-                    let counters = decision_counters(s);
-                    let (pool, want) = *reference.get_or_insert((pool_pages, counters));
-                    assert_eq!(counters, want, "{name}: pool {pool_pages} vs pool {pool}");
                 }
             }
         }
@@ -1438,6 +1465,24 @@ mod tests {
             "windows {windowed_io:?} vs one pivot at a time {per_pivot_io:?}"
         );
 
+        // A window that owns its bytes is not bounded by the cache: the
+        // shipped budget reads in less modelled time than a quarter of the
+        // default pool, the budget a window of pins had.
+        let sequential = |budget| {
+            let (disk_a, idx_a, disk_b, idx_b) = &fx;
+            let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
+            let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
+            join_through(idx_a, &cache_a, idx_b, &cache_b, &cfg, budget)
+        };
+        let (shipped, quarter) = (sequential(WINDOW_PAGES), sequential(cfg.pool_pages / 4));
+        assert_eq!(shipped.pairs, quarter.pairs);
+        assert!(
+            shipped.stats.sim_io < quarter.stats.sim_io,
+            "{WINDOW_PAGES} pages {:?} vs pool / 4 {:?}",
+            shipped.stats.sim_io,
+            quarter.stats.sim_io
+        );
+
         // Free transfers leave nothing to save: no gap page is read, and
         // with a pool that never evicts both orders read each page once.
         let cfg = JoinConfig {
@@ -1503,16 +1548,22 @@ mod tests {
         let disk_b = Disk::default_in_memory();
         let idx_a = TransformersIndex::build(&disk_a, a, &small_index_cfg());
         let idx_b = TransformersIndex::build(&disk_b, b, &small_index_cfg());
-        // A pool of 8 pages: windows of two pages' budget, pins past it.
+        // The shipped window over a cache of 8 pages: windows far larger
+        // than the cache, which a window of pins could not have held.
         let cfg = JoinConfig {
             pool_pages: 8,
             ..JoinConfig::default()
         };
         let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
         let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
-        let out = join_through(&idx_a, &cache_a, &idx_b, &cache_b, &cfg);
+        let out = join_through(&idx_a, &cache_a, &idx_b, &cache_b, &cfg, WINDOW_PAGES);
         assert_eq!(out.pairs, expected);
         assert!(out.stats.windows > 0);
+        let held = out.stats.window_pages_max;
+        assert!(
+            (cfg.pool_pages as u64) < held && held <= WINDOW_PAGES as u64,
+            "{held} pages"
+        );
         assert_eq!(cache_a.pinned_pages() + cache_b.pinned_pages(), 0);
     }
 

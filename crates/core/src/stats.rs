@@ -67,6 +67,10 @@ pub struct TransformersStats {
     /// Distinct follower pages of the windows, summed over windows: a page
     /// several pivots of one window need counts once.
     pub swept_pages: u64,
+    /// The most follower pages any window held in its own buffer: at most
+    /// the window budget (1 024 pages), whatever the cache's size. Merged
+    /// by `max`, not summed.
+    pub window_pages_max: u64,
     /// Pages read only to keep a sweep sequential: the short gaps between
     /// two missing pages that cost less to read through than to skip
     /// ([`tfm_storage::DiskModel::read_through_gap`]). They go past the
@@ -129,6 +133,8 @@ impl TransformersStats {
         reg.counter(names::JOIN_WINDOW_PIVOTS)
             .add(self.window_pivots);
         reg.counter(names::JOIN_SWEPT_PAGES).add(self.swept_pages);
+        reg.gauge(names::JOIN_WINDOW_PAGES_MAX)
+            .set(self.window_pages_max as i64);
         reg.counter(names::JOIN_READ_THROUGH_PAGES)
             .add(self.read_through_pages);
         reg.counter(names::JOIN_MEM_JOIN_NANOS)
@@ -140,8 +146,9 @@ impl TransformersStats {
     /// Accumulates another stats record into this one.
     ///
     /// Used by the parallel execution subsystem (`tfm-exec`) to combine
-    /// per-worker statistics: all counters are exact sums, so merging the
-    /// workers in a fixed order yields a deterministic aggregate. Fields
+    /// per-worker statistics: all counters are exact sums (the high-water
+    /// mark `window_pages_max` is a `max`), so merging the workers in a
+    /// fixed order yields a deterministic aggregate. Fields
     /// that are only meaningful globally (`unique_results`, `sim_io`) are
     /// summed too and are expected to be overwritten by the caller after
     /// the final deduplication / I/O accounting.
@@ -165,6 +172,7 @@ impl TransformersStats {
         self.windows += other.windows;
         self.window_pivots += other.window_pivots;
         self.swept_pages += other.swept_pages;
+        self.window_pages_max = self.window_pages_max.max(other.window_pages_max);
         self.read_through_pages += other.read_through_pages;
         self.join_cpu += other.join_cpu;
         self.exploration_overhead += other.exploration_overhead;
@@ -208,6 +216,7 @@ mod tests {
             unique_results: 2,
             pages_read: 3,
             walk_steps: 7,
+            window_pages_max: 700,
             join_cpu: Duration::from_millis(1),
             ..Default::default()
         };
@@ -223,6 +232,7 @@ mod tests {
             windows: 2,
             window_pivots: 9,
             swept_pages: 40,
+            window_pages_max: 30,
             read_through_pages: 3,
             pruned_units: 11,
             cross_worker_pruned_units: 4,
@@ -249,6 +259,7 @@ mod tests {
             ),
             (2, 9, 40, 3)
         );
+        assert_eq!(a.window_pages_max, 700, "a high-water mark, not a sum");
         assert_eq!(a.join_cpu, Duration::from_millis(3));
     }
 }

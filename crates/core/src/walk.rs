@@ -37,11 +37,15 @@ pub struct WalkResult {
 }
 
 /// Scratch space reused across walks/crawls to avoid re-allocating
-/// visited-markers and the crawl's frontier for every pivot.
+/// visited-markers, the walk's heap and the crawl's frontier for every
+/// pivot.
 #[derive(Debug, Default)]
 pub struct ExploreScratch {
     stamp: u64,
     visited: Vec<u64>,
+    /// The walk's best-first heap; cleared when a walk begins (a walk that
+    /// succeeds returns with entries left in it).
+    heap: BinaryHeap<Reverse<(Dist, u32)>>,
     /// The crawl's frontier; empty between crawls.
     queue: Vec<NodeId>,
 }
@@ -66,7 +70,7 @@ fn reaches(tile: &Aabb, pivot: &Aabb, eps: f64) -> bool {
 }
 
 /// Floating-point key for the best-first heap.
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct Dist(f64);
 
 impl Eq for Dist {}
@@ -93,15 +97,16 @@ pub fn adaptive_walk(
     scratch: &mut ExploreScratch,
 ) -> WalkResult {
     let stamp = scratch.begin(nodes.len());
+    let ExploreScratch { visited, heap, .. } = scratch;
     let mut steps = 0u64;
     let mut metadata_tests = 0u64;
 
     let start_dist = nodes[start.0 as usize].tile.min_distance_sq(pivot);
     metadata_tests += 1;
 
-    let mut heap: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
+    heap.clear();
     heap.push(Reverse((Dist(start_dist), start.0)));
-    scratch.visited[start.0 as usize] = stamp;
+    visited[start.0 as usize] = stamp;
 
     let mut closest = start;
     let mut best = start_dist;
@@ -130,7 +135,7 @@ pub fn adaptive_walk(
             }
         }
         for &nb in &node.neighbors {
-            let v = &mut scratch.visited[nb.0 as usize];
+            let v = &mut visited[nb.0 as usize];
             if *v != stamp {
                 *v = stamp;
                 metadata_tests += 1;
@@ -400,5 +405,29 @@ mod tests {
         assert!(r1.found.is_some());
         assert!(r2.found.is_some());
         assert_ne!(r1.found, r2.found);
+    }
+
+    #[test]
+    fn reused_scratch_walks_like_a_fresh_one() {
+        // A successful walk returns with its heap still holding entries;
+        // the next walk must not see them.
+        let idx = index(20_000, 65);
+        let mut reused = ExploreScratch::default();
+        for (i, p) in [
+            pivot_at(700.0, 300.0, 500.0, 10.0),
+            pivot_at(100.0, 900.0, 200.0, 4.0),
+            pivot_at(5000.0, 5000.0, 5000.0, 1.0),
+            pivot_at(450.0, 450.0, 450.0, 30.0),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let start = NodeId((i * 37 % idx.nodes().len()) as u32);
+            let walk = |scratch: &mut ExploreScratch| {
+                adaptive_walk(idx.nodes(), idx.reach_eps(), p, start, 16, scratch)
+            };
+            assert_eq!(walk(&mut reused), walk(&mut ExploreScratch::default()));
+        }
+        assert!(reused.heap.capacity() > 0, "the heap is kept between walks");
     }
 }

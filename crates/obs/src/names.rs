@@ -212,6 +212,9 @@ pub const JOIN_WINDOWS: &str = "join.windows";
 pub const JOIN_WINDOW_PIVOTS: &str = "join.window_pivots";
 /// Distinct follower pages of the windows, summed over windows.
 pub const JOIN_SWEPT_PAGES: &str = "join.swept_pages";
+/// The most follower pages any one window held in its own buffer (a
+/// gauge: the high-water mark over windows and workers).
+pub const JOIN_WINDOW_PAGES_MAX: &str = "join.window_pages_max";
 /// Gap pages read only to keep a sweep sequential; they go past the cache,
 /// so they are disk reads on top of `cache.misses`.
 pub const JOIN_READ_THROUGH_PAGES: &str = "join.read_through_pages";
