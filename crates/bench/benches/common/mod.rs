@@ -10,7 +10,7 @@
 
 use tfm_datagen::{generate, DatasetSpec, Distribution};
 use tfm_geom::{Aabb, SpatialElement};
-use tfm_storage::{BufferPool, Disk};
+use tfm_storage::{CacheHandle, Disk, SharedPageCache, DEFAULT_POOL_PAGES};
 use transformers::{transformers_join, IndexConfig, JoinConfig, TransformersIndex};
 
 /// Page size used by all bench fixtures (matches the experiment binaries).
@@ -22,6 +22,12 @@ pub fn dataset(count: usize, distribution: Distribution, seed: u64) -> Vec<Spati
         max_side: 4.0,
         ..DatasetSpec::with_distribution(count, distribution, seed)
     })
+}
+
+/// A single owner's page cache over `disk`, as a baseline run reads
+/// through: one shard of the default capacity.
+pub fn cache(disk: &Disk) -> SharedPageCache<'_> {
+    SharedPageCache::with_shards(disk, DEFAULT_POOL_PAGES, 1)
 }
 
 /// A ready-to-join TRANSFORMERS fixture.
@@ -80,12 +86,11 @@ impl PbsmFixture {
 
     pub fn join(&self) -> usize {
         let mut stats = tfm_pbsm::PbsmStats::default();
-        let mut pool_a = BufferPool::with_default_capacity(&self.disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&self.disk_b);
+        let (cache_a, cache_b) = (cache(&self.disk_a), cache(&self.disk_b));
         tfm_pbsm::pbsm_join(
-            &mut pool_a,
+            &mut CacheHandle::shared(&cache_a),
             &self.part_a,
-            &mut pool_b,
+            &mut CacheHandle::shared(&cache_b),
             &self.part_b,
             &mut stats,
         )
@@ -117,12 +122,11 @@ impl RtreeFixture {
 
     pub fn join(&self) -> usize {
         let mut stats = tfm_rtree::RtreeStats::default();
-        let mut pool_a = BufferPool::with_default_capacity(&self.disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&self.disk_b);
+        let (cache_a, cache_b) = (cache(&self.disk_a), cache(&self.disk_b));
         tfm_rtree::sync_join(
-            &mut pool_a,
+            &mut CacheHandle::shared(&cache_a),
             &self.tree_a,
-            &mut pool_b,
+            &mut CacheHandle::shared(&cache_b),
             &self.tree_b,
             &mut stats,
         )

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfm_datagen::Distribution;
 use tfm_geom::Aabb;
-use tfm_storage::{BufferPool, Disk};
+use tfm_storage::{CacheHandle, Disk};
 
 fn bench(c: &mut Criterion) {
     let a = dataset(10_000, Distribution::Uniform, 100);
@@ -31,8 +31,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("sssj", |bench| {
         bench.iter(|| {
             let mut stats = tfm_sweep::sssj::SssjStats::default();
-            let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-            let mut pool_b = BufferPool::with_default_capacity(&disk_b);
+            let (cache_a, cache_b) = (cache(&disk_a), cache(&disk_b));
+            let mut pool_a = CacheHandle::shared(&cache_a);
+            let mut pool_b = CacheHandle::shared(&cache_b);
             black_box(
                 tfm_sweep::sssj::sssj_join(&mut pool_a, &sa, &mut pool_b, &sb, &mut stats).len(),
             )
@@ -48,8 +49,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("s3", |bench| {
         bench.iter(|| {
             let mut stats = tfm_sweep::s3::S3Stats::default();
-            let mut pool_a = BufferPool::with_default_capacity(&disk_a3);
-            let mut pool_b = BufferPool::with_default_capacity(&disk_b3);
+            let (cache_a, cache_b) = (cache(&disk_a3), cache(&disk_b3));
+            let mut pool_a = CacheHandle::shared(&cache_a);
+            let mut pool_b = CacheHandle::shared(&cache_b);
             black_box(tfm_sweep::s3::s3_join(&mut pool_a, &ta, &mut pool_b, &tb, &mut stats).len())
         })
     });
@@ -75,8 +77,9 @@ fn bench(c: &mut Criterion) {
         group.bench_function(label, |bench| {
             bench.iter(|| {
                 let mut stats = tfm_rtree::RtreeStats::default();
-                let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-                let mut pool_b = BufferPool::with_default_capacity(&disk_b);
+                let (cache_a, cache_b) = (cache(&disk_a), cache(&disk_b));
+                let mut pool_a = CacheHandle::shared(&cache_a);
+                let mut pool_b = CacheHandle::shared(&cache_b);
                 black_box(
                     tfm_rtree::sync_join(&mut pool_a, &tree_a, &mut pool_b, &tree_b, &mut stats)
                         .len(),

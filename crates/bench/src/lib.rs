@@ -10,6 +10,7 @@
 //! | `fig12_neuro`          | Fig. 12 — neuroscience workload                  |
 //! | `fig13_transformations`| Fig. 13 — transformation impact & thresholds     |
 //! | `fig14_overhead`       | Fig. 14 — adaptive exploration overhead          |
+//! | `extra_baselines`      | §VIII-B — SSSJ and S3 vs the measured approaches |
 //! | `all_experiments`      | everything above, CSVs into `results/`           |
 //!
 //! Scale: dataset sizes default to laptop scale and multiply by the

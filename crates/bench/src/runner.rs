@@ -2,7 +2,7 @@
 //! returns comparable [`Metrics`].
 //!
 //! All approaches run on fresh in-memory simulated disks with the same page
-//! size and buffer-pool capacity; indexing and join phases are measured
+//! size and page-cache capacity; indexing and join phases are measured
 //! separately (the paper reports them separately, §VII-C2: "the results of
 //! the join, excluding the index building time").
 
@@ -12,7 +12,7 @@ use tfm_gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
 use tfm_memjoin::ResultPair;
 use tfm_pbsm::{pbsm_join, pbsm_partition, PbsmConfig, PbsmStats};
 use tfm_rtree::{sync_join, RTree, RtreeStats};
-use tfm_storage::{BufferPool, CacheHandle, Disk, IoStatsSnapshot, SharedPageCache, StoreBackend};
+use tfm_storage::{CacheHandle, Disk, IoStatsSnapshot, SharedPageCache, StoreBackend};
 use transformers::{
     transformers_join, IndexBuildPipeline, IndexConfig, JoinConfig, ThresholdPolicy,
     TransformersIndex,
@@ -180,7 +180,7 @@ pub struct Metrics {
     /// Pages read from disk during the join.
     pub pages_read: u64,
     /// Page-cache hits during the join (TRANSFORMERS paths only; the
-    /// other baselines keep their private pools out of `Metrics`).
+    /// baselines keep their caches' counters out of `Metrics`).
     pub pool_hits: u64,
     /// Random reads during the join.
     pub rand_reads: u64,
@@ -392,10 +392,12 @@ fn run_sssj(
     disk_a.reset_stats();
     disk_b.reset_stats();
     let pairs = if let Some((pa, pb)) = &parts {
-        let mut pool_a = BufferPool::new(&disk_a, cfg.pool_pages);
-        let mut pool_b = BufferPool::new(&disk_b, cfg.pool_pages);
+        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
+        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
+        let mut handle_a = CacheHandle::shared(&cache_a);
+        let mut handle_b = CacheHandle::shared(&cache_b);
         let t = Instant::now();
-        let pairs = sssj_join(&mut pool_a, pa, &mut pool_b, pb, &mut stats);
+        let pairs = sssj_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
         m.join_wall = t.elapsed();
         pairs
     } else {
@@ -417,17 +419,12 @@ fn run_s3(
     b: &[SpatialElement],
     cfg: &RunConfig,
 ) -> (Metrics, Vec<ResultPair>) {
-    use tfm_sweep::s3::{s3_join, s3_partition, S3Stats};
+    use tfm_sweep::s3::{levels_for, s3_join, s3_partition, S3Stats};
     let disk_a = cfg.disk("s3_a");
     let disk_b = cfg.disk("s3_b");
     let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
     let mut stats = S3Stats::default();
-    // Depth such that the deepest level's cells hold roughly a page of
-    // elements: 2^(levels-1) cells per dimension ≈ cbrt(pages of the larger
-    // dataset).
-    let cap = ((cfg.page_size - 2) / 56).max(1);
-    let pages = (a.len().max(b.len()) as f64 / cap as f64).max(1.0);
-    let levels = ((pages.cbrt().log2().round() as i64) + 1).clamp(2, 8) as u8;
+    let levels = levels_for(a.len().max(b.len()), cfg.page_size);
 
     let t = Instant::now();
     let parts = if extent.is_empty() {
@@ -444,10 +441,12 @@ fn run_s3(
     disk_a.reset_stats();
     disk_b.reset_stats();
     let pairs = if let Some((pa, pb)) = &parts {
-        let mut pool_a = BufferPool::new(&disk_a, cfg.pool_pages);
-        let mut pool_b = BufferPool::new(&disk_b, cfg.pool_pages);
+        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
+        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
+        let mut handle_a = CacheHandle::shared(&cache_a);
+        let mut handle_b = CacheHandle::shared(&cache_b);
         let t = Instant::now();
-        let pairs = s3_join(&mut pool_a, pa, &mut pool_b, pb, &mut stats);
+        let pairs = s3_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
         m.join_wall = t.elapsed();
         pairs
     } else {
@@ -583,10 +582,12 @@ fn run_pbsm(
     disk_a.reset_stats();
     disk_b.reset_stats();
     let pairs = if let (Some(pa), Some(pb)) = (&part_a, &part_b) {
-        let mut pool_a = BufferPool::new(&disk_a, cfg.pool_pages);
-        let mut pool_b = BufferPool::new(&disk_b, cfg.pool_pages);
+        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
+        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
+        let mut handle_a = CacheHandle::shared(&cache_a);
+        let mut handle_b = CacheHandle::shared(&cache_b);
         let t = Instant::now();
-        let pairs = pbsm_join(&mut pool_a, pa, &mut pool_b, pb, &mut stats);
+        let pairs = pbsm_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
         m.join_wall = t.elapsed();
         pairs
     } else {

@@ -49,7 +49,6 @@ use crate::config::IndexConfig;
 use crate::descriptor::{NodeId, SpaceNode, SpaceUnitDesc, UnitId};
 use crate::metadata;
 use crate::probe_dir::ProbeDirectory;
-use std::sync::Arc;
 use tfm_bptree::BPlusTree;
 use tfm_geom::{hilbert, Aabb, HasMbb, SpatialElement};
 use tfm_partition::{IndexBuildPipeline, UniformGrid};
@@ -377,11 +376,10 @@ impl TransformersIndex {
 
     /// Creates a cheap per-worker read handle over this index's element
     /// pages: a thin view over the process-wide [`SharedPageCache`] plus
-    /// the decoding codec. Reads pin cached frames zero-copy and element
-    /// pages a join materialises are shared, decoded, across every reader
-    /// of the cache, while hit/miss counters stay per-handle — so any
-    /// number of [`UnitReader`]s can serve queries against one shared
-    /// index concurrently.
+    /// the page codec. Reads pin cached frames zero-copy, shared across
+    /// every reader of the cache, while hit/miss counters stay per-handle —
+    /// so any number of [`UnitReader`]s can serve queries against one
+    /// shared index concurrently.
     pub fn unit_reader_shared<'c, 'd>(
         &self,
         cache: &'c SharedPageCache<'d>,
@@ -416,14 +414,10 @@ impl TransformersIndex {
 /// own — so `N` workers hold `N` independent readers whose only shared
 /// state is the lock-striped cache itself.
 ///
-/// Which method pins and which copies:
-///
-/// * [`with_records`](Self::with_records) **pins**: the unit's page stays
-///   in its cache frame and the caller reads ids and boxes in place. The
-///   probe paths use it — they test each box once and keep only ids.
-/// * [`elements`](Self::elements) **materialises** `SpatialElement`s for
-///   callers that keep them (the GIPSY join): it hands out the shared
-///   cache's decoded-tier entry, decoding only when no reader has yet.
+/// Its one read, [`with_records`](Self::with_records), **pins**: the
+/// unit's page stays in its cache frame and the caller reads ids and boxes
+/// in place. The probe paths and the GIPSY join use it — each tests every
+/// box once and keeps only ids.
 pub struct UnitReader<'i, 'c, 'd> {
     units: &'i [SpaceUnitDesc],
     codec: ElementPageCodec,
@@ -441,20 +435,11 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
     /// Pins one unit's page and hands `f` a borrowed view of its records:
     /// nothing is decoded, copied or allocated, and the pin is released
     /// when `f` returns. Counts one page-tier hit, prefetch hit or miss on
-    /// this handle, exactly like [`PageReads::page`]; the decoded tier is
-    /// neither consulted nor filled.
+    /// this handle, exactly like [`PageReads::page`].
     #[inline]
     pub fn with_records<R>(&mut self, unit: UnitId, f: impl FnOnce(ElementRecords<'_>) -> R) -> R {
         let page = self.cache.page(self.units[unit.0 as usize].page);
         f(self.codec.view(&page))
-    }
-
-    /// Materialises one unit's elements without a copy into caller memory:
-    /// the shared cache's decoded tier entry itself (`Arc` clone, no
-    /// decode on a hit).
-    pub fn elements(&mut self, unit: UnitId) -> Arc<[SpatialElement]> {
-        self.cache
-            .elements(&self.codec, self.units[unit.0 as usize].page)
     }
 
     /// The disk page a unit's elements live on (the elevator-order key).
@@ -462,7 +447,7 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
         self.units[unit.0 as usize].page
     }
 
-    /// This handle's cache counters (hits/misses and decoded-tier splits).
+    /// This handle's cache counters (hits, misses, prefetch hits).
     pub fn counters(&self) -> PoolCounters {
         self.cache.counters()
     }
@@ -693,7 +678,7 @@ mod tests {
         let mut expected: Vec<u64> = elems.iter().map(|e| e.id).collect();
         expected.sort_unstable();
         // Four threads, each with its own reader over the same index and
-        // cache — no `&mut` sharing, identical decoded contents.
+        // cache — no `&mut` sharing, identical records.
         let cache = SharedPageCache::new(&disk, 64);
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -702,7 +687,7 @@ mod tests {
                     let mut ids: Vec<u64> = Vec::new();
                     for u in idx.units() {
                         assert_eq!(reader.page_of(u.id), u.page);
-                        ids.extend(reader.elements(u.id).iter().map(|e| e.id));
+                        reader.with_records(u.id, |r| ids.extend(r.iter().map(|e| e.id)));
                     }
                     ids.sort_unstable();
                     assert_eq!(ids, expected);

@@ -201,14 +201,15 @@ pub fn gipsy_join(
             candidates.sort_unstable_by_key(|u| units[u.0 as usize].page);
 
             for &cu in &candidates {
-                // Zero-copy read: the shared cache's decoded tier entry.
-                let dense_page = dense_reader.elements(cu);
-                for d in dense_page.iter() {
-                    stats.mem.element_tests += 1;
-                    if e.mbb.intersects(&d.mbb) {
-                        out.push((e.id, d.id));
+                // Each box is tested once, in place in the pinned page.
+                dense_reader.with_records(cu, |records| {
+                    stats.mem.element_tests += records.len() as u64;
+                    for i in 0..records.len() {
+                        if e.mbb.intersects(&records.mbb(i)) {
+                            out.push((e.id, records.id(i)));
+                        }
                     }
-                }
+                });
             }
         }
     }

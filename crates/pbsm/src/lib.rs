@@ -25,7 +25,9 @@
 use tfm_geom::{Aabb, SpatialElement};
 use tfm_memjoin::{GridJoin, JoinStats, ResultPair};
 use tfm_partition::UniformGrid;
-use tfm_storage::{BufferPool, Disk, ElementPageCodec, PageId};
+use tfm_storage::{
+    CacheHandle, Disk, ElementPageCodec, PageId, SharedPageCache, DEFAULT_POOL_PAGES,
+};
 
 /// Configuration of a PBSM join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,20 +96,6 @@ impl PbsmDataset {
     pub fn total_assigned(&self) -> usize {
         self.cell_counts.iter().sum()
     }
-
-    /// Reads all elements of one cell back from disk.
-    fn read_cell(
-        &self,
-        pool: &mut BufferPool<'_>,
-        codec: &ElementPageCodec,
-        cell: usize,
-    ) -> Vec<SpatialElement> {
-        let mut out = Vec::with_capacity(self.cell_counts[cell]);
-        for &page in &self.cell_pages[cell] {
-            out.extend(codec.decode(pool.read(page)));
-        }
-        out
-    }
 }
 
 /// Partitions `elements` onto the PBSM grid over `extent`, streaming pages
@@ -172,9 +160,9 @@ pub fn pbsm_partition(
 /// # Panics
 /// Panics if the grids differ.
 pub fn pbsm_join(
-    pool_a: &mut BufferPool<'_>,
+    pool_a: &mut CacheHandle<'_, '_>,
     part_a: &PbsmDataset,
-    pool_b: &mut BufferPool<'_>,
+    pool_b: &mut CacheHandle<'_, '_>,
     part_b: &PbsmDataset,
     stats: &mut PbsmStats,
 ) -> Vec<ResultPair> {
@@ -185,19 +173,20 @@ pub fn pbsm_join(
     );
     assert_eq!(part_a.grid.dims(), part_b.grid.dims(), "grids must match");
 
-    let codec_a = ElementPageCodec::new(pool_a.disk().page_size());
-    let codec_b = ElementPageCodec::new(pool_b.disk().page_size());
+    let codec_a = ElementPageCodec::new(pool_a.cache().disk().page_size());
+    let codec_b = ElementPageCodec::new(pool_b.cache().disk().page_size());
     let grid = &part_a.grid;
 
     let mut out = Vec::new();
     let mut kernel = GridJoin::default();
     let mut mem = JoinStats::default();
+    let (mut elems_a, mut elems_b) = (Vec::new(), Vec::new());
     for cell in 0..grid.cell_count() {
         if part_a.cell_counts[cell] == 0 || part_b.cell_counts[cell] == 0 {
             continue;
         }
-        let elems_a = part_a.read_cell(pool_a, &codec_a, cell);
-        let elems_b = part_b.read_cell(pool_b, &codec_b, cell);
+        codec_a.read_pages_into(pool_a, &part_a.cell_pages[cell], &mut elems_a);
+        codec_b.read_pages_into(pool_b, &part_b.cell_pages[cell], &mut elems_b);
 
         // In-memory grid hash join within the cell, with cross-cell
         // deduplication by the reference-point method: a pair is reported
@@ -232,9 +221,15 @@ pub fn pbsm_join_datasets(
     }
     let part_a = pbsm_partition(disk_a, elements_a, extent, config, &mut stats);
     let part_b = pbsm_partition(disk_b, elements_b, extent, config, &mut stats);
-    let mut pool_a = BufferPool::with_default_capacity(disk_a);
-    let mut pool_b = BufferPool::with_default_capacity(disk_b);
-    let pairs = pbsm_join(&mut pool_a, &part_a, &mut pool_b, &part_b, &mut stats);
+    let cache_a = SharedPageCache::with_shards(disk_a, DEFAULT_POOL_PAGES, 1);
+    let cache_b = SharedPageCache::with_shards(disk_b, DEFAULT_POOL_PAGES, 1);
+    let pairs = pbsm_join(
+        &mut CacheHandle::shared(&cache_a),
+        &part_a,
+        &mut CacheHandle::shared(&cache_b),
+        &part_b,
+        &mut stats,
+    );
     (pairs, stats)
 }
 
@@ -326,9 +321,10 @@ mod tests {
         // Every assigned element is on disk exactly once.
         let codec = ElementPageCodec::new(disk.page_size());
         let mut read_back = 0;
-        let mut pool = BufferPool::with_default_capacity(&disk);
+        let mut cell_elems = Vec::new();
         for cell in 0..part.grid().cell_count() {
-            read_back += part.read_cell(&mut pool, &codec, cell).len();
+            codec.read_pages_into(&mut &disk, &part.cell_pages[cell], &mut cell_elems);
+            read_back += cell_elems.len();
         }
         assert_eq!(read_back, part.total_assigned());
     }
@@ -350,9 +346,15 @@ mod tests {
         let part_b = pbsm_partition(&disk_b, &b, extent, &config, &mut stats);
         disk_a.reset_stats();
         disk_b.reset_stats();
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&disk_b);
-        let _ = pbsm_join(&mut pool_a, &part_a, &mut pool_b, &part_b, &mut stats);
+        let cache_a = SharedPageCache::with_shards(&disk_a, DEFAULT_POOL_PAGES, 1);
+        let cache_b = SharedPageCache::with_shards(&disk_b, DEFAULT_POOL_PAGES, 1);
+        let _ = pbsm_join(
+            &mut CacheHandle::shared(&cache_a),
+            &part_a,
+            &mut CacheHandle::shared(&cache_b),
+            &part_b,
+            &mut stats,
+        );
         let s = disk_a.stats().merged(&disk_b.stats());
         assert!(s.reads() > 0);
         assert!(

@@ -14,10 +14,10 @@ use tfm_storage::{PageId, PageReads};
 /// the taller tree is descended first until the levels align.
 ///
 /// Node pages are read through per-tree caches (any [`PageReads`]
-/// implementor — a private `BufferPool` or a handle onto the shared
-/// `SharedPageCache`), so the re-reads caused by structural overlap hit
-/// the disk only when they exceed the cache — exactly the behaviour the
-/// paper attributes to the R-Tree baseline.
+/// implementor — a `CacheHandle` onto each tree's `SharedPageCache` in a
+/// baseline run), so the re-reads caused by structural overlap hit the
+/// disk only when they exceed the cache — exactly the behaviour the paper
+/// attributes to the R-Tree baseline.
 pub fn sync_join<CA: PageReads, CB: PageReads>(
     pool_a: &mut CA,
     tree_a: &RTree,
@@ -180,7 +180,7 @@ mod tests {
     use crate::RTree;
     use tfm_datagen::{generate, DatasetSpec, Distribution};
     use tfm_memjoin::{canonicalize, nested_loop_join, JoinStats};
-    use tfm_storage::{BufferPool, Disk};
+    use tfm_storage::Disk;
 
     fn check_against_oracle(spec_a: DatasetSpec, spec_b: DatasetSpec) {
         let a = generate(&spec_a);
@@ -189,13 +189,11 @@ mod tests {
         let disk_b = Disk::default_in_memory();
         let tree_a = RTree::bulk_load(&disk_a, a.clone());
         let tree_b = RTree::bulk_load(&disk_b, b.clone());
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&disk_b);
         let mut stats = RtreeStats::default();
         let got = canonicalize(sync_join(
-            &mut pool_a,
+            &mut &disk_a,
             &tree_a,
-            &mut pool_b,
+            &mut &disk_b,
             &tree_b,
             &mut stats,
         ));
@@ -273,11 +271,9 @@ mod tests {
         let disk_b = Disk::default_in_memory();
         let tree_a = RTree::bulk_load(&disk_a, vec![]);
         let tree_b = RTree::bulk_load(&disk_b, generate(&DatasetSpec::uniform(100, 1)));
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&disk_b);
         let mut stats = RtreeStats::default();
-        assert!(sync_join(&mut pool_a, &tree_a, &mut pool_b, &tree_b, &mut stats).is_empty());
-        assert!(sync_join(&mut pool_b, &tree_b, &mut pool_a, &tree_a, &mut stats).is_empty());
+        assert!(sync_join(&mut &disk_a, &tree_a, &mut &disk_b, &tree_b, &mut stats).is_empty());
+        assert!(sync_join(&mut &disk_b, &tree_b, &mut &disk_a, &tree_a, &mut stats).is_empty());
     }
 
     #[test]
@@ -292,10 +288,9 @@ mod tests {
         });
         let disk_a = Disk::default_in_memory();
         let tree_a = RTree::bulk_load(&disk_a, a.clone());
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
         let mut stats = RtreeStats::default();
         let got = canonicalize(indexed_nested_loop_join(
-            &mut pool_a,
+            &mut &disk_a,
             &tree_a,
             &b,
             &mut stats,

@@ -216,8 +216,8 @@ impl RTree {
 
     /// Returns the ids of all elements whose MBB intersects `query`.
     /// Node pages are read through `pool` (any [`PageReads`] implementor:
-    /// a serve session's `CacheHandle` onto the shared cache, or the
-    /// `BufferPool` of a sequential baseline run).
+    /// a `CacheHandle` onto the serve engine's or the baseline run's
+    /// cache, or the raw `&Disk`).
     pub fn range_query<C: PageReads>(
         &self,
         pool: &mut C,
@@ -290,7 +290,6 @@ mod tests {
     use super::*;
     use tfm_datagen::{generate, DatasetSpec};
     use tfm_geom::Point3;
-    use tfm_storage::BufferPool;
 
     fn build(count: usize, seed: u64) -> (Disk, RTree, Vec<SpatialElement>) {
         let disk = Disk::default_in_memory();
@@ -304,10 +303,9 @@ mod tests {
         let disk = Disk::default_in_memory();
         let tree = RTree::bulk_load(&disk, vec![]);
         assert!(tree.is_empty());
-        let mut pool = BufferPool::with_default_capacity(&disk);
         let mut stats = RtreeStats::default();
         let q = Aabb::new(Point3::ORIGIN, Point3::new(1.0, 1.0, 1.0));
-        assert!(tree.range_query(&mut pool, &q, &mut stats).is_empty());
+        assert!(tree.range_query(&mut &disk, &q, &mut stats).is_empty());
     }
 
     #[test]
@@ -315,9 +313,8 @@ mod tests {
         let (disk, tree, elems) = build(50, 1);
         assert_eq!(tree.height(), 0);
         assert_eq!(tree.len(), 50);
-        let mut pool = BufferPool::with_default_capacity(&disk);
         let mut stats = RtreeStats::default();
-        let all = tree.range_query(&mut pool, &tree.root_mbb(), &mut stats);
+        let all = tree.range_query(&mut &disk, &tree.root_mbb(), &mut stats);
         assert_eq!(all.len(), elems.len());
     }
 
@@ -331,13 +328,12 @@ mod tests {
     #[test]
     fn range_query_matches_scan() {
         let (disk, tree, elems) = build(3000, 3);
-        let mut pool = BufferPool::with_default_capacity(&disk);
         let mut stats = RtreeStats::default();
         let q = Aabb::new(
             Point3::new(100.0, 100.0, 100.0),
             Point3::new(400.0, 350.0, 300.0),
         );
-        let mut got = tree.range_query(&mut pool, &q, &mut stats);
+        let mut got = tree.range_query(&mut &disk, &q, &mut stats);
         got.sort_unstable();
         let mut expected: Vec<u64> = elems
             .iter()
@@ -390,12 +386,10 @@ mod tests {
             Point3::new(200.0, 200.0, 200.0),
             Point3::new(500.0, 600.0, 400.0),
         );
-        let mut pool_s = BufferPool::with_default_capacity(&disk_str);
-        let mut pool_h = BufferPool::with_default_capacity(&disk_hil);
         let mut ss = RtreeStats::default();
         let mut sh = RtreeStats::default();
-        let mut rs = t_str.range_query(&mut pool_s, &q, &mut ss);
-        let mut rh = t_hil.range_query(&mut pool_h, &q, &mut sh);
+        let mut rs = t_str.range_query(&mut &disk_str, &q, &mut ss);
+        let mut rh = t_hil.range_query(&mut &disk_hil, &q, &mut sh);
         rs.sort_unstable();
         rh.sort_unstable();
         assert_eq!(rs, rh);
@@ -416,13 +410,11 @@ mod tests {
         let disk_b = Disk::default_in_memory();
         let tree_a = RTree::bulk_load_hilbert(&disk_a, a.clone());
         let tree_b = RTree::bulk_load_hilbert(&disk_b, b.clone());
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&disk_b);
         let mut stats = RtreeStats::default();
         let got = canonicalize(crate::sync_join(
-            &mut pool_a,
+            &mut &disk_a,
             &tree_a,
-            &mut pool_b,
+            &mut &disk_b,
             &tree_b,
             &mut stats,
         ));
@@ -433,14 +425,14 @@ mod tests {
     #[test]
     fn range_query_outside_root_is_free() {
         let (disk, tree, _) = build(500, 4);
-        let mut pool = BufferPool::with_default_capacity(&disk);
+        disk.reset_stats();
         let mut stats = RtreeStats::default();
         let q = Aabb::new(
             Point3::new(-50.0, -50.0, -50.0),
             Point3::new(-10.0, -10.0, -10.0),
         );
-        assert!(tree.range_query(&mut pool, &q, &mut stats).is_empty());
+        assert!(tree.range_query(&mut &disk, &q, &mut stats).is_empty());
         assert_eq!(stats.mem.element_tests, 0);
-        assert_eq!(pool.misses(), 0);
+        assert_eq!(disk.stats().reads(), 0);
     }
 }

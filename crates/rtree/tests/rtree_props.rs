@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tfm_geom::{Aabb, Point3, SpatialElement};
 use tfm_memjoin::{canonicalize, nested_loop_join, JoinStats};
 use tfm_rtree::{sync_join, RTree, RtreeStats};
-use tfm_storage::{BufferPool, Disk};
+use tfm_storage::Disk;
 
 fn arb_elems(max: usize) -> impl Strategy<Value = Vec<SpatialElement>> {
     prop::collection::vec(
@@ -54,9 +54,8 @@ proptest! {
         // Small page size forces several tree levels even on small inputs.
         let disk = Disk::in_memory(256);
         let tree = RTree::bulk_load(&disk, elems.clone());
-        let mut pool = BufferPool::with_default_capacity(&disk);
         let mut stats = RtreeStats::default();
-        let mut got = tree.range_query(&mut pool, &query, &mut stats);
+        let mut got = tree.range_query(&mut &disk, &query, &mut stats);
         got.sort_unstable();
         let mut expected: Vec<u64> = elems
             .iter()
@@ -73,10 +72,8 @@ proptest! {
         let disk_b = Disk::in_memory(512); // deliberately different heights
         let tree_a = RTree::bulk_load(&disk_a, a.clone());
         let tree_b = RTree::bulk_load(&disk_b, b.clone());
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&disk_b);
         let mut stats = RtreeStats::default();
-        let got = canonicalize(sync_join(&mut pool_a, &tree_a, &mut pool_b, &tree_b, &mut stats));
+        let got = canonicalize(sync_join(&mut &disk_a, &tree_a, &mut &disk_b, &tree_b, &mut stats));
         let mut s = JoinStats::default();
         prop_assert_eq!(got, canonicalize(nested_loop_join(&a, &b, &mut s)));
     }
@@ -87,10 +84,8 @@ proptest! {
         let disk_b = Disk::in_memory(256);
         let tree_a = RTree::bulk_load(&disk_a, a);
         let tree_b = RTree::bulk_load(&disk_b, b);
-        let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-        let mut pool_b = BufferPool::with_default_capacity(&disk_b);
         let mut stats = RtreeStats::default();
-        let got = sync_join(&mut pool_a, &tree_a, &mut pool_b, &tree_b, &mut stats);
+        let got = sync_join(&mut &disk_a, &tree_a, &mut &disk_b, &tree_b, &mut stats);
         let n = got.len();
         prop_assert_eq!(canonicalize(got).len(), n, "duplicate pairs emitted");
     }

@@ -581,7 +581,6 @@ mod tests {
             hits,
             misses,
             prefetch_hits,
-            ..PoolCounters::default()
         };
 
         // Cold: a miss.

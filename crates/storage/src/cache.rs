@@ -1,5 +1,5 @@
-//! The unified read path: one trait over the shared cache, a private
-//! pool and the raw disk.
+//! The unified read path: one trait over the shared cache and the raw
+//! disk.
 //!
 //! Index structures (the B+-tree, the R-tree, the TRANSFORMERS unit
 //! reader) are generic over [`PageReads`] so one traversal implementation
@@ -7,37 +7,29 @@
 //!
 //! * [`CacheHandle`] — a per-worker view onto a [`SharedPageCache`] with
 //!   its own hit/miss counters, so per-worker accounting survives
-//!   sharing. Every TRANSFORMERS, GIPSY, serve and mutate read goes
-//!   through one;
-//! * [`BufferPool`] — the private pool of a single-owner sequential scan
-//!   (the PBSM, sweep and R-tree baselines);
+//!   sharing. Every join, probe and write reads through one; a single
+//!   owner's scan (the PBSM, sweep and R-tree baselines) holds the one
+//!   handle onto a one-shard cache;
 //! * `&Disk` — uncached direct reads, for one-shot metadata passes.
 //!
 //! Page bytes come back as a [`PageSlice`] (pinned zero-copy from the
-//! shared cache, borrowed from a private pool, or owned from the raw
-//! disk), which derefs to a byte slice, so call sites are
-//! caching-agnostic. A reader that only tests an element page's boxes
-//! views the slice with [`ElementPageCodec::view`];
-//! [`CacheHandle::elements`] is for readers that keep the elements (the
-//! joins) and goes through the shared cache's decoded tier.
+//! shared cache, or owned from the raw disk), which derefs to a byte
+//! slice, so call sites are caching-agnostic. A reader of an element page
+//! views the slice with [`ElementPageCodec::view`](crate::ElementPageCodec::view):
+//! a probe tests the boxes in place, a join copies the records it keeps
+//! into a buffer it owns.
 
-use crate::shared::{DecodedOutcome, ReadOutcome};
-use crate::{BufferPool, Disk, ElementPageCodec, PageId, PageRef, SharedPageCache};
+use crate::shared::ReadOutcome;
+use crate::{Disk, PageId, PageRef, SharedPageCache};
 use std::ops::Deref;
-use std::sync::Arc;
-use tfm_geom::SpatialElement;
 
-/// Per-handle cache counters (both tiers).
+/// Per-handle cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Page-tier hits.
     pub hits: u64,
     /// Page-tier misses (disk page reads triggered by this handle).
     pub misses: u64,
-    /// Decoded-tier hits (decode skipped).
-    pub decoded_hits: u64,
-    /// Decoded-tier misses (a decode ran for this handle's read).
-    pub decoded_misses: u64,
     /// Reads served by a frame the prefetch pipeline landed — tracked
     /// apart from `hits`/`misses` so readahead cannot inflate
     /// [`hit_fraction`](PoolCounters::hit_fraction).
@@ -55,23 +47,20 @@ impl PoolCounters {
     }
 }
 
-/// One page's bytes, however the cache mode produced them.
-pub enum PageSlice<'a> {
-    /// Borrowed from a private pool frame.
-    Borrowed(&'a [u8]),
+/// One page's bytes, however the read path produced them.
+pub enum PageSlice {
     /// Pinned zero-copy in the shared cache.
     Pinned(PageRef),
     /// Freshly read from the disk (uncached mode).
     Owned(Vec<u8>),
 }
 
-impl Deref for PageSlice<'_> {
+impl Deref for PageSlice {
     type Target = [u8];
 
     #[inline]
     fn deref(&self) -> &[u8] {
         match self {
-            PageSlice::Borrowed(s) => s,
             PageSlice::Pinned(r) => r,
             PageSlice::Owned(v) => v,
         }
@@ -79,7 +68,7 @@ impl Deref for PageSlice<'_> {
 }
 
 /// A source of cached page reads — the one abstraction every index
-/// traversal reads pages through (see the module docs for the three
+/// traversal reads pages through (see the module docs for the two
 /// implementors and what each returns).
 ///
 /// The contract: [`page`](PageReads::page) must return exactly the bytes
@@ -91,32 +80,20 @@ impl Deref for PageSlice<'_> {
 /// self` per owner: concurrency lives *inside* an implementation (the
 /// shared cache's lock striping), never in the trait.
 pub trait PageReads {
-    /// Reads one page's bytes.
-    fn page(&mut self, id: PageId) -> PageSlice<'_>;
+    /// Reads one page's bytes. Over the cache the slice pins its frame
+    /// until it is dropped, so a scan drops each page before its next read
+    /// and leaves every frame evictable.
+    fn page(&mut self, id: PageId) -> PageSlice;
 
     /// This handle's cache counters (zeros for uncached modes).
     fn counters(&self) -> PoolCounters;
-}
-
-impl PageReads for BufferPool<'_> {
-    fn page(&mut self, id: PageId) -> PageSlice<'_> {
-        PageSlice::Borrowed(self.read(id))
-    }
-
-    fn counters(&self) -> PoolCounters {
-        PoolCounters {
-            hits: self.hits(),
-            misses: self.misses(),
-            ..PoolCounters::default()
-        }
-    }
 }
 
 /// Uncached direct reads; every access reaches the disk and allocates.
 /// Meant for one-shot traversals (e.g. a single B+-tree lookup on a cold
 /// path), not hot loops.
 impl PageReads for &Disk {
-    fn page(&mut self, id: PageId) -> PageSlice<'_> {
+    fn page(&mut self, id: PageId) -> PageSlice {
         PageSlice::Owned(self.read_page_vec(id))
     }
 
@@ -128,9 +105,10 @@ impl PageReads for &Disk {
 /// A per-worker view onto a [`SharedPageCache`].
 ///
 /// This is what rides inside `transformers::UnitReader`, the join's
-/// per-side state and the serve sessions: workers construct their handle
-/// once and read through it. The handle keeps **local** counters, so
-/// summing per-worker counters never double-counts the cache's totals.
+/// per-side state, the serve sessions and the baselines' scans: workers
+/// construct their handle once and read through it. The handle keeps
+/// **local** counters, so summing per-worker counters never double-counts
+/// the cache's totals.
 pub struct CacheHandle<'c, 'd> {
     cache: &'c SharedPageCache<'d>,
     counters: PoolCounters,
@@ -151,9 +129,8 @@ impl<'c, 'd> CacheHandle<'c, 'd> {
     }
 
     /// Reads one page and returns the pin itself, counted like
-    /// [`page`](PageReads::page): for a reader that holds many pages at
-    /// once (the join's follower sweep), which the `&mut self` borrow of a
-    /// [`PageSlice`] cannot.
+    /// [`page`](PageReads::page): for a reader that copies the bytes out
+    /// (the join's follower sweep) or holds several pages at once.
     pub fn pin(&mut self, id: PageId) -> PageRef {
         let (page, outcome) = self.cache.read_tracked(id);
         match outcome {
@@ -163,37 +140,10 @@ impl<'c, 'd> CacheHandle<'c, 'd> {
         }
         page
     }
-
-    /// Reads one element page through the cache's decoded tier and returns
-    /// the shared records: no decode runs when another reader already
-    /// materialised the page during its current residency.
-    pub fn elements(&mut self, codec: &ElementPageCodec, id: PageId) -> Arc<[SpatialElement]> {
-        let (elems, outcome) = self.cache.read_decoded_tracked(codec, id);
-        let counters = &mut self.counters;
-        match outcome {
-            DecodedOutcome::Decoded => {
-                counters.hits += 1;
-                counters.decoded_hits += 1;
-            }
-            DecodedOutcome::Page => {
-                counters.hits += 1;
-                counters.decoded_misses += 1;
-            }
-            DecodedOutcome::PrefetchedPage => {
-                counters.prefetch_hits += 1;
-                counters.decoded_misses += 1;
-            }
-            DecodedOutcome::Miss => {
-                counters.misses += 1;
-                counters.decoded_misses += 1;
-            }
-        }
-        elems
-    }
 }
 
 impl PageReads for CacheHandle<'_, '_> {
-    fn page(&mut self, id: PageId) -> PageSlice<'_> {
+    fn page(&mut self, id: PageId) -> PageSlice {
         PageSlice::Pinned(self.pin(id))
     }
 
@@ -205,8 +155,8 @@ impl PageReads for CacheHandle<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskModel;
-    use tfm_geom::{Aabb, Point3};
+    use crate::{DiskModel, ElementPageCodec};
+    use tfm_geom::{Aabb, Point3, SpatialElement};
 
     fn elem(id: u64) -> SpatialElement {
         let f = id as f64;
@@ -227,8 +177,8 @@ mod tests {
         (d, codec)
     }
 
-    /// Every implementor must produce identical bytes for the same page,
-    /// and the handle's decoded tier the elements those bytes decode to.
+    /// Both implementors must produce identical bytes for the same page,
+    /// and those bytes the elements that were written.
     #[test]
     fn all_modes_agree() {
         fn check(r: &mut impl PageReads, codec: &ElementPageCodec, p: u64, reference: &[u8]) {
@@ -238,19 +188,15 @@ mod tests {
         let (d, codec) = element_disk(6);
         let shared = SharedPageCache::with_shards(&d, 4, 2);
         let mut handle = CacheHandle::shared(&shared);
-        let mut pool = BufferPool::new(&d, 4);
         let mut direct: &Disk = &d;
         for p in 0..6u64 {
             let reference = d.read_page_vec(PageId(p));
-            check(&mut pool, &codec, p, &reference);
+            check(&mut handle, &codec, p, &reference);
             check(&mut direct, &codec, p, &reference);
-            assert_eq!(&*handle.page(PageId(p)), reference.as_slice());
-            assert_eq!(handle.elements(&codec, PageId(p))[0], elem(p));
         }
-        // The handle counts its own traffic, the pool its own frames.
-        for c in [handle.counters(), PageReads::counters(&pool)] {
-            assert_eq!(c.hits + c.misses, 12, "{c:?}");
-        }
+        // The handle counts its own traffic; the raw disk counts nothing.
+        let c = handle.counters();
+        assert_eq!(c.hits + c.misses, 12, "{c:?}");
         assert_eq!(direct.counters(), PoolCounters::default());
     }
 
@@ -278,20 +224,19 @@ mod tests {
 
     #[test]
     fn shared_handles_count_locally_not_globally() {
-        let (d, codec) = element_disk(3);
+        let (d, _) = element_disk(3);
         let shared = SharedPageCache::with_shards(&d, 8, 2);
         let mut h1 = CacheHandle::shared(&shared);
         let mut h2 = CacheHandle::shared(&shared);
         // h1 faults everything in; h2 rides its hits.
         for p in 0..3u64 {
-            h1.elements(&codec, PageId(p));
+            h1.page(PageId(p));
         }
         for p in 0..3u64 {
-            h2.elements(&codec, PageId(p));
+            h2.page(PageId(p));
         }
         assert_eq!(h1.counters().misses, 3);
-        assert_eq!(h2.counters().misses, 0);
-        assert_eq!(h2.counters().decoded_hits, 3);
+        assert_eq!((h2.counters().hits, h2.counters().misses), (3, 0));
         // Global totals equal the sum of the handle-local counters.
         let g = shared.stats();
         assert_eq!(g.misses, h1.counters().misses + h2.counters().misses);
@@ -300,7 +245,7 @@ mod tests {
 
     #[test]
     fn prefetch_hits_stay_out_of_handle_hit_fractions() {
-        let (d, codec) = element_disk(4);
+        let (d, _) = element_disk(4);
         let shared = SharedPageCache::with_shards(&d, 8, 2);
         let mut scratch_page = Vec::new();
         for p in 0..4u64 {
@@ -308,7 +253,7 @@ mod tests {
         }
         let mut h = CacheHandle::shared(&shared);
         for p in 0..4u64 {
-            h.elements(&codec, PageId(p));
+            h.page(PageId(p));
         }
         let c = h.counters();
         assert_eq!(c.prefetch_hits, 4);

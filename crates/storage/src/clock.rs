@@ -1,17 +1,16 @@
-//! The CLOCK (second-chance) frame ring shared by [`crate::BufferPool`]
-//! and the shards of [`crate::SharedPageCache`].
+//! The CLOCK (second-chance) frame ring of each shard of
+//! [`crate::SharedPageCache`].
 //!
 //! A ring holds up to `capacity` frames, each caching one page. Lookups
 //! set the frame's reference bit; eviction sweeps a clock hand over the
 //! ring, clearing reference bits and evicting the first frame whose bit
 //! is already clear. Compared to a strict LRU this drops the per-read
-//! ordering churn (the old `BufferPool` maintained two `BTreeMap`s and a
-//! fresh stamp on *every* read) for one boolean store, while approximating
-//! the same recency behaviour.
+//! ordering churn (an LRU keeps ordered maps and a fresh stamp on *every*
+//! read) for one boolean store, while approximating the same recency
+//! behaviour.
 //!
-//! The ring is generic over the frame payload so the private pool can use
-//! plain `Vec<u8>` buffers while the shared cache's shards use pinned
-//! (`Arc`-counted) frames with a decoded-elements side slot. Payload-aware
+//! The ring is generic over the frame payload: the cache's shards hold
+//! pinned (`Arc`-counted) frames, the tests plain integers. Payload-aware
 //! eviction is expressed through the `can_evict` predicate of
 //! [`ClockRing::insert`]: a frame whose payload is pinned is skipped like
 //! a referenced frame. If every frame is pinned, the ring grows one
@@ -56,7 +55,7 @@ impl<T> ClockRing<T> {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer pool needs at least one page");
+        assert!(capacity > 0, "a clock ring needs at least one page");
         Self {
             capacity,
             frames: Vec::with_capacity(capacity.min(1024)),
@@ -180,13 +179,6 @@ impl<T> ClockRing<T> {
         }
     }
 
-    /// Drops every resident page (frames and map; the hand resets).
-    pub fn clear(&mut self) {
-        self.frames.clear();
-        self.map.clear();
-        self.hand = 0;
-    }
-
     /// Iterates over every resident frame as `(page id, payload)`.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         self.frames.iter_mut().map(|f| (f.page, &mut f.payload))
@@ -245,12 +237,19 @@ mod tests {
 
     #[test]
     fn clear_resets_residency() {
+        // The cache's `clear` keeps only dirty frames; with none kept the
+        // ring is empty and refills from the start.
         let mut r = ring(2);
         r.insert(0, |_| true, || 7);
-        r.clear();
+        r.insert(1, |_| true, || 8);
+        r.retain(|&v| v == 8);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.get(1), Some(&mut 8));
+        r.retain(|_| false);
         assert_eq!(r.len(), 0);
         assert!(!r.contains(0));
         assert!(r.get(0).is_none());
+        assert!(r.insert(0, |_| true, || 9).fresh);
     }
 
     #[test]

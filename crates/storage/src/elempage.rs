@@ -12,16 +12,18 @@
 //! once and returns an [`ElementRecords`] that reads ids and boxes straight
 //! out of the page bytes — typically a pinned cache frame. A probe tests
 //! every box in place and copies out nothing but the matching ids; nothing
-//! is allocated and nothing outlives the pin. [`decode`] and
-//! [`decode_into`] are the materialising convenience for callers that need
-//! owned elements (the join's in-memory kernels, the baselines): they
-//! collect the same view, so the format has exactly one record parser.
+//! is allocated and nothing outlives the pin. [`decode`], [`decode_into`]
+//! and [`read_pages_into`] are the materialising convenience for callers
+//! that need owned elements (the join's in-memory kernels, the baselines):
+//! they collect the same view, so the format has exactly one record parser.
 //! Records start at byte 2 (byte 10 on overflow pages), so every field
 //! read is an unaligned `from_le_bytes` of a byte array — no `unsafe`.
 //!
 //! [`decode`]: ElementPageCodec::decode
 //! [`decode_into`]: ElementPageCodec::decode_into
+//! [`read_pages_into`]: ElementPageCodec::read_pages_into
 
+use crate::{PageId, PageReads};
 use tfm_geom::{Aabb, Point3, SpatialElement};
 
 /// Bytes per element record: 8 (id) + 6 × 8 (two corners).
@@ -246,6 +248,25 @@ impl ElementPageCodec {
         out.clear();
         out.extend(records.iter());
     }
+
+    /// Reads the pages `ids` through `pages` and decodes them, in order,
+    /// into `out` (cleared first, reusing its capacity): a partition of
+    /// several pages materialised into one buffer its reader owns. Each
+    /// page stays pinned only while its records are copied.
+    ///
+    /// # Panics
+    /// Panics if a page is shorter than its declared payload.
+    pub fn read_pages_into(
+        &self,
+        pages: &mut impl PageReads,
+        ids: &[PageId],
+        out: &mut Vec<SpatialElement>,
+    ) {
+        out.clear();
+        for &id in ids {
+            out.extend(self.view(&pages.page(id)).iter());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -380,6 +401,23 @@ mod tests {
         assert_eq!(buf.len(), 1);
         c.decode_into(&c.encode(&[]), &mut buf);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn read_pages_into_appends_every_page_after_one_clear() {
+        let c = ElementPageCodec::new(512);
+        let d = crate::Disk::in_memory(512);
+        let first = d.allocate_contiguous(3);
+        let pages = [vec![elem(1, 1.0), elem(2, 2.0)], vec![], vec![elem(3, 3.0)]];
+        for (i, p) in pages.iter().enumerate() {
+            d.write_page(PageId(first.0 + i as u64), &c.encode(p));
+        }
+        let ids: Vec<PageId> = (0..3).map(|i| PageId(first.0 + i)).collect();
+        let mut out = vec![elem(99, 9.0)];
+        c.read_pages_into(&mut &d, &ids, &mut out);
+        assert_eq!(out, pages.concat());
+        c.read_pages_into(&mut &d, &ids[2..], &mut out);
+        assert_eq!(out, vec![elem(3, 3.0)]);
     }
 
     #[test]

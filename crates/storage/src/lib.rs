@@ -24,17 +24,16 @@
 //! use, the accounting (and thus every result and every simulated-time
 //! figure) is identical; only wall-clock behaviour differs.
 //!
-//! On top of the disk sit the caching layers every reader goes through:
-//! the process-wide lock-striped [`SharedPageCache`] (pinned zero-copy
-//! frames + a decoded element-page tier) under every TRANSFORMERS, GIPSY,
-//! serve and mutate read, the private [`BufferPool`] of the sequential
-//! baselines, and the [`PageReads`] abstraction ([`CacheHandle`] is the
-//! shared cache's per-worker implementor) that lets index traversals stay
-//! agnostic of which one is in use.
+//! On top of the disk sits the one page cache every join, probe and write
+//! reads through: the lock-striped [`SharedPageCache`] of pinned zero-copy
+//! frames, one per dataset (a one-shard one for a single owner's scan),
+//! read through a per-worker [`CacheHandle`]. Index traversals are generic
+//! over the [`PageReads`] trait, whose two implementors are that handle
+//! (also behind the write path's [`LoggedPages`]) and the raw `&Disk` for
+//! one-shot uncached reads.
 
 #![warn(missing_docs)]
 
-mod buffer;
 mod cache;
 mod clock;
 mod disk;
@@ -46,7 +45,6 @@ mod shared;
 mod stats;
 mod store;
 
-pub use buffer::{BufferPool, DEFAULT_POOL_PAGES};
 pub use cache::{CacheHandle, PageReads, PageSlice, PoolCounters};
 pub use disk::{Disk, DiskBackendKind};
 pub use elempage::{ElementPageCodec, ElementRecords, RECORD_SIZE as ELEMENT_RECORD_BYTES};
@@ -54,7 +52,7 @@ pub use model::DiskModel;
 pub use prefetch::PrefetchQueue;
 pub use redo::{LoggedPages, NoopLog, PageWrites, RedoLog};
 pub use shared::{
-    CacheStats, DecodedOutcome, PageRef, ReadOutcome, SharedPageCache, DEFAULT_CACHE_SHARDS,
+    CacheStats, PageRef, ReadOutcome, SharedPageCache, DEFAULT_CACHE_SHARDS, DEFAULT_POOL_PAGES,
 };
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use store::{checksum64, is_checksum_mismatch, FileStore, MemStore, PageStore, StoreBackend};

@@ -197,7 +197,7 @@ impl<'l, 'c, 'd> LoggedPages<'l, 'c, 'd> {
 }
 
 impl PageReads for LoggedPages<'_, '_, '_> {
-    fn page(&mut self, id: PageId) -> PageSlice<'_> {
+    fn page(&mut self, id: PageId) -> PageSlice {
         self.reads.page(id)
     }
 

@@ -1,22 +1,21 @@
 //! The process-wide, sharded, pinned-frame page cache.
 //!
 //! Every access path in the reproduction — the TRANSFORMERS join, the
-//! GIPSY walk+crawl, the R-tree/B+-tree baselines and the serving layer —
-//! bottoms out in page reads against an immutable [`Disk`]. Every reader
-//! that shares a disk with other workers goes through **one**
-//! process-wide cache over it, so a hot page is resident once, read from
-//! the disk once per residency and (for the joins) decoded once, however
-//! many workers touch it:
+//! GIPSY walk+crawl, the PBSM, sweep and R-tree/B+-tree baselines and the
+//! serving layer — bottoms out in page reads against an immutable
+//! [`Disk`], and every one of them reads through this cache. Readers that
+//! share a disk share **one** cache over it, so a hot page is resident
+//! once and read from the disk once per residency, however many workers
+//! touch it; a single owner's scan holds a one-shard cache of its own:
 //!
 //! * **Sharded / lock-striped** — the page-id space is striped over
 //!   independently locked shards (consecutive pages land on different
 //!   shards), so concurrent readers rarely contend; contention that does
 //!   happen is counted ([`CacheStats::lock_contended`]).
 //! * **CLOCK eviction per shard** — the second-chance ring of
-//!   [`crate::clock`] (the one [`crate::BufferPool`] runs on), with
-//!   pinned and dirty frames skipped. It is the only policy: a 2Q
-//!   admission variant was measured and retired (`DESIGN.md`, § "Shared
-//!   page cache").
+//!   [`crate::clock`], with pinned and dirty frames skipped. It is the
+//!   only policy: a 2Q admission variant was measured and retired
+//!   (`DESIGN.md`, § "Shared page cache").
 //! * **Zero-copy pin guards** — [`SharedPageCache::read`] hands out a
 //!   [`PageRef`] that borrows the cached bytes (`Deref<Target = [u8]>`)
 //!   by bumping the frame's `Arc`; no bytes are copied and no `Vec` is
@@ -26,13 +25,13 @@
 //! * **Recycled miss buffers** — a miss evicts an unpinned victim and
 //!   reads the new page *into the victim's buffer*; at steady state a
 //!   miss allocates nothing.
-//! * **Decoded second tier** — for readers that need owned elements (the
-//!   joins), the cache keeps a decoded `Arc<[SpatialElement]>` alongside
-//!   the frame ([`SharedPageCache::read_decoded`]), so a page several
-//!   workers pivot over is decoded once per residency. Decoded entries
-//!   live and die with their frame. Probes do not use it: they pin the
-//!   page with [`SharedPageCache::read_tracked`] and test boxes in place
-//!   through [`crate::ElementPageCodec::view`].
+//! * **Decoded second tier** — [`SharedPageCache::read_decoded`] keeps a
+//!   decoded `Arc<[SpatialElement]>` alongside the frame, built once per
+//!   residency, and decoded entries live and die with their frame. No
+//!   join or probe reads it any more: they pin the page with
+//!   [`SharedPageCache::read_tracked`] and read the records in place
+//!   through [`crate::ElementPageCodec::view`]. Only the benchmark's layer
+//!   probe still times it; the tier goes once that probe stops.
 //!
 //! Reads take `&self`; the cache is `Sync` and is meant to be shared by
 //! reference across worker threads (see `transformers::UnitReader` and
@@ -47,8 +46,7 @@
 //! I/O) and keeps the pin check race-free; against the in-memory store a
 //! fill is a `memcpy`, so the hold time is small and the `lock_contended`
 //! counter makes the cost observable. A decode is not small — which is
-//! why the probe paths, whose reads are mostly misses, stay off the
-//! decoded tier and parse outside the lock, from their pin. For the
+//! why every reader parses outside the lock, from its pin. For the
 //! real-file backend the prefetch path below is the escape hatch:
 //! [`SharedPageCache::prefetch_page`] performs
 //! the disk read **outside** the shard lock into a caller-owned scratch
@@ -73,6 +71,9 @@ use tfm_geom::SpatialElement;
 
 /// Default shard count for caches shared by a handful of workers.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
+
+/// Default cache capacity in pages: 1024 × 8 KiB = 8 MiB.
+pub const DEFAULT_POOL_PAGES: usize = 1024;
 
 /// One frame of a shard: the pinned page bytes plus the decoded tier.
 struct SharedFrame {
@@ -221,21 +222,6 @@ pub enum ReadOutcome {
     Miss,
 }
 
-/// Which tier answered a [`SharedPageCache::read_decoded_tracked`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodedOutcome {
-    /// The decoded tier had the elements: no page read, no decode.
-    Decoded,
-    /// The page bytes were cached but had to be decoded.
-    Page,
-    /// The page bytes were landed by the prefetcher (first demand read of
-    /// the frame); the decode still ran. Counted like
-    /// [`ReadOutcome::PrefetchHit`] on the page tier.
-    PrefetchedPage,
-    /// Full miss: the page was read from disk and decoded.
-    Miss,
-}
-
 /// Aggregated counters of a [`SharedPageCache`] (or the delta between two
 /// snapshots of one).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -294,15 +280,6 @@ impl CacheStats {
             return 0.0;
         }
         self.hits as f64 / total as f64
-    }
-
-    /// Decoded-tier hit fraction in `0.0..=1.0` (0 when idle).
-    pub fn decoded_hit_fraction(&self) -> f64 {
-        let total = self.decoded_hits + self.decoded_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.decoded_hits as f64 / total as f64
     }
 
     /// Fraction of shard-lock acquisitions that found the lock held.
@@ -528,53 +505,37 @@ impl<'d> SharedPageCache<'d> {
     }
 
     /// Reads and decodes an element page through both tiers, returning the
-    /// shared decoded records.
+    /// shared decoded records. The page tier counts the read like
+    /// [`read_tracked`](Self::read_tracked); the decoded tier counts a hit
+    /// when the frame already held the records and a miss when the decode
+    /// ran.
     pub fn read_decoded(&self, codec: &ElementPageCodec, id: PageId) -> Arc<[SpatialElement]> {
-        self.read_decoded_tracked(codec, id).0
-    }
-
-    /// [`read_decoded`](Self::read_decoded) plus which tier answered.
-    pub fn read_decoded_tracked(
-        &self,
-        codec: &ElementPageCodec,
-        id: PageId,
-    ) -> (Arc<[SpatialElement]>, DecodedOutcome) {
         let shard = self.shard(id);
         let mut guard = shard.lock();
-        if let Some(i) = guard.ring.find(id.0) {
-            let was_prefetched = {
-                let f = guard.ring.payload_mut(i);
-                let was = f.prefetched;
-                f.prefetched = false;
-                was
-            };
-            if was_prefetched {
-                guard.counters.prefetch_hits += 1;
-            } else {
-                guard.counters.hits += 1;
+        let ShardInner { ring, counters, .. } = &mut *guard;
+        let f = match ring.get(id.0) {
+            Some(f) => {
+                if std::mem::take(&mut f.prefetched) {
+                    counters.prefetch_hits += 1;
+                } else {
+                    counters.hits += 1;
+                }
+                f
             }
-            let hit_decoded = guard.ring.payload_mut(i).decoded.as_ref().map(Arc::clone);
-            if let Some(decoded) = hit_decoded {
-                guard.counters.decoded_hits += 1;
-                return (decoded, DecodedOutcome::Decoded);
+            None => {
+                counters.misses += 1;
+                Self::load_frame(self.disk, &mut guard, id)
             }
-            guard.counters.decoded_misses += 1;
-            let f = guard.ring.payload_mut(i);
-            let decoded: Arc<[SpatialElement]> = codec.view(&f.buf).iter().collect();
-            f.decoded = Some(Arc::clone(&decoded));
-            let outcome = if was_prefetched {
-                DecodedOutcome::PrefetchedPage
-            } else {
-                DecodedOutcome::Page
-            };
-            return (decoded, outcome);
+        };
+        if let Some(decoded) = &f.decoded {
+            let decoded = Arc::clone(decoded);
+            guard.counters.decoded_hits += 1;
+            return decoded;
         }
-        guard.counters.misses += 1;
-        guard.counters.decoded_misses += 1;
-        let f = Self::load_frame(self.disk, &mut guard, id);
         let decoded: Arc<[SpatialElement]> = codec.view(&f.buf).iter().collect();
         f.decoded = Some(Arc::clone(&decoded));
-        (decoded, DecodedOutcome::Miss)
+        guard.counters.decoded_misses += 1;
+        decoded
     }
 
     /// Miss path: claims a frame for `id` under the shard lock and fills
@@ -831,10 +792,10 @@ impl<'d> SharedPageCache<'d> {
     }
 
     /// Drops every *clean* cached page and decoded entry (counters keep
-    /// running, matching [`crate::BufferPool::clear`]). Dirty frames are
-    /// retained — dropping them would lose writes that only exist in the
-    /// cache; flush first if a full clear is wanted. Live [`PageRef`]s
-    /// stay valid — their buffers are kept alive by the guards themselves.
+    /// running). Dirty frames are retained — dropping them would lose
+    /// writes that only exist in the cache; flush first if a full clear is
+    /// wanted. Live [`PageRef`]s stay valid — their buffers are kept alive
+    /// by the guards themselves.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard.inner.lock().ring.retain(|f| f.dirty);
@@ -926,6 +887,69 @@ mod tests {
     }
 
     #[test]
+    fn hit_avoids_disk() {
+        let d = disk_with_pages(4, 16);
+        let cache = SharedPageCache::with_shards(&d, 2, 1);
+        assert_eq!(cache.read(PageId(0))[0], 0);
+        assert_eq!(cache.read(PageId(0))[0], 0);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(d.stats().reads(), 1);
+    }
+
+    #[test]
+    fn clear_forces_reread() {
+        let d = disk_with_pages(1, 16);
+        let cache = SharedPageCache::with_shards(&d, 4, 1);
+        cache.read(PageId(0));
+        cache.clear();
+        cache.read(PageId(0));
+        assert_eq!(d.stats().reads(), 2);
+    }
+
+    #[test]
+    fn lru_evicts_oldest() {
+        let d = disk_with_pages(3, 16);
+        let cache = SharedPageCache::with_shards(&d, 2, 1);
+        cache.read(PageId(0));
+        cache.read(PageId(1));
+        cache.read(PageId(0)); // refresh 0; second-chance victim is now 1
+        cache.read(PageId(2)); // evicts 1
+        assert_eq!(d.stats().reads(), 3);
+        cache.read(PageId(0)); // still cached
+        assert_eq!(d.stats().reads(), 3);
+        cache.read(PageId(1)); // was evicted -> miss
+        assert_eq!(d.stats().reads(), 4);
+    }
+
+    #[test]
+    fn capacity_one_thrashes_correctly() {
+        let d = disk_with_pages(2, 16);
+        let cache = SharedPageCache::with_shards(&d, 1, 1);
+        assert_eq!(cache.read(PageId(0))[0], 0);
+        assert_eq!(cache.read(PageId(1))[0], 1);
+        assert_eq!(cache.read(PageId(0))[0], 0);
+        assert_eq!(d.stats().reads(), 3);
+    }
+
+    #[test]
+    fn recycled_frames_return_fresh_bytes() {
+        // Thrash a one-frame cache across distinct pages: every miss
+        // recycles the same buffer, which must always end up holding the
+        // newly requested page's bytes.
+        let d = disk_with_pages(8, 16);
+        let cache = SharedPageCache::with_shards(&d, 1, 1);
+        for round in 0..3 {
+            for i in 0..8u64 {
+                assert_eq!(cache.read(PageId(i))[0], i as u8, "round {round}");
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 24));
+        assert_eq!((s.fresh_allocs, s.recycled_frames), (1, 23));
+    }
+
+    #[test]
     fn decoded_tier_skips_the_codec() {
         use tfm_geom::{Aabb, Point3};
         let codec = ElementPageCodec::new(512);
@@ -945,15 +969,16 @@ mod tests {
         d.reset_stats();
 
         let cache = SharedPageCache::with_shards(&d, 4, 1);
-        let (first, o1) = cache.read_decoded_tracked(&codec, p);
-        assert_eq!(o1, DecodedOutcome::Miss);
+        let first = cache.read_decoded(&codec, p);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.decoded_misses), (1, 1));
         assert_eq!(first.as_ref(), elems.as_slice());
-        let (second, o2) = cache.read_decoded_tracked(&codec, p);
-        assert_eq!(o2, DecodedOutcome::Decoded);
+        let second = cache.read_decoded(&codec, p);
         // Same Arc: the decode ran exactly once.
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(d.stats().reads(), 1);
         let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!((s.decoded_hits, s.decoded_misses), (1, 1));
 
         // A byte-level read of the same page hits the page tier.
@@ -978,8 +1003,10 @@ mod tests {
         assert_eq!(cache.read_decoded(&codec, PageId(0))[0].id, 0);
         // Evict page 0, then return to it: the decode must run again.
         assert_eq!(cache.read_decoded(&codec, PageId(1))[0].id, 1);
-        let (_, outcome) = cache.read_decoded_tracked(&codec, PageId(0));
-        assert_eq!(outcome, DecodedOutcome::Miss);
+        let before = cache.stats();
+        cache.read_decoded(&codec, PageId(0));
+        let delta = cache.stats().delta_since(&before);
+        assert_eq!((delta.misses, delta.decoded_misses), (1, 1));
     }
 
     #[test]
@@ -1100,15 +1127,19 @@ mod tests {
         let cache = SharedPageCache::with_shards(&d, 4, 1);
         let mut scratch = Vec::new();
         cache.prefetch_page(p, &mut scratch);
-        let (decoded, outcome) = cache.read_decoded_tracked(&codec, p);
-        assert_eq!(outcome, DecodedOutcome::PrefetchedPage);
+        let decoded = cache.read_decoded(&codec, p);
         assert_eq!(decoded.as_ref(), elems.as_slice());
         assert_eq!(d.stats().reads(), 1, "the prefetch was the only read");
         let s = cache.stats();
         assert_eq!((s.prefetch_hits, s.hits, s.misses), (1, 0, 0));
+        assert_eq!((s.decoded_hits, s.decoded_misses), (0, 1));
         // Decoded tier now primed: next decoded read hits it outright.
-        let (_, outcome) = cache.read_decoded_tracked(&codec, p);
-        assert_eq!(outcome, DecodedOutcome::Decoded);
+        cache.read_decoded(&codec, p);
+        let delta = cache.stats().delta_since(&s);
+        assert_eq!(
+            (delta.hits, delta.decoded_hits, delta.decoded_misses),
+            (1, 1, 0)
+        );
     }
 
     #[test]

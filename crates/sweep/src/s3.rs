@@ -15,7 +15,9 @@
 use std::collections::HashMap;
 use tfm_geom::{Aabb, SpatialElement};
 use tfm_memjoin::{plane_sweep_join, JoinStats, ResultPair};
-use tfm_storage::{BufferPool, Disk, ElementPageCodec, PageId};
+use tfm_storage::{
+    CacheHandle, Disk, ElementPageCodec, PageId, SharedPageCache, DEFAULT_POOL_PAGES,
+};
 
 /// Cell address: level + per-dimension coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,19 +74,9 @@ impl S3Dataset {
         self.cells.len()
     }
 
-    fn read_cell(
-        &self,
-        pool: &mut BufferPool<'_>,
-        codec: &ElementPageCodec,
-        cell: &CellId,
-    ) -> Vec<SpatialElement> {
-        let mut out = Vec::new();
-        if let Some(pages) = self.cells.get(cell) {
-            for &p in pages {
-                out.extend(codec.decode(pool.read(p)));
-            }
-        }
-        out
+    /// The pages of `cell` (none when it is empty).
+    fn pages(&self, cell: &CellId) -> &[PageId] {
+        self.cells.get(cell).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -122,6 +114,16 @@ fn level_of(mbb: &Aabb, extent: &Aabb, levels: u8) -> CellId {
         best = CellId { level, coords };
     }
     best
+}
+
+/// The depth the harness runs S3 at for an input of `elements` on pages of
+/// `page_size` bytes: a deepest-level cell holds about one page, i.e.
+/// `2^(levels-1)` cells per dimension ≈ the cube root of the input's
+/// pages, clamped to 2..=8 levels.
+pub fn levels_for(elements: usize, page_size: usize) -> u8 {
+    let cap = ElementPageCodec::new(page_size).capacity();
+    let pages = (elements as f64 / cap as f64).max(1.0);
+    ((pages.cbrt().log2().round() as i64) + 1).clamp(2, 8) as u8
 }
 
 /// Assigns `elements` onto the `levels`-deep hierarchy over `extent` and
@@ -172,28 +174,30 @@ pub fn s3_partition(
 /// # Panics
 /// Panics if the hierarchies differ.
 pub fn s3_join(
-    pool_a: &mut BufferPool<'_>,
+    pool_a: &mut CacheHandle<'_, '_>,
     part_a: &S3Dataset,
-    pool_b: &mut BufferPool<'_>,
+    pool_b: &mut CacheHandle<'_, '_>,
     part_b: &S3Dataset,
     stats: &mut S3Stats,
 ) -> Vec<ResultPair> {
     assert_eq!(part_a.extent, part_b.extent, "hierarchies must match");
     assert_eq!(part_a.levels, part_b.levels, "hierarchies must match");
-    let codec_a = ElementPageCodec::new(pool_a.disk().page_size());
-    let codec_b = ElementPageCodec::new(pool_b.disk().page_size());
+    let codec_a = ElementPageCodec::new(pool_a.cache().disk().page_size());
+    let codec_b = ElementPageCodec::new(pool_b.cache().disk().page_size());
 
     let mut out = Vec::new();
+    // One buffer per dataset, reused for every cell it reads.
+    let (mut elems_a, mut elems_b) = (Vec::new(), Vec::new());
     // Deterministic iteration order for reproducible I/O patterns.
     let mut cells_a: Vec<CellId> = part_a.cells.keys().copied().collect();
     cells_a.sort_unstable();
 
     for &ca in &cells_a {
-        let elems_a = part_a.read_cell(pool_a, &codec_a, &ca);
+        codec_a.read_pages_into(pool_a, part_a.pages(&ca), &mut elems_a);
         // Same cell plus every ancestor cell of B.
         for level in (0..=ca.level).rev() {
             let anc = ca.ancestor(level);
-            let elems_b = part_b.read_cell(pool_b, &codec_b, &anc);
+            codec_b.read_pages_into(pool_b, part_b.pages(&anc), &mut elems_b);
             if !elems_b.is_empty() {
                 out.extend(plane_sweep_join(&elems_a, &elems_b, &mut stats.mem));
             }
@@ -207,10 +211,10 @@ pub fn s3_join(
         if cb.level == 0 {
             continue;
         }
-        let elems_b = part_b.read_cell(pool_b, &codec_b, &cb);
+        codec_b.read_pages_into(pool_b, part_b.pages(&cb), &mut elems_b);
         for level in (0..cb.level).rev() {
             let anc = cb.ancestor(level);
-            let elems_a = part_a.read_cell(pool_a, &codec_a, &anc);
+            codec_a.read_pages_into(pool_a, part_a.pages(&anc), &mut elems_a);
             if !elems_a.is_empty() {
                 out.extend(plane_sweep_join(&elems_a, &elems_b, &mut stats.mem));
             }
@@ -234,9 +238,15 @@ pub fn s3_join_datasets(
     }
     let part_a = s3_partition(disk_a, a, extent, levels, &mut stats);
     let part_b = s3_partition(disk_b, b, extent, levels, &mut stats);
-    let mut pool_a = BufferPool::with_default_capacity(disk_a);
-    let mut pool_b = BufferPool::with_default_capacity(disk_b);
-    let pairs = s3_join(&mut pool_a, &part_a, &mut pool_b, &part_b, &mut stats);
+    let cache_a = SharedPageCache::with_shards(disk_a, DEFAULT_POOL_PAGES, 1);
+    let cache_b = SharedPageCache::with_shards(disk_b, DEFAULT_POOL_PAGES, 1);
+    let pairs = s3_join(
+        &mut CacheHandle::shared(&cache_a),
+        &part_a,
+        &mut CacheHandle::shared(&cache_b),
+        &part_b,
+        &mut stats,
+    );
     (pairs, stats)
 }
 

@@ -16,7 +16,9 @@
 
 use tfm_geom::{Aabb, SpatialElement};
 use tfm_memjoin::{plane_sweep_join, JoinStats, ResultPair};
-use tfm_storage::{BufferPool, Disk, ElementPageCodec, PageId};
+use tfm_storage::{
+    CacheHandle, Disk, ElementPageCodec, PageId, SharedPageCache, DEFAULT_POOL_PAGES,
+};
 
 /// Counters of an SSSJ run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,36 +56,6 @@ impl SssjDataset {
     /// Number of strips.
     pub fn strips(&self) -> usize {
         self.strip_pages.len()
-    }
-
-    fn read_pages(
-        &self,
-        pool: &mut BufferPool<'_>,
-        codec: &ElementPageCodec,
-        pages: &[PageId],
-    ) -> Vec<SpatialElement> {
-        let mut out = Vec::new();
-        for &p in pages {
-            out.extend(codec.decode(pool.read(p)));
-        }
-        out
-    }
-
-    fn read_strip(
-        &self,
-        pool: &mut BufferPool<'_>,
-        codec: &ElementPageCodec,
-        i: usize,
-    ) -> Vec<SpatialElement> {
-        self.read_pages(pool, codec, &self.strip_pages[i])
-    }
-
-    fn read_spanning(
-        &self,
-        pool: &mut BufferPool<'_>,
-        codec: &ElementPageCodec,
-    ) -> Vec<SpatialElement> {
-        self.read_pages(pool, codec, &self.spanning_pages)
     }
 }
 
@@ -160,9 +132,9 @@ pub fn sssj_partition(
 /// # Panics
 /// Panics if the strip geometries differ.
 pub fn sssj_join(
-    pool_a: &mut BufferPool<'_>,
+    pool_a: &mut CacheHandle<'_, '_>,
     part_a: &SssjDataset,
-    pool_b: &mut BufferPool<'_>,
+    pool_b: &mut CacheHandle<'_, '_>,
     part_b: &SssjDataset,
     stats: &mut SssjStats,
 ) -> Vec<ResultPair> {
@@ -172,16 +144,19 @@ pub fn sssj_join(
             && (part_a.strip_width - part_b.strip_width).abs() < 1e-9,
         "strip geometry must match"
     );
-    let codec_a = ElementPageCodec::new(pool_a.disk().page_size());
-    let codec_b = ElementPageCodec::new(pool_b.disk().page_size());
+    let codec_a = ElementPageCodec::new(pool_a.cache().disk().page_size());
+    let codec_b = ElementPageCodec::new(pool_b.cache().disk().page_size());
 
-    let span_a = part_a.read_spanning(pool_a, &codec_a);
-    let span_b = part_b.read_spanning(pool_b, &codec_b);
+    let (mut span_a, mut span_b) = (Vec::new(), Vec::new());
+    codec_a.read_pages_into(pool_a, &part_a.spanning_pages, &mut span_a);
+    codec_b.read_pages_into(pool_b, &part_b.spanning_pages, &mut span_b);
 
     let mut out = Vec::new();
+    // One buffer per dataset, reused for every strip.
+    let (mut strip_a, mut strip_b) = (Vec::new(), Vec::new());
     for i in 0..part_a.strips() {
-        let strip_a = part_a.read_strip(pool_a, &codec_a, i);
-        let strip_b = part_b.read_strip(pool_b, &codec_b, i);
+        codec_a.read_pages_into(pool_a, &part_a.strip_pages[i], &mut strip_a);
+        codec_b.read_pages_into(pool_b, &part_b.strip_pages[i], &mut strip_b);
         // Resident × resident within the strip.
         out.extend(plane_sweep_join(&strip_a, &strip_b, &mut stats.mem));
         // Spanning × resident (each resident element lives in exactly one
@@ -213,9 +188,15 @@ pub fn sssj_join_datasets(
     }
     let part_a = sssj_partition(disk_a, a, extent, strips, &mut stats);
     let part_b = sssj_partition(disk_b, b, extent, strips, &mut stats);
-    let mut pool_a = BufferPool::with_default_capacity(disk_a);
-    let mut pool_b = BufferPool::with_default_capacity(disk_b);
-    let pairs = sssj_join(&mut pool_a, &part_a, &mut pool_b, &part_b, &mut stats);
+    let cache_a = SharedPageCache::with_shards(disk_a, DEFAULT_POOL_PAGES, 1);
+    let cache_b = SharedPageCache::with_shards(disk_b, DEFAULT_POOL_PAGES, 1);
+    let pairs = sssj_join(
+        &mut CacheHandle::shared(&cache_a),
+        &part_a,
+        &mut CacheHandle::shared(&cache_b),
+        &part_b,
+        &mut stats,
+    );
     (pairs, stats)
 }
 

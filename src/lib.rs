@@ -10,7 +10,8 @@
 //! * [`serve`] — the concurrent query-serving subsystem: window /
 //!   point-enclosure / distance probes against shared indexes, with
 //!   admission control and locality-aware (Hilbert-ordered) batching;
-//! * [`baselines`] — PBSM, synchronized R-Tree, GIPSY;
+//! * [`baselines`] — PBSM, synchronized R-Tree, GIPSY, and the
+//!   related-work SSSJ and S3;
 //! * [`geom`], [`storage`], [`datagen`], [`memjoin`], [`partition`],
 //!   [`bptree`] — the substrates everything is built on.
 //!
@@ -65,7 +66,7 @@ pub mod prelude {
         serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, ServeStats,
         TransformersEngine,
     };
-    pub use tfm_storage::{BufferPool, Disk, DiskModel};
+    pub use tfm_storage::{CacheHandle, Disk, DiskModel, SharedPageCache};
     pub use transformers::{
         transformers_join, GuidePick, IndexBuildPipeline, IndexConfig, JoinConfig, ThresholdPolicy,
         TransformersIndex,

@@ -1,12 +1,17 @@
-//! The central correctness contract of the reproduction: **all four join
-//! approaches produce exactly the same result set** on every workload of
-//! the paper's evaluation, and that set equals the nested-loop oracle.
+//! The central correctness contract of the reproduction: **every join
+//! approach produces exactly the same result set** on every workload of
+//! the paper's evaluation, and that set equals the nested-loop oracle:
+//! TRANSFORMERS (sequential and parallel), PBSM, the synchronized R-Tree,
+//! GIPSY, and the related-work SSSJ and S3 at the strips and depth the
+//! figure harness runs them with.
 
 use transformers_repro::baselines::gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
 use transformers_repro::baselines::pbsm::{pbsm_join_datasets, PbsmConfig};
 use transformers_repro::baselines::rtree::{sync_join, RTree, RtreeStats};
+use transformers_repro::baselines::sweep::{s3, sssj};
 use transformers_repro::memjoin::nested_loop_join;
 use transformers_repro::prelude::*;
+use transformers_repro::storage::DEFAULT_POOL_PAGES;
 
 fn oracle(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
     let mut s = JoinStats::default();
@@ -42,16 +47,33 @@ fn run_rtree(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
     let disk_b = Disk::default_in_memory();
     let tree_a = RTree::bulk_load(&disk_a, a.to_vec());
     let tree_b = RTree::bulk_load(&disk_b, b.to_vec());
-    let mut pool_a = BufferPool::with_default_capacity(&disk_a);
-    let mut pool_b = BufferPool::with_default_capacity(&disk_b);
+    let cache_a = SharedPageCache::with_shards(&disk_a, DEFAULT_POOL_PAGES, 1);
+    let cache_b = SharedPageCache::with_shards(&disk_b, DEFAULT_POOL_PAGES, 1);
     let mut stats = RtreeStats::default();
     canonicalize(sync_join(
-        &mut pool_a,
+        &mut CacheHandle::shared(&cache_a),
         &tree_a,
-        &mut pool_b,
+        &mut CacheHandle::shared(&cache_b),
         &tree_b,
         &mut stats,
     ))
+}
+
+fn run_sssj(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
+    let disk_a = Disk::default_in_memory();
+    let disk_b = Disk::default_in_memory();
+    // The harness's strip count: PBSM's tiling along one dimension, squared.
+    let strips = PbsmConfig::default().partitions_per_dim.pow(2);
+    let (pairs, _) = sssj::sssj_join_datasets(&disk_a, a, &disk_b, b, strips);
+    canonicalize(pairs)
+}
+
+fn run_s3(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
+    let disk_a = Disk::default_in_memory();
+    let disk_b = Disk::default_in_memory();
+    let levels = s3::levels_for(a.len().max(b.len()), disk_a.page_size());
+    let (pairs, _) = s3::s3_join_datasets(&disk_a, a, &disk_b, b, levels);
+    canonicalize(pairs)
 }
 
 fn run_gipsy(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
@@ -87,6 +109,8 @@ fn check_all(a: &[SpatialElement], b: &[SpatialElement], label: &str) {
     assert_eq!(run_pbsm(a, b), expected, "{label}: PBSM");
     assert_eq!(run_rtree(a, b), expected, "{label}: R-TREE");
     assert_eq!(run_gipsy(a, b), expected, "{label}: GIPSY");
+    assert_eq!(run_sssj(a, b), expected, "{label}: SSSJ");
+    assert_eq!(run_s3(a, b), expected, "{label}: S3");
 }
 
 fn ds(count: usize, distribution: Distribution, seed: u64) -> Vec<SpatialElement> {
