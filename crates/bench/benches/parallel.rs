@@ -27,42 +27,24 @@ fn bench_workload(c: &mut Criterion, label: &str, fixture: &TrFixture) {
         bench.iter(|| black_box(fixture.join(&JoinConfig::default())))
     });
 
-    // Three configurations ablating one feature at a time:
-    //   pruned   — role transformations + cross-worker pruning (default);
-    //   unpruned — role transformations, no shared board, so the
-    //              pruned-vs-unpruned delta isolates the board's benefit
-    //              (fewer pages on skewed data) against its contention
-    //              cost (the two should track each other on uniform data);
-    //   independent — neither feature: the PR 1 baseline
-    //              (`--no-transform --no-prune`).
-    let pruned = JoinConfig::default();
-    let unpruned = JoinConfig::default().without_cross_worker_pruning();
-    let independent = JoinConfig::default()
-        .without_worker_transforms()
-        .without_cross_worker_pruning();
+    let cfg = JoinConfig::default();
     for workers in [1usize, 2, 4, 8] {
-        for (mode, cfg) in [
-            ("pruned", &pruned),
-            ("unpruned", &unpruned),
-            ("independent", &independent),
-        ] {
-            group.bench_function(format!("workers_{workers}_{mode}"), |bench| {
-                bench.iter(|| {
-                    black_box(
-                        parallel_join(
-                            &fixture.idx_a,
-                            &fixture.disk_a,
-                            &fixture.idx_b,
-                            &fixture.disk_b,
-                            cfg,
-                            workers,
-                        )
-                        .pairs
-                        .len(),
+        group.bench_function(format!("workers_{workers}"), |bench| {
+            bench.iter(|| {
+                black_box(
+                    parallel_join(
+                        &fixture.idx_a,
+                        &fixture.disk_a,
+                        &fixture.idx_b,
+                        &fixture.disk_b,
+                        &cfg,
+                        workers,
                     )
-                })
-            });
-        }
+                    .pairs
+                    .len(),
+                )
+            })
+        });
     }
     group.finish();
 }

@@ -24,17 +24,15 @@ pub mod report;
 pub mod runner;
 pub mod serve;
 pub mod shard;
-pub mod skew;
 pub mod workloads;
 
 pub use report::{print_table, write_csv};
-pub use runner::{run_approach, run_approach_with_skew, Approach, Metrics, RunConfig};
+pub use runner::{run_approach, Approach, Metrics, RunConfig};
 pub use serve::{
     print_serve_table, run_serve, run_serve_sweep, run_serve_traced, write_serve_csv, ServeJob,
     ServeMetrics,
 };
 pub use shard::run_serve_sharded;
-pub use skew::SkewStore;
 pub use tfm_serve::ServeEngineKind;
 
 /// Reads the scale multiplier from `TFM_SCALE` (default 1.0).

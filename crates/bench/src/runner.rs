@@ -51,19 +51,6 @@ impl Approach {
         Approach::TransformersParallel(JoinConfig::default(), threads)
     }
 
-    /// Parallel TRANSFORMERS with `threads` fully *independent* workers
-    /// (no role transformations, no cross-worker pruning) — the PR 1
-    /// execution mode, kept as the ablation baseline for the adaptive
-    /// parallel path.
-    pub fn parallel_independent(threads: usize) -> Self {
-        Approach::TransformersParallel(
-            JoinConfig::default()
-                .without_worker_transforms()
-                .without_cross_worker_pruning(),
-            threads,
-        )
-    }
-
     /// TRANSFORMERS with transformations disabled ("No TR", Fig. 13).
     pub fn no_tr() -> Self {
         Approach::Transformers(JoinConfig::without_transformations())
@@ -84,16 +71,7 @@ impl Approach {
                 ThresholdPolicy::Fixed { t_su, .. } if t_su >= 1e5 => "TR-UnderFit".into(),
                 ThresholdPolicy::Fixed { .. } => "TR-Fixed".into(),
             },
-            Approach::TransformersParallel(cfg, threads) => {
-                let mut label = format!("TFM-PARx{threads}");
-                if !cfg.worker_role_transforms {
-                    label.push_str("-noTR");
-                }
-                if !cfg.cross_worker_pruning {
-                    label.push_str("-noPrune");
-                }
-                label
-            }
+            Approach::TransformersParallel(_, threads) => format!("TFM-PARx{threads}"),
             Approach::Pbsm => "PBSM".into(),
             Approach::Rtree => "R-TREE".into(),
             Approach::Gipsy => "GIPSY".into(),
@@ -307,60 +285,6 @@ pub fn run_approach(
         Approach::Sssj => run_sssj(&mut m, a, b, cfg),
         Approach::S3 => run_s3(&mut m, a, b, cfg),
     }
-}
-
-/// [`run_approach`] with the steal-skew feedback loop closed through a
-/// persistent [`crate::SkewStore`] sidecar.
-///
-/// For the parallel TRANSFORMERS approach: a skew fraction recorded for
-/// `workload` by a previous run is injected as
-/// [`JoinConfig::recorded_steal_skew`] (unless the caller already set
-/// one), and the run's observed [`tfm_exec::ExecReport::steal_fraction`]
-/// is written back — so the *second* run of any workload sizes its chunks
-/// adaptively with no manual `with_recorded_skew` plumbing. The store is
-/// updated in memory; the caller decides when to
-/// [`save`](crate::SkewStore::save). Other approaches pass through
-/// unchanged.
-pub fn run_approach_with_skew(
-    approach: &Approach,
-    workload: &str,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-    store: &mut crate::SkewStore,
-) -> (Metrics, Vec<ResultPair>) {
-    let Approach::TransformersParallel(join_cfg, threads) = approach else {
-        return run_approach(approach, workload, a, b, cfg);
-    };
-    let mut join_cfg = *join_cfg;
-    if join_cfg.recorded_steal_skew.is_none() {
-        if let Some(skew) = store.recorded(workload) {
-            join_cfg = join_cfg.with_recorded_skew(skew);
-        }
-    }
-    let mut m = Metrics::base(approach, workload, a, b);
-    m.build_threads = cfg.build_threads.max(1);
-    let threads = *threads;
-    let mut report = None;
-    let (m, pairs) = run_transformers_with(
-        &mut m,
-        a,
-        b,
-        cfg,
-        &join_cfg,
-        |idx_a, disk_a, idx_b, disk_b, jc| {
-            let (out, rep) =
-                tfm_exec::parallel_join_with_report(idx_a, disk_a, idx_b, disk_b, jc, threads);
-            report = Some(rep);
-            out
-        },
-    );
-    let mut m = m;
-    if let Some(report) = report {
-        store.record(workload, report.steal_fraction());
-        m.take_prefetch_counters(&report);
-    }
-    (m, pairs)
 }
 
 fn run_sssj(
@@ -760,41 +684,6 @@ mod tests {
             assert_eq!(m1.tests, m4.tests, "{}", ap.label());
             assert_eq!(m4.build_threads, 4);
         }
-    }
-
-    #[test]
-    fn skew_feedback_loop_records_and_reuses() {
-        let a = generate(&DatasetSpec {
-            max_side: 8.0,
-            ..DatasetSpec::uniform(1500, 206)
-        });
-        let b = generate(&DatasetSpec {
-            max_side: 8.0,
-            ..DatasetSpec::uniform(1500, 207)
-        });
-        let cfg = RunConfig::default();
-        let path =
-            std::env::temp_dir().join(format!("tfm_runner_skew_{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let ap = Approach::parallel(2);
-        // First run: no recorded signal yet; afterwards one is stored.
-        let mut store = crate::SkewStore::load(&path);
-        assert_eq!(store.recorded("wl"), None);
-        let (_, p1) = run_approach_with_skew(&ap, "wl", &a, &b, &cfg, &mut store);
-        let recorded = store.recorded("wl").expect("first run must record skew");
-        assert!((0.0..=1.0).contains(&recorded));
-        store.save().unwrap();
-        // Second run: the persisted signal is injected automatically and
-        // cannot change the result set.
-        let mut store = crate::SkewStore::load(&path);
-        assert_eq!(store.recorded("wl"), Some(recorded));
-        let (_, p2) = run_approach_with_skew(&ap, "wl", &a, &b, &cfg, &mut store);
-        assert_eq!(canonicalize(p1), canonicalize(p2));
-        // Non-parallel approaches pass through untouched.
-        let before = store.clone();
-        let _ = run_approach_with_skew(&Approach::Pbsm, "wl2", &a, &b, &cfg, &mut store);
-        assert_eq!(store, before);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -73,15 +73,6 @@ pub struct ServeMetrics {
     pub io_depth: usize,
     /// Readahead window in pages (0 = prefetch pipeline off).
     pub readahead: usize,
-    /// Retune decisions of the self-tuning batch loop (0 with
-    /// `--auto-batch` off or on the inline path).
-    pub autobatch_retunes: u64,
-    /// Retunes that grew the batch.
-    pub autobatch_grows: u64,
-    /// Retunes that shrank the batch.
-    pub autobatch_shrinks: u64,
-    /// Batch size in effect at end of trace (0 with auto-batch off).
-    pub autobatch_final_batch: usize,
     /// Mean shards routed per query.
     pub fanout_mean: f64,
     /// Largest per-query fanout.
@@ -151,10 +142,6 @@ impl ServeMetrics {
             prefetch_unused: stats.cache.prefetch_unused,
             io_depth: cfg.io_depth.max(1),
             readahead: cfg.readahead,
-            autobatch_retunes: stats.autobatch.map_or(0, |a| a.retunes),
-            autobatch_grows: stats.autobatch.map_or(0, |a| a.grows),
-            autobatch_shrinks: stats.autobatch.map_or(0, |a| a.shrinks),
-            autobatch_final_batch: stats.autobatch.map_or(0, |a| a.final_batch),
             fanout_mean: stats.fanout_mean,
             fanout_max: stats.fanout_max,
             routed_partials: stats.routed_partials,
@@ -323,12 +310,12 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,autobatch_retunes,autobatch_grows,autobatch_shrinks,autobatch_final_batch,shards,fanout_mean,fanout_max,routed_partials,shed_partials,max_cluster_pressure,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,shards,fanout_mean,fanout_max,routed_partials,shed_partials,max_cluster_pressure,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{}",
+        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{}",
         m.workload,
         m.engine,
         m.n_elements,
@@ -356,10 +343,6 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.prefetch_unused,
         m.io_depth,
         m.readahead,
-        m.autobatch_retunes,
-        m.autobatch_grows,
-        m.autobatch_shrinks,
-        m.autobatch_final_batch,
         m.shards,
         m.fanout_mean,
         m.fanout_max,

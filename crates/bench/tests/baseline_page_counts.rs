@@ -14,18 +14,15 @@ use tfm_geom::{Aabb, SpatialElement};
 use tfm_storage::{CacheHandle, Disk, SharedPageCache};
 use tfm_sweep::{s3, sssj};
 
-/// `(pages_read, (rand_reads, seq_reads), results)` per approach. S3's
-/// split is not pinned (`None`): its partitioner flushes each cell's last
-/// page in hash-map order, so where those pages land on disk, and with it
-/// which reads count as sequential, changes from run to run.
-type Counts = (u64, Option<(u64, u64)>, u64);
+/// `(pages_read, (rand_reads, seq_reads), results)` per approach.
+type Counts = (u64, (u64, u64), u64);
 
 const EXPECTED: [(&str, Counts); 5] = [
-    ("PBSM", (192, Some((183, 9)), 71)),
-    ("R-TREE", (168, Some((158, 10)), 71)),
-    ("SSSJ", (351, Some((56, 295)), 71)),
-    ("S3", (345, None, 71)),
-    ("GIPSY", (137, Some((13, 124)), 71)),
+    ("PBSM", (192, (183, 9), 71)),
+    ("R-TREE", (168, (158, 10), 71)),
+    ("SSSJ", (351, (56, 295), 71)),
+    ("S3", (345, (330, 15), 71)),
+    ("GIPSY", (137, (13, 124), 71)),
 ];
 
 fn pair() -> (Vec<SpatialElement>, Vec<SpatialElement>) {
@@ -59,8 +56,10 @@ fn baseline_page_reads_under_a_small_cache_are_pinned() {
         .map(|ap| {
             let (m, _) = run_approach(ap, "pinned", &a, &b, &cfg);
             assert_eq!(m.rand_reads + m.seq_reads, m.pages_read);
-            let split = (*ap != Approach::S3).then_some((m.rand_reads, m.seq_reads));
-            (m.approach, (m.pages_read, split, m.results))
+            (
+                m.approach,
+                (m.pages_read, (m.rand_reads, m.seq_reads), m.results),
+            )
         })
         .collect();
     let want: Vec<(String, Counts)> = EXPECTED

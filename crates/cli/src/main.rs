@@ -57,21 +57,15 @@ USAGE:
       --build-threads setting. With --backend file
       the pages are written to a real on-disk image DIR/build.pages
   tfm join --a FILE --b FILE [--approach A] [--page-size N] [--threads N]
-           [--build-threads N] [--no-transform] [--no-prune]
+           [--build-threads N]
            [--backend mem|file] [--store DIR] [--io-depth N] [--readahead N]
-           [--verify] [--skew-file PATH]
+           [--verify]
            [--metrics PATH] [--metrics-format jsonl|prometheus]
            [--metrics-interval-ms N]
       A: transformers | no-tr | pbsm | rtree | gipsy | sssj | s3 (default: transformers)
       --threads N: run the transformers join on N parallel workers (tfm-exec)
       --build-threads N: build the indexes on N parallel workers
                   (transformers, gipsy and rtree builds; default 1)
-      --no-transform: parallel path only — workers skip role transformations
-      --no-prune: parallel path only — disable the shared cross-worker
-                  to-do-list pruning board (workers prune only locally)
-      --skew-file PATH: persist each workload's observed steal fraction in a
-                  JSON sidecar and feed it back as the scheduler's recorded
-                  skew signal on the next run (parallel path only)
       --io-depth N / --readahead N: on the file backend the parallel
                   transformers path prefetches each chunk's unit-page
                   schedule through N dedicated I/O threads, keeping up to
@@ -81,7 +75,6 @@ USAGE:
             [--build-threads N] [--trace-seed S] [--window F] [--eps F]
             [--shards N] [--shard-partitioner hilbert|str] [--shed]
             [--backend mem|file] [--store DIR] [--io-depth N] [--readahead N]
-            [--auto-batch]
             [--verify] [--metrics PATH] [--metrics-format jsonl|prometheus]
             [--metrics-interval-ms N]
       builds the chosen index once, generates a deterministic query trace
@@ -99,10 +92,6 @@ USAGE:
                   --shard-partitioner picks the dataset split (default
                   hilbert); --shed swaps blocking admission for load
                   shedding on the per-shard bounded queues
-      --auto-batch: let the serve loop retune its batch size from the
-                  observed cache hit fraction and sequential-read fraction
-                  (every queued run, with or without --shards; results stay
-                  byte-identical)
   tfm mutate --in FILE [--ops N] [--write-permille N] [--insert-permille N]
              [--wal-dir DIR] [--threads N] [--batch N] [--seed S]
              [--page-size N] [--build-threads N] [--verify]
@@ -159,15 +148,15 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "join",
-        "--a --b --approach --page-size --threads --build-threads --no-transform --no-prune \
-         --backend --store --io-depth --readahead --verify --skew-file \
+        "--a --b --approach --page-size --threads --build-threads \
+         --backend --store --io-depth --readahead --verify \
          --metrics --metrics-format --metrics-interval-ms",
     ),
     (
         "serve",
         "--in --engine --queries --threads --batch --no-hilbert --mix --page-size --build-threads \
          --trace-seed --window --eps --shards --shard-partitioner --shed \
-         --backend --store --io-depth --readahead --auto-batch --verify \
+         --backend --store --io-depth --readahead --verify \
          --metrics --metrics-format --metrics-interval-ms",
     ),
     (
@@ -552,16 +541,8 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let page_size: usize = parse(opt(args, "--page-size").unwrap_or("2048"), "--page-size")?;
     let threads = parse_worker_count(args, "--threads")?;
     let build_threads = parse_worker_count(args, "--build-threads")?;
-    let no_transform = flag(args, "--no-transform");
-    let no_prune = flag(args, "--no-prune");
     let store = parse_store_opts(args)?;
     let parallel_transformers = threads > 1 && matches!(approach, Approach::Transformers(_));
-    if (no_transform || no_prune) && !parallel_transformers {
-        eprintln!(
-            "note: --no-transform/--no-prune only affect the parallel transformers path \
-             (--approach transformers --threads N > 1); ignored here"
-        );
-    }
     // Join prefetch runs where the unit-page schedule exists: the parallel
     // transformers path. Anywhere else a requested readahead would silently
     // demand-page, so say so.
@@ -575,17 +556,11 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     // `--threads N` (N > 1) routes TRANSFORMERS through the parallel
     // execution subsystem (`tfm-exec`); other approaches are sequential.
     let approach = match (approach, threads) {
-        (Approach::Transformers(mut join_cfg), t) => {
+        (Approach::Transformers(join_cfg), t) => {
             if t > 1 {
-                if no_transform {
-                    join_cfg = join_cfg.without_worker_transforms();
-                }
-                if no_prune {
-                    join_cfg = join_cfg.without_cross_worker_pruning();
-                }
                 // The exec layer turns these into the chunk-schedule
                 // prefetch pipeline (no-ops with readahead 0).
-                join_cfg = join_cfg
+                let join_cfg = join_cfg
                     .with_readahead(store.readahead)
                     .with_io_depth(store.io_depth);
                 Approach::TransformersParallel(join_cfg, t)
@@ -618,30 +593,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         backend: store.backend.clone(),
         ..RunConfig::default()
     };
-    // With --skew-file, the parallel path closes the steal-skew feedback
-    // loop through the persistent sidecar: read the recorded signal before
-    // the run, write the observed fraction after it. Keyed by the full
-    // input paths — same-named files in different directories are
-    // different workloads.
-    let workload = format!("{path_a}|{path_b}");
-    let (m, pairs) = match opt(args, "--skew-file") {
-        Some(skew_path) => {
-            let mut store = tfm_bench::SkewStore::load(skew_path);
-            let recorded = store.recorded(&workload);
-            let out =
-                tfm_bench::run_approach_with_skew(&approach, &workload, &a, &b, &cfg, &mut store);
-            store
-                .save()
-                .map_err(|e| format!("writing {skew_path}: {e}"))?;
-            match (recorded, store.recorded(&workload)) {
-                (Some(prev), _) => println!("skew:            recorded {prev:.3} fed back"),
-                (None, Some(now)) => println!("skew:            {now:.3} recorded for next run"),
-                _ => {}
-            }
-            out
-        }
-        None => run_approach(&approach, "cli", &a, &b, &cfg),
-    };
+    let (m, pairs) = run_approach(&approach, "cli", &a, &b, &cfg);
 
     println!("approach:        {}", m.approach);
     if let Some(dir) = store.dir() {
@@ -804,13 +756,6 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         }
         None => None,
     };
-    let auto_batch = flag(args, "--auto-batch");
-    if auto_batch && threads == 1 && spec.is_none() {
-        eprintln!(
-            "note: --auto-batch tunes the queued batch loop; \
-             the single-threaded inline path ignores it"
-        );
-    }
     let metrics = parse_metrics(args)?;
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -831,7 +776,6 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         hilbert_batching: !flag(args, "--no-hilbert"),
         io_depth: store.io_depth,
         readahead: store.readahead,
-        auto_batch,
         shed: flag(args, "--shed"),
         // With --metrics the run also collects one per-query trace (queue
         // wait / service split, pool attribution) for the JSON-lines export.
@@ -882,12 +826,6 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         if m.hilbert_batching { "on" } else { "off" }
     ));
     let queued = spec.is_some() || m.threads > 1;
-    if auto_batch && queued {
-        lines.push(format!(
-            "auto-batch:      {} retunes ({} grew, {} shrank), final batch {}",
-            m.autobatch_retunes, m.autobatch_grows, m.autobatch_shrinks, m.autobatch_final_batch
-        ));
-    }
     lines.push(format!(
         "throughput:      {:.0} queries/s  ({:.3}s wall + {:.3}s sim I/O)",
         m.qps,
@@ -1396,9 +1334,9 @@ mod tests {
             .collect();
             cmd_generate(&gen_args).unwrap();
         }
-        // Every escape-hatch combination must still verify against the
-        // nested-loop oracle.
-        for extra in [&[][..], &["--no-transform"][..], &["--no-prune"][..]] {
+        // The adaptive parallel join and its "No TR" ablation must both
+        // verify against the nested-loop oracle.
+        for extra in [&[][..], &["--approach", "no-tr"][..]] {
             let mut join_args: Vec<String> = [
                 "--a",
                 pa.to_str().unwrap(),
@@ -1728,8 +1666,8 @@ mod tests {
             "no trace lines in export"
         );
 
-        // One serve path: the cluster takes --auto-batch, --metrics and
-        // --build-threads like a single engine does, prints the lines a
+        // One serve path: the cluster takes --metrics and --build-threads
+        // like a single engine does, prints the lines a
         // single engine prints plus the routing line, and exports one
         // trace record per query. (Here, not with the other sharded runs:
         // this is the one test that may arm the process-wide registry.)
@@ -1748,8 +1686,8 @@ mod tests {
             "--verify",
         ];
         let fixed = serve_summary(&sv(&base)).unwrap();
-        let extra = ["--auto-batch", "--metrics", metrics.to_str().unwrap()];
-        let auto = serve_summary(&sv(&[&base[..], &extra[..]].concat())).unwrap();
+        let extra = ["--metrics", metrics.to_str().unwrap()];
+        let metered = serve_summary(&sv(&[&base[..], &extra[..]].concat())).unwrap();
         let line = |summary: &str, label: &str| {
             summary
                 .lines()
@@ -1766,23 +1704,21 @@ mod tests {
             "verify:          OK",
         ] {
             line(&fixed, label);
-            line(&auto, label);
+            line(&metered, label);
         }
-        assert!(line(&auto, "throughput:").contains("sim I/O"));
-        assert!(line(&auto, "serve I/O:").contains("sequential"));
-        assert!(line(&auto, "auto-batch:").contains("retunes"));
-        assert!(!fixed.contains("auto-batch:"));
+        assert!(line(&metered, "throughput:").contains("sim I/O"));
+        assert!(line(&metered, "serve I/O:").contains("sequential"));
         // Both runs passed --verify against the full scan, so they agree
         // with each other; the result-id totals say so too.
-        assert_eq!(line(&auto, "result ids:"), line(&fixed, "result ids:"));
-        assert!(line(&auto, "metrics:").contains("+ 60 query traces"));
+        assert_eq!(line(&metered, "result ids:"), line(&fixed, "result ids:"));
+        assert!(line(&metered, "metrics:").contains("+ 60 query traces"));
         let exported = std::fs::read_to_string(&metrics).unwrap();
         let traces = exported
             .lines()
             .filter(|l| l.contains("\"trace_id\""))
             .count();
         assert_eq!(traces, 60, "one trace record per query");
-        assert!(exported.contains("serve.autobatch.retunes") && exported.contains("shard.routed"));
+        assert!(exported.contains("serve.queries") && exported.contains("shard.routed"));
         std::fs::remove_file(&metrics).ok();
 
         // Join with a Prometheus export.
@@ -2009,7 +1945,6 @@ mod tests {
             "60",
             "--batch",
             "16",
-            "--auto-batch",
             "--verify",
         ]))
         .unwrap();
@@ -2070,52 +2005,6 @@ mod tests {
 
         std::fs::remove_dir_all(&store).ok();
         std::fs::remove_file(&elems).ok();
-    }
-
-    #[test]
-    fn skew_file_round_trips_through_join() {
-        let dir = std::env::temp_dir();
-        let pa = dir.join(format!("tfm_cli_skew_a_{}.elems", std::process::id()));
-        let pb = dir.join(format!("tfm_cli_skew_b_{}.elems", std::process::id()));
-        let skew = dir.join(format!("tfm_cli_skew_{}.json", std::process::id()));
-        std::fs::remove_file(&skew).ok();
-        for (path, seed) in [(&pa, "71"), (&pb, "72")] {
-            let gen_args: Vec<String> = [
-                "--count",
-                "400",
-                "--out",
-                path.to_str().unwrap(),
-                "--seed",
-                seed,
-                "--max-side",
-                "8",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            cmd_generate(&gen_args).unwrap();
-        }
-        let join_args: Vec<String> = [
-            "--a",
-            pa.to_str().unwrap(),
-            "--b",
-            pb.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--skew-file",
-            skew.to_str().unwrap(),
-            "--verify",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        // First run records, second feeds back; both must verify.
-        cmd_join(&join_args).unwrap();
-        assert!(skew.exists(), "sidecar must be written");
-        cmd_join(&join_args).unwrap();
-        std::fs::remove_file(&pa).ok();
-        std::fs::remove_file(&pb).ok();
-        std::fs::remove_file(&skew).ok();
     }
 
     #[test]

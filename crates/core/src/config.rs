@@ -121,38 +121,10 @@ pub struct JoinConfig {
     /// Page-cache capacity (pages) per dataset during the join: the join
     /// reads element and B+-tree pages through one
     /// [`tfm_storage::SharedPageCache`] of this size per dataset, shared
-    /// by all workers (zero-copy pin guards + decoded element-page tier).
-    /// Results are byte-identical at any capacity; only I/O counters
-    /// change.
+    /// by all workers (zero-copy pin guards; a window copies its follower
+    /// pages out and holds no frame). Results are byte-identical at any
+    /// capacity; only I/O counters change.
     pub pool_pages: usize,
-    /// Node-level prefilter: join guide and follower page MBBs before
-    /// reading pages (paper §V "In-memory Join"). Exposed for ablation.
-    pub node_prefilter: bool,
-    /// Use the Hilbert B+-tree to find walk start points; when `false` the
-    /// walk starts from the follower's first node (the paper's stated
-    /// alternative). Exposed for ablation.
-    pub hilbert_walk_start: bool,
-    /// Parallel path (`tfm-exec`) only: let workers perform role
-    /// transformations (guide ↔ follower switches, §VI-A) within their
-    /// pivot chunks. Exclusivity across workers comes from the shared
-    /// claim bitmap when cross-worker pruning is on; without it, two
-    /// workers may redundantly process the same switched pivot (duplicates
-    /// are removed by the merge). The sequential join ignores this field.
-    pub worker_role_transforms: bool,
-    /// Parallel path only: share a lock-free covered-node board across
-    /// workers so the to-do-list pruning of §V also drops candidates
-    /// another worker already covered. The sequential join ignores this
-    /// field.
-    pub cross_worker_pruning: bool,
-    /// Parallel path only: recorded pivot-cost skew signal in `0.0..=1.0`,
-    /// typically `ExecReport::steal_fraction()` from a previous run of the
-    /// same workload. The scheduler derives its initial chunk size from
-    /// pivot count and worker count, and this signal tilts the trade-off:
-    /// high skew → smaller chunks (finer steal granularity), low skew →
-    /// larger chunks (longer locality runs). `None` uses the neutral
-    /// pivot/worker-derived default. The sequential join ignores this
-    /// field.
-    pub recorded_steal_skew: Option<f64>,
     /// Parallel path only: prefetch window in pages (capacity of the
     /// bounded [`tfm_storage::PrefetchQueue`] feeding the I/O threads).
     /// `0` (the default) disables join prefetch — every unit page is
@@ -170,11 +142,6 @@ impl Default for JoinConfig {
             first_guide: GuidePick::A,
             walk_patience: 64,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
-            node_prefilter: true,
-            hilbert_walk_start: true,
-            worker_role_transforms: true,
-            cross_worker_pruning: true,
-            recorded_steal_skew: None,
             readahead: 0,
             io_depth: 1,
         }
@@ -193,30 +160,6 @@ impl JoinConfig {
     /// Builder: replaces the threshold policy.
     pub fn with_thresholds(mut self, thresholds: ThresholdPolicy) -> Self {
         self.thresholds = thresholds;
-        self
-    }
-
-    /// Builder: disables role transformations inside parallel workers
-    /// (the `--no-transform` escape hatch; layout transformations stay
-    /// active, as they are pivot-local).
-    pub fn without_worker_transforms(mut self) -> Self {
-        self.worker_role_transforms = false;
-        self
-    }
-
-    /// Builder: disables the shared covered-node board of the parallel
-    /// path (the `--no-prune` escape hatch): workers fall back to purely
-    /// local to-do-list pruning.
-    pub fn without_cross_worker_pruning(mut self) -> Self {
-        self.cross_worker_pruning = false;
-        self
-    }
-
-    /// Builder: records a pivot-cost skew signal (clamped to `0.0..=1.0`)
-    /// for the parallel scheduler's adaptive chunk sizing — pass a previous
-    /// run's `ExecReport::steal_fraction()`.
-    pub fn with_recorded_skew(mut self, skew: f64) -> Self {
-        self.recorded_steal_skew = Some(skew.clamp(0.0, 1.0));
         self
     }
 
@@ -289,22 +232,5 @@ mod tests {
             IndexConfig::default().with_build_threads(4).build_threads,
             4
         );
-    }
-
-    #[test]
-    fn recorded_skew_is_clamped() {
-        assert_eq!(
-            JoinConfig::default()
-                .with_recorded_skew(7.0)
-                .recorded_steal_skew,
-            Some(1.0)
-        );
-        assert_eq!(
-            JoinConfig::default()
-                .with_recorded_skew(-1.0)
-                .recorded_steal_skew,
-            Some(0.0)
-        );
-        assert_eq!(JoinConfig::default().recorded_steal_skew, None);
     }
 }

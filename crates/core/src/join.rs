@@ -211,8 +211,8 @@ struct Ctx {
     /// Raw result pairs, always oriented (id in A, id in B).
     raw: Vec<ResultPair>,
     /// Cross-worker coverage board (parallel path only). `None` in the
-    /// sequential join and in independent-worker mode, where only the
-    /// per-owner `Side::checked` state is consulted.
+    /// sequential join, where only the per-owner `Side::checked` state is
+    /// consulted.
     todo: Option<Arc<SharedTodo>>,
     /// The sequential join's termination rule (§V): stop once every node of
     /// the follower is checked. Engines leave it off — theirs is the shared
@@ -299,8 +299,8 @@ impl Ctx {
     }
 
     /// Tries to win the exclusive right to role-switch onto `node`. With
-    /// no shared board (sequential join, independent workers) there is no
-    /// contention and the claim always succeeds.
+    /// no shared board (the sequential join) there is no contention and the
+    /// claim always succeeds.
     fn claim_for_switch(&self, side_is_a: bool, node: usize) -> bool {
         self.todo
             .as_deref()
@@ -451,18 +451,12 @@ fn locate(ctx: &mut Ctx, follower: &mut Side<'_>, pivot_box: &Aabb) -> Option<No
     }
     let start = match follower.walk_pos {
         Some(n) => n,
-        None => {
-            if ctx.cfg.hilbert_walk_start {
-                // The B+-tree descent reads through the follower's page
-                // cache, so tree pages share frames with element pages.
-                follower
-                    .idx
-                    .walk_start_with(&mut follower.cache, &pivot_box.center())
-                    .unwrap_or(NodeId(0))
-            } else {
-                NodeId(0)
-            }
-        }
+        // The B+-tree descent reads through the follower's page cache, so
+        // tree pages share frames with element pages.
+        None => follower
+            .idx
+            .walk_start_with(&mut follower.cache, &pivot_box.center())
+            .unwrap_or(NodeId(0)),
     };
     let r = adaptive_walk(
         &follower.nodes,
@@ -628,9 +622,7 @@ fn plan_node_pivot(
         window
             .guide_units
             .extend(guide.nodes[ng].unit_range().map(|u| guide.units[u].id));
-        if ctx.cfg.node_prefilter {
-            prefilter(ctx, guide, follower, window, g0, c0);
-        }
+        prefilter(ctx, guide, follower, window, g0, c0);
         // Elevator order within the pivot, as when pivots read for
         // themselves: the kernel sees the same follower elements in the
         // same order whatever the window.
@@ -1019,19 +1011,16 @@ pub struct EngineSide<'a> {
 /// [`PivotEngine::process_pivots`], through the same window loop the
 /// sequential join runs (plan a window of pivots, sweep its follower
 /// pages once into the engine's window buffer, join from those bytes;
-/// a window holds no cache frame). A bare engine (as built by
-/// [`PivotEngine::new`]) reproduces PR 1's fully independent workers:
-/// no role transformations, purely local to-do-list pruning. The two
-/// builders restore the paper's full adaptivity:
+/// a window holds no cache frame). An engine performs the paper's full
+/// adaptivity within its pivots:
 ///
-/// * [`with_role_transforms`](Self::with_role_transforms) re-enables
-///   guide ↔ follower switches (§VI-A) *within the worker's chunk*: the
-///   engine re-pivots on the locally sparser follower node, keeping its
+/// * guide ↔ follower switches (§VI-A) happen *within the worker's chunk*:
+///   the engine re-pivots on the locally sparser follower node, keeping its
 ///   own walk position, cost-model calibration and transformation stats —
 ///   no global state is touched. A switched-over pivot leaves the original
-///   guide node unchecked; [`process_pivots`](Self::process_pivots)
-///   plans it again until it is actually joined (exactly the sequential
-///   revisit behaviour).
+///   guide node unchecked; [`process_pivots`](Self::process_pivots) plans
+///   it again until it is actually joined (exactly the sequential revisit
+///   behaviour).
 /// * [`with_shared_todo`](Self::with_shared_todo) attaches the lock-free
 ///   [`SharedTodo`] board, which (a) makes role switches *exclusive*
 ///   across workers via claim bits, and (b) recovers the sequential
@@ -1039,12 +1028,13 @@ pub struct EngineSide<'a> {
 ///   *completely* processed are dropped before their pages are read. The
 ///   completion-ordered `Release`/`Acquire` protocol in [`SharedTodo`]
 ///   guarantees two nodes can never mutually prune each other, so no pair
-///   is lost.
+///   is lost. Without a board, two engines may redundantly process the
+///   same switched pivot.
 ///
 /// Duplicate pairs (possible after switches, exactly as in the sequential
 /// join) are removed by the caller's merge (sort + dedup). The result-pair
 /// *set* is byte-identical to the sequential join's after normalization,
-/// at any worker count and with any combination of the two features.
+/// at any worker count.
 pub struct PivotEngine<'a> {
     guide: Side<'a>,
     follower: Side<'a>,
@@ -1052,7 +1042,6 @@ pub struct PivotEngine<'a> {
     window: Window,
     guide_is_a: bool,
     pivots_processed: u64,
-    allow_switch: bool,
 }
 
 impl<'a> PivotEngine<'a> {
@@ -1098,18 +1087,7 @@ impl<'a> PivotEngine<'a> {
             window: Window::default(),
             guide_is_a,
             pivots_processed: 0,
-            allow_switch: false,
         }
-    }
-
-    /// Builder: enables (or disables) role transformations within this
-    /// engine's pivots. Without a shared board two engines may redundantly
-    /// process the same switched pivot; attach one with
-    /// [`with_shared_todo`](Self::with_shared_todo) for cross-worker
-    /// claim exclusivity.
-    pub fn with_role_transforms(mut self, enabled: bool) -> Self {
-        self.allow_switch = enabled;
-        self
     }
 
     /// Builder: attaches the shared coverage board for cross-worker
@@ -1165,7 +1143,7 @@ impl<'a> PivotEngine<'a> {
             self.guide_is_a,
             &mut self.window,
             pivots,
-            self.allow_switch,
+            true,
             WINDOW_PAGES,
         );
     }
@@ -1427,7 +1405,7 @@ mod tests {
         let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
         let (ga, gb) = (engine_side(idx_a, &cache_a), engine_side(idx_b, &cache_b));
         let before = disk_a.stats().merged(&disk_b.stats());
-        let mut engine = PivotEngine::new(ga, gb, true, cfg).with_role_transforms(true);
+        let mut engine = PivotEngine::new(ga, gb, true, cfg);
         if todo {
             engine = engine.with_shared_todo(Arc::new(SharedTodo::new(
                 idx_a.nodes().len(),
@@ -1689,48 +1667,6 @@ mod tests {
         assert_eq!(stats.transformations(), 0);
     }
 
-    #[test]
-    fn prefilter_ablation_preserves_results() {
-        let a = generate(&DatasetSpec {
-            max_side: 8.0,
-            ..DatasetSpec::uniform(2000, 88)
-        });
-        let b = generate(&DatasetSpec {
-            max_side: 8.0,
-            ..DatasetSpec::uniform(2000, 89)
-        });
-        let expected = oracle(&a, &b);
-        for node_prefilter in [true, false] {
-            let cfg = JoinConfig {
-                node_prefilter,
-                ..JoinConfig::default()
-            };
-            let (pairs, _) = run_join(&a, &b, &cfg);
-            assert_eq!(pairs, expected);
-        }
-    }
-
-    #[test]
-    fn walk_start_ablation_preserves_results() {
-        let a = generate(&DatasetSpec {
-            max_side: 8.0,
-            ..DatasetSpec::uniform(1500, 90)
-        });
-        let b = generate(&DatasetSpec {
-            max_side: 8.0,
-            ..DatasetSpec::uniform(1500, 91)
-        });
-        let expected = oracle(&a, &b);
-        for hilbert_walk_start in [true, false] {
-            let cfg = JoinConfig {
-                hilbert_walk_start,
-                ..JoinConfig::default()
-            };
-            let (pairs, _) = run_join(&a, &b, &cfg);
-            assert_eq!(pairs, expected);
-        }
-    }
-
     /// Builds one [`EngineSide`] of a join, loading the side's descriptor
     /// tables (as `tfm-exec` does, once for all workers).
     fn engine_side<'a>(
@@ -1783,9 +1719,7 @@ mod tests {
         let mut engines: Vec<PivotEngine> = (0..2)
             .map(|_| {
                 let (ga, gb) = (engine_side(&idx_a, &cache_a), engine_side(&idx_b, &cache_b));
-                PivotEngine::new(ga, gb, true, &cfg)
-                    .with_role_transforms(true)
-                    .with_shared_todo(Arc::clone(&todo))
+                PivotEngine::new(ga, gb, true, &cfg).with_shared_todo(Arc::clone(&todo))
             })
             .collect();
         let pivots = engines[0].pivot_count();

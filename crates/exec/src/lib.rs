@@ -11,13 +11,9 @@
 //!
 //! * [`JoinScheduler`] — partitions the pivot list into contiguous chunks,
 //!   statically sharded across workers, with work stealing for the
-//!   stragglers that non-uniform data inevitably produces. Its **initial
-//!   chunk size is adaptive**: derived from the pivot count and worker
-//!   count, and tilted by a recorded skew signal
-//!   ([`ExecReport::steal_fraction`] of a previous run, fed back through
-//!   [`transformers::JoinConfig::recorded_steal_skew`]) — skewed
-//!   workloads get finer chunks for stealing, balanced ones longer
-//!   locality runs;
+//!   stragglers that non-uniform data inevitably produces. Its chunk size
+//!   is derived from the pivot count and worker count
+//!   ([`JoinScheduler::chunk_size`]);
 //! * a scoped **worker pool** ([`pool::StagePool`]) where each worker owns
 //!   a private [`transformers::PivotEngine`] (its own cache handles,
 //!   exploration scratch, cost model and statistics accumulator) over the
@@ -41,8 +37,8 @@
 //! `IndexBuildPipeline` fan the index-build stages (STR passes,
 //! element-page encoding, connectivity) over the same pool, which is what
 //! makes `tfm build --build-threads N` possible. This crate keeps the
-//! join-specific policy: pivot vocabulary, prune announcements, adaptive
-//! chunk sizing.
+//! join-specific policy: pivot vocabulary, prune announcements, chunk
+//! sizing.
 //!
 //! # The transformation / pruning protocol
 //!
@@ -75,12 +71,10 @@
 //!    engines make the same check per pivot
 //!    ([`transformers::TransformersStats::pruned_pivots`]).
 //!
-//! Both features default **on** (see
-//! [`transformers::JoinConfig::worker_role_transforms`] and
-//! [`transformers::JoinConfig::cross_worker_pruning`]) and can be disabled
-//! independently — `tfm join --no-transform` / `--no-prune` — which
-//! restores PR 1's fully independent workers as an escape hatch and an
-//! ablation baseline. Every combination returns the identical pair set.
+//! Every parallel join runs both: there is no independent-worker mode.
+//! The one transformation ablation is the paper's "No TR"
+//! ([`transformers::JoinConfig::without_transformations`]), which the
+//! parallel join honours like the sequential one.
 //!
 //! # Example
 //!
@@ -212,10 +206,8 @@ pub struct ExecReport {
 
 impl ExecReport {
     /// Fraction of dispatched chunks that were obtained by stealing, in
-    /// `0.0..=1.0` — the recorded pivot-cost skew signal. Feed it back
-    /// through [`transformers::JoinConfig::with_recorded_skew`] to let the
-    /// next run of the same workload pick its chunk size adaptively
-    /// (high steal fraction → finer chunks).
+    /// `0.0..=1.0` — how skewed the pivot costs were for the static
+    /// shares.
     pub fn steal_fraction(&self) -> f64 {
         let dispatched = self.chunks as u64 - self.chunks_pruned;
         if dispatched == 0 {
@@ -269,8 +261,8 @@ pub fn parallel_join_with_report(
     let (nodes_b, units_b) = (Arc::new(nodes_b), Arc::new(units_b));
 
     // The configured first guide supplies the scheduler's pivot list; role
-    // transformations (when enabled) let individual workers locally
-    // re-pivot on the other side without changing that list.
+    // transformations let individual workers locally re-pivot on the other
+    // side without changing that list.
     let guide_is_a = matches!(cfg.first_guide, GuidePick::A);
     // The per-dataset page caches shared by every worker: one
     // lock-striped cache per disk, sized to the configured pool budget and
@@ -306,18 +298,13 @@ pub fn parallel_join_with_report(
     let join_workers_left = AtomicUsize::new(threads);
 
     let pivots = guide_side.2.len();
-    // Adaptive initial chunk size: pivot count, worker count, and — when a
-    // previous run recorded one — the observed steal fraction as the skew
-    // signal (see the scheduler docs for the policy).
-    let chunk_size = JoinScheduler::adaptive_chunk_size(pivots, threads, cfg.recorded_steal_skew);
+    let chunk_size = JoinScheduler::chunk_size(pivots, threads);
     let scheduler = JoinScheduler::new(pivots, threads, chunk_size);
 
     // The shared coverage board recovering the sequential path's
     // to-do-list pruning across workers (see the module docs for the
-    // protocol). `--no-prune` drops it: workers then prune only locally.
-    let todo = cfg
-        .cross_worker_pruning
-        .then(|| Arc::new(SharedTodo::new(nodes_a.len(), nodes_b.len())));
+    // protocol).
+    let todo = Arc::new(SharedTodo::new(nodes_a.len(), nodes_b.len()));
 
     // The scoped worker pool (extracted to `tfm-pool` in PR 3): one worker
     // per thread plus the dedicated prefetch I/O threads, results collected
@@ -350,11 +337,8 @@ pub fn parallel_join_with_report(
                 nodes: Arc::clone(nodes),
                 units: Arc::clone(units),
             });
-        let mut engine = PivotEngine::new(guide, follower, guide_is_a, cfg)
-            .with_role_transforms(cfg.worker_role_transforms);
-        if let Some(todo) = &todo {
-            engine = engine.with_shared_todo(Arc::clone(todo));
-        }
+        let mut engine =
+            PivotEngine::new(guide, follower, guide_is_a, cfg).with_shared_todo(Arc::clone(&todo));
         while let Some(chunk) = scheduler.next(w) {
             // The chunk is claimed (own share or stolen) — push its page
             // schedule before processing so the I/O threads warm the cache
@@ -367,10 +351,8 @@ pub fn parallel_join_with_report(
             // Chunk boundary: if the follower dataset is now fully
             // covered, announce it so queued chunks are discarded
             // instead of dispatched.
-            if let Some(todo) = &todo {
-                if todo.remaining(!guide_is_a) == 0 {
-                    scheduler.announce_prune();
-                }
+            if todo.remaining(!guide_is_a) == 0 {
+                scheduler.announce_prune();
             }
         }
         let processed = engine.pivots_processed();
@@ -422,7 +404,7 @@ pub fn parallel_join_with_report(
         threads,
         pivots: worker_pivots.iter().sum(),
         chunks: scheduler.chunk_count(),
-        chunk_size: scheduler.chunk_size(),
+        chunk_size,
         steals: scheduler.steals(),
         worker_pivots,
         chunks_pruned: scheduler.chunks_pruned(),
@@ -470,12 +452,10 @@ pub fn parallel_join_with_report(
 /// explores and joins its pivots with a private [`PivotEngine`], performing
 /// role and layout transformations within its chunks and pruning
 /// candidates through the shared coverage board (see the module docs for
-/// the protocol; [`JoinConfig::worker_role_transforms`] and
-/// [`JoinConfig::cross_worker_pruning`] opt out). The per-worker results
-/// are merged deterministically: the returned pair vector is
-/// **byte-identical** to [`transformers::transformers_join`]'s for any
-/// thread count and feature combination, and the statistics are exact sums
-/// of the per-worker counters.
+/// the protocol). The per-worker results are merged deterministically: the
+/// returned pair vector is **byte-identical** to
+/// [`transformers::transformers_join`]'s for any thread count, and the
+/// statistics are exact sums of the per-worker counters.
 pub fn parallel_join(
     idx_a: &TransformersIndex,
     disk_a: &Disk,
@@ -651,27 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn recorded_skew_changes_chunking_not_results() {
-        let (disk_a, idx_a, disk_b, idx_b) = adaptive_fixture();
-        let base = JoinConfig::default();
-        let (seq_out, first_report) =
-            parallel_join_with_report(&idx_a, &disk_a, &idx_b, &disk_b, &base, 4);
-        let skew = first_report.steal_fraction();
-        assert!((0.0..=1.0).contains(&skew), "skew out of range: {skew}");
-        // Feed the recorded signal back, at both extremes for good measure.
-        for forced in [skew, 0.0, 1.0] {
-            let cfg = base.with_recorded_skew(forced);
-            let (out, report) =
-                parallel_join_with_report(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, 4);
-            assert_eq!(out.pairs, seq_out.pairs, "skew = {forced}");
-            assert_eq!(
-                report.chunk_size,
-                JoinScheduler::adaptive_chunk_size(report.pivots as usize, 4, Some(forced))
-            );
-        }
-    }
-
-    #[test]
     fn steal_fraction_handles_degenerate_reports() {
         let empty = ExecReport {
             threads: 2,
@@ -728,37 +687,6 @@ mod tests {
                      must resolve to a hit or be reclaimed as unused"
                 );
                 assert_eq!(report.worker_pivots.len(), threads.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn every_feature_combination_matches_sequential() {
-        let (disk_a, idx_a, disk_b, idx_b) = adaptive_fixture();
-        let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &JoinConfig::default());
-        for transforms in [false, true] {
-            for pruning in [false, true] {
-                let cfg = JoinConfig {
-                    worker_role_transforms: transforms,
-                    cross_worker_pruning: pruning,
-                    ..JoinConfig::default()
-                };
-                for threads in [2, 4] {
-                    let (par, report) =
-                        parallel_join_with_report(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads);
-                    assert_eq!(
-                        par.pairs, seq.pairs,
-                        "transforms={transforms} pruning={pruning} threads={threads}"
-                    );
-                    if !pruning {
-                        assert_eq!(par.stats.cross_worker_pruned_units, 0);
-                        assert_eq!(par.stats.pruned_pivots, 0);
-                        assert_eq!(report.chunks_pruned, 0);
-                    }
-                    if !transforms {
-                        assert_eq!(par.stats.role_transformations, 0);
-                    }
-                }
             }
         }
     }

@@ -1,6 +1,5 @@
 //! Pivot scheduling: the generic [`ChunkScheduler`] from `tfm-pool`
-//! wearing its join-phase vocabulary, plus the **adaptive chunk sizing**
-//! policy.
+//! wearing its join-phase vocabulary, plus the chunk sizing policy.
 //!
 //! The guide's space-node pivot list is split into contiguous chunks that
 //! are dealt to per-worker deques up front (*static sharding* — contiguous
@@ -17,15 +16,9 @@
 //!   the generic cancel switch: once the follower dataset is fully
 //!   covered on the shared board, every queued pivot is redundant and the
 //!   scheduler stops dealing (see the crate docs for the protocol).
-//! * **Adaptive chunk sizing** — the initial chunk size is derived from
-//!   the pivot count and worker count, tilted by a *recorded skew signal*
-//!   when one is available: [`crate::ExecReport::steal_fraction`] from a
-//!   previous run of the same workload, carried in
-//!   [`transformers::JoinConfig::recorded_steal_skew`]. High observed
-//!   skew → more, smaller chunks (stealing granularity); low skew →
-//!   fewer, larger chunks (locality runs). Without a signal a low-skew
-//!   default (8 chunks per worker) applies — still derived from the
-//!   pivot and worker counts, and corrected by the first run's report.
+//! * **Chunk sizing** — [`JoinScheduler::chunk_size`] derives the chunk
+//!   size from the pivot count and worker count alone: 8 chunks per
+//!   worker, capped so that stealing always has a tail to take.
 
 use tfm_pool::ChunkScheduler;
 
@@ -50,41 +43,23 @@ impl JoinScheduler {
         }
     }
 
-    /// The neutral chunk size: [`JoinScheduler::adaptive_chunk_size`]
-    /// with no recorded skew signal.
-    pub fn default_chunk_size(pivots: usize, workers: usize) -> usize {
-        Self::adaptive_chunk_size(pivots, workers, None)
-    }
-
-    /// Derives the initial chunk size from the pivot count, the worker
-    /// count, and an optional recorded skew signal in `0.0..=1.0`
-    /// (typically a previous run's [`crate::ExecReport::steal_fraction`]).
-    ///
-    /// The size targets a chunks-per-worker budget that moves with the
-    /// signal — 4 per worker on perfectly balanced data (long locality
-    /// runs, near-zero scheduler traffic) up to 32 per worker on heavily
-    /// skewed data (fine-grained stealing); with no signal the budget is
-    /// 8 per worker, the low-skew end of the range, since unobserved
-    /// workloads still benefit from long runs and the first report
-    /// corrects the guess. Two caps bound the result: every worker's
-    /// static share must split into at least two chunks (a stealable tail
-    /// even on tiny inputs), and no chunk exceeds
-    /// [`MAX_CHUNK_PIVOTS`](Self::MAX_CHUNK_PIVOTS) pivots — without that
-    /// bound, a first run on a huge pivot list could trap an entire
+    /// Derives the chunk size from the pivot count and the worker count:
+    /// 8 chunks per worker, long enough runs for locality and enough
+    /// chunks for stealing to even out skewed pivot costs. Two caps bound
+    /// the result: every worker's static share must split into at least
+    /// two chunks (a stealable tail even on tiny inputs), and no chunk
+    /// exceeds [`MAX_CHUNK_PIVOTS`](Self::MAX_CHUNK_PIVOTS) pivots —
+    /// without that bound, a huge pivot list could trap an entire
     /// expensive cluster inside one chunk where no stealing can reach it.
-    pub fn adaptive_chunk_size(pivots: usize, workers: usize, skew: Option<f64>) -> usize {
+    pub fn chunk_size(pivots: usize, workers: usize) -> usize {
         let workers = workers.max(1);
         if pivots == 0 {
             return 1;
         }
-        let chunks_per_worker = match skew {
-            None => 8.0,
-            Some(s) => 4.0 + 28.0 * s.clamp(0.0, 1.0),
-        };
         let cap = pivots
             .div_ceil(workers * 2)
             .clamp(1, Self::MAX_CHUNK_PIVOTS);
-        let target = (pivots as f64 / (workers as f64 * chunks_per_worker)).round() as usize;
+        let target = (pivots as f64 / (workers as f64 * 8.0)).round() as usize;
         target.clamp(1, cap)
     }
 
@@ -96,11 +71,6 @@ impl JoinScheduler {
     /// Total chunks dealt at construction.
     pub fn chunk_count(&self) -> usize {
         self.inner.chunk_count()
-    }
-
-    /// The chunk size used at construction.
-    pub fn chunk_size(&self) -> usize {
-        self.inner.chunk_size()
     }
 
     /// Chunks obtained by stealing so far.
@@ -145,41 +115,18 @@ mod tests {
 
     #[test]
     fn adaptive_chunk_size_is_sane() {
-        assert_eq!(JoinScheduler::adaptive_chunk_size(0, 4, None), 1);
-        assert!(JoinScheduler::adaptive_chunk_size(100, 2, None) >= 1);
-        // Neutral sizing targets ~8 chunks per worker.
-        assert_eq!(JoinScheduler::adaptive_chunk_size(6400, 4, None), 200);
+        assert_eq!(JoinScheduler::chunk_size(0, 4), 1);
+        assert!(JoinScheduler::chunk_size(100, 2) >= 1);
+        // The size targets 8 chunks per worker.
+        assert_eq!(JoinScheduler::chunk_size(6400, 4), 200);
         // Every worker keeps a stealable tail: at least two chunks per
         // static share.
-        let tiny = JoinScheduler::adaptive_chunk_size(16, 8, Some(0.0));
-        assert!(tiny <= 1, "16 pivots / 8 workers must stay fine-grained");
-        // Huge first-run inputs never exceed the hard cap — a chunk is the
-        // largest unstealable unit of work.
+        assert_eq!(JoinScheduler::chunk_size(16, 8), 1);
+        // Huge inputs never exceed the hard cap — a chunk is the largest
+        // unstealable unit of work.
         assert_eq!(
-            JoinScheduler::adaptive_chunk_size(1_000_000, 4, None),
+            JoinScheduler::chunk_size(1_000_000, 4),
             JoinScheduler::MAX_CHUNK_PIVOTS
-        );
-        assert_eq!(
-            JoinScheduler::adaptive_chunk_size(1_000_000, 4, Some(0.0)),
-            JoinScheduler::MAX_CHUNK_PIVOTS
-        );
-    }
-
-    #[test]
-    fn higher_skew_means_smaller_chunks() {
-        let pivots = 3_200;
-        let workers = 4;
-        let balanced = JoinScheduler::adaptive_chunk_size(pivots, workers, Some(0.0));
-        let neutral = JoinScheduler::adaptive_chunk_size(pivots, workers, None);
-        let skewed = JoinScheduler::adaptive_chunk_size(pivots, workers, Some(1.0));
-        assert!(
-            balanced > neutral && neutral > skewed,
-            "expected monotone sizing, got {balanced} / {neutral} / {skewed}"
-        );
-        // Out-of-range signals are clamped, not amplified.
-        assert_eq!(
-            JoinScheduler::adaptive_chunk_size(pivots, workers, Some(42.0)),
-            skewed
         );
     }
 
@@ -199,7 +146,7 @@ mod tests {
 
     #[test]
     fn wrapper_deals_every_pivot_exactly_once() {
-        let sched = JoinScheduler::new(100, 4, JoinScheduler::default_chunk_size(100, 4));
+        let sched = JoinScheduler::new(100, 4, JoinScheduler::chunk_size(100, 4));
         let mut seen = std::collections::BTreeSet::new();
         while let Some(c) = sched.next(0) {
             for p in c.start..c.end {

@@ -3,17 +3,17 @@
 //! Two contracts, checked over randomized workloads, worker counts and
 //! index geometries:
 //!
-//! 1. **Pruning is invisible in the results.** The pruned (shared-board)
-//!    and unpruned (independent-worker) parallel joins return the
-//!    identical pair set — which is also the sequential join's.
+//! 1. **Pruning is invisible in the results.** The parallel join, pruning
+//!    across workers through the shared board, returns the sequential
+//!    join's pair set at every worker count.
 //! 2. **Pruning is sound in the counters.** Cross-worker prunes are a
-//!    subset of all prunes; with pruning disabled they are exactly zero;
-//!    and a 1-worker adaptive join under *fixed* thresholds reproduces the
-//!    sequential join's pruned-candidate count exactly (the board then
-//!    carries precisely the sequential `checked` state, so the parallel
-//!    path can never prune more candidates than the sequential join — the
-//!    multi-worker counts depend on thread interleaving and are checked
-//!    against the set-equality contract instead).
+//!    subset of all prunes, and a 1-worker adaptive join under *fixed*
+//!    thresholds reproduces the sequential join's pruned-candidate count
+//!    exactly (the board then carries precisely the sequential `checked`
+//!    state, so the parallel path can never prune more candidates than the
+//!    sequential join — the multi-worker counts depend on thread
+//!    interleaving and are checked against the set-equality contract
+//!    instead).
 //!
 //! Fixed thresholds keep the transformation decisions independent of
 //! wall-clock measurements, so the 1-worker trace comparison is exact.
@@ -48,18 +48,13 @@ struct Fixture {
 }
 
 impl Fixture {
-    fn run_parallel(&self, transforms: bool, pruning: bool, threads: usize) -> JoinOutcome {
-        let cfg = JoinConfig {
-            worker_role_transforms: transforms,
-            cross_worker_pruning: pruning,
-            ..self.cfg
-        };
+    fn run_parallel(&self, threads: usize) -> JoinOutcome {
         parallel_join(
             &self.idx_a,
             &self.disk_a,
             &self.idx_b,
             &self.disk_b,
-            &cfg,
+            &self.cfg,
             threads,
         )
     }
@@ -126,18 +121,14 @@ proptest! {
         let fx = fixture(na, nb, dist_a, dist_b, seed, unit_cap, node_cap);
         let seq = fx.run_sequential();
         for threads in [1usize, 2, 4] {
-            let pruned = fx.run_parallel(true, true, threads);
-            let unpruned = fx.run_parallel(true, false, threads);
-            // Contract 1: identical pair sets, both equal to sequential.
-            prop_assert_eq!(&pruned.pairs, &seq.pairs, "pruned, threads = {}", threads);
-            prop_assert_eq!(&unpruned.pairs, &seq.pairs, "unpruned, threads = {}", threads);
+            let pruned = fx.run_parallel(threads);
+            // Contract 1: the sequential pair set.
+            prop_assert_eq!(&pruned.pairs, &seq.pairs, "threads = {}", threads);
             // Contract 2: counter soundness.
             prop_assert!(
                 pruned.stats.cross_worker_pruned_units <= pruned.stats.pruned_units,
                 "cross-worker prunes must be a subset of all prunes"
             );
-            prop_assert_eq!(unpruned.stats.cross_worker_pruned_units, 0);
-            prop_assert_eq!(unpruned.stats.pruned_pivots, 0);
         }
     }
 
@@ -151,7 +142,7 @@ proptest! {
     ) {
         let fx = fixture(na, nb, dist_a, dist_b, seed, 32, 8);
         let seq = fx.run_sequential();
-        let par = fx.run_parallel(true, true, 1);
+        let par = fx.run_parallel(1);
         prop_assert_eq!(&par.pairs, &seq.pairs);
         // One worker sees through the shared board exactly the coverage
         // the sequential join tracks in its `checked` bitmaps, and fixed

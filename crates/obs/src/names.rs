@@ -137,17 +137,6 @@ pub const SERVE_SERVICE_NANOS: &str = "serve.service_nanos";
 /// Per-query queue-wait histogram (admission to worker pop).
 pub const SERVE_QUEUE_WAIT_NANOS: &str = "serve.queue_wait_nanos";
 
-// --- serve.autobatch.* : the self-tuning batch-size loop (--auto-batch) ---
-
-/// Retune decisions taken (one per feedback window).
-pub const SERVE_AUTOBATCH_RETUNES: &str = "serve.autobatch.retunes";
-/// Retunes that grew the batch size.
-pub const SERVE_AUTOBATCH_GROWS: &str = "serve.autobatch.grows";
-/// Retunes that shrank the batch size.
-pub const SERVE_AUTOBATCH_SHRINKS: &str = "serve.autobatch.shrinks";
-/// Batch size in effect when the run ended (gauge).
-pub const SERVE_AUTOBATCH_FINAL_BATCH: &str = "serve.autobatch.final_batch";
-
 // --- shard.* : the sharded scatter-gather serve cluster ---
 //
 // Cluster-wide signals use the constants below; per-shard breakdowns use

@@ -33,9 +33,9 @@
 //!   one [`ServeOutcome`]: one feeder plans batches, routes them,
 //!   announces each sub-batch's readahead schedule and admits it; one
 //!   target-local pool opens sessions, pops the queue and times every
-//!   probe; one gather merges the partials per query. Auto-batching,
-//!   per-query traces, readahead and shedding therefore work on either
-//!   entry point. See `ARCHITECTURE.md`.
+//!   probe; one gather merges the partials per query. Per-query traces,
+//!   readahead and shedding therefore work on either entry point. See
+//!   `ARCHITECTURE.md`.
 //!
 //! # Who executes
 //!
@@ -96,10 +96,8 @@ pub use shard::{
     plan_shards, serve_sharded, IndexShard, ShardPartitioner, ShardRouter, ShardSpec,
     ShardedCluster,
 };
-pub use stats::{AutoBatchSummary, LatencySummary, ServeStats, ShardStats};
+pub use stats::{LatencySummary, ServeStats, ShardStats};
 
-use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tfm_geom::{hilbert, Aabb, ElementId, SpatialQuery};
@@ -148,16 +146,6 @@ pub struct ServeConfig {
     /// stays off on engines that cannot compute a schedule
     /// ([`QueryEngine::supports_prefetch`]) and on the inline path.
     pub readahead: usize,
-    /// Self-tuning batch sizing: every few batches the feeder re-scores
-    /// the run from the observed cache hit fraction and sequential-read
-    /// fraction (summed over the targets), growing the batch (up to 4×
-    /// [`ServeConfig::batch`]) while locality is poor — a larger batch
-    /// gives the Hilbert sort more scope — and decaying back toward the
-    /// base once the signals recover. Batch *composition* stays
-    /// arrival-order slices and results are keyed by query position, so
-    /// results are byte-identical to any fixed batch size. Only queued
-    /// runs tune; the inline path ignores this flag.
-    pub auto_batch: bool,
     /// Load shedding: admit sub-batches with `try_push` and count
     /// rejections instead of blocking. Shed partials make the affected
     /// queries' results incomplete (tracked in
@@ -177,7 +165,6 @@ impl Default for ServeConfig {
             collect_traces: false,
             io_depth: 1,
             readahead: 0,
-            auto_batch: false,
             shed: false,
         }
     }
@@ -221,13 +208,6 @@ impl ServeConfig {
         self
     }
 
-    /// Builder: enables the self-tuning batch loop (see
-    /// [`ServeConfig::auto_batch`]).
-    pub fn with_auto_batch(mut self) -> Self {
-        self.auto_batch = true;
-        self
-    }
-
     /// Builder: switches admission from backpressure to load shedding.
     pub fn with_shedding(mut self) -> Self {
         self.shed = true;
@@ -254,27 +234,6 @@ pub struct ServeOutcome {
     pub traces: Vec<tfm_obs::QueryTrace>,
 }
 
-/// The box the Hilbert order of a trace's probe centers is taken over.
-fn center_universe(trace: &[SpatialQuery]) -> Aabb {
-    Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())))
-}
-
-/// One batch: the arrival-order slice `range` of the trace, sorted by the
-/// Hilbert index of the probe centers when `hilbert_batching` is on.
-fn order_batch(
-    trace: &[SpatialQuery],
-    range: Range<usize>,
-    hilbert_batching: bool,
-    universe: &Aabb,
-) -> Vec<usize> {
-    let mut ids: Vec<usize> = range.collect();
-    if hilbert_batching {
-        // Tie-break on the query position so the plan is total.
-        ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), universe), i));
-    }
-    ids
-}
-
 /// Splits `trace` into arrival-order batches of `batch` queries and, when
 /// `hilbert_batching` is on, sorts each batch by the Hilbert index of the
 /// probe centers (over the trace's own center bounding box).
@@ -282,12 +241,17 @@ fn order_batch(
 /// Batch *composition* is always arrival-order — only the order *within*
 /// a batch changes — so results cannot depend on the batching mode.
 fn plan_batches(trace: &[SpatialQuery], batch: usize, hilbert_batching: bool) -> Vec<Vec<usize>> {
-    let universe = center_universe(trace);
+    let universe = Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())));
     (0..trace.len())
         .step_by(batch)
         .map(|start| {
             let end = (start + batch).min(trace.len());
-            order_batch(trace, start..end, hilbert_batching, &universe)
+            let mut ids: Vec<usize> = (start..end).collect();
+            if hilbert_batching {
+                // Tie-break on the query position so the plan is total.
+                ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
+            }
+            ids
         })
         .collect()
 }
@@ -338,7 +302,6 @@ struct Target<'a, E: ?Sized> {
 struct Fed {
     batches: usize,
     widest: usize,
-    autobatch: Option<AutoBatchSummary>,
     routed: Vec<u64>,
     shed_batches: Vec<u64>,
     shed: Vec<u64>,
@@ -352,7 +315,6 @@ impl Fed {
         Self {
             batches: 0,
             widest: 0,
-            autobatch: None,
             routed: vec![0; targets],
             shed_batches: vec![0; targets],
             shed: vec![0; targets],
@@ -394,15 +356,10 @@ fn serve<E: QueryEngine + ?Sized>(
 ) -> ServeOutcome {
     let workers = cfg.threads.max(1);
     let batch = cfg.batch.max(1);
-    // The inline fast path: one engine, one worker — no queue, so no
-    // queue-vs-locality tradeoff to tune and nothing to shed from.
+    // The inline fast path: one engine, one worker — no queue, so nothing
+    // to shed from.
     let inline = router.is_none() && workers == 1;
-    let auto = cfg.auto_batch && !inline;
-    let plan = if auto {
-        Vec::new() // the feeder slices the trace incrementally instead
-    } else {
-        plan_batches(trace, batch, cfg.hilbert_batching)
-    };
+    let plan = plan_batches(trace, batch, cfg.hilbert_batching);
     // Route once per query: the ascending shard list its probe box hits.
     let routes: Option<Vec<Vec<usize>>> =
         router.map(|r| trace.iter().map(|q| r.route(q)).collect());
@@ -480,8 +437,8 @@ fn serve<E: QueryEngine + ?Sized>(
     gather(outs, fed, routes.as_deref(), trace, cfg, wall, obs)
 }
 
-/// The one feeder: takes the next batch (planned, or auto-sized), routes
-/// it into one sub-batch per target preserving the within-batch (Hilbert)
+/// The one feeder: takes the next planned batch, routes it into one
+/// sub-batch per target preserving the within-batch (Hilbert)
 /// order so each target still sweeps, announces each sub-batch's page
 /// schedule to the target's I/O threads and admits it — blocking, or
 /// shedding under [`ServeConfig::shed`]. Closes every queue when the
@@ -495,29 +452,11 @@ fn feed<E: QueryEngine + ?Sized>(
 ) -> Fed {
     let mut fed = Fed::new(targets.len());
     let mut shed_flags = vec![false; if cfg.shed { trace.len() } else { 0 }];
-    let mut planned = plan.iter();
-    let mut tuner = cfg
-        .auto_batch
-        .then(|| AutoBatch::new(targets, trace, cfg.batch.max(1)));
-    let mut next = 0usize; // auto: first query of the next slice
-    loop {
-        let batch: Cow<'_, [usize]> = match &mut tuner {
-            None => match planned.next() {
-                Some(b) => Cow::Borrowed(b),
-                None => break,
-            },
-            Some(_) if next >= trace.len() => break,
-            Some(t) => {
-                let end = (next + t.cur).min(trace.len());
-                let ids = order_batch(trace, next..end, cfg.hilbert_batching, &t.universe);
-                next = end;
-                Cow::Owned(ids)
-            }
-        };
+    for batch in plan {
         fed.batches += 1;
         fed.widest = fed.widest.max(batch.len());
         let subs: Vec<Vec<usize>> = match routes {
-            None => vec![batch.into_owned()],
+            None => vec![batch.clone()],
             Some(routes) => {
                 let mut subs = vec![Vec::new(); targets.len()];
                 for &qid in batch.iter() {
@@ -559,9 +498,6 @@ fn feed<E: QueryEngine + ?Sized>(
                 }
             }
         }
-        if let Some(t) = tuner.as_mut().filter(|_| next < trace.len()) {
-            t.batch_fed(targets);
-        }
     }
     for target in targets {
         target.queue.close();
@@ -570,105 +506,7 @@ fn feed<E: QueryEngine + ?Sized>(
         }
     }
     fed.shed_queries = shed_flags.iter().filter(|&&f| f).count() as u64;
-    fed.autobatch = tuner.map(|t| AutoBatchSummary {
-        final_batch: t.cur,
-        ..t.summary
-    });
     fed
-}
-
-/// How many batches the auto-batch feeder admits between retune
-/// decisions — long enough to average out per-batch noise in the cache
-/// and I/O counters, short enough to adapt within a few hundred queries.
-const AUTO_BATCH_WINDOW: usize = 8;
-
-/// The self-tuning batch size (`--auto-batch`): the feeder slices the
-/// trace into arrival-order batches of the *current* size and re-scores
-/// the run every [`AUTO_BATCH_WINDOW`] batches from two feedback signals —
-/// the targets' cache hit fraction and their disks' sequential-read
-/// fraction over the window. A low score means poor locality: the batch
-/// grows (up to 4× the configured base) so the Hilbert sort gets more
-/// queries to order into a spatial sweep. A recovered score decays the
-/// batch back toward the base, bounding queue latency.
-struct AutoBatch {
-    universe: Aabb,
-    base: usize,
-    cap: usize,
-    cur: usize,
-    since_retune: usize,
-    summary: AutoBatchSummary,
-    win_io: IoStatsSnapshot,
-    win_cache: CacheStats,
-}
-
-impl AutoBatch {
-    fn new<E: QueryEngine + ?Sized>(
-        targets: &[Target<'_, E>],
-        trace: &[SpatialQuery],
-        base: usize,
-    ) -> Self {
-        let (win_io, win_cache) = Self::signals(targets);
-        Self {
-            universe: center_universe(trace),
-            base,
-            cap: base.saturating_mul(4).max(base),
-            cur: base,
-            since_retune: 0,
-            summary: AutoBatchSummary::default(),
-            win_io,
-            win_cache,
-        }
-    }
-
-    /// The feedback counters, summed over every target.
-    fn signals<E: QueryEngine + ?Sized>(
-        targets: &[Target<'_, E>],
-    ) -> (IoStatsSnapshot, CacheStats) {
-        targets.iter().fold(Default::default(), |(io, cache), t| {
-            (
-                io.merged(&t.engine.io_snapshot()),
-                cache.merged(&t.engine.cache_stats()),
-            )
-        })
-    }
-
-    /// Called after each admitted batch that is not the last: retunes once
-    /// a window is through.
-    fn batch_fed<E: QueryEngine + ?Sized>(&mut self, targets: &[Target<'_, E>]) {
-        self.since_retune += 1;
-        if self.since_retune < AUTO_BATCH_WINDOW {
-            return;
-        }
-        self.since_retune = 0;
-        // Score the window from whichever signals it produced: the
-        // caches' hit fraction and/or the sequential-read split. A window
-        // with neither (no page touched) does not retune.
-        let (io_now, cache_now) = Self::signals(targets);
-        let io = io_now.delta_since(&self.win_io);
-        let cache = cache_now.delta_since(&self.win_cache);
-        (self.win_io, self.win_cache) = (io_now, cache_now);
-        let mut score = 0.0f64;
-        let mut signals = 0u32;
-        if cache.hits + cache.misses > 0 {
-            score += cache.hit_fraction();
-            signals += 1;
-        }
-        if io.reads() > 0 {
-            score += io.seq_read_fraction();
-            signals += 1;
-        }
-        if signals > 0 {
-            let score = score / f64::from(signals);
-            self.summary.retunes += 1;
-            if score < 0.5 && self.cur < self.cap {
-                self.cur = (self.cur * 2).min(self.cap);
-                self.summary.grows += 1;
-            } else if score > 0.8 && self.cur > self.base {
-                self.cur = (self.cur / 2).max(self.base);
-                self.summary.shrinks += 1;
-            }
-        }
-    }
 }
 
 /// The one target-local pool: `cfg.threads` workers, each with its own
@@ -781,7 +619,6 @@ fn gather(
         threads: workers,
         hilbert_batching: cfg.hilbert_batching,
         wall,
-        autobatch: fed.autobatch,
         routed_partials: fed.routed.iter().sum(),
         shed_partials: fed.shed.iter().sum(),
         shed_queries: fed.shed_queries,
@@ -895,13 +732,6 @@ fn gather(
             .merge_snapshot(&wait);
         obs.counter(names::CACHE_HITS).add(stats.pool_hits);
         obs.counter(names::CACHE_MISSES).add(stats.pool_misses);
-        if let Some(ab) = &stats.autobatch {
-            obs.counter(names::SERVE_AUTOBATCH_RETUNES).add(ab.retunes);
-            obs.counter(names::SERVE_AUTOBATCH_GROWS).add(ab.grows);
-            obs.counter(names::SERVE_AUTOBATCH_SHRINKS).add(ab.shrinks);
-            obs.gauge(names::SERVE_AUTOBATCH_FINAL_BATCH)
-                .set(ab.final_batch as i64);
-        }
         if let Some(routes) = routes {
             obs.counter(names::SHARD_QUERIES).add(stats.queries);
             obs.counter(names::SHARD_ROUTED).add(stats.routed_partials);
@@ -1175,58 +1005,6 @@ mod tests {
         );
         assert_eq!(out.results, expected);
         assert_eq!(out.stats.cache.prefetch_issued, 0);
-    }
-
-    #[test]
-    fn auto_batch_matches_fixed_batch_results_exactly() {
-        let (disk, idx, elems) = fixture(6000, 32);
-        let trace = generate_trace(&QueryTraceSpec::uniform(600, 33));
-        let expected = reference(&elems, &trace);
-        // Small cache + small base batch so the feedback loop has signals
-        // to react to and windows to react in.
-        let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(64, 4);
-        for threads in [2, 4] {
-            engine.reset_cache();
-            let cfg = ServeConfig::default()
-                .with_threads(threads)
-                .with_batch(16)
-                .with_auto_batch();
-            let out = serve_trace(&engine, &trace, &cfg);
-            assert_eq!(out.results, expected, "threads={threads}");
-            let ab = out
-                .stats
-                .autobatch
-                .expect("queued auto run reports a summary");
-            assert!(ab.retunes > 0, "600 queries at base 16 must cross a window");
-            assert!(ab.final_batch >= 16 && ab.final_batch <= 64);
-            assert!(ab.grows + ab.shrinks <= ab.retunes);
-            assert_eq!(
-                out.stats.per_worker_queries.iter().sum::<u64>(),
-                trace.len() as u64
-            );
-        }
-        // The inline path ignores the flag and reports no summary.
-        let out = serve_trace(&engine, &trace, &ServeConfig::default().with_auto_batch());
-        assert_eq!(out.results, expected);
-        assert!(out.stats.autobatch.is_none());
-    }
-
-    #[test]
-    fn auto_batch_composes_with_readahead() {
-        let (disk, idx, elems) = fixture(4000, 34);
-        let trace = generate_trace(&QueryTraceSpec::uniform(400, 35));
-        let expected = reference(&elems, &trace);
-        let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(48, 4);
-        let cfg = ServeConfig::default()
-            .with_threads(4)
-            .with_batch(16)
-            .with_io_depth(2)
-            .with_readahead(128)
-            .with_auto_batch();
-        let out = serve_trace(&engine, &trace, &cfg);
-        assert_eq!(out.results, expected);
-        assert!(out.stats.cache.prefetch_issued > 0);
-        assert!(out.stats.autobatch.is_some());
     }
 
     #[test]

@@ -81,20 +81,6 @@ impl LatencySummary {
     }
 }
 
-/// What the self-tuning batch loop did during one run (`--auto-batch`);
-/// see [`crate::ServeConfig::auto_batch`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AutoBatchSummary {
-    /// Retune decisions evaluated (one per feedback window).
-    pub retunes: u64,
-    /// Retunes that grew the batch size.
-    pub grows: u64,
-    /// Retunes that shrank the batch size.
-    pub shrinks: u64,
-    /// Batch size in effect when the trace ran out.
-    pub final_batch: usize,
-}
-
 /// One target's share of a serve run: a shard of a
 /// [`crate::ShardedCluster`], or the one engine [`crate::serve_trace`]
 /// was given.
@@ -139,7 +125,7 @@ pub struct ServeStats {
     /// Batches the trace was split into.
     pub batches: u64,
     /// Largest batch (the configured batch size unless the trace is
-    /// shorter or the auto-batch loop grew it).
+    /// shorter).
     pub max_batch: usize,
     /// Workers per target ([`crate::ServeConfig::threads`], clamped).
     pub threads: usize,
@@ -171,9 +157,6 @@ pub struct ServeStats {
     /// always 0: probes test boxes in the pinned page and never touch
     /// that tier.
     pub cache: CacheStats,
-    /// Self-tuning batch-loop counters; `None` unless the run used
-    /// [`crate::ServeConfig::auto_batch`] on a queued path.
-    pub autobatch: Option<AutoBatchSummary>,
     /// Mean targets routed per query (1 for a single engine).
     pub fanout_mean: f64,
     /// Largest per-query fanout.

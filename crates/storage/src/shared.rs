@@ -1172,6 +1172,34 @@ mod tests {
     }
 
     #[test]
+    fn no_page_is_fetched_twice_however_readers_interleave() {
+        // Eight readers over overlapping page sets, each starting at its own
+        // offset and stepping by its own stride; the cache holds every page.
+        // A miss fills its frame under the shard lock, so a racing reader of
+        // the same page waits and hits: each page reaches the disk once.
+        const PAGES: u64 = 96;
+        let d = disk_with_pages(PAGES, 32);
+        let cache = SharedPageCache::with_shards(&d, PAGES as usize, 4);
+        // All eight start together, so their first misses race.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (cache, start) = (&cache, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PAGES {
+                        let id = (t * 11 + i * (2 * t + 1)) % PAGES;
+                        assert_eq!(cache.read(PageId(id))[0], id as u8);
+                    }
+                });
+            }
+        });
+        assert_eq!(d.stats().reads(), PAGES);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (PAGES, 8 * PAGES - PAGES));
+    }
+
+    #[test]
     fn shards_for_threads_is_sane() {
         assert_eq!(SharedPageCache::shards_for_threads(0), 2);
         assert_eq!(SharedPageCache::shards_for_threads(1), 2);

@@ -12,7 +12,7 @@
 //!
 //! which considers each candidate pair exactly once.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tfm_geom::{Aabb, SpatialElement};
 use tfm_memjoin::{plane_sweep_join, JoinStats, ResultPair};
 use tfm_storage::{
@@ -52,7 +52,8 @@ pub struct S3Stats {
 /// One dataset assigned onto the level hierarchy and written to disk.
 #[derive(Debug)]
 pub struct S3Dataset {
-    cells: HashMap<CellId, Vec<PageId>>,
+    /// Each occupied cell's pages, in cell order.
+    cells: BTreeMap<CellId, Vec<PageId>>,
     extent: Aabb,
     levels: u8,
     len: usize,
@@ -139,8 +140,10 @@ pub fn s3_partition(
     let codec = ElementPageCodec::new(disk.page_size());
     let cap = codec.capacity();
 
-    let mut buffers: HashMap<CellId, Vec<SpatialElement>> = HashMap::new();
-    let mut cells: HashMap<CellId, Vec<PageId>> = HashMap::new();
+    // Ordered maps: each cell's last page is flushed in cell order, so the
+    // layout (and with it the join's read pattern) is exact per input.
+    let mut buffers: BTreeMap<CellId, Vec<SpatialElement>> = BTreeMap::new();
+    let mut cells: BTreeMap<CellId, Vec<PageId>> = BTreeMap::new();
     for e in elements {
         let cell = level_of(&e.mbb, &extent, levels);
         let buf = buffers.entry(cell).or_default();
@@ -188,12 +191,9 @@ pub fn s3_join(
     let mut out = Vec::new();
     // One buffer per dataset, reused for every cell it reads.
     let (mut elems_a, mut elems_b) = (Vec::new(), Vec::new());
-    // Deterministic iteration order for reproducible I/O patterns.
-    let mut cells_a: Vec<CellId> = part_a.cells.keys().copied().collect();
-    cells_a.sort_unstable();
-
-    for &ca in &cells_a {
-        codec_a.read_pages_into(pool_a, part_a.pages(&ca), &mut elems_a);
+    // Cells are visited in cell order.
+    for (ca, pages) in &part_a.cells {
+        codec_a.read_pages_into(pool_a, pages, &mut elems_a);
         // Same cell plus every ancestor cell of B.
         for level in (0..=ca.level).rev() {
             let anc = ca.ancestor(level);
@@ -205,13 +205,11 @@ pub fn s3_join(
     }
     // B's cells joined against A's *strict* ancestors (the equal-cell case
     // was covered above).
-    let mut cells_b: Vec<CellId> = part_b.cells.keys().copied().collect();
-    cells_b.sort_unstable();
-    for &cb in &cells_b {
+    for (cb, pages) in &part_b.cells {
         if cb.level == 0 {
             continue;
         }
-        codec_b.read_pages_into(pool_b, part_b.pages(&cb), &mut elems_b);
+        codec_b.read_pages_into(pool_b, pages, &mut elems_b);
         for level in (0..cb.level).rev() {
             let anc = cb.ancestor(level);
             codec_a.read_pages_into(pool_a, part_a.pages(&anc), &mut elems_a);

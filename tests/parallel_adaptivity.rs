@@ -147,6 +147,9 @@ fn neuro_workload_is_byte_identical_at_1_2_4_workers() {
     }
 }
 
+/// The parallel path's one ablation is the paper's "No TR" (Fig. 13):
+/// with transformations disabled the workers still return the sequential
+/// pairs, and no worker switches roles or splits a layout.
 #[test]
 fn escape_hatches_preserve_results_on_clustered_data() {
     let a = generate(&DatasetSpec {
@@ -159,16 +162,12 @@ fn escape_hatches_preserve_results_on_clustered_data() {
     });
     let fx = Fixture::new(a, b, &contrasty_index());
     let seq = fx.sequential(&JoinConfig::default());
-    for cfg in [
-        JoinConfig::default().without_worker_transforms(),
-        JoinConfig::default().without_cross_worker_pruning(),
-        JoinConfig::default()
-            .without_worker_transforms()
-            .without_cross_worker_pruning(),
-    ] {
-        for threads in [2, 4] {
-            let (pairs, _) = fx.parallel(&cfg, threads);
-            assert_eq!(pairs, seq, "cfg = {cfg:?}, threads = {threads}");
-        }
+    let no_tr = JoinConfig::without_transformations();
+    for threads in [2, 4] {
+        let (pairs, stats) = fx.parallel(&no_tr, threads);
+        assert_eq!(pairs, seq, "threads = {threads}");
+        assert_eq!(stats.role_transformations, 0, "threads = {threads}");
+        assert_eq!(stats.layout_transformations, 0, "threads = {threads}");
+        assert_eq!(stats.transformations(), 0, "threads = {threads}");
     }
 }

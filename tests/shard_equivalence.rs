@@ -4,8 +4,7 @@
 //! * every (shards, workers) combination from {1,2,4,8} × {1,2,4}
 //!   answers a trace **byte-identically** to the unsharded serve path
 //!   and to a sequential full-scan reference — on every engine and
-//!   both partitioners, with the auto-batch loop and per-query traces
-//!   off and on;
+//!   both partitioners, with per-query traces off and on;
 //! * property test: a probe's routed shard set always covers every
 //!   shard that holds a matching element (routing soundness), and the
 //!   sharded answer stays equal to the oracle.
@@ -64,22 +63,18 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
             let spec = ShardSpec::default().with_shards(shards).with_engine(engine);
             let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
             for workers in [1usize, 2, 4] {
-                for (auto_batch, collect_traces) in
-                    [(false, false), (false, true), (true, false), (true, true)]
-                {
-                    // A base batch small enough that the auto-batch loop
-                    // sees several feedback windows in 200 queries.
+                for collect_traces in [false, true] {
+                    // Small batches: 50 of them in 200 queries.
                     let cfg = ServeConfig {
                         threads: workers,
                         batch: 4,
-                        auto_batch,
                         collect_traces,
                         ..ServeConfig::default()
                     };
                     let out = serve_sharded(&cluster, &trace, &cfg);
                     let case = format!(
                         "engine={engine:?} shards={shards} workers={workers} \
-                         auto_batch={auto_batch} traces={collect_traces}"
+                         traces={collect_traces}"
                     );
                     assert_eq!(out.results, expected, "{case}");
                     assert_eq!(out.stats.queries, trace.len() as u64);
@@ -87,12 +82,6 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
                     // Every routed partial executed (no silent drops).
                     let executed: u64 = out.stats.per_shard.iter().map(|s| s.executed).sum();
                     assert_eq!(executed, out.stats.routed_partials, "{case}");
-                    let retunes = out.stats.autobatch.map(|a| a.retunes);
-                    assert_eq!(retunes.is_some(), auto_batch, "{case}");
-                    assert!(
-                        retunes.is_none_or(|r| r > 0),
-                        "{case}: 50 batches, no retune"
-                    );
                     let traced = if collect_traces { trace.len() } else { 0 };
                     assert_eq!(out.traces.len(), traced, "{case}");
                     for (i, t) in out.traces.iter().enumerate() {
