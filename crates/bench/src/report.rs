@@ -122,6 +122,7 @@ mod tests {
             window_pivots: 12,
             swept_pages: 80,
             window_pages_max: 40,
+            forced_pages: 6,
             read_through_pages: 9,
         }
     }

@@ -190,9 +190,10 @@ pub struct Metrics {
     /// readahead window shows up here.
     pub prefetch_unused: u64,
     /// Pivot windows the join executed, the node-level pivots joined
-    /// through them, the distinct follower pages they swept, the most
-    /// pages one window held and the gap pages read through (TRANSFORMERS
-    /// only; see [`transformers::TransformersStats`]).
+    /// through them, the follower pages they swept into slots, the most
+    /// slots one window had live, the pages pivots read out of sweep order
+    /// because every slot was live, and the gap pages read through
+    /// (TRANSFORMERS only; see [`transformers::TransformersStats`]).
     pub windows: u64,
     /// See [`windows`](Self::windows).
     pub window_pivots: u64,
@@ -200,6 +201,8 @@ pub struct Metrics {
     pub swept_pages: u64,
     /// See [`windows`](Self::windows).
     pub window_pages_max: u64,
+    /// See [`windows`](Self::windows).
+    pub forced_pages: u64,
     /// See [`windows`](Self::windows).
     pub read_through_pages: u64,
 }
@@ -248,6 +251,7 @@ impl Metrics {
             window_pivots: 0,
             swept_pages: 0,
             window_pages_max: 0,
+            forced_pages: 0,
             read_through_pages: 0,
         }
     }
@@ -475,6 +479,7 @@ fn run_transformers_with(
     m.window_pivots = out.stats.window_pivots;
     m.swept_pages = out.stats.swept_pages;
     m.window_pages_max = out.stats.window_pages_max;
+    m.forced_pages = out.stats.forced_pages;
     m.read_through_pages = out.stats.read_through_pages;
     (m.clone(), out.pairs)
 }

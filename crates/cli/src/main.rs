@@ -642,11 +642,12 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     );
     if m.windows > 0 {
         println!(
-            "windows:         {}, mean {:.1} pivots / {:.1} follower pages, at most {} held, {} read through",
+            "windows:         {}, mean {:.1} pivots / {:.1} follower pages, at most {} held, {} forced, {} read through",
             m.windows,
             m.window_pivots as f64 / m.windows as f64,
             m.swept_pages as f64 / m.windows as f64,
             m.window_pages_max,
+            m.forced_pages,
             m.read_through_pages
         );
     }

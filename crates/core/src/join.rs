@@ -18,15 +18,17 @@
 //!
 //! Everything that decides what a node-level pivot reads — walk, ratio,
 //! crawl, to-do-list pruning, prefilter — works on descriptors alone, so
-//! the join **plans** a *window* of consecutive pivots first, then
-//! **sweeps** the window's distinct follower pages once in ascending page
-//! order (copying each into a buffer the window owns, and reading through
-//! gaps too short to be worth a skip), and only then **executes** the
-//! planned pivots in order from those bytes. One pivot's candidates start
-//! behind where the previous pivot's ended, in the same few slabs of the
-//! follower's STR order; read per pivot, three quarters of the modelled
-//! device time was repositioning between those runs. A pivot that decides
-//! a transformation closes the window before it, so thresholds, `checked`
+//! the join **plans** a *window* of consecutive pivots first — every pivot
+//! up to the next transformation — then **sweeps** the window's distinct
+//! follower pages once in ascending page order, copying each into a slot
+//! of a buffer the window owns, and **runs** each planned pivot, in plan
+//! order, as soon as its last page is in. A slot is freed when the last
+//! pivot that needs its page has run, so the window holds only the pages
+//! still needed. One pivot's candidates start behind where the previous
+//! pivot's ended, in the same few slabs of the follower's STR order; read
+//! per pivot, three quarters of the modelled device time was
+//! repositioning between those runs. A pivot that decides a
+//! transformation closes the window before it, so thresholds, `checked`
 //! marks and the shared board see exactly the order a pivot-at-a-time join
 //! gives them; a window of one pivot *is* that join (`DESIGN.md`, §
 //! "Pivot windows and the follower sweep").
@@ -64,14 +66,22 @@ pub struct JoinOutcome {
 /// Guard against degenerate (zero-volume) tiles in ratio computations.
 const VOLUME_FLOOR: f64 = 1e-12;
 
-/// A window closes once its distinct follower pages reach this many, and
-/// holds at most this many. The sweep copies each page into the window's
-/// own buffer (2 MiB at 2 KiB pages, one per join owner) and drops the pin
-/// at once, so the budget is not a share of the cache: a window over an
-/// 8-page cache holds as much as one over the default 1 024-page one, and
-/// every worker of a parallel join has a window of its own. DESIGN.md has
-/// what 256 to 4 096 pages measured.
-const WINDOW_PAGES: usize = 1024;
+/// The most follower pages a window holds at once: the cap on its live
+/// slots. The sweep copies each page into a slot of the window's own
+/// buffer and drops the pin at once, so the cap is not a share of the
+/// cache: a window over an 8-page cache holds as much as one over the
+/// default 1 024-page one, and every worker of a parallel join has a
+/// window of its own. DESIGN.md has what 1 024 to 4 096 pages measured.
+const WINDOW_PAGES: usize = 2048;
+
+/// Slots reserved at a join owner's first window (2 MiB at 2 KiB pages).
+/// The buffer grows once, to [`WINDOW_PAGES`], and only when a window's
+/// live pages pass this many: a workload whose windows never need more
+/// allocates no more (DESIGN.md has why that matters).
+const FIRST_SLOTS: usize = 1024;
+
+/// A window page that holds no slot: not swept yet, or no longer needed.
+const NO_SLOT: u32 = u32::MAX;
 
 #[inline]
 fn vol(b: &Aabb) -> f64 {
@@ -108,13 +118,13 @@ struct Side<'a> {
     /// Last walk position when this side acted as follower.
     walk_pos: Option<NodeId>,
     scratch: ExploreScratch,
-    /// One mark per unit, for when this side is the follower of an open
-    /// window: `in_window[u] == window_stamp` says the window already holds
-    /// `u`'s page. Bumping the stamp clears every mark.
-    in_window: Vec<u32>,
-    window_stamp: u32,
-    /// Where a sweep's read-through pages land: read to move the disk head,
-    /// then overwritten.
+    /// One entry per unit, for when this side is the follower of an open
+    /// window: `u` is in the window iff `window.pages[window_pos[u]] == u`
+    /// (a sparse set, so a new window clears nothing). Once the window
+    /// executes, it is the index of `u`'s page in the sweep order.
+    window_pos: Vec<u32>,
+    /// Where read-through pages land: read to move the disk head, then
+    /// overwritten.
     gap_page: Vec<u8>,
 }
 
@@ -148,8 +158,7 @@ impl<'a> Side<'a> {
             disk,
             cache: CacheHandle::shared(cache),
             codec: ElementPageCodec::new(disk.page_size()),
-            in_window: vec![0; units.len()],
-            window_stamp: 1,
+            window_pos: vec![0; units.len()],
             gap_page: Vec::new(),
             nodes,
             units,
@@ -167,28 +176,23 @@ impl<'a> Side<'a> {
         }
     }
 
-    /// Appends the elements of `unit`'s page to `out`, straight from the
-    /// pinned page bytes.
-    fn read_unit_elements(&mut self, unit: UnitId, out: &mut Vec<SpatialElement>) {
-        let page = self.cache.pin(self.units[unit.0 as usize].page);
-        out.extend(self.codec.view(&page).iter());
-    }
-
-    /// One read of an ascending sweep over this side's pages: pins `page`,
-    /// and returns with the pin (for the caller to copy out of and drop)
-    /// how many pages were *read through* to get there. `head` is the last
-    /// page the sweep found missing, i.e. where it left the disk head. When
-    /// `page` is missing too and at most the device's break-even ahead of it
-    /// ([`tfm_storage::DiskModel::read_through_gap`]), the gap pages are
-    /// read first, so that the run stays sequential: that costs less than
-    /// the skip. They go past the cache into a scratch buffer — nobody
-    /// asked for them, so they evict nothing, count as no one's miss, and
-    /// what the cache holds afterwards depends only on what was asked for.
-    fn sweep_read(&mut self, head: &mut Option<u64>, page: PageId) -> (PageRef, u64) {
+    /// The join's one page read: pins `page` through this side's cache and
+    /// returns with the pin (for the caller to copy out of and drop) how
+    /// many pages were *read through* to get there. When `page` is missing
+    /// and at most the device's break-even ahead of the disk's head
+    /// ([`Disk::head`], [`tfm_storage::DiskModel::read_through_gap`]), the
+    /// gap pages are read first, so that the run stays sequential: that
+    /// costs less than the skip. They go past the cache into a scratch
+    /// buffer — nobody asked for them, so they evict nothing, count as no
+    /// one's miss, and what the cache holds afterwards depends only on what
+    /// was asked for. Under the parallel join the head is the disk's one
+    /// head, which every worker moves, so whether a gap is read through
+    /// depends on how the workers' reads interleave.
+    fn read(&mut self, page: PageId) -> (PageRef, u64) {
         let mut read_through = 0;
         if !self.cache.cache().is_resident(page) {
-            if let Some(prev) = *head {
-                let gap = prev + 1..page.0;
+            if let Some(head) = self.disk.head() {
+                let gap = head.0 + 1..page.0;
                 if !gap.is_empty() && gap.end - gap.start <= self.disk.model().read_through_gap() {
                     read_through = gap.end - gap.start;
                     self.gap_page.resize(self.disk.page_size(), 0);
@@ -197,9 +201,16 @@ impl<'a> Side<'a> {
                     }
                 }
             }
-            *head = Some(page.0);
         }
         (self.cache.pin(page), read_through)
+    }
+
+    /// Appends the elements of `unit`'s page, read by [`Side::read`], to
+    /// `out`; returns the pages read through.
+    fn read_unit(&mut self, unit: UnitId, out: &mut Vec<SpatialElement>) -> u64 {
+        let (page, read_through) = self.read(self.units[unit.0 as usize].page);
+        out.extend(self.codec.view(&page).iter());
+        read_through
     }
 }
 
@@ -367,14 +378,14 @@ pub fn transformers_join(
 }
 
 /// The sequential join over the two datasets' page caches, its windows
-/// closing at `budget` follower pages.
+/// holding at most `hold` follower pages at once.
 fn join_through<'a>(
     idx_a: &'a TransformersIndex,
     cache_a: &'a SharedPageCache<'a>,
     idx_b: &'a TransformersIndex,
     cache_b: &'a SharedPageCache<'a>,
     cfg: &JoinConfig,
-    budget: usize,
+    hold: usize,
 ) -> JoinOutcome {
     let (disk_a, disk_b) = (cache_a.disk(), cache_b.disk());
     let io_before = disk_a.stats().merged(&disk_b.stats());
@@ -403,7 +414,7 @@ fn join_through<'a>(
         &mut Window::default(),
         pivots,
         true,
-        budget,
+        hold,
     );
 
     // Deduplicate: pairs can be discovered from both sides after role
@@ -492,11 +503,15 @@ struct PlannedPivot {
     ng: usize,
     guide_units: Range<usize>,
     candidates: Range<usize>,
+    /// Set when the window executes: the pivot can run once the sweep has
+    /// passed the first `last` entries of `Window::pages`.
+    last: usize,
 }
 
 /// Consecutive node-level pivots of one guide, planned from descriptors
-/// alone and not yet executed. The vectors are reused by every window of
-/// one owner, so a join allocates for its largest window once.
+/// alone and not yet run, with the follower pages they read. The vectors
+/// are reused by every window of one owner, so a join allocates for its
+/// largest window once.
 #[derive(Default)]
 struct Window {
     pivots: Vec<PlannedPivot>,
@@ -505,42 +520,123 @@ struct Window {
     /// The planned pivots' surviving follower candidates, each pivot's
     /// range in ascending page order.
     candidates: Vec<UnitId>,
-    /// The distinct follower pages behind `candidates`; ascending once
-    /// swept.
-    pages: Vec<PageId>,
-    /// The swept bytes of the first pages of `pages`, one page-sized slot
-    /// each, in `pages`' order. The window owns them, so no cache frame is
-    /// held while it executes. Reserved at the first window and kept for
-    /// every later one of the same owner.
+    /// The distinct follower units behind `candidates`, one page each; in
+    /// ascending page order — the sweep's — once the window executes.
+    pages: Vec<UnitId>,
+    /// Per entry of `pages`: how many planned pivots that have not run yet
+    /// need it.
+    users: Vec<u32>,
+    /// Per entry of `pages`: the slot of `bytes` holding it, or `NO_SLOT`.
+    slots: Vec<u32>,
+    /// Slots of `bytes` that hold no page.
+    free: Vec<u32>,
+    /// Page-sized slots the sweep copies pages into. The window owns them,
+    /// so no cache frame is held while it executes. Reserved at the first
+    /// window, grown at most once, kept for every later one of the owner.
     bytes: Vec<u8>,
 }
 
 impl Window {
     /// Queues pivot `ng` with the units planned past `g0` / `c0`, and takes
-    /// in the candidate pages the window does not hold yet.
+    /// in the candidate pages the window does not have yet.
     fn queue(&mut self, ng: usize, g0: usize, c0: usize, follower: &mut Side<'_>) {
-        for u in &self.candidates[c0..] {
-            let mark = &mut follower.in_window[u.0 as usize];
-            if *mark != follower.window_stamp {
-                *mark = follower.window_stamp;
-                self.pages.push(follower.units[u.0 as usize].page);
+        for &u in &self.candidates[c0..] {
+            let pos = &mut follower.window_pos[u.0 as usize];
+            if self.pages.get(*pos as usize) != Some(&u) {
+                *pos = self.pages.len() as u32;
+                self.pages.push(u);
             }
         }
         self.pivots.push(PlannedPivot {
             ng,
             guide_units: g0..self.guide_units.len(),
             candidates: c0..self.candidates.len(),
+            last: 0,
         });
     }
 
-    /// Empties the window and drops the follower's marks; the byte buffer
-    /// is kept for the next window.
-    fn clear(&mut self, follower: &mut Side<'_>) {
+    /// Live slots: those holding a page some pending pivot needs.
+    fn live(&self, page_size: usize) -> usize {
+        self.bytes.len() / page_size - self.free.len()
+    }
+
+    /// A free slot, or a new one while fewer than `cap` exist; `None` when
+    /// all `cap` are live. The first new slot reserves
+    /// `FIRST_SLOTS.min(cap)`, and the buffer grows once more, to `cap`,
+    /// only when those are all live.
+    fn take_slot(&mut self, cap: usize, page_size: usize) -> Option<u32> {
+        if let Some(slot) = self.free.pop() {
+            return Some(slot);
+        }
+        let made = self.bytes.len() / page_size;
+        if made >= cap {
+            return None;
+        }
+        if self.bytes.len() == self.bytes.capacity() {
+            let room = if made < FIRST_SLOTS {
+                FIRST_SLOTS.min(cap)
+            } else {
+                cap
+            };
+            self.bytes.reserve_exact((room - made) * page_size);
+        }
+        self.bytes.resize((made + 1) * page_size, 0);
+        Some(made as u32)
+    }
+
+    /// Runs planned pivot `i`: fills its two element buffers — a follower
+    /// page from its slot, or by [`Side::read`] when the sweep has given it
+    /// none (counted in `forced_pages` when `forced`) — joins them, marks
+    /// the pivot done and frees the slots no pending pivot needs any more.
+    fn run(
+        &mut self,
+        i: usize,
+        ctx: &mut Ctx,
+        guide: &mut Side<'_>,
+        follower: &mut Side<'_>,
+        guide_is_a: bool,
+        forced: bool,
+    ) {
+        let p = &self.pivots[i];
+        let ng = p.ng;
+        if !p.candidates.is_empty() {
+            ctx.guide_elems.clear();
+            for &u in &self.guide_units[p.guide_units.clone()] {
+                ctx.stats.read_through_pages += guide.read_unit(u, &mut ctx.guide_elems);
+            }
+            ctx.follower_elems.clear();
+            let page_size = follower.disk.page_size();
+            for &u in &self.candidates[p.candidates.clone()] {
+                let at = follower.window_pos[u.0 as usize] as usize;
+                match self.slots[at] {
+                    NO_SLOT => {
+                        ctx.stats.read_through_pages +=
+                            follower.read_unit(u, &mut ctx.follower_elems);
+                        ctx.stats.forced_pages += u64::from(forced);
+                    }
+                    slot => {
+                        let bytes = &self.bytes[slot as usize * page_size..][..page_size];
+                        ctx.follower_elems.extend(follower.codec.view(bytes).iter());
+                    }
+                }
+                self.users[at] -= 1;
+                if self.users[at] == 0 && self.slots[at] != NO_SLOT {
+                    self.free.push(self.slots[at]);
+                    self.slots[at] = NO_SLOT;
+                }
+            }
+            ctx.join_buffered_elements(guide_is_a);
+            ctx.stats.window_pivots += 1;
+        }
+        finish_pivot(ctx, guide, guide_is_a, ng);
+    }
+
+    /// Empties the window; the buffers are kept for the next one.
+    fn clear(&mut self) {
         self.pivots.clear();
         self.guide_units.clear();
         self.candidates.clear();
         self.pages.clear();
-        follower.window_stamp += 1;
     }
 }
 
@@ -677,89 +773,94 @@ fn prefilter(
 }
 
 /// Sweeps the window's distinct follower pages — one pass in ascending page
-/// order ([`Side::sweep_read`]), each page copied into the window's buffer
-/// and its pin dropped — then joins the planned pivots in order from those
-/// bytes and marks each done. Leaves the window empty and no frame pinned.
+/// order, each page read by [`Side::read`], copied into a free slot of the
+/// window's buffer and its pin dropped — and runs each planned pivot, in
+/// plan order, as soon as its last page is in. A slot is freed when the
+/// last pivot that needs its page has run, and a page whose pivots have
+/// all run is not read at all. Leaves the window empty and no frame
+/// pinned.
 ///
-/// A window closes at `budget` pages and holds at most `budget`, so it
-/// holds all of its pages unless its last pivot took it past the budget
-/// (a sparse node switched into the guide role can bring thousands). A
-/// page past the budget is read, by the same rule, when its pivot is
-/// filled — still in ascending order within the pivot — so a pivot larger
-/// than the window streams through the cache as it always did.
+/// At most `hold` slots are live at once. When all are and the sweep needs
+/// one more, the next pivot runs at once: it reads what it still lacks
+/// through the cache by the same rule, in ascending order, and those reads
+/// are counted in `forced_pages`. A window of one pivot (a role-switched
+/// pivot, or [`PivotEngine::process_pivot`]) holds nothing: its pivot
+/// streams through the cache.
 fn execute_window(
     ctx: &mut Ctx,
     guide: &mut Side<'_>,
     follower: &mut Side<'_>,
     guide_is_a: bool,
-    window: &mut Window,
-    budget: usize,
+    w: &mut Window,
+    hold: usize,
 ) {
-    if window.pivots.is_empty() {
+    if w.pivots.is_empty() {
         return;
     }
-    window.pages.sort_unstable();
-    let page_size = follower.disk.page_size();
-    if window.bytes.capacity() == 0 {
-        // Once per join owner: room for the whole budget, or for every page
-        // of the larger side when that is less (a window's pages are
-        // distinct, one per unit at most).
-        let most = budget.min(guide.units.len().max(follower.units.len()));
-        window.bytes.reserve_exact(most * page_size);
+    // Sweep order, each page's index in it, and who needs which page.
+    w.pages
+        .sort_unstable_by_key(|u| follower.units[u.0 as usize].page);
+    for (i, u) in w.pages.iter().enumerate() {
+        follower.window_pos[u.0 as usize] = i as u32;
     }
-    let held = &window.pages[..window.pages.len().min(budget)];
-    let need = held.len() * page_size;
-    if window.bytes.len() < need {
-        window.bytes.resize(need, 0);
-    }
-    let mut head = None;
-    for (&page, slot) in held.iter().zip(window.bytes.chunks_exact_mut(page_size)) {
-        let (pin, read_through) = follower.sweep_read(&mut head, page);
-        slot.copy_from_slice(&pin);
-        ctx.stats.read_through_pages += read_through;
-    }
-    ctx.stats.swept_pages += window.pages.len() as u64;
-    ctx.stats.window_pages_max = ctx.stats.window_pages_max.max(held.len() as u64);
-    for p in &window.pivots {
-        if !p.candidates.is_empty() {
-            ctx.guide_elems.clear();
-            for &u in &window.guide_units[p.guide_units.clone()] {
-                guide.read_unit_elements(u, &mut ctx.guide_elems);
-            }
-            ctx.follower_elems.clear();
-            for u in &window.candidates[p.candidates.clone()] {
-                let page = follower.units[u.0 as usize].page;
-                match held.binary_search(&page) {
-                    Ok(i) => {
-                        let bytes = &window.bytes[i * page_size..][..page_size];
-                        ctx.follower_elems.extend(follower.codec.view(bytes).iter());
-                    }
-                    Err(_) => {
-                        let (pin, read_through) = follower.sweep_read(&mut head, page);
-                        ctx.stats.read_through_pages += read_through;
-                        ctx.follower_elems.extend(follower.codec.view(&pin).iter());
-                    }
-                }
-            }
-            ctx.join_buffered_elements(guide_is_a);
-            ctx.stats.window_pivots += 1;
+    w.users.clear();
+    w.users.resize(w.pages.len(), 0);
+    w.slots.clear();
+    w.slots.resize(w.pages.len(), NO_SLOT);
+    for p in &mut w.pivots {
+        p.last = 0;
+        for u in &w.candidates[p.candidates.clone()] {
+            let at = follower.window_pos[u.0 as usize] as usize;
+            w.users[at] += 1;
+            p.last = p.last.max(at + 1);
         }
-        finish_pivot(ctx, guide, guide_is_a, p.ng);
     }
-    ctx.stats.windows += u64::from(!window.pages.is_empty());
-    window.clear(follower);
+
+    let page_size = follower.disk.page_size();
+    // A window's pages are distinct, one per unit at most; sized for either
+    // side, since a role switch hands the same buffer to the other one.
+    let cap = hold.min(guide.units.len().max(follower.units.len()));
+    let stream = w.pivots.len() == 1;
+    let (mut next, mut swept) = (0, 0);
+    loop {
+        while next < w.pivots.len() && (stream || w.pivots[next].last <= swept) {
+            w.run(next, ctx, guide, follower, guide_is_a, false);
+            next += 1;
+        }
+        if swept == w.pages.len() {
+            break;
+        }
+        if w.users[swept] == 0 {
+            swept += 1;
+            continue;
+        }
+        let Some(slot) = w.take_slot(cap, page_size) else {
+            w.run(next, ctx, guide, follower, guide_is_a, true);
+            next += 1;
+            continue;
+        };
+        let (pin, read_through) = follower.read(follower.units[w.pages[swept].0 as usize].page);
+        w.bytes[slot as usize * page_size..][..page_size].copy_from_slice(&pin);
+        ctx.stats.read_through_pages += read_through;
+        ctx.stats.swept_pages += 1;
+        w.slots[swept] = slot;
+        swept += 1;
+        ctx.stats.window_pages_max = ctx.stats.window_pages_max.max(w.live(page_size) as u64);
+    }
+    ctx.stats.windows += u64::from(!w.pages.is_empty());
+    w.clear();
 }
 
 /// The window loop: joins the guide's node pivots `pivots`, in order,
 /// against the follower.
 ///
-/// Pivots are planned into `window` until its follower pages reach
-/// `budget` ([`WINDOW_PAGES`] outside tests) or a pivot decides a
-/// transformation; the window is then executed, and a transformation runs
-/// after it from the walk result its plan already holds. A taken role
-/// switch joins the *follower* node as a pivot of its own (roles swapped,
-/// no further switch) and leaves `ng` pending, so `ng` is planned again
-/// until it is joined. The window is empty on return.
+/// Pivots are planned into `window` until a pivot decides a transformation
+/// or the range ends; the window is then executed (holding at most `hold`
+/// follower pages at once: [`WINDOW_PAGES`] outside tests), and a
+/// transformation runs after it from the walk result its plan already
+/// holds. A taken role switch joins the *follower* node as a pivot of its
+/// own (roles swapped, no further switch) and leaves `ng` pending, so `ng`
+/// is planned again until it is joined. The window is empty on return.
 #[allow(clippy::too_many_arguments)]
 fn join_pivots(
     ctx: &mut Ctx,
@@ -769,7 +870,7 @@ fn join_pivots(
     window: &mut Window,
     pivots: Range<usize>,
     allow_switch: bool,
-    budget: usize,
+    hold: usize,
 ) {
     'pivots: for ng in pivots {
         while !guide.checked[ng] {
@@ -791,12 +892,7 @@ fn join_pivots(
                 break;
             }
             match plan_node_pivot(ctx, guide, follower, guide_is_a, ng, allow_switch, window) {
-                Plan::Queued => {
-                    if window.pages.len() >= budget {
-                        execute_window(ctx, guide, follower, guide_is_a, window, budget);
-                    }
-                    break;
-                }
+                Plan::Queued => break,
                 Plan::SwitchRoles(nf) => {
                     // Transform 1 (role): the follower is locally sparser —
                     // let it guide. The new pivot is the follower node found
@@ -804,16 +900,16 @@ fn join_pivots(
                     // unchecked and is revisited. In the parallel path the
                     // claim guarantees no other worker processes the same
                     // switched pivot.
-                    execute_window(ctx, guide, follower, guide_is_a, window, budget);
+                    execute_window(ctx, guide, follower, guide_is_a, window, hold);
                     ctx.stats.role_transformations += 1;
                     ctx.cost.on_transformation();
                     let nf = nf.0 as usize..nf.0 as usize + 1;
-                    join_pivots(ctx, follower, guide, !guide_is_a, window, nf, false, budget);
+                    join_pivots(ctx, follower, guide, !guide_is_a, window, nf, false, hold);
                 }
                 Plan::SplitNode(nf) => {
                     // Transform 2 (layout): the guide is locally sparser —
                     // descend the pivot to space-unit granularity.
-                    execute_window(ctx, guide, follower, guide_is_a, window, budget);
+                    execute_window(ctx, guide, follower, guide_is_a, window, hold);
                     ctx.stats.layout_transformations += 1;
                     ctx.cost.on_transformation();
                     process_node_units(ctx, guide, follower, guide_is_a, ng, nf, window);
@@ -822,7 +918,7 @@ fn join_pivots(
             }
         }
     }
-    execute_window(ctx, guide, follower, guide_is_a, window, budget);
+    execute_window(ctx, guide, follower, guide_is_a, window, hold);
 }
 
 /// Transform 2/3: processes a guide node at space-unit granularity, with a
@@ -924,7 +1020,7 @@ fn process_node_units(
 
         // Read the guide unit's page.
         ctx.guide_elems.clear();
-        guide.read_unit_elements(unit_id, &mut ctx.guide_elems);
+        ctx.stats.read_through_pages += guide.read_unit(unit_id, &mut ctx.guide_elems);
 
         if split_elements {
             // Transform 3: element-granularity pivots. Each follower page
@@ -935,7 +1031,7 @@ fn process_node_units(
         } else {
             ctx.follower_elems.clear();
             for &fu in candidates.iter() {
-                follower.read_unit_elements(fu, &mut ctx.follower_elems);
+                ctx.stats.read_through_pages += follower.read_unit(fu, &mut ctx.follower_elems);
             }
             ctx.join_buffered_elements(guide_is_a);
         }
@@ -974,7 +1070,7 @@ fn join_element_level(
         }
         read_pages += 1;
         ctx.follower_elems.clear();
-        follower.read_unit_elements(fu, &mut ctx.follower_elems);
+        ctx.stats.read_through_pages += follower.read_unit(fu, &mut ctx.follower_elems);
         ctx.join_buffered_elements(guide_is_a);
     }
     ctx.cost.record_filter(
@@ -1338,40 +1434,48 @@ mod tests {
             let idx_a = TransformersIndex::build(&disk_a, a, &small_index_cfg());
             let idx_b = TransformersIndex::build(&disk_b, b, &small_index_cfg());
             let mut reference: Option<((usize, usize), [u64; 9])> = None;
-            // The window's budget and the cache's size, independently: at 1
-            // page every window is one pivot, the read-per-pivot order (at
-            // 2 and 4 a pivot that needs fewer pages shares its window); at
-            // 1 << 20 a window only closes at a transformation. A 1-page
-            // cache is smaller than any window, a 1024-page one larger than
-            // most.
-            for budget in [1, 2, 4, 64, WINDOW_PAGES, 1 << 20] {
+            // The window's hold and the cache's size, independently: at 1
+            // page nearly every pivot runs as soon as the sweep reaches it,
+            // reading the rest of its pages itself; at 1 << 20 a window holds
+            // every page it needs. A 1-page cache is smaller than any window,
+            // a 1024-page one larger than most.
+            for hold in [1, 2, 4, 64, WINDOW_PAGES, 1 << 20] {
                 for pool_pages in [1, 8, 1024] {
                     for cfg in [fixed, JoinConfig::default()] {
                         let cfg = JoinConfig { pool_pages, ..cfg };
                         let cache_a = SharedPageCache::with_shards(&disk_a, pool_pages, 1);
                         let cache_b = SharedPageCache::with_shards(&disk_b, pool_pages, 1);
-                        let out = join_through(&idx_a, &cache_a, &idx_b, &cache_b, &cfg, budget);
-                        let at = format!("{name}, budget {budget}, pool {pool_pages}");
+                        let out = join_through(&idx_a, &cache_a, &idx_b, &cache_b, &cfg, hold);
+                        let at = format!("{name}, hold {hold}, pool {pool_pages}");
                         assert_eq!(out.pairs, expected, "{at}");
                         if cfg.thresholds != fixed.thresholds {
                             continue;
                         }
                         let s = &out.stats;
                         transformations += s.transformations();
-                        assert!(s.window_pages_max <= budget as u64, "{at}");
-                        if budget == 1 {
-                            assert_eq!(s.windows, s.window_pivots, "{at}");
-                        }
+                        assert!(s.window_pages_max <= hold as u64, "{at}");
+                        // Windows close only before a transformation: one
+                        // window each, one per switched pivot, one at the end.
+                        assert!(
+                            s.windows <= s.transformations() + s.role_transformations + 1,
+                            "{at}: {} windows",
+                            s.windows
+                        );
                         let counters = decision_counters(s);
-                        let key = (budget, pool_pages);
+                        let key = (hold, pool_pages);
                         let (first, want) = *reference.get_or_insert((key, counters));
-                        assert_eq!(counters, want, "{at} vs (budget, pool) {first:?}");
+                        assert_eq!(counters, want, "{at} vs (hold, pool) {first:?}");
                     }
                 }
             }
         }
         assert!(transformations > 0, "the skewed fixtures must transform");
     }
+
+    /// How far above its transfer floor the sequential join's modelled
+    /// I/O on [`sweep_fixture`] may sit: it reads 1.108 × the floor, and
+    /// read 1.284 × when a window closed at 1 024 distinct pages.
+    const FLOOR_FACTOR: f64 = 1.22;
 
     /// A follower fixture with enough STR slabs that a pivot's candidates
     /// fall into several runs of pages: the shape the sweep exists for.
@@ -1437,20 +1541,22 @@ mod tests {
         );
         assert_eq!(per_pivot.stats.windows, per_pivot.stats.window_pivots);
         assert!(windowed.stats.windows * 4 < windowed.stats.window_pivots);
-        assert!(windowed.stats.read_through_pages > 0);
+        // One pivot at a time leaves short gaps between runs, and reads
+        // them through.
+        assert!(per_pivot.stats.read_through_pages > 0);
         assert!(
             windowed_io.as_secs_f64() < 0.6 * per_pivot_io.as_secs_f64(),
             "windows {windowed_io:?} vs one pivot at a time {per_pivot_io:?}"
         );
 
         // A window that owns its bytes is not bounded by the cache: the
-        // shipped budget reads in less modelled time than a quarter of the
+        // shipped hold reads in less modelled time than a quarter of the
         // default pool, the budget a window of pins had.
-        let sequential = |budget| {
+        let sequential = |hold| {
             let (disk_a, idx_a, disk_b, idx_b) = &fx;
             let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
             let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
-            join_through(idx_a, &cache_a, idx_b, &cache_b, &cfg, budget)
+            join_through(idx_a, &cache_a, idx_b, &cache_b, &cfg, hold)
         };
         let (shipped, quarter) = (sequential(WINDOW_PAGES), sequential(cfg.pool_pages / 4));
         assert_eq!(shipped.pairs, quarter.pairs);
@@ -1472,6 +1578,85 @@ mod tests {
         let (windowed, ..) = engine_join(&fx, &cfg, usize::MAX, false);
         assert_eq!(windowed.stats.read_through_pages, 0);
         assert_eq!(windowed.stats.pages_read, per_pivot.stats.pages_read);
+    }
+
+    #[test]
+    fn each_follower_page_is_read_once_per_window() {
+        // No transformation: one window spans the whole guide, and A stays
+        // the guide. A pool that never evicts: the cache reads each page it
+        // is asked for once.
+        let fx = sweep_fixture(tfm_storage::DiskModel::default());
+        let (disk_a, idx_a, disk_b, idx_b) = &fx;
+        let cfg = JoinConfig {
+            pool_pages: 1 << 20,
+            ..JoinConfig::without_transformations()
+        };
+        let meta_b = idx_b.metadata_pages();
+        let join = |hold| {
+            let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
+            let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
+            let (a0, b0) = (disk_a.stats(), disk_b.stats());
+            let out = join_through(idx_a, &cache_a, idx_b, &cache_b, &cfg, hold);
+            let reads_a = disk_a.stats().delta_since(&a0).reads();
+            let reads_b = disk_b.stats().delta_since(&b0).reads();
+            (out, reads_a, reads_b, cache_a.stats(), cache_b.stats())
+        };
+
+        let (held, reads_a, reads_b, ca, cb) = join(1 << 20);
+        let s = &held.stats;
+        assert_eq!(s.windows, 1);
+        assert_eq!(s.forced_pages, 0);
+        // Every follower page the join asked for was asked for once (the
+        // walk's B+-tree descent included), so no page was read twice...
+        assert_eq!(cb.hits, 0, "a follower page was asked for twice");
+        // ... and the follower disk read exactly those pages, its metadata
+        // and the gap pages read through, guide-side gaps aside.
+        let guide_read_through = reads_a - ca.misses - (s.metadata_pages_read - meta_b);
+        assert_eq!(
+            reads_b,
+            cb.misses + meta_b + s.read_through_pages - guide_read_through
+        );
+        // The sweep copied each candidate page once; the misses past it are
+        // the descent's.
+        assert!(s.swept_pages > 0 && s.swept_pages < cb.misses);
+
+        // Hold one page: the same join, its pivots now reading past the
+        // sweep.
+        let (tight, ..) = join(1);
+        assert_eq!(tight.pairs, held.pairs);
+        assert_eq!(
+            decision_counters(&tight.stats),
+            decision_counters(&held.stats)
+        );
+        assert!(tight.stats.forced_pages > 0);
+        assert_eq!(tight.stats.window_pages_max, 1);
+    }
+
+    #[test]
+    fn sequential_join_stays_near_its_transfer_floor() {
+        let model = tfm_storage::DiskModel::default();
+        let (disk_a, idx_a, disk_b, idx_b) = &sweep_fixture(model);
+        let join = |pool_pages| {
+            let cfg = JoinConfig {
+                pool_pages,
+                ..JoinConfig::default()
+            };
+            let cache_a = SharedPageCache::with_shards(disk_a, pool_pages, 1);
+            let cache_b = SharedPageCache::with_shards(disk_b, pool_pages, 1);
+            join_through(idx_a, &cache_a, idx_b, &cache_b, &cfg, WINDOW_PAGES).stats
+        };
+        // The floor: every page the join needs transferred once, as a cache
+        // that never evicts misses them, plus the metadata.
+        let needed = join(1 << 20);
+        let pages = needed.pages_read + needed.metadata_pages_read;
+        let floor = model.sequential_cost().as_secs_f64() * pages as f64;
+        let shipped = join(JoinConfig::default().pool_pages);
+        let ratio = shipped.sim_io.as_secs_f64() / floor;
+        assert!(
+            ratio <= FLOOR_FACTOR,
+            "{:?} is {ratio:.3} x the transfer floor of {pages} pages",
+            shipped.sim_io
+        );
     }
 
     #[test]

@@ -56,25 +56,33 @@ pub struct TransformersStats {
     /// Walks that exhausted their patience and fell back to the metadata
     /// scan (correctness guarantee; see `DESIGN.md`).
     pub walk_fallbacks: u64,
-    /// Pivot windows executed: runs of consecutive node-level pivots
-    /// planned together, whose follower pages were read in one ascending
-    /// sweep (a window of one pivot is the read-per-pivot order). Windows
-    /// whose pivots all had nothing to read are not counted.
+    /// Pivot windows executed: runs of consecutive node-level pivots,
+    /// up to the next transformation, planned together and run from one
+    /// ascending sweep of their follower pages (a window of one pivot is
+    /// the read-per-pivot order). Windows whose pivots all had nothing to
+    /// read are not counted.
     pub windows: u64,
     /// Node-level pivots joined through those windows (the pivots whose
     /// exploration left nothing to read are not counted).
     pub window_pivots: u64,
-    /// Distinct follower pages of the windows, summed over windows: a page
-    /// several pivots of one window need counts once.
+    /// Follower pages the sweeps copied into a window slot, summed over
+    /// windows: a page several pivots of one window need counts once, and
+    /// a page no pending pivot needed any more, or that a one-pivot window
+    /// streamed, not at all.
     pub swept_pages: u64,
-    /// The most follower pages any window held in its own buffer: at most
-    /// the window budget (1 024 pages), whatever the cache's size. Merged
-    /// by `max`, not summed.
+    /// The most live slots any window had: follower pages held in its own
+    /// buffer for pivots still to run. At most the cap (2 048 pages),
+    /// whatever the cache's size. Merged by `max`, not summed.
     pub window_pages_max: u64,
-    /// Pages read only to keep a sweep sequential: the short gaps between
-    /// two missing pages that cost less to read through than to skip
-    /// ([`tfm_storage::DiskModel::read_through_gap`]). They go past the
-    /// cache, so they are disk reads on top of `pages_read`.
+    /// Pages a pivot read out of the sweep's order because every slot of
+    /// its window was live (the pivot ran at once and read what it still
+    /// lacked through the cache).
+    pub forced_pages: u64,
+    /// Pages read only to keep a run sequential: the short gaps between
+    /// the disk's head and a missing page that cost less to read through
+    /// than to skip ([`tfm_storage::DiskModel::read_through_gap`]), on
+    /// either side. They go past the cache, so they are disk reads on top
+    /// of `pages_read`.
     pub read_through_pages: u64,
     /// Wall-clock time spent in the in-memory joins.
     pub join_cpu: Duration,
@@ -135,6 +143,7 @@ impl TransformersStats {
         reg.counter(names::JOIN_SWEPT_PAGES).add(self.swept_pages);
         reg.gauge(names::JOIN_WINDOW_PAGES_MAX)
             .set(self.window_pages_max as i64);
+        reg.counter(names::JOIN_FORCED_PAGES).add(self.forced_pages);
         reg.counter(names::JOIN_READ_THROUGH_PAGES)
             .add(self.read_through_pages);
         reg.counter(names::JOIN_MEM_JOIN_NANOS)
@@ -173,6 +182,7 @@ impl TransformersStats {
         self.window_pivots += other.window_pivots;
         self.swept_pages += other.swept_pages;
         self.window_pages_max = self.window_pages_max.max(other.window_pages_max);
+        self.forced_pages += other.forced_pages;
         self.read_through_pages += other.read_through_pages;
         self.join_cpu += other.join_cpu;
         self.exploration_overhead += other.exploration_overhead;
@@ -233,6 +243,7 @@ mod tests {
             window_pivots: 9,
             swept_pages: 40,
             window_pages_max: 30,
+            forced_pages: 5,
             read_through_pages: 3,
             pruned_units: 11,
             cross_worker_pruned_units: 4,
@@ -255,9 +266,10 @@ mod tests {
                 a.windows,
                 a.window_pivots,
                 a.swept_pages,
+                a.forced_pages,
                 a.read_through_pages
             ),
-            (2, 9, 40, 3)
+            (2, 9, 40, 5, 3)
         );
         assert_eq!(a.window_pages_max, 700, "a high-water mark, not a sum");
         assert_eq!(a.join_cpu, Duration::from_millis(3));

@@ -193,17 +193,22 @@ pub const JOIN_MEM_JOIN_NANOS: &str = "join.mem_join_nanos";
 /// Time in walk, crawl, prefilter and transformation decisions (the
 /// paper's exploration overhead), summed over pivots and workers.
 pub const JOIN_EXPLORATION_NANOS: &str = "join.exploration_nanos";
-/// Pivot windows executed (consecutive node-level pivots planned together
-/// and read in one ascending follower sweep).
+/// Pivot windows executed (consecutive node-level pivots, up to the next
+/// transformation, planned together and run from one ascending follower
+/// sweep).
 pub const JOIN_WINDOWS: &str = "join.windows";
 /// Node-level pivots joined through windows (pivots with nothing to read
 /// are not counted).
 pub const JOIN_WINDOW_PIVOTS: &str = "join.window_pivots";
-/// Distinct follower pages of the windows, summed over windows.
+/// Follower pages the sweeps copied into a window slot, summed over
+/// windows.
 pub const JOIN_SWEPT_PAGES: &str = "join.swept_pages";
-/// The most follower pages any one window held in its own buffer (a
-/// gauge: the high-water mark over windows and workers).
+/// The most live slots any one window had (a gauge: the high-water mark
+/// over windows and workers; at most 2 048).
 pub const JOIN_WINDOW_PAGES_MAX: &str = "join.window_pages_max";
+/// Follower pages a pivot read out of the sweep's order because every slot
+/// of its window was live.
+pub const JOIN_FORCED_PAGES: &str = "join.forced_pages";
 /// Gap pages read only to keep a sweep sequential; they go past the cache,
 /// so they are disk reads on top of `cache.misses`.
 pub const JOIN_READ_THROUGH_PAGES: &str = "join.read_through_pages";

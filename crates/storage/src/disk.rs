@@ -283,6 +283,15 @@ impl Disk {
         }
     }
 
+    /// Where the model's head is: the page the last read left it on, or
+    /// `None` before the first read and after
+    /// [`reset_stats`](Disk::reset_stats). Every reader of the disk moves
+    /// this one head, whichever thread it runs on.
+    pub fn head(&self) -> Option<PageId> {
+        let last = self.last_read.load(Ordering::Relaxed);
+        (last != PageId::NONE).then_some(PageId(last))
+    }
+
     /// Convenience: reads page `id` into a fresh buffer.
     pub fn read_page_vec(&self, id: PageId) -> Vec<u8> {
         let mut buf = vec![0u8; self.page_size];
@@ -396,6 +405,20 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.rand_writes, 1);
         assert_eq!(s.seq_writes, 0);
+    }
+
+    #[test]
+    fn head_is_the_last_page_read() {
+        let d = Disk::in_memory(16);
+        let _ = d.allocate_contiguous(4);
+        assert_eq!(d.head(), None);
+        d.write_page(PageId(3), &[3]);
+        assert_eq!(d.head(), None, "writes do not move the read head");
+        d.read_page_vec(PageId(2));
+        d.read_page_vec(PageId(0));
+        assert_eq!(d.head(), Some(PageId(0)));
+        d.reset_stats();
+        assert_eq!(d.head(), None);
     }
 
     #[test]
