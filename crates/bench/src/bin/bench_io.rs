@@ -26,7 +26,7 @@
 //! tmpfs for determinism), `--out PATH` the report path.
 
 use std::fmt::Write as _;
-use tfm_bench::{run_serve, scaled, RunConfig, ServeEngineKind, ServeMetrics};
+use tfm_bench::{run_serve, scale, scaled, RunConfig, ServeEngineKind, ServeMetrics};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
 use tfm_serve::ServeConfig;
 use tfm_storage::StoreBackend;
@@ -83,9 +83,9 @@ fn main() {
 
     let dataset = generate(&DatasetSpec {
         max_side: 6.0,
-        ..DatasetSpec::uniform(scaled(20_000), 81)
+        ..DatasetSpec::uniform(scaled(20_000, scale()), 81)
     });
-    let trace = generate_trace(&QueryTraceSpec::uniform(scaled(1_500), 82));
+    let trace = generate_trace(&QueryTraceSpec::uniform(scaled(1_500, scale()), 82));
 
     // Every run builds its engine fresh (cold cache, cold pools); the
     // serve phase itself is what the rows time.
@@ -143,7 +143,7 @@ fn main() {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpu_model = tfm_bench::host_cpu_model();
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", tfm_bench::scale());
+    let _ = writeln!(json, "  \"scale\": {},", scale());
     let _ = writeln!(
         json,
         "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"

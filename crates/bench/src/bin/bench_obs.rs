@@ -24,7 +24,7 @@
 
 use std::fmt::Write as _;
 use tfm_bench::{
-    run_approach, run_serve, run_serve_traced, scaled, Approach, RunConfig, ServeEngineKind,
+    run_approach, run_serve, run_serve_traced, scale, scaled, Approach, RunConfig, ServeEngineKind,
     ServeMetrics,
 };
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
@@ -98,9 +98,9 @@ fn main() {
     // ---- Ablation workload -------------------------------------------
     let dataset = generate(&DatasetSpec {
         max_side: 6.0,
-        ..DatasetSpec::uniform(scaled(15_000), 81)
+        ..DatasetSpec::uniform(scaled(15_000, scale()), 81)
     });
-    let trace = generate_trace(&QueryTraceSpec::uniform(scaled(2_000), 82));
+    let trace = generate_trace(&QueryTraceSpec::uniform(scaled(2_000, scale()), 82));
     let run_cfg = RunConfig::default();
     let serve_cfg = ServeConfig {
         threads: 4.min(host_threads),
@@ -138,11 +138,15 @@ fn main() {
     // Join ablation (informational): same interleaving, best-of-3 walls.
     let a = generate(&DatasetSpec {
         max_side: 5.0,
-        ..DatasetSpec::with_distribution(scaled(8_000), Distribution::dense_cluster_default(), 83)
+        ..DatasetSpec::with_distribution(
+            scaled(8_000, scale()),
+            Distribution::dense_cluster_default(),
+            83,
+        )
     });
     let b = generate(&DatasetSpec {
         max_side: 5.0,
-        ..DatasetSpec::uniform(scaled(8_000), 84)
+        ..DatasetSpec::uniform(scaled(8_000, scale()), 84)
     });
     let mut join_off: Vec<f64> = Vec::new();
     let mut join_on: Vec<f64> = Vec::new();
@@ -176,7 +180,7 @@ fn main() {
         format!("[{}]", body.join(", "))
     };
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", tfm_bench::scale());
+    let _ = writeln!(json, "  \"scale\": {},", scale());
     let _ = writeln!(
         json,
         "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
@@ -243,7 +247,7 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", tfm_bench::scale());
+    let _ = writeln!(json, "  \"scale\": {},", scale());
     let _ = writeln!(
         json,
         "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"

@@ -28,7 +28,9 @@
 //! `TFM_SCALE`; override the output path with `--out`.
 
 use std::fmt::Write as _;
-use tfm_bench::{run_serve, run_serve_sharded, scaled, RunConfig, ServeEngineKind, ServeMetrics};
+use tfm_bench::{
+    run_serve, run_serve_sharded, scale, scaled, RunConfig, ServeEngineKind, ServeMetrics,
+};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
 use tfm_serve::{ServeConfig, ShardSpec};
 use transformers::IndexConfig;
@@ -85,9 +87,9 @@ fn main() {
 
     let dataset = generate(&DatasetSpec {
         max_side: 6.0,
-        ..DatasetSpec::uniform(scaled(15_000), 91)
+        ..DatasetSpec::uniform(scaled(15_000, scale()), 91)
     });
-    let trace = generate_trace(&QueryTraceSpec::uniform(scaled(2_000), 92));
+    let trace = generate_trace(&QueryTraceSpec::uniform(scaled(2_000, scale()), 92));
 
     // Byte-identity reference: the unsharded single-threaded serve path.
     let (_, reference) = run_serve(
@@ -179,7 +181,7 @@ fn main() {
     ];
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", tfm_bench::scale());
+    let _ = writeln!(json, "  \"scale\": {},", scale());
     let _ = writeln!(
         json,
         "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"

@@ -24,7 +24,7 @@
 //! PATH` the report path.
 
 use std::fmt::Write as _;
-use tfm_bench::{run_approach, scaled, Approach, Metrics, RunConfig};
+use tfm_bench::{run_approach, scale, scaled, Approach, Metrics, RunConfig};
 use tfm_datagen::{generate, DatasetSpec};
 use tfm_storage::StoreBackend;
 use transformers::JoinConfig;
@@ -77,11 +77,11 @@ fn main() {
 
     let a = generate(&DatasetSpec {
         max_side: 6.0,
-        ..DatasetSpec::uniform(scaled(12_000), 71)
+        ..DatasetSpec::uniform(scaled(12_000, scale()), 71)
     });
     let b = generate(&DatasetSpec {
         max_side: 6.0,
-        ..DatasetSpec::uniform(scaled(12_000), 72)
+        ..DatasetSpec::uniform(scaled(12_000, scale()), 72)
     });
 
     // Every run builds fresh indexes and a cold cache; the gate compares
@@ -137,7 +137,7 @@ fn main() {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpu_model = tfm_bench::host_cpu_model();
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", tfm_bench::scale());
+    let _ = writeln!(json, "  \"scale\": {},", scale());
     let _ = writeln!(
         json,
         "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"

@@ -45,6 +45,16 @@ pub fn robustness_pairs(lo: usize, hi: usize) -> Vec<Workload> {
         .collect()
 }
 
+/// Two uniform datasets of contrasting sizes (|A| = `na` with `seed`,
+/// |B| = `nb` with `seed + 1`), named by their sizes.
+pub fn contrast_pair(na: usize, nb: usize, seed: u64) -> Workload {
+    Workload {
+        name: format!("{na} x {nb}"),
+        a: generate(&spec(na, Distribution::Uniform, seed)),
+        b: generate(&spec(nb, Distribution::Uniform, seed + 1)),
+    }
+}
+
 /// Fig. 11: DenseCluster × UniformCluster at a given total size (split
 /// evenly, as in the paper's "elements in datasets" axis).
 pub fn nonuniform_pair(total: usize, seed: u64) -> Workload {
@@ -160,6 +170,9 @@ mod tests {
         assert_eq!(w.a.len() + w.b.len(), 10_000);
         let w = neuro_pair(10_000, 1);
         assert_eq!(w.a.len() + w.b.len(), 10_000);
+        let w = contrast_pair(100, 5_000, 1);
+        assert_eq!((w.a.len(), w.b.len()), (100, 5_000));
+        assert_eq!(w.name, "100 x 5000");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! (The full-scale reproduction lives in
-//! `cargo run --release -p tfm-bench --bin fig10_robustness`.)
+//! `cargo run --release -p tfm-bench --bin reproduce -- fig10`.)
 
 use std::time::Instant;
 use transformers_repro::baselines::gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
