@@ -26,8 +26,9 @@
 //! an [`IndexBuildPipeline`] sized by [`IndexConfig::build_threads`]:
 //!
 //! 1. **Unit STR** — the element vector is permuted in place into
-//!    space-unit order (integer-key sorts; parallel x-sort + per-slab
-//!    fan-out) and comes back with a table of unit ranges and boxes;
+//!    space-unit order (integer-key selections: x-slabs selected and
+//!    distributed on the caller, per-slab y/z passes fanned out) and comes
+//!    back with a table of unit ranges and boxes;
 //! 2. **Node STR** — one seed per unit (its two boxes, its count, its row
 //!    in that table) → space nodes, the same kernel again;
 //! 3. **Element-page packing** — the node pass's seed order *is* the page

@@ -31,7 +31,7 @@
 //! crate's join path into the dependency-free `tfm-pool` crate, re-exported
 //! here as [`pool`]: [`pool::ChunkScheduler`] (deques + stealing +
 //! cancellation) and [`pool::StagePool`] (scoped workers, deterministic
-//! map/merge combinators, parallel stable sort). The join path now runs on
+//! map combinators). The join path now runs on
 //! those primitives, and so does everything *below* this crate in the
 //! dependency graph — `tfm_partition::str_partition_pooled` and the core's
 //! `IndexBuildPipeline` fan the index-build stages (STR passes,

@@ -4,12 +4,12 @@
 //!   (Leutenegger et al., ICDE '97). TRANSFORMERS partitions both datasets
 //!   with it (paper §IV "Partitioning"), GIPSY partitions the dense side,
 //!   and the R-Tree baseline is STR-bulkloaded (§VII-A). It is one
-//!   in-place kernel: each pass sorts one integer key per element
-//!   (`tfm_geom::total_order_key` of the centre coordinate) and permutes
-//!   the caller's vector, and the result is that vector plus a table of
-//!   ranges and boxes ([`StrPartitions`]) — no per-partition `Vec`, no
-//!   second element buffer. [`str_partition_pooled`] is the same kernel
-//!   with the x-sort and the per-slab passes fanned out over a
+//!   in-place kernel: it selects x-slabs and y-runs on integer keys
+//!   (`tfm_geom::total_order_key` of the centre coordinate), sorts only
+//!   inside a run and permutes the caller's vector, and the result is that
+//!   vector plus a table of ranges and boxes ([`StrPartitions`]) — no
+//!   per-partition `Vec`, no second element buffer. [`str_partition_pooled`]
+//!   is the same kernel with the per-slab passes fanned out over a
 //!   [`tfm_pool::StagePool`]; it returns the **identical** partition
 //!   sequence at any thread count, which is what keeps parallel index
 //!   builds byte-identical to sequential ones.

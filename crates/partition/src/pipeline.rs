@@ -67,8 +67,9 @@ impl IndexBuildPipeline {
     }
 
     /// **Partition stage**: STR-partitions `items` into groups of at most
-    /// `capacity`, with the x-sort and per-slab passes fanned out over the
-    /// pool. `items` is permuted in place and returned inside the result.
+    /// `capacity`: the x-slab selection runs on the caller's thread, the
+    /// per-slab y/z passes fan out over the pool. `items` is permuted in
+    /// place and returned inside the result.
     /// Identical output to the sequential partitioner at any thread count.
     pub fn partition<T: HasMbb + Send>(&self, items: Vec<T>, capacity: usize) -> StrPartitions<T> {
         let _stage = tfm_obs::global().stage_span(tfm_obs::names::BUILD_PARTITION);

@@ -1,16 +1,27 @@
 //! Sort-Tile-Recursive partitioning, sequential and pooled: one in-place
-//! kernel that sorts integer keys, not elements.
+//! kernel that selects on integer keys and moves each element twice.
 //!
-//! Every pass is `slice::sort_by_cached_key` on one `u64` per element —
-//! [`total_order_key`] of the centre coordinate, computed once — so no
-//! comparator re-derives centres and no element moves until its final
-//! position in the pass is known. The input vector is permuted in place
-//! and comes back as the result's storage; the partitions are ranges over
-//! it ([`StrPartitions`]). A stable sort's output is unique and the key
-//! orders exactly like `f64::total_cmp`, so the permutation — and with it
-//! every page the bulk loads write — is the one the comparator sort of
-//! whole elements produced, ties included (the test module keeps that
-//! partitioner as the oracle).
+//! STR needs slabs, not a total order on x: a slab or a y-run is a rank
+//! range, so its membership is a multi-select, and only the order inside a
+//! y-run is total, because it fixes the record order on the page. Every
+//! key is [`total_order_key`] of a centre coordinate, and every comparison is on a composite key that ends in the item's original
+//! index — `(kx, i)` for the slabs, `(ky, kx, i)` for the runs of a slab,
+//! `(kz, ky, kx, i)` inside a run. Those keys are unique and order like
+//! the stable passes of the comparator partitioner this kernel replaced
+//! (each of its passes broke ties by the order the previous one left), so
+//! the blocks, the order inside a run and with them every page the bulk
+//! loads write are that partitioner's, ties included (the test module
+//! keeps it as the oracle).
+//!
+//! The elements move twice. The x pass selects the slabs on 16-byte
+//! `(kx, i)` keys and then distributes the elements into their slabs'
+//! ranges in place, through one sequential write front per slab (a random
+//! permutation of the whole vector would miss the cache on every move);
+//! each element's original index `i` moves with it. Each slab then builds
+//! 32-byte keys in one buffer reused across slabs, selects its y-runs,
+//! sorts each run and permutes its own, cache-resident, elements into page
+//! order. The input vector comes back as the result's storage; the
+//! partitions are ranges over it ([`StrPartitions`]).
 
 use std::ops::Range;
 use tfm_geom::{total_order_key, Aabb, HasMbb, Point3};
@@ -117,46 +128,40 @@ impl<T: HasMbb> StrPartitions<T> {
 
 /// Partitions `items` into groups of at most `capacity` with 3-D STR.
 ///
-/// The items are sorted by x-center and cut into vertical slabs, each slab
-/// is sorted by y-center and cut into runs, and each run is sorted by
-/// z-center and chunked into final partitions. Consecutive partitions are
-/// spatially adjacent, so writing them to disk in order preserves spatial
-/// locality (paper §IV: "spatially close elements are stored on the same
-/// disk page").
+/// The items are cut by x-center into vertical slabs, each slab by
+/// y-center into runs, and each run, ordered by z-center, is chunked into
+/// final partitions. Consecutive partitions are spatially adjacent, so
+/// writing them to disk in order preserves spatial locality (paper §IV:
+/// "spatially close elements are stored on the same disk page").
 ///
-/// Slab boundaries are the midpoints between neighbouring sort keys,
-/// extended to the dataset extent at the edges — this is what makes the
-/// partition MBBs a gap-free tiling (verified by property tests).
+/// Slab boundaries are the midpoints between neighbouring centres across
+/// a cut, extended to the dataset extent at the edges — this is what makes
+/// the partition MBBs a gap-free tiling (verified by property tests).
 ///
 /// `items` is permuted in place and returned inside the result; no other
 /// element buffer is allocated.
 ///
 /// # Panics
-/// Panics if `capacity == 0`.
+/// Panics if `capacity == 0` or if there are more than `u32::MAX` items.
 pub fn str_partition<T: HasMbb>(items: Vec<T>, capacity: usize) -> StrPartitions<T> {
-    partition_with(
-        items,
-        capacity,
-        |items| items.sort_by_cached_key(|item| center_key(item, 0)),
-        |slabs, plan| {
-            slabs
-                .into_iter()
-                .flat_map(|slab| partition_slab(slab, plan))
-                .collect()
-        },
-    )
+    partition_with(items, capacity, |slabs, plan| {
+        let mut keys = Vec::new();
+        slabs
+            .into_iter()
+            .flat_map(|slab| partition_slab(slab, plan, &mut keys))
+            .collect()
+    })
 }
 
-/// [`str_partition`] with the x-sort and the per-slab y/z passes fanned out
-/// over `pool`.
+/// [`str_partition`] with the per-slab passes fanned out over `pool`.
 ///
 /// The result is **identical** to the sequential [`str_partition`] at any
-/// thread count: the x pass sorts `(key, index)` pairs — distinct, so their
-/// order is unique — with the pool's merge sort and applies the permutation
-/// in place, and each x-slab — an independent, disjoint sub-slice after the
-/// x pass — is partitioned by exactly the sequential code, with the slabs'
-/// table rows concatenated in slab order. Index builds therefore lay out
-/// byte-identical pages however many build threads run (verified by
+/// thread count: the x pass — a selection and one distribution — runs on
+/// the caller's thread exactly as in the sequential kernel, and each
+/// x-slab — an independent, disjoint sub-slice after it — is partitioned
+/// by exactly the sequential code (with a key buffer of its own), with the
+/// slabs' table rows concatenated in slab order. Index builds therefore lay
+/// out byte-identical pages however many build threads run (verified by
 /// equivalence property tests).
 pub fn str_partition_pooled<T: HasMbb + Send>(
     items: Vec<T>,
@@ -166,67 +171,123 @@ pub fn str_partition_pooled<T: HasMbb + Send>(
     if pool.is_sequential() {
         return str_partition(items, capacity);
     }
-    partition_with(
-        items,
-        capacity,
-        |items| sort_x_pooled(items, pool),
-        |slabs, plan| {
-            pool.map_owned(slabs, |_, slab| partition_slab(slab, plan))
-                .into_iter()
-                .flatten()
-                .collect()
-        },
-    )
+    partition_with(items, capacity, |slabs, plan| {
+        pool.map_owned(slabs, |_, slab| partition_slab(slab, plan, &mut Vec::new()))
+            .into_iter()
+            .flatten()
+            .collect()
+    })
 }
 
-/// The kernel both entry points run: plan, x pass, cut into slabs, y/z
-/// passes per slab. They differ only in how the x pass sorts (`sort_x`) and
-/// in where the slabs run (`fan_out`, which returns the slabs' table rows
-/// in slab order).
+/// The kernel both entry points run: plan, x pass, y/z passes per slab.
+/// They differ only in where the slabs run (`fan_out`, which returns the
+/// slabs' table rows in slab order).
+///
+/// The x pass selects the slabs on `(kx, i)` keys, then moves the
+/// elements into their slabs' ranges with [`distribute`], carrying each
+/// one's original index along for the slab passes' tie-breaks.
 fn partition_with<T: HasMbb>(
     mut items: Vec<T>,
     capacity: usize,
-    sort_x: impl FnOnce(&mut [T]),
     fan_out: impl for<'a> FnOnce(Vec<Slab<'a, T>>, &StrPlan) -> Vec<StrEntry>,
 ) -> StrPartitions<T> {
-    let table = match StrPlan::new(&items, capacity) {
-        Some(plan) => {
-            sort_x(&mut items);
-            fan_out(x_slabs(&mut items, &plan), &plan)
-        }
-        None => Vec::new(),
+    let Some(plan) = StrPlan::new(&items, capacity) else {
+        return StrPartitions {
+            items,
+            table: Vec::new(),
+        };
     };
+    let n = u32_len(items.len());
+    let ends = run_ends(items.len(), plan.sx, plan.per_x_slab);
+    let (x_tiles, cuts) = {
+        let mut keys: Vec<(u64, u32)> = items
+            .iter()
+            .zip(0..n)
+            .map(|(item, i)| (x_key(item), i))
+            .collect();
+        select_blocks(&mut keys, &ends, |&k| k);
+        // Per slab: its smallest `(kx, i)` key, and its largest `kx`.
+        let blocks: Vec<((u64, u32), u64)> = (0..ends.len())
+            .map(|b| {
+                keys[block(&ends, b)]
+                    .iter()
+                    .fold(((u64::MAX, u32::MAX), 0), |(min, max), &k| {
+                        (min.min(k), max.max(k.0))
+                    })
+            })
+            .collect();
+        let (lo, hi) = (plan.extent.min.x, plan.extent.max.x);
+        let x_tiles = tiles(&ends, lo, hi, |b| (blocks[b].0 .0, blocks[b].1));
+        let cuts: Vec<(u64, u32)> = blocks[1..].iter().map(|b| b.0).collect();
+        (x_tiles, cuts)
+    };
+    let mut orig: Vec<u32> = (0..n).collect();
+    distribute(&mut items, &mut orig, &ends, &cuts);
+    let table = fan_out(x_slabs(&mut items, &orig, x_tiles), &plan);
     StrPartitions { items, table }
 }
 
-/// The sort key of one pass: orders like `total_cmp` on the centre
-/// coordinate along `dim`.
-#[inline]
-fn center_key<T: HasMbb>(item: &T, dim: usize) -> u64 {
-    total_order_key(item.center().coord(dim))
+/// `len` as the kernel's `u32` item index.
+///
+/// # Panics
+/// Panics if `len > u32::MAX`: the kernel would otherwise truncate indices
+/// and scramble the partitions silently.
+fn u32_len(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| {
+        panic!(
+            "STR indexes items with u32: {len} items exceed the limit of {}",
+            u32::MAX
+        )
+    })
 }
 
-/// The x pass of the pooled partitioner: what `sort_by_cached_key` does,
-/// with the pair sort on the pool.
-fn sort_x_pooled<T: HasMbb>(items: &mut [T], pool: &StagePool) {
-    let mut order: Vec<(u64, usize)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| (center_key(item, 0), i))
-        .collect();
-    pool.sort_by(&mut order, |a, b| a.cmp(b));
-    // `order[i].1` is the item that belongs at `i`. Positions below `i`
-    // are final, so an item swapped out of one of them is found by
-    // following the swaps; recording where it went keeps later look-ups
-    // short.
-    for i in 0..items.len() {
-        let mut from = order[i].1;
-        while from < i {
-            from = order[from].1;
+/// The x pass's sort key of one item: [`total_order_key`] of its x-centre.
+#[inline]
+fn x_key<T: HasMbb>(item: &T) -> u64 {
+    total_order_key(item.center().x)
+}
+
+/// Moves every item into its slab's range of `items`, in place: an
+/// American-flag distribution with one write cursor per slab, so the moves
+/// stream through `ends.len()` sequential fronts instead of jumping across
+/// the whole vector. An item's slab is the number of `cuts` (each slab's
+/// smallest `(kx, i)` key but the first's) at or below its own key;
+/// `orig`, each item's original index `i`, moves with it. The order inside
+/// a slab is whatever the moves leave.
+fn distribute<T: HasMbb>(items: &mut [T], orig: &mut [u32], ends: &[usize], cuts: &[(u64, u32)]) {
+    let slab_of = |item: &T, i: u32| {
+        let key = (x_key(item), i);
+        cuts.partition_point(|&cut| cut <= key)
+    };
+    let mut heads: Vec<usize> = (0..ends.len()).map(|b| block(ends, b).start).collect();
+    for b in 0..ends.len() {
+        while heads[b] < ends[b] {
+            let p = heads[b];
+            let to = slab_of(&items[p], orig[p]);
+            if to == b {
+                heads[b] += 1;
+            } else {
+                // Slabs below `b` are full, so `to > b`: the item takes the
+                // next free place of its slab, and whatever was there comes
+                // here to be placed next.
+                let q = heads[to];
+                heads[to] += 1;
+                items.swap(p, q);
+                orig.swap(p, q);
+            }
         }
-        order[i].1 = from;
-        items.swap(i, from);
     }
+}
+
+/// A slab pass's key of one item: its three centre keys, its original
+/// index `i` and `pos`, its position in the slab before the pass.
+#[derive(Clone, Copy)]
+struct SlabKey {
+    kx: u64,
+    ky: u64,
+    kz: u64,
+    i: u32,
+    pos: u32,
 }
 
 /// The split geometry shared by the sequential and pooled partitioners.
@@ -264,120 +325,218 @@ impl StrPlan {
     }
 }
 
-/// One run of a sorted slice with its tiling interval along the sort
-/// dimension.
+/// The ends of the blocks that cut `n > 0` ranks into runs of `per_run`
+/// (at most `max_runs`; the last run absorbs any remainder if the cap is
+/// hit). Every block is non-empty and the last end is `n`.
+fn run_ends(n: usize, max_runs: usize, per_run: usize) -> Vec<usize> {
+    let mut ends = Vec::with_capacity(n.div_ceil(per_run).min(max_runs));
+    let mut end = 0;
+    while end < n {
+        end = if ends.len() + 1 == max_runs {
+            n
+        } else {
+            (end + per_run).min(n)
+        };
+        ends.push(end);
+    }
+    ends
+}
+
+/// Reorders `keys` so that the block before each of `ends` holds exactly
+/// the keys of those ranks under `key` (which must be unique), in no
+/// particular order inside a block: a recursive multi-select, splitting at
+/// the middle cut each time.
+fn select_blocks<K, O: Ord>(keys: &mut [K], ends: &[usize], key: impl Fn(&K) -> O + Copy) {
+    fn split<K, O: Ord>(
+        keys: &mut [K],
+        offset: usize,
+        cuts: &[usize],
+        key: impl Fn(&K) -> O + Copy,
+    ) {
+        if cuts.is_empty() {
+            return;
+        }
+        let mid = cuts.len() / 2;
+        let at = cuts[mid] - offset;
+        keys.select_nth_unstable_by_key(at, key);
+        let (left, right) = keys.split_at_mut(at);
+        split(left, offset, &cuts[..mid], key);
+        split(right, cuts[mid], &cuts[mid + 1..], key);
+    }
+    split(keys, 0, &ends[..ends.len() - 1], key);
+}
+
+/// The range of block `b` of a tiling with block ends `ends`.
+fn block(ends: &[usize], b: usize) -> Range<usize> {
+    (if b == 0 { 0 } else { ends[b - 1] })..ends[b]
+}
+
+/// The `f64` whose [`total_order_key`] is `key`, to the bit.
+fn key_value(key: u64) -> f64 {
+    // A set top bit marks a non-negative value, whose key flipped only the
+    // sign bit; a negative value's key flipped every bit.
+    f64::from_bits(if key >> 63 == 1 {
+        key ^ (1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Puts the item at `keys[p].pos` at every position `p` of the slab, in
+/// place: one swap per position, in position order. Positions below `p`
+/// are final, so an item swapped out of one of them is found by following
+/// the swaps; `pos` is overwritten with where the item went, which keeps
+/// later look-ups short.
+fn permute<T>(items: &mut [T], keys: &mut [SlabKey]) {
+    for p in 0..u32_len(items.len()) {
+        let mut from = keys[p as usize].pos;
+        while from < p {
+            from = keys[from as usize].pos;
+        }
+        keys[p as usize].pos = from;
+        items.swap(p as usize, from as usize);
+    }
+}
+
+/// One block of a tiling with its interval along the cut dimension.
 struct Tile {
     range: Range<usize>,
     lo: f64,
     hi: f64,
 }
 
-/// Cuts `items`, sorted by centre along `dim`, into runs of `per_run` (at
-/// most `max_runs`; the last run absorbs any remainder if the cap is hit)
-/// and gives each run its tiling interval: boundaries are midpoints between
-/// the last centre of a run and the first centre of the next, with the
-/// outermost bounds extended to the dataset extent `lo..hi`. Midpoints are
-/// clamped to be non-decreasing so that duplicate sort keys cannot produce
-/// inverted slabs.
-fn tiles<T: HasMbb>(
-    items: &[T],
-    dim: usize,
-    max_runs: usize,
-    per_run: usize,
-    lo: f64,
-    hi: f64,
-) -> Vec<Tile> {
-    let n = items.len();
-    let mut out: Vec<Tile> = Vec::with_capacity(n.div_ceil(per_run).min(max_runs));
-    let mut start = 0;
+/// Gives each block of `ends` its tiling interval: boundaries are
+/// midpoints between the largest centre of a block and the smallest of
+/// the next (`span(b)` gives both keys of block `b`), with the outermost
+/// bounds extended to the dataset extent `lo..hi`. Midpoints are clamped
+/// to be non-decreasing so that duplicate centres cannot produce inverted
+/// slabs.
+fn tiles(ends: &[usize], lo: f64, hi: f64, span: impl Fn(usize) -> (u64, u64)) -> Vec<Tile> {
+    let n = ends[ends.len() - 1];
     let mut lower = lo;
-    while start < n {
-        let end = if out.len() + 1 == max_runs {
-            n
-        } else {
-            (start + per_run).min(n)
-        };
-        let upper = if end == n {
-            hi
-        } else {
-            let last = items[end - 1].center().coord(dim);
-            let first = items[end].center().coord(dim);
-            ((last + first) * 0.5).clamp(lower, hi)
-        };
-        out.push(Tile {
-            range: start..end,
-            lo: lower,
-            // A single run spans the extent as given, even an inverted one.
-            hi: if end - start == n {
-                upper
+    let mut this = span(0);
+    (0..ends.len())
+        .map(|b| {
+            let range = block(ends, b);
+            let upper = if range.end == n {
+                hi
             } else {
-                upper.max(lower)
-            },
-        });
-        lower = upper;
-        start = end;
-    }
-    out
+                let next = span(b + 1);
+                let mid = (key_value(this.1) + key_value(next.0)) * 0.5;
+                this = next;
+                mid.clamp(lower, hi)
+            };
+            let tile = Tile {
+                // A single run spans the extent as given, even an inverted one.
+                hi: if range.len() == n {
+                    upper
+                } else {
+                    upper.max(lower)
+                },
+                lo: lower,
+                range,
+            };
+            lower = upper;
+            tile
+        })
+        .collect()
 }
 
-/// One x-slab: a disjoint sub-slice of the x-sorted vector, and the tile
-/// (its range of that vector, its x interval) it was cut by.
+/// One x-slab: a disjoint sub-slice of the vector after the x pass, the
+/// original indices of its items (in the same order), and the tile (its
+/// range of that vector, its x interval) it was cut by.
 struct Slab<'a, T> {
     items: &'a mut [T],
+    orig: &'a [u32],
     x: Tile,
 }
 
-/// Cuts the x-sorted `items` into the plan's slabs.
-fn x_slabs<'a, T: HasMbb>(items: &'a mut [T], plan: &StrPlan) -> Vec<Slab<'a, T>> {
-    let (lo, hi) = (plan.extent.min.x, plan.extent.max.x);
+/// Cuts `items`, distributed into x-slabs, into the plan's slabs.
+fn x_slabs<'a, T>(items: &'a mut [T], orig: &'a [u32], x_tiles: Vec<Tile>) -> Vec<Slab<'a, T>> {
     let mut rest = items;
-    tiles(rest, 0, plan.sx, plan.per_x_slab, lo, hi)
+    x_tiles
         .into_iter()
         .map(|x| {
             let (items, tail) = std::mem::take(&mut rest).split_at_mut(x.range.len());
             rest = tail;
-            Slab { items, x }
+            Slab {
+                items,
+                orig: &orig[x.range.clone()],
+                x,
+            }
         })
         .collect()
 }
 
 /// The y/z passes over one x-slab — the independent unit of work the
-/// pooled partitioner fans out. Returns the slab's rows of the partition
-/// table, their ranges relative to the whole vector.
-fn partition_slab<T: HasMbb>(slab: Slab<'_, T>, plan: &StrPlan) -> Vec<StrEntry> {
-    let Slab { items, x } = slab;
+/// pooled partitioner fans out — with `keys` as the scratch buffer.
+/// Returns the slab's rows of the partition table, their ranges relative
+/// to the whole vector.
+fn partition_slab<T: HasMbb>(
+    slab: Slab<'_, T>,
+    plan: &StrPlan,
+    keys: &mut Vec<SlabKey>,
+) -> Vec<StrEntry> {
+    let Slab { items, orig, x } = slab;
     let extent = &plan.extent;
-    let mut out = Vec::with_capacity(items.len().div_ceil(plan.capacity) + plan.sy);
-    items.sort_by_cached_key(|item| center_key(item, 1));
-    let per_y_run = items.len().div_ceil(plan.sy);
-    for y in tiles(items, 1, plan.sy, per_y_run, extent.min.y, extent.max.y) {
-        let run = &mut items[y.range.clone()];
-        run.sort_by_cached_key(|item| center_key(item, 2));
-        let run_start = x.range.start + y.range.start;
-        for z in tiles(
-            run,
-            2,
-            usize::MAX,
-            plan.capacity,
-            extent.min.z,
-            extent.max.z,
-        ) {
-            out.push(StrEntry {
-                page_mbb: Aabb::union_all(run[z.range.clone()].iter().map(|i| i.mbb())),
-                partition_mbb: Aabb::new(
-                    Point3::new(x.lo, y.lo, z.lo),
-                    Point3::new(x.hi, y.hi, z.hi),
-                ),
-                range: run_start + z.range.start..run_start + z.range.end,
-            });
-        }
+    keys.clear();
+    keys.extend(
+        items
+            .iter()
+            .zip(orig)
+            .zip(0..u32_len(items.len()))
+            .map(|((item, &i), pos)| {
+                let c = item.center();
+                SlabKey {
+                    kx: total_order_key(c.x),
+                    ky: total_order_key(c.y),
+                    kz: total_order_key(c.z),
+                    i,
+                    pos,
+                }
+            }),
+    );
+    let y_ends = run_ends(items.len(), plan.sy, items.len().div_ceil(plan.sy));
+    select_blocks(keys, &y_ends, |k| (k.ky, k.kx, k.i));
+    let y_tiles = tiles(&y_ends, extent.min.y, extent.max.y, |b| {
+        keys[block(&y_ends, b)]
+            .iter()
+            .fold((u64::MAX, 0), |(min, max), k| {
+                (min.min(k.ky), max.max(k.ky))
+            })
+    });
+    let mut cells: Vec<(Range<usize>, Aabb)> =
+        Vec::with_capacity(items.len().div_ceil(plan.capacity) + plan.sy);
+    for y in y_tiles {
+        let run = &mut keys[y.range.clone()];
+        run.sort_unstable_by_key(|k| (k.kz, k.ky, k.kx, k.i));
+        let z_ends = run_ends(run.len(), usize::MAX, plan.capacity);
+        let z_tiles = tiles(&z_ends, extent.min.z, extent.max.z, |b| {
+            let r = block(&z_ends, b);
+            (run[r.start].kz, run[r.end - 1].kz)
+        });
+        cells.extend(z_tiles.into_iter().map(|z| {
+            (
+                y.range.start + z.range.start..y.range.start + z.range.end,
+                Aabb::new(Point3::new(x.lo, y.lo, z.lo), Point3::new(x.hi, y.hi, z.hi)),
+            )
+        }));
     }
-    out
+    permute(items, keys);
+    cells
+        .into_iter()
+        .map(|(range, partition_mbb)| StrEntry {
+            page_mbb: Aabb::union_all(items[range.clone()].iter().map(|i| i.mbb())),
+            partition_mbb,
+            range: x.range.start + range.start..x.range.start + range.end,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tfm_geom::{Point3, SpatialElement};
 
     fn pt_elem(id: u64, x: f64, y: f64, z: f64) -> SpatialElement {
@@ -641,12 +800,17 @@ mod tests {
     /// reproduce the reference partition sequence: the same items in the
     /// same order in every partition, both boxes equal to the bit.
     fn assert_equals_reference(elems: &[SpatialElement], capacity: usize) {
+        assert_equals_reference_at(elems, capacity, &[1, 2, 3, 8]);
+    }
+
+    /// [`assert_equals_reference`], pooled at the given thread counts.
+    fn assert_equals_reference_at(elems: &[SpatialElement], capacity: usize, pooled: &[usize]) {
         let want = reference::str_partition(elems.to_vec(), capacity);
         let mut runs = vec![(
             "sequential".to_string(),
             str_partition(elems.to_vec(), capacity),
         )];
-        for threads in [1, 2, 3, 8] {
+        for &threads in pooled {
             let pool = StagePool::new(threads);
             runs.push((
                 format!("{threads} threads"),
@@ -814,6 +978,73 @@ mod tests {
         for n in [26 * 5, 27 * 5 - 1, 27 * 5, 27 * 5 + 1, 64 * 5, 64 * 5 + 1] {
             assert_equals_reference(&random_boxes(n, n as u64, 0.0, 100.0), 5);
         }
+    }
+
+    #[test]
+    fn oracle_ties_straddle_the_slab_and_run_cuts() {
+        // 256 items at capacity 4: 4 x-slabs of 64 (cuts at ranks 64, 128
+        // and 192) and 4 y-runs of 16 per slab. x-centres in groups of 40
+        // and three y-centres (≈ 21 items each in a slab) put a tie group
+        // across every cut, so only the `(key, index)` tie-break decides on
+        // which side of a cut each of its items lands; one z-centre for all
+        // leaves the order inside a run to the tie-break too.
+        let lattice: Vec<_> = (0..256u64)
+            .map(|id| pt_elem(id, (id / 40) as f64, (id % 3) as f64, 1.0))
+            .collect();
+        let plan = StrPlan::new(&lattice, 4).expect("non-empty");
+        assert_eq!((plan.sx, plan.per_x_slab, plan.sy), (4, 64, 4));
+        let centre = |e: &&SpatialElement, dim: usize| e.center().coord(dim);
+        for seed in [1, 2, 3] {
+            let elems = shuffled(lattice.clone(), seed);
+            // The stable passes' order: every x cut, and every y cut of
+            // the first slab, falls between two equal centres.
+            let mut by_x: Vec<&SpatialElement> = elems.iter().collect();
+            by_x.sort_by(|a, b| centre(a, 0).total_cmp(&centre(b, 0)));
+            for cut in [64, 128, 192] {
+                assert_eq!(centre(&by_x[cut - 1], 0), centre(&by_x[cut], 0));
+            }
+            let mut slab = by_x[..64].to_vec();
+            slab.sort_by(|a, b| centre(a, 1).total_cmp(&centre(b, 1)));
+            for cut in [16, 32, 48] {
+                assert_eq!(centre(&slab[cut - 1], 1), centre(&slab[cut], 1));
+            }
+            assert_equals_reference(&elems, 4);
+        }
+    }
+
+    /// Coordinates from a small set, `±0.0` included: most centres tie
+    /// with many others on every axis.
+    fn tied_elems() -> impl Strategy<Value = Vec<SpatialElement>> {
+        const MINS: [f64; 6] = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0];
+        const SIDES: [f64; 3] = [0.0, 1.0, 2.0];
+        let (m, d) = (0..MINS.len(), 0..SIDES.len());
+        prop::collection::vec((m.clone(), m.clone(), m, d.clone(), d.clone(), d), 1..3000).prop_map(
+            |raw| {
+                (0u64..)
+                    .zip(raw)
+                    .map(|(id, (x, y, z, dx, dy, dz))| {
+                        let min = Point3::new(MINS[x], MINS[y], MINS[z]);
+                        let side = Point3::new(SIDES[dx], SIDES[dy], SIDES[dz]);
+                        SpatialElement::new(id, Aabb::new(min, min + side))
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn oracle_heavy_ties_at_random_sizes(elems in tied_elems(), capacity in 1usize..64) {
+            assert_equals_reference_at(&elems, capacity, &[2, 3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit of 4294967295")]
+    fn item_index_does_not_truncate() {
+        u32_len(u32::MAX as usize + 1);
     }
 
     #[test]

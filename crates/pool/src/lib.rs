@@ -10,7 +10,7 @@
 //! for the join path and consumed directly by `tfm-partition` and the
 //! core's `IndexBuildPipeline`.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`ChunkScheduler`] — deals contiguous index chunks to per-worker
 //!   deques (static sharding), with stealing from the back of the fullest
@@ -22,12 +22,7 @@
 //!   [`map`](StagePool::map) / [`map_range`](StagePool::map_range) /
 //!   [`map_owned`](StagePool::map_owned) return outputs in **input order**
 //!   regardless of thread count or scheduling, which is what lets the
-//!   parallel index build produce byte-identical pages;
-//! * [`StagePool::sort_by`] — a parallel **stable** merge sort whose result
-//!   is identical to `slice::sort_by` (stable sorts have a unique output),
-//!   so the pooled STR x-pass — which sorts `(key, index)` pairs with it
-//!   and then permutes the elements — reproduces the sequential
-//!   partitioner exactly.
+//!   parallel index build produce byte-identical pages.
 //!
 //! Everything runs on `std::thread::scope` — workers borrow their inputs,
 //! no `'static` bounds, no channels, and the pool itself is just a thread
@@ -39,7 +34,6 @@ mod scheduler;
 
 pub use scheduler::{Chunk, ChunkScheduler};
 
-use std::cmp::Ordering;
 use std::sync::Mutex;
 
 /// A fixed-width scoped worker pool: `threads` workers are spawned per
@@ -187,85 +181,6 @@ impl StagePool {
             f(i, task)
         })
     }
-
-    /// Sorts `items` with a parallel **stable** merge sort; the result is
-    /// identical to `items.sort_by(cmp)` for any thread count (a stable
-    /// sort's output is unique), so callers may switch freely between the
-    /// two.
-    pub fn sort_by<T, F>(&self, items: &mut Vec<T>, cmp: F)
-    where
-        T: Send,
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        let n = items.len();
-        // Below ~2 items per worker the split is pure overhead.
-        if self.is_sequential() || n < self.threads * 2 {
-            items.sort_by(cmp);
-            return;
-        }
-        // Split into `threads` contiguous runs, stable-sort each in
-        // parallel, then merge adjacent runs pairwise (left-biased merge
-        // keeps stability). Each merge round's pairs are independent, so
-        // the rounds fan out over the pool too — without this the O(n)
-        // merge passes would serialize on the caller and cap the sort's
-        // scaling (Amdahl).
-        let run_len = n.div_ceil(self.threads);
-        let mut runs: Vec<Vec<T>> = Vec::with_capacity(self.threads);
-        let mut rest = std::mem::take(items);
-        while rest.len() > run_len {
-            let tail = rest.split_off(run_len);
-            runs.push(rest);
-            rest = tail;
-        }
-        runs.push(rest);
-        let mut runs: Vec<Vec<T>> = self.map_owned(runs, |_, mut run| {
-            run.sort_by(&cmp);
-            run
-        });
-        while runs.len() > 1 {
-            let mut pairs: Vec<(Vec<T>, Option<Vec<T>>)> =
-                Vec::with_capacity(runs.len().div_ceil(2));
-            let mut it = runs.into_iter();
-            while let Some(left) = it.next() {
-                pairs.push((left, it.next()));
-            }
-            runs = self.map_owned(pairs, |_, (left, right)| match right {
-                Some(right) => merge_stable(left, right, &cmp),
-                None => left,
-            });
-        }
-        *items = runs.pop().unwrap_or_default();
-    }
-}
-
-/// Merges two sorted runs, taking from `left` on ties (stability).
-fn merge_stable<T, F>(left: Vec<T>, right: Vec<T>, cmp: &F) -> Vec<T>
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut l = left.into_iter().peekable();
-    let mut r = right.into_iter().peekable();
-    loop {
-        match (l.peek(), r.peek()) {
-            (Some(a), Some(b)) => {
-                if cmp(a, b) == Ordering::Greater {
-                    out.push(r.next().expect("peeked"));
-                } else {
-                    out.push(l.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                out.extend(l);
-                break;
-            }
-            (None, _) => {
-                out.extend(r);
-                break;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -329,47 +244,5 @@ mod tests {
         let pool = StagePool::new(4);
         assert!(pool.map_range(0, |i| i).is_empty());
         assert_eq!(pool.map_range(1, |i| i + 5), vec![5]);
-    }
-
-    #[test]
-    fn parallel_sort_matches_sequential_stable_sort() {
-        // Sort by a *non-unique* key so stability is observable through the
-        // unique payload.
-        let mut rng = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let items: Vec<(u64, u64)> = (0..10_000).map(|i| (next() % 97, i)).collect();
-        let mut expected = items.clone();
-        expected.sort_by_key(|a| a.0);
-        for threads in [2, 3, 4, 8] {
-            let mut got = items.clone();
-            StagePool::new(threads).sort_by(&mut got, |a, b| a.0.cmp(&b.0));
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_sort_tiny_inputs() {
-        let pool = StagePool::new(8);
-        let mut v: Vec<u32> = vec![];
-        pool.sort_by(&mut v, |a, b| a.cmp(b));
-        assert!(v.is_empty());
-        let mut v = vec![3u32, 1, 2];
-        pool.sort_by(&mut v, |a, b| a.cmp(b));
-        assert_eq!(v, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn merge_stable_prefers_left_on_ties() {
-        let left = vec![(1, 'l'), (2, 'l')];
-        let right = vec![(1, 'r'), (3, 'r')];
-        let got = merge_stable(left, right, &|a: &(i32, char), b: &(i32, char)| {
-            a.0.cmp(&b.0)
-        });
-        assert_eq!(got, vec![(1, 'l'), (1, 'r'), (2, 'l'), (3, 'r')]);
     }
 }
