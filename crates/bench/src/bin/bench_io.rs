@@ -19,13 +19,13 @@
 //!    flight. Latency is paid overlapped and off the workers, so
 //!    cold-cache wall-clock throughput must beat run 3 by ≥ 1.3×.
 //!
-//! Results go to `BENCH_io.json` (flat hand-rolled JSON, host-provenance
-//! fields included); the process exits non-zero when a gate fails. Scale
-//! with `TFM_SCALE`; `--dir PATH` picks where page images are written
-//! (point it at a disk-backed directory to exercise real device I/O, or
-//! tmpfs for determinism), `--out PATH` the report path.
+//! Results go to `BENCH_io.json` (written by `tfm_bench::gate`, host
+//! provenance included); the process exits 1 when a gate fails, 2 on an
+//! unknown option. Scale with `TFM_SCALE`; `--dir PATH` picks where page
+//! images are written (a disk-backed directory exercises real device I/O,
+//! tmpfs gives determinism), `--out PATH` the report path.
 
-use std::fmt::Write as _;
+use tfm_bench::gate::{self, Args, Gate, Json};
 use tfm_bench::{run_serve, scale, scaled, RunConfig, ServeEngineKind, ServeMetrics};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
 use tfm_serve::ServeConfig;
@@ -41,45 +41,29 @@ const READAHEAD: usize = 512;
 /// the bench stays seconds, not minutes.
 const LATENCY: f64 = 0.25;
 
-fn arg(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
-
-fn json_row(out: &mut String, label: &str, latency: f64, m: &ServeMetrics) {
-    let _ = write!(
-        out,
-        "    {{\"run\": \"{}\", \"read_latency\": {}, \"io_depth\": {}, \"readahead\": {}, \
-         \"wall_s\": {:.6}, \"qps\": {:.1}, \"pages_read\": {}, \"pool_hits\": {}, \
-         \"pool_misses\": {}, \"prefetch_issued\": {}, \"prefetch_hits\": {}, \
-         \"prefetch_unused\": {}, \"hit_fraction\": {:.4}, \"sim_io_s\": {:.6}}}",
-        label,
-        latency,
-        m.io_depth,
-        m.readahead,
-        m.wall.as_secs_f64(),
-        m.qps,
-        m.pages_read,
-        m.pool_hits,
-        m.pool_misses,
-        m.prefetch_issued,
-        m.prefetch_hits,
-        m.prefetch_unused,
-        m.pool_hit_fraction(),
-        m.sim_io.as_secs_f64(),
-    );
+fn json_row(label: &str, latency: f64, m: &ServeMetrics) -> Json {
+    Json::Obj(vec![
+        ("run", Json::Str(label.into())),
+        ("read_latency", Json::num(latency)),
+        ("io_depth", Json::num(m.io_depth)),
+        ("readahead", Json::num(m.readahead)),
+        ("wall_s", Json::fixed(m.wall.as_secs_f64(), 6)),
+        ("qps", Json::fixed(m.qps, 1)),
+        ("pages_read", Json::num(m.pages_read)),
+        ("pool_hits", Json::num(m.pool_hits)),
+        ("pool_misses", Json::num(m.pool_misses)),
+        ("prefetch_issued", Json::num(m.prefetch_issued)),
+        ("prefetch_hits", Json::num(m.prefetch_hits)),
+        ("prefetch_unused", Json::num(m.prefetch_unused)),
+        ("hit_fraction", Json::fixed(m.pool_hit_fraction(), 4)),
+        ("sim_io_s", Json::fixed(m.sim_io.as_secs_f64(), 6)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = arg(&args, "--out", "BENCH_io.json");
-    let default_dir = std::env::temp_dir()
-        .join(format!("tfm_bench_io_{}", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let dir = std::path::PathBuf::from(arg(&args, "--dir", &default_dir));
+    let args = Args::from_env(&["--out", "--dir"]);
+    let out_path = args.get("--out").unwrap_or("BENCH_io.json");
+    let (dir, own_dir) = args.dir_or_temp("tfm_bench_io");
 
     let dataset = generate(&DatasetSpec {
         max_side: 6.0,
@@ -138,44 +122,30 @@ fn main() {
             ra.pool_hits + ra.pool_misses + ra.prefetch_hits
                 >= depth1.pool_hits + depth1.pool_misses,
         ),
-    ];
+    ]
+    .map(|(name, ok)| (name, Gate::from(ok)));
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu_model = tfm_bench::host_cpu_model();
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", scale());
-    let _ = writeln!(
-        json,
-        "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
+    let workload = Json::Obj(vec![
+        ("dataset_elements", Json::num(dataset.len())),
+        ("queries", Json::num(trace.len())),
+        ("store_dir", Json::Str(dir.display().to_string())),
+    ]);
+    let rows = Json::Arr(vec![
+        json_row("mem", 0.0, &mem),
+        json_row("file", 0.0, &file_raw),
+        json_row("file-depth1", LATENCY, &depth1),
+        json_row("file-readahead", LATENCY, &ra),
+    ]);
+    gate::write_report(
+        out_path,
+        Some(scale()),
+        vec![
+            ("workload", workload),
+            ("readahead_speedup", Json::fixed(speedup, 3)),
+            ("rows", rows),
+        ],
+        &gates,
     );
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset_elements\": {}, \"queries\": {}, \"store_dir\": \"{}\"}},",
-        dataset.len(),
-        trace.len(),
-        dir.display()
-    );
-    let _ = writeln!(json, "  \"readahead_speedup\": {speedup:.3},");
-    json.push_str("  \"rows\": [\n");
-    let rows: [(&str, f64, &ServeMetrics); 4] = [
-        ("mem", 0.0, &mem),
-        ("file", 0.0, &file_raw),
-        ("file-depth1", LATENCY, &depth1),
-        ("file-readahead", LATENCY, &ra),
-    ];
-    for (i, (label, latency, m)) in rows.iter().enumerate() {
-        json_row(&mut json, label, *latency, m);
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gates\": {\n");
-    for (i, (name, ok)) in gates.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {ok}");
-        json.push_str(if i + 1 < gates.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write BENCH_io.json");
 
     println!("== file storage backend: queue depth + Hilbert readahead ==");
     println!(
@@ -191,17 +161,9 @@ fn main() {
         "readahead speedup {speedup:.2}x (gate >= 1.3x); prefetch issued {} hit {} unused {}",
         ra.prefetch_issued, ra.prefetch_hits, ra.prefetch_unused
     );
-    let mut failed = false;
-    for (name, ok) in gates {
-        println!("gate {name}: {}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
-    }
-    println!("wrote {out_path}");
     // Only remove page images this run created itself.
-    if arg(&args, "--dir", &default_dir) == default_dir {
+    if own_dir {
         std::fs::remove_dir_all(&dir).ok();
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate::finish(&gates, out_path);
 }

@@ -17,12 +17,12 @@
 //!   parallelism actually available, so a checked-in artifact carries
 //!   its own provenance).
 //!
-//! Both files are flat hand-rolled JSON (no serde_json in the offline
-//! tree). The process exits non-zero if an `BENCH_obs.json` gate fails,
-//! so CI can use it as the observability overhead gate. Scale with
-//! `TFM_SCALE`; override the output paths with `--obs-out` / `--serve-out`.
+//! Both files are written by `tfm_bench::gate`. The process exits
+//! non-zero if a `BENCH_obs.json` gate fails, so CI can use it as the
+//! observability overhead gate. Scale with `TFM_SCALE`; override the
+//! output paths with `--obs-out` / `--serve-out`.
 
-use std::fmt::Write as _;
+use tfm_bench::gate::{self, Args, Gate, Json};
 use tfm_bench::{
     run_approach, run_serve, run_serve_traced, scale, scaled, Approach, RunConfig, ServeEngineKind,
     ServeMetrics,
@@ -30,13 +30,6 @@ use tfm_bench::{
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
 use tfm_memjoin::canonicalize;
 use tfm_serve::ServeConfig;
-
-fn arg(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
 
 /// One serve measurement with the registry in the requested state.
 /// Metrics-on also collects per-query traces — the full-fat
@@ -89,11 +82,10 @@ fn join_once(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let obs_out = arg(&args, "--obs-out", "BENCH_obs.json");
-    let serve_out = arg(&args, "--serve-out", "BENCH_serve.json");
+    let args = Args::from_env(&["--obs-out", "--serve-out"]);
+    let obs_out = args.get("--obs-out").unwrap_or("BENCH_obs.json");
+    let serve_out = args.get("--serve-out").unwrap_or("BENCH_serve.json");
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu_model = tfm_bench::host_cpu_model();
 
     // ---- Ablation workload -------------------------------------------
     let dataset = generate(&DatasetSpec {
@@ -173,61 +165,33 @@ fn main() {
         ("serve_results_identical", results_identical),
         ("join_results_identical", join_identical),
         ("serve_overhead_within_5pct", best_on >= 0.95 * best_off),
-    ];
+    ]
+    .map(|(name, ok)| (name, Gate::from(ok)));
 
-    let fmt_list = |v: &[f64]| {
-        let body: Vec<String> = v.iter().map(|x| format!("{x:.1}")).collect();
-        format!("[{}]", body.join(", "))
-    };
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", scale());
-    let _ = writeln!(
-        json,
-        "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"serve\": {{\n    \"dataset_elements\": {}, \"queries\": {}, \"threads\": {},",
-        dataset.len(),
-        trace.len(),
-        serve_cfg.threads
-    );
-    let _ = writeln!(
-        json,
-        "    \"qps_off\": {}, \"qps_on\": {},",
-        fmt_list(&off_qps),
-        fmt_list(&on_qps)
-    );
-    let _ = writeln!(
-        json,
-        "    \"best_qps_off\": {best_off:.1}, \"best_qps_on\": {best_on:.1}, \
-         \"overhead_fraction\": {overhead:.4},"
-    );
-    let _ = writeln!(json, "    \"metric_series_on\": {metric_series}");
-    json.push_str("  },\n");
-    let _ = writeln!(
-        json,
-        "  \"join\": {{\n    \"a_elements\": {}, \"b_elements\": {}, \"threads\": 4,",
-        a.len(),
-        b.len()
-    );
-    let _ = writeln!(
-        json,
-        "    \"best_wall_s_off\": {:.6}, \"best_wall_s_on\": {:.6}",
-        best_wall(&join_off),
-        best_wall(&join_on)
-    );
-    json.push_str("  },\n  \"gates\": {\n");
-    for (i, (name, ok)) in gates.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {ok}");
-        json.push_str(if i + 1 < gates.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&obs_out, &json).expect("write BENCH_obs.json");
+    let serve = Json::Obj(vec![
+        ("dataset_elements", Json::num(dataset.len())),
+        ("queries", Json::num(trace.len())),
+        ("threads", Json::num(serve_cfg.threads)),
+        ("qps_off", Json::fixed_list(&off_qps, 1)),
+        ("qps_on", Json::fixed_list(&on_qps, 1)),
+        ("best_qps_off", Json::fixed(best_off, 1)),
+        ("best_qps_on", Json::fixed(best_on, 1)),
+        ("overhead_fraction", Json::fixed(overhead, 4)),
+        ("metric_series_on", Json::num(metric_series)),
+    ]);
+    let join = Json::Obj(vec![
+        ("a_elements", Json::num(a.len())),
+        ("b_elements", Json::num(b.len())),
+        ("threads", Json::num(4usize)),
+        ("best_wall_s_off", Json::fixed(best_wall(&join_off), 6)),
+        ("best_wall_s_on", Json::fixed(best_wall(&join_on), 6)),
+    ]);
+    let body = vec![("serve", serve), ("join", join)];
+    gate::write_report(obs_out, Some(scale()), body, &gates);
 
     // ---- Multi-core curves -> BENCH_serve.json ------------------------
     let threads_sweep = [1usize, 2, 4, 8];
-    let mut curve_rows: Vec<ServeMetrics> = Vec::new();
+    let mut serve_rows = Vec::new();
     for kind in ServeEngineKind::all() {
         for &threads in &threads_sweep {
             let cfg = ServeConfig {
@@ -236,69 +200,40 @@ fn main() {
                 ..ServeConfig::default()
             };
             let (m, _) = run_serve(kind, "serve-curve", &dataset, &trace, &run_cfg, &cfg);
-            curve_rows.push(m);
+            serve_rows.push(Json::Obj(vec![
+                ("engine", Json::Str(m.engine.clone())),
+                ("threads", Json::num(m.threads)),
+                ("qps", Json::fixed(m.qps, 1)),
+                ("p50_us", Json::micros(m.p50)),
+                ("p99_us", Json::micros(m.p99)),
+                ("queue_wait_p50_us", Json::micros(m.queue_wait_p50)),
+                ("queue_wait_p99_us", Json::micros(m.queue_wait_p99)),
+                ("pages_read", Json::num(m.pages_read)),
+            ]));
         }
     }
-    let mut join_curve: Vec<(usize, f64, u64)> = Vec::new();
+    let mut join_rows = Vec::new();
     for &threads in &threads_sweep {
         let approach = Approach::TransformersParallel(transformers::JoinConfig::default(), threads);
         let (m, _) = run_approach(&approach, "join-curve", &a, &b, &RunConfig::default());
-        join_curve.push((threads, m.join_time().as_secs_f64(), m.pages_read));
+        join_rows.push(Json::Obj(vec![
+            ("threads", Json::num(threads)),
+            ("join_wall_s", Json::fixed(m.join_time().as_secs_f64(), 6)),
+            ("pages_read", Json::num(m.pages_read)),
+        ]));
     }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", scale());
-    let _ = writeln!(
-        json,
-        "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"serve\": {{\n    \"dataset_elements\": {}, \"queries\": {}, \"rows\": [",
-        dataset.len(),
-        trace.len()
-    );
-    for (i, m) in curve_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"engine\": \"{}\", \"threads\": {}, \"qps\": {:.1}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"queue_wait_p50_us\": {:.2}, \
-             \"queue_wait_p99_us\": {:.2}, \"pages_read\": {}}}",
-            m.engine,
-            m.threads,
-            m.qps,
-            m.p50.as_secs_f64() * 1e6,
-            m.p99.as_secs_f64() * 1e6,
-            m.queue_wait_p50.as_secs_f64() * 1e6,
-            m.queue_wait_p99.as_secs_f64() * 1e6,
-            m.pages_read
-        );
-        json.push_str(if i + 1 < curve_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  },\n");
-    let _ = writeln!(
-        json,
-        "  \"join\": {{\n    \"a_elements\": {}, \"b_elements\": {}, \"rows\": [",
-        a.len(),
-        b.len()
-    );
-    for (i, (threads, wall, pages)) in join_curve.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"threads\": {threads}, \"join_wall_s\": {wall:.6}, \"pages_read\": {pages}}}"
-        );
-        json.push_str(if i + 1 < join_curve.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ]\n  }\n}\n");
-    std::fs::write(&serve_out, &json).expect("write BENCH_serve.json");
+    let serve = Json::Obj(vec![
+        ("dataset_elements", Json::num(dataset.len())),
+        ("queries", Json::num(trace.len())),
+        ("rows", Json::Arr(serve_rows)),
+    ]);
+    let join = Json::Obj(vec![
+        ("a_elements", Json::num(a.len())),
+        ("b_elements", Json::num(b.len())),
+        ("rows", Json::Arr(join_rows)),
+    ]);
+    let curves = vec![("serve", serve), ("join", join)];
+    gate::write_report(serve_out, Some(scale()), curves, &[]);
 
     // ---- Report -------------------------------------------------------
     println!("== observability overhead ==");
@@ -316,13 +251,5 @@ fn main() {
         best_wall(&join_on)
     );
     println!("metric series exported when on: {metric_series}");
-    let mut failed = false;
-    for (name, ok) in gates {
-        println!("gate {name}: {}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
-    }
-    println!("wrote {obs_out} and {serve_out}");
-    if failed {
-        std::process::exit(1);
-    }
+    gate::finish(&gates, &format!("{obs_out} and {serve_out}"));
 }

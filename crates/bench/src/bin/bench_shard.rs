@@ -23,11 +23,10 @@
 //!   relative to its 1-shard row) holds the p50/p95/p99 SLO: each
 //!   percentile within 1.5× of the 1-shard baseline's.
 //!
-//! Flat hand-rolled JSON (no serde_json in the offline tree); host CPU
-//! model and thread count are recorded in the artifact. Scale with
-//! `TFM_SCALE`; override the output path with `--out`.
+//! The report is written by `tfm_bench::gate`, with the host's CPU model
+//! and thread count. Scale with `TFM_SCALE`; `--out` sets the path.
 
-use std::fmt::Write as _;
+use tfm_bench::gate::{self, Args, Gate, Json};
 use tfm_bench::{
     run_serve, run_serve_sharded, scale, scaled, RunConfig, ServeEngineKind, ServeMetrics,
 };
@@ -35,55 +34,10 @@ use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
 use tfm_serve::{ServeConfig, ShardSpec};
 use transformers::IndexConfig;
 
-fn arg(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
-
-/// Outcome of one acceptance gate. `Inconclusive` means the host cannot
-/// decide the question; it is recorded but never fails the run.
-#[derive(Clone, Copy, PartialEq)]
-enum Gate {
-    Pass,
-    Fail,
-    Inconclusive,
-}
-
-impl From<bool> for Gate {
-    fn from(ok: bool) -> Self {
-        if ok {
-            Gate::Pass
-        } else {
-            Gate::Fail
-        }
-    }
-}
-
-impl Gate {
-    fn json(self) -> &'static str {
-        match self {
-            Gate::Pass => "true",
-            Gate::Fail => "false",
-            Gate::Inconclusive => "\"inconclusive\"",
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            Gate::Pass => "PASS",
-            Gate::Fail => "FAIL",
-            Gate::Inconclusive => "INCONCLUSIVE (host has < 2 hardware threads)",
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = arg(&args, "--out", "BENCH_shard.json");
+    let args = Args::from_env(&["--out"]);
+    let out_path = args.get("--out").unwrap_or("BENCH_shard.json");
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu_model = tfm_bench::host_cpu_model();
 
     let dataset = generate(&DatasetSpec {
         max_side: 6.0,
@@ -103,7 +57,7 @@ fn main() {
 
     let shard_sweep = [1usize, 2, 4, 8];
     let worker_sweep = [1usize, 2];
-    let rounds = 2;
+    let rounds = 2usize;
 
     // Interleave rounds across configurations so every configuration
     // sees the same warm-up and thermal conditions; keep each
@@ -159,7 +113,7 @@ fn main() {
     // 1-shard row on throughput or p95. Shards only win through extra
     // cores, so a single-threaded host cannot decide this either way.
     let sharded_beats_single = if host_threads < 2 {
-        Gate::Inconclusive
+        Gate::Inconclusive("host has < 2 hardware threads")
     } else {
         Gate::from(rows.iter().filter(|m| m.shards > 1).any(|m| {
             let base = baseline(m.threads);
@@ -180,52 +134,43 @@ fn main() {
         ("slo_met", Gate::from(slo_met)),
     ];
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", scale());
-    let _ = writeln!(
-        json,
-        "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
+    let workload = Json::Obj(vec![
+        ("dataset_elements", Json::num(dataset.len())),
+        ("queries", Json::num(trace.len())),
+        ("engine", Json::Str("TRANSFORMERS".into())),
+        ("partitioner", Json::Str("hilbert".into())),
+        ("rounds", Json::num(rounds)),
+    ]);
+    let rows_json = rows.iter().map(|m| {
+        Json::Obj(vec![
+            ("shards", Json::num(m.shards)),
+            ("workers_per_shard", Json::num(m.threads)),
+            ("qps", Json::fixed(m.qps, 1)),
+            ("p50_us", Json::micros(m.p50)),
+            ("p95_us", Json::micros(m.p95)),
+            ("p99_us", Json::micros(m.p99)),
+            ("queue_wait_p99_us", Json::micros(m.queue_wait_p99)),
+            ("fanout_mean", Json::fixed(m.fanout_mean, 3)),
+            ("fanout_max", Json::num(m.fanout_max)),
+            ("routed_partials", Json::num(m.routed_partials)),
+            ("shed_partials", Json::num(m.shed_partials)),
+            (
+                "max_cluster_pressure",
+                Json::fixed(m.max_cluster_pressure, 3),
+            ),
+            ("pages_read", Json::num(m.pages_read)),
+        ])
+    });
+    gate::write_report(
+        out_path,
+        Some(scale()),
+        vec![
+            ("workload", workload),
+            ("slo_factor_vs_single_shard", Json::num(SLO_FACTOR)),
+            ("rows", Json::Arr(rows_json.collect())),
+        ],
+        &gates,
     );
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"dataset_elements\": {}, \"queries\": {}, \
-         \"engine\": \"TRANSFORMERS\", \"partitioner\": \"hilbert\", \"rounds\": {rounds}}},",
-        dataset.len(),
-        trace.len()
-    );
-    let _ = writeln!(json, "  \"slo_factor_vs_single_shard\": {SLO_FACTOR},");
-    json.push_str("  \"rows\": [\n");
-    for (i, m) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"shards\": {}, \"workers_per_shard\": {}, \"qps\": {:.1}, \
-             \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}, \
-             \"queue_wait_p99_us\": {:.2}, \"fanout_mean\": {:.3}, \"fanout_max\": {}, \
-             \"routed_partials\": {}, \"shed_partials\": {}, \
-             \"max_cluster_pressure\": {:.3}, \"pages_read\": {}}}",
-            m.shards,
-            m.threads,
-            m.qps,
-            m.p50.as_secs_f64() * 1e6,
-            m.p95.as_secs_f64() * 1e6,
-            m.p99.as_secs_f64() * 1e6,
-            m.queue_wait_p99.as_secs_f64() * 1e6,
-            m.fanout_mean,
-            m.fanout_max,
-            m.routed_partials,
-            m.shed_partials,
-            m.max_cluster_pressure,
-            m.pages_read
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"gates\": {\n");
-    for (i, (name, gate)) in gates.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {}", gate.json());
-        json.push_str(if i + 1 < gates.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_shard.json");
 
     tfm_bench::print_serve_table("sharded serve cluster", &rows);
     println!(
@@ -238,11 +183,5 @@ fn main() {
         best_multi.p95.as_secs_f64() * 1e6,
         best_base.p95.as_secs_f64() * 1e6
     );
-    for (name, gate) in gates {
-        println!("gate {name}: {}", gate.label());
-    }
-    println!("wrote {out_path}");
-    if gates.iter().any(|(_, gate)| *gate == Gate::Fail) {
-        std::process::exit(1);
-    }
+    gate::finish(&gates, out_path);
 }

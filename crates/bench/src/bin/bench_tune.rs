@@ -18,12 +18,12 @@
 //!    pivot run actually joined, so on the uniform trace a well-sized
 //!    readahead window must leave fewer than 20% of issued pages unread.
 //!
-//! Results go to `BENCH_tune.json` (flat hand-rolled JSON with host
-//! provenance); the process exits non-zero when a gate fails. Scale with
-//! `TFM_SCALE`; `--dir PATH` picks the page-image directory, `--out
-//! PATH` the report path.
+//! Results go to `BENCH_tune.json` (written by `tfm_bench::gate`, host
+//! provenance included); the process exits 1 when a gate fails, 2 on an
+//! unknown option. Scale with `TFM_SCALE`; `--dir PATH` picks the
+//! page-image directory, `--out PATH` the report path.
 
-use std::fmt::Write as _;
+use tfm_bench::gate::{self, Args, Gate, Json};
 use tfm_bench::{run_approach, scale, scaled, Approach, Metrics, RunConfig};
 use tfm_datagen::{generate, DatasetSpec};
 use tfm_storage::StoreBackend;
@@ -40,40 +40,24 @@ const JOIN_THREADS: usize = 2;
 /// 10 kRPM SAS experiments run in) while keeping the bench in seconds.
 const LATENCY: f64 = 0.25;
 
-fn arg(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
-
-fn json_join_row(out: &mut String, label: &str, latency: f64, m: &Metrics) {
-    let _ = write!(
-        out,
-        "    {{\"run\": \"{}\", \"read_latency\": {}, \
-         \"join_wall_s\": {:.6}, \"pages_read\": {}, \"pool_hits\": {}, \
-         \"prefetch_issued\": {}, \"prefetch_hits\": {}, \"prefetch_unused\": {}, \
-         \"results\": {}}}",
-        label,
-        latency,
-        m.join_wall.as_secs_f64(),
-        m.pages_read,
-        m.pool_hits,
-        m.prefetch_issued,
-        m.prefetch_hits,
-        m.prefetch_unused,
-        m.results,
-    );
+fn json_join_row(label: &str, latency: f64, m: &Metrics) -> Json {
+    Json::Obj(vec![
+        ("run", Json::Str(label.into())),
+        ("read_latency", Json::num(latency)),
+        ("join_wall_s", Json::fixed(m.join_wall.as_secs_f64(), 6)),
+        ("pages_read", Json::num(m.pages_read)),
+        ("pool_hits", Json::num(m.pool_hits)),
+        ("prefetch_issued", Json::num(m.prefetch_issued)),
+        ("prefetch_hits", Json::num(m.prefetch_hits)),
+        ("prefetch_unused", Json::num(m.prefetch_unused)),
+        ("results", Json::num(m.results)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = arg(&args, "--out", "BENCH_tune.json");
-    let default_dir = std::env::temp_dir()
-        .join(format!("tfm_bench_tune_{}", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let dir = std::path::PathBuf::from(arg(&args, "--dir", &default_dir));
+    let args = Args::from_env(&["--out", "--dir"]);
+    let out_path = args.get("--out").unwrap_or("BENCH_tune.json");
+    let (dir, own_dir) = args.dir_or_temp("tfm_bench_tune");
 
     let a = generate(&DatasetSpec {
         max_side: 6.0,
@@ -132,49 +116,33 @@ fn main() {
             pf.prefetch_issued > 0 && pf.prefetch_hits > 0,
         ),
         ("unused_prefetch_below_20pct", unused_fraction < 0.20),
-    ];
+    ]
+    .map(|(name, ok)| (name, Gate::from(ok)));
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu_model = tfm_bench::host_cpu_model();
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": {},", scale());
-    let _ = writeln!(
-        json,
-        "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
+    let workload = Json::Obj(vec![
+        ("n_a", Json::num(a.len())),
+        ("n_b", Json::num(b.len())),
+        ("join_threads", Json::num(JOIN_THREADS)),
+        ("io_depth", Json::num(IO_DEPTH)),
+        ("readahead", Json::num(READAHEAD)),
+        ("store_dir", Json::Str(dir.display().to_string())),
+    ]);
+    let rows = Json::Arr(vec![
+        json_join_row("mem", 0.0, &mem),
+        json_join_row("file-demand", LATENCY, &demand),
+        json_join_row("file-prefetch", LATENCY, &pf),
+    ]);
+    gate::write_report(
+        out_path,
+        Some(scale()),
+        vec![
+            ("workload", workload),
+            ("join_prefetch_speedup", Json::fixed(speedup, 3)),
+            ("unused_prefetch_fraction", Json::fixed(unused_fraction, 4)),
+            ("rows", rows),
+        ],
+        &gates,
     );
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"n_a\": {}, \"n_b\": {}, \"join_threads\": {}, \
-         \"io_depth\": {IO_DEPTH}, \"readahead\": {READAHEAD}, \"store_dir\": \"{}\"}},",
-        a.len(),
-        b.len(),
-        JOIN_THREADS,
-        dir.display()
-    );
-    let _ = writeln!(json, "  \"join_prefetch_speedup\": {speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"unused_prefetch_fraction\": {unused_fraction:.4},"
-    );
-    json.push_str("  \"rows\": [\n");
-    let rows: [(&str, f64, &Metrics); 3] = [
-        ("mem", 0.0, &mem),
-        ("file-demand", LATENCY, &demand),
-        ("file-prefetch", LATENCY, &pf),
-    ];
-    for (i, (label, latency, m)) in rows.iter().enumerate() {
-        json_join_row(&mut json, label, *latency, m);
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gates\": {\n");
-    for (i, (name, ok)) in gates.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {ok}");
-        json.push_str(if i + 1 < gates.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write BENCH_tune.json");
 
     println!("== read-path tuning: join prefetch ==");
     println!(
@@ -192,17 +160,9 @@ fn main() {
         pf.prefetch_unused,
         unused_fraction * 100.0,
     );
-    let mut failed = false;
-    for (name, ok) in gates {
-        println!("gate {name}: {}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
-    }
-    println!("wrote {out_path}");
     // Only remove page images this run created itself.
-    if arg(&args, "--dir", &default_dir) == default_dir {
+    if own_dir {
         std::fs::remove_dir_all(&dir).ok();
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate::finish(&gates, out_path);
 }

@@ -21,8 +21,8 @@
 //! be idempotent (a second replay changes no page). Results go to
 //! `BENCH_wal.json`; the process exits non-zero when a gate fails.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use tfm_bench::gate::{self, Args, Gate, Json};
 use tfm_storage::{Disk, PageId, RedoLog};
 use tfm_wal::{recover, SyncMode, Wal, WalOptions, WalStats};
 
@@ -37,13 +37,6 @@ const PAGES_PER_TXN: usize = 3;
 const PAGE_SIZE: usize = 512;
 /// Injected fsync latency — the device-flush stand-in.
 const FSYNC_LATENCY: Duration = Duration::from_millis(2);
-
-fn arg(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
 
 struct RunOut {
     wall: Duration,
@@ -102,32 +95,24 @@ fn run(dir: &std::path::Path, mode: SyncMode) -> RunOut {
     }
 }
 
-fn json_row(out: &mut String, label: &str, r: &RunOut) {
-    let _ = write!(
-        out,
-        "    {{\"run\": \"{}\", \"wall_s\": {:.6}, \"commits\": {}, \"commits_per_s\": {:.1}, \
-         \"fsyncs\": {}, \"records\": {}, \"bytes\": {}, \"segments\": {}, \
-         \"mean_batch\": {:.2}}}",
-        label,
-        r.wall.as_secs_f64(),
-        r.stats.commits,
-        r.commits_per_s,
-        r.stats.fsyncs,
-        r.stats.records,
-        r.stats.bytes,
-        r.stats.segments,
-        r.mean_batch,
-    );
+fn json_row(label: &str, r: &RunOut) -> Json {
+    Json::Obj(vec![
+        ("run", Json::Str(label.into())),
+        ("wall_s", Json::fixed(r.wall.as_secs_f64(), 6)),
+        ("commits", Json::num(r.stats.commits)),
+        ("commits_per_s", Json::fixed(r.commits_per_s, 1)),
+        ("fsyncs", Json::num(r.stats.fsyncs)),
+        ("records", Json::num(r.stats.records)),
+        ("bytes", Json::num(r.stats.bytes)),
+        ("segments", Json::num(r.stats.segments)),
+        ("mean_batch", Json::fixed(r.mean_batch, 2)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = arg(&args, "--out", "BENCH_wal.json");
-    let default_dir = std::env::temp_dir()
-        .join(format!("tfm_bench_wal_{}", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let base = std::path::PathBuf::from(arg(&args, "--dir", &default_dir));
+    let args = Args::from_env(&["--out", "--dir"]);
+    let out_path = args.get("--out").unwrap_or("BENCH_wal.json");
+    let (base, own_dir) = args.dir_or_temp("tfm_bench_wal");
 
     let each = run(&base.join("each"), SyncMode::EachCommit);
     let group = run(&base.join("group"), SyncMode::GroupCommit);
@@ -164,48 +149,38 @@ fn main() {
             report.skipped_uncommitted == 0 && !report.torn_tail,
         ),
         ("recovery_idempotent", idempotent),
-    ];
+    ]
+    .map(|(name, ok)| (name, Gate::from(ok)));
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu_model = tfm_bench::host_cpu_model();
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"host\": {{\"threads\": {host_threads}, \"cpu_model\": \"{cpu_model}\"}},"
+    let workload = Json::Obj(vec![
+        ("threads", Json::num(THREADS)),
+        ("txns_per_thread", Json::num(TXNS)),
+        ("pages_per_txn", Json::num(PAGES_PER_TXN)),
+        ("page_size", Json::num(PAGE_SIZE)),
+        ("fsync_latency_ms", Json::num(FSYNC_LATENCY.as_millis())),
+    ]);
+    let recovery = Json::Obj(vec![
+        ("wall_s", Json::fixed(recovery_wall.as_secs_f64(), 6)),
+        ("pages_replayed", Json::num(report.pages_replayed)),
+        ("commits", Json::num(report.commits)),
+        ("skipped_uncommitted", Json::num(report.skipped_uncommitted)),
+        ("max_lsn", Json::num(report.max_lsn)),
+    ]);
+    let rows = Json::Arr(vec![
+        json_row("each-commit", &each),
+        json_row("group-commit", &group),
+    ]);
+    gate::write_report(
+        out_path,
+        None,
+        vec![
+            ("workload", workload),
+            ("group_commit_speedup", Json::fixed(speedup, 3)),
+            ("recovery", recovery),
+            ("rows", rows),
+        ],
+        &gates,
     );
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"threads\": {THREADS}, \"txns_per_thread\": {TXNS}, \
-         \"pages_per_txn\": {PAGES_PER_TXN}, \"page_size\": {PAGE_SIZE}, \
-         \"fsync_latency_ms\": {}}},",
-        FSYNC_LATENCY.as_millis()
-    );
-    let _ = writeln!(json, "  \"group_commit_speedup\": {speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"recovery\": {{\"wall_s\": {:.6}, \"pages_replayed\": {}, \"commits\": {}, \
-         \"skipped_uncommitted\": {}, \"max_lsn\": {}}},",
-        recovery_wall.as_secs_f64(),
-        report.pages_replayed,
-        report.commits,
-        report.skipped_uncommitted,
-        report.max_lsn
-    );
-    json.push_str("  \"rows\": [\n");
-    let rows = [("each-commit", &each), ("group-commit", &group)];
-    for (i, (label, r)) in rows.iter().enumerate() {
-        json_row(&mut json, label, r);
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gates\": {\n");
-    for (i, (name, ok)) in gates.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {ok}");
-        json.push_str(if i + 1 < gates.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write BENCH_wal.json");
 
     println!("== WAL: group commit vs per-commit fsync ==");
     println!(
@@ -224,16 +199,8 @@ fn main() {
         recovery_wall.as_secs_f64(),
         report.pages_replayed
     );
-    let mut failed = false;
-    for (name, ok) in gates {
-        println!("gate {name}: {}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
-    }
-    println!("wrote {out_path}");
-    if base.to_string_lossy() == default_dir {
+    if own_dir {
         std::fs::remove_dir_all(&base).ok();
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate::finish(&gates, out_path);
 }

@@ -27,26 +27,31 @@
 //! uncommitted work absent. Without `--crash-after` the run completes and
 //! prints `total_bytes <n>`, which the parent uses to place kill points.
 
+use tfm_bench::gate::Args;
 use tfm_datagen::{generate, generate_mixed_trace, DatasetSpec, MixedOp, MixedTraceSpec};
 use tfm_storage::{Disk, SharedPageCache, StoreBackend};
 use tfm_wal::{Wal, WalOptions};
 use transformers::{IndexConfig, MutableTransformers, MutationOp, TransformersIndex};
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = std::path::PathBuf::from(arg(&args, "--dir").expect("--dir DIR is required"));
-    let crash_after: Option<u64> = arg(&args, "--crash-after").map(|v| v.parse().expect("bytes"));
-    let count: usize = arg(&args, "--count").map_or(250, |v| v.parse().expect("count"));
-    let batch: usize = arg(&args, "--batch").map_or(40, |v| v.parse().expect("batch"));
-    let ops: usize = arg(&args, "--ops").map_or(320, |v| v.parse().expect("ops"));
-    let seed: u64 = arg(&args, "--seed").map_or(7, |v| v.parse().expect("seed"));
-    let page_size: usize = arg(&args, "--page-size").map_or(512, |v| v.parse().expect("page size"));
+    let flags = [
+        "--dir",
+        "--crash-after",
+        "--count",
+        "--batch",
+        "--ops",
+        "--seed",
+        "--page-size",
+    ];
+    let args = Args::from_env(&flags);
+    let opt = |flag| args.get(flag);
+    let dir = std::path::PathBuf::from(opt("--dir").expect("--dir DIR is required"));
+    let crash_after: Option<u64> = opt("--crash-after").map(|v| v.parse().expect("bytes"));
+    let count: usize = opt("--count").map_or(250, |v| v.parse().expect("count"));
+    let batch: usize = opt("--batch").map_or(40, |v| v.parse().expect("batch"));
+    let ops: usize = opt("--ops").map_or(320, |v| v.parse().expect("ops"));
+    let seed: u64 = opt("--seed").map_or(7, |v| v.parse().expect("seed"));
+    let page_size: usize = opt("--page-size").map_or(512, |v| v.parse().expect("page size"));
 
     let elems = generate(&DatasetSpec {
         max_side: 6.0,

@@ -258,6 +258,25 @@ pub fn table() -> Vec<Experiment> {
             ),
         },
         Experiment {
+            id: "parallel",
+            title: "Parallel join scaling (1/2/4/8 workers vs sequential)",
+            csv: "results/parallel.csv",
+            // A uniform pair and a clustered, cost-skewed one: the case
+            // work stealing exists for. Every worker count must find the
+            // sequential join's pairs.
+            kind: join(
+                |s| {
+                    let mut w = sized(s, &[250_000], 10_000, uniform_pair);
+                    w.extend(sized(s, &[450_000], 10_100, nonuniform_pair));
+                    w
+                },
+                std::iter::once(Approach::transformers())
+                    .chain([1, 2, 4, 8].map(Approach::parallel))
+                    .collect(),
+                None,
+            ),
+        },
+        Experiment {
             id: "serve",
             title: "Query serving (throughput, latency, I/O split)",
             csv: "results/serve.csv",

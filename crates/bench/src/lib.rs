@@ -16,6 +16,7 @@
 //! | `fig14`           | Fig. 14 — adaptive exploration overhead          |
 //! | `filtering`       | §VII-C2 — share of element pages never read      |
 //! | `extra-baselines` | §VIII-B — SSSJ and S3 vs the measured approaches |
+//! | `parallel`        | parallel join at 1/2/4/8 workers vs sequential   |
 //! | `serve`           | query serving over the three serve engines       |
 //!
 //! Scale: dataset sizes default to the paper's ÷ 1000 and multiply by the
@@ -23,10 +24,14 @@
 //! run, `TFM_SCALE=4` for 4× larger runs). "Join time" columns report
 //! *simulated device time + measured CPU time* — see `DESIGN.md`
 //! substitution 1.
+//!
+//! The `bench_*` binaries are acceptance gates, not figures; [`gate`]
+//! holds what they share: options, verdicts and the JSON report.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod gate;
 pub mod report;
 pub mod runner;
 pub mod serve;
@@ -68,20 +73,6 @@ pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
 /// Applies a scale multiplier to a base element count (at least 1).
 pub fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64) * scale).round().max(1.0) as usize
-}
-
-/// The host's CPU model string (`/proc/cpuinfo` on Linux), so checked-in
-/// bench artifacts document the hardware they came from.
-pub fn host_cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]

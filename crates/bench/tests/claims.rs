@@ -109,6 +109,19 @@ fn fig13_right_cost_model_is_no_worse_than_overfit_and_near_underfit() {
 }
 
 #[test]
+#[ignore = "runs the parallel row: use --release -- --ignored"]
+fn parallel_join_finds_the_sequential_pairs_at_every_worker_count() {
+    let rows = run("parallel");
+    assert_eq!(rows.len(), 10);
+    for workload in rows.chunks(5) {
+        let seq = (&workload[0].workload, workload[0].results);
+        for m in workload {
+            assert_eq!((&m.workload, m.results), seq, "{}", m.approach);
+        }
+    }
+}
+
+#[test]
 fn ids_and_csv_paths_are_unique() {
     let table = table();
     for (i, e) in table.iter().enumerate() {
