@@ -25,7 +25,8 @@
 //! images are written (a disk-backed directory exercises real device I/O,
 //! tmpfs gives determinism), `--out PATH` the report path.
 
-use tfm_bench::gate::{self, Args, Gate, Json};
+use tfm_bench::args::Args;
+use tfm_bench::gate::{self, Gate, Json};
 use tfm_bench::{run_serve, scale, scaled, RunConfig, ServeEngineKind, ServeMetrics};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
 use tfm_serve::ServeConfig;
@@ -61,7 +62,7 @@ fn json_row(label: &str, latency: f64, m: &ServeMetrics) -> Json {
 }
 
 fn main() {
-    let args = Args::from_env(&["--out", "--dir"]);
+    let args = Args::from_env("bench_io [--out FILE] [--dir DIR]");
     let out_path = args.get("--out").unwrap_or("BENCH_io.json");
     let (dir, own_dir) = args.dir_or_temp("tfm_bench_io");
 

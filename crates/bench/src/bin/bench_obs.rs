@@ -22,7 +22,8 @@
 //! observability overhead gate. Scale with `TFM_SCALE`; override the
 //! output paths with `--obs-out` / `--serve-out`.
 
-use tfm_bench::gate::{self, Args, Gate, Json};
+use tfm_bench::args::Args;
+use tfm_bench::gate::{self, Gate, Json};
 use tfm_bench::{
     run_approach, run_serve, run_serve_traced, scale, scaled, Approach, RunConfig, ServeEngineKind,
     ServeMetrics,
@@ -82,7 +83,7 @@ fn join_once(
 }
 
 fn main() {
-    let args = Args::from_env(&["--obs-out", "--serve-out"]);
+    let args = Args::from_env("bench_obs [--obs-out FILE] [--serve-out FILE]");
     let obs_out = args.get("--obs-out").unwrap_or("BENCH_obs.json");
     let serve_out = args.get("--serve-out").unwrap_or("BENCH_serve.json");
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -26,7 +26,8 @@
 //! The report is written by `tfm_bench::gate`, with the host's CPU model
 //! and thread count. Scale with `TFM_SCALE`; `--out` sets the path.
 
-use tfm_bench::gate::{self, Args, Gate, Json};
+use tfm_bench::args::Args;
+use tfm_bench::gate::{self, Gate, Json};
 use tfm_bench::{
     run_serve, run_serve_sharded, scale, scaled, RunConfig, ServeEngineKind, ServeMetrics,
 };
@@ -35,7 +36,7 @@ use tfm_serve::{ServeConfig, ShardSpec};
 use transformers::IndexConfig;
 
 fn main() {
-    let args = Args::from_env(&["--out"]);
+    let args = Args::from_env("bench_shard [--out FILE]");
     let out_path = args.get("--out").unwrap_or("BENCH_shard.json");
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 

@@ -23,7 +23,8 @@
 //! unknown option. Scale with `TFM_SCALE`; `--dir PATH` picks the
 //! page-image directory, `--out PATH` the report path.
 
-use tfm_bench::gate::{self, Args, Gate, Json};
+use tfm_bench::args::Args;
+use tfm_bench::gate::{self, Gate, Json};
 use tfm_bench::{run_approach, scale, scaled, Approach, Metrics, RunConfig};
 use tfm_datagen::{generate, DatasetSpec};
 use tfm_storage::StoreBackend;
@@ -55,7 +56,7 @@ fn json_join_row(label: &str, latency: f64, m: &Metrics) -> Json {
 }
 
 fn main() {
-    let args = Args::from_env(&["--out", "--dir"]);
+    let args = Args::from_env("bench_tune [--out FILE] [--dir DIR]");
     let out_path = args.get("--out").unwrap_or("BENCH_tune.json");
     let (dir, own_dir) = args.dir_or_temp("tfm_bench_tune");
 

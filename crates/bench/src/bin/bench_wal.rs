@@ -22,7 +22,8 @@
 //! `BENCH_wal.json`; the process exits non-zero when a gate fails.
 
 use std::time::{Duration, Instant};
-use tfm_bench::gate::{self, Args, Gate, Json};
+use tfm_bench::args::Args;
+use tfm_bench::gate::{self, Gate, Json};
 use tfm_storage::{Disk, PageId, RedoLog};
 use tfm_wal::{recover, SyncMode, Wal, WalOptions, WalStats};
 
@@ -110,7 +111,7 @@ fn json_row(label: &str, r: &RunOut) -> Json {
 }
 
 fn main() {
-    let args = Args::from_env(&["--out", "--dir"]);
+    let args = Args::from_env("bench_wal [--out FILE] [--dir DIR]");
     let out_path = args.get("--out").unwrap_or("BENCH_wal.json");
     let (base, own_dir) = args.dir_or_temp("tfm_bench_wal");
 

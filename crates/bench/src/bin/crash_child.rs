@@ -27,31 +27,25 @@
 //! uncommitted work absent. Without `--crash-after` the run completes and
 //! prints `total_bytes <n>`, which the parent uses to place kill points.
 
-use tfm_bench::gate::Args;
+use tfm_bench::args::Args;
 use tfm_datagen::{generate, generate_mixed_trace, DatasetSpec, MixedOp, MixedTraceSpec};
 use tfm_storage::{Disk, SharedPageCache, StoreBackend};
 use tfm_wal::{Wal, WalOptions};
 use transformers::{IndexConfig, MutableTransformers, MutationOp, TransformersIndex};
 
 fn main() {
-    let flags = [
-        "--dir",
-        "--crash-after",
-        "--count",
-        "--batch",
-        "--ops",
-        "--seed",
-        "--page-size",
-    ];
-    let args = Args::from_env(&flags);
-    let opt = |flag| args.get(flag);
-    let dir = std::path::PathBuf::from(opt("--dir").expect("--dir DIR is required"));
-    let crash_after: Option<u64> = opt("--crash-after").map(|v| v.parse().expect("bytes"));
-    let count: usize = opt("--count").map_or(250, |v| v.parse().expect("count"));
-    let batch: usize = opt("--batch").map_or(40, |v| v.parse().expect("batch"));
-    let ops: usize = opt("--ops").map_or(320, |v| v.parse().expect("ops"));
-    let seed: u64 = opt("--seed").map_or(7, |v| v.parse().expect("seed"));
-    let page_size: usize = opt("--page-size").map_or(512, |v| v.parse().expect("page size"));
+    let args = Args::from_env(
+        "crash_child --dir DIR [--crash-after BYTES] [--count N] [--batch N] [--ops N] \
+         [--seed S] [--page-size N]",
+    );
+    let num = |flag, default| args.value(flag).expect("numeric flag").unwrap_or(default);
+    let dir = std::path::PathBuf::from(args.required("--dir"));
+    let crash_after: Option<u64> = args.value("--crash-after").expect("bytes");
+    let count = num("--count", 250);
+    let batch = num("--batch", 40);
+    let ops = num("--ops", 320);
+    let seed = num("--seed", 7) as u64;
+    let page_size = num("--page-size", 512);
 
     let elems = generate(&DatasetSpec {
         max_side: 6.0,

@@ -1,13 +1,14 @@
-//! What the `bench_*` gate binaries share: their `--flag VALUE` options,
-//! the verdict of a gate, and the JSON report each one writes.
+//! What the `bench_*` gate binaries share: the verdict of a gate and the
+//! JSON report each one writes.
 //!
-//! A binary reads its options with [`Args::from_env`], measures, writes
-//! its report with [`write_report`] (which adds the `"scale"`, `"host"`
-//! and `"gates"` fields), prints its summary and ends with [`finish`]:
-//! one `gate NAME: VERDICT` line per gate, and the exit code.
+//! A binary reads its options from its usage synopsis with
+//! [`crate::args::Args::from_env`] (an unknown or malformed option exits
+//! 2), measures, writes its report with [`write_report`] (which adds the
+//! `"scale"`, `"host"` and `"gates"` fields), prints its summary and ends
+//! with [`finish`]: one `gate NAME: VERDICT` line per gate, and the exit
+//! code.
 
 use std::fmt::{Display, Write as _};
-use std::path::PathBuf;
 
 /// Outcome of one acceptance gate.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,60 +28,6 @@ impl From<bool> for Gate {
             Gate::Pass
         } else {
             Gate::Fail
-        }
-    }
-}
-
-/// The `--flag VALUE` options a gate binary was given.
-#[derive(Debug)]
-pub struct Args(Vec<(String, String)>);
-
-impl Args {
-    /// Parses `args` against the flags the binary reads. Each argument
-    /// must be one of `known` followed by its value; anything else (an
-    /// unknown flag, a flag without a value, a stray word) is an error.
-    pub fn parse(args: &[String], known: &[&str]) -> Result<Args, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if !known.contains(&flag.as_str()) {
-                let known = known.join(", ");
-                return Err(format!("unknown option `{flag}`; options: {known}"));
-            }
-            match it.next() {
-                Some(v) if !v.starts_with("--") => pairs.push((flag.clone(), v.clone())),
-                _ => return Err(format!("option `{flag}` needs a value")),
-            }
-        }
-        Ok(Args(pairs))
-    }
-
-    /// [`Args::parse`] over the process arguments; an error ends the
-    /// process with exit code 2 before anything runs.
-    pub fn from_env(known: &[&str]) -> Args {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Args::parse(&args, known).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        })
-    }
-
-    /// The value given for `flag`, if any.
-    pub fn get(&self, flag: &str) -> Option<&str> {
-        let pair = self.0.iter().find(|(f, _)| f == flag);
-        pair.map(|(_, v)| v.as_str())
-    }
-
-    /// The `--dir` value, or `{tag}_{pid}` under the system's temporary
-    /// directory. The flag is true for the latter: the run made the
-    /// directory, so the run removes it.
-    pub fn dir_or_temp(&self, tag: &str) -> (PathBuf, bool) {
-        match self.get("--dir") {
-            Some(dir) => (PathBuf::from(dir), false),
-            None => {
-                let name = format!("{tag}_{}", std::process::id());
-                (std::env::temp_dir().join(name), true)
-            }
         }
     }
 }
@@ -249,31 +196,6 @@ fn host_cpu_model() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(args: &[&str]) -> Result<Args, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Args::parse(&args, &["--out", "--dir"])
-    }
-
-    #[test]
-    fn args_take_known_flags_with_values_and_nothing_else() {
-        let args = parse(&["--dir", "/tmp/d", "--out", "r.json"]).unwrap();
-        assert_eq!(args.get("--dir"), Some("/tmp/d"));
-        assert_eq!(args.get("--out"), Some("r.json"));
-        assert_eq!(args.dir_or_temp("t"), ("/tmp/d".into(), false));
-        let none = parse(&[]).unwrap();
-        assert_eq!(none.get("--out"), None);
-        assert!(none.dir_or_temp("t").1);
-        for (bad, says) in [
-            (&["--ot", "x"][..], "unknown option `--ot`"),
-            (&["--out"], "option `--out` needs a value"),
-            (&["--out", "--dir", "d"], "option `--out` needs a value"),
-            (&["r.json"], "unknown option `r.json`"),
-        ] {
-            let err = parse(bad).unwrap_err();
-            assert!(err.contains(says), "{bad:?}: {err}");
-        }
-    }
 
     #[test]
     fn a_dir_with_quotes_and_backslashes_stays_valid_json() {

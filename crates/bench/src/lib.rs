@@ -26,10 +26,12 @@
 //! substitution 1.
 //!
 //! The `bench_*` binaries are acceptance gates, not figures; [`gate`]
-//! holds what they share: options, verdicts and the JSON report.
+//! holds what they share: verdicts and the JSON report. [`args`] is the
+//! `--flag` parser of every binary here and of `tfm`.
 
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod experiments;
 pub mod gate;
 pub mod report;

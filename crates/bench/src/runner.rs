@@ -13,6 +13,8 @@ use tfm_memjoin::ResultPair;
 use tfm_pbsm::{pbsm_join, pbsm_partition, PbsmConfig, PbsmStats};
 use tfm_rtree::{sync_join, RTree, RtreeStats};
 use tfm_storage::{CacheHandle, Disk, IoStatsSnapshot, SharedPageCache, StoreBackend};
+use tfm_sweep::s3::{levels_for, s3_join, s3_partition, S3Stats};
+use tfm_sweep::sssj::{sssj_join, sssj_partition, SssjStats};
 use transformers::{
     transformers_join, IndexBuildPipeline, IndexConfig, JoinConfig, ThresholdPolicy,
     TransformersIndex,
@@ -137,7 +139,7 @@ impl RunConfig {
 }
 
 /// Comparable measurements of one (approach, workload) execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Approach label.
     pub approach: String,
@@ -219,41 +221,13 @@ impl Metrics {
         self.join_wall + self.join_sim_io
     }
 
-    fn base(
-        approach: &Approach,
-        workload: &str,
-        a: &[SpatialElement],
-        b: &[SpatialElement],
-    ) -> Self {
-        Self {
-            approach: approach.label(),
-            workload: workload.to_string(),
-            n_a: a.len(),
-            n_b: b.len(),
-            index_wall: Duration::ZERO,
-            index_sim_io: Duration::ZERO,
-            join_wall: Duration::ZERO,
-            join_sim_io: Duration::ZERO,
-            pages_read: 0,
-            pool_hits: 0,
-            rand_reads: 0,
-            seq_reads: 0,
-            tests: 0,
-            results: 0,
-            transformations: 0,
-            overhead_wall: Duration::ZERO,
-            mem_join_wall: Duration::ZERO,
-            build_threads: 1,
-            prefetch_issued: 0,
-            prefetch_hits: 0,
-            prefetch_unused: 0,
-            windows: 0,
-            window_pivots: 0,
-            swept_pages: 0,
-            window_pages_max: 0,
-            forced_pages: 0,
-            read_through_pages: 0,
-        }
+    /// Records the join phase's I/O, read off the two disks.
+    fn take_join_io(&mut self, a: &Disk, b: &Disk) {
+        let io = merged(a, b);
+        self.join_sim_io = io.sim_io_time();
+        self.pages_read = io.reads();
+        self.rand_reads = io.rand_reads;
+        self.seq_reads = io.seq_reads;
     }
 
     fn take_prefetch_counters(&mut self, report: &tfm_exec::ExecReport) {
@@ -276,162 +250,119 @@ pub fn run_approach(
     b: &[SpatialElement],
     cfg: &RunConfig,
 ) -> (Metrics, Vec<ResultPair>) {
-    let mut m = Metrics::base(approach, workload, a, b);
-    m.build_threads = cfg.build_threads.max(1);
-    match approach {
-        Approach::Transformers(join_cfg) => run_transformers(&mut m, a, b, cfg, join_cfg),
-        Approach::TransformersParallel(join_cfg, threads) => {
-            run_transformers_parallel(&mut m, a, b, cfg, join_cfg, *threads)
+    let mut m = Metrics {
+        approach: approach.label(),
+        workload: workload.to_string(),
+        n_a: a.len(),
+        n_b: b.len(),
+        build_threads: cfg.build_threads.max(1),
+        ..Metrics::default()
+    };
+    let pairs = match approach {
+        Approach::Transformers(join_cfg) => {
+            run_transformers(&mut m, a, b, cfg, join_cfg, transformers_join)
         }
-        Approach::Pbsm => run_pbsm(&mut m, a, b, cfg),
+        Approach::TransformersParallel(join_cfg, threads) => {
+            let mut report = None;
+            let pairs = run_transformers(&mut m, a, b, cfg, join_cfg, |ia, da, ib, db, jc| {
+                let (out, rep) = tfm_exec::parallel_join_with_report(ia, da, ib, db, jc, *threads);
+                report = Some(rep);
+                out
+            });
+            if let Some(rep) = report {
+                m.take_prefetch_counters(&rep);
+            }
+            pairs
+        }
+        Approach::Pbsm => {
+            let pbsm_cfg = PbsmConfig::with_partitions(cfg.pbsm_partitions);
+            let partition =
+                |disk: &Disk, elems: &[SpatialElement], extent, stats: &mut PbsmStats| {
+                    pbsm_partition(disk, elems, extent, &pbsm_cfg, stats)
+                };
+            let (stats, pairs) = run_partitioned(&mut m, "pbsm", a, b, cfg, partition, pbsm_join);
+            m.tests = stats.mem.element_tests;
+            pairs
+        }
+        Approach::Sssj => {
+            // Strip count comparable to PBSM's tiling along one dimension
+            // squared.
+            let strips = cfg.pbsm_partitions.pow(2);
+            let partition =
+                |disk: &Disk, elems: &[SpatialElement], extent, stats: &mut SssjStats| {
+                    sssj_partition(disk, elems, extent, strips, stats)
+                };
+            let (stats, pairs) = run_partitioned(&mut m, "sssj", a, b, cfg, partition, sssj_join);
+            m.tests = stats.mem.element_tests;
+            pairs
+        }
+        Approach::S3 => {
+            let levels = levels_for(a.len().max(b.len()), cfg.page_size);
+            let partition = |disk: &Disk, elems: &[SpatialElement], extent, stats: &mut S3Stats| {
+                s3_partition(disk, elems, extent, levels, stats)
+            };
+            let (stats, pairs) = run_partitioned(&mut m, "s3", a, b, cfg, partition, s3_join);
+            m.tests = stats.mem.element_tests;
+            pairs
+        }
         Approach::Rtree => run_rtree(&mut m, a, b, cfg),
         Approach::Gipsy => run_gipsy(&mut m, a, b, cfg),
-        Approach::Sssj => run_sssj(&mut m, a, b, cfg),
-        Approach::S3 => run_s3(&mut m, a, b, cfg),
-    }
-}
-
-fn run_sssj(
-    m: &mut Metrics,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-) -> (Metrics, Vec<ResultPair>) {
-    use tfm_sweep::sssj::{sssj_join, sssj_partition, SssjStats};
-    let disk_a = cfg.disk("sssj_a");
-    let disk_b = cfg.disk("sssj_b");
-    let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
-    let mut stats = SssjStats::default();
-    // Strip count comparable to PBSM's tiling along one dimension squared.
-    let strips = cfg.pbsm_partitions.pow(2);
-
-    let t = Instant::now();
-    let parts = if extent.is_empty() {
-        None
-    } else {
-        Some((
-            sssj_partition(&disk_a, a, extent, strips, &mut stats),
-            sssj_partition(&disk_b, b, extent, strips, &mut stats),
-        ))
     };
-    m.index_wall = t.elapsed();
-    m.index_sim_io = merged(&disk_a, &disk_b).sim_io_time();
-
-    disk_a.reset_stats();
-    disk_b.reset_stats();
-    let pairs = if let Some((pa, pb)) = &parts {
-        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
-        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
-        let mut handle_a = CacheHandle::shared(&cache_a);
-        let mut handle_b = CacheHandle::shared(&cache_b);
-        let t = Instant::now();
-        let pairs = sssj_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
-        m.join_wall = t.elapsed();
-        pairs
-    } else {
-        Vec::new()
-    };
-    let io = merged(&disk_a, &disk_b);
-    m.join_sim_io = io.sim_io_time();
-    m.pages_read = io.reads();
-    m.rand_reads = io.rand_reads;
-    m.seq_reads = io.seq_reads;
-    m.tests = stats.mem.element_tests;
-    m.results = pairs.len() as u64;
-    (m.clone(), pairs)
-}
-
-fn run_s3(
-    m: &mut Metrics,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-) -> (Metrics, Vec<ResultPair>) {
-    use tfm_sweep::s3::{levels_for, s3_join, s3_partition, S3Stats};
-    let disk_a = cfg.disk("s3_a");
-    let disk_b = cfg.disk("s3_b");
-    let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
-    let mut stats = S3Stats::default();
-    let levels = levels_for(a.len().max(b.len()), cfg.page_size);
-
-    let t = Instant::now();
-    let parts = if extent.is_empty() {
-        None
-    } else {
-        Some((
-            s3_partition(&disk_a, a, extent, levels, &mut stats),
-            s3_partition(&disk_b, b, extent, levels, &mut stats),
-        ))
-    };
-    m.index_wall = t.elapsed();
-    m.index_sim_io = merged(&disk_a, &disk_b).sim_io_time();
-
-    disk_a.reset_stats();
-    disk_b.reset_stats();
-    let pairs = if let Some((pa, pb)) = &parts {
-        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
-        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
-        let mut handle_a = CacheHandle::shared(&cache_a);
-        let mut handle_b = CacheHandle::shared(&cache_b);
-        let t = Instant::now();
-        let pairs = s3_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
-        m.join_wall = t.elapsed();
-        pairs
-    } else {
-        Vec::new()
-    };
-    let io = merged(&disk_a, &disk_b);
-    m.join_sim_io = io.sim_io_time();
-    m.pages_read = io.reads();
-    m.rand_reads = io.rand_reads;
-    m.seq_reads = io.seq_reads;
-    m.tests = stats.mem.element_tests;
-    m.results = pairs.len() as u64;
-    (m.clone(), pairs)
-}
-
-fn run_transformers(
-    m: &mut Metrics,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-    join_cfg: &JoinConfig,
-) -> (Metrics, Vec<ResultPair>) {
-    run_transformers_with(m, a, b, cfg, join_cfg, transformers_join)
-}
-
-fn run_transformers_parallel(
-    m: &mut Metrics,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-    join_cfg: &JoinConfig,
-    threads: usize,
-) -> (Metrics, Vec<ResultPair>) {
-    let mut report = None;
-    let (mut m, pairs) = run_transformers_with(
-        m,
-        a,
-        b,
-        cfg,
-        join_cfg,
-        |idx_a, disk_a, idx_b, disk_b, jc| {
-            let (out, rep) =
-                tfm_exec::parallel_join_with_report(idx_a, disk_a, idx_b, disk_b, jc, threads);
-            report = Some(rep);
-            out
-        },
-    );
-    if let Some(rep) = report {
-        m.take_prefetch_counters(&rep);
-    }
     (m, pairs)
+}
+
+/// What PBSM, SSSJ and S3 share: partition both sides over their common
+/// extent onto their own disks (the indexing phase), then join the two
+/// partitionings through one-shard caches. Returns the stats both phases
+/// filled and the result pairs.
+fn run_partitioned<S: Default, P>(
+    m: &mut Metrics,
+    tag: &str,
+    a: &[SpatialElement],
+    b: &[SpatialElement],
+    cfg: &RunConfig,
+    partition: impl Fn(&Disk, &[SpatialElement], Aabb, &mut S) -> P,
+    join: impl FnOnce(&mut CacheHandle, &P, &mut CacheHandle, &P, &mut S) -> Vec<ResultPair>,
+) -> (S, Vec<ResultPair>) {
+    let disk_a = cfg.disk(&format!("{tag}_a"));
+    let disk_b = cfg.disk(&format!("{tag}_b"));
+    let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
+    let mut stats = S::default();
+
+    let t = Instant::now();
+    let parts = (!extent.is_empty()).then(|| {
+        (
+            partition(&disk_a, a, extent, &mut stats),
+            partition(&disk_b, b, extent, &mut stats),
+        )
+    });
+    m.index_wall = t.elapsed();
+    m.index_sim_io = merged(&disk_a, &disk_b).sim_io_time();
+
+    disk_a.reset_stats();
+    disk_b.reset_stats();
+    let pairs = match &parts {
+        Some((pa, pb)) => {
+            let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
+            let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
+            let mut handle_a = CacheHandle::shared(&cache_a);
+            let mut handle_b = CacheHandle::shared(&cache_b);
+            let t = Instant::now();
+            let pairs = join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
+            m.join_wall = t.elapsed();
+            pairs
+        }
+        None => Vec::new(),
+    };
+    m.take_join_io(&disk_a, &disk_b);
+    m.results = pairs.len() as u64;
+    (stats, pairs)
 }
 
 /// Shared harness for the sequential and parallel TRANSFORMERS runners:
 /// builds the indexes, resets I/O accounting, runs `join`, and extracts
 /// the common metrics.
-fn run_transformers_with(
+fn run_transformers(
     m: &mut Metrics,
     a: &[SpatialElement],
     b: &[SpatialElement],
@@ -444,7 +375,7 @@ fn run_transformers_with(
         &Disk,
         &JoinConfig,
     ) -> transformers::JoinOutcome,
-) -> (Metrics, Vec<ResultPair>) {
+) -> Vec<ResultPair> {
     let disk_a = cfg.disk("tfm_a");
     let disk_b = cfg.disk("tfm_b");
     let idx_cfg = IndexConfig::default().with_build_threads(cfg.build_threads);
@@ -464,11 +395,7 @@ fn run_transformers_with(
     let t = Instant::now();
     let out = join(&idx_a, &disk_a, &idx_b, &disk_b, &join_cfg);
     m.join_wall = t.elapsed();
-    let io = merged(&disk_a, &disk_b);
-    m.join_sim_io = io.sim_io_time();
-    m.pages_read = io.reads();
-    m.rand_reads = io.rand_reads;
-    m.seq_reads = io.seq_reads;
+    m.take_join_io(&disk_a, &disk_b);
     m.tests = out.stats.total_tests();
     m.results = out.stats.unique_results;
     m.transformations = out.stats.transformations();
@@ -481,55 +408,7 @@ fn run_transformers_with(
     m.window_pages_max = out.stats.window_pages_max;
     m.forced_pages = out.stats.forced_pages;
     m.read_through_pages = out.stats.read_through_pages;
-    (m.clone(), out.pairs)
-}
-
-fn run_pbsm(
-    m: &mut Metrics,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-) -> (Metrics, Vec<ResultPair>) {
-    let disk_a = cfg.disk("pbsm_a");
-    let disk_b = cfg.disk("pbsm_b");
-    let pbsm_cfg = PbsmConfig::with_partitions(cfg.pbsm_partitions);
-    let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
-    let mut stats = PbsmStats::default();
-
-    let t = Instant::now();
-    let (part_a, part_b) = if extent.is_empty() {
-        (None, None)
-    } else {
-        (
-            Some(pbsm_partition(&disk_a, a, extent, &pbsm_cfg, &mut stats)),
-            Some(pbsm_partition(&disk_b, b, extent, &pbsm_cfg, &mut stats)),
-        )
-    };
-    m.index_wall = t.elapsed();
-    m.index_sim_io = merged(&disk_a, &disk_b).sim_io_time();
-
-    disk_a.reset_stats();
-    disk_b.reset_stats();
-    let pairs = if let (Some(pa), Some(pb)) = (&part_a, &part_b) {
-        let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
-        let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
-        let mut handle_a = CacheHandle::shared(&cache_a);
-        let mut handle_b = CacheHandle::shared(&cache_b);
-        let t = Instant::now();
-        let pairs = pbsm_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
-        m.join_wall = t.elapsed();
-        pairs
-    } else {
-        Vec::new()
-    };
-    let io = merged(&disk_a, &disk_b);
-    m.join_sim_io = io.sim_io_time();
-    m.pages_read = io.reads();
-    m.rand_reads = io.rand_reads;
-    m.seq_reads = io.seq_reads;
-    m.tests = stats.mem.element_tests;
-    m.results = pairs.len() as u64;
-    (m.clone(), pairs)
+    out.pairs
 }
 
 fn run_rtree(
@@ -537,7 +416,7 @@ fn run_rtree(
     a: &[SpatialElement],
     b: &[SpatialElement],
     cfg: &RunConfig,
-) -> (Metrics, Vec<ResultPair>) {
+) -> Vec<ResultPair> {
     let disk_a = cfg.disk("rtree_a");
     let disk_b = cfg.disk("rtree_b");
 
@@ -560,14 +439,10 @@ fn run_rtree(
     let mut handle_b = CacheHandle::shared(&cache_b);
     let pairs = sync_join(&mut handle_a, &tree_a, &mut handle_b, &tree_b, &mut stats);
     m.join_wall = t.elapsed();
-    let io = merged(&disk_a, &disk_b);
-    m.join_sim_io = io.sim_io_time();
-    m.pages_read = io.reads();
-    m.rand_reads = io.rand_reads;
-    m.seq_reads = io.seq_reads;
+    m.take_join_io(&disk_a, &disk_b);
     m.tests = stats.mem.element_tests;
     m.results = pairs.len() as u64;
-    (m.clone(), pairs)
+    pairs
 }
 
 fn run_gipsy(
@@ -575,7 +450,7 @@ fn run_gipsy(
     a: &[SpatialElement],
     b: &[SpatialElement],
     cfg: &RunConfig,
-) -> (Metrics, Vec<ResultPair>) {
+) -> Vec<ResultPair> {
     // GIPSY requires the sparse dataset to be known in advance (paper
     // §VIII-A: "the performance of GIPSY relies on the ability to
     // predetermine which dataset is dense and which one is sparse").
@@ -610,19 +485,14 @@ fn run_gipsy(
         &mut stats,
     );
     m.join_wall = t.elapsed();
-    let io = merged(&sparse_disk, &dense_disk);
-    m.join_sim_io = io.sim_io_time();
-    m.pages_read = io.reads();
-    m.rand_reads = io.rand_reads;
-    m.seq_reads = io.seq_reads;
+    m.take_join_io(&sparse_disk, &dense_disk);
     m.tests = stats.mem.element_tests;
     m.results = pairs.len() as u64;
-    let oriented: Vec<ResultPair> = if a_is_sparse {
+    if a_is_sparse {
         pairs
     } else {
         pairs.into_iter().map(|(s, d)| (d, s)).collect()
-    };
-    (m.clone(), oriented)
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 mod io;
 
 use std::process::ExitCode;
+use tfm_bench::args::Args;
 use tfm_bench::{run_approach, Approach, RunConfig};
 use tfm_datagen::{generate, neuro, DatasetSpec, Distribution};
 use tfm_memjoin::{canonicalize, nested_loop_join, JoinStats};
@@ -40,9 +41,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// What `tfm help` prints. Each subcommand's block (from its `  tfm NAME`
-/// line to the next) names exactly the flags in that subcommand's
-/// [`COMMAND_FLAGS`] entry; a test holds the two equal.
+/// What `tfm help` prints. A subcommand's synopsis — its `  tfm NAME` line
+/// and the `[…]` lines under it — is the one declaration of its flags:
+/// [`parse_args`] parses the command line against it.
 const USAGE: &str = "tfm — TRANSFORMERS robust spatial joins (ICDE 2016 reproduction)
 
 USAGE:
@@ -50,7 +51,7 @@ USAGE:
       D: uniform | dense-cluster | uniform-cluster | massive-cluster | axons | dendrites
   tfm build --in FILE [--page-size N] [--build-threads N]
             [--unit-capacity N] [--node-capacity N]
-            [--backend mem|file] [--store DIR]
+            [--backend mem|file|file-checksummed] [--store DIR]
       builds the TRANSFORMERS index once through the staged pipeline and
       reports hierarchy size, pages, build time and its split over the
       five build stages; the index is byte-identical at any
@@ -58,7 +59,7 @@ USAGE:
       the pages are written to a real on-disk image DIR/build.pages
   tfm join --a FILE --b FILE [--approach A] [--page-size N] [--threads N]
            [--build-threads N]
-           [--backend mem|file] [--store DIR] [--io-depth N] [--readahead N]
+           [--backend mem|file|file-checksummed] [--store DIR] [--io-depth N] [--readahead N]
            [--verify]
            [--metrics PATH] [--metrics-format jsonl|prometheus]
            [--metrics-interval-ms N]
@@ -74,7 +75,7 @@ USAGE:
             [--no-hilbert] [--mix M] [--page-size N]
             [--build-threads N] [--trace-seed S] [--window F] [--eps F]
             [--shards N] [--shard-partitioner hilbert|str] [--shed]
-            [--backend mem|file] [--store DIR] [--io-depth N] [--readahead N]
+            [--backend mem|file|file-checksummed] [--store DIR] [--io-depth N] [--readahead N]
             [--verify] [--metrics PATH] [--metrics-format jsonl|prometheus]
             [--metrics-interval-ms N]
       builds the chosen index once, generates a deterministic query trace
@@ -139,83 +140,25 @@ fn print_usage() {
     println!("{USAGE}");
 }
 
-/// The `--flags` each subcommand reads, whitespace-separated.
-const COMMAND_FLAGS: &[(&str, &str)] = &[
-    ("generate", "--count --out --distribution --seed --max-side"),
-    (
-        "build",
-        "--in --page-size --build-threads --unit-capacity --node-capacity --backend --store",
-    ),
-    (
-        "join",
-        "--a --b --approach --page-size --threads --build-threads \
-         --backend --store --io-depth --readahead --verify \
-         --metrics --metrics-format --metrics-interval-ms",
-    ),
-    (
-        "serve",
-        "--in --engine --queries --threads --batch --no-hilbert --mix --page-size --build-threads \
-         --trace-seed --window --eps --shards --shard-partitioner --shed \
-         --backend --store --io-depth --readahead --verify \
-         --metrics --metrics-format --metrics-interval-ms",
-    ),
-    (
-        "mutate",
-        "--in --ops --write-permille --insert-permille --wal-dir --threads --batch --seed \
-         --page-size --build-threads --verify",
-    ),
-    ("info", "--in"),
-];
-
-/// Fails on the first `--token` of `args` that `command` does not read —
-/// a misspelt or retired flag must not silently become a no-op. Every
-/// subcommand calls this first, before it touches a file.
-fn reject_unknown_flags(command: &str, args: &[String]) -> Result<(), String> {
-    let known = COMMAND_FLAGS
-        .iter()
-        .find(|(name, _)| *name == command)
-        .map_or("", |(_, flags)| flags);
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !known.split_whitespace().any(|f| f == *a))
-    {
-        Some(unknown) => Err(format!(
-            "unknown option `{unknown}` for `tfm {command}`; try `tfm help`"
-        )),
-        None => Ok(()),
-    }
+/// `command`'s synopsis in [`USAGE`].
+fn synopsis(command: &str) -> String {
+    let mut lines = USAGE.lines().skip_while(|l| {
+        let words = l.split_whitespace().take(2).collect::<Vec<_>>();
+        words != ["tfm", command]
+    });
+    let first = lines.next().expect("every subcommand has a synopsis");
+    let rest = lines.take_while(|l| l.trim_start().starts_with('['));
+    std::iter::once(first)
+        .chain(rest)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
-/// Looks up the value following `--name`.
-fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn required<'a>(args: &'a [String], name: &str) -> Result<&'a str, String> {
-    opt(args, name).ok_or_else(|| format!("missing required option {name} VALUE"))
-}
-
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
-}
-
-/// Parses a worker-count flag (default 1), rejecting 0 with a uniform
-/// message.
-fn parse_worker_count(args: &[String], name: &str) -> Result<usize, String> {
-    let n: usize = parse(opt(args, name).unwrap_or("1"), name)?;
-    if n == 0 {
-        return Err(format!(
-            "{name} must be at least 1 (0 workers cannot make progress)"
-        ));
-    }
-    Ok(n)
+/// Parses `args` against `command`'s synopsis. Every subcommand calls this
+/// first, before it touches a file: a misspelt or retired flag must not
+/// silently become a no-op.
+fn parse_args(command: &str, args: &[String]) -> Result<Args, String> {
+    Args::parse(&synopsis(command), args).map_err(|e| format!("{e}; try `tfm help`"))
 }
 
 /// Storage-backend options shared by `tfm build`, `tfm join` and
@@ -234,54 +177,60 @@ impl StoreOpts {
             StoreBackend::Mem => None,
         }
     }
+
+    /// The `backend:` summary line of `tfm join` and `tfm serve`, when the
+    /// backend is a file.
+    fn summary(&self) -> Option<String> {
+        self.dir().map(|dir| {
+            format!(
+                "backend:         file ({}; io depth {}, readahead {} pages)",
+                dir.display(),
+                self.io_depth,
+                self.readahead
+            )
+        })
+    }
 }
 
-/// Parses `--backend mem|file [--store DIR] [--io-depth N]
-/// [--readahead N]`.
+/// Parses `--backend mem|file|file-checksummed [--store DIR]
+/// [--io-depth N] [--readahead N]`.
 ///
 /// The page-image directory and the prefetch knobs only mean something
 /// when pages live in a real file, so on the default mem backend every
 /// flag of the group is rejected (same orphan-flag pattern as `--shed`
 /// without `--shards`); `--io-depth 0` fails like `--threads 0` — the
 /// depth is the number of dedicated I/O workers.
-fn parse_store_opts(args: &[String]) -> Result<StoreOpts, String> {
-    match opt(args, "--backend").unwrap_or("mem") {
+fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
+    let dir = || {
+        args.get("--store").map_or_else(
+            || std::env::temp_dir().join(format!("tfm_store_{}", std::process::id())),
+            std::path::PathBuf::from,
+        )
+    };
+    let backend = match args.get("--backend").unwrap_or("mem") {
         "mem" => {
             for name in ["--store", "--io-depth", "--readahead"] {
-                if opt(args, name).is_some() {
+                if args.get(name).is_some() {
                     return Err(format!("{name} requires --backend file"));
                 }
             }
-            Ok(StoreOpts {
-                backend: StoreBackend::Mem,
-                io_depth: 1,
-                readahead: 0,
-            })
+            StoreBackend::Mem
         }
-        kind @ ("file" | "file-checksummed") => {
-            let dir = opt(args, "--store").map_or_else(
-                || std::env::temp_dir().join(format!("tfm_store_{}", std::process::id())),
-                std::path::PathBuf::from,
-            );
-            let io_depth = parse_worker_count(args, "--io-depth")?;
-            let readahead: usize = parse(opt(args, "--readahead").unwrap_or("0"), "--readahead")?;
-            let backend = if kind == "file" {
-                StoreBackend::File(dir)
-            } else {
-                // Per-page checksum sidecar: torn data-page writes are
-                // detected on read (the write path's default posture).
-                StoreBackend::FileChecksummed(dir)
-            };
-            Ok(StoreOpts {
-                backend,
-                io_depth,
-                readahead,
-            })
+        "file" => StoreBackend::File(dir()),
+        // Per-page checksum sidecar: torn data-page writes are detected on
+        // read (the write path's default posture).
+        "file-checksummed" => StoreBackend::FileChecksummed(dir()),
+        other => {
+            return Err(format!(
+                "unknown backend `{other}` (mem | file | file-checksummed)"
+            ))
         }
-        other => Err(format!(
-            "unknown backend `{other}` (mem | file | file-checksummed)"
-        )),
-    }
+    };
+    Ok(StoreOpts {
+        backend,
+        io_depth: args.count("--io-depth")?.unwrap_or(1),
+        readahead: args.value("--readahead")?.unwrap_or(0),
+    })
 }
 
 /// `--metrics` export options shared by `tfm join` and `tfm serve`.
@@ -293,30 +242,21 @@ struct MetricsOpts {
 
 /// Parses `--metrics PATH [--metrics-format jsonl|prometheus]
 /// [--metrics-interval-ms N]`; `None` when `--metrics` is absent.
-fn parse_metrics(args: &[String]) -> Result<Option<MetricsOpts>, String> {
-    let Some(path) = opt(args, "--metrics") else {
-        if opt(args, "--metrics-format").is_some() || opt(args, "--metrics-interval-ms").is_some() {
+fn parse_metrics(args: &Args) -> Result<Option<MetricsOpts>, String> {
+    let interval = args.count("--metrics-interval-ms")?;
+    let Some(path) = args.get("--metrics") else {
+        if args.get("--metrics-format").is_some() || interval.is_some() {
             return Err("--metrics-format/--metrics-interval-ms require --metrics PATH".into());
         }
         return Ok(None);
     };
-    let prometheus = match opt(args, "--metrics-format").unwrap_or("jsonl") {
+    let prometheus = match args.get("--metrics-format").unwrap_or("jsonl") {
         "jsonl" => false,
         "prometheus" => true,
         other => {
             return Err(format!(
                 "unknown metrics format `{other}` (jsonl | prometheus)"
             ))
-        }
-    };
-    let interval = match opt(args, "--metrics-interval-ms") {
-        None => None,
-        Some(v) => {
-            let ms: u64 = parse(v, "--metrics-interval-ms")?;
-            if ms == 0 {
-                return Err("--metrics-interval-ms must be at least 1".into());
-            }
-            Some(std::time::Duration::from_millis(ms))
         }
     };
     if prometheus && interval.is_some() {
@@ -329,7 +269,7 @@ fn parse_metrics(args: &[String]) -> Result<Option<MetricsOpts>, String> {
     Ok(Some(MetricsOpts {
         path: path.to_string(),
         prometheus,
-        interval,
+        interval: interval.map(|ms| std::time::Duration::from_millis(ms as u64)),
     }))
 }
 
@@ -400,12 +340,12 @@ fn finish_metrics(
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("generate", args)?;
-    let count: usize = parse(required(args, "--count")?, "--count")?;
-    let out = required(args, "--out")?;
-    let seed: u64 = parse(opt(args, "--seed").unwrap_or("0"), "--seed")?;
-    let max_side: f64 = parse(opt(args, "--max-side").unwrap_or("1.0"), "--max-side")?;
-    let dist = opt(args, "--distribution").unwrap_or("uniform");
+    let args = parse_args("generate", args)?;
+    let count: usize = args.value("--count")?.expect("--count is required");
+    let out = args.required("--out");
+    let seed: u64 = args.value("--seed")?.unwrap_or(0);
+    let max_side: f64 = args.value("--max-side")?.unwrap_or(1.0);
+    let dist = args.get("--distribution").unwrap_or("uniform");
 
     let elements = match dist {
         "uniform" => generate(&DatasetSpec {
@@ -438,18 +378,14 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 
     // `--io-depth`/`--readahead` drive the join/serve prefetch pipelines;
     // `tfm build` only writes the page image, so it does not read them.
-    reject_unknown_flags("build", args)?;
-    let path = required(args, "--in")?;
-    let page_size: usize = parse(opt(args, "--page-size").unwrap_or("2048"), "--page-size")?;
-    let build_threads = parse_worker_count(args, "--build-threads")?;
-    let store = parse_store_opts(args)?;
+    let args = parse_args("build", args)?;
+    let path = args.required("--in");
+    let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
+    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let store = parse_store_opts(&args)?;
     let mut cfg = IndexConfig::default().with_build_threads(build_threads);
-    if let Some(v) = opt(args, "--unit-capacity") {
-        cfg.unit_capacity = Some(parse(v, "--unit-capacity")?);
-    }
-    if let Some(v) = opt(args, "--node-capacity") {
-        cfg.node_capacity = Some(parse(v, "--node-capacity")?);
-    }
+    cfg.unit_capacity = args.value("--unit-capacity")?;
+    cfg.node_capacity = args.value("--node-capacity")?;
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let disk = tfm_storage::Disk::for_backend(&store.backend, page_size, "build")
@@ -534,14 +470,14 @@ fn parse_approach(name: &str) -> Result<Approach, String> {
 }
 
 fn cmd_join(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("join", args)?;
-    let path_a = required(args, "--a")?;
-    let path_b = required(args, "--b")?;
-    let approach = parse_approach(opt(args, "--approach").unwrap_or("transformers"))?;
-    let page_size: usize = parse(opt(args, "--page-size").unwrap_or("2048"), "--page-size")?;
-    let threads = parse_worker_count(args, "--threads")?;
-    let build_threads = parse_worker_count(args, "--build-threads")?;
-    let store = parse_store_opts(args)?;
+    let args = parse_args("join", args)?;
+    let path_a = args.required("--a");
+    let path_b = args.required("--b");
+    let approach = parse_approach(args.get("--approach").unwrap_or("transformers"))?;
+    let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
+    let threads = args.count("--threads")?.unwrap_or(1);
+    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let store = parse_store_opts(&args)?;
     let parallel_transformers = threads > 1 && matches!(approach, Approach::Transformers(_));
     // Join prefetch runs where the unit-page schedule exists: the parallel
     // transformers path. Anywhere else a requested readahead would silently
@@ -578,7 +514,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         }
     };
 
-    let metrics = parse_metrics(args)?;
+    let metrics = parse_metrics(&args)?;
     let snap = match &metrics {
         Some(m) => start_metrics(m)?,
         None => None,
@@ -596,13 +532,8 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let (m, pairs) = run_approach(&approach, "cli", &a, &b, &cfg);
 
     println!("approach:        {}", m.approach);
-    if let Some(dir) = store.dir() {
-        println!(
-            "backend:         file ({}; io depth {}, readahead {} pages)",
-            dir.display(),
-            store.io_depth,
-            store.readahead
-        );
+    if let Some(line) = store.summary() {
+        println!("{line}");
     }
     println!("datasets:        |A| = {}, |B| = {}", m.n_a, m.n_b);
     println!("result pairs:    {}", m.results);
@@ -672,7 +603,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         println!("{}", finish_metrics(mo, snap, &[])?);
     }
 
-    if flag(args, "--verify") {
+    if args.has("--verify") {
         let mut s = JoinStats::default();
         let expected = canonicalize(nested_loop_join(&a, &b, &mut s));
         if canonicalize(pairs) == expected {
@@ -700,42 +631,35 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     use tfm_serve::{ServeConfig, ShardPartitioner, ShardSpec};
     use transformers::IndexConfig;
 
-    reject_unknown_flags("serve", args)?;
-    let path = required(args, "--in")?;
-    let engine = match opt(args, "--engine").unwrap_or("transformers") {
+    let args = parse_args("serve", args)?;
+    let path = args.required("--in");
+    let engine = match args.get("--engine").unwrap_or("transformers") {
         "transformers" => ServeEngineKind::Transformers,
         "gipsy" => ServeEngineKind::Gipsy,
         "rtree" => ServeEngineKind::Rtree,
         other => return Err(format!("unknown serve engine `{other}`")),
     };
-    let mix = match opt(args, "--mix").unwrap_or("uniform") {
+    let mix = match args.get("--mix").unwrap_or("uniform") {
         "uniform" => ProbeMix::Uniform,
         "clustered" => ProbeMix::Clustered { clusters: 8 },
         "neuro" => ProbeMix::NeuroCorrelated,
         other => return Err(format!("unknown probe mix `{other}`")),
     };
-    let queries: usize = parse(opt(args, "--queries").unwrap_or("1000"), "--queries")?;
-    let threads = parse_worker_count(args, "--threads")?;
-    let batch: usize = parse(opt(args, "--batch").unwrap_or("64"), "--batch")?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
-    let page_size: usize = parse(opt(args, "--page-size").unwrap_or("2048"), "--page-size")?;
-    let build_threads = parse_worker_count(args, "--build-threads")?;
-    let trace_seed: u64 = parse(opt(args, "--trace-seed").unwrap_or("1"), "--trace-seed")?;
-    let window: f64 = parse(opt(args, "--window").unwrap_or("20"), "--window")?;
-    let eps: f64 = parse(opt(args, "--eps").unwrap_or("5"), "--eps")?;
-    let store = parse_store_opts(args)?;
+    let queries: usize = args.value("--queries")?.unwrap_or(1000);
+    let threads = args.count("--threads")?.unwrap_or(1);
+    let batch = args.count("--batch")?.unwrap_or(64);
+    let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
+    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let trace_seed: u64 = args.value("--trace-seed")?.unwrap_or(1);
+    let window: f64 = args.value("--window")?.unwrap_or(20.0);
+    let eps: f64 = args.value("--eps")?.unwrap_or(5.0);
+    let store = parse_store_opts(&args)?;
     // --shards N serves through the sharded scatter-gather cluster: the
     // dataset is split into N self-contained index shards, each with its
     // own cache and worker pool, behind the probe-box router.
-    let spec = match opt(args, "--shards") {
-        Some(shards_str) => {
-            let shards: usize = parse(shards_str, "--shards")?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            let partitioner = match opt(args, "--shard-partitioner").unwrap_or("hilbert") {
+    let spec = match args.count("--shards")? {
+        Some(shards) => {
+            let partitioner = match args.get("--shard-partitioner").unwrap_or("hilbert") {
                 "hilbert" => ShardPartitioner::Hilbert,
                 "str" => ShardPartitioner::Str,
                 other => {
@@ -752,12 +676,12 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
                 ..ShardSpec::default()
             })
         }
-        None if flag(args, "--shed") || opt(args, "--shard-partitioner").is_some() => {
+        None if args.has("--shed") || args.get("--shard-partitioner").is_some() => {
             return Err("--shed/--shard-partitioner require --shards N".into());
         }
         None => None,
     };
-    let metrics = parse_metrics(args)?;
+    let metrics = parse_metrics(&args)?;
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let trace = generate_trace(&QueryTraceSpec {
@@ -774,10 +698,10 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     let serve_cfg = ServeConfig {
         threads,
         batch,
-        hilbert_batching: !flag(args, "--no-hilbert"),
+        hilbert_batching: !args.has("--no-hilbert"),
         io_depth: store.io_depth,
         readahead: store.readahead,
-        shed: flag(args, "--shed"),
+        shed: args.has("--shed"),
         // With --metrics the run also collects one per-query trace (queue
         // wait / service split, pool attribution) for the JSON-lines export.
         collect_traces: metrics.is_some(),
@@ -797,14 +721,7 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     };
 
     let mut lines = vec![format!("engine:          {}", m.engine)];
-    if let Some(dir) = store.dir() {
-        lines.push(format!(
-            "backend:         file ({}; io depth {}, readahead {} pages)",
-            dir.display(),
-            store.io_depth,
-            store.readahead
-        ));
-    }
+    lines.extend(store.summary());
     lines.push(format!(
         "dataset:         {path} ({} elements)",
         m.n_elements
@@ -886,21 +803,11 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         lines.push(finish_metrics(mo, snap, &traces)?);
     }
 
-    if flag(args, "--verify") {
+    if args.has("--verify") {
         if m.shed_partials > 0 {
             return Err("cannot --verify a run that shed load".into());
         }
-        for (i, q) in trace.iter().enumerate() {
-            let mut expected: Vec<u64> = elems
-                .iter()
-                .filter(|e| q.matches(&e.mbb))
-                .map(|e| e.id)
-                .collect();
-            expected.sort_unstable();
-            if results[i] != expected {
-                return Err(format!("query {i} diverges from the full-scan oracle"));
-            }
-        }
+        verify_full_scan(&trace, &results, &elems)?;
         lines.push(format!(
             "verify:          OK (all {} queries match the full scan)",
             m.queries
@@ -924,17 +831,11 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
         IndexConfig, MutableTransformers, MutationOp, TransformersIndex, CHECKPOINT_LOG_BYTES,
     };
 
-    reject_unknown_flags("mutate", args)?;
-    let path = required(args, "--in")?;
-    let ops: usize = parse(opt(args, "--ops").unwrap_or("1000"), "--ops")?;
-    let write_permille: u32 = parse(
-        opt(args, "--write-permille").unwrap_or("200"),
-        "--write-permille",
-    )?;
-    let insert_permille: u32 = parse(
-        opt(args, "--insert-permille").unwrap_or("700"),
-        "--insert-permille",
-    )?;
+    let args = parse_args("mutate", args)?;
+    let path = args.required("--in");
+    let ops: usize = args.value("--ops")?.unwrap_or(1000);
+    let write_permille: u32 = args.value("--write-permille")?.unwrap_or(200);
+    let insert_permille: u32 = args.value("--insert-permille")?.unwrap_or(700);
     for (name, v) in [
         ("--write-permille", write_permille),
         ("--insert-permille", insert_permille),
@@ -943,14 +844,11 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
             return Err(format!("{name} is a permille value (0..=1000), got {v}"));
         }
     }
-    let threads = parse_worker_count(args, "--threads")?;
-    let batch: usize = parse(opt(args, "--batch").unwrap_or("64"), "--batch")?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
-    let seed: u64 = parse(opt(args, "--seed").unwrap_or("1"), "--seed")?;
-    let page_size: usize = parse(opt(args, "--page-size").unwrap_or("2048"), "--page-size")?;
-    let build_threads = parse_worker_count(args, "--build-threads")?;
+    let threads = args.count("--threads")?.unwrap_or(1);
+    let batch = args.count("--batch")?.unwrap_or(64);
+    let seed: u64 = args.value("--seed")?.unwrap_or(1);
+    let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
+    let build_threads = args.count("--build-threads")?.unwrap_or(1);
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let live_ids: Vec<u64> = elems.iter().map(|e| e.id).collect();
@@ -972,7 +870,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
 
     // The redo log: a real segmented WAL under --wal-dir, or the no-op
     // log (instantly "durable", nothing written) without one.
-    let wal = match opt(args, "--wal-dir") {
+    let wal = match args.get("--wal-dir") {
         Some(dir) => Some(
             tfm_wal::Wal::open(dir, tfm_wal::WalOptions::default())
                 .map_err(|e| format!("opening WAL in {dir}: {e}"))?,
@@ -1129,7 +1027,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
         written as f64 / (write_ops.max(1) * record) as f64
     ));
 
-    if flag(args, "--verify") {
+    if args.has("--verify") {
         // Replay the trace over a plain map to get the mutated dataset,
         // then hold every probe of the trace to the full-scan oracle.
         let mut live: std::collections::BTreeMap<u64, tfm_geom::SpatialElement> =
@@ -1147,19 +1045,8 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
         }
         let probes = tfm_datagen::queries_of(&trace);
         let out = serve_trace(&engine, &probes, &serve_cfg);
-        for (i, q) in probes.iter().enumerate() {
-            let mut expected: Vec<u64> = live
-                .values()
-                .filter(|e| q.matches(&e.mbb))
-                .map(|e| e.id)
-                .collect();
-            expected.sort_unstable();
-            if out.results[i] != expected {
-                return Err(format!(
-                    "probe {i} diverges from the full scan of the mutated dataset"
-                ));
-            }
-        }
+        let live: Vec<_> = live.into_values().collect();
+        verify_full_scan(&probes, &out.results, &live)?;
         lines.push(format!(
             "verify:          OK (all {} probes match the mutated full scan)",
             probes.len()
@@ -1168,9 +1055,30 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
     Ok(lines.join("\n"))
 }
 
+/// The `--verify` oracle of `tfm serve` and `tfm mutate`: each probe's
+/// result ids must equal a full scan of `elems`.
+fn verify_full_scan(
+    probes: &[tfm_geom::SpatialQuery],
+    results: &[Vec<u64>],
+    elems: &[tfm_geom::SpatialElement],
+) -> Result<(), String> {
+    for (i, q) in probes.iter().enumerate() {
+        let mut expected: Vec<u64> = elems
+            .iter()
+            .filter(|e| q.matches(&e.mbb))
+            .map(|e| e.id)
+            .collect();
+        expected.sort_unstable();
+        if results[i] != expected {
+            return Err(format!("probe {i} diverges from the full scan"));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("info", args)?;
-    let path = required(args, "--in")?;
+    let args = parse_args("info", args)?;
+    let path = args.required("--in");
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     println!("file:      {path}");
     println!("elements:  {}", elems.len());
@@ -1206,16 +1114,43 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn opt_parsing() {
-        let args: Vec<String> = ["--count", "5", "--flag"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(opt(&args, "--count"), Some("5"));
-        assert_eq!(opt(&args, "--missing"), None);
-        assert!(flag(&args, "--flag"));
-        assert!(!flag(&args, "--other"));
+    fn sv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A path under the temporary directory, unique to this process; what
+    /// is there (file or directory) is removed on creation and on drop.
+    struct Temp(std::path::PathBuf);
+
+    impl Temp {
+        fn new(name: &str) -> Temp {
+            let pid = std::process::id();
+            let temp = Temp(std::env::temp_dir().join(format!("tfm_cli_{pid}_{name}")));
+            temp.clear();
+            temp
+        }
+
+        /// A dataset `tfm generate` writes with `flags`.
+        fn dataset(name: &str, flags: &[&str]) -> Temp {
+            let temp = Temp::new(name);
+            cmd_generate(&sv(&[&["--out", temp.s()][..], flags].concat())).unwrap();
+            temp
+        }
+
+        fn s(&self) -> &str {
+            self.0.to_str().unwrap()
+        }
+
+        fn clear(&self) {
+            std::fs::remove_file(&self.0).ok();
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    impl Drop for Temp {
+        fn drop(&mut self) {
+            self.clear();
+        }
     }
 
     #[test]
@@ -1238,17 +1173,14 @@ mod tests {
     fn zero_threads_is_rejected() {
         // `--threads 0` must fail fast with a clear message, before any
         // file I/O or scheduler construction happens.
-        let args: Vec<String> = [
+        let args = sv(&[
             "--a",
             "nonexistent.a",
             "--b",
             "nonexistent.b",
             "--threads",
             "0",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         let err = cmd_join(&args).expect_err("--threads 0 must be rejected");
         assert!(
             err.contains("--threads must be at least 1"),
@@ -1258,132 +1190,72 @@ mod tests {
 
     #[test]
     fn zero_build_threads_is_rejected() {
-        let args: Vec<String> = ["--a", "x.a", "--b", "x.b", "--build-threads", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = sv(&["--a", "x.a", "--b", "x.b", "--build-threads", "0"]);
         let err = cmd_join(&args).expect_err("--build-threads 0 must be rejected");
         assert!(err.contains("--build-threads must be at least 1"), "{err}");
-        let args: Vec<String> = ["--in", "x.elems", "--build-threads", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = sv(&["--in", "x.elems", "--build-threads", "0"]);
         let err = cmd_build(&args).expect_err("--build-threads 0 must be rejected");
         assert!(err.contains("--build-threads must be at least 1"), "{err}");
     }
 
     #[test]
     fn build_command_end_to_end() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("tfm_cli_build_{}.elems", std::process::id()));
-        let gen_args: Vec<String> = [
-            "--count",
-            "500",
-            "--out",
-            path.to_str().unwrap(),
-            "--seed",
-            "7",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        cmd_generate(&gen_args).unwrap();
+        let path = Temp::dataset("build.elems", &["--count", "500", "--seed", "7"]);
         for threads in ["1", "4"] {
-            let build_args: Vec<String> = [
+            let build_args = sv(&[
                 "--in",
-                path.to_str().unwrap(),
+                path.s(),
                 "--build-threads",
                 threads,
                 "--unit-capacity",
                 "16",
                 "--node-capacity",
                 "8",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+            ]);
             cmd_build(&build_args).unwrap_or_else(|e| panic!("threads {threads}: {e}"));
         }
         // Invalid capacities surface the validation error, not a panic.
-        let bad_args: Vec<String> = ["--in", path.to_str().unwrap(), "--unit-capacity", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let bad_args = sv(&["--in", path.s(), "--unit-capacity", "0"]);
         let err = cmd_build(&bad_args).expect_err("unit capacity 0 must fail");
         assert!(err.contains("unit_capacity"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn parallel_flags_join_end_to_end() {
-        let dir = std::env::temp_dir();
-        let pa = dir.join(format!("tfm_cli_par_a_{}.elems", std::process::id()));
-        let pb = dir.join(format!("tfm_cli_par_b_{}.elems", std::process::id()));
-        for (path, seed) in [(&pa, "31"), (&pb, "32")] {
-            let gen_args: Vec<String> = [
-                "--count",
-                "400",
-                "--out",
-                path.to_str().unwrap(),
-                "--seed",
-                seed,
-                "--max-side",
-                "8",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            cmd_generate(&gen_args).unwrap();
-        }
+        let gen = |name, seed| {
+            Temp::dataset(name, &["--count", "400", "--seed", seed, "--max-side", "8"])
+        };
+        let (pa, pb) = (gen("par_a.elems", "31"), gen("par_b.elems", "32"));
         // The adaptive parallel join and its "No TR" ablation must both
         // verify against the nested-loop oracle.
         for extra in [&[][..], &["--approach", "no-tr"][..]] {
-            let mut join_args: Vec<String> = [
+            let base = [
                 "--a",
-                pa.to_str().unwrap(),
+                pa.s(),
                 "--b",
-                pb.to_str().unwrap(),
+                pb.s(),
                 "--threads",
                 "2",
                 "--build-threads",
                 "2",
                 "--verify",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            join_args.extend(extra.iter().map(|s| s.to_string()));
+            ];
+            let join_args = sv(&[&base[..], extra].concat());
             cmd_join(&join_args).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
         }
-        std::fs::remove_file(&pa).ok();
-        std::fs::remove_file(&pb).ok();
     }
 
     #[test]
     fn serve_command_end_to_end() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("tfm_cli_serve_{}.elems", std::process::id()));
-        let gen_args: Vec<String> = [
-            "--count",
-            "800",
-            "--out",
-            path.to_str().unwrap(),
-            "--seed",
-            "21",
-            "--max-side",
-            "6",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        cmd_generate(&gen_args).unwrap();
+        let flags = ["--count", "800", "--seed", "21", "--max-side", "6"];
+        let path = Temp::dataset("serve.elems", &flags);
         // Every engine serves the generated trace and verifies against the
         // full-scan oracle, batched and unbatched, 1 and 2 workers.
         for engine in ["transformers", "gipsy", "rtree"] {
             for extra in [&[][..], &["--no-hilbert", "--threads", "2"][..]] {
-                let mut serve_args: Vec<String> = [
+                let base = [
                     "--in",
-                    path.to_str().unwrap(),
+                    path.s(),
                     "--engine",
                     engine,
                     "--queries",
@@ -1391,46 +1263,22 @@ mod tests {
                     "--batch",
                     "16",
                     "--verify",
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-                serve_args.extend(extra.iter().map(|s| s.to_string()));
+                ];
+                let serve_args = sv(&[&base[..], extra].concat());
                 cmd_serve(&serve_args).unwrap_or_else(|e| panic!("{engine} {extra:?}: {e}"));
             }
         }
         // Bad flags fail fast with clear messages.
-        let bad: Vec<String> = ["--in", path.to_str().unwrap(), "--engine", "bogus"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let bad = sv(&["--in", path.s(), "--engine", "bogus"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("serve engine"));
-        let bad: Vec<String> = ["--in", path.to_str().unwrap(), "--threads", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let bad = sv(&["--in", path.s(), "--threads", "0"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("--threads"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn sharded_serve_command_end_to_end() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("tfm_cli_shard_{}.elems", std::process::id()));
-        let gen_args: Vec<String> = [
-            "--count",
-            "700",
-            "--out",
-            path.to_str().unwrap(),
-            "--seed",
-            "61",
-            "--max-side",
-            "6",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        cmd_generate(&gen_args).unwrap();
+        let flags = ["--count", "700", "--seed", "61", "--max-side", "6"];
+        let path = Temp::dataset("shard.elems", &flags);
         // Sharded serving verifies against the full-scan oracle for both
         // partitioners and a couple of cluster shapes.
         for (shards, partitioner, threads) in [
@@ -1438,9 +1286,9 @@ mod tests {
             ("3", "hilbert", "2"),
             ("4", "str", "1"),
         ] {
-            let serve_args: Vec<String> = [
+            let serve_args = sv(&[
                 "--in",
-                path.to_str().unwrap(),
+                path.s(),
                 "--queries",
                 "60",
                 "--batch",
@@ -1452,56 +1300,30 @@ mod tests {
                 "--threads",
                 threads,
                 "--verify",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+            ]);
             cmd_serve(&serve_args).unwrap_or_else(|e| panic!("shards={shards} {partitioner}: {e}"));
         }
         // Bad shard flags fail fast.
-        let bad: Vec<String> = ["--in", path.to_str().unwrap(), "--shards", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let bad = sv(&["--in", path.s(), "--shards", "0"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("--shards"));
-        let bad: Vec<String> = [
+        let bad = sv(&[
             "--in",
-            path.to_str().unwrap(),
+            path.s(),
             "--shards",
             "2",
             "--shard-partitioner",
             "bogus",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         assert!(cmd_serve(&bad).unwrap_err().contains("shard partitioner"));
-        let bad: Vec<String> = ["--in", path.to_str().unwrap(), "--shed"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let bad = sv(&["--in", path.s(), "--shed"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("require --shards"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mutate_command_end_to_end() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let path = dir.join(format!("tfm_cli_mutate_{pid}.elems"));
-        let wal_dir = dir.join(format!("tfm_cli_mutate_wal_{pid}"));
-        std::fs::remove_dir_all(&wal_dir).ok();
-        cmd_generate(&sv(&[
-            "--count",
-            "600",
-            "--out",
-            path.to_str().unwrap(),
-            "--seed",
-            "51",
-            "--max-side",
-            "6",
-        ]))
-        .unwrap();
+        let flags = ["--count", "600", "--seed", "51", "--max-side", "6"];
+        let path = Temp::dataset("mutate.elems", &flags);
+        let wal_dir = Temp::new("mutate_wal");
 
         // Logged and unlogged replays, single- and multi-worker reads,
         // all verified against the mutated full-scan oracle.
@@ -1510,9 +1332,9 @@ mod tests {
             // 512-byte pages: a 600-element overlay spans a chain of pages.
             &["--threads", "2", "--page-size", "512", "--wal-dir"][..], // dir appended below
         ] {
-            let mut mutate_args = sv(&[
+            let base = [
                 "--in",
-                path.to_str().unwrap(),
+                path.s(),
                 "--ops",
                 "400",
                 "--write-permille",
@@ -1520,10 +1342,10 @@ mod tests {
                 "--batch",
                 "32",
                 "--verify",
-            ]);
-            mutate_args.extend(extra.iter().map(|s| s.to_string()));
+            ];
+            let mut mutate_args = sv(&[&base[..], extra].concat());
             if extra.contains(&"--wal-dir") {
-                mutate_args.push(wal_dir.to_str().unwrap().to_string());
+                mutate_args.push(wal_dir.s().to_string());
             }
             let summary = mutate_summary(&mutate_args).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
             let numbers_of = |label: &str| -> Vec<f64> {
@@ -1582,7 +1404,7 @@ mod tests {
             }
         }
         // The logged run left real segment files behind.
-        let segments = std::fs::read_dir(&wal_dir)
+        let segments = std::fs::read_dir(&wal_dir.0)
             .expect("wal dir exists")
             .filter_map(Result::ok)
             .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
@@ -1590,45 +1412,27 @@ mod tests {
         assert!(segments > 0, "no WAL segments written");
 
         // Bad flags fail fast.
-        let bad = sv(&["--in", path.to_str().unwrap(), "--write-permille", "1500"]);
+        let bad = sv(&["--in", path.s(), "--write-permille", "1500"]);
         assert!(cmd_mutate(&bad).unwrap_err().contains("permille"));
-        let bad = sv(&["--in", path.to_str().unwrap(), "--batch", "0"]);
+        let bad = sv(&["--in", path.s(), "--batch", "0"]);
         assert!(cmd_mutate(&bad).unwrap_err().contains("--batch"));
-        let bad = sv(&["--in", path.to_str().unwrap(), "--threads", "0"]);
+        let bad = sv(&["--in", path.s(), "--threads", "0"]);
         assert!(cmd_mutate(&bad).unwrap_err().contains("--threads"));
-
-        std::fs::remove_dir_all(&wal_dir).ok();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn metrics_export_end_to_end() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let path = dir.join(format!("tfm_cli_metrics_{pid}.elems"));
-        let jsonl = dir.join(format!("tfm_cli_metrics_{pid}.jsonl"));
-        let prom = dir.join(format!("tfm_cli_metrics_{pid}.prom"));
-        let gen_args: Vec<String> = [
-            "--count",
-            "600",
-            "--out",
-            path.to_str().unwrap(),
-            "--seed",
-            "41",
-            "--max-side",
-            "6",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        cmd_generate(&gen_args).unwrap();
+        let flags = ["--count", "600", "--seed", "41", "--max-side", "6"];
+        let path = Temp::dataset("metrics.elems", &flags);
+        let jsonl = Temp::new("metrics.jsonl");
+        let prom = Temp::new("metrics.prom");
 
         // Serve with a periodic snapshot thread: the accumulated file must
         // parse and carry cache, queue-wait, latency-histogram and
         // per-stage build metrics (the ISSUE's acceptance shape).
-        let serve_args: Vec<String> = [
+        let serve_args = sv(&[
             "--in",
-            path.to_str().unwrap(),
+            path.s(),
             "--queries",
             "80",
             "--threads",
@@ -1636,15 +1440,12 @@ mod tests {
             "--batch",
             "16",
             "--metrics",
-            jsonl.to_str().unwrap(),
+            jsonl.s(),
             "--metrics-interval-ms",
             "5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         cmd_serve(&serve_args).unwrap();
-        let text = std::fs::read_to_string(&jsonl).unwrap();
+        let text = std::fs::read_to_string(&jsonl.0).unwrap();
         let snap = tfm_obs::MetricsSnapshot::parse_jsonl(&text).unwrap();
         for name in [
             tfm_obs::names::CACHE_HITS,
@@ -1672,10 +1473,10 @@ mod tests {
         // single engine prints plus the routing line, and exports one
         // trace record per query. (Here, not with the other sharded runs:
         // this is the one test that may arm the process-wide registry.)
-        let metrics = dir.join(format!("tfm_cli_shard_{pid}.jsonl"));
+        let metrics = Temp::new("shard.jsonl");
         let base = [
             "--in",
-            path.to_str().unwrap(),
+            path.s(),
             "--queries",
             "60",
             "--batch",
@@ -1687,7 +1488,7 @@ mod tests {
             "--verify",
         ];
         let fixed = serve_summary(&sv(&base)).unwrap();
-        let extra = ["--metrics", metrics.to_str().unwrap()];
+        let extra = ["--metrics", metrics.s()];
         let metered = serve_summary(&sv(&[&base[..], &extra[..]].concat())).unwrap();
         let line = |summary: &str, label: &str| {
             summary
@@ -1713,62 +1514,44 @@ mod tests {
         // with each other; the result-id totals say so too.
         assert_eq!(line(&metered, "result ids:"), line(&fixed, "result ids:"));
         assert!(line(&metered, "metrics:").contains("+ 60 query traces"));
-        let exported = std::fs::read_to_string(&metrics).unwrap();
+        let exported = std::fs::read_to_string(&metrics.0).unwrap();
         let traces = exported
             .lines()
             .filter(|l| l.contains("\"trace_id\""))
             .count();
         assert_eq!(traces, 60, "one trace record per query");
         assert!(exported.contains("serve.queries") && exported.contains("shard.routed"));
-        std::fs::remove_file(&metrics).ok();
 
         // Join with a Prometheus export.
-        let join_args: Vec<String> = [
+        let join_args = sv(&[
             "--a",
-            path.to_str().unwrap(),
+            path.s(),
             "--b",
-            path.to_str().unwrap(),
+            path.s(),
             "--threads",
             "2",
             "--metrics",
-            prom.to_str().unwrap(),
+            prom.s(),
             "--metrics-format",
             "prometheus",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         cmd_join(&join_args).unwrap();
-        let text = std::fs::read_to_string(&prom).unwrap();
+        let text = std::fs::read_to_string(&prom.0).unwrap();
         assert!(text.contains("# TYPE cache_hits counter"), "{text}");
         assert!(text.contains("join_wall_nanos_bucket"), "{text}");
 
         // Bad flag combinations fail fast.
-        let bad: Vec<String> = [
+        let bad = sv(&[
             "--in",
-            path.to_str().unwrap(),
+            path.s(),
             "--metrics",
-            jsonl.to_str().unwrap(),
+            jsonl.s(),
             "--metrics-format",
             "xml",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         assert!(cmd_serve(&bad).unwrap_err().contains("metrics format"));
-        let bad: Vec<String> = ["--in", path.to_str().unwrap(), "--metrics-interval-ms", "5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let bad = sv(&["--in", path.s(), "--metrics-interval-ms", "5"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("require --metrics"));
-
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&jsonl).ok();
-        std::fs::remove_file(&prom).ok();
-    }
-
-    fn sv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
@@ -1793,12 +1576,10 @@ mod tests {
             &["--readahead", "64"][..],
             &["--store", "/tmp/x"][..],
         ] {
-            let mut serve_args = sv(&["--in", "x.elems"]);
-            serve_args.extend(orphan.iter().map(|s| s.to_string()));
+            let serve_args = sv(&[&["--in", "x.elems"][..], orphan].concat());
             let err = cmd_serve(&serve_args).expect_err("mem-backend orphan must be rejected");
             assert!(err.contains("requires --backend file"), "{err}");
-            let mut join_args = sv(&["--a", "x.a", "--b", "x.b"]);
-            join_args.extend(orphan.iter().map(|s| s.to_string()));
+            let join_args = sv(&[&["--a", "x.a", "--b", "x.b"][..], orphan].concat());
             let err = cmd_join(&join_args).expect_err("mem-backend orphan must be rejected");
             assert!(err.contains("requires --backend file"), "{err}");
         }
@@ -1821,38 +1602,31 @@ mod tests {
         assert!(err.contains("`--io-depth` for `tfm build`"), "{err}");
     }
 
-    /// The `--flags` named between `command`'s `  tfm NAME` line of
-    /// [`USAGE`] and the next subcommand's (or the first section heading).
-    fn flags_in_usage_block(command: &str) -> std::collections::BTreeSet<&'static str> {
-        let start = USAGE
-            .find(&format!("\n  tfm {command} "))
-            .unwrap_or_else(|| panic!("no `tfm {command}` block in USAGE"));
-        let block = &USAGE[start + 1..];
-        let end = block[1..]
-            .find("\n  tfm ")
-            .or_else(|| block.find("\n\n"))
-            .expect("block ends at the next subcommand or section");
-        block[..end + 1]
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .filter(|w| w.starts_with("--") && w.len() > 2)
-            .collect()
-    }
-
     #[test]
-    fn each_subcommand_reads_exactly_the_flags_its_usage_block_names() {
-        for (command, flags) in COMMAND_FLAGS {
-            let listed: std::collections::BTreeSet<&str> = flags.split_whitespace().collect();
-            assert_eq!(
-                listed.len(),
-                flags.split_whitespace().count(),
-                "`tfm {command}` lists a flag twice"
-            );
-            assert_eq!(
-                listed,
-                flags_in_usage_block(command),
-                "`tfm {command}`: COMMAND_FLAGS and its USAGE block disagree"
-            );
+    fn readme_flag_table_matches_the_synopses() {
+        // README's "CLI flags" table has one row per flag:
+        // | `--flag …` | command, command | meaning |
+        let readme = include_str!("../../../README.md");
+        let table = &readme[readme.find("## CLI flags").expect("a CLI flags section")..];
+        let rows = table.lines().skip(4).take_while(|l| l.starts_with("| `--"));
+        let mut documented = std::collections::BTreeSet::new();
+        for row in rows {
+            let cells: Vec<&str> = row.split(" | ").collect();
+            let flag = cells[0][3..].split([' ', '`']).next().unwrap().to_string();
+            for command in cells[1].split(", ") {
+                assert!(documented.insert((command, flag.clone())), "{row}");
+            }
         }
+        let mut declared = std::collections::BTreeSet::new();
+        for command in ["generate", "build", "join", "serve", "mutate", "info"] {
+            let synopsis = synopsis(command);
+            for flag in synopsis.split([' ', '[', ']', '\n']) {
+                if flag.starts_with("--") {
+                    declared.insert((command, flag.to_string()));
+                }
+            }
+        }
+        assert_eq!(documented, declared);
     }
 
     #[test]
@@ -1895,35 +1669,45 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_missing_its_value_writes_no_file() {
+        let out = Temp::new("no_value.elems");
+        let args = sv(&["--count", "50", "--out", "--seed", "3"]);
+        let err = cmd_generate(&args).expect_err("--out has no value");
+        assert!(
+            err.contains("option `--out` for `tfm generate` needs a value"),
+            "{err}"
+        );
+        assert!(!std::path::Path::new("--seed").exists() && !out.0.exists());
+        // A missing required flag shows the command's synopsis.
+        let err = cmd_join(&sv(&["--b", "x.b"])).unwrap_err();
+        assert!(
+            err.contains("missing required option `--a` for `tfm join`"),
+            "{err}"
+        );
+        assert!(
+            err.contains("(usage: tfm join --a FILE --b FILE [--approach A]"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn file_backend_commands_end_to_end() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let elems = dir.join(format!("tfm_cli_io_{pid}.elems"));
-        let store = dir.join(format!("tfm_cli_io_store_{pid}"));
-        let store_s = store.to_str().unwrap().to_string();
-        cmd_generate(&sv(&[
-            "--count",
-            "600",
-            "--out",
-            elems.to_str().unwrap(),
-            "--seed",
-            "91",
-            "--max-side",
-            "6",
-        ]))
-        .unwrap();
+        let flags = ["--count", "600", "--seed", "91", "--max-side", "6"];
+        let elems = Temp::dataset("io.elems", &flags);
+        let store = Temp::new("io_store");
+        let store_s = store.s();
 
         // Build writes a real page image and reports it.
         cmd_build(&sv(&[
             "--in",
-            elems.to_str().unwrap(),
+            elems.s(),
             "--backend",
             "file",
             "--store",
-            &store_s,
+            store_s,
         ]))
         .unwrap();
-        let image = store.join("build.pages");
+        let image = store.0.join("build.pages");
         assert!(image.exists(), "build must write {}", image.display());
         assert!(image.metadata().unwrap().len() > 0, "empty page image");
 
@@ -1931,11 +1715,11 @@ mod tests {
         // results verify against the full-scan oracle.
         cmd_serve(&sv(&[
             "--in",
-            elems.to_str().unwrap(),
+            elems.s(),
             "--backend",
             "file",
             "--store",
-            &store_s,
+            store_s,
             "--threads",
             "2",
             "--io-depth",
@@ -1949,16 +1733,16 @@ mod tests {
             "--verify",
         ]))
         .unwrap();
-        assert!(store.join("serve.pages").exists(), "serve page image");
+        assert!(store.0.join("serve.pages").exists(), "serve page image");
 
         // Sharded cluster: one page image per shard.
         cmd_serve(&sv(&[
             "--in",
-            elems.to_str().unwrap(),
+            elems.s(),
             "--backend",
             "file",
             "--store",
-            &store_s,
+            store_s,
             "--shards",
             "2",
             "--threads",
@@ -1976,7 +1760,7 @@ mod tests {
         .unwrap();
         for shard in 0..2 {
             assert!(
-                store.join(format!("shard{shard}.pages")).exists(),
+                store.0.join(format!("shard{shard}.pages")).exists(),
                 "shard{shard} page image"
             );
         }
@@ -1986,13 +1770,13 @@ mod tests {
         // must not change results.
         cmd_join(&sv(&[
             "--a",
-            elems.to_str().unwrap(),
+            elems.s(),
             "--b",
-            elems.to_str().unwrap(),
+            elems.s(),
             "--backend",
             "file",
             "--store",
-            &store_s,
+            store_s,
             "--threads",
             "2",
             "--io-depth",
@@ -2002,67 +1786,25 @@ mod tests {
             "--verify",
         ]))
         .unwrap();
-        assert!(store.join("tfm_a.pages").exists(), "join page image");
-
-        std::fs::remove_dir_all(&store).ok();
-        std::fs::remove_file(&elems).ok();
+        assert!(store.0.join("tfm_a.pages").exists(), "join page image");
     }
 
     #[test]
     fn generate_and_join_end_to_end() {
-        let dir = std::env::temp_dir();
-        let pa = dir.join(format!("tfm_cli_a_{}.elems", std::process::id()));
-        let pb = dir.join(format!("tfm_cli_b_{}.elems", std::process::id()));
-        let gen_args: Vec<String> = [
-            "--count",
-            "300",
-            "--out",
-            pa.to_str().unwrap(),
-            "--seed",
-            "1",
-            "--max-side",
-            "8",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        cmd_generate(&gen_args).unwrap();
-        let gen_args: Vec<String> = [
-            "--count",
-            "300",
-            "--out",
-            pb.to_str().unwrap(),
-            "--seed",
-            "2",
-            "--max-side",
-            "8",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        cmd_generate(&gen_args).unwrap();
-
-        let join_args: Vec<String> = [
+        let gen = |name, seed| {
+            Temp::dataset(name, &["--count", "300", "--seed", seed, "--max-side", "8"])
+        };
+        let (pa, pb) = (gen("a.elems", "1"), gen("b.elems", "2"));
+        let join_args = sv(&[
             "--a",
-            pa.to_str().unwrap(),
+            pa.s(),
             "--b",
-            pb.to_str().unwrap(),
+            pb.s(),
             "--approach",
             "transformers",
             "--verify",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         cmd_join(&join_args).unwrap();
-
-        let info_args: Vec<String> = ["--in", pa.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        cmd_info(&info_args).unwrap();
-
-        std::fs::remove_file(&pa).ok();
-        std::fs::remove_file(&pb).ok();
+        cmd_info(&sv(&["--in", pa.s()])).unwrap();
     }
 }
