@@ -534,7 +534,7 @@ fn the_dirty_tier_stays_bounded_and_hot_pages_are_written_once_per_write_back() 
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "writes ~300 MB of log: run with --release, as CI's wal-recovery job does"
+    ignore = "writes ~300 MB of log: run with --release, as CI's release test job does"
 )]
 fn log_size_and_recovery_are_bounded_by_the_checkpoint_interval() {
     // 32 KiB pages: a write's records run to kilobytes (an insert shifts

@@ -66,7 +66,8 @@ USAGE:
       A: transformers | no-tr | pbsm | rtree | gipsy | sssj | s3 (default: transformers)
       --threads N: run the transformers join on N parallel workers (tfm-exec)
       --build-threads N: build the indexes on N parallel workers
-                  (transformers, gipsy and rtree builds; default 1)
+                  (transformers, gipsy and rtree builds; default: the
+                  host's available parallelism, as IndexConfig::default())
       --io-depth N / --readahead N: on the file backend the parallel
                   transformers path prefetches each chunk's unit-page
                   schedule through N dedicated I/O threads, keeping up to
@@ -373,6 +374,14 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--build-threads`, or `IndexConfig::default()`'s worker count (the
+/// host's available parallelism) when it is not given.
+fn build_threads(args: &Args) -> Result<usize, String> {
+    Ok(args
+        .count("--build-threads")?
+        .unwrap_or(transformers::IndexConfig::default().build_threads))
+}
+
 fn cmd_build(args: &[String]) -> Result<(), String> {
     use transformers::{IndexConfig, TransformersIndex};
 
@@ -381,7 +390,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let args = parse_args("build", args)?;
     let path = args.required("--in");
     let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
-    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let build_threads = build_threads(&args)?;
     let store = parse_store_opts(&args)?;
     let mut cfg = IndexConfig::default().with_build_threads(build_threads);
     cfg.unit_capacity = args.value("--unit-capacity")?;
@@ -438,10 +447,14 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 /// index build records (wall time per stage, in stage order).
 fn build_stage_split(snapshot: &tfm_obs::MetricsSnapshot) -> String {
     use tfm_obs::names::{
-        BUILD_CONNECTIVITY, BUILD_FINALIZE, BUILD_NODE_STR, BUILD_PAGE_PACK, BUILD_UNIT_STR,
+        BUILD_CONNECTIVITY, BUILD_FINALIZE, BUILD_NODE_STR, BUILD_PAGE_PACK, BUILD_STR_DISTRIBUTE,
+        BUILD_STR_SLABS, BUILD_STR_X, BUILD_UNIT_STR,
     };
     [
         ("unit STR", BUILD_UNIT_STR),
+        ("STR x", BUILD_STR_X),
+        ("STR distribute", BUILD_STR_DISTRIBUTE),
+        ("STR slabs", BUILD_STR_SLABS),
         ("node STR", BUILD_NODE_STR),
         ("page pack", BUILD_PAGE_PACK),
         ("connectivity", BUILD_CONNECTIVITY),
@@ -476,7 +489,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let approach = parse_approach(args.get("--approach").unwrap_or("transformers"))?;
     let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
     let threads = args.count("--threads")?.unwrap_or(1);
-    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let build_threads = build_threads(&args)?;
     let store = parse_store_opts(&args)?;
     let parallel_transformers = threads > 1 && matches!(approach, Approach::Transformers(_));
     // Join prefetch runs where the unit-page schedule exists: the parallel
@@ -649,7 +662,7 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     let threads = args.count("--threads")?.unwrap_or(1);
     let batch = args.count("--batch")?.unwrap_or(64);
     let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
-    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let build_threads = build_threads(&args)?;
     let trace_seed: u64 = args.value("--trace-seed")?.unwrap_or(1);
     let window: f64 = args.value("--window")?.unwrap_or(20.0);
     let eps: f64 = args.value("--eps")?.unwrap_or(5.0);
@@ -848,7 +861,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
     let batch = args.count("--batch")?.unwrap_or(64);
     let seed: u64 = args.value("--seed")?.unwrap_or(1);
     let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
-    let build_threads = args.count("--build-threads")?.unwrap_or(1);
+    let build_threads = build_threads(&args)?;
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let live_ids: Vec<u64> = elems.iter().map(|e| e.id).collect();

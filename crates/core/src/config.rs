@@ -9,11 +9,12 @@ pub struct IndexConfig {
     /// Space units per space node. `None` packs as many unit descriptors as
     /// fit one disk page.
     pub node_capacity: Option<usize>,
-    /// Worker threads for the staged build pipeline (STR passes,
-    /// element-page encoding, connectivity). `1` (the default) builds
-    /// sequentially; any setting produces **byte-identical** disk pages,
-    /// metadata and B+-tree — parallelism only changes wall time. `0` is
-    /// clamped to 1.
+    /// Worker threads for the staged build pipeline (STR passes, page
+    /// packing, connectivity). The default is the host's available
+    /// parallelism (`std::thread::available_parallelism`, 1 when it cannot
+    /// be read); `1` builds sequentially. Any setting produces
+    /// **byte-identical** disk pages, metadata and B+-tree — parallelism
+    /// only changes wall time. `0` is clamped to 1.
     pub build_threads: usize,
 }
 
@@ -22,7 +23,7 @@ impl Default for IndexConfig {
         Self {
             unit_capacity: None,
             node_capacity: None,
-            build_threads: 1,
+            build_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -227,7 +228,8 @@ mod tests {
 
     #[test]
     fn build_threads_default_and_builder() {
-        assert_eq!(IndexConfig::default().build_threads, 1);
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(IndexConfig::default().build_threads, host);
         assert_eq!(
             IndexConfig::default().with_build_threads(4).build_threads,
             4

@@ -149,8 +149,6 @@ impl TransformersIndex {
             .max(1);
 
         let len = elements.len();
-        let extent = Aabb::union_all(elements.iter().map(|e| e.mbb));
-
         if elements.is_empty() {
             let meta = metadata::encode(&[], &[]);
             let (first, count) = write_meta(disk, &meta);
@@ -159,7 +157,7 @@ impl TransformersIndex {
                 nodes: Vec::new(),
                 units: Vec::new(),
                 directory: ProbeDirectory::build(std::iter::empty(), std::iter::empty()),
-                extent,
+                extent: Aabb::empty(),
                 reach_eps: 0.0,
                 btree,
                 meta_first_page: first,
@@ -177,6 +175,7 @@ impl TransformersIndex {
         // space-unit order, plus one table row per unit.
         let stage = obs.stage_span(tfm_obs::names::BUILD_UNIT_STR);
         let unit_parts = pipeline.partition(elements, unit_capacity);
+        let extent = unit_parts.extent();
         drop(stage);
 
         // Stage 2 — node STR: unit descriptors -> space nodes.
@@ -208,8 +207,8 @@ impl TransformersIndex {
         // order, and each page's elements are one slice of the unit pass's
         // vector.
         let page_order = node_parts.items();
-        let first_elem_page = pipeline.encode_and_write(disk, total_units, |i, buf| {
-            codec.encode_into(unit_parts.items_of(page_order[i].part_idx), buf)
+        let first_elem_page = pipeline.write_pages(disk, total_units, |i, page| {
+            codec.encode_page(unit_parts.items_of(page_order[i].part_idx), page)
         });
         for (node_idx, np) in node_parts.iter().enumerate() {
             let first_unit = units.len() as u32;
@@ -793,7 +792,8 @@ mod tests {
             ..DatasetSpec::uniform(4000, 61)
         });
         let seq_disk = Disk::default_in_memory();
-        let seq = TransformersIndex::build(&seq_disk, elems.clone(), &IndexConfig::default());
+        let sequential = IndexConfig::default().with_build_threads(1);
+        let seq = TransformersIndex::build(&seq_disk, elems.clone(), &sequential);
         let dump = |d: &Disk| -> Vec<Vec<u8>> {
             (0..d.allocated_pages())
                 .map(|p| d.read_page_vec(PageId(p)))

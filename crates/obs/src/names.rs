@@ -225,6 +225,14 @@ pub const BUILD_PARTITION: &str = "build.partition";
 pub const BUILD_ENCODE_WRITE: &str = "build.encode_write";
 /// Stage 1: STR ordering of leaf units.
 pub const BUILD_UNIT_STR: &str = "build.unit_str";
+/// Inside every STR pass: the x keys and extent, the slab multi-select,
+/// the slab bounds and each item's slab id.
+pub const BUILD_STR_X: &str = "build.str_x";
+/// Inside every STR pass: the move of every item into its x-slab.
+pub const BUILD_STR_DISTRIBUTE: &str = "build.str_distribute";
+/// Inside every STR pass: the per-slab y-run selects, run sorts, permutes
+/// and page boxes.
+pub const BUILD_STR_SLABS: &str = "build.str_slabs";
 /// Stage 2: STR ordering of internal nodes.
 pub const BUILD_NODE_STR: &str = "build.node_str";
 /// Stage 3: packing elements into pages.

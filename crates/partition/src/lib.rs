@@ -9,15 +9,17 @@
 //!   inside a run and permutes the caller's vector, and the result is that
 //!   vector plus a table of ranges and boxes ([`StrPartitions`]) — no
 //!   per-partition `Vec`, no second element buffer. [`str_partition_pooled`]
-//!   is the same kernel with the per-slab passes fanned out over a
-//!   [`tfm_pool::StagePool`]; it returns the **identical** partition
-//!   sequence at any thread count, which is what keeps parallel index
-//!   builds byte-identical to sequential ones.
+//!   is the same kernel with every pass — x keys, slab select, the
+//!   distribution into slabs and the per-slab passes — fanned out over
+//!   a [`tfm_pool::StagePool`] ([`str_partition`] runs it on a sequential
+//!   one); it returns the **identical** partition sequence at any thread
+//!   count, which is what keeps parallel index builds byte-identical to
+//!   sequential ones.
 //! * [`UniformGrid`] — the uniform space tiling used by PBSM and by
 //!   TRANSFORMERS' connectivity self-join (§IV "Connectivity").
 //! * [`IndexBuildPipeline`] — the staged, data-parallel bulk-load
 //!   pipeline (STR partition stage + order-preserving page encode/write
-//!   stage over a `tfm_pool::StagePool`) shared by the TRANSFORMERS
+//!   stage, one batch per store write, over a `tfm_pool::StagePool`) shared by the TRANSFORMERS
 //!   index build, GIPSY's sparse file and the STR-packed R-Tree.
 //!
 //! STR returns, for every partition, **two** bounding boxes exactly as the

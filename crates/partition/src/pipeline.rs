@@ -21,15 +21,17 @@
 //!
 //! **Determinism.** All stages are order-preserving: partitioning uses
 //! [`str_partition_pooled`] (identical partition sequence at any thread
-//! count), page images are encoded in parallel but **written sequentially
-//! in page order** — so both the bytes on disk and the simulated I/O
-//! accounting (sequential-write classification) are independent of the
-//! worker count. A build with `build_threads = 8` produces byte-identical
-//! disk pages, metadata and B+-tree to a sequential build; only wall time
-//! changes. The `build_determinism` test checksums whole disks to hold the
+//! count), page images are encoded beside the writes but **written
+//! sequentially in page order**, a batch per [`Disk::write_run`] whose
+//! accounting is that of writing its pages one by one — so both the bytes
+//! on disk and the simulated I/O accounting (sequential-write
+//! classification) are independent of the worker count. A build with
+//! `build_threads = 8` produces byte-identical disk pages, metadata and
+//! B+-tree to a sequential build; only wall time changes. The `build_determinism` test checksums whole disks to hold the
 //! pipeline to that.
 
 use crate::str::{str_partition_pooled, StrPartition, StrPartitions};
+use std::ops::Range;
 use tfm_geom::HasMbb;
 use tfm_pool::StagePool;
 use tfm_storage::{Disk, PageId};
@@ -67,27 +69,30 @@ impl IndexBuildPipeline {
     }
 
     /// **Partition stage**: STR-partitions `items` into groups of at most
-    /// `capacity`: the x-slab selection runs on the caller's thread, the
-    /// per-slab y/z passes fan out over the pool. `items` is permuted in
-    /// place and returned inside the result.
-    /// Identical output to the sequential partitioner at any thread count.
-    pub fn partition<T: HasMbb + Send>(&self, items: Vec<T>, capacity: usize) -> StrPartitions<T> {
+    /// `capacity`, every pass fanned out over the pool
+    /// ([`str_partition_pooled`]). `items` is permuted in place and
+    /// returned inside the result. Identical output at any thread count.
+    pub fn partition<T: HasMbb + Send + Sync>(
+        &self,
+        items: Vec<T>,
+        capacity: usize,
+    ) -> StrPartitions<T> {
         let _stage = tfm_obs::global().stage_span(tfm_obs::names::BUILD_PARTITION);
         str_partition_pooled(items, capacity, &self.pool)
     }
 
     /// **Encode + write stage**: produces `count` page images with `encode`
-    /// (fanned out over the pool, collected in index order) and writes them
-    /// to a freshly allocated contiguous run **sequentially in page order**,
-    /// so the on-disk bytes and the sequential-write I/O accounting match a
-    /// single-threaded build exactly. Returns the first page of the run.
+    /// and writes them to a freshly allocated contiguous run, **in page
+    /// order**, so the on-disk bytes and the sequential-write I/O
+    /// accounting match a single-threaded build exactly. Returns the first
+    /// page of the run.
     ///
-    /// `encode(i, buf)` serializes page `i` into `buf` (handed in empty):
-    /// the sequential pipeline streams encode→write one page at a time
-    /// through **one reused buffer** (zero per-page allocation — pair it
-    /// with `ElementPageCodec::encode_into`); parallel pipelines fan the
-    /// encoding out in bounded batches so peak memory stays at a few
-    /// thousand page images, not the whole file.
+    /// `encode(i, buf)` serializes page `i` into `buf` (handed in empty;
+    /// shorter images are zero-padded to the page). The images go through
+    /// one scratch `Vec` per batch into the batch buffer
+    /// ([`write_pages`](Self::write_pages) has the batching); an encoder
+    /// that can write a page in place should use `write_pages` itself and
+    /// skip the copy.
     pub fn encode_and_write<F>(&self, disk: &Disk, count: usize, encode: F) -> PageId
     where
         F: Fn(usize, &mut Vec<u8>) + Sync,
@@ -99,41 +104,97 @@ impl IndexBuildPipeline {
     /// know the page run before producing bytes — e.g. the B+-tree's leaf
     /// level, where each page stores a next-leaf pointer to its physical
     /// successor. The run is allocated first and its first page id passed
-    /// to every `encode(first, i)` call; everything else (parallel encode,
-    /// sequential in-order writes, byte-determinism) is identical.
+    /// to every `encode(first, i)` call; everything else (batching,
+    /// in-order writes, byte-determinism) is identical.
     pub fn encode_run<F>(&self, disk: &Disk, count: usize, encode: F) -> PageId
     where
         F: Fn(PageId, usize, &mut Vec<u8>) + Sync,
     {
-        let _stage = tfm_obs::global().stage_span(tfm_obs::names::BUILD_ENCODE_WRITE);
-        let first = disk.allocate_contiguous(count as u64);
-        if self.pool.is_sequential() {
-            // One buffer for the whole run: `encode` fills it in place.
-            let mut buf = Vec::new();
-            for i in 0..count {
+        let page_size = disk.page_size();
+        self.pack_run(disk, count, |first, pages, batch| {
+            let mut buf = Vec::with_capacity(page_size);
+            for (page, i) in batch.chunks_exact_mut(page_size).zip(pages) {
                 buf.clear();
                 encode(first, i, &mut buf);
-                disk.write_page(PageId(first.0 + i as u64), &buf);
+                assert!(
+                    buf.len() <= page_size,
+                    "page image of {} bytes exceeds page size {page_size}",
+                    buf.len()
+                );
+                let (image, padding) = page.split_at_mut(buf.len());
+                image.copy_from_slice(&buf);
+                padding.fill(0);
             }
-            return first;
+        })
+    }
+
+    /// [`encode_and_write`](Self::encode_and_write) for encoders that write
+    /// a page in place: `fill(i, page)` writes page `i`'s whole image into
+    /// `page`, a slot of a batch buffer exactly one page long that still
+    /// holds an earlier page's bytes.
+    ///
+    /// The pages go through two batch buffers, allocated once per call,
+    /// and each batch goes to the store in one [`Disk::write_run`]; no
+    /// buffer is allocated per page. On a pool of two or more workers the
+    /// caller's thread writes one batch of 1 MiB while a second thread
+    /// fills the next, so encoding hides behind the store's copy. A
+    /// sequential pool fills and writes in turn, one page at a time: a
+    /// larger batch bought nothing there and cost a little (DESIGN.md
+    /// § "Bulk load").
+    pub fn write_pages<F>(&self, disk: &Disk, count: usize, fill: F) -> PageId
+    where
+        F: Fn(usize, &mut [u8]) + Sync,
+    {
+        let page_size = disk.page_size();
+        self.pack_run(disk, count, |_, pages, batch| {
+            for (page, i) in batch.chunks_exact_mut(page_size).zip(pages) {
+                fill(i, page);
+            }
+        })
+    }
+
+    /// The batching under every encode stage: allocates the run, then for
+    /// each batch of pages runs `fill(first, pages, batch)` — `batch` holds
+    /// exactly the pages `pages` of the run — and writes it, overlapping
+    /// the write of one batch with the fill of the next.
+    fn pack_run<F>(&self, disk: &Disk, count: usize, fill: F) -> PageId
+    where
+        F: Fn(PageId, Range<usize>, &mut [u8]) + Sync,
+    {
+        let _stage = tfm_obs::global().stage_span(tfm_obs::names::BUILD_ENCODE_WRITE);
+        let first = disk.allocate_contiguous(count as u64);
+        let page_size = disk.page_size();
+        let per_batch = if self.pool.is_sequential() {
+            1
+        } else {
+            ((1 << 20) / page_size).max(1)
+        };
+        let batches = count.div_ceil(per_batch);
+        let pages_of = |b: usize| b * per_batch..((b + 1) * per_batch).min(count);
+        let bytes_of = |pages: &Range<usize>| pages.len() * page_size;
+        let mut ready = vec![0u8; count.min(per_batch) * page_size];
+        let mut next = vec![0u8; if batches > 1 { ready.len() } else { 0 }];
+        if batches > 0 {
+            let pages = pages_of(0);
+            fill(first, pages.clone(), &mut ready[..bytes_of(&pages)]);
         }
-        // Batch sizing trades the per-batch scope spawn/join against peak
-        // memory: a few thousand in-flight page images (single-digit MiB
-        // at typical page sizes) amortizes the thread churn to a handful
-        // of scopes even for million-page builds.
-        let batch = (self.pool.threads() * 512).max(2048);
-        let mut start = 0;
-        while start < count {
-            let end = (start + batch).min(count);
-            let images = self.pool.map_range(end - start, |i| {
-                let mut buf = Vec::with_capacity(disk.page_size());
-                encode(first, start + i, &mut buf);
-                buf
-            });
-            for (i, image) in images.iter().enumerate() {
-                disk.write_page(PageId(first.0 + (start + i) as u64), image);
-            }
-            start = end;
+        for b in 0..batches {
+            let this = pages_of(b);
+            self.pool.join(
+                || {
+                    disk.write_run(
+                        PageId(first.0 + this.start as u64),
+                        &ready[..bytes_of(&this)],
+                    )
+                },
+                || {
+                    if b + 1 < batches {
+                        let after = pages_of(b + 1);
+                        fill(first, after.clone(), &mut next[..bytes_of(&after)]);
+                    }
+                },
+            );
+            std::mem::swap(&mut ready, &mut next);
         }
         first
     }
@@ -212,25 +273,60 @@ mod tests {
 
     #[test]
     fn batched_parallel_encode_spans_batch_boundaries() {
-        // 5000 pages > the 2048-image minimum batch, so the parallel path
-        // takes several batches; bytes must still match the streaming
-        // sequential path exactly.
-        let encode = |i: usize, buf: &mut Vec<u8>| buf.resize(32, (i % 251) as u8);
-        let seq_disk = Disk::in_memory(64);
-        IndexBuildPipeline::sequential().encode_and_write(&seq_disk, 5000, encode);
-        let par_disk = Disk::in_memory(64);
-        IndexBuildPipeline::new(4).encode_and_write(&par_disk, 5000, encode);
-        assert_eq!(seq_disk.allocated_pages(), par_disk.allocated_pages());
-        for p in 0..5000 {
-            assert_eq!(
-                seq_disk.read_page_vec(PageId(p)),
-                par_disk.read_page_vec(PageId(p)),
-                "page {p}"
-            );
+        // 700 pages of 4 KiB: three batches of at most 1 MiB on a pool,
+        // one page per batch on one thread; bytes and I/O accounting must
+        // match page-by-page writes exactly.
+        let encode = |i: usize, buf: &mut Vec<u8>| buf.resize(32 + i % 7, (i % 251) as u8);
+        let reference = Disk::in_memory(4096);
+        let first = reference.allocate_contiguous(700);
+        let mut buf = Vec::new();
+        for i in 0..700 {
+            buf.clear();
+            encode(i, &mut buf);
+            reference.write_page(PageId(first.0 + i as u64), &buf);
         }
-        // Batch boundaries leave no seams in the I/O classification.
-        assert_eq!(par_disk.stats().rand_writes, 1);
-        assert_eq!(par_disk.stats().seq_writes, 4999);
+        let written = reference.stats();
+        for threads in [1, 2, 4] {
+            let disk = Disk::in_memory(4096);
+            IndexBuildPipeline::new(threads).encode_and_write(&disk, 700, encode);
+            assert_eq!(disk.allocated_pages(), 700);
+            // Batch boundaries leave no seams in the I/O accounting.
+            assert_eq!(disk.stats(), written, "threads = {threads}");
+            for p in 0..700 {
+                assert_eq!(
+                    disk.read_page_vec(PageId(p)),
+                    reference.read_page_vec(PageId(p)),
+                    "threads = {threads}, page {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_fills_write_what_encoders_write() {
+        // `write_pages` hands out batch slots that still hold the page
+        // written a batch earlier: a fill that writes every byte must
+        // give the bytes of the `Vec` path.
+        let parts = IndexBuildPipeline::sequential().partition(elems(3000), 9);
+        let codec = ElementPageCodec::new(512);
+        let encoded = Disk::in_memory(512);
+        IndexBuildPipeline::sequential()
+            .pack_pages(&encoded, &parts, |p, buf| codec.encode_into(p.items, buf));
+        let written = encoded.stats();
+        for threads in [1, 2, 3] {
+            let filled = Disk::in_memory(512);
+            IndexBuildPipeline::new(threads).write_pages(&filled, parts.len(), |i, page| {
+                codec.encode_page(parts.items_of(i), page)
+            });
+            assert_eq!(filled.stats(), written, "threads = {threads}");
+            for p in 0..parts.len() as u64 {
+                assert_eq!(
+                    filled.read_page_vec(PageId(p)),
+                    encoded.read_page_vec(PageId(p)),
+                    "threads = {threads}, page {p}"
+                );
+            }
+        }
     }
 
     #[test]

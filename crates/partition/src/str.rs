@@ -18,13 +18,14 @@
 //! ranges in place, through one sequential write front per slab (a random
 //! permutation of the whole vector would miss the cache on every move);
 //! each element's original index `i` moves with it. Each slab then builds
-//! 32-byte keys in one buffer reused across slabs, selects its y-runs,
-//! sorts each run and permutes its own, cache-resident, elements into page
-//! order. The input vector comes back as the result's storage; the
-//! partitions are ranges over it ([`StrPartitions`]).
+//! 32-byte keys in a buffer its worker reuses across slabs, selects its
+//! y-runs, sorts each run and permutes its own, cache-resident, elements
+//! into page order. The input vector comes back as the result's storage;
+//! the partitions are ranges over it ([`StrPartitions`]).
 
 use std::ops::Range;
 use tfm_geom::{total_order_key, Aabb, HasMbb, Point3};
+use tfm_obs::names;
 use tfm_pool::StagePool;
 
 /// The result of an STR pass: the input vector, permuted into partition
@@ -35,6 +36,7 @@ use tfm_pool::StagePool;
 pub struct StrPartitions<T> {
     items: Vec<T>,
     table: Vec<StrEntry>,
+    extent: Aabb,
 }
 
 /// One row of the partition table.
@@ -66,6 +68,13 @@ impl<T> StrPartitions<T> {
     /// True if there are no partitions (the input was empty).
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
+    }
+
+    /// The union of every item's box, folded in input order
+    /// ([`Aabb::empty`] when there are no items): the extent the partition
+    /// MBBs tile.
+    pub fn extent(&self) -> Aabb {
+        self.extent
     }
 
     /// All items, in partition order.
@@ -110,6 +119,7 @@ impl<T: HasMbb> StrPartitions<T> {
     /// Panics if `capacity == 0`.
     pub fn chunked(items: Vec<T>, capacity: usize) -> Self {
         assert!(capacity > 0, "partition capacity must be positive");
+        let extent = Aabb::union_all(items.iter().map(|i| i.mbb()));
         let table = (0..items.len())
             .step_by(capacity)
             .map(|start| {
@@ -122,7 +132,11 @@ impl<T: HasMbb> StrPartitions<T> {
                 }
             })
             .collect();
-        Self { items, table }
+        Self {
+            items,
+            table,
+            extent,
+        }
     }
 }
 
@@ -139,92 +153,136 @@ impl<T: HasMbb> StrPartitions<T> {
 /// the partition MBBs a gap-free tiling (verified by property tests).
 ///
 /// `items` is permuted in place and returned inside the result; no other
-/// element buffer is allocated.
+/// element buffer is allocated. This is [`str_partition_pooled`] on a
+/// sequential pool.
 ///
 /// # Panics
 /// Panics if `capacity == 0` or if there are more than `u32::MAX` items.
-pub fn str_partition<T: HasMbb>(items: Vec<T>, capacity: usize) -> StrPartitions<T> {
-    partition_with(items, capacity, |slabs, plan| {
-        let mut keys = Vec::new();
-        slabs
-            .into_iter()
-            .flat_map(|slab| partition_slab(slab, plan, &mut keys))
-            .collect()
-    })
+pub fn str_partition<T: HasMbb + Send + Sync>(items: Vec<T>, capacity: usize) -> StrPartitions<T> {
+    str_partition_pooled(items, capacity, &StagePool::sequential())
 }
 
-/// [`str_partition`] with the per-slab passes fanned out over `pool`.
+/// [`str_partition`] with every pass fanned out over `pool`.
 ///
-/// The result is **identical** to the sequential [`str_partition`] at any
-/// thread count: the x pass — a selection and one distribution — runs on
-/// the caller's thread exactly as in the sequential kernel, and each
-/// x-slab — an independent, disjoint sub-slice after it — is partitioned
-/// by exactly the sequential code (with a key buffer of its own), with the
-/// slabs' table rows concatenated in slab order. Index builds therefore lay
-/// out byte-identical pages however many build threads run (verified by
-/// equivalence property tests).
-pub fn str_partition_pooled<T: HasMbb + Send>(
-    items: Vec<T>,
+/// The result is **identical** at any thread count, because every pass
+/// computes the same values wherever it runs:
+///
+/// * the x pass computes the `(kx, i)` keys and the extent in fixed
+///   blocks, runs the two halves of its multi-select on two threads once
+///   the middle cut is selected, scans the slabs' key extremes per slab,
+///   and reads each item's slab id off the selected keys;
+/// * the distribution moves the items of the lower and the upper half of
+///   the slabs apart and distributes each half on its own thread;
+/// * each x-slab — an independent, disjoint sub-slice after it — runs the
+///   y/z passes on one worker, with one key buffer per worker, and the
+///   slabs' table rows are concatenated in slab order.
+///
+/// Index builds therefore lay out byte-identical pages however many build
+/// threads run (verified by equivalence property tests). The three passes
+/// record the `build.str_x`, `build.str_distribute` and `build.str_slabs`
+/// stage timers.
+///
+/// # Panics
+/// Panics if `capacity == 0` or if there are more than `u32::MAX` items.
+pub fn str_partition_pooled<T: HasMbb + Send + Sync>(
+    mut items: Vec<T>,
     capacity: usize,
     pool: &StagePool,
 ) -> StrPartitions<T> {
-    if pool.is_sequential() {
-        return str_partition(items, capacity);
-    }
-    partition_with(items, capacity, |slabs, plan| {
-        pool.map_owned(slabs, |_, slab| partition_slab(slab, plan, &mut Vec::new()))
-            .into_iter()
-            .flatten()
-            .collect()
-    })
-}
-
-/// The kernel both entry points run: plan, x pass, y/z passes per slab.
-/// They differ only in where the slabs run (`fan_out`, which returns the
-/// slabs' table rows in slab order).
-///
-/// The x pass selects the slabs on `(kx, i)` keys, then moves the
-/// elements into their slabs' ranges with [`distribute`], carrying each
-/// one's original index along for the slab passes' tie-breaks.
-fn partition_with<T: HasMbb>(
-    mut items: Vec<T>,
-    capacity: usize,
-    fan_out: impl for<'a> FnOnce(Vec<Slab<'a, T>>, &StrPlan) -> Vec<StrEntry>,
-) -> StrPartitions<T> {
-    let Some(plan) = StrPlan::new(&items, capacity) else {
+    assert!(capacity > 0, "partition capacity must be positive");
+    let obs = tfm_obs::global();
+    let stage = obs.stage_span(names::BUILD_STR_X);
+    if items.is_empty() {
         return StrPartitions {
             items,
             table: Vec::new(),
+            extent: Aabb::empty(),
         };
-    };
+    }
     let n = u32_len(items.len());
-    let ends = run_ends(items.len(), plan.sx, plan.per_x_slab);
-    let (x_tiles, cuts) = {
-        let mut keys: Vec<(u64, u32)> = items
-            .iter()
-            .zip(0..n)
-            .map(|(item, i)| (x_key(item), i))
-            .collect();
-        select_blocks(&mut keys, &ends, |&k| k);
-        // Per slab: its smallest `(kx, i)` key, and its largest `kx`.
-        let blocks: Vec<((u64, u32), u64)> = (0..ends.len())
-            .map(|b| {
-                keys[block(&ends, b)]
-                    .iter()
-                    .fold(((u64::MAX, u32::MAX), 0), |(min, max), &k| {
-                        (min.min(k), max.max(k.0))
-                    })
-            })
-            .collect();
+    // The 16-byte keys are dropped before the distribution allocates its
+    // 4 bytes per item.
+    let (plan, ends, x_tiles, mut slab_ids) = {
+        let mut keys: Vec<(u64, u32)> = vec![(0, 0); items.len()];
+        let plan = StrPlan::with_extent(items.len(), capacity, x_keys(&items, &mut keys, pool));
+        let ends = run_ends(items.len(), plan.sx, plan.per_x_slab);
+        select_blocks(&mut keys, &ends, |&k| k, pool);
+        // Per slab: its smallest and its largest `kx`.
+        let blocks: Vec<(u64, u64)> = pool.map_range(ends.len(), |b| {
+            keys[block(&ends, b)]
+                .iter()
+                .fold((u64::MAX, 0), |(min, max), &(kx, _)| {
+                    (min.min(kx), max.max(kx))
+                })
+        });
         let (lo, hi) = (plan.extent.min.x, plan.extent.max.x);
-        let x_tiles = tiles(&ends, lo, hi, |b| (blocks[b].0 .0, blocks[b].1));
-        let cuts: Vec<(u64, u32)> = blocks[1..].iter().map(|b| b.0).collect();
-        (x_tiles, cuts)
+        let x_tiles = tiles(&ends, lo, hi, |b| blocks[b]);
+        // An item's slab is the block its key was selected into, read off
+        // the keys in one pass: its writes stay in a table of 2 B per item.
+        // `sx` is at most ⌈∛u32::MAX⌉ = 1 626, so the id fits a `u16`.
+        let mut slab_ids: Vec<u16> = vec![0; items.len()];
+        for b in 0..ends.len() {
+            for &(_, i) in &keys[block(&ends, b)] {
+                slab_ids[i as usize] = b as u16;
+            }
+        }
+        (plan, ends, x_tiles, slab_ids)
     };
+    drop(stage);
+
+    let stage = obs.stage_span(names::BUILD_STR_DISTRIBUTE);
     let mut orig: Vec<u32> = (0..n).collect();
-    distribute(&mut items, &mut orig, &ends, &cuts);
-    let table = fan_out(x_slabs(&mut items, &orig, x_tiles), &plan);
-    StrPartitions { items, table }
+    distribute(&mut items, &mut orig, &mut slab_ids, &ends, (0, 0), pool);
+    drop(slab_ids);
+    drop(stage);
+
+    let _stage = obs.stage_span(names::BUILD_STR_SLABS);
+    let table = pool
+        .map_owned(
+            x_slabs(&mut items, &orig, x_tiles),
+            Vec::new,
+            |keys, _, slab| partition_slab(slab, &plan, keys),
+        )
+        .into_iter()
+        .flatten()
+        .collect();
+    StrPartitions {
+        items,
+        table,
+        extent: plan.extent,
+    }
+}
+
+/// Items per block of the per-item passes the pool fans out.
+const BLOCK: usize = 1 << 16;
+
+/// `v` cut into blocks of [`BLOCK`] items, each with its offset in `v`:
+/// the tasks of a per-item pass on the pool.
+fn blocks<T>(v: &mut [T]) -> Vec<(usize, &mut [T])> {
+    v.chunks_mut(BLOCK)
+        .enumerate()
+        .map(|(b, block)| (b * BLOCK, block))
+        .collect()
+}
+
+/// Fills `keys` with every item's `(kx, i)` and returns the union of the
+/// items' boxes — the one pass over the items before the slabs are cut.
+/// The blocks' boxes are folded in block order, so the extent does not
+/// depend on the thread count.
+fn x_keys<T: HasMbb + Sync>(items: &[T], keys: &mut [(u64, u32)], pool: &StagePool) -> Aabb {
+    let boxes = pool.map_owned(
+        blocks(keys),
+        || (),
+        |_, _, (offset, block)| {
+            let mut mbb = Aabb::empty();
+            for ((key, item), i) in block.iter_mut().zip(&items[offset..]).zip(offset as u32..) {
+                mbb = mbb.union(&item.mbb());
+                *key = (x_key(item), i);
+            }
+            mbb
+        },
+    );
+    Aabb::union_all(boxes)
 }
 
 /// `len` as the kernel's `u32` item index.
@@ -247,23 +305,100 @@ fn x_key<T: HasMbb>(item: &T) -> u64 {
     total_order_key(item.center().x)
 }
 
-/// Moves every item into its slab's range of `items`, in place: an
-/// American-flag distribution with one write cursor per slab, so the moves
-/// stream through `ends.len()` sequential fronts instead of jumping across
-/// the whole vector. An item's slab is the number of `cuts` (each slab's
-/// smallest `(kx, i)` key but the first's) at or below its own key;
-/// `orig`, each item's original index `i`, moves with it. The order inside
-/// a slab is whatever the moves leave.
-fn distribute<T: HasMbb>(items: &mut [T], orig: &mut [u32], ends: &[usize], cuts: &[(u64, u32)]) {
-    let slab_of = |item: &T, i: u32| {
-        let key = (x_key(item), i);
-        cuts.partition_point(|&cut| cut <= key)
-    };
-    let mut heads: Vec<usize> = (0..ends.len()).map(|b| block(ends, b).start).collect();
+/// Moves every item into its slab's range of `items`, in place. `slab[p]`
+/// is the slab of the item at `p`; it and `orig`, each item's original
+/// index `i`, move with the item. `ends` are the end positions, in the
+/// whole vector, of the slabs `first..first + ends.len()`, and `base` is
+/// the position of `items[0]` in it. The order inside a slab is whatever
+/// the moves leave.
+///
+/// On a pool of more than one worker the slabs are split into a lower and
+/// an upper half: the items of the lower half's slabs that sit above the
+/// boundary trade places, pairwise, with the upper half's items below it
+/// (two sequential fronts), and then each half is distributed on half the
+/// pool. A sequential pool distributes all its slabs at once.
+fn distribute<T: Send>(
+    items: &mut [T],
+    orig: &mut [u32],
+    slab: &mut [u16],
+    ends: &[usize],
+    (base, first): (usize, u16),
+    pool: &StagePool,
+) {
+    if pool.is_sequential() || ends.len() < 2 {
+        distribute_flag(items, orig, slab, ends, (base, first));
+        return;
+    }
+    let half = ends.len() / 2;
+    let mid = ends[half - 1] - base;
+    let upper = first + half as u16;
+    let (mut lo, mut hi) = (0, mid);
+    loop {
+        while lo < mid && slab[lo] < upper {
+            lo += 1;
+        }
+        while hi < items.len() && slab[hi] >= upper {
+            hi += 1;
+        }
+        // The two halves are full, so an item out of place on one side
+        // has a partner on the other.
+        if lo == mid {
+            break;
+        }
+        items.swap(lo, hi);
+        orig.swap(lo, hi);
+        slab.swap(lo, hi);
+    }
+    let (items_lo, items_hi) = items.split_at_mut(mid);
+    let (orig_lo, orig_hi) = orig.split_at_mut(mid);
+    let (slab_lo, slab_hi) = slab.split_at_mut(mid);
+    let width = pool.threads() / 2;
+    let (pool_lo, pool_hi) = (
+        StagePool::new(width),
+        StagePool::new(pool.threads() - width),
+    );
+    pool.join(
+        || {
+            distribute(
+                items_lo,
+                orig_lo,
+                slab_lo,
+                &ends[..half],
+                (base, first),
+                &pool_lo,
+            )
+        },
+        || {
+            distribute(
+                items_hi,
+                orig_hi,
+                slab_hi,
+                &ends[half..],
+                (base + mid, upper),
+                &pool_hi,
+            )
+        },
+    );
+}
+
+/// [`distribute`] on one thread: an American-flag distribution with one
+/// write cursor per slab, so the moves stream through `ends.len()`
+/// sequential fronts instead of jumping across the whole vector.
+fn distribute_flag<T>(
+    items: &mut [T],
+    orig: &mut [u32],
+    slab: &mut [u16],
+    ends: &[usize],
+    (base, first): (usize, u16),
+) {
+    let end = |b: usize| ends[b] - base;
+    let mut heads: Vec<usize> = (0..ends.len())
+        .map(|b| if b == 0 { 0 } else { end(b - 1) })
+        .collect();
     for b in 0..ends.len() {
-        while heads[b] < ends[b] {
+        while heads[b] < end(b) {
             let p = heads[b];
-            let to = slab_of(&items[p], orig[p]);
+            let to = usize::from(slab[p] - first);
             if to == b {
                 heads[b] += 1;
             } else {
@@ -274,6 +409,7 @@ fn distribute<T: HasMbb>(items: &mut [T], orig: &mut [u32], ends: &[usize], cuts
                 heads[to] += 1;
                 items.swap(p, q);
                 orig.swap(p, q);
+                slab.swap(p, q);
             }
         }
     }
@@ -302,25 +438,29 @@ struct StrPlan {
 }
 
 impl StrPlan {
-    /// `None` for an empty input, which has no extent to tile.
-    fn new<T: HasMbb>(items: &[T], capacity: usize) -> Option<Self> {
-        assert!(capacity > 0, "partition capacity must be positive");
-        if items.is_empty() {
-            return None;
-        }
-        let extent = Aabb::union_all(items.iter().map(|i| i.mbb()));
-        let n = items.len();
+    /// The plan for `n > 0` items whose boxes span `extent`.
+    fn with_extent(n: usize, capacity: usize, extent: Aabb) -> Self {
         let p = n.div_ceil(capacity);
         let sx = (p as f64).cbrt().ceil() as usize;
         let per_x_slab = n.div_ceil(sx);
         let p_per_slab = p.div_ceil(sx);
         let sy = (p_per_slab as f64).sqrt().ceil() as usize;
-        Some(Self {
+        Self {
             extent,
             sx,
             per_x_slab,
             sy,
             capacity,
+        }
+    }
+
+    /// The plan for `items`; `None` for an empty input, which has no
+    /// extent to tile.
+    #[cfg(test)]
+    fn new<T: HasMbb>(items: &[T], capacity: usize) -> Option<Self> {
+        (!items.is_empty()).then(|| {
+            let extent = Aabb::union_all(items.iter().map(|i| i.mbb()));
+            Self::with_extent(items.len(), capacity, extent)
         })
     }
 }
@@ -345,13 +485,20 @@ fn run_ends(n: usize, max_runs: usize, per_run: usize) -> Vec<usize> {
 /// Reorders `keys` so that the block before each of `ends` holds exactly
 /// the keys of those ranks under `key` (which must be unique), in no
 /// particular order inside a block: a recursive multi-select, splitting at
-/// the middle cut each time.
-fn select_blocks<K, O: Ord>(keys: &mut [K], ends: &[usize], key: impl Fn(&K) -> O + Copy) {
-    fn split<K, O: Ord>(
+/// the middle cut each time. Below each cut the two halves are disjoint,
+/// so they run on the two halves of `pool`.
+fn select_blocks<K: Send, O: Ord>(
+    keys: &mut [K],
+    ends: &[usize],
+    key: impl Fn(&K) -> O + Copy + Sync,
+    pool: &StagePool,
+) {
+    fn split<K: Send, O: Ord>(
         keys: &mut [K],
         offset: usize,
         cuts: &[usize],
-        key: impl Fn(&K) -> O + Copy,
+        key: impl Fn(&K) -> O + Copy + Sync,
+        pool: &StagePool,
     ) {
         if cuts.is_empty() {
             return;
@@ -360,10 +507,14 @@ fn select_blocks<K, O: Ord>(keys: &mut [K], ends: &[usize], key: impl Fn(&K) -> 
         let at = cuts[mid] - offset;
         keys.select_nth_unstable_by_key(at, key);
         let (left, right) = keys.split_at_mut(at);
-        split(left, offset, &cuts[..mid], key);
-        split(right, cuts[mid], &cuts[mid + 1..], key);
+        let half = pool.threads() / 2;
+        let (l, r) = (StagePool::new(half), StagePool::new(pool.threads() - half));
+        pool.join(
+            || split(left, offset, &cuts[..mid], key, &l),
+            || split(right, cuts[mid], &cuts[mid + 1..], key, &r),
+        );
     }
-    split(keys, 0, &ends[..ends.len() - 1], key);
+    split(keys, 0, &ends[..ends.len() - 1], key, pool);
 }
 
 /// The range of block `b` of a tiling with block ends `ends`.
@@ -497,7 +648,12 @@ fn partition_slab<T: HasMbb>(
             }),
     );
     let y_ends = run_ends(items.len(), plan.sy, items.len().div_ceil(plan.sy));
-    select_blocks(keys, &y_ends, |k| (k.ky, k.kx, k.i));
+    select_blocks(
+        keys,
+        &y_ends,
+        |k| (k.ky, k.kx, k.i),
+        &StagePool::sequential(),
+    );
     let y_tiles = tiles(&y_ends, extent.min.y, extent.max.y, |b| {
         keys[block(&y_ends, b)]
             .iter()
@@ -1037,7 +1193,10 @@ mod tests {
 
         #[test]
         fn oracle_heavy_ties_at_random_sizes(elems in tied_elems(), capacity in 1usize..64) {
-            assert_equals_reference_at(&elems, capacity, &[2, 3]);
+            // 2 and 3 threads, and the host's worker count: the default of
+            // `IndexConfig::build_threads` in the core crate.
+            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+            assert_equals_reference_at(&elems, capacity, &[2, 3, host]);
         }
     }
 

@@ -34,7 +34,7 @@ mod scheduler;
 
 pub use scheduler::{Chunk, ChunkScheduler};
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A fixed-width scoped worker pool: `threads` workers are spawned per
 /// stage invocation and joined before the call returns.
@@ -122,26 +122,7 @@ impl StagePool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.is_sequential() || count <= 1 {
-            return (0..count).map(f).collect();
-        }
-        let scheduler = ChunkScheduler::new(count, self.threads, self.chunk_size(count));
-        let per_worker: Vec<Vec<(usize, Vec<R>)>> = self.scoped_run(|w| {
-            let mut runs = Vec::new();
-            while let Some(chunk) = scheduler.next(w) {
-                let run: Vec<R> = (chunk.start..chunk.end).map(&f).collect();
-                runs.push((chunk.start, run));
-            }
-            runs
-        });
-        let mut tagged: Vec<(usize, Vec<R>)> = per_worker.into_iter().flatten().collect();
-        tagged.sort_unstable_by_key(|(start, _)| *start);
-        let mut out = Vec::with_capacity(count);
-        for (_, run) in tagged {
-            out.extend(run);
-        }
-        debug_assert_eq!(out.len(), count);
-        out
+        self.map_indexed(count, || (), |_, i| f(i))
     }
 
     /// Applies `f` to every element of `items` across the pool; outputs
@@ -158,27 +139,90 @@ impl StagePool {
     /// Consuming map: every task in `tasks` is handed to exactly one worker
     /// (by value); outputs come back in input order. Used for fanning out
     /// owned work items such as STR slabs.
-    pub fn map_owned<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
+    ///
+    /// Each worker calls `scratch()` once and hands the value to every
+    /// task it runs, so a buffer a task needs is allocated once per worker,
+    /// not once per task; a sequential pool makes one.
+    pub fn map_owned<T, S, R, F>(
+        &self,
+        tasks: Vec<T>,
+        scratch: impl Fn() -> S + Sync,
+        f: F,
+    ) -> Vec<R>
     where
         T: Send,
         R: Send,
-        F: Fn(usize, T) -> R + Sync,
+        F: Fn(&mut S, usize, T) -> R + Sync,
     {
-        if self.is_sequential() || tasks.len() <= 1 {
-            return tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        }
         let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.map_range(slots.len(), |i| {
+        self.map_indexed(slots.len(), scratch, |s, i| {
+            // A slot is a task taken or not: a panic elsewhere cannot leave
+            // it half-taken, so a poisoned lock is still a valid one.
             let task = slots[i]
                 .lock()
-                .expect("task slot poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .take()
                 .expect("task taken twice");
-            f(i, task)
+            f(s, i, task)
+        })
+    }
+
+    /// [`map_range`](Self::map_range) with one `scratch()` value per worker
+    /// handed to each of its calls of `f`.
+    fn map_indexed<S, R, F>(&self, count: usize, scratch: impl Fn() -> S + Sync, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut S, usize) -> R + Sync,
+    {
+        if self.is_sequential() || count <= 1 {
+            let mut s = scratch();
+            return (0..count).map(|i| f(&mut s, i)).collect();
+        }
+        let scheduler = ChunkScheduler::new(count, self.threads, self.chunk_size(count));
+        let per_worker: Vec<Vec<(usize, Vec<R>)>> = self.scoped_run(|w| {
+            let mut s = scratch();
+            let mut runs = Vec::new();
+            while let Some(chunk) = scheduler.next(w) {
+                let run: Vec<R> = (chunk.start..chunk.end).map(|i| f(&mut s, i)).collect();
+                runs.push((chunk.start, run));
+            }
+            runs
+        });
+        let mut tagged: Vec<(usize, Vec<R>)> = per_worker.into_iter().flatten().collect();
+        tagged.sort_unstable_by_key(|(start, _)| *start);
+        let mut out = Vec::with_capacity(count);
+        for (_, run) in tagged {
+            out.extend(run);
+        }
+        debug_assert_eq!(out.len(), count);
+        out
+    }
+
+    /// Runs `a` and `b` and returns both results: `b` on a thread of its
+    /// own and `a` on the caller's, unless the pool is sequential, which
+    /// runs `a` and then `b` inline.
+    ///
+    /// # Panics
+    /// Propagates a panic from either, with its own payload.
+    pub fn join<RA, RB>(
+        &self,
+        a: impl FnOnce() -> RA + Send,
+        b: impl FnOnce() -> RB + Send,
+    ) -> (RA, RB)
+    where
+        RA: Send,
+        RB: Send,
+    {
+        if self.is_sequential() {
+            return (a(), b());
+        }
+        std::thread::scope(|scope| {
+            let b = scope.spawn(b);
+            let a = a();
+            let b = b
+                .join()
+                .unwrap_or_else(|err| std::panic::resume_unwind(err));
+            (a, b)
         })
     }
 }
@@ -229,14 +273,70 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let tasks: Vec<Vec<u32>> = (0..50).map(|i| vec![i; 3]).collect();
         let pool = StagePool::new(4);
-        let got = pool.map_owned(tasks, |i, t| {
-            counter.fetch_add(1, AtomicOrdering::Relaxed);
-            (i, t.len())
-        });
+        let got = pool.map_owned(
+            tasks,
+            || (),
+            |_, i, t| {
+                counter.fetch_add(1, AtomicOrdering::Relaxed);
+                (i, t.len())
+            },
+        );
         assert_eq!(counter.load(AtomicOrdering::Relaxed), 50);
         for (i, (idx, len)) in got.iter().enumerate() {
             assert_eq!((i, 3), (*idx, *len));
         }
+    }
+
+    #[test]
+    fn map_owned_makes_one_scratch_per_worker() {
+        for threads in [1, 2, 4] {
+            let made = AtomicUsize::new(0);
+            let pool = StagePool::new(threads);
+            let got = pool.map_owned(
+                (0..40).collect(),
+                || {
+                    made.fetch_add(1, AtomicOrdering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |seen, i, t: usize| {
+                    seen.push(t);
+                    (i, t)
+                },
+            );
+            assert_eq!(got, (0..40).map(|t| (t, t)).collect::<Vec<_>>());
+            assert!(
+                made.load(AtomicOrdering::Relaxed) <= threads,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn join_returns_both_results() {
+        for threads in [1, 2, 3] {
+            let (a, b) = StagePool::new(threads).join(|| 6 * 7, || "b");
+            assert_eq!((a, b), (42, "b"));
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_caller_with_its_own_payload() {
+        let pool = StagePool::new(2);
+        let payload = std::panic::catch_unwind(|| {
+            pool.map_range(64, |i| {
+                if i == 37 {
+                    panic!("task {i} failed");
+                }
+                i
+            })
+        })
+        .expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(message, "task 37 failed");
+        // The pool holds no state across calls: it works again at once.
+        assert_eq!(pool.map_range(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A contiguous range of task indices, `start..end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +120,11 @@ impl ChunkScheduler {
         self.chunks as u64 - self.dispatched.load(Ordering::Acquire)
     }
 
+    /// Worker `w`'s deque.
+    fn queue(&self, w: usize) -> MutexGuard<'_, VecDeque<Chunk>> {
+        lock(&self.queues[w])
+    }
+
     /// Fetches the next chunk for `worker`: the front of its own deque,
     /// or — once that is empty — the back of the fullest other deque.
     /// Returns `None` when every deque is empty or a cancellation has
@@ -131,11 +136,7 @@ impl ChunkScheduler {
         if self.is_cancelled() {
             return None;
         }
-        if let Some(chunk) = self.queues[worker]
-            .lock()
-            .expect("scheduler lock poisoned")
-            .pop_front()
-        {
+        if let Some(chunk) = self.queue(worker).pop_front() {
             self.dispatched.fetch_add(1, Ordering::AcqRel);
             return Some(chunk);
         }
@@ -152,7 +153,7 @@ impl ChunkScheduler {
                 if v == worker {
                     continue;
                 }
-                let len = queue.lock().expect("scheduler lock poisoned").len();
+                let len = lock(queue).len();
                 if len > 0 && best.is_none_or(|(_, blen)| len > blen) {
                     best = Some((v, len));
                 }
@@ -160,17 +161,21 @@ impl ChunkScheduler {
             let (victim, _) = best?;
             // The victim may have been drained between the scan and this
             // lock; retry the scan in that case.
-            if let Some(chunk) = self.queues[victim]
-                .lock()
-                .expect("scheduler lock poisoned")
-                .pop_back()
-            {
+            if let Some(chunk) = self.queue(victim).pop_back() {
                 self.steals.fetch_add(1, Ordering::Relaxed);
                 self.dispatched.fetch_add(1, Ordering::AcqRel);
                 return Some(chunk);
             }
         }
     }
+}
+
+/// Locks a deque, poisoned or not: a deque is a list of chunk ranges and
+/// every operation on it is one `pop` or `len`, so a worker that panicked
+/// while holding the lock left it consistent. The panic itself reaches the
+/// caller through the scope's join, with its own payload.
+fn lock<T>(queue: &Mutex<T>) -> MutexGuard<'_, T> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -229,28 +229,51 @@ impl Disk {
             data.len(),
             self.page_size
         );
-        assert!(
-            id.0 < self.allocated_pages(),
-            "write to unallocated page {id}"
-        );
-        let prev = self.last_write.swap(id.0, Ordering::Relaxed);
-        let (forward, gap) = jump_from(prev, id.0);
-        self.stats
-            .record_write(gap == 0, self.model.cost_for_jump(forward, gap));
-
-        let offset = id.0 * self.page_size as u64;
         if data.len() == self.page_size {
-            self.store
-                .write_page(offset, data)
-                .unwrap_or_else(|e| panic!("page write failed ({id}): {e}"));
+            self.write_run(id, data);
         } else {
             // Zero-pad the tail so re-writes of shorter data do not leak.
             let mut page = vec![0u8; self.page_size];
             page[..data.len()].copy_from_slice(data);
-            self.store
-                .write_page(offset, &page)
-                .unwrap_or_else(|e| panic!("page write failed ({id}): {e}"));
+            self.write_run(id, &page);
         }
+    }
+
+    /// Writes `pages`, a whole number of full pages, to the contiguous run
+    /// of pages that starts at `first`, in one store call. The accounting
+    /// is that of [`write_page`](Self::write_page) on each page in order:
+    /// the first page is classified and costed by its jump from the last
+    /// page written, each later one is a sequential write.
+    ///
+    /// # Panics
+    /// Panics if `pages.len()` is not a multiple of the page size, the run
+    /// reaches past the allocated pages, or the backing store fails.
+    pub fn write_run(&self, first: PageId, pages: &[u8]) {
+        assert!(
+            pages.len().is_multiple_of(self.page_size),
+            "run of {} bytes is not a whole number of {}-byte pages",
+            pages.len(),
+            self.page_size
+        );
+        let count = (pages.len() / self.page_size) as u64;
+        if count == 0 {
+            return;
+        }
+        let last = first.0 + count - 1;
+        assert!(
+            last < self.allocated_pages(),
+            "write to unallocated page {}",
+            PageId(last)
+        );
+        let prev = self.last_write.swap(last, Ordering::Relaxed);
+        let (forward, gap) = jump_from(prev, first.0);
+        self.stats
+            .record_write(gap == 0, self.model.cost_for_jump(forward, gap));
+        self.stats
+            .record_seq_writes(count - 1, self.model.cost_for_jump(true, 0));
+        self.store
+            .write_pages(first.0 * self.page_size as u64, pages, self.page_size)
+            .unwrap_or_else(|e| panic!("page write failed ({first}, {count} pages): {e}"));
     }
 
     /// Reads page `id` into `buf` (which must be exactly one page long).
@@ -531,6 +554,67 @@ mod tests {
         assert!(slowed > unthrottled);
         assert!(slowed >= Duration::from_micros(5), "slowed {slowed:?}");
         assert_eq!(throttled.read_latency(), 0.005);
+    }
+
+    #[test]
+    fn write_run_matches_page_by_page_writes_on_every_backend() {
+        let dir = std::env::temp_dir().join(format!("tfm_disk_run_{}", std::process::id()));
+        let backends = [
+            StoreBackend::Mem,
+            StoreBackend::File(dir.join("file")),
+            StoreBackend::FileChecksummed(dir.join("sums")),
+        ];
+        let page = |p: u64| -> Vec<u8> { (0..64u64).map(|b| (p * 7 + b) as u8).collect() };
+        for backend in &backends {
+            let by_page = Disk::for_backend(backend, 64, "by_page").unwrap();
+            let by_run = Disk::for_backend(backend, 64, "by_run").unwrap();
+            for d in [&by_page, &by_run] {
+                d.allocate_contiguous(40);
+                // An unrelated write first, so each run's first page is a
+                // random write: one behind the head, one far ahead.
+                d.write_page(PageId(30), &page(30));
+            }
+            // Runs that start random (after the unrelated write, a forward
+            // skip, a jump back) and one that continues the last.
+            for (first, count) in [(5u64, 12u64), (20, 1), (21, 9), (2, 3)] {
+                let bytes: Vec<u8> = (first..first + count).flat_map(page).collect();
+                for p in first..first + count {
+                    by_page.write_page(PageId(p), &page(p));
+                }
+                by_run.write_run(PageId(first), &bytes);
+            }
+            by_run.write_run(PageId(0), &[]);
+            let (a, b) = (by_page.stats(), by_run.stats());
+            assert_eq!(a.seq_writes, b.seq_writes, "{backend:?}");
+            assert_eq!(a.rand_writes, b.rand_writes, "{backend:?}");
+            assert_eq!(a.sim_write_nanos, b.sim_write_nanos, "{backend:?}");
+            assert_eq!((a.rand_writes, a.seq_writes), (4, 22), "{backend:?}");
+            assert_eq!(by_page.store_len(), by_run.store_len(), "{backend:?}");
+            for p in 0..40 {
+                assert_eq!(
+                    by_page.read_page_vec(PageId(p)),
+                    by_run.read_page_vec(PageId(p)),
+                    "{backend:?}, page {p}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole number")]
+    fn a_run_of_part_of_a_page_panics() {
+        let d = Disk::in_memory(16);
+        d.allocate_contiguous(2);
+        d.write_run(PageId(0), &[0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated page p2")]
+    fn a_run_past_the_allocation_panics() {
+        let d = Disk::in_memory(16);
+        d.allocate_contiguous(2);
+        d.write_run(PageId(1), &[0; 32]);
     }
 
     #[test]

@@ -188,15 +188,27 @@ impl ElementPageCodec {
     /// # Panics
     /// Panics if more elements are given than fit.
     pub fn encode_into(&self, elements: &[SpatialElement], buf: &mut Vec<u8>) {
+        buf.resize(self.page_size, 0);
+        self.encode_page(elements, buf);
+    }
+
+    /// [`encode_into`](Self::encode_into) into a page that already exists,
+    /// such as a slot of the build pipeline's batch buffer: every byte of
+    /// `page` is written, whatever it held before.
+    ///
+    /// # Panics
+    /// Panics if more elements are given than fit, or if `page` is not
+    /// exactly one page long.
+    pub fn encode_page(&self, elements: &[SpatialElement], page: &mut [u8]) {
         assert!(
             elements.len() <= self.capacity(),
             "{} elements exceed page capacity {}",
             elements.len(),
             self.capacity()
         );
+        assert_eq!(page.len(), self.page_size, "page buffer must be one page");
         let count = u16::try_from(elements.len()).expect("capacity fits the count field");
-        buf.resize(self.page_size, 0);
-        let (header, body) = buf.split_at_mut(HEADER_SIZE);
+        let (header, body) = page.split_at_mut(HEADER_SIZE);
         header.copy_from_slice(&count.to_le_bytes());
         let (records, padding) = body.split_at_mut(elements.len() * RECORD_SIZE);
         let (records, _) = records.as_chunks_mut::<RECORD_SIZE>();

@@ -62,6 +62,14 @@ impl IoStats {
         self.sim_write_nanos
             .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
     }
+
+    /// `n` sequential writes of `cost` each: the same counts as `n` calls
+    /// of [`record_write`](Self::record_write).
+    pub(crate) fn record_seq_writes(&self, n: u64, cost: Duration) {
+        self.seq_writes.fetch_add(n, Ordering::Relaxed);
+        self.sim_write_nanos
+            .fetch_add(n * cost.as_nanos() as u64, Ordering::Relaxed);
+    }
 }
 
 /// An immutable copy of [`IoStats`] counters.

@@ -61,6 +61,16 @@ pub trait PageStore: Send + Sync {
     /// Writes one full page at `offset`, extending the store as needed.
     fn write_page(&self, offset: u64, page: &[u8]) -> io::Result<()>;
 
+    /// Writes `pages`, a whole number of full pages, to the consecutive
+    /// pages that start at `offset`. The default writes them one by one;
+    /// the in-tree stores write the run in one call.
+    fn write_pages(&self, offset: u64, pages: &[u8], page_size: usize) -> io::Result<()> {
+        for (k, page) in (0u64..).zip(pages.chunks_exact(page_size)) {
+            self.write_page(offset + k * page_size as u64, page)?;
+        }
+        Ok(())
+    }
+
     /// Bytes currently stored (the written extent, not the allocation).
     fn len(&self) -> u64;
 
@@ -257,8 +267,13 @@ impl PageStore for MemStore {
     }
 
     fn write_page(&self, offset: u64, page: &[u8]) -> io::Result<()> {
+        self.write_pages(offset, page, page.len())
+    }
+
+    /// One lock and one copy per segment the run touches.
+    fn write_pages(&self, offset: u64, pages: &[u8], _page_size: usize) -> io::Result<()> {
         let offset = offset as usize;
-        let end = offset + page.len();
+        let end = offset + pages.len();
         let mut inner = self.inner.write();
         while inner.segments.len() << self.shift < end {
             inner
@@ -266,8 +281,8 @@ impl PageStore for MemStore {
                 .push(vec![0u8; 1 << self.shift].into_boxed_slice());
         }
         inner.len = inner.len.max(end);
-        for (segment, within, of_page) in pieces(self.shift, offset, page.len()) {
-            inner.segments[segment][within].copy_from_slice(&page[of_page]);
+        for (segment, within, of_run) in pieces(self.shift, offset, pages.len()) {
+            inner.segments[segment][within].copy_from_slice(&pages[of_run]);
         }
         Ok(())
     }
@@ -494,10 +509,20 @@ impl PageStore for FileStore {
     }
 
     fn write_page(&self, offset: u64, page: &[u8]) -> io::Result<()> {
-        self.file.write_all_at(page, offset)?;
+        self.write_pages(offset, page, self.page_size)
+    }
+
+    /// One positional write for the run's bytes and, when checksummed, one
+    /// for its run of sidecar slots.
+    fn write_pages(&self, offset: u64, pages: &[u8], page_size: usize) -> io::Result<()> {
+        self.file.write_all_at(pages, offset)?;
         if let Some(sums) = &self.sums {
-            let index = offset / self.page_size as u64;
-            sums.write_all_at(&checksum64(page).to_le_bytes(), index * 8)?;
+            let index = offset / page_size as u64;
+            let slots: Vec<u8> = pages
+                .chunks_exact(page_size)
+                .flat_map(|page| checksum64(page).to_le_bytes())
+                .collect();
+            sums.write_all_at(&slots, index * 8)?;
         }
         Ok(())
     }
