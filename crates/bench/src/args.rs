@@ -9,7 +9,9 @@
 //! required (`--count N`). Anything else on the command line is an error
 //! that names the flag or word: an undeclared flag, a flag without its
 //! value, a flag given twice, a word no flag takes, a switch given a value,
-//! a required flag left out (that error shows the synopsis).
+//! a required flag left out. The errors for an undeclared flag, a stray
+//! word and a missing flag end with the synopsis, so they list the flags
+//! the binary takes.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -35,6 +37,7 @@ impl Args {
         let words: Vec<&str> = spaced.split_whitespace().collect();
         let first_flag = words.iter().position(|w| w.starts_with("--") || *w == "[");
         let name = words[..first_flag.unwrap_or(words.len())].join(" ");
+        let usage = synopsis.split_whitespace().collect::<Vec<_>>().join(" ");
         let mut declared = Vec::new();
         let mut depth = 0;
         for (i, word) in words.iter().enumerate() {
@@ -57,8 +60,8 @@ impl Args {
         while let Some(arg) = it.next() {
             let Some(flag) = declared.iter().find(|f| f.name == *arg) else {
                 return Err(match arg.starts_with("--") {
-                    true => format!("unknown option `{arg}` for `{name}`"),
-                    false => format!("unexpected argument `{arg}` for `{name}`"),
+                    true => format!("unknown option `{arg}` for `{name}` (usage: {usage})"),
+                    false => format!("unexpected argument `{arg}` for `{name}` (usage: {usage})"),
                 });
             };
             if given.iter().any(|(f, _)| f == arg) {
@@ -75,7 +78,6 @@ impl Args {
         }
         let is_given = |flag: &Flag| given.iter().any(|(g, _)| *g == flag.name);
         if let Some(missing) = declared.iter().find(|f| f.required && !is_given(f)) {
-            let usage = synopsis.split_whitespace().collect::<Vec<_>>().join(" ");
             return Err(format!(
                 "missing required option `{}` for `{name}` (usage: {usage})",
                 missing.name
@@ -185,7 +187,8 @@ mod tests {
             ),
             (
                 &["--count", "5", "--out", "a", "stray"],
-                "unexpected argument `stray` for `tfm generate`",
+                "unexpected argument `stray` for `tfm generate` (usage: tfm generate \
+                 --count N --out FILE [--seed S] [--dir DIR] [--verify])",
             ),
             (
                 &["--count", "50", "--count", "60"],
@@ -202,6 +205,11 @@ mod tests {
             (
                 &["--count", "5", "--out", "a", "--ot", "x"],
                 "unknown option `--ot` for `tfm generate`",
+            ),
+            (
+                &["--count", "5", "--out", "a", "--bogus"],
+                "unknown option `--bogus` for `tfm generate` (usage: tfm generate \
+                 --count N --out FILE [--seed S] [--dir DIR] [--verify])",
             ),
         ] {
             let err = parse(bad).unwrap_err();

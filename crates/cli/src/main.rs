@@ -1663,9 +1663,15 @@ mod tests {
             let mut args = sv(base);
             args.push("--bogus".into());
             let err = cmd(&args).expect_err("unknown flag must be rejected");
+            let usage = synopsis(command)
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join(" ");
             assert_eq!(
                 err,
-                format!("unknown option `--bogus` for `tfm {command}`; try `tfm help`")
+                format!(
+                    "unknown option `--bogus` for `tfm {command}` (usage: {usage}); try `tfm help`"
+                )
             );
         }
         // A near-miss of a real flag is not that flag.

@@ -127,7 +127,8 @@ pub struct JoinConfig {
     /// capacity; only I/O counters change.
     pub pool_pages: usize,
     /// Parallel path only: prefetch window in pages (capacity of the
-    /// bounded [`tfm_storage::PrefetchQueue`] feeding the I/O threads).
+    /// bounded, lossy [`tfm_pool::RequestQueue`] of page ids feeding the
+    /// I/O threads).
     /// `0` (the default) disables join prefetch — every unit page is
     /// demand-paged. The sequential join ignores this field.
     pub readahead: usize,

@@ -33,10 +33,15 @@
 //! gives them; a window of one pivot *is* that join (`DESIGN.md`, §
 //! "Pivot windows and the follower sweep").
 //!
-//! The join terminates once either dataset's nodes are all checked — every
-//! element of one dataset has then been tested against everything it could
-//! intersect, which guarantees completeness (§V). Pairs discovered twice
-//! (possible after role switches) are deduplicated before returning.
+//! One driver runs every join. [`JoinRun::new`] loads both descriptor
+//! tables once and creates the coverage board ([`SharedTodo`]); each owner
+//! of pivots — the sequential join's one, or each worker of `tfm-exec` —
+//! joins through a [`PivotEngine`] of its own; [`JoinRun::finish`] merges
+//! what the owners found. The join is complete once the follower's nodes
+//! are all covered on the board — every element of the follower has then
+//! been tested against everything it could intersect (§V) — and the guide
+//! pivots still pending are skipped. Pairs discovered twice (possible after
+//! role switches) are deduplicated before returning.
 
 use crate::config::{GuidePick, JoinConfig};
 use crate::costmodel::CostModel;
@@ -46,12 +51,12 @@ use crate::stats::TransformersStats;
 use crate::todo::SharedTodo;
 use crate::walk::{adaptive_crawl, adaptive_walk, scan_for_intersection, ExploreScratch};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 use tfm_geom::{Aabb, SpatialElement};
 use tfm_memjoin::{GridJoin, ResultPair};
 use tfm_storage::{
-    CacheHandle, Disk, ElementPageCodec, PageId, PageReads, PageRef, SharedPageCache,
+    CacheHandle, Disk, ElementPageCodec, IoStatsSnapshot, PageId, PageReads, PageRef,
+    SharedPageCache,
 };
 
 /// Result of a TRANSFORMERS join.
@@ -109,12 +114,12 @@ struct Side<'a> {
     /// cache.
     cache: CacheHandle<'a, 'a>,
     codec: ElementPageCodec,
-    // Shared read-only descriptor tables (parallel workers hold clones of
-    // the same `Arc`s; only `checked`/`scratch`/`cache` are per-owner).
-    nodes: Arc<Vec<SpaceNode>>,
-    units: Arc<Vec<SpaceUnitDesc>>,
+    // The descriptor tables, loaded once per join and read by every owner
+    // (only `checked`, `scratch`, `cache` and the window state are the
+    // owner's own).
+    nodes: &'a [SpaceNode],
+    units: &'a [SpaceUnitDesc],
     checked: Vec<bool>,
-    unchecked: usize,
     /// Last walk position when this side acted as follower.
     walk_pos: Option<NodeId>,
     scratch: ExploreScratch,
@@ -129,50 +134,21 @@ struct Side<'a> {
 }
 
 impl<'a> Side<'a> {
-    fn new(
-        idx: &'a TransformersIndex,
-        stats: &mut TransformersStats,
-        cache: &'a SharedPageCache<'a>,
-    ) -> Self {
-        // Join startup: (re)load the descriptor tables from the metadata
-        // region — sequential reads charged to the disk.
-        let (nodes, units, meta_pages) = idx.load_metadata(cache.disk());
-        stats.metadata_pages_read += meta_pages;
-        Self::with_tables(idx, Arc::new(nodes), Arc::new(units), cache)
-    }
-
-    /// Builds a side from pre-loaded descriptor tables. The parallel
-    /// execution path loads the tables once and shares them across all
-    /// workers, so the metadata region is only read (and charged) once
-    /// per join and the tables exist once in memory.
-    fn with_tables(
-        idx: &'a TransformersIndex,
-        nodes: Arc<Vec<SpaceNode>>,
-        units: Arc<Vec<SpaceUnitDesc>>,
-        cache: &'a SharedPageCache<'a>,
-    ) -> Self {
-        let n = nodes.len();
-        let disk = cache.disk();
+    /// One owner's side over `data`, whose tables the join loaded.
+    fn with_tables(data: &'a Dataset<'a>) -> Self {
+        let disk = data.cache.disk();
         Self {
-            idx,
+            idx: data.idx,
             disk,
-            cache: CacheHandle::shared(cache),
+            cache: CacheHandle::shared(data.cache),
             codec: ElementPageCodec::new(disk.page_size()),
-            window_pos: vec![0; units.len()],
+            window_pos: vec![0; data.units.len()],
             gap_page: Vec::new(),
-            nodes,
-            units,
-            checked: vec![false; n],
-            unchecked: n,
+            nodes: &data.nodes,
+            units: &data.units,
+            checked: vec![false; data.nodes.len()],
             walk_pos: None,
             scratch: ExploreScratch::default(),
-        }
-    }
-
-    fn mark_checked(&mut self, node: usize) {
-        if !self.checked[node] {
-            self.checked[node] = true;
-            self.unchecked -= 1;
         }
     }
 
@@ -214,21 +190,15 @@ impl<'a> Side<'a> {
     }
 }
 
-/// Shared mutable join context.
-struct Ctx {
+/// One owner's mutable join context.
+struct Ctx<'a> {
     cfg: JoinConfig,
     cost: CostModel,
     stats: TransformersStats,
     /// Raw result pairs, always oriented (id in A, id in B).
     raw: Vec<ResultPair>,
-    /// Cross-worker coverage board (parallel path only). `None` in the
-    /// sequential join, where only the per-owner `Side::checked` state is
-    /// consulted.
-    todo: Option<Arc<SharedTodo>>,
-    /// The sequential join's termination rule (§V): stop once every node of
-    /// the follower is checked. Engines leave it off — theirs is the shared
-    /// board's `remaining`, which also counts what other workers covered.
-    stop_when_follower_checked: bool,
+    /// The join's coverage board, shared by every owner of its pivots.
+    todo: &'a SharedTodo,
     /// The in-memory join (grid hash join, §VII-A) and its scratch, reused
     /// by every pivot of this owner.
     kernel: GridJoin,
@@ -240,20 +210,17 @@ struct Ctx {
     follower_hit: Vec<bool>,
 }
 
-impl Ctx {
-    /// Builds the join context: capacity-derived cost-model terms plus the
-    /// device-bound Eq. 4/8 terms taken from `model_disk`'s disk model.
-    fn new(
-        cfg: &JoinConfig,
-        idx_a: &TransformersIndex,
-        idx_b: &TransformersIndex,
-        model_disk: &Disk,
-        stats: TransformersStats,
-    ) -> Self {
-        let unit_cap = idx_a.unit_capacity().max(idx_b.unit_capacity());
-        let node_cap = idx_a.node_capacity().max(idx_b.node_capacity());
+impl<'a> Ctx<'a> {
+    /// Builds an owner's context for `join`: capacity-derived cost-model
+    /// terms plus the device-bound Eq. 4/8 terms taken from the disk model
+    /// of dataset B's disk.
+    fn new(join: &'a JoinRun<'a>) -> Self {
+        let [a, b] = &join.datasets;
+        let unit_cap = a.idx.unit_capacity().max(b.idx.unit_capacity());
+        let node_cap = a.idx.node_capacity().max(b.idx.node_capacity());
+        let cfg = &join.cfg;
         // Device-bound Eq. 4/8 terms from the disk model (see CostModel docs).
-        let model = model_disk.model();
+        let model = b.cache.disk().model();
         let device = crate::costmodel::DeviceParams {
             // One extra fine-grained batch costs roughly one random
             // repositioning; one extra page within a batch costs one
@@ -266,10 +233,9 @@ impl Ctx {
         Self {
             cfg: *cfg,
             cost: CostModel::with_device(cfg.thresholds, unit_cap, node_cap, device),
-            stats,
+            stats: TransformersStats::default(),
             raw: Vec::new(),
-            todo: None,
-            stop_when_follower_checked: false,
+            todo: &join.todo,
             kernel: GridJoin::default(),
             guide_elems: Vec::new(),
             follower_elems: Vec::new(),
@@ -300,41 +266,23 @@ impl Ctx {
         self.cost
             .record_comparisons(self.stats.mem.element_tests - before, dt);
     }
-
-    /// Publishes completion of `node`'s pivot processing. Must run only
-    /// after all of the node's pairs have been pushed into `self.raw`.
-    fn mark_covered(&self, side_is_a: bool, node: usize) {
-        if let Some(t) = self.todo.as_deref() {
-            t.mark_covered(side_is_a, node);
-        }
-    }
-
-    /// Tries to win the exclusive right to role-switch onto `node`. With
-    /// no shared board (the sequential join) there is no contention and the
-    /// claim always succeeds.
-    fn claim_for_switch(&self, side_is_a: bool, node: usize) -> bool {
-        self.todo
-            .as_deref()
-            .is_none_or(|t| t.try_claim(side_is_a, node))
-    }
 }
 
-/// Marks `ng` done on all exit paths of a pivot: locally checked for the
-/// owner plus, in the parallel path, covered on the shared board — in that
-/// order, and only after every pair of `ng` sits in `ctx.raw` (the
-/// `Release`/`Acquire` pairing in [`SharedTodo`] makes cross-worker
-/// pruning on the bit safe).
-fn finish_pivot(ctx: &mut Ctx, guide: &mut Side<'_>, guide_is_a: bool, ng: usize) {
-    guide.mark_checked(ng);
-    ctx.mark_covered(guide_is_a, ng);
+/// Marks `ng` done on all exit paths of a pivot: checked for the owner,
+/// then covered on the board — only after every pair of `ng` sits in
+/// `ctx.raw` (the `Release`/`Acquire` pairing in [`SharedTodo`] makes
+/// pruning on the bit safe across owners).
+fn finish_pivot(ctx: &mut Ctx<'_>, guide: &mut Side<'_>, guide_is_a: bool, ng: usize) {
+    guide.checked[ng] = true;
+    ctx.todo.mark_covered(guide_is_a, ng);
 }
 
 /// The to-do-list filter (§V): drops the units of `candidates[from..]`
-/// whose node has been fully processed as a pivot — by this worker
-/// (`checked`) or, through the shared board, by any worker. Counts the
+/// whose node has been fully processed as a pivot — by this owner
+/// (`checked`) or, through the board, by any owner. Counts the
 /// drops so adaptivity is observable in [`TransformersStats`].
 fn prune_covered_candidates(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     follower: &Side<'_>,
     follower_is_a: bool,
     candidates: &mut Vec<UnitId>,
@@ -342,13 +290,13 @@ fn prune_covered_candidates(
 ) {
     let before = candidates.len() as u64;
     let mut cross = 0u64;
-    let todo = ctx.todo.as_deref();
+    let todo = ctx.todo;
     retain_from(candidates, from, |u| {
         let node = follower.units[u.0 as usize].node.0 as usize;
         if follower.checked[node] {
             return false;
         }
-        if todo.is_some_and(|t| t.is_covered(follower_is_a, node)) {
+        if todo.is_covered(follower_is_a, node) {
             cross += 1;
             return false;
         }
@@ -370,15 +318,16 @@ pub fn transformers_join(
     cfg: &JoinConfig,
 ) -> JoinOutcome {
     // The per-dataset page caches. The sequential join is one reader, so
-    // one shard each — but the machinery and accounting are the parallel
-    // path's.
+    // one shard each: the shard count decides CLOCK eviction, and so which
+    // pages are read.
     let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
     let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
     join_through(idx_a, &cache_a, idx_b, &cache_b, cfg, WINDOW_PAGES)
 }
 
-/// The sequential join over the two datasets' page caches, its windows
-/// holding at most `hold` follower pages at once.
+/// The sequential join over the two datasets' page caches: one engine over
+/// every guide pivot, its windows holding at most `hold` follower pages at
+/// once.
 fn join_through<'a>(
     idx_a: &'a TransformersIndex,
     cache_a: &'a SharedPageCache<'a>,
@@ -387,77 +336,222 @@ fn join_through<'a>(
     cfg: &JoinConfig,
     hold: usize,
 ) -> JoinOutcome {
-    let (disk_a, disk_b) = (cache_a.disk(), cache_b.disk());
-    let io_before = disk_a.stats().merged(&disk_b.stats());
-    let mut stats = TransformersStats::default();
-    let mut side_a = Side::new(idx_a, &mut stats, cache_a);
-    let mut side_b = Side::new(idx_b, &mut stats, cache_b);
+    let join = JoinRun::new(idx_a, cache_a, idx_b, cache_b, cfg);
+    let mut engine = join.engine();
+    engine.hold = hold;
+    engine.process_pivots(0..join.pivots());
+    let owner = engine.finish();
+    join.finish([owner])
+}
 
-    let mut ctx = Ctx::new(cfg, idx_a, idx_b, disk_b, stats);
-    ctx.stop_when_follower_checked = true;
+/// One dataset of a join: its index, the page cache over its disk and its
+/// descriptor tables.
+struct Dataset<'a> {
+    idx: &'a TransformersIndex,
+    cache: &'a SharedPageCache<'a>,
+    nodes: Vec<SpaceNode>,
+    units: Vec<SpaceUnitDesc>,
+}
 
-    let guide_is_a = matches!(cfg.first_guide, GuidePick::A);
-    let (guide, follower) = if guide_is_a {
-        (&mut side_a, &mut side_b)
-    } else {
-        (&mut side_b, &mut side_a)
-    };
-    // Guide nodes are only ever checked as pivots, in order, so the pivot
-    // list is the whole node table; a role switch re-pivots on a follower
-    // node and comes back to the same guide node.
-    let pivots = 0..guide.nodes.len();
-    join_pivots(
-        &mut ctx,
-        guide,
-        follower,
-        guide_is_a,
-        &mut Window::default(),
-        pivots,
-        true,
-        hold,
-    );
+/// One join from setup to finish, whoever owns its pivots: the state every
+/// owner's [`PivotEngine`] shares.
+///
+/// [`JoinRun::new`] loads both datasets' descriptor tables — once per join,
+/// however many owners, charged as `metadata_pages_read` — routes guide and
+/// follower by [`JoinConfig::first_guide`] and creates the coverage board.
+/// Each owner then takes an engine ([`JoinRun::engine`]) and joins its
+/// pivots; the sequential join is one owner of `0..pivots()`, `tfm-exec`'s
+/// workers are one owner each of the chunks they claim. [`JoinRun::finish`]
+/// merges what the owners found.
+pub struct JoinRun<'a> {
+    /// Datasets A and B, in that order.
+    datasets: [Dataset<'a>; 2],
+    guide_is_a: bool,
+    cfg: JoinConfig,
+    todo: SharedTodo,
+    metadata_pages_read: u64,
+    /// Both disks' I/O counters before the tables were loaded.
+    io_before: IoStatsSnapshot,
+}
 
-    // Deduplicate: pairs can be discovered from both sides after role
-    // switches.
-    ctx.raw.sort_unstable();
-    ctx.raw.dedup();
-    ctx.stats.unique_results = ctx.raw.len() as u64;
-    let (ca, cb) = (side_a.cache.counters(), side_b.cache.counters());
-    ctx.stats.pages_read = ca.misses + cb.misses;
-    ctx.stats.pool_hits = ca.hits + cb.hits;
-
-    let io_after = disk_a.stats().merged(&disk_b.stats());
-    let delta = io_after.delta_since(&io_before);
-    ctx.stats.sim_io = delta.sim_io_time();
-
-    // Run-end telemetry: the sequential join publishes its own record (the
-    // parallel path publishes once after merging workers in tfm-exec, so
-    // this never double-counts).
-    let obs = tfm_obs::global();
-    if obs.is_enabled() {
-        ctx.stats.publish(obs);
-        delta.publish(obs);
-        cache_a.stats().publish_shared_extras(obs);
-        cache_b.stats().publish_shared_extras(obs);
+impl<'a> JoinRun<'a> {
+    /// Sets up a join of dataset A (`idx_a`, read through `cache_a`) with
+    /// dataset B: loads both descriptor tables from their metadata regions
+    /// (sequential reads charged to the disks) and creates the coverage
+    /// board.
+    pub fn new(
+        idx_a: &'a TransformersIndex,
+        cache_a: &'a SharedPageCache<'a>,
+        idx_b: &'a TransformersIndex,
+        cache_b: &'a SharedPageCache<'a>,
+        cfg: &JoinConfig,
+    ) -> Self {
+        let io_before = cache_a.disk().stats().merged(&cache_b.disk().stats());
+        let mut metadata_pages_read = 0;
+        let datasets = [(idx_a, cache_a), (idx_b, cache_b)].map(|(idx, cache)| {
+            let (nodes, units, pages) = idx.load_metadata(cache.disk());
+            metadata_pages_read += pages;
+            Dataset {
+                idx,
+                cache,
+                nodes,
+                units,
+            }
+        });
+        let todo = SharedTodo::new(datasets[0].nodes.len(), datasets[1].nodes.len());
+        Self {
+            datasets,
+            guide_is_a: matches!(cfg.first_guide, GuidePick::A),
+            cfg: *cfg,
+            todo,
+            metadata_pages_read,
+            io_before,
+        }
     }
 
-    JoinOutcome {
-        pairs: ctx.raw,
-        stats: ctx.stats,
+    fn guide(&self) -> &Dataset<'a> {
+        &self.datasets[usize::from(!self.guide_is_a)]
+    }
+
+    fn follower(&self) -> &Dataset<'a> {
+        &self.datasets[usize::from(self.guide_is_a)]
+    }
+
+    /// The number of guide node pivots: an engine joins ranges within
+    /// `0..pivots()`.
+    pub fn pivots(&self) -> usize {
+        self.guide().nodes.len()
+    }
+
+    /// The guide's node and unit tables, in pivot order.
+    pub fn guide_tables(&self) -> (&[SpaceNode], &[SpaceUnitDesc]) {
+        (&self.guide().nodes, &self.guide().units)
+    }
+
+    /// The follower's index.
+    pub fn follower_index(&self) -> &'a TransformersIndex {
+        self.follower().idx
+    }
+
+    /// The guide's and the follower's page caches, in that order.
+    pub fn caches(&self) -> [&'a SharedPageCache<'a>; 2] {
+        [self.guide().cache, self.follower().cache]
+    }
+
+    /// Whether every follower node is covered on the board. Every guide
+    /// pivot still pending would then have its whole candidate list pruned,
+    /// so an engine skips it (counted in
+    /// [`TransformersStats::pruned_pivots`]).
+    pub fn follower_exhausted(&self) -> bool {
+        self.todo.remaining(!self.guide_is_a) == 0
+    }
+
+    /// A new owner's engine: its own cache handles, exploration scratch,
+    /// cost model, window and statistics, over this join's tables and
+    /// board.
+    pub fn engine(&self) -> PivotEngine<'_> {
+        PivotEngine {
+            guide: Side::with_tables(self.guide()),
+            follower: Side::with_tables(self.follower()),
+            ctx: Ctx::new(self),
+            window: Window::default(),
+            guide_is_a: self.guide_is_a,
+            hold: WINDOW_PAGES,
+        }
+    }
+
+    /// Ends the join with what its owners' engines returned
+    /// ([`PivotEngine::finish`]), merged in the order given: sorts and
+    /// dedups the pairs, sums the statistics and fills `unique_results`
+    /// and `sim_io` — the modelled device time of every page read since
+    /// [`JoinRun::new`], the tables included. Publishes the statistics, the
+    /// I/O and the caches' extras once, when metrics are on.
+    pub fn finish(
+        self,
+        owners: impl IntoIterator<Item = (Vec<ResultPair>, TransformersStats)>,
+    ) -> JoinOutcome {
+        let mut stats = TransformersStats {
+            metadata_pages_read: self.metadata_pages_read,
+            ..TransformersStats::default()
+        };
+        let mut pairs = Vec::new();
+        for (raw, owner) in owners {
+            if pairs.is_empty() {
+                pairs = raw;
+            } else {
+                pairs.extend(raw);
+            }
+            stats.merge(&owner);
+        }
+        // Pairs can be found from both sides after role switches.
+        pairs.sort_unstable();
+        pairs.dedup();
+        stats.unique_results = pairs.len() as u64;
+        let [a, b] = [self.datasets[0].cache, self.datasets[1].cache];
+        let io = a
+            .disk()
+            .stats()
+            .merged(&b.disk().stats())
+            .delta_since(&self.io_before);
+        stats.sim_io = io.sim_io_time();
+        let obs = tfm_obs::global();
+        if obs.is_enabled() {
+            stats.publish(obs);
+            io.publish(obs);
+            a.stats().publish_shared_extras(obs);
+            b.stats().publish_shared_extras(obs);
+        }
+        JoinOutcome { pairs, stats }
     }
 }
 
+/// Walks the follower from node `start` to a node reaching `pivot_box`,
+/// and falls back to the exhaustive metadata scan when the walk's patience
+/// runs out, so no result can be missed. Returns the node found, if any,
+/// and where the walk ended (the node found, or the closest it reached).
+fn walk_or_scan(
+    ctx: &mut Ctx<'_>,
+    follower: &mut Side<'_>,
+    pivot_box: &Aabb,
+    start: NodeId,
+) -> (Option<NodeId>, NodeId) {
+    let reach = follower.idx.reach_eps();
+    let r = adaptive_walk(
+        follower.nodes,
+        reach,
+        pivot_box,
+        start,
+        ctx.cfg.walk_patience,
+        &mut follower.scratch,
+    );
+    ctx.stats.walk_steps += r.steps;
+    ctx.stats.metadata_tests += r.metadata_tests;
+    let found = r.found.or_else(|| {
+        ctx.stats.walk_fallbacks += 1;
+        scan_for_intersection(
+            follower.nodes,
+            reach,
+            pivot_box,
+            &mut ctx.stats.metadata_tests,
+        )
+    });
+    (found, r.found.unwrap_or(r.closest))
+}
+
 /// Locates a follower node reaching `pivot_box`, updating the follower's
-/// walk position. Falls back to a linear metadata scan when the walk's
-/// patience runs out (correctness guarantee).
-fn locate(ctx: &mut Ctx, follower: &mut Side<'_>, pivot_box: &Aabb) -> Option<NodeId> {
+/// walk position.
+fn locate(ctx: &mut Ctx<'_>, follower: &mut Side<'_>, pivot_box: &Aabb) -> Option<NodeId> {
     if follower.nodes.is_empty() {
         return None;
     }
-    let reach = follower.idx.reach_eps();
     // Cheap extent reject.
     ctx.stats.metadata_tests += 1;
-    if !follower.idx.extent().inflate(reach).intersects(pivot_box) {
+    if !follower
+        .idx
+        .extent()
+        .inflate(follower.idx.reach_eps())
+        .intersects(pivot_box)
+    {
         return None;
     }
     let start = match follower.walk_pos {
@@ -469,31 +563,9 @@ fn locate(ctx: &mut Ctx, follower: &mut Side<'_>, pivot_box: &Aabb) -> Option<No
             .walk_start_with(&mut follower.cache, &pivot_box.center())
             .unwrap_or(NodeId(0)),
     };
-    let r = adaptive_walk(
-        &follower.nodes,
-        reach,
-        pivot_box,
-        start,
-        ctx.cfg.walk_patience,
-        &mut follower.scratch,
-    );
-    ctx.stats.walk_steps += r.steps;
-    ctx.stats.metadata_tests += r.metadata_tests;
-    follower.walk_pos = Some(r.found.unwrap_or(r.closest));
-    match r.found {
-        Some(n) => Some(n),
-        None => {
-            // The greedy walk gave up; verify with the exhaustive scan so
-            // no result can ever be missed.
-            ctx.stats.walk_fallbacks += 1;
-            scan_for_intersection(
-                &follower.nodes,
-                reach,
-                pivot_box,
-                &mut ctx.stats.metadata_tests,
-            )
-        }
-    }
+    let (found, pos) = walk_or_scan(ctx, follower, pivot_box, start);
+    follower.walk_pos = Some(pos);
+    found
 }
 
 /// One planned node-level pivot: what its join reads, as ranges into the
@@ -591,7 +663,7 @@ impl Window {
     fn run(
         &mut self,
         i: usize,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
         guide: &mut Side<'_>,
         follower: &mut Side<'_>,
         guide_is_a: bool,
@@ -657,7 +729,7 @@ enum Plan {
 /// reads (`checked`, the board's covers, the cost model's comparison
 /// timings are all left to [`execute_window`]).
 fn plan_node_pivot(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     guide: &Side<'_>,
     follower: &mut Side<'_>,
     guide_is_a: bool,
@@ -683,7 +755,7 @@ fn plan_node_pivot(
         if allow_switch
             && ctx.cost.should_switch_roles(ratio)
             && !follower.checked[nf.0 as usize]
-            && ctx.claim_for_switch(!guide_is_a, nf.0 as usize)
+            && ctx.todo.try_claim(!guide_is_a, nf.0 as usize)
         {
             break 'plan Plan::SwitchRoles(nf);
         }
@@ -693,8 +765,8 @@ fn plan_node_pivot(
 
         // No transformation: coarse-grained join of the whole node.
         let crawl = adaptive_crawl(
-            &follower.nodes,
-            &follower.units,
+            follower.nodes,
+            follower.units,
             follower.idx.reach_eps(),
             &pivot_box,
             nf,
@@ -737,7 +809,7 @@ fn plan_node_pivot(
 /// at least one of `window.candidates[c0..]` and the candidates
 /// intersecting at least one of those guide units.
 fn prefilter(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     guide: &Side<'_>,
     follower: &Side<'_>,
     window: &mut Window,
@@ -784,10 +856,10 @@ fn prefilter(
 /// one more, the next pivot runs at once: it reads what it still lacks
 /// through the cache by the same rule, in ascending order, and those reads
 /// are counted in `forced_pages`. A window of one pivot (a role-switched
-/// pivot, or [`PivotEngine::process_pivot`]) holds nothing: its pivot
-/// streams through the cache.
+/// pivot, or a range of one given to [`PivotEngine::process_pivots`])
+/// holds nothing: its pivot streams through the cache.
 fn execute_window(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     guide: &mut Side<'_>,
     follower: &mut Side<'_>,
     guide_is_a: bool,
@@ -863,7 +935,7 @@ fn execute_window(
 /// is planned again until it is joined. The window is empty on return.
 #[allow(clippy::too_many_arguments)]
 fn join_pivots(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     guide: &mut Side<'_>,
     follower: &mut Side<'_>,
     guide_is_a: bool,
@@ -872,16 +944,9 @@ fn join_pivots(
     allow_switch: bool,
     hold: usize,
 ) {
-    'pivots: for ng in pivots {
+    for ng in pivots {
         while !guide.checked[ng] {
-            if ctx.stop_when_follower_checked && follower.unchecked == 0 {
-                break 'pivots;
-            }
-            if ctx
-                .todo
-                .as_deref()
-                .is_some_and(|t| t.remaining(!guide_is_a) == 0)
-            {
+            if ctx.todo.remaining(!guide_is_a) == 0 {
                 // Safe to skip: a follower node is only marked covered once
                 // its processing emitted all its pairs, and that processing
                 // cannot have pruned `ng` (never covered — `ng` is ours and
@@ -897,9 +962,8 @@ fn join_pivots(
                     // Transform 1 (role): the follower is locally sparser —
                     // let it guide. The new pivot is the follower node found
                     // at the old pivot's location; the old pivot stays
-                    // unchecked and is revisited. In the parallel path the
-                    // claim guarantees no other worker processes the same
-                    // switched pivot.
+                    // unchecked and is revisited. The claim guarantees no
+                    // other owner processes the same switched pivot.
                     execute_window(ctx, guide, follower, guide_is_a, window, hold);
                     ctx.stats.role_transformations += 1;
                     ctx.cost.on_transformation();
@@ -925,7 +989,7 @@ fn join_pivots(
 /// possible further descent to element granularity (§VI-B). Pages are read
 /// per unit; `window` is empty and lends its candidate buffer.
 fn process_node_units(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     guide: &mut Side<'_>,
     follower: &mut Side<'_>,
     guide_is_a: bool,
@@ -947,30 +1011,8 @@ fn process_node_units(
 
         // Walk from the previous unit's position: consecutive units are
         // spatially adjacent, so the walk is short.
-        let reach = follower.idx.reach_eps();
-        let r = adaptive_walk(
-            &follower.nodes,
-            reach,
-            &pivot_box,
-            local_pos,
-            ctx.cfg.walk_patience,
-            &mut follower.scratch,
-        );
-        ctx.stats.walk_steps += r.steps;
-        ctx.stats.metadata_tests += r.metadata_tests;
-        local_pos = r.found.unwrap_or(r.closest);
-        let found = match r.found {
-            Some(n) => Some(n),
-            None => {
-                ctx.stats.walk_fallbacks += 1;
-                scan_for_intersection(
-                    &follower.nodes,
-                    reach,
-                    &pivot_box,
-                    &mut ctx.stats.metadata_tests,
-                )
-            }
-        };
+        let (found, pos) = walk_or_scan(ctx, follower, &pivot_box, local_pos);
+        local_pos = pos;
         let Some(nf) = found else {
             ctx.stats.exploration_overhead += t0.elapsed();
             continue;
@@ -979,9 +1021,9 @@ fn process_node_units(
 
         candidates.clear();
         let crawl = adaptive_crawl(
-            &follower.nodes,
-            &follower.units,
-            reach,
+            follower.nodes,
+            follower.units,
+            follower.idx.reach_eps(),
             &pivot_box,
             nf,
             &mut follower.scratch,
@@ -1045,7 +1087,7 @@ fn process_node_units(
 /// window filter then drops the guide elements that miss a page that was
 /// read.
 fn join_element_level(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     guide_is_a: bool,
     follower: &mut Side<'_>,
     candidates: &[UnitId],
@@ -1079,138 +1121,45 @@ fn join_element_level(
     );
 }
 
-/// One dataset handed to a [`PivotEngine`]: its index, the page cache over
-/// its disk, and the shared pre-loaded descriptor tables.
+/// One owner's share of a join: the building block of the sequential join
+/// and of each worker of the parallel one (`tfm-exec`). Built by
+/// [`JoinRun::engine`], ended by [`PivotEngine::finish`].
 ///
-/// The tables are loaded (and their metadata I/O charged) **once** per
-/// join by the caller — see [`TransformersIndex::load_metadata`] — and
-/// shared read-only across all engines via `Arc`, so they exist once in
-/// memory regardless of worker count.
-pub struct EngineSide<'a> {
-    /// The dataset's index.
-    pub idx: &'a TransformersIndex,
-    /// Space-node descriptor table (shared, read-only).
-    pub nodes: Arc<Vec<SpaceNode>>,
-    /// Space-unit descriptor table (shared, read-only).
-    pub units: Arc<Vec<SpaceUnitDesc>>,
-    /// The process-wide page cache over the dataset's disk, shared by
-    /// every worker's engine.
-    pub cache: &'a SharedPageCache<'a>,
-}
-
-/// A pivot-range join executor: the building block of the parallel
-/// execution subsystem (`tfm-exec`).
-///
-/// Each worker owns one engine — its own cache handles, exploration
-/// scratch, cost model and statistics accumulator — and processes a
-/// disjoint subset of the guide's node pivots via
-/// [`PivotEngine::process_pivots`], through the same window loop the
-/// sequential join runs (plan a window of pivots, sweep its follower
-/// pages once into the engine's window buffer, join from those bytes;
-/// a window holds no cache frame). An engine performs the paper's full
+/// The engine owns its cache handles, exploration scratch, cost model,
+/// window buffer and statistics, and joins the guide node pivots it is
+/// given through the one window loop (plan a window of pivots, sweep its
+/// follower pages once into the engine's window buffer, join from those
+/// bytes; a window holds no cache frame). It performs the paper's full
 /// adaptivity within its pivots:
 ///
-/// * guide ↔ follower switches (§VI-A) happen *within the worker's chunk*:
-///   the engine re-pivots on the locally sparser follower node, keeping its
-///   own walk position, cost-model calibration and transformation stats —
-///   no global state is touched. A switched-over pivot leaves the original
-///   guide node unchecked; [`process_pivots`](Self::process_pivots) plans
-///   it again until it is actually joined (exactly the sequential revisit
-///   behaviour).
-/// * [`with_shared_todo`](Self::with_shared_todo) attaches the lock-free
-///   [`SharedTodo`] board, which (a) makes role switches *exclusive*
-///   across workers via claim bits, and (b) recovers the sequential
-///   path's to-do-list pruning: candidate units whose node any worker has
-///   *completely* processed are dropped before their pages are read. The
-///   completion-ordered `Release`/`Acquire` protocol in [`SharedTodo`]
-///   guarantees two nodes can never mutually prune each other, so no pair
-///   is lost. Without a board, two engines may redundantly process the
-///   same switched pivot.
+/// * guide ↔ follower switches (§VI-A): the engine re-pivots on the
+///   locally sparser follower node, keeping its own walk position,
+///   cost-model calibration and transformation stats. A switched-over pivot
+///   leaves the original guide node unchecked;
+///   [`process_pivots`](Self::process_pivots) plans it again until it is
+///   actually joined.
+/// * the join's coverage board (a) makes role switches *exclusive*
+///   across owners via claim bits, and (b) carries the to-do-list pruning
+///   (§V): candidate units whose node any owner has *completely* processed
+///   are dropped before their pages are read. The completion-ordered
+///   `Release`/`Acquire` protocol of the board guarantees two nodes
+///   can never mutually prune each other, so no pair is lost.
 ///
-/// Duplicate pairs (possible after switches, exactly as in the sequential
-/// join) are removed by the caller's merge (sort + dedup). The result-pair
-/// *set* is byte-identical to the sequential join's after normalization,
-/// at any worker count.
+/// Duplicate pairs (possible after switches) are removed by
+/// [`JoinRun::finish`]. The result-pair *set* is the same at any number of
+/// owners.
 pub struct PivotEngine<'a> {
     guide: Side<'a>,
     follower: Side<'a>,
-    ctx: Ctx,
+    ctx: Ctx<'a>,
     window: Window,
     guide_is_a: bool,
-    pivots_processed: u64,
+    /// The most follower pages a window holds at once: [`WINDOW_PAGES`]
+    /// outside tests.
+    hold: usize,
 }
 
-impl<'a> PivotEngine<'a> {
-    /// Builds an engine joining `guide` pivots against `follower`.
-    ///
-    /// `guide_is_a` states whether the guide dataset is "A", so emitted
-    /// pairs can be oriented `(id in A, id in B)`.
-    pub fn new(
-        guide: EngineSide<'a>,
-        follower: EngineSide<'a>,
-        guide_is_a: bool,
-        cfg: &JoinConfig,
-    ) -> Self {
-        // Catch mismatched (index, tables) pairings at the API boundary
-        // instead of deep inside a walk as wrong results or a panic.
-        for (side, what) in [(&guide, "guide"), (&follower, "follower")] {
-            debug_assert_eq!(
-                side.nodes.len(),
-                side.idx.nodes().len(),
-                "{what} node table does not belong to {what}.idx"
-            );
-            debug_assert_eq!(
-                side.units.len(),
-                side.idx.units().len(),
-                "{what} unit table does not belong to {what}.idx"
-            );
-        }
-        let (idx_a, idx_b, model_disk) = if guide_is_a {
-            (guide.idx, follower.idx, follower.cache.disk())
-        } else {
-            (follower.idx, guide.idx, guide.cache.disk())
-        };
-        let ctx = Ctx::new(cfg, idx_a, idx_b, model_disk, TransformersStats::default());
-        Self {
-            guide: Side::with_tables(guide.idx, guide.nodes, guide.units, guide.cache),
-            follower: Side::with_tables(
-                follower.idx,
-                follower.nodes,
-                follower.units,
-                follower.cache,
-            ),
-            ctx,
-            window: Window::default(),
-            guide_is_a,
-            pivots_processed: 0,
-        }
-    }
-
-    /// Builder: attaches the shared coverage board for cross-worker
-    /// to-do-list pruning and exclusive role-switch claims. All engines of
-    /// one join must share the same board, sized to the two node tables.
-    ///
-    /// # Panics
-    /// Panics (debug) if the board's dimensions do not match the node
-    /// tables the engine was built with.
-    pub fn with_shared_todo(mut self, todo: Arc<SharedTodo>) -> Self {
-        let (nodes_a, nodes_b) = if self.guide_is_a {
-            (self.guide.nodes.len(), self.follower.nodes.len())
-        } else {
-            (self.follower.nodes.len(), self.guide.nodes.len())
-        };
-        debug_assert_eq!(todo.nodes(true), nodes_a, "board sized for wrong A table");
-        debug_assert_eq!(todo.nodes(false), nodes_b, "board sized for wrong B table");
-        self.ctx.todo = Some(todo);
-        self
-    }
-
-    /// Number of guide node pivots (`process_pivots` accepts ranges within
-    /// `0..count`).
-    pub fn pivot_count(&self) -> usize {
-        self.guide.nodes.len()
-    }
-
+impl PivotEngine<'_> {
     /// Processes the guide node pivots `pivots` to completion, in order:
     /// walk, transformation decisions, crawl and prefilter per pivot, page
     /// reads per window of pivots (one ascending sweep of the follower),
@@ -1218,20 +1167,19 @@ impl<'a> PivotEngine<'a> {
     /// private result buffer. No page stays pinned on return.
     ///
     /// A taken role switch processes the *follower* node instead and
-    /// leaves the pivot pending; the engine then plans it again (the
-    /// sequential join's revisit loop) until it is joined. When the
-    /// follower dataset is already fully covered on the shared board, a
-    /// pivot is skipped outright — every candidate would be pruned — and
-    /// counted in [`TransformersStats::pruned_pivots`].
+    /// leaves the pivot pending; the engine then plans it again until it
+    /// is joined. Once the follower is fully covered on the board
+    /// ([`JoinRun::follower_exhausted`]), a pivot is skipped outright —
+    /// every candidate would be pruned — and counted in
+    /// [`TransformersStats::pruned_pivots`].
     ///
     /// # Panics
-    /// Panics if `pivots` reaches past [`pivot_count`](Self::pivot_count).
+    /// Panics if `pivots` reaches past [`JoinRun::pivots`].
     pub fn process_pivots(&mut self, pivots: Range<usize>) {
         assert!(
             pivots.end <= self.guide.nodes.len(),
             "pivots {pivots:?} out of range"
         );
-        self.pivots_processed += pivots.len() as u64;
         join_pivots(
             &mut self.ctx,
             &mut self.guide,
@@ -1240,34 +1188,19 @@ impl<'a> PivotEngine<'a> {
             &mut self.window,
             pivots,
             true,
-            WINDOW_PAGES,
+            self.hold,
         );
-    }
-
-    /// Processes the single pivot `ng`: a window of one, which reads in the
-    /// order a pivot-at-a-time join would.
-    ///
-    /// # Panics
-    /// Panics if `ng >= self.pivot_count()`.
-    pub fn process_pivot(&mut self, ng: usize) {
-        self.process_pivots(ng..ng + 1);
-    }
-
-    /// Pivots processed so far.
-    pub fn pivots_processed(&self) -> u64 {
-        self.pivots_processed
     }
 
     /// Tears the engine down, returning the raw (unsorted, possibly
     /// duplicated) result pairs oriented `(id in A, id in B)` plus this
-    /// worker's statistics. `pages_read` is filled from the engine's own
-    /// cache-handle misses; `unique_results` and `sim_io` are left for the
-    /// caller, which owns deduplication and global I/O accounting.
+    /// owner's statistics, for [`JoinRun::finish`]. `pages_read` and
+    /// `pool_hits` are the engine's own cache-handle counts: summed over
+    /// owners they equal the pages the join read, even through a shared
+    /// cache.
     pub fn finish(self) -> (Vec<ResultPair>, TransformersStats) {
         let mut stats = self.ctx.stats;
         let (cg, cf) = (self.guide.cache.counters(), self.follower.cache.counters());
-        // Handle-local counters: summing per-worker misses equals the
-        // total disk reads even when the cache is shared.
         stats.pages_read = cg.misses + cf.misses;
         stats.pool_hits = cg.hits + cf.hits;
         (self.ctx.raw, stats)
@@ -1497,43 +1430,35 @@ mod tests {
 
     /// Joins through one engine over fresh one-shard caches of
     /// `pool_pages`, pivots handed over `chunk` at a time (1 = windows of
-    /// one pivot), and returns the outcome with the device time the join
-    /// was charged and the frames still pinned afterwards.
+    /// one pivot), and returns the outcome with the device time the pivots
+    /// were charged (the tables' load aside) and the frames still pinned
+    /// afterwards.
     fn engine_join(
         (disk_a, idx_a, disk_b, idx_b): &(Disk, TransformersIndex, Disk, TransformersIndex),
         cfg: &JoinConfig,
         chunk: usize,
-        todo: bool,
     ) -> (JoinOutcome, std::time::Duration, usize) {
         let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, 1);
         let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, 1);
-        let (ga, gb) = (engine_side(idx_a, &cache_a), engine_side(idx_b, &cache_b));
+        let join = JoinRun::new(idx_a, &cache_a, idx_b, &cache_b, cfg);
         let before = disk_a.stats().merged(&disk_b.stats());
-        let mut engine = PivotEngine::new(ga, gb, true, cfg);
-        if todo {
-            engine = engine.with_shared_todo(Arc::new(SharedTodo::new(
-                idx_a.nodes().len(),
-                idx_b.nodes().len(),
-            )));
-        }
-        let pivots = engine.pivot_count();
+        let mut engine = join.engine();
+        let pivots = join.pivots();
         for start in (0..pivots).step_by(chunk) {
             engine.process_pivots(start..(start + chunk).min(pivots));
         }
         let pinned = cache_a.pinned_pages() + cache_b.pinned_pages();
-        let (mut pairs, stats) = engine.finish();
-        pairs.sort_unstable();
-        pairs.dedup();
         let io = disk_a.stats().merged(&disk_b.stats()).delta_since(&before);
-        (JoinOutcome { pairs, stats }, io.sim_io_time(), pinned)
+        let owner = engine.finish();
+        (join.finish([owner]), io.sim_io_time(), pinned)
     }
 
     #[test]
     fn sweep_cuts_modelled_io_and_reads_no_gap_for_free() {
         let cfg = JoinConfig::default();
         let fx = sweep_fixture(tfm_storage::DiskModel::default());
-        let (per_pivot, per_pivot_io, _) = engine_join(&fx, &cfg, 1, false);
-        let (windowed, windowed_io, _) = engine_join(&fx, &cfg, usize::MAX, false);
+        let (per_pivot, per_pivot_io, _) = engine_join(&fx, &cfg, 1);
+        let (windowed, windowed_io, _) = engine_join(&fx, &cfg, usize::MAX);
         assert_eq!(windowed.pairs, per_pivot.pairs);
         assert_eq!(
             decision_counters(&windowed.stats),
@@ -1574,8 +1499,8 @@ mod tests {
             ..cfg
         };
         let fx = sweep_fixture(tfm_storage::DiskModel::free());
-        let (per_pivot, ..) = engine_join(&fx, &cfg, 1, false);
-        let (windowed, ..) = engine_join(&fx, &cfg, usize::MAX, false);
+        let (per_pivot, ..) = engine_join(&fx, &cfg, 1);
+        let (windowed, ..) = engine_join(&fx, &cfg, usize::MAX);
         assert_eq!(windowed.stats.read_through_pages, 0);
         assert_eq!(windowed.stats.pages_read, per_pivot.stats.pages_read);
     }
@@ -1683,23 +1608,21 @@ mod tests {
             t_su: 2.0,
             t_so: 4.0,
         });
-        for todo in [false, true] {
-            let (per_pivot, _, pinned) = engine_join(&fx, &cfg, 1, todo);
-            assert_eq!(per_pivot.pairs, expected, "todo {todo}");
-            assert_eq!(pinned, 0);
-            assert!(per_pivot.stats.role_transformations > 0);
-            assert!(per_pivot.stats.layout_transformations > 0);
-            for chunk in [7, 64, usize::MAX] {
-                let (ranged, _, pinned) = engine_join(&fx, &cfg, chunk, todo);
-                assert_eq!(ranged.pairs, expected, "todo {todo}, chunk {chunk}");
-                assert_eq!(
-                    decision_counters(&ranged.stats),
-                    decision_counters(&per_pivot.stats),
-                    "todo {todo}, chunk {chunk}"
-                );
-                assert_eq!(pinned, 0, "a range leaves no page pinned");
-                assert!(ranged.stats.windows < per_pivot.stats.windows);
-            }
+        let (per_pivot, _, pinned) = engine_join(&fx, &cfg, 1);
+        assert_eq!(per_pivot.pairs, expected);
+        assert_eq!(pinned, 0);
+        assert!(per_pivot.stats.role_transformations > 0);
+        assert!(per_pivot.stats.layout_transformations > 0);
+        for chunk in [7, 64, usize::MAX] {
+            let (ranged, _, pinned) = engine_join(&fx, &cfg, chunk);
+            assert_eq!(ranged.pairs, expected, "chunk {chunk}");
+            assert_eq!(
+                decision_counters(&ranged.stats),
+                decision_counters(&per_pivot.stats),
+                "chunk {chunk}"
+            );
+            assert_eq!(pinned, 0, "a range leaves no page pinned");
+            assert!(ranged.stats.windows < per_pivot.stats.windows);
         }
     }
 
@@ -1852,21 +1775,6 @@ mod tests {
         assert_eq!(stats.transformations(), 0);
     }
 
-    /// Builds one [`EngineSide`] of a join, loading the side's descriptor
-    /// tables (as `tfm-exec` does, once for all workers).
-    fn engine_side<'a>(
-        idx: &'a TransformersIndex,
-        cache: &'a SharedPageCache<'a>,
-    ) -> EngineSide<'a> {
-        let (nodes, units, _) = idx.load_metadata(cache.disk());
-        EngineSide {
-            idx,
-            nodes: Arc::new(nodes),
-            units: Arc::new(units),
-            cache,
-        }
-    }
-
     #[test]
     fn shared_engines_match_sequential_and_prune() {
         // Clustered vs uniform at small node capacities: strong local
@@ -1892,35 +1800,20 @@ mod tests {
         let cfg = JoinConfig::default();
         let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg);
 
-        // Two adaptive engines sharing one board, pivots interleaved
-        // even/odd — a deterministic, single-threaded stand-in for two
-        // workers racing through their chunks.
-        let todo = Arc::new(crate::SharedTodo::new(
-            idx_a.nodes().len(),
-            idx_b.nodes().len(),
-        ));
+        // Two adaptive engines of one join, so sharing its board, pivots
+        // interleaved even/odd — a deterministic, single-threaded stand-in
+        // for two workers racing through their chunks.
         let cache_a = SharedPageCache::new(&disk_a, cfg.pool_pages);
         let cache_b = SharedPageCache::new(&disk_b, cfg.pool_pages);
-        let mut engines: Vec<PivotEngine> = (0..2)
-            .map(|_| {
-                let (ga, gb) = (engine_side(&idx_a, &cache_a), engine_side(&idx_b, &cache_b));
-                PivotEngine::new(ga, gb, true, &cfg).with_shared_todo(Arc::clone(&todo))
-            })
-            .collect();
-        let pivots = engines[0].pivot_count();
-        for ng in 0..pivots {
-            engines[ng % 2].process_pivot(ng);
+        let join = JoinRun::new(&idx_a, &cache_a, &idx_b, &cache_b, &cfg);
+        let mut engines = [join.engine(), join.engine()];
+        for ng in 0..join.pivots() {
+            engines[ng % 2].process_pivots(ng..ng + 1);
         }
-        let mut raw = Vec::new();
-        let mut stats = TransformersStats::default();
-        for e in engines {
-            let (pairs, s) = e.finish();
-            raw.extend(pairs);
-            stats.merge(&s);
-        }
-        raw.sort_unstable();
-        raw.dedup();
-        assert_eq!(raw, seq.pairs, "shared adaptive engines diverge");
+        let owners = engines.map(PivotEngine::finish);
+        let out = join.finish(owners);
+        let stats = out.stats;
+        assert_eq!(out.pairs, seq.pairs, "shared adaptive engines diverge");
         assert!(
             stats.role_transformations > 0,
             "clustered contrast should switch roles: {stats:?}"
@@ -1948,5 +1841,69 @@ mod tests {
         assert!(stats.metadata_pages_read > 0);
         assert!(stats.sim_io > std::time::Duration::ZERO);
         assert!(stats.total_tests() >= stats.mem.element_tests);
+    }
+
+    #[test]
+    fn sequential_join_counts_are_pinned() {
+        // Per fixture and policy: pairs, modelled I/O in ns, pages read,
+        // metadata pages read, intersection tests, the role, layout and
+        // element-layout transformations, windows, swept pages, forced
+        // pages and pages read through. A change that moves none of the
+        // join's decisions or reads keeps every one. The cost-model policy
+        // is left out: it re-derives its thresholds from wall time.
+        const PINNED: [[u64; 12]; 8] = [
+            [11, 47403888, 98, 2, 14185, 1, 0, 0, 3, 40, 0, 26], // uniform, fixed
+            [11, 33152158, 97, 2, 13032, 0, 0, 0, 1, 48, 0, 0],  // uniform, disabled
+            [1, 71971855, 91, 7, 18648, 0, 1, 4, 0, 0, 0, 98],   // contrast, fixed
+            [1, 45957627, 331, 7, 50694, 0, 0, 0, 1, 0, 0, 17],  // contrast, disabled
+            [0, 46804422, 108, 4, 10501, 2, 2, 4, 2, 16, 0, 32], // clustered, fixed
+            [0, 36404336, 117, 4, 9888, 0, 0, 0, 1, 16, 0, 20],  // clustered, disabled
+            [0, 80906621, 127, 3, 11935, 2, 1, 0, 3, 45, 0, 49], // neuro, fixed
+            [0, 35353119, 126, 3, 10859, 0, 0, 0, 1, 48, 0, 14], // neuro, disabled
+        ];
+        let fixtures = [
+            ("uniform", uniform_pair()),
+            ("contrast", contrast_pair()),
+            ("clustered", clustered_pair()),
+            ("neuro", neuro_pair()),
+        ];
+        let policies = [
+            (
+                "fixed",
+                ThresholdPolicy::Fixed {
+                    t_su: 2.0,
+                    t_so: 4.0,
+                },
+            ),
+            ("disabled", ThresholdPolicy::Disabled),
+        ];
+        let mut pinned = PINNED.iter();
+        for (name, (a, b)) in &fixtures {
+            for (policy_name, policy) in policies {
+                let disk_a = Disk::default_in_memory();
+                let disk_b = Disk::default_in_memory();
+                let idx_a = TransformersIndex::build(&disk_a, a.clone(), &small_index_cfg());
+                let idx_b = TransformersIndex::build(&disk_b, b.clone(), &small_index_cfg());
+                let cfg = JoinConfig::default().with_thresholds(policy);
+                let out = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg);
+                let s = &out.stats;
+                let got = [
+                    out.pairs.len() as u64,
+                    s.sim_io.as_nanos() as u64,
+                    s.pages_read,
+                    s.metadata_pages_read,
+                    s.total_tests(),
+                    s.role_transformations,
+                    s.layout_transformations,
+                    s.element_layout_transformations,
+                    s.windows,
+                    s.swept_pages,
+                    s.forced_pages,
+                    s.read_through_pages,
+                ];
+                let want = pinned.next().expect("one row per run");
+                assert_eq!(&got, want, "{name}, {policy_name}");
+            }
+        }
     }
 }

@@ -66,7 +66,7 @@ pub use costmodel::{CostModel, DeviceParams};
 pub use descriptor::{NodeId, SpaceNode, SpaceUnitDesc, UnitId};
 pub use distance::distance_join;
 pub use index::{TransformersIndex, UnitReader};
-pub use join::{transformers_join, EngineSide, JoinOutcome, PivotEngine};
+pub use join::{transformers_join, JoinOutcome, JoinRun, PivotEngine};
 pub use mutate::{
     BatchOutcome, MutNode, MutSnapshot, MutUnit, MutableTransformers, MutationOp, OverflowCodec,
     OverflowPage, CHECKPOINT_LOG_BYTES, DIRTY_HIGH_WATER, DIRTY_LOW_WATER, NO_PAGE,
@@ -77,7 +77,6 @@ pub use stats::TransformersStats;
 // keeping them decoupled from this crate); re-exported so index users
 // configure builds from one import.
 pub use tfm_partition::IndexBuildPipeline;
-pub use todo::SharedTodo;
 
 /// Low-level exploration primitives (adaptive walk, crawl, fallback scan).
 ///

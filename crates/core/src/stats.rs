@@ -42,12 +42,13 @@ pub struct TransformersStats {
     /// could contribute was already produced.
     pub pruned_units: u64,
     /// Subset of [`pruned_units`](Self::pruned_units) pruned because
-    /// *another worker's* completed pivot covered the node (via the shared
-    /// board of the parallel path). Always 0 in the sequential join.
+    /// *another owner's* completed pivot covered the node (via the join's
+    /// coverage board). Always 0 in the sequential join, the one owner of
+    /// its pivots.
     pub cross_worker_pruned_units: u64,
-    /// Guide pivots skipped whole because the opposite dataset was already
-    /// fully covered (the parallel analogue of the sequential join's
-    /// early-termination condition). Always 0 in the sequential join.
+    /// Guide pivots skipped whole because the follower was already fully
+    /// covered on the board: the join's termination condition (§V), met
+    /// with guide pivots still pending.
     pub pruned_pivots: u64,
     /// Adaptive-walk expansion steps.
     pub walk_steps: u64,
@@ -124,9 +125,8 @@ impl TransformersStats {
     /// naming scheme (see `tfm_obs::names`): the cache signals previously
     /// reported only as `pool_hits`/`pages_read` route to `cache.hits` /
     /// `cache.misses`, and the TRANSFORMERS-specific exploration counters
-    /// to the `join.*` family. Call once per run with the final (merged)
-    /// record — the parallel path publishes the post-merge aggregate, the
-    /// sequential path its own stats — so nothing double-counts.
+    /// to the `join.*` family. `JoinRun::finish` calls it once per join
+    /// with the merged record of every owner, so nothing double-counts.
     pub fn publish(&self, reg: &tfm_obs::MetricsRegistry) {
         use tfm_obs::names;
         reg.counter(names::CACHE_HITS).add(self.pool_hits);
@@ -154,13 +154,13 @@ impl TransformersStats {
 
     /// Accumulates another stats record into this one.
     ///
-    /// Used by the parallel execution subsystem (`tfm-exec`) to combine
-    /// per-worker statistics: all counters are exact sums (the high-water
-    /// mark `window_pages_max` is a `max`), so merging the workers in a
-    /// fixed order yields a deterministic aggregate. Fields
+    /// Used by `JoinRun::finish` to combine the statistics of a join's
+    /// owners (one per `tfm-exec` worker): all counters are exact sums (the
+    /// high-water mark `window_pages_max` is a `max`), so merging the
+    /// owners in a fixed order yields a deterministic aggregate. Fields
     /// that are only meaningful globally (`unique_results`, `sim_io`) are
-    /// summed too and are expected to be overwritten by the caller after
-    /// the final deduplication / I/O accounting.
+    /// summed too and are overwritten after the final deduplication / I/O
+    /// accounting.
     pub fn merge(&mut self, other: &TransformersStats) {
         self.metadata_tests += other.metadata_tests;
         self.mem.element_tests += other.mem.element_tests;

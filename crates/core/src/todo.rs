@@ -1,14 +1,12 @@
-//! Shared to-do state for the parallel join: a lock-free, per-node
-//! coverage board that recovers the sequential path's to-do-list pruning
-//! (§V) across independent workers.
+//! The join's to-do state: a lock-free, per-node coverage board that
+//! carries the to-do-list pruning (§V) across every owner of a join's
+//! pivots — the sequential join's one, or each parallel worker.
 //!
-//! The sequential join tracks per-side `checked` bitmaps: once a node has
-//! acted as a pivot, every result pair involving its elements has been
-//! produced, so later pivots drop ("prune") candidate units that belong to
-//! checked nodes. Parallel workers each own a private copy of that state,
-//! so PR 1 had to disable the pruning — and with it the role
-//! transformations that feed it. [`SharedTodo`] restores both with two
-//! atomic bitmaps per dataset:
+//! Once a node has acted as a pivot, every result pair involving its
+//! elements has been produced, so later pivots drop ("prune") candidate
+//! units that belong to it. An owner knows which nodes it checked itself;
+//! [`SharedTodo`] tells it which nodes any owner completed, with two atomic
+//! bitmaps per dataset:
 //!
 //! * **covered** — set with `Release` ordering *after* a node's pivot
 //!   processing has emitted all of its pairs into the owning worker's
@@ -19,14 +17,14 @@
 //!   point*, and both at once would form a happens-before cycle.
 //! * **claimed** — a test-and-set latch a worker must win before it may
 //!   role-switch onto a follower node, guaranteeing each node is processed
-//!   as a pivot at most once globally (the parallel analogue of the
-//!   sequential `!follower.checked[nf]` switch guard). Claims never prune
+//!   as a pivot at most once globally (the cross-owner counterpart of the
+//!   owner's own `!follower.checked[nf]` switch guard). Claims never prune
 //!   anything, so claiming eagerly at switch time is safe.
 //!
 //! A per-side `remaining` counter (decremented on the first `mark_covered`
-//! of each node) lets workers and the scheduler detect that one dataset is
-//! fully covered — the sequential termination condition — and skip or
-//! discard the pivots that are left.
+//! of each node) lets the engines and the scheduler detect that one
+//! dataset is fully covered — the join's termination condition — and skip
+//! or discard the pivots that are left.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -57,7 +55,7 @@ impl TodoSide {
     }
 }
 
-/// Lock-free cross-worker coverage board for one parallel join.
+/// Lock-free coverage board for one join, shared by its owners.
 ///
 /// Indexed by dataset — `side_a = true` addresses dataset A's space nodes,
 /// `false` dataset B's — so the same board stays valid when a role

@@ -1,59 +1,45 @@
 //! **tfm-exec** — parallel execution subsystem for the TRANSFORMERS
 //! spatial join.
 //!
-//! The sequential [`transformers::transformers_join`] visits the guide's
-//! space-node pivots one after the other. Per-pivot work — the adaptive
-//! walk, the crawl, page reads and the in-memory grid hash join — only
-//! *reads* the two indexes and disks, so once storage access is
-//! thread-safe (which `tfm-storage` guarantees: `Disk` reads take `&self`
-//! and its I/O counters are atomics), the join is embarrassingly parallel
-//! across pivots. This crate supplies the machinery:
+//! The join has one driver: a [`transformers::JoinRun`] sets it up (loads
+//! both descriptor tables, creates the coverage board) and finishes it
+//! (merge, dedup, I/O accounting, publishing), and every owner of guide
+//! pivots joins them with a [`transformers::PivotEngine`] of its own. The
+//! sequential [`transformers::transformers_join`] is one owner of every
+//! pivot. Per-pivot work — the adaptive walk, the crawl, page reads and the
+//! in-memory grid hash join — only *reads* the two indexes and disks
+//! (`Disk` reads take `&self` and its I/O counters are atomics), so the
+//! join is embarrassingly parallel across pivots. This crate adds only what
+//! is parallel:
 //!
 //! * [`JoinScheduler`] — partitions the pivot list into contiguous chunks,
 //!   statically sharded across workers, with work stealing for the
 //!   stragglers that non-uniform data inevitably produces. Its chunk size
 //!   is derived from the pivot count and worker count
 //!   ([`JoinScheduler::chunk_size`]);
-//! * a scoped **worker pool** ([`pool::StagePool`]) where each worker owns
-//!   a private [`transformers::PivotEngine`] (its own cache handles,
-//!   exploration scratch, cost model and statistics accumulator) over the
-//!   two per-dataset [`SharedPageCache`]s every worker reads through;
-//! * a **deterministic merge**: raw per-worker pair buffers are
-//!   concatenated in worker order, sorted and deduplicated — exactly the
-//!   normalization the sequential join applies — so [`parallel_join`]
-//!   returns a byte-identical pair vector regardless of thread count or
-//!   scheduling; per-worker [`transformers::TransformersStats`] are summed
-//!   in worker order.
-//!
-//! # The extracted pool
-//!
-//! PR 3 extracted the scheduling and worker-spawn machinery out of this
-//! crate's join path into the dependency-free `tfm-pool` crate, re-exported
-//! here as [`pool`]: [`pool::ChunkScheduler`] (deques + stealing +
-//! cancellation) and [`pool::StagePool`] (scoped workers, deterministic
-//! map combinators). The join path now runs on
-//! those primitives, and so does everything *below* this crate in the
-//! dependency graph — `tfm_partition::str_partition_pooled` and the core's
-//! `IndexBuildPipeline` fan the index-build stages (STR passes,
-//! element-page encoding, connectivity) over the same pool, which is what
-//! makes `tfm build --build-threads N` possible. This crate keeps the
-//! join-specific policy: pivot vocabulary, prune announcements, chunk
-//! sizing.
+//! * a scoped **worker pool** ([`pool::StagePool`], from the `tfm-pool`
+//!   crate) where each worker owns one engine of the join, reading through
+//!   the two per-dataset [`SharedPageCache`]s, sharded for the worker
+//!   count, that every worker shares;
+//! * **prune announcements** at chunk boundaries, the join **prefetch**
+//!   pipeline and the [`ExecReport`]. The workers' raw pairs and statistics
+//!   go to [`transformers::JoinRun::finish`] in worker order, so
+//!   [`parallel_join`] returns the sequential join's pair vector whatever
+//!   the thread count or scheduling.
 //!
 //! # The transformation / pruning protocol
 //!
 //! The paper's defining mechanism is *adaptivity*: role transformations
-//! (§VI-A) and to-do-list pruning (§V). Both are stateful, which is why
-//! PR 1 disabled them to keep workers independent. They are recovered
-//! with one lock-free structure, [`transformers::SharedTodo`] — two
+//! (§VI-A) and to-do-list pruning (§V). Both are stateful; the engines of
+//! one join share them through the join's lock-free coverage board — two
 //! atomic bitmaps (*claimed*, *covered*) per dataset plus a remaining
 //! counter — and three rules:
 //!
 //! 1. **Claim before switching.** A worker may role-switch onto follower
-//!    node `nf` only after winning `try_claim(nf)` (a test-and-set bit).
+//!    node `nf` only after winning its claim bit (a test-and-set).
 //!    Exactly one worker processes each switched pivot; a losing worker
 //!    simply continues its own pivot at node granularity, the same
-//!    fallback the sequential join uses for an already-checked node.
+//!    fallback as for an already-checked node.
 //! 2. **Cover on completion.** A node's *covered* bit is set (`Release`)
 //!    only after its pivot processing has emitted every one of its pairs
 //!    into the owning worker's buffer. Candidate filters read the bit with
@@ -63,12 +49,12 @@
 //!    no pair is ever lost, and the merged, normalized result stays
 //!    byte-identical to the sequential join's at any thread count.
 //! 3. **Announce exhaustion at chunk boundaries.** When the follower
-//!    dataset's remaining counter hits zero, every pivot still queued
-//!    would have its whole candidate list pruned. The worker that observes
-//!    this calls [`JoinScheduler::announce_prune`]; the scheduler stops
-//!    dealing chunks (own deques and steals alike) and reports the
-//!    discarded tail as [`ExecReport::chunks_pruned`]. Within a chunk,
-//!    engines make the same check per pivot
+//!    dataset is fully covered ([`transformers::JoinRun::follower_exhausted`]),
+//!    every pivot still queued would have its whole candidate list pruned.
+//!    The worker that observes this calls [`JoinScheduler::announce_prune`];
+//!    the scheduler stops dealing chunks (own deques and steals alike) and
+//!    reports the discarded tail as [`ExecReport::chunks_pruned`]. Within a
+//!    chunk, engines make the same check per pivot
 //!    ([`transformers::TransformersStats::pruned_pivots`]).
 //!
 //! Every parallel join runs both: there is no independent-worker mode.
@@ -110,13 +96,9 @@ pub mod pool {
 }
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use tfm_pool::StagePool;
-use tfm_storage::{Disk, PageId, PrefetchQueue, SharedPageCache};
-use transformers::{
-    EngineSide, GuidePick, JoinConfig, JoinOutcome, PivotEngine, SharedTodo, SpaceNode,
-    SpaceUnitDesc, TransformersIndex, TransformersStats,
-};
+use tfm_pool::{RequestQueue, StagePool};
+use tfm_storage::{Disk, PageId, SharedPageCache};
+use transformers::{JoinConfig, JoinOutcome, JoinRun, TransformersIndex, TransformersStats};
 
 /// What one worker hands back: raw pairs, its stats, pivots processed.
 type WorkerResult = (Vec<(u64, u64)>, TransformersStats, u64);
@@ -146,13 +128,9 @@ const FOLLOWER_PAGE_TAG: u64 = 1 << 63;
 /// Stealing needs no special case: chunks are claimed whole from the
 /// scheduler, so whichever worker ends up with a stolen chunk pushes the
 /// chunk's full schedule before touching its pivots.
-fn push_chunk_schedule(
-    queue: &PrefetchQueue,
-    chunk: &Chunk,
-    guide_nodes: &[SpaceNode],
-    guide_units: &[SpaceUnitDesc],
-    follower: &TransformersIndex,
-) {
+fn push_chunk_schedule(queue: &RequestQueue<PageId>, chunk: &Chunk, join: &JoinRun<'_>) {
+    let (guide_nodes, guide_units) = join.guide_tables();
+    let follower = join.follower_index();
     let follower_units = follower.units();
     let mut pages: Vec<u64> = Vec::new();
     for pivot in &guide_nodes[chunk.start..chunk.end] {
@@ -169,7 +147,7 @@ fn push_chunk_schedule(
     pages.sort_unstable();
     pages.dedup();
     for p in pages {
-        queue.try_push(PageId(p));
+        let _ = queue.try_push(PageId(p));
     }
 }
 
@@ -248,41 +226,17 @@ pub fn parallel_join_with_report(
     let chunk_hist = obs
         .is_enabled()
         .then(|| obs.histogram(tfm_obs::names::JOIN_CHUNK_NANOS));
-    let io_before = disk_a.stats().merged(&disk_b.stats());
-    let mut stats = TransformersStats::default();
 
-    // Load each side's descriptor tables once (charged as metadata I/O,
-    // exactly like the sequential join's startup); workers share them
-    // read-only through `Arc`s.
-    let (nodes_a, units_a, meta_a) = idx_a.load_metadata(disk_a);
-    let (nodes_b, units_b, meta_b) = idx_b.load_metadata(disk_b);
-    stats.metadata_pages_read += meta_a + meta_b;
-    let (nodes_a, units_a) = (Arc::new(nodes_a), Arc::new(units_a));
-    let (nodes_b, units_b) = (Arc::new(nodes_b), Arc::new(units_b));
-
-    // The configured first guide supplies the scheduler's pivot list; role
-    // transformations let individual workers locally re-pivot on the other
-    // side without changing that list.
-    let guide_is_a = matches!(cfg.first_guide, GuidePick::A);
     // The per-dataset page caches shared by every worker: one
     // lock-striped cache per disk, sized to the configured pool budget and
     // sharded for the worker count.
     let shards = SharedPageCache::shards_for_threads(threads);
     let cache_a = SharedPageCache::with_shards(disk_a, cfg.pool_pages, shards);
     let cache_b = SharedPageCache::with_shards(disk_b, cfg.pool_pages, shards);
-    // One routing decision so index, cache and tables can never pair up
-    // inconsistently: (idx, cache, nodes, units) per role.
-    let (guide_side, follower_side) = if guide_is_a {
-        (
-            (idx_a, &cache_a, &nodes_a, &units_a),
-            (idx_b, &cache_b, &nodes_b, &units_b),
-        )
-    } else {
-        (
-            (idx_b, &cache_b, &nodes_b, &units_b),
-            (idx_a, &cache_a, &nodes_a, &units_a),
-        )
-    };
+    // The configured first guide supplies the scheduler's pivot list; role
+    // transformations let individual workers locally re-pivot on the other
+    // side without changing that list.
+    let join = JoinRun::new(idx_a, &cache_a, idx_b, &cache_b, cfg);
 
     // The join-path prefetch pipeline (the serve tier's readahead, pointed
     // at the exec scheduler's foreknowledge): each claimed chunk's
@@ -292,24 +246,18 @@ pub fn parallel_join_with_report(
     // results are byte-identical with prefetch on or off.
     let prefetch_on = cfg.readahead > 0;
     let io_threads = if prefetch_on { cfg.io_depth.max(1) } else { 0 };
-    let prefetch_queue = prefetch_on.then(|| PrefetchQueue::new(cfg.readahead));
+    let prefetch_queue = prefetch_on.then(|| RequestQueue::<PageId>::new(cfg.readahead));
     // The last join worker to finish closes the window so the I/O threads
     // drain and exit.
     let join_workers_left = AtomicUsize::new(threads);
 
-    let pivots = guide_side.2.len();
+    let pivots = join.pivots();
     let chunk_size = JoinScheduler::chunk_size(pivots, threads);
     let scheduler = JoinScheduler::new(pivots, threads, chunk_size);
 
-    // The shared coverage board recovering the sequential path's
-    // to-do-list pruning across workers (see the module docs for the
-    // protocol).
-    let todo = Arc::new(SharedTodo::new(nodes_a.len(), nodes_b.len()));
-
-    // The scoped worker pool (extracted to `tfm-pool` in PR 3): one worker
-    // per thread plus the dedicated prefetch I/O threads, results collected
-    // in worker order — the deterministic merge below depends on that
-    // order (I/O threads return empty results and are skipped there).
+    // One worker per thread plus the dedicated prefetch I/O threads,
+    // results collected in worker order — the merge depends on that order
+    // (I/O threads return empty results and are skipped there).
     let worker_pool = StagePool::new(threads + io_threads);
     let worker_results: Vec<WorkerResult> = worker_pool.scoped_run(|w| {
         if w >= threads {
@@ -318,44 +266,37 @@ pub fn parallel_join_with_report(
             let pq = prefetch_queue
                 .as_ref()
                 .expect("I/O threads only spawn with prefetch on");
+            let [guide, follower] = join.caches();
             let mut scratch = Vec::new();
             while let Some(id) = pq.pop() {
-                let side = if id.0 & FOLLOWER_PAGE_TAG != 0 {
-                    follower_side
+                let cache = if id.0 & FOLLOWER_PAGE_TAG != 0 {
+                    follower
                 } else {
-                    guide_side
+                    guide
                 };
-                side.1
-                    .prefetch_page(PageId(id.0 & !FOLLOWER_PAGE_TAG), &mut scratch);
+                cache.prefetch_page(PageId(id.0 & !FOLLOWER_PAGE_TAG), &mut scratch);
             }
             return (Vec::new(), TransformersStats::default(), 0);
         }
-        let [guide, follower] =
-            [guide_side, follower_side].map(|(idx, cache, nodes, units)| EngineSide {
-                idx,
-                cache,
-                nodes: Arc::clone(nodes),
-                units: Arc::clone(units),
-            });
-        let mut engine =
-            PivotEngine::new(guide, follower, guide_is_a, cfg).with_shared_todo(Arc::clone(&todo));
+        let mut engine = join.engine();
+        let mut processed = 0;
         while let Some(chunk) = scheduler.next(w) {
             // The chunk is claimed (own share or stolen) — push its page
             // schedule before processing so the I/O threads warm the cache
             // while the engine works through the pivots.
             if let Some(pq) = &prefetch_queue {
-                push_chunk_schedule(pq, &chunk, guide_side.2, guide_side.3, follower_side.0);
+                push_chunk_schedule(pq, &chunk, &join);
             }
             let _span = chunk_hist.as_ref().map(|h| h.span());
             engine.process_pivots(chunk.start..chunk.end);
+            processed += chunk.len() as u64;
             // Chunk boundary: if the follower dataset is now fully
             // covered, announce it so queued chunks are discarded
             // instead of dispatched.
-            if todo.remaining(!guide_is_a) == 0 {
+            if join.follower_exhausted() {
                 scheduler.announce_prune();
             }
         }
-        let processed = engine.pivots_processed();
         let (raw, stats) = engine.finish();
         // Last join worker out closes the prefetch window; the I/O
         // threads drain whatever is still queued, then exit.
@@ -366,25 +307,6 @@ pub fn parallel_join_with_report(
         }
         (raw, stats, processed)
     });
-
-    // Deterministic merge: concatenate in worker order, then normalize the
-    // pair set the same way the sequential join does (sort + dedup). The
-    // final vector is byte-identical to the sequential result.
-    let mut raw = Vec::new();
-    let mut worker_pivots = Vec::with_capacity(threads);
-    // `.take(threads)` drops the trailing I/O-thread entries (always
-    // empty) so the per-worker balance vector only covers join workers.
-    for (pairs, worker_stats, processed) in worker_results.into_iter().take(threads) {
-        raw.extend(pairs);
-        stats.merge(&worker_stats);
-        worker_pivots.push(processed);
-    }
-    raw.sort_unstable();
-    raw.dedup();
-    stats.unique_results = raw.len() as u64;
-
-    let io_after = disk_a.stats().merged(&disk_b.stats());
-    stats.sim_io = io_after.delta_since(&io_before).sim_io_time();
 
     // Prefetch accounting: sweep still-resident-but-untouched prefetched
     // frames into the unused counter first (the eviction path alone
@@ -400,6 +322,9 @@ pub fn parallel_join_with_report(
         pf_unused += s.prefetch_unused;
     }
 
+    // `.take(threads)` drops the trailing I/O-thread entries (always
+    // empty) so the per-worker balance vector only covers join workers.
+    let worker_pivots: Vec<u64> = worker_results.iter().take(threads).map(|r| r.2).collect();
     let report = ExecReport {
         threads,
         pivots: worker_pivots.iter().sum(),
@@ -412,15 +337,17 @@ pub fn parallel_join_with_report(
         prefetch_hits: pf_hits,
         prefetch_unused: pf_unused,
     };
+    let outcome = join.finish(
+        worker_results
+            .into_iter()
+            .take(threads)
+            .map(|(raw, stats, _)| (raw, stats)),
+    );
 
-    // Run-end telemetry: publish the merged record once (workers never
-    // publish individually), plus the scheduler's balance counters and the
-    // shared caches' internals. `cache.hits`/`cache.misses` come from the
-    // merged handle-local pool counters inside `stats`.
+    // Run-end telemetry past what the join's finish publishes: the
+    // scheduler's balance counters and the join-path slice of prefetch.
     if obs.is_enabled() {
         use tfm_obs::names;
-        stats.publish(obs);
-        io_after.delta_since(&io_before).publish(obs);
         obs.counter(names::JOIN_PIVOTS).add(report.pivots);
         obs.counter(names::JOIN_CHUNKS).add(report.chunks as u64);
         obs.counter(names::JOIN_CHUNKS_PRUNED)
@@ -428,9 +355,9 @@ pub fn parallel_join_with_report(
         obs.counter(names::JOIN_STEALS).add(report.steals);
         obs.histogram(names::JOIN_WALL_NANOS)
             .record(wall_start.elapsed().as_nanos() as u64);
-        // The join-path slice of the prefetch pipeline, published under its
-        // own prefix so a mis-sized `--readahead` shows up by itself (the
-        // generic `io.prefetch.*` totals flow via `publish_shared_extras`).
+        // Published under its own prefix so a mis-sized `--readahead`
+        // shows up by itself (the generic `io.prefetch.*` totals come with
+        // the caches' extras).
         if prefetch_on {
             obs.counter(names::IO_PREFETCH_JOIN_ISSUED)
                 .add(report.prefetch_issued);
@@ -439,17 +366,16 @@ pub fn parallel_join_with_report(
             obs.counter(names::IO_PREFETCH_JOIN_UNUSED)
                 .add(report.prefetch_unused);
         }
-        cache_a.stats().publish_shared_extras(obs);
-        cache_b.stats().publish_shared_extras(obs);
     }
-    (JoinOutcome { pairs: raw, stats }, report)
+    (outcome, report)
 }
 
 /// Runs the TRANSFORMERS join between two indexed datasets in parallel
 /// over `threads` workers (`threads == 0` is treated as 1).
 ///
 /// Guide pivots are sharded across a scoped worker pool; each worker
-/// explores and joins its pivots with a private [`PivotEngine`], performing
+/// explores and joins its pivots with an engine of its own
+/// ([`JoinRun::engine`]), performing
 /// role and layout transformations within its chunks and pruning
 /// candidates through the shared coverage board (see the module docs for
 /// the protocol). The per-worker results are merged deterministically: the
@@ -472,7 +398,7 @@ mod tests {
     use super::*;
     use tfm_datagen::{generate, DatasetSpec, Distribution};
     use tfm_storage::Disk;
-    use transformers::{transformers_join, IndexConfig};
+    use transformers::{transformers_join, GuidePick, IndexConfig};
 
     fn build(spec: &DatasetSpec) -> (Disk, TransformersIndex) {
         let disk = Disk::default_in_memory();

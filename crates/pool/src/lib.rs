@@ -10,7 +10,7 @@
 //! for the join path and consumed directly by `tfm-partition` and the
 //! core's `IndexBuildPipeline`.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`ChunkScheduler`] — deals contiguous index chunks to per-worker
 //!   deques (static sharding), with stealing from the back of the fullest
@@ -22,7 +22,9 @@
 //!   [`map`](StagePool::map) / [`map_range`](StagePool::map_range) /
 //!   [`map_owned`](StagePool::map_owned) return outputs in **input order**
 //!   regardless of thread count or scheduling, which is what lets the
-//!   parallel index build produce byte-identical pages.
+//!   parallel index build produce byte-identical pages;
+//! * [`RequestQueue`] — the bounded MPMC queue under the serve tier's
+//!   admission edge and under every readahead window.
 //!
 //! Everything runs on `std::thread::scope` — workers borrow their inputs,
 //! no `'static` bounds, no channels, and the pool itself is just a thread
@@ -30,8 +32,10 @@
 
 #![warn(missing_docs)]
 
+mod queue;
 mod scheduler;
 
+pub use queue::RequestQueue;
 pub use scheduler::{Chunk, ChunkScheduler};
 
 use std::sync::{Mutex, PoisonError};

@@ -1,6 +1,10 @@
-//! A bounded multi-producer/multi-consumer request queue.
+//! A bounded multi-producer/multi-consumer queue.
 //!
-//! The admission edge of the serving subsystem. Capacity is fixed at
+//! Two edges of the workspace run on it: the serve tier's admission queue
+//! of query batches, and the readahead window of page ids that the serve
+//! tier and the parallel join push for their prefetch I/O threads (lossy:
+//! only [`RequestQueue::try_push`], so a full window drops ids, which are
+//! then read on demand). Capacity is fixed at
 //! construction; [`RequestQueue::push`] blocks while the queue is full
 //! (**backpressure** — a producer that outruns the workers is slowed to
 //! their pace instead of growing an unbounded backlog), and
@@ -10,9 +14,9 @@
 //! producers give up, and consumers drain the remaining items before
 //! [`RequestQueue::pop`] returns `None`.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` — the queue holds whole query
-//! *batches*, so it is locked a handful of times per thousand queries and
-//! needs no lock-free cleverness.
+//! Built on `std::sync::{Mutex, Condvar}` — the admission queue holds
+//! whole query *batches*, so it is locked a handful of times per thousand
+//! queries and needs no lock-free cleverness.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -164,6 +168,7 @@ mod tests {
         q.push(2);
         q.close();
         assert!(!q.push(3), "push after close must be refused");
+        assert_eq!(q.try_push(4), Err(4), "so must try_push");
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
@@ -194,6 +199,50 @@ mod tests {
         });
         assert_eq!(produced.load(Ordering::Relaxed), 200);
         assert_eq!(consumed, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_see_every_id() {
+        // Lossy producers, as a readahead feeder pushes: each retries until
+        // its id is admitted, and the consumers see every one once.
+        let q = RequestQueue::new(8);
+        let total = 200u64;
+        let seen = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        while let Some(i) = q.pop() {
+                            got.push(i);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            let producers: Vec<_> = (0..2u64)
+                .map(|p| {
+                    let q = &q;
+                    s.spawn(move || {
+                        for i in (p..total).step_by(2) {
+                            while q.try_push(i).is_err() {
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().expect("producer panicked");
+            }
+            q.close();
+            let mut all: Vec<u64> = consumers
+                .into_iter()
+                .flat_map(|h| h.join().expect("consumer panicked"))
+                .collect();
+            all.sort_unstable();
+            all
+        });
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
 
     #[test]

@@ -83,7 +83,6 @@
 #![warn(missing_docs)]
 
 mod engines;
-mod queue;
 mod shard;
 mod stats;
 
@@ -91,18 +90,18 @@ pub use engines::{
     GipsyEngine, MutableTransformersEngine, QueryEngine, QuerySession, RtreeEngine,
     ServeEngineKind, TransformersEngine,
 };
-pub use queue::RequestQueue;
 pub use shard::{
     plan_shards, serve_sharded, IndexShard, ShardPartitioner, ShardRouter, ShardSpec,
     ShardedCluster,
 };
 pub use stats::{LatencySummary, ServeStats, ShardStats};
+pub use tfm_pool::RequestQueue;
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tfm_geom::{hilbert, Aabb, ElementId, SpatialQuery};
 use tfm_pool::StagePool;
-use tfm_storage::{CacheStats, IoStatsSnapshot, PrefetchQueue};
+use tfm_storage::{CacheStats, IoStatsSnapshot, PageId};
 
 /// Configuration of one serve run, single-engine or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,8 +138,8 @@ pub struct ServeConfig {
     /// consulted when [`ServeConfig::readahead`] enables prefetching; `0`
     /// is clamped to 1.
     pub io_depth: usize,
-    /// Readahead window in pages: the capacity of the bounded
-    /// [`tfm_storage::PrefetchQueue`] in front of each target, which the
+    /// Readahead window in pages: the capacity of the bounded, lossy
+    /// [`RequestQueue`] of page ids in front of each target, which the
     /// feeder fills with each sub-batch's Hilbert-ordered candidate pages.
     /// `0` (the default) disables the prefetch pipeline entirely; it also
     /// stays off on engines that cannot compute a schedule
@@ -294,7 +293,7 @@ struct Target<'a, E: ?Sized> {
     /// Bounded and lossy; present when readahead is on and the engine can
     /// compute a schedule. Targets prefetch into their own caches from
     /// their own disks, so the pipelines share nothing.
-    prefetch: Option<PrefetchQueue>,
+    prefetch: Option<RequestQueue<PageId>>,
 }
 
 /// What the feeder counted while scattering (per-target vectors are
@@ -393,7 +392,7 @@ fn serve<E: QueryEngine + ?Sized>(
                 engine,
                 queue: RequestQueue::new(cfg.queue_batches.max(1)),
                 prefetch: (cfg.readahead > 0 && engine.supports_prefetch())
-                    .then(|| PrefetchQueue::new(cfg.readahead)),
+                    .then(|| RequestQueue::<PageId>::new(cfg.readahead)),
             })
             .collect();
         let fed = OnceLock::new();
@@ -485,7 +484,7 @@ fn feed<E: QueryEngine + ?Sized>(
                 // full queue means they are already `readahead` ahead.
                 let probes: Vec<SpatialQuery> = sub.iter().map(|&qid| trace[qid]).collect();
                 for page in target.engine.prefetch_schedule(&probes) {
-                    pq.try_push(page);
+                    let _ = pq.try_push(page);
                 }
             }
             if !cfg.shed {

@@ -18,9 +18,9 @@
 //!
 //! Bytes live behind the [`PageStore`] abstraction: [`MemStore`] (default;
 //! deterministic and fast) or [`FileStore`] — a real on-disk page image
-//! accessed with positional I/O and no global offset lock, fed by the
-//! bounded [`PrefetchQueue`] so dedicated I/O threads can keep a queue
-//! depth of reads in flight ahead of the workers. Whichever backend is in
+//! accessed with positional I/O and no global offset lock, into which
+//! dedicated I/O threads can keep a queue depth of reads in flight ahead of
+//! the workers ([`SharedPageCache::prefetch_page`]). Whichever backend is in
 //! use, the accounting (and thus every result and every simulated-time
 //! figure) is identical; only wall-clock behaviour differs.
 //!
@@ -39,7 +39,6 @@ mod clock;
 mod disk;
 mod elempage;
 mod model;
-mod prefetch;
 mod redo;
 mod shared;
 mod stats;
@@ -49,7 +48,6 @@ pub use cache::{CacheHandle, PageReads, PageSlice, PoolCounters};
 pub use disk::{Disk, DiskBackendKind};
 pub use elempage::{ElementPageCodec, ElementRecords, RECORD_SIZE as ELEMENT_RECORD_BYTES};
 pub use model::DiskModel;
-pub use prefetch::PrefetchQueue;
 pub use redo::{LoggedPages, NoopLog, PageWrites, RedoLog};
 pub use shared::{
     CacheStats, PageRef, ReadOutcome, SharedPageCache, DEFAULT_CACHE_SHARDS, DEFAULT_POOL_PAGES,
