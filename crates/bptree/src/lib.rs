@@ -24,36 +24,57 @@
 //! the process-wide `SharedPageCache`, so B+-tree pages share frames with
 //! the element pages read beside them. The plain `&Disk` variants
 //! remain as uncached conveniences for one-shot lookups.
+//!
+//! # Insert and delete
+//!
+//! The write path's element directory (element id → unit) is the same
+//! tree, bulk-loaded and then changed in place by [`BPlusTree::insert`]
+//! and [`BPlusTree::delete`]. Both take `&mut self`, so a tree has one
+//! writer at a time and no reader runs beside it; the caller that shares a
+//! tree puts it behind whatever lock already serialises its writes. Page
+//! writes go through [`tfm_storage::PageWrites`]: routed through
+//! `tfm_storage::LoggedPages` they are WAL-logged and land in the shared
+//! cache's dirty tier; `&Disk` writes in place, unlogged.
+//!
+//! * **Preventive splits.** A full node is split on the way down, before
+//!   the descent enters it, so a split never propagates back up. The low
+//!   half stays in the page, the high half moves to a fresh right sibling.
+//! * **Lazy deletion.** An entry is removed in place. A leaf that empties
+//!   is unlinked from its parent and from the leaf chain when its chain
+//!   predecessor shares its parent; nodes never merge, and the page is not
+//!   reused (the disk has no free list; a rebuild reclaims it).
+//!
+//! Splits between equal keys leave entries equal to the new separator in
+//! the left sibling, so [`get`](BPlusTree::get) and
+//! [`range`](BPlusTree::range) descend left-biased and walk the leaf chain
+//! right from there, which finds every duplicate, first one first.
 
 #![warn(missing_docs)]
 
 use bytes::BufMut;
 use std::ops::ControlFlow;
 use tfm_partition::IndexBuildPipeline;
-use tfm_storage::{Disk, PageId, PageReads};
+use tfm_storage::{Disk, PageId, PageReads, PageWrites};
 
-mod mutable;
-
-pub use mutable::MutableBPlusTree;
-
-pub(crate) const LEAF_TAG: u8 = 1;
-pub(crate) const INNER_TAG: u8 = 0;
-pub(crate) const HEADER: usize = 1 + 2; // tag + count
-pub(crate) const ENTRY: usize = 16; // key + (value | child)
-pub(crate) const NO_LEAF: u64 = u64::MAX;
+const LEAF_TAG: u8 = 1;
+const INNER_TAG: u8 = 0;
+const HEADER: usize = 1 + 2; // tag + count
+const ENTRY: usize = 16; // key + (value | child)
+const NO_LEAF: u64 = u64::MAX;
 
 /// Entries per node page: what fits behind the header and the next-leaf
 /// pointer, and never more than the `u16` count can say.
 ///
 /// # Panics
 /// Panics if the page cannot hold two entries.
-pub(crate) fn fanout_for(page_size: usize) -> usize {
+fn fanout_for(page_size: usize) -> usize {
     let fanout = (page_size.saturating_sub(HEADER + 8) / ENTRY).min(u16::MAX as usize);
     assert!(fanout >= 2, "page size too small for a B+-tree node");
     fanout
 }
 
-/// A read-only, bulk-loaded B+-tree stored on a disk.
+/// A B+-tree stored on a disk: bulk-loaded, then changed in place by one
+/// writer (module docs).
 #[derive(Debug)]
 pub struct BPlusTree {
     root: PageId,
@@ -68,7 +89,8 @@ impl BPlusTree {
     /// Duplicate keys are allowed; lookups return the first match in input
     /// order. Leaves are written contiguously (sequential I/O), then each
     /// upper level in turn, matching how a real bulk loader would stream to
-    /// disk.
+    /// disk. An empty input gives one empty leaf, the tree
+    /// [`insert`](Self::insert) grows from.
     ///
     /// # Panics
     /// Panics if `pairs` is not sorted by key or the page size is too small
@@ -98,12 +120,7 @@ impl BPlusTree {
             let mut buf = Vec::new();
             encode_node_into(LEAF_TAG, NO_LEAF, &[], &mut buf);
             disk.write_page(page, &buf);
-            return Self {
-                root: page,
-                height: 0,
-                len: 0,
-                fanout,
-            };
+            return Self::from_parts(page, 0, 0, fanout);
         }
 
         // Build the leaf level: leaves are chained through next-leaf
@@ -140,10 +157,21 @@ impl BPlusTree {
                 .collect();
         }
 
+        Self::from_parts(level[0].1, height, pairs.len(), fanout)
+    }
+
+    /// Reattaches a tree from its header state — [`root`](Self::root),
+    /// [`height`](Self::height), [`len`](Self::len) and
+    /// [`fanout`](Self::fanout), as a superblock stores them.
+    ///
+    /// # Panics
+    /// Panics if `fanout < 2`.
+    pub fn from_parts(root: PageId, height: u32, len: usize, fanout: usize) -> Self {
+        assert!(fanout >= 2, "a B+-tree node holds at least two entries");
         Self {
-            root: level[0].1,
+            root,
             height,
-            len: pairs.len(),
+            len,
             fanout,
         }
     }
@@ -183,8 +211,14 @@ impl BPlusTree {
     /// Returns the first value stored under `key`, reading node pages
     /// through `cache`.
     pub fn get_with<C: PageReads>(&self, cache: &mut C, key: u64) -> Option<u64> {
-        self.walk_leaves(cache, key, |leaf| ControlFlow::Break(leaf.get(key)))
-            .flatten()
+        let first_at_least = |inner: &NodeView<'_>| inner.lower_bound(key).saturating_sub(1);
+        self.walk_leaves(cache, first_at_least, |leaf| match leaf.get(key) {
+            Some(v) => ControlFlow::Break(Some(v)),
+            // The descent lands at or left of the first entry ≥ `key`.
+            None if leaf.len() == 0 || key > leaf.key(leaf.len() - 1) => ControlFlow::Continue(()),
+            None => ControlFlow::Break(None),
+        })
+        .flatten()
     }
 
     /// Returns all `(key, value)` pairs with `lo <= key <= hi` in key order
@@ -200,7 +234,10 @@ impl BPlusTree {
         if lo > hi || self.is_empty() {
             return out;
         }
-        self.walk_leaves(cache, lo, |leaf| leaf.collect_range(lo, hi, &mut out));
+        let first_at_least = |inner: &NodeView<'_>| inner.lower_bound(lo).saturating_sub(1);
+        self.walk_leaves(cache, first_at_least, |leaf| {
+            leaf.collect_range(lo, hi, &mut out)
+        });
         out
     }
 
@@ -209,6 +246,10 @@ impl BPlusTree {
     /// "a range query based on the Hilbert values of the centers of two
     /// neighboring space nodes" collapses to finding the closest indexed
     /// Hilbert value.
+    ///
+    /// Exact on a bulk-loaded tree and after inserts. After deletes the
+    /// predecessor may sit in a leaf left of the one the descent lands on;
+    /// the successor is then returned, still a valid walk start.
     pub fn nearest(&self, disk: &Disk, key: u64) -> Option<(u64, u64)> {
         let mut direct: &Disk = disk;
         self.nearest_with(&mut direct, key)
@@ -223,86 +264,49 @@ impl BPlusTree {
         // first entry > key (possibly the first entry of the next leaf).
         // `below` stays `None` when key is smaller than every key in the
         // tree: the descent lands in the first leaf and `above` is set.
-        let mut nearest = Nearest::default();
-        self.walk_leaves(cache, key, |leaf| nearest.visit(leaf, key));
-        nearest.pick(key)
-    }
-
-    /// Descends from the root to the leaf that covers `key` — at each
-    /// inner node the last child whose separator is ≤ `key`; keys below
-    /// the first separator also belong to the first child — then hands
-    /// that leaf and, while `visit` asks to continue, its right siblings
-    /// to `visit`.
-    fn walk_leaves<C: PageReads, R>(
-        &self,
-        cache: &mut C,
-        key: u64,
-        visit: impl FnMut(&NodeView<'_>) -> ControlFlow<R>,
-    ) -> Option<R> {
-        walk_leaves(
-            cache,
-            self.root,
-            |inner| inner.upper_bound(key).saturating_sub(1),
-            visit,
-        )
-    }
-}
-
-/// The one read-only traversal both trees share: follows `child_of` down
-/// from `root` to a leaf, then walks the leaf chain rightwards for as long
-/// as `visit` returns [`ControlFlow::Continue`]. Every node is searched in
-/// the page bytes it was read into ([`NodeView`]); nothing is decoded.
-/// Returns `visit`'s break value, or `None` if the chain ended first.
-pub(crate) fn walk_leaves<C: PageReads, R>(
-    cache: &mut C,
-    root: PageId,
-    child_of: impl Fn(&NodeView<'_>) -> usize,
-    mut visit: impl FnMut(&NodeView<'_>) -> ControlFlow<R>,
-) -> Option<R> {
-    let mut page = root;
-    loop {
-        let raw = cache.page(page);
-        let node = NodeView::new(&raw);
-        if !node.is_leaf() {
-            page = PageId(node.value(child_of(&node)));
-            continue;
-        }
-        if let ControlFlow::Break(found) = visit(&node) {
-            return Some(found);
-        }
-        page = node.next_leaf()?;
-    }
-}
-
-/// Running state of a nearest-key search across a leaf and its right
-/// siblings.
-#[derive(Default)]
-pub(crate) struct Nearest {
-    below: Option<(u64, u64)>,
-    above: Option<(u64, u64)>,
-}
-
-impl Nearest {
-    /// Takes the leaf's last entry ≤ `key` and first entry > `key`; asks
-    /// for the next leaf until a successor is found.
-    pub(crate) fn visit(&mut self, leaf: &NodeView<'_>, key: u64) -> ControlFlow<()> {
-        let after = leaf.upper_bound(key);
-        if after > 0 {
-            self.below = Some(leaf.entry(after - 1));
-        }
-        if after < leaf.len() {
-            self.above = Some(leaf.entry(after));
-            return ControlFlow::Break(());
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// The closer candidate, ties towards the smaller key.
-    pub(crate) fn pick(self, key: u64) -> Option<(u64, u64)> {
-        match (self.below, self.above) {
+        let (mut below, mut above) = (None, None);
+        let last_at_most = |inner: &NodeView<'_>| inner.upper_bound(key).saturating_sub(1);
+        self.walk_leaves(cache, last_at_most, |leaf| {
+            let after = leaf.upper_bound(key);
+            if after > 0 {
+                below = Some(leaf.entry(after - 1));
+            }
+            if after < leaf.len() {
+                above = Some(leaf.entry(after));
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        match (below, above) {
             (Some(b), Some(a)) => Some(if key - b.0 <= a.0 - key { b } else { a }),
             (Some(b), None) => Some(b),
             (None, a) => a,
+        }
+    }
+
+    /// Follows `child_of` from the root down to a leaf, then walks the
+    /// leaf chain rightwards for as long as `visit` returns
+    /// [`ControlFlow::Continue`]. Every node is searched in the page bytes
+    /// it was read into ([`NodeView`]); nothing is decoded. Returns
+    /// `visit`'s break value, or `None` if the chain ended first.
+    fn walk_leaves<C: PageReads, R>(
+        &self,
+        cache: &mut C,
+        child_of: impl Fn(&NodeView<'_>) -> usize,
+        mut visit: impl FnMut(&NodeView<'_>) -> ControlFlow<R>,
+    ) -> Option<R> {
+        let mut page = self.root;
+        loop {
+            let raw = cache.page(page);
+            let node = NodeView::new(&raw);
+            if !node.is_leaf() {
+                page = PageId(node.value(child_of(&node)));
+                continue;
+            }
+            if let ControlFlow::Break(found) = visit(&node) {
+                return Some(found);
+            }
+            page = node.next_leaf()?;
         }
     }
 }
@@ -312,7 +316,7 @@ impl Nearest {
 /// count, next-leaf pointer, then fixed 16-byte entries. Shared by leaves
 /// and inner nodes (identical layout; inner nodes carry `NO_LEAF` in the
 /// pointer slot).
-pub(crate) fn encode_node_into(tag: u8, next: u64, entries: &[(u64, u64)], buf: &mut Vec<u8>) {
+fn encode_node_into(tag: u8, next: u64, entries: &[(u64, u64)], buf: &mut Vec<u8>) {
     buf.clear();
     buf.reserve(HEADER + 8 + entries.len() * ENTRY);
     buf.put_u8(tag);
@@ -326,9 +330,9 @@ pub(crate) fn encode_node_into(tag: u8, next: u64, entries: &[(u64, u64)], buf: 
 
 /// A borrowed view of one node page: the header is parsed and the entry
 /// count checked against the page length once; keys and values are then
-/// read, and searched, in the page bytes. This is the read path of both
-/// trees. Writers, which edit entry lists, materialise a [`Node`] from it.
-pub(crate) struct NodeView<'a> {
+/// read, and searched, in the page bytes. This is the read path. Writers,
+/// which edit entry lists, materialise a [`Node`] from it.
+struct NodeView<'a> {
     is_leaf: bool,
     next: u64,
     entries: &'a [[u8; ENTRY]],
@@ -338,7 +342,7 @@ impl<'a> NodeView<'a> {
     /// # Panics
     /// Panics if the page is shorter than the node header or than the
     /// entries its count declares.
-    pub(crate) fn new(page: &'a [u8]) -> Self {
+    fn new(page: &'a [u8]) -> Self {
         let Some((header, body)) = page.split_first_chunk::<{ HEADER + 8 }>() else {
             panic!(
                 "corrupt B+-tree node: {} bytes is shorter than the header",
@@ -359,35 +363,35 @@ impl<'a> NodeView<'a> {
         }
     }
 
-    pub(crate) fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.is_leaf
     }
 
     /// The right sibling of a leaf, `None` at the chain end and for inner
     /// nodes (whose pointer slot is unused).
-    pub(crate) fn next_leaf(&self) -> Option<PageId> {
+    fn next_leaf(&self) -> Option<PageId> {
         (self.is_leaf && self.next != NO_LEAF).then_some(PageId(self.next))
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
-    pub(crate) fn key(&self, i: usize) -> u64 {
+    fn key(&self, i: usize) -> u64 {
         entry_of(&self.entries[i]).0
     }
 
     /// The value of leaf entry `i`, or the child page of inner entry `i`.
-    pub(crate) fn value(&self, i: usize) -> u64 {
+    fn value(&self, i: usize) -> u64 {
         entry_of(&self.entries[i]).1
     }
 
-    pub(crate) fn entry(&self, i: usize) -> (u64, u64) {
+    fn entry(&self, i: usize) -> (u64, u64) {
         entry_of(&self.entries[i])
     }
 
     /// The entries in page order.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + 'a {
+    fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + 'a {
         self.entries.iter().map(entry_of)
     }
 
@@ -413,29 +417,24 @@ impl<'a> NodeView<'a> {
     }
 
     /// Index of the first entry whose key is ≥ `key`.
-    pub(crate) fn lower_bound(&self, key: u64) -> usize {
+    fn lower_bound(&self, key: u64) -> usize {
         self.partition_point(|k| k < key)
     }
 
     /// Index of the first entry whose key is > `key`.
-    pub(crate) fn upper_bound(&self, key: u64) -> usize {
+    fn upper_bound(&self, key: u64) -> usize {
         self.partition_point(|k| k <= key)
     }
 
     /// The value of the first entry stored under `key`.
-    pub(crate) fn get(&self, key: u64) -> Option<u64> {
+    fn get(&self, key: u64) -> Option<u64> {
         let i = self.lower_bound(key);
         (i < self.len() && self.key(i) == key).then(|| self.value(i))
     }
 
     /// Appends this leaf's entries with `lo <= key <= hi`; breaks once a key
     /// beyond `hi` shows the range is exhausted.
-    pub(crate) fn collect_range(
-        &self,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<(u64, u64)>,
-    ) -> ControlFlow<()> {
+    fn collect_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> ControlFlow<()> {
         for i in self.lower_bound(lo)..self.len() {
             let (k, v) = self.entry(i);
             if k > hi {
@@ -453,22 +452,301 @@ fn entry_of(entry: &[u8; ENTRY]) -> (u64, u64) {
     (word(0), word(8))
 }
 
-/// An owned, editable node: what the writers of the mutable tree read,
-/// change and write back.
-pub(crate) struct Node {
-    pub(crate) is_leaf: bool,
-    pub(crate) next_leaf: Option<PageId>,
-    pub(crate) entries: Vec<(u64, u64)>,
+/// An owned, editable node: what the writers read, change and write back.
+struct Node {
+    is_leaf: bool,
+    next_leaf: Option<PageId>,
+    entries: Vec<(u64, u64)>,
 }
 
 impl Node {
-    pub(crate) fn read<C: PageReads>(cache: &mut C, page: PageId) -> Self {
+    fn read<C: PageReads>(cache: &mut C, page: PageId) -> Self {
         let raw = cache.page(page);
         let view = NodeView::new(&raw);
         Self {
             is_leaf: view.is_leaf(),
             next_leaf: view.next_leaf(),
             entries: view.iter().collect(),
+        }
+    }
+
+    /// Encodes the node into `buf` and writes it to `page`.
+    fn write<P: PageWrites>(&self, pages: &mut P, page: PageId, buf: &mut Vec<u8>) {
+        let tag = if self.is_leaf { LEAF_TAG } else { INNER_TAG };
+        encode_node_into(
+            tag,
+            self.next_leaf.map_or(NO_LEAF, |p| p.0),
+            &self.entries,
+            buf,
+        );
+        pages.write(page, buf);
+    }
+
+    /// Writer descent rule: the last child whose separator is ≤ `key` —
+    /// the rightmost subtree that may hold `key`, so an insert goes after
+    /// every equal already stored.
+    fn child_for(&self, key: u64) -> usize {
+        self.entries
+            .partition_point(|&(k, _)| k <= key)
+            .saturating_sub(1)
+    }
+
+    /// Moves the high half of this full node, at `page`, to a fresh right
+    /// sibling: the sibling is written first, then the shrunken node (a
+    /// leaf now links to the sibling). Returns the separator — the
+    /// sibling's first key — and the sibling's page.
+    fn split<P: PageWrites>(
+        &mut self,
+        pages: &mut P,
+        page: PageId,
+        buf: &mut Vec<u8>,
+    ) -> (u64, PageId) {
+        let high = Node {
+            is_leaf: self.is_leaf,
+            next_leaf: self.next_leaf,
+            entries: self.entries.split_off(self.entries.len() / 2),
+        };
+        let right = pages.allocate();
+        high.write(pages, right, buf);
+        if self.is_leaf {
+            self.next_leaf = Some(right);
+        }
+        self.write(pages, page, buf);
+        (high.entries[0].0, right)
+    }
+}
+
+/// In-place insert and delete: the tree's one writer (module docs).
+mod mutable {
+    use super::{encode_node_into, BPlusTree, Node, INNER_TAG, NO_LEAF};
+    use tfm_storage::{PageId, PageWrites};
+
+    impl BPlusTree {
+        /// Inserts `(key, value)`, after every entry already stored under
+        /// an equal key.
+        ///
+        /// # Panics
+        /// Panics if the fanout is 2: a root split leaves a full root, and
+        /// a preventive split needs a parent with room for one more entry.
+        pub fn insert<P: PageWrites>(&mut self, pages: &mut P, key: u64, value: u64) {
+            assert!(self.fanout >= 3, "insert needs a fanout of at least 3");
+            let mut buf = Vec::new();
+            let mut node = Node::read(pages, self.root);
+            if node.entries.len() >= self.fanout {
+                // The old root keeps the low half and becomes the left
+                // child of a fresh root.
+                let (split_key, right) = node.split(pages, self.root, &mut buf);
+                let new_root = pages.allocate();
+                let children = [(node.entries[0].0, self.root.0), (split_key, right.0)];
+                encode_node_into(INNER_TAG, NO_LEAF, &children, &mut buf);
+                pages.write(new_root, &buf);
+                self.root = new_root;
+                self.height += 1;
+                node = Node::read(pages, new_root);
+            }
+            let mut page = self.root;
+            while !node.is_leaf {
+                let idx = node.child_for(key);
+                let mut child_page = PageId(node.entries[idx].1);
+                let mut child = Node::read(pages, child_page);
+                if child.entries.len() >= self.fanout {
+                    let (split_key, right) = child.split(pages, child_page, &mut buf);
+                    node.entries.insert(idx + 1, (split_key, right.0));
+                    node.write(pages, page, &mut buf);
+                    if key >= split_key {
+                        child = Node::read(pages, right);
+                        child_page = right;
+                    }
+                }
+                page = child_page;
+                node = child;
+            }
+            let pos = node.entries.partition_point(|&(k, _)| k <= key);
+            node.entries.insert(pos, (key, value));
+            node.write(pages, page, &mut buf);
+            self.len += 1;
+        }
+
+        /// Deletes one entry stored under `key` and returns its value. With
+        /// unique keys this is exact; with duplicates the rightmost subtree
+        /// that may hold `key` is searched, so an equal entry left of a
+        /// split boundary may be passed over.
+        ///
+        /// Deletion is lazy (module docs): the entry is removed in place,
+        /// and a leaf that empties is unlinked from its parent and, when
+        /// its chain predecessor is the sibling to its left, from the leaf
+        /// chain.
+        pub fn delete<P: PageWrites>(&mut self, pages: &mut P, key: u64) -> Option<u64> {
+            let mut buf = Vec::new();
+            let mut page = self.root;
+            let mut leaf = Node::read(pages, page);
+            // The leaf's parent, and the leaf's index in it.
+            let mut parent = None;
+            while !leaf.is_leaf {
+                let idx = leaf.child_for(key);
+                let child_page = PageId(leaf.entries[idx].1);
+                let child = Node::read(pages, child_page);
+                parent = Some((page, std::mem::replace(&mut leaf, child), idx));
+                page = child_page;
+            }
+            let pos = leaf.entries.iter().position(|&(k, _)| k == key)?;
+            let (_, value) = leaf.entries.remove(pos);
+            leaf.write(pages, page, &mut buf);
+            self.len -= 1;
+            if let Some((parent_page, mut parent, idx)) = parent {
+                if leaf.entries.is_empty() && idx > 0 {
+                    // Bypass the empty leaf in the chain, then drop its
+                    // separator.
+                    let sibling_page = PageId(parent.entries[idx - 1].1);
+                    let mut sibling = Node::read(pages, sibling_page);
+                    sibling.next_leaf = leaf.next_leaf;
+                    sibling.write(pages, sibling_page, &mut buf);
+                    parent.entries.remove(idx);
+                    parent.write(pages, parent_page, &mut buf);
+                }
+            }
+            Some(value)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use crate::BPlusTree;
+        use tfm_storage::{Disk, DiskModel};
+
+        fn small_disk() -> Disk {
+            // fanout = (64 - 3 - 8) / 16 = 3: splits happen immediately.
+            Disk::in_memory(64).with_model(DiskModel::free())
+        }
+
+        /// An empty tree on `disk` with `pairs` inserted one by one.
+        fn grown(disk: &Disk, pairs: impl IntoIterator<Item = (u64, u64)>) -> BPlusTree {
+            let mut tree = BPlusTree::bulk_load(disk, &[]);
+            let mut pages: &Disk = disk;
+            for (k, v) in pairs {
+                tree.insert(&mut pages, k, v);
+            }
+            tree
+        }
+
+        #[test]
+        fn insert_then_get_across_many_splits() {
+            let disk = small_disk();
+            let tree = grown(&disk, (0..500u64).map(|k| (k * 2, k)));
+            assert_eq!(tree.len(), 500);
+            for k in 0..500u64 {
+                assert_eq!(tree.get(&disk, k * 2), Some(k), "key {}", k * 2);
+                assert_eq!(tree.get(&disk, k * 2 + 1), None);
+            }
+        }
+
+        #[test]
+        fn random_order_inserts_match_a_sorted_reference() {
+            let disk = small_disk();
+            // Deterministic shuffle: odd multiplier mod power of two is a
+            // bijection, so every key appears exactly once.
+            let keys: Vec<u64> = (0..1024u64).map(|i| (i * 293) % 1024).collect();
+            let tree = grown(&disk, keys.iter().map(|&k| (k, k ^ 0x5A)));
+            let expect: Vec<(u64, u64)> = (0..1024u64).map(|k| (k, k ^ 0x5A)).collect();
+            assert_eq!(tree.range(&disk, 0, u64::MAX), expect);
+        }
+
+        #[test]
+        fn range_and_nearest_behave_like_the_bulk_loaded_tree() {
+            let disk = small_disk();
+            let tree = grown(&disk, (0..30u64).map(|k| (k * 10, k)));
+            let expect: Vec<(u64, u64)> = (10..=16u64).map(|k| (k * 10, k)).collect();
+            assert_eq!(tree.range(&disk, 95, 160), expect);
+            assert_eq!(tree.nearest(&disk, 95), Some((90, 9)));
+            assert_eq!(tree.nearest(&disk, 96), Some((100, 10)));
+            assert_eq!(tree.nearest(&disk, 0), Some((0, 0)));
+            assert_eq!(tree.nearest(&disk, 1_000_000), Some((290, 29)));
+        }
+
+        #[test]
+        fn duplicate_keys_keep_insertion_order() {
+            let disk = small_disk();
+            let tree = grown(&disk, [(5, 100), (7, 200), (5, 101), (5, 102)]);
+            assert_eq!(tree.range(&disk, 5, 5), vec![(5, 100), (5, 101), (5, 102)]);
+            assert_eq!(tree.get(&disk, 5), Some(100));
+        }
+
+        #[test]
+        fn delete_removes_and_reports_values() {
+            let disk = small_disk();
+            let mut tree = grown(&disk, (0..200u64).map(|k| (k, k + 1000)));
+            let mut rw: &Disk = &disk;
+            // Delete every third key.
+            for k in (0..200u64).step_by(3) {
+                assert_eq!(tree.delete(&mut rw, k), Some(k + 1000));
+                assert_eq!(tree.delete(&mut rw, k), None, "second delete finds nothing");
+            }
+            for k in 0..200u64 {
+                let expect = if k % 3 == 0 { None } else { Some(k + 1000) };
+                assert_eq!(tree.get(&disk, k), expect, "key {k}");
+            }
+            let live = tree.range(&disk, 0, u64::MAX);
+            assert_eq!(live.len(), tree.len());
+            assert!(live.iter().all(|&(k, _)| k % 3 != 0));
+        }
+
+        #[test]
+        fn delete_everything_then_reinsert() {
+            let disk = small_disk();
+            let mut tree = grown(&disk, (0..100u64).map(|k| (k, k)));
+            let mut rw: &Disk = &disk;
+            for k in 0..100u64 {
+                assert_eq!(tree.delete(&mut rw, k), Some(k));
+            }
+            assert!(tree.is_empty());
+            assert_eq!(tree.range(&disk, 0, u64::MAX), vec![]);
+            assert_eq!(tree.nearest(&disk, 50), None);
+            // The emptied tree keeps working.
+            for k in 0..100u64 {
+                tree.insert(&mut rw, k, k * 2);
+            }
+            for k in 0..100u64 {
+                assert_eq!(tree.get(&disk, k), Some(k * 2));
+            }
+        }
+
+        #[test]
+        fn adopting_a_bulk_loaded_tree_preserves_and_extends_it() {
+            let disk = small_disk();
+            let pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k * 4, k)).collect();
+            let mut tree = BPlusTree::bulk_load(&disk, &pairs);
+            let mut rw: &Disk = &disk;
+            // Bulk-loaded leaves are full, so the first inserts split.
+            for k in 0..100u64 {
+                tree.insert(&mut rw, k * 4 + 1, k + 5000);
+            }
+            assert_eq!(tree.delete(&mut rw, 40), Some(10));
+            for k in 0..100u64 {
+                let expect = if k == 10 { None } else { Some(k) };
+                assert_eq!(tree.get(&disk, k * 4), expect);
+                assert_eq!(tree.get(&disk, k * 4 + 1), Some(k + 5000));
+            }
+            assert_eq!(tree.len(), 100 + 100 - 1);
+        }
+
+        #[test]
+        #[should_panic(expected = "fanout of at least 3")]
+        fn insert_refuses_a_fanout_of_two() {
+            // 48-byte pages hold two entries.
+            let disk = Disk::in_memory(48);
+            let mut tree = BPlusTree::bulk_load(&disk, &[(1, 1), (2, 2)]);
+            tree.insert(&mut &disk, 3, 3);
+        }
+
+        #[test]
+        fn parts_roundtrip_reattaches_the_same_tree() {
+            let disk = small_disk();
+            let tree = grown(&disk, (0..50u64).map(|k| (k, k * 3)));
+            let again =
+                BPlusTree::from_parts(tree.root(), tree.height(), tree.len(), tree.fanout());
+            for k in 0..50u64 {
+                assert_eq!(again.get(&disk, k), Some(k * 3));
+            }
         }
     }
 }
@@ -566,6 +844,22 @@ mod tests {
         let r = t.range(&disk, 5, 5);
         assert_eq!(r, vec![(5, 100), (5, 101), (5, 102)]);
         assert_eq!(t.get(&disk, 5), Some(100));
+    }
+
+    #[test]
+    fn duplicate_keys_straddling_a_leaf_are_all_found() {
+        // Fanout 3: leaves [1, 5, 5] and [5, 5, 9] under the separator 5.
+        // A descent on the last separator <= 5 lands in the second leaf
+        // and misses (5, 1) and (5, 2).
+        let disk = Disk::in_memory(64);
+        let pairs = [(1, 0), (5, 1), (5, 2), (5, 3), (5, 4), (9, 5)];
+        let t = BPlusTree::bulk_load(&disk, &pairs);
+        assert_eq!(t.height(), 1);
+        assert_eq!(t.get(&disk, 5), Some(1));
+        assert_eq!(t.range(&disk, 5, 5), vec![(5, 1), (5, 2), (5, 3), (5, 4)]);
+        assert_eq!(t.range(&disk, 2, 9), pairs[1..].to_vec());
+        assert_eq!(t.get(&disk, 9), Some(5));
+        assert_eq!(t.get(&disk, 6), None);
     }
 
     #[test]
@@ -701,7 +995,7 @@ mod tests {
             // leaves, so pages of every shape the writers produce exist.
             let disk = Disk::in_memory(64);
             let mut pages: &Disk = &disk;
-            let tree = MutableBPlusTree::create(&mut pages);
+            let mut tree = BPlusTree::bulk_load(&disk, &[]);
             for (insert, key) in ops {
                 if insert {
                     tree.insert(&mut pages, key, key ^ 0xA5);

@@ -53,4 +53,48 @@ proptest! {
             prop_assert_eq!(got, expected, "key {}", key);
         }
     }
+
+    #[test]
+    fn mutations_match_model(
+        loaded in prop::collection::btree_map(0u64..300, any::<u64>(), 0..200),
+        ops in prop::collection::vec((any::<bool>(), 0u64..300, any::<u64>()), 1..300),
+    ) {
+        for page_size in [64, 128] {
+            replay_against_model(page_size, BTreeMap::new(), &ops);
+            replay_against_model(page_size, loaded.clone(), &ops);
+        }
+    }
+}
+
+/// Replays `ops` — the element directory's usage: insert `(key, value)`
+/// only if `key` is absent, or delete `key` — on a tree bulk-loaded from
+/// `start` (fanout 3 on 64-byte pages, 7 on 128), checking `get`, `range`
+/// and `len` against the model after every step.
+fn replay_against_model(page_size: usize, start: BTreeMap<u64, u64>, ops: &[(bool, u64, u64)]) {
+    let disk = Disk::in_memory(page_size);
+    let pairs: Vec<(u64, u64)> = start.iter().map(|(&k, &v)| (k, v)).collect();
+    let mut tree = BPlusTree::bulk_load(&disk, &pairs);
+    let mut model = start;
+    let mut pages: &Disk = &disk;
+    let entries = |m: std::collections::btree_map::Range<'_, u64, u64>| -> Vec<(u64, u64)> {
+        m.map(|(&k, &v)| (k, v)).collect()
+    };
+    for &(insert, key, value) in ops {
+        if insert {
+            if tree.get(&disk, key).is_none() {
+                tree.insert(&mut pages, key, value);
+            }
+            model.entry(key).or_insert(value);
+        } else {
+            assert_eq!(tree.delete(&mut pages, key), model.remove(&key));
+        }
+        assert_eq!(tree.get(&disk, key), model.get(&key).copied());
+        assert_eq!(tree.len(), model.len());
+        assert_eq!(tree.range(&disk, 0, u64::MAX), entries(model.range(..)));
+        let (lo, hi) = (key.saturating_sub(20), key + 20);
+        assert_eq!(tree.range(&disk, lo, hi), entries(model.range(lo..=hi)));
+    }
+    for key in 0..310 {
+        assert_eq!(tree.get(&disk, key), model.get(&key).copied(), "key {key}");
+    }
 }

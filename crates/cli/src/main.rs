@@ -17,20 +17,35 @@ use tfm_datagen::{generate, neuro, DatasetSpec, Distribution};
 use tfm_memjoin::{canonicalize, nested_loop_join, JoinStats};
 use tfm_storage::StoreBackend;
 
+/// One subcommand's entry point; it gets the arguments after its name.
+type Command = fn(&[String]) -> Result<(), String>;
+
+/// Every subcommand, by the name [`USAGE`] gives it.
+const COMMANDS: [(&str, Command); 6] = [
+    ("generate", cmd_generate),
+    ("build", cmd_build),
+    ("join", cmd_join),
+    ("serve", cmd_serve),
+    ("mutate", cmd_mutate),
+    ("info", cmd_info),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("build") => cmd_build(&args[1..]),
-        Some("join") => cmd_join(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("mutate") => cmd_mutate(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`; try `tfm help`")),
+        Some(name) => match COMMANDS.iter().find(|(n, _)| *n == name) {
+            // `--help` anywhere after a command asks for its synopsis.
+            Some(_) if args[1..].iter().any(|a| a == "--help") => {
+                println!("{}", synopsis(name));
+                Ok(())
+            }
+            Some((_, run)) => run(&args[1..]),
+            None => Err(format!("unknown command `{name}`; try `tfm help`")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1646,7 +1661,6 @@ mod tests {
     fn unknown_flags_are_rejected_before_any_file_is_read() {
         // None of the named files exists: an error that names the flag
         // (not the file) proves the check ran first.
-        type Command = fn(&[String]) -> Result<(), String>;
         let commands: [(&str, Command, &[&str]); 6] = [
             (
                 "generate",

@@ -20,11 +20,12 @@
 //!   has matching elements, but it never skips one that does, and the
 //!   exact per-element [`SpatialQuery::matches`] test makes query results
 //!   equal to an index rebuilt from scratch over the mutated dataset.
-//! * **Element directory.** A [`MutableBPlusTree`] maps element id →
-//!   unit, so a delete finds its page without scanning. Deletes rewrite
-//!   the one page holding the element; an overflow page that empties
-//!   stays linked (lazy reclamation — the chain remains walkable for
-//!   in-flight readers, mirroring the B+-tree's no-recycle rule).
+//! * **Element directory.** A [`BPlusTree`], changed in place under the
+//!   batch mutex, maps element id → unit, so a delete finds its page
+//!   without scanning. Deletes rewrite the one page holding the element;
+//!   an overflow page that empties stays linked (lazy reclamation — the
+//!   chain remains walkable for in-flight readers, mirroring the
+//!   B+-tree's no-recycle rule).
 //! * **Batch commit with WAL-before-data.** [`MutableTransformers::apply_batch`]
 //!   routes every page write through [`LoggedPages`]: a record of the
 //!   change to the [`RedoLog`] (the page's first since a checkpoint is
@@ -77,7 +78,7 @@ use crate::probe_dir::ProbeDirectory;
 use crate::TransformersIndex;
 use std::io;
 use std::sync::{Arc, Mutex};
-use tfm_bptree::{BPlusTree, MutableBPlusTree};
+use tfm_bptree::BPlusTree;
 use tfm_geom::{Aabb, Point3, SpatialElement, SpatialQuery};
 use tfm_storage::{
     Disk, ElementPageCodec, ElementRecords, LoggedPages, PageId, PageReads, PageWrites, RedoLog,
@@ -408,6 +409,8 @@ struct MutState {
     units: Vec<MutUnit>,
     nodes: Vec<MutNode>,
     len: u64,
+    /// The element directory: element id → unit.
+    directory: BPlusTree,
     /// Overlay page chain; `chain[0]` is the fixed head.
     chain: Vec<OverlayPage>,
 }
@@ -432,7 +435,6 @@ struct OverlayPage {
 #[derive(Debug)]
 pub struct MutableTransformers {
     state: Mutex<MutState>,
-    directory: MutableBPlusTree,
     published: Mutex<Arc<MutSnapshot>>,
     page_size: usize,
 }
@@ -458,7 +460,7 @@ impl MutableTransformers {
             pairs.windows(2).all(|w| w[0].0 != w[1].0),
             "duplicate element ids in adopted index"
         );
-        let directory = MutableBPlusTree::adopt(&BPlusTree::bulk_load(disk, &pairs));
+        let directory = BPlusTree::bulk_load(disk, &pairs);
 
         let units = idx
             .units()
@@ -486,14 +488,14 @@ impl MutableTransformers {
             units,
             nodes,
             len: idx.len() as u64,
+            directory,
             chain: Vec::new(),
         };
         let mut direct: &Disk = disk;
-        write_overlay(&directory, &mut st, &mut direct, disk);
+        write_overlay(&mut st, &mut direct, disk);
         let snapshot = Arc::new(snapshot_of(&st, page_size));
         Self {
             state: Mutex::new(st),
-            directory,
             published: Mutex::new(snapshot),
             page_size,
         }
@@ -573,17 +575,16 @@ impl MutableTransformers {
         // splits) past what replay touched; restore the watermark so new
         // allocations never clobber them.
         disk.ensure_allocated(watermark);
-        let directory = MutableBPlusTree::from_parts(dir_root, dir_height, dir_len, fanout);
         let st = MutState {
             units,
             nodes,
             len,
+            directory: BPlusTree::from_parts(dir_root, dir_height, dir_len as usize, fanout),
             chain,
         };
         let snapshot = Arc::new(snapshot_of(&st, page_size));
         Self {
             state: Mutex::new(st),
-            directory,
             published: Mutex::new(snapshot),
             page_size,
         }
@@ -617,9 +618,11 @@ impl MutableTransformers {
         self.published.lock().unwrap().clone()
     }
 
-    /// Looks up which unit holds element `id` via the element directory.
+    /// Looks up which unit holds element `id` via the element directory,
+    /// after any batch in flight (the directory is writer state).
     pub fn unit_of<C: PageReads>(&self, cache: &mut C, id: u64) -> Option<u32> {
-        self.directory.get_with(cache, id).map(|u| u as u32)
+        let st = self.state.lock().unwrap();
+        st.directory.get_with(cache, id).map(|u| u as u32)
     }
 
     /// Applies one mutation batch as a single WAL transaction and
@@ -665,7 +668,7 @@ impl MutableTransformers {
                 }
             }
         }
-        out.overlay_pages_written = write_overlay(&self.directory, &mut st, &mut h, cache.disk());
+        out.overlay_pages_written = write_overlay(&mut st, &mut h, cache.disk());
         out.durable_lsn = log.commit(txn);
         drop(h);
         *self.published.lock().unwrap() = Arc::new(snapshot_of(&st, self.page_size));
@@ -716,7 +719,7 @@ impl MutableTransformers {
         h: &mut P,
         e: SpatialElement,
     ) -> bool {
-        if self.directory.get_with(h, e.id).is_some() {
+        if st.directory.get_with(h, e.id).is_some() {
             return false;
         }
         let Some(unit) = choose_unit(st, &e) else {
@@ -777,12 +780,12 @@ impl MutableTransformers {
         let n = &mut st.nodes[u.node.0 as usize];
         n.page_mbb = n.page_mbb.union(&e.mbb);
         st.len += 1;
-        self.directory.insert(h, e.id, unit as u64);
+        st.directory.insert(h, e.id, unit as u64);
         true
     }
 
     fn delete_one<P: PageReads + PageWrites>(&self, st: &mut MutState, h: &mut P, id: u64) -> bool {
-        let Some(unit) = self.directory.get_with(h, id) else {
+        let Some(unit) = st.directory.get_with(h, id) else {
             return false;
         };
         let unit = unit as usize;
@@ -826,7 +829,7 @@ impl MutableTransformers {
             // impossible while directory updates share the batch mutex.
             return false;
         }
-        self.directory.delete(h, id);
+        st.directory.delete(h, id);
         st.units[unit].count -= 1;
         st.len -= 1;
         true
@@ -911,12 +914,7 @@ fn snapshot_of(st: &MutState, page_size: usize) -> MutSnapshot {
 ///             | page_mbb 48 | partition_mbb 48
 /// node       := first_unit u32 | unit_count u32 | tile 48 | page_mbb 48
 /// ```
-fn write_overlay<P: PageReads + PageWrites>(
-    directory: &MutableBPlusTree,
-    st: &mut MutState,
-    h: &mut P,
-    disk: &Disk,
-) -> usize {
+fn write_overlay<P: PageReads + PageWrites>(st: &mut MutState, h: &mut P, disk: &Disk) -> usize {
     let ps = h.page_size();
     let payload_per_page = ps - 8;
     let body_len = OVERLAY_FIXED + st.units.len() * OVERLAY_UNIT + st.nodes.len() * OVERLAY_NODE;
@@ -928,15 +926,15 @@ fn write_overlay<P: PageReads + PageWrites>(
         });
     }
 
-    let (dir_root, dir_height, dir_len) = directory.parts();
+    let directory = &st.directory;
     let watermark = disk.allocated_pages();
     let mut body = Vec::with_capacity(body_len);
     body.put_u64_le_ext(MUT_MAGIC);
     body.put_u64_le_ext(st.len);
     body.put_u32_le_ext(directory.fanout() as u32);
-    body.put_u64_le_ext(dir_root.0);
-    body.put_u32_le_ext(dir_height);
-    body.put_u64_le_ext(dir_len);
+    body.put_u64_le_ext(directory.root().0);
+    body.put_u32_le_ext(directory.height());
+    body.put_u64_le_ext(directory.len() as u64);
     body.put_u64_le_ext(watermark);
     body.put_u64_le_ext(st.units.len() as u64);
     for u in &st.units {

@@ -12,11 +12,11 @@
 //! join is embarrassingly parallel across pivots. This crate adds only what
 //! is parallel:
 //!
-//! * [`JoinScheduler`] — partitions the pivot list into contiguous chunks,
-//!   statically sharded across workers, with work stealing for the
-//!   stragglers that non-uniform data inevitably produces. Its chunk size
-//!   is derived from the pivot count and worker count
-//!   ([`JoinScheduler::chunk_size`]);
+//! * a [`pool::ChunkScheduler`] — partitions the pivot list into
+//!   contiguous chunks, statically sharded across workers, with work
+//!   stealing for the stragglers that non-uniform data inevitably
+//!   produces. The chunk size is derived from the pivot count and worker
+//!   count ([`chunk_size`]);
 //! * a scoped **worker pool** ([`pool::StagePool`], from the `tfm-pool`
 //!   crate) where each worker owns one engine of the join, reading through
 //!   the two per-dataset [`SharedPageCache`]s, sharded for the worker
@@ -51,9 +51,10 @@
 //! 3. **Announce exhaustion at chunk boundaries.** When the follower
 //!    dataset is fully covered ([`transformers::JoinRun::follower_exhausted`]),
 //!    every pivot still queued would have its whole candidate list pruned.
-//!    The worker that observes this calls [`JoinScheduler::announce_prune`];
-//!    the scheduler stops dealing chunks (own deques and steals alike) and
-//!    reports the discarded tail as [`ExecReport::chunks_pruned`]. Within a
+//!    The worker that observes this cancels the scheduler
+//!    ([`pool::ChunkScheduler::cancel`]): it stops dealing chunks (own
+//!    deques and steals alike) and the discarded tail is reported as
+//!    [`ExecReport::chunks_pruned`]. Within a
 //!    chunk, engines make the same check per pivot
 //!    ([`transformers::TransformersStats::pruned_pivots`]).
 //!
@@ -85,7 +86,7 @@
 
 mod scheduler;
 
-pub use scheduler::{Chunk, JoinScheduler};
+pub use scheduler::{chunk_size, MAX_CHUNK_PIVOTS};
 
 /// The generic scoped worker pool this subsystem runs on, re-exported from
 /// the `tfm-pool` crate — spawn-scoped workers, chunked deque+steal
@@ -96,7 +97,7 @@ pub mod pool {
 }
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tfm_pool::{RequestQueue, StagePool};
+use tfm_pool::{Chunk, ChunkScheduler, RequestQueue, StagePool};
 use tfm_storage::{Disk, PageId, SharedPageCache};
 use transformers::{JoinConfig, JoinOutcome, JoinRun, TransformersIndex, TransformersStats};
 
@@ -252,8 +253,8 @@ pub fn parallel_join_with_report(
     let join_workers_left = AtomicUsize::new(threads);
 
     let pivots = join.pivots();
-    let chunk_size = JoinScheduler::chunk_size(pivots, threads);
-    let scheduler = JoinScheduler::new(pivots, threads, chunk_size);
+    let pivots_per_chunk = chunk_size(pivots, threads);
+    let scheduler = ChunkScheduler::new(pivots, threads, pivots_per_chunk);
 
     // One worker per thread plus the dedicated prefetch I/O threads,
     // results collected in worker order — the merge depends on that order
@@ -294,7 +295,7 @@ pub fn parallel_join_with_report(
             // covered, announce it so queued chunks are discarded
             // instead of dispatched.
             if join.follower_exhausted() {
-                scheduler.announce_prune();
+                scheduler.cancel();
             }
         }
         let (raw, stats) = engine.finish();
@@ -329,10 +330,10 @@ pub fn parallel_join_with_report(
         threads,
         pivots: worker_pivots.iter().sum(),
         chunks: scheduler.chunk_count(),
-        chunk_size,
+        chunk_size: pivots_per_chunk,
         steals: scheduler.steals(),
         worker_pivots,
-        chunks_pruned: scheduler.chunks_pruned(),
+        chunks_pruned: scheduler.chunks_cancelled(),
         prefetch_issued: pf_issued,
         prefetch_hits: pf_hits,
         prefetch_unused: pf_unused,

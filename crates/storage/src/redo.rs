@@ -128,7 +128,8 @@ impl RedoLog for NoopLog {
 /// *this and every concurrent* handle of the same dataset (the logged
 /// implementation routes through the shared cache), and `allocate` hands
 /// out fresh page ids. Like reads, handles are `&mut self` per owner;
-/// cross-writer coordination (latching) lives above this trait.
+/// serialising writers (the mutable index's batch mutex) is left to the
+/// layers above this trait.
 pub trait PageWrites: PageReads {
     /// Writes `bytes` (at most one page; shorter data is zero-padded) to
     /// page `id`.
