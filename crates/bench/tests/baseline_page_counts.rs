@@ -9,10 +9,13 @@
 //! of these counts.
 
 use tfm_bench::{run_approach, Approach, RunConfig};
-use tfm_datagen::{generate, DatasetSpec, Distribution};
+use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
 use tfm_geom::{Aabb, SpatialElement};
+use tfm_gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
+use tfm_serve::{serve_trace, GipsyEngine, ServeConfig};
 use tfm_storage::{CacheHandle, Disk, SharedPageCache};
 use tfm_sweep::{s3, sssj};
+use transformers::{IndexConfig, TransformersIndex};
 
 /// `(pages_read, (rand_reads, seq_reads), results)` per approach.
 type Counts = (u64, (u64, u64), u64);
@@ -67,6 +70,64 @@ fn baseline_page_reads_under_a_small_cache_are_pinned() {
         .map(|&(label, counts)| (label.to_string(), counts))
         .collect();
     assert_eq!(got, want);
+}
+
+/// GIPSY's exploration on the fixed pair, `a` sparse as in
+/// `run_approach`: every walk, fallback and crawl step and every
+/// descriptor and element test is a function of the walk's start, its
+/// bound and the tiling alone, so a change to the explorer that should
+/// move no decision keeps every count.
+#[test]
+fn gipsy_exploration_counts_are_pinned() {
+    let (a, b) = pair();
+    let cfg = RunConfig::default();
+    let (sparse_disk, dense_disk) = (cfg.disk("gipsy_sparse"), cfg.disk("gipsy_dense"));
+    let sparse = SparseFile::write(&sparse_disk, a);
+    let dense = TransformersIndex::build(&dense_disk, b, &IndexConfig::default());
+    let mut stats = GipsyStats::default();
+    let join_cfg = GipsyConfig {
+        pool_pages: 32,
+        ..GipsyConfig::default()
+    };
+    let pairs = gipsy_join(
+        &sparse_disk,
+        &sparse,
+        &dense_disk,
+        &dense,
+        &join_cfg,
+        &mut stats,
+    );
+    let got = (
+        stats.metadata_tests,
+        stats.walk_steps,
+        stats.walk_fallbacks,
+        stats.crawl_steps,
+        stats.mem.element_tests,
+        stats.mem.results,
+        pairs.len(),
+    );
+    assert_eq!(got, (154_656, 4_007, 0, 14_176, 187_465, 71, 71));
+}
+
+/// The GIPSY probe engine on the fixed pair's dense side: one worker
+/// serves one fixed uniform trace through an 8-page cache, so its page
+/// reads and pool hits follow from the probes' walks and crawls alone.
+#[test]
+fn gipsy_engine_page_counts_are_pinned() {
+    let (_, b) = pair();
+    let disk = RunConfig::default().disk("gipsy_engine");
+    let idx = TransformersIndex::build(&disk, b, &IndexConfig::default());
+    let engine = GipsyEngine::new(&idx, &disk).with_shared_cache(8, 1);
+    let trace = generate_trace(&QueryTraceSpec::uniform(400, 262));
+    let out = serve_trace(&engine, &trace, &ServeConfig::default());
+    assert_eq!(out.stats.threads, 1);
+    let got = (
+        out.stats.io.reads(),
+        out.stats.pool_misses,
+        out.stats.pool_hits,
+        out.stats.result_ids,
+    );
+    assert_eq!(got, (389, 389, 70, 13));
 }
 
 /// Runs `join` through a one-frame cache per side and checks that it held
