@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 use tfm_geom::{Aabb, SpatialElement};
-use tfm_gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
+use tfm_gipsy::{gipsy_join, GipsyStats, SparseFile};
 use tfm_memjoin::ResultPair;
 use tfm_pbsm::{pbsm_join, pbsm_partition, PbsmConfig, PbsmStats};
 use tfm_rtree::{sync_join, RTree, RtreeStats};
@@ -470,18 +470,16 @@ fn run_gipsy(
 
     sparse_disk.reset_stats();
     dense_disk.reset_stats();
-    let gipsy_cfg = GipsyConfig {
-        pool_pages: cfg.pool_pages,
-        ..GipsyConfig::default()
-    };
     let mut stats = GipsyStats::default();
     let t = Instant::now();
+    // The dense side's element and B+-tree pages are read through the
+    // shared cache (one reader, so one shard).
+    let dense_cache = SharedPageCache::with_shards(&dense_disk, cfg.pool_pages, 1);
     let pairs = gipsy_join(
         &sparse_disk,
         &sparse_file,
-        &dense_disk,
+        &mut CacheHandle::shared(&dense_cache),
         &dense_idx,
-        &gipsy_cfg,
         &mut stats,
     );
     m.join_wall = t.elapsed();

@@ -11,7 +11,7 @@
 use tfm_bench::{run_approach, Approach, RunConfig};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
 use tfm_geom::{Aabb, SpatialElement};
-use tfm_gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
+use tfm_gipsy::{gipsy_join, GipsyStats, SparseFile};
 use tfm_serve::{serve_trace, GipsyEngine, ServeConfig};
 use tfm_storage::{CacheHandle, Disk, SharedPageCache};
 use tfm_sweep::{s3, sssj};
@@ -84,17 +84,13 @@ fn gipsy_exploration_counts_are_pinned() {
     let (sparse_disk, dense_disk) = (cfg.disk("gipsy_sparse"), cfg.disk("gipsy_dense"));
     let sparse = SparseFile::write(&sparse_disk, a);
     let dense = TransformersIndex::build(&dense_disk, b, &IndexConfig::default());
+    let dense_cache = SharedPageCache::with_shards(&dense_disk, 32, 1);
     let mut stats = GipsyStats::default();
-    let join_cfg = GipsyConfig {
-        pool_pages: 32,
-        ..GipsyConfig::default()
-    };
     let pairs = gipsy_join(
         &sparse_disk,
         &sparse,
-        &dense_disk,
+        &mut CacheHandle::shared(&dense_cache),
         &dense,
-        &join_cfg,
         &mut stats,
     );
     let got = (

@@ -116,9 +116,6 @@ pub struct JoinConfig {
     pub thresholds: ThresholdPolicy,
     /// Initial guide dataset.
     pub first_guide: GuidePick,
-    /// Adaptive-walk patience: expansions without distance improvement
-    /// before the walk gives up (the paper's `isMovingAway` test).
-    pub walk_patience: usize,
     /// Page-cache capacity (pages) per dataset during the join: the join
     /// reads element and B+-tree pages through one
     /// [`tfm_storage::SharedPageCache`] of this size per dataset, shared
@@ -142,7 +139,6 @@ impl Default for JoinConfig {
         Self {
             thresholds: ThresholdPolicy::CostModel,
             first_guide: GuidePick::A,
-            walk_patience: 64,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
             readahead: 0,
             io_depth: 1,

@@ -343,18 +343,10 @@ impl TransformersIndex {
 
     /// Uses the Hilbert B+-tree to find the node whose center is closest
     /// (in Hilbert order) to `point` — the start descriptor of an adaptive
-    /// walk (§V). Charges B+-tree page reads to `disk` (uncached; prefer
-    /// [`walk_start_with`](Self::walk_start_with) on hot paths so tree
-    /// pages share the caller's page cache).
-    pub fn walk_start(&self, disk: &Disk, point: &tfm_geom::Point3) -> Option<NodeId> {
-        let mut direct: &Disk = disk;
-        self.walk_start_with(&mut direct, point)
-    }
-
-    /// [`walk_start`](Self::walk_start) reading the B+-tree's node pages
-    /// through `cache` — the same cache the caller reads element pages
-    /// with, so walk-start lookups hit instead of re-reading the tree.
-    pub fn walk_start_with<C: PageReads>(
+    /// walk (§V). Reads the tree's node pages through `cache`: the cache
+    /// the caller reads element pages with, so walk-start lookups hit
+    /// instead of re-reading the tree (`&mut &disk` reads uncached).
+    pub fn walk_start<C: PageReads>(
         &self,
         cache: &mut C,
         point: &tfm_geom::Point3,
@@ -426,7 +418,7 @@ pub struct UnitReader<'i, 'c, 'd> {
 
 impl<'c, 'd> UnitReader<'_, 'c, 'd> {
     /// The handle's cache view, for sharing it with adjacent lookups
-    /// (e.g. [`TransformersIndex::walk_start_with`], so B+-tree pages ride
+    /// (e.g. [`TransformersIndex::walk_start`], so B+-tree pages ride
     /// the same cache as element pages).
     pub fn cache_mut(&mut self) -> &mut CacheHandle<'c, 'd> {
         &mut self.cache
@@ -583,7 +575,7 @@ mod tests {
         let idx = TransformersIndex::build(&disk, vec![], &IndexConfig::default());
         assert!(idx.is_empty());
         assert!(idx.nodes().is_empty());
-        assert_eq!(idx.walk_start(&disk, &tfm_geom::Point3::ORIGIN), None);
+        assert_eq!(idx.walk_start(&mut &disk, &tfm_geom::Point3::ORIGIN), None);
     }
 
     #[test]
@@ -713,7 +705,7 @@ mod tests {
     fn walk_start_returns_nearby_node() {
         let (disk, idx, _) = build(9000, 56);
         let probe = tfm_geom::Point3::new(500.0, 500.0, 500.0);
-        let start = idx.walk_start(&disk, &probe).expect("non-empty index");
+        let start = idx.walk_start(&mut &disk, &probe).expect("non-empty index");
         let tile = &idx.nodes()[start.0 as usize].tile;
         // Hilbert locality: the chosen node should be reasonably close to
         // the probe (within a quarter of the universe diagonal).

@@ -44,11 +44,11 @@ mod transform;
 
 use crate::config::{GuidePick, JoinConfig};
 use crate::costmodel::CostModel;
-use crate::descriptor::{NodeId, SpaceNode, SpaceUnitDesc};
+use crate::descriptor::{SpaceNode, SpaceUnitDesc};
 use crate::index::TransformersIndex;
 use crate::stats::TransformersStats;
 use crate::todo::SharedTodo;
-use crate::walk::ExploreScratch;
+use crate::walk::Explorer;
 use plan::{Decision, WindowPlan};
 use std::ops::Range;
 use std::time::Instant;
@@ -78,21 +78,19 @@ fn vol(b: &Aabb) -> f64 {
 
 /// Per-dataset join state.
 struct Side<'a> {
-    idx: &'a TransformersIndex,
     disk: &'a Disk,
     /// The read path: this owner's view onto the dataset's shared page
     /// cache.
     cache: CacheHandle<'a, 'a>,
     codec: ElementPageCodec,
     // The descriptor tables, loaded once per join and read by every owner
-    // (only `checked`, `walk_pos`, `scratch` and `cache` are the owner's
-    // own).
+    // (only `checked`, `explorer` and `cache` are the owner's own).
     nodes: &'a [SpaceNode],
     units: &'a [SpaceUnitDesc],
     checked: Vec<bool>,
-    /// Last walk position when this side acted as follower.
-    walk_pos: Option<NodeId>,
-    scratch: ExploreScratch,
+    /// Walks and crawls this side when it follows, from where its last
+    /// walk ended.
+    explorer: Explorer<'a>,
 }
 
 impl<'a> Side<'a> {
@@ -100,22 +98,19 @@ impl<'a> Side<'a> {
     fn with_tables(data: &'a Dataset<'a>) -> Self {
         let disk = data.cache.disk();
         Self {
-            idx: data.idx,
             disk,
             cache: CacheHandle::shared(data.cache),
             codec: ElementPageCodec::new(disk.page_size()),
             nodes: &data.nodes,
             units: &data.units,
             checked: vec![false; data.nodes.len()],
-            walk_pos: None,
-            scratch: ExploreScratch::default(),
+            explorer: Explorer::over(data.idx, &data.nodes, &data.units),
         }
     }
 }
 
 /// One owner's mutable join context.
 struct Ctx<'a> {
-    cfg: JoinConfig,
     cost: CostModel,
     stats: TransformersStats,
     /// Raw result pairs, always oriented (id in A, id in B).
@@ -154,7 +149,6 @@ impl<'a> Ctx<'a> {
             transfer: model.sequential_cost(),
         };
         Self {
-            cfg: *cfg,
             cost: CostModel::with_device(cfg.thresholds, unit_cap, node_cap, device),
             stats: TransformersStats::default(),
             raw: Vec::new(),
@@ -539,6 +533,13 @@ impl PivotEngine<'_> {
     /// cache.
     pub fn finish(self) -> (Vec<ResultPair>, TransformersStats) {
         let mut stats = self.ctx.stats;
+        for side in [&self.guide, &self.follower] {
+            let c = side.explorer.counts();
+            stats.metadata_tests += c.metadata_tests;
+            stats.walk_steps += c.walk_steps;
+            stats.walk_fallbacks += c.walk_fallbacks;
+            stats.crawl_steps += c.crawl_steps;
+        }
         let (cg, cf) = (self.guide.cache.counters(), self.follower.cache.counters());
         stats.pages_read = cg.misses + cf.misses;
         stats.pool_hits = cg.hits + cf.hits;

@@ -19,10 +19,8 @@
 
 use super::{vol, Ctx, PivotEngine, Side};
 use crate::descriptor::{NodeId, SpaceUnitDesc, UnitId};
-use crate::walk::{adaptive_crawl, adaptive_walk, scan_for_intersection};
 use std::ops::Range;
 use std::time::Instant;
-use tfm_geom::Aabb;
 
 /// One planned node-level pivot: what its join reads, as ranges into the
 /// plan's flat vectors. Both are empty when the exploration left nothing
@@ -163,67 +161,6 @@ impl Ctx<'_> {
 }
 
 impl PivotEngine<'_> {
-    /// Walks the follower from node `start` to a node reaching
-    /// `pivot_box`, and falls back to the exhaustive metadata scan when the
-    /// walk's patience runs out, so no result can be missed. Returns the
-    /// node found, if any, and where the walk ended (the node found, or the
-    /// closest it reached).
-    pub(super) fn walk_or_scan(
-        &mut self,
-        pivot_box: &Aabb,
-        start: NodeId,
-    ) -> (Option<NodeId>, NodeId) {
-        let (ctx, follower) = (&mut self.ctx, &mut self.follower);
-        let reach = follower.idx.reach_eps();
-        let r = adaptive_walk(
-            follower.nodes,
-            reach,
-            pivot_box,
-            start,
-            ctx.cfg.walk_patience,
-            &mut follower.scratch,
-        );
-        ctx.stats.walk_steps += r.steps;
-        ctx.stats.metadata_tests += r.metadata_tests;
-        let found = r.found.or_else(|| {
-            ctx.stats.walk_fallbacks += 1;
-            scan_for_intersection(
-                follower.nodes,
-                reach,
-                pivot_box,
-                &mut ctx.stats.metadata_tests,
-            )
-        });
-        (found, r.found.unwrap_or(r.closest))
-    }
-
-    /// Locates a follower node reaching `pivot_box`, updating the
-    /// follower's walk position.
-    fn locate(&mut self, pivot_box: &Aabb) -> Option<NodeId> {
-        let follower = &mut self.follower;
-        if follower.nodes.is_empty() {
-            return None;
-        }
-        // Cheap extent reject.
-        self.ctx.stats.metadata_tests += 1;
-        let reach = follower.idx.reach_eps();
-        if !follower.idx.extent().inflate(reach).intersects(pivot_box) {
-            return None;
-        }
-        let start = match follower.walk_pos {
-            Some(n) => n,
-            // The B+-tree descent reads through the follower's page cache,
-            // so tree pages share frames with element pages.
-            None => follower
-                .idx
-                .walk_start_with(&mut follower.cache, &pivot_box.center())
-                .unwrap_or(NodeId(0)),
-        };
-        let (found, pos) = self.walk_or_scan(pivot_box, start);
-        self.follower.walk_pos = Some(pos);
-        found
-    }
-
     /// Plans node-level pivot `ng` of the guide from descriptors alone:
     /// walk, transformation decision, crawl, to-do-list filter and page-MBB
     /// prefilter. Reads no element page; a pivot that decides no
@@ -236,10 +173,13 @@ impl PivotEngine<'_> {
             if pivot_box.is_empty() {
                 break 'plan Decision::Queued;
             }
-            let Some(nf) = self.locate(&pivot_box) else {
+            let (ctx, guide, follower) = (&mut self.ctx, &self.guide, &mut self.follower);
+            // The walk's cold start reads the B+-tree through the
+            // follower's page cache, so tree pages share frames with
+            // element pages.
+            let Some(nf) = follower.explorer.locate(&mut follower.cache, &pivot_box) else {
                 break 'plan Decision::Queued;
             };
-            let (ctx, guide, follower) = (&mut self.ctx, &self.guide, &mut self.follower);
 
             // Transformation decision (§VI): compare pivot-local tile
             // volumes. Both indexes pack the same number of elements per
@@ -257,19 +197,12 @@ impl PivotEngine<'_> {
                 break 'plan Decision::SplitNode(nf);
             }
 
-            // No transformation: coarse-grained join of the whole node.
+            // No transformation: coarse-grained join of the whole node. The
+            // crawl puts the pivot's candidates in ascending page order, as
+            // when pivots read for themselves: the kernel sees the same
+            // follower elements in the same order whatever the window.
             let candidates = &mut self.plan.candidates;
-            let crawl = adaptive_crawl(
-                follower.nodes,
-                follower.units,
-                follower.idx.reach_eps(),
-                &pivot_box,
-                nf,
-                &mut follower.scratch,
-                candidates,
-            );
-            ctx.stats.crawl_steps += crawl.steps;
-            ctx.stats.metadata_tests += crawl.metadata_tests;
+            follower.explorer.crawl(&pivot_box, nf, candidates);
 
             // To-do-list filter (§V): pairs against already-covered
             // follower nodes were produced when those nodes were pivots —
@@ -305,10 +238,6 @@ impl PivotEngine<'_> {
             });
             let filtered = considered - (guide_units.len() - g0 + candidates.len() - c0) as u64;
             ctx.cost.record_filter(filtered, considered);
-            // Elevator order within the pivot, as when pivots read for
-            // themselves: the kernel sees the same follower elements in the
-            // same order whatever the window.
-            candidates[c0..].sort_unstable_by_key(|u| follower.units[u.0 as usize].page);
             Decision::Queued
         };
         if matches!(decision, Decision::Queued) {

@@ -13,7 +13,6 @@
 
 use super::{vol, PivotEngine};
 use crate::descriptor::{NodeId, UnitId};
-use crate::walk::adaptive_crawl;
 use std::time::Instant;
 
 impl PivotEngine<'_> {
@@ -34,30 +33,19 @@ impl PivotEngine<'_> {
 
             // Walk from the previous unit's position: consecutive units are
             // spatially adjacent, so the walk is short.
-            let (found, pos) = self.walk_or_scan(&pivot_box, local_pos);
-            local_pos = pos;
+            let (ctx, follower) = (&mut self.ctx, &mut self.follower);
+            let (found, end) = follower.explorer.walk_from(&pivot_box, local_pos);
+            local_pos = end;
             let Some(nf) = found else {
-                self.ctx.stats.exploration_overhead += t0.elapsed();
+                ctx.stats.exploration_overhead += t0.elapsed();
                 continue;
             };
-            let (ctx, follower) = (&mut self.ctx, &mut self.follower);
-            follower.walk_pos = Some(nf);
+            follower.explorer.pos = Some(nf);
 
             candidates.clear();
-            let crawl = adaptive_crawl(
-                follower.nodes,
-                follower.units,
-                follower.idx.reach_eps(),
-                &pivot_box,
-                nf,
-                &mut follower.scratch,
-                &mut candidates,
-            );
+            follower.explorer.crawl(&pivot_box, nf, &mut candidates);
             // To-do-list filter (§V), as at node level.
             ctx.prune_covered(follower, !self.guide_is_a, &mut candidates, 0);
-            candidates.sort_unstable_by_key(|u| follower.units[u.0 as usize].page);
-            ctx.stats.crawl_steps += crawl.steps;
-            ctx.stats.metadata_tests += crawl.metadata_tests;
             if candidates.is_empty() {
                 ctx.stats.exploration_overhead += t0.elapsed();
                 continue;

@@ -78,14 +78,13 @@ pub use stats::TransformersStats;
 // configure builds from one import.
 pub use tfm_partition::IndexBuildPipeline;
 
-/// Low-level exploration primitives (adaptive walk, crawl, fallback scan).
+/// The one explorer (adaptive walk, fallback scan, crawl) over a
+/// connectivity-indexed dataset.
 ///
-/// Public so that the GIPSY baseline — which the paper describes as using
-/// the same crawling strategy, fixed at element granularity — can share
-/// exactly the same machinery instead of a diverging re-implementation.
+/// The join drives it over its follower, and the GIPSY baseline — which
+/// the paper describes as the same exploration fixed at element
+/// granularity — over its dense side, in `gipsy_join` and in each GIPSY
+/// probe session (`DESIGN.md`, "Adaptive walk").
 pub mod explore {
-    pub use crate::walk::{
-        adaptive_crawl, adaptive_walk, scan_for_intersection, CrawlResult, ExploreScratch,
-        WalkResult,
-    };
+    pub use crate::walk::{ExploreCounts, Explorer, WALK_PATIENCE};
 }

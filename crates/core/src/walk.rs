@@ -1,16 +1,17 @@
-//! Adaptive walk (Alg. 1) and adaptive crawl over the connectivity graph.
+//! Adaptive walk (Alg. 1) and adaptive crawl over the connectivity graph,
+//! driven by one [`Explorer`].
 //!
 //! The walk navigates the follower's space-node graph towards the pivot:
 //! starting from a descriptor located via the Hilbert B+-tree, it
 //! repeatedly moves to the unvisited neighbour whose tile is closest to
 //! the pivot (implemented as best-first search, which is Alg. 1's
 //! queue-based exploration with an optimal pop order). The paper's
-//! `isMovingAway` condition becomes a *patience* bound: if the best
-//! distance has not improved for `walk_patience` expansions the walk gives
+//! `isMovingAway` condition is the fixed bound [`WALK_PATIENCE`]: if the
+//! best distance has not improved for that many expansions the walk gives
 //! up. Because a greedy walk can in principle give up wrongly on
-//! pathological tilings, callers fall back to a linear metadata scan —
-//! counted as metadata comparisons — so the join never misses results
-//! (`DESIGN.md`, "Adaptive walk").
+//! pathological tilings, the explorer then falls back to a linear
+//! metadata scan — counted as metadata comparisons — so no join or probe
+//! misses results (`DESIGN.md`, "Adaptive walk").
 //!
 //! The crawl (§V "Adaptive Crawling") floods outward from the intersection
 //! record over all nodes whose (inflated) tiles still intersect the pivot,
@@ -19,28 +20,157 @@
 //! tiling adjacency graph, so the flood is exhaustive.
 
 use crate::descriptor::{NodeId, SpaceNode, SpaceUnitDesc, UnitId};
+use crate::index::TransformersIndex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tfm_geom::Aabb;
+use tfm_storage::PageReads;
 
-/// Outcome of an adaptive walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WalkResult {
-    /// A node whose inflated tile intersects the pivot, if one was found.
-    pub found: Option<NodeId>,
-    /// The closest node seen (walk restart position for the next pivot).
-    pub closest: NodeId,
-    /// Expansion steps performed.
-    pub steps: u64,
-    /// Tile-distance computations performed (metadata comparisons).
+/// Alg. 1's `isMovingAway` bound: a walk gives up after this many
+/// expansions without getting closer to the pivot, and the explorer scans.
+pub const WALK_PATIENCE: usize = 64;
+
+/// What an [`Explorer`] did, for the caller's statistics.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ExploreCounts {
+    /// Descriptor comparisons: one per extent reject, the walk's and the
+    /// crawl's own, and one per node a fallback scan read.
     pub metadata_tests: u64,
+    /// Walk expansion steps.
+    pub walk_steps: u64,
+    /// Walks that gave up and fell back to the full metadata scan.
+    pub walk_fallbacks: u64,
+    /// Nodes the crawl visited.
+    pub crawl_steps: u64,
+}
+
+/// The one driver of walk and crawl over one connectivity-indexed dataset
+/// (the join's follower, GIPSY's dense side, a GIPSY probe session). It
+/// owns the exploration scratch and the last walk position, and counts
+/// what it does in [`ExploreCounts`].
+#[derive(Debug)]
+pub struct Explorer<'a> {
+    idx: &'a TransformersIndex,
+    nodes: &'a [SpaceNode],
+    units: &'a [SpaceUnitDesc],
+    reach: f64,
+    /// The dataset's extent inflated by `reach`: a pivot outside it
+    /// reaches no node.
+    extent: Aabb,
+    /// Where the next [`locate`](Self::locate) starts walking; `None`
+    /// until the first walk, which starts from the Hilbert B+-tree.
+    pub(crate) pos: Option<NodeId>,
+    /// [`WALK_PATIENCE`]; tests lower it to force the fallback scan.
+    pub(crate) patience: usize,
+    scratch: ExploreScratch,
+    counts: ExploreCounts,
+}
+
+impl<'a> Explorer<'a> {
+    /// An explorer over `idx`'s own descriptor tables.
+    pub fn new(idx: &'a TransformersIndex) -> Self {
+        Self::over(idx, idx.nodes(), idx.units())
+    }
+
+    /// An explorer over descriptor tables of `idx` loaded by the caller
+    /// (a join reads them from the metadata region).
+    pub(crate) fn over(
+        idx: &'a TransformersIndex,
+        nodes: &'a [SpaceNode],
+        units: &'a [SpaceUnitDesc],
+    ) -> Self {
+        let reach = idx.reach_eps();
+        Self {
+            idx,
+            nodes,
+            units,
+            reach,
+            extent: idx.extent().inflate(reach),
+            pos: None,
+            patience: WALK_PATIENCE,
+            scratch: ExploreScratch::default(),
+            counts: ExploreCounts::default(),
+        }
+    }
+
+    /// What this explorer has done so far.
+    pub fn counts(&self) -> ExploreCounts {
+        self.counts
+    }
+
+    /// Locates a node whose inflated tile reaches `pivot`: rejects a pivot
+    /// outside the extent, walks from the last position (the first time
+    /// from the Hilbert B+-tree, whose pages are read through `pages`),
+    /// and scans when the walk gives up. The walk's end — the node found,
+    /// or the closest it reached — is where the next one starts.
+    pub fn locate(&mut self, pages: &mut impl PageReads, pivot: &Aabb) -> Option<NodeId> {
+        if self.nodes.is_empty() {
+            return None;
+        }
+        self.counts.metadata_tests += 1;
+        if !self.extent.intersects(pivot) {
+            return None;
+        }
+        let start = match self.pos {
+            Some(n) => n,
+            None => self
+                .idx
+                .walk_start(pages, &pivot.center())
+                .unwrap_or(NodeId(0)),
+        };
+        let (found, end) = self.walk_from(pivot, start);
+        self.pos = Some(end);
+        found
+    }
+
+    /// Walks from `start` towards `pivot` and scans when the walk gives
+    /// up, so no reaching node is missed. Returns the node found, if any,
+    /// and where the walk ended (the node it found, or the closest it
+    /// reached); leaves the position alone.
+    pub(crate) fn walk_from(&mut self, pivot: &Aabb, start: NodeId) -> (Option<NodeId>, NodeId) {
+        let c = &mut self.counts;
+        let (by_walk, end) = adaptive_walk(
+            self.nodes,
+            self.reach,
+            pivot,
+            start,
+            self.patience,
+            &mut self.scratch,
+            c,
+        );
+        let found = by_walk.or_else(|| {
+            c.walk_fallbacks += 1;
+            scan_for_intersection(self.nodes, self.reach, pivot, &mut c.metadata_tests)
+        });
+        (found, end)
+    }
+
+    /// Crawls from `from`, a node reaching `pivot`, and appends the units
+    /// whose page MBBs intersect the pivot to `candidates` in ascending
+    /// page order — the elevator order their pages are read in. What the
+    /// buffer already holds is left alone.
+    pub fn crawl(&mut self, pivot: &Aabb, from: NodeId, candidates: &mut Vec<UnitId>) {
+        let c0 = candidates.len();
+        let units = self.units;
+        adaptive_crawl(
+            self.nodes,
+            units,
+            self.reach,
+            pivot,
+            from,
+            &mut self.scratch,
+            candidates,
+            &mut self.counts,
+        );
+        candidates[c0..].sort_unstable_by_key(|u| units[u.0 as usize].page);
+    }
 }
 
 /// Scratch space reused across walks/crawls to avoid re-allocating
 /// visited-markers, the walk's heap and the crawl's frontier for every
 /// pivot.
 #[derive(Debug, Default)]
-pub struct ExploreScratch {
+pub(crate) struct ExploreScratch {
     stamp: u64,
     visited: Vec<u64>,
     /// The walk's best-first heap; cleared when a walk begins (a walk that
@@ -88,21 +218,22 @@ impl Ord for Dist {
 /// Adaptive walk: best-first search over `nodes` from `start` towards
 /// `pivot`. Succeeds when a node's tile inflated by `reach_eps` intersects
 /// the pivot; gives up after `patience` expansions without improvement.
-pub fn adaptive_walk(
+/// Returns the node found, if any, and the closest node seen (the node
+/// found, when there is one: the restart position for the next pivot).
+pub(crate) fn adaptive_walk(
     nodes: &[SpaceNode],
     reach_eps: f64,
     pivot: &Aabb,
     start: NodeId,
     patience: usize,
     scratch: &mut ExploreScratch,
-) -> WalkResult {
+    counts: &mut ExploreCounts,
+) -> (Option<NodeId>, NodeId) {
     let stamp = scratch.begin(nodes.len());
     let ExploreScratch { visited, heap, .. } = scratch;
-    let mut steps = 0u64;
-    let mut metadata_tests = 0u64;
 
     let start_dist = nodes[start.0 as usize].tile.min_distance_sq(pivot);
-    metadata_tests += 1;
+    counts.metadata_tests += 1;
 
     heap.clear();
     heap.push(Reverse((Dist(start_dist), start.0)));
@@ -113,16 +244,11 @@ pub fn adaptive_walk(
     let mut since_improvement = 0usize;
 
     while let Some(Reverse((Dist(dist), id))) = heap.pop() {
-        steps += 1;
+        counts.walk_steps += 1;
         let node = &nodes[id as usize];
-        metadata_tests += 1;
+        counts.metadata_tests += 1;
         if reaches(&node.tile, pivot, reach_eps) {
-            return WalkResult {
-                found: Some(NodeId(id)),
-                closest: NodeId(id),
-                steps,
-                metadata_tests,
-            };
+            return (Some(NodeId(id)), NodeId(id));
         }
         if dist < best {
             best = dist;
@@ -138,25 +264,19 @@ pub fn adaptive_walk(
             let v = &mut visited[nb.0 as usize];
             if *v != stamp {
                 *v = stamp;
-                metadata_tests += 1;
+                counts.metadata_tests += 1;
                 let d = nodes[nb.0 as usize].tile.min_distance_sq(pivot);
                 heap.push(Reverse((Dist(d), nb.0)));
             }
         }
     }
-
-    WalkResult {
-        found: None,
-        closest,
-        steps,
-        metadata_tests,
-    }
+    (None, closest)
 }
 
 /// Exhaustive fallback for walks that gave up: scans all node tiles.
 /// Returns the first reaching node. The caller counts one metadata test
 /// per scanned node.
-pub fn scan_for_intersection(
+pub(crate) fn scan_for_intersection(
     nodes: &[SpaceNode],
     reach_eps: f64,
     pivot: &Aabb,
@@ -171,15 +291,6 @@ pub fn scan_for_intersection(
     None
 }
 
-/// Counters of one crawl (the candidates go into the caller's buffer).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CrawlResult {
-    /// Nodes visited.
-    pub steps: u64,
-    /// Metadata comparisons performed.
-    pub metadata_tests: u64,
-}
-
 /// Adaptive crawl: flood from `from` over all nodes whose inflated tiles
 /// intersect `pivot`, appending the units whose page MBBs intersect it to
 /// `candidates` (what the buffer already holds is left alone, so a caller
@@ -188,7 +299,8 @@ pub struct CrawlResult {
 /// # Panics
 /// Debug-asserts that `from` itself reaches the pivot (guaranteed when
 /// `from` came from a successful [`adaptive_walk`]).
-pub fn adaptive_crawl(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn adaptive_crawl(
     nodes: &[SpaceNode],
     units: &[SpaceUnitDesc],
     reach_eps: f64,
@@ -196,23 +308,23 @@ pub fn adaptive_crawl(
     from: NodeId,
     scratch: &mut ExploreScratch,
     candidates: &mut Vec<UnitId>,
-) -> CrawlResult {
+    counts: &mut ExploreCounts,
+) {
     debug_assert!(reaches(&nodes[from.0 as usize].tile, pivot, reach_eps));
     let stamp = scratch.begin(nodes.len());
     let ExploreScratch { visited, queue, .. } = scratch;
-    let mut result = CrawlResult::default();
 
     queue.push(from);
     visited[from.0 as usize] = stamp;
     while let Some(id) = queue.pop() {
-        result.steps += 1;
+        counts.crawl_steps += 1;
         let node = &nodes[id.0 as usize];
         // Fast reject: if even the node's tight page MBB misses the pivot,
         // none of its units can contribute candidates.
-        result.metadata_tests += 1;
+        counts.metadata_tests += 1;
         if node.page_mbb.intersects(pivot) {
             for u in node.unit_range() {
-                result.metadata_tests += 1;
+                counts.metadata_tests += 1;
                 if units[u].page_mbb.intersects(pivot) {
                     candidates.push(units[u].id);
                 }
@@ -222,14 +334,13 @@ pub fn adaptive_crawl(
             let v = &mut visited[nb.0 as usize];
             if *v != stamp {
                 *v = stamp;
-                result.metadata_tests += 1;
+                counts.metadata_tests += 1;
                 if reaches(&nodes[nb.0 as usize].tile, pivot, reach_eps) {
                     queue.push(nb);
                 }
             }
         }
     }
-    result
 }
 
 #[cfg(test)]
@@ -241,6 +352,10 @@ mod tests {
     use tfm_storage::Disk;
 
     fn index(count: usize, seed: u64) -> TransformersIndex {
+        indexed(count, seed).1
+    }
+
+    fn indexed(count: usize, seed: u64) -> (Disk, TransformersIndex) {
         let disk = Disk::default_in_memory();
         let elems = generate(&DatasetSpec {
             max_side: 5.0,
@@ -252,7 +367,8 @@ mod tests {
             node_capacity: Some(8),
             ..IndexConfig::default()
         };
-        TransformersIndex::build(&disk, elems, &cfg)
+        let idx = TransformersIndex::build(&disk, elems, &cfg);
+        (disk, idx)
     }
 
     fn pivot_at(x: f64, y: f64, z: f64, half: f64) -> Aabb {
@@ -272,15 +388,16 @@ mod tests {
             (idx.nodes().len() / 2) as u32,
             (idx.nodes().len() - 1) as u32,
         ] {
-            let r = adaptive_walk(
+            let (found, _) = adaptive_walk(
                 idx.nodes(),
                 idx.reach_eps(),
                 &pivot,
                 NodeId(start),
-                64,
+                WALK_PATIENCE,
                 &mut scratch,
+                &mut ExploreCounts::default(),
             );
-            let found = r.found.expect("pivot inside extent must be found");
+            let found = found.expect("pivot inside extent must be found");
             assert!(idx.nodes()[found.0 as usize]
                 .tile
                 .inflate(idx.reach_eps())
@@ -293,15 +410,16 @@ mod tests {
         let idx = index(5_000, 61);
         let pivot = pivot_at(5000.0, 5000.0, 5000.0, 1.0);
         let mut scratch = ExploreScratch::default();
-        let r = adaptive_walk(
+        let (found, _) = adaptive_walk(
             idx.nodes(),
             idx.reach_eps(),
             &pivot,
             NodeId(0),
             16,
             &mut scratch,
+            &mut ExploreCounts::default(),
         );
-        assert_eq!(r.found, None);
+        assert_eq!(found, None);
         // Fallback scan agrees.
         let mut tests = 0;
         assert_eq!(
@@ -316,15 +434,17 @@ mod tests {
         let idx = index(20_000, 62);
         let pivot = pivot_at(400.0, 600.0, 200.0, 25.0);
         let mut scratch = ExploreScratch::default();
-        let walk = adaptive_walk(
+        let mut counts = ExploreCounts::default();
+        let (found, _) = adaptive_walk(
             idx.nodes(),
             idx.reach_eps(),
             &pivot,
             NodeId(0),
-            64,
+            WALK_PATIENCE,
             &mut scratch,
+            &mut counts,
         );
-        let from = walk.found.expect("found");
+        let from = found.expect("found");
         // The crawl appends: what the buffer held stays in front.
         let mut candidates = vec![UnitId(u32::MAX)];
         adaptive_crawl(
@@ -335,6 +455,7 @@ mod tests {
             from,
             &mut scratch,
             &mut candidates,
+            &mut counts,
         );
         assert_eq!(candidates[0], UnitId(u32::MAX));
         let mut got: Vec<u32> = candidates[1..].iter().map(|u| u.0).collect();
@@ -354,16 +475,18 @@ mod tests {
         let idx = index(50_000, 63);
         let pivot = pivot_at(500.0, 500.0, 500.0, 3.0);
         let mut scratch = ExploreScratch::default();
-        let walk = adaptive_walk(
+        let mut counts = ExploreCounts::default();
+        let (found, _) = adaptive_walk(
             idx.nodes(),
             idx.reach_eps(),
             &pivot,
             NodeId(0),
-            64,
+            WALK_PATIENCE,
             &mut scratch,
+            &mut counts,
         );
-        let from = walk.found.expect("found");
-        let crawl = adaptive_crawl(
+        let from = found.expect("found");
+        adaptive_crawl(
             idx.nodes(),
             idx.units(),
             idx.reach_eps(),
@@ -371,11 +494,12 @@ mod tests {
             from,
             &mut scratch,
             &mut Vec::new(),
+            &mut counts,
         );
         assert!(
-            (crawl.steps as usize) < idx.nodes().len() / 4,
+            (counts.crawl_steps as usize) < idx.nodes().len() / 4,
             "crawl visited {} of {} nodes",
-            crawl.steps,
+            counts.crawl_steps,
             idx.nodes().len()
         );
     }
@@ -386,25 +510,28 @@ mod tests {
         let mut scratch = ExploreScratch::default();
         let p1 = pivot_at(100.0, 100.0, 100.0, 5.0);
         let p2 = pivot_at(900.0, 900.0, 900.0, 5.0);
-        let r1 = adaptive_walk(
+        let mut counts = ExploreCounts::default();
+        let (r1, _) = adaptive_walk(
             idx.nodes(),
             idx.reach_eps(),
             &p1,
             NodeId(0),
-            64,
+            WALK_PATIENCE,
             &mut scratch,
+            &mut counts,
         );
-        let r2 = adaptive_walk(
+        let (r2, _) = adaptive_walk(
             idx.nodes(),
             idx.reach_eps(),
             &p2,
             NodeId(0),
-            64,
+            WALK_PATIENCE,
             &mut scratch,
+            &mut counts,
         );
-        assert!(r1.found.is_some());
-        assert!(r2.found.is_some());
-        assert_ne!(r1.found, r2.found);
+        assert!(r1.is_some());
+        assert!(r2.is_some());
+        assert_ne!(r1, r2);
     }
 
     #[test]
@@ -424,10 +551,90 @@ mod tests {
         {
             let start = NodeId((i * 37 % idx.nodes().len()) as u32);
             let walk = |scratch: &mut ExploreScratch| {
-                adaptive_walk(idx.nodes(), idx.reach_eps(), p, start, 16, scratch)
+                let mut counts = ExploreCounts::default();
+                let r = adaptive_walk(
+                    idx.nodes(),
+                    idx.reach_eps(),
+                    p,
+                    start,
+                    16,
+                    scratch,
+                    &mut counts,
+                );
+                (r, counts)
             };
             assert_eq!(walk(&mut reused), walk(&mut ExploreScratch::default()));
         }
         assert!(reused.heap.capacity() > 0, "the heap is kept between walks");
+    }
+
+    #[test]
+    fn locate_scans_exactly_when_the_walk_gives_up() {
+        // A patience of 0..4 makes walks give up often. Whatever the walk
+        // did, `locate` finds a reaching node exactly when the full scan
+        // does, and counts one fallback per scan, with the scan's tests.
+        let (disk, idx) = indexed(6_000, 66);
+        let (nodes, reach) = (idx.nodes(), idx.reach_eps());
+        let pivots = generate(&DatasetSpec {
+            max_side: 30.0,
+            ..DatasetSpec::uniform(300, 67)
+        });
+        let (mut walked, mut scanned) = (0, 0);
+        for patience in 0..4 {
+            let mut explorer = Explorer::new(&idx);
+            explorer.patience = patience;
+            let mut pos = None;
+            for (i, e) in pivots.iter().enumerate() {
+                // Every fifth pivot lies beyond the extent.
+                let shift = if i % 5 == 0 { 1_100.0 } else { 0.0 };
+                let pivot = Aabb::new(
+                    Point3::new(e.mbb.min.x + shift, e.mbb.min.y, e.mbb.min.z),
+                    Point3::new(e.mbb.max.x + shift, e.mbb.max.y, e.mbb.max.z),
+                );
+                let before = explorer.counts();
+                let found = explorer.locate(&mut &disk, &pivot);
+
+                let mut scan_tests = 0;
+                let scan = scan_for_intersection(nodes, reach, &pivot, &mut scan_tests);
+                assert_eq!(found.is_some(), scan.is_some(), "pivot {i}");
+                if let Some(n) = found {
+                    assert!(reaches(&nodes[n.0 as usize].tile, &pivot, reach));
+                }
+                let mut want = ExploreCounts {
+                    metadata_tests: before.metadata_tests + 1,
+                    ..before
+                };
+                if idx.extent().inflate(reach).intersects(&pivot) {
+                    let start = pos.unwrap_or_else(|| {
+                        let tree_start = idx.walk_start(&mut &disk, &pivot.center());
+                        tree_start.unwrap_or(NodeId(0))
+                    });
+                    let mut scratch = ExploreScratch::default();
+                    let (by_walk, end) = adaptive_walk(
+                        nodes,
+                        reach,
+                        &pivot,
+                        start,
+                        patience,
+                        &mut scratch,
+                        &mut want,
+                    );
+                    if by_walk.is_none() {
+                        want.walk_fallbacks += 1;
+                        want.metadata_tests += scan_tests;
+                        scanned += 1;
+                    } else {
+                        walked += 1;
+                    }
+                    pos = Some(end);
+                }
+                assert_eq!(explorer.counts(), want, "pivot {i}, patience {patience}");
+                assert_eq!(explorer.pos, pos);
+            }
+        }
+        assert!(
+            walked > 0 && scanned > 0,
+            "{walked} walked, {scanned} scanned"
+        );
     }
 }

@@ -61,8 +61,8 @@ fn assert_identical_builds(elems: &[SpatialElement], base: IndexConfig) {
             Point3::new(999.0, 1.0, 750.0),
         ] {
             assert_eq!(
-                idx.walk_start(&disk, &probe),
-                seq_idx.walk_start(&seq_disk, &probe),
+                idx.walk_start(&mut &disk, &probe),
+                seq_idx.walk_start(&mut &seq_disk, &probe),
                 "threads = {threads}, probe = {probe:?}"
             );
         }

@@ -111,18 +111,4 @@ proptest! {
         let got = run(&a, &b, &idx_cfg, &JoinConfig::default());
         prop_assert_eq!(got, oracle(&a, &b));
     }
-
-    #[test]
-    fn join_with_tiny_walk_patience_is_still_correct(
-        a in arb_elems(60, 40.0),
-        b in arb_elems(60, 40.0),
-        patience in 0usize..4,
-    ) {
-        // A hopeless patience forces the fallback scan: results must not
-        // change, only the exploration cost.
-        let idx_cfg = IndexConfig { unit_capacity: Some(4), node_capacity: Some(3), ..IndexConfig::default() };
-        let join_cfg = JoinConfig { walk_patience: patience, ..JoinConfig::default() };
-        let got = run(&a, &b, &idx_cfg, &join_cfg);
-        prop_assert_eq!(got, oracle(&a, &b));
-    }
 }

@@ -27,27 +27,9 @@
 
 use tfm_geom::SpatialElement;
 use tfm_memjoin::{JoinStats, ResultPair};
-use tfm_storage::{Disk, ElementPageCodec, PageId, SharedPageCache};
+use tfm_storage::{CacheHandle, Disk, ElementPageCodec, PageId, PageReads};
+use transformers::explore::Explorer;
 use transformers::{IndexBuildPipeline, TransformersIndex};
-
-/// Configuration of a GIPSY join.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GipsyConfig {
-    /// Capacity in pages of the [`SharedPageCache`] the dense dataset's
-    /// element and B+-tree pages are read through.
-    pub pool_pages: usize,
-    /// Walk patience (same semantics as TRANSFORMERS').
-    pub walk_patience: usize,
-}
-
-impl Default for GipsyConfig {
-    fn default() -> Self {
-        Self {
-            pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
-            walk_patience: 64,
-        }
-    }
-}
 
 /// Counters of a GIPSY join.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,104 +97,58 @@ impl SparseFile {
 }
 
 /// Runs the GIPSY join: `sparse` (a plain file) drives the retrieval from
-/// `dense` (a connectivity-indexed dataset).
+/// `dense` (a connectivity-indexed dataset), whose element and B+-tree
+/// pages are read through `dense_pages`, a handle onto the cache the
+/// caller built for it.
 ///
 /// Returns pairs oriented `(sparse element id, dense element id)`.
 pub fn gipsy_join(
     sparse_disk: &Disk,
     sparse: &SparseFile,
-    dense_disk: &Disk,
+    dense_pages: &mut CacheHandle<'_, '_>,
     dense: &TransformersIndex,
-    cfg: &GipsyConfig,
     stats: &mut GipsyStats,
 ) -> Vec<ResultPair> {
-    use transformers::explore::{
-        adaptive_crawl, adaptive_walk, scan_for_intersection, ExploreScratch,
-    };
-
     let mut out = Vec::new();
     if sparse.is_empty() || dense.is_empty() {
         return out;
     }
 
     let sparse_codec = ElementPageCodec::new(sparse_disk.page_size());
-    // Per-join read handle over the dense side's element pages — the same
-    // split handle concurrent query serving hands to each worker. One
-    // reader, so one shard.
-    let dense_cache = SharedPageCache::with_shards(dense_disk, cfg.pool_pages, 1);
-    let mut dense_reader = dense.unit_reader_shared(&dense_cache);
-    let mut scratch = ExploreScratch::default();
+    let dense_codec = ElementPageCodec::new(dense_pages.cache().disk().page_size());
+    let mut explorer = Explorer::new(dense);
     let mut candidates = Vec::new();
-
-    let nodes = dense.nodes();
-    let units = dense.units();
-    let reach = dense.reach_eps();
-    let dense_extent = dense.extent().inflate(reach);
-
-    let mut walk_pos: Option<transformers::NodeId> = None;
 
     for &page in &sparse.pages {
         // Sequential scan of the sparse dataset: every page is read once,
         // so it goes straight to the disk.
         let sparse_elems = sparse_codec.decode(&sparse_disk.read_page_vec(page));
         for e in &sparse_elems {
-            stats.metadata_tests += 1;
-            if !dense_extent.intersects(&e.mbb) {
-                continue;
-            }
             // Directed walk at spatial-element granularity — GIPSY's only
-            // level.
-            let start = match walk_pos {
-                Some(n) => n,
-                // The cold-start B+-tree descent reads through the dense
-                // side's cache, so tree pages share frames with element
-                // pages instead of hitting the disk directly.
-                None => dense
-                    .walk_start_with(dense_reader.cache_mut(), &e.mbb.center())
-                    .expect("dense index non-empty"),
+            // level — then the crawl for the element's candidate pages.
+            let Some(nf) = explorer.locate(dense_pages, &e.mbb) else {
+                continue;
             };
-            let r = adaptive_walk(nodes, reach, &e.mbb, start, cfg.walk_patience, &mut scratch);
-            stats.walk_steps += r.steps;
-            stats.metadata_tests += r.metadata_tests;
-            walk_pos = Some(r.found.unwrap_or(r.closest));
-            let found = match r.found {
-                Some(n) => Some(n),
-                None => {
-                    stats.walk_fallbacks += 1;
-                    scan_for_intersection(nodes, reach, &e.mbb, &mut stats.metadata_tests)
-                }
-            };
-            let Some(nf) = found else { continue };
-
             candidates.clear();
-            let crawl = adaptive_crawl(
-                nodes,
-                units,
-                reach,
-                &e.mbb,
-                nf,
-                &mut scratch,
-                &mut candidates,
-            );
-            stats.crawl_steps += crawl.steps;
-            stats.metadata_tests += crawl.metadata_tests;
-            // Elevator order: candidate pages of one element are contiguous
-            // within their nodes.
-            candidates.sort_unstable_by_key(|u| units[u.0 as usize].page);
-
-            for &cu in &candidates {
+            explorer.crawl(&e.mbb, nf, &mut candidates);
+            for cu in &candidates {
                 // Each box is tested once, in place in the pinned page.
-                dense_reader.with_records(cu, |records| {
-                    stats.mem.element_tests += records.len() as u64;
-                    for i in 0..records.len() {
-                        if e.mbb.intersects(&records.mbb(i)) {
-                            out.push((e.id, records.id(i)));
-                        }
+                let dense_page = dense_pages.page(dense.units()[cu.0 as usize].page);
+                let records = dense_codec.view(&dense_page);
+                stats.mem.element_tests += records.len() as u64;
+                for i in 0..records.len() {
+                    if e.mbb.intersects(&records.mbb(i)) {
+                        out.push((e.id, records.id(i)));
                     }
-                });
+                }
             }
         }
     }
+    let c = explorer.counts();
+    stats.metadata_tests += c.metadata_tests;
+    stats.walk_steps += c.walk_steps;
+    stats.walk_fallbacks += c.walk_fallbacks;
+    stats.crawl_steps += c.crawl_steps;
     stats.mem.results += out.len() as u64;
     out
 }
@@ -222,6 +158,7 @@ mod tests {
     use super::*;
     use tfm_datagen::{generate, DatasetSpec, Distribution};
     use tfm_memjoin::{canonicalize, nested_loop_join};
+    use tfm_storage::SharedPageCache;
     use transformers::IndexConfig;
 
     fn run(sparse: &[SpatialElement], dense: &[SpatialElement]) -> (Vec<ResultPair>, GipsyStats) {
@@ -230,13 +167,13 @@ mod tests {
         let sparse_file = SparseFile::write(&sparse_disk, sparse.to_vec());
         let dense_idx =
             TransformersIndex::build(&dense_disk, dense.to_vec(), &IndexConfig::default());
+        let dense_cache = SharedPageCache::new(&dense_disk, tfm_storage::DEFAULT_POOL_PAGES);
         let mut stats = GipsyStats::default();
         let pairs = gipsy_join(
             &sparse_disk,
             &sparse_file,
-            &dense_disk,
+            &mut CacheHandle::shared(&dense_cache),
             &dense_idx,
-            &GipsyConfig::default(),
             &mut stats,
         );
         (pairs, stats)

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use tfm_geom::{Aabb, Point3, SpatialElement};
-use tfm_gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
+use tfm_gipsy::{gipsy_join, GipsyStats, SparseFile};
 use tfm_memjoin::{canonicalize, nested_loop_join, JoinStats};
-use tfm_storage::Disk;
+use tfm_storage::{CacheHandle, Disk, SharedPageCache, DEFAULT_POOL_PAGES};
 use transformers::{IndexConfig, TransformersIndex};
 
 fn arb_elems(max: usize) -> impl Strategy<Value = Vec<SpatialElement>> {
@@ -52,29 +52,12 @@ proptest! {
             ..IndexConfig::default()
         };
         let di = TransformersIndex::build(&dense_disk, dense.clone(), &idx_cfg);
+        let dense_cache = SharedPageCache::with_shards(&dense_disk, DEFAULT_POOL_PAGES, 1);
         let mut stats = GipsyStats::default();
-        let pairs = gipsy_join(&sparse_disk, &sf, &dense_disk, &di, &GipsyConfig::default(), &mut stats);
+        let pairs = gipsy_join(&sparse_disk, &sf, &mut CacheHandle::shared(&dense_cache), &di, &mut stats);
         let total = pairs.len();
         let got = canonicalize(pairs);
         prop_assert_eq!(got.len(), total, "duplicates emitted");
-        let mut s = JoinStats::default();
-        prop_assert_eq!(got, canonicalize(nested_loop_join(&sparse, &dense, &mut s)));
-    }
-
-    #[test]
-    fn tiny_walk_patience_is_still_correct(
-        sparse in arb_elems(30),
-        dense in arb_elems(90),
-        patience in 0usize..3,
-    ) {
-        let sparse_disk = Disk::in_memory(1024);
-        let dense_disk = Disk::in_memory(1024);
-        let sf = SparseFile::write(&sparse_disk, sparse.clone());
-        let idx_cfg = IndexConfig { unit_capacity: Some(4), node_capacity: Some(3), ..IndexConfig::default() };
-        let di = TransformersIndex::build(&dense_disk, dense.clone(), &idx_cfg);
-        let cfg = GipsyConfig { walk_patience: patience, ..GipsyConfig::default() };
-        let mut stats = GipsyStats::default();
-        let got = canonicalize(gipsy_join(&sparse_disk, &sf, &dense_disk, &di, &cfg, &mut stats));
         let mut s = JoinStats::default();
         prop_assert_eq!(got, canonicalize(nested_loop_join(&sparse, &dense, &mut s)));
     }

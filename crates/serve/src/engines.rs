@@ -28,7 +28,8 @@ use tfm_storage::{
     CacheHandle, CacheStats, Disk, IoStatsSnapshot, PageId, PageReads, SharedPageCache,
     DEFAULT_POOL_PAGES,
 };
-use transformers::{explore, MutableTransformers, TransformersIndex, UnitId, UnitReader};
+use transformers::explore::Explorer;
+use transformers::{MutableTransformers, TransformersIndex, UnitId, UnitReader};
 
 /// Which structure serves a trace — what an [`crate::IndexShard`] builds
 /// and opens engines over (labels match the join harness's vocabulary).
@@ -334,7 +335,6 @@ impl QuerySession for MutableTransformersSession<'_> {
 /// granularity over a connectivity-indexed dataset.
 pub struct GipsyEngine<'a> {
     idx: &'a TransformersIndex,
-    walk_patience: usize,
     cache: SharedPageCache<'a>,
 }
 
@@ -344,7 +344,6 @@ impl<'a> GipsyEngine<'a> {
     pub fn new(idx: &'a TransformersIndex, disk: &'a Disk) -> Self {
         Self {
             idx,
-            walk_patience: 64,
             cache: SharedPageCache::new(disk, DEFAULT_POOL_PAGES),
         }
     }
@@ -364,12 +363,9 @@ impl QueryEngine for GipsyEngine<'_> {
 
     fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(GipsySession {
-            idx: self.idx,
             reader: self.idx.unit_reader_shared(&self.cache),
-            scratch: explore::ExploreScratch::default(),
+            explorer: Explorer::new(self.idx),
             candidates: Vec::new(),
-            walk_pos: None,
-            walk_patience: self.walk_patience,
         })
     }
 
@@ -390,70 +386,25 @@ impl QueryEngine for GipsyEngine<'_> {
 }
 
 struct GipsySession<'a> {
-    idx: &'a TransformersIndex,
     reader: UnitReader<'a, 'a, 'a>,
-    scratch: explore::ExploreScratch,
+    /// Walks from the previous probe's position: consecutive
+    /// Hilbert-ordered probes are spatial neighbours, so the walk is short.
+    explorer: Explorer<'a>,
     /// The crawl's candidate units, reused from probe to probe.
     candidates: Vec<UnitId>,
-    walk_pos: Option<transformers::NodeId>,
-    walk_patience: usize,
 }
 
 impl QuerySession for GipsySession<'_> {
     fn execute(&mut self, query: &SpatialQuery) -> Vec<ElementId> {
         let probe = query.probe();
         let mut out = Vec::new();
-        if self.idx.is_empty() {
+        // A cold session's B+-tree descent reads through the session's
+        // cache handle, so tree pages share the serving cache.
+        let Some(nf) = self.explorer.locate(self.reader.cache_mut(), &probe) else {
             return out;
-        }
-        let nodes = self.idx.nodes();
-        let units = self.idx.units();
-        let reach = self.idx.reach_eps();
-        if !self.idx.extent().inflate(reach).intersects(&probe) {
-            return out;
-        }
-        // Walk towards the probe, resuming from the previous probe's
-        // position (consecutive Hilbert-ordered probes are spatial
-        // neighbours, so the walk is short); a cold session asks the
-        // Hilbert B+-tree for a start descriptor.
-        let start = match self.walk_pos {
-            Some(n) => n,
-            // Cold start: the B+-tree descent reads through the session's
-            // cache handle, so tree pages share the serving cache.
-            None => self
-                .idx
-                .walk_start_with(self.reader.cache_mut(), &probe.center())
-                .expect("non-empty index"),
         };
-        let r = explore::adaptive_walk(
-            nodes,
-            reach,
-            &probe,
-            start,
-            self.walk_patience,
-            &mut self.scratch,
-        );
-        self.walk_pos = Some(r.found.unwrap_or(r.closest));
-        let mut md = 0u64;
-        let found = r
-            .found
-            .or_else(|| explore::scan_for_intersection(nodes, reach, &probe, &mut md));
-        let Some(nf) = found else { return out };
-
         self.candidates.clear();
-        explore::adaptive_crawl(
-            nodes,
-            units,
-            reach,
-            &probe,
-            nf,
-            &mut self.scratch,
-            &mut self.candidates,
-        );
-        // Elevator order: one probe's candidate pages are read in
-        // ascending page order.
-        self.candidates
-            .sort_unstable_by_key(|u| units[u.0 as usize].page);
+        self.explorer.crawl(&probe, nf, &mut self.candidates);
         for &cu in &self.candidates {
             push_matches(&mut self.reader, cu, query, &mut out);
         }

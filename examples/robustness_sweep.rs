@@ -12,9 +12,10 @@
 //! `cargo run --release -p tfm-bench --bin reproduce -- fig10`.)
 
 use std::time::Instant;
-use transformers_repro::baselines::gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
+use transformers_repro::baselines::gipsy::{gipsy_join, GipsyStats, SparseFile};
 use transformers_repro::baselines::pbsm::{pbsm_join_datasets, PbsmConfig};
 use transformers_repro::prelude::*;
+use transformers_repro::storage::DEFAULT_POOL_PAGES;
 
 fn main() {
     println!(
@@ -69,9 +70,11 @@ fn main() {
         let di = TransformersIndex::build(&disk_d, dense.clone(), &IndexConfig::default());
         disk_s.reset_stats();
         disk_d.reset_stats();
+        let cache_d = SharedPageCache::with_shards(&disk_d, DEFAULT_POOL_PAGES, 1);
         let mut gs = GipsyStats::default();
         let t = Instant::now();
-        let pairs_gipsy = gipsy_join(&disk_s, &sf, &disk_d, &di, &GipsyConfig::default(), &mut gs);
+        let mut dense_pages = CacheHandle::shared(&cache_d);
+        let pairs_gipsy = gipsy_join(&disk_s, &sf, &mut dense_pages, &di, &mut gs);
         let gipsy_time = t.elapsed() + disk_s.stats().merged(&disk_d.stats()).sim_io_time();
 
         // All three find the same result set.

@@ -5,7 +5,7 @@
 //! GIPSY, and the related-work SSSJ and S3 at the strips and depth the
 //! figure harness runs them with.
 
-use transformers_repro::baselines::gipsy::{gipsy_join, GipsyConfig, GipsyStats, SparseFile};
+use transformers_repro::baselines::gipsy::{gipsy_join, GipsyStats, SparseFile};
 use transformers_repro::baselines::pbsm::{pbsm_join_datasets, PbsmConfig};
 use transformers_repro::baselines::rtree::{sync_join, RTree, RtreeStats};
 use transformers_repro::baselines::sweep::{s3, sssj};
@@ -87,13 +87,13 @@ fn run_gipsy(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
     let disk_d = Disk::default_in_memory();
     let sf = SparseFile::write(&disk_s, sparse.to_vec());
     let di = TransformersIndex::build(&disk_d, dense.to_vec(), &IndexConfig::default());
+    let cache_d = SharedPageCache::with_shards(&disk_d, DEFAULT_POOL_PAGES, 1);
     let mut stats = GipsyStats::default();
     let pairs = gipsy_join(
         &disk_s,
         &sf,
-        &disk_d,
+        &mut CacheHandle::shared(&cache_d),
         &di,
-        &GipsyConfig::default(),
         &mut stats,
     );
     canonicalize(if flipped {
