@@ -22,6 +22,7 @@
 
 use crate::config::ThresholdPolicy;
 use std::time::Duration;
+use tfm_storage::DiskModel;
 
 /// Default node→unit threshold before runtime calibration (§VII-D2).
 pub const DEFAULT_T_SU: f64 = 8.0;
@@ -55,11 +56,16 @@ pub struct DeviceParams {
     pub transfer: Duration,
 }
 
-impl Default for DeviceParams {
-    fn default() -> Self {
+impl DeviceParams {
+    /// The terms of the disk model `model`: one extra fine-grained batch
+    /// costs roughly one random repositioning, one extra page within a
+    /// batch one sequential transfer. The resulting thresholds put the
+    /// split point where skipping data actually beats reading through it
+    /// on the modelled device.
+    pub fn from_model(model: &DiskModel) -> Self {
         Self {
-            reposition: Duration::from_micros(350),
-            transfer: Duration::from_micros(50),
+            reposition: model.typical_random_cost(),
+            transfer: model.sequential_cost(),
         }
     }
 }
@@ -86,18 +92,7 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Creates a model for the given policy and index geometry, using
-    /// default device parameters.
-    pub fn new(policy: ThresholdPolicy, unit_capacity: usize, node_capacity: usize) -> Self {
-        Self::with_device(
-            policy,
-            unit_capacity,
-            node_capacity,
-            DeviceParams::default(),
-        )
-    }
-
-    /// Creates a model with explicit device parameters.
+    /// Creates a model for the given policy, index geometry and device.
     pub fn with_device(
         policy: ThresholdPolicy,
         unit_capacity: usize,
@@ -218,8 +213,10 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// A model over the default disk: `T_ae` = 6.25 ms, `T_io` = 50 µs.
     fn model(policy: ThresholdPolicy) -> CostModel {
-        CostModel::new(policy, 146, 73)
+        let device = DeviceParams::from_model(&DiskModel::default());
+        CostModel::with_device(policy, 146, 73, device)
     }
 
     #[test]
@@ -257,9 +254,9 @@ mod tests {
         m.record_comparisons(1_000_000, Duration::from_millis(10)); // T_comp = 10ns
         m.record_filter(50, 100); // c_flt = 0.5
         m.on_transformation();
-        // Default device: t_su = 3.45ms / (0.5 · (50µs + 146·10ns)) ≈ 134.
+        // Default disk: t_su = 6.25ms / (0.5 · (50µs + 146·10ns)) ≈ 243.
         assert!(m.t_su() > DEFAULT_T_SU, "t_su {}", m.t_su());
-        assert!(m.t_su() < 1000.0, "t_su {}", m.t_su());
+        assert!((m.t_su() - 242.9).abs() < 0.1, "t_su {}", m.t_su());
         // Eq. 8: t_so / t_su = nSO / nSU.
         assert!((m.t_so() / m.t_su() - 146.0 / 73.0).abs() < 1e-9);
         assert!((m.c_flt() - 0.5).abs() < 1e-9);

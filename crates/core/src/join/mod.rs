@@ -18,13 +18,16 @@
 //!
 //! Node-level pivots go through a *window* in three steps, one module
 //! each: [`plan`] decides from descriptors alone what every pivot up to
-//! the next transformation reads, [`sweep`] reads the window's follower
-//! pages once in ascending order, and [`run`] joins each pivot from the
-//! pages swept for it. A pivot that decides a transformation closes the
-//! window before it, so thresholds, `checked` marks and the shared board
-//! see exactly the order a pivot-at-a-time join gives them; a window of
+//! the next layout transformation reads, [`sweep`] reads the window's
+//! follower pages once in ascending order, and [`run`] joins each pivot
+//! from the pages swept for it. A pivot that decides a layout
+//! transformation closes the window before it; a role switch plans the
+//! follower node into the open window as a *switched* pivot, whose own
+//! pages the sweep reads with the rest, and marks `checked` what a
+//! pivot-at-a-time join would have marked by then. So `checked` marks and
+//! the shared board see the order that join gives them, and a window of
 //! one pivot *is* that join (`DESIGN.md`, § "Pivot windows and the
-//! follower sweep").
+//! follower sweep" and § "Why no decision can change").
 //!
 //! One driver runs every join. [`JoinRun::new`] loads both descriptor
 //! tables once and creates the coverage board ([`SharedTodo`]); each owner
@@ -43,8 +46,8 @@ mod sweep;
 mod transform;
 
 use crate::config::{GuidePick, JoinConfig};
-use crate::costmodel::CostModel;
-use crate::descriptor::{SpaceNode, SpaceUnitDesc};
+use crate::costmodel::{CostModel, DeviceParams};
+use crate::descriptor::{NodeId, SpaceNode, SpaceUnitDesc};
 use crate::index::TransformersIndex;
 use crate::stats::TransformersStats;
 use crate::todo::SharedTodo;
@@ -138,16 +141,7 @@ impl<'a> Ctx<'a> {
         let node_cap = a.idx.node_capacity().max(b.idx.node_capacity());
         let cfg = &join.cfg;
         // Device-bound Eq. 4/8 terms from the disk model (see CostModel docs).
-        let model = b.cache.disk().model();
-        let device = crate::costmodel::DeviceParams {
-            // One extra fine-grained batch costs roughly one random
-            // repositioning; one extra page within a batch costs one
-            // sequential transfer. The resulting thresholds put the split
-            // point where skipping data actually beats reading through it
-            // on the modelled device.
-            reposition: model.typical_random_cost(),
-            transfer: model.sequential_cost(),
-        };
+        let device = DeviceParams::from_model(&b.cache.disk().model());
         Self {
             cost: CostModel::with_device(cfg.thresholds, unit_cap, node_cap, device),
             stats: TransformersStats::default(),
@@ -452,20 +446,19 @@ impl PivotEngine<'_> {
             pivots.end <= self.guide.nodes.len(),
             "pivots {pivots:?} out of range"
         );
-        self.join_pivots(pivots, true);
+        self.join_pivots(pivots);
     }
 
     /// The window loop: joins the guide's node pivots `pivots`, in order,
     /// against the follower.
     ///
-    /// Pivots are planned into the window until a pivot decides a
-    /// transformation or the range ends; the window is then swept, and a
+    /// Pivots are planned into the window until a pivot decides a layout
+    /// transformation or the range ends; the window is then swept, and the
     /// transformation runs after it from the walk result its plan already
-    /// holds. A taken role switch joins the *follower* node as a pivot of
-    /// its own (roles swapped, no further switch) and leaves `ng` pending,
-    /// so `ng` is planned again until it is joined. The window is empty on
-    /// return.
-    fn join_pivots(&mut self, pivots: Range<usize>, allow_switch: bool) {
+    /// holds. A taken role switch plans the *follower* node into the open
+    /// window ([`PivotEngine::switch_to`]) and leaves `ng` pending, so `ng`
+    /// is planned again until it is joined. The window is empty on return.
+    fn join_pivots(&mut self, pivots: Range<usize>) {
         for ng in pivots {
             while !self.guide.checked[ng] {
                 if self.ctx.todo.remaining(!self.guide_is_a) == 0 {
@@ -475,39 +468,65 @@ impl PivotEngine<'_> {
                     // `ng` is ours and still pending), so it joined against
                     // `ng`'s units.
                     self.ctx.stats.pruned_pivots += 1;
-                    self.plan
-                        .queue(ng, self.plan.guide_units.len(), self.plan.candidates.len());
+                    let (g, c) = (self.plan.guide_units.len(), self.plan.candidates.len());
+                    self.plan.queue(ng, g, c, false);
                     break;
                 }
-                match self.plan_node_pivot(ng, allow_switch) {
+                match self.plan_node_pivot(ng, false) {
                     Decision::Queued => break,
-                    Decision::SwitchRoles(nf) => {
-                        // Transform 1 (role): the follower is locally
-                        // sparser — let it guide. The new pivot is the
-                        // follower node found at the old pivot's location;
-                        // the old pivot stays unchecked and is revisited.
-                        // The claim guarantees no other owner processes the
-                        // same switched pivot.
-                        self.sweep_window();
-                        self.ctx.stats.role_transformations += 1;
-                        self.ctx.cost.on_transformation();
-                        self.switch_roles();
-                        self.join_pivots(nf.0 as usize..nf.0 as usize + 1, false);
-                        self.switch_roles();
-                    }
+                    Decision::SwitchRoles(nf) => self.switch_to(nf.0 as usize),
                     Decision::SplitNode(nf) => {
                         // Transform 2 (layout): the guide is locally sparser
                         // — descend the pivot to space-unit granularity.
                         self.sweep_window();
-                        self.ctx.stats.layout_transformations += 1;
-                        self.ctx.cost.on_transformation();
-                        self.process_node_units(ng, nf);
-                        self.finish_pivot(ng);
+                        self.split(ng, nf);
                     }
                 }
             }
         }
         self.sweep_window();
+    }
+
+    /// Transform 1 (role): the follower is locally sparser — let its node
+    /// `nf`, found at the old pivot's location and claimed on the board so
+    /// that no other owner processes it, guide.
+    ///
+    /// `nf` is planned into the open window as a switched pivot. Its
+    /// to-do-list filter must drop what a pivot-at-a-time join's drops:
+    /// the units of every pivot planned before it, which that join has run
+    /// by now, so those are marked `checked` here; and `nf` is marked as
+    /// soon as it is queued, so that the plans after it — `ng`'s again
+    /// first — drop its units. A switched pivot that decides a layout
+    /// transformation closes the window first, as any other does.
+    fn switch_to(&mut self, nf: usize) {
+        self.ctx.stats.role_transformations += 1;
+        self.ctx.cost.on_transformation();
+        for p in &self.plan.pivots {
+            if !p.switched {
+                self.guide.checked[p.ng] = true;
+            }
+        }
+        self.switch_roles();
+        match self.plan_node_pivot(nf, true) {
+            Decision::Queued => self.guide.checked[nf] = true,
+            Decision::SwitchRoles(_) => unreachable!("a switched pivot switches no further"),
+            Decision::SplitNode(ng) => {
+                self.switch_roles();
+                self.sweep_window();
+                self.switch_roles();
+                self.split(nf, ng);
+            }
+        }
+        self.switch_roles();
+    }
+
+    /// Transform 2 (layout) of guide node `ng`, the window swept: its space
+    /// units are joined one by one, the first walk starting at `nf`.
+    fn split(&mut self, ng: usize, nf: NodeId) {
+        self.ctx.stats.layout_transformations += 1;
+        self.ctx.cost.on_transformation();
+        self.process_node_units(ng, nf);
+        self.finish_pivot(ng, false);
     }
 
     /// Swaps guide and follower.
@@ -516,13 +535,19 @@ impl PivotEngine<'_> {
         self.guide_is_a = !self.guide_is_a;
     }
 
-    /// Marks `ng` done on all exit paths of a pivot: checked for the owner,
-    /// then covered on the board — only after every pair of `ng` sits in
-    /// `ctx.raw` (the `Release`/`Acquire` pairing in [`SharedTodo`] makes
-    /// pruning on the bit safe across owners).
-    fn finish_pivot(&mut self, ng: usize) {
-        self.guide.checked[ng] = true;
-        self.ctx.todo.mark_covered(self.guide_is_a, ng);
+    /// Marks `ng` — a node of the guide, or of the follower when
+    /// `switched` — done on all exit paths of a pivot: checked for the
+    /// owner, then covered on the board — only after every pair of `ng`
+    /// sits in `ctx.raw` (the `Release`/`Acquire` pairing in [`SharedTodo`]
+    /// makes pruning on the bit safe across owners).
+    fn finish_pivot(&mut self, ng: usize, switched: bool) {
+        let (side, is_a) = if switched {
+            (&mut self.follower, !self.guide_is_a)
+        } else {
+            (&mut self.guide, self.guide_is_a)
+        };
+        side.checked[ng] = true;
+        self.ctx.todo.mark_covered(is_a, ng);
     }
 
     /// Tears the engine down, returning the raw (unsorted, possibly

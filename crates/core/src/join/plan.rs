@@ -3,19 +3,23 @@
 //! Everything that decides what a node-level pivot reads — walk, ratio,
 //! crawl, to-do-list pruning, prefilter — works on descriptors alone, so
 //! the join plans a *window* of consecutive pivots, every pivot up to the
-//! next transformation, before it reads any element page. The plan is a
-//! value, [`WindowPlan`]: the window's pivots with their guide units and
-//! follower candidates, the window's distinct follower pages in the
+//! next layout transformation, before it reads any element page. The plan
+//! is a value, [`WindowPlan`]: the window's pivots with their guide units
+//! and follower candidates, the window's distinct follower pages in the
 //! ascending order the sweep reads them, and for each page the last
 //! planned pivot that needs it. One pivot's candidates start behind where
 //! the previous pivot's ended, in the same few slabs of the follower's STR
 //! order; read per pivot, three quarters of the modelled device time was
 //! repositioning between those runs.
 //!
-//! Planning writes nothing a later decision reads: `checked`, the board's
-//! covers and the cost model's comparison timings are all left to
-//! [`run`](super::run). A role-switch claim on the board is the one
-//! exception, and it closes the window.
+//! Planning writes nothing a later decision reads: the board's covers and
+//! the cost model's comparison timings are left to [`run`](super::run),
+//! and so is `checked`, but at a role switch. A switch claims its follower
+//! node on the board and plans it into the open window as a *switched*
+//! pivot, whose own units are the window follower's pages. The pivots
+//! planned before it are marked `checked` then, and the switched pivot as
+//! soon as it is queued: its to-do-list filter, and every plan after it,
+//! see the marks a pivot-at-a-time join would have left by then.
 
 use super::{vol, Ctx, PivotEngine, Side};
 use crate::descriptor::{NodeId, SpaceUnitDesc, UnitId};
@@ -27,11 +31,28 @@ use std::time::Instant;
 /// to join.
 pub(super) struct PlannedPivot {
     pub(super) ng: usize,
+    /// A role-switched pivot: `ng` is a node of the window's follower, its
+    /// guide units wait in slots and its candidates are units of the
+    /// window's guide.
+    pub(super) switched: bool,
     pub(super) guide_units: Range<usize>,
     pub(super) candidates: Range<usize>,
     /// Set when the plan is sealed: the pivot can run once the sweep has
     /// passed the first `last` entries of [`WindowPlan::pages`].
     pub(super) last: usize,
+}
+
+impl PlannedPivot {
+    /// The window-follower units the pivot waits for, out of the plan's
+    /// `guide_units` and `candidates`: its candidates, or a switched
+    /// pivot's own units.
+    fn waits<'p>(&self, guide_units: &'p [UnitId], candidates: &'p [UnitId]) -> &'p [UnitId] {
+        if self.switched {
+            &guide_units[self.guide_units.clone()]
+        } else {
+            &candidates[self.candidates.clone()]
+        }
+    }
 }
 
 /// Consecutive node-level pivots of one guide, planned from descriptors
@@ -41,12 +62,15 @@ pub(super) struct PlannedPivot {
 #[derive(Default)]
 pub(super) struct WindowPlan {
     pub(super) pivots: Vec<PlannedPivot>,
-    /// The planned pivots' surviving guide units.
+    /// The planned pivots' surviving guide units: the pivot's own, on the
+    /// window follower's side for a switched pivot.
     pub(super) guide_units: Vec<UnitId>,
-    /// The planned pivots' surviving follower candidates, each pivot's
-    /// range in ascending page order.
+    /// The planned pivots' surviving candidates, each pivot's range in
+    /// ascending page order: units of the window guide for a switched
+    /// pivot.
     pub(super) candidates: Vec<UnitId>,
-    /// The distinct follower units behind `candidates`, one page each; in
+    /// The distinct window-follower units the pivots wait for — a pivot's
+    /// candidates, a switched pivot's guide units — one page each; in
     /// ascending page order — the sweep's — once the plan is sealed.
     pub(super) pages: Vec<UnitId>,
     /// Per entry of `pages`, once sealed: the last planned pivot that
@@ -60,21 +84,23 @@ pub(super) struct WindowPlan {
 
 impl WindowPlan {
     /// Queues pivot `ng` with the units planned past `g0` / `c0`, and takes
-    /// in the candidate pages the plan does not have yet.
-    pub(super) fn queue(&mut self, ng: usize, g0: usize, c0: usize) {
-        for &u in &self.candidates[c0..] {
+    /// in the pages it waits for that the plan does not have yet.
+    pub(super) fn queue(&mut self, ng: usize, g0: usize, c0: usize, switched: bool) {
+        let p = PlannedPivot {
+            ng,
+            switched,
+            guide_units: g0..self.guide_units.len(),
+            candidates: c0..self.candidates.len(),
+            last: 0,
+        };
+        for &u in p.waits(&self.guide_units, &self.candidates) {
             let at = &mut self.at[u.0 as usize];
             if self.pages.get(*at as usize) != Some(&u) {
                 *at = self.pages.len() as u32;
                 self.pages.push(u);
             }
         }
-        self.pivots.push(PlannedPivot {
-            ng,
-            guide_units: g0..self.guide_units.len(),
-            candidates: c0..self.candidates.len(),
-            last: 0,
-        });
+        self.pivots.push(p);
     }
 
     /// Puts the pages in sweep order — ascending page, over the follower's
@@ -88,7 +114,7 @@ impl WindowPlan {
         self.last_use.clear();
         self.last_use.resize(self.pages.len(), 0);
         for (i, p) in self.pivots.iter_mut().enumerate() {
-            for u in &self.candidates[p.candidates.clone()] {
+            for u in p.waits(&self.guide_units, &self.candidates) {
                 let at = self.at[u.0 as usize] as usize;
                 self.last_use[at] = i;
                 p.last = p.last.max(at + 1);
@@ -164,8 +190,10 @@ impl PivotEngine<'_> {
     /// Plans node-level pivot `ng` of the guide from descriptors alone:
     /// walk, transformation decision, crawl, to-do-list filter and page-MBB
     /// prefilter. Reads no element page; a pivot that decides no
-    /// transformation is queued in the plan.
-    pub(super) fn plan_node_pivot(&mut self, ng: usize, allow_switch: bool) -> Decision {
+    /// transformation is queued in the plan. A `switched` pivot — planned
+    /// with the roles swapped, into the window of the other orientation —
+    /// switches no further.
+    pub(super) fn plan_node_pivot(&mut self, ng: usize, switched: bool) -> Decision {
         let t0 = Instant::now();
         let (g0, c0) = (self.plan.guide_units.len(), self.plan.candidates.len());
         let decision = 'plan: {
@@ -186,7 +214,7 @@ impl PivotEngine<'_> {
             // node, so the tile volume ratio reflects the inverse local
             // density ratio.
             let ratio = vol(&guide.nodes[ng].tile) / vol(&follower.nodes[nf.0 as usize].tile);
-            if allow_switch
+            if !switched
                 && ctx.cost.should_switch_roles(ratio)
                 && !follower.checked[nf.0 as usize]
                 && ctx.todo.try_claim(!self.guide_is_a, nf.0 as usize)
@@ -241,7 +269,7 @@ impl PivotEngine<'_> {
             Decision::Queued
         };
         if matches!(decision, Decision::Queued) {
-            self.plan.queue(ng, g0, c0);
+            self.plan.queue(ng, g0, c0, switched);
         }
         self.ctx.stats.exploration_overhead += t0.elapsed();
         decision

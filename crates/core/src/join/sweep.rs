@@ -140,9 +140,8 @@ impl PivotEngine<'_> {
     /// sweep needs one more, the next pivot runs at once: it reads what it
     /// still lacks through the cache by the same rule, in ascending order,
     /// and those reads are counted in `forced_pages`. A window of one pivot
-    /// (a role-switched pivot, or a range of one given to
-    /// [`PivotEngine::process_pivots`]) holds nothing: its pivot streams
-    /// through the cache.
+    /// (say a range of one given to [`PivotEngine::process_pivots`]) holds
+    /// nothing: its pivot streams through the cache.
     pub(super) fn sweep_window(&mut self) {
         if self.plan.pivots.is_empty() {
             return;
@@ -214,6 +213,8 @@ mod tests {
         follower_is_a: bool,
         /// Whether the window's one pivot streamed.
         stream: bool,
+        /// Whether the window held a role-switched pivot.
+        switched: bool,
         /// The plan's follower pages, in sweep order.
         pages: Vec<PageId>,
         /// The sweep's reads: the index into `pages`, and the follower disk's
@@ -247,6 +248,7 @@ mod tests {
                 self.sweep.trace.push(SweptWindow {
                     follower_is_a: !self.guide_is_a,
                     stream: self.plan.pivots.len() == 1,
+                    switched: self.plan.pivots.iter().any(|p| p.switched),
                     pages: self
                         .plan
                         .pages
@@ -305,8 +307,9 @@ mod tests {
     #[test]
     fn sweep_reads_exactly_the_pages_its_plan_leaves_it() {
         // Windows seen: all of them, those with a forced pivot, those whose
-        // pivot streamed, and those where the sweep skipped a page.
-        let mut seen = [0; 4];
+        // pivot streamed, those where the sweep skipped a page, and those
+        // that held a role-switched pivot.
+        let mut seen = [0; 5];
         for (name, (a, b)) in [
             ("uniform", uniform_pair()),
             ("contrast", contrast_pair()),
@@ -392,6 +395,7 @@ mod tests {
                         seen[1] += usize::from(forced > 0);
                         seen[2] += usize::from(w.stream);
                         seen[3] += usize::from(!w.stream && w.demands.len() < w.pages.len());
+                        seen[4] += usize::from(w.switched);
                     }
                     let logged = logs.each_ref().map(|l| l.lock().unwrap().len() as u64);
                     assert_eq!(logged, disks.each_ref().map(|d| d.stats().reads()));

@@ -58,7 +58,8 @@ pub struct TransformersStats {
     /// scan (correctness guarantee; see `DESIGN.md`).
     pub walk_fallbacks: u64,
     /// Pivot windows executed: runs of consecutive node-level pivots,
-    /// up to the next transformation, planned together and run from one
+    /// up to the next layout transformation (a role-switched pivot is
+    /// planned into the open window), planned together and run from one
     /// ascending sweep of their follower pages (a window of one pivot is
     /// the read-per-pivot order). Windows whose pivots all had nothing to
     /// read are not counted.
@@ -121,6 +122,13 @@ impl TransformersStats {
             + self.element_layout_transformations
     }
 
+    /// Pairs the in-memory joins emitted more than once — a pair can be
+    /// found from both sides after a role switch — that the final
+    /// deduplication dropped.
+    pub fn duplicate_pairs(&self) -> u64 {
+        self.mem.results.saturating_sub(self.unique_results)
+    }
+
     /// Publishes this record's join counters into `reg` under the unified
     /// naming scheme (see `tfm_obs::names`): the cache signals previously
     /// reported only as `pool_hits`/`pages_read` route to `cache.hits` /
@@ -134,6 +142,10 @@ impl TransformersStats {
         reg.counter(names::JOIN_TESTS).add(self.total_tests());
         reg.counter(names::JOIN_ROLE_TRANSFORMATIONS)
             .add(self.role_transformations);
+        reg.counter(names::JOIN_LAYOUT_TRANSFORMATIONS)
+            .add(self.layout_transformations);
+        reg.counter(names::JOIN_DUPLICATE_PAIRS)
+            .add(self.duplicate_pairs());
         reg.counter(names::JOIN_PRUNED_UNITS).add(self.pruned_units);
         reg.counter(names::JOIN_WALK_STEPS).add(self.walk_steps);
         reg.counter(names::JOIN_CRAWL_STEPS).add(self.crawl_steps);
@@ -273,5 +285,24 @@ mod tests {
         );
         assert_eq!(a.window_pages_max, 700, "a high-water mark, not a sum");
         assert_eq!(a.join_cpu, Duration::from_millis(3));
+    }
+
+    #[test]
+    fn publish_exports_layout_transformations_and_duplicates() {
+        let s = TransformersStats {
+            mem: JoinStats {
+                element_tests: 90,
+                results: 7,
+            },
+            unique_results: 5,
+            layout_transformations: 2,
+            ..Default::default()
+        };
+        let reg = tfm_obs::MetricsRegistry::new();
+        s.publish(&reg);
+        let snap = reg.snapshot();
+        use tfm_obs::names;
+        assert_eq!(snap.counter(names::JOIN_LAYOUT_TRANSFORMATIONS), Some(2));
+        assert_eq!(snap.counter(names::JOIN_DUPLICATE_PAIRS), Some(2));
     }
 }

@@ -41,7 +41,7 @@ pub use registry::{Counter, Gauge, MetricsRegistry, StageTimer};
 pub use snapshot::{MetricSnapshot, MetricValue, MetricsSnapshot};
 pub use trace::QueryTrace;
 
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The process-wide registry every subsystem publishes into.
@@ -127,10 +127,10 @@ impl SnapshotThread {
                 let (lock, cv) = &*stop2;
                 loop {
                     let stopped = {
-                        let guard = lock.lock().expect("snapshot stop lock poisoned");
+                        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
                         let (guard, _) = cv
                             .wait_timeout_while(guard, interval, |s| !*s)
-                            .expect("snapshot stop lock poisoned");
+                            .unwrap_or_else(PoisonError::into_inner);
                         *guard
                     };
                     seq += 1;
@@ -164,7 +164,7 @@ impl SnapshotThread {
 
     fn signal(&self) {
         let (lock, cv) = &*self.stop;
-        *lock.lock().expect("snapshot stop lock poisoned") = true;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
         cv.notify_all();
     }
 }

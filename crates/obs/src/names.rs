@@ -182,6 +182,11 @@ pub const JOIN_WALL_NANOS: &str = "join.wall_nanos";
 pub const JOIN_TESTS: &str = "join.tests";
 /// Guide/follower role transformations.
 pub const JOIN_ROLE_TRANSFORMATIONS: &str = "join.role_transformations";
+/// Node → unit layout transformations: pivots split into their space units.
+pub const JOIN_LAYOUT_TRANSFORMATIONS: &str = "join.layout_transformations";
+/// Result pairs the in-memory joins found more than once (after role
+/// switches), removed by the final deduplication.
+pub const JOIN_DUPLICATE_PAIRS: &str = "join.duplicate_pairs";
 /// Units pruned by the connectivity filter.
 pub const JOIN_PRUNED_UNITS: &str = "join.pruned_units";
 /// Guide-walk steps.
@@ -194,8 +199,8 @@ pub const JOIN_MEM_JOIN_NANOS: &str = "join.mem_join_nanos";
 /// paper's exploration overhead), summed over pivots and workers.
 pub const JOIN_EXPLORATION_NANOS: &str = "join.exploration_nanos";
 /// Pivot windows executed (consecutive node-level pivots, up to the next
-/// transformation, planned together and run from one ascending follower
-/// sweep).
+/// layout transformation, planned together and run from one ascending
+/// follower sweep).
 pub const JOIN_WINDOWS: &str = "join.windows";
 /// Node-level pivots joined through windows (pivots with nothing to read
 /// are not counted).

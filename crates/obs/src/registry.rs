@@ -13,7 +13,7 @@ use crate::process_cpu_nanos;
 use crate::snapshot::{MetricSnapshot, MetricValue, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// The shared gate check every record path runs first.
@@ -159,7 +159,7 @@ impl MetricsRegistry {
     }
 
     fn resolve(&self, name: &str, make: impl FnOnce(Arc<AtomicBool>) -> Metric) -> Metric {
-        let mut map = self.metrics.lock().expect("metrics registry poisoned");
+        let mut map = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         map.entry(name.to_string())
             .or_insert_with(|| make(Arc::clone(&self.enabled)))
             .clone()
@@ -213,7 +213,7 @@ impl MetricsRegistry {
 
     /// Point-in-time copy of every registered metric, name-sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let map = self.metrics.lock().expect("metrics registry poisoned");
+        let map = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         MetricsSnapshot {
             entries: map
                 .iter()
@@ -231,7 +231,7 @@ impl MetricsRegistry {
 
     /// Zeroes every registered metric (handles stay valid).
     pub fn reset(&self) {
-        let map = self.metrics.lock().expect("metrics registry poisoned");
+        let map = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         for metric in map.values() {
             match metric {
                 Metric::Counter(c) => c.reset(),
@@ -278,6 +278,35 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_records_and_snapshots() {
+        // Every metric is its own atomic and the map is only ever inserted
+        // into, so a thread that panicked holding the lock left nothing half
+        // written: the registry takes its guard back.
+        let r = MetricsRegistry::new();
+        r.counter("test.count").add(3);
+        r.gauge("test.depth").set(2);
+        r.histogram("test.nanos").record(10);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = r.metrics.lock().unwrap();
+                panic!("poison the registry");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(r.metrics.is_poisoned());
+        r.counter("test.count").inc();
+        r.counter("test.late").add(5);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("test.count"), Some(4));
+        assert_eq!(snap.counter("test.late"), Some(5));
+        assert_eq!(snap.get("test.depth"), Some(&MetricValue::Gauge(2)));
+        assert_eq!(snap.histogram("test.nanos").map(|h| h.count), Some(1));
+        assert_eq!(snap.entries.len(), 4);
+        r.reset();
+        assert_eq!(r.snapshot().counter("test.count"), Some(0));
     }
 
     #[test]
