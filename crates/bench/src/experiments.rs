@@ -174,14 +174,19 @@ pub fn table() -> Vec<Experiment> {
             csv: "results/fig12_neuro.csv",
             kind: Kind::Join(JoinSweep {
                 workloads: |s| sized(s, &[100_000, 250_000, 350_000], 5000, neuro_pair),
-                approaches: tfm_pbsm_rtree(),
+                approaches: vec![
+                    Approach::transformers(),
+                    Approach::Pbsm,
+                    Approach::Rtree,
+                    Approach::no_tr(),
+                ],
                 // §VII-A: PBSM uses 20 partitions per dimension on
                 // neuroscience data.
                 config: RunConfig {
                     pbsm_partitions: 20,
                     ..RunConfig::default()
                 },
-                summary: Some(breakdown),
+                summary: Some(breakdown_and_speedup),
             }),
         },
         Experiment {
@@ -332,15 +337,28 @@ fn breakdown(_: &JoinSweep, rows: &[Metrics]) {
     }
 }
 
-/// Fig. 13 left: No TR's join time over TRANSFORMERS' per size.
+/// Fig. 12: the breakdown, then the speedup of transformations.
+fn breakdown_and_speedup(sweep: &JoinSweep, rows: &[Metrics]) {
+    breakdown(sweep, rows);
+    transformation_speedup(sweep, rows);
+}
+
+/// Fig. 13 left (and Fig. 12): No TR's join time over TRANSFORMERS' per
+/// workload.
 fn transformation_speedup(_: &JoinSweep, rows: &[Metrics]) {
     println!("\nspeedup of transformations (NoTR / TRANSFORMERS join time):");
-    for pair in rows.chunks(2) {
+    let row = |workload: &str, approach: &str| {
+        rows.iter()
+            .find(|m| m.workload == workload && m.approach == approach)
+            .unwrap_or_else(|| panic!("no {approach} row for {workload}"))
+    };
+    for m in rows.iter().filter(|m| m.approach == "TRANSFORMERS") {
+        let no_tr = row(&m.workload, "NoTR");
         println!(
             "  {:<10} {:>6.2}x  (transformations performed: {})",
-            pair[0].workload,
-            pair[0].join_time().as_secs_f64() / pair[1].join_time().as_secs_f64(),
-            pair[1].transformations
+            m.workload,
+            no_tr.join_time().as_secs_f64() / m.join_time().as_secs_f64(),
+            m.transformations
         );
     }
 }

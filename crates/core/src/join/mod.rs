@@ -20,14 +20,17 @@
 //! each: [`plan`] decides from descriptors alone what every pivot up to
 //! the next layout transformation reads, [`sweep`] reads the window's
 //! follower pages once in ascending order, and [`run`] joins each pivot
-//! from the pages swept for it. A pivot that decides a layout
+//! from the pages swept for it, reading the window's guide pages in one
+//! ascending pass as the pivots need them. A pivot that decides a layout
 //! transformation closes the window before it; a role switch plans the
 //! follower node into the open window as a *switched* pivot, whose own
-//! pages the sweep reads with the rest, and marks `checked` what a
-//! pivot-at-a-time join would have marked by then. So `checked` marks and
-//! the shared board see the order that join gives them, and a window of
-//! one pivot *is* that join (`DESIGN.md`, § "Pivot windows and the
-//! follower sweep" and § "Why no decision can change").
+//! pages the sweep reads with the rest and whose candidates the guide pass
+//! collects as it reads them, and marks `checked` what a pivot-at-a-time
+//! join would have marked by then. So `checked` marks and the shared board
+//! see the order that join gives them (a switched pivot's covered bit
+//! comes later, which only prunes less), and a window of one pivot *is*
+//! that join (`DESIGN.md`, § "Pivot windows and the follower sweep" and §
+//! "Why no decision can change").
 //!
 //! One driver runs every join. [`JoinRun::new`] loads both descriptor
 //! tables once and creates the coverage board ([`SharedTodo`]); each owner
@@ -242,8 +245,9 @@ pub struct JoinRun<'a> {
     cfg: JoinConfig,
     todo: SharedTodo,
     metadata_pages_read: u64,
-    /// Both disks' I/O counters before the tables were loaded.
-    io_before: IoStatsSnapshot,
+    /// Each disk's I/O counters before the tables were loaded: A's, then
+    /// B's.
+    io_before: [IoStatsSnapshot; 2],
 }
 
 impl<'a> JoinRun<'a> {
@@ -258,7 +262,7 @@ impl<'a> JoinRun<'a> {
         cache_b: &'a SharedPageCache<'a>,
         cfg: &JoinConfig,
     ) -> Self {
-        let io_before = cache_a.disk().stats().merged(&cache_b.disk().stats());
+        let io_before = [cache_a, cache_b].map(|c| c.disk().stats());
         let mut metadata_pages_read = 0;
         let datasets = [(idx_a, cache_a), (idx_b, cache_b)].map(|(idx, cache)| {
             let (nodes, units, pages) = idx.load_metadata(cache.disk());
@@ -348,8 +352,9 @@ impl<'a> JoinRun<'a> {
     /// ([`PivotEngine::finish`]), merged in the order given: sorts and
     /// dedups the pairs, sums the statistics and fills `unique_results`
     /// and `sim_io` — the modelled device time of every page read since
-    /// [`JoinRun::new`], the tables included. Publishes the statistics, the
-    /// I/O and the caches' extras once, when metrics are on.
+    /// [`JoinRun::new`], the tables included — and its share on each disk.
+    /// Publishes the statistics, the I/O and the caches' extras once, when
+    /// metrics are on.
     pub fn finish(
         self,
         owners: impl IntoIterator<Item = (Vec<ResultPair>, TransformersStats)>,
@@ -372,12 +377,13 @@ impl<'a> JoinRun<'a> {
         pairs.dedup();
         stats.unique_results = pairs.len() as u64;
         let [a, b] = [self.datasets[0].cache, self.datasets[1].cache];
-        let io = a
-            .disk()
-            .stats()
-            .merged(&b.disk().stats())
-            .delta_since(&self.io_before);
+        let [io_a, io_b] = [0, 1].map(|i| {
+            let disk = self.datasets[i].cache.disk();
+            disk.stats().delta_since(&self.io_before[i])
+        });
+        let io = io_a.merged(&io_b);
         stats.sim_io = io.sim_io_time();
+        stats.sim_io_per_disk = [io_a.sim_io_time(), io_b.sim_io_time()];
         let obs = tfm_obs::global();
         if obs.is_enabled() {
             stats.publish(obs);
@@ -397,8 +403,9 @@ impl<'a> JoinRun<'a> {
 /// window plan, sweep and statistics, and joins the guide node pivots it
 /// is given through the one window loop (plan a window of pivots, sweep
 /// its follower pages once into the sweep's own buffer, join from those
-/// bytes; a window holds no cache frame). It performs the paper's full
-/// adaptivity within its pivots:
+/// bytes and from one ascending pass over its guide pages; a window holds
+/// no cache frame). It performs the paper's full adaptivity within its
+/// pivots:
 ///
 /// * guide ↔ follower switches (§VI-A): the engine re-pivots on the
 ///   locally sparser follower node, keeping its own walk position,
@@ -428,9 +435,10 @@ pub struct PivotEngine<'a> {
 impl PivotEngine<'_> {
     /// Processes the guide node pivots `pivots` to completion, in order:
     /// walk, transformation decisions, crawl and prefilter per pivot, page
-    /// reads per window of pivots (one ascending sweep of the follower),
-    /// in-memory join per pivot. Appends the found pairs to the engine's
-    /// private result buffer. No page stays pinned on return.
+    /// reads per window of pivots (one ascending sweep of the follower, one
+    /// ascending pass over the guide), in-memory join per pivot. Appends
+    /// the found pairs to the engine's private result buffer. No page stays
+    /// pinned on return.
     ///
     /// A taken role switch processes the *follower* node instead and
     /// leaves the pivot pending; the engine then plans it again until it

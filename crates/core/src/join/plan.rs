@@ -7,19 +7,24 @@
 //! is a value, [`WindowPlan`]: the window's pivots with their guide units
 //! and follower candidates, the window's distinct follower pages in the
 //! ascending order the sweep reads them, and for each page the last
-//! planned pivot that needs it. One pivot's candidates start behind where
-//! the previous pivot's ended, in the same few slabs of the follower's STR
-//! order; read per pivot, three quarters of the modelled device time was
-//! repositioning between those runs.
+//! planned pivot that needs it; its distinct guide pages, in the ascending
+//! order of the guide pass, and which switched pivot collects which. One
+//! pivot's candidates start behind where the previous pivot's ended, in the
+//! same few slabs of the follower's STR order; read per pivot, three
+//! quarters of the modelled device time was repositioning between those
+//! runs.
 //!
 //! Planning writes nothing a later decision reads: the board's covers and
 //! the cost model's comparison timings are left to [`run`](super::run),
 //! and so is `checked`, but at a role switch. A switch claims its follower
 //! node on the board and plans it into the open window as a *switched*
-//! pivot, whose own units are the window follower's pages. The pivots
-//! planned before it are marked `checked` then, and the switched pivot as
-//! soon as it is queued: its to-do-list filter, and every plan after it,
-//! see the marks a pivot-at-a-time join would have left by then.
+//! pivot, whose own units are the window follower's pages and whose
+//! candidates are the window guide's. The pivots planned before it are
+//! marked `checked` then, and the switched pivot as soon as it is queued:
+//! its to-do-list filter, and every plan after it, see the marks a
+//! pivot-at-a-time join would have left by then. Sealing puts a switched
+//! pivot after the first normal pivot whose guide read passes its last
+//! candidate, so it runs later than its place in the plan.
 
 use super::{vol, Ctx, PivotEngine, Side};
 use crate::descriptor::{NodeId, SpaceUnitDesc, UnitId};
@@ -40,27 +45,53 @@ pub(super) struct PlannedPivot {
     /// Set when the plan is sealed: the pivot can run once the sweep has
     /// passed the first `last` entries of [`WindowPlan::pages`].
     pub(super) last: usize,
+    /// Set when the plan is sealed: the pivot joins once the guide pass has
+    /// read the first `due` entries of [`WindowPlan::reads`].
+    pub(super) due: usize,
+    /// Set when the plan is sealed, for a switched pivot: the sweep's
+    /// buffer its candidates' elements are collected into.
+    pub(super) collected: usize,
 }
 
 impl PlannedPivot {
     /// The window-follower units the pivot waits for, out of the plan's
     /// `guide_units` and `candidates`: its candidates, or a switched
     /// pivot's own units.
-    fn waits<'p>(&self, guide_units: &'p [UnitId], candidates: &'p [UnitId]) -> &'p [UnitId] {
+    pub(super) fn waits<'p>(
+        &self,
+        guide_units: &'p [UnitId],
+        candidates: &'p [UnitId],
+    ) -> &'p [UnitId] {
         if self.switched {
             &guide_units[self.guide_units.clone()]
         } else {
             &candidates[self.candidates.clone()]
         }
     }
+
+    /// The window-guide units the pivot reads, in ascending page order: its
+    /// guide units, or a switched pivot's candidates.
+    pub(super) fn reads<'p>(
+        &self,
+        guide_units: &'p [UnitId],
+        candidates: &'p [UnitId],
+    ) -> &'p [UnitId] {
+        if self.switched {
+            &candidates[self.candidates.clone()]
+        } else {
+            &guide_units[self.guide_units.clone()]
+        }
+    }
 }
 
 /// Consecutive node-level pivots of one guide, planned from descriptors
-/// alone and not yet run, with the follower pages they read. The vectors
-/// are reused by every window of one engine, so a join allocates for its
-/// largest window once.
+/// alone and not yet run, with the follower and guide pages they read. The
+/// vectors are reused by every window of one engine, so a join allocates
+/// for its largest window once; only `pivots` is rebuilt, in run order, by
+/// each seal.
 #[derive(Default)]
 pub(super) struct WindowPlan {
+    /// The planned pivots, in plan order; once sealed, in run order.
     pub(super) pivots: Vec<PlannedPivot>,
     /// The planned pivots' surviving guide units: the pivot's own, on the
     /// window follower's side for a switched pivot.
@@ -80,6 +111,13 @@ pub(super) struct WindowPlan {
     /// `pages[at[u]] == u` (a sparse set, so a new window clears nothing).
     /// Once sealed, it is the index of `u`'s page in `pages`.
     pub(super) at: Vec<u32>,
+    /// Once sealed: the guide pass, the distinct window-guide units the
+    /// pivots read — a pivot's guide units, a switched pivot's candidates —
+    /// in ascending page order.
+    pub(super) reads: Vec<UnitId>,
+    /// Once sealed: `(entry of reads, collected buffer)` for each candidate
+    /// of a switched pivot, in the guide pass's order.
+    pub(super) collects: Vec<(u32, u32)>,
 }
 
 impl WindowPlan {
@@ -92,6 +130,8 @@ impl WindowPlan {
             guide_units: g0..self.guide_units.len(),
             candidates: c0..self.candidates.len(),
             last: 0,
+            due: 0,
+            collected: 0,
         };
         for &u in p.waits(&self.guide_units, &self.candidates) {
             let at = &mut self.at[u.0 as usize];
@@ -103,14 +143,71 @@ impl WindowPlan {
         self.pivots.push(p);
     }
 
-    /// Puts the pages in sweep order — ascending page, over the follower's
-    /// `units` — and records who needs which.
-    pub(super) fn seal(&mut self, units: &[SpaceUnitDesc]) {
+    /// Puts the follower pages in sweep order and the guide pages in the
+    /// guide pass's — ascending page, over the follower's `units` and the
+    /// guide's `guide_units` — puts the pivots in run order, and records
+    /// who needs which page.
+    ///
+    /// A normal pivot joins once the pass has read its last guide unit. A
+    /// switched pivot runs right after the first normal pivot, at or after
+    /// its place in the plan, whose read passes its last candidate, or at
+    /// the window's end; a page only switched pivots need is read in
+    /// passing. So no guide page is read twice in a window.
+    pub(super) fn seal(&mut self, units: &[SpaceUnitDesc], guide_units: &[SpaceUnitDesc]) {
         self.pages
             .sort_unstable_by_key(|u| units[u.0 as usize].page);
         for (i, u) in self.pages.iter().enumerate() {
             self.at[u.0 as usize] = i as u32;
         }
+
+        let page = |u: &UnitId| guide_units[u.0 as usize].page;
+        // The normal pivots' units first, then each switched pivot's
+        // candidates: a few ascending runs, which a stable sort merges.
+        self.reads.clear();
+        for switched in [false, true] {
+            for p in self.pivots.iter().filter(|p| p.switched == switched) {
+                self.reads
+                    .extend_from_slice(p.reads(&self.guide_units, &self.candidates));
+            }
+        }
+        self.reads.sort_by_key(page);
+        self.reads.dedup();
+        let reads = &self.reads;
+        let entry = |u: &UnitId| reads.partition_point(|r| page(r) < page(u));
+        self.collects.clear();
+        let mut collected = 0;
+        for p in &mut self.pivots {
+            let read = p.reads(&self.guide_units, &self.candidates);
+            p.due = read.last().map_or(0, |u| entry(u) + 1);
+            if p.switched {
+                p.collected = collected;
+                let b = collected as u32;
+                self.collects
+                    .extend(read.iter().map(|u| (entry(u) as u32, b)));
+                collected += 1;
+            }
+        }
+        self.collects.sort_unstable();
+
+        // Run order: each switched pivot waits behind the normal pivots
+        // until one has passed its `due`.
+        let mut waiting = Vec::new();
+        let mut passed = 0;
+        for p in std::mem::take(&mut self.pivots) {
+            if p.switched && p.due > passed {
+                waiting.push(p);
+                continue;
+            }
+            if !p.switched {
+                passed = passed.max(p.due);
+            }
+            self.pivots.push(p);
+            while let Some(k) = waiting.iter().position(|w| w.due <= passed) {
+                self.pivots.push(waiting.remove(k));
+            }
+        }
+        self.pivots.extend(waiting);
+
         self.last_use.clear();
         self.last_use.resize(self.pages.len(), 0);
         for (i, p) in self.pivots.iter_mut().enumerate() {

@@ -7,10 +7,14 @@
 //! [`WindowPlan`](super::plan::WindowPlan) is swept once, its distinct
 //! follower pages in ascending page order, each copied into a slot of a
 //! buffer the engine owns and its pin dropped at once, so no cache frame is
-//! held while a window runs. Each planned pivot runs, in plan order, as
-//! soon as its last page is in; a slot is freed when the last pivot that
-//! needs its page has run, so the buffer holds only the pages still needed.
+//! held while a window runs. Each planned pivot runs, in the sealed plan's
+//! order, as soon as its last page is in; a slot is freed when the last
+//! pivot that needs its page has run, so the buffer holds only the pages
+//! still needed. The window's guide pages are read the same way, once each
+//! in ascending page order, by the guide pass ([`Sweep::pass`]) as the
+//! pivots run.
 
+use super::plan::WindowPlan;
 use super::{PivotEngine, Side};
 use crate::descriptor::UnitId;
 use tfm_geom::SpatialElement;
@@ -33,8 +37,9 @@ const FIRST_SLOTS: usize = 1024;
 /// A plan page that holds no slot: not swept yet, or no longer needed.
 pub(super) const NO_SLOT: u32 = u32::MAX;
 
-/// One engine's reader: the read-through rule, the window's slots and the
-/// gap page. Its buffers are reused by every window of the engine.
+/// One engine's reader: the read-through rule, the window's slots, the
+/// guide pass and the gap page. Its buffers are reused by every window of
+/// the engine.
 #[derive(Default)]
 pub(super) struct Sweep {
     /// The most live slots: the hold, at most one per unit.
@@ -52,6 +57,14 @@ pub(super) struct Sweep {
     gap_page: Vec<u8>,
     /// Pages read through, by every read of the engine.
     pub(super) read_through: u64,
+    /// The guide pass: entries of the plan's `reads` read so far in this
+    /// window.
+    passed: usize,
+    /// Entries of the plan's `collects` handed to their collections so far.
+    handed: usize,
+    /// Per switched pivot of the window: its candidates' elements, in the
+    /// pass's order, collected as the pass reads their pages.
+    pub(super) collected: Vec<Vec<SpatialElement>>,
     /// What each window read, for the tests to hold against its plan.
     #[cfg(test)]
     trace: Vec<tests::SweptWindow>,
@@ -97,6 +110,40 @@ impl Sweep {
     ) {
         let page = self.read(side, unit);
         out.extend(side.codec.view(&page).iter());
+    }
+
+    /// Advances the window's guide pass over `guide` to the first `to`
+    /// entries of `plan`'s `reads`, each read once by [`Sweep::read`], in
+    /// ascending page order: a page of `own` (the running pivot's guide
+    /// units, each ahead of the pass) goes to `out`, and a switched pivot's
+    /// candidate to its collection.
+    pub(super) fn pass(
+        &mut self,
+        guide: &mut Side<'_>,
+        plan: &WindowPlan,
+        to: usize,
+        own: &[UnitId],
+        out: &mut Vec<SpatialElement>,
+    ) {
+        let mut own = own.iter().peekable();
+        while self.passed < to {
+            let u = plan.reads[self.passed];
+            let page = self.read(guide, u);
+            let elems = guide.codec.view(&page);
+            if own.next_if_eq(&&u).is_some() {
+                out.extend(elems.iter());
+            }
+            while let Some(&(_, b)) = plan
+                .collects
+                .get(self.handed)
+                .filter(|c| c.0 as usize == self.passed)
+            {
+                self.collected[b as usize].extend(elems.iter());
+                self.handed += 1;
+            }
+            self.passed += 1;
+        }
+        debug_assert!(own.next().is_none(), "a guide unit behind the pass");
     }
 
     /// Live slots: those holding a page some pending pivot needs.
@@ -146,9 +193,22 @@ impl PivotEngine<'_> {
         if self.plan.pivots.is_empty() {
             return;
         }
-        self.plan.seal(self.follower.units);
+        self.plan.seal(self.follower.units, self.guide.units);
         self.sweep.slots.clear();
         self.sweep.slots.resize(self.plan.pages.len(), NO_SLOT);
+        // Each collection sized from the descriptors, so that it is written
+        // once and never moved.
+        let (plan, guide) = (&self.plan, &self.guide);
+        let switched = || plan.pivots.iter().filter(|p| p.switched);
+        self.sweep
+            .collected
+            .resize_with(switched().count(), Vec::new);
+        for p in switched() {
+            let reads = p.reads(&plan.guide_units, &plan.candidates);
+            let count = |u: &UnitId| usize::from(guide.units[u.0 as usize].count);
+            self.sweep.collected[p.collected].reserve_exact(reads.iter().map(count).sum());
+        }
+        (self.sweep.passed, self.sweep.handed) = (0, 0);
         let page_size = self.follower.disk.page_size();
         let stream = self.plan.pivots.len() == 1;
         let (mut next, mut swept) = (0, 0);
@@ -184,6 +244,7 @@ impl PivotEngine<'_> {
             let live = self.sweep.live(page_size) as u64;
             self.ctx.stats.window_pages_max = self.ctx.stats.window_pages_max.max(live);
         }
+        debug_assert_eq!(self.sweep.passed, self.plan.reads.len());
         self.ctx.stats.windows += u64::from(!self.plan.pages.is_empty());
         #[cfg(test)]
         self.trace_window(false);
@@ -200,6 +261,7 @@ mod tests {
     use super::*;
     use crate::config::{JoinConfig, ThresholdPolicy};
     use crate::index::TransformersIndex;
+    use std::collections::BTreeSet;
     use std::ops::Range;
     use std::sync::{Arc, Mutex};
     use tfm_storage::{
@@ -215,6 +277,9 @@ mod tests {
         stream: bool,
         /// Whether the window held a role-switched pivot.
         switched: bool,
+        /// The distinct guide pages its pivots read: their guide units, a
+        /// switched pivot's candidates.
+        guide_pages: u64,
         /// The plan's follower pages, in sweep order.
         pages: Vec<PageId>,
         /// The sweep's reads: the index into `pages`, and the follower disk's
@@ -222,14 +287,15 @@ mod tests {
         demands: Vec<(usize, Range<u64>)>,
         /// [`PivotEngine::trace_counters`] when the window began, and their
         /// change over it.
-        start: [u64; 6],
-        delta: [u64; 6],
+        start: [u64; 7],
+        delta: [u64; 7],
     }
 
     impl PivotEngine<'_> {
         /// Follower disk reads, follower cache misses, guide disk reads, guide
-        /// cache misses, pages read through and forced pages, so far.
-        fn trace_counters(&self) -> [u64; 6] {
+        /// cache misses, pages read through, forced pages and guide cache
+        /// hits, so far.
+        fn trace_counters(&self) -> [u64; 7] {
             [
                 self.follower.disk.stats().reads(),
                 self.follower.cache.counters().misses,
@@ -237,6 +303,7 @@ mod tests {
                 self.guide.cache.counters().misses,
                 self.sweep.read_through,
                 self.ctx.stats.forced_pages,
+                self.guide.cache.counters().hits,
             ]
         }
 
@@ -244,11 +311,25 @@ mod tests {
         pub(super) fn trace_window(&mut self, start: bool) {
             let now = self.trace_counters();
             if start {
-                let units = self.follower.units;
+                let (units, plan) = (self.follower.units, &self.plan);
+                let guide_pages: BTreeSet<_> = plan
+                    .pivots
+                    .iter()
+                    .filter(|p| !p.candidates.is_empty())
+                    .flat_map(|p| {
+                        let reads = if p.switched {
+                            &plan.candidates[p.candidates.clone()]
+                        } else {
+                            &plan.guide_units[p.guide_units.clone()]
+                        };
+                        reads.iter().map(|u| self.guide.units[u.0 as usize].page)
+                    })
+                    .collect();
                 self.sweep.trace.push(SweptWindow {
                     follower_is_a: !self.guide_is_a,
                     stream: self.plan.pivots.len() == 1,
                     switched: self.plan.pivots.iter().any(|p| p.switched),
+                    guide_pages: guide_pages.len() as u64,
                     pages: self
                         .plan
                         .pages
@@ -257,7 +338,7 @@ mod tests {
                         .collect(),
                     demands: Vec::new(),
                     start: now,
-                    delta: [0; 6],
+                    delta: [0; 7],
                 });
             } else {
                 let w = self.sweep.trace.last_mut().expect("an open window");
@@ -278,7 +359,7 @@ mod tests {
     struct RecordingStore {
         inner: MemStore,
         page_size: u64,
-        log: Arc<Mutex<Vec<u64>>>,
+        log: ReadLog,
     }
 
     impl PageStore for RecordingStore {
@@ -304,6 +385,71 @@ mod tests {
         }
     }
 
+    /// The pages a [`RecordingStore`] was asked for, in order.
+    type ReadLog = Arc<Mutex<Vec<u64>>>;
+
+    /// Two disks over [`RecordingStore`]s, and their logs.
+    fn recording_disks() -> ([Disk; 2], [ReadLog; 2]) {
+        let logs: [ReadLog; 2] = Default::default();
+        let disks = logs.clone().map(|log| {
+            let store = RecordingStore {
+                inner: MemStore::new(),
+                page_size: DEFAULT_PAGE_SIZE as u64,
+                log,
+            };
+            Disk::with_store(Box::new(store), DEFAULT_PAGE_SIZE)
+        });
+        (disks, logs)
+    }
+
+    #[test]
+    fn each_guide_page_is_read_once_per_window() {
+        // Thresholds that fire role switches, so that switched pivots read
+        // their candidates from the window's guide; a pool that never
+        // evicts, so that a page asked for twice is a hit, not a miss.
+        let mut switched = 0;
+        for (name, (a, b)) in [
+            ("uniform", uniform_pair()),
+            ("contrast", contrast_pair()),
+            ("clustered", clustered_pair()),
+            ("neuro", neuro_pair()),
+        ] {
+            let (disks, logs) = recording_disks();
+            let idx_a = TransformersIndex::build(&disks[0], a, &small_index_cfg());
+            let idx_b = TransformersIndex::build(&disks[1], b, &small_index_cfg());
+            let cfg = JoinConfig {
+                pool_pages: 1 << 20,
+                ..JoinConfig::default().with_thresholds(ThresholdPolicy::Fixed {
+                    t_su: 2.0,
+                    t_so: 4.0,
+                })
+            };
+            let caches = disks
+                .each_ref()
+                .map(|d| SharedPageCache::with_shards(d, cfg.pool_pages, 1));
+            let join = JoinRun::new(&idx_a, &caches[0], &idx_b, &caches[1], &cfg);
+            let mut engine = join.engine();
+            engine.process_pivots(0..join.pivots());
+            for (k, w) in engine.sweep.trace.iter().enumerate() {
+                let at = format!("{name}, window {k}");
+                let [_, _, guide_reads, guide_misses, .., guide_hits] = w.delta;
+                assert_eq!(
+                    guide_misses + guide_hits,
+                    w.guide_pages,
+                    "{at}: a guide page asked for twice"
+                );
+                let log = logs[usize::from(w.follower_is_a)].lock().unwrap();
+                let read = &log[w.start[2] as usize..][..guide_reads as usize];
+                assert!(
+                    read.windows(2).all(|p| p[0] < p[1]),
+                    "{at}: the guide disk moved back: {read:?}"
+                );
+                switched += usize::from(w.switched);
+            }
+        }
+        assert!(switched > 0, "no window held a role-switched pivot");
+    }
+
     #[test]
     fn sweep_reads_exactly_the_pages_its_plan_leaves_it() {
         // Windows seen: all of them, those with a forced pivot, those whose
@@ -316,17 +462,7 @@ mod tests {
             ("clustered", clustered_pair()),
             ("neuro", neuro_pair()),
         ] {
-            let logs: [Arc<Mutex<Vec<u64>>>; 2] = Default::default();
-            let disks = logs.clone().map(|log| {
-                let page_size = DEFAULT_PAGE_SIZE as u64;
-                let inner = MemStore::new();
-                let store = RecordingStore {
-                    inner,
-                    page_size,
-                    log,
-                };
-                Disk::with_store(Box::new(store), DEFAULT_PAGE_SIZE)
-            });
+            let (disks, logs) = recording_disks();
             let idx_a = TransformersIndex::build(&disks[0], a, &small_index_cfg());
             let idx_b = TransformersIndex::build(&disks[1], b, &small_index_cfg());
             for policy in [
@@ -347,7 +483,7 @@ mod tests {
                     for (k, w) in engine.sweep.trace.iter().enumerate() {
                         let at = format!("{name}, {policy:?}, hold {hold}, window {k}");
                         let log = logs[usize::from(!w.follower_is_a)].lock().unwrap();
-                        let [reads, misses, guide_reads, guide_misses, read_through, forced] =
+                        let [reads, misses, guide_reads, guide_misses, read_through, forced, _] =
                             w.delta;
                         // Every follower read is a miss of its cache or a gap
                         // page read through: the guide's gap pages aside.

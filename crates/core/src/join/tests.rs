@@ -669,13 +669,13 @@ fn sequential_join_counts_are_pinned() {
     // join's decisions or reads keeps every one. The cost-model policy
     // is left out: it re-derives its thresholds from wall time.
     const PINNED: [[u64; 14]; 8] = [
-        [11, 41252714, 98, 2, 14185, 1, 0, 0, 1, 48, 0, 25, 9, 25], // uniform, fixed
-        [11, 33152158, 97, 2, 13032, 0, 0, 0, 1, 48, 0, 0, 8, 25],  // uniform, disabled
-        [1, 71971855, 91, 7, 18648, 0, 1, 4, 0, 0, 0, 98, 0, 0],    // contrast, fixed
-        [1, 45957627, 331, 7, 50694, 0, 0, 0, 1, 0, 0, 17, 1, 0],   // contrast, disabled
+        [11, 36602180, 98, 2, 14185, 1, 0, 0, 1, 48, 0, 0, 9, 25], // uniform, fixed
+        [11, 33152158, 97, 2, 13032, 0, 0, 0, 1, 48, 0, 0, 8, 25], // uniform, disabled
+        [1, 71971855, 91, 7, 18648, 0, 1, 4, 0, 0, 0, 98, 0, 0],   // contrast, fixed
+        [1, 45957627, 331, 7, 50694, 0, 0, 0, 1, 0, 0, 17, 1, 0],  // contrast, disabled
         [0, 46804422, 108, 4, 10501, 2, 2, 4, 2, 16, 0, 32, 18, 11], // clustered, fixed
         [0, 36404336, 117, 4, 9888, 0, 0, 0, 1, 16, 0, 20, 18, 12], // clustered, disabled
-        [0, 72706002, 127, 3, 11935, 2, 1, 0, 1, 40, 0, 44, 11, 24], // neuro, fixed
+        [0, 68955852, 127, 3, 11935, 2, 1, 0, 1, 40, 0, 37, 11, 24], // neuro, fixed
         [0, 35353119, 126, 3, 10859, 0, 0, 0, 1, 48, 0, 14, 12, 24], // neuro, disabled
     ];
     let fixtures = [

@@ -86,12 +86,18 @@ pub struct TransformersStats {
     /// either side. They go past the cache, so they are disk reads on top
     /// of `pages_read`.
     pub read_through_pages: u64,
+    /// Element tests run by role-switched pivots: the part of
+    /// `mem.element_tests` a switch's pivots ran with the orientation
+    /// flipped.
+    pub switched_tests: u64,
     /// Wall-clock time spent in the in-memory joins.
     pub join_cpu: Duration,
     /// Wall-clock time spent in walk/crawl/filter/transformation logic.
     pub exploration_overhead: Duration,
     /// Simulated device time for all page traffic during the join.
     pub sim_io: Duration,
+    /// `sim_io`'s share on each dataset's disk: A's, then B's.
+    pub sim_io_per_disk: [Duration; 2],
 }
 
 impl TransformersStats {
@@ -158,6 +164,11 @@ impl TransformersStats {
         reg.counter(names::JOIN_FORCED_PAGES).add(self.forced_pages);
         reg.counter(names::JOIN_READ_THROUGH_PAGES)
             .add(self.read_through_pages);
+        reg.counter(names::JOIN_SWITCHED_TESTS)
+            .add(self.switched_tests);
+        let [io_a, io_b] = self.sim_io_per_disk.map(|d| d.as_nanos() as u64);
+        reg.counter(names::JOIN_MODEL_IO_A_NANOS).add(io_a);
+        reg.counter(names::JOIN_MODEL_IO_B_NANOS).add(io_b);
         reg.counter(names::JOIN_MEM_JOIN_NANOS)
             .add(self.join_cpu.as_nanos() as u64);
         reg.counter(names::JOIN_EXPLORATION_NANOS)
@@ -196,9 +207,13 @@ impl TransformersStats {
         self.window_pages_max = self.window_pages_max.max(other.window_pages_max);
         self.forced_pages += other.forced_pages;
         self.read_through_pages += other.read_through_pages;
+        self.switched_tests += other.switched_tests;
         self.join_cpu += other.join_cpu;
         self.exploration_overhead += other.exploration_overhead;
         self.sim_io += other.sim_io;
+        for (mine, theirs) in self.sim_io_per_disk.iter_mut().zip(other.sim_io_per_disk) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -260,7 +275,9 @@ mod tests {
             pruned_units: 11,
             cross_worker_pruned_units: 4,
             pruned_pivots: 2,
+            switched_tests: 12,
             join_cpu: Duration::from_millis(2),
+            sim_io_per_disk: [Duration::from_millis(4), Duration::from_millis(5)],
             ..Default::default()
         };
         a.merge(&b);
@@ -285,6 +302,11 @@ mod tests {
         );
         assert_eq!(a.window_pages_max, 700, "a high-water mark, not a sum");
         assert_eq!(a.join_cpu, Duration::from_millis(3));
+        assert_eq!(a.switched_tests, 12);
+        assert_eq!(
+            a.sim_io_per_disk,
+            [Duration::from_millis(4), Duration::from_millis(5)]
+        );
     }
 
     #[test]
@@ -304,5 +326,22 @@ mod tests {
         use tfm_obs::names;
         assert_eq!(snap.counter(names::JOIN_LAYOUT_TRANSFORMATIONS), Some(2));
         assert_eq!(snap.counter(names::JOIN_DUPLICATE_PAIRS), Some(2));
+    }
+
+    #[test]
+    fn publish_exports_switched_tests_and_io_per_disk() {
+        let s = TransformersStats {
+            switched_tests: 40,
+            sim_io: Duration::from_nanos(3_500),
+            sim_io_per_disk: [Duration::from_nanos(1_000), Duration::from_nanos(2_500)],
+            ..Default::default()
+        };
+        let reg = tfm_obs::MetricsRegistry::new();
+        s.publish(&reg);
+        let snap = reg.snapshot();
+        use tfm_obs::names;
+        assert_eq!(snap.counter(names::JOIN_SWITCHED_TESTS), Some(40));
+        assert_eq!(snap.counter(names::JOIN_MODEL_IO_A_NANOS), Some(1_000));
+        assert_eq!(snap.counter(names::JOIN_MODEL_IO_B_NANOS), Some(2_500));
     }
 }

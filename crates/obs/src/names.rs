@@ -217,6 +217,12 @@ pub const JOIN_FORCED_PAGES: &str = "join.forced_pages";
 /// Gap pages read only to keep a sweep sequential; they go past the cache,
 /// so they are disk reads on top of `cache.misses`.
 pub const JOIN_READ_THROUGH_PAGES: &str = "join.read_through_pages";
+/// Element tests run by role-switched pivots (part of `join.tests`).
+pub const JOIN_SWITCHED_TESTS: &str = "join.switched_tests";
+/// Modelled device time of the join's page traffic on dataset A's disk.
+pub const JOIN_MODEL_IO_A_NANOS: &str = "join.model_io_a_nanos";
+/// Modelled device time of the join's page traffic on dataset B's disk.
+pub const JOIN_MODEL_IO_B_NANOS: &str = "join.model_io_b_nanos";
 
 // --- build.* : index-build stage timings ---
 //
