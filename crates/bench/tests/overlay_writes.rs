@@ -1,28 +1,44 @@
 //! Change-only overlay persistence: a batch logs the overlay chain pages
-//! whose bytes it changed, not the chain.
+//! whose bytes it changed, not the chain, and logs each against the bytes
+//! the overlay writer kept, so a chain page evicted from the cache is not
+//! logged whole.
 //!
 //! The write counts are taken where they cost — at the [`RedoLog`] seam,
-//! by a wrapper that records every page id handed to `log_page` — and the
-//! overlay pages among them are told apart by walking the chain's `next`
-//! pointers on the data image. The two recovery tests run the batches
-//! through a real [`Wal`] and replay it onto a copy of the image taken
-//! right after adoption, which is the state a crash before the first
-//! write-back leaves behind.
+//! by a wrapper that records every page id handed to `log_page` (whole)
+//! or `log_change` (against a base) — and the overlay pages among them
+//! are told apart by walking the chain's `next` pointers on the data
+//! image. The recovery tests run the batches through a real [`Wal`] and
+//! replay it onto a copy of the image taken right after adoption, which
+//! is the state a crash before the first write-back leaves behind.
 
+use std::collections::HashSet;
 use std::sync::Mutex;
 use tfm_datagen::{generate, generate_mixed_trace, DatasetSpec, MixedOp, MixedTraceSpec};
 use tfm_geom::{Aabb, Point3, SpatialElement};
-use tfm_storage::{Disk, DiskModel, NoopLog, PageId, RedoLog, SharedPageCache};
+use tfm_storage::{CacheHandle, Disk, DiskModel, NoopLog, PageId, RedoLog, SharedPageCache};
 use tfm_wal::{Wal, WalOptions};
 use transformers::{IndexConfig, MutableTransformers, MutationOp, TransformersIndex, NO_PAGE};
 
 const PAGE_SIZE: usize = 512;
 const SEED: u64 = 17;
 
-/// Forwards to `inner` and remembers which pages were logged.
+/// How a record reached the log: whole through `log_page`, or through
+/// `log_change` with a change the WAL's delta encoder can (`Change`) or
+/// cannot (`LargeChange`: the patch would be no smaller than the page)
+/// store as the bytes that differ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Via {
+    Page,
+    Change,
+    LargeChange,
+}
+
+type Logged = (PageId, Via);
+
+/// Forwards to `inner` and remembers which pages were logged, and how.
 struct CountingLog<'a> {
     inner: &'a dyn RedoLog,
-    pages: Mutex<Vec<PageId>>,
+    pages: Mutex<Vec<Logged>>,
 }
 
 impl<'a> CountingLog<'a> {
@@ -36,7 +52,12 @@ impl<'a> CountingLog<'a> {
     /// How many of the logged records target a page of `chain`.
     fn logged_in(&self, chain: &[PageId]) -> usize {
         let pages = self.pages.lock().unwrap();
-        pages.iter().filter(|p| chain.contains(p)).count()
+        pages.iter().filter(|(p, _)| chain.contains(p)).count()
+    }
+
+    /// Every record handed to the log so far, in order.
+    fn records(&self) -> Vec<Logged> {
+        self.pages.lock().unwrap().clone()
     }
 }
 
@@ -45,8 +66,17 @@ impl RedoLog for CountingLog<'_> {
         self.inner.begin()
     }
     fn log_page(&self, txn: u64, page: PageId, image: &[u8]) -> u64 {
-        self.pages.lock().unwrap().push(page);
+        self.pages.lock().unwrap().push((page, Via::Page));
         self.inner.log_page(txn, page, image)
+    }
+    fn log_change(&self, txn: u64, page: PageId, before: &[u8], after: &[u8]) -> u64 {
+        let via = if tfm_wal::diff_pages(before, after, &mut Vec::new()) {
+            Via::Change
+        } else {
+            Via::LargeChange
+        };
+        self.pages.lock().unwrap().push((page, via));
+        self.inner.log_change(txn, page, before, after)
     }
     fn commit(&self, txn: u64) -> u64 {
         self.inner.commit(txn)
@@ -132,7 +162,10 @@ fn one_insert_logs_a_few_overlay_pages_whatever_the_index_size() {
             "{logged} of {} overlay pages logged for one insert into {count} elements",
             chain.len()
         );
-        assert!(log.pages.lock().unwrap().contains(&chain[0]), "head logged");
+        assert!(
+            log.records().iter().any(|&(p, _)| p == chain[0]),
+            "head logged"
+        );
         // The chain did not move or grow: the skipped pages are the ones
         // adoption wrote.
         assert_eq!(overlay_chain(&disk, chain[0]), chain);
@@ -154,8 +187,26 @@ fn a_batch_of_rejected_ops_logs_no_page() {
     let ops = [duplicate, duplicate, MutationOp::Delete(u64::MAX)];
     let out = overlay.apply_batch(&log, &cache, &ops);
     assert_eq!((out.rejected_inserts, out.missing_deletes), (2, 1));
-    assert_eq!(*log.pages.lock().unwrap(), Vec::<PageId>::new());
+    assert_eq!(log.records(), Vec::<Logged>::new());
     assert_eq!((out.overlay_pages_written, out.flushed_pages), (0, 0));
+}
+
+/// The writes of a trace chunk, in order.
+fn writes_of(chunk: &[MixedOp]) -> Vec<MutationOp> {
+    chunk
+        .iter()
+        .filter_map(|op| match op {
+            MixedOp::Insert(e) => Some(MutationOp::Insert(*e)),
+            MixedOp::Delete(id) => Some(MutationOp::Delete(*id)),
+            MixedOp::Query(_) => None,
+        })
+        .collect()
+}
+
+fn wal_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tfm_overlay_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
 /// Runs `batches` write batches on a fresh base through a real WAL,
@@ -163,8 +214,7 @@ fn a_batch_of_rejected_ops_logs_no_page() {
 /// image as adoption left it. Returns (flushed image, recovered image,
 /// head).
 fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
-    let wal_dir = std::env::temp_dir().join(format!("tfm_overlay_{tag}_{}", std::process::id()));
-    std::fs::remove_dir_all(&wal_dir).ok();
+    let wal_dir = wal_dir(tag);
     let (disk, elems, overlay) = base(600);
     let head = overlay.meta_head();
     let crashed = copy_of(&disk);
@@ -175,15 +225,7 @@ fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
     let cache = SharedPageCache::new(&disk, 4096);
     let wal = Wal::open(&wal_dir, WalOptions::default()).expect("open wal");
     for chunk in trace.chunks(40) {
-        let writes: Vec<MutationOp> = chunk
-            .iter()
-            .map(|op| match op {
-                MixedOp::Insert(e) => MutationOp::Insert(*e),
-                MixedOp::Delete(id) => MutationOp::Delete(*id),
-                MixedOp::Query(_) => unreachable!("writes-only trace"),
-            })
-            .collect();
-        let out = overlay.apply_batch(&wal, &cache, &writes);
+        let out = overlay.apply_batch(&wal, &cache, &writes_of(chunk));
         assert!(
             (1..chain.len()).contains(&out.overlay_pages_written),
             "a 40-op batch rewrote {} of {} overlay pages",
@@ -239,4 +281,105 @@ fn first_batch_after_recover_and_reopen_is_change_only() {
         "{logged} of {} overlay pages logged by the first batch after reopen",
         chain.len()
     );
+}
+
+/// A chain page that a write-back cleaned and the cache then dropped is
+/// logged against the overlay writer's kept bytes, and the log still
+/// recovers the flushed image.
+#[test]
+fn a_chain_page_evicted_after_write_back_is_logged_as_a_change() {
+    let wal_dir = wal_dir("evicted");
+    let (disk, elems, overlay) = base(600);
+    let head = overlay.meta_head();
+    let crashed = copy_of(&disk);
+    let chain = overlay_chain(&disk, head);
+    let live: Vec<u64> = elems.iter().map(|e| e.id).collect();
+    let trace = generate_mixed_trace(&MixedTraceSpec::uniform(80, 1000, SEED), &live);
+    let cache = SharedPageCache::new(&disk, 4096);
+    let wal = Wal::open(&wal_dir, WalOptions::default()).expect("open wal");
+    let log = CountingLog::new(&wal);
+
+    overlay.apply_batch(&log, &cache, &writes_of(&trace[..40]));
+    // Write every frame back, then drop the clean ones: the chain pages
+    // the first batch wrote are no longer in the cache.
+    let (_, retained) = cache.flush_dirty(wal.sync());
+    assert_eq!(retained, 0);
+    cache.clear();
+    assert!(chain.iter().all(|&p| cache.resident(p).is_none()));
+
+    let mark = log.records().len();
+    let out = overlay.apply_batch(&log, &cache, &writes_of(&trace[40..]));
+    let rewritten: Vec<Logged> = log.records()[mark..]
+        .iter()
+        .filter(|(p, _)| chain.contains(p))
+        .copied()
+        .collect();
+    assert!(out.overlay_pages_written > 0);
+    assert_eq!(rewritten.len(), out.overlay_pages_written);
+    assert!(
+        rewritten.iter().all(|&(_, via)| via != Via::Page),
+        "evicted chain pages logged whole: {rewritten:?}"
+    );
+
+    let (_, retained) = cache.flush_dirty(wal.sync());
+    assert_eq!(retained, 0);
+    drop(wal);
+    let report = tfm_wal::recover(&wal_dir, &crashed).expect("recover");
+    assert_eq!(report.commits, 2);
+    std::fs::remove_dir_all(&wal_dir).ok();
+    assert_eq!(crashed.allocated_pages(), disk.allocated_pages());
+    let (want, got) = (image_of(&disk), image_of(&crashed));
+    for (p, (want, got)) in want.iter().zip(&got).enumerate() {
+        assert!(want == got, "page {p} differs after recovery");
+    }
+}
+
+/// Every whole record in the log is a page's first since the log opened,
+/// or a change as large as the page: a write of a page logged before,
+/// evicted or not, reaches the log as a change against its last bytes.
+#[test]
+fn a_mixed_replay_over_a_small_cache_logs_each_page_whole_once() {
+    let wal_dir = wal_dir("mixed");
+    let (disk, elems, overlay) = base(2000);
+    let live: Vec<u64> = elems.iter().map(|e| e.id).collect();
+    let trace = generate_mixed_trace(&MixedTraceSpec::uniform(4000, 300, SEED), &live);
+    let cache = SharedPageCache::with_shards(&disk, 64, 1);
+    let wal = Wal::open(&wal_dir, WalOptions::default()).expect("open wal");
+    let log = CountingLog::new(&wal);
+
+    let mut flushed = 0;
+    for chunk in trace.chunks(100) {
+        flushed += overlay
+            .apply_batch(&log, &cache, &writes_of(chunk))
+            .flushed_pages;
+        let snapshot = overlay.snapshot();
+        let mut reads = CacheHandle::shared(&cache);
+        for op in chunk {
+            if let MixedOp::Query(q) = op {
+                snapshot.query(&mut reads, q);
+            }
+        }
+    }
+    // Frames were written back and evicted between the batches.
+    assert!(flushed > 0);
+    assert!(cache.stats().evictions > 0);
+
+    let mut logged = HashSet::new();
+    let mut large_rewrites = 0;
+    for (i, &(page, via)) in log.records().iter().enumerate() {
+        if logged.insert(page) {
+            continue;
+        }
+        assert_ne!(via, Via::Page, "record {i}: {page:?} logged whole again");
+        large_rewrites += u64::from(via == Via::LargeChange);
+    }
+    let stats = wal.stats();
+    assert!(stats.delta_records > 0);
+    assert_eq!(
+        stats.full_records,
+        logged.len() as u64 + large_rewrites,
+        "whole records: one per page logged, plus the changes as large as a page"
+    );
+    drop(wal);
+    std::fs::remove_dir_all(&wal_dir).ok();
 }

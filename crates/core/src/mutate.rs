@@ -51,7 +51,10 @@
 //!   writes only the pages whose finished bytes differ — a handful for a
 //!   few inserts, none for a batch of rejected ops — because a page that
 //!   compares equal already holds those bytes on the image or in an
-//!   earlier committed transaction's log record. After crash recovery
+//!   earlier committed transaction's log record. The kept bytes are also
+//!   the base each rewrite is logged against ([`PageWrites::rewrite`]),
+//!   so a chain page whose frame was written back and evicted is logged
+//!   as the bytes that changed, not whole. After crash recovery
 //!   replays the log, [`MutableTransformers::reopen`] rebuilds the full
 //!   handle from the overlay head page alone, chain images included.
 //! * **Snapshot publication.** Readers never lock against writers: each
@@ -898,11 +901,11 @@ fn snapshot_of(st: &MutState, page_size: usize) -> MutSnapshot {
 
 /// Serializes the overlay over the page chain, extending the chain first
 /// if the body outgrew it, and writes the chain pages whose finished bytes
-/// differ from [`OverlayPage::image`]; returns how many it wrote. An
-/// unchanged page is skipped whole — not logged, not dirtied, not flushed:
-/// it already holds exactly these bytes, from `adopt` or from an earlier
-/// committed batch, on disk or in a log record replay applies first.
-/// Layout:
+/// differ from [`OverlayPage::image`], each as a rewrite of that image;
+/// returns how many it wrote. An unchanged page is skipped whole — not
+/// logged, not dirtied, not flushed: it already holds exactly these
+/// bytes, from `adopt` or from an earlier committed batch, on disk or in
+/// a log record replay applies first. Layout:
 ///
 /// ```text
 /// chain page := next u64 | payload chunk (page_size - 8 bytes)
@@ -970,7 +973,14 @@ fn write_overlay<P: PageReads + PageWrites>(st: &mut MutState, h: &mut P, disk: 
         buf.resize(ps, 0);
         let page = &mut st.chain[i];
         if page.image != buf {
-            h.write(page.id, &buf);
+            // The kept image is the page's last logged bytes (only this
+            // function writes chain pages), so it is the log's base even
+            // after probes evicted the frame.
+            if page.image.is_empty() {
+                h.write(page.id, &buf);
+            } else {
+                h.rewrite(page.id, &page.image, &buf);
+            }
             page.image.clone_from(&buf);
             written += 1;
         }

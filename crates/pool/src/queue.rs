@@ -16,10 +16,13 @@
 //!
 //! Built on `std::sync::{Mutex, Condvar}` — the admission queue holds
 //! whole query *batches*, so it is locked a handful of times per thousand
-//! queries and needs no lock-free cleverness.
+//! queries and needs no lock-free cleverness. A thread that panics while
+//! holding the lock leaves the items and the `closed` flag consistent (no
+//! method panics between changing one and unlocking), so the queue takes
+//! a poisoned lock back and keeps working.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -50,6 +53,11 @@ impl<T> RequestQueue<T> {
         }
     }
 
+    /// Locks the state, taking it back from a panicked holder.
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Maximum number of queued items.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -57,7 +65,7 @@ impl<T> RequestQueue<T> {
 
     /// Current queue length.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
+        self.lock().items.len()
     }
 
     /// True if nothing is queued.
@@ -69,9 +77,12 @@ impl<T> RequestQueue<T> {
     ///
     /// Returns `false` (dropping the item) if the queue was closed.
     pub fn push(&self, item: T) -> bool {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = self.lock();
         while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).expect("queue poisoned");
+            state = self
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if state.closed {
             return false;
@@ -87,7 +98,7 @@ impl<T> RequestQueue<T> {
     /// Returns the item back to the caller when the queue is full or
     /// closed, so a load-shedding front end can count the rejection.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = self.lock();
         if state.closed || state.items.len() >= self.capacity {
             return Err(item);
         }
@@ -101,7 +112,7 @@ impl<T> RequestQueue<T> {
     /// still open. Returns `None` once the queue is closed **and**
     /// drained — the consumer's termination signal.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = self.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
                 drop(state);
@@ -111,14 +122,17 @@ impl<T> RequestQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).expect("queue poisoned");
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: producers stop being admitted, consumers drain
     /// the backlog and then observe the end of the stream.
     pub fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        self.lock().closed = true;
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
@@ -151,6 +165,28 @@ mod tests {
         assert!(q.try_push(3).is_ok()); // space again
         q.close();
         assert_eq!(q.try_push(4), Err(4)); // closed -> rejected
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_taken_back() {
+        let q = RequestQueue::new(2);
+        assert!(q.push(1));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = q.state.lock().unwrap();
+                panic!("holder panics");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(q.state.is_poisoned());
+        assert!(q.push(2));
+        assert_eq!(q.try_push(3), Err(3), "still bounded");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some(1));
+        q.close();
+        assert!(!q.push(4), "closed");
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! [`RedoLog`]:
 //!
 //! * every page write is first appended to the log, which returns the
-//!   record's LSN: handed the page's resident bytes and its new ones
-//!   ([`RedoLog::log_change`]), the log keeps the page's first record
-//!   since it was opened or checkpointed a complete after-image and may
-//!   record later ones as the bytes that differ. Either way redo is
+//!   record's LSN: handed the page's previous bytes — the resident
+//!   frame's, or those the writer kept from its own last write — and its
+//!   new ones ([`RedoLog::log_change`]), the log keeps the page's first
+//!   record since it was opened or checkpointed a complete after-image
+//!   and may record later ones as the bytes that differ. Either way redo is
 //!   physical — a record carries bytes, not an operation — so replay is
 //!   idempotent;
 //! * the new bytes then land in the [`SharedPageCache`] dirty tier stamped
@@ -53,11 +54,11 @@ pub trait RedoLog: Send + Sync {
     fn log_page(&self, txn: u64, page: PageId, image: &[u8]) -> u64;
 
     /// Appends a record that takes `page` from `before` — the bytes every
-    /// earlier record of the page adds up to, i.e. what the cache holds —
-    /// to `after`, both exactly one page; returns the record's LSN. A log
-    /// may store the bytes that differ when replay is certain to have
-    /// `before` in hand, and must store `after` whole otherwise. The
-    /// default stores `after` whole.
+    /// earlier record of the page adds up to, i.e. what the cache holds or
+    /// what the writer last wrote — to `after`, both exactly one page;
+    /// returns the record's LSN. A log may store the bytes that differ
+    /// when replay is certain to have `before` in hand, and must store
+    /// `after` whole otherwise. The default stores `after` whole.
     fn log_change(&self, txn: u64, page: PageId, before: &[u8], after: &[u8]) -> u64 {
         let _ = before;
         self.log_page(txn, page, after)
@@ -130,10 +131,25 @@ impl RedoLog for NoopLog {
 /// out fresh page ids. Like reads, handles are `&mut self` per owner;
 /// serialising writers (the mutable index's batch mutex) is left to the
 /// layers above this trait.
+///
+/// A writer that keeps a page's last written bytes itself (the overlay
+/// chain's writer does) hands them over through
+/// [`rewrite`](PageWrites::rewrite), so a logged handle can record the
+/// change even when the page's frame has been evicted since.
 pub trait PageWrites: PageReads {
     /// Writes `bytes` (at most one page; shorter data is zero-padded) to
     /// page `id`.
     fn write(&mut self, id: PageId, bytes: &[u8]);
+
+    /// Writes `after` to page `id` as [`write`](PageWrites::write) does,
+    /// where `before` is exactly one page: the bytes the page holds once
+    /// every earlier write of it is applied, which the caller kept from
+    /// its own last write (or read) of the page. The default ignores
+    /// `before` and writes.
+    fn rewrite(&mut self, id: PageId, before: &[u8], after: &[u8]) {
+        let _ = before;
+        self.write(id, after);
+    }
 
     /// Allocates a fresh page and returns its id.
     fn allocate(&mut self) -> PageId;
@@ -165,9 +181,11 @@ impl PageWrites for &Disk {
 /// One handle per writer per transaction: create it with the transaction
 /// id from [`RedoLog::begin`], perform the mutation, then commit through
 /// the log. The handle never flushes — that is the batch boundary's job.
-/// A write of a page that is not resident (a fresh allocation, or a frame
-/// evicted since it was last read) is logged whole; no disk read is made
-/// to diff it.
+/// Every write is logged against the page's previous bytes: those the
+/// caller hands to [`rewrite`](PageWrites::rewrite), else those of the
+/// resident frame. A [`write`](PageWrites::write) of a page that is not
+/// resident (a fresh allocation, or a frame evicted since it was last
+/// read) is logged whole; no disk read is made to diff it.
 pub struct LoggedPages<'l, 'c, 'd> {
     log: &'l dyn RedoLog,
     reads: CacheHandle<'c, 'd>,
@@ -207,27 +225,47 @@ impl PageReads for LoggedPages<'_, '_, '_> {
     }
 }
 
-impl PageWrites for LoggedPages<'_, '_, '_> {
-    fn write(&mut self, id: PageId, bytes: &[u8]) {
-        let cache = self.reads.cache();
-        let page_size = cache.disk().page_size();
+impl LoggedPages<'_, '_, '_> {
+    /// Copies `bytes` into the scratch page, zero-padded to a whole page.
+    fn pad(&mut self, bytes: &[u8]) {
+        let page_size = self.reads.cache().disk().page_size();
         assert!(
             bytes.len() <= page_size,
             "write of {} bytes exceeds page size {}",
             bytes.len(),
             page_size
         );
+        self.scratch.clear();
+        self.scratch.extend_from_slice(bytes);
+        self.scratch.resize(page_size, 0);
+    }
+}
+
+impl PageWrites for LoggedPages<'_, '_, '_> {
+    fn write(&mut self, id: PageId, bytes: &[u8]) {
         // Log the page (zero-padded) against the bytes the cache holds,
         // then install it in the dirty tier stamped with the LSN. The pin
         // on the old bytes ends before the install, which then reuses the
         // frame's buffer.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(bytes);
-        self.scratch.resize(page_size, 0);
+        self.pad(bytes);
+        let cache = self.reads.cache();
         let lsn = match cache.resident(id) {
             Some(before) => self.log.log_change(self.txn, id, &before, &self.scratch),
             None => self.log.log_page(self.txn, id, &self.scratch),
         };
+        cache.write_page(id, &self.scratch, lsn);
+    }
+
+    fn rewrite(&mut self, id: PageId, before: &[u8], after: &[u8]) {
+        // The caller's bytes are the base whether or not the frame is
+        // resident; when it is, they must be the frame's.
+        self.pad(after);
+        let cache = self.reads.cache();
+        debug_assert!(
+            cache.resident(id).is_none_or(|frame| *frame == *before),
+            "rewrite of {id:?}: the caller's previous bytes are not the resident frame's"
+        );
+        let lsn = self.log.log_change(self.txn, id, before, &self.scratch);
         cache.write_page(id, &self.scratch, lsn);
     }
 
@@ -359,6 +397,49 @@ mod tests {
         // The pin on `before` ended with the call: the install reused the
         // frame's buffer instead of replacing it.
         assert_eq!(cache.stats().fresh_allocs, 2);
+    }
+
+    #[test]
+    fn a_rewrite_is_logged_against_the_callers_bytes_resident_or_not() {
+        let d = Disk::in_memory(16).with_model(DiskModel::free());
+        let p = d.allocate();
+        d.write_page(p, &[1u8; 16]);
+        let cache = SharedPageCache::with_shards(&d, 4, 1);
+        let log = Seam::default();
+        let mut h = LoggedPages::new(&log, &cache, log.begin());
+
+        // Not resident: the caller's bytes are the base, no disk read.
+        h.rewrite(p, &[1u8; 16], &[2u8; 8]);
+        assert_eq!(d.stats().reads(), 0);
+        // Resident now (the write installed it): the same bytes again.
+        let resident = h.page(p).to_vec();
+        h.rewrite(p, &resident, &[3u8; 16]);
+        let padded = [[2u8; 8], [0u8; 8]].concat();
+        assert_eq!(
+            *log.calls.lock().unwrap(),
+            [
+                (p, Some(vec![1; 16]), padded.clone()),
+                (p, Some(padded), vec![3; 16]),
+            ]
+        );
+
+        // The write-through handle ignores the base.
+        let mut direct: &Disk = &d;
+        direct.rewrite(p, &[0u8; 16], &[4u8; 16]);
+        assert_eq!(d.read_page_vec(p), vec![4u8; 16]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the resident frame's")]
+    fn a_rewrite_from_other_than_the_resident_bytes_panics_in_debug_builds() {
+        let d = Disk::in_memory(16).with_model(DiskModel::free());
+        let p = d.allocate();
+        let cache = SharedPageCache::with_shards(&d, 4, 1);
+        let log = NoopLog::new();
+        let mut h = LoggedPages::new(&log, &cache, log.begin());
+        h.write(p, &[1u8; 16]);
+        h.rewrite(p, &[9u8; 16], &[2u8; 16]);
     }
 
     #[test]

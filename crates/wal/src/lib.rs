@@ -10,9 +10,10 @@
 //!    ([`Wal::log_change`](tfm_storage::RedoLog::log_change) via
 //!    `tfm_storage::LoggedPages`), each record stamped with an LSN: a
 //!    page's first record since the log was opened or truncated is its
-//!    full after-image, later ones carry the bytes that differ from what
-//!    the cache held (see `record.rs` for the format and [`Wal`] for the
-//!    rule that decides);
+//!    full after-image, later ones carry the bytes that differ from the
+//!    page's previous bytes — what the cache held, or what the writer
+//!    kept from its own last write (see `record.rs` for the format and
+//!    [`Wal`] for the rule that decides);
 //! 2. the new bytes land in the shared cache's dirty tier carrying that
 //!    LSN — the data disk is untouched;
 //! 3. commit appends a commit marker and fsyncs (group commit: one fsync
@@ -47,7 +48,7 @@ mod recover;
 mod writer;
 
 pub use reader::{scan_dir, segment_path, visit_records, ScanReport, SegmentInfo};
-pub use record::{WalPayload, WalRecord};
+pub use record::{diff_pages, WalPayload, WalRecord};
 pub use recover::{recover, RecoveryReport};
 pub use writer::{SyncMode, Wal, WalOptions, WalStats};
 
