@@ -47,12 +47,12 @@ pub fn print_table(title: &str, rows: &[Metrics]) {
 }
 
 /// CSV header matching [`csv_row`].
-pub const CSV_HEADER: &str = "workload,approach,n_a,n_b,build_threads,index_wall_s,index_sim_io_s,index_total_s,join_wall_s,join_sim_io_s,join_total_s,pages_read,rand_reads,seq_reads,tests,results,transformations,overhead_wall_s,prefetch_issued,prefetch_hits,prefetch_unused";
+pub const CSV_HEADER: &str = "workload,approach,n_a,n_b,build_threads,index_wall_s,index_sim_io_s,index_total_s,join_wall_s,join_sim_io_s,join_total_s,pages_read,rand_reads,seq_reads,tests,results,transformations,overhead_wall_s";
 
 /// One CSV row for a metrics record.
 pub fn csv_row(m: &Metrics) -> String {
     format!(
-        "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{:.6},{},{},{}",
+        "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{:.6}",
         m.workload,
         m.approach,
         m.n_a,
@@ -71,9 +71,6 @@ pub fn csv_row(m: &Metrics) -> String {
         m.results,
         m.transformations,
         m.overhead_wall.as_secs_f64(),
-        m.prefetch_issued,
-        m.prefetch_hits,
-        m.prefetch_unused,
     )
 }
 
@@ -115,9 +112,6 @@ mod tests {
             overhead_wall: Duration::from_micros(100),
             mem_join_wall: Duration::from_micros(300),
             build_threads: 1,
-            prefetch_issued: 0,
-            prefetch_hits: 0,
-            prefetch_unused: 0,
             windows: 3,
             window_pivots: 12,
             swept_pages: 80,

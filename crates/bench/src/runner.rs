@@ -183,14 +183,6 @@ pub struct Metrics {
     /// Build workers used for the indexing phase (1 = sequential build;
     /// approaches without an STR build phase ignore the setting).
     pub build_threads: usize,
-    /// Pages the join prefetch pipeline landed into cache frames
-    /// (parallel TRANSFORMERS with readahead on; 0 otherwise).
-    pub prefetch_issued: u64,
-    /// Demand reads served by a frame the prefetch pipeline had staged.
-    pub prefetch_hits: u64,
-    /// Prefetched frames never touched by a demand read — a mis-sized
-    /// readahead window shows up here.
-    pub prefetch_unused: u64,
     /// Pivot windows the join executed, the node-level pivots joined
     /// through them, the follower pages they swept into slots, the most
     /// slots one window had live, the pages pivots read out of sweep order
@@ -229,12 +221,6 @@ impl Metrics {
         self.rand_reads = io.rand_reads;
         self.seq_reads = io.seq_reads;
     }
-
-    fn take_prefetch_counters(&mut self, report: &tfm_exec::ExecReport) {
-        self.prefetch_issued = report.prefetch_issued;
-        self.prefetch_hits = report.prefetch_hits;
-        self.prefetch_unused = report.prefetch_unused;
-    }
 }
 
 fn merged(a: &Disk, b: &Disk) -> IoStatsSnapshot {
@@ -263,16 +249,9 @@ pub fn run_approach(
             run_transformers(&mut m, a, b, cfg, join_cfg, transformers_join)
         }
         Approach::TransformersParallel(join_cfg, threads) => {
-            let mut report = None;
-            let pairs = run_transformers(&mut m, a, b, cfg, join_cfg, |ia, da, ib, db, jc| {
-                let (out, rep) = tfm_exec::parallel_join_with_report(ia, da, ib, db, jc, *threads);
-                report = Some(rep);
-                out
-            });
-            if let Some(rep) = report {
-                m.take_prefetch_counters(&rep);
-            }
-            pairs
+            run_transformers(&mut m, a, b, cfg, join_cfg, |ia, da, ib, db, jc| {
+                tfm_exec::parallel_join(ia, da, ib, db, jc, *threads)
+            })
         }
         Approach::Pbsm => {
             let pbsm_cfg = PbsmConfig::with_partitions(cfg.pbsm_partitions);

@@ -5,9 +5,10 @@
 //! [`StoreBackend::File`] page store and must return exactly the same
 //! results: the backend decides where page bytes live, never what a
 //! query or join computes. The sweeps cover all three serve engines and
-//! join approaches at 1/2/4/8 workers, sharded and unsharded, with the
-//! prefetch pipeline (dedicated I/O threads + Hilbert-driven readahead)
-//! active wherever the engine supports it.
+//! join approaches at 1/2/4/8 workers, sharded and unsharded. Serve runs
+//! its prefetch pipeline (dedicated I/O threads + Hilbert-driven
+//! readahead) wherever the engine supports it; a join's pages are read by
+//! its workers alone.
 
 use tfm_bench::{run_approach, run_serve, run_serve_sharded, Approach, RunConfig, ServeEngineKind};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
@@ -177,65 +178,5 @@ fn join_results_match_mem_across_approaches_and_workers() {
             "parallel x{threads}: file backend changed the join result"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn join_prefetch_matches_mem_across_workers() {
-    // The join prefetch pipeline (chunk-schedule readahead through
-    // dedicated I/O threads) only warms the cache: file-backed
-    // prefetching joins must be byte-identical to the sequential mem
-    // reference at every worker count, and the pipeline must actually run
-    // (issued pages > 0) at multi-worker counts where chunks exist to
-    // schedule.
-    let a = generate(&DatasetSpec {
-        max_side: 5.0,
-        ..DatasetSpec::uniform(3_000, 107)
-    });
-    let b = generate(&DatasetSpec {
-        max_side: 5.0,
-        ..DatasetSpec::uniform(3_000, 108)
-    });
-    let dir = image_dir("join_prefetch");
-
-    let (_, reference) = run_approach(
-        &Approach::transformers(),
-        "io-eq",
-        &a,
-        &b,
-        &RunConfig::default(),
-    );
-    let reference = canonicalize(reference);
-    let sweep = || {
-        let mut total_issued = 0;
-        for &threads in &WORKER_SWEEP {
-            let join_cfg = transformers::JoinConfig::default()
-                .with_io_depth(2)
-                .with_readahead(128);
-            let approach = Approach::TransformersParallel(join_cfg, threads);
-            let (m, pairs) = run_approach(&approach, "io-eq", &a, &b, &file_cfg(&dir));
-            assert_eq!(
-                canonicalize(pairs),
-                reference,
-                "prefetch x{threads}: file backend changed the join result"
-            );
-            assert_eq!(
-                m.prefetch_issued,
-                m.prefetch_hits + m.prefetch_unused,
-                "prefetch x{threads}: accounting must partition issued pages"
-            );
-            total_issued += m.prefetch_issued;
-        }
-        total_issued
-    };
-    // Per-run issue counts are timing-dependent (demand reads can win the
-    // race to every page on a loaded host), but a whole sweep where the
-    // pipeline never lands a single page means it is wired up wrong. On a
-    // 2-CPU host under load one sweep in ~20 loses every race (2 of 88 at
-    // PR 21's commit, 6 of 100 at PR 22's), so the sweep gets three tries.
-    assert!(
-        (0..3).any(|_| sweep() > 0),
-        "pipeline never issued a page across the worker sweep"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

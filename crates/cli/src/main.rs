@@ -74,7 +74,7 @@ USAGE:
       the pages are written to a real on-disk image DIR/build.pages
   tfm join --a FILE --b FILE [--approach A] [--page-size N] [--threads N]
            [--build-threads N]
-           [--backend mem|file|file-checksummed] [--store DIR] [--io-depth N] [--readahead N]
+           [--backend mem|file|file-checksummed] [--store DIR]
            [--verify]
            [--metrics PATH] [--metrics-format jsonl|prometheus]
            [--metrics-interval-ms N]
@@ -83,10 +83,6 @@ USAGE:
       --build-threads N: build the indexes on N parallel workers
                   (transformers, gipsy and rtree builds; default: the
                   host's available parallelism, as IndexConfig::default())
-      --io-depth N / --readahead N: on the file backend the parallel
-                  transformers path prefetches each chunk's unit-page
-                  schedule through N dedicated I/O threads, keeping up to
-                  --readahead pages in flight (results stay byte-identical)
   tfm serve --in FILE [--engine E] [--queries N] [--threads N] [--batch N]
             [--no-hilbert] [--mix M] [--page-size N]
             [--build-threads N] [--trace-seed S] [--window F] [--eps F]
@@ -136,12 +132,11 @@ STORAGE BACKEND (build + join + serve):
       the default mem backend keeps pages in memory. --backend
       file-checksummed adds a per-page checksum sidecar so torn
       data-page writes are detected on read (the write path's posture). On the file backend
-      `tfm serve` and the parallel `tfm join` run a prefetch pipeline:
-      --io-depth N puts N dedicated I/O threads behind the workers and
-      --readahead N keeps up to N pages in flight — serve follows each
-      batch's Hilbert-ordered page schedule, join follows each chunk's
-      unit-page schedule from the claimed pivot run (results stay
-      byte-identical).
+      `tfm serve` runs a prefetch pipeline: --io-depth N puts N
+      dedicated I/O threads behind the workers and --readahead N keeps up
+      to N pages in flight along each batch's Hilbert-ordered page
+      schedule (results stay byte-identical). A join's pages are read by
+      its workers alone.
       --store/--io-depth/--readahead require --backend file.
 
 METRICS (join + serve):
@@ -181,6 +176,8 @@ fn parse_args(command: &str, args: &[String]) -> Result<Args, String> {
 /// `tfm serve`.
 struct StoreOpts {
     backend: StoreBackend,
+    /// `tfm serve`'s prefetch knobs: the other subcommands do not declare
+    /// `--io-depth`/`--readahead`, so there they keep these defaults.
     io_depth: usize,
     readahead: usize,
 }
@@ -195,15 +192,18 @@ impl StoreOpts {
     }
 
     /// The `backend:` summary line of `tfm join` and `tfm serve`, when the
-    /// backend is a file.
-    fn summary(&self) -> Option<String> {
+    /// backend is a file; serve's adds its prefetch knobs.
+    fn summary(&self, prefetch: bool) -> Option<String> {
         self.dir().map(|dir| {
-            format!(
-                "backend:         file ({}; io depth {}, readahead {} pages)",
-                dir.display(),
-                self.io_depth,
-                self.readahead
-            )
+            let knobs = if prefetch {
+                format!(
+                    "; io depth {}, readahead {} pages",
+                    self.io_depth, self.readahead
+                )
+            } else {
+                String::new()
+            };
+            format!("backend:         file ({}{knobs})", dir.display())
         })
     }
 }
@@ -211,9 +211,9 @@ impl StoreOpts {
 /// Parses `--backend mem|file|file-checksummed [--store DIR]
 /// [--io-depth N] [--readahead N]`.
 ///
-/// The page-image directory and the prefetch knobs only mean something
-/// when pages live in a real file, so on the default mem backend every
-/// flag of the group is rejected (same orphan-flag pattern as `--shed`
+/// The page-image directory and serve's prefetch knobs only mean
+/// something when pages live in a real file, so on the default mem backend
+/// every flag of the group is rejected (same orphan-flag pattern as `--shed`
 /// without `--shards`); `--io-depth 0` fails like `--threads 0` — the
 /// depth is the number of dedicated I/O workers.
 fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
@@ -400,7 +400,7 @@ fn build_threads(args: &Args) -> Result<usize, String> {
 fn cmd_build(args: &[String]) -> Result<(), String> {
     use transformers::{IndexConfig, TransformersIndex};
 
-    // `--io-depth`/`--readahead` drive the join/serve prefetch pipelines;
+    // `--io-depth`/`--readahead` drive the serve prefetch pipeline;
     // `tfm build` only writes the page image, so it does not read them.
     let args = parse_args("build", args)?;
     let path = args.required("--in");
@@ -506,27 +506,12 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let threads = args.count("--threads")?.unwrap_or(1);
     let build_threads = build_threads(&args)?;
     let store = parse_store_opts(&args)?;
-    let parallel_transformers = threads > 1 && matches!(approach, Approach::Transformers(_));
-    // Join prefetch runs where the unit-page schedule exists: the parallel
-    // transformers path. Anywhere else a requested readahead would silently
-    // demand-page, so say so.
-    if store.readahead > 0 && !parallel_transformers {
-        eprintln!(
-            "note: join prefetch (--readahead/--io-depth) engages on the parallel \
-             transformers path; this run demand-pages"
-        );
-    }
 
     // `--threads N` (N > 1) routes TRANSFORMERS through the parallel
     // execution subsystem (`tfm-exec`); other approaches are sequential.
     let approach = match (approach, threads) {
         (Approach::Transformers(join_cfg), t) => {
             if t > 1 {
-                // The exec layer turns these into the chunk-schedule
-                // prefetch pipeline (no-ops with readahead 0).
-                let join_cfg = join_cfg
-                    .with_readahead(store.readahead)
-                    .with_io_depth(store.io_depth);
                 Approach::TransformersParallel(join_cfg, t)
             } else {
                 Approach::Transformers(join_cfg)
@@ -560,7 +545,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let (m, pairs) = run_approach(&approach, "cli", &a, &b, &cfg);
 
     println!("approach:        {}", m.approach);
-    if let Some(line) = store.summary() {
+    if let Some(line) = store.summary(false) {
         println!("{line}");
     }
     println!("datasets:        |A| = {}, |B| = {}", m.n_a, m.n_b);
@@ -577,7 +562,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     // over workers, so past one thread they are not shares of the wall.
     let cpu_split = if m.mem_join_wall.is_zero() && m.overhead_wall.is_zero() {
         String::new()
-    } else if parallel_transformers {
+    } else if matches!(approach, Approach::TransformersParallel(..)) {
         format!(
             "; worker-summed: {:.3}s in-memory join, {:.3}s exploration",
             m.mem_join_wall.as_secs_f64(),
@@ -614,15 +599,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         "join I/O:        {} pages ({} random, {} sequential)",
         m.pages_read, m.rand_reads, m.seq_reads
     );
-    if m.prefetch_issued > 0 {
-        println!(
-            "join prefetch:   {} pages issued ({} hit, {} unused — {:.1}% unused)",
-            m.prefetch_issued,
-            m.prefetch_hits,
-            m.prefetch_unused,
-            m.prefetch_unused as f64 / m.prefetch_issued as f64 * 100.0
-        );
-    }
     println!("intersection tests: {}", m.tests);
     if m.transformations > 0 {
         println!("transformations: {}", m.transformations);
@@ -749,7 +725,7 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     };
 
     let mut lines = vec![format!("engine:          {}", m.engine)];
-    lines.extend(store.summary());
+    lines.extend(store.summary(true));
     lines.push(format!(
         "dataset:         {path} ({} elements)",
         m.n_elements
@@ -1597,7 +1573,7 @@ mod tests {
         .expect_err("--io-depth 0 must be rejected");
         assert!(err.contains("--io-depth must be at least 1"), "{err}");
 
-        // The page-image and prefetch flags are orphans on the default
+        // The page-image and prefetch flags are orphans on serve's default
         // mem backend — readahead over in-memory pages is meaningless.
         for orphan in [
             &["--io-depth", "4"][..],
@@ -1607,9 +1583,28 @@ mod tests {
             let serve_args = sv(&[&["--in", "x.elems"][..], orphan].concat());
             let err = cmd_serve(&serve_args).expect_err("mem-backend orphan must be rejected");
             assert!(err.contains("requires --backend file"), "{err}");
-            let join_args = sv(&[&["--a", "x.a", "--b", "x.b"][..], orphan].concat());
-            let err = cmd_join(&join_args).expect_err("mem-backend orphan must be rejected");
-            assert!(err.contains("requires --backend file"), "{err}");
+        }
+        let join_args = sv(&["--a", "x.a", "--b", "x.b", "--store", "/tmp/x"]);
+        let err = cmd_join(&join_args).expect_err("mem-backend orphan must be rejected");
+        assert!(err.contains("requires --backend file"), "{err}");
+
+        // A join's pages are read by its workers alone: the prefetch knobs
+        // are not among its flags, on any backend.
+        for (flag, value) in [("--io-depth", "2"), ("--readahead", "64")] {
+            for backend in ["mem", "file"] {
+                let join_args = sv(&[
+                    "--a",
+                    "x.a",
+                    "--b",
+                    "x.b",
+                    "--backend",
+                    backend,
+                    flag,
+                    value,
+                ]);
+                let err = cmd_join(&join_args).expect_err("join must reject prefetch knobs");
+                assert!(err.contains(&format!("`{flag}` for `tfm join`")), "{err}");
+            }
         }
 
         // Unknown backend names fail with the candidate list.
@@ -1798,9 +1793,8 @@ mod tests {
             );
         }
 
-        // Parallel join over file-backed indexes with the prefetch
-        // pipeline on verifies against the nested-loop oracle — prefetch
-        // must not change results.
+        // Parallel join over file-backed indexes verifies against the
+        // nested-loop oracle.
         cmd_join(&sv(&[
             "--a",
             elems.s(),
@@ -1812,10 +1806,6 @@ mod tests {
             store_s,
             "--threads",
             "2",
-            "--io-depth",
-            "2",
-            "--readahead",
-            "64",
             "--verify",
         ]))
         .unwrap();

@@ -123,15 +123,6 @@ pub struct JoinConfig {
     /// pages out and holds no frame). Results are byte-identical at any
     /// capacity; only I/O counters change.
     pub pool_pages: usize,
-    /// Parallel path only: prefetch window in pages (capacity of the
-    /// bounded, lossy [`tfm_pool::RequestQueue`] of page ids feeding the
-    /// I/O threads).
-    /// `0` (the default) disables join prefetch — every unit page is
-    /// demand-paged. The sequential join ignores this field.
-    pub readahead: usize,
-    /// Parallel path only: dedicated prefetch I/O threads when `readahead`
-    /// is non-zero (clamped to at least 1). Ignored when prefetch is off.
-    pub io_depth: usize,
 }
 
 impl Default for JoinConfig {
@@ -140,8 +131,6 @@ impl Default for JoinConfig {
             thresholds: ThresholdPolicy::CostModel,
             first_guide: GuidePick::A,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
-            readahead: 0,
-            io_depth: 1,
         }
     }
 }
@@ -158,20 +147,6 @@ impl JoinConfig {
     /// Builder: replaces the threshold policy.
     pub fn with_thresholds(mut self, thresholds: ThresholdPolicy) -> Self {
         self.thresholds = thresholds;
-        self
-    }
-
-    /// Builder: enables join prefetch with a readahead window of `pages`
-    /// (0 disables).
-    pub fn with_readahead(mut self, pages: usize) -> Self {
-        self.readahead = pages;
-        self
-    }
-
-    /// Builder: sets the prefetch I/O thread count (clamped to ≥ 1 when
-    /// prefetch is active).
-    pub fn with_io_depth(mut self, depth: usize) -> Self {
-        self.io_depth = depth;
         self
     }
 }

@@ -299,21 +299,6 @@ impl<'a> JoinRun<'a> {
         self.guide().nodes.len()
     }
 
-    /// The guide's node and unit tables, in pivot order.
-    pub fn guide_tables(&self) -> (&[SpaceNode], &[SpaceUnitDesc]) {
-        (&self.guide().nodes, &self.guide().units)
-    }
-
-    /// The follower's index.
-    pub fn follower_index(&self) -> &'a TransformersIndex {
-        self.follower().idx
-    }
-
-    /// The guide's and the follower's page caches, in that order.
-    pub fn caches(&self) -> [&'a SharedPageCache<'a>; 2] {
-        [self.guide().cache, self.follower().cache]
-    }
-
     /// Whether every follower node is covered on the board. Every guide
     /// pivot still pending would then have its whole candidate list pruned,
     /// so an engine skips it (counted in

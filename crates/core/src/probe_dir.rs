@@ -4,7 +4,7 @@
 //! The paper's hierarchy exists so a probe touches only the descriptors
 //! near it; a flat scan of the node table throws that away. The directory
 //! restores it for every probe-shaped prefilter (serve execute, readahead
-//! schedules, the mutable overlay's queries, the join's chunk prefetch):
+//! schedules, the mutable overlay's queries):
 //! level 0 is a dense copy of the node page MBBs in node order, and each
 //! box of level `k + 1` is the union of a run of [`FANOUT`] consecutive
 //! level-`k` boxes. Nodes come out of the node-level STR pass in STR

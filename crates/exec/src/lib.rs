@@ -21,11 +21,15 @@
 //!   crate) where each worker owns one engine of the join, reading through
 //!   the two per-dataset [`SharedPageCache`]s, sharded for the worker
 //!   count, that every worker shares;
-//! * **prune announcements** at chunk boundaries, the join **prefetch**
-//!   pipeline and the [`ExecReport`]. The workers' raw pairs and statistics
-//!   go to [`transformers::JoinRun::finish`] in worker order, so
+//! * **prune announcements** at chunk boundaries and the [`ExecReport`].
+//!   The workers' raw pairs and statistics go to
+//!   [`transformers::JoinRun::finish`] in worker order, so
 //!   [`parallel_join`] returns the sequential join's pair vector whatever
 //!   the thread count or scheduling.
+//!
+//! The engines are the join's only readers: [`parallel_join_with_report`]
+//! spawns exactly `threads` workers, and every page the join reads is read
+//! by one of their engines.
 //!
 //! # The transformation / pruning protocol
 //!
@@ -96,61 +100,12 @@ pub mod pool {
     pub use tfm_pool::{Chunk, ChunkScheduler, StagePool};
 }
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use tfm_pool::{Chunk, ChunkScheduler, RequestQueue, StagePool};
-use tfm_storage::{Disk, PageId, SharedPageCache};
+use tfm_pool::{ChunkScheduler, StagePool};
+use tfm_storage::{Disk, SharedPageCache};
 use transformers::{JoinConfig, JoinOutcome, JoinRun, TransformersIndex, TransformersStats};
 
 /// What one worker hands back: raw pairs, its stats, pivots processed.
 type WorkerResult = (Vec<(u64, u64)>, TransformersStats, u64);
-
-/// Bit 63 of a queued page id routes the prefetch to the follower-side
-/// cache; the two datasets have independent page-id spaces, so the queue
-/// needs an in-band side tag. Page ids are dense allocations far below
-/// 2⁶³, so the bit is otherwise unused. The tag never leaves this crate:
-/// it is applied when a schedule is pushed and stripped by the I/O thread
-/// before the cache sees the id.
-const FOLLOWER_PAGE_TAG: u64 = 1 << 63;
-
-/// Derives the unit-page schedule of one claimed pivot chunk and pushes
-/// it into the prefetch window (lossy: pages beyond the window are simply
-/// demand-paged).
-///
-/// The schedule mirrors what the engine will read: every unit page of the
-/// chunk's guide pivots, plus — the same page-MBB prefilter the serve
-/// engines use for their readahead
-/// ([`TransformersIndex::for_each_candidate_unit`]) — the follower unit
-/// pages whose node and unit page MBBs intersect a pivot's page MBB. The
-/// follower crawl can reach a little past a pivot's MBB (reach-epsilon
-/// expansion), so the prefilter under-approximates slightly; missed pages
-/// demand-page while over-fetching would show up as
-/// `io.prefetch.join.unused`.
-///
-/// Stealing needs no special case: chunks are claimed whole from the
-/// scheduler, so whichever worker ends up with a stolen chunk pushes the
-/// chunk's full schedule before touching its pivots.
-fn push_chunk_schedule(queue: &RequestQueue<PageId>, chunk: &Chunk, join: &JoinRun<'_>) {
-    let (guide_nodes, guide_units) = join.guide_tables();
-    let follower = join.follower_index();
-    let follower_units = follower.units();
-    let mut pages: Vec<u64> = Vec::new();
-    for pivot in &guide_nodes[chunk.start..chunk.end] {
-        for u in pivot.unit_range() {
-            pages.push(guide_units[u].page.0);
-        }
-        follower.for_each_candidate_unit(&pivot.page_mbb, |u| {
-            pages.push(follower_units[u].page.0 | FOLLOWER_PAGE_TAG);
-        });
-    }
-    // Ascending-id sweep per side (the tag bit sorts the follower run
-    // after the guide run), duplicates collapsed within the chunk;
-    // cross-chunk duplicates are cheap no-ops in `prefetch_page`.
-    pages.sort_unstable();
-    pages.dedup();
-    for p in pages {
-        let _ = queue.try_push(PageId(p));
-    }
-}
 
 /// How a parallel join was executed: scheduling and balance counters.
 #[derive(Debug, Clone)]
@@ -172,15 +127,6 @@ pub struct ExecReport {
     /// fully covered before these chunks were dispatched, so their pivots
     /// could not have contributed any new pair.
     pub chunks_pruned: u64,
-    /// Pages the join prefetch pipeline read and landed into the caches
-    /// (both sides; 0 when prefetch is off).
-    pub prefetch_issued: u64,
-    /// Demand reads served by a join-prefetched frame.
-    pub prefetch_hits: u64,
-    /// Join-prefetched pages never consumed by a demand read — evicted
-    /// early or still untouched at the end of the run. The readahead
-    /// window is mis-sized when this grows against `prefetch_issued`.
-    pub prefetch_unused: u64,
 }
 
 impl ExecReport {
@@ -193,16 +139,6 @@ impl ExecReport {
             return 0.0;
         }
         (self.steals as f64 / dispatched as f64).clamp(0.0, 1.0)
-    }
-
-    /// Fraction of issued join prefetches never consumed by a demand read,
-    /// in `0.0..=1.0` (0 when prefetch was off) — the readahead-window
-    /// sizing signal `bench_tune` gates on.
-    pub fn unused_prefetch_fraction(&self) -> f64 {
-        if self.prefetch_issued == 0 {
-            return 0.0;
-        }
-        (self.prefetch_unused as f64 / self.prefetch_issued as f64).clamp(0.0, 1.0)
     }
 }
 
@@ -239,55 +175,17 @@ pub fn parallel_join_with_report(
     // side without changing that list.
     let join = JoinRun::new(idx_a, &cache_a, idx_b, &cache_b, cfg);
 
-    // The join-path prefetch pipeline (the serve tier's readahead, pointed
-    // at the exec scheduler's foreknowledge): each claimed chunk's
-    // unit-page schedule is pushed into a bounded lossy window, and
-    // `io_depth` dedicated I/O threads pop ids and land the pages into
-    // recycled cache frames ahead of the workers. Purely a warm-up —
-    // results are byte-identical with prefetch on or off.
-    let prefetch_on = cfg.readahead > 0;
-    let io_threads = if prefetch_on { cfg.io_depth.max(1) } else { 0 };
-    let prefetch_queue = prefetch_on.then(|| RequestQueue::<PageId>::new(cfg.readahead));
-    // The last join worker to finish closes the window so the I/O threads
-    // drain and exit.
-    let join_workers_left = AtomicUsize::new(threads);
-
     let pivots = join.pivots();
     let pivots_per_chunk = chunk_size(pivots, threads);
     let scheduler = ChunkScheduler::new(pivots, threads, pivots_per_chunk);
 
-    // One worker per thread plus the dedicated prefetch I/O threads,
-    // results collected in worker order — the merge depends on that order
-    // (I/O threads return empty results and are skipped there).
-    let worker_pool = StagePool::new(threads + io_threads);
+    // One worker per thread, results collected in worker order — the
+    // merge depends on that order.
+    let worker_pool = StagePool::new(threads);
     let worker_results: Vec<WorkerResult> = worker_pool.scoped_run(|w| {
-        if w >= threads {
-            // Prefetch I/O thread: pop tagged page ids and land the pages
-            // into the side's cache until the window closes.
-            let pq = prefetch_queue
-                .as_ref()
-                .expect("I/O threads only spawn with prefetch on");
-            let [guide, follower] = join.caches();
-            let mut scratch = Vec::new();
-            while let Some(id) = pq.pop() {
-                let cache = if id.0 & FOLLOWER_PAGE_TAG != 0 {
-                    follower
-                } else {
-                    guide
-                };
-                cache.prefetch_page(PageId(id.0 & !FOLLOWER_PAGE_TAG), &mut scratch);
-            }
-            return (Vec::new(), TransformersStats::default(), 0);
-        }
         let mut engine = join.engine();
         let mut processed = 0;
         while let Some(chunk) = scheduler.next(w) {
-            // The chunk is claimed (own share or stolen) — push its page
-            // schedule before processing so the I/O threads warm the cache
-            // while the engine works through the pivots.
-            if let Some(pq) = &prefetch_queue {
-                push_chunk_schedule(pq, &chunk, &join);
-            }
             let _span = chunk_hist.as_ref().map(|h| h.span());
             engine.process_pivots(chunk.start..chunk.end);
             processed += chunk.len() as u64;
@@ -299,33 +197,10 @@ pub fn parallel_join_with_report(
             }
         }
         let (raw, stats) = engine.finish();
-        // Last join worker out closes the prefetch window; the I/O
-        // threads drain whatever is still queued, then exit.
-        if let Some(pq) = &prefetch_queue {
-            if join_workers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                pq.close();
-            }
-        }
         (raw, stats, processed)
     });
 
-    // Prefetch accounting: sweep still-resident-but-untouched prefetched
-    // frames into the unused counter first (the eviction path alone
-    // undercounts at end of run), then sum both sides.
-    let (mut pf_issued, mut pf_hits, mut pf_unused) = (0, 0, 0);
-    for c in [&cache_a, &cache_b] {
-        if prefetch_on {
-            c.reclaim_unused_prefetch();
-        }
-        let s = c.stats();
-        pf_issued += s.prefetch_issued;
-        pf_hits += s.prefetch_hits;
-        pf_unused += s.prefetch_unused;
-    }
-
-    // `.take(threads)` drops the trailing I/O-thread entries (always
-    // empty) so the per-worker balance vector only covers join workers.
-    let worker_pivots: Vec<u64> = worker_results.iter().take(threads).map(|r| r.2).collect();
+    let worker_pivots: Vec<u64> = worker_results.iter().map(|r| r.2).collect();
     let report = ExecReport {
         threads,
         pivots: worker_pivots.iter().sum(),
@@ -334,19 +209,15 @@ pub fn parallel_join_with_report(
         steals: scheduler.steals(),
         worker_pivots,
         chunks_pruned: scheduler.chunks_cancelled(),
-        prefetch_issued: pf_issued,
-        prefetch_hits: pf_hits,
-        prefetch_unused: pf_unused,
     };
     let outcome = join.finish(
         worker_results
             .into_iter()
-            .take(threads)
             .map(|(raw, stats, _)| (raw, stats)),
     );
 
     // Run-end telemetry past what the join's finish publishes: the
-    // scheduler's balance counters and the join-path slice of prefetch.
+    // scheduler's balance counters.
     if obs.is_enabled() {
         use tfm_obs::names;
         obs.counter(names::JOIN_PIVOTS).add(report.pivots);
@@ -356,17 +227,6 @@ pub fn parallel_join_with_report(
         obs.counter(names::JOIN_STEALS).add(report.steals);
         obs.histogram(names::JOIN_WALL_NANOS)
             .record(wall_start.elapsed().as_nanos() as u64);
-        // Published under its own prefix so a mis-sized `--readahead`
-        // shows up by itself (the generic `io.prefetch.*` totals come with
-        // the caches' extras).
-        if prefetch_on {
-            obs.counter(names::IO_PREFETCH_JOIN_ISSUED)
-                .add(report.prefetch_issued);
-            obs.counter(names::IO_PREFETCH_JOIN_HITS)
-                .add(report.prefetch_hits);
-            obs.counter(names::IO_PREFETCH_JOIN_UNUSED)
-                .add(report.prefetch_unused);
-        }
     }
     (outcome, report)
 }
@@ -567,54 +427,40 @@ mod tests {
             steals: 0,
             worker_pivots: vec![0, 0],
             chunks_pruned: 0,
-            prefetch_issued: 0,
-            prefetch_hits: 0,
-            prefetch_unused: 0,
         };
         assert_eq!(empty.steal_fraction(), 0.0);
-        assert_eq!(empty.unused_prefetch_fraction(), 0.0);
         let all_pruned = ExecReport {
             chunks: 8,
             chunks_pruned: 8,
-            ..empty.clone()
-        };
-        assert_eq!(all_pruned.steal_fraction(), 0.0);
-        let half_unused = ExecReport {
-            prefetch_issued: 10,
-            prefetch_hits: 5,
-            prefetch_unused: 5,
             ..empty
         };
-        assert_eq!(half_unused.unused_prefetch_fraction(), 0.5);
+        assert_eq!(all_pruned.steal_fraction(), 0.0);
     }
 
+    /// The engines are the join's only readers: what the two disks read
+    /// over a parallel join is exactly what the engines count — the
+    /// descriptor tables' metadata pages, the cache misses and the pages
+    /// read through to keep a run sequential.
     #[test]
-    fn prefetch_pipeline_matches_sequential_and_issues_pages() {
+    fn every_disk_read_is_an_engines() {
         let (disk_a, idx_a, disk_b, idx_b) = adaptive_fixture();
-        let seq = transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &JoinConfig::default());
+        let cfg = JoinConfig::default();
         for threads in [1, 2, 4] {
-            for io_depth in [1, 4] {
-                let cfg = JoinConfig::default()
-                    .with_readahead(256)
-                    .with_io_depth(io_depth);
-                let (par, report) =
-                    parallel_join_with_report(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads);
-                assert_eq!(
-                    par.pairs, seq.pairs,
-                    "threads={threads} io_depth={io_depth}: prefetch changed results"
-                );
-                assert!(
-                    report.prefetch_issued > 0,
-                    "threads={threads} io_depth={io_depth}: no pages prefetched"
-                );
-                assert_eq!(
-                    report.prefetch_issued,
-                    report.prefetch_hits + report.prefetch_unused,
-                    "threads={threads} io_depth={io_depth}: every issued prefetch \
-                     must resolve to a hit or be reclaimed as unused"
-                );
-                assert_eq!(report.worker_pivots.len(), threads.max(1));
-            }
+            let before = disk_a.stats().merged(&disk_b.stats());
+            let (par, report) =
+                parallel_join_with_report(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads);
+            let disk_reads = disk_a
+                .stats()
+                .merged(&disk_b.stats())
+                .delta_since(&before)
+                .reads();
+            let s = &par.stats;
+            assert_eq!(report.worker_pivots.len(), threads, "one entry per worker");
+            assert_eq!(
+                disk_reads,
+                s.metadata_pages_read + s.pages_read + s.read_through_pages,
+                "threads = {threads}: a disk read no engine counted: {s:?}"
+            );
         }
     }
 }

@@ -53,11 +53,12 @@ pub const IO_RAND_WRITES: &str = "io.rand_writes";
 /// Simulated I/O cost in nanoseconds (disk model time, not wall time).
 pub const IO_SIM_NANOS: &str = "io.sim_nanos";
 
-// --- io.prefetch.* : the readahead pipeline (SharedPageCache prefetch) ---
+// --- io.prefetch.* : the serve tier's readahead (SharedPageCache prefetch) ---
 //
-// Kept disjoint from the `cache.*` hit/miss pair: a read served by a
-// prefetched frame counts here and **only** here, so readahead can never
-// inflate a cache hit-fraction gate.
+// The serve tier's readahead is the only prefetch source: the join's
+// pages are read by its engines alone. Kept disjoint from the `cache.*`
+// hit/miss pair: a read served by a prefetched frame counts here and
+// **only** here, so readahead can never inflate a cache hit-fraction gate.
 
 /// Pages the prefetch pipeline read and landed into cache frames.
 pub const IO_PREFETCH_ISSUED: &str = "io.prefetch.issued";
@@ -68,21 +69,6 @@ pub const IO_PREFETCH_UNUSED: &str = "io.prefetch.unused";
 /// Prefetch reads dropped because a cache write reached the page's shard
 /// while the read was in flight (the bytes could predate the write).
 pub const IO_PREFETCH_STALE: &str = "io.prefetch.stale";
-
-// --- io.prefetch.join.* : the join-path slice of the readahead pipeline ---
-//
-// The `io.prefetch.*` totals above sum every prefetch source of a
-// process. The join path publishes its share again under this prefix, so
-// a mis-sized `tfm join --readahead` window shows up by itself instead of
-// being averaged away against the serve tier's readahead.
-
-/// Pages the join-chunk scheduler prefetched into the caches.
-pub const IO_PREFETCH_JOIN_ISSUED: &str = "io.prefetch.join.issued";
-/// Join demand reads served by a prefetched frame.
-pub const IO_PREFETCH_JOIN_HITS: &str = "io.prefetch.join.hits";
-/// Join-prefetched frames never used by a demand read (evicted early, or
-/// still untouched when the join finished).
-pub const IO_PREFETCH_JOIN_UNUSED: &str = "io.prefetch.join.unused";
 
 // --- wal.* : the write-ahead log (tfm-wal) ---
 //

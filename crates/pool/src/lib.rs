@@ -24,7 +24,7 @@
 //!   regardless of thread count or scheduling, which is what lets the
 //!   parallel index build produce byte-identical pages;
 //! * [`RequestQueue`] — the bounded MPMC queue under the serve tier's
-//!   admission edge and under every readahead window.
+//!   admission edge and under its readahead window.
 //!
 //! Everything runs on `std::thread::scope` — workers borrow their inputs,
 //! no `'static` bounds, no channels, and the pool itself is just a thread

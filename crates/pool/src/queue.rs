@@ -2,7 +2,7 @@
 //!
 //! Two edges of the workspace run on it: the serve tier's admission queue
 //! of query batches, and the readahead window of page ids that the serve
-//! tier and the parallel join push for their prefetch I/O threads (lossy:
+//! tier pushes for its prefetch I/O threads (lossy:
 //! only [`RequestQueue::try_push`], so a full window drops ids, which are
 //! then read on demand). Capacity is fixed at
 //! construction; [`RequestQueue::push`] blocks while the queue is full

@@ -766,31 +766,6 @@ impl<'d> SharedPageCache<'d> {
         s
     }
 
-    /// Sweeps every shard for frames the prefetcher landed that no demand
-    /// read ever touched, clearing their marks and folding them into
-    /// [`CacheStats::prefetch_unused`]. Returns the number reclaimed.
-    ///
-    /// The eviction path only notices an unused prefetch when the frame is
-    /// recycled; pages that stay resident to the end of a run would
-    /// otherwise vanish from the accounting. Run-level reporters (the join
-    /// path) call this once before snapshotting stats so a mis-sized
-    /// readahead window is visible even when the cache never filled.
-    pub fn reclaim_unused_prefetch(&self) -> u64 {
-        let mut reclaimed = 0u64;
-        for shard in self.shards.iter() {
-            let mut guard = shard.inner.lock();
-            let ShardInner { ring, counters, .. } = &mut *guard;
-            for (_, f) in ring.iter_mut() {
-                if f.prefetched {
-                    f.prefetched = false;
-                    counters.prefetch_unused += 1;
-                    reclaimed += 1;
-                }
-            }
-        }
-        reclaimed
-    }
-
     /// Drops every *clean* cached page and decoded entry (counters keep
     /// running). Dirty frames are retained — dropping them would lose
     /// writes that only exist in the cache; flush first if a full clear is
@@ -1296,29 +1271,6 @@ mod tests {
         let decoded = cache.read_decoded(&codec, p);
         assert_eq!(decoded.len(), 2, "stale decode was dropped");
         assert_eq!(decoded[0].id, 8);
-    }
-
-    #[test]
-    fn reclaim_counts_resident_unused_prefetches() {
-        let d = disk_with_pages(8, 32);
-        let cache = SharedPageCache::with_shards(&d, 8, 2);
-        let mut scratch = Vec::new();
-        for i in 0..4u64 {
-            cache.prefetch_page(PageId(i), &mut scratch);
-        }
-        // One of the four is consumed; the other three sit resident and
-        // would escape the eviction-time accounting.
-        let (_, o) = cache.read_tracked(PageId(0));
-        assert_eq!(o, ReadOutcome::PrefetchHit);
-        assert_eq!(cache.reclaim_unused_prefetch(), 3);
-        let s = cache.stats();
-        assert_eq!(s.prefetch_unused, 3);
-        assert_eq!(s.prefetch_hits, 1);
-        // Marks were cleared: a second sweep finds nothing and the pages
-        // now read as plain hits.
-        assert_eq!(cache.reclaim_unused_prefetch(), 0);
-        let (_, o) = cache.read_tracked(PageId(1));
-        assert_eq!(o, ReadOutcome::Hit);
     }
 
     #[test]
