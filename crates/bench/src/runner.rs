@@ -105,13 +105,6 @@ pub struct RunConfig {
     /// (tagged by role) under the given directory and reads it back with
     /// positional I/O. Results are byte-identical either way.
     pub backend: StoreBackend,
-    /// Device read-latency injection scale, forwarded to
-    /// [`Disk::with_read_latency`]: each page read sleeps
-    /// `model cost × scale` on the reading thread. `0.0` (the default)
-    /// disables injection; non-zero values make cold-cache wall time
-    /// track the [`tfm_storage::DiskModel`] so queue-depth experiments
-    /// behave like a real device even on one core.
-    pub read_latency: f64,
 }
 
 impl Default for RunConfig {
@@ -122,7 +115,6 @@ impl Default for RunConfig {
             pool_pages: 1024,
             build_threads: 1,
             backend: StoreBackend::Mem,
-            read_latency: 0.0,
         }
     }
 }
@@ -132,9 +124,7 @@ impl RunConfig {
     /// backend is a file directory (`<dir>/<tag>.pages`); the mem backend
     /// ignores it.
     pub fn disk(&self, tag: &str) -> Disk {
-        Disk::for_backend(&self.backend, self.page_size, tag)
-            .expect("run disk backend")
-            .with_read_latency(self.read_latency)
+        Disk::for_backend(&self.backend, self.page_size, tag).expect("run disk backend")
     }
 }
 

@@ -60,19 +60,6 @@ pub struct ServeMetrics {
     pub lock_acquisitions: u64,
     /// Contended shard-lock acquisitions of the engine's cache.
     pub lock_contended: u64,
-    /// Pages the prefetch pipeline landed into cache frames (0 with
-    /// readahead off).
-    pub prefetch_issued: u64,
-    /// Demand reads served by a prefetched frame — kept disjoint from
-    /// `pool_hits`/`pool_misses`, so readahead cannot inflate the
-    /// hit-fraction gates.
-    pub prefetch_hits: u64,
-    /// Prefetched frames evicted before any demand read used them.
-    pub prefetch_unused: u64,
-    /// Prefetch I/O threads the run was configured with.
-    pub io_depth: usize,
-    /// Readahead window in pages (0 = prefetch pipeline off).
-    pub readahead: usize,
     /// Mean shards routed per query.
     pub fanout_mean: f64,
     /// Largest per-query fanout.
@@ -137,11 +124,6 @@ impl ServeMetrics {
             pool_misses: stats.pool_misses,
             lock_acquisitions: stats.cache.lock_acquisitions,
             lock_contended: stats.cache.lock_contended,
-            prefetch_issued: stats.cache.prefetch_issued,
-            prefetch_hits: stats.cache.prefetch_hits,
-            prefetch_unused: stats.cache.prefetch_unused,
-            io_depth: cfg.io_depth.max(1),
-            readahead: cfg.readahead,
             fanout_mean: stats.fanout_mean,
             fanout_max: stats.fanout_max,
             routed_partials: stats.routed_partials,
@@ -310,12 +292,12 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,prefetch_issued,prefetch_hits,prefetch_unused,io_depth,readahead,shards,fanout_mean,fanout_max,routed_partials,shed_partials,max_cluster_pressure,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,shards,fanout_mean,fanout_max,routed_partials,shed_partials,max_cluster_pressure,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{}",
+        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{}",
         m.workload,
         m.engine,
         m.n_elements,
@@ -338,11 +320,6 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.pool_misses,
         m.lock_acquisitions,
         m.lock_contended,
-        m.prefetch_issued,
-        m.prefetch_hits,
-        m.prefetch_unused,
-        m.io_depth,
-        m.readahead,
         m.shards,
         m.fanout_mean,
         m.fanout_max,

@@ -5,10 +5,10 @@
 //! [`StoreBackend::File`] page store and must return exactly the same
 //! results: the backend decides where page bytes live, never what a
 //! query or join computes. The sweeps cover all three serve engines and
-//! join approaches at 1/2/4/8 workers, sharded and unsharded. Serve runs
-//! its prefetch pipeline (dedicated I/O threads + Hilbert-driven
-//! readahead) wherever the engine supports it; a join's pages are read by
-//! its workers alone.
+//! join approaches at 1/2/4/8 workers, sharded and unsharded. Every page
+//! is read on demand by the query or join worker that needs it, so at one
+//! worker the file backend also repeats the in-memory run's page reads,
+//! hits and misses exactly.
 
 use tfm_bench::{run_approach, run_serve, run_serve_sharded, Approach, RunConfig, ServeEngineKind};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
@@ -51,19 +51,7 @@ fn serve_results_match_mem_across_engines_and_workers() {
             &ServeConfig::default(),
         );
         for &threads in &WORKER_SWEEP {
-            // The R-tree engine has no page-schedule hook: it serves the
-            // file image demand-paged (readahead 0); the other engines
-            // run the full prefetch pipeline.
-            let readahead = if matches!(kind, ServeEngineKind::Rtree) {
-                0
-            } else {
-                64
-            };
-            let serve_cfg = ServeConfig::default()
-                .with_threads(threads)
-                .with_batch(32)
-                .with_io_depth(2)
-                .with_readahead(readahead);
+            let serve_cfg = ServeConfig::default().with_threads(threads).with_batch(32);
             let (_, results) =
                 run_serve(kind, "io-eq", &dataset, &trace, &file_cfg(&dir), &serve_cfg);
             assert_eq!(
@@ -71,6 +59,37 @@ fn serve_results_match_mem_across_engines_and_workers() {
                 "{kind:?}: file backend diverged at {threads} workers"
             );
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_counts_match_mem_at_one_worker() {
+    let dataset = generate(&DatasetSpec {
+        max_side: 6.0,
+        ..DatasetSpec::uniform(4_000, 107)
+    });
+    let trace = generate_trace(&QueryTraceSpec::uniform(400, 108));
+    let dir = image_dir("counts");
+    // A cache smaller than the touched page set, so the run evicts and
+    // reads pages again: the counts are the demand-paging sequence itself.
+    let cfg = ServeConfig {
+        pool_pages: 48,
+        ..ServeConfig::default().with_batch(32)
+    };
+
+    for kind in ServeEngineKind::all() {
+        let (mem, mem_results) =
+            run_serve(kind, "io-eq", &dataset, &trace, &RunConfig::default(), &cfg);
+        let (file, file_results) =
+            run_serve(kind, "io-eq", &dataset, &trace, &file_cfg(&dir), &cfg);
+        assert_eq!(file_results, mem_results, "{kind:?}: results diverged");
+        assert!(mem.pool_misses > 0 && mem.pool_hits > 0, "{kind:?}");
+        assert_eq!(
+            (file.pages_read, file.pool_hits, file.pool_misses),
+            (mem.pages_read, mem.pool_hits, mem.pool_misses),
+            "{kind:?}: file backend read other pages than the mem run"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -107,12 +126,6 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
             let cfg = ServeConfig {
                 threads: workers,
                 batch: 32,
-                io_depth: 2,
-                readahead: if matches!(kind, ServeEngineKind::Rtree) {
-                    0
-                } else {
-                    32
-                },
                 ..ServeConfig::default()
             };
             let (_, results, _) = run_serve_sharded(

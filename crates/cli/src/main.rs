@@ -87,7 +87,7 @@ USAGE:
             [--no-hilbert] [--mix M] [--page-size N]
             [--build-threads N] [--trace-seed S] [--window F] [--eps F]
             [--shards N] [--shard-partitioner hilbert|str] [--shed]
-            [--backend mem|file|file-checksummed] [--store DIR] [--io-depth N] [--readahead N]
+            [--backend mem|file|file-checksummed] [--store DIR]
             [--verify] [--metrics PATH] [--metrics-format jsonl|prometheus]
             [--metrics-interval-ms N]
       builds the chosen index once, generates a deterministic query trace
@@ -131,13 +131,10 @@ STORAGE BACKEND (build + join + serve):
       DIR (default: a per-run temp directory), read with positional I/O;
       the default mem backend keeps pages in memory. --backend
       file-checksummed adds a per-page checksum sidecar so torn
-      data-page writes are detected on read (the write path's posture). On the file backend
-      `tfm serve` runs a prefetch pipeline: --io-depth N puts N
-      dedicated I/O threads behind the workers and --readahead N keeps up
-      to N pages in flight along each batch's Hilbert-ordered page
-      schedule (results stay byte-identical). A join's pages are read by
-      its workers alone.
-      --store/--io-depth/--readahead require --backend file.
+      data-page writes are detected on read (the write path's posture).
+      Every page is read on demand by the query or join worker that needs
+      it; results and page counts do not depend on the backend.
+      --store requires --backend file.
 
 METRICS (join + serve):
   --metrics PATH: enable the tfm-obs registry for the run and export the
@@ -176,10 +173,6 @@ fn parse_args(command: &str, args: &[String]) -> Result<Args, String> {
 /// `tfm serve`.
 struct StoreOpts {
     backend: StoreBackend,
-    /// `tfm serve`'s prefetch knobs: the other subcommands do not declare
-    /// `--io-depth`/`--readahead`, so there they keep these defaults.
-    io_depth: usize,
-    readahead: usize,
 }
 
 impl StoreOpts {
@@ -192,30 +185,18 @@ impl StoreOpts {
     }
 
     /// The `backend:` summary line of `tfm join` and `tfm serve`, when the
-    /// backend is a file; serve's adds its prefetch knobs.
-    fn summary(&self, prefetch: bool) -> Option<String> {
-        self.dir().map(|dir| {
-            let knobs = if prefetch {
-                format!(
-                    "; io depth {}, readahead {} pages",
-                    self.io_depth, self.readahead
-                )
-            } else {
-                String::new()
-            };
-            format!("backend:         file ({}{knobs})", dir.display())
-        })
+    /// backend is a file.
+    fn summary(&self) -> Option<String> {
+        self.dir()
+            .map(|dir| format!("backend:         file ({})", dir.display()))
     }
 }
 
-/// Parses `--backend mem|file|file-checksummed [--store DIR]
-/// [--io-depth N] [--readahead N]`.
+/// Parses `--backend mem|file|file-checksummed [--store DIR]`.
 ///
-/// The page-image directory and serve's prefetch knobs only mean
-/// something when pages live in a real file, so on the default mem backend
-/// every flag of the group is rejected (same orphan-flag pattern as `--shed`
-/// without `--shards`); `--io-depth 0` fails like `--threads 0` — the
-/// depth is the number of dedicated I/O workers.
+/// The page-image directory only means something when pages live in a
+/// real file, so on the default mem backend `--store` is rejected (same
+/// orphan-flag pattern as `--shed` without `--shards`).
 fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
     let dir = || {
         args.get("--store").map_or_else(
@@ -225,10 +206,8 @@ fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
     };
     let backend = match args.get("--backend").unwrap_or("mem") {
         "mem" => {
-            for name in ["--store", "--io-depth", "--readahead"] {
-                if args.get(name).is_some() {
-                    return Err(format!("{name} requires --backend file"));
-                }
+            if args.get("--store").is_some() {
+                return Err("--store requires --backend file".to_string());
             }
             StoreBackend::Mem
         }
@@ -242,11 +221,7 @@ fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
             ))
         }
     };
-    Ok(StoreOpts {
-        backend,
-        io_depth: args.count("--io-depth")?.unwrap_or(1),
-        readahead: args.value("--readahead")?.unwrap_or(0),
-    })
+    Ok(StoreOpts { backend })
 }
 
 /// `--metrics` export options shared by `tfm join` and `tfm serve`.
@@ -400,8 +375,6 @@ fn build_threads(args: &Args) -> Result<usize, String> {
 fn cmd_build(args: &[String]) -> Result<(), String> {
     use transformers::{IndexConfig, TransformersIndex};
 
-    // `--io-depth`/`--readahead` drive the serve prefetch pipeline;
-    // `tfm build` only writes the page image, so it does not read them.
     let args = parse_args("build", args)?;
     let path = args.required("--in");
     let page_size: usize = args.value("--page-size")?.unwrap_or(2048);
@@ -545,7 +518,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let (m, pairs) = run_approach(&approach, "cli", &a, &b, &cfg);
 
     println!("approach:        {}", m.approach);
-    if let Some(line) = store.summary(false) {
+    if let Some(line) = store.summary() {
         println!("{line}");
     }
     println!("datasets:        |A| = {}, |B| = {}", m.n_a, m.n_b);
@@ -703,8 +676,6 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         threads,
         batch,
         hilbert_batching: !args.has("--no-hilbert"),
-        io_depth: store.io_depth,
-        readahead: store.readahead,
         shed: args.has("--shed"),
         // With --metrics the run also collects one per-query trace (queue
         // wait / service split, pool attribution) for the JSON-lines export.
@@ -725,7 +696,7 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     };
 
     let mut lines = vec![format!("engine:          {}", m.engine)];
-    lines.extend(store.summary(true));
+    lines.extend(store.summary());
     lines.push(format!(
         "dataset:         {path} ({} elements)",
         m.n_elements
@@ -1560,37 +1531,17 @@ mod tests {
 
     #[test]
     fn io_backend_flags_are_validated() {
-        // `--io-depth 0` fails fast like `--threads 0`, before any file
-        // I/O happens.
-        let err = cmd_serve(&sv(&[
-            "--in",
-            "x.elems",
-            "--backend",
-            "file",
-            "--io-depth",
-            "0",
-        ]))
-        .expect_err("--io-depth 0 must be rejected");
-        assert!(err.contains("--io-depth must be at least 1"), "{err}");
-
-        // The page-image and prefetch flags are orphans on serve's default
-        // mem backend — readahead over in-memory pages is meaningless.
-        for orphan in [
-            &["--io-depth", "4"][..],
-            &["--readahead", "64"][..],
-            &["--store", "/tmp/x"][..],
-        ] {
-            let serve_args = sv(&[&["--in", "x.elems"][..], orphan].concat());
-            let err = cmd_serve(&serve_args).expect_err("mem-backend orphan must be rejected");
-            assert!(err.contains("requires --backend file"), "{err}");
-        }
+        // The page-image directory is an orphan on the default mem backend.
+        let serve_args = sv(&["--in", "x.elems", "--store", "/tmp/x"]);
+        let err = cmd_serve(&serve_args).expect_err("mem-backend orphan must be rejected");
+        assert!(err.contains("requires --backend file"), "{err}");
         let join_args = sv(&["--a", "x.a", "--b", "x.b", "--store", "/tmp/x"]);
         let err = cmd_join(&join_args).expect_err("mem-backend orphan must be rejected");
         assert!(err.contains("requires --backend file"), "{err}");
 
-        // A join's pages are read by its workers alone: the prefetch knobs
-        // are not among its flags, on any backend.
-        for (flag, value) in [("--io-depth", "2"), ("--readahead", "64")] {
+        // Every page is read by the query or join worker that needs it:
+        // no command takes prefetch knobs, on any backend.
+        for (flag, value) in [("--io-depth", "2"), ("--readahead", "8")] {
             for backend in ["mem", "file"] {
                 let join_args = sv(&[
                     "--a",
@@ -1604,6 +1555,9 @@ mod tests {
                 ]);
                 let err = cmd_join(&join_args).expect_err("join must reject prefetch knobs");
                 assert!(err.contains(&format!("`{flag}` for `tfm join`")), "{err}");
+                let serve_args = sv(&["--in", "x.elems", "--backend", backend, flag, value]);
+                let err = cmd_serve(&serve_args).expect_err("serve must reject prefetch knobs");
+                assert!(err.contains(&format!("`{flag}` for `tfm serve`")), "{err}");
             }
         }
 
@@ -1611,8 +1565,7 @@ mod tests {
         let err = cmd_serve(&sv(&["--in", "x.elems", "--backend", "nvme"])).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
 
-        // `tfm build` writes the image but has no prefetch pipeline, so
-        // the prefetch knobs are not among its flags.
+        // `tfm build` writes the image and takes no prefetch knobs either.
         let err = cmd_build(&sv(&[
             "--in",
             "x.elems",
@@ -1739,8 +1692,8 @@ mod tests {
         assert!(image.exists(), "build must write {}", image.display());
         assert!(image.metadata().unwrap().len() > 0, "empty page image");
 
-        // Serve through the file backend with the prefetch pipeline on;
-        // results verify against the full-scan oracle.
+        // Serve the file image demand-paged; results verify against the
+        // full-scan oracle.
         cmd_serve(&sv(&[
             "--in",
             elems.s(),
@@ -1750,10 +1703,6 @@ mod tests {
             store_s,
             "--threads",
             "2",
-            "--io-depth",
-            "2",
-            "--readahead",
-            "64",
             "--queries",
             "60",
             "--batch",
@@ -1775,10 +1724,6 @@ mod tests {
             "2",
             "--threads",
             "2",
-            "--io-depth",
-            "2",
-            "--readahead",
-            "32",
             "--queries",
             "60",
             "--batch",

@@ -426,8 +426,8 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
 
     /// Pins one unit's page and hands `f` a borrowed view of its records:
     /// nothing is decoded, copied or allocated, and the pin is released
-    /// when `f` returns. Counts one page-tier hit, prefetch hit or miss on
-    /// this handle, exactly like [`PageReads::page`].
+    /// when `f` returns. Counts one page-tier hit or miss on this handle,
+    /// exactly like [`PageReads::page`].
     #[inline]
     pub fn with_records<R>(&mut self, unit: UnitId, f: impl FnOnce(ElementRecords<'_>) -> R) -> R {
         let page = self.cache.page(self.units[unit.0 as usize].page);
@@ -439,7 +439,7 @@ impl<'c, 'd> UnitReader<'_, 'c, 'd> {
         self.units[unit.0 as usize].page
     }
 
-    /// This handle's cache counters (hits, misses, prefetch hits).
+    /// This handle's cache counters (hits, misses).
     pub fn counters(&self) -> PoolCounters {
         self.cache.counters()
     }

@@ -53,23 +53,6 @@ pub const IO_RAND_WRITES: &str = "io.rand_writes";
 /// Simulated I/O cost in nanoseconds (disk model time, not wall time).
 pub const IO_SIM_NANOS: &str = "io.sim_nanos";
 
-// --- io.prefetch.* : the serve tier's readahead (SharedPageCache prefetch) ---
-//
-// The serve tier's readahead is the only prefetch source: the join's
-// pages are read by its engines alone. Kept disjoint from the `cache.*`
-// hit/miss pair: a read served by a prefetched frame counts here and
-// **only** here, so readahead can never inflate a cache hit-fraction gate.
-
-/// Pages the prefetch pipeline read and landed into cache frames.
-pub const IO_PREFETCH_ISSUED: &str = "io.prefetch.issued";
-/// Demand reads served by a prefetched (not yet otherwise used) frame.
-pub const IO_PREFETCH_HITS: &str = "io.prefetch.hits";
-/// Prefetched frames evicted before any demand read used them.
-pub const IO_PREFETCH_UNUSED: &str = "io.prefetch.unused";
-/// Prefetch reads dropped because a cache write reached the page's shard
-/// while the read was in flight (the bytes could predate the write).
-pub const IO_PREFETCH_STALE: &str = "io.prefetch.stale";
-
 // --- wal.* : the write-ahead log (tfm-wal) ---
 //
 // Published once per run by `Wal::publish_metrics` (writer-side counters)

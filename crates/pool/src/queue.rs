@@ -1,13 +1,9 @@
 //! A bounded multi-producer/multi-consumer queue.
 //!
-//! Two edges of the workspace run on it: the serve tier's admission queue
-//! of query batches, and the readahead window of page ids that the serve
-//! tier pushes for its prefetch I/O threads (lossy:
-//! only [`RequestQueue::try_push`], so a full window drops ids, which are
-//! then read on demand). Capacity is fixed at
-//! construction; [`RequestQueue::push`] blocks while the queue is full
-//! (**backpressure** — a producer that outruns the workers is slowed to
-//! their pace instead of growing an unbounded backlog), and
+//! The serve tier's admission queue of query batches runs on it. Capacity
+//! is fixed at construction; [`RequestQueue::push`] blocks while the
+//! queue is full (**backpressure** — a producer that outruns the workers
+//! is slowed to their pace instead of growing an unbounded backlog), and
 //! [`RequestQueue::try_push`] refuses instead of blocking (**admission
 //! control** — a front end that must not stall can shed load and count
 //! rejections). [`RequestQueue::close`] ends the stream: blocked
@@ -239,8 +235,9 @@ mod tests {
 
     #[test]
     fn concurrent_producers_and_consumers_see_every_id() {
-        // Lossy producers, as a readahead feeder pushes: each retries until
-        // its id is admitted, and the consumers see every one once.
+        // Producers that push with `try_push`, as a shedding feeder does,
+        // each retrying until its id is admitted: the consumers see every
+        // id once.
         let q = RequestQueue::new(8);
         let total = 200u64;
         let seen = std::thread::scope(|s| {

@@ -103,28 +103,14 @@ pub trait QueryEngine: Sync {
         self.cache().reset_stats();
     }
 
-    /// True when the engine has a cheap way to compute a readahead
-    /// schedule ([`prefetch_schedule`](Self::prefetch_schedule)).
-    fn supports_prefetch(&self) -> bool {
-        false
-    }
-
-    /// The pages `queries` will touch, deduplicated and in ascending page
-    /// order — a readahead schedule. The serve feeder hands each batch's
-    /// Hilbert-ordered probes here before admitting the batch, and pushes
-    /// the result onto the prefetch queue. Engines without a cheap
-    /// in-memory way to compute this return an empty schedule (readahead
-    /// stays idle; results are unaffected).
+    /// The batch's candidate pages, ascending: every page the probe
+    /// prefilter admits for some query of `queries`, deduplicated, from
+    /// the in-memory descriptors alone (no page is read). Engines without
+    /// such a prefilter return an empty list. The serve path does not call
+    /// it: it is the probe directory's cost measured on its own, and the
+    /// candidate set tests hold to a full scan.
     fn prefetch_schedule(&self, _queries: &[SpatialQuery]) -> Vec<PageId> {
         Vec::new()
-    }
-
-    /// Lands one scheduled page into the engine's cache. Called from
-    /// dedicated I/O threads with a reusable scratch buffer; the disk wait
-    /// happens outside any cache lock (see
-    /// [`SharedPageCache::prefetch_page`]).
-    fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
-        self.cache().prefetch_page(id, scratch);
     }
 }
 
@@ -218,10 +204,6 @@ impl QueryEngine for TransformersEngine<'_> {
         &self.cache
     }
 
-    fn supports_prefetch(&self) -> bool {
-        true
-    }
-
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         unit_pages_for(self.idx, queries)
     }
@@ -291,17 +273,8 @@ impl QueryEngine for MutableTransformersEngine<'_> {
         self.cache
     }
 
-    fn supports_prefetch(&self) -> bool {
-        true
-    }
-
-    // Base unit pages only: overflow chains would need page reads to
-    // enumerate. The hint stays sound under concurrent writes because
-    // `prefetch_page` leaves resident (dirty) frames untouched *and* drops
-    // a read that a write to the page's shard overtook — "not resident"
-    // alone does not prove the bytes current once the write has been
-    // flushed and evicted (`apply_batch` writes the dirty tier back
-    // whenever it fills).
+    // Base unit pages of the latest snapshot only: overflow chains would
+    // need page reads to enumerate.
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         let snap = self.overlay.snapshot();
         let units = snap.units();
@@ -373,13 +346,8 @@ impl QueryEngine for GipsyEngine<'_> {
         &self.cache
     }
 
-    fn supports_prefetch(&self) -> bool {
-        true
-    }
-
     // GIPSY's crawl visits a subset of the unit pages the MBB prefilter
-    // admits, so the TRANSFORMERS schedule is a sound (over-approximate)
-    // readahead hint for it too.
+    // admits, so the TRANSFORMERS candidate set over-approximates it.
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
         unit_pages_for(self.idx, queries)
     }
@@ -528,23 +496,14 @@ mod tests {
             out.sort_unstable();
             out
         };
-        let counted = |hits, misses, prefetch_hits| PoolCounters {
-            hits,
-            misses,
-            prefetch_hits,
-        };
+        let counted = |hits, misses| PoolCounters { hits, misses };
 
         // Cold: a miss.
         assert_eq!(probe(&mut reader), expected);
-        assert_eq!(reader.counters(), counted(0, 1, 0));
+        assert_eq!(reader.counters(), counted(0, 1));
         // Resident: a raw hit.
         assert_eq!(probe(&mut reader), expected);
-        assert_eq!(reader.counters(), counted(1, 1, 0));
-        // Landed by the prefetcher: a prefetch hit, neither hit nor miss.
-        cache.clear();
-        cache.prefetch_page(unit.page, &mut Vec::new());
-        assert_eq!(probe(&mut reader), expected);
-        assert_eq!(reader.counters(), counted(1, 1, 1));
+        assert_eq!(reader.counters(), counted(1, 1));
         // A decoded entry a join left behind: the probe reads the bytes
         // beside it — a raw hit — and does not consult it.
         cache.clear();
@@ -552,12 +511,12 @@ mod tests {
         let before = cache.stats();
         assert_eq!((before.decoded_hits, before.decoded_misses), (0, 1));
         assert_eq!(probe(&mut reader), expected);
-        assert_eq!(reader.counters(), counted(2, 1, 1));
+        assert_eq!(reader.counters(), counted(2, 1));
         let after = cache.stats();
         assert_eq!((after.decoded_hits, after.decoded_misses), (0, 1));
 
         // The handle's view of its own traffic matches the cache's totals
         // (the one extra miss is `read_decoded` above, not the handle's).
-        assert_eq!((after.hits, after.misses, after.prefetch_hits), (2, 2, 1));
+        assert_eq!((after.hits, after.misses), (2, 2));
     }
 }

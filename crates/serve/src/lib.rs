@@ -30,12 +30,12 @@
 //!   [`serve_sharded`] (a [`ShardedCluster`] of self-contained index
 //!   shards behind a [`ShardRouter`]) are the one-target and N-target
 //!   cases of the same executor, under one [`ServeConfig`] and returning
-//!   one [`ServeOutcome`]: one feeder plans batches, routes them,
-//!   announces each sub-batch's readahead schedule and admits it; one
-//!   target-local pool opens sessions, pops the queue and times every
-//!   probe; one gather merges the partials per query. Per-query traces,
-//!   readahead and shedding therefore work on either entry point. See
-//!   `ARCHITECTURE.md`.
+//!   one [`ServeOutcome`]: one feeder plans batches, routes them and
+//!   admits each sub-batch; one target-local pool opens sessions, pops
+//!   the queue and times every probe; one gather merges the partials per
+//!   query. Per-query traces and shedding therefore work on either entry
+//!   point. Every page is read by the query that needs it: there are no
+//!   I/O threads. See `ARCHITECTURE.md`.
 //!
 //! # Who executes
 //!
@@ -101,7 +101,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tfm_geom::{hilbert, Aabb, ElementId, SpatialQuery};
 use tfm_pool::StagePool;
-use tfm_storage::{CacheStats, IoStatsSnapshot, PageId};
+use tfm_storage::{CacheStats, IoStatsSnapshot};
 
 /// Configuration of one serve run, single-engine or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,18 +133,6 @@ pub struct ServeConfig {
     /// pool-counter attribution). Off by default: the records are kept
     /// only when asked for.
     pub collect_traces: bool,
-    /// Dedicated I/O threads per target keeping prefetch reads in flight —
-    /// the submission queue depth of the readahead pipeline. Only
-    /// consulted when [`ServeConfig::readahead`] enables prefetching; `0`
-    /// is clamped to 1.
-    pub io_depth: usize,
-    /// Readahead window in pages: the capacity of the bounded, lossy
-    /// [`RequestQueue`] of page ids in front of each target, which the
-    /// feeder fills with each sub-batch's Hilbert-ordered candidate pages.
-    /// `0` (the default) disables the prefetch pipeline entirely; it also
-    /// stays off on engines that cannot compute a schedule
-    /// ([`QueryEngine::supports_prefetch`]) and on the inline path.
-    pub readahead: usize,
     /// Load shedding: admit sub-batches with `try_push` and count
     /// rejections instead of blocking. Shed partials make the affected
     /// queries' results incomplete (tracked in
@@ -162,8 +150,6 @@ impl Default for ServeConfig {
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
             queue_batches: 4,
             collect_traces: false,
-            io_depth: 1,
-            readahead: 0,
             shed: false,
         }
     }
@@ -191,19 +177,6 @@ impl ServeConfig {
     /// Builder: collect per-query [`tfm_obs::QueryTrace`] records.
     pub fn with_traces(mut self) -> Self {
         self.collect_traces = true;
-        self
-    }
-
-    /// Builder: sets the prefetch queue depth (I/O threads in flight).
-    pub fn with_io_depth(mut self, io_depth: usize) -> Self {
-        self.io_depth = io_depth;
-        self
-    }
-
-    /// Builder: sets the readahead window in pages (enables the prefetch
-    /// pipeline when non-zero).
-    pub fn with_readahead(mut self, readahead: usize) -> Self {
-        self.readahead = readahead;
         self
     }
 
@@ -283,17 +256,13 @@ struct TargetOut {
     cache: CacheStats,
 }
 
-/// One serve target: an engine with the admission edge and the readahead
-/// queue in front of its pool.
+/// One serve target: an engine with the admission edge in front of its
+/// pool.
 struct Target<'a, E: ?Sized> {
     engine: &'a E,
     /// Each item carries its admission instant so the popping worker can
     /// split queue wait from service time per sub-batch.
     queue: RequestQueue<(Vec<usize>, Instant)>,
-    /// Bounded and lossy; present when readahead is on and the engine can
-    /// compute a schedule. Targets prefetch into their own caches from
-    /// their own disks, so the pipelines share nothing.
-    prefetch: Option<RequestQueue<PageId>>,
 }
 
 /// What the feeder counted while scattering (per-target vectors are
@@ -391,8 +360,6 @@ fn serve<E: QueryEngine + ?Sized>(
             .map(|&engine| Target {
                 engine,
                 queue: RequestQueue::new(cfg.queue_batches.max(1)),
-                prefetch: (cfg.readahead > 0 && engine.supports_prefetch())
-                    .then(|| RequestQueue::<PageId>::new(cfg.readahead)),
             })
             .collect();
         let fed = OnceLock::new();
@@ -438,10 +405,9 @@ fn serve<E: QueryEngine + ?Sized>(
 
 /// The one feeder: takes the next planned batch, routes it into one
 /// sub-batch per target preserving the within-batch (Hilbert)
-/// order so each target still sweeps, announces each sub-batch's page
-/// schedule to the target's I/O threads and admits it — blocking, or
-/// shedding under [`ServeConfig::shed`]. Closes every queue when the
-/// trace is through.
+/// order so each target still sweeps, and admits each sub-batch —
+/// blocking, or shedding under [`ServeConfig::shed`]. Closes every queue
+/// when the trace is through.
 fn feed<E: QueryEngine + ?Sized>(
     targets: &[Target<'_, E>],
     routes: Option<&[Vec<usize>]>,
@@ -477,16 +443,6 @@ fn feed<E: QueryEngine + ?Sized>(
             }
             let target = &targets[s];
             fed.routed[s] += sub.len() as u64;
-            if let Some(pq) = &target.prefetch {
-                // Announce the sub-batch's page schedule before the
-                // sub-batch itself so the I/O threads start on it ahead of
-                // the executing workers. `try_push` is lossy by design: a
-                // full queue means they are already `readahead` ahead.
-                let probes: Vec<SpatialQuery> = sub.iter().map(|&qid| trace[qid]).collect();
-                for page in target.engine.prefetch_schedule(&probes) {
-                    let _ = pq.try_push(page);
-                }
-            }
             if !cfg.shed {
                 target.queue.push((sub, Instant::now()));
             } else if let Err((lost, _)) = target.queue.try_push((sub, Instant::now())) {
@@ -500,48 +456,23 @@ fn feed<E: QueryEngine + ?Sized>(
     }
     for target in targets {
         target.queue.close();
-        if let Some(pq) = &target.prefetch {
-            pq.close();
-        }
     }
     fed.shed_queries = shed_flags.iter().filter(|&&f| f).count() as u64;
     fed
 }
 
 /// The one target-local pool: `cfg.threads` workers, each with its own
-/// [`QuerySession`], drain the target's queue; when the target has a
-/// prefetch queue, `cfg.io_depth` more threads land its pages in the
-/// cache. With a `feeder`, worker 0 runs it before it starts draining.
-/// Returns the workers' outputs in worker order.
+/// [`QuerySession`], drain the target's queue. With a `feeder`, worker 0
+/// runs it before it starts draining. Returns the workers' outputs in
+/// worker order.
 fn run_pool<E: QueryEngine + ?Sized>(
     target: &Target<'_, E>,
     trace: &[SpatialQuery],
     cfg: &ServeConfig,
     feeder: Option<&(dyn Fn() + Sync)>,
 ) -> Vec<WorkerOut> {
-    let workers = cfg.threads.max(1);
-    let io_threads = match target.prefetch {
-        Some(_) => cfg.io_depth.max(1),
-        None => 0,
-    };
-    let mut outs = StagePool::new(workers + io_threads).scoped_run(|w| {
+    StagePool::new(cfg.threads.max(1)).scoped_run(|w| {
         let mut done: Vec<Executed> = Vec::new();
-        if w >= workers {
-            // Dedicated prefetch I/O thread: pop page ids and land them in
-            // the cache until the feeder closes the queue. Device latency
-            // (real file seeks, or the injected `Disk` read latency) is
-            // paid here, off the workers' critical path.
-            let pq = target.prefetch.as_ref().expect("io thread without queue");
-            let mut scratch = Vec::new();
-            while let Some(id) = pq.pop() {
-                target.engine.prefetch_page(id, &mut scratch);
-            }
-            return WorkerOut {
-                done,
-                hits: 0,
-                misses: 0,
-            };
-        }
         let mut session = target.engine.session(cfg.pool_pages);
         if let (0, Some(feeder)) = (w, feeder) {
             // Interleaving feeding with the other workers' draining keeps
@@ -556,11 +487,7 @@ fn run_pool<E: QueryEngine + ?Sized>(
         }
         let (hits, misses) = session.pool_counters();
         WorkerOut { done, hits, misses }
-    });
-    // The I/O threads execute no queries and own no session; they don't
-    // appear in per-worker stats.
-    outs.truncate(workers);
-    outs
+    })
 }
 
 /// The only place a probe is executed, timed and attributed.
@@ -956,54 +883,6 @@ mod tests {
             assert_eq!(out.stats.pool_misses, out.stats.cache.misses);
             assert_eq!(out.stats.pool_hits, out.stats.cache.hits);
         }
-    }
-
-    #[test]
-    fn readahead_preserves_results_and_reports_prefetch_counters() {
-        let (disk, idx, elems) = fixture(6000, 30);
-        let trace = generate_trace(&QueryTraceSpec::uniform(400, 31));
-        let expected = reference(&elems, &trace);
-        // A cache far smaller than the index's page set: prefetched pages
-        // can't all be resident already, so the pipeline always lands some.
-        let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(48, 4);
-        assert!(engine.supports_prefetch());
-        for (threads, io_depth, readahead) in [(2, 1, 64), (2, 4, 256), (4, 2, 128)] {
-            engine.reset_cache();
-            let cfg = ServeConfig::default()
-                .with_threads(threads)
-                .with_batch(32)
-                .with_io_depth(io_depth)
-                .with_readahead(readahead);
-            let out = serve_trace(&engine, &trace, &cfg);
-            assert_eq!(
-                out.results, expected,
-                "threads = {threads}, io_depth = {io_depth}, readahead = {readahead}"
-            );
-            // The I/O threads never surface in per-worker stats.
-            assert_eq!(out.stats.per_worker_queries.len(), threads);
-            let cache = out.stats.cache;
-            assert!(
-                cache.prefetch_issued > 0,
-                "prefetch pipeline must have landed pages"
-            );
-            // Prefetch accounting stays disjoint from the hit/miss pair:
-            // every page the workers touched is exactly one of the three.
-            assert_eq!(out.stats.pool_hits, cache.hits);
-            assert_eq!(out.stats.pool_misses, cache.misses);
-            assert!(cache.prefetch_hits <= cache.prefetch_issued);
-        }
-        // An engine that cannot compute a schedule ignores the request.
-        let rtree_disk = Disk::in_memory(2048);
-        let tree = tfm_rtree::RTree::bulk_load(&rtree_disk, elems);
-        let rtree = RtreeEngine::new(&tree, &rtree_disk);
-        assert!(!rtree.supports_prefetch());
-        let out = serve_trace(
-            &rtree,
-            &trace,
-            &ServeConfig::default().with_threads(2).with_readahead(64),
-        );
-        assert_eq!(out.results, expected);
-        assert_eq!(out.stats.cache.prefetch_issued, 0);
     }
 
     #[test]

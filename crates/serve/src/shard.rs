@@ -65,13 +65,6 @@ pub struct ShardSpec {
     /// (`shard<i>.pages`) under the given directory, so shards never
     /// contend on one file either.
     pub backend: StoreBackend,
-    /// Injected device-read latency scale on each shard's disk
-    /// ([`Disk::with_read_latency`]): every serve-time page read sleeps
-    /// the modeled cost times this factor. `0.0` (default) injects
-    /// nothing. Applied after the index build so bulk loading stays
-    /// fast; used to make queue-depth/readahead effects deterministic
-    /// on hosts whose real I/O is too fast to measure.
-    pub read_latency: f64,
 }
 
 impl Default for ShardSpec {
@@ -82,7 +75,6 @@ impl Default for ShardSpec {
             engine: ServeEngineKind::Transformers,
             page_size: tfm_storage::DEFAULT_PAGE_SIZE,
             backend: StoreBackend::Mem,
-            read_latency: 0.0,
         }
     }
 }
@@ -109,12 +101,6 @@ impl ShardSpec {
     /// Builder: sets the per-shard storage backend.
     pub fn with_backend(mut self, backend: StoreBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Builder: sets the injected serve-time read-latency scale.
-    pub fn with_read_latency(mut self, scale: f64) -> Self {
-        self.read_latency = scale;
         self
     }
 }
@@ -317,11 +303,7 @@ impl ShardedCluster {
             .map(|(i, subset)| {
                 let disk = Disk::for_backend(&spec.backend, spec.page_size, &format!("shard{i}"))
                     .expect("shard disk backend");
-                let mut shard = IndexShard::build(subset, spec.engine, disk, index_cfg);
-                // Latency injection starts after the build: bulk loading
-                // stays fast, only serve-time reads pay the modeled sleep.
-                shard.disk = shard.disk.with_read_latency(spec.read_latency);
-                shard
+                IndexShard::build(subset, spec.engine, disk, index_cfg)
             })
             .collect();
         let router = ShardRouter::new(shards.iter().map(IndexShard::bounds).collect());
@@ -543,55 +525,39 @@ mod tests {
     }
 
     #[test]
-    fn file_backed_cluster_with_readahead_matches_reference() {
+    fn file_backed_cluster_matches_reference() {
         let elems = dataset(12_000, 49);
         let trace = generate_trace(&QueryTraceSpec::uniform(150, 50));
         let expected = reference(&elems, &trace);
         let dir = std::env::temp_dir().join(format!("tfm-shardio-{}", std::process::id()));
-        // Injected read latency makes the prefetch race deterministic:
-        // without it a loaded single-core host can let the demand reads
-        // win every landing race and the pipeline assertion below flakes.
-        // A sleeping demand read always yields the CPU to the I/O
-        // threads, exactly like bench_io's throttled runs.
         let cluster = build_cluster(
             elems,
             &ShardSpec::default()
                 .with_shards(3)
-                .with_backend(StoreBackend::File(dir.clone()))
-                .with_read_latency(0.02),
+                .with_backend(StoreBackend::File(dir.clone())),
         );
         // Every shard wrote its own page image.
         for s in 0..3 {
             assert!(dir.join(format!("shard{s}.pages")).is_file());
         }
-        // A cache far smaller than each shard's page set, so prefetched
-        // pages can't all be resident already.
+        // A cache far smaller than each shard's page set, so the workers'
+        // demand misses read the page images again and again.
         let out = serve_sharded(
             &cluster,
             &trace,
             &ServeConfig {
                 pool_pages: 96,
-                ..ServeConfig::default()
-                    .with_threads(2)
-                    .with_io_depth(2)
-                    .with_readahead(64)
+                ..ServeConfig::default().with_threads(2)
             },
         );
         assert_eq!(out.results, expected);
+        reconcile(&out);
         for s in &out.stats.per_shard {
-            assert_eq!(
-                s.per_worker_queries.len(),
-                2,
-                "prefetch I/O threads must not surface in per-worker stats"
-            );
+            assert_eq!(s.per_worker_queries.len(), 2);
+            // Every miss is one page read from the shard's own file.
+            assert_eq!(s.io.reads(), s.pool_misses);
         }
-        assert!(
-            out.stats
-                .per_shard
-                .iter()
-                .any(|s| s.cache.prefetch_issued > 0),
-            "at least one shard's prefetch pipeline must have landed pages"
-        );
+        assert!(out.stats.pool_misses > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -152,8 +152,8 @@ pub struct ServeStats {
     /// per target) — the skew shows how evenly the queues spread the load
     /// and, on a single engine, how long worker 0 spent feeding.
     pub per_worker_queries: Vec<u64>,
-    /// The targets' cache counters over the run, summed (evictions,
-    /// prefetch efficacy, lock contention). The decoded-tier pair is
+    /// The targets' cache counters over the run, summed (evictions, lock
+    /// contention). The decoded-tier pair is
     /// always 0: probes test boxes in the pinned page and never touch
     /// that tier.
     pub cache: CacheStats,

@@ -30,10 +30,6 @@ pub struct PoolCounters {
     pub hits: u64,
     /// Page-tier misses (disk page reads triggered by this handle).
     pub misses: u64,
-    /// Reads served by a frame the prefetch pipeline landed — tracked
-    /// apart from `hits`/`misses` so readahead cannot inflate
-    /// [`hit_fraction`](PoolCounters::hit_fraction).
-    pub prefetch_hits: u64,
 }
 
 impl PoolCounters {
@@ -75,10 +71,10 @@ impl Deref for PageSlice {
 /// the underlying [`Disk`] holds for that id (caching may only change
 /// *when* the disk is touched, never *what* comes back), and
 /// [`counters`](PageReads::counters) must account every `page` call as
-/// either a hit or a miss (or, over the shared cache, a prefetch hit) so
-/// per-worker accounting stays exact under sharing. Handles are `&mut
-/// self` per owner: concurrency lives *inside* an implementation (the
-/// shared cache's lock striping), never in the trait.
+/// either a hit or a miss so per-worker accounting stays exact under
+/// sharing. Handles are `&mut self` per owner: concurrency lives *inside*
+/// an implementation (the shared cache's lock striping), never in the
+/// trait.
 pub trait PageReads {
     /// Reads one page's bytes. Over the cache the slice pins its frame
     /// until it is dropped, so a scan drops each page before its next read
@@ -135,7 +131,6 @@ impl<'c, 'd> CacheHandle<'c, 'd> {
         let (page, outcome) = self.cache.read_tracked(id);
         match outcome {
             ReadOutcome::Hit => self.counters.hits += 1,
-            ReadOutcome::PrefetchHit => self.counters.prefetch_hits += 1,
             ReadOutcome::Miss => self.counters.misses += 1,
         }
         page
@@ -241,27 +236,5 @@ mod tests {
         let g = shared.stats();
         assert_eq!(g.misses, h1.counters().misses + h2.counters().misses);
         assert_eq!(g.hits, h1.counters().hits + h2.counters().hits);
-    }
-
-    #[test]
-    fn prefetch_hits_stay_out_of_handle_hit_fractions() {
-        let (d, _) = element_disk(4);
-        let shared = SharedPageCache::with_shards(&d, 8, 2);
-        let mut scratch_page = Vec::new();
-        for p in 0..4u64 {
-            shared.prefetch_page(PageId(p), &mut scratch_page);
-        }
-        let mut h = CacheHandle::shared(&shared);
-        for p in 0..4u64 {
-            h.page(PageId(p));
-        }
-        let c = h.counters();
-        assert_eq!(c.prefetch_hits, 4);
-        assert_eq!((c.hits, c.misses), (0, 0));
-        assert_eq!(c.hit_fraction(), 0.0, "readahead must not look like hits");
-        // Handle-local and global prefetch accounting agree.
-        let g = shared.stats();
-        assert_eq!(g.prefetch_hits, c.prefetch_hits);
-        assert_eq!(g.prefetch_issued, 4);
     }
 }

@@ -40,20 +40,12 @@ fn jump_from(prev: u64, id: u64) -> (bool, u64) {
 /// device time do not depend on the backend — the model stays the
 /// determinism oracle while the file backend adds real wall-clock I/O.
 ///
-/// With [`with_read_latency`](Disk::with_read_latency) the disk *injects*
-/// device latency: each read sleeps the model's cost for that access
-/// scaled by the given factor. Benchmarks use this to measure queue-depth
-/// effects in wall-clock time on hosts whose page cache would otherwise
-/// hide the device entirely.
-///
 /// Reads take `&self` (statistics are internally synchronized), so index
 /// structures can share a disk immutably during the join phase.
 pub struct Disk {
     page_size: usize,
     store: Box<dyn PageStore>,
     model: DiskModel,
-    /// Fraction of the modeled access cost slept on every read (0 = off).
-    read_latency: f64,
     stats: IoStats,
     next_page: AtomicU64,
     last_read: AtomicU64,
@@ -68,7 +60,6 @@ impl Disk {
             page_size,
             store,
             model: DiskModel::default(),
-            read_latency: 0.0,
             stats: IoStats::default(),
             next_page: AtomicU64::new(0),
             last_read: AtomicU64::new(PageId::NONE),
@@ -140,24 +131,6 @@ impl Disk {
     pub fn with_model(mut self, model: DiskModel) -> Self {
         self.model = model;
         self
-    }
-
-    /// Injects device latency on reads: every read sleeps `scale` times
-    /// the modeled cost of that access (builder style; 0 disables).
-    ///
-    /// The sleep happens on the reading thread *after* the bytes are in,
-    /// so threads reading concurrently overlap their latencies exactly
-    /// like tagged commands overlap on a real device queue.
-    pub fn with_read_latency(mut self, scale: f64) -> Self {
-        assert!(scale >= 0.0, "latency scale must be non-negative");
-        self.read_latency = scale;
-        self
-    }
-
-    /// The configured read-latency injection scale (0 = off).
-    #[inline]
-    pub fn read_latency(&self) -> f64 {
-        self.read_latency
     }
 
     /// The configured page size in bytes.
@@ -301,9 +274,6 @@ impl Disk {
         self.store
             .read_page(offset, buf)
             .unwrap_or_else(|e| panic!("page read failed ({id}): {e}"));
-        if self.read_latency > 0.0 {
-            std::thread::sleep(cost.mul_f64(self.read_latency));
-        }
     }
 
     /// Where the model's head is: the page the last read left it on, or
@@ -529,31 +499,6 @@ mod tests {
         let m = Disk::for_backend(&StoreBackend::Mem, 64, "ignored").unwrap();
         assert_eq!(m.backend_kind(), DiskBackendKind::Memory);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_latency_injection_slows_reads() {
-        use std::time::{Duration, Instant};
-        let d = Disk::in_memory(32); // default SAS model: ~ms-scale costs
-        let _ = d.allocate_contiguous(4);
-        let mut buf = vec![0u8; 32];
-        let throttled = Disk::in_memory(32).with_read_latency(0.005);
-        let _ = throttled.allocate_contiguous(4);
-        let t0 = Instant::now();
-        for i in 0..4u64 {
-            d.read_page(PageId(i), &mut buf);
-        }
-        let unthrottled = t0.elapsed();
-        let t0 = Instant::now();
-        for i in 0..4u64 {
-            throttled.read_page(PageId(i), &mut buf);
-        }
-        let slowed = t0.elapsed();
-        // 4 reads at >= request_overhead+transfer (350us) * 0.005 sleep
-        // each: at least ~7us of injected latency in total.
-        assert!(slowed > unthrottled);
-        assert!(slowed >= Duration::from_micros(5), "slowed {slowed:?}");
-        assert_eq!(throttled.read_latency(), 0.005);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!
 //! Bytes live behind the [`PageStore`] abstraction: [`MemStore`] (default;
 //! deterministic and fast) or [`FileStore`] — a real on-disk page image
-//! accessed with positional I/O and no global offset lock, into which
-//! dedicated I/O threads can keep a queue depth of reads in flight ahead of
-//! the workers ([`SharedPageCache::prefetch_page`]). Whichever backend is in
-//! use, the accounting (and thus every result and every simulated-time
-//! figure) is identical; only wall-clock behaviour differs.
+//! accessed with positional I/O and no global offset lock, so concurrent
+//! readers never serialize on the file. Whichever backend is in use, the
+//! accounting (and thus every result and every simulated-time figure) is
+//! identical; only wall-clock behaviour differs.
 //!
 //! On top of the disk sits the one page cache every join, probe and write
 //! reads through: the lock-striped [`SharedPageCache`] of pinned zero-copy

@@ -46,20 +46,9 @@
 //! I/O) and keeps the pin check race-free; against the in-memory store a
 //! fill is a `memcpy`, so the hold time is small and the `lock_contended`
 //! counter makes the cost observable. A decode is not small — which is
-//! why every reader parses outside the lock, from its pin. For the
-//! real-file backend the prefetch path below is the escape hatch:
-//! [`SharedPageCache::prefetch_page`] performs
-//! the disk read **outside** the shard lock into a caller-owned scratch
-//! buffer, then lands the bytes into a recycled victim frame under the
-//! lock — dedicated I/O threads overlap their device latencies while the
-//! worker miss path keeps its serialize-per-shard simplicity.
-//!
-//! Prefetched frames are marked until first use. The marks drive the
-//! `io.prefetch.*` counters ([`CacheStats::prefetch_issued`],
-//! [`CacheStats::prefetch_hits`], [`CacheStats::prefetch_unused`]), which
-//! are **disjoint** from the hit/miss pair: a read served by a frame the
-//! prefetcher landed counts as neither a hit nor a miss, so readahead can
-//! never inflate a hit-fraction gate.
+//! why every reader parses outside the lock, from its pin. Every page
+//! enters the cache by a demand read or a write: there is no readahead,
+//! so every read is exactly one hit or one miss.
 
 use crate::clock::ClockRing;
 use crate::{Disk, ElementPageCodec, PageId};
@@ -82,9 +71,6 @@ struct SharedFrame {
     buf: Arc<Vec<u8>>,
     /// Decoded element records, populated lazily by `read_decoded`.
     decoded: Option<Arc<[SpatialElement]>>,
-    /// True from a prefetch landing until the first demand read; drives
-    /// the `io.prefetch.*` accounting.
-    prefetched: bool,
     /// True while the frame holds bytes newer than the disk image. Dirty
     /// frames are never evicted (the ring grows instead) and only reach
     /// the store through [`SharedPageCache::flush_dirty`].
@@ -105,10 +91,6 @@ struct ShardCounters {
     evictions: u64,
     recycled_frames: u64,
     fresh_allocs: u64,
-    prefetch_issued: u64,
-    prefetch_hits: u64,
-    prefetch_unused: u64,
-    prefetch_stale: u64,
     dirty_installs: u64,
     flushed_pages: u64,
 }
@@ -116,11 +98,6 @@ struct ShardCounters {
 struct ShardInner {
     ring: ClockRing<SharedFrame>,
     counters: ShardCounters,
-    /// Bumped by every [`SharedPageCache::write_page`] into this shard.
-    /// [`SharedPageCache::prefetch_page`] samples it before its off-lock
-    /// disk read and discards the bytes if it moved: a write (and its
-    /// flush and eviction) in between would make them a stale image.
-    write_seq: u64,
     /// Frames of this shard with `dirty` set, kept where the flag flips
     /// ([`SharedPageCache::write_page`] and the flush) so that
     /// [`SharedPageCache::dirty_pages`] sums one number per shard instead
@@ -130,7 +107,7 @@ struct ShardInner {
 
 impl ShardInner {
     /// Registers the non-resident `id` in the ring and returns its frame,
-    /// clean and unmarked, for the caller to fill: evicts and recycles an
+    /// clean, for the caller to fill: evicts and recycles an
     /// unpinned clean victim when the ring is full, allocates otherwise.
     /// The one place evictions, recycles and fresh frames are counted.
     fn claim_frame(&mut self, id: PageId, page_size: usize) -> &mut SharedFrame {
@@ -144,7 +121,6 @@ impl ShardInner {
             || SharedFrame {
                 buf: Arc::new(vec![0u8; page_size]),
                 decoded: None,
-                prefetched: false,
                 dirty: false,
                 page_lsn: 0,
             },
@@ -152,9 +128,6 @@ impl ShardInner {
         if slot.evicted.is_some() {
             self.counters.evictions += 1;
             self.counters.recycled_frames += 1;
-            if slot.payload.prefetched {
-                self.counters.prefetch_unused += 1;
-            }
         }
         if slot.fresh {
             self.counters.fresh_allocs += 1;
@@ -164,7 +137,6 @@ impl ShardInner {
         // dirty count does not move here.
         debug_assert!(!f.dirty, "claimed a dirty frame");
         f.decoded = None;
-        f.prefetched = false;
         f.page_lsn = 0;
         f
     }
@@ -212,12 +184,8 @@ impl Deref for PageRef {
 /// Which tier answered a [`SharedPageCache::read_tracked`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOutcome {
-    /// The page tier had the frame (a demand read put it there).
+    /// The page tier had the frame.
     Hit,
-    /// The frame was landed by the prefetcher and this is its first
-    /// demand read — counted as `io.prefetch.hits`, **not** as a cache
-    /// hit, so readahead cannot inflate hit fractions.
-    PrefetchHit,
     /// The page was read from disk on demand.
     Miss,
 }
@@ -241,18 +209,6 @@ pub struct CacheStats {
     /// Misses that had to allocate a fresh frame buffer (pool still
     /// filling, or every victim candidate was pinned).
     pub fresh_allocs: u64,
-    /// Pages the prefetch pipeline read and landed into frames.
-    pub prefetch_issued: u64,
-    /// Demand reads served by a still-marked prefetched frame (disjoint
-    /// from `hits`/`misses`, so readahead cannot inflate hit fractions).
-    pub prefetch_hits: u64,
-    /// Prefetched frames evicted before any demand read used them —
-    /// wasted readahead.
-    pub prefetch_unused: u64,
-    /// Prefetch reads discarded because a [`SharedPageCache::write_page`]
-    /// reached the page's shard while the read was in flight — the bytes
-    /// may predate the write, so they are dropped instead of landed.
-    pub prefetch_stale: u64,
     /// Writes installed into the dirty tier (cache writes not yet on disk
     /// at the time of the write).
     pub dirty_installs: u64,
@@ -312,13 +268,6 @@ impl CacheStats {
             .add(self.lock_acquisitions);
         reg.counter(names::CACHE_LOCK_CONTENDED)
             .add(self.lock_contended);
-        reg.counter(names::IO_PREFETCH_ISSUED)
-            .add(self.prefetch_issued);
-        reg.counter(names::IO_PREFETCH_HITS).add(self.prefetch_hits);
-        reg.counter(names::IO_PREFETCH_UNUSED)
-            .add(self.prefetch_unused);
-        reg.counter(names::IO_PREFETCH_STALE)
-            .add(self.prefetch_stale);
         reg.counter(names::CACHE_DIRTY_INSTALLS)
             .add(self.dirty_installs);
         reg.counter(names::CACHE_FLUSHED_PAGES)
@@ -338,10 +287,6 @@ impl CacheStats {
             evictions: self.evictions - earlier.evictions,
             recycled_frames: self.recycled_frames - earlier.recycled_frames,
             fresh_allocs: self.fresh_allocs - earlier.fresh_allocs,
-            prefetch_issued: self.prefetch_issued - earlier.prefetch_issued,
-            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
-            prefetch_unused: self.prefetch_unused - earlier.prefetch_unused,
-            prefetch_stale: self.prefetch_stale - earlier.prefetch_stale,
             dirty_installs: self.dirty_installs - earlier.dirty_installs,
             flushed_pages: self.flushed_pages - earlier.flushed_pages,
             dirty_high_water: self.dirty_high_water,
@@ -364,10 +309,6 @@ impl CacheStats {
             evictions: self.evictions + other.evictions,
             recycled_frames: self.recycled_frames + other.recycled_frames,
             fresh_allocs: self.fresh_allocs + other.fresh_allocs,
-            prefetch_issued: self.prefetch_issued + other.prefetch_issued,
-            prefetch_hits: self.prefetch_hits + other.prefetch_hits,
-            prefetch_unused: self.prefetch_unused + other.prefetch_unused,
-            prefetch_stale: self.prefetch_stale + other.prefetch_stale,
             dirty_installs: self.dirty_installs + other.dirty_installs,
             flushed_pages: self.flushed_pages + other.flushed_pages,
             dirty_high_water: self.dirty_high_water.max(other.dirty_high_water),
@@ -401,7 +342,6 @@ impl<'d> SharedPageCache<'d> {
                 inner: Mutex::new(ShardInner {
                     ring: ClockRing::new(per_shard),
                     counters: ShardCounters::default(),
-                    write_seq: 0,
                     dirty: 0,
                 }),
                 acquisitions: AtomicU64::new(0),
@@ -484,15 +424,13 @@ impl<'d> SharedPageCache<'d> {
         let mut guard = shard.lock();
         let ShardInner { ring, counters, .. } = &mut *guard;
         if let Some(f) = ring.get(id.0) {
-            let page = PageRef {
-                buf: Arc::clone(&f.buf),
-            };
-            if std::mem::take(&mut f.prefetched) {
-                counters.prefetch_hits += 1;
-                return (page, ReadOutcome::PrefetchHit);
-            }
             counters.hits += 1;
-            return (page, ReadOutcome::Hit);
+            return (
+                PageRef {
+                    buf: Arc::clone(&f.buf),
+                },
+                ReadOutcome::Hit,
+            );
         }
         guard.counters.misses += 1;
         let f = Self::load_frame(self.disk, &mut guard, id);
@@ -515,11 +453,7 @@ impl<'d> SharedPageCache<'d> {
         let ShardInner { ring, counters, .. } = &mut *guard;
         let f = match ring.get(id.0) {
             Some(f) => {
-                if std::mem::take(&mut f.prefetched) {
-                    counters.prefetch_hits += 1;
-                } else {
-                    counters.hits += 1;
-                }
+                counters.hits += 1;
                 f
             }
             None => {
@@ -548,51 +482,6 @@ impl<'d> SharedPageCache<'d> {
         f
     }
 
-    /// Reads `id` from disk **outside** the shard lock (into `scratch`,
-    /// which is resized to one page and reused across calls) and lands the
-    /// bytes into a recycled victim frame, marked as prefetched. A page
-    /// already resident — or landed by a racing demand read while the disk
-    /// read was in flight — is left untouched, and the bytes are dropped
-    /// (counted in [`CacheStats::prefetch_stale`]) if any
-    /// [`write_page`](Self::write_page) reached the page's shard in the
-    /// meantime: the write may have been flushed and evicted again by
-    /// then, so "not resident" alone does not prove the bytes current.
-    ///
-    /// This is the I/O-thread entry point of the prefetch pipeline: the
-    /// device wait (real or injected) happens off-lock, so `io_depth`
-    /// threads overlap their latencies like tagged commands on a device
-    /// queue, while demand reads keep their read-once-per-residency
-    /// guarantee.
-    pub fn prefetch_page(&self, id: PageId, scratch: &mut Vec<u8>) {
-        let page_size = self.disk.page_size();
-        let shard = self.shard(id);
-        let seq_before = {
-            let guard = shard.lock();
-            if guard.ring.contains(id.0) {
-                return;
-            }
-            guard.write_seq
-        };
-        scratch.resize(page_size, 0);
-        self.disk.read_page(id, scratch);
-        let mut guard = shard.lock();
-        if guard.ring.contains(id.0) {
-            // A demand read or a write landed the page while ours was in
-            // flight; its frame wins and our bytes are discarded.
-            return;
-        }
-        if guard.write_seq != seq_before {
-            guard.counters.prefetch_stale += 1;
-            return;
-        }
-        let f = guard.claim_frame(id, page_size);
-        f.prefetched = true;
-        Arc::get_mut(&mut f.buf)
-            .expect("unpinned frame buffer is uniquely owned under lock")
-            .copy_from_slice(scratch);
-        guard.counters.prefetch_issued += 1;
-    }
-
     /// Installs new bytes for page `id` into the cache's dirty tier
     /// without touching the disk. `bytes` must not exceed the page size;
     /// shorter data is zero-padded.
@@ -617,7 +506,6 @@ impl<'d> SharedPageCache<'d> {
         let shard = self.shard(id);
         let mut guard = shard.lock();
         let inner = &mut *guard;
-        inner.write_seq += 1;
         inner.counters.dirty_installs += 1;
         let f = match inner.ring.find(id.0) {
             Some(i) => inner.ring.payload_mut(i),
@@ -639,7 +527,6 @@ impl<'d> SharedPageCache<'d> {
             }
         }
         f.decoded = None;
-        f.prefetched = false;
         f.page_lsn = lsn;
         if !std::mem::replace(&mut f.dirty, true) {
             inner.dirty += 1;
@@ -756,10 +643,6 @@ impl<'d> SharedPageCache<'d> {
             s.evictions += c.evictions;
             s.recycled_frames += c.recycled_frames;
             s.fresh_allocs += c.fresh_allocs;
-            s.prefetch_issued += c.prefetch_issued;
-            s.prefetch_hits += c.prefetch_hits;
-            s.prefetch_unused += c.prefetch_unused;
-            s.prefetch_stale += c.prefetch_stale;
             s.dirty_installs += c.dirty_installs;
             s.flushed_pages += c.flushed_pages;
         }
@@ -1032,118 +915,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 8 * 4 * 64);
         assert_eq!(s.misses, d.stats().reads());
-    }
-
-    #[test]
-    fn prefetched_pages_count_as_prefetch_hits_not_cache_hits() {
-        let d = disk_with_pages(4, 32);
-        let cache = SharedPageCache::with_shards(&d, 4, 2);
-        let mut scratch = Vec::new();
-        cache.prefetch_page(PageId(1), &mut scratch);
-        assert_eq!(d.stats().reads(), 1, "prefetch reads the disk");
-        // First demand read: served by the prefetched frame, no disk read,
-        // but neither a hit nor a miss.
-        let (r, outcome) = cache.read_tracked(PageId(1));
-        assert_eq!(outcome, ReadOutcome::PrefetchHit);
-        assert_eq!(r[0], 1);
-        assert_eq!(d.stats().reads(), 1);
-        // Second demand read is a plain hit: the mark cleared.
-        let (_, outcome) = cache.read_tracked(PageId(1));
-        assert_eq!(outcome, ReadOutcome::Hit);
-        let s = cache.stats();
-        assert_eq!(s.prefetch_issued, 1);
-        assert_eq!(s.prefetch_hits, 1);
-        assert_eq!((s.hits, s.misses), (1, 0), "prefetch stays out of hit/miss");
-    }
-
-    #[test]
-    fn prefetch_of_resident_page_is_a_no_op() {
-        let d = disk_with_pages(2, 32);
-        let cache = SharedPageCache::with_shards(&d, 4, 1);
-        cache.read(PageId(0));
-        let mut scratch = Vec::new();
-        cache.prefetch_page(PageId(0), &mut scratch);
-        assert_eq!(d.stats().reads(), 1, "resident page is not re-read");
-        assert_eq!(cache.stats().prefetch_issued, 0);
-        // The frame must not be re-marked: the next read is a plain hit.
-        let (_, outcome) = cache.read_tracked(PageId(0));
-        assert_eq!(outcome, ReadOutcome::Hit);
-    }
-
-    #[test]
-    fn evicted_unused_prefetches_are_counted() {
-        let d = disk_with_pages(8, 32);
-        // One shard, two frames: prefetches evict each other.
-        let cache = SharedPageCache::with_shards(&d, 2, 1);
-        let mut scratch = Vec::new();
-        for i in 0..8u64 {
-            cache.prefetch_page(PageId(i), &mut scratch);
-        }
-        let s = cache.stats();
-        assert_eq!(s.prefetch_issued, 8);
-        assert_eq!(s.prefetch_unused, 6, "6 of 8 evicted before any use");
-        // The two survivors serve their first reads as prefetch hits.
-        let (_, o) = cache.read_tracked(PageId(7));
-        assert_eq!(o, ReadOutcome::PrefetchHit);
-    }
-
-    #[test]
-    fn prefetched_element_pages_decode_like_demand_reads() {
-        use tfm_geom::{Aabb, Point3};
-        let codec = ElementPageCodec::new(512);
-        let d = Disk::in_memory(512).with_model(DiskModel::free());
-        let p = d.allocate();
-        let elems = vec![SpatialElement::new(
-            5,
-            Aabb::new(Point3::new(0.0, 0.0, 0.0), Point3::new(1.0, 1.0, 1.0)),
-        )];
-        d.write_page(p, &codec.encode(&elems));
-        d.reset_stats();
-        let cache = SharedPageCache::with_shards(&d, 4, 1);
-        let mut scratch = Vec::new();
-        cache.prefetch_page(p, &mut scratch);
-        let decoded = cache.read_decoded(&codec, p);
-        assert_eq!(decoded.as_ref(), elems.as_slice());
-        assert_eq!(d.stats().reads(), 1, "the prefetch was the only read");
-        let s = cache.stats();
-        assert_eq!((s.prefetch_hits, s.hits, s.misses), (1, 0, 0));
-        assert_eq!((s.decoded_hits, s.decoded_misses), (0, 1));
-        // Decoded tier now primed: next decoded read hits it outright.
-        cache.read_decoded(&codec, p);
-        let delta = cache.stats().delta_since(&s);
-        assert_eq!(
-            (delta.hits, delta.decoded_hits, delta.decoded_misses),
-            (1, 1, 0)
-        );
-    }
-
-    #[test]
-    fn concurrent_prefetch_and_demand_reads_agree() {
-        let d = disk_with_pages(64, 32);
-        let cache = SharedPageCache::with_shards(&d, 32, 4);
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let cache = &cache;
-                s.spawn(move || {
-                    let mut scratch = Vec::new();
-                    for i in 0..64u64 {
-                        cache.prefetch_page(PageId((i + t * 31) % 64), &mut scratch);
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for i in 0..64u64 {
-                        assert_eq!(cache.read(PageId(i))[0], i as u8);
-                    }
-                });
-            }
-        });
-        let s = cache.stats();
-        // Every demand read is accounted exactly once across the three
-        // disjoint counters.
-        assert_eq!(s.hits + s.misses + s.prefetch_hits, 2 * 64);
     }
 
     #[test]

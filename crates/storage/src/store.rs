@@ -10,9 +10,9 @@
 //! * [`FileStore`] — a real on-disk file of fixed-size pages accessed with
 //!   positional `pread`/`pwrite` (`FileExt::read_at`/`write_all_at`).
 //!   There is **no global file-offset lock**: positional I/O carries its
-//!   offset per call, so any number of threads can read concurrently —
-//!   this is what lets the prefetch pipeline keep a queue depth of reads
-//!   in flight against one file.
+//!   offset per call, so any number of threads can read concurrently: the
+//!   serve workers' demand misses and the parallel join's engines read one
+//!   file without queueing on each other.
 //!
 //! Error semantics of [`FileStore`] are strict where silence would hide
 //! corruption: a page that lies wholly past end-of-file reads as zeros
@@ -48,8 +48,7 @@ use crate::DiskBackendKind;
 /// Offsets are byte offsets (always page-aligned: the disk multiplies page
 /// id by page size) and `buf`/`page` are always exactly one page long.
 /// Implementations must be safe for concurrent calls from many threads —
-/// the prefetch pipeline issues reads from dedicated I/O threads while
-/// serve workers read through the cache.
+/// serve workers and join engines read one disk at once.
 pub trait PageStore: Send + Sync {
     /// Which backend family this store is (for reporting).
     fn kind(&self) -> DiskBackendKind;

@@ -5,7 +5,7 @@
 //!   sequential full-scan reference;
 //! * Hilbert-ordered batching strictly raises the sequential-read
 //!   fraction over arrival-order replay on the same trace;
-//! * sampled probes and their readahead schedules equal a full scan on an
+//! * sampled probes and their candidate pages equal a full scan on an
 //!   index whose node count puts two probe-directory levels above it;
 //! * property test: random datasets and traces keep the 1-worker and
 //!   4-worker transformers engines equal to the oracle.
@@ -150,9 +150,9 @@ fn sampled_probes_match_a_full_scan_across_a_directory_level_boundary() {
         let trace = generate_trace(&QueryTraceSpec::with_mix(300, mix, seed));
         let out = serve_trace(&engine, &trace, &ServeConfig::default());
         assert_eq!(out.results, reference(&elems, &trace), "mix={mix:?}");
-        // The readahead schedule runs the same prefilter: it must name
-        // exactly the pages of the units a scan of the whole unit table
-        // admits, in ascending page order.
+        // A batch's candidate pages come from the same prefilter: they must
+        // name exactly the pages of the units a scan of the whole unit
+        // table admits, in ascending page order.
         for q in &trace {
             let probe = q.probe();
             let mut scanned: Vec<_> = idx
