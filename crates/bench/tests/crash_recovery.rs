@@ -32,9 +32,11 @@
 //! interrupted after any number of its in-place writes, with the next
 //! page torn; and the moments before, inside and after a checkpoint. They
 //! build the same image from the same trace and hold it to the same
-//! reference. Two more keep the write-back policy's promises: the dirty
-//! tier stays bounded, and the log and a recovery stay bounded by the
-//! checkpoint interval however long the history.
+//! reference. Three more keep the write-back policy's promises: the dirty
+//! tier stays bounded and never holds an overlay chain page, a checkpoint
+//! writes each chain page changed since the last one once, and the log and
+//! a recovery stay bounded by the checkpoint interval however long the
+//! history.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -48,7 +50,7 @@ use tfm_storage::{
 use tfm_wal::{Wal, WalOptions};
 use transformers::{
     IndexConfig, MutableTransformers, MutationOp, TransformersIndex, CHECKPOINT_LOG_BYTES,
-    DIRTY_HIGH_WATER, DIRTY_LOW_WATER,
+    DIRTY_HIGH_WATER, DIRTY_LOW_WATER, NO_PAGE,
 };
 
 const COUNT: usize = 250;
@@ -341,6 +343,20 @@ fn copy_crash_state(image_dir: &Path, run_dir: &Path, to: &Path) {
     }
 }
 
+/// The byte offsets of the overlay chain's pages, read off the image
+/// (`next u64` leads every chain page; the chain never moves).
+fn chain_offsets(disk: &Disk, head: PageId) -> Vec<u64> {
+    let mut chain = vec![head.0];
+    loop {
+        let page = disk.read_page_vec(PageId(*chain.last().unwrap()));
+        let next = u64::from_le_bytes(page[..8].try_into().unwrap());
+        if next == NO_PAGE {
+            return chain.iter().map(|p| p * PAGE_SIZE as u64).collect();
+        }
+        chain.push(next);
+    }
+}
+
 fn case_dirs(tag: &str) -> (PathBuf, PathBuf) {
     let root = std::env::temp_dir().join(format!("tfm_crash_{tag}_{}", std::process::id()));
     (root.join("run"), root.join("case"))
@@ -403,12 +419,24 @@ fn a_write_back_torn_after_any_page_recovers_to_the_committed_prefix() {
     std::fs::remove_dir_all(run.parent().unwrap()).ok();
 }
 
-/// Forwards to a [`Wal`] and calls `at_checkpoint` when asked to
-/// checkpoint, before the log is truncated: the moment at which the data
-/// disk is flushed and synced and the log still whole.
+/// Forwards to a [`Wal`], remembers which pages were logged, and calls
+/// `at_checkpoint` when asked to checkpoint, before the log is truncated:
+/// the moment at which the data disk is flushed and synced and the log
+/// still whole.
 struct SnapshotAtCheckpoint<'a> {
     inner: &'a Wal,
     at_checkpoint: &'a (dyn Fn() + Sync),
+    logged: Mutex<Vec<PageId>>,
+}
+
+impl<'a> SnapshotAtCheckpoint<'a> {
+    fn new(inner: &'a Wal, at_checkpoint: &'a (dyn Fn() + Sync)) -> Self {
+        Self {
+            inner,
+            at_checkpoint,
+            logged: Mutex::default(),
+        }
+    }
 }
 
 impl RedoLog for SnapshotAtCheckpoint<'_> {
@@ -416,9 +444,11 @@ impl RedoLog for SnapshotAtCheckpoint<'_> {
         self.inner.begin()
     }
     fn log_page(&self, txn: u64, page: PageId, image: &[u8]) -> u64 {
+        self.logged.lock().unwrap().push(page);
         self.inner.log_page(txn, page, image)
     }
     fn log_change(&self, txn: u64, page: PageId, before: &[u8], after: &[u8]) -> u64 {
+        self.logged.lock().unwrap().push(page);
         self.inner.log_change(txn, page, before, after)
     }
     fn commit(&self, txn: u64) -> u64 {
@@ -458,10 +488,8 @@ fn a_kill_before_inside_or_after_a_checkpoint_recovers_to_the_committed_prefix()
     assert!(cache.dirty_pages() > 0);
     crash_now(half);
     // Inside: every page flushed and synced, the log not yet truncated.
-    let inside = SnapshotAtCheckpoint {
-        inner: &wal,
-        at_checkpoint: &|| crash_now(half),
-    };
+    let at_checkpoint = || crash_now(half);
+    let inside = SnapshotAtCheckpoint::new(&wal, &at_checkpoint);
     let flushed = w.overlay.checkpoint(&inside, &cache).expect("checkpoint");
     assert!(flushed > 0 && cache.dirty_pages() == 0);
     // After: the image alone carries the first half.
@@ -481,10 +509,62 @@ fn a_kill_before_inside_or_after_a_checkpoint_recovers_to_the_committed_prefix()
 }
 
 #[test]
+fn a_checkpoint_writes_each_changed_chain_page_once_ascending_before_the_log_is_truncated() {
+    let (run, _) = case_dirs("chain_checkpoint");
+    let w = in_process(&run, OPS);
+    let chain = chain_offsets(&w.disk, w.overlay.meta_head());
+    let cache = SharedPageCache::with_shards(&w.disk, 32, 2);
+    let wal = Wal::open(run.join("wal"), WalOptions::default()).expect("open wal");
+    // The in-place writes made by the moment the log is told to truncate.
+    let at_truncation: Mutex<Option<usize>> = Mutex::default();
+    let at_checkpoint = || {
+        *at_truncation.lock().unwrap() = Some(w.journal.lock().unwrap().len());
+    };
+    let log = SnapshotAtCheckpoint::new(&wal, &at_checkpoint);
+    let half = w.batches.len() / 2;
+    for batches in [&w.batches[..half], &w.batches[half..]] {
+        let before = w.journal.lock().unwrap().len();
+        for writes in batches {
+            w.overlay.apply_batch(&log, &cache, writes);
+        }
+        let mark = w.journal.lock().unwrap().len();
+        // The chain pages these batches logged, ascending, each once.
+        let mut changed: Vec<u64> = log
+            .logged
+            .lock()
+            .unwrap()
+            .drain(..)
+            .map(|p| p.0 * PAGE_SIZE as u64)
+            .filter(|o| chain.contains(o))
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        assert!(!changed.is_empty());
+
+        let written = w.overlay.checkpoint(&log, &cache).expect("checkpoint");
+        let journal = w.journal.lock().unwrap();
+        let in_place: Vec<u64> = journal[before..].iter().map(|&(o, _)| o).collect();
+        assert!(
+            in_place[..mark - before].iter().all(|o| !chain.contains(o)),
+            "a write-back between checkpoints wrote a chain page"
+        );
+        // The checkpoint: the dirty tier, then the changed chain pages as
+        // one ascending run, all of it before the log drops a record.
+        let checkpoint = &in_place[mark - before..];
+        assert_eq!(written, checkpoint.len());
+        let tier = checkpoint.len() - changed.len();
+        assert!(checkpoint[..tier].iter().all(|o| !chain.contains(o)));
+        assert_eq!(checkpoint[tier..], changed[..]);
+        assert_eq!(at_truncation.lock().unwrap().take(), Some(journal.len()));
+    }
+    std::fs::remove_dir_all(run.parent().unwrap()).ok();
+}
+
+#[test]
 fn the_dirty_tier_stays_bounded_and_hot_pages_are_written_once_per_write_back() {
     let (run, _) = case_dirs("dirty_bound");
     let w = in_process(&run, 2000);
-    let head_offset = w.overlay.meta_head().0 * PAGE_SIZE as u64;
+    let chain = chain_offsets(&w.disk, w.overlay.meta_head());
     let cache = SharedPageCache::with_shards(&w.disk, 64, 2);
     let (high, low) = (
         cache.capacity() / DIRTY_HIGH_WATER,
@@ -518,13 +598,17 @@ fn the_dirty_tier_stays_bounded_and_hot_pages_are_written_once_per_write_back() 
     let journal = w.journal.lock().unwrap();
     assert_eq!(journal.len(), flushed, "only write-backs write in place");
     assert!(write_backs >= 10, "{write_backs} write-backs");
-    // The overlay head is the most recently written page at every
-    // write-back, so the least-recently-written rule leaves it dirty:
-    // 50 batches rewrote it, far fewer write-backs wrote it in place.
-    let head_writes = journal.iter().filter(|(o, _)| *o == head_offset).count();
-    assert!(
-        head_writes <= write_backs / 2,
-        "head written in place {head_writes} times in {write_backs} write-backs"
+    // Every batch logs the overlay head, yet no chain page is written in
+    // place between checkpoints: the chain never enters the dirty tier.
+    let chain_writes: Vec<u64> = journal
+        .iter()
+        .map(|&(o, _)| o)
+        .filter(|o| chain.contains(o))
+        .collect();
+    assert_eq!(
+        chain_writes,
+        [],
+        "chain pages written in place by write-backs"
     );
     assert!(cache.stats().dirty_high_water as usize >= high);
     drop(journal);
@@ -537,8 +621,8 @@ fn the_dirty_tier_stays_bounded_and_hot_pages_are_written_once_per_write_back() 
     ignore = "writes ~300 MB of log: run with --release, as CI's release test job does"
 )]
 fn log_size_and_recovery_are_bounded_by_the_checkpoint_interval() {
-    // 32 KiB pages: a write's records run to kilobytes (an insert shifts
-    // half a directory leaf), so a few thousand ops cross the interval.
+    // 32 KiB pages: an insert's records run to kilobytes (it shifts half
+    // a directory leaf), so some ten thousand ops cross the interval.
     const BIG_PAGE: usize = 32 << 10;
     let run = |ops: usize, tag: &str| {
         let wal_dir = std::env::temp_dir().join(format!("tfm_crash_{tag}_{}", std::process::id()));
@@ -595,8 +679,8 @@ fn log_size_and_recovery_are_bounded_by_the_checkpoint_interval() {
             wall,
         )
     };
-    let (ckpt_1, bytes_1, records_1, wall_1) = run(4_000, "cadence_1x");
-    let (ckpt_10, bytes_10, records_10, wall_10) = run(40_000, "cadence_10x");
+    let (ckpt_1, bytes_1, records_1, wall_1) = run(12_000, "cadence_1x");
+    let (ckpt_10, bytes_10, records_10, wall_10) = run(120_000, "cadence_10x");
     assert!(ckpt_1 >= 1, "the short run never reached the interval");
     assert!(ckpt_10 >= 8 * ckpt_1, "{ckpt_10} vs {ckpt_1} checkpoints");
     // Ten times the history, the same bound on what is kept and replayed.

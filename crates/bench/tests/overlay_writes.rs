@@ -1,7 +1,8 @@
 //! Change-only overlay persistence: a batch logs the overlay chain pages
 //! whose bytes it changed, not the chain, and logs each against the bytes
-//! the overlay writer kept, so a chain page evicted from the cache is not
-//! logged whole.
+//! the overlay writer kept. The chain never enters the cache, so its pages
+//! are logged as changes however the cache evicts, and reach the disk at a
+//! write-back.
 //!
 //! The write counts are taken where they cost — at the [`RedoLog`] seam,
 //! by a wrapper that records every page id handed to `log_page` (whole)
@@ -210,9 +211,9 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Runs `batches` write batches on a fresh base through a real WAL,
-/// flushes every committed page, and replays that log onto a copy of the
-/// image as adoption left it. Returns (flushed image, recovered image,
-/// head).
+/// writes every committed page back, and replays that log onto a copy of
+/// the image as adoption left it. Returns (written-back image, recovered
+/// image, head).
 fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
     let wal_dir = wal_dir(tag);
     let (disk, elems, overlay) = base(600);
@@ -233,9 +234,10 @@ fn flushed_and_recovered(tag: &str, batches: usize) -> (Disk, Disk, PageId) {
             chain.len()
         );
     }
-    // Flush to the durable LSN (not a checkpoint: the log stays whole).
-    let (_, retained) = cache.flush_dirty(wal.sync());
-    assert_eq!(retained, 0, "every committed page is flushed");
+    // Write back (not a checkpoint: the log stays whole).
+    overlay
+        .write_back(&wal, &cache)
+        .expect("every committed page is written back");
     drop(wal);
 
     let report = tfm_wal::recover(&wal_dir, &crashed).expect("recover");
@@ -283,12 +285,13 @@ fn first_batch_after_recover_and_reopen_is_change_only() {
     );
 }
 
-/// A chain page that a write-back cleaned and the cache then dropped is
-/// logged against the overlay writer's kept bytes, and the log still
-/// recovers the flushed image.
+/// Chain pages are logged, never installed in the cache: the second
+/// batch logs each chain page it changes against the overlay writer's
+/// kept bytes, no chain page is ever resident, and the log still recovers
+/// the written-back image.
 #[test]
-fn a_chain_page_evicted_after_write_back_is_logged_as_a_change() {
-    let wal_dir = wal_dir("evicted");
+fn chain_pages_are_logged_as_changes_and_never_become_resident() {
+    let wal_dir = wal_dir("never_resident");
     let (disk, elems, overlay) = base(600);
     let head = overlay.meta_head();
     let crashed = copy_of(&disk);
@@ -298,17 +301,23 @@ fn a_chain_page_evicted_after_write_back_is_logged_as_a_change() {
     let cache = SharedPageCache::new(&disk, 4096);
     let wal = Wal::open(&wal_dir, WalOptions::default()).expect("open wal");
     let log = CountingLog::new(&wal);
+    let none_resident = |when: &str| {
+        let resident: Vec<&PageId> = chain.iter().filter(|&&p| cache.is_resident(p)).collect();
+        assert!(
+            resident.is_empty(),
+            "{when}: chain pages {resident:?} resident"
+        );
+    };
 
-    overlay.apply_batch(&log, &cache, &writes_of(&trace[..40]));
-    // Write every frame back, then drop the clean ones: the chain pages
-    // the first batch wrote are no longer in the cache.
-    let (_, retained) = cache.flush_dirty(wal.sync());
-    assert_eq!(retained, 0);
-    cache.clear();
-    assert!(chain.iter().all(|&p| cache.resident(p).is_none()));
+    let first = overlay.apply_batch(&log, &cache, &writes_of(&trace[..40]));
+    assert!(first.overlay_pages_written > 0);
+    none_resident("after the first batch");
+    overlay.write_back(&wal, &cache).expect("write back");
+    none_resident("after the write-back");
 
     let mark = log.records().len();
     let out = overlay.apply_batch(&log, &cache, &writes_of(&trace[40..]));
+    none_resident("after the second batch");
     let rewritten: Vec<Logged> = log.records()[mark..]
         .iter()
         .filter(|(p, _)| chain.contains(p))
@@ -318,11 +327,11 @@ fn a_chain_page_evicted_after_write_back_is_logged_as_a_change() {
     assert_eq!(rewritten.len(), out.overlay_pages_written);
     assert!(
         rewritten.iter().all(|&(_, via)| via != Via::Page),
-        "evicted chain pages logged whole: {rewritten:?}"
+        "chain pages logged whole again: {rewritten:?}"
     );
 
-    let (_, retained) = cache.flush_dirty(wal.sync());
-    assert_eq!(retained, 0);
+    overlay.write_back(&wal, &cache).expect("write back");
+    none_resident("after the second write-back");
     drop(wal);
     let report = tfm_wal::recover(&wal_dir, &crashed).expect("recover");
     assert_eq!(report.commits, 2);

@@ -926,8 +926,9 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
             result_ids += out.stats.result_ids;
         }
     }
-    // The dirty pages the last batches left are part of what the run
-    // wrote: flush them, so that `write amp:` counts the tail.
+    // The dirty pages and the overlay chain pages the last batches left
+    // are part of what the run wrote: write them, so that `write amp:`
+    // counts the tail.
     checkpoint_pages += checkpoint()? as u64;
     checkpoints += 1;
     let wall = t.elapsed();
@@ -985,7 +986,7 @@ fn mutate_summary(args: &[String]) -> Result<String, String> {
          {checkpoint_pages} at {checkpoints} checkpoints, {page_size} bytes each"
     ));
     lines.push(format!(
-        "overlay:         {overlay_pages} pages written, at most {overlay_pages_max} of the \
+        "overlay:         {overlay_pages} pages logged, at most {overlay_pages_max} of the \
          chain's {} in one batch",
         overlay.overlay_chain_pages()
     ));

@@ -22,7 +22,8 @@
 //!   equal to an index rebuilt from scratch over the mutated dataset.
 //! * **Element directory.** A [`BPlusTree`], changed in place under the
 //!   batch mutex, maps element id → unit, so a delete finds its page
-//!   without scanning. Deletes rewrite the one page holding the element;
+//!   without scanning. Deletes rewrite the one page holding the element,
+//!   moving its last record into the hole (at most two records change);
 //!   an overflow page that empties stays linked (lazy reclamation — the
 //!   chain remains walkable for in-flight readers, mirroring the
 //!   B+-tree's no-recycle rule).
@@ -30,33 +31,40 @@
 //!   routes every page write through [`LoggedPages`]: a record of the
 //!   change to the [`RedoLog`] (the page's first since a checkpoint is
 //!   its full image, later ones may be the bytes that differ), the new
-//!   bytes to the shared cache's dirty tier. The batch — including the
-//!   persisted overlay, see below — is one transaction. A crash anywhere
-//!   leaves either the whole batch or none of it (redo-only, no-steal).
+//!   bytes to the shared cache's dirty tier — all but the overlay chain's,
+//!   see below. The batch, overlay included, is one transaction. A crash
+//!   anywhere leaves either the whole batch or none of it (redo-only,
+//!   no-steal).
 //! * **Write-back, bounded.** A committed page stays in the dirty tier,
 //!   where the next batches rewrite it for free, until the tier holds
 //!   half the cache: the batch that reaches that mark writes the least
 //!   recently written frames back through the durable-LSN gate, in
 //!   ascending page order, down to a quarter of the cache
-//!   ([`DIRTY_HIGH_WATER`], [`DIRTY_LOW_WATER`]). Nothing else writes a
-//!   dirty frame in place except [`MutableTransformers::checkpoint`],
-//!   which flushes them all, syncs the data disk and lets the log drop
-//!   its records — `apply_batch` never truncates the log, so a log kept
-//!   whole replays onto the image it was started from.
-//! * **Persisted overlay, written change-only.** The mutable state
-//!   (per-unit counts, overflow heads, grown MBBs, directory root,
-//!   allocation watermark) is serialized into a chain of **overlay
-//!   pages** under the same transaction as the data it describes. The
-//!   writer keeps each chain page's bytes as last written and, per batch,
-//!   writes only the pages whose finished bytes differ — a handful for a
-//!   few inserts, none for a batch of rejected ops — because a page that
+//!   ([`DIRTY_HIGH_WATER`], [`DIRTY_LOW_WATER`]). Nothing else writes in
+//!   place but [`MutableTransformers::write_back`], which writes every
+//!   dirty frame and then the overlay chain pages logged since the last
+//!   one, and [`MutableTransformers::checkpoint`], which is a write-back,
+//!   a sync of the data disk and only then the log dropping its records
+//!   — `apply_batch` never truncates the log, so a log kept whole replays
+//!   onto the image it was started from.
+//! * **Persisted overlay, logged change-only, written at a checkpoint.**
+//!   The mutable state (per-unit counts, overflow heads, grown MBBs,
+//!   directory root, allocation watermark) is serialized into a chain of
+//!   **overlay pages**, sized and written once by `adopt`, and logged
+//!   under the same transaction as the data it describes. The writer
+//!   keeps each chain page's bytes as last logged and, per batch, logs
+//!   only the pages whose finished bytes differ — a handful for a few
+//!   inserts, none for a batch of rejected ops — because a page that
 //!   compares equal already holds those bytes on the image or in an
 //!   earlier committed transaction's log record. The kept bytes are also
-//!   the base each rewrite is logged against ([`PageWrites::rewrite`]),
-//!   so a chain page whose frame was written back and evicted is logged
-//!   as the bytes that changed, not whole. After crash recovery
-//!   replays the log, [`MutableTransformers::reopen`] rebuilds the full
-//!   handle from the overlay head page alone, chain images included.
+//!   the base each change is logged against
+//!   ([`LoggedPages::log_only`]), and no reader reads a chain page
+//!   through the cache (snapshots are in memory, `reopen` reads the
+//!   disk), so the chain never enters the dirty tier: its changed pages
+//!   are written in place once per write-back, not once per stay in the
+//!   tier. After crash recovery replays the log,
+//!   [`MutableTransformers::reopen`] rebuilds the full handle from the
+//!   overlay head page alone, chain images included.
 //! * **Snapshot publication.** Readers never lock against writers: each
 //!   committed batch publishes an immutable [`MutSnapshot`]
 //!   (`Mutex<Arc<_>>` swap), and serve sessions query through the
@@ -65,9 +73,10 @@
 //!   themselves are never torn, the cache swaps whole frames); batch
 //!   boundaries are the published consistency points.
 //!
-//! What a batch costs: its log records and dirty frames are proportional
-//! to the pages it changed, overlay included, and a page is written in
-//! place once per stay in the dirty tier, not once per batch. Two
+//! What a batch costs: its log records are proportional to the pages it
+//! changed, overlay included, and a page is written in place once per
+//! stay in the dirty tier (a chain page: once per write-back), not once
+//! per batch. Two
 //! O(units) steps remain and are CPU only: the overlay is serialized
 //! whole before it is compared page by page, and the descriptor tables
 //! are copied whole per publish. That is the honest cost of a design
@@ -80,7 +89,7 @@ use crate::metadata::{get_aabb, put_aabb};
 use crate::probe_dir::ProbeDirectory;
 use crate::TransformersIndex;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tfm_bptree::BPlusTree;
 use tfm_geom::{Aabb, Point3, SpatialElement, SpatialQuery};
 use tfm_storage::{
@@ -121,7 +130,7 @@ const ELEM_RECORD: usize = tfm_storage::ELEMENT_RECORD_BYTES;
 /// Magic stamped on the first overlay page ("TFMMUT01").
 const MUT_MAGIC: u64 = u64::from_le_bytes(*b"TFMMUT01");
 
-/// Fixed overlay header bytes (see [`write_overlay`]).
+/// Fixed overlay header bytes (see [`overlay_body`]).
 const OVERLAY_FIXED: usize = 64;
 /// Serialized bytes per unit entry in the overlay.
 const OVERLAY_UNIT: usize = 8 + 8 + 4 + 4 + 48 + 48;
@@ -401,8 +410,9 @@ pub struct BatchOutcome {
     pub flushed_pages: usize,
     /// Dirty pages left in the cache when the batch returned.
     pub retained_pages: usize,
-    /// Overlay chain pages the batch wrote (logged and dirtied): those
-    /// whose bytes the batch changed, not the chain length.
+    /// Overlay chain pages the batch logged: those whose bytes the batch
+    /// changed, not the chain length. They reach the data disk at the
+    /// next [`MutableTransformers::write_back`] or checkpoint.
     pub overlay_pages_written: usize,
 }
 
@@ -422,11 +432,13 @@ struct MutState {
 #[derive(Debug)]
 struct OverlayPage {
     id: PageId,
-    /// The page's bytes as last written by [`write_overlay`] or read by
-    /// [`MutableTransformers::reopen`] — what the page holds once every
-    /// committed batch is applied. Empty for a page allocated but not yet
-    /// written, which therefore never compares equal to a finished page.
+    /// The page's bytes as written by `adopt`, last logged by
+    /// [`write_overlay`] or read by [`MutableTransformers::reopen`] — what
+    /// the page holds once every committed batch is applied.
     image: Vec<u8>,
+    /// Whether the data disk holds `image`: false from the batch that
+    /// logs a change of the page until the next write-back.
+    on_disk: bool,
 }
 
 /// The mutable overlay over one TRANSFORMERS dataset: batched online
@@ -446,9 +458,11 @@ impl MutableTransformers {
     /// Takes over a built index for online mutation.
     ///
     /// Reads every element page once to bulk-load the element directory
-    /// (id → unit) and writes the initial overlay chain — all direct,
-    /// unlogged writes: adoption is part of initial image construction,
-    /// before any WAL tracks the dataset. Element ids must be unique.
+    /// (id → unit), allocates the overlay chain as one contiguous run —
+    /// units and nodes never change in number, so neither does the chain
+    /// — and writes it: all direct, unlogged writes, since adoption is part
+    /// of initial image construction, before any WAL tracks the dataset.
+    /// Element ids must be unique.
     pub fn adopt(idx: &TransformersIndex, disk: &Disk) -> Self {
         let page_size = disk.page_size();
         let codec = ElementPageCodec::new(page_size);
@@ -476,7 +490,7 @@ impl MutableTransformers {
                 count: u.count as u32,
                 node: u.node,
             })
-            .collect();
+            .collect::<Vec<_>>();
         let nodes = idx
             .nodes()
             .iter()
@@ -486,16 +500,29 @@ impl MutableTransformers {
                 first_unit: n.first_unit,
                 unit_count: n.unit_count,
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let pages = overlay_chain_len(units.len(), nodes.len(), page_size);
+        let first = disk.allocate_contiguous(pages as u64).0;
         let mut st = MutState {
             units,
             nodes,
             len: idx.len() as u64,
             directory,
-            chain: Vec::new(),
+            chain: (first..first + pages as u64)
+                .map(|id| OverlayPage {
+                    id: PageId(id),
+                    image: Vec::new(),
+                    on_disk: true,
+                })
+                .collect(),
         };
-        let mut direct: &Disk = disk;
-        write_overlay(&mut st, &mut direct, disk);
+        let body = overlay_body(&st, disk.allocated_pages());
+        for (i, chunk) in body.chunks(page_size - 8).enumerate() {
+            let mut image = Vec::with_capacity(page_size);
+            frame_chain_page(&st.chain, i, chunk, page_size, &mut image);
+            disk.write_page(st.chain[i].id, &image);
+            st.chain[i].image = image;
+        }
         let snapshot = Arc::new(snapshot_of(&st, page_size));
         Self {
             state: Mutex::new(st),
@@ -522,7 +549,11 @@ impl MutableTransformers {
             let mut b: &[u8] = &image;
             let next = b.get_u64_le_ext();
             body.extend_from_slice(b);
-            chain.push(OverlayPage { id: cur, image });
+            chain.push(OverlayPage {
+                id: cur,
+                image,
+                on_disk: true,
+            });
             if next == NO_PAGE {
                 break;
             }
@@ -574,6 +605,11 @@ impl MutableTransformers {
             });
         }
 
+        debug_assert_eq!(
+            chain.len(),
+            overlay_chain_len(n_units, n_nodes, page_size),
+            "the chain keeps the length adopt gave it"
+        );
         // Committed batches may have allocated pages (overflow, directory
         // splits) past what replay touched; restore the watermark so new
         // allocations never clobber them.
@@ -597,18 +633,18 @@ impl MutableTransformers {
     /// id a manifest must remember to [`reopen`](Self::reopen) after a
     /// crash.
     pub fn meta_head(&self) -> PageId {
-        self.state.lock().unwrap().chain[0].id
+        self.writer().chain[0].id
     }
 
     /// Pages in the persisted overlay chain — the ceiling of
     /// [`BatchOutcome::overlay_pages_written`].
     pub fn overlay_chain_pages(&self) -> usize {
-        self.state.lock().unwrap().chain.len()
+        self.writer().chain.len()
     }
 
     /// Live element count.
     pub fn len(&self) -> u64 {
-        self.state.lock().unwrap().len
+        self.writer().len
     }
 
     /// True if no live elements remain.
@@ -616,15 +652,27 @@ impl MutableTransformers {
         self.len() == 0
     }
 
+    /// The writer state, behind the batch mutex. A batch that panicked
+    /// half-applied leaves the state torn, so a poisoned lock stays a
+    /// panic here until the mutate path's I/O can fail instead
+    /// (`ROADMAP.md` item 1, slice B).
+    fn writer(&self) -> MutexGuard<'_, MutState> {
+        self.state.lock().unwrap()
+    }
+
     /// The most recently published consistent view.
     pub fn snapshot(&self) -> Arc<MutSnapshot> {
-        self.published.lock().unwrap().clone()
+        // Publication swaps a whole `Arc`: a panic cannot leave it torn.
+        self.published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Looks up which unit holds element `id` via the element directory,
     /// after any batch in flight (the directory is writer state).
     pub fn unit_of<C: PageReads>(&self, cache: &mut C, id: u64) -> Option<u32> {
-        let st = self.state.lock().unwrap();
+        let st = self.writer();
         st.directory.get_with(cache, id).map(|u| u as u32)
     }
 
@@ -632,10 +680,11 @@ impl MutableTransformers {
     /// publishes the result.
     ///
     /// Every page write (element pages, overflow pages, directory nodes,
-    /// the overlay chain) is logged and lands in `cache`'s dirty tier;
-    /// the commit fsyncs the log and the new [`MutSnapshot`] is
-    /// published. Only then, and only if the dirty tier has reached
-    /// [`DIRTY_HIGH_WATER`], are its least recently written frames
+    /// the overlay chain) is logged, and all but the chain's land in
+    /// `cache`'s dirty tier; the commit fsyncs the log and the new
+    /// [`MutSnapshot`] is published. Only then, and only if the dirty
+    /// tier has reached [`DIRTY_HIGH_WATER`], are its least recently
+    /// written frames
     /// written back through the durable-LSN gate — WAL-before-data end to
     /// end. A crash before the commit record is durable undoes the whole
     /// batch at replay; after, the whole batch survives, in the log if
@@ -646,7 +695,7 @@ impl MutableTransformers {
         cache: &SharedPageCache<'_>,
         ops: &[MutationOp],
     ) -> BatchOutcome {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.writer();
         let txn = log.begin();
         let mut h = LoggedPages::new(log, cache, txn);
         let mut out = BatchOutcome {
@@ -671,10 +720,13 @@ impl MutableTransformers {
                 }
             }
         }
-        out.overlay_pages_written = write_overlay(&mut st, &mut h, cache.disk());
+        out.overlay_pages_written = write_overlay(&mut st, &h);
         out.durable_lsn = log.commit(txn);
         drop(h);
-        *self.published.lock().unwrap() = Arc::new(snapshot_of(&st, self.page_size));
+        *self
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Arc::new(snapshot_of(&st, self.page_size));
         let dirty = cache.dirty_pages();
         out.retained_pages = dirty;
         if dirty >= (cache.capacity() / DIRTY_HIGH_WATER).max(1) {
@@ -688,32 +740,37 @@ impl MutableTransformers {
         out
     }
 
-    /// Makes the data disk current and the log short: with no batch in
-    /// flight, every dirty frame is flushed (the log is synced first, so
-    /// the gate holds none back), the data disk is synced, and only then
-    /// is the log told it may drop its records ([`RedoLog::checkpoint`]).
-    /// Returns the pages written in place. A crash before the last step
-    /// leaves the whole log to replay; after it, the disk needs none.
+    /// Makes the data disk current, with no batch in flight: every dirty
+    /// frame is flushed (the log is synced first, so the gate holds none
+    /// back), then the overlay chain pages logged since the last
+    /// write-back are written in place, ascending. Returns the pages
+    /// written. The log keeps every record, so it still replays onto the
+    /// image it was started from, and that replay equals the image written
+    /// back here.
+    pub fn write_back(&self, log: &dyn RedoLog, cache: &SharedPageCache<'_>) -> io::Result<usize> {
+        write_back_locked(&mut self.writer(), log, cache)
+    }
+
+    /// Makes the data disk current and the log short: a
+    /// [`write_back`](Self::write_back), a sync of the data disk, and only
+    /// then is the log told it may drop its records
+    /// ([`RedoLog::checkpoint`]). Returns the pages written in place. A
+    /// crash before the last step leaves the whole log to replay; after
+    /// it, the disk needs none.
     ///
     /// Call it every [`CHECKPOINT_LOG_BYTES`] of log: recovery time and
     /// log size are bounded by the interval. `apply_batch` never calls
     /// it — a caller that keeps the log whole (a backup to replay onto
     /// the image it started from) does not checkpoint.
     pub fn checkpoint(&self, log: &dyn RedoLog, cache: &SharedPageCache<'_>) -> io::Result<usize> {
-        let _no_batch = self.state.lock().unwrap();
-        let (flushed, retained) = cache.flush_dirty(log.sync());
-        if retained > 0 {
-            return Err(io::Error::other(format!(
-                "checkpoint left {retained} dirty pages whose records are not durable: \
-                 another writer shares the cache"
-            )));
-        }
+        let mut st = self.writer();
+        let written = write_back_locked(&mut st, log, cache)?;
         cache.disk().sync()?;
         log.checkpoint()?;
         tfm_obs::global()
             .counter(tfm_obs::names::MUTATE_CHECKPOINTS)
             .inc();
-        Ok(flushed)
+        Ok(written)
     }
 
     fn insert_one<P: PageReads + PageWrites>(
@@ -802,7 +859,7 @@ impl MutableTransformers {
         let mut buf = Vec::new();
         let mut removed = false;
         if let Some(pos) = elems.iter().position(|x| x.id == id) {
-            elems.remove(pos);
+            elems.swap_remove(pos);
             codec.encode_into(&elems, &mut buf);
             h.write(base_page, &buf);
             removed = true;
@@ -816,7 +873,7 @@ impl MutableTransformers {
                     ov.decode_append(&p, &mut chunk)
                 };
                 if let Some(pos) = chunk.iter().position(|x| x.id == id) {
-                    chunk.remove(pos);
+                    chunk.swap_remove(pos);
                     // An emptied page stays linked (lazy reclamation) so
                     // the chain remains walkable for in-flight readers.
                     ov.encode_into(next, &chunk, &mut buf);
@@ -899,13 +956,45 @@ fn snapshot_of(st: &MutState, page_size: usize) -> MutSnapshot {
     }
 }
 
-/// Serializes the overlay over the page chain, extending the chain first
-/// if the body outgrew it, and writes the chain pages whose finished bytes
-/// differ from [`OverlayPage::image`], each as a rewrite of that image;
-/// returns how many it wrote. An unchanged page is skipped whole — not
-/// logged, not dirtied, not flushed: it already holds exactly these
-/// bytes, from `adopt` or from an earlier committed batch, on disk or in
-/// a log record replay applies first. Layout:
+/// The writer half of [`MutableTransformers::write_back`], under the
+/// batch mutex `st` is guarded by.
+fn write_back_locked(
+    st: &mut MutState,
+    log: &dyn RedoLog,
+    cache: &SharedPageCache<'_>,
+) -> io::Result<usize> {
+    let (flushed, retained) = cache.flush_dirty(log.sync());
+    if retained > 0 {
+        return Err(io::Error::other(format!(
+            "write-back left {retained} dirty pages whose records are not durable: \
+             another writer shares the cache"
+        )));
+    }
+    // Every chain record is durable too (synced above), so the pages may
+    // follow them in place: ascending, as `adopt` allocated the chain.
+    let disk = cache.disk();
+    let mut written = 0;
+    for page in st.chain.iter_mut().filter(|p| !p.on_disk) {
+        disk.write_page(page.id, &page.image);
+        page.on_disk = true;
+        written += 1;
+    }
+    Ok(flushed + written)
+}
+
+/// Bytes of the serialized overlay over `units` units and `nodes` nodes.
+fn overlay_body_len(units: usize, nodes: usize) -> usize {
+    OVERLAY_FIXED + units * OVERLAY_UNIT + nodes * OVERLAY_NODE
+}
+
+/// Pages of the overlay chain over `units` units and `nodes` nodes: each
+/// carries `page_size - 8` bytes of the body after its `next` pointer.
+fn overlay_chain_len(units: usize, nodes: usize, page_size: usize) -> usize {
+    overlay_body_len(units, nodes).div_ceil(page_size - 8)
+}
+
+/// Serializes the overlay, with `watermark` as the allocation watermark.
+/// Layout:
 ///
 /// ```text
 /// chain page := next u64 | payload chunk (page_size - 8 bytes)
@@ -917,20 +1006,9 @@ fn snapshot_of(st: &MutState, page_size: usize) -> MutSnapshot {
 ///             | page_mbb 48 | partition_mbb 48
 /// node       := first_unit u32 | unit_count u32 | tile 48 | page_mbb 48
 /// ```
-fn write_overlay<P: PageReads + PageWrites>(st: &mut MutState, h: &mut P, disk: &Disk) -> usize {
-    let ps = h.page_size();
-    let payload_per_page = ps - 8;
-    let body_len = OVERLAY_FIXED + st.units.len() * OVERLAY_UNIT + st.nodes.len() * OVERLAY_NODE;
-    let pages_needed = body_len.div_ceil(payload_per_page).max(1);
-    while st.chain.len() < pages_needed {
-        st.chain.push(OverlayPage {
-            id: h.allocate(),
-            image: Vec::new(),
-        });
-    }
-
+fn overlay_body(st: &MutState, watermark: u64) -> Vec<u8> {
     let directory = &st.directory;
-    let watermark = disk.allocated_pages();
+    let body_len = overlay_body_len(st.units.len(), st.nodes.len());
     let mut body = Vec::with_capacity(body_len);
     body.put_u64_le_ext(MUT_MAGIC);
     body.put_u64_le_ext(st.len);
@@ -956,36 +1034,56 @@ fn write_overlay<P: PageReads + PageWrites>(st: &mut MutState, h: &mut P, disk: 
         put_aabb(&mut body, &n.page_mbb);
     }
     debug_assert_eq!(body.len(), body_len);
+    body
+}
 
-    let mut written = 0;
+/// Frames the body's `i`-th payload chunk as chain page `i` into `buf`
+/// (cleared first): the next page's id, the chunk, zero padding to a whole
+/// page as the store pads it, so that the page compares equal to the
+/// bytes `reopen` reads back.
+fn frame_chain_page(
+    chain: &[OverlayPage],
+    i: usize,
+    chunk: &[u8],
+    page_size: usize,
+    buf: &mut Vec<u8>,
+) {
+    let next = chain.get(i + 1).map_or(NO_PAGE, |p| p.id.0);
+    buf.clear();
+    buf.extend_from_slice(&next.to_le_bytes());
+    buf.extend_from_slice(chunk);
+    buf.resize(page_size, 0);
+}
+
+/// Serializes the overlay over the page chain and logs the chain pages
+/// whose finished bytes differ from [`OverlayPage::image`], each as a
+/// change of that image; returns how many it logged. Nothing goes to the
+/// cache: the logged pages are written in place by the next write-back.
+/// An unchanged page is skipped whole — it already holds exactly these
+/// bytes, from `adopt` or from an earlier committed batch, on disk or in
+/// a log record replay applies first.
+fn write_overlay(st: &mut MutState, h: &LoggedPages<'_, '_, '_>) -> usize {
+    let disk = h.cache().disk();
+    let ps = disk.page_size();
+    let body = overlay_body(st, disk.allocated_pages());
+    debug_assert_eq!(
+        overlay_chain_len(st.units.len(), st.nodes.len(), ps),
+        st.chain.len(),
+        "the chain is sized once, at adopt"
+    );
+    let mut logged = 0;
     let mut buf = Vec::with_capacity(ps);
-    for (i, chunk) in body.chunks(payload_per_page).enumerate() {
-        let next = if i + 1 < pages_needed {
-            st.chain[i + 1].id.0
-        } else {
-            NO_PAGE
-        };
-        buf.clear();
-        buf.extend_from_slice(&next.to_le_bytes());
-        buf.extend_from_slice(chunk);
-        // Whole pages, zero-padded as the store pads them, so the
-        // comparison also holds against images `reopen` read back.
-        buf.resize(ps, 0);
+    for (i, chunk) in body.chunks(ps - 8).enumerate() {
+        frame_chain_page(&st.chain, i, chunk, ps, &mut buf);
         let page = &mut st.chain[i];
         if page.image != buf {
-            // The kept image is the page's last logged bytes (only this
-            // function writes chain pages), so it is the log's base even
-            // after probes evicted the frame.
-            if page.image.is_empty() {
-                h.write(page.id, &buf);
-            } else {
-                h.rewrite(page.id, &page.image, &buf);
-            }
+            h.log_only(page.id, &page.image, &buf);
             page.image.clone_from(&buf);
-            written += 1;
+            page.on_disk = false;
+            logged += 1;
         }
     }
-    written
+    logged
 }
 
 #[cfg(test)]
@@ -1445,12 +1543,16 @@ mod tests {
             }
         }
         let head = mt.meta_head();
+        let chain_pages = mt.overlay_chain_pages();
         let old = mt.snapshot();
         // A checkpoint flushes every dirty frame — the raw disk image is
         // complete. Reopen from it alone.
         mt.checkpoint(&log, &cache).unwrap();
         drop(mt);
         let mt2 = MutableTransformers::reopen(&disk, head);
+        // Units and nodes never change in number: the chain keeps the
+        // length `adopt` gave it.
+        assert_eq!(mt2.overlay_chain_pages(), chain_pages);
         let snap = mt2.snapshot();
         assert_eq!(snap.units(), old.units());
         assert_eq!(snap.nodes(), old.nodes());
@@ -1464,6 +1566,37 @@ mod tests {
         assert_eq!(out.inserted, 1);
         live.insert(e.id, e);
         assert_matches_reference(&mt2.snapshot(), &fresh_cache, &live, "mutated after reopen");
+    }
+
+    #[test]
+    fn a_poisoned_publication_lock_is_taken_back() {
+        let initial = scatter(16, 0);
+        let mut live: BTreeMap<u64, SpatialElement> = initial.iter().map(|e| (e.id, *e)).collect();
+        let (disk, idx) = build(initial);
+        let mt = MutableTransformers::adopt(&idx, &disk);
+        let cache = SharedPageCache::with_shards(&disk, 256, 4);
+        let log = NoopLog::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = mt.published.lock().unwrap();
+                panic!("a reader panics while it holds the publication lock");
+            })
+            .join()
+            .expect_err("the thread panicked");
+        });
+        assert!(mt.published.is_poisoned());
+
+        assert_matches_reference(&mt.snapshot(), &cache, &live, "poisoned, before a batch");
+        let e = elem(700, 4.0, 4.0, 4.0);
+        let out = mt.apply_batch(
+            &log,
+            &cache,
+            &[MutationOp::Insert(e), MutationOp::Delete(3)],
+        );
+        assert_eq!((out.inserted, out.deleted), (1, 1));
+        live.insert(e.id, e);
+        live.remove(&3);
+        assert_matches_reference(&mt.snapshot(), &cache, &live, "poisoned, after a batch");
     }
 
     #[test]

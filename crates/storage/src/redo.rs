@@ -15,7 +15,9 @@
 //!   physical — a record carries bytes, not an operation — so replay is
 //!   idempotent;
 //! * the new bytes then land in the [`SharedPageCache`] dirty tier stamped
-//!   with that LSN ([`SharedPageCache::write_page`]);
+//!   with that LSN ([`SharedPageCache::write_page`]) — unless the writer
+//!   keeps the page itself and writes it in place on its own schedule
+//!   ([`LoggedPages::log_only`]);
 //! * dirty frames only reach the [`Disk`] through
 //!   [`SharedPageCache::flush_dirty`], whose gate compares each frame's
 //!   LSN against [`RedoLog::durable_lsn`] — the WAL-before-data ordering
@@ -131,25 +133,10 @@ impl RedoLog for NoopLog {
 /// out fresh page ids. Like reads, handles are `&mut self` per owner;
 /// serialising writers (the mutable index's batch mutex) is left to the
 /// layers above this trait.
-///
-/// A writer that keeps a page's last written bytes itself (the overlay
-/// chain's writer does) hands them over through
-/// [`rewrite`](PageWrites::rewrite), so a logged handle can record the
-/// change even when the page's frame has been evicted since.
 pub trait PageWrites: PageReads {
     /// Writes `bytes` (at most one page; shorter data is zero-padded) to
     /// page `id`.
     fn write(&mut self, id: PageId, bytes: &[u8]);
-
-    /// Writes `after` to page `id` as [`write`](PageWrites::write) does,
-    /// where `before` is exactly one page: the bytes the page holds once
-    /// every earlier write of it is applied, which the caller kept from
-    /// its own last write (or read) of the page. The default ignores
-    /// `before` and writes.
-    fn rewrite(&mut self, id: PageId, before: &[u8], after: &[u8]) {
-        let _ = before;
-        self.write(id, after);
-    }
 
     /// Allocates a fresh page and returns its id.
     fn allocate(&mut self) -> PageId;
@@ -181,11 +168,11 @@ impl PageWrites for &Disk {
 /// One handle per writer per transaction: create it with the transaction
 /// id from [`RedoLog::begin`], perform the mutation, then commit through
 /// the log. The handle never flushes — that is the batch boundary's job.
-/// Every write is logged against the page's previous bytes: those the
-/// caller hands to [`rewrite`](PageWrites::rewrite), else those of the
-/// resident frame. A [`write`](PageWrites::write) of a page that is not
-/// resident (a fresh allocation, or a frame evicted since it was last
-/// read) is logged whole; no disk read is made to diff it.
+/// A [`write`](PageWrites::write) is logged against the resident frame's
+/// bytes; one of a page that is not resident (a fresh allocation, or a
+/// frame evicted since it was last read) is logged whole, and no disk
+/// read is made to diff it. A page whose writer keeps its bytes itself
+/// goes through [`log_only`](LoggedPages::log_only) instead.
 pub struct LoggedPages<'l, 'c, 'd> {
     log: &'l dyn RedoLog,
     reads: CacheHandle<'c, 'd>,
@@ -212,6 +199,16 @@ impl<'l, 'c, 'd> LoggedPages<'l, 'c, 'd> {
     /// The cache this handle reads and writes through.
     pub fn cache(&self) -> &'c SharedPageCache<'d> {
         self.reads.cache()
+    }
+
+    /// Logs page `id` going from `before` to `after`, both exactly one
+    /// page, under this handle's transaction, and returns the record's
+    /// LSN. Nothing reaches the cache: this is for a page that no reader
+    /// reads through it, whose writer keeps `before` itself — its bytes
+    /// as last logged — and writes the page in place only once its
+    /// records are durable.
+    pub fn log_only(&self, id: PageId, before: &[u8], after: &[u8]) -> u64 {
+        self.log.log_change(self.txn, id, before, after)
     }
 }
 
@@ -253,19 +250,6 @@ impl PageWrites for LoggedPages<'_, '_, '_> {
             Some(before) => self.log.log_change(self.txn, id, &before, &self.scratch),
             None => self.log.log_page(self.txn, id, &self.scratch),
         };
-        cache.write_page(id, &self.scratch, lsn);
-    }
-
-    fn rewrite(&mut self, id: PageId, before: &[u8], after: &[u8]) {
-        // The caller's bytes are the base whether or not the frame is
-        // resident; when it is, they must be the frame's.
-        self.pad(after);
-        let cache = self.reads.cache();
-        debug_assert!(
-            cache.resident(id).is_none_or(|frame| *frame == *before),
-            "rewrite of {id:?}: the caller's previous bytes are not the resident frame's"
-        );
-        let lsn = self.log.log_change(self.txn, id, before, &self.scratch);
         cache.write_page(id, &self.scratch, lsn);
     }
 
@@ -400,46 +384,30 @@ mod tests {
     }
 
     #[test]
-    fn a_rewrite_is_logged_against_the_callers_bytes_resident_or_not() {
+    fn a_log_only_change_is_logged_against_the_callers_bytes_and_installs_nothing() {
         let d = Disk::in_memory(16).with_model(DiskModel::free());
         let p = d.allocate();
         d.write_page(p, &[1u8; 16]);
         let cache = SharedPageCache::with_shards(&d, 4, 1);
         let log = Seam::default();
-        let mut h = LoggedPages::new(&log, &cache, log.begin());
+        let h = LoggedPages::new(&log, &cache, log.begin());
 
-        // Not resident: the caller's bytes are the base, no disk read.
-        h.rewrite(p, &[1u8; 16], &[2u8; 8]);
+        // The caller's bytes are the base: no disk read, no frame, twice.
+        let first = h.log_only(p, &[1u8; 16], &[2u8; 16]);
+        let second = h.log_only(p, &[2u8; 16], &[3u8; 16]);
+        assert!(second > first);
         assert_eq!(d.stats().reads(), 0);
-        // Resident now (the write installed it): the same bytes again.
-        let resident = h.page(p).to_vec();
-        h.rewrite(p, &resident, &[3u8; 16]);
-        let padded = [[2u8; 8], [0u8; 8]].concat();
+        assert!(cache.resident(p).is_none());
+        assert_eq!(cache.dirty_pages(), 0);
         assert_eq!(
             *log.calls.lock().unwrap(),
             [
-                (p, Some(vec![1; 16]), padded.clone()),
-                (p, Some(padded), vec![3; 16]),
+                (p, Some(vec![1; 16]), vec![2; 16]),
+                (p, Some(vec![2; 16]), vec![3; 16]),
             ]
         );
-
-        // The write-through handle ignores the base.
-        let mut direct: &Disk = &d;
-        direct.rewrite(p, &[0u8; 16], &[4u8; 16]);
-        assert_eq!(d.read_page_vec(p), vec![4u8; 16]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not the resident frame's")]
-    fn a_rewrite_from_other_than_the_resident_bytes_panics_in_debug_builds() {
-        let d = Disk::in_memory(16).with_model(DiskModel::free());
-        let p = d.allocate();
-        let cache = SharedPageCache::with_shards(&d, 4, 1);
-        let log = NoopLog::new();
-        let mut h = LoggedPages::new(&log, &cache, log.begin());
-        h.write(p, &[1u8; 16]);
-        h.rewrite(p, &[9u8; 16], &[2u8; 16]);
+        // The disk keeps its bytes until the writer writes them in place.
+        assert_eq!(d.read_page_vec(p), vec![1u8; 16]);
     }
 
     #[test]
