@@ -426,6 +426,11 @@ struct MutState {
     directory: BPlusTree,
     /// Overlay page chain; `chain[0]` is the fixed head.
     chain: Vec<OverlayPage>,
+    /// Per unit, the last page of its overflow chain ([`NO_PAGE`] if it
+    /// has none), so an insert reads the one page it appends to instead
+    /// of walking the chain. Derived state: not in the overlay, rebuilt by
+    /// `adopt` and `reopen`.
+    tails: Vec<u64>,
 }
 
 /// One page of the persisted overlay chain.
@@ -504,6 +509,7 @@ impl MutableTransformers {
         let pages = overlay_chain_len(units.len(), nodes.len(), page_size);
         let first = disk.allocate_contiguous(pages as u64).0;
         let mut st = MutState {
+            tails: vec![NO_PAGE; units.len()],
             units,
             nodes,
             len: idx.len() as u64,
@@ -614,7 +620,23 @@ impl MutableTransformers {
         // splits) past what replay touched; restore the watermark so new
         // allocations never clobber them.
         disk.ensure_allocated(watermark);
+        let ov = OverflowCodec::new(page_size);
+        let tails = units
+            .iter()
+            .map(|u| {
+                let mut tail = u.overflow;
+                while tail != NO_PAGE {
+                    let next = ov.view(&disk.read_page_vec(PageId(tail))).next;
+                    if next == NO_PAGE {
+                        break;
+                    }
+                    tail = next;
+                }
+                tail
+            })
+            .collect();
         let st = MutState {
+            tails,
             units,
             nodes,
             len,
@@ -804,19 +826,16 @@ impl MutableTransformers {
                 ov.encode_into(NO_PAGE, std::slice::from_ref(&e), &mut buf);
                 h.write(p, &buf);
                 st.units[unit].overflow = p.0;
+                st.tails[unit] = p.0;
             } else {
-                // Walk to the tail reading only each page's `next`
-                // pointer; the tail is the one page that is decoded.
-                let mut cur = PageId(st.units[unit].overflow);
+                // The tail is the one chain page an insert reads.
+                let cur = PageId(st.tails[unit]);
                 let mut chunk: Vec<SpatialElement> = Vec::new();
-                loop {
+                {
                     let raw = h.page(cur);
                     let page = ov.view(&raw);
-                    if page.next == NO_PAGE {
-                        chunk.extend(page.records.iter());
-                        break;
-                    }
-                    cur = PageId(page.next);
+                    debug_assert_eq!(page.next, NO_PAGE, "unit {unit}'s tail has a successor");
+                    chunk.extend(page.records.iter());
                 }
                 if chunk.len() < ov.capacity() {
                     chunk.push(e);
@@ -831,6 +850,7 @@ impl MutableTransformers {
                     h.write(np, &buf);
                     ov.encode_into(np.0, &chunk, &mut buf);
                     h.write(cur, &buf);
+                    st.tails[unit] = np.0;
                 }
             }
         }
@@ -1566,6 +1586,57 @@ mod tests {
         assert_eq!(out.inserted, 1);
         live.insert(e.id, e);
         assert_matches_reference(&mt2.snapshot(), &fresh_cache, &live, "mutated after reopen");
+    }
+
+    #[test]
+    fn a_reopened_writer_appends_to_each_chains_tail() {
+        // Two writers over identical images take the same inserts into
+        // one unit's chain; one is reopened between the two batches. The
+        // tails `reopen` rebuilds must put every later insert where the
+        // writer that kept its own put it: the images end byte-identical.
+        let initial: Vec<SpatialElement> = (0..4).map(|i| elem(i, 5.0, 5.0, 5.0)).collect();
+        let mut live: BTreeMap<u64, SpatialElement> = initial.iter().map(|e| (e.id, *e)).collect();
+        let batch = |base: u64, n: u64| -> Vec<MutationOp> {
+            (0..n)
+                .map(|i| MutationOp::Insert(elem(base + i, 5.0, 5.0, 5.0)))
+                .collect()
+        };
+        // 10 fill three overflow pages to 4 + 4 + 2; 7 more fill the tail
+        // and grow the chain by two pages.
+        let (first, second) = (batch(100, 10), batch(200, 7));
+        let log = NoopLog::new();
+        let (kept_disk, kept_idx) = build(initial.clone());
+        let kept = MutableTransformers::adopt(&kept_idx, &kept_disk);
+        let kept_cache = SharedPageCache::with_shards(&kept_disk, 256, 4);
+        let (disk, idx) = build(initial);
+        let mt = MutableTransformers::adopt(&idx, &disk);
+        let cache = SharedPageCache::with_shards(&disk, 256, 4);
+        for (writer, cache) in [(&kept, &kept_cache), (&mt, &cache)] {
+            assert_eq!(writer.apply_batch(&log, cache, &first).inserted, 10);
+            writer.checkpoint(&log, cache).unwrap();
+        }
+        let head = mt.meta_head();
+        drop(mt);
+        let reopened = MutableTransformers::reopen(&disk, head);
+        let cache = SharedPageCache::with_shards(&disk, 256, 4);
+        for (writer, cache) in [(&kept, &kept_cache), (&reopened, &cache)] {
+            assert_eq!(writer.apply_batch(&log, cache, &second).inserted, 7);
+            writer.checkpoint(&log, cache).unwrap();
+        }
+        assert_eq!(disk.allocated_pages(), kept_disk.allocated_pages());
+        for p in 0..disk.allocated_pages() {
+            assert_eq!(
+                disk.read_page_vec(PageId(p)),
+                kept_disk.read_page_vec(PageId(p)),
+                "page {p}"
+            );
+        }
+        for op in first.iter().chain(&second) {
+            if let MutationOp::Insert(e) = op {
+                live.insert(e.id, *e);
+            }
+        }
+        assert_matches_reference(&reopened.snapshot(), &cache, &live, "reopened, then grown");
     }
 
     #[test]

@@ -79,6 +79,21 @@ pub const WAL_GROUP_COMMIT_RECORDS: &str = "wal.group_commit_records";
 pub const WAL_RECOVERY_REPLAYED: &str = "wal.recovery.replayed";
 /// Records of uncommitted transactions skipped during recovery.
 pub const WAL_RECOVERY_SKIPPED: &str = "wal.recovery.skipped";
+/// Bytes of log recovery scanned (every segment, read once).
+pub const WAL_RECOVERY_BYTES_SCANNED: &str = "wal.recovery.bytes_scanned";
+/// Runs of consecutive pages recovery wrote its replayed pages as (one
+/// store write each).
+pub const WAL_RECOVERY_RUNS_WRITTEN: &str = "wal.recovery.runs_written";
+/// Wall time of recovery's scan: reading the segments and verifying
+/// every record.
+pub const WAL_RECOVERY_SCAN_NANOS: &str = "wal.recovery.scan_nanos";
+/// Wall time of recovery's replay: the committed records applied to
+/// their pages in memory.
+pub const WAL_RECOVERY_REPLAY_NANOS: &str = "wal.recovery.replay_nanos";
+/// Wall time of recovery's page writes.
+pub const WAL_RECOVERY_WRITE_NANOS: &str = "wal.recovery.write_nanos";
+/// Wall time of recovery's final sync of the data disk.
+pub const WAL_RECOVERY_SYNC_NANOS: &str = "wal.recovery.sync_nanos";
 
 // --- mutate.* : the online write path (`MutableTransformers`) ---
 //

@@ -182,10 +182,12 @@ impl IndexBuildPipeline {
             let this = pages_of(b);
             self.pool.join(
                 || {
-                    disk.write_run(
-                        PageId(first.0 + this.start as u64),
-                        &ready[..bytes_of(&this)],
-                    )
+                    let first = PageId(first.0 + this.start as u64);
+                    // A failed write still panics here and in
+                    // `Disk::write_page` until the bulk load can carry an
+                    // error (ROADMAP item 1, slice B: fallible writes).
+                    disk.write_run(first, &ready[..bytes_of(&this)])
+                        .unwrap_or_else(|e| panic!("page write failed ({first}): {e}"))
                 },
                 || {
                     if b + 1 < batches {

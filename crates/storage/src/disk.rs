@@ -202,14 +202,18 @@ impl Disk {
             data.len(),
             self.page_size
         );
-        if data.len() == self.page_size {
-            self.write_run(id, data);
+        let written = if data.len() == self.page_size {
+            self.write_run(id, data)
         } else {
             // Zero-pad the tail so re-writes of shorter data do not leak.
             let mut page = vec![0u8; self.page_size];
             page[..data.len()].copy_from_slice(data);
-            self.write_run(id, &page);
-        }
+            self.write_run(id, &page)
+        };
+        // A failed write still panics here and in the bulk load's packer
+        // until their callers can carry an error (ROADMAP item 1, slice B:
+        // fallible writes); recovery already returns it.
+        written.unwrap_or_else(|e| panic!("page write failed ({id}): {e}"));
     }
 
     /// Writes `pages`, a whole number of full pages, to the contiguous run
@@ -218,10 +222,14 @@ impl Disk {
     /// the first page is classified and costed by its jump from the last
     /// page written, each later one is a sequential write.
     ///
+    /// # Errors
+    /// The backing store's error when it fails to write the run (part of
+    /// it may have been written; the statistics count the whole run).
+    ///
     /// # Panics
-    /// Panics if `pages.len()` is not a multiple of the page size, the run
-    /// reaches past the allocated pages, or the backing store fails.
-    pub fn write_run(&self, first: PageId, pages: &[u8]) {
+    /// Panics if `pages.len()` is not a multiple of the page size or the
+    /// run reaches past the allocated pages.
+    pub fn write_run(&self, first: PageId, pages: &[u8]) -> io::Result<()> {
         assert!(
             pages.len().is_multiple_of(self.page_size),
             "run of {} bytes is not a whole number of {}-byte pages",
@@ -230,7 +238,7 @@ impl Disk {
         );
         let count = (pages.len() / self.page_size) as u64;
         if count == 0 {
-            return;
+            return Ok(());
         }
         let last = first.0 + count - 1;
         assert!(
@@ -246,7 +254,6 @@ impl Disk {
             .record_seq_writes(count - 1, self.model.cost_for_jump(true, 0));
         self.store
             .write_pages(first.0 * self.page_size as u64, pages, self.page_size)
-            .unwrap_or_else(|e| panic!("page write failed ({first}, {count} pages): {e}"));
     }
 
     /// Reads page `id` into `buf` (which must be exactly one page long).
@@ -526,9 +533,9 @@ mod tests {
                 for p in first..first + count {
                     by_page.write_page(PageId(p), &page(p));
                 }
-                by_run.write_run(PageId(first), &bytes);
+                by_run.write_run(PageId(first), &bytes).unwrap();
             }
-            by_run.write_run(PageId(0), &[]);
+            by_run.write_run(PageId(0), &[]).unwrap();
             let (a, b) = (by_page.stats(), by_run.stats());
             assert_eq!(a.seq_writes, b.seq_writes, "{backend:?}");
             assert_eq!(a.rand_writes, b.rand_writes, "{backend:?}");
@@ -551,7 +558,7 @@ mod tests {
     fn a_run_of_part_of_a_page_panics() {
         let d = Disk::in_memory(16);
         d.allocate_contiguous(2);
-        d.write_run(PageId(0), &[0; 20]);
+        let _ = d.write_run(PageId(0), &[0; 20]);
     }
 
     #[test]
@@ -559,7 +566,7 @@ mod tests {
     fn a_run_past_the_allocation_panics() {
         let d = Disk::in_memory(16);
         d.allocate_contiguous(2);
-        d.write_run(PageId(1), &[0; 32]);
+        let _ = d.write_run(PageId(1), &[0; 32]);
     }
 
     #[test]

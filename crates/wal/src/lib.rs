@@ -26,10 +26,12 @@
 //!    checkpoint, which then truncates the log
 //!    ([`RedoLog::checkpoint`](tfm_storage::RedoLog::checkpoint)).
 //!
-//! After a crash, [`recover`] scans the segments (stopping at the torn
-//! tail the dying append left behind — every record is individually
-//! checksummed), collects the committed transaction set, brings each
-//! page they wrote forward in memory in LSN order and writes it once.
+//! After a crash, [`recover`] reads the log once — every segment with one
+//! read, every record decoded and checksum-verified once, stopping at the
+//! torn tail the dying append left behind — and holds it while it
+//! collects the committed transaction set. It then brings each page those
+//! transactions wrote forward in memory in LSN order and writes the pages
+//! once, in ascending order, as runs of consecutive page ids.
 //! Records carry bytes, not operations, and every page's chain of deltas
 //! starts at a full image in the log, so replay is idempotent and never
 //! depends on what an interrupted in-place write left of a page;
@@ -56,8 +58,10 @@ pub use writer::{SyncMode, Wal, WalOptions, WalStats};
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
-    use tfm_storage::{Disk, DiskModel, PageId, RedoLog};
+    use tfm_storage::{Disk, DiskBackendKind, DiskModel, MemStore, PageId, PageStore, RedoLog};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -324,6 +328,205 @@ mod tests {
         let report = recover(wal.dir(), &disk).unwrap();
         report.publish(&reg);
         assert_eq!(reg.counter(tfm_obs::names::WAL_RECOVERY_REPLAYED).get(), 1);
+        assert_eq!(
+            reg.counter(tfm_obs::names::WAL_RECOVERY_RUNS_WRITTEN).get(),
+            1
+        );
+        assert_eq!(
+            reg.counter(tfm_obs::names::WAL_RECOVERY_BYTES_SCANNED)
+                .get(),
+            report.bytes_scanned
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn later_lsn_wins_whatever_the_commit_order() {
+        let dir = temp_dir("order");
+        let wal = Wal::open(&dir, small_opts()).unwrap();
+        let (t1, t2, t3) = (wal.begin(), wal.begin(), wal.begin());
+        wal.log_page(t1, PageId(4), &page(1, 64));
+        wal.log_page(t2, PageId(4), &page(2, 64));
+        // T3 never commits: its write, the latest, is skipped.
+        wal.log_page(t3, PageId(4), &page(3, 64));
+        wal.commit(t2);
+        wal.commit(t1);
+        drop(wal);
+
+        let disk = Disk::in_memory(64).with_model(DiskModel::free());
+        let report = recover(&dir, &disk).unwrap();
+        // Replayed in commit order, T1's image would land last.
+        assert_eq!(disk.read_page_vec(PageId(4)), page(2, 64));
+        assert_eq!(report.records_applied, 2);
+        assert_eq!(report.skipped_uncommitted, 1);
+        assert_eq!(report.commits, 2);
+        assert_eq!(report.pages_replayed, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_record_in_a_non_final_segment_is_an_error_and_writes_nothing() {
+        let dir = temp_dir("midtear");
+        let wal = Wal::open(&dir, small_opts()).unwrap();
+        for round in 0..4u8 {
+            let t = wal.begin();
+            for p in 0..20u64 {
+                wal.log_page(t, PageId(p), &page(round + 1, 64));
+            }
+            wal.commit(t);
+        }
+        drop(wal);
+        let scan = scan_dir(&dir).unwrap();
+        assert!(scan.segments.len() > 2, "{:?}", scan.segments);
+        // Flip a byte inside the first segment's last record.
+        let first = &scan.segments[0];
+        let mut bytes = std::fs::read(&first.path).unwrap();
+        let at = first.valid_end as usize - 3;
+        bytes[at] ^= 0xff;
+        std::fs::write(&first.path, &bytes).unwrap();
+
+        let disk = Disk::in_memory(64).with_model(DiskModel::free());
+        let err = recover(&dir, &disk).expect_err("a tear before the last segment");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("non-final segment"), "{err}");
+        assert_eq!(disk.allocated_pages(), 0, "nothing was replayed");
+        assert_eq!(disk.stats().rand_writes + disk.stats().seq_writes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `MemStore` that counts its write calls and fails a write once
+    /// `budget` pages have been written, having written the pages the
+    /// budget still covered.
+    struct BudgetStore {
+        inner: MemStore,
+        budget: Arc<AtomicU64>,
+        writes: Arc<AtomicU64>,
+    }
+
+    impl BudgetStore {
+        fn disk(budget: u64) -> (Disk, Arc<AtomicU64>, Arc<AtomicU64>) {
+            let (budget, writes) = (Arc::new(AtomicU64::new(budget)), Arc::default());
+            let store = Self {
+                inner: MemStore::new(),
+                budget: Arc::clone(&budget),
+                writes: Arc::clone(&writes),
+            };
+            let disk = Disk::with_store(Box::new(store), 64).with_model(DiskModel::free());
+            (disk, budget, writes)
+        }
+    }
+
+    impl PageStore for BudgetStore {
+        fn kind(&self) -> DiskBackendKind {
+            self.inner.kind()
+        }
+
+        fn read_page(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read_page(offset, buf)
+        }
+
+        fn write_page(&self, offset: u64, page: &[u8]) -> std::io::Result<()> {
+            self.write_pages(offset, page, page.len())
+        }
+
+        fn write_pages(&self, offset: u64, pages: &[u8], page_size: usize) -> std::io::Result<()> {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            let count = (pages.len() / page_size) as u64;
+            let left = self.budget.load(Ordering::Relaxed);
+            let written = count.min(left);
+            self.budget.store(left - written, Ordering::Relaxed);
+            let bytes = written as usize * page_size;
+            self.inner.write_pages(offset, &pages[..bytes], page_size)?;
+            if written < count {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            Ok(())
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn replayed_pages_are_written_as_runs_of_consecutive_ids() {
+        let dir = temp_dir("runs");
+        let wal = Wal::open(&dir, small_opts()).unwrap();
+        let t = wal.begin();
+        for p in [9, 4, 3, 5, 4] {
+            wal.log_page(t, PageId(p), &page(p as u8, 64));
+        }
+        wal.commit(t);
+        // Uncommitted, page 7 would split 3..=9's gap into a third run.
+        let open = wal.begin();
+        wal.log_page(open, PageId(7), &page(7, 64));
+        drop(wal);
+
+        let (disk, _, writes) = BudgetStore::disk(u64::MAX);
+        let report = recover(&dir, &disk).unwrap();
+        assert_eq!(report.pages_replayed, 4);
+        assert_eq!(report.runs_written, 2, "3..=5 and 9");
+        assert_eq!(writes.load(Ordering::Relaxed), 2, "one store write per run");
+        let stats = disk.stats();
+        assert_eq!((stats.rand_writes, stats.seq_writes), (2, 2));
+        for p in [3, 4, 5, 9] {
+            assert_eq!(disk.read_page_vec(PageId(p)), page(p as u8, 64));
+        }
+        assert_eq!(disk.read_page_vec(PageId(7)), page(0, 64));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_replay_write_is_an_error_and_a_later_recovery_converges() {
+        let dir = temp_dir("failwrite");
+        let wal = Wal::open(&dir, small_opts()).unwrap();
+        // Three runs of five pages, each page written twice, the second
+        // time as a delta on the first.
+        for round in 1..=2u8 {
+            let t = wal.begin();
+            for p in (0..5).chain(10..15).chain(20..25u64) {
+                let mut after = page(p as u8, 64);
+                after[p as usize] = round;
+                if round == 1 {
+                    wal.log_page(t, PageId(p), &after);
+                } else {
+                    let mut before = after.clone();
+                    before[p as usize] = 1;
+                    wal.log_change(t, PageId(p), &before, &after);
+                }
+            }
+            wal.commit(t);
+        }
+        drop(wal);
+
+        let good = Disk::in_memory(64).with_model(DiskModel::free());
+        let reference = recover(&dir, &good).unwrap();
+        assert_eq!(reference.runs_written, 3);
+        let pages = good.allocated_pages();
+        for k in 0..15 {
+            let (disk, budget, _) = BudgetStore::disk(k);
+            let err = recover(&dir, &disk).expect_err("a write past the budget fails");
+            assert_eq!(err.kind(), std::io::ErrorKind::Other, "budget {k}");
+            // The fault clears; recovering again over what the failed
+            // pass left converges to the reference image.
+            budget.store(u64::MAX, Ordering::Relaxed);
+            let again = recover(&dir, &disk).unwrap();
+            assert_eq!(
+                (
+                    again.pages_replayed,
+                    again.records_applied,
+                    again.runs_written
+                ),
+                (reference.pages_replayed, reference.records_applied, 3)
+            );
+            for p in 0..pages {
+                assert_eq!(
+                    disk.read_page_vec(PageId(p)),
+                    good.read_page_vec(PageId(p)),
+                    "budget {k}, page {p}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -63,9 +63,72 @@ pub fn visit_records(
     mut visit: impl FnMut(&WalRecord<'_>) -> io::Result<()>,
 ) -> io::Result<ScanReport> {
     let mut report = ScanReport::default();
+    let files = segment_files(dir)?;
+    let mut bytes = Vec::new();
+    for (i, (seq, path)) in files.iter().enumerate() {
+        bytes.clear();
+        File::open(path)?.read_to_end(&mut bytes)?;
+        if scan_segment(*seq, path, &bytes, &mut report, &mut visit)? {
+            report.torn = Some(i);
+            // Record the remaining (unscanned) segments so callers can
+            // detect mid-log tears, then stop.
+            for (seq, path) in &files[i + 1..] {
+                let bytes = std::fs::metadata(path)?.len();
+                report.segments.push(unscanned(*seq, path, bytes));
+            }
+            break;
+        }
+    }
+    Ok(report)
+}
+
+/// Reads every segment under `dir` into memory, each file with one read,
+/// for a caller that needs the whole log at once (see
+/// [`HeldLog::visit`]). Nothing is decoded yet; a missing directory is an
+/// empty log.
+pub(crate) fn read_log(dir: &Path) -> io::Result<HeldLog> {
+    let segments = segment_files(dir)?
+        .into_iter()
+        .map(|(seq, path)| Ok((seq, std::fs::read(&path)?, path)))
+        .collect::<io::Result<_>>()?;
+    Ok(HeldLog { segments })
+}
+
+/// A log held in memory whole: every segment's bytes, in sequence order.
+pub(crate) struct HeldLog {
+    segments: Vec<(u64, Vec<u8>, PathBuf)>,
+}
+
+impl HeldLog {
+    /// [`visit_records`] over the held bytes: each record is decoded and
+    /// its checksum verified once, and its body borrows from the log, so
+    /// `visit` may keep it for as long as the log lives.
+    pub(crate) fn visit<'a>(
+        &'a self,
+        mut visit: impl FnMut(&WalRecord<'a>) -> io::Result<()>,
+    ) -> io::Result<ScanReport> {
+        let mut report = ScanReport::default();
+        for (i, (seq, bytes, path)) in self.segments.iter().enumerate() {
+            if scan_segment(*seq, path, bytes, &mut report, &mut visit)? {
+                report.torn = Some(i);
+                for (seq, bytes, path) in &self.segments[i + 1..] {
+                    report
+                        .segments
+                        .push(unscanned(*seq, path, bytes.len() as u64));
+                }
+                break;
+            }
+        }
+        Ok(report)
+    }
+}
+
+/// The `wal-*.log` files under `dir` in sequence order (a missing
+/// directory has none). A gap in the sequence is an error.
+fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
     let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
@@ -82,74 +145,80 @@ pub fn visit_records(
         }
     }
     seqs.sort();
-    let mut bytes = Vec::new();
-    for (i, (seq, path)) in seqs.iter().enumerate() {
-        if i > 0 && *seq != seqs[i - 1].0 + 1 {
+    for pair in seqs.windows(2) {
+        if pair[1].0 != pair[0].0 + 1 {
             return Err(invalid(format!(
                 "segment sequence gap: {} follows {}",
-                seq,
-                seqs[i - 1].0
+                pair[1].0, pair[0].0
             )));
-        }
-        bytes.clear();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        report.bytes_scanned += bytes.len() as u64;
-        let header_seq = decode_segment_header(&bytes);
-        if header_seq != Some(*seq) {
-            return Err(invalid(format!(
-                "segment {} has a foreign or corrupt header (decoded {:?})",
-                path.display(),
-                header_seq
-            )));
-        }
-        let mut offset = SEGMENT_HEADER_BYTES;
-        let mut torn_here = false;
-        while offset < bytes.len() {
-            match decode_record(&bytes[offset..]) {
-                Decoded::Record(record, size) => {
-                    if record.lsn <= report.max_lsn {
-                        return Err(invalid(format!(
-                            "non-monotonic LSN {} after {} in {}",
-                            record.lsn,
-                            report.max_lsn,
-                            path.display()
-                        )));
-                    }
-                    report.max_lsn = record.lsn;
-                    report.max_txn = report.max_txn.max(record.txn);
-                    report.records += 1;
-                    visit(&record)?;
-                    offset += size;
-                }
-                Decoded::Torn => {
-                    torn_here = true;
-                    break;
-                }
-                Decoded::End => break,
-            }
-        }
-        report.segments.push(SegmentInfo {
-            seq: *seq,
-            path: path.clone(),
-            bytes: bytes.len() as u64,
-            valid_end: offset as u64,
-        });
-        if torn_here {
-            report.torn = Some(report.segments.len() - 1);
-            // Record the remaining (unscanned) segments so callers can
-            // detect mid-log tears, then stop.
-            for (seq, path) in seqs.iter().skip(i + 1) {
-                report.segments.push(SegmentInfo {
-                    seq: *seq,
-                    path: path.clone(),
-                    bytes: std::fs::metadata(path)?.len(),
-                    valid_end: SEGMENT_HEADER_BYTES as u64,
-                });
-            }
-            break;
         }
     }
-    Ok(report)
+    Ok(seqs)
+}
+
+/// Decodes the records of segment `seq` (its whole file is `bytes`) into
+/// `visit` and appends the segment to `report`. Returns whether the
+/// segment ends in a torn record; the records before the tear were
+/// visited.
+fn scan_segment<'a>(
+    seq: u64,
+    path: &Path,
+    bytes: &'a [u8],
+    report: &mut ScanReport,
+    visit: &mut impl FnMut(&WalRecord<'a>) -> io::Result<()>,
+) -> io::Result<bool> {
+    report.bytes_scanned += bytes.len() as u64;
+    let header_seq = decode_segment_header(bytes);
+    if header_seq != Some(seq) {
+        return Err(invalid(format!(
+            "segment {} has a foreign or corrupt header (decoded {:?})",
+            path.display(),
+            header_seq
+        )));
+    }
+    let mut offset = SEGMENT_HEADER_BYTES;
+    let mut torn = false;
+    while offset < bytes.len() {
+        match decode_record(&bytes[offset..]) {
+            Decoded::Record(record, size) => {
+                if record.lsn <= report.max_lsn {
+                    return Err(invalid(format!(
+                        "non-monotonic LSN {} after {} in {}",
+                        record.lsn,
+                        report.max_lsn,
+                        path.display()
+                    )));
+                }
+                report.max_lsn = record.lsn;
+                report.max_txn = report.max_txn.max(record.txn);
+                report.records += 1;
+                visit(&record)?;
+                offset += size;
+            }
+            Decoded::Torn => {
+                torn = true;
+                break;
+            }
+            Decoded::End => break,
+        }
+    }
+    report.segments.push(SegmentInfo {
+        seq,
+        path: path.to_path_buf(),
+        bytes: bytes.len() as u64,
+        valid_end: offset as u64,
+    });
+    Ok(torn)
+}
+
+/// A segment after a tear: listed, never decoded.
+fn unscanned(seq: u64, path: &Path, bytes: u64) -> SegmentInfo {
+    SegmentInfo {
+        seq,
+        path: path.to_path_buf(),
+        bytes,
+        valid_end: SEGMENT_HEADER_BYTES as u64,
+    }
 }
 
 pub(crate) fn invalid(msg: String) -> io::Error {
