@@ -240,29 +240,6 @@ pub fn table() -> Vec<Experiment> {
             ),
         },
         Experiment {
-            id: "extra-baselines",
-            title: "Extra baselines: SSSJ and S3 vs the measured competitors",
-            csv: "results/extra_baselines.csv",
-            // The related-work baselines the paper discusses but does not
-            // measure (§VIII-B), in the Table I regime and the Fig. 10 one.
-            kind: join(
-                |s| {
-                    vec![
-                        uniform_pair(scaled(250_000, s), 9000),
-                        contrast_pair(scaled(2_000, s), scaled(1_000_000, s), 9100),
-                    ]
-                },
-                vec![
-                    Approach::transformers(),
-                    Approach::Pbsm,
-                    Approach::Rtree,
-                    Approach::Sssj,
-                    Approach::S3,
-                ],
-                None,
-            ),
-        },
-        Experiment {
             id: "parallel",
             title: "Parallel join scaling (1/2/4/8 workers vs sequential)",
             csv: "results/parallel.csv",

@@ -15,7 +15,6 @@
 //! | `fig13-right`     | Fig. 13 right — threshold sensitivity            |
 //! | `fig14`           | Fig. 14 — adaptive exploration overhead          |
 //! | `filtering`       | §VII-C2 — share of element pages never read      |
-//! | `extra-baselines` | §VIII-B — SSSJ and S3 vs the measured approaches |
 //! | `parallel`        | parallel join at 1/2/4/8 workers vs sequential   |
 //! | `serve`           | query serving over the three serve engines       |
 //!

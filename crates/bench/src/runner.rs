@@ -13,8 +13,6 @@ use tfm_memjoin::ResultPair;
 use tfm_pbsm::{pbsm_join, pbsm_partition, PbsmConfig, PbsmStats};
 use tfm_rtree::{sync_join, RTree, RtreeStats};
 use tfm_storage::{CacheHandle, Disk, IoStatsSnapshot, SharedPageCache, StoreBackend};
-use tfm_sweep::s3::{levels_for, s3_join, s3_partition, S3Stats};
-use tfm_sweep::sssj::{sssj_join, sssj_partition, SssjStats};
 use transformers::{
     transformers_join, IndexBuildPipeline, IndexConfig, JoinConfig, ThresholdPolicy,
     TransformersIndex,
@@ -34,10 +32,6 @@ pub enum Approach {
     Rtree,
     /// GIPSY (crawling baseline; the smaller dataset is declared sparse).
     Gipsy,
-    /// SSSJ (related-work baseline, §VIII-B): strips + plane sweep.
-    Sssj,
-    /// S3 size-separation join (related-work baseline, §VIII-B).
-    S3,
 }
 
 impl Approach {
@@ -77,8 +71,6 @@ impl Approach {
             Approach::Pbsm => "PBSM".into(),
             Approach::Rtree => "R-TREE".into(),
             Approach::Gipsy => "GIPSY".into(),
-            Approach::Sssj => "SSSJ".into(),
-            Approach::S3 => "S3".into(),
         }
     }
 }
@@ -243,89 +235,11 @@ pub fn run_approach(
                 tfm_exec::parallel_join(ia, da, ib, db, jc, *threads)
             })
         }
-        Approach::Pbsm => {
-            let pbsm_cfg = PbsmConfig::with_partitions(cfg.pbsm_partitions);
-            let partition =
-                |disk: &Disk, elems: &[SpatialElement], extent, stats: &mut PbsmStats| {
-                    pbsm_partition(disk, elems, extent, &pbsm_cfg, stats)
-                };
-            let (stats, pairs) = run_partitioned(&mut m, "pbsm", a, b, cfg, partition, pbsm_join);
-            m.tests = stats.mem.element_tests;
-            pairs
-        }
-        Approach::Sssj => {
-            // Strip count comparable to PBSM's tiling along one dimension
-            // squared.
-            let strips = cfg.pbsm_partitions.pow(2);
-            let partition =
-                |disk: &Disk, elems: &[SpatialElement], extent, stats: &mut SssjStats| {
-                    sssj_partition(disk, elems, extent, strips, stats)
-                };
-            let (stats, pairs) = run_partitioned(&mut m, "sssj", a, b, cfg, partition, sssj_join);
-            m.tests = stats.mem.element_tests;
-            pairs
-        }
-        Approach::S3 => {
-            let levels = levels_for(a.len().max(b.len()), cfg.page_size);
-            let partition = |disk: &Disk, elems: &[SpatialElement], extent, stats: &mut S3Stats| {
-                s3_partition(disk, elems, extent, levels, stats)
-            };
-            let (stats, pairs) = run_partitioned(&mut m, "s3", a, b, cfg, partition, s3_join);
-            m.tests = stats.mem.element_tests;
-            pairs
-        }
+        Approach::Pbsm => run_pbsm(&mut m, a, b, cfg),
         Approach::Rtree => run_rtree(&mut m, a, b, cfg),
         Approach::Gipsy => run_gipsy(&mut m, a, b, cfg),
     };
     (m, pairs)
-}
-
-/// What PBSM, SSSJ and S3 share: partition both sides over their common
-/// extent onto their own disks (the indexing phase), then join the two
-/// partitionings through one-shard caches. Returns the stats both phases
-/// filled and the result pairs.
-fn run_partitioned<S: Default, P>(
-    m: &mut Metrics,
-    tag: &str,
-    a: &[SpatialElement],
-    b: &[SpatialElement],
-    cfg: &RunConfig,
-    partition: impl Fn(&Disk, &[SpatialElement], Aabb, &mut S) -> P,
-    join: impl FnOnce(&mut CacheHandle, &P, &mut CacheHandle, &P, &mut S) -> Vec<ResultPair>,
-) -> (S, Vec<ResultPair>) {
-    let disk_a = cfg.disk(&format!("{tag}_a"));
-    let disk_b = cfg.disk(&format!("{tag}_b"));
-    let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
-    let mut stats = S::default();
-
-    let t = Instant::now();
-    let parts = (!extent.is_empty()).then(|| {
-        (
-            partition(&disk_a, a, extent, &mut stats),
-            partition(&disk_b, b, extent, &mut stats),
-        )
-    });
-    m.index_wall = t.elapsed();
-    m.index_sim_io = merged(&disk_a, &disk_b).sim_io_time();
-
-    disk_a.reset_stats();
-    disk_b.reset_stats();
-    let pairs = match &parts {
-        Some((pa, pb)) => {
-            let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
-            let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
-            let mut handle_a = CacheHandle::shared(&cache_a);
-            let mut handle_b = CacheHandle::shared(&cache_b);
-            let t = Instant::now();
-            let pairs = join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
-            m.join_wall = t.elapsed();
-            pairs
-        }
-        None => Vec::new(),
-    };
-    m.take_join_io(&disk_a, &disk_b);
-    m.results = pairs.len() as u64;
-    (stats, pairs)
 }
 
 /// Shared harness for the sequential and parallel TRANSFORMERS runners:
@@ -378,6 +292,52 @@ fn run_transformers(
     m.forced_pages = out.stats.forced_pages;
     m.read_through_pages = out.stats.read_through_pages;
     out.pairs
+}
+
+fn run_pbsm(
+    m: &mut Metrics,
+    a: &[SpatialElement],
+    b: &[SpatialElement],
+    cfg: &RunConfig,
+) -> Vec<ResultPair> {
+    let disk_a = cfg.disk("pbsm_a");
+    let disk_b = cfg.disk("pbsm_b");
+    let pbsm_cfg = PbsmConfig::with_partitions(cfg.pbsm_partitions);
+    // Both sides are partitioned over their common extent.
+    let extent = Aabb::union_all(a.iter().chain(b.iter()).map(|e| e.mbb));
+    let mut stats = PbsmStats::default();
+
+    let t = Instant::now();
+    let parts = (!extent.is_empty()).then(|| {
+        (
+            pbsm_partition(&disk_a, a, extent, &pbsm_cfg, &mut stats),
+            pbsm_partition(&disk_b, b, extent, &pbsm_cfg, &mut stats),
+        )
+    });
+    m.index_wall = t.elapsed();
+    m.index_sim_io = merged(&disk_a, &disk_b).sim_io_time();
+
+    disk_a.reset_stats();
+    disk_b.reset_stats();
+    let pairs = match &parts {
+        Some((pa, pb)) => {
+            // The cells' pages are read through the shared cache (one
+            // reader, so one shard).
+            let cache_a = SharedPageCache::with_shards(&disk_a, cfg.pool_pages, 1);
+            let cache_b = SharedPageCache::with_shards(&disk_b, cfg.pool_pages, 1);
+            let mut handle_a = CacheHandle::shared(&cache_a);
+            let mut handle_b = CacheHandle::shared(&cache_b);
+            let t = Instant::now();
+            let pairs = pbsm_join(&mut handle_a, pa, &mut handle_b, pb, &mut stats);
+            m.join_wall = t.elapsed();
+            pairs
+        }
+        None => Vec::new(),
+    };
+    m.take_join_io(&disk_a, &disk_b);
+    m.tests = stats.mem.element_tests;
+    m.results = pairs.len() as u64;
+    pairs
 }
 
 fn run_rtree(
@@ -485,8 +445,6 @@ mod tests {
             Approach::Pbsm,
             Approach::Rtree,
             Approach::Gipsy,
-            Approach::Sssj,
-            Approach::S3,
         ];
         let mut reference: Option<Vec<ResultPair>> = None;
         for ap in &approaches {

@@ -14,17 +14,14 @@ use tfm_geom::{Aabb, SpatialElement};
 use tfm_gipsy::{gipsy_join, GipsyStats, SparseFile};
 use tfm_serve::{serve_trace, GipsyEngine, ServeConfig};
 use tfm_storage::{CacheHandle, Disk, SharedPageCache};
-use tfm_sweep::{s3, sssj};
 use transformers::{IndexConfig, TransformersIndex};
 
 /// `(pages_read, (rand_reads, seq_reads), results)` per approach.
 type Counts = (u64, (u64, u64), u64);
 
-const EXPECTED: [(&str, Counts); 5] = [
+const EXPECTED: [(&str, Counts); 3] = [
     ("PBSM", (192, (183, 9), 71)),
     ("R-TREE", (168, (158, 10), 71)),
-    ("SSSJ", (351, (56, 295), 71)),
-    ("S3", (345, (330, 15), 71)),
     ("GIPSY", (137, (13, 124), 71)),
 ];
 
@@ -47,13 +44,7 @@ fn baseline_page_reads_under_a_small_cache_are_pinned() {
         pool_pages: 32,
         ..RunConfig::default()
     };
-    let approaches = [
-        Approach::Pbsm,
-        Approach::Rtree,
-        Approach::Sssj,
-        Approach::S3,
-        Approach::Gipsy,
-    ];
+    let approaches = [Approach::Pbsm, Approach::Rtree, Approach::Gipsy];
     let got: Vec<(String, Counts)> = approaches
         .iter()
         .map(|ap| {
@@ -162,23 +153,6 @@ fn baselines_hold_no_pin_across_a_read() {
     let pb = tfm_pbsm::pbsm_partition(&disk_b, &b, extent, &config, &mut stats);
     assert_no_pin_held("PBSM", &disk_a, &disk_b, |ha, hb| {
         tfm_pbsm::pbsm_join(ha, &pa, hb, &pb, &mut stats);
-    });
-
-    let (disk_a, disk_b) = disks();
-    let mut stats = sssj::SssjStats::default();
-    let pa = sssj::sssj_partition(&disk_a, &a, extent, 100, &mut stats);
-    let pb = sssj::sssj_partition(&disk_b, &b, extent, 100, &mut stats);
-    assert_no_pin_held("SSSJ", &disk_a, &disk_b, |ha, hb| {
-        sssj::sssj_join(ha, &pa, hb, &pb, &mut stats);
-    });
-
-    let (disk_a, disk_b) = disks();
-    let mut stats = s3::S3Stats::default();
-    let levels = s3::levels_for(b.len(), 2048);
-    let pa = s3::s3_partition(&disk_a, &a, extent, levels, &mut stats);
-    let pb = s3::s3_partition(&disk_b, &b, extent, levels, &mut stats);
-    assert_no_pin_held("S3", &disk_a, &disk_b, |ha, hb| {
-        s3::s3_join(ha, &pa, hb, &pb, &mut stats);
     });
 
     let (disk_a, disk_b) = disks();

@@ -78,7 +78,7 @@ USAGE:
            [--verify]
            [--metrics PATH] [--metrics-format jsonl|prometheus]
            [--metrics-interval-ms N]
-      A: transformers | no-tr | pbsm | rtree | gipsy | sssj | s3 (default: transformers)
+      A: transformers | no-tr | pbsm | rtree | gipsy (default: transformers)
       --threads N: run the transformers join on N parallel workers (tfm-exec)
       --build-threads N: build the indexes on N parallel workers
                   (transformers, gipsy and rtree builds; default: the
@@ -464,8 +464,6 @@ fn parse_approach(name: &str) -> Result<Approach, String> {
         "pbsm" => Approach::Pbsm,
         "rtree" => Approach::Rtree,
         "gipsy" => Approach::Gipsy,
-        "sssj" => Approach::Sssj,
-        "s3" => Approach::S3,
         other => return Err(format!("unknown approach `{other}`")),
     })
 }
@@ -1131,18 +1129,18 @@ mod tests {
 
     #[test]
     fn approach_names() {
-        for name in [
-            "transformers",
-            "no-tr",
-            "pbsm",
-            "rtree",
-            "gipsy",
-            "sssj",
-            "s3",
-        ] {
+        for name in ["transformers", "no-tr", "pbsm", "rtree", "gipsy"] {
             assert!(parse_approach(name).is_ok(), "{name}");
         }
         assert!(parse_approach("bogus").is_err());
+        // The retired related-work baselines are unknown names now.
+        for name in ["sssj", "s3"] {
+            assert!(parse_approach(name).is_err(), "{name}");
+            assert_eq!(
+                parse_approach(name).unwrap_err(),
+                format!("unknown approach `{name}`")
+            );
+        }
     }
 
     #[test]

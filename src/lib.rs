@@ -10,8 +10,7 @@
 //! * [`serve`] — the concurrent query-serving subsystem: window /
 //!   point-enclosure / distance probes against shared indexes, with
 //!   admission control and locality-aware (Hilbert-ordered) batching;
-//! * [`baselines`] — PBSM, synchronized R-Tree, GIPSY, and the
-//!   related-work SSSJ and S3;
+//! * [`baselines`] — PBSM, synchronized R-Tree, GIPSY;
 //! * [`geom`], [`storage`], [`datagen`], [`memjoin`], [`partition`],
 //!   [`bptree`] — the substrates everything is built on.
 //!
@@ -45,13 +44,11 @@ pub use tfm_storage as storage;
 pub use transformers;
 
 /// The baseline join approaches the paper compares against (PBSM, the
-/// synchronized R-Tree, GIPSY) plus the related-work baselines it
-/// discusses (SSSJ, S3).
+/// synchronized R-Tree, GIPSY).
 pub mod baselines {
     pub use tfm_gipsy as gipsy;
     pub use tfm_pbsm as pbsm;
     pub use tfm_rtree as rtree;
-    pub use tfm_sweep as sweep;
 }
 
 /// Common imports for examples and quick experiments.

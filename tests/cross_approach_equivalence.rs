@@ -1,14 +1,12 @@
 //! The central correctness contract of the reproduction: **every join
 //! approach produces exactly the same result set** on every workload of
 //! the paper's evaluation, and that set equals the nested-loop oracle:
-//! TRANSFORMERS (sequential and parallel), PBSM, the synchronized R-Tree,
-//! GIPSY, and the related-work SSSJ and S3 at the strips and depth the
-//! figure harness runs them with.
+//! TRANSFORMERS (sequential and parallel), PBSM, the synchronized R-Tree
+//! and GIPSY.
 
 use transformers_repro::baselines::gipsy::{gipsy_join, GipsyStats, SparseFile};
 use transformers_repro::baselines::pbsm::{pbsm_join_datasets, PbsmConfig};
 use transformers_repro::baselines::rtree::{sync_join, RTree, RtreeStats};
-use transformers_repro::baselines::sweep::{s3, sssj};
 use transformers_repro::memjoin::nested_loop_join;
 use transformers_repro::prelude::*;
 use transformers_repro::storage::DEFAULT_POOL_PAGES;
@@ -59,23 +57,6 @@ fn run_rtree(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
     ))
 }
 
-fn run_sssj(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
-    let disk_a = Disk::default_in_memory();
-    let disk_b = Disk::default_in_memory();
-    // The harness's strip count: PBSM's tiling along one dimension, squared.
-    let strips = PbsmConfig::default().partitions_per_dim.pow(2);
-    let (pairs, _) = sssj::sssj_join_datasets(&disk_a, a, &disk_b, b, strips);
-    canonicalize(pairs)
-}
-
-fn run_s3(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
-    let disk_a = Disk::default_in_memory();
-    let disk_b = Disk::default_in_memory();
-    let levels = s3::levels_for(a.len().max(b.len()), disk_a.page_size());
-    let (pairs, _) = s3::s3_join_datasets(&disk_a, a, &disk_b, b, levels);
-    canonicalize(pairs)
-}
-
 fn run_gipsy(a: &[SpatialElement], b: &[SpatialElement]) -> Vec<ResultPair> {
     // GIPSY: smaller side is sparse.
     let (sparse, dense, flipped) = if a.len() <= b.len() {
@@ -109,8 +90,6 @@ fn check_all(a: &[SpatialElement], b: &[SpatialElement], label: &str) {
     assert_eq!(run_pbsm(a, b), expected, "{label}: PBSM");
     assert_eq!(run_rtree(a, b), expected, "{label}: R-TREE");
     assert_eq!(run_gipsy(a, b), expected, "{label}: GIPSY");
-    assert_eq!(run_sssj(a, b), expected, "{label}: SSSJ");
-    assert_eq!(run_s3(a, b), expected, "{label}: S3");
 }
 
 fn ds(count: usize, distribution: Distribution, seed: u64) -> Vec<SpatialElement> {
