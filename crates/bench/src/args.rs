@@ -13,7 +13,6 @@
 //! word and a missing flag end with the synopsis, so they list the flags
 //! the binary takes.
 
-use std::path::PathBuf;
 use std::str::FromStr;
 
 /// One flag of a synopsis.
@@ -131,19 +130,6 @@ impl Args {
             n => Ok(n),
         }
     }
-
-    /// The `--dir` value, or `{tag}_{pid}` under the system's temporary
-    /// directory. The flag is true for the latter: the run made the
-    /// directory, so the run removes it.
-    pub fn dir_or_temp(&self, tag: &str) -> (PathBuf, bool) {
-        match self.get("--dir") {
-            Some(dir) => (PathBuf::from(dir), false),
-            None => {
-                let name = format!("{tag}_{}", std::process::id());
-                (std::env::temp_dir().join(name), true)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,9 +151,9 @@ mod tests {
         assert_eq!(args.value::<usize>("--count"), Ok(Some(5)));
         assert_eq!(args.value::<u64>("--seed"), Ok(None));
         assert!(args.has("--verify"));
-        assert_eq!(args.dir_or_temp("t"), ("d".into(), false));
+        assert_eq!(args.get("--dir"), Some("d"));
         let bare = parse(&["--count", "0", "--out", "x", "--seed", "-1"]).unwrap();
-        assert!(!bare.has("--verify") && bare.dir_or_temp("t").1);
+        assert!(!bare.has("--verify") && bare.get("--dir").is_none());
         assert_eq!(
             bare.count("--count"),
             Err("--count must be at least 1".into())

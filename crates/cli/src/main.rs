@@ -117,7 +117,7 @@ USAGE:
                   (default 200); --insert-permille N: fraction of writes
                   that are inserts (default 700, rest are deletes)
       --wal-dir DIR: write every batch through a write-ahead log in DIR
-                  (group commit, segment rotation); without it mutations
+                  (one fsync per batch, segment rotation); without it mutations
                   apply unlogged — fine for throughput runs, no crash
                   safety. The log is left in place for inspection;
                   recovery replays it via the tfm-wal crate

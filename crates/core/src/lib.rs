@@ -51,7 +51,6 @@
 mod config;
 mod costmodel;
 mod descriptor;
-mod distance;
 mod index;
 mod join;
 mod metadata;
@@ -64,7 +63,6 @@ mod walk;
 pub use config::{GuidePick, IndexConfig, JoinConfig, ThresholdPolicy};
 pub use costmodel::{CostModel, DeviceParams};
 pub use descriptor::{NodeId, SpaceNode, SpaceUnitDesc, UnitId};
-pub use distance::distance_join;
 pub use index::{TransformersIndex, UnitReader};
 pub use join::{transformers_join, JoinOutcome, JoinRun, PivotEngine};
 pub use mutate::{

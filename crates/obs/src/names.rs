@@ -69,12 +69,11 @@ pub const WAL_DELTA_RECORDS: &str = "wal.delta_records";
 pub const WAL_DELTA_BYTES: &str = "wal.delta_bytes";
 /// Bytes appended to the log, framing included.
 pub const WAL_BYTES: &str = "wal.bytes";
-/// fsyncs issued against log segments.
+/// fsyncs issued against log segments: one per commit, plus one per
+/// `sync` that found records not yet durable.
 pub const WAL_FSYNCS: &str = "wal.fsyncs";
 /// Transactions committed through the log.
 pub const WAL_COMMITS: &str = "wal.commits";
-/// Histogram: records made durable per fsync (group-commit batch size).
-pub const WAL_GROUP_COMMIT_RECORDS: &str = "wal.group_commit_records";
 /// Distinct pages recovery brought forward and wrote to the image.
 pub const WAL_RECOVERY_REPLAYED: &str = "wal.recovery.replayed";
 /// Records of uncommitted transactions skipped during recovery.

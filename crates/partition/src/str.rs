@@ -108,38 +108,6 @@ impl<T> StrPartitions<T> {
     }
 }
 
-impl<T: HasMbb> StrPartitions<T> {
-    /// Cuts `items`, already in the order the caller wants on disk, into
-    /// consecutive partitions of `capacity`; both boxes of a partition are
-    /// the tight box of its items. This is how a packing that is not STR
-    /// (the R-Tree's Hilbert ablation) hands its leaves to the same
-    /// pipeline stages.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn chunked(items: Vec<T>, capacity: usize) -> Self {
-        assert!(capacity > 0, "partition capacity must be positive");
-        let extent = Aabb::union_all(items.iter().map(|i| i.mbb()));
-        let table = (0..items.len())
-            .step_by(capacity)
-            .map(|start| {
-                let range = start..(start + capacity).min(items.len());
-                let mbb = Aabb::union_all(items[range.clone()].iter().map(|i| i.mbb()));
-                StrEntry {
-                    range,
-                    page_mbb: mbb,
-                    partition_mbb: mbb,
-                }
-            })
-            .collect();
-        Self {
-            items,
-            table,
-            extent,
-        }
-    }
-}
-
 /// Partitions `items` into groups of at most `capacity` with 3-D STR.
 ///
 /// The items are cut by x-center into vertical slabs, each slab by
@@ -1215,19 +1183,5 @@ mod tests {
         assert_eq!(parts.items.as_ptr(), ptr);
         assert_eq!(parts.items.capacity(), capacity);
         assert_eq!(parts.items().len(), 2000);
-    }
-
-    #[test]
-    fn chunked_cuts_consecutive_runs_with_tight_boxes() {
-        let elems = random_boxes(23, 22, 0.0, 100.0);
-        let parts = StrPartitions::chunked(elems.clone(), 5);
-        assert_eq!(parts.len(), 5);
-        for (p, chunk) in parts.iter().zip(elems.chunks(5)) {
-            assert_eq!(p.items, chunk);
-            let tight = Aabb::union_all(chunk.iter().map(|e| e.mbb));
-            assert_eq!(p.page_mbb, tight);
-            assert_eq!(p.partition_mbb, tight);
-        }
-        assert!(StrPartitions::chunked(Vec::<SpatialElement>::new(), 5).is_empty());
     }
 }

@@ -154,26 +154,6 @@ fn node_mbb<C: PageReads>(pool: &mut C, page: PageId) -> tfm_geom::Aabb {
     }
 }
 
-/// Indexed nested-loop join (paper §VIII-A): probes `tree_a` with every
-/// element of `probe_side`. "Given the considerable cost of a query, this
-/// approach clearly is only efficient in case A >> B" — reproduced here as
-/// an ablation baseline.
-pub fn indexed_nested_loop_join<C: PageReads>(
-    pool_a: &mut C,
-    tree_a: &RTree,
-    probe_side: &[SpatialElement],
-    stats: &mut RtreeStats,
-) -> Vec<ResultPair> {
-    let mut out = Vec::new();
-    for b in probe_side {
-        for a_id in tree_a.range_query(pool_a, &b.mbb, stats) {
-            out.push((a_id, b.id));
-        }
-    }
-    stats.mem.results += out.len() as u64;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,29 +254,5 @@ mod tests {
         let mut stats = RtreeStats::default();
         assert!(sync_join(&mut &disk_a, &tree_a, &mut &disk_b, &tree_b, &mut stats).is_empty());
         assert!(sync_join(&mut &disk_b, &tree_b, &mut &disk_a, &tree_a, &mut stats).is_empty());
-    }
-
-    #[test]
-    fn inl_join_matches_oracle() {
-        let a = generate(&DatasetSpec {
-            max_side: 10.0,
-            ..DatasetSpec::uniform(1200, 20)
-        });
-        let b = generate(&DatasetSpec {
-            max_side: 10.0,
-            ..DatasetSpec::uniform(150, 21)
-        });
-        let disk_a = Disk::default_in_memory();
-        let tree_a = RTree::bulk_load(&disk_a, a.clone());
-        let mut stats = RtreeStats::default();
-        let got = canonicalize(indexed_nested_loop_join(
-            &mut &disk_a,
-            &tree_a,
-            &b,
-            &mut stats,
-        ));
-        let mut oracle_stats = JoinStats::default();
-        let expected = canonicalize(nested_loop_join(&a, &b, &mut oracle_stats));
-        assert_eq!(got, expected);
     }
 }

@@ -9,9 +9,8 @@
 //!   the shared [`IndexBuildPipeline`] (so `--build-threads` parallelizes
 //!   this baseline's build exactly like the TRANSFORMERS build);
 //! * [`sync_join`] — the synchronized traversal;
-//! * [`indexed_nested_loop_join`] — the classic INL join (paper §VIII-A),
-//!   provided for completeness and as an ablation point;
-//! * [`RTree::range_query`] — used by the INL join and on its own.
+//! * [`RTree::range_query`] — the box query the serving layer's R-tree
+//!   engine answers probes with.
 //!
 //! The R-Tree's structural weakness the paper highlights — *overlap* between
 //! sibling MBBs forcing extra reads and comparisons — emerges naturally
@@ -22,12 +21,12 @@
 mod join;
 mod node;
 
-pub use join::{indexed_nested_loop_join, sync_join};
+pub use join::sync_join;
 pub use node::{NodeEntry, RtreeNode};
 
 use tfm_geom::{Aabb, ElementId, SpatialElement};
 use tfm_memjoin::JoinStats;
-use tfm_partition::{IndexBuildPipeline, StrPartitions};
+use tfm_partition::IndexBuildPipeline;
 use tfm_storage::{Disk, PageId, PageReads};
 
 /// Counters for R-Tree operations.
@@ -47,13 +46,6 @@ pub struct RTree {
     height: u32,
     len: usize,
     root_mbb: Aabb,
-}
-
-/// Bulk-load packing strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Packing {
-    Str,
-    Hilbert,
 }
 
 /// Internal helper tying a child page to its MBB for STR packing of inner
@@ -78,12 +70,7 @@ impl RTree {
     /// page-derived fanout (≈146 for 8 KiB pages; the paper's 135 reflects
     /// its slightly larger header). Each level is written contiguously.
     pub fn bulk_load(disk: &Disk, elements: Vec<SpatialElement>) -> Self {
-        Self::bulk_load_with(
-            disk,
-            elements,
-            Packing::Str,
-            &IndexBuildPipeline::sequential(),
-        )
+        Self::bulk_load_pipelined(disk, elements, &IndexBuildPipeline::sequential())
     }
 
     /// [`RTree::bulk_load`] on a caller-supplied build pipeline: every
@@ -92,29 +79,6 @@ impl RTree {
     pub fn bulk_load_pipelined(
         disk: &Disk,
         elements: Vec<SpatialElement>,
-        pipeline: &IndexBuildPipeline,
-    ) -> Self {
-        Self::bulk_load_with(disk, elements, Packing::Str, pipeline)
-    }
-
-    /// Bulk-loads with Hilbert packing (Kamel & Faloutsos, CIKM '93):
-    /// elements are sorted by the Hilbert value of their center and chunked
-    /// into leaves. The paper notes (§VIII-A) that "Hilbert and STR perform
-    /// similarly, outperforming the others on real-world data" — the
-    /// `ablation/rtree_packing` bench checks that claim here.
-    pub fn bulk_load_hilbert(disk: &Disk, elements: Vec<SpatialElement>) -> Self {
-        Self::bulk_load_with(
-            disk,
-            elements,
-            Packing::Hilbert,
-            &IndexBuildPipeline::sequential(),
-        )
-    }
-
-    fn bulk_load_with(
-        disk: &Disk,
-        mut elements: Vec<SpatialElement>,
-        packing: Packing,
         pipeline: &IndexBuildPipeline,
     ) -> Self {
         let capacity = node::capacity(disk.page_size());
@@ -131,18 +95,8 @@ impl RTree {
             };
         }
 
-        // Leaf level: STR runs on the shared pipeline (Hilbert packing
-        // keys on a space-filling curve instead and stays sequential —
-        // it is the ablation variant, not the paper's default).
-        let parts = match packing {
-            Packing::Str => pipeline.partition(elements, capacity),
-            Packing::Hilbert => {
-                let universe = Aabb::union_all(elements.iter().map(|e| e.mbb));
-                elements
-                    .sort_by_key(|e| tfm_geom::hilbert::index_of_point(&e.mbb.center(), &universe));
-                StrPartitions::chunked(elements, capacity)
-            }
-        };
+        // Leaf level: STR on the shared pipeline.
+        let parts = pipeline.partition(elements, capacity);
         let first = pipeline.pack_pages(disk, &parts, |p, buf| {
             node::encode_leaf_into(disk.page_size(), p.items, buf)
         });
@@ -368,58 +322,6 @@ mod tests {
             assert_eq!(tree.root_mbb(), seq.root_mbb());
             assert_eq!(dump(&disk), seq_pages, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn hilbert_bulk_load_matches_str_results() {
-        let elems = generate(&DatasetSpec {
-            max_side: 10.0,
-            ..DatasetSpec::uniform(4000, 5)
-        });
-        let disk_str = Disk::default_in_memory();
-        let disk_hil = Disk::default_in_memory();
-        let t_str = RTree::bulk_load(&disk_str, elems.clone());
-        let t_hil = RTree::bulk_load_hilbert(&disk_hil, elems.clone());
-        assert_eq!(t_str.len(), t_hil.len());
-        assert_eq!(t_str.root_mbb(), t_hil.root_mbb());
-        let q = Aabb::new(
-            Point3::new(200.0, 200.0, 200.0),
-            Point3::new(500.0, 600.0, 400.0),
-        );
-        let mut ss = RtreeStats::default();
-        let mut sh = RtreeStats::default();
-        let mut rs = t_str.range_query(&mut &disk_str, &q, &mut ss);
-        let mut rh = t_hil.range_query(&mut &disk_hil, &q, &mut sh);
-        rs.sort_unstable();
-        rh.sort_unstable();
-        assert_eq!(rs, rh);
-    }
-
-    #[test]
-    fn hilbert_sync_join_matches_oracle() {
-        use tfm_memjoin::{canonicalize, nested_loop_join, JoinStats};
-        let a = generate(&DatasetSpec {
-            max_side: 12.0,
-            ..DatasetSpec::uniform(1500, 6)
-        });
-        let b = generate(&DatasetSpec {
-            max_side: 12.0,
-            ..DatasetSpec::uniform(1500, 7)
-        });
-        let disk_a = Disk::default_in_memory();
-        let disk_b = Disk::default_in_memory();
-        let tree_a = RTree::bulk_load_hilbert(&disk_a, a.clone());
-        let tree_b = RTree::bulk_load_hilbert(&disk_b, b.clone());
-        let mut stats = RtreeStats::default();
-        let got = canonicalize(crate::sync_join(
-            &mut &disk_a,
-            &tree_a,
-            &mut &disk_b,
-            &tree_b,
-            &mut stats,
-        ));
-        let mut s = JoinStats::default();
-        assert_eq!(got, canonicalize(nested_loop_join(&a, &b, &mut s)));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   path's policy (`transformers::MutableTransformers`): write-back once
 //!   the dirty tier is half the cache, and everything at a checkpoint.
 //!
-//! `tfm-wal` provides the real segmented, group-committing implementation
-//! of [`RedoLog`]; [`NoopLog`] here is the no-durability stand-in (every
+//! `tfm-wal` provides the real segmented implementation of [`RedoLog`],
+//! one fsync per commit; [`NoopLog`] here is the no-durability stand-in (every
 //! LSN is instantly "durable") so the mutable layers can be built, tested
 //! and benchmarked without a log directory. This split keeps the
 //! dependency graph acyclic: storage defines the traits, `tfm-wal` depends

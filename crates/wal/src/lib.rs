@@ -16,9 +16,8 @@
 //!    [`Wal`] for the rule that decides);
 //! 2. the new bytes land in the shared cache's dirty tier carrying that
 //!    LSN — the data disk is untouched;
-//! 3. commit appends a commit marker and fsyncs (group commit: one fsync
-//!    covers every record appended by then, so concurrent committers
-//!    share the flush);
+//! 3. commit appends a commit marker and fsyncs the current segment
+//!    under the append lock: one fsync per commit, durable on return;
 //! 4. dirty frames reach the disk only through
 //!    `SharedPageCache::flush_dirty(durable_lsn)`, whose gate keeps any
 //!    page whose record is not yet durable in memory. The write path
@@ -52,7 +51,7 @@ mod writer;
 pub use reader::{scan_dir, segment_path, visit_records, ScanReport, SegmentInfo};
 pub use record::{diff_pages, WalPayload, WalRecord};
 pub use recover::{recover, RecoveryReport};
-pub use writer::{SyncMode, Wal, WalOptions, WalStats};
+pub use writer::{Wal, WalOptions, WalStats};
 
 #[cfg(test)]
 mod tests {
@@ -60,7 +59,6 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
     use tfm_storage::{Disk, DiskBackendKind, DiskModel, MemStore, PageId, PageStore, RedoLog};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -77,7 +75,6 @@ mod tests {
     fn small_opts() -> WalOptions {
         WalOptions {
             segment_bytes: 4096,
-            ..WalOptions::default()
         }
     }
 
@@ -184,62 +181,93 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_shares_fsyncs_across_committers() {
-        let dir = temp_dir("group");
-        let wal = Wal::open(
-            &dir,
-            WalOptions {
-                fsync_latency: Duration::from_millis(2),
-                ..WalOptions::default()
-            },
-        )
-        .unwrap();
-        let threads = 4;
-        let commits_per_thread = 10;
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let wal = &wal;
-                s.spawn(move || {
-                    for i in 0..commits_per_thread {
-                        let t = wal.begin();
-                        wal.log_page(t, PageId((w * 100 + i) as u64), &page(w as u8, 64));
-                        let durable = wal.commit(t);
-                        assert!(durable > 0);
-                    }
-                });
-            }
+    fn concurrent_committers_are_each_durable_and_recover_idempotently() {
+        let dir = temp_dir("concurrent");
+        let wal = Wal::open(&dir, small_opts()).unwrap();
+        let (threads, txns) = (4u64, 10u64);
+        // Every thread commits from the same start, so commits queue on
+        // the append lock while another one fsyncs.
+        let start = std::sync::Barrier::new(threads as usize);
+        // (txn, LSN its commit returned) for every commit.
+        let returned: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    let (wal, start) = (&wal, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..txns)
+                            .map(|i| {
+                                let t = wal.begin();
+                                let p = w * 100 + i;
+                                wal.log_page(t, PageId(p), &page(p as u8 + 1, 64));
+                                wal.log_page(t, PageId(p + 50), &page(p as u8 + 2, 64));
+                                let durable = wal.commit(t);
+                                assert!(wal.durable_lsn() >= durable);
+                                (t, durable)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         });
         let stats = wal.stats();
-        assert_eq!(stats.commits, (threads * commits_per_thread) as u64);
-        assert!(
-            stats.fsyncs < stats.commits,
-            "group commit must batch: {} fsyncs for {} commits",
-            stats.fsyncs,
-            stats.commits
-        );
-        let batches = wal.batch_sizes();
-        assert!(batches.iter().any(|&b| b > 1), "{batches:?}");
-        assert_eq!(batches.iter().sum::<u64>(), stats.records);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        assert_eq!(stats.commits, threads * txns);
+        assert_eq!(stats.fsyncs, stats.commits, "one fsync per commit");
+        assert_eq!(stats.records, threads * txns * 3);
+        drop(wal);
 
-    #[test]
-    fn each_commit_mode_fsyncs_every_commit() {
-        let dir = temp_dir("each");
-        let wal = Wal::open(
-            &dir,
-            WalOptions {
-                sync_mode: SyncMode::EachCommit,
-                ..WalOptions::default()
-            },
-        )
+        let mut commit_lsn = std::collections::HashMap::new();
+        visit_records(&dir, |r| {
+            if matches!(r.payload, WalPayload::Commit) {
+                commit_lsn.insert(r.txn, r.lsn);
+            }
+            Ok(())
+        })
         .unwrap();
-        for i in 0..5u64 {
-            let t = wal.begin();
-            wal.log_page(t, PageId(i), &page(i as u8, 64));
-            wal.commit(t);
+        assert_eq!(returned.len() as u64, threads * txns);
+        for &(t, durable) in &returned {
+            assert!(
+                durable >= commit_lsn[&t],
+                "txn {t} returned {durable} before its commit"
+            );
         }
-        assert!(wal.stats().fsyncs >= 5, "{:?}", wal.stats());
+
+        let disk = Disk::in_memory(64).with_model(DiskModel::free());
+        let report = recover(&dir, &disk).unwrap();
+        assert_eq!(report.commits, threads * txns);
+        assert_eq!(report.pages_replayed, threads * txns * 2);
+        assert_eq!(report.skipped_uncommitted, 0);
+        assert!(!report.torn_tail);
+        let image: Vec<Vec<u8>> = (0..disk.allocated_pages())
+            .map(|p| disk.read_page_vec(PageId(p)))
+            .collect();
+        for w in 0..threads {
+            for i in 0..txns {
+                let p = w * 100 + i;
+                assert_eq!(image[p as usize], page(p as u8 + 1, 64), "page {p}");
+                assert_eq!(
+                    image[p as usize + 50],
+                    page(p as u8 + 2, 64),
+                    "page {}",
+                    p + 50
+                );
+            }
+        }
+
+        let again = recover(&dir, &disk).unwrap();
+        assert_eq!(again.pages_replayed, report.pages_replayed);
+        assert_eq!(disk.allocated_pages(), image.len() as u64);
+        for (p, bytes) in image.iter().enumerate() {
+            assert_eq!(
+                &disk.read_page_vec(PageId(p as u64)),
+                bytes,
+                "page {p} moved"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -323,7 +351,7 @@ mod tests {
         assert_eq!(reg.counter(tfm_obs::names::WAL_DELTA_BYTES).get(), 46);
         assert!(reg.counter(tfm_obs::names::WAL_BYTES).get() > 64);
         assert_eq!(reg.counter(tfm_obs::names::WAL_COMMITS).get(), 1);
-        assert!(reg.counter(tfm_obs::names::WAL_FSYNCS).get() >= 1);
+        assert_eq!(reg.counter(tfm_obs::names::WAL_FSYNCS).get(), 1);
         let disk = Disk::in_memory(64).with_model(DiskModel::free());
         let report = recover(wal.dir(), &disk).unwrap();
         report.publish(&reg);

@@ -1,4 +1,5 @@
-//! The append side: segmented log files, group commit, crash injection.
+//! The append side: segmented log files, one fsync per commit, crash
+//! injection.
 
 use crate::reader::{scan_dir, segment_path};
 use crate::record::{
@@ -10,21 +11,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use tfm_storage::{PageId, RedoLog};
-
-/// When `commit` fsyncs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Group commit: a commit whose LSN another thread's fsync already
-    /// covered returns without its own fsync; otherwise one fsync makes
-    /// every record appended so far durable. The default.
-    #[default]
-    GroupCommit,
-    /// One fsync per commit, unconditionally — the ablation baseline
-    /// `bench_wal` compares group commit against.
-    EachCommit,
-}
 
 /// Tunables of a [`Wal`].
 #[derive(Debug, Clone)]
@@ -32,21 +19,12 @@ pub struct WalOptions {
     /// Rotate to a fresh segment once the current one exceeds this many
     /// bytes (checked at record boundaries; records are never split).
     pub segment_bytes: u64,
-    /// Injected fsync latency: slept while holding the sync lock before
-    /// every fsync. Zero (the default) injects nothing; benchmarks use it
-    /// to make group-commit batching measurable on hosts whose fsync is
-    /// nearly free (tmpfs CI runners).
-    pub fsync_latency: Duration,
-    /// When `commit` fsyncs.
-    pub sync_mode: SyncMode,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
             segment_bytes: 4 << 20,
-            fsync_latency: Duration::ZERO,
-            sync_mode: SyncMode::GroupCommit,
         }
     }
 }
@@ -77,6 +55,8 @@ struct Inner {
     seg_seq: u64,
     seg_bytes: u64,
     next_lsn: u64,
+    /// Last appended LSN (its bytes fully written to the current segment).
+    appended: u64,
     /// Seqs of all live segments, oldest first (current one last).
     segments: Vec<u64>,
     /// Record bytes appended over the log's lifetime (crash-hook clock).
@@ -97,18 +77,15 @@ struct Inner {
     imaged: HashMap<u64, u64>,
 }
 
-struct SyncHandle {
-    file: File,
-}
-
 /// The write-ahead log: an append-only sequence of checksummed,
 /// LSN-stamped records in rotating segment files under one directory.
 ///
-/// Appends serialize on an internal lock; fsyncs serialize on a separate
-/// lock so appenders never wait behind a device flush — that split is
-/// what makes group commit work: while one committer holds the sync lock
-/// in `fsync`, others keep appending, and the next fsync makes all of
-/// them durable at once.
+/// Appends, commits and fsyncs serialize on one lock: a commit appends
+/// its marker and fsyncs the current segment before it lets go, so each
+/// commit is durable when it returns, at one fsync per commit. The write
+/// path has one committer (`MutableTransformers` holds its writer lock
+/// from `begin` to `commit`), so no commit could share another's fsync.
+/// Concurrent committers stay correct, each behind its own fsync.
 ///
 /// [`Wal`] implements [`RedoLog`], so `LoggedPages` handles write through
 /// it without knowing the framing.
@@ -116,10 +93,9 @@ pub struct Wal {
     dir: PathBuf,
     opts: WalOptions,
     inner: Mutex<Inner>,
-    sync_file: Mutex<SyncHandle>,
-    /// Last appended LSN (bytes fully written to the current segment).
-    appended: AtomicU64,
-    /// Highest LSN known fsynced.
+    /// Highest LSN known fsynced: stored (`Release`) under the append lock
+    /// after the fsync returned, loaded (`Acquire`) without it by the
+    /// dirty tier's flush gate.
     durable: AtomicU64,
     next_txn: AtomicU64,
     records: AtomicU64,
@@ -129,10 +105,6 @@ pub struct Wal {
     bytes: AtomicU64,
     fsyncs: AtomicU64,
     commits: AtomicU64,
-    /// Records appended since the last fsync (group-commit batch clock).
-    pending: AtomicU64,
-    /// Per-fsync batch sizes, for the group-commit histogram.
-    batch_sizes: Mutex<Vec<u64>>,
 }
 
 impl Wal {
@@ -166,7 +138,6 @@ impl Wal {
         let last_seq = scan.segments.last().map(|s| s.seq).unwrap_or(0);
         let seg_seq = last_seq + 1;
         let file = Self::create_segment(&dir, seg_seq)?;
-        let sync_handle = file.try_clone()?;
         Self::sync_dir(&dir)?;
         let mut segments: Vec<u64> = scan.segments.iter().map(|s| s.seq).collect();
         segments.push(seg_seq);
@@ -178,6 +149,7 @@ impl Wal {
                 seg_seq,
                 seg_bytes: SEGMENT_HEADER_BYTES as u64,
                 next_lsn: scan.max_lsn + 1,
+                appended: scan.max_lsn,
                 segments,
                 total_bytes: 0,
                 crash_after_bytes: None,
@@ -186,8 +158,6 @@ impl Wal {
                 open: HashSet::new(),
                 imaged: HashMap::new(),
             }),
-            sync_file: Mutex::new(SyncHandle { file: sync_handle }),
-            appended: AtomicU64::new(scan.max_lsn),
             durable: AtomicU64::new(scan.max_lsn),
             next_txn: AtomicU64::new(scan.max_txn),
             records: AtomicU64::new(0),
@@ -197,8 +167,6 @@ impl Wal {
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             commits: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
-            batch_sizes: Mutex::new(Vec::new()),
         })
     }
 
@@ -303,11 +271,8 @@ impl Wal {
             }
             WalPayload::Commit => {}
         }
-        self.pending.fetch_add(1, Ordering::Relaxed);
         inner.scratch = frame;
-        // Publish the LSN only after write_all returned: sync_to reads it
-        // outside the append lock.
-        self.appended.store(lsn, Ordering::Release);
+        inner.appended = lsn;
         lsn
     }
 
@@ -318,50 +283,25 @@ impl Wal {
         inner.file.sync_data()?;
         // Everything appended so far now *is* durable — credit it, so the
         // next commit's fsync only covers the new segment.
-        self.durable
-            .fetch_max(self.appended.load(Ordering::Acquire), Ordering::AcqRel);
+        self.durable.store(inner.appended, Ordering::Release);
         let seq = inner.seg_seq + 1;
         let file = Self::create_segment(&self.dir, seq)?;
-        let clone = file.try_clone()?;
         Self::sync_dir(&self.dir)?;
         inner.file = file;
         inner.seg_seq = seq;
         inner.seg_bytes = SEGMENT_HEADER_BYTES as u64;
         inner.segments.push(seq);
-        // Lock ordering: inner → sync_file (sync_to never takes inner).
-        self.sync_file.lock().file = clone;
         Ok(())
     }
 
-    /// Makes everything up to `lsn` durable, riding a concurrent fsync
-    /// when one already covers it (group commit).
-    fn sync_to(&self, lsn: u64, always_fsync: bool) -> u64 {
-        let d = self.durable.load(Ordering::Acquire);
-        if d >= lsn && !always_fsync {
-            return d;
-        }
-        let guard = self.sync_file.lock();
-        let d = self.durable.load(Ordering::Acquire);
-        if d >= lsn && !always_fsync {
-            // A racing committer's fsync covered us while we waited.
-            return d;
-        }
-        // While we hold the sync lock no rotation can swap the
-        // current segment out from under us, so `appended` is fully
-        // contained in (already-durable older segments +) this file.
-        let target = self.appended.load(Ordering::Acquire);
-        let batch = self.pending.swap(0, Ordering::AcqRel);
-        if !self.opts.fsync_latency.is_zero() {
-            std::thread::sleep(self.opts.fsync_latency);
-        }
-        guard.file.sync_data().expect("wal fsync failed");
-        drop(guard);
-        self.durable.fetch_max(target, Ordering::AcqRel);
+    /// fsyncs the current segment under the append lock, making every
+    /// record appended so far durable (older segments were synced when
+    /// they rotated out); returns the new durable LSN.
+    fn fsync(&self, inner: &Inner) -> u64 {
+        inner.file.sync_data().expect("wal fsync failed");
+        self.durable.store(inner.appended, Ordering::Release);
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        if batch > 0 {
-            self.batch_sizes.lock().push(batch);
-        }
-        self.durable.load(Ordering::Acquire)
+        inner.appended
     }
 
     /// Deletes every segment except a freshly started one, oldest first,
@@ -402,11 +342,6 @@ impl Wal {
         }
     }
 
-    /// Group-commit batch sizes, one entry per fsync.
-    pub fn batch_sizes(&self) -> Vec<u64> {
-        self.batch_sizes.lock().clone()
-    }
-
     /// Publishes the writer-side `wal.*` metrics into `reg`.
     pub fn publish_metrics(&self, reg: &tfm_obs::MetricsRegistry) {
         use tfm_obs::names;
@@ -418,10 +353,6 @@ impl Wal {
         reg.counter(names::WAL_BYTES).add(s.bytes);
         reg.counter(names::WAL_FSYNCS).add(s.fsyncs);
         reg.counter(names::WAL_COMMITS).add(s.commits);
-        let hist = reg.histogram(names::WAL_GROUP_COMMIT_RECORDS);
-        for b in self.batch_sizes() {
-            hist.record(b);
-        }
     }
 }
 
@@ -441,15 +372,13 @@ impl RedoLog for Wal {
     }
 
     fn commit(&self, txn: u64) -> u64 {
-        let lsn = {
-            let mut inner = self.inner.lock();
-            // Committed with the record's append, under one lock: a page
-            // record that sees `txn` closed is behind its commit record.
-            inner.open.remove(&txn);
-            self.append(&mut inner, txn, WalPayload::Commit)
-        };
+        let mut inner = self.inner.lock();
+        // Committed with the record's append, under one lock: a page
+        // record that sees `txn` closed is behind its commit record.
+        inner.open.remove(&txn);
+        self.append(&mut inner, txn, WalPayload::Commit);
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.sync_to(lsn, self.opts.sync_mode == SyncMode::EachCommit)
+        self.fsync(&inner)
     }
 
     fn durable_lsn(&self) -> u64 {
@@ -457,11 +386,13 @@ impl RedoLog for Wal {
     }
 
     fn sync(&self) -> u64 {
-        let lsn = self.appended.load(Ordering::Acquire);
-        if lsn == 0 {
-            return self.durable_lsn();
+        let inner = self.inner.lock();
+        let durable = self.durable_lsn();
+        if inner.appended > durable {
+            self.fsync(&inner)
+        } else {
+            durable
         }
-        self.sync_to(lsn, false)
     }
 
     fn checkpoint(&self) -> io::Result<()> {
