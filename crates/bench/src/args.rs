@@ -1,5 +1,5 @@
-//! The one `--flag` parser of the workspace's binaries (`tfm`, the
-//! `bench_*` gates and `crash_child`).
+//! The one `--flag` parser of the workspace's binaries (`tfm` and
+//! `crash_child`).
 //!
 //! A binary declares its flags once, as a usage synopsis such as
 //! `tfm generate --count N --out FILE [--seed S] [--verify]`. The words

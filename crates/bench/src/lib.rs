@@ -24,15 +24,15 @@
 //! *simulated device time + measured CPU time* — see `DESIGN.md`
 //! substitution 1.
 //!
-//! The `bench_*` binaries are acceptance gates, not figures; [`gate`]
-//! holds what they share: verdicts and the JSON report. [`args`] is the
-//! `--flag` parser of every binary here and of `tfm`.
+//! Besides `reproduce`, the crate has one more binary, `crash_child`: the
+//! process the crash-recovery tests kill mid-commit. [`args`] is the
+//! `--flag` parser of `crash_child` and of `tfm`. Performance is measured
+//! by the standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod experiments;
-pub mod gate;
 pub mod report;
 pub mod runner;
 pub mod serve;

@@ -13,8 +13,7 @@
 //! 2. **Off means off.** The registry carries a runtime switch shared by
 //!    all of its metrics: while off (the [`global`] registry's default),
 //!    every record call is a single relaxed flag load and no
-//!    read-modify-write. Compiling with the `noop` feature removes even
-//!    the load.
+//!    read-modify-write.
 //! 3. **Exportable.** [`MetricsSnapshot`] serializes to JSON lines (and
 //!    parses back — CI archives and gates on the round-trip) and to
 //!    Prometheus text; [`QueryTrace`] records interleave in the same

@@ -5,8 +5,7 @@
 //! off every hot path; recording through a handle is a single relaxed
 //! `fetch_add`. Each registry carries a runtime switch shared by all of
 //! its metrics: while off, every record call is one relaxed flag load and
-//! no read-modify-write. Compiling with the `noop` feature removes even
-//! that (see `Cargo.toml`).
+//! no read-modify-write.
 
 use crate::hist::{Histogram, SpanTimer};
 use crate::process_cpu_nanos;
@@ -19,15 +18,7 @@ use std::time::Instant;
 /// The shared gate check every record path runs first.
 #[inline]
 pub(crate) fn flag_is_on(flag: &AtomicBool) -> bool {
-    #[cfg(feature = "noop")]
-    {
-        let _ = flag;
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        flag.load(Ordering::Relaxed)
-    }
+    flag.load(Ordering::Relaxed)
 }
 
 /// A monotonically increasing named counter.

@@ -1,7 +1,8 @@
 //! Observability must be free of *observer effects*: turning the
 //! `tfm-obs` registry (and per-query tracing) on must leave every join
-//! and serve result byte-identical at every worker count, and the
-//! exported snapshots must round-trip losslessly.
+//! and serve result byte-identical at every worker count, turning it off
+//! must leave every metric at 0, and the exported snapshots must
+//! round-trip losslessly.
 //!
 //! All tests here toggle the process-global registry, so they serialize
 //! on one lock — Rust's test harness runs them on concurrent threads.
@@ -26,6 +27,23 @@ fn build(elems: &[SpatialElement]) -> (Disk, TransformersIndex) {
     (disk, idx)
 }
 
+/// Off means off: after a run with the registry reset and switched off,
+/// every counter, gauge and histogram in it still reads 0.
+fn assert_nothing_recorded(case: &str) {
+    for m in obs::global().snapshot().entries {
+        let zero = match &m.value {
+            obs::MetricValue::Counter(v) => *v == 0,
+            obs::MetricValue::Gauge(v) => *v == 0,
+            obs::MetricValue::Histogram(h) => h.count == 0,
+        };
+        assert!(
+            zero,
+            "{case}: `{}` recorded {:?} with metrics off",
+            m.name, m.value
+        );
+    }
+}
+
 #[test]
 fn join_results_identical_with_metrics_on_and_off_at_every_worker_count() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -37,11 +55,13 @@ fn join_results_identical_with_metrics_on_and_off_at_every_worker_count() {
 
     // Sequential reference with metrics off.
     obs::set_enabled(false);
+    obs::global().reset();
     let reference = canonicalize(
         transformers_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg)
             .pairs
             .clone(),
     );
+    assert_nothing_recorded("sequential join");
 
     // Sequential with metrics on publishes but must not perturb.
     obs::set_enabled(true);
@@ -64,9 +84,7 @@ fn join_results_identical_with_metrics_on_and_off_at_every_worker_count() {
     for threads in [1usize, 2, 4, 8] {
         for on in [false, true] {
             obs::set_enabled(on);
-            if on {
-                obs::global().reset();
-            }
+            obs::global().reset();
             let pairs =
                 canonicalize(parallel_join(&idx_a, &disk_a, &idx_b, &disk_b, &cfg, threads).pairs);
             assert_eq!(
@@ -86,6 +104,8 @@ fn join_results_identical_with_metrics_on_and_off_at_every_worker_count() {
                         > 0,
                     "per-chunk span timings must be recorded"
                 );
+            } else {
+                assert_nothing_recorded(&format!("parallel join, threads={threads}"));
             }
         }
     }
@@ -101,6 +121,7 @@ fn serve_results_identical_with_metrics_and_tracing_on() {
     let trace = generate_trace(&QueryTraceSpec::uniform(300, 93));
 
     obs::set_enabled(false);
+    obs::global().reset();
     let reference = serve_trace(
         &engine,
         &trace,
@@ -110,13 +131,12 @@ fn serve_results_identical_with_metrics_and_tracing_on() {
         },
     )
     .results;
+    assert_nothing_recorded("reference serve");
 
     for threads in [1usize, 2, 4, 8] {
         for on in [false, true] {
             obs::set_enabled(on);
-            if on {
-                obs::global().reset();
-            }
+            obs::global().reset();
             let cfg = ServeConfig {
                 threads,
                 batch: 32,
@@ -152,6 +172,7 @@ fn serve_results_identical_with_metrics_and_tracing_on() {
                 assert_eq!(service.count, trace.len() as u64);
             } else {
                 assert!(out.traces.is_empty(), "traces collected without opt-in");
+                assert_nothing_recorded(&format!("serve, threads={threads}"));
             }
         }
     }

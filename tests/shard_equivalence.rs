@@ -4,7 +4,9 @@
 //! * every (shards, workers) combination from {1,2,4,8} × {1,2,4}
 //!   answers a trace **byte-identically** to the unsharded serve path
 //!   and to a sequential full-scan reference — on every engine and
-//!   both partitioners, with per-query traces off and on;
+//!   both partitioners, with per-query traces off and on — and reports
+//!   exactly the fan-out its router decides (partials routed, widest
+//!   query);
 //! * property test: a probe's routed shard set always covers every
 //!   shard that holds a matching element (routing soundness), and the
 //!   sharded answer stays equal to the oracle.
@@ -62,6 +64,14 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
         for shards in [1usize, 2, 4, 8] {
             let spec = ShardSpec::default().with_shards(shards).with_engine(engine);
             let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
+            // The fan-out the router decides, which the stats must report
+            // exactly: partials routed in all, and the widest query.
+            let routes: Vec<usize> = trace
+                .iter()
+                .map(|q| cluster.router().route(q).len())
+                .collect();
+            let routed: u64 = routes.iter().map(|&n| n as u64).sum();
+            let widest = routes.iter().copied().max().unwrap_or(0);
             for workers in [1usize, 2, 4] {
                 for collect_traces in [false, true] {
                     // Small batches: 50 of them in 200 queries.
@@ -79,6 +89,8 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
                     assert_eq!(out.results, expected, "{case}");
                     assert_eq!(out.stats.queries, trace.len() as u64);
                     assert_eq!(out.stats.shed_partials, 0);
+                    assert_eq!(out.stats.routed_partials, routed, "{case}");
+                    assert_eq!(out.stats.fanout_max, widest, "{case}");
                     // Every routed partial executed (no silent drops).
                     let executed: u64 = out.stats.per_shard.iter().map(|s| s.executed).sum();
                     assert_eq!(executed, out.stats.routed_partials, "{case}");
