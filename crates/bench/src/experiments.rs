@@ -376,8 +376,7 @@ fn filtered_share(sweep: &JoinSweep, rows: &[Metrics]) {
 }
 
 /// All three serve engines over one uniform dataset: a uniform and a
-/// clustered probe trace, each arrival-order at 1 worker and
-/// Hilbert-batched at 1 and 4 workers.
+/// clustered probe trace, each at 1 and 4 workers.
 fn serve(scale: f64) -> Vec<ServeMetrics> {
     let dataset = generate(&DatasetSpec {
         max_side: BOX_SIDE,
@@ -398,15 +397,10 @@ fn serve(scale: f64) -> Vec<ServeMetrics> {
     let jobs: Vec<ServeJob> = traces
         .iter()
         .flat_map(|(name, trace)| {
-            [(1, false), (1, true), (4, true)].map(|(threads, hilbert)| ServeJob {
+            [1, 4].map(|threads| ServeJob {
                 workload: name,
                 trace,
-                config: ServeConfig {
-                    threads,
-                    batch: 128,
-                    hilbert_batching: hilbert,
-                    ..ServeConfig::default()
-                },
+                config: ServeConfig::default().with_threads(threads).with_batch(128),
             })
         })
         .collect();

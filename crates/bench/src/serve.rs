@@ -27,8 +27,6 @@ pub struct ServeMetrics {
     pub threads: usize,
     /// Batch size.
     pub batch: usize,
-    /// Whether batches were Hilbert-ordered.
-    pub hilbert_batching: bool,
     /// Wall-clock serve time.
     pub wall: Duration,
     /// Simulated device time of the serve phase.
@@ -66,8 +64,6 @@ pub struct ServeMetrics {
     pub fanout_max: usize,
     /// Query partials routed (Σ fanout).
     pub routed_partials: u64,
-    /// Query partials lost to load shedding.
-    pub shed_partials: u64,
     /// Peak fraction of shard queues simultaneously full.
     pub max_cluster_pressure: f64,
     /// Result ids returned, summed over the trace.
@@ -108,7 +104,6 @@ impl ServeMetrics {
             shards: stats.per_shard.len(),
             threads: stats.threads,
             batch: cfg.batch.max(1),
-            hilbert_batching: cfg.hilbert_batching,
             wall: stats.wall,
             sim_io: stats.io.sim_io_time(),
             qps: stats.throughput_qps(),
@@ -127,7 +122,6 @@ impl ServeMetrics {
             fanout_mean: stats.fanout_mean,
             fanout_max: stats.fanout_max,
             routed_partials: stats.routed_partials,
-            shed_partials: stats.shed_partials,
             max_cluster_pressure: stats.max_cluster_pressure,
             result_ids: stats.result_ids,
         }
@@ -200,7 +194,7 @@ pub struct ServeJob<'a> {
 /// structure is built **once** and every job replays against it (disk
 /// stats and the engine's cache reset between jobs, so each row starts
 /// cold). Use this for config sweeps — rebuilding a large index per
-/// (threads, batching) combination would dominate the run.
+/// (threads, batch) combination would dominate the run.
 ///
 /// The cache size is taken from the **first** job's config; jobs in one
 /// sweep share one engine, so they must agree on it.
@@ -246,7 +240,7 @@ pub fn run_serve_sweep(
 pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
     println!("\n== {title} ==");
     println!(
-        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>3} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>6} {:>10}",
+        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>10}",
         "workload",
         "engine",
         "|D|",
@@ -254,7 +248,6 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
         "sh",
         "w",
         "batch",
-        "hb",
         "qps",
         "p50_us",
         "p95_us",
@@ -263,12 +256,11 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
         "seq%",
         "hit%",
         "fanout",
-        "shed",
         "results"
     );
     for m in rows {
         println!(
-            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>3} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>6.2} {:>6} {:>10}",
+            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>6.2} {:>10}",
             m.workload,
             m.engine,
             m.n_elements,
@@ -276,7 +268,6 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
             m.shards,
             m.threads,
             m.batch,
-            if m.hilbert_batching { "on" } else { "off" },
             m.qps,
             m.p50.as_secs_f64() * 1e6,
             m.p95.as_secs_f64() * 1e6,
@@ -285,26 +276,24 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
             m.seq_read_fraction() * 100.0,
             m.pool_hit_fraction() * 100.0,
             m.fanout_mean,
-            m.shed_partials,
             m.result_ids
         );
     }
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,hilbert_batching,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,shards,fanout_mean,fanout_max,routed_partials,shed_partials,max_cluster_pressure,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,shards,fanout_mean,fanout_max,routed_partials,max_cluster_pressure,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{}",
+        "{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{:.3},{},{},{:.3},{}",
         m.workload,
         m.engine,
         m.n_elements,
         m.queries,
         m.threads,
         m.batch,
-        m.hilbert_batching,
         m.wall.as_secs_f64(),
         m.sim_io.as_secs_f64(),
         m.qps,
@@ -324,7 +313,6 @@ pub fn serve_csv_row(m: &ServeMetrics) -> String {
         m.fanout_mean,
         m.fanout_max,
         m.routed_partials,
-        m.shed_partials,
         m.max_cluster_pressure,
         m.result_ids,
     )

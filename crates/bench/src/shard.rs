@@ -13,8 +13,8 @@ use crate::serve::ServeMetrics;
 /// `kind`), builds one index per shard with `index_cfg` on its own disk,
 /// replays `trace` through the router, and returns metrics, every query's
 /// result ids (ascending — byte-identical to [`crate::run_serve`]'s
-/// results when `serve_cfg.shed` is off) and the per-query traces
-/// `serve_cfg.collect_traces` asked for.
+/// results) and the per-query traces `serve_cfg.collect_traces` asked
+/// for.
 pub fn run_serve_sharded(
     kind: ServeEngineKind,
     workload: &str,
@@ -65,7 +65,6 @@ mod tests {
             assert_eq!(results, unsharded, "shards={shards}");
             assert_eq!(m.shards, shards);
             assert_eq!(m.queries, 120);
-            assert_eq!(m.shed_partials, 0);
         }
     }
 }

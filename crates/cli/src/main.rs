@@ -75,36 +75,31 @@ USAGE:
   tfm join --a FILE --b FILE [--approach A] [--page-size N] [--threads N]
            [--build-threads N]
            [--backend mem|file|file-checksummed] [--store DIR]
-           [--verify]
-           [--metrics PATH] [--metrics-format jsonl|prometheus]
-           [--metrics-interval-ms N]
+           [--verify] [--metrics PATH]
       A: transformers | no-tr | pbsm | rtree | gipsy (default: transformers)
       --threads N: run the transformers join on N parallel workers (tfm-exec)
       --build-threads N: build the indexes on N parallel workers
                   (transformers, gipsy and rtree builds; default: the
                   host's available parallelism, as IndexConfig::default())
   tfm serve --in FILE [--engine E] [--queries N] [--threads N] [--batch N]
-            [--no-hilbert] [--mix M] [--page-size N]
+            [--mix M] [--page-size N]
             [--build-threads N] [--trace-seed S] [--window F] [--eps F]
-            [--shards N] [--shard-partitioner hilbert|str] [--shed]
+            [--shards N]
             [--backend mem|file|file-checksummed] [--store DIR]
-            [--verify] [--metrics PATH] [--metrics-format jsonl|prometheus]
-            [--metrics-interval-ms N]
+            [--verify] [--metrics PATH]
       builds the chosen index once, generates a deterministic query trace
       (window / point-enclosure / distance probes) and replays it on N
       serve workers with locality-aware (Hilbert-ordered) batching
       E: transformers | gipsy | rtree  (default: transformers)
       M: uniform | clustered | neuro   (default: uniform)
-      --batch N: queries per batch (default 64); --no-hilbert replays each
-                  batch in arrival order instead of Hilbert order
+      --batch N: queries per batch (default 64), each replayed in the
+                  Hilbert order of its probe centers
       --shards N: serve through a sharded scatter-gather cluster of N
-                  self-contained index shards (each with its own page cache
-                  and worker pool of --threads workers); probes are routed
-                  only to the shards their probe box intersects, and merged
-                  results stay byte-identical to the unsharded path.
-                  --shard-partitioner picks the dataset split (default
-                  hilbert); --shed swaps blocking admission for load
-                  shedding on the per-shard bounded queues
+                  self-contained index shards cut from the Hilbert curve
+                  (each with its own page cache and worker pool of
+                  --threads workers); probes are routed only to the shards
+                  their probe box intersects, and merged results stay
+                  byte-identical to the unsharded path
   tfm mutate --in FILE [--ops N] [--write-permille N] [--insert-permille N]
              [--wal-dir DIR] [--threads N] [--batch N] [--seed S]
              [--page-size N] [--build-threads N] [--verify]
@@ -138,11 +133,9 @@ STORAGE BACKEND (build + join + serve):
 
 METRICS (join + serve):
   --metrics PATH: enable the tfm-obs registry for the run and export the
-      cache/IO/latency/stage-timing metrics to PATH — JSON lines by default,
-      Prometheus text with --metrics-format prometheus; serve additionally
-      appends one trace line per query (queue-wait/service split and
-      page-cache attribution). --metrics-interval-ms N makes a background
-      thread append a registry snapshot every N ms (JSON lines only).";
+      cache/IO/latency/stage-timing metrics to PATH as JSON lines; serve
+      additionally appends one trace line per query (queue-wait/service
+      split and page-cache attribution).";
 
 fn print_usage() {
     println!("{USAGE}");
@@ -195,8 +188,8 @@ impl StoreOpts {
 /// Parses `--backend mem|file|file-checksummed [--store DIR]`.
 ///
 /// The page-image directory only means something when pages live in a
-/// real file, so on the default mem backend `--store` is rejected (same
-/// orphan-flag pattern as `--shed` without `--shards`).
+/// real file, so on the default mem backend `--store` is rejected: a flag
+/// that would change nothing is an error, not a silent no-op.
 fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
     let dir = || {
         args.get("--store").map_or_else(
@@ -224,100 +217,37 @@ fn parse_store_opts(args: &Args) -> Result<StoreOpts, String> {
     Ok(StoreOpts { backend })
 }
 
-/// `--metrics` export options shared by `tfm join` and `tfm serve`.
-struct MetricsOpts {
-    path: String,
-    prometheus: bool,
-    interval: Option<std::time::Duration>,
-}
-
-/// Parses `--metrics PATH [--metrics-format jsonl|prometheus]
-/// [--metrics-interval-ms N]`; `None` when `--metrics` is absent.
-fn parse_metrics(args: &Args) -> Result<Option<MetricsOpts>, String> {
-    let interval = args.count("--metrics-interval-ms")?;
-    let Some(path) = args.get("--metrics") else {
-        if args.get("--metrics-format").is_some() || interval.is_some() {
-            return Err("--metrics-format/--metrics-interval-ms require --metrics PATH".into());
-        }
-        return Ok(None);
-    };
-    let prometheus = match args.get("--metrics-format").unwrap_or("jsonl") {
-        "jsonl" => false,
-        "prometheus" => true,
-        other => {
-            return Err(format!(
-                "unknown metrics format `{other}` (jsonl | prometheus)"
-            ))
-        }
-    };
-    if prometheus && interval.is_some() {
-        return Err(
-            "periodic snapshots (--metrics-interval-ms) are JSON-lines only; \
-             drop `--metrics-format prometheus`"
-                .into(),
-        );
-    }
-    Ok(Some(MetricsOpts {
-        path: path.to_string(),
-        prometheus,
-        interval: interval.map(|ms| std::time::Duration::from_millis(ms as u64)),
-    }))
-}
-
-/// Arms the global registry (cleared, enabled) and starts the periodic
-/// snapshot writer if an interval was requested. Runs before the index
-/// build so the `build.*` stage timings land in this run's export.
-fn start_metrics(m: &MetricsOpts) -> Result<Option<tfm_obs::SnapshotThread>, String> {
+/// Arms the global registry (cleared, enabled) for `tfm join --metrics` or
+/// `tfm serve --metrics`. Runs before the index build so the `build.*`
+/// stage timings land in this run's export, and creates the export file
+/// first so an unwritable `path` fails before the run, not after it.
+fn start_metrics(path: &str) -> Result<(), String> {
+    std::fs::write(path, "").map_err(|e| format!("creating {path}: {e}"))?;
     tfm_obs::set_enabled(true);
     tfm_obs::global().reset();
-    // Truncate any stale file from a previous run: both the snapshot
-    // thread and the final export append.
-    std::fs::write(&m.path, "").map_err(|e| format!("creating {}: {e}", m.path))?;
-    match m.interval {
-        Some(iv) => tfm_obs::SnapshotThread::start(tfm_obs::global(), m.path.clone().into(), iv)
-            .map(Some)
-            .map_err(|e| format!("starting snapshot thread: {e}")),
-        None => Ok(None),
-    }
+    Ok(())
 }
 
-/// Stops the snapshot writer, appends the final export (plus one trace
-/// line per query in JSON-lines mode), parses the file back as a
-/// self-check, and returns a one-line summary.
-fn finish_metrics(
-    m: &MetricsOpts,
-    snap: Option<tfm_obs::SnapshotThread>,
-    traces: &[tfm_obs::QueryTrace],
-) -> Result<String, String> {
+/// Writes the registry's JSON-lines export plus one trace line per query
+/// to `path`, parses the file back as a self-check, and returns a one-line
+/// summary.
+fn finish_metrics(path: &str, traces: &[tfm_obs::QueryTrace]) -> Result<String, String> {
     use std::io::Write as _;
-    if let Some(t) = snap {
-        t.stop()
-            .map_err(|e| format!("stopping snapshot thread: {e}"))?;
-    }
     let snapshot = tfm_obs::global().snapshot();
     tfm_obs::set_enabled(false);
-    let io_err = |e: std::io::Error| format!("writing {}: {e}", m.path);
-    if m.prometheus {
-        std::fs::write(&m.path, snapshot.to_prometheus()).map_err(io_err)?;
-    } else {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&m.path)
-            .map_err(io_err)?;
-        f.write_all(snapshot.to_jsonl().as_bytes())
-            .map_err(io_err)?;
-        for t in traces {
-            writeln!(f, "{}", t.to_json()).map_err(io_err)?;
-        }
-        f.flush().map_err(io_err)?;
-        // Self-check: the export must round-trip through the parser even
-        // with interleaved snapshot headers and trace lines.
-        let text = std::fs::read_to_string(&m.path)
-            .map_err(|e| format!("reading back {}: {e}", m.path))?;
-        tfm_obs::MetricsSnapshot::parse_jsonl(&text)
-            .map_err(|e| format!("{}: exported metrics failed to parse back: {e}", m.path))?;
+    let io_err = |e: std::io::Error| format!("writing {path}: {e}");
+    let mut f = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
+    f.write_all(snapshot.to_jsonl().as_bytes())
+        .map_err(io_err)?;
+    for t in traces {
+        writeln!(f, "{}", t.to_json()).map_err(io_err)?;
     }
+    f.flush().map_err(io_err)?;
+    // Self-check: the export must round-trip through the parser with the
+    // trace lines interleaved.
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading back {path}: {e}"))?;
+    tfm_obs::MetricsSnapshot::parse_jsonl(&text)
+        .map_err(|e| format!("{path}: exported metrics failed to parse back: {e}"))?;
     let traces_note = if traces.is_empty() {
         String::new()
     } else {
@@ -326,7 +256,7 @@ fn finish_metrics(
     Ok(format!(
         "metrics:         {} series{traces_note} -> {}",
         snapshot.entries.len(),
-        m.path
+        path
     ))
 }
 
@@ -498,11 +428,10 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
         }
     };
 
-    let metrics = parse_metrics(&args)?;
-    let snap = match &metrics {
-        Some(m) => start_metrics(m)?,
-        None => None,
-    };
+    let metrics = args.get("--metrics");
+    if let Some(path) = metrics {
+        start_metrics(path)?;
+    }
 
     let a = io::read_elements(path_a).map_err(|e| format!("reading {path_a}: {e}"))?;
     let b = io::read_elements(path_b).map_err(|e| format!("reading {path_b}: {e}"))?;
@@ -574,8 +503,8 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     if m.transformations > 0 {
         println!("transformations: {}", m.transformations);
     }
-    if let Some(mo) = &metrics {
-        println!("{}", finish_metrics(mo, snap, &[])?);
+    if let Some(path) = metrics {
+        println!("{}", finish_metrics(path, &[])?);
     }
 
     if args.has("--verify") {
@@ -603,7 +532,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn serve_summary(args: &[String]) -> Result<String, String> {
     use tfm_bench::{run_serve_sharded, run_serve_traced, ServeEngineKind};
     use tfm_datagen::{generate_trace, ProbeMix, QueryTraceSpec};
-    use tfm_serve::{ServeConfig, ShardPartitioner, ShardSpec};
+    use tfm_serve::{ServeConfig, ShardSpec};
     use transformers::IndexConfig;
 
     let args = parse_args("serve", args)?;
@@ -632,31 +561,13 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     // --shards N serves through the sharded scatter-gather cluster: the
     // dataset is split into N self-contained index shards, each with its
     // own cache and worker pool, behind the probe-box router.
-    let spec = match args.count("--shards")? {
-        Some(shards) => {
-            let partitioner = match args.get("--shard-partitioner").unwrap_or("hilbert") {
-                "hilbert" => ShardPartitioner::Hilbert,
-                "str" => ShardPartitioner::Str,
-                other => {
-                    return Err(format!(
-                        "unknown shard partitioner `{other}` (hilbert | str)"
-                    ))
-                }
-            };
-            Some(ShardSpec {
-                shards,
-                partitioner,
-                page_size,
-                backend: store.backend.clone(),
-                ..ShardSpec::default()
-            })
-        }
-        None if args.has("--shed") || args.get("--shard-partitioner").is_some() => {
-            return Err("--shed/--shard-partitioner require --shards N".into());
-        }
-        None => None,
-    };
-    let metrics = parse_metrics(&args)?;
+    let spec = args.count("--shards")?.map(|shards| ShardSpec {
+        shards,
+        page_size,
+        backend: store.backend.clone(),
+        ..ShardSpec::default()
+    });
+    let metrics = args.get("--metrics");
 
     let elems = io::read_elements(path).map_err(|e| format!("reading {path}: {e}"))?;
     let trace = generate_trace(&QueryTraceSpec {
@@ -673,18 +584,15 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     let serve_cfg = ServeConfig {
         threads,
         batch,
-        hilbert_batching: !args.has("--no-hilbert"),
-        shed: args.has("--shed"),
         // With --metrics the run also collects one per-query trace (queue
         // wait / service split, pool attribution) for the JSON-lines export.
         collect_traces: metrics.is_some(),
         ..ServeConfig::default()
     };
 
-    let snap = match &metrics {
-        Some(m) => start_metrics(m)?,
-        None => None,
-    };
+    if let Some(path) = metrics {
+        start_metrics(path)?;
+    }
     let (m, results, traces) = match &spec {
         Some(spec) => {
             let idx_cfg = IndexConfig::default().with_build_threads(build_threads);
@@ -704,17 +612,13 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         m.queries, mix
     ));
     let shape = match &spec {
-        Some(spec) => format!(
-            "{} shards ({:?} split) x {}",
-            m.shards, spec.partitioner, m.threads
-        ),
+        Some(_) => format!("{} shards x {}", m.shards, m.threads),
         None => m.threads.to_string(),
     };
     lines.push(format!(
-        "serving:         {shape} worker{}, batch {}, hilbert batching {}",
+        "serving:         {shape} worker{}, batch {} (Hilbert-ordered)",
         if m.threads == 1 { "" } else { "s" },
-        m.batch,
-        if m.hilbert_batching { "on" } else { "off" }
+        m.batch
     ));
     let queued = spec.is_some() || m.threads > 1;
     lines.push(format!(
@@ -751,12 +655,6 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
             m.max_cluster_pressure * 100.0
         ));
     }
-    if m.shed_partials > 0 {
-        lines.push(format!(
-            "shedding:        {} partials shed — results are incomplete",
-            m.shed_partials
-        ));
-    }
     lines.push(format!(
         "serve I/O:       {} pages ({} sequential, {} random — {:.1}% sequential), \
          {} pool hits ({:.1}% hit rate)",
@@ -772,14 +670,11 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         m.lock_contended, m.lock_acquisitions
     ));
     lines.push(format!("result ids:      {}", m.result_ids));
-    if let Some(mo) = &metrics {
-        lines.push(finish_metrics(mo, snap, &traces)?);
+    if let Some(path) = metrics {
+        lines.push(finish_metrics(path, &traces)?);
     }
 
     if args.has("--verify") {
-        if m.shed_partials > 0 {
-            return Err("cannot --verify a run that shed load".into());
-        }
         verify_full_scan(&trace, &results, &elems)?;
         lines.push(format!(
             "verify:          OK (all {} queries match the full scan)",
@@ -1224,9 +1119,9 @@ mod tests {
         let flags = ["--count", "800", "--seed", "21", "--max-side", "6"];
         let path = Temp::dataset("serve.elems", &flags);
         // Every engine serves the generated trace and verifies against the
-        // full-scan oracle, batched and unbatched, 1 and 2 workers.
+        // full-scan oracle, on 1 and 2 workers.
         for engine in ["transformers", "gipsy", "rtree"] {
-            for extra in [&[][..], &["--no-hilbert", "--threads", "2"][..]] {
+            for extra in [&[][..], &["--threads", "2"][..]] {
                 let base = [
                     "--in",
                     path.s(),
@@ -1253,13 +1148,9 @@ mod tests {
     fn sharded_serve_command_end_to_end() {
         let flags = ["--count", "700", "--seed", "61", "--max-side", "6"];
         let path = Temp::dataset("shard.elems", &flags);
-        // Sharded serving verifies against the full-scan oracle for both
-        // partitioners and a couple of cluster shapes.
-        for (shards, partitioner, threads) in [
-            ("1", "hilbert", "1"),
-            ("3", "hilbert", "2"),
-            ("4", "str", "1"),
-        ] {
+        // Sharded serving verifies against the full-scan oracle for a few
+        // cluster shapes.
+        for (shards, threads) in [("1", "1"), ("3", "2"), ("4", "1")] {
             let serve_args = sv(&[
                 "--in",
                 path.s(),
@@ -1269,28 +1160,15 @@ mod tests {
                 "16",
                 "--shards",
                 shards,
-                "--shard-partitioner",
-                partitioner,
                 "--threads",
                 threads,
                 "--verify",
             ]);
-            cmd_serve(&serve_args).unwrap_or_else(|e| panic!("shards={shards} {partitioner}: {e}"));
+            cmd_serve(&serve_args).unwrap_or_else(|e| panic!("shards={shards}: {e}"));
         }
-        // Bad shard flags fail fast.
+        // A bad shard count fails fast.
         let bad = sv(&["--in", path.s(), "--shards", "0"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("--shards"));
-        let bad = sv(&[
-            "--in",
-            path.s(),
-            "--shards",
-            "2",
-            "--shard-partitioner",
-            "bogus",
-        ]);
-        assert!(cmd_serve(&bad).unwrap_err().contains("shard partitioner"));
-        let bad = sv(&["--in", path.s(), "--shed"]);
-        assert!(cmd_serve(&bad).unwrap_err().contains("require --shards"));
     }
 
     #[test]
@@ -1399,11 +1277,9 @@ mod tests {
         let flags = ["--count", "600", "--seed", "41", "--max-side", "6"];
         let path = Temp::dataset("metrics.elems", &flags);
         let jsonl = Temp::new("metrics.jsonl");
-        let prom = Temp::new("metrics.prom");
 
-        // Serve with a periodic snapshot thread: the accumulated file must
-        // parse and carry cache, queue-wait, latency-histogram and
-        // per-stage build metrics (the ISSUE's acceptance shape).
+        // The serve export must parse and carry cache, queue-wait,
+        // latency-histogram and per-stage build metrics.
         let serve_args = sv(&[
             "--in",
             path.s(),
@@ -1415,8 +1291,6 @@ mod tests {
             "16",
             "--metrics",
             jsonl.s(),
-            "--metrics-interval-ms",
-            "5",
         ]);
         cmd_serve(&serve_args).unwrap();
         let text = std::fs::read_to_string(&jsonl.0).unwrap();
@@ -1496,7 +1370,7 @@ mod tests {
         assert_eq!(traces, 60, "one trace record per query");
         assert!(exported.contains("serve.queries") && exported.contains("shard.routed"));
 
-        // Join with a Prometheus export.
+        // The join export replaces the serve run's file and parses back.
         let join_args = sv(&[
             "--a",
             path.s(),
@@ -1505,27 +1379,20 @@ mod tests {
             "--threads",
             "2",
             "--metrics",
-            prom.s(),
-            "--metrics-format",
-            "prometheus",
+            jsonl.s(),
         ]);
         cmd_join(&join_args).unwrap();
-        let text = std::fs::read_to_string(&prom.0).unwrap();
-        assert!(text.contains("# TYPE cache_hits counter"), "{text}");
-        assert!(text.contains("join_wall_nanos_bucket"), "{text}");
-
-        // Bad flag combinations fail fast.
-        let bad = sv(&[
-            "--in",
-            path.s(),
-            "--metrics",
-            jsonl.s(),
-            "--metrics-format",
-            "xml",
-        ]);
-        assert!(cmd_serve(&bad).unwrap_err().contains("metrics format"));
-        let bad = sv(&["--in", path.s(), "--metrics-interval-ms", "5"]);
-        assert!(cmd_serve(&bad).unwrap_err().contains("require --metrics"));
+        let text = std::fs::read_to_string(&jsonl.0).unwrap();
+        let snap = tfm_obs::MetricsSnapshot::parse_jsonl(&text).unwrap();
+        assert!(snap.counter(tfm_obs::names::CACHE_HITS).is_some(), "{text}");
+        assert!(
+            snap.histogram(tfm_obs::names::JOIN_WALL_NANOS).is_some(),
+            "{text}"
+        );
+        assert!(
+            !text.contains("\"trace_id\""),
+            "the serve run's traces remain"
+        );
     }
 
     #[test]
@@ -1634,6 +1501,43 @@ mod tests {
                     "unknown option `--bogus` for `tfm {command}` (usage: {usage}); try `tfm help`"
                 )
             );
+        }
+        // The retired serve selections and metrics exports are unknown
+        // options too, even beside the flags they used to need.
+        let serve = [
+            "--in",
+            "missing.elems",
+            "--shards",
+            "2",
+            "--metrics",
+            "/nonexistent/m",
+        ];
+        let join = [
+            "--a",
+            "missing.a",
+            "--b",
+            "missing.b",
+            "--metrics",
+            "/nonexistent/m",
+        ];
+        let exports = ["--metrics-format prometheus", "--metrics-interval-ms 5"];
+        let selections = ["--no-hilbert", "--shed", "--shard-partitioner str"];
+        for (command, cmd, base, retired) in [
+            (
+                "serve",
+                cmd_serve as Command,
+                &serve,
+                [&selections[..], &exports].concat(),
+            ),
+            ("join", cmd_join, &join, exports.to_vec()),
+        ] {
+            for extra in retired {
+                let args: Vec<&str> = base.iter().copied().chain(extra.split(' ')).collect();
+                let err = cmd(&sv(&args)).expect_err("a retired flag must be rejected");
+                let flag = extra.split(' ').next().unwrap();
+                let unknown = format!("unknown option `{flag}` for `tfm {command}`");
+                assert!(err.starts_with(&unknown), "{err}");
+            }
         }
         // A near-miss of a real flag is not that flag.
         let err = cmd_join(&sv(&[

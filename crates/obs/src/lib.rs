@@ -7,18 +7,16 @@
 //! documented in [`names`]. The design goals, in order:
 //!
 //! 1. **Hot-path cost is one atomic add.** Metric handles are resolved
-//!    once per name ([`Arc`]s out of the registry map); recording through
-//!    a handle is a relaxed `fetch_add` into a counter or a log-bucketed
-//!    [`Histogram`] slot.
+//!    once per name ([`std::sync::Arc`]s out of the registry map);
+//!    recording through a handle is a relaxed `fetch_add` into a counter
+//!    or a log-bucketed [`Histogram`] slot.
 //! 2. **Off means off.** The registry carries a runtime switch shared by
 //!    all of its metrics: while off (the [`global`] registry's default),
 //!    every record call is a single relaxed flag load and no
 //!    read-modify-write.
 //! 3. **Exportable.** [`MetricsSnapshot`] serializes to JSON lines (and
-//!    parses back — CI archives and gates on the round-trip) and to
-//!    Prometheus text; [`QueryTrace`] records interleave in the same
-//!    `.jsonl` stream; [`SnapshotThread`] appends periodic snapshots for
-//!    long serve runs.
+//!    parses back — CI archives and gates on the round-trip);
+//!    [`QueryTrace`] records interleave in the same `.jsonl` stream.
 //!
 //! Timing comes from RAII spans: [`SpanTimer`] (wall time into a
 //! histogram, used per join chunk and per query) and [`StageTimer`]
@@ -40,8 +38,7 @@ pub use registry::{Counter, Gauge, MetricsRegistry, StageTimer};
 pub use snapshot::{MetricSnapshot, MetricValue, MetricsSnapshot};
 pub use trace::QueryTrace;
 
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
 
 /// The process-wide registry every subsystem publishes into.
 ///
@@ -88,95 +85,6 @@ pub fn process_cpu_nanos() -> Option<u64> {
     Some((utime + stime) * NANOS_PER_TICK)
 }
 
-/// Background thread appending periodic JSON-lines snapshots of a
-/// registry to a file.
-///
-/// Each interval it writes a sequence-header line
-/// (`{"snapshot":N,"elapsed_nanos":E}`) followed by the registry's
-/// metric lines; [`MetricsSnapshot::parse_jsonl`] skips the headers, so
-/// the accumulated file parses as the union of all snapshots (last
-/// occurrence of each metric wins for point-in-time reads). A final
-/// snapshot is written on [`SnapshotThread::stop`].
-#[derive(Debug)]
-pub struct SnapshotThread {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl SnapshotThread {
-    /// Starts the writer. `registry` is typically [`global`]; tests can
-    /// leak a local one. Snapshots append to `path` (created if absent).
-    pub fn start(
-        registry: &'static MetricsRegistry,
-        path: std::path::PathBuf,
-        interval: Duration,
-    ) -> std::io::Result<SnapshotThread> {
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("tfm-obs-snapshot".into())
-            .spawn(move || -> std::io::Result<()> {
-                let start = Instant::now();
-                let mut seq = 0u64;
-                let (lock, cv) = &*stop2;
-                loop {
-                    let stopped = {
-                        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                        let (guard, _) = cv
-                            .wait_timeout_while(guard, interval, |s| !*s)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        *guard
-                    };
-                    seq += 1;
-                    writeln!(
-                        file,
-                        "{{\"snapshot\":{seq},\"elapsed_nanos\":{}}}",
-                        start.elapsed().as_nanos()
-                    )?;
-                    file.write_all(registry.snapshot().to_jsonl().as_bytes())?;
-                    file.flush()?;
-                    if stopped {
-                        return Ok(());
-                    }
-                }
-            })?;
-        Ok(SnapshotThread {
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// Signals the writer, waits for its final snapshot, and returns any
-    /// I/O error the thread hit.
-    pub fn stop(mut self) -> std::io::Result<()> {
-        self.signal();
-        match self.handle.take() {
-            Some(h) => h.join().unwrap_or(Ok(())),
-            None => Ok(()),
-        }
-    }
-
-    fn signal(&self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        cv.notify_all();
-    }
-}
-
-impl Drop for SnapshotThread {
-    fn drop(&mut self) {
-        self.signal();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,30 +102,6 @@ mod tests {
         assert!(x != 42, "keep the loop alive");
         let b = process_cpu_nanos().expect("second reading");
         assert!(b >= a);
-    }
-
-    #[test]
-    fn snapshot_thread_writes_parseable_snapshots() {
-        let reg: &'static MetricsRegistry = Box::leak(Box::new(MetricsRegistry::new()));
-        reg.counter("test.count").add(5);
-        reg.histogram("test.nanos").record(1_000);
-        let path = std::env::temp_dir().join(format!("tfm_obs_snap_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let t = SnapshotThread::start(reg, path.clone(), Duration::from_millis(5))
-            .expect("start snapshot thread");
-        std::thread::sleep(Duration::from_millis(25));
-        reg.counter("test.count").add(2);
-        t.stop().expect("stop snapshot thread");
-        let text = std::fs::read_to_string(&path).expect("read snapshot file");
-        let parsed = MetricsSnapshot::parse_jsonl(&text).expect("parse snapshots");
-        // Multiple snapshots accumulate; at least the final one carries
-        // the updated counter, and headers were skipped cleanly.
-        assert!(text.contains("\"snapshot\":1"));
-        assert!(parsed
-            .entries
-            .iter()
-            .any(|e| e.name == "test.count" && e.value == MetricValue::Counter(7)));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -137,10 +137,6 @@ pub const SHARD_FANOUT: &str = "shard.fanout";
 pub const SHARD_SERVICE_NANOS: &str = "shard.service_nanos";
 /// Per-partial queue-wait histogram: sub-batch admission to worker pop.
 pub const SHARD_QUEUE_WAIT_NANOS: &str = "shard.queue_wait_nanos";
-/// Sub-batches refused by full shard queues (load-shedding admission).
-pub const SHARD_SHED_BATCHES: &str = "shard.shed_batches";
-/// Query partials lost to shed sub-batches.
-pub const SHARD_SHED_QUERIES: &str = "shard.shed_queries";
 /// Shards in the serving cluster.
 pub const SHARD_COUNT: &str = "shard.count";
 /// Peak percentage of shard queues simultaneously full during the run —

@@ -1,14 +1,13 @@
-//! Metric snapshots and the two exporters (JSON-lines, Prometheus text).
+//! Metric snapshots and their one export, JSON lines.
 //!
 //! The JSON-lines form is the archival format: one flat JSON object per
 //! metric, hand-rolled with `write!` (the workspace has no JSON
 //! dependency) and parseable back via [`MetricsSnapshot::parse_jsonl`] —
 //! the round-trip is what CI archives and what the snapshot tests gate
-//! on. Unrecognized lines (per-query trace events, snapshot-sequence
-//! headers) are skipped on parse, so one `.jsonl` file can interleave
-//! snapshots and traces.
+//! on. Unrecognized lines (per-query trace events) are skipped on parse,
+//! so one `.jsonl` file can interleave a snapshot and traces.
 
-use crate::hist::{bucket_index, bucket_lower_bound, HistogramSnapshot};
+use crate::hist::HistogramSnapshot;
 use std::fmt::Write as _;
 
 /// One metric's point-in-time value.
@@ -97,36 +96,6 @@ impl MetricsSnapshot {
                         let _ = write!(out, "[{lower},{n}]");
                     }
                     out.push_str("]}\n");
-                }
-            }
-        }
-        out
-    }
-
-    /// Serializes to Prometheus text exposition format. Dots in metric
-    /// names become underscores; histograms emit cumulative `le` buckets
-    /// (upper bounds inclusive) plus `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            let name = e.name.replace('.', "_");
-            match &e.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {name} histogram");
-                    let mut cumulative = 0u64;
-                    for &(lower, n) in &h.buckets {
-                        cumulative += n;
-                        let upper = bucket_lower_bound(bucket_index(lower) + 1) - 1;
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
-                    }
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-                    let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum, h.count);
                 }
             }
         }
@@ -311,20 +280,5 @@ mod tests {
         let h = snap.histogram("serve.service_nanos").expect("histogram");
         assert_eq!(h.count, 5);
         assert_eq!(h.max, 123_456);
-    }
-
-    #[test]
-    fn prometheus_output_has_types_sums_and_cumulative_buckets() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE cache_hits counter"));
-        assert!(text.contains("cache_hits 123"));
-        assert!(text.contains("# TYPE serve_queue_depth gauge"));
-        assert!(text.contains("serve_queue_depth -4"));
-        assert!(text.contains("# TYPE serve_service_nanos histogram"));
-        assert!(text.contains("serve_service_nanos_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("serve_service_nanos_count 5"));
-        // The first bucket (two samples at 3) is cumulative count 2 with
-        // an inclusive upper bound of 3 (width-1 bucket).
-        assert!(text.contains("serve_service_nanos_bucket{le=\"3\"} 2"));
     }
 }

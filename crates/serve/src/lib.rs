@@ -14,14 +14,14 @@
 //!   immutably across workers; sessions hold all per-worker mutable state
 //!   (a counted handle onto that cache via the core's `UnitReader`, walk
 //!   position, scratch), so readers share pages, not locks on state.
-//! * [`RequestQueue`] — the bounded admission edge: blocking `push` is
-//!   backpressure, non-blocking `try_push` is load shedding
-//!   ([`ServeConfig::shed`]).
+//! * [`RequestQueue`] — the bounded admission edge: the feeder admits
+//!   every sub-batch with a blocking `push` into a queue four sub-batches
+//!   deep, so a full queue is backpressure and no query is ever dropped.
 //! * **Locality-aware batching** — the feeder splits the trace into
-//!   arrival-order batches and (by default) sorts each batch by the
-//!   Hilbert order of the queries' probe centers. Consecutive queries of
-//!   a sorted batch probe neighbouring regions, so their candidate pages
-//!   overlap or adjoin: page accesses that would be random seeks under
+//!   arrival-order batches and sorts each batch by the Hilbert order of
+//!   the queries' probe centers. Consecutive queries of a sorted batch
+//!   probe neighbouring regions, so their candidate pages overlap or
+//!   adjoin: page accesses that would be random seeks under
 //!   arrival order become buffer hits or sequential reads — directly
 //!   visible in the [`tfm_storage::IoStatsSnapshot`] sequential/random
 //!   split ([`ServeStats::seq_read_fraction`]). See `DESIGN.md` for why
@@ -33,9 +33,9 @@
 //!   one [`ServeOutcome`]: one feeder plans batches, routes them and
 //!   admits each sub-batch; one target-local pool opens sessions, pops
 //!   the queue and times every probe; one gather merges the partials per
-//!   query. Per-query traces and shedding therefore work on either entry
-//!   point. Every page is read by the query that needs it: there are no
-//!   I/O threads. See `ARCHITECTURE.md`.
+//!   query. Per-query traces therefore work on either entry point. Every
+//!   page is read by the query that needs it: there are no I/O threads.
+//!   See `ARCHITECTURE.md`.
 //!
 //! # Who executes
 //!
@@ -56,11 +56,9 @@
 //! on the worker count), each query's result is a pure function of the
 //! query and the index, every element lives in exactly one shard, and
 //! results are reassembled by query position — so the result vector is
-//! **byte-identical for any thread count, shard count and batching
-//! mode**. The `serve_equivalence` and `shard_equivalence` integration
-//! tests hold all engines to that against a sequential full-scan
-//! reference. (Load shedding deliberately breaks the guarantee — shed
-//! partials are counted, not silently dropped.)
+//! **byte-identical for any thread count, shard count and batch size**.
+//! The `serve_equivalence` and `shard_equivalence` integration tests hold
+//! all engines to that against a sequential full-scan reference.
 //!
 //! # Example
 //!
@@ -90,10 +88,7 @@ pub use engines::{
     GipsyEngine, MutableTransformersEngine, QueryEngine, QuerySession, RtreeEngine,
     ServeEngineKind, TransformersEngine,
 };
-pub use shard::{
-    plan_shards, serve_sharded, IndexShard, ShardPartitioner, ShardRouter, ShardSpec,
-    ShardedCluster,
-};
+pub use shard::{plan_shards, serve_sharded, IndexShard, ShardRouter, ShardSpec, ShardedCluster};
 pub use stats::{LatencySummary, ServeStats, ShardStats};
 pub use tfm_pool::RequestQueue;
 
@@ -102,6 +97,10 @@ use std::time::{Duration, Instant};
 use tfm_geom::{hilbert, Aabb, ElementId, SpatialQuery};
 use tfm_pool::StagePool;
 use tfm_storage::{CacheStats, IoStatsSnapshot};
+
+/// Capacity of every target's request queue, in (sub-)batches: the
+/// backpressure window between the feeder and a target's workers.
+const QUEUE_BATCHES: usize = 4;
 
 /// Configuration of one serve run, single-engine or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,9 +114,6 @@ pub struct ServeConfig {
     /// Queries per batch — the unit of queueing and of locality sorting
     /// (`0` is clamped to 1).
     pub batch: usize,
-    /// Sort each batch by the Hilbert order of probe centers before
-    /// execution (on by default; turn off for the arrival-order ablation).
-    pub hilbert_batching: bool,
     /// Page-cache budget in pages. [`serve_sharded`] builds its shards'
     /// caches from it, an even split (`pool_pages / shards`, floor 16).
     /// [`serve_trace`] does not read it — a borrowed engine's cache was
@@ -125,20 +121,11 @@ pub struct ServeConfig {
     /// is the number the harnesses that *build* engines (`tfm-bench`, the
     /// CLI) size that cache with.
     pub pool_pages: usize,
-    /// Bounded request-queue capacity in (sub-)batches, per target — the
-    /// backpressure window between the feeder and a target's workers.
-    pub queue_batches: usize,
     /// Collect one [`tfm_obs::QueryTrace`] per query in
     /// [`ServeOutcome::traces`] (queue-wait/service split and per-query
     /// pool-counter attribution). Off by default: the records are kept
     /// only when asked for.
     pub collect_traces: bool,
-    /// Load shedding: admit sub-batches with `try_push` and count
-    /// rejections instead of blocking. Shed partials make the affected
-    /// queries' results incomplete (tracked in
-    /// [`ServeStats::shed_queries`]); leave this off for the
-    /// byte-identical path. The inline path has no queue to refuse work.
-    pub shed: bool,
 }
 
 impl Default for ServeConfig {
@@ -146,11 +133,8 @@ impl Default for ServeConfig {
         Self {
             threads: 1,
             batch: 64,
-            hilbert_batching: true,
             pool_pages: tfm_storage::DEFAULT_POOL_PAGES,
-            queue_batches: 4,
             collect_traces: false,
-            shed: false,
         }
     }
 }
@@ -168,21 +152,9 @@ impl ServeConfig {
         self
     }
 
-    /// Builder: disables Hilbert-ordered batching (arrival order).
-    pub fn without_hilbert_batching(mut self) -> Self {
-        self.hilbert_batching = false;
-        self
-    }
-
     /// Builder: collect per-query [`tfm_obs::QueryTrace`] records.
     pub fn with_traces(mut self) -> Self {
         self.collect_traces = true;
-        self
-    }
-
-    /// Builder: switches admission from backpressure to load shedding.
-    pub fn with_shedding(mut self) -> Self {
-        self.shed = true;
         self
     }
 }
@@ -191,38 +163,35 @@ impl ServeConfig {
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// `results[i]` is the ascending id list answering `trace[i]`.
-    /// Identical for any thread count, shard count and batching mode
-    /// (backpressure admission).
+    /// Identical for any thread count, shard count and batch size.
     pub results: Vec<Vec<ElementId>>,
     /// Aggregate and per-target counters of the run.
     pub stats: ServeStats,
     /// Per-query trace records, in trace-ID order; empty unless
     /// [`ServeConfig::collect_traces`] was set. The trace ID is the
     /// query's position in the input trace, so IDs are stable across
-    /// thread counts and batching modes. A scattered query's record holds
+    /// thread counts and batch sizes. A scattered query's record holds
     /// its critical path (service and wait: the maximum over its
     /// partials, `worker` the one that ran the slowest partial) and the
     /// sums of its partials' pool counters and result ids.
     pub traces: Vec<tfm_obs::QueryTrace>,
 }
 
-/// Splits `trace` into arrival-order batches of `batch` queries and, when
-/// `hilbert_batching` is on, sorts each batch by the Hilbert index of the
-/// probe centers (over the trace's own center bounding box).
+/// Splits `trace` into arrival-order batches of `batch` queries and sorts
+/// each batch by the Hilbert index of the probe centers (over the trace's
+/// own center bounding box).
 ///
-/// Batch *composition* is always arrival-order — only the order *within*
-/// a batch changes — so results cannot depend on the batching mode.
-fn plan_batches(trace: &[SpatialQuery], batch: usize, hilbert_batching: bool) -> Vec<Vec<usize>> {
+/// Batch *composition* is arrival-order — only the order *within* a batch
+/// changes — so a batch of one replays the trace in arrival order.
+fn plan_batches(trace: &[SpatialQuery], batch: usize) -> Vec<Vec<usize>> {
     let universe = Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())));
     (0..trace.len())
         .step_by(batch)
         .map(|start| {
             let end = (start + batch).min(trace.len());
             let mut ids: Vec<usize> = (start..end).collect();
-            if hilbert_batching {
-                // Tie-break on the query position so the plan is total.
-                ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
-            }
+            // Tie-break on the query position so the plan is total.
+            ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
             ids
         })
         .collect()
@@ -271,9 +240,6 @@ struct Fed {
     batches: usize,
     widest: usize,
     routed: Vec<u64>,
-    shed_batches: Vec<u64>,
-    shed: Vec<u64>,
-    shed_queries: u64,
     /// Most target queues simultaneously full as a batch was admitted.
     max_full_queues: usize,
 }
@@ -284,9 +250,6 @@ impl Fed {
             batches: 0,
             widest: 0,
             routed: vec![0; targets],
-            shed_batches: vec![0; targets],
-            shed: vec![0; targets],
-            shed_queries: 0,
             max_full_queues: 0,
         }
     }
@@ -301,7 +264,7 @@ impl Fed {
 /// queued batch-wise through a bounded [`RequestQueue`] (worker 0 feeds
 /// it, then joins the drain), executed on per-worker [`QuerySession`]s,
 /// and reassembled by query position. The result vector is byte-identical
-/// for any `threads`/batching setting.
+/// for any `threads`/`batch` setting.
 pub fn serve_trace<E: QueryEngine + ?Sized>(
     engine: &E,
     trace: &[SpatialQuery],
@@ -324,10 +287,9 @@ fn serve<E: QueryEngine + ?Sized>(
 ) -> ServeOutcome {
     let workers = cfg.threads.max(1);
     let batch = cfg.batch.max(1);
-    // The inline fast path: one engine, one worker — no queue, so nothing
-    // to shed from.
+    // The inline fast path: one engine, one worker — no queue.
     let inline = router.is_none() && workers == 1;
-    let plan = plan_batches(trace, batch, cfg.hilbert_batching);
+    let plan = plan_batches(trace, batch);
     // Route once per query: the ascending shard list its probe box hits.
     let routes: Option<Vec<Vec<usize>>> =
         router.map(|r| trace.iter().map(|q| r.route(q)).collect());
@@ -359,12 +321,12 @@ fn serve<E: QueryEngine + ?Sized>(
             .iter()
             .map(|&engine| Target {
                 engine,
-                queue: RequestQueue::new(cfg.queue_batches.max(1)),
+                queue: RequestQueue::new(QUEUE_BATCHES),
             })
             .collect();
         let fed = OnceLock::new();
         let feeder = || {
-            let out = feed(&targets, routes.as_deref(), trace, cfg, &plan);
+            let out = feed(&targets, routes.as_deref(), &plan);
             fed.set(out).ok().expect("feeder ran twice");
         };
         let pools = if router.is_none() {
@@ -405,18 +367,14 @@ fn serve<E: QueryEngine + ?Sized>(
 
 /// The one feeder: takes the next planned batch, routes it into one
 /// sub-batch per target preserving the within-batch (Hilbert)
-/// order so each target still sweeps, and admits each sub-batch —
-/// blocking, or shedding under [`ServeConfig::shed`]. Closes every queue
-/// when the trace is through.
+/// order so each target still sweeps, and admits each sub-batch with a
+/// blocking push. Closes every queue when the trace is through.
 fn feed<E: QueryEngine + ?Sized>(
     targets: &[Target<'_, E>],
     routes: Option<&[Vec<usize>]>,
-    trace: &[SpatialQuery],
-    cfg: &ServeConfig,
     plan: &[Vec<usize>],
 ) -> Fed {
     let mut fed = Fed::new(targets.len());
-    let mut shed_flags = vec![false; if cfg.shed { trace.len() } else { 0 }];
     for batch in plan {
         fed.batches += 1;
         fed.widest = fed.widest.max(batch.len());
@@ -441,23 +399,13 @@ fn feed<E: QueryEngine + ?Sized>(
             if sub.is_empty() {
                 continue;
             }
-            let target = &targets[s];
             fed.routed[s] += sub.len() as u64;
-            if !cfg.shed {
-                target.queue.push((sub, Instant::now()));
-            } else if let Err((lost, _)) = target.queue.try_push((sub, Instant::now())) {
-                fed.shed_batches[s] += 1;
-                fed.shed[s] += lost.len() as u64;
-                for qid in lost {
-                    shed_flags[qid] = true;
-                }
-            }
+            targets[s].queue.push((sub, Instant::now()));
         }
     }
     for target in targets {
         target.queue.close();
     }
-    fed.shed_queries = shed_flags.iter().filter(|&&f| f).count() as u64;
     fed
 }
 
@@ -476,7 +424,7 @@ fn run_pool<E: QueryEngine + ?Sized>(
         let mut session = target.engine.session(cfg.pool_pages);
         if let (0, Some(feeder)) = (w, feeder) {
             // Interleaving feeding with the other workers' draining keeps
-            // the backlog within `queue_batches`.
+            // the backlog within `QUEUE_BATCHES`.
             feeder();
         }
         while let Some((qids, admitted)) = target.queue.pop() {
@@ -543,11 +491,8 @@ fn gather(
         batches: fed.batches as u64,
         max_batch: fed.widest,
         threads: workers,
-        hilbert_batching: cfg.hilbert_batching,
         wall,
         routed_partials: fed.routed.iter().sum(),
-        shed_partials: fed.shed.iter().sum(),
-        shed_queries: fed.shed_queries,
         max_cluster_pressure: fed.max_full_queues as f64 / outs.len() as f64,
         ..ServeStats::default()
     };
@@ -559,8 +504,6 @@ fn gather(
         let mut shard = ShardStats {
             shard: s,
             routed: fed.routed[s],
-            shed_batches: fed.shed_batches[s],
-            shed: fed.shed[s],
             cache: out.cache,
             io: out.io,
             ..ShardStats::default()
@@ -590,7 +533,6 @@ fn gather(
                 }
             }
         }
-        shard.executed = shard.per_worker_queries.iter().sum();
         let (service, wait) = (service.snapshot(), wait.snapshot());
         shard.service = LatencySummary::from_histogram(&service);
         shard.queue_wait = LatencySummary::from_histogram(&wait);
@@ -604,8 +546,7 @@ fn gather(
                 .merge_snapshot(&service);
             obs.histogram(names::SHARD_QUEUE_WAIT_NANOS)
                 .merge_snapshot(&wait);
-            obs.counter(&format!("shard.{s}.queries"))
-                .add(shard.executed);
+            obs.counter(&format!("shard.{s}.queries")).add(shard.routed);
             obs.counter(&format!("shard.{s}.pool_hits"))
                 .add(shard.pool_hits);
             obs.counter(&format!("shard.{s}.pool_misses"))
@@ -661,10 +602,6 @@ fn gather(
         if let Some(routes) = routes {
             obs.counter(names::SHARD_QUERIES).add(stats.queries);
             obs.counter(names::SHARD_ROUTED).add(stats.routed_partials);
-            obs.counter(names::SHARD_SHED_BATCHES)
-                .add(fed.shed_batches.iter().sum());
-            obs.counter(names::SHARD_SHED_QUERIES)
-                .add(stats.shed_partials);
             obs.gauge(names::SHARD_COUNT)
                 .set(stats.per_shard.len() as i64);
             obs.gauge(names::SHARD_CLUSTER_PRESSURE_MAX_PCT)
@@ -729,22 +666,22 @@ mod tests {
     #[test]
     fn batches_partition_the_trace_in_arrival_chunks() {
         let trace = generate_trace(&QueryTraceSpec::uniform(250, 1));
-        for hilbert in [false, true] {
-            let batches = plan_batches(&trace, 64, hilbert);
-            assert_eq!(batches.len(), 4);
-            assert_eq!(batches[3].len(), 250 - 3 * 64);
-            // Composition is arrival-order regardless of the sort.
-            for (i, b) in batches.iter().enumerate() {
-                let mut sorted = b.clone();
-                sorted.sort_unstable();
-                let expected: Vec<usize> = (i * 64..(i * 64 + b.len())).collect();
-                assert_eq!(sorted, expected, "hilbert = {hilbert}");
-            }
+        let batches = plan_batches(&trace, 64);
+        assert_eq!(batches.len(), 4);
+        assert_eq!(batches[3].len(), 250 - 3 * 64);
+        // Composition is arrival-order; only the order within a batch is
+        // the sort's.
+        for (i, b) in batches.iter().enumerate() {
+            let mut sorted = b.clone();
+            sorted.sort_unstable();
+            let expected: Vec<usize> = (i * 64..(i * 64 + b.len())).collect();
+            assert_eq!(sorted, expected);
         }
-        // The Hilbert plan actually reorders something.
-        let arrival = plan_batches(&trace, 64, false);
-        let hilberted = plan_batches(&trace, 64, true);
-        assert_ne!(arrival, hilberted);
+        // The Hilbert plan actually reorders something, and batches of
+        // one replay the trace in arrival order.
+        let arrival: Vec<usize> = (0..trace.len()).collect();
+        assert_ne!(batches.concat(), arrival);
+        assert_eq!(plan_batches(&trace, 1).concat(), arrival);
     }
 
     #[test]
@@ -758,7 +695,7 @@ mod tests {
         assert_eq!(out.stats.per_worker_queries, vec![300]);
         // The routing block of a single engine is one trivial row.
         assert_eq!(out.stats.per_shard.len(), 1);
-        assert_eq!(out.stats.per_shard[0].executed, 300);
+        assert_eq!(out.stats.per_shard[0].routed, 300);
         assert_eq!((out.stats.fanout_max, out.stats.routed_partials), (1, 300));
         assert!(out.stats.pool_misses > 0);
         assert!(out.stats.io.reads() > 0);
@@ -794,18 +731,14 @@ mod tests {
         let expected = reference(&elems, &trace);
         let engine = TransformersEngine::new(&idx, &disk);
         for threads in [1, 2, 4] {
-            for hilbert in [false, true] {
-                let cfg = ServeConfig {
-                    threads,
-                    hilbert_batching: hilbert,
-                    batch: 32,
-                    queue_batches: 2,
-                    ..ServeConfig::default()
-                };
+            for batch in [1, 32] {
+                let cfg = ServeConfig::default()
+                    .with_threads(threads)
+                    .with_batch(batch);
                 let out = serve_trace(&engine, &trace, &cfg);
                 assert_eq!(
                     out.results, expected,
-                    "threads = {threads}, hilbert = {hilbert}"
+                    "threads = {threads}, batch = {batch}"
                 );
                 assert_eq!(out.stats.per_worker_queries.iter().sum::<u64>(), 240);
                 assert_eq!(out.stats.threads, threads);
@@ -815,8 +748,9 @@ mod tests {
 
     #[test]
     fn hilbert_batching_raises_the_sequential_read_fraction() {
-        // A large uniform trace over a sizeable index, one worker, one
-        // big batch: arrival order hops randomly, Hilbert order sweeps.
+        // A large uniform trace over a sizeable index, one worker: batches
+        // of one replay it in arrival order, which hops randomly; one big
+        // Hilbert-ordered batch sweeps.
         let (disk, idx, _) = fixture(30_000, 16);
         let trace = generate_trace(&QueryTraceSpec {
             count: 1500,
@@ -824,10 +758,9 @@ mod tests {
             ..QueryTraceSpec::uniform(1500, 17)
         });
         let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(64, 1);
-        let base = ServeConfig::default().with_batch(1500);
-        let unbatched = serve_trace(&engine, &trace, &base.without_hilbert_batching());
+        let unbatched = serve_trace(&engine, &trace, &ServeConfig::default().with_batch(1));
         engine.reset_cache();
-        let batched = serve_trace(&engine, &trace, &base);
+        let batched = serve_trace(&engine, &trace, &ServeConfig::default().with_batch(1500));
         assert_eq!(unbatched.results, batched.results);
         assert!(
             batched.stats.seq_read_fraction() > unbatched.stats.seq_read_fraction(),
@@ -886,29 +819,19 @@ mod tests {
     }
 
     #[test]
-    fn a_single_engine_sheds_and_accounts_like_a_shard() {
+    fn a_single_engine_accounts_like_a_shard() {
         let (disk, idx, elems) = fixture(3000, 36);
         let trace = generate_trace(&QueryTraceSpec::uniform(600, 37));
-        let expected = reference(&elems, &trace);
         let engine = TransformersEngine::new(&idx, &disk);
-        // A one-slot queue and tiny batches make refusals plausible but not
-        // guaranteed; either way every partial is executed or counted.
-        let cfg = ServeConfig {
-            batch: 4,
-            queue_batches: 1,
-            ..ServeConfig::default().with_threads(2).with_shedding()
-        };
+        // Tiny batches keep the queue full while worker 0 feeds: the
+        // blocking push waits, and every partial is executed.
+        let cfg = ServeConfig::default().with_threads(2).with_batch(4);
         let out = serve_trace(&engine, &trace, &cfg);
+        assert_eq!(out.results, reference(&elems, &trace));
         let row = &out.stats.per_shard[0];
-        assert_eq!(row.executed + row.shed, 600);
-        assert_eq!((row.shed, row.routed), (out.stats.shed_partials, 600));
-        assert_eq!(out.stats.shed_queries, out.stats.shed_partials);
-        let answered = out
-            .results
-            .iter()
-            .zip(&expected)
-            .filter(|(got, want)| got == want);
-        assert!(answered.count() as u64 >= row.executed);
+        assert_eq!((row.routed, out.stats.routed_partials), (600, 600));
+        assert_eq!(row.per_worker_queries.iter().sum::<u64>(), row.routed);
+        assert_eq!(row.per_worker_queries, out.stats.per_worker_queries);
     }
 
     #[test]
@@ -1053,7 +976,6 @@ mod tests {
         let cfg = ServeConfig {
             threads: 0,
             batch: 0,
-            queue_batches: 0,
             pool_pages: 0,
             ..ServeConfig::default()
         };

@@ -6,9 +6,8 @@
 //! same admission edge. This module splits the *dataset* instead of just
 //! the work — the horizontal-scaling seam of the ROADMAP:
 //!
-//! 1. [`plan_shards`] partitions the elements into N disjoint subsets
-//!    with the same machinery the index build uses (a Hilbert-order
-//!    split, or grouped STR partitions), so each subset is spatially
+//! 1. [`plan_shards`] cuts the Hilbert order of the elements' centers
+//!    into N disjoint, near-equal runs, so each subset is spatially
 //!    compact.
 //! 2. [`ShardedCluster::build`] turns each subset into a self-contained
 //!    [`IndexShard`]: its own simulated [`Disk`], its own built index
@@ -31,31 +30,15 @@ use crate::{
     TransformersEngine,
 };
 use tfm_geom::{hilbert, Aabb, HasMbb, SpatialElement, SpatialQuery};
-use tfm_partition::str_partition;
 use tfm_rtree::RTree;
 use tfm_storage::{Disk, SharedPageCache, StoreBackend};
 use transformers::{IndexBuildPipeline, IndexConfig, TransformersIndex};
-
-/// How [`plan_shards`] splits the dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPartitioner {
-    /// Sort elements by the Hilbert index of their MBB centers and cut
-    /// the curve into N near-equal contiguous runs. Cheap, and shards
-    /// inherit the curve's locality.
-    Hilbert,
-    /// Run the index build's own STR partitioner at capacity ≈ n/N and
-    /// group consecutive partitions into N shards. Shard bounds follow
-    /// the STR tiling instead of the curve.
-    Str,
-}
 
 /// Build-time shape of a [`ShardedCluster`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     /// Number of shards (`0` is clamped to 1).
     pub shards: usize,
-    /// Dataset split strategy.
-    pub partitioner: ShardPartitioner,
     /// Index structure per shard.
     pub engine: ServeEngineKind,
     /// Page size of each shard's private disk.
@@ -71,7 +54,6 @@ impl Default for ShardSpec {
     fn default() -> Self {
         Self {
             shards: 1,
-            partitioner: ShardPartitioner::Hilbert,
             engine: ServeEngineKind::Transformers,
             page_size: tfm_storage::DEFAULT_PAGE_SIZE,
             backend: StoreBackend::Mem,
@@ -83,12 +65,6 @@ impl ShardSpec {
     /// Builder: sets the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Builder: sets the split strategy.
-    pub fn with_partitioner(mut self, partitioner: ShardPartitioner) -> Self {
-        self.partitioner = partitioner;
         self
     }
 
@@ -105,66 +81,34 @@ impl ShardSpec {
     }
 }
 
-/// Splits `elements` into `shards` disjoint, spatially compact subsets.
+/// Splits `elements` into `shards` disjoint, spatially compact subsets:
+/// sorts them by the Hilbert index of their MBB centers and cuts the curve
+/// into `shards` near-equal contiguous runs, so shards inherit the curve's
+/// locality.
 ///
 /// Every element lands in exactly one subset (some may be empty when
-/// `shards > elements.len()`), and the split depends only on the input
-/// and the strategy — never on thread counts — so cluster builds are
-/// deterministic.
-pub fn plan_shards(
-    elements: &[SpatialElement],
-    shards: usize,
-    partitioner: ShardPartitioner,
-) -> Vec<Vec<SpatialElement>> {
+/// `shards > elements.len()`), and the split depends only on the input —
+/// never on thread counts — so cluster builds are deterministic.
+pub fn plan_shards(elements: &[SpatialElement], shards: usize) -> Vec<Vec<SpatialElement>> {
     let n = shards.max(1);
-    if elements.is_empty() {
-        return vec![Vec::new(); n];
-    }
-    match partitioner {
-        ShardPartitioner::Hilbert => {
-            let universe = Aabb::union_all(elements.iter().map(|e| e.mbb));
-            let mut order: Vec<usize> = (0..elements.len()).collect();
-            // Tie-break on the element id so the split is total.
-            order.sort_by_key(|&i| {
-                (
-                    hilbert::index_of_point(&elements[i].center(), &universe),
-                    elements[i].id,
-                )
-            });
-            let total = order.len();
-            (0..n)
-                .map(|g| {
-                    order[total * g / n..total * (g + 1) / n]
-                        .iter()
-                        .map(|&i| elements[i])
-                        .collect()
-                })
+    let universe = Aabb::union_all(elements.iter().map(|e| e.mbb));
+    let mut order: Vec<usize> = (0..elements.len()).collect();
+    // Tie-break on the element id so the split is total.
+    order.sort_by_key(|&i| {
+        (
+            hilbert::index_of_point(&elements[i].center(), &universe),
+            elements[i].id,
+        )
+    });
+    let total = order.len();
+    (0..n)
+        .map(|g| {
+            order[total * g / n..total * (g + 1) / n]
+                .iter()
+                .map(|&i| elements[i])
                 .collect()
-        }
-        ShardPartitioner::Str => {
-            let total = elements.len();
-            let capacity = total.div_ceil(n);
-            let parts = str_partition(elements.to_vec(), capacity);
-            // STR may emit more than N partitions; group consecutive
-            // (spatially adjacent) partitions so shard g closes once the
-            // running element count reaches g+1 N-ths of the total. A run
-            // of partitions is one slice of the partitioned vector.
-            let items = parts.items();
-            let mut out: Vec<Vec<SpatialElement>> = Vec::with_capacity(n);
-            let mut assigned = 0usize;
-            let mut start = 0usize;
-            for part in parts.iter() {
-                while out.len() + 1 < n && assigned * n >= total * (out.len() + 1) {
-                    out.push(items[start..assigned].to_vec());
-                    start = assigned;
-                }
-                assigned += part.items.len();
-            }
-            out.push(items[start..].to_vec());
-            out.resize(n, Vec::new());
-            out
-        }
-    }
+        })
+        .collect()
 }
 
 /// One self-contained index shard: a disk of its own plus a built index
@@ -297,7 +241,7 @@ impl ShardedCluster {
     /// Partitions `elements` per `spec` and builds every shard's index
     /// with `index_cfg` on a disk of its own.
     pub fn build(elements: Vec<SpatialElement>, spec: &ShardSpec, index_cfg: &IndexConfig) -> Self {
-        let shards: Vec<IndexShard> = plan_shards(&elements, spec.shards, spec.partitioner)
+        let shards: Vec<IndexShard> = plan_shards(&elements, spec.shards)
             .into_iter()
             .enumerate()
             .map(|(i, subset)| {
@@ -344,8 +288,7 @@ impl ShardedCluster {
 /// even split of [`ServeConfig::pool_pages`] (floor 16 pages) — and runs
 /// them behind the cluster's router with `cfg.threads` workers per shard.
 /// Results are byte-identical to [`crate::serve_trace`] over one index of
-/// the whole dataset, at any shard and worker count (unless
-/// [`ServeConfig::shed`] drops partials, which are counted).
+/// the whole dataset, at any shard and worker count.
 pub fn serve_sharded(
     cluster: &ShardedCluster,
     trace: &[SpatialQuery],
@@ -406,25 +349,27 @@ mod tests {
             .collect()
     }
 
-    /// The counters of one run must add up however it was sharded, fed
-    /// and shed: every routed partial is executed or shed, and the
-    /// per-shard rows and per-query traces sum to the run's totals.
+    /// The counters of one run must add up however it was sharded and
+    /// fed: each shard's workers execute every partial routed to it, and
+    /// the per-shard rows and per-query traces sum to the run's totals.
     fn reconcile(out: &ServeOutcome) {
         let stats = &out.stats;
         let sum = |f: fn(&crate::ShardStats) -> u64| stats.per_shard.iter().map(f).sum::<u64>();
         assert_eq!(sum(|s| s.routed), stats.routed_partials);
-        assert_eq!(sum(|s| s.shed), stats.shed_partials);
-        assert_eq!(
-            sum(|s| s.executed) + stats.shed_partials,
-            stats.routed_partials,
-            "executed + shed must equal routed"
-        );
+        for s in &stats.per_shard {
+            assert_eq!(
+                s.per_worker_queries.iter().sum::<u64>(),
+                s.routed,
+                "shard {} must execute what it was routed",
+                s.shard
+            );
+        }
         assert_eq!(sum(|s| s.pool_hits), stats.pool_hits);
         assert_eq!(sum(|s| s.pool_misses), stats.pool_misses);
         assert_eq!(sum(|s| s.io.reads()), stats.io.reads());
         assert_eq!(
             stats.per_worker_queries.iter().sum::<u64>(),
-            sum(|s| s.executed)
+            stats.routed_partials
         );
         if !out.traces.is_empty() {
             let traced = |f: fn(&tfm_obs::QueryTrace) -> u64| out.traces.iter().map(f).sum::<u64>();
@@ -437,23 +382,21 @@ mod tests {
     #[test]
     fn plan_shards_partitions_every_element_once() {
         let elems = dataset(1200, 31);
-        for partitioner in [ShardPartitioner::Hilbert, ShardPartitioner::Str] {
-            for n in [1usize, 2, 3, 5, 8] {
-                let shards = plan_shards(&elems, n, partitioner);
-                assert_eq!(shards.len(), n, "{partitioner:?}");
-                let mut ids: Vec<ElementId> = shards.iter().flatten().map(|e| e.id).collect();
-                ids.sort_unstable();
-                let expected: Vec<ElementId> = (0..elems.len() as u64).collect();
-                assert_eq!(ids, expected, "{partitioner:?} shards={n}");
-                // Near-balanced: no shard more than twice the fair share.
-                let fair = elems.len().div_ceil(n);
-                for (s, shard) in shards.iter().enumerate() {
-                    assert!(
-                        shard.len() <= 2 * fair,
-                        "{partitioner:?} shard {s} holds {} of fair {fair}",
-                        shard.len()
-                    );
-                }
+        for n in [1usize, 2, 3, 5, 8] {
+            let shards = plan_shards(&elems, n);
+            assert_eq!(shards.len(), n);
+            let mut ids: Vec<ElementId> = shards.iter().flatten().map(|e| e.id).collect();
+            ids.sort_unstable();
+            let expected: Vec<ElementId> = (0..elems.len() as u64).collect();
+            assert_eq!(ids, expected, "shards={n}");
+            // Near-balanced: no shard more than twice the fair share.
+            let fair = elems.len().div_ceil(n);
+            for (s, shard) in shards.iter().enumerate() {
+                assert!(
+                    shard.len() <= 2 * fair,
+                    "shard {s} holds {} of fair {fair}",
+                    shard.len()
+                );
             }
         }
     }
@@ -461,18 +404,14 @@ mod tests {
     #[test]
     fn plan_shards_is_deterministic() {
         let elems = dataset(800, 32);
-        for partitioner in [ShardPartitioner::Hilbert, ShardPartitioner::Str] {
-            let a = plan_shards(&elems, 4, partitioner);
-            let b = plan_shards(&elems, 4, partitioner);
-            assert_eq!(a, b);
-        }
+        assert_eq!(plan_shards(&elems, 4), plan_shards(&elems, 4));
     }
 
     #[test]
     fn router_covers_every_matching_shard() {
         let elems = dataset(1500, 33);
         let trace = generate_trace(&QueryTraceSpec::uniform(300, 34));
-        let plan = plan_shards(&elems, 4, ShardPartitioner::Hilbert);
+        let plan = plan_shards(&elems, 4);
         let router = ShardRouter::new(
             plan.iter()
                 .map(|s| Aabb::union_all(s.iter().map(|e| e.mbb)))
@@ -503,25 +442,9 @@ mod tests {
                 assert_eq!(out.stats.per_shard.len(), shards);
                 assert_eq!(out.stats.per_worker_queries.len(), shards * workers);
                 reconcile(&out);
-                assert_eq!(out.stats.shed_partials, 0);
                 assert_eq!(out.traces.len(), trace.len(), "one record per query");
             }
         }
-    }
-
-    #[test]
-    fn str_partitioned_cluster_matches_too() {
-        let elems = dataset(1600, 37);
-        let trace = generate_trace(&QueryTraceSpec::uniform(120, 38));
-        let expected = reference(&elems, &trace);
-        let cluster = build_cluster(
-            elems,
-            &ShardSpec::default()
-                .with_shards(4)
-                .with_partitioner(ShardPartitioner::Str),
-        );
-        let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
-        assert_eq!(out.results, expected);
     }
 
     #[test]
@@ -574,25 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn shedding_accounts_for_every_partial() {
-        let elems = dataset(2500, 41);
-        let cluster = build_cluster(elems, &ShardSpec::default().with_shards(2));
-        let trace = generate_trace(&QueryTraceSpec::uniform(600, 42));
-        // A tiny queue and batch makes rejection plausible but not
-        // guaranteed; either way the accounting must balance.
-        let cfg = ServeConfig {
-            batch: 4,
-            queue_batches: 1,
-            ..ServeConfig::default().with_shedding().with_traces()
-        };
-        let out = serve_sharded(&cluster, &trace, &cfg);
-        reconcile(&out);
-        if out.stats.shed_partials == 0 {
-            assert_eq!(out.stats.shed_queries, 0);
-        }
-    }
-
-    #[test]
     fn one_shard_one_worker_reads_what_the_inline_path_reads() {
         // Same index, same cache budget (small enough to evict), same
         // batch order: the queued one-worker pool must touch exactly the
@@ -619,11 +523,12 @@ mod tests {
 
     #[test]
     fn a_trace_that_saturates_one_shard_then_the_other_completes() {
-        // Backpressure without deadlock: one worker and a one-slot queue
-        // per shard, and a trace routed wholly to shard 0, then wholly to
-        // shard 1. The feeder blocks on shard 0's full queue while shard 1
-        // idles, then the reverse; it must never be the thread a full
-        // queue is waiting on.
+        // Backpressure without deadlock: one worker per shard, and a trace
+        // routed wholly to shard 0, then wholly to shard 1. Its 25
+        // sub-batches per shard overfill the four-slot queue, so the
+        // feeder blocks on shard 0's full queue while shard 1 idles, then
+        // the reverse; it must never be the thread a full queue is
+        // waiting on.
         let elems = dataset(2500, 53);
         let cluster = build_cluster(elems.clone(), &ShardSpec::default().with_shards(2));
         let probes = generate_trace(&QueryTraceSpec::uniform(1500, 54));
@@ -637,11 +542,7 @@ mod tests {
         };
         let trace: Vec<SpatialQuery> = only(0).chain(only(1)).collect();
         assert_eq!(trace.len(), 400, "200 probes for each shard alone");
-        let cfg = ServeConfig {
-            batch: 8,
-            queue_batches: 1,
-            ..ServeConfig::default()
-        };
+        let cfg = ServeConfig::default().with_batch(8);
         let out = serve_sharded(&cluster, &trace, &cfg);
         assert_eq!(out.results, reference(&elems, &trace));
         assert_eq!(out.stats.per_worker_queries, vec![200, 200]);
@@ -677,7 +578,6 @@ mod tests {
         let cfg = ServeConfig {
             threads: 0,
             batch: 0,
-            queue_batches: 0,
             pool_pages: 0,
             ..ServeConfig::default()
         };

@@ -89,13 +89,9 @@ pub struct ShardStats {
     /// Target index (shard number; 0 for a single engine).
     pub shard: usize,
     /// Query partials routed to this target, counted as they scatter.
+    /// Admission blocks rather than drops, so the target's workers
+    /// execute every one of them (Σ [`Self::per_worker_queries`]).
     pub routed: u64,
-    /// Query partials actually executed (= routed unless shedding).
-    pub executed: u64,
-    /// Sub-batches refused by the full queue (shedding mode only).
-    pub shed_batches: u64,
-    /// Query partials lost to those refusals.
-    pub shed: u64,
     /// Per-partial service-time percentiles on this target.
     pub service: LatencySummary,
     /// Per-partial queue-wait percentiles: admission to worker pop.
@@ -114,7 +110,7 @@ pub struct ShardStats {
 
 /// Aggregate counters of one serve run — [`crate::serve_trace`] over one
 /// engine or [`crate::serve_sharded`] over a cluster. The routing block
-/// (fanout, routed/shed partials, pressure, [`Self::per_shard`]) is one
+/// (fanout, routed partials, pressure, [`Self::per_shard`]) is one
 /// trivial row for a single engine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
@@ -129,8 +125,6 @@ pub struct ServeStats {
     pub max_batch: usize,
     /// Workers per target ([`crate::ServeConfig::threads`], clamped).
     pub threads: usize,
-    /// Whether batches were Hilbert-ordered before execution.
-    pub hilbert_batching: bool,
     /// Wall-clock time of the serve run (routing + queueing + execution).
     pub wall: Duration,
     /// Per-query service-time percentiles (probe execution only). A
@@ -163,10 +157,6 @@ pub struct ServeStats {
     pub fanout_max: usize,
     /// Query partials routed, summed over targets (= Σ per-query fanout).
     pub routed_partials: u64,
-    /// Query partials lost to shedding (0 with backpressure admission).
-    pub shed_partials: u64,
-    /// Queries whose result is incomplete because ≥ 1 partial was shed.
-    pub shed_queries: u64,
     /// Peak fraction of target queues simultaneously full when a batch
     /// was admitted — the cluster-level backpressure signal (1.0 means
     /// every shard was saturated at once).

@@ -1,10 +1,12 @@
 //! Acceptance tests for the query-serving subsystem (`tfm-serve`):
 //!
 //! * every query of a trace answers **identically** at 1/2/4/8 workers,
-//!   batched and unbatched, on every engine — and identically to a
-//!   sequential full-scan reference;
+//!   in Hilbert-ordered batches of 32 and in batches of one (arrival
+//!   order), on every engine — and identically to a sequential full-scan
+//!   reference;
 //! * Hilbert-ordered batching strictly raises the sequential-read
-//!   fraction over arrival-order replay on the same trace;
+//!   fraction over arrival-order replay (batches of one) of the same
+//!   trace;
 //! * sampled probes and their candidate pages equal a full scan on an
 //!   index whose node count puts two probe-directory levels above it;
 //! * property test: random datasets and traces keep the 1-worker and
@@ -67,19 +69,16 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
         ];
         for engine in &engines {
             for threads in [1usize, 2, 4, 8] {
-                for hilbert in [true, false] {
-                    let cfg = ServeConfig {
-                        threads,
-                        hilbert_batching: hilbert,
-                        batch: 32,
-                        queue_batches: 2,
-                        ..ServeConfig::default()
-                    };
+                // A batch of one is arrival order: nothing to sort.
+                for batch in [32, 1] {
+                    let cfg = ServeConfig::default()
+                        .with_threads(threads)
+                        .with_batch(batch);
                     let out = serve_trace(engine.as_ref(), &trace, &cfg);
                     assert_eq!(
                         out.results,
                         expected,
-                        "{} mix={mix:?} threads={threads} hilbert={hilbert}",
+                        "{} mix={mix:?} threads={threads} batch={batch}",
                         engine.label()
                     );
                     assert_eq!(out.stats.queries, trace.len() as u64);
@@ -95,9 +94,10 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
 
 #[test]
 fn hilbert_batching_strictly_raises_sequential_reads() {
-    // Sizeable index + small cache, cold for each replay: arrival-order
-    // probes hop across the disk, Hilbert order sweeps it. Results must
-    // not change; the IoStats split must.
+    // Sizeable index + small cache, cold for each replay: batches of one
+    // replay the probes in arrival order, which hops across the disk; one
+    // Hilbert-ordered batch sweeps it. Results must not change; the
+    // IoStats split must.
     let elems = generate(&DatasetSpec {
         max_side: 5.0,
         ..DatasetSpec::uniform(40_000, 404)
@@ -109,10 +109,9 @@ fn hilbert_batching_strictly_raises_sequential_reads() {
         ..QueryTraceSpec::uniform(2_000, 405)
     });
     let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(64, 1);
-    let base = ServeConfig::default().with_batch(2_000);
-    let arrival = serve_trace(&engine, &trace, &base.without_hilbert_batching());
+    let arrival = serve_trace(&engine, &trace, &ServeConfig::default().with_batch(1));
     engine.reset_cache();
-    let hilberted = serve_trace(&engine, &trace, &base);
+    let hilberted = serve_trace(&engine, &trace, &ServeConfig::default().with_batch(2_000));
     assert_eq!(arrival.results, hilberted.results);
     assert!(
         hilberted.stats.seq_read_fraction() > arrival.stats.seq_read_fraction(),
@@ -232,20 +231,12 @@ proptest! {
         let expected = reference(&elems, &trace);
         let engine = TransformersEngine::new(&idx, &disk);
         for threads in [1usize, 4] {
-            for hilbert in [true, false] {
-                let cfg = ServeConfig {
-                    threads,
-                    batch,
-                    hilbert_batching: hilbert,
-                    queue_batches: 2,
-                    ..ServeConfig::default()
-                };
-                let out = serve_trace(&engine, &trace, &cfg);
-                prop_assert_eq!(
-                    &out.results, &expected,
-                    "threads={} hilbert={} batch={}", threads, hilbert, batch
-                );
-            }
+            let cfg = ServeConfig::default().with_threads(threads).with_batch(batch);
+            let out = serve_trace(&engine, &trace, &cfg);
+            prop_assert_eq!(
+                &out.results, &expected,
+                "threads={} batch={}", threads, batch
+            );
         }
     }
 }

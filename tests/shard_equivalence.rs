@@ -3,10 +3,10 @@
 //!
 //! * every (shards, workers) combination from {1,2,4,8} × {1,2,4}
 //!   answers a trace **byte-identically** to the unsharded serve path
-//!   and to a sequential full-scan reference — on every engine and
-//!   both partitioners, with per-query traces off and on — and reports
-//!   exactly the fan-out its router decides (partials routed, widest
-//!   query);
+//!   and to a sequential full-scan reference — on every engine, with
+//!   per-query traces off and on — and reports exactly the fan-out its
+//!   router decides (partials routed, widest query) and executes every
+//!   partial it routes;
 //! * property test: a probe's routed shard set always covers every
 //!   shard that holds a matching element (routing soundness), and the
 //!   sharded answer stays equal to the oracle.
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use tfm_datagen::{generate, generate_trace, DatasetSpec, ProbeMix, QueryTraceSpec};
 use tfm_geom::{Aabb, ElementId, HasMbb, SpatialElement, SpatialQuery};
 use tfm_serve::{
-    plan_shards, serve_sharded, serve_trace, ServeConfig, ServeEngineKind, ShardPartitioner,
-    ShardRouter, ShardSpec, ShardedCluster, TransformersEngine,
+    plan_shards, serve_sharded, serve_trace, ServeConfig, ServeEngineKind, ShardRouter, ShardSpec,
+    ShardedCluster, TransformersEngine,
 };
 use tfm_storage::Disk;
 use transformers::{IndexConfig, TransformersIndex};
@@ -88,12 +88,14 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
                     );
                     assert_eq!(out.results, expected, "{case}");
                     assert_eq!(out.stats.queries, trace.len() as u64);
-                    assert_eq!(out.stats.shed_partials, 0);
                     assert_eq!(out.stats.routed_partials, routed, "{case}");
                     assert_eq!(out.stats.fanout_max, widest, "{case}");
-                    // Every routed partial executed (no silent drops).
-                    let executed: u64 = out.stats.per_shard.iter().map(|s| s.executed).sum();
-                    assert_eq!(executed, out.stats.routed_partials, "{case}");
+                    // Each shard executes every partial routed to it (no
+                    // silent drops).
+                    for s in &out.stats.per_shard {
+                        let executed: u64 = s.per_worker_queries.iter().sum();
+                        assert_eq!(executed, s.routed, "{case} shard {}", s.shard);
+                    }
                     let traced = if collect_traces { trace.len() } else { 0 };
                     assert_eq!(out.traces.len(), traced, "{case}");
                     for (i, t) in out.traces.iter().enumerate() {
@@ -103,24 +105,6 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn both_partitioners_agree_with_the_oracle() {
-    let elems = generate(&DatasetSpec {
-        max_side: 5.0,
-        ..DatasetSpec::uniform(3_000, 503)
-    });
-    let trace = generate_trace(&QueryTraceSpec::uniform(150, 504));
-    let expected = reference(&elems, &trace);
-    for partitioner in [ShardPartitioner::Hilbert, ShardPartitioner::Str] {
-        let spec = ShardSpec::default()
-            .with_shards(4)
-            .with_partitioner(partitioner);
-        let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
-        let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
-        assert_eq!(out.results, expected, "partitioner={partitioner:?}");
     }
 }
 
@@ -148,8 +132,7 @@ proptest! {
             count: queries,
             ..QueryTraceSpec::uniform(queries, trace_seed)
         });
-        let spec = ShardSpec::default().with_shards(shards);
-        let partitions = plan_shards(&elems, shards, spec.partitioner);
+        let partitions = plan_shards(&elems, shards);
         let router = ShardRouter::new(
             partitions
                 .iter()
@@ -168,6 +151,7 @@ proptest! {
                 }
             }
         }
+        let spec = ShardSpec::default().with_shards(shards);
         let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
         let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
         prop_assert_eq!(out.results, reference(&elems, &trace));
