@@ -13,7 +13,7 @@ use crate::workloads::{
 };
 use crate::{
     print_serve_table, print_table, run_approach, run_serve_sweep, scaled, write_csv,
-    write_serve_csv, Approach, Metrics, RunConfig, ServeEngineKind, ServeJob, ServeMetrics,
+    write_serve_csv, Approach, Metrics, RunConfig, ServeJob, ServeMetrics,
 };
 use tfm_datagen::{generate, generate_trace, DatasetSpec, ProbeMix, QueryTraceSpec};
 use tfm_serve::ServeConfig;
@@ -375,8 +375,8 @@ fn filtered_share(sweep: &JoinSweep, rows: &[Metrics]) {
     }
 }
 
-/// All three serve engines over one uniform dataset: a uniform and a
-/// clustered probe trace, each at 1 and 4 workers.
+/// The TRANSFORMERS serve engine over one uniform dataset: a uniform and
+/// a clustered probe trace, each at 1 and 4 workers.
 fn serve(scale: f64) -> Vec<ServeMetrics> {
     let dataset = generate(&DatasetSpec {
         max_side: BOX_SIDE,
@@ -393,7 +393,7 @@ fn serve(scale: f64) -> Vec<ServeMetrics> {
         };
         (name, generate_trace(&spec))
     });
-    // One index build per engine; every job replays against it.
+    // One index build; every job replays against it.
     let jobs: Vec<ServeJob> = traces
         .iter()
         .flat_map(|(name, trace)| {
@@ -404,9 +404,5 @@ fn serve(scale: f64) -> Vec<ServeMetrics> {
             })
         })
         .collect();
-    let cfg = RunConfig::default();
-    ServeEngineKind::all()
-        .into_iter()
-        .flat_map(|kind| run_serve_sweep(kind, &dataset, &cfg, &jobs))
-        .collect()
+    run_serve_sweep(&dataset, &RunConfig::default(), &jobs)
 }

@@ -16,7 +16,7 @@
 //! | `fig14`           | Fig. 14 — adaptive exploration overhead          |
 //! | `filtering`       | §VII-C2 — share of element pages never read      |
 //! | `parallel`        | parallel join at 1/2/4/8 workers vs sequential   |
-//! | `serve`           | query serving over the three serve engines       |
+//! | `serve`           | query serving over the TRANSFORMERS index        |
 //!
 //! Scale: dataset sizes default to the paper's ÷ 1000 and multiply by the
 //! `TFM_SCALE` environment variable (e.g. `TFM_SCALE=0.05` for a smoke
@@ -46,7 +46,6 @@ pub use serve::{
     ServeMetrics,
 };
 pub use shard::run_serve_sharded;
-pub use tfm_serve::ServeEngineKind;
 
 /// Reads the scale multiplier from `TFM_SCALE` (default 1.0) through
 /// [`parse_scale`]; a value it rejects ends the process with the error,

@@ -6,17 +6,15 @@
 use crate::runner::RunConfig;
 use std::time::Duration;
 use tfm_geom::{ElementId, SpatialElement, SpatialQuery};
-use tfm_serve::{serve_trace, IndexShard, ServeConfig, ServeEngineKind, ServeStats};
+use tfm_serve::{serve_trace, IndexShard, QueryEngine, ServeConfig, ServeStats};
 use tfm_storage::SharedPageCache;
 use transformers::IndexConfig;
 
-/// Comparable measurements of one (engine, trace) serve run.
+/// Comparable measurements of one serve run over one trace.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     /// Workload label.
     pub workload: String,
-    /// Engine label.
-    pub engine: String,
     /// Indexed elements.
     pub n_elements: usize,
     /// Queries replayed.
@@ -90,7 +88,6 @@ impl ServeMetrics {
     }
 
     pub(crate) fn from_stats(
-        kind: ServeEngineKind,
         workload: &str,
         n_elements: usize,
         cfg: &ServeConfig,
@@ -98,7 +95,6 @@ impl ServeMetrics {
     ) -> Self {
         Self {
             workload: workload.to_string(),
-            engine: kind.label().to_string(),
             n_elements,
             queries: stats.queries,
             shards: stats.per_shard.len(),
@@ -128,31 +124,25 @@ impl ServeMetrics {
     }
 }
 
-/// Builds the `kind` structure over `elements` on a fresh `run_cfg` disk,
-/// with `run_cfg`'s page size and build threads.
-fn build_index(
-    kind: ServeEngineKind,
-    elements: &[SpatialElement],
-    run_cfg: &RunConfig,
-) -> IndexShard {
+/// Builds the TRANSFORMERS index over `elements` on a fresh `run_cfg`
+/// disk, with `run_cfg`'s page size and build threads.
+fn build_index(elements: &[SpatialElement], run_cfg: &RunConfig) -> IndexShard {
     let idx_cfg = IndexConfig::default().with_build_threads(run_cfg.build_threads);
-    IndexShard::build(elements.to_vec(), kind, run_cfg.disk("serve"), &idx_cfg)
+    IndexShard::build(elements.to_vec(), run_cfg.disk("serve"), &idx_cfg)
 }
 
-/// Builds the `kind` structure over `elements` (on a fresh disk with
+/// Builds the TRANSFORMERS index over `elements` (on a fresh disk with
 /// `run_cfg`'s backend, page size and build threads), replays `trace`
 /// with `serve_cfg`, and returns the metrics plus every query's result
 /// ids (ascending; for correctness checks).
 pub fn run_serve(
-    kind: ServeEngineKind,
     workload: &str,
     elements: &[SpatialElement],
     trace: &[SpatialQuery],
     run_cfg: &RunConfig,
     serve_cfg: &ServeConfig,
 ) -> (ServeMetrics, Vec<Vec<ElementId>>) {
-    let (metrics, results, _) =
-        run_serve_traced(kind, workload, elements, trace, run_cfg, serve_cfg);
+    let (metrics, results, _) = run_serve_traced(workload, elements, trace, run_cfg, serve_cfg);
     (metrics, results)
 }
 
@@ -163,19 +153,18 @@ pub fn run_serve(
 /// cache is sized `serve_cfg.pool_pages` pages, striped for
 /// `serve_cfg.threads`.
 pub fn run_serve_traced(
-    kind: ServeEngineKind,
     workload: &str,
     elements: &[SpatialElement],
     trace: &[SpatialQuery],
     run_cfg: &RunConfig,
     serve_cfg: &ServeConfig,
 ) -> (ServeMetrics, Vec<Vec<ElementId>>, Vec<tfm_obs::QueryTrace>) {
-    let index = build_index(kind, elements, run_cfg);
+    let index = build_index(elements, run_cfg);
     let stripes = SharedPageCache::shards_for_threads(serve_cfg.threads);
     let engine = index.engine(serve_cfg.pool_pages.max(1), stripes);
     index.disk().reset_stats();
-    let out = serve_trace(&*engine, trace, serve_cfg);
-    let metrics = ServeMetrics::from_stats(kind, workload, elements.len(), serve_cfg, &out.stats);
+    let out = serve_trace(&engine, trace, serve_cfg);
+    let metrics = ServeMetrics::from_stats(workload, elements.len(), serve_cfg, &out.stats);
     (metrics, out.results, out.traces)
 }
 
@@ -190,16 +179,14 @@ pub struct ServeJob<'a> {
     pub config: ServeConfig,
 }
 
-/// [`run_serve`] over several jobs sharing one index build: the `kind`
-/// structure is built **once** and every job replays against it (disk
-/// stats and the engine's cache reset between jobs, so each row starts
-/// cold). Use this for config sweeps — rebuilding a large index per
+/// [`run_serve`] over several jobs sharing one index build: the index is
+/// built **once** and every job replays against it (disk stats and the
+/// engine's cache reset between jobs, so each row starts cold). Use this for config sweeps — rebuilding a large index per
 /// (threads, batch) combination would dominate the run.
 ///
 /// The cache size is taken from the **first** job's config; jobs in one
 /// sweep share one engine, so they must agree on it.
 pub fn run_serve_sweep(
-    kind: ServeEngineKind,
     elements: &[SpatialElement],
     run_cfg: &RunConfig,
     jobs: &[ServeJob<'_>],
@@ -216,21 +203,15 @@ pub fn run_serve_sweep(
             .all(|j| j.config.pool_pages == engine_cfg.pool_pages),
         "jobs of one sweep share an engine and must agree on the cache budget"
     );
-    let index = build_index(kind, elements, run_cfg);
+    let index = build_index(elements, run_cfg);
     let stripes = SharedPageCache::shards_for_threads(engine_cfg.threads);
     let engine = index.engine(engine_cfg.pool_pages.max(1), stripes);
     jobs.iter()
         .map(|job| {
             index.disk().reset_stats();
             engine.reset_cache();
-            let outcome = serve_trace(&*engine, job.trace, &job.config);
-            ServeMetrics::from_stats(
-                kind,
-                job.workload,
-                elements.len(),
-                &job.config,
-                &outcome.stats,
-            )
+            let outcome = serve_trace(&engine, job.trace, &job.config);
+            ServeMetrics::from_stats(job.workload, elements.len(), &job.config, &outcome.stats)
         })
         .collect()
 }
@@ -240,9 +221,8 @@ pub fn run_serve_sweep(
 pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
     println!("\n== {title} ==");
     println!(
-        "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>10}",
+        "{:<20} {:>8} {:>8} {:>3} {:>3} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>10}",
         "workload",
-        "engine",
         "|D|",
         "queries",
         "sh",
@@ -260,9 +240,8 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
     );
     for m in rows {
         println!(
-            "{:<20} {:<14} {:>8} {:>8} {:>3} {:>3} {:>6} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>6.2} {:>10}",
+            "{:<20} {:>8} {:>8} {:>3} {:>3} {:>6} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8.1} {:>8.1} {:>6.2} {:>10}",
             m.workload,
-            m.engine,
             m.n_elements,
             m.queries,
             m.shards,
@@ -282,14 +261,13 @@ pub fn print_serve_table(title: &str, rows: &[ServeMetrics]) {
 }
 
 /// CSV header matching [`serve_csv_row`].
-pub const SERVE_CSV_HEADER: &str = "workload,engine,n_elements,queries,threads,batch,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,shards,fanout_mean,fanout_max,routed_partials,max_cluster_pressure,result_ids";
+pub const SERVE_CSV_HEADER: &str = "workload,n_elements,queries,threads,batch,wall_s,sim_io_s,qps,p50_us,p95_us,p99_us,queue_wait_p50_us,queue_wait_p99_us,pages_read,seq_reads,rand_reads,pool_hits,pool_misses,lock_acquisitions,lock_contended,shards,fanout_mean,fanout_max,routed_partials,max_cluster_pressure,result_ids";
 
 /// One CSV row for a serve-metrics record.
 pub fn serve_csv_row(m: &ServeMetrics) -> String {
     format!(
-        "{},{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{:.3},{},{},{:.3},{}",
+        "{},{},{},{},{},{:.6},{:.6},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{},{},{},{},{:.3},{},{},{:.3},{}",
         m.workload,
-        m.engine,
         m.n_elements,
         m.queries,
         m.threads,
@@ -341,33 +319,10 @@ mod tests {
     use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
 
     #[test]
-    fn engines_serve_identical_results() {
-        let elements = generate(&DatasetSpec {
-            max_side: 6.0,
-            ..DatasetSpec::uniform(2500, 90)
-        });
-        let trace = generate_trace(&QueryTraceSpec::uniform(150, 91));
-        let run_cfg = RunConfig::default();
-        let serve_cfg = ServeConfig::default().with_threads(2);
-        let mut reference: Option<Vec<Vec<ElementId>>> = None;
-        for kind in ServeEngineKind::all() {
-            let (m, results) = run_serve(kind, "t", &elements, &trace, &run_cfg, &serve_cfg);
-            assert_eq!(m.queries, 150, "{}", kind.label());
-            assert_eq!(m.engine, kind.label());
-            assert!(m.pages_read > 0);
-            match &reference {
-                None => reference = Some(results),
-                Some(r) => assert_eq!(&results, r, "{} diverges", kind.label()),
-            }
-        }
-    }
-
-    #[test]
     fn csv_row_has_header_arity() {
         let elements = generate(&DatasetSpec::uniform(400, 92));
         let trace = generate_trace(&QueryTraceSpec::uniform(20, 93));
         let (m, _) = run_serve(
-            ServeEngineKind::Transformers,
             "t",
             &elements,
             &trace,
@@ -385,7 +340,6 @@ mod tests {
         let elements = generate(&DatasetSpec::uniform(400, 94));
         let trace = generate_trace(&QueryTraceSpec::uniform(20, 95));
         let (m, _) = run_serve(
-            ServeEngineKind::Rtree,
             "t",
             &elements,
             &trace,

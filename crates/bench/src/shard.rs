@@ -4,19 +4,17 @@
 //! [`crate::run_serve`], reporting the same [`ServeMetrics`] row.
 
 use tfm_geom::{ElementId, SpatialElement, SpatialQuery};
-use tfm_serve::{serve_sharded, ServeConfig, ServeEngineKind, ShardSpec, ShardedCluster};
+use tfm_serve::{serve_sharded, ServeConfig, ShardSpec, ShardedCluster};
 use transformers::IndexConfig;
 
 use crate::serve::ServeMetrics;
 
-/// Partitions `elements` per `spec` (the engine field is overridden from
-/// `kind`), builds one index per shard with `index_cfg` on its own disk,
-/// replays `trace` through the router, and returns metrics, every query's
-/// result ids (ascending — byte-identical to [`crate::run_serve`]'s
-/// results) and the per-query traces `serve_cfg.collect_traces` asked
-/// for.
+/// Partitions `elements` per `spec`, builds one index per shard with
+/// `index_cfg` on its own disk, replays `trace` through the router, and
+/// returns metrics, every query's result ids (ascending — byte-identical
+/// to [`crate::run_serve`]'s results) and the per-query traces
+/// `serve_cfg.collect_traces` asked for.
 pub fn run_serve_sharded(
-    kind: ServeEngineKind,
     workload: &str,
     elements: &[SpatialElement],
     trace: &[SpatialQuery],
@@ -24,10 +22,9 @@ pub fn run_serve_sharded(
     index_cfg: &IndexConfig,
     serve_cfg: &ServeConfig,
 ) -> (ServeMetrics, Vec<Vec<ElementId>>, Vec<tfm_obs::QueryTrace>) {
-    let spec = spec.clone().with_engine(kind);
-    let cluster = ShardedCluster::build(elements.to_vec(), &spec, index_cfg);
+    let cluster = ShardedCluster::build(elements.to_vec(), spec, index_cfg);
     let out = serve_sharded(&cluster, trace, serve_cfg);
-    let metrics = ServeMetrics::from_stats(kind, workload, elements.len(), serve_cfg, &out.stats);
+    let metrics = ServeMetrics::from_stats(workload, elements.len(), serve_cfg, &out.stats);
     (metrics, out.results, out.traces)
 }
 
@@ -45,7 +42,6 @@ mod tests {
         });
         let trace = generate_trace(&QueryTraceSpec::uniform(120, 72));
         let (_, unsharded) = crate::run_serve(
-            ServeEngineKind::Transformers,
             "shard-bench",
             &elements,
             &trace,
@@ -54,7 +50,6 @@ mod tests {
         );
         for shards in [1usize, 3] {
             let (m, results, _) = run_serve_sharded(
-                ServeEngineKind::Transformers,
                 "shard-bench",
                 &elements,
                 &trace,

@@ -9,10 +9,9 @@
 //! of these counts.
 
 use tfm_bench::{run_approach, Approach, RunConfig};
-use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
+use tfm_datagen::{generate, DatasetSpec, Distribution};
 use tfm_geom::{Aabb, SpatialElement};
 use tfm_gipsy::{gipsy_join, GipsyStats, SparseFile};
-use tfm_serve::{serve_trace, GipsyEngine, ServeConfig};
 use tfm_storage::{CacheHandle, Disk, SharedPageCache};
 use transformers::{IndexConfig, TransformersIndex};
 
@@ -94,27 +93,6 @@ fn gipsy_exploration_counts_are_pinned() {
         pairs.len(),
     );
     assert_eq!(got, (154_656, 4_007, 0, 14_176, 187_465, 71, 71));
-}
-
-/// The GIPSY probe engine on the fixed pair's dense side: one worker
-/// serves one fixed uniform trace through an 8-page cache, so its page
-/// reads and pool hits follow from the probes' walks and crawls alone.
-#[test]
-fn gipsy_engine_page_counts_are_pinned() {
-    let (_, b) = pair();
-    let disk = RunConfig::default().disk("gipsy_engine");
-    let idx = TransformersIndex::build(&disk, b, &IndexConfig::default());
-    let engine = GipsyEngine::new(&idx, &disk).with_shared_cache(8, 1);
-    let trace = generate_trace(&QueryTraceSpec::uniform(400, 262));
-    let out = serve_trace(&engine, &trace, &ServeConfig::default());
-    assert_eq!(out.stats.threads, 1);
-    let got = (
-        out.stats.io.reads(),
-        out.stats.pool_misses,
-        out.stats.pool_hits,
-        out.stats.result_ids,
-    );
-    assert_eq!(got, (389, 389, 70, 13));
 }
 
 /// Runs `join` through a one-frame cache per side and checks that it held

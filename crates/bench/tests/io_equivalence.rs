@@ -4,13 +4,13 @@
 //! either the in-memory [`StoreBackend::Mem`] or the on-disk
 //! [`StoreBackend::File`] page store and must return exactly the same
 //! results: the backend decides where page bytes live, never what a
-//! query or join computes. The sweeps cover all three serve engines and
-//! join approaches at 1/2/4/8 workers, sharded and unsharded. Every page
+//! query or join computes. The sweeps cover the serve engine, sharded and
+//! unsharded, and the join approaches at 1/2/4/8 workers. Every page
 //! is read on demand by the query or join worker that needs it, so at one
 //! worker the file backend also repeats the in-memory run's page reads,
 //! hits and misses exactly.
 
-use tfm_bench::{run_approach, run_serve, run_serve_sharded, Approach, RunConfig, ServeEngineKind};
+use tfm_bench::{run_approach, run_serve, run_serve_sharded, Approach, RunConfig};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
 use tfm_memjoin::canonicalize;
 use tfm_serve::{ServeConfig, ShardSpec};
@@ -41,24 +41,20 @@ fn serve_results_match_mem_across_engines_and_workers() {
     let trace = generate_trace(&QueryTraceSpec::uniform(400, 102));
     let dir = image_dir("serve");
 
-    for kind in ServeEngineKind::all() {
-        let (_, reference) = run_serve(
-            kind,
-            "io-eq",
-            &dataset,
-            &trace,
-            &RunConfig::default(),
-            &ServeConfig::default(),
+    let (_, reference) = run_serve(
+        "io-eq",
+        &dataset,
+        &trace,
+        &RunConfig::default(),
+        &ServeConfig::default(),
+    );
+    for &threads in &WORKER_SWEEP {
+        let serve_cfg = ServeConfig::default().with_threads(threads).with_batch(32);
+        let (_, results) = run_serve("io-eq", &dataset, &trace, &file_cfg(&dir), &serve_cfg);
+        assert_eq!(
+            results, reference,
+            "file backend diverged at {threads} workers"
         );
-        for &threads in &WORKER_SWEEP {
-            let serve_cfg = ServeConfig::default().with_threads(threads).with_batch(32);
-            let (_, results) =
-                run_serve(kind, "io-eq", &dataset, &trace, &file_cfg(&dir), &serve_cfg);
-            assert_eq!(
-                results, reference,
-                "{kind:?}: file backend diverged at {threads} workers"
-            );
-        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -78,19 +74,15 @@ fn serve_counts_match_mem_at_one_worker() {
         ..ServeConfig::default().with_batch(32)
     };
 
-    for kind in ServeEngineKind::all() {
-        let (mem, mem_results) =
-            run_serve(kind, "io-eq", &dataset, &trace, &RunConfig::default(), &cfg);
-        let (file, file_results) =
-            run_serve(kind, "io-eq", &dataset, &trace, &file_cfg(&dir), &cfg);
-        assert_eq!(file_results, mem_results, "{kind:?}: results diverged");
-        assert!(mem.pool_misses > 0 && mem.pool_hits > 0, "{kind:?}");
-        assert_eq!(
-            (file.pages_read, file.pool_hits, file.pool_misses),
-            (mem.pages_read, mem.pool_hits, mem.pool_misses),
-            "{kind:?}: file backend read other pages than the mem run"
-        );
-    }
+    let (mem, mem_results) = run_serve("io-eq", &dataset, &trace, &RunConfig::default(), &cfg);
+    let (file, file_results) = run_serve("io-eq", &dataset, &trace, &file_cfg(&dir), &cfg);
+    assert_eq!(file_results, mem_results, "results diverged");
+    assert!(mem.pool_misses > 0 && mem.pool_hits > 0);
+    assert_eq!(
+        (file.pages_read, file.pool_hits, file.pool_misses),
+        (mem.pages_read, mem.pool_hits, mem.pool_misses),
+        "file backend read other pages than the mem run"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -103,45 +95,41 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
     let trace = generate_trace(&QueryTraceSpec::uniform(300, 104));
     let dir = image_dir("shard");
 
-    for kind in ServeEngineKind::all() {
-        let mem_spec = ShardSpec {
-            shards: 3,
-            ..ShardSpec::default()
+    let mem_spec = ShardSpec {
+        shards: 3,
+        ..ShardSpec::default()
+    };
+    let (_, reference, _) = run_serve_sharded(
+        "io-eq",
+        &dataset,
+        &trace,
+        &mem_spec,
+        &IndexConfig::default(),
+        &ServeConfig::default(),
+    );
+    let file_spec = ShardSpec {
+        shards: 3,
+        backend: StoreBackend::File(dir.clone()),
+        ..ShardSpec::default()
+    };
+    for &workers in &WORKER_SWEEP {
+        let cfg = ServeConfig {
+            threads: workers,
+            batch: 32,
+            ..ServeConfig::default()
         };
-        let (_, reference, _) = run_serve_sharded(
-            kind,
+        let (_, results, _) = run_serve_sharded(
             "io-eq",
             &dataset,
             &trace,
-            &mem_spec,
+            &file_spec,
             &IndexConfig::default(),
-            &ServeConfig::default(),
+            &cfg,
         );
-        let file_spec = ShardSpec {
-            shards: 3,
-            backend: StoreBackend::File(dir.join(format!("{kind:?}"))),
-            ..ShardSpec::default()
-        };
-        for &workers in &WORKER_SWEEP {
-            let cfg = ServeConfig {
-                threads: workers,
-                batch: 32,
-                ..ServeConfig::default()
-            };
-            let (_, results, _) = run_serve_sharded(
-                kind,
-                "io-eq",
-                &dataset,
-                &trace,
-                &file_spec,
-                &IndexConfig::default(),
-                &cfg,
-            );
-            assert_eq!(
-                results, reference,
-                "{kind:?}: sharded file backend diverged at {workers} workers/shard"
-            );
-        }
+        assert_eq!(
+            results, reference,
+            "sharded file backend diverged at {workers} workers/shard"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -81,16 +81,14 @@ USAGE:
       --build-threads N: build the indexes on N parallel workers
                   (transformers, gipsy and rtree builds; default: the
                   host's available parallelism, as IndexConfig::default())
-  tfm serve --in FILE [--engine E] [--queries N] [--threads N] [--batch N]
-            [--mix M] [--page-size N]
-            [--build-threads N] [--trace-seed S] [--window F] [--eps F]
-            [--shards N]
+  tfm serve --in FILE [--queries N] [--threads N] [--batch N] [--mix M]
+            [--page-size N] [--build-threads N] [--trace-seed S]
+            [--window F] [--eps F] [--shards N]
             [--backend mem|file|file-checksummed] [--store DIR]
             [--verify] [--metrics PATH]
-      builds the chosen index once, generates a deterministic query trace
-      (window / point-enclosure / distance probes) and replays it on N
-      serve workers with locality-aware (Hilbert-ordered) batching
-      E: transformers | gipsy | rtree  (default: transformers)
+      builds the TRANSFORMERS index once, generates a deterministic query
+      trace (window / point-enclosure / distance probes) and replays it on
+      N serve workers with locality-aware (Hilbert-ordered) batching
       M: uniform | clustered | neuro   (default: uniform)
       --batch N: queries per batch (default 64), each replayed in the
                   Hilbert order of its probe centers
@@ -530,19 +528,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// Runs `tfm serve` and returns the summary it prints, one line per
 /// quantity.
 fn serve_summary(args: &[String]) -> Result<String, String> {
-    use tfm_bench::{run_serve_sharded, run_serve_traced, ServeEngineKind};
+    use tfm_bench::{run_serve_sharded, run_serve_traced};
     use tfm_datagen::{generate_trace, ProbeMix, QueryTraceSpec};
     use tfm_serve::{ServeConfig, ShardSpec};
     use transformers::IndexConfig;
 
     let args = parse_args("serve", args)?;
     let path = args.required("--in");
-    let engine = match args.get("--engine").unwrap_or("transformers") {
-        "transformers" => ServeEngineKind::Transformers,
-        "gipsy" => ServeEngineKind::Gipsy,
-        "rtree" => ServeEngineKind::Rtree,
-        other => return Err(format!("unknown serve engine `{other}`")),
-    };
     let mix = match args.get("--mix").unwrap_or("uniform") {
         "uniform" => ProbeMix::Uniform,
         "clustered" => ProbeMix::Clustered { clusters: 8 },
@@ -565,7 +557,6 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
         shards,
         page_size,
         backend: store.backend.clone(),
-        ..ShardSpec::default()
     });
     let metrics = args.get("--metrics");
 
@@ -596,13 +587,12 @@ fn serve_summary(args: &[String]) -> Result<String, String> {
     let (m, results, traces) = match &spec {
         Some(spec) => {
             let idx_cfg = IndexConfig::default().with_build_threads(build_threads);
-            run_serve_sharded(engine, "cli", &elems, &trace, spec, &idx_cfg, &serve_cfg)
+            run_serve_sharded("cli", &elems, &trace, spec, &idx_cfg, &serve_cfg)
         }
-        None => run_serve_traced(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg),
+        None => run_serve_traced("cli", &elems, &trace, &run_cfg, &serve_cfg),
     };
 
-    let mut lines = vec![format!("engine:          {}", m.engine)];
-    lines.extend(store.summary());
+    let mut lines: Vec<String> = store.summary().into_iter().collect();
     lines.push(format!(
         "dataset:         {path} ({} elements)",
         m.n_elements
@@ -1118,28 +1108,21 @@ mod tests {
     fn serve_command_end_to_end() {
         let flags = ["--count", "800", "--seed", "21", "--max-side", "6"];
         let path = Temp::dataset("serve.elems", &flags);
-        // Every engine serves the generated trace and verifies against the
-        // full-scan oracle, on 1 and 2 workers.
-        for engine in ["transformers", "gipsy", "rtree"] {
-            for extra in [&[][..], &["--threads", "2"][..]] {
-                let base = [
-                    "--in",
-                    path.s(),
-                    "--engine",
-                    engine,
-                    "--queries",
-                    "60",
-                    "--batch",
-                    "16",
-                    "--verify",
-                ];
-                let serve_args = sv(&[&base[..], extra].concat());
-                cmd_serve(&serve_args).unwrap_or_else(|e| panic!("{engine} {extra:?}: {e}"));
-            }
-        }
-        // Bad flags fail fast with clear messages.
-        let bad = sv(&["--in", path.s(), "--engine", "bogus"]);
-        assert!(cmd_serve(&bad).unwrap_err().contains("serve engine"));
+        // The generated trace verifies against the full-scan oracle on 2
+        // workers.
+        let serve_args = sv(&[
+            "--in",
+            path.s(),
+            "--queries",
+            "60",
+            "--threads",
+            "2",
+            "--batch",
+            "16",
+            "--verify",
+        ]);
+        cmd_serve(&serve_args).unwrap();
+        // A bad flag fails fast with a clear message.
         let bad = sv(&["--in", path.s(), "--threads", "0"]);
         assert!(cmd_serve(&bad).unwrap_err().contains("--threads"));
     }
@@ -1521,7 +1504,12 @@ mod tests {
             "/nonexistent/m",
         ];
         let exports = ["--metrics-format prometheus", "--metrics-interval-ms 5"];
-        let selections = ["--no-hilbert", "--shed", "--shard-partitioner str"];
+        let selections = [
+            "--no-hilbert",
+            "--shed",
+            "--shard-partitioner str",
+            "--engine rtree",
+        ];
         for (command, cmd, base, retired) in [
             (
                 "serve",

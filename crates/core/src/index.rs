@@ -408,22 +408,15 @@ impl TransformersIndex {
 ///
 /// Its one read, [`with_records`](Self::with_records), **pins**: the
 /// unit's page stays in its cache frame and the caller reads ids and boxes
-/// in place. The probe paths and the GIPSY join use it — each tests every
-/// box once and keeps only ids.
+/// in place. The serve probe path uses it: it tests every box once and
+/// keeps only ids.
 pub struct UnitReader<'i, 'c, 'd> {
     units: &'i [SpaceUnitDesc],
     codec: ElementPageCodec,
     cache: CacheHandle<'c, 'd>,
 }
 
-impl<'c, 'd> UnitReader<'_, 'c, 'd> {
-    /// The handle's cache view, for sharing it with adjacent lookups
-    /// (e.g. [`TransformersIndex::walk_start`], so B+-tree pages ride
-    /// the same cache as element pages).
-    pub fn cache_mut(&mut self) -> &mut CacheHandle<'c, 'd> {
-        &mut self.cache
-    }
-
+impl UnitReader<'_, '_, '_> {
     /// Pins one unit's page and hands `f` a borrowed view of its records:
     /// nothing is decoded, copied or allocated, and the pin is released
     /// when `f` returns. Counts one page-tier hit or miss on this handle,

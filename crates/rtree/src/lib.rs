@@ -9,8 +9,8 @@
 //!   the shared [`IndexBuildPipeline`] (so `--build-threads` parallelizes
 //!   this baseline's build exactly like the TRANSFORMERS build);
 //! * [`sync_join`] — the synchronized traversal;
-//! * [`RTree::range_query`] — the box query the serving layer's R-tree
-//!   engine answers probes with.
+//! * [`RTree::range_query`] — a box query, the bulk load's check against
+//!   a scan.
 //!
 //! The R-Tree's structural weakness the paper highlights — *overlap* between
 //! sibling MBBs forcing extra reads and comparisons — emerges naturally
@@ -168,10 +168,11 @@ impl RTree {
         self.root_mbb
     }
 
-    /// Returns the ids of all elements whose MBB intersects `query`.
-    /// Node pages are read through `pool` (any [`PageReads`] implementor:
-    /// a `CacheHandle` onto the serve engine's or the baseline run's
-    /// cache, or the raw `&Disk`).
+    /// Returns the ids of all elements whose MBB intersects `query`,
+    /// reading node pages through `pool` (any [`PageReads`] implementor:
+    /// a `CacheHandle` onto a cache, or the raw `&Disk`). The join does
+    /// not call it; `tests/rtree_props.rs` holds the bulk load to a scan
+    /// through it.
     pub fn range_query<C: PageReads>(
         &self,
         pool: &mut C,
@@ -179,40 +180,12 @@ impl RTree {
         stats: &mut RtreeStats,
     ) -> Vec<ElementId> {
         let mut out = Vec::new();
-        self.range_query_visit(pool, query, stats, |e| out.push(e.id));
-        out
-    }
-
-    /// [`RTree::range_query`] returning the full elements instead of bare
-    /// ids, so callers with a finer predicate than box intersection (e.g.
-    /// the serving layer's ε-ball queries) can refine the candidates
-    /// without a second lookup.
-    pub fn range_query_elements<C: PageReads>(
-        &self,
-        pool: &mut C,
-        query: &Aabb,
-        stats: &mut RtreeStats,
-    ) -> Vec<SpatialElement> {
-        let mut out = Vec::new();
-        self.range_query_visit(pool, query, stats, |e| out.push(e));
-        out
-    }
-
-    /// Shared descent: calls `on_hit` for every element whose MBB
-    /// intersects `query`.
-    fn range_query_visit<C: PageReads>(
-        &self,
-        pool: &mut C,
-        query: &Aabb,
-        stats: &mut RtreeStats,
-        mut on_hit: impl FnMut(SpatialElement),
-    ) {
         if self.is_empty() {
-            return;
+            return out;
         }
         stats.node_tests += 1;
         if !self.root_mbb.intersects(query) {
-            return;
+            return out;
         }
         let mut stack = vec![(self.root, self.height)];
         while let Some((page, level)) = stack.pop() {
@@ -222,7 +195,7 @@ impl RTree {
                     for e in elems {
                         stats.mem.element_tests += 1;
                         if e.mbb.intersects(query) {
-                            on_hit(e);
+                            out.push(e.id);
                         }
                     }
                 }
@@ -236,6 +209,7 @@ impl RTree {
                 }
             }
         }
+        out
     }
 }
 

@@ -1,80 +1,42 @@
-//! The [`QueryEngine`] trait and its three implementations.
+//! The [`QueryEngine`] trait and its two implementations.
 //!
-//! An engine wraps one *built, immutable* index structure plus the
+//! An engine wraps one TRANSFORMERS hierarchy, reads it through one
 //! [`SharedPageCache`] over its disk, and hands out per-worker
 //! [`QuerySession`]s. All mutable state a query needs — the cache handle
-//! with its counters, exploration scratch, walk position — lives in the
-//! session, so any number of workers can serve queries against one shared
-//! engine with no synchronization beyond the lock-striped cache.
+//! with its counters — lives in the session, so any number of workers can
+//! serve queries against one shared engine with no synchronization beyond
+//! the lock-striped cache.
 //!
-//! * [`TransformersEngine`] — serves from the TRANSFORMERS hierarchy: the
-//!   in-memory descriptor tables prefilter nodes then units by page MBB,
-//!   and only the surviving unit pages are read. This is the structure the
-//!   paper builds for the join, reused as a query-serving index.
-//! * [`GipsyEngine`] — the GIPSY strategy fixed at element granularity:
-//!   each probe directs an adaptive walk to the probe's region (resuming
-//!   from the previous probe's position, which is what makes Hilbert
-//!   batching help it) and a crawl collects the candidate pages.
-//! * [`RtreeEngine`] — the R-tree baseline: a root-to-leaf range descent
-//!   per probe, paying the sibling-overlap reads the paper highlights.
-//! * [`MutableTransformersEngine`] — the TRANSFORMERS hierarchy under a
+//! * [`TransformersEngine`] — serves from an immutable
+//!   [`TransformersIndex`]: the in-memory descriptor tables prefilter
+//!   nodes then units by page MBB, and only the surviving unit pages are
+//!   read. This is the structure the paper builds for the join, reused as
+//!   a query-serving index.
+//! * [`MutableTransformersEngine`] — the same hierarchy under a
 //!   [`MutableTransformers`] overlay: sessions query the latest published
 //!   snapshot, so serves run concurrently with mutation batches without
 //!   ever blocking on the writer.
+//!
+//! The GIPSY and R-tree structures are join baselines only (DESIGN.md §
+//! "Retired: the serve tier's GIPSY and R-tree engines").
 
 use tfm_geom::{ElementId, SpatialQuery};
-use tfm_rtree::{RTree, RtreeStats};
 use tfm_storage::{
     CacheHandle, CacheStats, Disk, IoStatsSnapshot, PageId, PageReads, SharedPageCache,
     DEFAULT_POOL_PAGES,
 };
-use transformers::explore::Explorer;
 use transformers::{MutableTransformers, TransformersIndex, UnitId, UnitReader};
-
-/// Which structure serves a trace — what an [`crate::IndexShard`] builds
-/// and opens engines over (labels match the join harness's vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeEngineKind {
-    /// The TRANSFORMERS hierarchy behind [`TransformersEngine`] (node/unit
-    /// MBB prefilter + page reads).
-    Transformers,
-    /// The TRANSFORMERS hierarchy crawled GIPSY-style ([`GipsyEngine`]):
-    /// per-probe directed walk + crawl at element granularity.
-    Gipsy,
-    /// The STR-bulk-loaded R-tree baseline behind [`RtreeEngine`].
-    Rtree,
-}
-
-impl ServeEngineKind {
-    /// Short label for tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeEngineKind::Transformers => "TRANSFORMERS",
-            ServeEngineKind::Gipsy => "GIPSY",
-            ServeEngineKind::Rtree => "R-TREE",
-        }
-    }
-
-    /// All three engines, for sweep-style comparisons.
-    pub fn all() -> [ServeEngineKind; 3] {
-        [
-            ServeEngineKind::Transformers,
-            ServeEngineKind::Gipsy,
-            ServeEngineKind::Rtree,
-        ]
-    }
-}
 
 /// A built index structure that can serve spatial queries.
 ///
 /// Engines are shared (`&self`) across workers; each worker obtains a
 /// private [`QuerySession`] carrying all per-worker mutable state.
 pub trait QueryEngine: Sync {
-    /// Approach-style label for reports ("TRANSFORMERS", "GIPSY", …).
+    /// Label for reports ("TRANSFORMERS", "TRANSFORMERS-MUT").
     fn label(&self) -> &'static str;
 
-    /// Creates a per-worker session: a thin view over the engine's cache
-    /// plus the worker's scratch state. `pool_pages` is **not read** — a
+    /// Creates a per-worker session: a thin, counted view over the
+    /// engine's cache. `pool_pages` is **not read** — a
     /// session owns no pages, the cache was sized when the engine was
     /// built — and keeps its place only for the callers that still pass
     /// it.
@@ -105,31 +67,10 @@ pub trait QueryEngine: Sync {
 
     /// The batch's candidate pages, ascending: every page the probe
     /// prefilter admits for some query of `queries`, deduplicated, from
-    /// the in-memory descriptors alone (no page is read). Engines without
-    /// such a prefilter return an empty list. The serve path does not call
-    /// it: it is the probe directory's cost measured on its own, and the
-    /// candidate set tests hold to a full scan.
-    fn prefetch_schedule(&self, _queries: &[SpatialQuery]) -> Vec<PageId> {
-        Vec::new()
-    }
-}
-
-/// The unit pages `queries` will touch in a TRANSFORMERS-style hierarchy:
-/// the same page-MBB prefilter the sessions run per probe
-/// ([`TransformersIndex::for_each_candidate_unit`]), evaluated purely
-/// against the in-memory descriptor tables (no page is read). Units are
-/// numbered in page order, so sort+dedup yields an ascending sweep — with
-/// a Hilbert-ordered batch this is exactly the order the workers will ask
-/// for the pages in.
-fn unit_pages_for(idx: &TransformersIndex, queries: &[SpatialQuery]) -> Vec<PageId> {
-    let units = idx.units();
-    let mut pages = Vec::new();
-    for query in queries {
-        idx.for_each_candidate_unit(&query.probe(), |u| pages.push(units[u].page));
-    }
-    pages.sort_unstable();
-    pages.dedup();
-    pages
+    /// the in-memory descriptors alone (no page is read). The serve path
+    /// does not call it: it is the probe directory's cost measured on its
+    /// own, and the candidate set tests hold to a full scan.
+    fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId>;
 }
 
 /// Refinement of one candidate unit: tests every box on the unit's pinned
@@ -151,7 +92,7 @@ fn push_matches(
     });
 }
 
-/// Per-worker query executor: owns the worker's cache handle and scratch.
+/// Per-worker query executor: owns the worker's cache handle.
 pub trait QuerySession {
     /// Executes one query, returning the matching element ids in
     /// ascending order (deterministic regardless of worker count,
@@ -204,8 +145,19 @@ impl QueryEngine for TransformersEngine<'_> {
         &self.cache
     }
 
+    // Units are numbered in page order, so sort+dedup yields an ascending
+    // sweep: with a Hilbert-ordered batch, the order the workers ask for
+    // the pages in.
     fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
-        unit_pages_for(self.idx, queries)
+        let units = self.idx.units();
+        let mut pages = Vec::new();
+        for query in queries {
+            self.idx
+                .for_each_candidate_unit(&query.probe(), |u| pages.push(units[u].page));
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        pages
     }
 }
 
@@ -236,7 +188,7 @@ impl QuerySession for TransformersSession<'_> {
 /// Serves queries from a [`MutableTransformers`] overlay — the read side
 /// of the online write path.
 ///
-/// Unlike the immutable engines this one *borrows* its cache, from the
+/// Unlike [`TransformersEngine`] this one *borrows* its cache, from the
 /// writer: mutation batches land pages in the cache's dirty tier before
 /// any flush, so readers must go through the same [`SharedPageCache`] the
 /// writer logs into (a second cache over the raw disk would miss
@@ -300,156 +252,6 @@ impl QuerySession for MutableTransformersSession<'_> {
 
     fn pool_counters(&self) -> (u64, u64) {
         let c = self.handle.counters();
-        (c.hits, c.misses)
-    }
-}
-
-/// Serves queries GIPSY-style: per-probe directed walk + crawl at element
-/// granularity over a connectivity-indexed dataset.
-pub struct GipsyEngine<'a> {
-    idx: &'a TransformersIndex,
-    cache: SharedPageCache<'a>,
-}
-
-impl<'a> GipsyEngine<'a> {
-    /// Wraps the (dense-side) connectivity index and its disk, with a
-    /// default-sized cache.
-    pub fn new(idx: &'a TransformersIndex, disk: &'a Disk) -> Self {
-        Self {
-            idx,
-            cache: SharedPageCache::new(disk, DEFAULT_POOL_PAGES),
-        }
-    }
-
-    /// Replaces the engine's cache; see
-    /// [`TransformersEngine::with_shared_cache`].
-    pub fn with_shared_cache(mut self, pages: usize, shards: usize) -> Self {
-        self.cache = SharedPageCache::with_shards(self.cache.disk(), pages, shards);
-        self
-    }
-}
-
-impl QueryEngine for GipsyEngine<'_> {
-    fn label(&self) -> &'static str {
-        "GIPSY"
-    }
-
-    fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
-        Box::new(GipsySession {
-            reader: self.idx.unit_reader_shared(&self.cache),
-            explorer: Explorer::new(self.idx),
-            candidates: Vec::new(),
-        })
-    }
-
-    fn cache(&self) -> &SharedPageCache<'_> {
-        &self.cache
-    }
-
-    // GIPSY's crawl visits a subset of the unit pages the MBB prefilter
-    // admits, so the TRANSFORMERS candidate set over-approximates it.
-    fn prefetch_schedule(&self, queries: &[SpatialQuery]) -> Vec<PageId> {
-        unit_pages_for(self.idx, queries)
-    }
-}
-
-struct GipsySession<'a> {
-    reader: UnitReader<'a, 'a, 'a>,
-    /// Walks from the previous probe's position: consecutive
-    /// Hilbert-ordered probes are spatial neighbours, so the walk is short.
-    explorer: Explorer<'a>,
-    /// The crawl's candidate units, reused from probe to probe.
-    candidates: Vec<UnitId>,
-}
-
-impl QuerySession for GipsySession<'_> {
-    fn execute(&mut self, query: &SpatialQuery) -> Vec<ElementId> {
-        let probe = query.probe();
-        let mut out = Vec::new();
-        // A cold session's B+-tree descent reads through the session's
-        // cache handle, so tree pages share the serving cache.
-        let Some(nf) = self.explorer.locate(self.reader.cache_mut(), &probe) else {
-            return out;
-        };
-        self.candidates.clear();
-        self.explorer.crawl(&probe, nf, &mut self.candidates);
-        for &cu in &self.candidates {
-            push_matches(&mut self.reader, cu, query, &mut out);
-        }
-        out.sort_unstable();
-        out
-    }
-
-    fn pool_counters(&self) -> (u64, u64) {
-        (self.reader.hits(), self.reader.misses())
-    }
-}
-
-/// Serves queries from an STR-bulk-loaded [`RTree`].
-pub struct RtreeEngine<'a> {
-    tree: &'a RTree,
-    cache: SharedPageCache<'a>,
-}
-
-impl<'a> RtreeEngine<'a> {
-    /// Wraps a bulk-loaded tree and its disk, with a default-sized cache.
-    pub fn new(tree: &'a RTree, disk: &'a Disk) -> Self {
-        Self {
-            tree,
-            cache: SharedPageCache::new(disk, DEFAULT_POOL_PAGES),
-        }
-    }
-
-    /// Replaces the engine's cache; see
-    /// [`TransformersEngine::with_shared_cache`]. (R-tree pages use their
-    /// own node layout, so only the byte tier applies — the decoded tier
-    /// is specific to element pages.)
-    pub fn with_shared_cache(mut self, pages: usize, shards: usize) -> Self {
-        self.cache = SharedPageCache::with_shards(self.cache.disk(), pages, shards);
-        self
-    }
-}
-
-impl QueryEngine for RtreeEngine<'_> {
-    fn label(&self) -> &'static str {
-        "R-TREE"
-    }
-
-    fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
-        Box::new(RtreeSession {
-            tree: self.tree,
-            pool: CacheHandle::shared(&self.cache),
-            stats: RtreeStats::default(),
-        })
-    }
-
-    fn cache(&self) -> &SharedPageCache<'_> {
-        &self.cache
-    }
-}
-
-struct RtreeSession<'a> {
-    tree: &'a RTree,
-    pool: CacheHandle<'a, 'a>,
-    stats: RtreeStats,
-}
-
-impl QuerySession for RtreeSession<'_> {
-    fn execute(&mut self, query: &SpatialQuery) -> Vec<ElementId> {
-        let probe = query.probe();
-        let mut out: Vec<ElementId> = self
-            .tree
-            .range_query_elements(&mut self.pool, &probe, &mut self.stats)
-            .into_iter()
-            .filter(|e| query.matches(&e.mbb))
-            .map(|e| e.id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    fn pool_counters(&self) -> (u64, u64) {
-        let c = self.pool.counters();
         (c.hits, c.misses)
     }
 }

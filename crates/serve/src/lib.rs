@@ -7,13 +7,13 @@
 //! a one-shot batch join. This crate turns those probes into a
 //! first-class, measurable workload:
 //!
-//! * [`QueryEngine`] / [`QuerySession`] — one trait implemented by all
-//!   three disk-resident structures (TRANSFORMERS, GIPSY-style
-//!   element-granularity crawling, the R-tree baseline). An engine owns
-//!   the one [`tfm_storage::SharedPageCache`] over its disk and is shared
-//!   immutably across workers; sessions hold all per-worker mutable state
-//!   (a counted handle onto that cache via the core's `UnitReader`, walk
-//!   position, scratch), so readers share pages, not locks on state.
+//! * [`QueryEngine`] / [`QuerySession`] — one trait over the TRANSFORMERS
+//!   hierarchy, implemented for a built index ([`TransformersEngine`]) and
+//!   for the mutable overlay ([`MutableTransformersEngine`]). An engine
+//!   reads through one [`tfm_storage::SharedPageCache`] over its disk and
+//!   is shared immutably across workers; sessions hold all per-worker
+//!   mutable state (a counted handle onto that cache), so readers share
+//!   pages, not locks on state.
 //! * [`RequestQueue`] — the bounded admission edge: the feeder admits
 //!   every sub-batch with a blocking `push` into a queue four sub-batches
 //!   deep, so a full queue is backpressure and no query is ever dropped.
@@ -58,7 +58,7 @@
 //! results are reassembled by query position — so the result vector is
 //! **byte-identical for any thread count, shard count and batch size**.
 //! The `serve_equivalence` and `shard_equivalence` integration tests hold
-//! all engines to that against a sequential full-scan reference.
+//! both engines to that against a sequential full-scan reference.
 //!
 //! # Example
 //!
@@ -84,10 +84,7 @@ mod engines;
 mod shard;
 mod stats;
 
-pub use engines::{
-    GipsyEngine, MutableTransformersEngine, QueryEngine, QuerySession, RtreeEngine,
-    ServeEngineKind, TransformersEngine,
-};
+pub use engines::{MutableTransformersEngine, QueryEngine, QuerySession, TransformersEngine};
 pub use shard::{plan_shards, serve_sharded, IndexShard, ShardRouter, ShardSpec, ShardedCluster};
 pub use stats::{LatencySummary, ServeStats, ShardStats};
 pub use tfm_pool::RequestQueue;
@@ -705,8 +702,9 @@ mod tests {
     #[test]
     fn all_engines_agree_with_the_reference() {
         let (disk, idx, elems) = fixture(3000, 12);
-        let rtree_disk = Disk::in_memory(2048);
-        let tree = tfm_rtree::RTree::bulk_load(&rtree_disk, elems.clone());
+        // The mutable engine over an overlay no batch has touched yet.
+        let cache = tfm_storage::SharedPageCache::new(&disk, 1024);
+        let overlay = transformers::MutableTransformers::adopt(&idx, &disk);
         let trace = generate_trace(&QueryTraceSpec::with_mix(
             200,
             ProbeMix::Clustered { clusters: 4 },
@@ -715,8 +713,7 @@ mod tests {
         let expected = reference(&elems, &trace);
         let engines: Vec<Box<dyn QueryEngine>> = vec![
             Box::new(TransformersEngine::new(&idx, &disk)),
-            Box::new(GipsyEngine::new(&idx, &disk)),
-            Box::new(RtreeEngine::new(&tree, &rtree_disk)),
+            Box::new(MutableTransformersEngine::new(&overlay, &cache)),
         ];
         for engine in &engines {
             let out = serve_trace(engine.as_ref(), &trace, &ServeConfig::default());
@@ -845,13 +842,9 @@ mod tests {
         let empty_disk = Disk::in_memory(2048);
         let empty = TransformersIndex::build(&empty_disk, vec![], &IndexConfig::default());
         let trace = generate_trace(&QueryTraceSpec::uniform(50, 19));
-        for engine in [
-            Box::new(TransformersEngine::new(&empty, &empty_disk)) as Box<dyn QueryEngine>,
-            Box::new(GipsyEngine::new(&empty, &empty_disk)),
-        ] {
-            let out = serve_trace(engine.as_ref(), &trace, &ServeConfig::default());
-            assert!(out.results.iter().all(Vec::is_empty), "{}", engine.label());
-        }
+        let engine = TransformersEngine::new(&empty, &empty_disk);
+        let out = serve_trace(&engine, &trace, &ServeConfig::default());
+        assert!(out.results.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!    into N disjoint, near-equal runs, so each subset is spatially
 //!    compact.
 //! 2. [`ShardedCluster::build`] turns each subset into a self-contained
-//!    [`IndexShard`]: its own simulated [`Disk`], its own built index
-//!    (TRANSFORMERS hierarchy or R-tree), and — at serve time — its own
+//!    [`IndexShard`]: its own simulated [`Disk`], its own built
+//!    TRANSFORMERS index, and — at serve time — its own
 //!    [`SharedPageCache`](tfm_storage::SharedPageCache) and its own
 //!    `tfm-pool` worker pool. Shards share nothing, which is exactly
 //!    what makes this the seam for a future multi-process split.
@@ -25,22 +25,16 @@
 //!    queues, per-shard pools drain them, the gather merges the partial
 //!    id lists back per query.
 
-use crate::{
-    GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, ServeEngineKind, ServeOutcome,
-    TransformersEngine,
-};
+use crate::{QueryEngine, ServeConfig, ServeOutcome, TransformersEngine};
 use tfm_geom::{hilbert, Aabb, HasMbb, SpatialElement, SpatialQuery};
-use tfm_rtree::RTree;
 use tfm_storage::{Disk, SharedPageCache, StoreBackend};
-use transformers::{IndexBuildPipeline, IndexConfig, TransformersIndex};
+use transformers::{IndexConfig, TransformersIndex};
 
 /// Build-time shape of a [`ShardedCluster`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     /// Number of shards (`0` is clamped to 1).
     pub shards: usize,
-    /// Index structure per shard.
-    pub engine: ServeEngineKind,
     /// Page size of each shard's private disk.
     pub page_size: usize,
     /// Storage backend of each shard's private disk. With
@@ -54,7 +48,6 @@ impl Default for ShardSpec {
     fn default() -> Self {
         Self {
             shards: 1,
-            engine: ServeEngineKind::Transformers,
             page_size: tfm_storage::DEFAULT_PAGE_SIZE,
             backend: StoreBackend::Mem,
         }
@@ -65,12 +58,6 @@ impl ShardSpec {
     /// Builder: sets the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Builder: sets the per-shard index structure.
-    pub fn with_engine(mut self, engine: ServeEngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -111,49 +98,26 @@ pub fn plan_shards(elements: &[SpatialElement], shards: usize) -> Vec<Vec<Spatia
         .collect()
 }
 
-/// One self-contained index shard: a disk of its own plus a built index
-/// over this shard's elements only — also what a harness builds to serve
-/// one unsharded index of a chosen kind.
+/// One self-contained index shard: a disk of its own plus a TRANSFORMERS
+/// index over this shard's elements only — also what a harness builds to
+/// serve one unsharded index.
 pub struct IndexShard {
     disk: Disk,
-    index: ShardIndex,
-    kind: ServeEngineKind,
+    index: TransformersIndex,
     bounds: Aabb,
     elements: u64,
 }
 
-enum ShardIndex {
-    Transformers(TransformersIndex),
-    Rtree(RTree),
-}
-
 impl IndexShard {
-    /// Builds the `kind` structure over `elements` on `disk`, on
-    /// `cfg.build_threads` workers (the pages are byte-identical at any
-    /// thread count).
-    pub fn build(
-        elements: Vec<SpatialElement>,
-        kind: ServeEngineKind,
-        disk: Disk,
-        cfg: &IndexConfig,
-    ) -> Self {
+    /// Builds the index over `elements` on `disk`, on `cfg.build_threads`
+    /// workers (the pages are byte-identical at any thread count).
+    pub fn build(elements: Vec<SpatialElement>, disk: Disk, cfg: &IndexConfig) -> Self {
         let bounds = Aabb::union_all(elements.iter().map(|e| e.mbb));
         let count = elements.len() as u64;
-        let index = match kind {
-            ServeEngineKind::Rtree => ShardIndex::Rtree(RTree::bulk_load_pipelined(
-                &disk,
-                elements,
-                &IndexBuildPipeline::new(cfg.build_threads),
-            )),
-            // GIPSY serves from the TRANSFORMERS structure too.
-            ServeEngineKind::Transformers | ServeEngineKind::Gipsy => {
-                ShardIndex::Transformers(TransformersIndex::build(&disk, elements, cfg))
-            }
-        };
+        let index = TransformersIndex::build(&disk, elements, cfg);
         Self {
             disk,
             index,
-            kind,
             bounds,
             elements: count,
         }
@@ -178,19 +142,9 @@ impl IndexShard {
 
     /// Opens this shard's serve engine with its own shared page cache of
     /// `cache_pages` pages over `cache_shards` lock stripes.
-    pub fn engine(&self, cache_pages: usize, cache_shards: usize) -> Box<dyn QueryEngine + '_> {
-        match (&self.index, self.kind) {
-            (ShardIndex::Rtree(tree), _) => Box::new(
-                RtreeEngine::new(tree, &self.disk).with_shared_cache(cache_pages, cache_shards),
-            ),
-            (ShardIndex::Transformers(idx), ServeEngineKind::Gipsy) => Box::new(
-                GipsyEngine::new(idx, &self.disk).with_shared_cache(cache_pages, cache_shards),
-            ),
-            (ShardIndex::Transformers(idx), _) => Box::new(
-                TransformersEngine::new(idx, &self.disk)
-                    .with_shared_cache(cache_pages, cache_shards),
-            ),
-        }
+    pub fn engine(&self, cache_pages: usize, cache_shards: usize) -> TransformersEngine<'_> {
+        TransformersEngine::new(&self.index, &self.disk)
+            .with_shared_cache(cache_pages, cache_shards)
     }
 }
 
@@ -247,7 +201,7 @@ impl ShardedCluster {
             .map(|(i, subset)| {
                 let disk = Disk::for_backend(&spec.backend, spec.page_size, &format!("shard{i}"))
                     .expect("shard disk backend");
-                IndexShard::build(subset, spec.engine, disk, index_cfg)
+                IndexShard::build(subset, disk, index_cfg)
             })
             .collect();
         let router = ShardRouter::new(shards.iter().map(IndexShard::bounds).collect());
@@ -308,12 +262,12 @@ fn serve_sharded_publishing(
 ) -> ServeOutcome {
     let cache_pages = (cfg.pool_pages / cluster.shard_count()).max(16);
     let cache_shards = SharedPageCache::shards_for_threads(cfg.threads.max(1));
-    let engines: Vec<Box<dyn QueryEngine + '_>> = cluster
+    let engines: Vec<TransformersEngine<'_>> = cluster
         .shards
         .iter()
         .map(|s| s.engine(cache_pages, cache_shards))
         .collect();
-    let targets: Vec<&dyn QueryEngine> = engines.iter().map(|e| &**e).collect();
+    let targets: Vec<&dyn QueryEngine> = engines.iter().map(|e| e as &dyn QueryEngine).collect();
     crate::serve(&targets, Some(&cluster.router), trace, cfg, obs)
 }
 
@@ -512,7 +466,7 @@ mod tests {
             ..ServeConfig::default().with_batch(16)
         };
         let engine = cluster.shards()[0].engine(48, SharedPageCache::shards_for_threads(1));
-        let inline = crate::serve_trace(&*engine, &trace, &cfg);
+        let inline = crate::serve_trace(&engine, &trace, &cfg);
         let queued = serve_sharded(&cluster, &trace, &cfg);
         assert_eq!(queued.results, inline.results);
         assert!(inline.stats.cache.evictions > 0 && inline.stats.pool_hits > 0);

@@ -59,10 +59,7 @@ pub mod prelude {
     pub use tfm_exec::{parallel_join, parallel_join_with_report, ExecReport};
     pub use tfm_geom::{Aabb, Point3, SpatialElement, SpatialQuery};
     pub use tfm_memjoin::{canonicalize, JoinStats, ResultPair};
-    pub use tfm_serve::{
-        serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, ServeStats,
-        TransformersEngine,
-    };
+    pub use tfm_serve::{serve_trace, QueryEngine, ServeConfig, ServeStats, TransformersEngine};
     pub use tfm_storage::{CacheHandle, Disk, DiskModel, SharedPageCache};
     pub use transformers::{
         transformers_join, GuidePick, IndexBuildPipeline, IndexConfig, JoinConfig, ThresholdPolicy,

@@ -8,7 +8,6 @@
 //! on one lock — Rust's test harness runs them on concurrent threads.
 
 use std::sync::Mutex;
-use transformers_repro::baselines::rtree;
 use transformers_repro::obs;
 use transformers_repro::prelude::*;
 
@@ -180,14 +179,29 @@ fn serve_results_identical_with_metrics_and_tracing_on() {
 }
 
 #[test]
-fn rtree_engine_is_also_unperturbed() {
-    // The non-TRANSFORMERS engines share the serve plumbing; one spot
-    // check guards the generic path.
+fn mutable_engine_is_also_unperturbed() {
+    // The mutable overlay's engine is the other engine on the serve
+    // plumbing; one spot check guards the generic path. One insert batch
+    // gives its snapshot overflow chains to read.
+    use transformers_repro::serve::MutableTransformersEngine;
+    use transformers_repro::storage::NoopLog;
+    use transformers_repro::transformers::{MutableTransformers, MutationOp};
+
     let _guard = OBS_LOCK.lock().unwrap();
+    obs::set_enabled(false);
     let elems = uniform(2_000, 94);
-    let disk = Disk::default_in_memory();
-    let tree = rtree::RTree::bulk_load(&disk, elems.clone());
-    let engine = RtreeEngine::new(&tree, &disk);
+    let (disk, idx) = build(&elems);
+    let cache = SharedPageCache::new(&disk, 1024);
+    let overlay = MutableTransformers::adopt(&idx, &disk);
+    let inserts: Vec<MutationOp> = uniform(300, 98)
+        .into_iter()
+        .map(|mut e| {
+            e.id += elems.len() as u64;
+            MutationOp::Insert(e)
+        })
+        .collect();
+    overlay.apply_batch(&NoopLog::new(), &cache, &inserts);
+    let engine = MutableTransformersEngine::new(&overlay, &cache);
     let cfg = ServeConfig {
         threads: 2,
         batch: 16,
@@ -195,7 +209,6 @@ fn rtree_engine_is_also_unperturbed() {
     };
     let trace = generate_trace(&QueryTraceSpec::uniform(120, 95));
 
-    obs::set_enabled(false);
     let off = serve_trace(&engine, &trace, &cfg).results;
     obs::set_enabled(true);
     obs::global().reset();

@@ -2,7 +2,8 @@
 //!
 //! * every query of a trace answers **identically** at 1/2/4/8 workers,
 //!   in Hilbert-ordered batches of 32 and in batches of one (arrival
-//!   order), on every engine — and identically to a sequential full-scan
+//!   order), on both engines (a built index, and the mutable overlay
+//!   adopted from it) — and identically to a sequential full-scan
 //!   reference;
 //! * Hilbert-ordered batching strictly raises the sequential-read
 //!   fraction over arrival-order replay (batches of one) of the same
@@ -16,10 +17,10 @@ use proptest::prelude::*;
 use tfm_datagen::{generate, generate_trace, DatasetSpec, ProbeMix, QueryTraceSpec};
 use tfm_geom::{ElementId, SpatialElement, SpatialQuery};
 use tfm_serve::{
-    serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, TransformersEngine,
+    serve_trace, MutableTransformersEngine, QueryEngine, ServeConfig, TransformersEngine,
 };
-use tfm_storage::Disk;
-use transformers::{IndexConfig, TransformersIndex};
+use tfm_storage::{Disk, SharedPageCache};
+use transformers::{IndexConfig, MutableTransformers, TransformersIndex};
 
 const PAGE: usize = 2048;
 
@@ -52,8 +53,8 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
         ..DatasetSpec::uniform(6_000, 400)
     });
     let (disk, idx) = build_index(&elems);
-    let rtree_disk = Disk::in_memory(PAGE);
-    let tree = tfm_rtree::RTree::bulk_load(&rtree_disk, elems.clone());
+    let cache = SharedPageCache::new(&disk, 1024);
+    let overlay = MutableTransformers::adopt(&idx, &disk);
 
     for (mix, seed) in [
         (ProbeMix::Uniform, 401u64),
@@ -64,8 +65,7 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
         let expected = reference(&elems, &trace);
         let engines: Vec<Box<dyn QueryEngine>> = vec![
             Box::new(TransformersEngine::new(&idx, &disk)),
-            Box::new(GipsyEngine::new(&idx, &disk)),
-            Box::new(RtreeEngine::new(&tree, &rtree_disk)),
+            Box::new(MutableTransformersEngine::new(&overlay, &cache)),
         ];
         for engine in &engines {
             for threads in [1usize, 2, 4, 8] {

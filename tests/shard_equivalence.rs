@@ -3,8 +3,8 @@
 //!
 //! * every (shards, workers) combination from {1,2,4,8} × {1,2,4}
 //!   answers a trace **byte-identically** to the unsharded serve path
-//!   and to a sequential full-scan reference — on every engine, with
-//!   per-query traces off and on — and reports exactly the fan-out its
+//!   and to a sequential full-scan reference — with per-query traces off
+//!   and on — and reports exactly the fan-out its
 //!   router decides (partials routed, widest query) and executes every
 //!   partial it routes;
 //! * property test: a probe's routed shard set always covers every
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use tfm_datagen::{generate, generate_trace, DatasetSpec, ProbeMix, QueryTraceSpec};
 use tfm_geom::{Aabb, ElementId, HasMbb, SpatialElement, SpatialQuery};
 use tfm_serve::{
-    plan_shards, serve_sharded, serve_trace, ServeConfig, ServeEngineKind, ShardRouter, ShardSpec,
-    ShardedCluster, TransformersEngine,
+    plan_shards, serve_sharded, serve_trace, ServeConfig, ShardRouter, ShardSpec, ShardedCluster,
+    TransformersEngine,
 };
 use tfm_storage::Disk;
 use transformers::{IndexConfig, TransformersIndex};
@@ -60,48 +60,43 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
     let unsharded = serve_trace(&engine, &trace, &ServeConfig::default());
     assert_eq!(unsharded.results, expected);
 
-    for engine in ServeEngineKind::all() {
-        for shards in [1usize, 2, 4, 8] {
-            let spec = ShardSpec::default().with_shards(shards).with_engine(engine);
-            let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
-            // The fan-out the router decides, which the stats must report
-            // exactly: partials routed in all, and the widest query.
-            let routes: Vec<usize> = trace
-                .iter()
-                .map(|q| cluster.router().route(q).len())
-                .collect();
-            let routed: u64 = routes.iter().map(|&n| n as u64).sum();
-            let widest = routes.iter().copied().max().unwrap_or(0);
-            for workers in [1usize, 2, 4] {
-                for collect_traces in [false, true] {
-                    // Small batches: 50 of them in 200 queries.
-                    let cfg = ServeConfig {
-                        threads: workers,
-                        batch: 4,
-                        collect_traces,
-                        ..ServeConfig::default()
-                    };
-                    let out = serve_sharded(&cluster, &trace, &cfg);
-                    let case = format!(
-                        "engine={engine:?} shards={shards} workers={workers} \
-                         traces={collect_traces}"
-                    );
-                    assert_eq!(out.results, expected, "{case}");
-                    assert_eq!(out.stats.queries, trace.len() as u64);
-                    assert_eq!(out.stats.routed_partials, routed, "{case}");
-                    assert_eq!(out.stats.fanout_max, widest, "{case}");
-                    // Each shard executes every partial routed to it (no
-                    // silent drops).
-                    for s in &out.stats.per_shard {
-                        let executed: u64 = s.per_worker_queries.iter().sum();
-                        assert_eq!(executed, s.routed, "{case} shard {}", s.shard);
-                    }
-                    let traced = if collect_traces { trace.len() } else { 0 };
-                    assert_eq!(out.traces.len(), traced, "{case}");
-                    for (i, t) in out.traces.iter().enumerate() {
-                        assert_eq!(t.trace_id, i as u64);
-                        assert_eq!(t.result_ids, expected[i].len() as u64, "{case}");
-                    }
+    for shards in [1usize, 2, 4, 8] {
+        let spec = ShardSpec::default().with_shards(shards);
+        let cluster = ShardedCluster::build(elems.clone(), &spec, &IndexConfig::default());
+        // The fan-out the router decides, which the stats must report
+        // exactly: partials routed in all, and the widest query.
+        let routes: Vec<usize> = trace
+            .iter()
+            .map(|q| cluster.router().route(q).len())
+            .collect();
+        let routed: u64 = routes.iter().map(|&n| n as u64).sum();
+        let widest = routes.iter().copied().max().unwrap_or(0);
+        for workers in [1usize, 2, 4] {
+            for collect_traces in [false, true] {
+                // Small batches: 50 of them in 200 queries.
+                let cfg = ServeConfig {
+                    threads: workers,
+                    batch: 4,
+                    collect_traces,
+                    ..ServeConfig::default()
+                };
+                let out = serve_sharded(&cluster, &trace, &cfg);
+                let case = format!("shards={shards} workers={workers} traces={collect_traces}");
+                assert_eq!(out.results, expected, "{case}");
+                assert_eq!(out.stats.queries, trace.len() as u64);
+                assert_eq!(out.stats.routed_partials, routed, "{case}");
+                assert_eq!(out.stats.fanout_max, widest, "{case}");
+                // Each shard executes every partial routed to it (no
+                // silent drops).
+                for s in &out.stats.per_shard {
+                    let executed: u64 = s.per_worker_queries.iter().sum();
+                    assert_eq!(executed, s.routed, "{case} shard {}", s.shard);
+                }
+                let traced = if collect_traces { trace.len() } else { 0 };
+                assert_eq!(out.traces.len(), traced, "{case}");
+                for (i, t) in out.traces.iter().enumerate() {
+                    assert_eq!(t.trace_id, i as u64);
+                    assert_eq!(t.result_ids, expected[i].len() as u64, "{case}");
                 }
             }
         }

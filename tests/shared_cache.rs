@@ -9,9 +9,7 @@
 //! once" count is `tfm-storage`'s `SharedPageCache` unit test).
 
 use transformers_repro::prelude::*;
-use transformers_repro::serve::{
-    serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, TransformersEngine,
-};
+use transformers_repro::serve::{serve_trace, ServeConfig, TransformersEngine};
 use transformers_repro::storage::Disk;
 
 fn fixture(count: usize, seed: u64) -> (Disk, TransformersIndex, Vec<SpatialElement>) {
@@ -41,12 +39,10 @@ fn full_scan(elems: &[SpatialElement], trace: &[SpatialQuery]) -> Vec<Vec<u64>> 
 
 /// 8 serve workers over a cache of 8 frames (2 shards): constant
 /// eviction, recycling and cross-worker pinning — results must equal the
-/// full-scan reference for every engine.
+/// full-scan reference.
 #[test]
 fn eight_workers_on_a_tiny_shared_cache_match_the_full_scan() {
     let (disk, idx, elems) = fixture(5000, 301);
-    let rtree_disk = Disk::in_memory(2048);
-    let tree = transformers_repro::baselines::rtree::RTree::bulk_load(&rtree_disk, elems.clone());
     let trace = generate_trace(&QueryTraceSpec::with_mix(
         300,
         ProbeMix::Clustered { clusters: 4 },
@@ -58,22 +54,15 @@ fn eight_workers_on_a_tiny_shared_cache_match_the_full_scan() {
         batch: 16,
         ..ServeConfig::default()
     };
-    let engines: Vec<Box<dyn QueryEngine>> = vec![
-        Box::new(TransformersEngine::new(&idx, &disk).with_shared_cache(8, 2)),
-        Box::new(GipsyEngine::new(&idx, &disk).with_shared_cache(8, 2)),
-        Box::new(RtreeEngine::new(&tree, &rtree_disk).with_shared_cache(8, 2)),
-    ];
-    for engine in &engines {
-        let out = serve_trace(engine.as_ref(), &trace, &cfg);
-        assert_eq!(out.results, expected, "{} diverges", engine.label());
-        let cache = out.stats.cache;
-        assert!(
-            cache.evictions > 0,
-            "{}: an 8-frame cache must thrash: {cache:?}",
-            engine.label()
-        );
-        assert!(cache.recycled_frames > 0, "{}", engine.label());
-    }
+    let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(8, 2);
+    let out = serve_trace(&engine, &trace, &cfg);
+    assert_eq!(out.results, expected);
+    let cache = out.stats.cache;
+    assert!(
+        cache.evictions > 0,
+        "an 8-frame cache must thrash: {cache:?}"
+    );
+    assert!(cache.recycled_frames > 0);
 }
 
 /// The sequential join and the parallel join at 1/2/4/8 workers produce
