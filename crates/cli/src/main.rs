@@ -8,8 +8,18 @@
 //! tfm info --in a.elems
 //! ```
 
+/// `println!`, except that a reader who closed stdout (`tfm … | head`)
+/// ends the process quietly with status 0 instead of a panic. Every print
+/// of this file goes through it.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
 mod io;
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use tfm_bench::args::Args;
 use tfm_bench::{run_approach, Approach, RunConfig};
@@ -139,6 +149,19 @@ fn print_usage() {
     println!("{USAGE}");
 }
 
+/// The body of this file's `println!`: one line to stdout. A closed pipe
+/// exits 0, since whoever stopped reading has what they wanted; any other
+/// write error panics, as `std`'s `println!` does.
+fn print_line(line: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(line).and_then(|()| out.write_all(b"\n")) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// `command`'s synopsis in [`USAGE`].
 fn synopsis(command: &str) -> String {
     let mut lines = USAGE.lines().skip_while(|l| {
@@ -230,7 +253,6 @@ fn start_metrics(path: &str) -> Result<(), String> {
 /// to `path`, parses the file back as a self-check, and returns a one-line
 /// summary.
 fn finish_metrics(path: &str, traces: &[tfm_obs::QueryTrace]) -> Result<String, String> {
-    use std::io::Write as _;
     let snapshot = tfm_obs::global().snapshot();
     tfm_obs::set_enabled(false);
     let io_err = |e: std::io::Error| format!("writing {path}: {e}");

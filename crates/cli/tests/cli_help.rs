@@ -1,7 +1,9 @@
 //! `tfm <command> --help` prints that command's synopsis from `tfm help`
-//! and exits 0, wherever `--help` stands among the command's arguments.
+//! and exits 0, wherever `--help` stands among the command's arguments;
+//! a reader that closes the pipe early ends `tfm` quietly, with status 0.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn tfm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tfm"))
@@ -40,4 +42,37 @@ fn every_subcommand_prints_its_synopsis_on_help() {
             );
         }
     }
+}
+
+#[test]
+fn a_closed_pipe_ends_the_process_quietly() {
+    // `tfm serve --help | head -1`: read one line, then close the pipe.
+    // The rest of the output may already sit in the pipe's buffer, so
+    // this run need not hit the closed pipe...
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tfm"))
+        .args(["serve", "--help"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the tfm binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.starts_with("  tfm serve "), "{first:?}");
+    let out = child.wait_with_output().expect("tfm exits");
+    assert!(out.status.success(), "{out:?}");
+    assert!(out.stderr.is_empty(), "{out:?}");
+
+    // ...this one must: the pipe's only reader is gone before `tfm` starts,
+    // so its first write fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_tfm"))
+        .arg("help")
+        .stdout(writer)
+        .output()
+        .expect("the tfm binary runs");
+    assert!(out.status.success(), "{out:?}");
+    assert!(out.stderr.is_empty(), "{out:?}");
 }

@@ -427,11 +427,6 @@ impl UnitReader<'_, '_, '_> {
         f(self.codec.view(&page))
     }
 
-    /// The disk page a unit's elements live on (the elevator-order key).
-    pub fn page_of(&self, unit: UnitId) -> PageId {
-        self.units[unit.0 as usize].page
-    }
-
     /// This handle's cache counters (hits, misses).
     pub fn counters(&self) -> PoolCounters {
         self.cache.counters()
@@ -671,7 +666,6 @@ mod tests {
                     let mut reader = idx.unit_reader_shared(&cache);
                     let mut ids: Vec<u64> = Vec::new();
                     for u in idx.units() {
-                        assert_eq!(reader.page_of(u.id), u.page);
                         reader.with_records(u.id, |r| ids.extend(r.iter().map(|e| e.id)));
                     }
                     ids.sort_unstable();

@@ -5,22 +5,29 @@
 //! near it; a flat scan of the node table throws that away. The directory
 //! restores it for every probe-shaped prefilter (serve execute, a batch's
 //! candidate pages, the mutable overlay's queries):
-//! level 0 is a dense copy of the node page MBBs in node order, and each
-//! box of level `k + 1` is the union of a run of [`FANOUT`] consecutive
-//! level-`k` boxes. Nodes come out of the node-level STR pass in STR
-//! order, so consecutive runs are spatially tight without any re-sorting.
+//! level 0 holds the node page MBBs in node order, and each box of level
+//! `k + 1` is the union of a run of [`FANOUT`] consecutive level-`k`
+//! boxes. Nodes come out of the node-level STR pass in STR order, so
+//! consecutive runs are spatially tight without any re-sorting.
 //!
-//! A probe descends depth-first, children in index order, so candidate
-//! units are yielded in ascending unit (= page) order — exactly the order
-//! of the linear node→unit scan it replaces, which keeps every page-read
-//! sequence and therefore every I/O count identical.
+//! Every level, and the unit page MBBs, is stored as six coordinate arrays
+//! ([`BoxColumns`]), not as an array of [`Aabb`]s. A probe tests a whole
+//! group of siblings at once — the up to [`FANOUT`] children of a box, or
+//! up to [`MASK_BITS`] units of a node — into a bitmask with no branch per
+//! box, and then walks the set bits. Only a hit decides a jump.
+//!
+//! The set bits are walked low to high, which is index order, and a probe
+//! descends depth-first, so candidate units are yielded in ascending unit
+//! (= page) order — exactly the order of the linear node→unit scan the
+//! directory replaced, which keeps every page-read sequence and therefore
+//! every I/O count identical.
 //!
 //! The directory is derived state: it is rebuilt from the descriptor
 //! tables (index build, every published mutable snapshot) and never
 //! written to disk.
 
 use std::ops::Range;
-use tfm_geom::Aabb;
+use tfm_geom::{for_each_bit, Aabb, BoxColumns, MASK_BITS};
 
 /// Boxes summarized by one box of the next level up.
 const FANOUT: usize = 8;
@@ -28,14 +35,14 @@ const FANOUT: usize = 8;
 /// Packed bounding-box hierarchy over one node table.
 #[derive(Debug)]
 pub(crate) struct ProbeDirectory {
-    /// `levels[0][n]` is node `n`'s page MBB; `levels[k + 1][i]` is the
-    /// union of `levels[k][i * FANOUT..(i + 1) * FANOUT]`. The last level
-    /// holds at most [`FANOUT`] boxes.
-    levels: Vec<Vec<Aabb>>,
+    /// `levels[0]` holds node `n`'s page MBB at `n`; box `i` of
+    /// `levels[k + 1]` is the union of boxes `i * FANOUT..(i + 1) * FANOUT`
+    /// of `levels[k]`. The last level holds at most [`FANOUT`] boxes.
+    levels: Vec<BoxColumns>,
     /// Node `n`'s member units, as indices into the unit table.
     unit_ranges: Vec<Range<u32>>,
-    /// Dense copy of the unit page MBBs, in unit order.
-    unit_boxes: Vec<Aabb>,
+    /// The unit page MBBs, in unit order.
+    unit_boxes: BoxColumns,
 }
 
 impl ProbeDirectory {
@@ -45,12 +52,15 @@ impl ProbeDirectory {
         nodes: impl Iterator<Item = (Aabb, Range<u32>)>,
         unit_boxes: impl Iterator<Item = Aabb>,
     ) -> Self {
-        let (boxes, unit_ranges): (Vec<Aabb>, Vec<Range<u32>>) = nodes.unzip();
+        let (boxes, unit_ranges): (BoxColumns, Vec<Range<u32>>) = nodes.unzip();
         let mut levels = vec![boxes];
         while let Some(below) = levels.last().filter(|below| below.len() > FANOUT) {
-            let above = below
-                .chunks(FANOUT)
-                .map(|run| Aabb::union_all(run.iter().copied()))
+            let above = (0..below.len())
+                .step_by(FANOUT)
+                .map(|first| {
+                    let run = first..(first + FANOUT).min(below.len());
+                    Aabb::union_all(run.map(|i| below.get(i)))
+                })
                 .collect();
             levels.push(above);
         }
@@ -69,10 +79,10 @@ impl ProbeDirectory {
         let top = self.levels.len() - 1;
         self.descend(top, 0..self.levels[top].len(), probe, &mut |node| {
             let units = &self.unit_ranges[node];
-            for u in units.start as usize..units.end as usize {
-                if hits(&self.unit_boxes[u], probe) {
-                    visit(u);
-                }
+            let end = units.end as usize;
+            for first in (units.start as usize..end).step_by(MASK_BITS) {
+                let run = first..end.min(first + MASK_BITS);
+                for_each_bit(self.unit_boxes.hit_mask(run, probe), |k| visit(first + k));
             }
         });
     }
@@ -86,10 +96,9 @@ impl ProbeDirectory {
         probe: &Aabb,
         visit_node: &mut impl FnMut(usize),
     ) {
-        for i in run {
-            if !hits(&self.levels[level][i], probe) {
-                continue;
-            }
+        let mask = self.levels[level].hit_mask(run.clone(), probe);
+        for_each_bit(mask, |k| {
+            let i = run.start + k;
             if level == 0 {
                 visit_node(i);
             } else {
@@ -97,22 +106,8 @@ impl ProbeDirectory {
                 let end = (first + FANOUT).min(self.levels[level - 1].len());
                 self.descend(level - 1, first..end, probe, visit_node);
             }
-        }
+        });
     }
-}
-
-/// [`Aabb::intersects`] without the short-circuit: next to a probe each
-/// of the six comparisons is a coin flip, and `&&` pays a mispredicted
-/// branch for every one of them — several times the cost of simply doing
-/// all six.
-#[inline(always)]
-fn hits(a: &Aabb, b: &Aabb) -> bool {
-    (a.min.x <= b.max.x)
-        & (b.min.x <= a.max.x)
-        & (a.min.y <= b.max.y)
-        & (b.min.y <= a.max.y)
-        & (a.min.z <= b.max.z)
-        & (b.min.z <= a.max.z)
 }
 
 #[cfg(test)]

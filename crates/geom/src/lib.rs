@@ -5,6 +5,8 @@
 //!
 //! * [`Point3`] — a point in 3-D space,
 //! * [`Aabb`] — an axis-aligned minimum bounding box (the paper's "MBB"),
+//! * [`BoxColumns`] — boxes stored as six coordinate arrays, tested a group
+//!   at a time into a bitmask (the probe directory's layout),
 //! * [`SpatialElement`] — an identified MBB, the unit of data being joined,
 //! * [`SpatialQuery`] — window / point-enclosure / distance probes, the
 //!   vocabulary of the query-serving subsystem (`tfm-serve`),
@@ -17,11 +19,13 @@
 #![warn(missing_docs)]
 
 mod aabb;
+mod columns;
 pub mod hilbert;
 mod point;
 mod query;
 
 pub use aabb::Aabb;
+pub use columns::{for_each_bit, BoxColumns, MASK_BITS};
 pub use point::{total_order_key, Point3};
 pub use query::SpatialQuery;
 

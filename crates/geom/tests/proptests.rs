@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tfm_geom::hilbert;
-use tfm_geom::{total_order_key, Aabb, Point3, SpatialQuery};
+use tfm_geom::{for_each_bit, total_order_key, Aabb, BoxColumns, Point3, SpatialQuery};
 
 fn arb_point() -> impl Strategy<Value = Point3> {
     (-1000.0..1000.0f64, -1000.0..1000.0f64, -1000.0..1000.0f64)
@@ -11,6 +11,41 @@ fn arb_point() -> impl Strategy<Value = Point3> {
 
 fn arb_aabb() -> impl Strategy<Value = Aabb> {
     (arb_point(), arb_point()).prop_map(|(a, b)| Aabb::from_corners(a, b))
+}
+
+/// A point on a 5×5×5 lattice: boxes built from such corners share faces,
+/// edges and corners, collapse to flat or point boxes, and miss each other
+/// along any one axis, all often.
+fn lattice_point() -> impl Strategy<Value = Point3> {
+    (0u8..5, 0u8..5, 0u8..5).prop_map(|(x, y, z)| Point3::new(x as f64, y as f64, z as f64))
+}
+
+fn lattice_aabb() -> impl Strategy<Value = Aabb> {
+    // One box in four is a point box on purpose.
+    (0u8..4, lattice_point(), lattice_point()).prop_map(|(kind, a, b)| match kind {
+        0 => Aabb::from_point(a),
+        _ => Aabb::from_corners(a, b),
+    })
+}
+
+/// The closed-box intersection test as six plain comparisons.
+fn plain_intersects(a: &Aabb, b: &Aabb) -> bool {
+    a.min.x <= b.max.x
+        && b.min.x <= a.max.x
+        && a.min.y <= b.max.y
+        && b.min.y <= a.max.y
+        && a.min.z <= b.max.z
+        && b.min.z <= a.max.z
+}
+
+/// The closed point-in-box test as six plain comparisons.
+fn plain_contains_point(a: &Aabb, p: &Point3) -> bool {
+    a.min.x <= p.x
+        && p.x <= a.max.x
+        && a.min.y <= p.y
+        && p.y <= a.max.y
+        && a.min.z <= p.z
+        && p.z <= a.max.z
 }
 
 proptest! {
@@ -155,6 +190,33 @@ proptest! {
             let expected: Vec<usize> =
                 (0..boxes.len()).filter(|&i| q.matches(&boxes[i])).collect();
             prop_assert_eq!(hits, expected, "{:?}", q);
+        }
+    }
+
+    #[test]
+    fn branch_free_box_tests_match_the_plain_comparisons(
+        boxes in prop::collection::vec(lattice_aabb(), 1..80),
+        probe in lattice_aabb(),
+        point in lattice_point(),
+    ) {
+        // The empty box too: it intersects and contains nothing.
+        let mut boxes = boxes;
+        boxes.push(Aabb::empty());
+        for b in &boxes {
+            prop_assert_eq!(b.intersects(&probe), plain_intersects(b, &probe), "{:?} {:?}", b, probe);
+            prop_assert_eq!(probe.intersects(b), plain_intersects(&probe, b), "{:?} {:?}", probe, b);
+            prop_assert_eq!(b.contains_point(&point), plain_contains_point(b, &point), "{:?} {:?}", b, point);
+        }
+        // A column-wise group test sets exactly the bits of the boxes the
+        // plain test admits, for every run a mask can cover.
+        let columns: BoxColumns = boxes.iter().copied().collect();
+        for start in 0..boxes.len() {
+            let end = boxes.len().min(start + tfm_geom::MASK_BITS);
+            let mut got = Vec::new();
+            for_each_bit(columns.hit_mask(start..end, &probe), |k| got.push(start + k));
+            let expected: Vec<usize> =
+                (start..end).filter(|&i| plain_intersects(&boxes[i], &probe)).collect();
+            prop_assert_eq!(got, expected);
         }
     }
 }

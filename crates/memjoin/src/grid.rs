@@ -111,21 +111,6 @@ impl CellFn {
     }
 }
 
-/// Closed-box intersection as six compares and no branch: on candidates
-/// that share a cell the outcome of each single compare is close to a coin
-/// flip. The outcomes are summed as integers because the optimiser turns
-/// `&` on `bool`s back into a chain of short-circuit jumps.
-#[inline]
-fn overlaps(a: &Aabb, b: &Aabb) -> bool {
-    (a.min.x <= b.max.x) as u8
-        + (b.min.x <= a.max.x) as u8
-        + (a.min.y <= b.max.y) as u8
-        + (b.min.y <= a.max.y) as u8
-        + (a.min.z <= b.max.z) as u8
-        + (b.min.z <= a.max.z) as u8
-        == 6
-}
-
 /// The grid itself, in CSR form: cell `c` holds
 /// `cells[starts[c]..starts[c + 1]]`.
 #[derive(Debug, Default)]
@@ -209,8 +194,10 @@ impl CellIndex {
                         let cell = &self.cells
                             [self.starts[row + cx] as usize..self.starts[row + cx + 1] as usize];
                         tests += cell.len() as u64;
+                        // Candidates that share a cell make each compare a
+                        // coin flip: `Aabb::intersects` has no branch.
                         for e in cell {
-                            if overlaps(&e.mbb, &p.mbb) && f.owns([cx, cy, cz], &e.mbb, &p.mbb) {
+                            if e.mbb.intersects(&p.mbb) && f.owns([cx, cy, cz], &e.mbb, &p.mbb) {
                                 results += 1;
                                 hit(e, p);
                             }
@@ -342,7 +329,7 @@ fn keep_overlapping(side: &[SpatialElement], window: &Aabb, keep: &mut Vec<u32>)
     let mut kept = 0;
     for (i, e) in side.iter().enumerate() {
         keep[kept] = i as u32;
-        kept += overlaps(&e.mbb, window) as usize;
+        kept += e.mbb.intersects(window) as usize;
     }
     keep.truncate(kept);
 }

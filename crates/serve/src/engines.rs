@@ -32,9 +32,6 @@ use transformers::{MutableTransformers, TransformersIndex, UnitId, UnitReader};
 /// Engines are shared (`&self`) across workers; each worker obtains a
 /// private [`QuerySession`] carrying all per-worker mutable state.
 pub trait QueryEngine: Sync {
-    /// Label for reports ("TRANSFORMERS", "TRANSFORMERS-MUT").
-    fn label(&self) -> &'static str;
-
     /// Creates a per-worker session: a thin, counted view over the
     /// engine's cache. `pool_pages` is **not read** — a
     /// session owns no pages, the cache was sized when the engine was
@@ -130,10 +127,6 @@ impl<'a> TransformersEngine<'a> {
 }
 
 impl QueryEngine for TransformersEngine<'_> {
-    fn label(&self) -> &'static str {
-        "TRANSFORMERS"
-    }
-
     fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(TransformersSession {
             idx: self.idx,
@@ -210,10 +203,6 @@ impl<'a> MutableTransformersEngine<'a> {
 }
 
 impl QueryEngine for MutableTransformersEngine<'_> {
-    fn label(&self) -> &'static str {
-        "TRANSFORMERS-MUT"
-    }
-
     fn session(&self, _pool_pages: usize) -> Box<dyn QuerySession + '_> {
         Box::new(MutableTransformersSession {
             overlay: self.overlay,

@@ -63,11 +63,14 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
     ] {
         let trace = generate_trace(&QueryTraceSpec::with_mix(220, mix, seed));
         let expected = reference(&elems, &trace);
-        let engines: Vec<Box<dyn QueryEngine>> = vec![
-            Box::new(TransformersEngine::new(&idx, &disk)),
-            Box::new(MutableTransformersEngine::new(&overlay, &cache)),
+        let engines: [(&str, Box<dyn QueryEngine>); 2] = [
+            ("immutable", Box::new(TransformersEngine::new(&idx, &disk))),
+            (
+                "mutable",
+                Box::new(MutableTransformersEngine::new(&overlay, &cache)),
+            ),
         ];
-        for engine in &engines {
+        for (label, engine) in &engines {
             for threads in [1usize, 2, 4, 8] {
                 // A batch of one is arrival order: nothing to sort.
                 for batch in [32, 1] {
@@ -76,10 +79,8 @@ fn every_engine_thread_count_and_batching_mode_agrees() {
                         .with_batch(batch);
                     let out = serve_trace(engine.as_ref(), &trace, &cfg);
                     assert_eq!(
-                        out.results,
-                        expected,
-                        "{} mix={mix:?} threads={threads} batch={batch}",
-                        engine.label()
+                        out.results, expected,
+                        "{label} mix={mix:?} threads={threads} batch={batch}"
                     );
                     assert_eq!(out.stats.queries, trace.len() as u64);
                     assert_eq!(
